@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2plab_core::{
     compare_folding, figure7_latency_experiment, interception_overhead, rule_scaling_experiment,
-    run_swarm_experiment, SwarmExperiment,
+    run_scenario, SwarmExperiment, SwarmResult,
 };
 use p2plab_os::experiments::{figure1_sweep, figure2_sweep, figure3_fairness};
 use p2plab_os::SchedulerKind;
@@ -18,6 +18,10 @@ fn small_swarm(name: &str, leechers: usize, machines: usize) -> SwarmExperiment 
     cfg.machines = machines;
     cfg.file_bytes = 1024 * 1024;
     cfg
+}
+
+fn run(cfg: &SwarmExperiment) -> SwarmResult {
+    run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs")
 }
 
 fn bench_figure1(c: &mut Criterion) {
@@ -61,7 +65,7 @@ fn bench_figure8(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("12_clients_1MB", |b| {
         let cfg = small_swarm("bench-fig8", 12, 13);
-        b.iter(|| black_box(run_swarm_experiment(&cfg)))
+        b.iter(|| black_box(run(&cfg)))
     });
     group.finish();
 }
@@ -73,8 +77,8 @@ fn bench_figure9(c: &mut Criterion) {
         let spread = small_swarm("bench-fig9-spread", 12, 15);
         let folded = small_swarm("bench-fig9-folded", 12, 1);
         b.iter(|| {
-            let a = run_swarm_experiment(&spread);
-            let b_ = run_swarm_experiment(&folded);
+            let a = run(&spread);
+            let b_ = run(&folded);
             black_box(compare_folding(&a, &[&b_]))
         })
     });
@@ -88,7 +92,7 @@ fn bench_figure10_11(c: &mut Criterion) {
         // ~58 clients folded 32:1, the same shape as the paper's 5754-client run.
         let cfg = SwarmExperiment::paper_figure10(0.01);
         b.iter(|| {
-            let r = run_swarm_experiment(&cfg);
+            let r = run(&cfg);
             black_box((r.completion_curve.len(), r.completed))
         })
     });

@@ -11,7 +11,7 @@
 
 use p2plab_bench::{arg_scale, write_run_report};
 use p2plab_bittorrent::no_choking;
-use p2plab_core::{completion_summary, render_table, run_reported, SwarmExperiment, SwarmWorkload};
+use p2plab_core::{completion_summary, render_table, run_reported, SwarmExperiment};
 
 fn main() {
     let scale = arg_scale(0.25, 0.05);
@@ -29,19 +29,13 @@ fn main() {
         "running {} clients with tit-for-tat choking...",
         base.leechers
     );
-    let (a, report_a) = run_reported(
-        &with_choking.to_scenario(),
-        SwarmWorkload::new(with_choking.clone()),
-    )
-    .expect("scenario runs");
+    let (a, report_a) =
+        run_reported(&with_choking.to_scenario(), with_choking.workload()).expect("scenario runs");
     write_run_report("", &report_a);
     println!("  {}", a.summary());
     println!("running {} clients with choking disabled...", base.leechers);
-    let (b, report_b) = run_reported(
-        &without_choking.to_scenario(),
-        SwarmWorkload::new(without_choking.clone()),
-    )
-    .expect("scenario runs");
+    let (b, report_b) = run_reported(&without_choking.to_scenario(), without_choking.workload())
+        .expect("scenario runs");
     write_run_report("", &report_b);
     println!("  {}\n", b.summary());
 

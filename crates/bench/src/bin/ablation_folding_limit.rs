@@ -12,7 +12,7 @@
 //! visible — the boundary of the approach.
 
 use p2plab_bench::{arg_scale, write_run_report};
-use p2plab_core::{compare_folding, render_table, run_reported, SwarmExperiment, SwarmWorkload};
+use p2plab_core::{compare_folding, render_table, run_reported, SwarmExperiment};
 use p2plab_net::AccessLinkClass;
 use p2plab_sim::SimDuration;
 
@@ -33,8 +33,7 @@ fn main() {
         cfg.machines = total.div_ceil(per_machine);
         cfg.name = format!("fast-links-{per_machine}-per-machine");
         println!("running {} ({} machines)...", cfg.name, cfg.machines);
-        let (r, report) = run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone()))
-            .expect("scenario runs");
+        let (r, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
         write_run_report("", &report);
         println!(
             "  {} (peak NIC utilization {:.0}%)",

@@ -9,9 +9,7 @@
 //! ```
 
 use p2plab_bench::{arg_scale, write_results_file, write_run_report};
-use p2plab_core::{
-    completion_summary, run_reported, series_to_csv, SwarmExperiment, SwarmWorkload,
-};
+use p2plab_core::{completion_summary, run_reported, series_to_csv, SwarmExperiment};
 use p2plab_sim::{SimDuration, SimTime};
 
 fn main() {
@@ -25,8 +23,7 @@ fn main() {
         cfg.folding_ratio(),
         cfg.start_interval
     );
-    let (result, report) =
-        run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone())).expect("scenario runs");
+    let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
     write_run_report("", &report);
     println!("{}", result.summary());
     println!("simulation executed {} events\n", result.events_executed);

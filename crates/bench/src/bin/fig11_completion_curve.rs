@@ -6,7 +6,7 @@
 //! ```
 
 use p2plab_bench::{arg_scale, write_results_file, write_run_report};
-use p2plab_core::{ascii_plot, run_reported, series_to_csv, SwarmExperiment, SwarmWorkload};
+use p2plab_core::{ascii_plot, run_reported, series_to_csv, SwarmExperiment};
 use p2plab_sim::SimDuration;
 
 fn main() {
@@ -16,8 +16,7 @@ fn main() {
         "Figure 11: completion curve of {} clients on {} machines",
         cfg.leechers, cfg.machines
     );
-    let (result, report) =
-        run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone())).expect("scenario runs");
+    let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
     write_run_report("", &report);
     println!("{}\n", result.summary());
 

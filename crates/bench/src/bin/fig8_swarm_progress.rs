@@ -11,7 +11,6 @@
 use p2plab_bench::{arg_scale, write_results_file, write_run_report};
 use p2plab_core::{
     ascii_plot, completion_summary, download_phases, run_reported, series_to_csv, SwarmExperiment,
-    SwarmWorkload,
 };
 use p2plab_sim::SimDuration;
 
@@ -27,8 +26,7 @@ fn main() {
         "Figure 8: {} clients + {} seeders, 16 MB file, DSL 2 Mbps/128 kbps/30 ms, start interval {}",
         cfg.leechers, cfg.seeders, cfg.start_interval
     );
-    let (result, report) =
-        run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone())).expect("scenario runs");
+    let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
     write_run_report("", &report);
     println!("{}\n", result.summary());
 

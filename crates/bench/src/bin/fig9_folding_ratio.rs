@@ -7,9 +7,7 @@
 //! ```
 
 use p2plab_bench::{arg_scale, write_results_file, write_run_report};
-use p2plab_core::{
-    compare_folding, render_table, run_reported, series_to_csv, SwarmExperiment, SwarmWorkload,
-};
+use p2plab_core::{compare_folding, render_table, run_reported, series_to_csv, SwarmExperiment};
 use p2plab_sim::SimDuration;
 
 fn main() {
@@ -30,8 +28,7 @@ fn main() {
             cfg.machines,
             cfg.folding_ratio()
         );
-        let (r, report) = run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone()))
-            .expect("scenario runs");
+        let (r, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
         write_run_report("", &report);
         println!(
             "  {} (peak NIC utilization {:.0}%)",

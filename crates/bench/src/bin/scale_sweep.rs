@@ -24,7 +24,7 @@ use p2plab_bench::{write_results_file, write_run_report};
 use p2plab_core::{
     render_table, run_reported, ArrivalSpec, DhtLookupSpec, DhtLookupWorkload, GossipShardedSpec,
     GossipShardedWorkload, GossipSpec, GossipWorkload, PingMeshSpec, PingMeshWorkload, RunReport,
-    ScenarioBuilder, SwarmExperiment, SwarmWorkload,
+    ScenarioBuilder, SwarmExperiment,
 };
 use p2plab_net::{AccessLinkClass, BurstLoss, CcKind, LinkCondition, TopologySpec};
 use p2plab_sim::{RunOutcome, SimDuration};
@@ -250,7 +250,7 @@ fn swarm(clients: usize, smoke: bool) -> RunReport {
     if smoke {
         scenario.event_budget = Some(100_000_000);
     }
-    let (result, report) = run_reported(&scenario, SwarmWorkload::new(cfg)).expect("swarm runs");
+    let (result, report) = run_reported(&scenario, cfg.workload()).expect("swarm runs");
     // At 10^4 clients a handful of late joiners can stay starved of unchoke slots past the
     // deadline — protocol tail behaviour, not an emulation failure. The sweep demands
     // near-total completion; anything below that points at a real regression.
@@ -274,7 +274,7 @@ fn fig10_pin(smoke: bool, shards: usize) -> RunReport {
     if smoke {
         scenario.event_budget = Some(120_000_000);
     }
-    let (result, report) = run_reported(&scenario, SwarmWorkload::new(cfg)).expect("fig10 runs");
+    let (result, report) = run_reported(&scenario, cfg.workload()).expect("fig10 runs");
     assert!(
         result.finished,
         "fig10 pin did not finish: {}",
@@ -306,7 +306,7 @@ fn fig10_proto(kind: CcKind, smoke: bool) -> RunReport {
         scenario.event_budget = Some(120_000_000);
     }
     let leechers = cfg.leechers;
-    let (result, report) = run_reported(&scenario, SwarmWorkload::new(cfg)).expect("proto runs");
+    let (result, report) = run_reported(&scenario, cfg.workload()).expect("proto runs");
     let fraction = result.completed as f64 / leechers as f64;
     assert!(
         fraction >= 0.99,

@@ -12,7 +12,7 @@
 use p2plab_bench::write_run_report;
 use p2plab_core::{
     run_reported, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
-    PingMeshWorkload, RunReport, ScenarioBuilder, SwarmExperiment, SwarmWorkload,
+    PingMeshWorkload, RunReport, ScenarioBuilder, SwarmExperiment,
 };
 use p2plab_net::{AccessLinkClass, TopologySpec};
 use p2plab_sim::SimDuration;
@@ -47,8 +47,7 @@ fn main() {
     let mut cfg = SwarmExperiment::quick();
     cfg.name = "smoke-swarm".into();
     cfg.leechers = 6;
-    let (result, report) =
-        run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone())).expect("swarm runs");
+    let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
     assert!(result.finished, "{}", result.summary());
     assert_eq!(
         report

@@ -290,14 +290,15 @@ pub fn download_phases(result: &SwarmResult) -> Option<DownloadPhases> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_swarm_experiment, SwarmExperiment};
+    use crate::experiment::SwarmExperiment;
+    use crate::scenario::{run_reported, run_scenario};
 
     fn quick_result(machines: usize, seed: u64) -> SwarmResult {
         let mut cfg = SwarmExperiment::quick();
         cfg.machines = machines;
         cfg.seed = seed;
         cfg.name = format!("quick-{machines}m");
-        run_swarm_experiment(&cfg)
+        run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap()
     }
 
     #[test]
@@ -384,26 +385,12 @@ mod tests {
 
     #[test]
     fn folding_comparison_over_reports_matches_result_comparison() {
-        use crate::scenario::{run_reported, ScenarioBuilder};
-        use crate::workloads::SwarmWorkload;
-        use p2plab_net::TopologySpec;
-
         let run = |machines: usize| {
             let mut cfg = SwarmExperiment::quick();
             cfg.leechers = 6;
             cfg.machines = machines;
             cfg.name = format!("report-folding-{machines}m");
-            let spec = ScenarioBuilder::new(
-                &cfg.name,
-                TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
-            )
-            .machines(cfg.machines)
-            .deadline(cfg.deadline)
-            .sample_interval(cfg.sample_interval)
-            .seed(cfg.seed)
-            .build()
-            .unwrap();
-            run_reported(&spec, SwarmWorkload::new(cfg)).unwrap()
+            run_reported(&cfg.to_scenario(), cfg.workload()).unwrap()
         };
         let (spread_result, spread_report) = run(9);
         let (folded_result, folded_report) = run(1);

@@ -1,16 +1,15 @@
-//! BitTorrent experiment definitions and the legacy orchestration entry point.
+//! The paper's BitTorrent experiments as presets, and the result a swarm run produces.
 //!
 //! These are the experiment descriptions of the paper's evaluation section, expressed as data:
 //! how many clients and seeders, which access-link profile, how many physical machines the
 //! virtual nodes are folded onto, how clients are started over time, and what gets sampled.
 //!
-//! Since the scenario-API redesign the actual runner is the generic
-//! [`run_scenario`](crate::scenario::run_scenario()) loop with the swarm expressed as a
-//! [`SwarmWorkload`]; [`run_swarm_experiment`] remains as a
-//! thin compatibility wrapper over it.
+//! A [`SwarmExperiment`] is run by splitting it into its two halves and handing them to the
+//! generic loop: `run_scenario(&cfg.to_scenario(), cfg.workload())` (or
+//! [`run_reported`](crate::scenario::run_reported) for the run's report as well).
 
-use crate::scenario::{run_scenario, ScenarioBuilder};
-use crate::workloads::SwarmWorkload;
+use crate::scenario::{ScenarioBuilder, ScenarioSpec};
+use crate::workloads::{SwarmSpec, SwarmWorkload};
 use p2plab_bittorrent::ClientConfig;
 use p2plab_net::{AccessLinkClass, NetStats, TopologySpec};
 use p2plab_sim::{SimDuration, SimTime, TimeSeries};
@@ -136,27 +135,41 @@ impl SwarmExperiment {
         self.total_vnodes() as f64 / self.machines as f64
     }
 
-    /// Expresses this experiment as a scenario spec — exactly the spec the legacy
-    /// [`run_swarm_experiment`] wrapper builds internally, exposed so callers that want the
-    /// run's [`RunReport`](crate::report::RunReport) can use
-    /// [`run_reported`](crate::scenario::run_reported) with a [`SwarmWorkload`] directly.
+    /// The scenario half of the experiment: topology, machines, churn, deadline, sampling
+    /// period and seed.
     ///
     /// # Panics
     ///
     /// Panics when the config describes an invalid scenario (zero machines, zero deadline,
     /// zero sample interval, degenerate churn).
-    pub fn to_scenario(&self) -> crate::scenario::ScenarioSpec {
-        ScenarioBuilder::new(
+    pub fn to_scenario(&self) -> ScenarioSpec {
+        let mut builder = ScenarioBuilder::new(
             &self.name,
             TopologySpec::uniform(&self.name, self.total_vnodes(), self.link),
         )
         .machines(self.machines)
-        .churn_opt(self.churn)
         .deadline(self.deadline)
         .sample_interval(self.sample_interval)
-        .seed(self.seed)
-        .build()
-        .expect("swarm experiment config describes an invalid scenario")
+        .seed(self.seed);
+        if let Some(churn) = self.churn {
+            builder = builder.churn(churn);
+        }
+        builder
+            .build()
+            .expect("swarm experiment config describes an invalid scenario")
+    }
+
+    /// The workload half of the experiment: the swarm to run under
+    /// [`to_scenario`](SwarmExperiment::to_scenario).
+    pub fn workload(&self) -> SwarmWorkload {
+        SwarmWorkload::new(SwarmSpec {
+            file_bytes: self.file_bytes,
+            seeders: self.seeders,
+            leechers: self.leechers,
+            start_interval: self.start_interval,
+            seeder_head_start: self.seeder_head_start,
+            client_config: self.client_config,
+        })
     }
 }
 
@@ -234,34 +247,19 @@ impl SwarmResult {
     }
 }
 
-/// Builds, runs and measures one swarm experiment.
-///
-/// **Deprecated in favour of the scenario API**: this is now a thin wrapper that expresses the
-/// experiment as a [`SwarmWorkload`] and runs it through the generic
-/// [`run_scenario`](crate::scenario::run_scenario()) loop. It produces byte-identical results for
-/// a given config (pinned by the `scenario_api` integration test) and is kept so existing
-/// binaries, examples and tests continue to work; new code should use [`ScenarioBuilder`] and
-/// `run_scenario` directly.
-///
-/// # Panics
-///
-/// Panics when the config describes an invalid scenario (zero machines, zero deadline, zero
-/// sample interval) or when the deployment fails. The legacy runner either asserted or hung on
-/// those same degenerate configs; the scenario layer turns them into errors, which this
-/// wrapper surfaces as panics to keep its infallible signature.
-pub fn run_swarm_experiment(cfg: &SwarmExperiment) -> SwarmResult {
-    run_scenario(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone()))
-        .expect("deployment must succeed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::run_scenario;
+
+    fn run(cfg: &SwarmExperiment) -> SwarmResult {
+        run_scenario(&cfg.to_scenario(), cfg.workload()).expect("deployment must succeed")
+    }
 
     #[test]
     fn quick_experiment_completes() {
         let cfg = SwarmExperiment::quick();
-        let r = run_swarm_experiment(&cfg);
+        let r = run(&cfg);
         assert!(r.finished, "{:?}", r.summary());
         assert_eq!(r.completed, cfg.leechers);
         assert_eq!(r.progress.len(), cfg.leechers);
@@ -285,7 +283,7 @@ mod tests {
 
     #[test]
     fn leechers_reciprocate_in_quick_experiment() {
-        let r = run_swarm_experiment(&SwarmExperiment::quick());
+        let r = run(&SwarmExperiment::quick());
         assert!(
             r.leecher_upload_bytes > 0,
             "downloaders must upload to each other (tit-for-tat)"
@@ -322,13 +320,13 @@ mod tests {
             file_bytes: 512 * 1024,
             ..SwarmExperiment::quick()
         };
-        let a = run_swarm_experiment(&cfg);
-        let b = run_swarm_experiment(&cfg);
+        let a = run(&cfg);
+        let b = run(&cfg);
         assert_eq!(a.completion_times, b.completion_times);
         assert_eq!(a.events_executed, b.events_executed);
         let mut cfg2 = cfg.clone();
         cfg2.seed = 99;
-        let c = run_swarm_experiment(&cfg2);
+        let c = run(&cfg2);
         assert_ne!(a.completion_times, c.completion_times);
     }
 
@@ -346,8 +344,8 @@ mod tests {
             mean_downtime: SimDuration::from_secs(30),
         });
         churny.deadline = SimDuration::from_secs(6000);
-        let a = run_swarm_experiment(&steady);
-        let b = run_swarm_experiment(&churny);
+        let a = run(&steady);
+        let b = run(&churny);
         assert!(
             a.finished && b.finished,
             "a={} b={}",
@@ -367,7 +365,7 @@ mod tests {
 
     #[test]
     fn nic_utilization_is_monitored_and_bounded() {
-        let r = run_swarm_experiment(&SwarmExperiment::quick());
+        let r = run(&SwarmExperiment::quick());
         assert!(
             r.peak_nic_utilization > 0.0,
             "cross-machine traffic must show up"

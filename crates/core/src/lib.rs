@@ -14,8 +14,8 @@
 //! * [`workloads`] — the first-class workloads: the BitTorrent swarm of the evaluation section,
 //!   the ping-mesh latency probe, the gossip (epidemic broadcast) workload and Kademlia-style
 //!   DHT lookups over the transport's RPC layer;
-//! * [`experiment`] — the BitTorrent experiment descriptions of the evaluation section
-//!   (Figures 8-11) and the legacy [`run_swarm_experiment`] wrapper;
+//! * [`experiment`] — the BitTorrent experiment presets of the evaluation section
+//!   (Figures 8-11) and the swarm result type;
 //! * [`adversary`] — byzantine peers, wire-level fault injection and invariant monitors: mark
 //!   a fraction of a workload's population hostile and assert honest-node safety;
 //! * [`accuracy`] — the emulation-accuracy experiments (rule-count scaling of Figure 6, the
@@ -49,7 +49,7 @@ pub use analysis::{
     DownloadPhases, FoldingComparison, FoldingRow,
 };
 pub use deploy::{deploy, Deployment, DeploymentSpec, Placement};
-pub use experiment::{run_swarm_experiment, SwarmExperiment, SwarmResult};
+pub use experiment::{SwarmExperiment, SwarmResult};
 pub use monitor::{MachineSample, ResourceMonitor};
 pub use report::{
     ascii_plot, points_to_csv, render_table, series_to_csv, ReportError, RunReport,
@@ -70,5 +70,6 @@ pub use scenario::{
 pub use workloads::{
     DhtLookupResult, DhtLookupSpec, DhtLookupWorkload, GossipResult, GossipShardedResult,
     GossipShardedSpec, GossipShardedWorkload, GossipSpec, GossipWorkload, MeshPattern,
-    PingMeshResult, PingMeshSpec, PingMeshWorkload, SwarmWorkload, WorkloadConfig, WORKLOAD_KINDS,
+    PingMeshResult, PingMeshSpec, PingMeshWorkload, SwarmSpec, SwarmWorkload, WorkloadConfig,
+    WORKLOAD_KINDS,
 };

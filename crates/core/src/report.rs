@@ -4,9 +4,9 @@
 //! Every scenario run produces a [`RunReport`] — workload name, spec echo, seed, wall/sim
 //! time and the full [`MetricSet`] the run recorded — which the bench binaries serialize to
 //! JSON (and CSV) under `results/`. The vendored serde stub has no-op derives, so the JSON
-//! writer and loader here are hand-rolled: [`RunReport::to_json`] emits a stable `v1` schema
-//! and [`RunReport::from_json`] parses it back, which is what the CI smoke step round-trips to
-//! catch schema drift.
+//! writer and loader here are hand-rolled: [`RunReport::to_json`] emits the
+//! [`RUN_REPORT_SCHEMA`] (`v2`) schema and [`RunReport::from_json`] parses it back (and still
+//! reads `v1`), which is what the CI smoke step round-trips to catch schema drift.
 //!
 //! The table/CSV/ASCII helpers below are used by the figure-regeneration binaries to print,
 //! for every figure of the paper, the same rows or series the figure plots, so a run of the
@@ -67,7 +67,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Serializes the report as schema-`v1` JSON.
+    /// Serializes the report as [`RUN_REPORT_SCHEMA`] (`v2`) JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
@@ -129,7 +129,8 @@ impl RunReport {
         out
     }
 
-    /// Parses a schema-`v1` JSON report produced by [`RunReport::to_json`].
+    /// Parses a JSON report produced by [`RunReport::to_json`], or an older
+    /// [`RUN_REPORT_SCHEMA_V1`] report.
     pub fn from_json(text: &str) -> Result<RunReport, ReportError> {
         let root = Json::parse(text)?;
         let schema = root.str_field("schema")?;

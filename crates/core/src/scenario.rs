@@ -21,7 +21,6 @@
 //!
 //! ```
 //! use p2plab_core::scenario::{run_scenario, ScenarioBuilder};
-//! use p2plab_core::workloads::SwarmWorkload;
 //! use p2plab_core::SwarmExperiment;
 //! use p2plab_net::TopologySpec;
 //!
@@ -34,7 +33,7 @@
 //!     .seed(cfg.seed)
 //!     .build()
 //!     .unwrap();
-//! let result = run_scenario(&spec, SwarmWorkload::new(cfg)).unwrap();
+//! let result = run_scenario(&spec, cfg.workload()).unwrap();
 //! assert!(result.finished);
 //! ```
 
@@ -459,13 +458,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Applies an optional churn model (convenience for porting configs that carry
-    /// `Option<ChurnSpec>`).
-    pub fn churn_opt(mut self, churn: Option<ChurnSpec>) -> Self {
-        self.spec.sessions = churn.map(SessionProcess::from);
-        self
-    }
-
     /// Sets the virtual-time deadline.
     pub fn deadline(mut self, deadline: SimDuration) -> Self {
         self.spec.deadline = deadline;
@@ -678,10 +670,8 @@ pub struct ScenarioRun {
 /// Arrival instants are drawn from a dedicated RNG stream (split off the scenario seed by
 /// label), so switching arrival processes never perturbs the draws the simulation itself makes.
 ///
-/// This is the single generic experiment loop of the framework — the BitTorrent runner
-/// [`crate::run_swarm_experiment`] is a thin wrapper over it, and every new workload uses it
-/// directly. To also obtain the run's machine-readable [`RunReport`] artifact, use
-/// [`run_reported`].
+/// This is the single generic experiment loop of the framework: every workload runs through
+/// it. To also obtain the run's machine-readable [`RunReport`] artifact, use [`run_reported`].
 pub fn run_scenario<W: Workload + 'static>(
     spec: &ScenarioSpec,
     workload: W,

@@ -60,12 +60,11 @@
 //! `[[array-of-tables]]`, inline tables, literal/multiline strings, dates.
 
 use crate::adversary::{AdversaryPlan, Selection};
-use crate::experiment::SwarmExperiment;
 use crate::report::RunReport;
 use crate::scenario::{ArrivalSpec, ScenarioError, ScenarioSpec, SessionProcess};
 use crate::workloads::{
-    DhtLookupSpec, GossipShardedSpec, GossipSpec, MeshPattern, PingMeshSpec, WorkloadConfig,
-    WORKLOAD_KINDS,
+    DhtLookupSpec, GossipShardedSpec, GossipSpec, MeshPattern, PingMeshSpec, SwarmSpec,
+    WorkloadConfig, WORKLOAD_KINDS,
 };
 use p2plab_bittorrent::ClientConfig;
 use p2plab_net::{
@@ -1323,15 +1322,12 @@ impl ScenarioFile {
         let workload = match kind {
             "swarm" => {
                 let mut p = Sect::new(params, path);
-                let cfg = SwarmExperiment {
-                    name: name.clone(),
+                let cfg = SwarmSpec {
                     file_bytes: p.opt_u64("file_bytes")?.unwrap_or(2 * 1024 * 1024),
                     seeders: p.opt_usize("seeders")?.unwrap_or(1),
                     leechers: p
                         .opt_usize("leechers")?
                         .ok_or_else(|| p.missing("leechers"))?,
-                    machines,
-                    link,
                     start_interval: p
                         .opt_duration("start_interval")?
                         .unwrap_or(SimDuration::from_secs(2)),
@@ -1339,13 +1335,9 @@ impl ScenarioFile {
                         .opt_duration("seeder_head_start")?
                         .unwrap_or(SimDuration::from_secs(5)),
                     client_config: ClientConfig::default(),
-                    deadline,
-                    sample_interval,
-                    churn: None,
-                    seed,
                 };
                 p.finish()?;
-                WorkloadConfig::Swarm(Box::new(cfg))
+                WorkloadConfig::Swarm(cfg)
             }
             "ping-mesh" => {
                 let mut p = Sect::new(params, path.clone());
@@ -2139,43 +2131,6 @@ mean_downtime = \"20s\"
                 ]
             })
         );
-        let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
-        assert_eq!(reparsed, file);
-    }
-
-    #[test]
-    fn swarm_mirrors_scenario_fields() {
-        let text = "\
-[scenario]
-name = \"sw\"
-seed = 9
-machines = 4
-deadline = \"2000s\"
-sample_interval = \"5s\"
-
-[topology]
-link = \"bittorrent-dsl\"
-
-[workload]
-kind = \"swarm\"
-
-[workload.swarm]
-file_bytes = 1048576
-seeders = 2
-leechers = 12
-";
-        let file = ScenarioFile::parse(text).unwrap();
-        let cfg = match &file.workload {
-            WorkloadConfig::Swarm(cfg) => cfg,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(cfg.machines, 4);
-        assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.deadline, SimDuration::from_secs(2000));
-        assert_eq!(cfg.link, AccessLinkClass::bittorrent_dsl());
-        // topology.nodes defaults to the workload's requirement: 12 + 2 + 1 tracker.
-        assert_eq!(file.spec.topology.total_nodes(), 15);
-        assert_eq!(file.workload.vnodes_required(), 15);
         let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
         assert_eq!(reparsed, file);
     }

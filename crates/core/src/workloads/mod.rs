@@ -29,9 +29,8 @@ pub use gossip_sharded::{
     GossipShardedResult, GossipShardedSpec, GossipShardedWorkload, GossipShardedWorld,
 };
 pub use ping_mesh::{MeshPattern, PingMeshResult, PingMeshSpec, PingMeshWorkload};
-pub use swarm::SwarmWorkload;
+pub use swarm::{SwarmSpec, SwarmWorkload};
 
-use crate::experiment::SwarmExperiment;
 use crate::report::RunReport;
 use crate::scenario::{run_reported, ScenarioError, ScenarioSpec};
 
@@ -55,9 +54,8 @@ pub const WORKLOAD_KINDS: [&str; 5] = [
 /// and returns the run's workload-agnostic [`RunReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadConfig {
-    /// The BitTorrent swarm of the paper's evaluation (boxed: the spec embeds the full
-    /// access-link class and dwarfs the other variants).
-    Swarm(Box<SwarmExperiment>),
+    /// The BitTorrent swarm of the paper's evaluation.
+    Swarm(SwarmSpec),
     /// The ping-mesh latency probe.
     PingMesh(PingMeshSpec),
     /// Epidemic broadcast.
@@ -109,8 +107,8 @@ impl WorkloadConfig {
     /// campaign-style runs where everything that leaves the process goes through the report.
     pub fn run_reported(&self, spec: &ScenarioSpec) -> Result<RunReport, ScenarioError> {
         match self {
-            WorkloadConfig::Swarm(cfg) => {
-                run_reported(spec, SwarmWorkload::new(cfg.as_ref().clone())).map(|(_, r)| r)
+            WorkloadConfig::Swarm(s) => {
+                run_reported(spec, SwarmWorkload::new(s.clone())).map(|(_, r)| r)
             }
             WorkloadConfig::PingMesh(p) => {
                 run_reported(spec, PingMeshWorkload::new(p.clone())).map(|(_, r)| r)

@@ -1,23 +1,47 @@
 //! The BitTorrent swarm as a [`Workload`].
 //!
-//! This is the paper's evaluation application, ported from the original hardwired runner onto
-//! the generic scenario loop. The wiring (tracker on virtual node 0, seeders next, downloaders
-//! after, staggered starts, optional churn) is byte-for-byte the same as the legacy
-//! [`run_swarm_experiment`](crate::run_swarm_experiment), which now simply delegates here — a
-//! guarantee pinned by the `scenario_api` integration test.
+//! This is the paper's evaluation application on the generic scenario loop: tracker on virtual
+//! node 0, seeders next, downloaders after, staggered starts, optional churn. [`SwarmSpec`]
+//! holds only what the swarm itself needs; machines, links, deadline, sessions and seed belong
+//! to the [`ScenarioSpec`](crate::scenario::ScenarioSpec) the workload runs under.
 
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
-use crate::experiment::{SwarmExperiment, SwarmResult};
+use crate::experiment::SwarmResult;
 use crate::scenario::{
     schedule_session_chain, ArrivalSchedule, ArrivalSpec, ScenarioRun, SessionProcess, Workload,
 };
 use p2plab_bittorrent::{
-    schedule_client_start, start_client, stop_client, SwarmSim, SwarmWorld, Torrent,
+    schedule_client_start, start_client, stop_client, ClientConfig, SwarmSim, SwarmWorld, Torrent,
 };
 use p2plab_net::Network;
 use p2plab_sim::{Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimTime, TimeSeriesId};
+use serde::{Deserialize, Serialize};
 use std::rc::Rc;
+
+/// Description of a BitTorrent swarm: what is shared, by whom, and how downloaders join.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SwarmSpec {
+    /// Size of the distributed file in bytes.
+    pub file_bytes: u64,
+    /// Number of initial seeders.
+    pub seeders: usize,
+    /// Number of downloaders.
+    pub leechers: usize,
+    /// Interval between consecutive client starts.
+    pub start_interval: SimDuration,
+    /// How long before the first client the seeders (and tracker) come online.
+    pub seeder_head_start: SimDuration,
+    /// Client policy parameters.
+    pub client_config: ClientConfig,
+}
+
+impl SwarmSpec {
+    /// Total number of virtual nodes (clients + seeders + tracker).
+    pub fn total_vnodes(&self) -> usize {
+        self.leechers + self.seeders + 1
+    }
+}
 
 /// Metric handles registered by [`SwarmWorkload::setup_metrics`].
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +61,7 @@ struct SwarmMetrics {
 /// `cfg.leechers` downloaders joining at `cfg.start_interval`.
 #[derive(Debug, Clone)]
 pub struct SwarmWorkload {
-    cfg: SwarmExperiment,
+    cfg: SwarmSpec,
     metrics: Option<SwarmMetrics>,
     /// Byzantine leecher assignment, installed by the scenario runner before deployment.
     /// Roster member indices are leecher indices (`0..leechers`).
@@ -55,8 +79,8 @@ pub struct SwarmWorkload {
 }
 
 impl SwarmWorkload {
-    /// Wraps a swarm experiment description as a workload.
-    pub fn new(cfg: SwarmExperiment) -> SwarmWorkload {
+    /// Wraps a swarm description as a workload.
+    pub fn new(cfg: SwarmSpec) -> SwarmWorkload {
         SwarmWorkload {
             cfg,
             metrics: None,
@@ -73,8 +97,8 @@ impl SwarmWorkload {
         self.roster.as_ref().is_none_or(|r| !r.contains(l))
     }
 
-    /// The experiment description this workload runs.
-    pub fn config(&self) -> &SwarmExperiment {
+    /// The swarm description this workload runs.
+    pub fn config(&self) -> &SwarmSpec {
         &self.cfg
     }
 
@@ -114,7 +138,7 @@ impl Workload for SwarmWorkload {
 
     fn build_world(&mut self, deployment: Deployment) -> SwarmWorld {
         let cfg = &self.cfg;
-        let torrent = Torrent::new(cfg.name.clone(), cfg.file_bytes);
+        let torrent = Torrent::new(self.kind(), cfg.file_bytes);
         // Virtual node 0 hosts the tracker; seeders follow; downloaders after that.
         let mut world = SwarmWorld::new(deployment.net, deployment.vnodes[0]);
         for s in 0..cfg.seeders {
@@ -314,9 +338,6 @@ impl Workload for SwarmWorkload {
         let leecher_upload_bytes = downloaders.iter().map(|c| c.stats.bytes_uploaded).sum();
 
         SwarmResult {
-            // Scenario-level facts come from the run, not the embedded config: the builder may
-            // legitimately deploy this workload onto a different machine count or under a
-            // different name than cfg suggests.
             name: run.name,
             folding_ratio: run.folding_ratio,
             leechers: cfg.leechers,
@@ -341,6 +362,7 @@ impl Workload for SwarmWorkload {
 mod tests {
     use super::*;
     use crate::adversary::AdversaryPlan;
+    use crate::experiment::SwarmExperiment;
     use crate::scenario::{run_reported, run_scenario, ScenarioBuilder};
     use p2plab_net::TopologySpec;
 
@@ -352,13 +374,13 @@ mod tests {
         let mut cfg = SwarmExperiment::quick();
         cfg.leechers = 8;
         cfg.name = "swarm-byz".into();
-        let honest = run_scenario(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone())).unwrap();
+        let honest = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
         let mut spec = cfg.to_scenario();
         spec.adversary = Some(AdversaryPlan::new(
             0.25,
             &["ack-withhold", "corrupt-replies"],
         ));
-        let (byz, report) = run_reported(&spec, SwarmWorkload::new(cfg.clone())).unwrap();
+        let (byz, report) = run_reported(&spec, cfg.workload()).unwrap();
         assert!(honest.finished, "honest baseline must finish");
         assert!(
             byz.finished,
@@ -383,7 +405,7 @@ mod tests {
     fn arrival_ramp_matches_last_scheduled_arrival() {
         let mut cfg = SwarmExperiment::quick();
         cfg.leechers = 5;
-        let w = SwarmWorkload::new(cfg.clone());
+        let w = cfg.workload();
         // First downloader starts at the head start, so the ramp spans leechers - 1 intervals.
         assert_eq!(
             w.arrival_ramp(),
@@ -394,23 +416,19 @@ mod tests {
         seeder_heavy.seeders = 100;
         seeder_heavy.leechers = 1;
         assert_eq!(
-            SwarmWorkload::new(seeder_heavy).arrival_ramp(),
+            seeder_heavy.workload().arrival_ramp(),
             SimDuration::from_secs(99)
         );
         cfg.leechers = 0;
-        assert_eq!(
-            SwarmWorkload::new(cfg.clone()).arrival_ramp(),
-            cfg.seeder_head_start
-        );
+        assert_eq!(cfg.workload().arrival_ramp(), cfg.seeder_head_start);
     }
 
     #[test]
-    fn result_reports_the_scenario_deployment_not_the_embedded_config() {
-        // The builder deploys onto a different machine count (and under a different name) than
-        // the embedded SwarmExperiment claims; the result must describe the actual deployment.
+    fn result_reports_the_scenario_deployment() {
+        // The name and folding ratio of the result come from the scenario the workload ran
+        // under — here a different name and machine count than the preset's own.
         let mut cfg = SwarmExperiment::quick();
         cfg.leechers = 4;
-        cfg.machines = 2;
         let total = cfg.total_vnodes();
         let spec = ScenarioBuilder::new(
             "actual-name",
@@ -422,7 +440,7 @@ mod tests {
         .seed(cfg.seed)
         .build()
         .unwrap();
-        let r = run_scenario(&spec, SwarmWorkload::new(cfg)).unwrap();
+        let r = run_scenario(&spec, cfg.workload()).unwrap();
         assert_eq!(r.name, "actual-name");
         assert!((r.folding_ratio - total as f64 / 7.0).abs() < 1e-9);
     }

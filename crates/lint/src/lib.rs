@@ -12,7 +12,6 @@
 //! |------|---------|
 //! | `nondet-hash` | `std::collections::HashMap`/`HashSet` in sim-path crate `src/` |
 //! | `wall-clock` | `Instant::now`/`SystemTime` outside the waived runner/bench sites |
-//! | `deprecated-socket` | uses of the frozen free-function socket surface |
 //! | `bare-allow` | `#[allow(…)]` without an in-place justification |
 //! | `ad-hoc-bin` | new bench binaries outside the allowed fig*/ablation*/tbl*/… set |
 //! | `debug-residue` | `dbg!`/`todo!`/`unimplemented!` in non-test code |
@@ -41,11 +40,11 @@ pub const BASELINE_FILE: &str = "lint.baseline";
 /// Exit code when diagnostics from more than one rule survive.
 pub const EXIT_MULTIPLE: i32 = 20;
 
-/// The distinct exit code of one rule (10–17 in [`RULE_NAMES`] order, 18 for `bad-waiver`).
+/// The distinct exit code of one rule (10–16 in [`RULE_NAMES`] order, 17 for `bad-waiver`).
 pub fn rule_exit_code(rule: &str) -> i32 {
     match RULE_NAMES.iter().position(|r| *r == rule) {
         Some(i) => 10 + i as i32,
-        None => 18, // bad-waiver
+        None => 10 + RULE_NAMES.len() as i32, // bad-waiver
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! `check` prints one `file:line: rule[name]: message` diagnostic per surviving violation
 //! (or a JSON array with `--json`) and exits with the offending rule's distinct code
-//! (10–18; 20 when several rules fired). `baseline` prints the baseline the current tree
+//! (10–17; 20 when several rules fired). `baseline` prints the baseline the current tree
 //! would need; `--write` updates `lint.baseline` in place.
 
 use std::path::PathBuf;

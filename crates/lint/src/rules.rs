@@ -1,4 +1,4 @@
-//! The rule engine: per-crate scoping, the eight convention rules, inline waivers.
+//! The rule engine: per-crate scoping, the seven convention rules, inline waivers.
 //!
 //! Rules walk the non-trivia token stream produced by [`crate::lexer`]; they never see the
 //! inside of strings or comments, so `r#"#[allow"#` and doc-comment examples cannot trip
@@ -24,8 +24,6 @@ use crate::lexer::{lex, Token, TokenKind};
 pub const NONDET_HASH: &str = "nondet-hash";
 /// Machine name of the wall-clock rule.
 pub const WALL_CLOCK: &str = "wall-clock";
-/// Machine name of the deprecated-socket rule.
-pub const DEPRECATED_SOCKET: &str = "deprecated-socket";
 /// Machine name of the bare-allow rule.
 pub const BARE_ALLOW: &str = "bare-allow";
 /// Machine name of the ad-hoc-bin rule.
@@ -40,10 +38,9 @@ pub const BEHAVIOR_OUTSIDE_ADVERSARY: &str = "behavior-outside-adversary";
 pub const BAD_WAIVER: &str = "bad-waiver";
 
 /// The waivable convention rules, in exit-code order (see [`crate::exit_code`]).
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 7] = [
     NONDET_HASH,
     WALL_CLOCK,
-    DEPRECATED_SOCKET,
     BARE_ALLOW,
     AD_HOC_BIN,
     DEBUG_RESIDUE,
@@ -53,13 +50,6 @@ pub const RULE_NAMES: [&str; 8] = [
 
 /// Crates whose `src/` is on the deterministic simulation path: `nondet-hash` applies there.
 const SIM_PATH_CRATES: [&str; 5] = ["sim", "net", "os", "bittorrent", "core"];
-
-/// The frozen free-function socket surface (`deprecated-socket` flags uses of these names
-/// behind a `transport::`/`p2plab_net::` path, plus the legacy `SockEvent` type anywhere).
-const SOCKET_SURFACE: [&str; 5] = ["listen", "connect", "send", "send_datagram", "close"];
-
-/// The file that *is* the compat shim (its pin tests live in its `#[cfg(test)]` module).
-const SOCKET_SHIM: &str = "crates/net/src/transport.rs";
 
 /// The sanctioned homes of OS threads on the sim path (`raw-thread` is silent there): the
 /// sharded conservative-window runtime and the campaign runner's cell work-stealing pool.
@@ -420,45 +410,6 @@ fn analyze_file(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                     t.line,
                     WALL_CLOCK,
                     "`SystemTime` reads the wall clock; simulation code must use `SimTime`"
-                        .to_string(),
-                );
-            }
-        }
-    }
-
-    // deprecated-socket: the frozen free-function surface may only appear in the compat shim
-    // (whose `#[cfg(test)]` module is the byte-identity pin).
-    if path != SOCKET_SHIM {
-        for (line, name) in qualified_uses(&code, src, &[], "transport", None, &SOCKET_SURFACE) {
-            push(
-                &mut raw,
-                line,
-                DEPRECATED_SOCKET,
-                format!(
-                    "`transport::{name}` is the frozen deprecated socket surface; use \
-                     `Endpoint`/lanes/`rpc::call` (new code never targets the compat shim)"
-                ),
-            );
-        }
-        for (line, name) in qualified_uses(&code, src, &[], "p2plab_net", None, &SOCKET_SURFACE) {
-            push(
-                &mut raw,
-                line,
-                DEPRECATED_SOCKET,
-                format!(
-                    "`p2plab_net::{name}` is the frozen deprecated socket surface; use \
-                     `Endpoint`/lanes/`rpc::call`"
-                ),
-            );
-        }
-        for t in code.iter().filter(|t| t.kind == TokenKind::Ident) {
-            if t.text(src) == "SockEvent" {
-                push(
-                    &mut raw,
-                    t.line,
-                    DEPRECATED_SOCKET,
-                    "`SockEvent` is the legacy socket event type; new code handles \
-                     `TransportEvent`"
                         .to_string(),
                 );
             }

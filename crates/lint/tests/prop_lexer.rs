@@ -52,7 +52,7 @@ const SOUP: &[&str] = &[
     "todo",
     "Instant",
     "now",
-    "SockEvent",
+    "TransportEvent",
     "lint:allow(nondet-hash)",
     "—",
     "0xff",

@@ -96,43 +96,6 @@ fn wall_clock_ignores_tests_sim_time_and_waived_sites() {
 }
 
 // ---------------------------------------------------------------------------
-// deprecated-socket
-// ---------------------------------------------------------------------------
-
-#[test]
-fn deprecated_socket_flags_free_functions_and_sock_event() {
-    let src = "use p2plab_net::{listen, send_datagram};\n\
-               fn f() { transport::connect(&mut sim, node, remote).unwrap(); }\n\
-               fn g(e: SockEvent) {}\n";
-    let d = diags_for("crates/bench/src/bin/fig_x.rs", src);
-    let rules: Vec<&str> = d.iter().map(|(_, r)| r.as_str()).collect();
-    assert_eq!(
-        rules,
-        vec![
-            "deprecated-socket",
-            "deprecated-socket",
-            "deprecated-socket",
-            "deprecated-socket"
-        ]
-    );
-    assert_eq!(d[0].0, 1); // listen
-    assert_eq!(d[2].0, 2); // transport::connect
-    assert_eq!(d[3].0, 3); // SockEvent
-}
-
-#[test]
-fn deprecated_socket_exempts_the_shim_and_lane_methods() {
-    // The compat shim itself (and its in-file pin tests) may name the surface freely.
-    let src = "pub fn listen() {}\nfn pin() { transport::send(x); let e: SockEvent = e; }\n";
-    assert!(rules_for("crates/net/src/transport.rs", src).is_empty());
-    // `Endpoint::send`/`ep.close()` etc. are method calls, not the frozen path.
-    let ok = "fn f(ep: Endpoint) { ep.send(conn, lane, 1, p); ep.close(conn); }\n";
-    assert!(rules_for("crates/core/src/foo.rs", ok).is_empty());
-    // Unrelated `connect` idents without the module path are fine too.
-    assert!(rules_for("crates/core/src/foo.rs", "fn connect() {}\n").is_empty());
-}
-
-// ---------------------------------------------------------------------------
 // bare-allow
 // ---------------------------------------------------------------------------
 
@@ -442,46 +405,40 @@ fn each_rule_has_a_distinct_exit_code() {
             11,
         ),
         (
-            "deprecated-socket",
-            "crates/net/src/a.rs",
-            "fn f(e: SockEvent) {}\n",
-            12,
-        ),
-        (
             "bare-allow",
             "crates/net/src/a.rs",
             "#[allow(dead_code)]\nfn f() {}\n",
-            13,
+            12,
         ),
         (
             "ad-hoc-bin",
             "crates/bench/src/bin/oops.rs",
             "fn main() {}\n",
-            14,
+            13,
         ),
         (
             "debug-residue",
             "crates/net/src/a.rs",
             "fn f() { dbg!(1); }\n",
-            15,
+            14,
         ),
         (
             "raw-thread",
             "crates/net/src/a.rs",
             "fn f() { std::thread::spawn(|| {}); }\n",
-            16,
+            15,
         ),
         (
             "behavior-outside-adversary",
             "crates/core/src/a.rs",
             "impl Behavior for Evil {}\n",
-            17,
+            16,
         ),
         (
             "bad-waiver",
             "crates/net/src/a.rs",
             "fn f() {} // lint:allow(nope) — x\n",
-            18,
+            17,
         ),
     ];
     for (rule, path, text, code) in cases {

@@ -26,8 +26,7 @@ use serde::{Deserialize, Serialize};
 /// The delivery class of a message on a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum LaneKind {
-    /// Delivered reliably, in order — the classic TCP-like stream. This is the lane the legacy
-    /// [`send`](crate::transport::send) free function always used.
+    /// Delivered reliably, in order — the classic TCP-like stream.
     ReliableOrdered,
     /// Delivered reliably, but the receiver takes frames as they arrive — no head-of-line
     /// blocking, slightly cheaper framing (no cumulative-ack bookkeeping).

@@ -22,8 +22,8 @@
 //! * [`intercept`] — the BINDIP libc shim and its cost model;
 //! * [`ping`](mod@ping) — the echo application used by the accuracy experiments.
 //!
-//! New protocol code talks to [`endpoint::Endpoint`] (and [`rpc`] for request/response
-//! patterns); the free functions in [`transport`] are the frozen legacy surface.
+//! Protocol code talks to [`endpoint::Endpoint`] (and [`rpc`] for request/response patterns):
+//! these are the only node-facing API.
 
 #![warn(missing_docs)]
 
@@ -61,7 +61,4 @@ pub use proto::{
 pub use rpc::{RpcConfig, RpcHost, RpcId, RpcOutcome, RpcPayload, RpcStats, RpcTable};
 pub use tamper::{Misbehavior, TamperSpec};
 pub use topology::{AccessLinkClass, GroupId, GroupSpec, TopologySpec};
-// lint:allow(bare-allow) — re-exporting the frozen compat surface trips its own deprecation
-#[allow(deprecated)]
-pub use transport::{close, connect, listen, send, send_datagram}; // lint:allow(deprecated-socket) — this is the frozen compat re-export itself
-pub use transport::{InFlight, NetEvent, NetHost, NetSim, SockEvent, TransportEvent}; // lint:allow(deprecated-socket) — `SockEvent` stays exported for legacy worlds
+pub use transport::{InFlight, NetEvent, NetHost, NetSim, TransportEvent};

@@ -1,4 +1,4 @@
-//! The transport data plane: frames, the packet walk, and the frozen free-function surface.
+//! The transport data plane: frames and the packet walk.
 //!
 //! This is the active half of the network substrate. Every message walks the same path a packet
 //! takes in P2PLab:
@@ -18,11 +18,8 @@
 //! datagrams are fire-and-forget.
 //!
 //! **The node-facing API lives in [`crate::endpoint`]** ([`Endpoint`](crate::endpoint::Endpoint)
-//! handles, lanes) with the typed request/response layer in [`crate::rpc`]. The free functions
-//! here ([`listen`], [`connect`], [`send`], [`send_datagram`], [`close`]) and the [`SockEvent`]
-//! enum are the **frozen compatibility surface** of the original API: thin deprecated shims over
-//! the same internals, kept so historical experiments stay byte-identical. New protocol code
-//! uses `Endpoint` and [`TransportEvent`].
+//! handles, lanes) with the typed request/response layer in [`crate::rpc`]; this module holds
+//! the operations behind it and the [`TransportEvent`]s it delivers.
 //!
 //! Every hop of the walk is a **pooled typed event** ([`NetEvent`]), not a boxed closure: the
 //! in-flight record is stored inline in the engine's slab-backed queue, so the data plane —
@@ -42,13 +39,25 @@ use p2plab_sim::{SimDuration, Simulation, TypedEvent};
 
 /// World types that embed an emulated [`Network`] and receive transport events.
 ///
-/// A world overrides exactly one of the two event hooks:
+/// [`on_transport_event`](NetHost::on_transport_event) is a required method, so a world that
+/// forgot the hook — and would silently drop every delivery — does not compile:
 ///
-/// * [`on_transport_event`](NetHost::on_transport_event) — the current API, delivering
-///   [`TransportEvent`]s (lane-tagged messages, datagrams carrying their receiving port);
-/// * [`on_socket_event`](NetHost::on_socket_event) — the legacy hook, fed through the default
-///   `on_transport_event` implementation, which down-converts every event to the frozen
-///   [`SockEvent`] shape. Kept for old worlds; new code implements `on_transport_event`.
+/// ```compile_fail,E0046
+/// use p2plab_net::{NetHost, Network};
+///
+/// struct Deaf {
+///     net: Network,
+/// }
+///
+/// impl NetHost for Deaf {
+///     type Payload = u32;
+///     fn network(&mut self) -> &mut Network {
+///         &mut self.net
+///     }
+/// }
+/// ```
+///
+/// A world that genuinely wants to ignore all traffic implements the hook with an empty body.
 pub trait NetHost: Sized + 'static {
     /// Application payload carried by data messages and datagrams.
     type Payload: Clone + 'static;
@@ -58,29 +67,11 @@ pub trait NetHost: Sized + 'static {
 
     /// Called when a transport event (connection established/accepted/refused/closed, a
     /// lane-tagged message or a datagram delivery) reaches a virtual node.
-    ///
-    /// The default implementation forwards to the legacy
-    /// [`on_socket_event`](NetHost::on_socket_event) hook via [`TransportEvent::into_compat`].
     fn on_transport_event(
         sim: &mut NetSim<Self>,
         node: VNodeId,
         event: TransportEvent<Self::Payload>,
-    ) {
-        Self::on_socket_event(sim, node, event.into_compat());
-    }
-
-    /// Legacy event hook, receiving the [`SockEvent`] compat shape. A world must override
-    /// either this or [`on_transport_event`](NetHost::on_transport_event) to see traffic; the
-    /// terminal default debug-asserts, so a world that forgot both hooks fails loudly in debug
-    /// builds instead of silently dropping every delivery. A world that genuinely wants to
-    /// ignore all traffic overrides one hook with an empty body.
-    fn on_socket_event(_sim: &mut NetSim<Self>, _node: VNodeId, _event: SockEvent<Self::Payload>) {
-        debug_assert!(
-            false,
-            "transport event delivered to a world that overrides neither on_transport_event \
-             nor on_socket_event — traffic would be silently ignored"
-        );
-    }
+    );
 }
 
 /// The simulation type a [`NetHost`] world runs on: the typed-event class is the network
@@ -207,9 +198,9 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload> {
 
 /// Events delivered to applications by the session/lane API.
 ///
-/// Compared to the legacy [`SockEvent`], messages carry the [`LaneKind`] they travelled on and
-/// datagrams carry `to_port` — the local port the datagram was addressed to, without which a
-/// virtual node bound on several ports cannot demultiplex its traffic.
+/// Messages carry the [`LaneKind`] they travelled on and datagrams carry `to_port` — the local
+/// port the datagram was addressed to, without which a virtual node bound on several ports
+/// cannot demultiplex its traffic.
 #[derive(Debug, Clone)]
 pub enum TransportEvent<P> {
     /// An outgoing connect completed.
@@ -251,102 +242,6 @@ pub enum TransportEvent<P> {
         /// The sending endpoint.
         from: SocketAddr,
         /// The local port the datagram was addressed to (the receiving socket).
-        to_port: u16,
-        /// Application payload.
-        payload: P,
-        /// Application bytes.
-        size: u64,
-    },
-    /// The peer closed the connection.
-    Closed {
-        /// The connection.
-        conn: ConnId,
-    },
-}
-
-impl<P> TransportEvent<P> {
-    /// Down-converts to the legacy [`SockEvent`] shape (lane tags collapse into the single
-    /// `Data` variant). Used by the compat shim; new worlds consume [`TransportEvent`]
-    /// directly.
-    pub fn into_compat(self) -> SockEvent<P> {
-        match self {
-            TransportEvent::Connected { conn, peer } => SockEvent::Connected { conn, peer },
-            TransportEvent::Refused { conn, peer } => SockEvent::Refused { conn, peer },
-            TransportEvent::Accepted { conn, peer } => SockEvent::Accepted { conn, peer },
-            TransportEvent::Message {
-                conn,
-                from,
-                payload,
-                size,
-                ..
-            } => SockEvent::Data {
-                conn,
-                from,
-                payload,
-                size,
-            },
-            TransportEvent::Datagram {
-                from,
-                to_port,
-                payload,
-                size,
-            } => SockEvent::Datagram {
-                from,
-                to_port,
-                payload,
-                size,
-            },
-            TransportEvent::Closed { conn } => SockEvent::Closed { conn },
-        }
-    }
-}
-
-/// Events delivered to applications through the **legacy** socket surface.
-///
-/// Compatibility shape: produced by down-converting [`TransportEvent`]s (see
-/// [`TransportEvent::into_compat`]), frozen apart from one deliberate addition —
-/// [`Datagram`](SockEvent::Datagram) gained `to_port`, because without the receiving port a
-/// vnode bound on several ports cannot demultiplex (the multi-port demux fix applies to both
-/// surfaces). New worlds implement [`NetHost::on_transport_event`] instead.
-#[derive(Debug, Clone)]
-pub enum SockEvent<P> {
-    /// An outgoing `connect()` completed.
-    Connected {
-        /// The connection.
-        conn: ConnId,
-        /// The remote endpoint.
-        peer: SocketAddr,
-    },
-    /// An outgoing `connect()` was refused (no listener at the destination).
-    Refused {
-        /// The attempted connection.
-        conn: ConnId,
-        /// The remote endpoint.
-        peer: SocketAddr,
-    },
-    /// A listener accepted an incoming connection.
-    Accepted {
-        /// The connection.
-        conn: ConnId,
-        /// The connecting endpoint.
-        peer: SocketAddr,
-    },
-    /// Data arrived on a connection.
-    Data {
-        /// The connection.
-        conn: ConnId,
-        /// The sending endpoint.
-        from: SocketAddr,
-        /// Application payload.
-        payload: P,
-        /// Application bytes.
-        size: u64,
-    },
-    /// A datagram arrived.
-    Datagram {
-        /// The sending endpoint.
-        from: SocketAddr,
-        /// The local port the datagram was addressed to.
         to_port: u16,
         /// Application payload.
         payload: P,
@@ -484,9 +379,7 @@ pub struct InFlight<P> {
 }
 
 // ---------------------------------------------------------------------------
-// Transport operations. These are the single implementation both API surfaces share: the
-// session/lane methods on `Endpoint` call them directly, and the deprecated free functions
-// below delegate here — so a ported protocol produces a byte-identical event stream.
+// Transport operations: the implementation behind the session/lane methods on `Endpoint`.
 // ---------------------------------------------------------------------------
 
 /// Registers a listener on `(node, port)`.
@@ -726,62 +619,6 @@ pub(crate) fn op_close<W: NetHost>(
     let flight = make_flight(net, node, dst, Frame::Fin { conn });
     transmit(sim, flight, SimDuration::ZERO);
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// The frozen free-function surface (compat shims).
-// ---------------------------------------------------------------------------
-
-/// Registers a listener on `(node, port)`.
-#[deprecated(note = "use `Endpoint::bind` — the free-function surface is frozen compat")]
-pub fn listen<W: NetHost>(sim: &mut NetSim<W>, node: VNodeId, port: u16) -> Result<(), NetError> {
-    op_bind(sim, node, port)
-}
-
-/// Initiates a connection from `node` to `remote`. The result (`Connected`, `Refused`) is
-/// reported asynchronously through the world's event hook.
-#[deprecated(note = "use `Endpoint::connect` — the free-function surface is frozen compat")]
-pub fn connect<W: NetHost>(
-    sim: &mut NetSim<W>,
-    node: VNodeId,
-    remote: SocketAddr,
-) -> Result<ConnId, NetError> {
-    op_connect(sim, node, remote)
-}
-
-/// Sends `payload` (`size` application bytes) from `node` over an established connection, on
-/// the reliable-ordered lane (the only delivery class the legacy API had).
-#[deprecated(
-    note = "use `Endpoint::send` with a `LaneKind` — the free-function surface is \
-                     frozen compat"
-)]
-pub fn send<W: NetHost>(
-    sim: &mut NetSim<W>,
-    node: VNodeId,
-    conn: ConnId,
-    size: u64,
-    payload: W::Payload,
-) -> Result<(), NetError> {
-    op_send(sim, node, conn, LaneKind::ReliableOrdered, size, payload)
-}
-
-/// Sends an unreliable datagram from `node:from_port` to `remote`.
-#[deprecated(note = "use `Endpoint::send_datagram` — the free-function surface is frozen compat")]
-pub fn send_datagram<W: NetHost>(
-    sim: &mut NetSim<W>,
-    node: VNodeId,
-    from_port: u16,
-    remote: SocketAddr,
-    size: u64,
-    payload: W::Payload,
-) -> Result<(), NetError> {
-    op_send_datagram(sim, node, from_port, remote, size, payload)
-}
-
-/// Closes a connection from `node`'s side and notifies the peer.
-#[deprecated(note = "use `Endpoint::close` — the free-function surface is frozen compat")]
-pub fn close<W: NetHost>(sim: &mut NetSim<W>, node: VNodeId, conn: ConnId) -> Result<(), NetError> {
-    op_close(sim, node, conn)
 }
 
 // ---------------------------------------------------------------------------
@@ -1292,23 +1129,20 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
 
 #[cfg(test)]
 mod tests {
-    // These tests drive the transport through the FROZEN compat surface (free functions +
-    // `SockEvent`): they are the proof that legacy worlds keep working unchanged on top of the
-    // session/lane internals. The session/lane/RPC API has its own suite in
-    // `tests/transport_edge.rs` and the `endpoint`/`rpc` module tests.
-    #![allow(deprecated)]
-
+    // These tests pin the packet walk (latency, shaping, loss, interception). Lane and RPC
+    // semantics have their own suites in `tests/transport_edge.rs` and the `endpoint`/`rpc`
+    // module tests.
     use super::*;
+    use crate::endpoint::Endpoint;
     use crate::network::NetworkConfig;
     use crate::topology::{AccessLinkClass, GroupId, TopologySpec};
     use p2plab_sim::SimTime;
 
-    /// Minimal world for transport tests: records every socket event with its timestamp.
+    /// Minimal world for transport tests: records every transport event with its timestamp.
     struct TestWorld {
         net: Network,
         events: Vec<(SimTime, VNodeId, String)>,
         received_payloads: Vec<(VNodeId, u32)>,
-        echo_data: bool,
     }
 
     impl NetHost for TestWorld {
@@ -1318,34 +1152,21 @@ mod tests {
             &mut self.net
         }
 
-        fn on_socket_event(sim: &mut NetSim<Self>, node: VNodeId, event: SockEvent<u32>) {
+        fn on_transport_event(sim: &mut NetSim<Self>, node: VNodeId, event: TransportEvent<u32>) {
             let now = sim.now();
             let label = match &event {
-                SockEvent::Connected { .. } => "connected".to_string(),
-                SockEvent::Refused { .. } => "refused".to_string(),
-                SockEvent::Accepted { .. } => "accepted".to_string(),
-                SockEvent::Data { payload, .. } => format!("data:{payload}"),
-                SockEvent::Datagram { payload, .. } => format!("dgram:{payload}"),
-                SockEvent::Closed { .. } => "closed".to_string(),
+                TransportEvent::Connected { .. } => "connected".to_string(),
+                TransportEvent::Refused { .. } => "refused".to_string(),
+                TransportEvent::Accepted { .. } => "accepted".to_string(),
+                TransportEvent::Message { payload, .. } => format!("data:{payload}"),
+                TransportEvent::Datagram { payload, .. } => format!("dgram:{payload}"),
+                TransportEvent::Closed { .. } => "closed".to_string(),
             };
             sim.world_mut().events.push((now, node, label));
-            match event {
-                SockEvent::Data {
-                    conn,
-                    payload,
-                    size,
-                    ..
-                } => {
-                    sim.world_mut().received_payloads.push((node, payload));
-                    if sim.world().echo_data {
-                        // Echo back on the same connection.
-                        send(sim, node, conn, size, payload + 1000).unwrap();
-                    }
-                }
-                SockEvent::Datagram { payload, .. } => {
-                    sim.world_mut().received_payloads.push((node, payload));
-                }
-                _ => {}
+            if let TransportEvent::Message { payload, .. }
+            | TransportEvent::Datagram { payload, .. } = event
+            {
+                sim.world_mut().received_payloads.push((node, payload));
             }
         }
     }
@@ -1371,7 +1192,6 @@ mod tests {
             net,
             events: Vec::new(),
             received_payloads: Vec::new(),
-            echo_data: false,
         }
     }
 
@@ -1384,8 +1204,8 @@ mod tests {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        listen(&mut sim, VNodeId(1), 6881).unwrap();
-        let conn = connect(&mut sim, VNodeId(0), peer).unwrap();
+        Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
+        let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
         let labels: Vec<&str> = sim
             .world()
@@ -1414,7 +1234,9 @@ mod tests {
 
         // Now send data in both directions.
         let mut sim2 = sim;
-        send(&mut sim2, VNodeId(0), conn, 1024, 7).unwrap();
+        Endpoint::new(VNodeId(0))
+            .send(&mut sim2, conn, LaneKind::ReliableOrdered, 1024, 7)
+            .unwrap();
         sim2.run();
         assert!(sim2.world().received_payloads.contains(&(VNodeId(1), 7)));
         let c = sim2.world_mut().net.connection(conn).unwrap();
@@ -1428,7 +1250,7 @@ mod tests {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        let conn = connect(&mut sim, VNodeId(0), peer).unwrap();
+        let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
         let labels: Vec<&str> = sim
             .world()
@@ -1449,15 +1271,15 @@ mod tests {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        listen(&mut sim, VNodeId(1), 6881).unwrap();
-        let conn = connect(&mut sim, VNodeId(0), peer).unwrap();
+        Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
+        let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         // Not yet established: the SYN has not even left.
         assert_eq!(
-            send(&mut sim, VNodeId(0), conn, 10, 1),
+            Endpoint::new(VNodeId(0)).send(&mut sim, conn, LaneKind::ReliableOrdered, 10, 1),
             Err(NetError::NotEstablished(conn))
         );
         assert_eq!(
-            send(&mut sim, VNodeId(0), ConnId(999), 10, 1),
+            Endpoint::new(VNodeId(0)).send(&mut sim, ConnId(999), LaneKind::ReliableOrdered, 10, 1),
             Err(NetError::UnknownConnection(ConnId(999)))
         );
     }
@@ -1467,12 +1289,12 @@ mod tests {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        listen(&mut sim, VNodeId(1), 6881).unwrap();
-        let conn = connect(&mut sim, VNodeId(0), peer).unwrap();
+        Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
+        let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
         let max = sim.world_mut().net.config().max_message_bytes;
         assert_eq!(
-            send(&mut sim, VNodeId(0), conn, max + 1, 1),
+            Endpoint::new(VNodeId(0)).send(&mut sim, conn, LaneKind::ReliableOrdered, max + 1, 1),
             Err(NetError::MessageTooLarge(max + 1))
         );
     }
@@ -1481,13 +1303,13 @@ mod tests {
     fn duplicate_listener_rejected() {
         let world = build_world(1, 2, NetworkConfig::default());
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        listen(&mut sim, VNodeId(0), 6881).unwrap();
+        Endpoint::new(VNodeId(0)).bind(&mut sim, 6881).unwrap();
         assert_eq!(
-            listen(&mut sim, VNodeId(0), 6881),
+            Endpoint::new(VNodeId(0)).bind(&mut sim, 6881),
             Err(NetError::PortInUse(VNodeId(0), 6881))
         );
         // Same port on another node is fine.
-        listen(&mut sim, VNodeId(1), 6881).unwrap();
+        Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
     }
 
     #[test]
@@ -1495,10 +1317,10 @@ mod tests {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        listen(&mut sim, VNodeId(1), 6881).unwrap();
-        let conn = connect(&mut sim, VNodeId(0), peer).unwrap();
+        Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
+        let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
-        close(&mut sim, VNodeId(0), conn).unwrap();
+        Endpoint::new(VNodeId(0)).close(&mut sim, conn).unwrap();
         sim.run();
         let labels: Vec<&str> = sim
             .world()
@@ -1512,7 +1334,7 @@ mod tests {
             ConnState::Closed
         );
         // Closing again is a no-op.
-        close(&mut sim, VNodeId(0), conn).unwrap();
+        Endpoint::new(VNodeId(0)).close(&mut sim, conn).unwrap();
     }
 
     #[test]
@@ -1520,7 +1342,9 @@ mod tests {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 9);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        send_datagram(&mut sim, VNodeId(0), 9, peer, 100, 42).unwrap();
+        Endpoint::new(VNodeId(0))
+            .send_datagram(&mut sim, 9, peer, 100, 42)
+            .unwrap();
         sim.run();
         assert!(sim.world().received_payloads.contains(&(VNodeId(1), 42)));
         let stats = sim.world_mut().net.stats();
@@ -1535,7 +1359,9 @@ mod tests {
         let world = build_world(1, 2, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 9);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        send_datagram(&mut sim, VNodeId(0), 9, peer, 100, 1).unwrap();
+        Endpoint::new(VNodeId(0))
+            .send_datagram(&mut sim, 9, peer, 100, 1)
+            .unwrap();
         sim.run();
         let (t, _, _) = sim.world().events[0];
         // 30 ms up + 30 ms down plus serialization: at least 60 ms even though it never left
@@ -1551,7 +1377,9 @@ mod tests {
             let world = build_world(machines, per_machine, NetworkConfig::default());
             let peer = remote(&world, VNodeId(1), 9);
             let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-            send_datagram(&mut sim, VNodeId(0), 9, peer, 1000, 1).unwrap();
+            Endpoint::new(VNodeId(0))
+                .send_datagram(&mut sim, 9, peer, 1000, 1)
+                .unwrap();
             sim.run();
             sim.world().events[0].0.as_secs_f64()
         };
@@ -1578,12 +1406,11 @@ mod tests {
             net,
             events: Vec::new(),
             received_payloads: Vec::new(),
-            echo_data: false,
         };
         let peer = SocketAddr::new(VirtAddr::new(10, 0, 0, 2), 6881);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 3);
-        listen(&mut sim, VNodeId(1), 6881).unwrap();
-        let conn = connect(&mut sim, VNodeId(0), peer).unwrap();
+        Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
+        let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
         assert_eq!(
             sim.world_mut().net.connection(conn).unwrap().state,
@@ -1591,7 +1418,9 @@ mod tests {
             "handshake must survive 40% loss via retransmission"
         );
         for i in 0..20 {
-            send(&mut sim, VNodeId(0), conn, 1000, i).unwrap();
+            Endpoint::new(VNodeId(0))
+                .send(&mut sim, conn, LaneKind::ReliableOrdered, 1000, i)
+                .unwrap();
         }
         sim.run();
         let received: Vec<u32> = sim
@@ -1623,11 +1452,12 @@ mod tests {
             net,
             events: Vec::new(),
             received_payloads: Vec::new(),
-            echo_data: false,
         };
         let peer = SocketAddr::new(VirtAddr::new(10, 0, 0, 2), 9);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 3);
-        send_datagram(&mut sim, VNodeId(0), 9, peer, 100, 1).unwrap();
+        Endpoint::new(VNodeId(0))
+            .send_datagram(&mut sim, 9, peer, 100, 1)
+            .unwrap();
         sim.run();
         assert!(sim.world().received_payloads.is_empty());
         assert_eq!(sim.world_mut().net.stats().messages_dropped, 1);
@@ -1641,12 +1471,14 @@ mod tests {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        listen(&mut sim, VNodeId(1), 6881).unwrap();
-        let conn = connect(&mut sim, VNodeId(0), peer).unwrap();
+        Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
+        let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
         let start = sim.now();
         for i in 0..10 {
-            send(&mut sim, VNodeId(0), conn, 16 * 1024, i).unwrap();
+            Endpoint::new(VNodeId(0))
+                .send(&mut sim, conn, LaneKind::ReliableOrdered, 16 * 1024, i)
+                .unwrap();
         }
         sim.run();
         let last = sim
@@ -1670,13 +1502,21 @@ mod tests {
         let world = build_world(3, 1, NetworkConfig::default());
         let receiver_addr = remote(&world, VNodeId(2), 6881);
         let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-        listen(&mut sim, VNodeId(2), 6881).unwrap();
-        let c0 = connect(&mut sim, VNodeId(0), receiver_addr).unwrap();
-        let c1 = connect(&mut sim, VNodeId(1), receiver_addr).unwrap();
+        Endpoint::new(VNodeId(2)).bind(&mut sim, 6881).unwrap();
+        let c0 = Endpoint::new(VNodeId(0))
+            .connect(&mut sim, receiver_addr)
+            .unwrap();
+        let c1 = Endpoint::new(VNodeId(1))
+            .connect(&mut sim, receiver_addr)
+            .unwrap();
         sim.run();
         for i in 0..5 {
-            send(&mut sim, VNodeId(0), c0, 16 * 1024, i).unwrap();
-            send(&mut sim, VNodeId(1), c1, 16 * 1024, 100 + i).unwrap();
+            Endpoint::new(VNodeId(0))
+                .send(&mut sim, c0, LaneKind::ReliableOrdered, 16 * 1024, i)
+                .unwrap();
+            Endpoint::new(VNodeId(1))
+                .send(&mut sim, c1, LaneKind::ReliableOrdered, 16 * 1024, 100 + i)
+                .unwrap();
         }
         sim.run();
         assert_eq!(
@@ -1706,12 +1546,14 @@ mod tests {
             let world = build_world(2, 1, config);
             let peer = remote(&world, VNodeId(1), 6881);
             let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
-            listen(&mut sim, VNodeId(1), 6881).unwrap();
-            let conn = connect(&mut sim, VNodeId(0), peer).unwrap();
+            Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
+            let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
             sim.run();
             let start = sim.now();
             for i in 0..10 {
-                send(&mut sim, VNodeId(0), conn, 16 * 1024, i).unwrap();
+                Endpoint::new(VNodeId(0))
+                    .send(&mut sim, conn, LaneKind::ReliableOrdered, 16 * 1024, i)
+                    .unwrap();
             }
             sim.run();
             let last = sim

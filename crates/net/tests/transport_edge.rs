@@ -256,8 +256,7 @@ fn same_vnode_loopback_delivery() {
 #[test]
 fn datagrams_demux_by_receiving_port() {
     // One vnode bound on two ports: the receiving port must be visible on delivery, otherwise
-    // two services on one node cannot tell their traffic apart (the legacy SockEvent dropped
-    // it — this is the regression the lane event fixes).
+    // two services on one node cannot tell their traffic apart.
     let w = world(2, lan());
     let addr1 = w.net.addr_of(VNodeId(1));
     let mut sim: NetSim<World> = Simulation::with_events(w, 1);

@@ -34,5 +34,5 @@ pub use rng::SimRng;
 pub use shard::{
     run_sharded, ShardConfig, ShardEvent, ShardHost, ShardOutcome, ShardRun, ShardSim, ShardWorld,
 };
-pub use stats::{Cdf, Histogram, RateEstimator, Summary, TimeSeries};
+pub use stats::{Cdf, RateEstimator, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -1,4 +1,4 @@
-//! Measurement utilities: time series, summary statistics, CDFs and histograms.
+//! Measurement utilities: time series, summary statistics and CDFs.
 //!
 //! Every figure in the paper is either a time series (download progress, completion counts,
 //! cumulative data received) or a distribution (execution-time CDF, RTT vs rule count), so these
@@ -219,67 +219,6 @@ impl Cdf {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with an overflow and underflow bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n_buckets` equal-width buckets over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n_buckets: usize) -> Histogram {
-        assert!(hi > lo && n_buckets > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n_buckets],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records a value.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        if v < self.lo {
-            self.underflow += 1;
-        } else if v >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((v - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total number of recorded values, including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Number of values below range / above range.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Bucket contents as `(bucket_low_edge, count)`.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + i as f64 * width, c))
-            .collect()
-    }
-}
-
 /// Exponentially-weighted moving average rate estimator (bytes per second), in the style of the
 /// 20-second rolling rate BitTorrent clients use to pick tit-for-tat partners.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -435,19 +374,6 @@ mod tests {
         assert_eq!(a.ks_distance(&b), 0.0);
         let c = Cdf::from_samples(vec![10.0, 20.0, 30.0, 40.0]);
         assert_eq!(a.ks_distance(&c), 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(100.0);
-        assert_eq!(h.count(), 12);
-        assert_eq!(h.out_of_range(), (1, 1));
-        assert!(h.buckets().iter().all(|&(_, c)| c == 1));
     }
 
     #[test]

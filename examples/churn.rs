@@ -9,7 +9,7 @@
 //! downloaders alternate between online sessions and offline periods (exponentially distributed)
 //! and compares completion times against the churn-free baseline.
 
-use p2plab::core::{completion_summary, run_swarm_experiment, ChurnSpec, SwarmExperiment};
+use p2plab::core::{completion_summary, run_scenario, ChurnSpec, SwarmExperiment};
 use p2plab::sim::SimDuration;
 
 fn main() {
@@ -26,13 +26,13 @@ fn main() {
     });
 
     println!("running '{}'...", baseline.name);
-    let a = run_swarm_experiment(&baseline);
+    let a = run_scenario(&baseline.to_scenario(), baseline.workload()).expect("swarm runs");
     println!("  {}", a.summary());
     println!(
         "running '{}' (mean session 90 s, mean downtime 45 s)...",
         churny.name
     );
-    let b = run_swarm_experiment(&churny);
+    let b = run_scenario(&churny.to_scenario(), churny.workload()).expect("swarm runs");
     println!("  {}", b.summary());
     println!(
         "  churn departures observed by the tracker: {}",

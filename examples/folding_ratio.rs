@@ -13,7 +13,7 @@
 
 use p2plab::core::{
     compare_folding, compare_folding_reports, render_table, run_reported, RunReport,
-    SwarmExperiment, SwarmWorkload,
+    SwarmExperiment,
 };
 
 fn main() {
@@ -34,8 +34,8 @@ fn main() {
             cfg.machines,
             cfg.folding_ratio()
         );
-        let (result, report) = run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone()))
-            .expect("scenario runs");
+        let (result, report) =
+            run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
         results.push(result);
         reports.push(report);
     }

@@ -13,7 +13,7 @@
 //! configurable scale and prints the Figure 10 progress samples and the Figure 11 completion
 //! curve.
 
-use p2plab::core::{ascii_plot, completion_summary, run_swarm_experiment, SwarmExperiment};
+use p2plab::core::{ascii_plot, completion_summary, run_scenario, SwarmExperiment};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -33,7 +33,7 @@ fn main() {
         "(pass a scale factor between 0.002 and 1.0 as the first argument; 1.0 = paper scale)\n"
     );
 
-    let result = run_swarm_experiment(&cfg);
+    let result = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
     println!("{}", result.summary());
     println!("simulation executed {} events", result.events_executed);
 

@@ -4,16 +4,14 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! This is the smallest end-to-end use of the framework, written against the scenario API:
-//! describe the application side as a workload (`SwarmWorkload`), compose everything around it
-//! (topology, folding, deadline, sampling, seed) with `ScenarioBuilder`, and hand both to the
-//! generic `run_scenario` loop. Deployment, network emulation, the BitTorrent protocol and the
-//! resource monitoring all happen inside the deterministic simulation.
+//! This is the smallest end-to-end use of the framework, written against the scenario API: a
+//! `SwarmExperiment` preset splits into the application side (`cfg.workload()`: tracker,
+//! seeders, downloaders, arrival ramp) and everything around it (`cfg.to_scenario()`: topology,
+//! folding, deadline, sampling, seed), and both go to the generic `run_scenario` loop.
+//! Deployment, network emulation, the BitTorrent protocol and the resource monitoring all
+//! happen inside the deterministic simulation.
 
-use p2plab::core::{
-    ascii_plot, completion_summary, run_scenario, ScenarioBuilder, SwarmExperiment, SwarmWorkload,
-};
-use p2plab::net::TopologySpec;
+use p2plab::core::{ascii_plot, completion_summary, run_scenario, SwarmExperiment};
 
 fn main() {
     // A 2 MB file shared by 2 seeders with 12 downloaders on 8 Mbps / 1 Mbps access links,
@@ -31,24 +29,7 @@ fn main() {
         cfg.folding_ratio(),
     );
 
-    // The workload carries the application (tracker + seeders + downloaders + arrival ramp);
-    // the builder carries everything else. `run_swarm_experiment(&cfg)` is the legacy one-liner
-    // for exactly this composition.
-    let workload = SwarmWorkload::new(cfg.clone());
-    let scenario = ScenarioBuilder::new(
-        &cfg.name,
-        TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
-    )
-    .machines(cfg.machines)
-    .arrival_ramp(workload.arrival_ramp())
-    .churn_opt(cfg.churn)
-    .deadline(cfg.deadline)
-    .sample_interval(cfg.sample_interval)
-    .seed(cfg.seed)
-    .build()
-    .expect("scenario is valid");
-
-    let result = run_scenario(&scenario, workload).expect("swarm runs");
+    let result = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
 
     println!("\n{}", result.summary());
     if let Some(s) = completion_summary(&result) {

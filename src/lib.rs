@@ -26,31 +26,20 @@
 //! driven by the generic [`run_scenario`](p2plab_core::run_scenario) loop:
 //!
 //! ```
-//! use p2plab::core::{run_scenario, ScenarioBuilder, SwarmExperiment, SwarmWorkload};
-//! use p2plab::net::TopologySpec;
+//! use p2plab::core::{run_scenario, SwarmExperiment};
 //!
-//! // A small BitTorrent swarm on emulated access links, folded onto 4 physical machines.
+//! // A small BitTorrent swarm on emulated access links, folded onto 4 physical machines. The
+//! // preset splits into the scenario (`ScenarioBuilder` under the hood) and the workload.
 //! let mut cfg = SwarmExperiment::quick();
 //! cfg.leechers = 6;
-//! let spec = ScenarioBuilder::new(
-//!     &cfg.name,
-//!     TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
-//! )
-//! .machines(cfg.machines)
-//! .churn_opt(cfg.churn)
-//! .deadline(cfg.deadline)
-//! .sample_interval(cfg.sample_interval)
-//! .seed(cfg.seed)
-//! .build()
-//! .unwrap();
-//! let result = run_scenario(&spec, SwarmWorkload::new(cfg)).unwrap();
+//! let result = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
 //! assert!(result.finished);
 //! println!("{}", result.summary());
 //! ```
 //!
-//! The legacy one-liner `run_swarm_experiment(&cfg)` still works and delegates to exactly the
-//! composition above. The same loop runs every other workload — e.g.
-//! [`PingMeshWorkload`](p2plab_core::PingMeshWorkload) (see `examples/ping_mesh.rs`).
+//! The same loop runs every other workload — e.g.
+//! [`PingMeshWorkload`](p2plab_core::PingMeshWorkload) — and every workload can be described as
+//! a scenario file instead (`examples/scenarios/*.toml`, run by the `campaign` binary).
 
 #![warn(missing_docs)]
 
@@ -64,9 +53,9 @@ pub use p2plab_sim as sim;
 pub mod prelude {
     pub use p2plab_bittorrent::{ClientConfig, SwarmWorld, Torrent};
     pub use p2plab_core::{
-        compare_folding, deploy, run_scenario, run_swarm_experiment, ArrivalSpec, ChurnSpec,
+        compare_folding, deploy, run_reported, run_scenario, ArrivalSpec, ChurnSpec,
         DeploymentSpec, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
-        PingMeshWorkload, ScenarioBuilder, SessionProcess, SwarmExperiment, SwarmResult,
+        PingMeshWorkload, ScenarioBuilder, SessionProcess, SwarmExperiment, SwarmResult, SwarmSpec,
         SwarmWorkload, Workload,
     };
     pub use p2plab_net::{

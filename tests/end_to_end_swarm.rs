@@ -2,7 +2,8 @@
 //! deployment, network emulation, protocol dynamics, analysis.
 
 use p2plab::core::{
-    compare_folding, completion_summary, download_phases, run_swarm_experiment, SwarmExperiment,
+    compare_folding, completion_summary, download_phases, run_scenario, SwarmExperiment,
+    SwarmResult,
 };
 use p2plab::net::AccessLinkClass;
 use p2plab::sim::SimDuration;
@@ -20,10 +21,14 @@ fn small_paper_swarm(leechers: usize, machines: usize, seed: u64) -> SwarmExperi
     cfg
 }
 
+fn run(cfg: &SwarmExperiment) -> SwarmResult {
+    run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs")
+}
+
 #[test]
 fn paper_style_swarm_completes_with_consistent_accounting() {
     let cfg = small_paper_swarm(16, 21, 1);
-    let r = run_swarm_experiment(&cfg);
+    let r = run(&cfg);
     assert!(r.finished, "{}", r.summary());
     assert_eq!(r.completed, 16);
 
@@ -61,8 +66,8 @@ fn paper_style_swarm_completes_with_consistent_accounting() {
 fn folding_invariance_holds_at_test_scale() {
     // The Figure 9 claim: deploying the same swarm on fewer machines does not change the
     // aggregate results. Compare 1-ish clients per machine against everything on one machine.
-    let spread = run_swarm_experiment(&small_paper_swarm(12, 17, 3));
-    let folded = run_swarm_experiment(&small_paper_swarm(12, 1, 3));
+    let spread = run(&small_paper_swarm(12, 17, 3));
+    let folded = run(&small_paper_swarm(12, 1, 3));
     assert!(spread.finished && folded.finished);
     let cmp = compare_folding(&spread, &[&folded]);
     assert!(
@@ -76,12 +81,12 @@ fn folding_invariance_holds_at_test_scale() {
 
 #[test]
 fn runs_are_reproducible_from_the_seed() {
-    let a = run_swarm_experiment(&small_paper_swarm(8, 5, 11));
-    let b = run_swarm_experiment(&small_paper_swarm(8, 5, 11));
+    let a = run(&small_paper_swarm(8, 5, 11));
+    let b = run(&small_paper_swarm(8, 5, 11));
     assert_eq!(a.completion_times, b.completion_times);
     assert_eq!(a.events_executed, b.events_executed);
     assert_eq!(a.net_stats, b.net_stats);
-    let c = run_swarm_experiment(&small_paper_swarm(8, 5, 12));
+    let c = run(&small_paper_swarm(8, 5, 12));
     assert_ne!(
         a.completion_times, c.completion_times,
         "different seeds should give different runs"
@@ -96,8 +101,8 @@ fn slower_access_links_slow_the_swarm_down() {
     fast.link = AccessLinkClass::new(2_000_000, 256_000, SimDuration::from_millis(30));
     let mut slow = small_paper_swarm(8, 11, 5);
     slow.link = AccessLinkClass::new(2_000_000, 128_000, SimDuration::from_millis(30));
-    let rf = run_swarm_experiment(&fast);
-    let rs = run_swarm_experiment(&slow);
+    let rf = run(&fast);
+    let rs = run(&slow);
     assert!(rf.finished && rs.finished);
     let f = rf.median_completion().unwrap().as_secs_f64();
     let s = rs.median_completion().unwrap().as_secs_f64();

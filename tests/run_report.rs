@@ -4,7 +4,7 @@
 
 use p2plab::core::{
     run_reported, GossipSpec, GossipWorkload, PingMeshSpec, PingMeshWorkload, RunReport,
-    ScenarioBuilder, SwarmExperiment, SwarmWorkload,
+    ScenarioBuilder, SwarmExperiment,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
 use p2plab::sim::{MetricValue, RunOutcome, SimDuration};
@@ -21,8 +21,7 @@ fn swarm_report_round_trips_and_matches_result() {
     let mut cfg = SwarmExperiment::quick();
     cfg.name = "report-swarm".into();
     cfg.leechers = 6;
-    let (result, report) =
-        run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg.clone())).unwrap();
+    let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).unwrap();
     let loaded = round_trip(&report);
 
     assert_eq!(loaded.workload, "swarm");
@@ -139,9 +138,7 @@ fn reports_are_deterministic_given_seed_apart_from_wall_time() {
         let mut cfg = SwarmExperiment::quick();
         cfg.name = "report-det".into();
         cfg.leechers = 5;
-        run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg))
-            .unwrap()
-            .1
+        run_reported(&cfg.to_scenario(), cfg.workload()).unwrap().1
     };
     let mut a = run();
     let mut b = run();
@@ -160,7 +157,7 @@ fn run_scenario_still_returns_plain_output() {
     // not need the artifact.
     let mut cfg = SwarmExperiment::quick();
     cfg.leechers = 4;
-    let result = p2plab::core::run_scenario(&cfg.to_scenario(), SwarmWorkload::new(cfg)).unwrap();
+    let result = p2plab::core::run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
     assert!(result.finished);
 }
 
@@ -171,7 +168,7 @@ fn metric_order_is_stable_and_progress_comes_first() {
     // leading every report, and on series metrics actually being series.
     let mut cfg = SwarmExperiment::quick();
     cfg.leechers = 4;
-    let (_, report) = run_reported(&cfg.to_scenario(), SwarmWorkload::new(cfg)).unwrap();
+    let (_, report) = run_reported(&cfg.to_scenario(), cfg.workload()).unwrap();
     let first = report.metrics.iter().next().unwrap();
     assert_eq!(first.name, "progress");
     assert!(matches!(first.value, MetricValue::Series(_)));

@@ -1,79 +1,13 @@
 //! Integration tests of the workload-agnostic scenario API through the public facade:
-//! the generic `run_scenario` loop must carry both shipped workloads, and the legacy
-//! `run_swarm_experiment` wrapper must stay byte-identical to an explicit scenario run.
+//! the generic `run_scenario` loop must carry every shipped workload under every arrival and
+//! session process, and builder validation must hold.
 
 use p2plab::core::{
-    run_scenario, run_swarm_experiment, ArrivalSpec, ChurnSpec, GossipSpec, GossipWorkload,
-    PingMeshSpec, PingMeshWorkload, ScenarioBuilder, ScenarioError, SessionProcess,
-    SwarmExperiment, SwarmWorkload,
+    run_scenario, ArrivalSpec, ChurnSpec, GossipSpec, GossipWorkload, PingMeshSpec,
+    PingMeshWorkload, ScenarioBuilder, ScenarioError, SessionProcess, SwarmExperiment,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
 use p2plab::sim::SimDuration;
-
-/// Builds the scenario spec equivalent to what the legacy wrapper constructs internally.
-fn swarm_scenario(cfg: &SwarmExperiment) -> p2plab::core::ScenarioSpec {
-    ScenarioBuilder::new(
-        &cfg.name,
-        TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
-    )
-    .machines(cfg.machines)
-    .churn_opt(cfg.churn)
-    .deadline(cfg.deadline)
-    .sample_interval(cfg.sample_interval)
-    .seed(cfg.seed)
-    .build()
-    .expect("valid scenario")
-}
-
-#[test]
-fn legacy_wrapper_and_scenario_run_are_byte_identical() {
-    // The determinism guard of the API redesign: for the same seed, the deprecated
-    // `run_swarm_experiment` wrapper and an explicit `run_scenario` with the swarm workload
-    // must produce identical results in every observable field.
-    let mut cfg = SwarmExperiment::quick();
-    cfg.name = "determinism-guard".into();
-    cfg.leechers = 8;
-
-    let legacy = run_swarm_experiment(&cfg);
-    let scenario = run_scenario(&swarm_scenario(&cfg), SwarmWorkload::new(cfg.clone())).unwrap();
-
-    assert_eq!(legacy.completion_times, scenario.completion_times);
-    assert_eq!(legacy.events_executed, scenario.events_executed);
-    assert_eq!(legacy.net_stats, scenario.net_stats);
-    assert_eq!(legacy.total_downloaded, scenario.total_downloaded);
-    assert_eq!(legacy.completion_curve, scenario.completion_curve);
-    assert_eq!(legacy.progress, scenario.progress);
-    assert_eq!(legacy.completed, scenario.completed);
-    assert_eq!(legacy.finished, scenario.finished);
-    assert_eq!(legacy.stopped_at, scenario.stopped_at);
-    assert_eq!(legacy.seeder_upload_bytes, scenario.seeder_upload_bytes);
-    assert_eq!(legacy.leecher_upload_bytes, scenario.leecher_upload_bytes);
-    assert_eq!(legacy.peak_nic_utilization, scenario.peak_nic_utilization);
-    assert_eq!(legacy.churn_departures, scenario.churn_departures);
-}
-
-#[test]
-fn byte_identity_survives_churn() {
-    // Churn draws from the simulation RNG at schedule time, so it is the part most likely to
-    // diverge if event-scheduling order ever changes between the two paths.
-    let mut cfg = SwarmExperiment::quick();
-    cfg.name = "determinism-guard-churn".into();
-    cfg.leechers = 6;
-    cfg.churn = Some(ChurnSpec {
-        mean_session: SimDuration::from_secs(20),
-        mean_downtime: SimDuration::from_secs(20),
-    });
-    cfg.deadline = SimDuration::from_secs(6000);
-
-    let legacy = run_swarm_experiment(&cfg);
-    let scenario = run_scenario(&swarm_scenario(&cfg), SwarmWorkload::new(cfg.clone())).unwrap();
-
-    assert_eq!(legacy.completion_times, scenario.completion_times);
-    assert_eq!(legacy.events_executed, scenario.events_executed);
-    assert_eq!(legacy.net_stats, scenario.net_stats);
-    assert!(legacy.churn_departures > 0, "churn must actually fire");
-    assert_eq!(legacy.churn_departures, scenario.churn_departures);
-}
 
 #[test]
 fn both_workloads_run_through_the_same_generic_loop() {
@@ -82,7 +16,7 @@ fn both_workloads_run_through_the_same_generic_loop() {
     let mut cfg = SwarmExperiment::quick();
     cfg.name = "generic-swarm".into();
     cfg.leechers = 4;
-    let swarm = run_scenario(&swarm_scenario(&cfg), SwarmWorkload::new(cfg)).unwrap();
+    let swarm = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
     assert!(swarm.finished);
 
     let mesh = PingMeshSpec::full("generic-mesh", 5);
@@ -156,17 +90,15 @@ fn degenerate_churn_is_rejected_not_livelocked() {
     // Regression for the churn livelock: a zero mean used to make schedule_departure draw
     // zero-length exponential delays and spin depart/rejoin at one instant until the event
     // budget died. It must now be rejected by validation before the run starts.
-    let mut cfg = SwarmExperiment::quick();
-    cfg.leechers = 2;
-    cfg.churn = Some(ChurnSpec {
-        mean_session: SimDuration::ZERO,
-        mean_downtime: SimDuration::ZERO,
-    });
+    let cfg = SwarmExperiment::quick();
     let err = ScenarioBuilder::new(
         &cfg.name,
         TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
     )
-    .churn_opt(cfg.churn)
+    .churn(ChurnSpec {
+        mean_session: SimDuration::ZERO,
+        mean_downtime: SimDuration::ZERO,
+    })
     .deadline(cfg.deadline)
     .build()
     .unwrap_err();
@@ -196,7 +128,7 @@ fn swarm_completes_under_pareto_sessions() {
     .seed(cfg.seed)
     .build()
     .unwrap();
-    let r = run_scenario(&spec, SwarmWorkload::new(cfg.clone())).unwrap();
+    let r = run_scenario(&spec, cfg.workload()).unwrap();
     assert!(r.finished, "{}", r.summary());
     assert!(r.churn_departures > 0, "Pareto churn must actually fire");
 }

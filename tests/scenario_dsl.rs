@@ -49,11 +49,11 @@ fn golden_example_fields() {
     assert_eq!(swarm.spec.seed, 7);
     // 12 leechers + 2 seeders + 1 tracker.
     assert_eq!(swarm.spec.topology.total_nodes(), 15);
+    assert_eq!(swarm.spec.topology.groups[0].link.down_bps, 8_000_000);
     match &swarm.workload {
         WorkloadConfig::Swarm(cfg) => {
             assert_eq!(cfg.leechers, 12);
             assert_eq!(cfg.file_bytes, 2 * 1024 * 1024);
-            assert_eq!(cfg.link.down_bps, 8_000_000);
         }
         other => panic!("{other:?}"),
     }
@@ -68,6 +68,18 @@ fn golden_example_fields() {
         gossip.spec.sessions,
         Some(SessionProcess::Exponential { .. })
     ));
+}
+
+/// A swarm file's `[sessions]` block reaches the run: the scenario spec is the only place churn
+/// lives, so the downloaders really depart, and the block survives the TOML round trip.
+#[test]
+fn swarm_file_sessions_churn_the_run_and_round_trip() {
+    let text = example("scenarios/swarm_quick.toml")
+        + "\n[sessions]\nkind = \"exponential\"\nmean_session = \"15s\"\nmean_downtime = \"30s\"\n";
+    let file = ScenarioFile::parse(&text).unwrap();
+    let report = file.run().unwrap();
+    assert!(report.metrics.counter("churn_departures").unwrap() > 0);
+    assert_eq!(ScenarioFile::parse(&file.to_toml()).unwrap(), file);
 }
 
 #[test]
