@@ -78,7 +78,7 @@ fn record(
 fn gossip(nodes: usize, smoke: bool) -> RunReport {
     let name = format!("scale-gossip-{nodes}");
     let machines = (nodes / 64).max(1);
-    let mut spec = GossipSpec::new(&name, nodes);
+    let mut spec = GossipSpec::new(nodes);
     // Push less per round at scale: dissemination still completes, with fewer duplicate
     // rumors clogging the sweep.
     spec.fanout = 2;
@@ -121,7 +121,7 @@ fn gossip(nodes: usize, smoke: bool) -> RunReport {
 fn gossip_sharded(nodes: usize, shards: usize, smoke: bool) -> RunReport {
     let name = format!("scale-gossip-sharded-{nodes}x{shards}");
     let machines = (nodes / 64).max(1);
-    let mut spec = GossipShardedSpec::new(&name, nodes);
+    let mut spec = GossipShardedSpec::new(nodes);
     spec.fanout = 2;
     // Tighter arrival spacing at the million-node scale: a 2 ms ramp would stretch the join
     // phase to half an hour of virtual time and drown the dissemination in offline pushes.
@@ -166,7 +166,7 @@ fn gossip_sharded(nodes: usize, shards: usize, smoke: bool) -> RunReport {
 fn ping_mesh(nodes: usize, smoke: bool) -> RunReport {
     let name = format!("scale-mesh-{nodes}");
     let machines = (nodes / 64).max(1);
-    let mesh = PingMeshSpec::ring(&name, nodes);
+    let mesh = PingMeshSpec::ring(nodes);
     let mut b = ScenarioBuilder::new(
         &name,
         TopologySpec::uniform(
@@ -199,7 +199,7 @@ fn ping_mesh(nodes: usize, smoke: bool) -> RunReport {
 fn dht(nodes: usize, smoke: bool) -> RunReport {
     let name = format!("scale-dht-{nodes}");
     let machines = (nodes / 64).max(1);
-    let spec = DhtLookupSpec::new(&name, nodes);
+    let spec = DhtLookupSpec::new(nodes);
     let ramp = spec.arrival_ramp();
     let mut b = ScenarioBuilder::new(
         &name,

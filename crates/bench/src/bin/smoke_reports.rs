@@ -60,7 +60,7 @@ fn main() {
     check("swarm", &report);
 
     // Ping mesh: a small full mesh.
-    let mesh = PingMeshSpec::full("smoke-ping-mesh", 4);
+    let mesh = PingMeshSpec::full(4);
     let spec = ScenarioBuilder::new(
         "smoke-ping-mesh",
         TopologySpec::uniform(
@@ -100,14 +100,14 @@ fn main() {
     .seed(2)
     .build()
     .expect("valid scenario");
-    let (result, report) = run_reported(&spec, GossipWorkload::new(GossipSpec::new("smoke", 12)))
-        .expect("gossip runs");
+    let (result, report) =
+        run_reported(&spec, GossipWorkload::new(GossipSpec::new(12))).expect("gossip runs");
     assert!(result.finished, "{}", result.summary());
     assert!(report.metrics.counter("rumors_sent").unwrap() > 0);
     check("gossip", &report);
 
     // DHT lookups: a small overlay, every lookup must converge and fill the hop histogram.
-    let dht = DhtLookupSpec::new("smoke-dht", 24);
+    let dht = DhtLookupSpec::new(24);
     let spec = ScenarioBuilder::new(
         "smoke-dht",
         TopologySpec::uniform(

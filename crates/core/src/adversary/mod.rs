@@ -29,6 +29,7 @@ pub mod behaviors;
 
 pub use behaviors::{behavior_by_name, Behavior, BEHAVIOR_NAMES};
 
+use crate::scenario::dsl::{DslError, Keys, Named};
 use p2plab_net::{Misbehavior, TamperSpec};
 use p2plab_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -55,6 +56,24 @@ impl Selection {
     }
 }
 
+/// The names a scenario file spells the modes by. `"trace"` names the mode only; its indices
+/// are the `trace` key's.
+impl Named for Selection {
+    const WHAT: &'static str = "selection mode";
+    fn names() -> Vec<(&'static str, Selection)> {
+        [
+            Selection::Random,
+            Selection::First,
+            Selection::Trace(Vec::new()),
+        ]
+        .map(|mode| (mode.keyword(), mode))
+        .into()
+    }
+    fn is(&self, named: &Selection) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(named)
+    }
+}
+
 /// The scenario-level adversary assignment: who misbehaves, and how.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdversaryPlan {
@@ -75,6 +94,21 @@ impl AdversaryPlan {
             behaviors: behaviors.iter().map(|s| s.to_string()).collect(),
             selection: Selection::Random,
         }
+    }
+
+    /// The `[adversary]` keys of a scenario file; absent ones keep [`AdversaryPlan::new`]'s
+    /// defaults. `trace` exists under `selection = "trace"` only.
+    pub(crate) fn keys(k: &mut Keys, plan: &mut AdversaryPlan) -> Result<(), DslError> {
+        k.opt("fraction", &mut plan.fraction)?;
+        k.req("behaviors", &mut plan.behaviors)?;
+        k.opt("selection", &mut plan.selection)?;
+        if let Selection::Trace(picks) = &mut plan.selection {
+            k.req("trace", picks)?;
+        }
+        if k.reading() {
+            plan.validate().map_err(|reason| k.error("", reason))?;
+        }
+        Ok(())
     }
 
     /// Checks the plan is well-formed: a finite fraction in `[0, 1]` and a non-empty list of

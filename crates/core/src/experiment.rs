@@ -8,14 +8,12 @@
 //! generic loop: `run_scenario(&cfg.to_scenario(), cfg.workload())` (or
 //! [`run_reported`](crate::scenario::run_reported) for the run's report as well).
 
-use crate::scenario::{ScenarioBuilder, ScenarioSpec};
+use crate::scenario::{ScenarioBuilder, ScenarioSpec, SessionProcess};
 use crate::workloads::{SwarmSpec, SwarmWorkload};
 use p2plab_bittorrent::ClientConfig;
 use p2plab_net::{AccessLinkClass, NetStats, TopologySpec};
 use p2plab_sim::{SimDuration, SimTime, TimeSeries};
 use serde::{Deserialize, Serialize};
-
-pub use crate::scenario::ChurnSpec;
 
 /// Description of one BitTorrent swarm experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,7 +42,7 @@ pub struct SwarmExperiment {
     pub sample_interval: SimDuration,
     /// Optional node-churn model applied to the downloaders (an extension beyond the paper's
     /// experiments, where clients stay online).
-    pub churn: Option<ChurnSpec>,
+    pub churn: Option<SessionProcess>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -151,8 +149,8 @@ impl SwarmExperiment {
         .deadline(self.deadline)
         .sample_interval(self.sample_interval)
         .seed(self.seed);
-        if let Some(churn) = self.churn {
-            builder = builder.churn(churn);
+        if let Some(churn) = &self.churn {
+            builder = builder.sessions(churn.clone());
         }
         builder
             .build()
@@ -339,7 +337,7 @@ mod tests {
         churny.name = "churn-on".into();
         // Sessions must be shorter than the ~37 s undisturbed download time, otherwise most
         // clients finish before their first departure and the comparison is pure noise.
-        churny.churn = Some(ChurnSpec {
+        churny.churn = Some(SessionProcess::Exponential {
             mean_session: SimDuration::from_secs(15),
             mean_downtime: SimDuration::from_secs(30),
         });

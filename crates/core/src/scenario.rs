@@ -56,8 +56,8 @@ use std::rc::Rc;
 use std::time::Instant;
 
 pub use processes::{
-    schedule_session_chain, ArrivalProcess, ArrivalSchedule, ArrivalSpec, ChurnSpec,
-    FlashCrowdProcess, PoissonProcess, RampProcess, SessionAction, SessionProcess, TraceProcess,
+    schedule_session_chain, ArrivalProcess, ArrivalSchedule, ArrivalSpec, FlashCrowdProcess,
+    PoissonProcess, RampProcess, SessionAction, SessionProcess, TraceProcess,
 };
 
 /// An application that can be run by [`run_scenario`].
@@ -71,7 +71,7 @@ pub use processes::{
 ///    before any arrivals (seeders, servers, bootstrap nodes);
 /// 3. [`schedule_arrivals`](Workload::schedule_arrivals) schedules the participants joining
 ///    over time;
-/// 4. [`schedule_churn`](Workload::schedule_churn) (optional) applies a [`ChurnSpec`];
+/// 4. [`schedule_churn`](Workload::schedule_churn) (optional) applies the scenario's [`SessionProcess`];
 /// 5. [`sample`](Workload::sample) is called on the sampling grid and feeds the scenario's
 ///    global progress curve; [`is_complete`](Workload::is_complete) lets the runner stop
 ///    sampling once the workload is done;
@@ -245,7 +245,7 @@ pub struct ScenarioSpec {
     pub arrival_ramp: Option<SimDuration>,
     /// Pre-sizing hint: how many events may be pending at once. `None` derives a default from
     /// the participant count; the runner passes it to the event queue so arrival bursts never
-    /// regrow the queue slab mid-run.
+    /// regrow the queue slab mid-run. At most [`MAX_EVENT_CAPACITY`].
     pub event_capacity: Option<usize>,
     /// Hard cap on executed events. `None` is unlimited; CI smoke runs set it so a runaway
     /// event loop fails fast ([`RunOutcome::EventBudgetExhausted`]) instead of hanging the job.
@@ -267,6 +267,12 @@ impl ScenarioSpec {
     }
 }
 
+/// The largest [`ScenarioSpec::event_capacity`] hint a scenario may carry. The runner allocates
+/// the hinted slots before the first event runs, so an unchecked value from a scenario file
+/// could abort the process inside `Vec::reserve`; 2^24 pending events is twice what the largest
+/// checked-in scenario (10^6 vnodes, 8 slots each by default) reserves.
+pub const MAX_EVENT_CAPACITY: usize = 1 << 24;
+
 /// Why a scenario could not be built or run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
@@ -280,6 +286,11 @@ pub enum ScenarioError {
     ZeroSampleInterval,
     /// The shard count is zero.
     ZeroShards,
+    /// The `event_capacity` pre-sizing hint exceeds [`MAX_EVENT_CAPACITY`].
+    EventCapacityTooLarge {
+        /// The requested hint.
+        requested: usize,
+    },
     /// The scenario asked for sharded execution but the combination cannot be sharded (e.g.
     /// zero-latency links leave no conservative lookahead, or the workload does not support a
     /// requested feature under sharding).
@@ -349,6 +360,10 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ZeroShards => {
                 write!(f, "scenario shard count must be positive (shards = 0)")
             }
+            ScenarioError::EventCapacityTooLarge { requested } => write!(
+                f,
+                "event_capacity = {requested} exceeds the limit of {MAX_EVENT_CAPACITY} pending events"
+            ),
             ScenarioError::ShardingUnsupported { reason } => {
                 write!(f, "scenario cannot run sharded: {reason}")
             }
@@ -451,13 +466,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Applies an exponential churn model to the workload's participants (shorthand for
-    /// [`sessions`](ScenarioBuilder::sessions) with the exponential process).
-    pub fn churn(mut self, churn: ChurnSpec) -> Self {
-        self.spec.sessions = Some(churn.into());
-        self
-    }
-
     /// Sets the virtual-time deadline.
     pub fn deadline(mut self, deadline: SimDuration) -> Self {
         self.spec.deadline = deadline;
@@ -537,6 +545,9 @@ impl ScenarioSpec {
         }
         if self.shards == 0 {
             return Err(ScenarioError::ZeroShards);
+        }
+        if let Some(requested) = self.event_capacity.filter(|&cap| cap > MAX_EVENT_CAPACITY) {
+            return Err(ScenarioError::EventCapacityTooLarge { requested });
         }
         if let Some(ramp) = self.arrival_ramp {
             if self.deadline < ramp {
@@ -1032,6 +1043,14 @@ mod tests {
             .sample_interval(SimDuration::ZERO)
             .build();
         assert_eq!(err.unwrap_err(), ScenarioError::ZeroSampleInterval);
+        let requested = MAX_EVENT_CAPACITY + 1;
+        let err = ScenarioBuilder::new("bad", topo(2))
+            .event_capacity(requested)
+            .build();
+        assert_eq!(
+            err.unwrap_err(),
+            ScenarioError::EventCapacityTooLarge { requested }
+        );
     }
 
     #[test]
@@ -1061,7 +1080,7 @@ mod tests {
         // livelock `schedule_departure` by drawing zero-length exponential delays — the
         // depart/rejoin pair re-fired at the same instant until the event budget died.
         let err = ScenarioBuilder::new("bad", topo(4))
-            .churn(ChurnSpec {
+            .sessions(SessionProcess::Exponential {
                 mean_session: SimDuration::ZERO,
                 mean_downtime: SimDuration::from_secs(10),
             })
@@ -1071,7 +1090,7 @@ mod tests {
             "{err:?}"
         );
         let err = ScenarioBuilder::new("bad", topo(4))
-            .churn(ChurnSpec {
+            .sessions(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(10),
                 mean_downtime: SimDuration::ZERO,
             })

@@ -40,7 +40,9 @@
 
 use crate::analysis::relative_curve_deviation;
 use crate::report::{json_f64, json_str, outcome_label, RunReport};
-use crate::scenario::dsl::{parse_toml, DslError, ScenarioFile, Spanned, TomlTable, TomlValue};
+use crate::scenario::dsl::{
+    parse_toml, read_section, table_of, DslError, Keys, ScenarioFile, Spanned, TomlTable, TomlValue,
+};
 use crate::scenario::ScenarioError;
 use p2plab_sim::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,6 +50,21 @@ use std::sync::Mutex;
 
 /// Schema tag of the campaign summary JSON artifact.
 pub const CAMPAIGN_SCHEMA: &str = "p2plab.campaign.v1";
+
+/// The sections a campaign file adds to a scenario file.
+const CAMPAIGN_SECTION: &str = "campaign";
+const MATRIX_SECTION: &str = "matrix";
+const CELLS_SECTION: &str = "cells";
+
+/// `[campaign]`, described like every scenario section (see [`dsl`](crate::scenario::dsl)).
+fn campaign_keys(k: &mut Keys, campaign: &mut CampaignSpec) -> Result<(), DslError> {
+    k.req("name", &mut campaign.name)?;
+    k.checked("threads", &mut campaign.threads, |threads| match threads {
+        Some(0) => Err("thread count must be positive".to_string()),
+        _ => Ok(()),
+    })?;
+    Ok(())
+}
 
 /// A parsed campaign file: the base scenario table plus the parameter matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,111 +105,55 @@ impl CampaignSpec {
     /// True when a parsed root table is a campaign file (has a `[campaign]` section) rather
     /// than a plain scenario file.
     pub fn is_campaign(root: &TomlTable) -> bool {
-        root.get("campaign").is_some()
+        root.get(CAMPAIGN_SECTION).is_some()
     }
 
     /// Builds a campaign from an already-parsed root table.
     pub fn from_table(root: &TomlTable) -> Result<CampaignSpec, DslError> {
-        let campaign = match root.get("campaign") {
-            Some(spanned) => match &spanned.value {
-                TomlValue::Table(t) => t,
-                other => {
-                    return Err(DslError {
-                        line: spanned.line,
-                        path: "campaign".into(),
-                        message: format!("expected a table, found {}", other.type_name()),
-                    })
-                }
-            },
-            None => {
-                return Err(DslError {
-                    line: 0,
-                    path: "campaign".into(),
-                    message: "missing required section".into(),
-                })
-            }
-        };
-        let mut sect = super::dsl::Sect::new(campaign, "campaign");
-        let name = sect.req_str("name")?.to_string();
-        let threads = sect.opt_usize("threads")?;
-        sect.finish()?;
-        if let Some(0) = threads {
+        let Some(campaign) = root.get(CAMPAIGN_SECTION) else {
             return Err(DslError {
-                line: campaign.line(),
-                path: "campaign.threads".into(),
-                message: "thread count must be positive".into(),
+                line: 0,
+                path: CAMPAIGN_SECTION.into(),
+                message: "missing required section".into(),
             });
-        }
-
-        let mut axes = Vec::new();
-        if let Some(spanned) = root.get("matrix") {
-            let matrix = match &spanned.value {
-                TomlValue::Table(t) => t,
-                other => {
-                    return Err(DslError {
-                        line: spanned.line,
-                        path: "matrix".into(),
-                        message: format!("expected a table, found {}", other.type_name()),
-                    })
-                }
-            };
-            flatten_axes(matrix, "matrix", "", &mut axes)?;
-        }
-
-        let mut extra = Vec::new();
-        if let Some(spanned) = root.get("cells") {
-            let cells = match &spanned.value {
-                TomlValue::Table(t) => t,
-                other => {
-                    return Err(DslError {
-                        line: spanned.line,
-                        path: "cells".into(),
-                        message: format!("expected a table, found {}", other.type_name()),
-                    })
-                }
-            };
-            for (label, entry) in cells.entries() {
-                let err_prefix = format!("cells.{label}");
-                let table = match &entry.value {
-                    TomlValue::Table(t) => t,
-                    other => {
-                        return Err(DslError {
-                            line: entry.line,
-                            path: err_prefix,
-                            message: format!(
-                                "an explicit cell must be a table of overrides, found {}",
-                                other.type_name()
-                            ),
-                        })
-                    }
-                };
-                let mut overrides = Vec::new();
-                flatten_overrides(table, "", &mut overrides);
-                if overrides.is_empty() {
-                    return Err(DslError {
-                        line: entry.line,
-                        path: err_prefix,
-                        message: "an explicit cell must override at least one key".into(),
-                    });
-                }
-                extra.push((label.clone(), overrides));
-            }
-        }
-
+        };
         // The base scenario: everything except the three campaign-only sections.
         let mut base = TomlTable::default();
         for (key, value) in root.entries() {
-            if key != "campaign" && key != "matrix" && key != "cells" {
+            if ![CAMPAIGN_SECTION, MATRIX_SECTION, CELLS_SECTION].contains(&key.as_str()) {
                 base.set_path(key, value.clone())?;
             }
         }
-        Ok(CampaignSpec {
-            name,
-            threads,
+        let mut spec = CampaignSpec {
+            name: String::new(),
+            threads: None,
             base,
-            axes,
-            extra,
-        })
+            axes: Vec::new(),
+            extra: Vec::new(),
+        };
+        let table = table_of(campaign, CAMPAIGN_SECTION)?;
+        read_section(table, CAMPAIGN_SECTION, &mut spec, campaign_keys)?;
+
+        if let Some(matrix) = root.get(MATRIX_SECTION) {
+            let matrix = table_of(matrix, MATRIX_SECTION)?;
+            flatten_axes(matrix, MATRIX_SECTION, "", &mut spec.axes)?;
+        }
+        if let Some(cells) = root.get(CELLS_SECTION) {
+            for (label, entry) in table_of(cells, CELLS_SECTION)?.entries() {
+                let path = format!("{CELLS_SECTION}.{label}");
+                let mut overrides = Vec::new();
+                flatten_overrides(table_of(entry, &path)?, "", &mut overrides);
+                if overrides.is_empty() {
+                    return Err(DslError {
+                        line: entry.line,
+                        path,
+                        message: "an explicit cell must override at least one key".into(),
+                    });
+                }
+                spec.extra.push((label.clone(), overrides));
+            }
+        }
+        Ok(spec)
     }
 
     /// Number of cells the campaign expands to: the matrix product (1 when there is no
@@ -579,6 +540,7 @@ impl CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SessionProcess;
 
     fn grid_campaign() -> String {
         "\
@@ -690,6 +652,71 @@ adversary.fraction = [0.0, 0.25]
         let bad = text.replace("[0.0, 0.25]", "[0.0, 1.5]");
         let err = CampaignSpec::parse(&bad).unwrap().expand().unwrap_err();
         assert!(err.message.contains("fraction"), "{err}");
+    }
+
+    #[test]
+    fn session_kind_sweeps_over_one_shared_section() {
+        // Every tagged section follows the rule `workload.kind` and `arrivals.kind` do: all
+        // variants' keys may sit in the one table a `kind` axis sweeps over.
+        let text = "\
+[campaign]
+name = \"churn-kinds\"
+
+[scenario]
+name = \"churn-kinds\"
+deadline = \"60s\"
+
+[topology]
+link = \"lan-10m\"
+
+[workload]
+kind = \"gossip\"
+
+[workload.gossip]
+nodes = 8
+
+[sessions]
+kind = \"exponential\"
+mean_session = \"20s\"
+mean_downtime = \"5s\"
+scale_session = \"10s\"
+shape = 2.5
+
+[matrix]
+sessions.kind = [\"exponential\", \"pareto\"]
+";
+        let cells = CampaignSpec::parse(text).unwrap().expand().unwrap();
+        assert_eq!(cells.len(), 2);
+        assert_eq!(
+            cells[0].file.spec.sessions,
+            Some(SessionProcess::Exponential {
+                mean_session: SimDuration::from_secs(20),
+                mean_downtime: SimDuration::from_secs(5),
+            })
+        );
+        assert_eq!(
+            cells[1].file.spec.sessions,
+            Some(SessionProcess::Pareto {
+                scale_session: SimDuration::from_secs(10),
+                shape: 2.5,
+                mean_downtime: SimDuration::from_secs(5),
+            })
+        );
+        // A key no variant has is still a typo, reported with its line.
+        let typo = text.replace("shape = 2.5", "shapes = 2.5");
+        let err = CampaignSpec::parse(&typo).unwrap().expand().unwrap_err();
+        assert_eq!((err.line, err.path.as_str()), (22, "sessions.shapes"));
+        assert!(err.message.contains("unknown key"), "{err}");
+    }
+
+    #[test]
+    fn oversized_event_capacity_fails_expansion_instead_of_the_process() {
+        // The hint is allocated up front: unchecked, this value aborted a whole campaign
+        // inside `Vec::reserve` (cells run without `catch_unwind`).
+        let text = grid_campaign().replace("seed = 1", "event_capacity = 9000000000000000000");
+        let err = CampaignSpec::parse(&text).unwrap().expand().unwrap_err();
+        assert!(err.message.contains("event_capacity"), "{err}");
+        assert!(err.message.contains("9000000000000000000"), "{err}");
     }
 
     #[test]

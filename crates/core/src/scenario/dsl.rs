@@ -4,74 +4,71 @@
 //! The paper's pitch is *one platform, many experimental questions* — which only holds if a new
 //! experiment is data, not a new bench binary. This module is the front end that makes it so: a
 //! hand-rolled parser for a TOML subset (the vendored serde stub has no-op derives, so nothing
-//! here can lean on a real deserializer) that turns a scenario file into exactly the structs
-//! the existing [`ScenarioBuilder`](crate::scenario::ScenarioBuilder) pipeline runs.
-//!
-//! A scenario file has up to seven sections:
+//! here can lean on a real deserializer) and, on top of it, the description of every section a
+//! scenario file can hold:
 //!
 //! ```toml
-//! [scenario]          # name, seed, deadline, sample_interval, machines, event budgets
+//! [scenario]           # name, seed, deadline, sample_interval, machines, event budgets
 //! name = "gossip-flash-crowd"
-//! seed = 11
-//! machines = 8
 //! deadline = "300s"
 //!
-//! [topology]          # link profile (or explicit rates), loss, node count
+//! [topology]           # link profile (or explicit rates), loss, node count
 //! link = "dsl-8m"
-//! loss = 0.01
 //!
-//! [topology.condition] # optional link conditioner (or `preset = "<name>"`)
+//! [topology.condition] # optional link conditioner knobs (or `preset = "<name>"`)
 //! jitter = "3ms"
-//! burst_enter = 0.05
-//! burst_exit = 0.25
-//! burst_loss = 0.9
 //!
-//! [transport]         # optional protocol depth: MTU fragmentation + congestion control
+//! [transport]          # optional protocol depth: MTU fragmentation + congestion control
 //! mtu = 1500
-//! congestion = "aimd"
 //!
-//! [workload]          # which workload runs; params live in [workload.<kind>]
+//! [workload]           # which workload runs; its knobs live in [workload.<kind>]
 //! kind = "gossip"
 //!
 //! [workload.gossip]
 //! nodes = 40
-//! fanout = 3
 //!
-//! [arrivals]          # optional override of the workload's natural arrival pattern
-//! kind = "flash-crowd"
-//! trickle_rate = 0.5
-//! trigger = "30s"
-//! burst_rate = 50.0
+//! [arrivals]           # optional override of the workload's natural arrival pattern
+//! kind = "poisson"
+//! rate = 2.0
 //!
-//! [sessions]          # optional churn process
+//! [sessions]           # optional churn process
 //! kind = "exponential"
 //! mean_session = "120s"
 //! mean_downtime = "20s"
+//!
+//! [adversary]          # optional byzantine fraction and behaviors
+//! behaviors = ["silent-drop"]
 //! ```
 //!
-//! Durations are strings with a unit suffix (`ns`, `us`, `ms`, `s`). Every parse error carries
-//! the offending line and dotted key path ([`DslError`]), unknown keys are rejected (a typoed
-//! key must fail, not silently fall back to a default), and [`ScenarioFile::validate`] runs the
+//! **A key is declared once**: one line — `k.opt("fanout", &mut spec.fanout)?` — in the `keys`
+//! function next to the struct the key fills (`GossipSpec::keys`,
+//! `ArrivalSpec::keys`, `AdversaryPlan::keys`, and here the file-level sections:
+//! `scenario_keys`, `topology_keys`, `condition_keys`, `transport_keys`). The line gives the
+//! key's name, its type (the place's: see [`Value`] for how each Rust type is spelled in TOML)
+//! and whether it is required; an optional key's default is whatever the spec's constructor
+//! put in the place. Everything else is an interpreter of these descriptions ([`Keys`]):
+//! [`ScenarioFile::from_table`] is the reader, [`ScenarioFile::to_toml`] the writer, and the
+//! set of keys a section accepts is the set its description names. Every error carries the
+//! offending key's line and dotted path ([`DslError`]); unknown keys are rejected (a typoed key
+//! must fail, not silently fall back to a default); and [`ScenarioFile::validate`] runs the
 //! same checks [`run_scenario`](crate::scenario::run_scenario) would before anything executes.
 //!
-//! The supported TOML subset: `[section]` headers (dotted), `key = value` with dotted keys,
-//! basic strings, integers (with `_` separators), floats, booleans, (nested) arrays with
-//! optional trailing commas spanning multiple lines, and `#` comments. Not supported:
-//! `[[array-of-tables]]`, inline tables, literal/multiline strings, dates.
+//! Durations are strings with a unit suffix (`ns`, `us`, `ms`, `s`). The supported TOML subset:
+//! `[section]` headers (dotted), `key = value` with dotted keys, basic strings, integers (with
+//! `_` separators), floats, booleans, (nested) arrays with optional trailing commas spanning
+//! multiple lines, and `#` comments. Not supported: `[[array-of-tables]]`, inline tables,
+//! literal/multiline strings, dates.
 
-use crate::adversary::{AdversaryPlan, Selection};
+use crate::adversary::AdversaryPlan;
 use crate::report::RunReport;
-use crate::scenario::{ArrivalSpec, ScenarioError, ScenarioSpec, SessionProcess};
-use crate::workloads::{
-    DhtLookupSpec, GossipShardedSpec, GossipSpec, MeshPattern, PingMeshSpec, SwarmSpec,
-    WorkloadConfig, WORKLOAD_KINDS,
-};
-use p2plab_bittorrent::ClientConfig;
+use crate::scenario::{ArrivalSpec, ScenarioBuilder, ScenarioError, ScenarioSpec, SessionProcess};
+use crate::workloads::WorkloadConfig;
 use p2plab_net::{
-    AccessLinkClass, BurstLoss, CcKind, LinkCondition, NetworkConfig, TopologySpec, TransportConfig,
+    AccessLinkClass, BurstLoss, CcKind, LinkCondition, TopologySpec, TransportConfig,
 };
 use p2plab_sim::{FxHashSet, SimDuration};
 use std::fmt;
+use std::mem::discriminant;
 
 /// A parse or schema error in a scenario (or campaign) file, carrying the line number and the
 /// dotted key path it refers to — the two things a user needs to fix the file.
@@ -191,48 +188,39 @@ impl TomlTable {
     /// Inserts or replaces the value at the dotted `path`, creating intermediate tables as
     /// needed. Campaign matrix expansion uses this to apply one grid cell's overrides.
     pub fn set_path(&mut self, path: &str, value: Spanned) -> Result<(), DslError> {
-        let mut parts = path.split('.').peekable();
+        let mut parents: Vec<&str> = path.split('.').collect();
+        let key = parents.pop().expect("split yields at least one part");
         let mut table = self;
-        loop {
-            let part = parts.next().expect("split yields at least one part");
-            if parts.peek().is_none() {
-                match table.entries.iter_mut().find(|(k, _)| k == part) {
-                    Some((_, slot)) => *slot = value,
-                    None => table.entries.push((part.to_string(), value)),
-                }
-                return Ok(());
+        for part in parents {
+            table = table.child(part, value.line).map_err(|(line, found)| {
+                let message = format!("cannot descend into `{part}`: it is a {found}, not a table");
+                DslError::new(line, path, message)
+            })?;
+        }
+        match table.entries.iter_mut().find(|(k, _)| k == key) {
+            Some((_, slot)) => *slot = value,
+            None => table.entries.push((key.to_string(), value)),
+        }
+        Ok(())
+    }
+
+    /// The table under `key`, opened at `line` when the key is absent; when the key holds
+    /// something else, that entry's line and type name.
+    fn child(&mut self, key: &str, line: usize) -> Result<&mut TomlTable, (usize, &'static str)> {
+        let idx = match self.entries.iter().position(|(k, _)| k == key) {
+            Some(idx) => idx,
+            None => {
+                let entries = Vec::new();
+                let value = TomlValue::Table(TomlTable { entries, line });
+                self.entries
+                    .push((key.to_string(), Spanned { value, line }));
+                self.entries.len() - 1
             }
-            // Descend (or create) an intermediate table. The index dance keeps the borrow
-            // checker happy across the loop iteration.
-            let idx = match table.entries.iter().position(|(k, _)| k == part) {
-                Some(idx) => match table.entries[idx].1.value {
-                    TomlValue::Table(_) => idx,
-                    _ => {
-                        return Err(DslError::new(
-                            table.entries[idx].1.line,
-                            path,
-                            format!(
-                                "cannot descend into `{part}`: it is a {}, not a table",
-                                table.entries[idx].1.value.type_name()
-                            ),
-                        ))
-                    }
-                },
-                None => {
-                    table.entries.push((
-                        part.to_string(),
-                        Spanned {
-                            value: TomlValue::Table(TomlTable::default()),
-                            line: value.line,
-                        },
-                    ));
-                    table.entries.len() - 1
-                }
-            };
-            table = match &mut table.entries[idx].1.value {
-                TomlValue::Table(t) => t,
-                _ => unreachable!("non-tables were rejected above"),
-            };
+        };
+        let entry = &mut self.entries[idx].1;
+        match &mut entry.value {
+            TomlValue::Table(table) => Ok(table),
+            other => Err((entry.line, other.type_name())),
         }
     }
 }
@@ -299,38 +287,10 @@ fn ensure_table<'a>(
 ) -> Result<&'a mut TomlTable, DslError> {
     let mut table = root;
     for (depth, part) in path.iter().enumerate() {
-        let idx = match table.entries.iter().position(|(k, _)| k == part) {
-            Some(idx) => match table.entries[idx].1.value {
-                TomlValue::Table(_) => idx,
-                _ => {
-                    return Err(DslError::new(
-                        line,
-                        path[..=depth].join("."),
-                        format!(
-                            "already defined as a {}, not a table",
-                            table.entries[idx].1.value.type_name()
-                        ),
-                    ))
-                }
-            },
-            None => {
-                table.entries.push((
-                    part.clone(),
-                    Spanned {
-                        value: TomlValue::Table(TomlTable {
-                            entries: Vec::new(),
-                            line,
-                        }),
-                        line,
-                    },
-                ));
-                table.entries.len() - 1
-            }
-        };
-        table = match &mut table.entries[idx].1.value {
-            TomlValue::Table(t) => t,
-            _ => unreachable!("non-tables were rejected above"),
-        };
+        table = table.child(part, line).map_err(|(_, found)| {
+            let message = format!("already defined as a {found}, not a table");
+            DslError::new(line, path[..=depth].join("."), message)
+        })?;
     }
     Ok(table)
 }
@@ -344,58 +304,27 @@ fn insert_path(
     prefix: &[String],
 ) -> Result<(), DslError> {
     let full_path = |depth: usize| {
-        prefix
+        let parts: Vec<&str> = prefix
             .iter()
-            .chain(path[..depth].iter())
-            .cloned()
-            .collect::<Vec<_>>()
-            .join(".")
+            .chain(&path[..depth])
+            .map(String::as_str)
+            .collect();
+        parts.join(".")
     };
+    let (key, parents) = path.split_last().expect("key paths are never empty");
     let line = value.line;
     let mut table = table;
-    for (depth, part) in path.iter().enumerate() {
-        let last = depth + 1 == path.len();
-        if last {
-            if table.entries.iter().any(|(k, _)| k == part) {
-                return Err(DslError::new(line, full_path(depth + 1), "duplicate key"));
-            }
-            table.entries.push((part.clone(), value));
-            return Ok(());
-        }
-        let idx = match table.entries.iter().position(|(k, _)| k == part) {
-            Some(idx) => match table.entries[idx].1.value {
-                TomlValue::Table(_) => idx,
-                _ => {
-                    return Err(DslError::new(
-                        line,
-                        full_path(depth + 1),
-                        format!(
-                            "already defined as a {}, not a table",
-                            table.entries[idx].1.value.type_name()
-                        ),
-                    ))
-                }
-            },
-            None => {
-                table.entries.push((
-                    part.clone(),
-                    Spanned {
-                        value: TomlValue::Table(TomlTable {
-                            entries: Vec::new(),
-                            line,
-                        }),
-                        line,
-                    },
-                ));
-                table.entries.len() - 1
-            }
-        };
-        table = match &mut table.entries[idx].1.value {
-            TomlValue::Table(t) => t,
-            _ => unreachable!("non-tables were rejected above"),
-        };
+    for (depth, part) in parents.iter().enumerate() {
+        table = table.child(part, line).map_err(|(_, found)| {
+            let message = format!("already defined as a {found}, not a table");
+            DslError::new(line, full_path(depth + 1), message)
+        })?;
     }
-    unreachable!("key paths are never empty")
+    if table.entries.iter().any(|(k, _)| k == key) {
+        return Err(DslError::new(line, full_path(path.len()), "duplicate key"));
+    }
+    table.entries.push((key.clone(), value));
+    Ok(())
 }
 
 struct TomlParser<'a> {
@@ -668,181 +597,465 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// Strict reader over one section of a parsed file: every getter marks its key as used, and
-/// [`Sect::finish`] rejects whatever was not consumed — a typoed key fails loudly with its line
-/// instead of silently falling back to a default.
-pub(crate) struct Sect<'a> {
-    table: &'a TomlTable,
-    path: String,
-    used: FxHashSet<&'a str>,
+/// How a Rust type is spelled as a TOML value. [`decode`](Value::decode) reports a mismatch at
+/// the value's own line under `path`; [`encode`](Value::encode) returns `None` for a value
+/// that is written by leaving its key out (an unset `Option`, a link that is no named profile).
+pub(crate) trait Value: Sized {
+    /// Reads the value, or says what is wrong with `s`.
+    fn decode(s: &Spanned, path: &str) -> Result<Self, DslError>;
+    /// The value as TOML.
+    fn encode(&self) -> Option<TomlValue>;
 }
 
-impl<'a> Sect<'a> {
-    pub(crate) fn new(table: &'a TomlTable, path: impl Into<String>) -> Sect<'a> {
-        Sect {
-            table,
-            path: path.into(),
-            used: FxHashSet::default(),
+fn mismatch(s: &Spanned, path: &str, wanted: &str) -> DslError {
+    let found = s.value.type_name();
+    DslError::new(s.line, path, format!("expected {wanted}, found {found}"))
+}
+
+impl Value for String {
+    fn decode(s: &Spanned, path: &str) -> Result<String, DslError> {
+        match &s.value {
+            TomlValue::Str(v) => Ok(v.clone()),
+            _ => Err(mismatch(s, path, "a string")),
+        }
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        Some(TomlValue::Str(self.clone()))
+    }
+}
+
+impl Value for u64 {
+    fn decode(s: &Spanned, path: &str) -> Result<u64, DslError> {
+        match s.value {
+            TomlValue::Int(i) => u64::try_from(i)
+                .map_err(|_| DslError::new(s.line, path, "expected a non-negative integer")),
+            _ => Err(mismatch(s, path, "an integer")),
+        }
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        Some(TomlValue::Int(*self as i64))
+    }
+}
+
+impl Value for usize {
+    fn decode(s: &Spanned, path: &str) -> Result<usize, DslError> {
+        u64::decode(s, path).map(|v| v as usize)
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        (*self as u64).encode()
+    }
+}
+
+impl Value for u32 {
+    fn decode(s: &Spanned, path: &str) -> Result<u32, DslError> {
+        u32::try_from(u64::decode(s, path)?)
+            .map_err(|_| DslError::new(s.line, path, "value does not fit in 32 bits"))
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        u64::from(*self).encode()
+    }
+}
+
+impl Value for f64 {
+    fn decode(s: &Spanned, path: &str) -> Result<f64, DslError> {
+        match s.value {
+            TomlValue::Float(v) => Ok(v),
+            TomlValue::Int(i) => Ok(i as f64),
+            _ => Err(mismatch(s, path, "a number")),
+        }
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        Some(TomlValue::Float(*self))
+    }
+}
+
+impl Value for bool {
+    fn decode(s: &Spanned, path: &str) -> Result<bool, DslError> {
+        match s.value {
+            TomlValue::Bool(v) => Ok(v),
+            _ => Err(mismatch(s, path, "a boolean")),
+        }
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        Some(TomlValue::Bool(*self))
+    }
+}
+
+impl Value for SimDuration {
+    fn decode(s: &Spanned, path: &str) -> Result<SimDuration, DslError> {
+        match &s.value {
+            TomlValue::Str(text) => {
+                parse_duration(text).map_err(|e| DslError::new(s.line, path, e))
+            }
+            _ => Err(mismatch(s, path, "a duration string like \"30s\"")),
+        }
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        Some(TomlValue::Str(fmt_duration(*self)))
+    }
+}
+
+impl<V: Value> Value for Option<V> {
+    fn decode(s: &Spanned, path: &str) -> Result<Option<V>, DslError> {
+        V::decode(s, path).map(Some)
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        self.as_ref().and_then(V::encode)
+    }
+}
+
+/// An array; a bad element is reported at its own line as `path[i]`.
+impl<V: Value> Value for Vec<V> {
+    fn decode(s: &Spanned, path: &str) -> Result<Vec<V>, DslError> {
+        let TomlValue::Array(items) = &s.value else {
+            return Err(mismatch(s, path, "an array"));
+        };
+        let element = |(i, item)| V::decode(item, &format!("{path}[{i}]"));
+        items.iter().enumerate().map(element).collect()
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        let items = self.iter().filter_map(V::encode).map(unplaced).collect();
+        Some(TomlValue::Array(items))
+    }
+}
+
+/// One `[session, downtime]` entry of a session trace.
+impl Value for (SimDuration, SimDuration) {
+    fn decode(s: &Spanned, path: &str) -> Result<Self, DslError> {
+        match &s.value {
+            TomlValue::Array(pair) if pair.len() == 2 => Ok((
+                SimDuration::decode(&pair[0], path)?,
+                SimDuration::decode(&pair[1], path)?,
+            )),
+            _ => Err(mismatch(s, path, "a [session, downtime] duration pair")),
+        }
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        vec![self.0, self.1].encode()
+    }
+}
+
+/// A value written as one of a closed set of names — link profiles, congestion controllers,
+/// mesh patterns. The `impl` is the only place the set is spelled: reading, writing and the
+/// `unknown <what> "x" (known: ...)` error all come from it.
+pub(crate) trait Named: Sized {
+    /// What the names denote, for the error message.
+    const WHAT: &'static str;
+    /// Every legal name with the value it stands for.
+    fn names() -> Vec<(&'static str, Self)>;
+    /// Whether `self` is the value `named` stands for.
+    fn is(&self, named: &Self) -> bool;
+}
+
+impl<T: Named> Value for T {
+    fn decode(s: &Spanned, path: &str) -> Result<T, DslError> {
+        let name = String::decode(s, path)?;
+        let mut names = T::names();
+        match names.iter().position(|(known, _)| *known == name) {
+            Some(i) => Ok(names.swap_remove(i).1),
+            None => {
+                let known = names.iter().map(|(known, _)| *known);
+                Err(DslError::new(s.line, path, unknown(T::WHAT, &name, known)))
+            }
+        }
+    }
+    fn encode(&self) -> Option<TomlValue> {
+        let (name, _) = T::names().into_iter().find(|(_, named)| self.is(named))?;
+        Some(TomlValue::Str(name.to_string()))
+    }
+}
+
+fn unknown<'a>(what: &str, name: &str, known: impl Iterator<Item = &'a str>) -> String {
+    let known: Vec<&str> = known.collect();
+    format!("unknown {what} {name:?} (known: {})", known.join(", "))
+}
+
+fn join(path: &str, key: &str) -> String {
+    match (path.is_empty(), key.is_empty()) {
+        (false, false) => format!("{path}.{key}"),
+        _ => format!("{path}{key}"),
+    }
+}
+
+/// A written value: it has no source line.
+fn unplaced(value: TomlValue) -> Spanned {
+    Spanned { value, line: 0 }
+}
+
+/// The table behind a section's key.
+pub(crate) fn table_of<'a>(s: &'a Spanned, path: &str) -> Result<&'a TomlTable, DslError> {
+    match &s.value {
+        TomlValue::Table(table) => Ok(table),
+        _ => Err(mismatch(s, path, "a table")),
+    }
+}
+
+/// What a section's description — a `fn(&mut Keys, &mut T)` naming each key of the section once,
+/// next to the place in `T` the key fills — runs against: one of the two interpreters. The
+/// **reader** walks a parsed table: a key's value is decoded into its place, a place whose key
+/// is absent keeps what its spec constructor put there, and once the description has run every
+/// key it did not name is rejected. The **writer** encodes every place under its key. The key
+/// methods return whether the key was present (reader) or written (writer).
+pub(crate) struct Keys<'a> {
+    path: String,
+    /// The table being read; `None` while writing.
+    source: Option<&'a TomlTable>,
+    /// Reading: every key the description has named so far.
+    named: Vec<&'static str>,
+    /// Reading, but only to learn which keys a description names: nothing is decoded.
+    naming_only: bool,
+    /// Writing: the table so far.
+    written: TomlTable,
+}
+
+/// The description of a section filling a `T`.
+pub(crate) type Describe<T> = fn(&mut Keys, &mut T) -> Result<(), DslError>;
+
+/// The variants of a [tagged](Keys::tagged) section: each `kind` name with the blank value
+/// the variant's keys are read over.
+pub(crate) type Kinds<T> = [(&'static str, fn() -> T)];
+
+/// The table a tagged section's selected variant reads its keys from when the file has none.
+static ABSENT: TomlTable = TomlTable {
+    entries: Vec::new(),
+    line: 0,
+};
+
+/// The key that selects the variant of a [tagged](Keys::tagged) section.
+const KIND: &str = "kind";
+
+impl<'a> Keys<'a> {
+    fn new(source: Option<&'a TomlTable>, path: String) -> Keys<'a> {
+        Keys {
+            path,
+            source,
+            named: Vec::new(),
+            naming_only: false,
+            written: TomlTable::default(),
         }
     }
 
-    fn key_path(&self, key: &str) -> String {
-        if self.path.is_empty() {
-            key.to_string()
-        } else {
-            format!("{}.{key}", self.path)
+    /// Whether values are being decoded — the pass in which a description applies its
+    /// cross-key rules.
+    pub(crate) fn reading(&self) -> bool {
+        self.source.is_some() && !self.naming_only
+    }
+
+    fn writing(&self) -> bool {
+        self.source.is_none()
+    }
+
+    /// An error about the section (`key` empty) or a key missing from it, at the header's line.
+    pub(crate) fn error(&self, key: &str, message: impl Into<String>) -> DslError {
+        let line = self.source.map_or(0, |table| table.line);
+        DslError::new(line, join(&self.path, key), message)
+    }
+
+    /// Reader: names `key` and hands back its entry when the file has one and this pass decodes.
+    fn entry(
+        &mut self,
+        table: &'a TomlTable,
+        key: &'static str,
+        required: bool,
+    ) -> Result<Option<&'a Spanned>, DslError> {
+        self.named.push(key);
+        match table.get(key) {
+            _ if self.naming_only => Ok(None),
+            None if required => Err(self.error(key, "missing required key")),
+            found => Ok(found),
         }
     }
 
-    fn get(&mut self, key: &str) -> Option<&'a Spanned> {
-        let entry = self
-            .table
-            .entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(k, v)| (k.as_str(), v));
-        if let Some((k, v)) = entry {
-            self.used.insert(k);
-            return Some(v);
-        }
-        None
+    /// One key. `check` validates a decoded value; its message is reported at the key's line.
+    fn key<V: Value>(
+        &mut self,
+        key: &'static str,
+        place: &mut V,
+        required: bool,
+        check: fn(&V) -> Result<(), String>,
+    ) -> Result<bool, DslError> {
+        let Some(table) = self.source else {
+            let value = place.encode().map(|v| (key.to_string(), unplaced(v)));
+            let written = value.is_some();
+            self.written.entries.extend(value);
+            return Ok(written);
+        };
+        let Some(s) = self.entry(table, key, required)? else {
+            return Ok(false);
+        };
+        let path = join(&self.path, key);
+        let value = V::decode(s, &path)?;
+        check(&value).map_err(|message| DslError::new(s.line, path, message))?;
+        *place = value;
+        Ok(true)
     }
 
-    /// Marks `key` as consumed without reading it (used for the non-selected workload
-    /// subtables: present, legal, not parsed).
-    pub(crate) fn mark_used(&mut self, key: &str) {
-        if let Some((k, _)) = self.table.entries.iter().find(|(k, _)| k == key) {
-            self.used.insert(k.as_str());
-        }
+    /// An optional key: when absent, `place` keeps its value.
+    pub(crate) fn opt<V: Value>(
+        &mut self,
+        key: &'static str,
+        place: &mut V,
+    ) -> Result<bool, DslError> {
+        self.key(key, place, false, |_| Ok(()))
     }
 
-    fn type_err(&self, key: &str, spanned: &Spanned, wanted: &str) -> DslError {
-        DslError::new(
-            spanned.line,
-            self.key_path(key),
-            format!("expected {wanted}, found {}", spanned.value.type_name()),
-        )
+    /// A required key.
+    pub(crate) fn req<V: Value>(
+        &mut self,
+        key: &'static str,
+        place: &mut V,
+    ) -> Result<bool, DslError> {
+        self.key(key, place, true, |_| Ok(()))
     }
 
-    pub(crate) fn missing(&self, key: &str) -> DslError {
-        DslError::new(self.table.line, self.key_path(key), "missing required key")
+    /// An optional key whose value must pass `check`.
+    pub(crate) fn checked<V: Value>(
+        &mut self,
+        key: &'static str,
+        place: &mut V,
+        check: fn(&V) -> Result<(), String>,
+    ) -> Result<bool, DslError> {
+        self.key(key, place, false, check)
     }
 
-    pub(crate) fn opt_str(&mut self, key: &str) -> Result<Option<&'a str>, DslError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(s) => match &s.value {
-                TomlValue::Str(v) => Ok(Some(v.as_str())),
-                _ => Err(self.type_err(key, s, "a string")),
-            },
-        }
+    /// A sub-table, described by `keys`. A sub-table nothing is written into is left out.
+    fn table<T>(
+        &mut self,
+        key: &'static str,
+        place: &mut T,
+        required: bool,
+        keys: Describe<T>,
+    ) -> Result<bool, DslError> {
+        let path = join(&self.path, key);
+        let Some(table) = self.source else {
+            let mut sub = Keys::new(None, path);
+            keys(&mut sub, place)?;
+            let written = !sub.written.entries.is_empty();
+            if written {
+                let table = unplaced(TomlValue::Table(sub.written));
+                self.written.entries.push((key.to_string(), table));
+            }
+            return Ok(written);
+        };
+        let Some(s) = self.entry(table, key, required)? else {
+            return Ok(false);
+        };
+        read_section(table_of(s, &path)?, path, place, keys)?;
+        Ok(true)
     }
 
-    pub(crate) fn req_str(&mut self, key: &str) -> Result<&'a str, DslError> {
-        self.opt_str(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    pub(crate) fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, DslError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(s) => match s.value {
-                TomlValue::Int(i) if i >= 0 => Ok(Some(i as u64)),
-                TomlValue::Int(_) => Err(DslError::new(
-                    s.line,
-                    self.key_path(key),
-                    "expected a non-negative integer",
-                )),
-                _ => Err(self.type_err(key, s, "an integer")),
-            },
-        }
-    }
-
-    pub(crate) fn opt_usize(&mut self, key: &str) -> Result<Option<usize>, DslError> {
-        Ok(self.opt_u64(key)?.map(|v| v as usize))
-    }
-
-    pub(crate) fn opt_u32(&mut self, key: &str) -> Result<Option<u32>, DslError> {
-        match self.opt_u64(key)? {
-            None => Ok(None),
-            Some(v) => u32::try_from(v).map(Some).map_err(|_| {
-                DslError::new(
-                    self.table.line,
-                    self.key_path(key),
-                    "value does not fit in 32 bits",
-                )
-            }),
-        }
-    }
-
-    pub(crate) fn opt_f64(&mut self, key: &str) -> Result<Option<f64>, DslError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(s) => match s.value {
-                TomlValue::Float(v) => Ok(Some(v)),
-                TomlValue::Int(i) => Ok(Some(i as f64)),
-                _ => Err(self.type_err(key, s, "a number")),
-            },
-        }
-    }
-
-    pub(crate) fn req_f64(&mut self, key: &str) -> Result<f64, DslError> {
-        self.opt_f64(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    pub(crate) fn opt_bool(&mut self, key: &str) -> Result<Option<bool>, DslError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(s) => match s.value {
-                TomlValue::Bool(v) => Ok(Some(v)),
-                _ => Err(self.type_err(key, s, "a boolean")),
-            },
-        }
-    }
-
-    pub(crate) fn opt_duration(&mut self, key: &str) -> Result<Option<SimDuration>, DslError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(s) => match &s.value {
-                TomlValue::Str(text) => parse_duration(text)
-                    .map(Some)
-                    .map_err(|e| DslError::new(s.line, self.key_path(key), e)),
-                _ => Err(self.type_err(key, s, "a duration string like \"30s\"")),
-            },
-        }
-    }
-
-    pub(crate) fn req_duration(&mut self, key: &str) -> Result<SimDuration, DslError> {
-        self.opt_duration(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    pub(crate) fn opt_array(&mut self, key: &str) -> Result<Option<&'a [Spanned]>, DslError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(s) => match &s.value {
-                TomlValue::Array(items) => Ok(Some(items.as_slice())),
-                _ => Err(self.type_err(key, s, "an array")),
-            },
-        }
-    }
-
-    pub(crate) fn sub_table(&mut self, key: &str) -> Result<Option<&'a TomlTable>, DslError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(s) => match &s.value {
-                TomlValue::Table(t) => Ok(Some(t)),
-                _ => Err(self.type_err(key, s, "a table")),
-            },
-        }
-    }
-
-    /// Fails on the first key this section reader never consumed.
-    pub(crate) fn finish(self) -> Result<(), DslError> {
-        for (k, v) in &self.table.entries {
-            if !self.used.contains(k.as_str()) {
-                return Err(DslError::new(v.line, self.key_path(k), "unknown key"));
+    /// An optional sub-table filling an `Option`: present, it is read over `blank()`.
+    fn optional<T>(
+        &mut self,
+        key: &'static str,
+        place: &mut Option<T>,
+        blank: fn() -> T,
+        keys: Describe<T>,
+    ) -> Result<(), DslError> {
+        if self.source.is_some() || place.is_some() {
+            let mut value = place.take().unwrap_or_else(blank);
+            if self.table(key, &mut value, false, keys)? {
+                *place = Some(value);
             }
         }
         Ok(())
+    }
+
+    /// The keys of a section that fills an enum: [`KIND`] names one of `kinds`, whose blank
+    /// value `keys` — the description of every variant — then fills; the variant's keys sit next
+    /// to `kind` or, `nested`, in a sub-table named after the kind. Campaign matrices sweep
+    /// `kind` over one shared section, so **every** variant's keys (or sub-table) are legal in
+    /// it, but only the selected variant's are read. The variants' key sets are disjoint, so a
+    /// typoed key still fails as unknown.
+    pub(crate) fn tagged<T>(
+        &mut self,
+        what: &str,
+        place: &mut T,
+        kinds: &Kinds<T>,
+        nested: bool,
+        keys: Describe<T>,
+    ) -> Result<(), DslError> {
+        let Some(table) = self.source else {
+            let (kind, _) = kinds
+                .iter()
+                .find(|(_, blank)| discriminant(&blank()) == discriminant(place))
+                .expect("every variant is one of `kinds`");
+            self.opt(KIND, &mut kind.to_string())?;
+            if nested {
+                return self.table(kind, place, false, keys).map(drop);
+            }
+            return keys(self, place);
+        };
+        let mut kind = String::new();
+        self.req(KIND, &mut kind)?;
+        let Some((kind, blank)) = kinds.iter().find(|(known, _)| *known == kind) else {
+            let line = table.get(KIND).map_or(0, |s| s.line);
+            let message = unknown(&format!("{what} kind"), &kind, kinds.iter().map(|k| k.0));
+            return Err(DslError::new(line, join(&self.path, KIND), message));
+        };
+        *place = blank();
+        if nested {
+            self.named.extend(kinds.iter().map(|(known, _)| *known));
+            let path = join(&self.path, kind);
+            let params = match table.get(kind) {
+                Some(s) => table_of(s, &path)?,
+                None => &ABSENT,
+            };
+            return read_section(params, path, place, keys);
+        }
+        self.naming_only = true;
+        for (_, other) in kinds {
+            keys(self, &mut other())?;
+        }
+        self.naming_only = false;
+        keys(self, place)
+    }
+
+    /// Fails on the first key of the table no description named — a typoed key must fail
+    /// loudly, with its line, instead of silently falling back to a default.
+    fn finish(self) -> Result<(), DslError> {
+        let entries = self.source.map_or(&[][..], |table| table.entries());
+        match entries
+            .iter()
+            .find(|(key, _)| !self.named.contains(&key.as_str()))
+        {
+            Some((key, s)) => Err(DslError::new(s.line, join(&self.path, key), "unknown key")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Runs the reader over one table: every key `keys` names is decoded into `place`, every
+/// other key is rejected.
+pub(crate) fn read_section<T>(
+    table: &TomlTable,
+    path: impl Into<String>,
+    place: &mut T,
+    keys: Describe<T>,
+) -> Result<(), DslError> {
+    let mut reader = Keys::new(Some(table), path.into());
+    keys(&mut reader, place)?;
+    reader.finish()
+}
+
+/// Renders a written table as TOML source: its plain keys under its dotted `[header]` (which a
+/// table holding nothing but sub-tables does not need), then each sub-table.
+fn render_table(table: &TomlTable, path: &str, out: &mut String) {
+    let is_table = |(_, s): &&(String, Spanned)| matches!(s.value, TomlValue::Table(_));
+    let (tables, keys): (Vec<_>, Vec<_>) = table.entries.iter().partition(is_table);
+    if !path.is_empty() && (!keys.is_empty() || tables.is_empty()) {
+        if !out.is_empty() {
+            out.push('\n');
+        }
+        out.push_str(&format!("[{path}]\n"));
+    }
+    for (key, s) in keys {
+        out.push_str(&format!("{key} = {}\n", s.value.render()));
+    }
+    for (key, s) in tables {
+        if let TomlValue::Table(sub) = &s.value {
+            render_table(sub, &join(path, key), out);
+        }
     }
 }
 
@@ -931,15 +1144,6 @@ pub fn link_profile(name: &str) -> Option<AccessLinkClass> {
     }
 }
 
-/// The profile name whose base rates/latency match `link` (ignoring loss and conditioner), if
-/// any.
-fn profile_of(link: AccessLinkClass) -> Option<&'static str> {
-    LINK_PROFILES.iter().copied().find(|&name| {
-        let p = link_profile(name).expect("LINK_PROFILES entries all resolve");
-        p.down_bps == link.down_bps && p.up_bps == link.up_bps && p.latency == link.latency
-    })
-}
-
 /// The named link-conditioner presets a `[topology.condition]` section can reference with
 /// `preset = "<name>"` instead of spelling out every knob.
 pub const CONDITION_PRESETS: [&str; 4] = ["clean", "jittery-dsl", "burst-loss", "jitter-burst"];
@@ -963,233 +1167,274 @@ pub fn condition_preset(name: &str) -> Option<LinkCondition> {
     }
 }
 
-/// Checks a probability knob is within `[0, 1]` before it reaches a builder that would panic.
-fn check_rate(rate: f64, line: usize, path: &str) -> Result<(), DslError> {
-    if (0.0..=1.0).contains(&rate) {
-        Ok(())
-    } else {
-        Err(DslError::new(
-            line,
-            path,
-            format!("rate must be within [0, 1], got {rate}"),
-        ))
+/// Validator of the probability knobs: within `[0, 1]`, checked before the value reaches a
+/// builder that would panic on it.
+fn rate(rate: &f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(rate) {
+        return Ok(());
+    }
+    Err(format!("rate must be within [0, 1], got {rate}"))
+}
+
+/// `[scenario]`. The rest of a [`ScenarioSpec`] comes from the file's other sections; the
+/// defaults are [`ScenarioBuilder::new`]'s.
+fn scenario_keys(k: &mut Keys, spec: &mut ScenarioSpec) -> Result<(), DslError> {
+    k.req("name", &mut spec.name)?;
+    k.opt("seed", &mut spec.seed)?;
+    k.opt("machines", &mut spec.deployment.machines)?;
+    k.opt("deadline", &mut spec.deadline)?;
+    k.opt("sample_interval", &mut spec.sample_interval)?;
+    k.opt("monitor_resources", &mut spec.monitor_resources)?;
+    k.opt("event_capacity", &mut spec.event_capacity)?;
+    k.opt("event_budget", &mut spec.event_budget)?;
+    k.opt("shards", &mut spec.shards)?;
+    Ok(())
+}
+
+/// A named access-link profile (`link = "dsl-8m"`). A link is written by name when its rates
+/// and latency are a profile's, whatever its loss and conditioners.
+struct Profile(AccessLinkClass);
+
+impl Named for Profile {
+    const WHAT: &'static str = "link profile";
+    fn names() -> Vec<(&'static str, Profile)> {
+        let resolve = |name| link_profile(name).expect("LINK_PROFILES entries all resolve");
+        let named = |&name| (name, Profile(resolve(name)));
+        LINK_PROFILES.iter().map(named).collect()
+    }
+    fn is(&self, named: &Profile) -> bool {
+        let (a, b) = (self.0, named.0);
+        a.down_bps == b.down_bps && a.up_bps == b.up_bps && a.latency == b.latency
     }
 }
 
-/// Parses a `[topology.condition]` section into its symmetric base [`LinkCondition`] plus the
-/// optional `[topology.condition.down]` / `[topology.condition.up]` directional overrides
-/// (asymmetric, eclipse-style degradation: a direction with its own sub-table ignores the base
-/// knobs entirely). A `preset` key is exclusive with the explicit knobs at any level; the three
-/// `burst_*` keys come as a full set or not at all.
-#[allow(clippy::type_complexity)] // lint:allow(bare-allow) — (base, down, up) triple is local to the two call sites
-fn parse_condition(
-    table: &TomlTable,
-) -> Result<(LinkCondition, Option<LinkCondition>, Option<LinkCondition>), DslError> {
-    let mut s = Sect::new(table, "topology.condition");
-    let down = match s.sub_table("down")? {
-        None => None,
-        Some(t) => Some(parse_condition_dir(t, "topology.condition.down")?),
-    };
-    let up = match s.sub_table("up")? {
-        None => None,
-        Some(t) => Some(parse_condition_dir(t, "topology.condition.up")?),
-    };
-    let base = parse_condition_knobs(&mut s, table, "topology.condition")?;
-    s.finish()?;
-    Ok((base, down, up))
+/// A named conditioner preset (`preset = "burst-loss"`).
+struct Preset(LinkCondition);
+
+impl Named for Preset {
+    const WHAT: &'static str = "condition preset";
+    fn names() -> Vec<(&'static str, Preset)> {
+        let resolve = |name| condition_preset(name).expect("CONDITION_PRESETS entries all resolve");
+        let named = |&name| (name, Preset(resolve(name)));
+        CONDITION_PRESETS.iter().map(named).collect()
+    }
+    fn is(&self, named: &Preset) -> bool {
+        self.0 == named.0
+    }
 }
 
-/// Parses one directional conditioner override sub-table (`down` or `up`).
-fn parse_condition_dir(table: &TomlTable, path: &str) -> Result<LinkCondition, DslError> {
-    let mut s = Sect::new(table, path);
-    let c = parse_condition_knobs(&mut s, table, path)?;
-    s.finish()?;
-    Ok(c)
-}
-
-/// The shared conditioner knob set: a `preset` name, or explicit jitter / reorder / duplicate /
-/// burst knobs. The caller's [`Sect::finish`] rejects explicit knobs next to a preset.
-fn parse_condition_knobs(
-    s: &mut Sect,
-    table: &TomlTable,
-    path: &str,
-) -> Result<LinkCondition, DslError> {
-    if let Some(name) = s.opt_str("preset")? {
-        let preset = condition_preset(name).ok_or_else(|| {
-            DslError::new(
-                table.get("preset").map(|v| v.line).unwrap_or(table.line()),
-                format!("{path}.preset"),
-                format!(
-                    "unknown condition preset {name:?} (known: {})",
-                    CONDITION_PRESETS.join(", ")
-                ),
-            )
-        })?;
-        return Ok(preset);
+/// The knob set of one conditioner table: `[topology.condition]` and its `down` / `up`
+/// sub-tables.
+fn condition_keys(k: &mut Keys, c: &mut LinkCondition) -> Result<(), DslError> {
+    // A preset stands for the whole knob set — next to one the explicit knobs are never named,
+    // so they are unknown keys — and is only ever read: a conditioner is written knob by knob.
+    let mut preset = None;
+    k.opt("preset", &mut preset)?;
+    if let Some(Preset(preset)) = preset {
+        *c = preset;
+        return Ok(());
     }
-    let mut c = LinkCondition::none();
-    if let Some(jitter) = s.opt_duration("jitter")? {
-        c = c.with_jitter(jitter);
+    k.opt("jitter", &mut c.jitter)?;
+    k.checked("duplicate_rate", &mut c.duplicate_rate, rate)?;
+    // The reorder pair and the burst triple each come complete or not at all.
+    let reorder = [
+        k.checked("reorder_rate", &mut c.reorder_rate, rate)?,
+        k.opt("reorder_delay", &mut c.reorder_delay)?,
+    ];
+    if reorder[0] != reorder[1] {
+        return Err(k.error("", "reorder_rate and reorder_delay must be given together"));
     }
-    let reorder_rate = s.opt_f64("reorder_rate")?;
-    let reorder_delay = s.opt_duration("reorder_delay")?;
-    match (reorder_rate, reorder_delay) {
-        (None, None) => {}
-        (Some(rate), Some(delay)) => {
-            check_rate(rate, table.line(), &format!("{path}.reorder_rate"))?;
-            c = c.with_reorder(rate, delay);
-        }
-        _ => {
-            return Err(DslError::new(
-                table.line(),
-                path,
-                "reorder_rate and reorder_delay must be given together",
-            ))
-        }
-    }
-    if let Some(rate) = s.opt_f64("duplicate_rate")? {
-        check_rate(rate, table.line(), &format!("{path}.duplicate_rate"))?;
-        c = c.with_duplication(rate);
-    }
-    let burst_enter = s.opt_f64("burst_enter")?;
-    let burst_exit = s.opt_f64("burst_exit")?;
-    let burst_loss = s.opt_f64("burst_loss")?;
-    match (burst_enter, burst_exit, burst_loss) {
-        (None, None, None) => {}
-        (Some(enter), Some(exit), Some(loss)) => {
-            check_rate(enter, table.line(), &format!("{path}.burst_enter"))?;
-            check_rate(exit, table.line(), &format!("{path}.burst_exit"))?;
-            check_rate(loss, table.line(), &format!("{path}.burst_loss"))?;
-            c = c.with_burst(BurstLoss::new(enter, exit, loss));
-        }
-        _ => {
-            return Err(DslError::new(
-                table.line(),
-                path,
-                "burst_enter, burst_exit and burst_loss must be given together",
-            ))
-        }
-    }
-    Ok(c)
-}
-
-/// Parses an `[adversary]` section into an [`AdversaryPlan`].
-fn parse_adversary(table: &TomlTable) -> Result<AdversaryPlan, DslError> {
-    let mut s = Sect::new(table, "adversary");
-    let fraction = s.opt_f64("fraction")?.unwrap_or(0.0);
-    let items = s
-        .opt_array("behaviors")?
-        .ok_or_else(|| s.missing("behaviors"))?;
-    let mut behaviors = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        match &item.value {
-            TomlValue::Str(name) => behaviors.push(name.clone()),
-            other => {
-                return Err(DslError::new(
-                    item.line,
-                    format!("adversary.behaviors[{i}]"),
-                    format!(
-                        "expected a behavior name string, found {}",
-                        other.type_name()
-                    ),
-                ))
+    if k.reading() || c.burst.is_some() {
+        let mut burst = c.burst.unwrap_or(BurstLoss {
+            enter: 0.0,
+            exit: 0.0,
+            loss: 0.0,
+        });
+        let given = [
+            k.checked("burst_enter", &mut burst.enter, rate)?,
+            k.checked("burst_exit", &mut burst.exit, rate)?,
+            k.checked("burst_loss", &mut burst.loss, rate)?,
+        ];
+        match given {
+            [false, false, false] => {}
+            [true, true, true] => c.burst = Some(burst),
+            _ => {
+                let message = "burst_enter, burst_exit and burst_loss must be given together";
+                return Err(k.error("", message));
             }
         }
     }
-    let selection = match s.opt_str("selection")?.unwrap_or("random") {
-        "random" => Selection::Random,
-        "first" => Selection::First,
-        "trace" => {
-            let items = s.opt_array("trace")?.ok_or_else(|| s.missing("trace"))?;
-            let mut indices = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                match item.value {
-                    TomlValue::Int(v) if v >= 0 => indices.push(v as usize),
-                    _ => {
-                        return Err(DslError::new(
-                            item.line,
-                            format!("adversary.trace[{i}]"),
-                            "expected a non-negative participant index",
-                        ))
-                    }
-                }
+    Ok(())
+}
+
+/// `[topology.condition]`: the knob set for both directions of the access link, plus the
+/// `down` / `up` sub-tables that replace it on one direction (asymmetric, eclipse-style
+/// degradation).
+fn conditions_keys(k: &mut Keys, link: &mut AccessLinkClass) -> Result<(), DslError> {
+    k.optional(
+        "down",
+        &mut link.condition_down,
+        LinkCondition::none,
+        condition_keys,
+    )?;
+    k.optional(
+        "up",
+        &mut link.condition_up,
+        LinkCondition::none,
+        condition_keys,
+    )?;
+    if k.reading() || link.condition.is_some() {
+        condition_keys(k, link.condition.get_or_insert_with(LinkCondition::none))?;
+    }
+    Ok(())
+}
+
+/// `[topology]`: the access link every node gets and, optionally, how many nodes there are
+/// (by default as many as the workload needs).
+struct Topology {
+    nodes: Option<usize>,
+    link: AccessLinkClass,
+}
+
+fn topology_keys(k: &mut Keys, topology: &mut Topology) -> Result<(), DslError> {
+    const LINK: &str = "link";
+    k.opt("nodes", &mut topology.nodes)?;
+    let link = &mut topology.link;
+    // The link is a named profile or, when no profile has its rates, three explicit keys.
+    let explicit = k.writing() && Profile(*link).encode().is_none();
+    let mut profile = k.writing().then_some(Profile(*link));
+    let mut rates = (
+        explicit.then_some(link.down_bps),
+        explicit.then_some(link.up_bps),
+        explicit.then_some(link.latency),
+    );
+    k.opt(LINK, &mut profile)?;
+    k.opt("down_bps", &mut rates.0)?;
+    k.opt("up_bps", &mut rates.1)?;
+    k.opt("latency", &mut rates.2)?;
+    if k.reading() {
+        *link = match (profile, rates) {
+            (Some(Profile(link)), (None, None, None)) => link,
+            (None, (Some(down), Some(up), Some(latency))) => {
+                AccessLinkClass::new(down, up, latency)
             }
-            Selection::Trace(indices)
-        }
-        other => {
-            return Err(DslError::new(
-                table
-                    .get("selection")
-                    .map(|v| v.line)
-                    .unwrap_or(table.line()),
-                "adversary.selection",
-                format!("unknown selection mode {other:?} (known: random, first, trace)"),
-            ))
-        }
-    };
-    s.finish()?;
-    let plan = AdversaryPlan {
-        fraction,
-        behaviors,
-        selection,
-    };
-    plan.validate()
-        .map_err(|reason| DslError::new(table.line(), "adversary", reason))?;
-    Ok(plan)
+            (Some(_), _) => {
+                let message =
+                    "a named link profile cannot be combined with down_bps/up_bps/latency";
+                return Err(k.error(LINK, message));
+            }
+            _ => {
+                let message = "topology needs either `link = \"<profile>\"` or all of down_bps, up_bps and latency";
+                return Err(k.error(LINK, message));
+            }
+        };
+    }
+    k.checked("loss", &mut link.loss_rate, rate)?;
+    k.table("condition", link, false, conditions_keys)?;
+    if k.reading() {
+        // Inert conditioners normalize away.
+        *link = link
+            .with_condition(link.condition)
+            .with_condition_down(link.condition_down)
+            .with_condition_up(link.condition_up);
+    }
+    Ok(())
 }
 
 /// The smallest MTU a `[transport]` section may configure: below this, the 8-byte fragment
 /// header dominates every frame and 16-bit fragment counts overflow on realistic messages.
 pub const MIN_MTU: u64 = 64;
 
-/// Parses a `[transport]` section into a [`TransportConfig`].
-fn parse_transport(table: &TomlTable) -> Result<TransportConfig, DslError> {
-    let mut s = Sect::new(table, "transport");
-    let mut cfg = TransportConfig::default();
-    if let Some(mtu) = s.opt_u64("mtu")? {
-        if mtu < MIN_MTU {
-            return Err(DslError::new(
-                table.get("mtu").map(|v| v.line).unwrap_or(table.line()),
-                "transport.mtu",
-                format!("mtu must be at least {MIN_MTU} bytes, got {mtu}"),
-            ));
+/// `[transport]`; the defaults are [`TransportConfig::default`]'s.
+fn transport_keys(k: &mut Keys, t: &mut TransportConfig) -> Result<(), DslError> {
+    k.checked("mtu", &mut t.mtu, |mtu| match mtu {
+        Some(mtu) if *mtu < MIN_MTU => {
+            Err(format!("mtu must be at least {MIN_MTU} bytes, got {mtu}"))
         }
-        cfg.mtu = Some(mtu);
-    }
-    if let Some(name) = s.opt_str("congestion")? {
-        cfg.congestion = CcKind::parse(name).ok_or_else(|| {
-            DslError::new(
-                table
-                    .get("congestion")
-                    .map(|v| v.line)
-                    .unwrap_or(table.line()),
-                "transport.congestion",
-                format!("unknown congestion controller {name:?} (known: legacy, aimd)"),
-            )
-        })?;
-    }
-    if let Some(timeout) = s.opt_duration("reassembly_timeout")? {
-        if timeout == SimDuration::ZERO {
-            return Err(DslError::new(
-                table.line(),
-                "transport.reassembly_timeout",
-                "reassembly timeout must be positive",
-            ));
+        _ => Ok(()),
+    })?;
+    k.opt("congestion", &mut t.congestion)?;
+    k.checked("reassembly_timeout", &mut t.reassembly_timeout, |timeout| {
+        if timeout.is_zero() {
+            return Err("reassembly timeout must be positive".to_string());
         }
-        cfg.reassembly_timeout = timeout;
+        Ok(())
+    })?;
+    Ok(())
+}
+
+impl Named for CcKind {
+    const WHAT: &'static str = "congestion controller";
+    fn names() -> Vec<(&'static str, CcKind)> {
+        [CcKind::Legacy, CcKind::Aimd]
+            .map(|kind| (kind.name(), kind))
+            .into()
     }
-    s.finish()?;
-    Ok(cfg)
+    fn is(&self, named: &CcKind) -> bool {
+        self == named
+    }
 }
 
 /// A fully parsed scenario file: the [`ScenarioSpec`] plus the workload to run under it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioFile {
-    /// The scenario spec built from the file's `[scenario]`, `[topology]`, `[arrivals]` and
-    /// `[sessions]` sections.
+    /// The scenario spec built from the file's `[scenario]`, `[topology]`, `[transport]`,
+    /// `[arrivals]`, `[sessions]` and `[adversary]` sections.
     pub spec: ScenarioSpec,
     /// The workload configuration built from `[workload]` / `[workload.<kind>]`.
     pub workload: WorkloadConfig,
+}
+
+/// The root table: the sections of a scenario file.
+fn file_keys(k: &mut Keys, file: &mut ScenarioFile) -> Result<(), DslError> {
+    let spec = &mut file.spec;
+    k.table("scenario", spec, true, scenario_keys)?;
+    // The DSL's topology is one uniform group, named after the scenario and sized, by
+    // default, by the workload.
+    let mut topology = Topology {
+        nodes: k.writing().then_some(spec.topology.total_nodes()),
+        link: (spec.topology.groups.first())
+            .map_or_else(AccessLinkClass::bittorrent_dsl, |g| g.link),
+    };
+    k.table("topology", &mut topology, true, topology_keys)?;
+    let transport = &mut spec.network.transport;
+    if k.reading() || *transport != TransportConfig::default() {
+        k.table("transport", transport, false, transport_keys)?;
+    }
+    k.table(
+        "workload",
+        &mut file.workload,
+        true,
+        WorkloadConfig::section,
+    )?;
+    // A tagged section replaces its blank by the selected kind's, so any kind's will do.
+    let (arrivals, sessions) = (ArrivalSpec::KINDS[0].1, SessionProcess::KINDS[0].1);
+    k.optional(
+        "arrivals",
+        &mut spec.arrivals,
+        arrivals,
+        ArrivalSpec::section,
+    )?;
+    k.optional(
+        "sessions",
+        &mut spec.sessions,
+        sessions,
+        SessionProcess::section,
+    )?;
+    let honest = || AdversaryPlan::new(0.0, &[]);
+    k.optional(
+        "adversary",
+        &mut spec.adversary,
+        honest,
+        AdversaryPlan::keys,
+    )?;
+    if k.reading() {
+        let nodes = topology
+            .nodes
+            .unwrap_or_else(|| file.workload.vnodes_required());
+        spec.topology = TopologySpec::uniform(&spec.name, nodes, topology.link);
+    }
+    Ok(())
 }
 
 impl ScenarioFile {
@@ -1202,266 +1447,13 @@ impl ScenarioFile {
     /// Builds a scenario from an already-parsed table (campaign expansion re-enters here for
     /// every grid cell, after applying the cell's overrides).
     pub fn from_table(root: &TomlTable) -> Result<ScenarioFile, DslError> {
-        let mut top = Sect::new(root, "");
-
-        // [scenario]
-        let scenario_table = top
-            .sub_table("scenario")?
-            .ok_or_else(|| top.missing("scenario"))?;
-        let mut scenario = Sect::new(scenario_table, "scenario");
-        let name = scenario.req_str("name")?.to_string();
-        let seed = scenario.opt_u64("seed")?.unwrap_or(0);
-        let machines = scenario.opt_usize("machines")?.unwrap_or(1);
-        let deadline = scenario
-            .opt_duration("deadline")?
-            .unwrap_or(SimDuration::from_secs(3600));
-        let sample_interval = scenario
-            .opt_duration("sample_interval")?
-            .unwrap_or(SimDuration::from_secs(10));
-        let monitor_resources = scenario.opt_bool("monitor_resources")?.unwrap_or(true);
-        let event_capacity = scenario.opt_usize("event_capacity")?;
-        let event_budget = scenario.opt_u64("event_budget")?;
-        let shards = scenario.opt_usize("shards")?.unwrap_or(1);
-        scenario.finish()?;
-
-        // [topology]
-        let topology_table = top
-            .sub_table("topology")?
-            .ok_or_else(|| top.missing("topology"))?;
-        let mut topology = Sect::new(topology_table, "topology");
-        let profile = topology.opt_str("link")?;
-        let down_bps = topology.opt_u64("down_bps")?;
-        let up_bps = topology.opt_u64("up_bps")?;
-        let latency = topology.opt_duration("latency")?;
-        let loss = topology.opt_f64("loss")?.unwrap_or(0.0);
-        let nodes = topology.opt_usize("nodes")?;
-        let (condition, condition_down, condition_up) = match topology.sub_table("condition")? {
-            None => (None, None, None),
-            Some(t) => {
-                let (base, down, up) = parse_condition(t)?;
-                (Some(base), down, up)
-            }
+        // Every section overwrites its part of this blank; the required ones all of it.
+        let mut file = ScenarioFile {
+            spec: ScenarioBuilder::new("", TopologySpec::new()).spec,
+            workload: (WorkloadConfig::KINDS[0].1)(),
         };
-        topology.finish()?;
-        if !(0.0..=1.0).contains(&loss) {
-            return Err(DslError::new(
-                topology_table.line(),
-                "topology.loss",
-                format!("loss rate must be within [0, 1], got {loss}"),
-            ));
-        }
-        let base_link = match (profile, down_bps, up_bps, latency) {
-            (Some(name), None, None, None) => link_profile(name).ok_or_else(|| {
-                DslError::new(
-                    topology_table.line(),
-                    "topology.link",
-                    format!(
-                        "unknown link profile {name:?} (known: {})",
-                        LINK_PROFILES.join(", ")
-                    ),
-                )
-            })?,
-            (None, Some(down), Some(up), Some(lat)) => AccessLinkClass::new(down, up, lat),
-            (Some(_), _, _, _) => {
-                return Err(DslError::new(
-                    topology_table.line(),
-                    "topology.link",
-                    "a named link profile cannot be combined with down_bps/up_bps/latency",
-                ))
-            }
-            _ => {
-                return Err(DslError::new(
-                    topology_table.line(),
-                    "topology.link",
-                    "topology needs either `link = \"<profile>\"` or all of down_bps, up_bps and latency",
-                ))
-            }
-        };
-        let link = base_link
-            .with_loss(loss)
-            .with_condition(condition)
-            .with_condition_down(condition_down)
-            .with_condition_up(condition_up);
-
-        // [transport] (optional)
-        let transport = match top.sub_table("transport")? {
-            None => TransportConfig::default(),
-            Some(t) => parse_transport(t)?,
-        };
-
-        // [workload] + [workload.<kind>]
-        let workload_table = top
-            .sub_table("workload")?
-            .ok_or_else(|| top.missing("workload"))?;
-        let mut workload_sect = Sect::new(workload_table, "workload");
-        let kind = workload_sect.req_str("kind")?;
-        if !WORKLOAD_KINDS.contains(&kind) {
-            let spanned = workload_table.get("kind").expect("kind was read");
-            return Err(DslError::new(
-                spanned.line,
-                "workload.kind",
-                format!(
-                    "unknown workload kind {kind:?} (known: {})",
-                    WORKLOAD_KINDS.join(", ")
-                ),
-            ));
-        }
-        // Per-kind parameter subtables: the selected kind's table is parsed strictly below;
-        // the other kinds' tables are legal (campaign matrices sweep `workload.kind` over one
-        // shared file) but deliberately left unparsed.
-        for other in WORKLOAD_KINDS {
-            if other != kind {
-                workload_sect.mark_used(other);
-            }
-        }
-        let params = workload_sect.sub_table(kind)?;
-        workload_sect.finish()?;
-        let empty = TomlTable::default();
-        let params = params.unwrap_or(&empty);
-        let path = format!("workload.{kind}");
-        let workload = match kind {
-            "swarm" => {
-                let mut p = Sect::new(params, path);
-                let cfg = SwarmSpec {
-                    file_bytes: p.opt_u64("file_bytes")?.unwrap_or(2 * 1024 * 1024),
-                    seeders: p.opt_usize("seeders")?.unwrap_or(1),
-                    leechers: p
-                        .opt_usize("leechers")?
-                        .ok_or_else(|| p.missing("leechers"))?,
-                    start_interval: p
-                        .opt_duration("start_interval")?
-                        .unwrap_or(SimDuration::from_secs(2)),
-                    seeder_head_start: p
-                        .opt_duration("seeder_head_start")?
-                        .unwrap_or(SimDuration::from_secs(5)),
-                    client_config: ClientConfig::default(),
-                };
-                p.finish()?;
-                WorkloadConfig::Swarm(cfg)
-            }
-            "ping-mesh" => {
-                let mut p = Sect::new(params, path.clone());
-                let pattern = match p.opt_str("pattern")?.unwrap_or("full") {
-                    "full" => MeshPattern::Full,
-                    "ring" => MeshPattern::Ring,
-                    other => {
-                        return Err(DslError::new(
-                            params.get("pattern").map(|s| s.line).unwrap_or(0),
-                            format!("{path}.pattern"),
-                            format!("unknown mesh pattern {other:?} (known: full, ring)"),
-                        ))
-                    }
-                };
-                let spec = PingMeshSpec {
-                    name: name.clone(),
-                    nodes: p.opt_usize("nodes")?.ok_or_else(|| p.missing("nodes"))?,
-                    pattern,
-                    pings_per_pair: p.opt_usize("pings_per_pair")?.unwrap_or(5),
-                    interval: p
-                        .opt_duration("interval")?
-                        .unwrap_or(SimDuration::from_secs(1)),
-                    stagger: p
-                        .opt_duration("stagger")?
-                        .unwrap_or(SimDuration::from_millis(1)),
-                    packet_bytes: p.opt_u64("packet_bytes")?.unwrap_or(56),
-                    settle: p.opt_duration("settle")?,
-                };
-                p.finish()?;
-                WorkloadConfig::PingMesh(spec)
-            }
-            "gossip" => {
-                let mut p = Sect::new(params, path);
-                let spec = GossipSpec {
-                    name: name.clone(),
-                    nodes: p.opt_usize("nodes")?.ok_or_else(|| p.missing("nodes"))?,
-                    fanout: p.opt_usize("fanout")?.unwrap_or(3),
-                    round_interval: p
-                        .opt_duration("round_interval")?
-                        .unwrap_or(SimDuration::from_secs(1)),
-                    rumor_bytes: p.opt_u64("rumor_bytes")?.unwrap_or(256),
-                };
-                p.finish()?;
-                WorkloadConfig::Gossip(spec)
-            }
-            "gossip-sharded" => {
-                let mut p = Sect::new(params, path);
-                let spec = GossipShardedSpec {
-                    name: name.clone(),
-                    nodes: p.opt_usize("nodes")?.ok_or_else(|| p.missing("nodes"))?,
-                    fanout: p.opt_usize("fanout")?.unwrap_or(3),
-                    round_interval: p
-                        .opt_duration("round_interval")?
-                        .unwrap_or(SimDuration::from_secs(1)),
-                    rumor_bytes: p.opt_u64("rumor_bytes")?.unwrap_or(256),
-                    rounds: p.opt_u32("rounds")?.unwrap_or(0),
-                };
-                p.finish()?;
-                WorkloadConfig::GossipSharded(spec)
-            }
-            "dht-lookup" => {
-                let mut p = Sect::new(params, path);
-                let nodes = p.opt_usize("nodes")?.ok_or_else(|| p.missing("nodes"))?;
-                let spec = DhtLookupSpec {
-                    name: name.clone(),
-                    nodes,
-                    lookups: p.opt_usize("lookups")?.unwrap_or(nodes),
-                    alpha: p.opt_usize("alpha")?.unwrap_or(3),
-                    k: p.opt_usize("k")?.unwrap_or(8),
-                    rpc_timeout: p
-                        .opt_duration("rpc_timeout")?
-                        .unwrap_or(SimDuration::from_secs(2)),
-                    rpc_attempts: p.opt_u32("rpc_attempts")?.unwrap_or(3),
-                    lookup_interval: p
-                        .opt_duration("lookup_interval")?
-                        .unwrap_or(SimDuration::from_millis(100)),
-                };
-                p.finish()?;
-                WorkloadConfig::DhtLookup(spec)
-            }
-            _ => unreachable!("kind was checked against WORKLOAD_KINDS"),
-        };
-
-        // [arrivals] (optional)
-        let arrivals = match top.sub_table("arrivals")? {
-            None => None,
-            Some(t) => Some(parse_arrivals(t)?),
-        };
-
-        // [sessions] (optional)
-        let sessions = match top.sub_table("sessions")? {
-            None => None,
-            Some(t) => Some(parse_sessions(t)?),
-        };
-
-        // [adversary] (optional)
-        let adversary = match top.sub_table("adversary")? {
-            None => None,
-            Some(t) => Some(parse_adversary(t)?),
-        };
-        top.finish()?;
-
-        let nodes = nodes.unwrap_or_else(|| workload.vnodes_required());
-        let spec = ScenarioSpec {
-            name: name.clone(),
-            topology: TopologySpec::uniform(&name, nodes, link),
-            deployment: crate::deploy::DeploymentSpec::new(machines),
-            network: NetworkConfig {
-                transport,
-                ..NetworkConfig::default()
-            },
-            arrivals,
-            sessions,
-            adversary,
-            deadline,
-            sample_interval,
-            monitor_resources,
-            arrival_ramp: None,
-            event_capacity,
-            event_budget,
-            seed,
-            shards,
-        };
-        Ok(ScenarioFile { spec, workload })
+        read_section(root, "", &mut file, file_keys)?;
+        Ok(file)
     }
 
     /// Runs the same checks [`run_scenario`](crate::scenario::run_scenario) performs before
@@ -1488,395 +1480,19 @@ impl ScenarioFile {
     /// supported: a single-group uniform topology, a network config that is default apart from
     /// its `[transport]` section, and default client config.
     pub fn to_toml(&self) -> String {
-        let spec = &self.spec;
+        let mut writer = Keys::new(None, String::new());
+        file_keys(&mut writer, &mut self.clone()).expect("only the reader reports errors");
         let mut out = String::with_capacity(1024);
-        out.push_str("[scenario]\n");
-        out.push_str(&format!("name = {:?}\n", spec.name));
-        out.push_str(&format!("seed = {}\n", spec.seed));
-        out.push_str(&format!("machines = {}\n", spec.deployment.machines));
-        out.push_str(&format!("deadline = \"{}\"\n", fmt_duration(spec.deadline)));
-        out.push_str(&format!(
-            "sample_interval = \"{}\"\n",
-            fmt_duration(spec.sample_interval)
-        ));
-        if !spec.monitor_resources {
-            out.push_str("monitor_resources = false\n");
-        }
-        if let Some(cap) = spec.event_capacity {
-            out.push_str(&format!("event_capacity = {cap}\n"));
-        }
-        if let Some(budget) = spec.event_budget {
-            out.push_str(&format!("event_budget = {budget}\n"));
-        }
-        if spec.shards != 1 {
-            out.push_str(&format!("shards = {}\n", spec.shards));
-        }
-
-        let link = spec
-            .topology
-            .groups
-            .first()
-            .map(|g| g.link)
-            .unwrap_or_else(AccessLinkClass::bittorrent_dsl);
-        out.push_str("\n[topology]\n");
-        out.push_str(&format!("nodes = {}\n", spec.topology.total_nodes()));
-        match profile_of(link) {
-            Some(name) => out.push_str(&format!("link = {name:?}\n")),
-            None => {
-                out.push_str(&format!("down_bps = {}\n", link.down_bps));
-                out.push_str(&format!("up_bps = {}\n", link.up_bps));
-                out.push_str(&format!("latency = \"{}\"\n", fmt_duration(link.latency)));
-            }
-        }
-        if link.loss_rate != 0.0 {
-            out.push_str(&format!("loss = {}\n", fmt_float(link.loss_rate)));
-        }
-        for (header, condition) in [
-            ("[topology.condition]", link.condition),
-            ("[topology.condition.down]", link.condition_down),
-            ("[topology.condition.up]", link.condition_up),
-        ] {
-            let Some(c) = condition else { continue };
-            out.push_str(&format!("\n{header}\n"));
-            if c.jitter != SimDuration::ZERO {
-                out.push_str(&format!("jitter = \"{}\"\n", fmt_duration(c.jitter)));
-            }
-            if c.reorder_rate != 0.0 {
-                out.push_str(&format!("reorder_rate = {}\n", fmt_float(c.reorder_rate)));
-                out.push_str(&format!(
-                    "reorder_delay = \"{}\"\n",
-                    fmt_duration(c.reorder_delay)
-                ));
-            }
-            if c.duplicate_rate != 0.0 {
-                out.push_str(&format!(
-                    "duplicate_rate = {}\n",
-                    fmt_float(c.duplicate_rate)
-                ));
-            }
-            if let Some(b) = c.burst {
-                out.push_str(&format!("burst_enter = {}\n", fmt_float(b.enter)));
-                out.push_str(&format!("burst_exit = {}\n", fmt_float(b.exit)));
-                out.push_str(&format!("burst_loss = {}\n", fmt_float(b.loss)));
-            }
-        }
-
-        let transport = spec.network.transport;
-        if transport != TransportConfig::default() {
-            out.push_str("\n[transport]\n");
-            if let Some(mtu) = transport.mtu {
-                out.push_str(&format!("mtu = {mtu}\n"));
-            }
-            if transport.congestion != CcKind::Legacy {
-                out.push_str(&format!("congestion = {:?}\n", transport.congestion.name()));
-            }
-            let default_timeout = TransportConfig::default().reassembly_timeout;
-            if transport.reassembly_timeout != default_timeout {
-                out.push_str(&format!(
-                    "reassembly_timeout = \"{}\"\n",
-                    fmt_duration(transport.reassembly_timeout)
-                ));
-            }
-        }
-
-        out.push_str("\n[workload]\n");
-        out.push_str(&format!("kind = {:?}\n", self.workload.kind()));
-        out.push_str(&format!("\n[workload.{}]\n", self.workload.kind()));
-        match &self.workload {
-            WorkloadConfig::Swarm(cfg) => {
-                out.push_str(&format!("file_bytes = {}\n", cfg.file_bytes));
-                out.push_str(&format!("seeders = {}\n", cfg.seeders));
-                out.push_str(&format!("leechers = {}\n", cfg.leechers));
-                out.push_str(&format!(
-                    "start_interval = \"{}\"\n",
-                    fmt_duration(cfg.start_interval)
-                ));
-                out.push_str(&format!(
-                    "seeder_head_start = \"{}\"\n",
-                    fmt_duration(cfg.seeder_head_start)
-                ));
-            }
-            WorkloadConfig::PingMesh(p) => {
-                out.push_str(&format!("nodes = {}\n", p.nodes));
-                out.push_str(&format!(
-                    "pattern = {:?}\n",
-                    match p.pattern {
-                        MeshPattern::Full => "full",
-                        MeshPattern::Ring => "ring",
-                    }
-                ));
-                out.push_str(&format!("pings_per_pair = {}\n", p.pings_per_pair));
-                out.push_str(&format!("interval = \"{}\"\n", fmt_duration(p.interval)));
-                out.push_str(&format!("stagger = \"{}\"\n", fmt_duration(p.stagger)));
-                out.push_str(&format!("packet_bytes = {}\n", p.packet_bytes));
-                if let Some(settle) = p.settle {
-                    out.push_str(&format!("settle = \"{}\"\n", fmt_duration(settle)));
-                }
-            }
-            WorkloadConfig::Gossip(g) => {
-                out.push_str(&format!("nodes = {}\n", g.nodes));
-                out.push_str(&format!("fanout = {}\n", g.fanout));
-                out.push_str(&format!(
-                    "round_interval = \"{}\"\n",
-                    fmt_duration(g.round_interval)
-                ));
-                out.push_str(&format!("rumor_bytes = {}\n", g.rumor_bytes));
-            }
-            WorkloadConfig::GossipSharded(g) => {
-                out.push_str(&format!("nodes = {}\n", g.nodes));
-                out.push_str(&format!("fanout = {}\n", g.fanout));
-                out.push_str(&format!(
-                    "round_interval = \"{}\"\n",
-                    fmt_duration(g.round_interval)
-                ));
-                out.push_str(&format!("rumor_bytes = {}\n", g.rumor_bytes));
-                if g.rounds != 0 {
-                    out.push_str(&format!("rounds = {}\n", g.rounds));
-                }
-            }
-            WorkloadConfig::DhtLookup(d) => {
-                out.push_str(&format!("nodes = {}\n", d.nodes));
-                out.push_str(&format!("lookups = {}\n", d.lookups));
-                out.push_str(&format!("alpha = {}\n", d.alpha));
-                out.push_str(&format!("k = {}\n", d.k));
-                out.push_str(&format!(
-                    "rpc_timeout = \"{}\"\n",
-                    fmt_duration(d.rpc_timeout)
-                ));
-                out.push_str(&format!("rpc_attempts = {}\n", d.rpc_attempts));
-                out.push_str(&format!(
-                    "lookup_interval = \"{}\"\n",
-                    fmt_duration(d.lookup_interval)
-                ));
-            }
-        }
-
-        if let Some(arrivals) = &spec.arrivals {
-            out.push_str("\n[arrivals]\n");
-            match arrivals {
-                ArrivalSpec::Poisson { rate } => {
-                    out.push_str("kind = \"poisson\"\n");
-                    out.push_str(&format!("rate = {}\n", fmt_float(*rate)));
-                }
-                ArrivalSpec::UniformRamp { start, interval } => {
-                    out.push_str("kind = \"ramp\"\n");
-                    out.push_str(&format!("start = \"{}\"\n", fmt_duration(*start)));
-                    out.push_str(&format!("interval = \"{}\"\n", fmt_duration(*interval)));
-                }
-                ArrivalSpec::FlashCrowd {
-                    trickle_rate,
-                    trigger,
-                    burst_rate,
-                } => {
-                    out.push_str("kind = \"flash-crowd\"\n");
-                    out.push_str(&format!("trickle_rate = {}\n", fmt_float(*trickle_rate)));
-                    out.push_str(&format!("trigger = \"{}\"\n", fmt_duration(*trigger)));
-                    out.push_str(&format!("burst_rate = {}\n", fmt_float(*burst_rate)));
-                }
-                ArrivalSpec::Trace { times } => {
-                    out.push_str("kind = \"trace\"\n");
-                    let items: Vec<String> = times
-                        .iter()
-                        .map(|&t| format!("\"{}\"", fmt_duration(t)))
-                        .collect();
-                    out.push_str(&format!("times = [{}]\n", items.join(", ")));
-                }
-            }
-        }
-
-        if let Some(sessions) = &spec.sessions {
-            out.push_str("\n[sessions]\n");
-            match sessions {
-                SessionProcess::Exponential {
-                    mean_session,
-                    mean_downtime,
-                } => {
-                    out.push_str("kind = \"exponential\"\n");
-                    out.push_str(&format!(
-                        "mean_session = \"{}\"\n",
-                        fmt_duration(*mean_session)
-                    ));
-                    out.push_str(&format!(
-                        "mean_downtime = \"{}\"\n",
-                        fmt_duration(*mean_downtime)
-                    ));
-                }
-                SessionProcess::Pareto {
-                    scale_session,
-                    shape,
-                    mean_downtime,
-                } => {
-                    out.push_str("kind = \"pareto\"\n");
-                    out.push_str(&format!(
-                        "scale_session = \"{}\"\n",
-                        fmt_duration(*scale_session)
-                    ));
-                    out.push_str(&format!("shape = {}\n", fmt_float(*shape)));
-                    out.push_str(&format!(
-                        "mean_downtime = \"{}\"\n",
-                        fmt_duration(*mean_downtime)
-                    ));
-                }
-                SessionProcess::Trace { pairs } => {
-                    out.push_str("kind = \"trace\"\n");
-                    let items: Vec<String> = pairs
-                        .iter()
-                        .map(|&(s, d)| {
-                            format!("[\"{}\", \"{}\"]", fmt_duration(s), fmt_duration(d))
-                        })
-                        .collect();
-                    out.push_str(&format!("pairs = [{}]\n", items.join(", ")));
-                }
-            }
-        }
-
-        if let Some(plan) = &spec.adversary {
-            out.push_str("\n[adversary]\n");
-            out.push_str(&format!("fraction = {}\n", fmt_float(plan.fraction)));
-            let items: Vec<String> = plan.behaviors.iter().map(|b| format!("{b:?}")).collect();
-            out.push_str(&format!("behaviors = [{}]\n", items.join(", ")));
-            match &plan.selection {
-                Selection::Random => {}
-                Selection::First => out.push_str("selection = \"first\"\n"),
-                Selection::Trace(indices) => {
-                    out.push_str("selection = \"trace\"\n");
-                    let items: Vec<String> = indices.iter().map(|i| i.to_string()).collect();
-                    out.push_str(&format!("trace = [{}]\n", items.join(", ")));
-                }
-            }
-        }
+        render_table(&writer.written, "", &mut out);
         out
     }
-}
-
-fn parse_arrivals(table: &TomlTable) -> Result<ArrivalSpec, DslError> {
-    let mut s = Sect::new(table, "arrivals");
-    let kind = s.req_str("kind")?;
-    // Campaign matrices sweep `arrivals.kind` over one shared section (the same convention as
-    // `workload.kind` and its subtables), so every kind's parameter keys are legal here; only
-    // the selected kind's keys are actually read. The key sets are disjoint, so a typo still
-    // fails as an unknown key.
-    for key in [
-        "rate",
-        "start",
-        "interval",
-        "trickle_rate",
-        "trigger",
-        "burst_rate",
-        "times",
-    ] {
-        s.mark_used(key);
-    }
-    let spec = match kind {
-        "poisson" => ArrivalSpec::Poisson {
-            rate: s.req_f64("rate")?,
-        },
-        "ramp" => ArrivalSpec::UniformRamp {
-            start: s.opt_duration("start")?.unwrap_or(SimDuration::ZERO),
-            interval: s.req_duration("interval")?,
-        },
-        "flash-crowd" => ArrivalSpec::FlashCrowd {
-            trickle_rate: s.req_f64("trickle_rate")?,
-            trigger: s.req_duration("trigger")?,
-            burst_rate: s.req_f64("burst_rate")?,
-        },
-        "trace" => {
-            let items = s.opt_array("times")?.ok_or_else(|| s.missing("times"))?;
-            let mut times = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                match &item.value {
-                    TomlValue::Str(text) => times.push(parse_duration(text).map_err(|e| {
-                        DslError::new(item.line, format!("arrivals.times[{i}]"), e)
-                    })?),
-                    other => {
-                        return Err(DslError::new(
-                            item.line,
-                            format!("arrivals.times[{i}]"),
-                            format!("expected a duration string, found {}", other.type_name()),
-                        ))
-                    }
-                }
-            }
-            ArrivalSpec::Trace { times }
-        }
-        other => {
-            return Err(DslError::new(
-                table.get("kind").map(|s| s.line).unwrap_or(table.line()),
-                "arrivals.kind",
-                format!(
-                    "unknown arrival kind {other:?} (known: poisson, ramp, flash-crowd, trace)"
-                ),
-            ))
-        }
-    };
-    s.finish()?;
-    Ok(spec)
-}
-
-fn parse_sessions(table: &TomlTable) -> Result<SessionProcess, DslError> {
-    let mut s = Sect::new(table, "sessions");
-    let kind = s.req_str("kind")?;
-    let spec = match kind {
-        "exponential" => SessionProcess::Exponential {
-            mean_session: s.req_duration("mean_session")?,
-            mean_downtime: s.req_duration("mean_downtime")?,
-        },
-        "pareto" => SessionProcess::Pareto {
-            scale_session: s.req_duration("scale_session")?,
-            shape: s.req_f64("shape")?,
-            mean_downtime: s.req_duration("mean_downtime")?,
-        },
-        "trace" => {
-            let items = s.opt_array("pairs")?.ok_or_else(|| s.missing("pairs"))?;
-            let mut pairs = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let path = format!("sessions.pairs[{i}]");
-                let pair = match &item.value {
-                    TomlValue::Array(inner) if inner.len() == 2 => inner,
-                    other => {
-                        return Err(DslError::new(
-                            item.line,
-                            path,
-                            format!(
-                                "expected a [session, downtime] duration pair, found {}",
-                                other.type_name()
-                            ),
-                        ))
-                    }
-                };
-                let mut parsed = [SimDuration::ZERO; 2];
-                for (j, half) in pair.iter().enumerate() {
-                    parsed[j] = match &half.value {
-                        TomlValue::Str(text) => parse_duration(text)
-                            .map_err(|e| DslError::new(half.line, path.clone(), e))?,
-                        other => {
-                            return Err(DslError::new(
-                                half.line,
-                                path.clone(),
-                                format!("expected a duration string, found {}", other.type_name()),
-                            ))
-                        }
-                    };
-                }
-                pairs.push((parsed[0], parsed[1]));
-            }
-            SessionProcess::Trace { pairs }
-        }
-        other => {
-            return Err(DslError::new(
-                table.get("kind").map(|s| s.line).unwrap_or(table.line()),
-                "sessions.kind",
-                format!("unknown session kind {other:?} (known: exponential, pareto, trace)"),
-            ))
-        }
-    };
-    s.finish()?;
-    Ok(spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::Selection;
+    use crate::workloads::WORKLOAD_KINDS;
 
     #[test]
     fn parses_basic_values_and_sections() {
@@ -2061,8 +1677,10 @@ mod tests {
     #[test]
     fn every_link_profile_resolves() {
         for name in LINK_PROFILES {
-            assert!(link_profile(name).is_some(), "{name}");
-            assert_eq!(profile_of(link_profile(name).unwrap()), Some(name));
+            let link = link_profile(name).unwrap_or_else(|| panic!("{name}"));
+            // Loss and conditioners do not change which profile a link is written as.
+            let written = Profile(link.with_loss(0.1)).encode();
+            assert_eq!(written, Some(TomlValue::Str(name.to_string())));
         }
     }
 
@@ -2324,10 +1942,164 @@ mean_downtime = \"20s\"
     }
 
     #[test]
+    fn oversized_event_capacity_is_rejected_by_validation() {
+        let hint = "name = \"g\"\nevent_capacity = 9000000000000000000\n";
+        let file = ScenarioFile::parse(&swap("name = \"g\"\n", hint)).unwrap();
+        let err = file.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::EventCapacityTooLarge {
+                requested: 9_000_000_000_000_000_000
+            }
+        );
+        assert!(err
+            .to_string()
+            .contains("event_capacity = 9000000000000000000"));
+        assert_eq!(file.run().unwrap_err(), err);
+        // The largest accepted hint still validates.
+        let max = crate::scenario::MAX_EVENT_CAPACITY;
+        let hint = format!("name = \"g\"\nevent_capacity = {max}\n");
+        let file = ScenarioFile::parse(&swap("name = \"g\"\n", &hint)).unwrap();
+        assert_eq!(file.validate(), Ok(()));
+    }
+
+    #[test]
+    fn workload_kinds_match_the_registry() {
+        let kinds: Vec<&str> = WorkloadConfig::KINDS
+            .iter()
+            .map(|(kind, _)| *kind)
+            .collect();
+        assert_eq!(kinds, WORKLOAD_KINDS);
+        for (kind, blank) in WorkloadConfig::KINDS {
+            assert_eq!(blank().kind(), *kind);
+        }
+    }
+
+    #[test]
     fn loss_out_of_range_is_rejected() {
         let text = minimal_gossip().replace("link = \"dsl-8m\"", "link = \"dsl-8m\"\nloss = 1.5");
         let err = ScenarioFile::parse(&text).unwrap_err();
         assert_eq!(err.path, "topology.loss");
+    }
+
+    /// `minimal_gossip()` (8 lines) with `suffix` appended: the suffix starts on line 9.
+    fn plus(suffix: &str) -> String {
+        minimal_gossip() + suffix
+    }
+
+    /// `minimal_gossip()` with the first occurrence of `from` replaced by `to`.
+    fn swap(from: &str, to: &str) -> String {
+        assert!(minimal_gossip().contains(from), "{from:?} not in the base");
+        minimal_gossip().replacen(from, to, 1)
+    }
+
+    /// One row per schema rule: `(file, line, dotted key path, message fragment)`. The line is
+    /// always the offending key's own (or, for rules about a whole section — a missing key, a
+    /// partial knob group — the section header's; 0 when the section itself is absent).
+    fn error_corpus() -> Vec<(String, usize, &'static str, &'static str)> {
+        let churn = "[sessions]\nkind = \"exponential\"\nmean_session = \"9s\"\n";
+        vec![
+            // Unknown keys, one per section (and the root).
+            (plus("fanouts = 3\n"), 9, "workload.gossip.fanouts", "unknown key"),
+            (plus("[mystery]\nx = 1\n"), 9, "mystery", "unknown key"),
+            (swap("name = \"g\"\n", "name = \"g\"\nsede = 1\n"), 3, "scenario.sede", "unknown key"),
+            (swap("[workload]\n", "bps = 1\n[workload]\n"), 5, "topology.bps", "unknown key"),
+            (swap("kind = \"gossip\"\n", "kind = \"gossip\"\nkin = 1\n"), 7, "workload.kin", "unknown key"),
+            (plus("[transport]\nmtu = 1500\nmss = 1\n"), 11, "transport.mss", "unknown key"),
+            (plus("[arrivals]\nkind = \"poisson\"\nrate = 1.0\nrat = 2\n"), 12, "arrivals.rat", "unknown key"),
+            (plus(&format!("{churn}mean_downtime = \"1s\"\nmean = 1\n")), 13, "sessions.mean", "unknown key"),
+            (plus("[adversary]\nbehaviors = [\"amplify\"]\nfrac = 0.1\n"), 11, "adversary.frac", "unknown key"),
+            (plus("[topology.condition]\njiter = \"1ms\"\n"), 10, "topology.condition.jiter", "unknown key"),
+            (plus("[topology.condition.up]\njiter = \"1ms\"\n"), 10, "topology.condition.up.jiter", "unknown key"),
+            // A preset stands for the whole knob set: an explicit knob next to it is unknown.
+            (plus("[topology.condition]\npreset = \"clean\"\njitter = \"1ms\"\n"), 11, "topology.condition.jitter", "unknown key"),
+            // A selection-trace index list without `selection = "trace"` is unknown.
+            (plus("[adversary]\nbehaviors = [\"amplify\"]\ntrace = [1]\n"), 11, "adversary.trace", "unknown key"),
+            // Wrong types, one per value type.
+            (swap("nodes = 8", "nodes = \"eight\""), 8, "workload.gossip.nodes", "expected an integer, found string"),
+            (swap("name = \"g\"", "name = 5"), 2, "scenario.name", "expected a string, found integer"),
+            (swap("name = \"g\"\n", "name = \"g\"\ndeadline = 30\n"), 3, "scenario.deadline", "expected a duration string"),
+            (swap("name = \"g\"\n", "name = \"g\"\ndeadline = \"30\"\n"), 3, "scenario.deadline", "unit suffix"),
+            (swap("name = \"g\"\n", "name = \"g\"\nmonitor_resources = 1\n"), 3, "scenario.monitor_resources", "expected a boolean, found integer"),
+            (swap("[workload]\n", "loss = \"high\"\n[workload]\n"), 5, "topology.loss", "expected a number, found string"),
+            (plus("[arrivals]\nkind = \"trace\"\ntimes = \"1s\"\n"), 11, "arrivals.times", "expected an array, found string"),
+            (format!("transport = 3\n{}", minimal_gossip()), 1, "transport", "expected a table, found integer"),
+            (plus("[topology.condition]\ndown = 1\n"), 10, "topology.condition.down", "expected a table, found integer"),
+            // Negative and oversized integers.
+            (swap("name = \"g\"\n", "name = \"g\"\nseed = -1\n"), 3, "scenario.seed", "non-negative"),
+            (plus("[workload.dht-lookup]\nnodes = 8\nrpc_attempts = 5000000000\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_attempts", "32 bits"),
+            (plus("[workload.gossip-sharded]\nnodes = 8\nrounds = 5000000000\n").replace("\"gossip\"", "\"gossip-sharded\""), 11, "workload.gossip-sharded.rounds", "32 bits"),
+            // Missing required keys and sections.
+            (swap("name = \"g\"\n", ""), 1, "scenario.name", "missing required key"),
+            (swap("[topology]\nlink = \"dsl-8m\"\n", ""), 0, "topology", "missing required key"),
+            (swap("kind = \"gossip\"\n", ""), 5, "workload.kind", "missing required key"),
+            (swap("nodes = 8\n", ""), 7, "workload.gossip.nodes", "missing required key"),
+            (swap("[workload.gossip]\nnodes = 8\n", ""), 0, "workload.gossip.nodes", "missing required key"),
+            (plus("[workload.swarm]\nseeders = 2\n").replace("\"gossip\"", "\"swarm\""), 9, "workload.swarm.leechers", "missing required key"),
+            (plus("[workload.ping-mesh]\n").replace("\"gossip\"", "\"ping-mesh\""), 9, "workload.ping-mesh.nodes", "missing required key"),
+            (plus("[workload.dht-lookup]\n").replace("\"gossip\"", "\"dht-lookup\""), 9, "workload.dht-lookup.nodes", "missing required key"),
+            (plus("[workload.gossip-sharded]\n").replace("\"gossip\"", "\"gossip-sharded\""), 9, "workload.gossip-sharded.nodes", "missing required key"),
+            (plus("[arrivals]\nrate = 1.0\n"), 9, "arrivals.kind", "missing required key"),
+            (plus("[arrivals]\nkind = \"poisson\"\n"), 9, "arrivals.rate", "missing required key"),
+            (plus("[arrivals]\nkind = \"ramp\"\n"), 9, "arrivals.interval", "missing required key"),
+            (plus("[arrivals]\nkind = \"flash-crowd\"\ntrickle_rate = 1.0\nburst_rate = 9.0\n"), 9, "arrivals.trigger", "missing required key"),
+            (plus("[arrivals]\nkind = \"trace\"\n"), 9, "arrivals.times", "missing required key"),
+            (plus("[sessions]\nmean_session = \"9s\"\n"), 9, "sessions.kind", "missing required key"),
+            (plus(churn), 9, "sessions.mean_downtime", "missing required key"),
+            (plus("[sessions]\nkind = \"pareto\"\nshape = 2.0\nmean_downtime = \"1s\"\n"), 9, "sessions.scale_session", "missing required key"),
+            (plus("[sessions]\nkind = \"trace\"\n"), 9, "sessions.pairs", "missing required key"),
+            (plus("[adversary]\nfraction = 0.2\n"), 9, "adversary.behaviors", "missing required key"),
+            (plus("[adversary]\nbehaviors = [\"amplify\"]\nselection = \"trace\"\n"), 9, "adversary.trace", "missing required key"),
+            // A named link profile and explicit rates are exclusive; one of them is required.
+            (swap("link = \"dsl-8m\"", "link = \"dsl-8m\"\ndown_bps = 1000"), 3, "topology.link", "cannot be combined"),
+            (swap("link = \"dsl-8m\"", "down_bps = 1000"), 3, "topology.link", "needs either"),
+            // Conditioner knob groups come complete or not at all.
+            (plus("[topology.condition]\nreorder_rate = 0.1\n"), 9, "topology.condition", "reorder_rate and reorder_delay must be given together"),
+            (plus("[topology.condition]\nburst_enter = 0.1\nburst_loss = 0.5\n"), 9, "topology.condition", "burst_enter, burst_exit and burst_loss must be given together"),
+            (plus("[topology.condition.down]\nreorder_delay = \"1ms\"\n"), 9, "topology.condition.down", "must be given together"),
+            // Unknown names, one per closed name set.
+            (swap("kind = \"gossip\"", "kind = \"bitcoin\""), 6, "workload.kind", "unknown workload kind \"bitcoin\" (known: swarm, ping-mesh, gossip, gossip-sharded, dht-lookup)"),
+            (swap("link = \"dsl-8m\"", "link = \"isdn\""), 4, "topology.link", "unknown link profile \"isdn\" (known: bittorrent-dsl, "),
+            (plus("[topology.condition]\npreset = \"solar-flare\"\n"), 10, "topology.condition.preset", "unknown condition preset \"solar-flare\" (known: clean, "),
+            (plus("[workload.ping-mesh]\nnodes = 4\npattern = \"spiral\"\n").replace("\"gossip\"", "\"ping-mesh\""), 11, "workload.ping-mesh.pattern", "unknown mesh pattern \"spiral\" (known: full, ring)"),
+            (plus("[transport]\ncongestion = \"bbr\"\n"), 10, "transport.congestion", "unknown congestion controller \"bbr\" (known: legacy, aimd)"),
+            (plus("[adversary]\nbehaviors = [\"amplify\"]\nselection = \"psychic\"\n"), 11, "adversary.selection", "unknown selection mode \"psychic\" (known: random, first, trace)"),
+            (plus("[arrivals]\nkind = \"tsunami\"\n"), 10, "arrivals.kind", "unknown arrival kind \"tsunami\" (known: poisson, ramp, flash-crowd, trace)"),
+            (plus("[sessions]\nkind = \"weibull\"\n"), 10, "sessions.kind", "unknown session kind \"weibull\" (known: exponential, pareto, trace)"),
+            (plus("[adversary]\nbehaviors = [\"omniscient\"]\n"), 9, "adversary", "unknown adversary behavior \"omniscient\""),
+            // Out-of-range values are reported at the key, not at the section header.
+            (swap("[workload]\n", "loss = 1.5\n[workload]\n"), 5, "topology.loss", "must be within [0, 1], got 1.5"),
+            (plus("[topology.condition]\njitter = \"1ms\"\nduplicate_rate = 1.5\n"), 11, "topology.condition.duplicate_rate", "must be within [0, 1], got 1.5"),
+            (plus("[topology.condition]\nreorder_delay = \"1ms\"\nreorder_rate = 2\n"), 11, "topology.condition.reorder_rate", "must be within [0, 1], got 2"),
+            (plus("[topology.condition.up]\nburst_enter = 0.1\nburst_exit = 0.1\nburst_loss = 7.0\n"), 12, "topology.condition.up.burst_loss", "must be within [0, 1], got 7"),
+            (plus("[transport]\ncongestion = \"aimd\"\nmtu = 16\n"), 11, "transport.mtu", "mtu must be at least 64 bytes, got 16"),
+            (plus("[transport]\nmtu = 1500\nreassembly_timeout = \"0s\"\n"), 11, "transport.reassembly_timeout", "must be positive"),
+            (plus("[adversary]\nbehaviors = [\"amplify\"]\nfraction = 1.5\n"), 9, "adversary", "fraction must be in [0, 1]"),
+            // Bad trace elements carry the element's own line and index.
+            (plus("[arrivals]\nkind = \"trace\"\ntimes = [\n  \"1s\",\n  5,\n]\n"), 13, "arrivals.times[1]", "duration string"),
+            (plus("[arrivals]\nkind = \"trace\"\ntimes = [\"fast\"]\n"), 11, "arrivals.times[0]", "unit suffix"),
+            (plus("[sessions]\nkind = \"trace\"\npairs = [\"10s\"]\n"), 11, "sessions.pairs[0]", "[session, downtime] duration pair"),
+            (plus("[sessions]\nkind = \"trace\"\npairs = [\n  [\"10s\", \"1s\"],\n  [\"10s\", 3],\n]\n"), 13, "sessions.pairs[1]", "duration string"),
+            (plus("[adversary]\nbehaviors = [\"amplify\"]\nselection = \"trace\"\ntrace = [0,\n  -1]\n"), 13, "adversary.trace[1]", "non-negative"),
+            (plus("[adversary]\nbehaviors = [\"amplify\", 3]\n"), 10, "adversary.behaviors[1]", "string, found integer"),
+        ]
+    }
+
+    #[test]
+    fn error_corpus_reports_line_path_and_message() {
+        let mut failures = Vec::new();
+        for (text, line, path, fragment) in error_corpus() {
+            match ScenarioFile::parse(&text) {
+                Ok(_) => failures.push(format!("accepted, wanted `{path}` error:\n{text}")),
+                Err(e) if e.line != line || e.path != path || !e.message.contains(fragment) => {
+                    failures.push(format!(
+                        "got `{e}`, wanted line {line} `{path}` {fragment:?}"
+                    ))
+                }
+                Err(_) => {}
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
     #[test]

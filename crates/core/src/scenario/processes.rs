@@ -13,30 +13,18 @@
 //!   [`ArrivalSchedule`] by [`run_scenario`](crate::scenario::run_scenario) (one arrival per
 //!   participant, drawn from a dedicated RNG stream so arrival sampling never perturbs the
 //!   simulation's other draws);
-//! * [`SessionProcess`] generalizes the original two-field [`ChurnSpec`]: exponential on/off
-//!   (the legacy behaviour, byte-identical draws), Pareto heavy-tailed sessions, or a
-//!   trace of `(session, downtime)` pairs replayed cyclically.
+//! * [`SessionProcess`] describes churn: exponential on/off sessions, Pareto heavy-tailed
+//!   sessions, or a trace of `(session, downtime)` pairs replayed cyclically.
 //!
 //! **Convention:** arrival and churn schedules come from the scenario layer; workloads consume
 //! them through [`Workload::schedule_arrivals`](crate::scenario::Workload::schedule_arrivals)
 //! and [`Workload::schedule_churn`](crate::scenario::Workload::schedule_churn) — they do not
 //! re-derive them.
 
+use crate::scenario::dsl::{DslError, Keys, Kinds};
 use p2plab_sim::{NoEvent, SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 use serde::{Deserialize, Serialize};
 use std::rc::Rc;
-
-/// Node churn model: nodes alternate between online sessions and offline periods, both
-/// exponentially distributed. This is the original two-field churn description, kept as the
-/// ergonomic front door; it converts into the exponential variant of the more general
-/// [`SessionProcess`] (`SessionProcess::from(churn)`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChurnSpec {
-    /// Mean online-session duration.
-    pub mean_session: SimDuration,
-    /// Mean offline duration between sessions.
-    pub mean_downtime: SimDuration,
-}
 
 /// A generator of participant arrival instants: the iterator half of the arrival library.
 ///
@@ -221,6 +209,46 @@ pub enum ArrivalSpec {
 }
 
 impl ArrivalSpec {
+    /// The `arrivals.kind` names of a scenario file. Every key but the ramp's `start` is
+    /// required, so the blanks' zeros are never seen.
+    pub(crate) const KINDS: &'static Kinds<ArrivalSpec> = &[
+        ("poisson", || ArrivalSpec::poisson(0.0)),
+        ("ramp", || {
+            ArrivalSpec::ramp(SimDuration::ZERO, SimDuration::ZERO)
+        }),
+        ("flash-crowd", || {
+            ArrivalSpec::flash_crowd(0.0, SimDuration::ZERO, 0.0)
+        }),
+        ("trace", || ArrivalSpec::trace(Vec::new())),
+    ];
+
+    /// `[arrivals]`: `kind`, and next to it the selected kind's keys.
+    pub(crate) fn section(k: &mut Keys, arrivals: &mut ArrivalSpec) -> Result<(), DslError> {
+        k.tagged("arrival", arrivals, Self::KINDS, false, Self::keys)
+    }
+
+    /// The `[arrivals]` keys of whichever kind this is.
+    fn keys(k: &mut Keys, arrivals: &mut ArrivalSpec) -> Result<(), DslError> {
+        match arrivals {
+            ArrivalSpec::Poisson { rate } => k.req("rate", rate)?,
+            ArrivalSpec::UniformRamp { start, interval } => {
+                k.opt("start", start)?;
+                k.req("interval", interval)?
+            }
+            ArrivalSpec::FlashCrowd {
+                trickle_rate,
+                trigger,
+                burst_rate,
+            } => {
+                k.req("trickle_rate", trickle_rate)?;
+                k.req("trigger", trigger)?;
+                k.req("burst_rate", burst_rate)?
+            }
+            ArrivalSpec::Trace { times } => k.req("times", times)?,
+        };
+        Ok(())
+    }
+
     /// Poisson arrivals at `rate` arrivals/second.
     pub fn poisson(rate: f64) -> ArrivalSpec {
         ArrivalSpec::Poisson { rate }
@@ -368,14 +396,13 @@ impl ArrivalSchedule {
 }
 
 /// On/off session process: how long a participant stays online before departing, and how long
-/// it stays away before rejoining. Generalizes [`ChurnSpec`] (which maps to the `Exponential`
-/// variant with byte-identical draws).
+/// it stays away before rejoining.
 ///
 /// Draws are indexed by the participant's session number `k` so that trace-driven processes
 /// can replay deterministically per node while the randomized variants simply ignore `k`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SessionProcess {
-    /// Exponential sessions and downtimes — the memoryless model of the original `ChurnSpec`.
+    /// Exponential sessions and downtimes — the memoryless model.
     Exponential {
         /// Mean online-session duration.
         mean_session: SimDuration,
@@ -400,16 +427,51 @@ pub enum SessionProcess {
     },
 }
 
-impl From<ChurnSpec> for SessionProcess {
-    fn from(churn: ChurnSpec) -> SessionProcess {
-        SessionProcess::Exponential {
-            mean_session: churn.mean_session,
-            mean_downtime: churn.mean_downtime,
-        }
-    }
-}
-
 impl SessionProcess {
+    /// The `sessions.kind` names of a scenario file. Every key is required, so the blanks'
+    /// zeros are never seen.
+    pub(crate) const KINDS: &'static Kinds<SessionProcess> = &[
+        ("exponential", || SessionProcess::Exponential {
+            mean_session: SimDuration::ZERO,
+            mean_downtime: SimDuration::ZERO,
+        }),
+        ("pareto", || SessionProcess::Pareto {
+            scale_session: SimDuration::ZERO,
+            shape: 0.0,
+            mean_downtime: SimDuration::ZERO,
+        }),
+        ("trace", || SessionProcess::Trace { pairs: Vec::new() }),
+    ];
+
+    /// `[sessions]`: `kind`, and next to it the selected kind's keys.
+    pub(crate) fn section(k: &mut Keys, sessions: &mut SessionProcess) -> Result<(), DslError> {
+        k.tagged("session", sessions, Self::KINDS, false, Self::keys)
+    }
+
+    /// The `[sessions]` keys of whichever kind this is.
+    fn keys(k: &mut Keys, sessions: &mut SessionProcess) -> Result<(), DslError> {
+        match sessions {
+            SessionProcess::Exponential {
+                mean_session,
+                mean_downtime,
+            } => {
+                k.req("mean_session", mean_session)?;
+                k.req("mean_downtime", mean_downtime)?
+            }
+            SessionProcess::Pareto {
+                scale_session,
+                shape,
+                mean_downtime,
+            } => {
+                k.req("scale_session", scale_session)?;
+                k.req("shape", shape)?;
+                k.req("mean_downtime", mean_downtime)?
+            }
+            SessionProcess::Trace { pairs } => k.req("pairs", pairs)?,
+        };
+        Ok(())
+    }
+
     /// Checks the description's internal consistency. Degenerate inputs — zero means, a
     /// non-finite or sub-critical Pareto shape, zero-length trace entries — are exactly the
     /// configurations that livelock the simulator by spinning depart/rejoin events at a single
@@ -619,26 +681,27 @@ mod tests {
     }
 
     #[test]
-    fn churn_spec_converts_to_exponential_sessions() {
-        let churn = ChurnSpec {
-            mean_session: SimDuration::from_secs(90),
-            mean_downtime: SimDuration::from_secs(45),
+    fn exponential_sessions_draw_one_exponential_each() {
+        let (mean_session, mean_downtime) =
+            (SimDuration::from_secs(90), SimDuration::from_secs(45));
+        let sessions = SessionProcess::Exponential {
+            mean_session,
+            mean_downtime,
         };
-        let sessions = SessionProcess::from(churn);
-        assert_eq!(sessions.mean_session(), SimDuration::from_secs(90));
-        // Byte-identity guard: the generalized process draws exactly what the legacy inline
-        // code drew (one rng.exponential per session/downtime, in the same order).
+        assert_eq!(sessions.mean_session(), mean_session);
+        // Byte-identity guard: the process draws exactly what the original inline churn code
+        // drew (one rng.exponential per session/downtime, in the same order).
         let mut a = rng();
         let mut b = rng();
         let s = sessions.session_at(0, &mut a);
         let d = sessions.downtime_at(0, &mut a);
         assert_eq!(
             s,
-            SimDuration::from_secs_f64(b.exponential(churn.mean_session.as_secs_f64()))
+            SimDuration::from_secs_f64(b.exponential(mean_session.as_secs_f64()))
         );
         assert_eq!(
             d,
-            SimDuration::from_secs_f64(b.exponential(churn.mean_downtime.as_secs_f64()))
+            SimDuration::from_secs_f64(b.exponential(mean_downtime.as_secs_f64()))
         );
     }
 

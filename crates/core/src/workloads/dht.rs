@@ -16,6 +16,7 @@
 
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
+use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, Workload};
 use p2plab_net::rpc::{self, RpcConfig, RpcHost, RpcOutcome, RpcPayload, RpcStats, RpcTable};
 use p2plab_net::{
@@ -59,8 +60,6 @@ pub enum DhtBody {
 /// Description of a DHT lookup experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DhtLookupSpec {
-    /// Name used in reports.
-    pub name: String,
     /// Number of DHT nodes.
     pub nodes: usize,
     /// Number of iterative lookups performed (the scenario's participants).
@@ -81,10 +80,9 @@ pub struct DhtLookupSpec {
 impl DhtLookupSpec {
     /// A lookup experiment over `nodes` nodes: one lookup per node, `alpha` 3, `k` 8, 2 s RPC
     /// timeout with 3 attempts, lookups starting 100 ms apart.
-    pub fn new(name: impl Into<String>, nodes: usize) -> DhtLookupSpec {
+    pub fn new(nodes: usize) -> DhtLookupSpec {
         assert!(nodes >= 2, "a DHT needs at least two nodes");
         DhtLookupSpec {
-            name: name.into(),
             nodes,
             lookups: nodes,
             alpha: 3,
@@ -93,6 +91,22 @@ impl DhtLookupSpec {
             rpc_attempts: 3,
             lookup_interval: SimDuration::from_millis(100),
         }
+    }
+
+    /// The `[workload.dht-lookup]` keys of a scenario file; absent ones keep
+    /// [`DhtLookupSpec::new`]'s defaults — including its one-lookup-per-node rule, applied
+    /// here to a node count that comes from a file.
+    pub(crate) fn keys(k: &mut Keys, spec: &mut DhtLookupSpec) -> Result<(), DslError> {
+        if k.req("nodes", &mut spec.nodes)? && k.reading() {
+            spec.lookups = spec.nodes;
+        }
+        k.opt("lookups", &mut spec.lookups)?;
+        k.opt("alpha", &mut spec.alpha)?;
+        k.opt("k", &mut spec.k)?;
+        k.opt("rpc_timeout", &mut spec.rpc_timeout)?;
+        k.opt("rpc_attempts", &mut spec.rpc_attempts)?;
+        k.opt("lookup_interval", &mut spec.lookup_interval)?;
+        Ok(())
     }
 
     /// The RPC policy the world's [`RpcTable`] runs with.
@@ -910,7 +924,7 @@ mod tests {
     fn every_lookup_finds_the_globally_closest_node() {
         // On a loss-free network every FIND_NODE is answered, and the iterative procedure over
         // bucketed tables must converge on the true closest node for every lookup.
-        let spec = DhtLookupSpec::new("dht64", 64);
+        let spec = DhtLookupSpec::new(64);
         let s = scenario("dht64", &spec).build().unwrap();
         let r = run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap();
         assert!(r.finished, "{}", r.summary());
@@ -931,7 +945,7 @@ mod tests {
 
     #[test]
     fn report_carries_hop_and_latency_histograms() {
-        let spec = DhtLookupSpec::new("dht-report", 32);
+        let spec = DhtLookupSpec::new(32);
         let s = scenario("dht-report", &spec).build().unwrap();
         let (r, report) = run_reported(&s, DhtLookupWorkload::new(spec)).unwrap();
         assert!(r.finished);
@@ -952,7 +966,7 @@ mod tests {
 
     #[test]
     fn lossy_network_exercises_timeouts_and_retries() {
-        let mut spec = DhtLookupSpec::new("dht-lossy", 48);
+        let mut spec = DhtLookupSpec::new(48);
         spec.rpc_timeout = SimDuration::from_millis(250);
         spec.rpc_attempts = 2;
         let topo = TopologySpec::uniform(
@@ -989,7 +1003,7 @@ mod tests {
     fn byzantine_withholders_fail_cleanly() {
         // A quarter of the nodes never answer FIND_NODE: their candidates time out, honest
         // lookups still settle, and the invariant monitor sees no violations.
-        let spec = DhtLookupSpec::new("dht-withhold", 48);
+        let spec = DhtLookupSpec::new(48);
         let s = scenario("dht-withhold", &spec)
             .adversary(AdversaryPlan::new(0.25, &["ack-withhold"]))
             .build()
@@ -1008,7 +1022,7 @@ mod tests {
         // Equivocating nodes fabricate target-adjacent ids pointing at themselves. Responder
         // validation must reject every fabricated candidate, so all accepted replies come
         // from real nodes and the invariant monitor stays clean.
-        let spec = DhtLookupSpec::new("dht-equiv", 48);
+        let spec = DhtLookupSpec::new(48);
         let s = scenario("dht-equiv", &spec)
             .adversary(AdversaryPlan::new(0.25, &["equivocate"]))
             .build()
@@ -1025,7 +1039,7 @@ mod tests {
     #[test]
     fn adversarial_run_is_deterministic_given_seed() {
         let run = |seed: u64| {
-            let spec = DhtLookupSpec::new("dht-byz-det", 24);
+            let spec = DhtLookupSpec::new(24);
             let s = scenario("dht-byz-det", &spec)
                 .seed(seed)
                 .adversary(AdversaryPlan::new(0.25, &["equivocate", "silent-drop"]))
@@ -1042,7 +1056,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed: u64| {
-            let spec = DhtLookupSpec::new("dht-det", 24);
+            let spec = DhtLookupSpec::new(24);
             let s = scenario("dht-det", &spec).seed(seed).build().unwrap();
             run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap()
         };

@@ -10,6 +10,7 @@
 
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
+use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{
     schedule_session_chain, ArrivalSchedule, ArrivalSpec, ScenarioRun, SessionProcess, Workload,
 };
@@ -29,8 +30,6 @@ pub const GOSSIP_PORT: u16 = 4100;
 /// Description of a gossip experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GossipSpec {
-    /// Name used in reports.
-    pub name: String,
     /// Number of gossiping nodes.
     pub nodes: usize,
     /// How many random peers each informed node pushes the rumor to per round.
@@ -43,15 +42,24 @@ pub struct GossipSpec {
 
 impl GossipSpec {
     /// A gossip experiment over `nodes` nodes with fanout 3, 1 s rounds and a 256-byte rumor.
-    pub fn new(name: impl Into<String>, nodes: usize) -> GossipSpec {
+    pub fn new(nodes: usize) -> GossipSpec {
         assert!(nodes >= 2, "gossip needs at least two nodes");
         GossipSpec {
-            name: name.into(),
             nodes,
             fanout: 3,
             round_interval: SimDuration::from_secs(1),
             rumor_bytes: 256,
         }
+    }
+
+    /// The `[workload.gossip]` keys of a scenario file; absent ones keep [`GossipSpec::new`]'s
+    /// defaults.
+    pub(crate) fn keys(k: &mut Keys, spec: &mut GossipSpec) -> Result<(), DslError> {
+        k.req("nodes", &mut spec.nodes)?;
+        k.opt("fanout", &mut spec.fanout)?;
+        k.opt("round_interval", &mut spec.round_interval)?;
+        k.opt("rumor_bytes", &mut spec.rumor_bytes)?;
+        Ok(())
     }
 }
 
@@ -491,7 +499,7 @@ impl Workload for GossipWorkload {
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryPlan, Selection};
-    use crate::scenario::{run_reported, run_scenario, ChurnSpec, ScenarioBuilder};
+    use crate::scenario::{run_reported, run_scenario, ScenarioBuilder, SessionProcess};
     use p2plab_net::{AccessLinkClass, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
@@ -512,7 +520,7 @@ mod tests {
 
     #[test]
     fn rumor_reaches_every_node() {
-        let spec = GossipSpec::new("gossip16", 16);
+        let spec = GossipSpec::new(16);
         let s = scenario("gossip16", 16).build().unwrap();
         let r = run_scenario(&s, GossipWorkload::new(spec)).unwrap();
         assert!(r.finished, "{}", r.summary());
@@ -531,7 +539,7 @@ mod tests {
 
     #[test]
     fn flash_crowd_arrivals_disseminate() {
-        let spec = GossipSpec::new("gossip-flash", 24);
+        let spec = GossipSpec::new(24);
         let s = scenario("gossip-flash", 24)
             .arrivals(ArrivalSpec::flash_crowd(
                 0.2,
@@ -547,9 +555,9 @@ mod tests {
 
     #[test]
     fn gossip_survives_churn() {
-        let spec = GossipSpec::new("gossip-churn", 12);
+        let spec = GossipSpec::new(12);
         let s = scenario("gossip-churn", 12)
-            .churn(ChurnSpec {
+            .sessions(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(20),
                 mean_downtime: SimDuration::from_secs(10),
             })
@@ -566,7 +574,7 @@ mod tests {
         // their outbound frames). With the origin honest, the remaining honest nodes keep
         // gossiping until everyone — suppressors included — is informed, and the invariant
         // monitor stays clean.
-        let spec = GossipSpec::new("gossip-byz", 16);
+        let spec = GossipSpec::new(16);
         let mut plan = AdversaryPlan::new(0.0, &["silent-drop"]);
         plan.selection = Selection::Trace(vec![3, 7, 11]);
         let s = scenario("gossip-byz", 16).adversary(plan).build().unwrap();
@@ -580,7 +588,7 @@ mod tests {
     #[test]
     fn adversarial_gossip_is_deterministic_given_seed() {
         let run = |seed: u64| {
-            let spec = GossipSpec::new("gossip-byz-det", 12);
+            let spec = GossipSpec::new(12);
             let s = scenario("gossip-byz-det", 12)
                 .seed(seed)
                 .adversary(AdversaryPlan::new(0.25, &["silent-drop", "reply-delay"]))
@@ -597,7 +605,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed: u64| {
-            let spec = GossipSpec::new("gossip-det", 10);
+            let spec = GossipSpec::new(10);
             let s = scenario("gossip-det", 10).seed(seed).build().unwrap();
             run_scenario(&s, GossipWorkload::new(spec)).unwrap()
         };

@@ -26,6 +26,7 @@
 //! [`ScenarioError::ShardingUnsupported`].
 
 use crate::adversary::{AdversaryRoster, InvariantReport};
+use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{
     ArrivalSchedule, ArrivalSpec, ScenarioError, ScenarioRun, ScenarioSpec, ShardedOutcome,
     Workload,
@@ -40,8 +41,6 @@ use serde::{Deserialize, Serialize};
 /// Description of a sharded gossip experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GossipShardedSpec {
-    /// Name used in reports.
-    pub name: String,
     /// Number of gossiping nodes.
     pub nodes: usize,
     /// How many random peers each informed node pushes the rumor to per round.
@@ -61,16 +60,26 @@ pub struct GossipShardedSpec {
 impl GossipShardedSpec {
     /// A sharded gossip experiment over `nodes` nodes with fanout 3, 1 s rounds and a 256-byte
     /// rumor (the same defaults as [`GossipSpec::new`](super::GossipSpec::new)).
-    pub fn new(name: impl Into<String>, nodes: usize) -> GossipShardedSpec {
+    pub fn new(nodes: usize) -> GossipShardedSpec {
         assert!(nodes >= 2, "gossip needs at least two nodes");
         GossipShardedSpec {
-            name: name.into(),
             nodes,
             fanout: 3,
             round_interval: SimDuration::from_secs(1),
             rumor_bytes: 256,
             rounds: 0,
         }
+    }
+
+    /// The `[workload.gossip-sharded]` keys of a scenario file; absent ones keep
+    /// [`GossipShardedSpec::new`]'s defaults.
+    pub(crate) fn keys(k: &mut Keys, spec: &mut GossipShardedSpec) -> Result<(), DslError> {
+        k.req("nodes", &mut spec.nodes)?;
+        k.opt("fanout", &mut spec.fanout)?;
+        k.opt("round_interval", &mut spec.round_interval)?;
+        k.opt("rumor_bytes", &mut spec.rumor_bytes)?;
+        k.opt("rounds", &mut spec.rounds)?;
+        Ok(())
     }
 }
 
@@ -707,7 +716,7 @@ impl GossipShardedWorkload {
 mod tests {
     use super::*;
     use crate::report::RunReport;
-    use crate::scenario::{run_reported, ChurnSpec, ScenarioBuilder};
+    use crate::scenario::{run_reported, ScenarioBuilder, SessionProcess};
     use p2plab_net::{AccessLinkClass, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
@@ -728,7 +737,7 @@ mod tests {
     }
 
     fn run(n: usize, shards: usize) -> (GossipShardedResult, RunReport) {
-        let spec = GossipShardedSpec::new("gossip-sharded", n);
+        let spec = GossipShardedSpec::new(n);
         let s = scenario("gossip-sharded", n, shards).build().unwrap();
         run_reported(&s, GossipShardedWorkload::new(spec)).unwrap()
     }
@@ -798,7 +807,7 @@ mod tests {
         let run_capped = |shards: usize| {
             // The cap must outlast the arrival ramp (one node per second): a node that has
             // exhausted its rounds never re-pushes to late arrivals.
-            let mut spec = GossipShardedSpec::new("gossip-capped", 48);
+            let mut spec = GossipShardedSpec::new(48);
             spec.rounds = 60;
             let s = scenario("gossip-capped", 48, shards).build().unwrap();
             run_reported(&s, GossipShardedWorkload::new(spec)).unwrap()
@@ -834,7 +843,7 @@ mod tests {
         // steer a single coin flip: the same seed yields the same report at any shard count.
         use crate::adversary::{AdversaryPlan, Selection};
         let run_byz = |shards: usize| {
-            let spec = GossipShardedSpec::new("gossip-byz", 48);
+            let spec = GossipShardedSpec::new(48);
             let mut plan = AdversaryPlan::new(0.0, &["reply-delay", "amplify"]);
             plan.selection = Selection::Trace(vec![5, 17, 29]);
             let s = scenario("gossip-byz", 48, shards)
@@ -872,9 +881,9 @@ mod tests {
 
     #[test]
     fn churn_is_rejected_under_sharding() {
-        let spec = GossipShardedSpec::new("gossip-churn", 8);
+        let spec = GossipShardedSpec::new(8);
         let s = scenario("gossip-churn", 8, 2)
-            .churn(ChurnSpec {
+            .sessions(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(20),
                 mean_downtime: SimDuration::from_secs(10),
             })
@@ -886,7 +895,7 @@ mod tests {
 
     #[test]
     fn conditioned_links_are_rejected() {
-        let spec = GossipShardedSpec::new("gossip-cond", 8);
+        let spec = GossipShardedSpec::new(8);
         let link = AccessLinkClass::symmetric(100_000_000, SimDuration::from_millis(5))
             .with_condition(Some(
                 p2plab_net::LinkCondition::none().with_jitter(SimDuration::from_millis(3)),
@@ -902,7 +911,7 @@ mod tests {
 
     #[test]
     fn zero_latency_topology_is_rejected() {
-        let spec = GossipShardedSpec::new("gossip-zero", 8);
+        let spec = GossipShardedSpec::new(8);
         let topo = TopologySpec::uniform(
             "zero",
             8,

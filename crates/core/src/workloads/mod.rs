@@ -32,6 +32,7 @@ pub use ping_mesh::{MeshPattern, PingMeshResult, PingMeshSpec, PingMeshWorkload}
 pub use swarm::{SwarmSpec, SwarmWorkload};
 
 use crate::report::RunReport;
+use crate::scenario::dsl::{DslError, Keys, Kinds};
 use crate::scenario::{run_reported, ScenarioError, ScenarioSpec};
 
 /// The kind labels of every first-class workload, in registry order. These are the values a
@@ -68,6 +69,39 @@ pub enum WorkloadConfig {
 }
 
 impl WorkloadConfig {
+    /// The `workload.kind` names of a scenario file. Each kind's blank is its spec's
+    /// constructor — the defaults live there — called with a placeholder for the required size
+    /// key, which always overwrites it.
+    pub(crate) const KINDS: &'static Kinds<WorkloadConfig> = &[
+        ("swarm", || WorkloadConfig::Swarm(SwarmSpec::new(0))),
+        ("ping-mesh", || {
+            WorkloadConfig::PingMesh(PingMeshSpec::full(2))
+        }),
+        ("gossip", || WorkloadConfig::Gossip(GossipSpec::new(2))),
+        ("gossip-sharded", || {
+            WorkloadConfig::GossipSharded(GossipShardedSpec::new(2))
+        }),
+        ("dht-lookup", || {
+            WorkloadConfig::DhtLookup(DhtLookupSpec::new(2))
+        }),
+    ];
+
+    /// `[workload]`: `kind`, and the selected kind's `[workload.<kind>]` table.
+    pub(crate) fn section(k: &mut Keys, workload: &mut WorkloadConfig) -> Result<(), DslError> {
+        k.tagged("workload", workload, Self::KINDS, true, Self::keys)
+    }
+
+    /// The `[workload.<kind>]` keys: those of whichever spec this is.
+    fn keys(k: &mut Keys, workload: &mut WorkloadConfig) -> Result<(), DslError> {
+        match workload {
+            WorkloadConfig::Swarm(spec) => SwarmSpec::keys(k, spec),
+            WorkloadConfig::PingMesh(spec) => PingMeshSpec::keys(k, spec),
+            WorkloadConfig::Gossip(spec) => GossipSpec::keys(k, spec),
+            WorkloadConfig::GossipSharded(spec) => GossipShardedSpec::keys(k, spec),
+            WorkloadConfig::DhtLookup(spec) => DhtLookupSpec::keys(k, spec),
+        }
+    }
+
     /// The workload's kind label (an entry of [`WORKLOAD_KINDS`]).
     pub fn kind(&self) -> &'static str {
         match self {

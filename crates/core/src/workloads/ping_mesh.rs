@@ -10,6 +10,7 @@
 //! express, proving the [`Workload`] abstraction carries more than BitTorrent.
 
 use crate::deploy::Deployment;
+use crate::scenario::dsl::{DslError, Keys, Named};
 use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, Workload};
 use p2plab_net::ping::{ping, PingWorld};
 use p2plab_net::{NetSim, NetStats, Network, VNodeId};
@@ -28,11 +29,20 @@ pub enum MeshPattern {
     Ring,
 }
 
+/// The names a scenario file spells the patterns by.
+impl Named for MeshPattern {
+    const WHAT: &'static str = "mesh pattern";
+    fn names() -> Vec<(&'static str, MeshPattern)> {
+        vec![("full", MeshPattern::Full), ("ring", MeshPattern::Ring)]
+    }
+    fn is(&self, named: &MeshPattern) -> bool {
+        self == named
+    }
+}
+
 /// Description of a ping-mesh experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PingMeshSpec {
-    /// Name used in reports.
-    pub name: String,
     /// Number of virtual nodes in the mesh.
     pub nodes: usize,
     /// Which pairs probe each other.
@@ -56,10 +66,9 @@ pub struct PingMeshSpec {
 impl PingMeshSpec {
     /// A full mesh over `nodes` nodes: 5 pings per ordered pair, 1 s apart, 1 ms stagger,
     /// 56-byte payload.
-    pub fn full(name: impl Into<String>, nodes: usize) -> PingMeshSpec {
+    pub fn full(nodes: usize) -> PingMeshSpec {
         assert!(nodes >= 2, "a ping mesh needs at least two nodes");
         PingMeshSpec {
-            name: name.into(),
             nodes,
             pattern: MeshPattern::Full,
             pings_per_pair: 5,
@@ -72,11 +81,24 @@ impl PingMeshSpec {
 
     /// A ring over `nodes` nodes (each node probes its successor), otherwise like
     /// [`PingMeshSpec::full`].
-    pub fn ring(name: impl Into<String>, nodes: usize) -> PingMeshSpec {
+    pub fn ring(nodes: usize) -> PingMeshSpec {
         PingMeshSpec {
             pattern: MeshPattern::Ring,
-            ..PingMeshSpec::full(name, nodes)
+            ..PingMeshSpec::full(nodes)
         }
+    }
+
+    /// The `[workload.ping-mesh]` keys of a scenario file; absent ones keep
+    /// [`PingMeshSpec::full`]'s defaults.
+    pub(crate) fn keys(k: &mut Keys, spec: &mut PingMeshSpec) -> Result<(), DslError> {
+        k.req("nodes", &mut spec.nodes)?;
+        k.opt("pattern", &mut spec.pattern)?;
+        k.opt("pings_per_pair", &mut spec.pings_per_pair)?;
+        k.opt("interval", &mut spec.interval)?;
+        k.opt("stagger", &mut spec.stagger)?;
+        k.opt("packet_bytes", &mut spec.packet_bytes)?;
+        k.opt("settle", &mut spec.settle)?;
+        Ok(())
     }
 
     /// The ordered probe pairs of the configured pattern.
@@ -343,7 +365,7 @@ mod tests {
 
     #[test]
     fn full_mesh_measures_every_pair() {
-        let spec = PingMeshSpec::full("mesh4", 4);
+        let spec = PingMeshSpec::full(4);
         let scenario = ScenarioBuilder::new("mesh4", lan(4))
             .machines(2)
             .arrival_ramp(spec.arrival_ramp())
@@ -368,7 +390,7 @@ mod tests {
 
     #[test]
     fn ring_scales_linearly_in_probe_count() {
-        let spec = PingMeshSpec::ring("ring8", 8);
+        let spec = PingMeshSpec::ring(8);
         assert_eq!(spec.pairs().len(), 8);
         let scenario = ScenarioBuilder::new("ring8", lan(8))
             .machines(4)
@@ -387,14 +409,13 @@ mod tests {
         // be rejected rather than hanging the periodic sampler on a zero interval.
         let mut spec = ScenarioBuilder::new("hand", lan(2)).build().unwrap();
         spec.sample_interval = SimDuration::ZERO;
-        let err =
-            run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring("hand", 2))).unwrap_err();
+        let err = run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring(2))).unwrap_err();
         assert_eq!(err, ScenarioError::ZeroSampleInterval);
     }
 
     #[test]
     fn mesh_rejects_too_small_topology() {
-        let spec = PingMeshSpec::full("big", 10);
+        let spec = PingMeshSpec::full(10);
         let scenario = ScenarioBuilder::new("big", lan(4)).build().unwrap();
         let err = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap_err();
         assert_eq!(
@@ -409,7 +430,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let spec = PingMeshSpec::full("det", 3);
+            let spec = PingMeshSpec::full(3);
             let scenario = ScenarioBuilder::new("det", lan(3))
                 .deadline(SimDuration::from_secs(30))
                 .seed(seed)

@@ -8,6 +8,7 @@
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::experiment::SwarmResult;
+use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{
     schedule_session_chain, ArrivalSchedule, ArrivalSpec, ScenarioRun, SessionProcess, Workload,
 };
@@ -37,9 +38,33 @@ pub struct SwarmSpec {
 }
 
 impl SwarmSpec {
+    /// A swarm of `leechers` downloaders fetching a 2 MiB file from one seeder: clients start
+    /// 2 s apart, 5 s after the seeder, with the default client policy.
+    pub fn new(leechers: usize) -> SwarmSpec {
+        SwarmSpec {
+            file_bytes: 2 * 1024 * 1024,
+            seeders: 1,
+            leechers,
+            start_interval: SimDuration::from_secs(2),
+            seeder_head_start: SimDuration::from_secs(5),
+            client_config: ClientConfig::default(),
+        }
+    }
+
     /// Total number of virtual nodes (clients + seeders + tracker).
     pub fn total_vnodes(&self) -> usize {
         self.leechers + self.seeders + 1
+    }
+
+    /// The `[workload.swarm]` keys of a scenario file; absent ones keep [`SwarmSpec::new`]'s
+    /// defaults.
+    pub(crate) fn keys(k: &mut Keys, spec: &mut SwarmSpec) -> Result<(), DslError> {
+        k.opt("file_bytes", &mut spec.file_bytes)?;
+        k.opt("seeders", &mut spec.seeders)?;
+        k.req("leechers", &mut spec.leechers)?;
+        k.opt("start_interval", &mut spec.start_interval)?;
+        k.opt("seeder_head_start", &mut spec.seeder_head_start)?;
+        Ok(())
     }
 }
 

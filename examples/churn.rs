@@ -9,7 +9,7 @@
 //! downloaders alternate between online sessions and offline periods (exponentially distributed)
 //! and compares completion times against the churn-free baseline.
 
-use p2plab::core::{completion_summary, run_scenario, ChurnSpec, SwarmExperiment};
+use p2plab::core::{completion_summary, run_scenario, SessionProcess, SwarmExperiment};
 use p2plab::sim::SimDuration;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     let mut churny = baseline.clone();
     churny.name = "with-churn".into();
     churny.deadline = SimDuration::from_secs(6000);
-    churny.churn = Some(ChurnSpec {
+    churny.churn = Some(SessionProcess::Exponential {
         mean_session: SimDuration::from_secs(90),
         mean_downtime: SimDuration::from_secs(45),
     });

@@ -53,8 +53,8 @@ pub use p2plab_sim as sim;
 pub mod prelude {
     pub use p2plab_bittorrent::{ClientConfig, SwarmWorld, Torrent};
     pub use p2plab_core::{
-        compare_folding, deploy, run_reported, run_scenario, ArrivalSpec, ChurnSpec,
-        DeploymentSpec, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
+        compare_folding, deploy, run_reported, run_scenario, ArrivalSpec, DeploymentSpec,
+        DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
         PingMeshWorkload, ScenarioBuilder, SessionProcess, SwarmExperiment, SwarmResult, SwarmSpec,
         SwarmWorkload, Workload,
     };

@@ -3,7 +3,7 @@
 //! means, trace-driven processes replay their traces exactly, and every arrival process
 //! conserves the participant count.
 
-use p2plab::core::{ArrivalSpec, ChurnSpec, SessionProcess};
+use p2plab::core::{ArrivalSpec, SessionProcess};
 use p2plab::sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -11,10 +11,10 @@ proptest! {
     /// Exponential sessions drawn from the generalized process have the configured mean.
     #[test]
     fn exponential_sessions_converge_to_the_mean(mean_secs in 1u64..500, seed in any::<u64>()) {
-        let sessions = SessionProcess::from(ChurnSpec {
+        let sessions = SessionProcess::Exponential {
             mean_session: SimDuration::from_secs(mean_secs),
             mean_downtime: SimDuration::from_secs(1),
-        });
+        };
         let mut rng = SimRng::new(seed);
         let n = 4000;
         let total: f64 = (0..n).map(|k| sessions.session_at(k, &mut rng).as_secs_f64()).sum();

@@ -62,7 +62,7 @@ fn swarm_report_round_trips_and_matches_result() {
 
 #[test]
 fn ping_mesh_report_round_trips_and_matches_result() {
-    let mesh = PingMeshSpec::full("report-mesh", 4);
+    let mesh = PingMeshSpec::full(4);
     let spec = ScenarioBuilder::new(
         "report-mesh",
         TopologySpec::uniform(
@@ -110,8 +110,7 @@ fn gossip_report_round_trips_and_matches_result() {
     .seed(9)
     .build()
     .unwrap();
-    let (result, report) =
-        run_reported(&spec, GossipWorkload::new(GossipSpec::new("gossip", 16))).unwrap();
+    let (result, report) = run_reported(&spec, GossipWorkload::new(GossipSpec::new(16))).unwrap();
     let loaded = round_trip(&report);
 
     assert_eq!(loaded.workload, "gossip");

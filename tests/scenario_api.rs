@@ -3,8 +3,8 @@
 //! session process, and builder validation must hold.
 
 use p2plab::core::{
-    run_scenario, ArrivalSpec, ChurnSpec, GossipSpec, GossipWorkload, PingMeshSpec,
-    PingMeshWorkload, ScenarioBuilder, ScenarioError, SessionProcess, SwarmExperiment,
+    run_scenario, ArrivalSpec, GossipSpec, GossipWorkload, PingMeshSpec, PingMeshWorkload,
+    ScenarioBuilder, ScenarioError, SessionProcess, SwarmExperiment,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
 use p2plab::sim::SimDuration;
@@ -19,7 +19,7 @@ fn both_workloads_run_through_the_same_generic_loop() {
     let swarm = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
     assert!(swarm.finished);
 
-    let mesh = PingMeshSpec::full("generic-mesh", 5);
+    let mesh = PingMeshSpec::full(5);
     let spec = ScenarioBuilder::new(
         "generic-mesh",
         TopologySpec::uniform(
@@ -77,8 +77,8 @@ fn gossip_runs_under_multiple_arrival_processes() {
             b = b.arrivals(a);
         }
         let spec = b.build().unwrap();
-        let r = run_scenario(&spec, GossipWorkload::new(GossipSpec::new("gossip", nodes)))
-            .expect("gossip runs");
+        let r =
+            run_scenario(&spec, GossipWorkload::new(GossipSpec::new(nodes))).expect("gossip runs");
         assert!(r.finished, "{label}: {}", r.summary());
         assert_eq!(r.informed, nodes, "{label}");
         assert!(r.time_to_full.is_some(), "{label}");
@@ -95,7 +95,7 @@ fn degenerate_churn_is_rejected_not_livelocked() {
         &cfg.name,
         TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
     )
-    .churn(ChurnSpec {
+    .sessions(SessionProcess::Exponential {
         mean_session: SimDuration::ZERO,
         mean_downtime: SimDuration::ZERO,
     })

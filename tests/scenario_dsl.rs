@@ -3,8 +3,8 @@
 //! path, and a property test pins the spec → TOML → spec round-trip.
 
 use p2plab::core::{
-    fmt_duration, parse_duration, ArrivalSpec, ScenarioFile, SessionProcess, WorkloadConfig,
-    WORKLOAD_KINDS,
+    fmt_duration, parse_duration, parse_toml, ArrivalSpec, CampaignSpec, ScenarioFile,
+    SessionProcess, WorkloadConfig, WORKLOAD_KINDS,
 };
 use p2plab::sim::SimDuration;
 use proptest::prelude::*;
@@ -39,6 +39,44 @@ fn checked_in_examples_cover_every_workload_kind() {
     registry.sort_unstable();
     kinds.sort_unstable();
     assert_eq!(kinds, registry);
+}
+
+/// Every `.toml` file the repo ships — the example scenarios, the example campaigns (every
+/// expanded cell) and the benchmark's workload files — parses and validates, so a DSL
+/// regression fails here before it fails CI's `campaign validate` or the benchmark.
+#[test]
+fn every_checked_in_file_parses_and_validates() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    for dir in [
+        "examples/scenarios",
+        "examples/campaigns",
+        "benchmark/workloads",
+    ] {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(root.join(dir))
+            .unwrap_or_else(|e| panic!("read {dir}: {e}"))
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+            .collect();
+        paths.sort();
+        assert!(!paths.is_empty(), "{dir} holds no .toml files");
+        for path in paths {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let table = parse_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            if CampaignSpec::is_campaign(&table) {
+                let campaign = CampaignSpec::from_table(&table)
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                let cells = campaign
+                    .expand()
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert_eq!(cells.len(), campaign.cell_count(), "{}", path.display());
+            } else {
+                let file = ScenarioFile::from_table(&table)
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                file.validate()
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            }
+        }
+    }
 }
 
 /// The golden examples pin their load-bearing fields, not just "parses".
@@ -118,50 +156,113 @@ proptest! {
         prop_assert_eq!(parse_duration(&fmt_duration(d)).unwrap(), d);
     }
 
-    /// spec → TOML → spec is the identity over a randomized slice of the scenario space:
-    /// every workload kind, custom vs named links, loss, arrivals and sessions included.
+    /// spec → TOML → spec is the identity with a non-default value under every scalar key of
+    /// every section: each workload kind, named vs explicit links, symmetric and directional
+    /// conditioners, transport, every arrival and session kind (traces included) and every
+    /// adversary selection mode.
     #[test]
     fn scenario_files_round_trip_through_toml(
         kind_ix in 0usize..5,
         nodes in 4u64..64,
         // TOML integers are i64, so file-expressible seeds top out at i64::MAX.
         seed in 0u64..i64::MAX as u64,
-        deadline_secs in 10u64..5000,
-        loss_pct in 0u64..20,
-        flavor in 0u64..3,
+        // Every other value is derived from `n`, offset so none lands on its key's default.
+        n in 1u64..1000,
+        arrivals_ix in 0usize..5,
+        sessions_ix in 0usize..4,
+        selection_ix in 0usize..4,
+        explicit_link in 0u64..2,
     ) {
         let kind = WORKLOAD_KINDS[kind_ix];
-        let loss = loss_pct as f64 / 100.0;
+        let rate = n as f64 / 1000.0;
         let mut text = format!(
-            "[scenario]\nname = \"prop-{kind}\"\nseed = {seed}\ndeadline = \"{deadline_secs}s\"\n"
+            "[scenario]\nname = \"prop-{kind}\"\nseed = {seed}\nmachines = {}\n\
+             deadline = \"{}s\"\nsample_interval = \"{}ms\"\nmonitor_resources = false\n\
+             event_capacity = {}\nevent_budget = {}\nshards = {}\n",
+            n % 7 + 2, n + 5000, n + 1, n + 2000, n + 3000, n % 3 + 2,
         );
-        // Flavor 1 adds arrivals, flavor 2 adds arrivals + sessions.
-        if flavor >= 1 {
-            text.push_str("[arrivals]\nkind = \"poisson\"\nrate = 2.5\n");
-        }
-        if flavor == 2 {
-            text.push_str(
-                "[sessions]\nkind = \"pareto\"\nscale_session = \"60s\"\nshape = 2.5\nmean_downtime = \"10s\"\n",
-            );
-        }
-        text.push_str("[topology]\n");
-        if loss_pct % 2 == 0 {
-            text.push_str("link = \"dsl-8m\"\n");
+        text.push_str(match arrivals_ix {
+            0 => "",
+            1 => "[arrivals]\nkind = \"poisson\"\nrate = 2.5\n",
+            2 => "[arrivals]\nkind = \"ramp\"\nstart = \"3s\"\ninterval = \"250ms\"\n",
+            3 => "[arrivals]\nkind = \"flash-crowd\"\ntrickle_rate = 0.5\ntrigger = \"30s\"\nburst_rate = 50.0\n",
+            _ => "[arrivals]\nkind = \"trace\"\ntimes = [\"1s\", \"1500ms\", \"7us\"]\n",
+        });
+        text.push_str(match sessions_ix {
+            0 => "",
+            1 => "[sessions]\nkind = \"exponential\"\nmean_session = \"90s\"\nmean_downtime = \"45s\"\n",
+            2 => "[sessions]\nkind = \"pareto\"\nscale_session = \"60s\"\nshape = 2.5\nmean_downtime = \"10s\"\n",
+            _ => "[sessions]\nkind = \"trace\"\npairs = [[\"10s\", \"1s\"], [\"20500ms\", \"2s\"]]\n",
+        });
+        text.push_str(match selection_ix {
+            0 => "",
+            1 => "[adversary]\nfraction = 0.25\nbehaviors = [\"silent-drop\", \"equivocate\"]\n",
+            2 => "[adversary]\nfraction = 0.5\nbehaviors = [\"amplify\"]\nselection = \"first\"\n",
+            _ => "[adversary]\nbehaviors = [\"reply-delay\"]\nselection = \"trace\"\ntrace = [3, 1]\n",
+        });
+        text.push_str(&format!("[topology]\nnodes = {}\nloss = {rate}\n", nodes + 70));
+        if explicit_link == 0 {
+            text.push_str("link = \"wan-1m\"\n");
         } else {
-            text.push_str("down_bps = 9_000_000\nup_bps = 900_000\nlatency = \"7ms\"\n");
+            text.push_str(&format!("down_bps = {}\nup_bps = {}\nlatency = \"{n}us\"\n", 9_000_000 + n, 900_000 + n));
         }
-        if loss > 0.0 {
-            text.push_str(&format!("loss = {loss}\n"));
-        }
+        let knobs = |k: u64| {
+            let r = (n + k) as f64 / 2000.0;
+            format!(
+                "jitter = \"{}us\"\nreorder_rate = {r}\nreorder_delay = \"{}ms\"\nduplicate_rate = {}\n\
+                 burst_enter = {}\nburst_exit = {}\nburst_loss = {}\n",
+                n + k, n + k + 1, r / 2.0, r / 4.0, r / 8.0 + 0.25, 1.0 - r,
+            )
+        };
+        text.push_str(&format!(
+            "[topology.condition]\n{}[topology.condition.down]\n{}[topology.condition.up]\n{}",
+            knobs(1), knobs(2), knobs(3),
+        ));
+        text.push_str(&format!(
+            "[transport]\nmtu = {}\ncongestion = \"aimd\"\nreassembly_timeout = \"{}ms\"\n",
+            n + 64, n + 1,
+        ));
         text.push_str(&format!("[workload]\nkind = \"{kind}\"\n[workload.{kind}]\n"));
-        match kind {
-            "swarm" => text.push_str(&format!("leechers = {nodes}\n")),
-            _ => text.push_str(&format!("nodes = {nodes}\n")),
-        }
+        text.push_str(&match kind {
+            "swarm" => format!(
+                "leechers = {nodes}\nseeders = {}\nfile_bytes = {}\nstart_interval = \"{}ms\"\n\
+                 seeder_head_start = \"{}ms\"\n",
+                n % 4 + 2, n + 1_000_000, n + 1, n + 7,
+            ),
+            "ping-mesh" => format!(
+                "nodes = {nodes}\npattern = \"ring\"\npings_per_pair = {}\ninterval = \"{}ms\"\n\
+                 stagger = \"{}us\"\npacket_bytes = {}\nsettle = \"{}s\"\n",
+                n + 6, n + 1, n + 1001, n + 57, n,
+            ),
+            "gossip" | "gossip-sharded" => {
+                let rounds = if kind == "gossip" { String::new() } else { format!("rounds = {n}\n") };
+                format!(
+                    "nodes = {nodes}\nfanout = {}\nround_interval = \"{}ms\"\nrumor_bytes = {}\n{rounds}",
+                    n + 4, n + 1001, n + 257,
+                )
+            }
+            _ => format!(
+                "nodes = {nodes}\nlookups = {}\nalpha = {}\nk = {}\nrpc_timeout = \"{}ms\"\n\
+                 rpc_attempts = {}\nlookup_interval = \"{}ms\"\n",
+                nodes + n, n + 4, n + 9, n + 2001, n + 4, n + 101,
+            ),
+        });
         let file = ScenarioFile::parse(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
         let emitted = file.to_toml();
         let reparsed = ScenarioFile::parse(&emitted)
             .unwrap_or_else(|e| panic!("emitted TOML must re-parse: {e}\n---\n{emitted}"));
         prop_assert_eq!(&reparsed, &file, "round-trip drift\n---\n{}", emitted);
+        // Nothing above sits at its default, so a key the writer dropped (or the reader
+        // ignored) would show here as a value that fell back.
+        prop_assert_eq!(file.spec.seed, seed);
+        prop_assert_eq!(file.spec.shards as u64, n % 3 + 2);
+        prop_assert_eq!(file.spec.topology.total_nodes() as u64, nodes + 70);
+        prop_assert_eq!(file.spec.network.transport.mtu, Some(n + 64));
+        let link = file.spec.topology.groups[0].link;
+        prop_assert_eq!(link.loss_rate, rate);
+        prop_assert!(link.condition.is_some() && link.condition_down.is_some() && link.condition_up.is_some());
+        prop_assert_eq!(file.spec.arrivals.is_some(), arrivals_ix > 0);
+        prop_assert_eq!(file.spec.sessions.is_some(), sessions_ix > 0);
+        prop_assert_eq!(file.spec.adversary.is_some(), selection_ix > 0);
     }
 }
