@@ -8,7 +8,7 @@ use p2plab_net::{
     Direction, Firewall, InterceptConfig, Pipe, PipeConfig, PipeId, Rule, Subnet, VirtAddr,
 };
 use p2plab_os::SyscallCostModel;
-use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation};
+use p2plab_sim::{EventQueue, SimDuration, SimRng, SimTime, Simulation};
 use std::hint::black_box;
 
 fn bench_event_engine(c: &mut Criterion) {
@@ -27,6 +27,51 @@ fn bench_event_engine(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// The two due-set shapes the end-to-end workloads produce and `schedule_and_run` does not:
+/// a synchronised gossip round crowding one 65,536 ns wheel tick, and a shard barrier
+/// delivering a window of envelopes, ascending, behind a cursor that the window's last
+/// `pop_due` parked on the next local event.
+fn bench_due_set(c: &mut Criterion) {
+    fn drain_sum(q: &mut EventQueue<usize>) -> usize {
+        std::iter::from_fn(|| q.pop()).fold(0, |sum, (_, _, i)| sum.wrapping_add(i))
+    }
+
+    const EVENTS: u64 = 10_000;
+    let mut group = c.benchmark_group("sim_queue_due_set");
+    group.bench_with_input(
+        BenchmarkId::new("bunched_tick", EVENTS),
+        &EVENTS,
+        |b, &n| {
+            let mut rng = SimRng::new(7);
+            let offsets: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..1 << 16)).collect();
+            b.iter(|| {
+                let mut q = EventQueue::new();
+                for (i, &offset) in offsets.iter().enumerate() {
+                    q.push(SimTime::from_nanos((1_000 << 16) + offset), i);
+                }
+                black_box(drain_sum(&mut q))
+            })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("behind_parked_cursor", EVENTS),
+        &EVENTS,
+        |b, &n| {
+            b.iter(|| {
+                let mut q = EventQueue::new();
+                q.push(SimTime::from_millis(990), usize::MAX);
+                black_box(q.peek_time());
+                for i in 0..n {
+                    // Four envelopes per instant, as fan-out produces.
+                    q.push(SimTime::from_micros(10 + i / 4), i as usize);
+                }
+                black_box(drain_sum(&mut q))
+            })
+        },
+    );
     group.finish();
 }
 
@@ -98,6 +143,7 @@ fn bench_piece_picker(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_engine,
+    bench_due_set,
     bench_pipe,
     bench_firewall,
     bench_interception,

@@ -1,10 +1,11 @@
 //! The standing scale/performance baseline: swarm, ping-mesh and gossip scenarios at
-//! 10^3–10^5 virtual nodes — plus the protocol-depth A/B (`figure10-proto-*`: the fig10 swarm
-//! under burst loss with fragmentation active, legacy vs AIMD congestion control) and the
-//! shard axis (the 50k sharded-gossip configuration on 1 vs 2 event-loop threads, the fig10
-//! pin at `shards` 1/2/4, and — full sweep only — a 10^6-vnode sharded gossip on 4 threads) —
-//! each emitting its `RunReport` under `results/` and summarized as `results/scale_sweep.csv`
-//! (which carries a `shards` column).
+//! 10^3–10^5 virtual nodes (gossip also as one synchronised fan-out-16 burst) — plus the
+//! protocol-depth A/B (`figure10-proto-*`: the fig10 swarm under burst loss with
+//! fragmentation active, legacy vs AIMD congestion control) and the shard axis (the 50k
+//! sharded-gossip configuration on 1 vs 2 event-loop threads, the fig10 pin at `shards`
+//! 1/2/4, and — full sweep only — a 10^6-vnode sharded gossip on 4 threads) — each emitting
+//! its `RunReport` under `results/` and summarized as `results/scale_sweep.csv` (which
+//! carries a `shards` column).
 //!
 //! ```text
 //! # full sweep (1k/10k/50k gossip, 1k/10k mesh and swarm, fig10 throughput pin):
@@ -74,28 +75,22 @@ fn record(
     });
 }
 
-/// Gossip at `nodes` vnodes: a 2 ms join ramp, then epidemic broadcast to completion.
-fn gossip(nodes: usize, smoke: bool) -> RunReport {
-    let name = format!("scale-gossip-{nodes}");
+/// Gossip at `nodes` vnodes joining `spacing` apart, then epidemic broadcast to completion.
+fn gossip(name: &str, nodes: usize, fanout: usize, spacing: SimDuration, smoke: bool) -> RunReport {
     let machines = (nodes / 64).max(1);
     let mut spec = GossipSpec::new(nodes);
-    // Push less per round at scale: dissemination still completes, with fewer duplicate
-    // rumors clogging the sweep.
-    spec.fanout = 2;
-    let ramp = SimDuration::from_millis(2) * nodes.saturating_sub(1) as u64;
+    spec.fanout = fanout;
+    let ramp = spacing * nodes.saturating_sub(1) as u64;
     let mut b = ScenarioBuilder::new(
-        &name,
+        name,
         TopologySpec::uniform(
-            &name,
+            name,
             nodes,
             AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(5)),
         ),
     )
     .machines(machines)
-    .arrivals(ArrivalSpec::ramp(
-        SimDuration::ZERO,
-        SimDuration::from_millis(2),
-    ))
+    .arrivals(ArrivalSpec::ramp(SimDuration::ZERO, spacing))
     .arrival_ramp(ramp)
     .deadline(ramp + SimDuration::from_secs(900))
     .sample_interval(SimDuration::from_secs(10))
@@ -328,9 +323,18 @@ fn main() {
         record(&mut rows, "ping-mesh", nodes, 1, &report);
     }
     for nodes in [1_000, 10_000, 50_000] {
-        let report = gossip(nodes, smoke);
+        // Fanout 2, not the default 3: dissemination still completes at scale, with fewer
+        // duplicate rumors clogging the sweep.
+        let name = format!("scale-gossip-{nodes}");
+        let report = gossip(&name, nodes, 2, SimDuration::from_millis(2), smoke);
         record(&mut rows, "gossip", nodes, 1, &report);
     }
+    // The burst row: everyone present within 50 ms and pushing to 16 peers, so each round's
+    // rumors land bunched in a few wheel ticks — thousands of events due at once. A due set
+    // that costs more than O(log n) per event shows here (and in the smoke wall cap) first.
+    let burst = SimDuration::from_micros(1);
+    let report = gossip("scale-gossip-burst-50000", 50_000, 16, burst, smoke);
+    record(&mut rows, "gossip", 50_000, 1, &report);
     // The shard axis: the same 50k-vnode sharded-gossip configuration on 1 vs 2 event-loop
     // threads. Event counts must agree exactly (partition invariance); the events/sec pair is
     // the standing multi-core scaling evidence.

@@ -5,21 +5,31 @@
 //! lookup in the cancellation set and the unbounded tombstone growth dominated the hot path, so
 //! the queue is now a **hierarchical timer wheel**:
 //!
-//! * Payloads live in a **slab** (`Vec<Slot<E>>` plus a free list). Slots are reused, so a
-//!   steady-state simulation performs no allocation per event, and every slot carries a
-//!   **generation** tag: cancellation just bumps the generation and frees the slot — `O(1)`,
-//!   no tombstone set — and stale wheel entries are skipped when they surface.
+//! * Payloads live in a **slab** (parallel `payloads` / `seqs` vectors plus a free list). Slots
+//!   are reused, so a steady-state simulation performs no allocation per event, and every slot
+//!   records the **sequence number** of the event occupying it: cancellation just frees the
+//!   slot — `O(1)`, no tombstone set — and the stale timing entry it leaves behind no longer
+//!   matches the slot's sequence, so it is skipped when it surfaces.
 //! * Timing lives in the **wheel**: [`LEVELS`] levels of 64 buckets, each level covering 64×
 //!   the span of the one below (tick = 2^[`TICK_SHIFT`] ns). An entry is bucketed by the
 //!   highest 6-bit digit in which its tick differs from the cursor and cascades toward level 0
-//!   as the cursor advances. Push, cancel and pop are all `O(1)` amortized.
+//!   as the cursor advances. Push ahead of the cursor and cancel are `O(1)` amortized.
 //! * Entries beyond the wheel horizon (≈ 52 days of virtual time — mostly "never" timers at
 //!   [`SimTime::MAX`]) wait in a small **overflow heap** ordered by `(time, sequence)` and are
 //!   merged in when the cursor approaches them.
+//! * The **due set** — everything at or behind the cursor's tick — is two structures whose
+//!   earlier head is the next event. `ready` is a batch sorted by `(time, sequence)`
+//!   descending: a cursor move (which only happens once the due set is empty) appends the
+//!   entries that became due and sorts them once, `O(log n)` amortized per entry, and the pop
+//!   is a `Vec::pop`. A push that lands at or behind the cursor afterwards — a same-tick
+//!   follow-up, or a shard's incoming envelopes, which arrive *behind* a cursor parked on the
+//!   next local event — goes to the back of `ready` if it precedes everything there and
+//!   otherwise into the `late` min-heap, `O(log n)` either way, however many entries are due
+//!   before it.
 //!
 //! Determinism is preserved exactly: every push still draws a global **sequence number**, and
-//! the due set (`ready`) is ordered by `(time, sequence)`, so two events scheduled for the same
-//! instant always execute in the order they were scheduled — the property the reproduction's
+//! the due set pops in `(time, sequence)` order, so two events scheduled for the same instant
+//! always execute in the order they were scheduled — the property the reproduction's
 //! byte-identity pins rely on, checked against a reference model queue by
 //! `tests/prop_engine.rs`.
 
@@ -28,7 +38,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// log2 of the tick length in nanoseconds: one tick = 65536 ns (~65 µs). Sub-tick ordering is
-/// handled by the `(time, seq)`-sorted ready buffer, so the tick only bounds bucketing
+/// handled by the `(time, seq)`-ordered due set, so the tick only bounds bucketing
 /// granularity, not timing accuracy — a coarser tick just means fewer cascade hops for the
 /// second-scale delays that dominate network scenarios.
 const TICK_SHIFT: u32 = 16;
@@ -61,7 +71,7 @@ impl EventId {
     }
 }
 
-/// A timing entry in the wheel, ready buffer or overflow heap. The payload stays in the slab;
+/// A timing entry in the wheel, the due set or the overflow heap. The payload stays in the slab;
 /// the entry is a small `Copy` record so bucket moves are cheap.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -76,22 +86,22 @@ impl Entry {
     }
 }
 
-/// Overflow-heap wrapper ordering entries as a min-heap on `(time, seq)`.
-struct OverflowEntry(Entry);
+/// Heap wrapper ordering entries as a min-heap on `(time, seq)` (overflow and late heaps).
+struct MinEntry(Entry);
 
-impl PartialEq for OverflowEntry {
+impl PartialEq for MinEntry {
     fn eq(&self, other: &Self) -> bool {
         self.0.key() == other.0.key()
     }
 }
-impl Eq for OverflowEntry {}
-impl Ord for OverflowEntry {
+impl Eq for MinEntry {}
+impl Ord for MinEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) surfaces first.
         other.0.key().cmp(&self.0.key())
     }
 }
-impl PartialOrd for OverflowEntry {
+impl PartialOrd for MinEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -112,11 +122,14 @@ pub struct EventQueue<E> {
     buckets: Vec<Vec<Entry>>,
     /// One occupancy bit per bucket, per level.
     occupied: [u64; LEVELS],
-    /// Entries due at or before the cursor, sorted by `(time, seq)` **descending** so the next
-    /// event pops from the back in `O(1)`.
+    /// The batch of entries that became due when the cursor last moved, sorted by
+    /// `(time, seq)` **descending** so the next one pops from the back in `O(1)`.
     ready: Vec<Entry>,
+    /// Entries pushed at or behind the cursor that do not precede all of `ready`. The next
+    /// event is the earlier of this heap's head and `ready`'s back.
+    late: BinaryHeap<MinEntry>,
     /// Entries beyond the wheel horizon.
-    overflow: BinaryHeap<OverflowEntry>,
+    overflow: BinaryHeap<MinEntry>,
     /// Current wheel position, in ticks. No wheel entry has `tick < cursor`.
     cursor: u64,
     /// Next global sequence number (the FIFO tie-breaker).
@@ -147,6 +160,7 @@ impl<E> EventQueue<E> {
             buckets: (0..LEVELS * SLOTS_PER_LEVEL).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
             ready: Vec::new(),
+            late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             cursor: 0,
             next_seq: 0,
@@ -199,14 +213,23 @@ impl<E> EventQueue<E> {
             }
         };
         self.live += 1;
-        self.place(Entry { time, seq, slot });
+        let entry = Entry { time, seq, slot };
+        if !self.place_ahead(entry) {
+            // Due on arrival. Behind everything in `ready` keeps the batch sorted; anything
+            // else would have to be inserted into it, which is what the late heap is for.
+            match self.ready.last() {
+                Some(next) if next.key() < entry.key() => self.late.push(MinEntry(entry)),
+                _ => self.ready.push(entry),
+            }
+        }
         EventId { seq, slot }
     }
 
     /// Cancels a previously scheduled event. Returns true if the event was still pending.
     ///
-    /// This is `O(1)`: the payload slot is freed and its generation bumped; the timing entry
-    /// left behind in the wheel is skipped when it surfaces.
+    /// This is `O(1)`: the payload slot is freed and stops carrying the id's sequence number,
+    /// so the timing entry left behind (in the wheel, the due set or the overflow heap) no
+    /// longer matches it and is skipped when it surfaces.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let index = id.slot as usize;
         match (self.seqs.get(index), self.payloads.get_mut(index)) {
@@ -224,13 +247,12 @@ impl<E> EventQueue<E> {
     /// Time of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.advance();
-        self.ready.last().map(|e| e.time)
+        self.due_head().map(|(e, _)| e.time)
     }
 
     /// Removes and returns the next live event as `(time, id, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        self.advance();
-        self.pop_ready()
+        self.pop_due(SimTime::MAX)
     }
 
     /// Removes and returns the next live event only if it is due at or before `deadline` —
@@ -238,15 +260,33 @@ impl<E> EventQueue<E> {
     /// event).
     pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, EventId, E)> {
         self.advance();
-        if self.ready.last()?.time > deadline {
+        let (entry, from_late) = self.due_head()?;
+        if entry.time > deadline {
             return None;
         }
-        self.pop_ready()
+        Some(self.take_due(entry, from_late))
     }
 
-    /// Pops the (already advanced-to) next ready entry.
-    fn pop_ready(&mut self) -> Option<(SimTime, EventId, E)> {
-        let entry = self.ready.pop()?;
+    /// The next entry of the (already advanced) due set — the earlier of `ready`'s back and
+    /// the late heap's head — and whether it is the late heap's.
+    fn due_head(&self) -> Option<(Entry, bool)> {
+        let ready = self.ready.last().copied();
+        match self.late.peek() {
+            None => ready.map(|e| (e, false)),
+            Some(&MinEntry(late)) => match ready {
+                Some(e) if e.key() < late.key() => Some((e, false)),
+                _ => Some((late, true)),
+            },
+        }
+    }
+
+    /// Removes the entry [`due_head`](Self::due_head) returned and hands out its payload.
+    fn take_due(&mut self, entry: Entry, from_late: bool) -> (SimTime, EventId, E) {
+        if from_late {
+            self.late.pop();
+        } else {
+            self.ready.pop();
+        }
         debug_assert_eq!(self.seqs[entry.slot as usize], entry.seq);
         let payload = self.payloads[entry.slot as usize]
             .take()
@@ -254,14 +294,14 @@ impl<E> EventQueue<E> {
         self.seqs[entry.slot as usize] = u64::MAX;
         self.free.push(entry.slot);
         self.live -= 1;
-        Some((
+        (
             entry.time,
             EventId {
                 seq: entry.seq,
                 slot: entry.slot,
             },
             payload,
-        ))
+        )
     }
 
     /// True if the entry still refers to a live slot. Touches only the dense sequence array.
@@ -269,50 +309,49 @@ impl<E> EventQueue<E> {
         self.seqs[e.slot as usize] == e.seq
     }
 
-    /// Files a timing entry into the ready buffer, a wheel bucket or the overflow heap,
-    /// according to its distance from the cursor.
-    fn place(&mut self, entry: Entry) {
+    /// Files a timing entry ahead of the cursor — into a wheel bucket or the overflow heap,
+    /// according to its distance — and returns true; returns false, filing nothing, if the
+    /// entry is already due (its tick is at or behind the cursor).
+    fn place_ahead(&mut self, entry: Entry) -> bool {
         let t = tick_of(entry.time);
         if t <= self.cursor {
-            self.ready_insert(entry);
-            return;
+            return false;
         }
         let diff = t ^ self.cursor;
         let highest_bit = 63 - diff.leading_zeros();
         if highest_bit >= HORIZON_BITS {
             // Beyond the wheel horizon (or a rotation carry at the top level): the overflow
             // heap holds it until the cursor gets close.
-            self.overflow.push(OverflowEntry(entry));
-            return;
+            self.overflow.push(MinEntry(entry));
+            return true;
         }
         let level = (highest_bit / LEVEL_BITS) as usize;
         let slot = ((t >> (LEVEL_BITS * level as u32)) & (SLOTS_PER_LEVEL as u64 - 1)) as usize;
         self.buckets[level * SLOTS_PER_LEVEL + slot].push(entry);
         self.occupied[level] |= 1 << slot;
+        true
     }
 
-    /// Inserts into the ready buffer, keeping it sorted by `(time, seq)` descending.
-    fn ready_insert(&mut self, entry: Entry) {
-        let key = entry.key();
-        // Descending order: the next event to pop lives at the back. New entries usually carry
-        // the largest seq of their instant, so the common case is an append near the back.
-        let pos = self.ready.partition_point(|e| e.key() > key);
-        self.ready.insert(pos, entry);
-    }
-
-    /// Ensures the back of `ready` is the next live event, cascading wheel buckets and merging
-    /// due overflow entries as needed.
+    /// Ensures both heads of the due set are live (so the earlier one is the next event),
+    /// cascading wheel buckets and merging due overflow entries when the due set runs empty.
     fn advance(&mut self) {
         loop {
-            // Skip stale (cancelled) entries at the consumption end.
+            // Skip stale (cancelled) entries at both consumption ends.
             while let Some(&e) = self.ready.last() {
                 if self.is_live(&e) {
-                    return;
+                    break;
                 }
                 self.ready.pop();
             }
-            if self.live == 0 {
-                // Nothing live anywhere: stale bookkeeping is dropped lazily as it surfaces.
+            while let Some(&MinEntry(e)) = self.late.peek() {
+                if self.is_live(&e) {
+                    break;
+                }
+                self.late.pop();
+            }
+            if !self.ready.is_empty() || !self.late.is_empty() || self.live == 0 {
+                // With nothing live anywhere, stale bookkeeping is dropped lazily as it
+                // surfaces.
                 return;
             }
             // Advance the cursor to the earliest pending position: the lowest occupied wheel
@@ -336,6 +375,10 @@ impl<E> EventQueue<E> {
             // inside a coarser bucket's span.
             self.cascade_entered_buckets();
             self.merge_due_overflow();
+            // The due set was empty, so `ready` holds exactly what the cursor move appended,
+            // in bucket order: one sort restores `(time, seq)` order for the whole batch.
+            self.ready
+                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
         }
     }
 
@@ -360,7 +403,7 @@ impl<E> EventQueue<E> {
 
     /// Tick of the earliest live overflow entry, discarding stale heads.
     fn next_overflow_tick(&mut self) -> Option<u64> {
-        while let Some(&OverflowEntry(e)) = self.overflow.peek() {
+        while let Some(&MinEntry(e)) = self.overflow.peek() {
             if self.is_live(&e) {
                 return Some(tick_of(e.time));
             }
@@ -371,9 +414,8 @@ impl<E> EventQueue<E> {
 
     /// Cascades every bucket whose range the cursor now lies in, from the coarsest level down
     /// (entries re-placed from level `l` can land in the cursor's bucket at a level below `l`,
-    /// which the next iteration then picks up). Entries whose tick equals the cursor end up in
-    /// the ready buffer; the `(time, seq)` sort there restores exact order, so cascade order
-    /// does not matter.
+    /// which the next iteration then picks up). Entries whose tick equals the cursor are
+    /// appended to `ready`, which the caller sorts, so cascade order does not matter.
     fn cascade_entered_buckets(&mut self) {
         for level in (0..LEVELS).rev() {
             let shift = LEVEL_BITS * level as u32;
@@ -384,8 +426,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Empties a bucket, re-placing its live entries relative to the current cursor and
-    /// dropping stale (cancelled) ones.
+    /// Empties a bucket, re-placing its live entries relative to the current cursor (the due
+    /// ones at the back of `ready`, unsorted) and dropping stale (cancelled) ones.
     fn drain_bucket(&mut self, level: usize, slot: usize) {
         let idx = level * SLOTS_PER_LEVEL + slot;
         self.occupied[level] &= !(1u64 << slot);
@@ -394,16 +436,16 @@ impl<E> EventQueue<E> {
         // Swap allocations so steady-state cascading never reallocates bucket storage.
         std::mem::swap(&mut self.buckets[idx], &mut scratch);
         for entry in scratch.drain(..) {
-            if self.is_live(&entry) {
-                self.place(entry);
+            if self.is_live(&entry) && !self.place_ahead(entry) {
+                self.ready.push(entry);
             }
         }
         self.scratch = scratch;
     }
 
-    /// Merges overflow entries that are now due (tick ≤ cursor) into the ready buffer.
+    /// Moves overflow entries that are now due (tick ≤ cursor) to the back of `ready`, unsorted.
     fn merge_due_overflow(&mut self) {
-        while let Some(&OverflowEntry(e)) = self.overflow.peek() {
+        while let Some(&MinEntry(e)) = self.overflow.peek() {
             if !self.is_live(&e) {
                 self.overflow.pop();
                 continue;
@@ -412,7 +454,7 @@ impl<E> EventQueue<E> {
                 break;
             }
             self.overflow.pop();
-            self.ready_insert(e);
+            self.ready.push(e);
         }
     }
 }
@@ -495,9 +537,10 @@ mod tests {
     #[test]
     fn far_future_events_go_through_overflow() {
         let mut q = EventQueue::new();
-        // Beyond the 19.5 h wheel horizon, including the "never" sentinel.
+        // Beyond the wheel horizon (2^36 ticks ≈ 52 days), including the "never" sentinel.
         q.push(SimTime::MAX, "never");
-        q.push(SimTime::from_secs(100_000), "far");
+        q.push(SimTime::from_secs(5_000_000), "far");
+        assert_eq!(q.overflow.len(), 2);
         q.push(SimTime::from_secs(1), "near");
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
@@ -507,14 +550,16 @@ mod tests {
     #[test]
     fn overflow_ties_with_wheel_respect_seq_order() {
         let mut q = EventQueue::new();
-        let far = SimTime::from_secs(100_000);
-        q.push(far, "via-overflow"); // seq 0, beyond horizon at cursor 0
-                                     // Pop an earlier event to advance the cursor until `far` is within the horizon...
-        q.push(SimTime::from_secs(99_000), "advance");
+        let far = SimTime::from_secs(5_000_000);
+        q.push(far, "via-overflow"); // seq 0, beyond the horizon at cursor 0
+        assert_eq!(q.overflow.len(), 1);
+        // Pop an earlier event to advance the cursor until `far` is within the horizon...
+        q.push(SimTime::from_secs(4_600_000), "advance");
         assert_eq!(q.pop().map(|(_, _, p)| p), Some("advance"));
         // ...then schedule a second event for the same instant; it lands in the wheel but has
         // a larger seq, so the overflow entry must still pop first.
         q.push(far, "via-wheel"); // seq 2
+        assert_eq!(q.overflow.len(), 1, "the second push must take the wheel");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
         assert_eq!(order, vec!["via-overflow", "via-wheel"]);
     }
@@ -529,6 +574,48 @@ mod tests {
         q.push(SimTime::from_millis(20), 2);
         assert_eq!(q.pop().map(|(_, _, p)| p), Some(2));
         assert_eq!(q.pop().map(|(_, _, p)| p), Some(3));
+    }
+
+    #[test]
+    fn pushes_behind_a_parked_cursor_pop_in_time_then_seq_order() {
+        // The shard loop's pattern: the last `pop_due` of a window parks the cursor on the next
+        // local event, far ahead, and the barrier then delivers a window of envelopes behind
+        // it, in ascending time with repeated instants.
+        let mut q = EventQueue::new();
+        let far = SimTime::from_millis(990);
+        q.push(far, usize::MAX);
+        assert_eq!(q.peek_time(), Some(far));
+        assert!(q.cursor > 0, "peek_time parks the cursor on the far event");
+
+        let n = 1_000;
+        let time_of = |i: usize| SimTime::from_micros(10 + (i / 4) as u64);
+        let ids: Vec<_> = (0..n).map(|i| q.push(time_of(i), i)).collect();
+        let cancelled = |i: usize| i % 7 == 3;
+        for (i, &id) in ids.iter().enumerate() {
+            if cancelled(i) {
+                assert!(q.cancel(id));
+            }
+        }
+        let survivors: Vec<usize> = (0..n).filter(|&i| !cancelled(i)).collect();
+        assert_eq!(q.len(), survivors.len() + 1);
+        assert_eq!(q.peek_time(), Some(time_of(0)));
+
+        // Payload order is push order, so ascending payloads are `(time, seq)` order and FIFO
+        // within each four-event instant; a cancelled entry never surfaces.
+        for (left, &want) in survivors.iter().enumerate() {
+            // An earlier event scheduled mid-drain (new minimum) jumps the queue.
+            if left == survivors.len() / 2 {
+                q.push(time_of(0), n);
+                assert_eq!(q.pop().map(|(t, _, p)| (t, p)), Some((time_of(0), n)));
+            }
+            let (t, _, p) = q.pop_due(far).expect("a survivor is due");
+            assert_eq!((t, p), (time_of(want), want));
+            assert_eq!(q.len(), survivors.len() - left);
+        }
+        assert_eq!(q.pop_due(SimTime::from_millis(989)), None);
+        assert_eq!(q.pop().map(|(t, _, p)| (t, p)), Some((far, usize::MAX)));
+        assert!(q.is_empty());
+        assert_eq!(q.pop().map(|(_, _, p)| p), None);
     }
 
     #[test]

@@ -30,15 +30,30 @@ impl ModelQueue {
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, usize)> {
+    /// Index of the entry with the least `(time, seq)`.
+    fn min_index(&self) -> Option<usize> {
         let min = self
             .entries
             .iter()
             .enumerate()
-            .min_by_key(|(_, &(t, s, _))| (t, s))?
-            .0;
-        let (t, _, p) = self.entries.remove(min);
+            .min_by_key(|(_, &(t, s, _))| (t, s))?;
+        Some(min.0)
+    }
+
+    fn peek(&self) -> Option<SimTime> {
+        self.min_index().map(|i| self.entries[i].0)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let (t, _, p) = self.entries.remove(self.min_index()?);
         Some((t, p))
+    }
+
+    fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, usize)> {
+        if self.peek()? > deadline {
+            return None;
+        }
+        self.pop()
     }
 }
 
@@ -51,22 +66,41 @@ enum QueueOp {
     Cancel(usize),
     /// Pop the next due event.
     Pop,
+    /// Pop the next event if it is due at or before the given (raw-nanosecond) deadline.
+    PopDue(u64),
+    /// Look at the next event's time.
+    Peek,
 }
 
+/// Length of one wheel tick in nanoseconds (`TICK_SHIFT` in `event.rs`).
+const TICK_NS: u64 = 1 << 16;
+/// Ticks the bunched push arm crowds: one per wheel level 0, 1 and 2 as seen from cursor 0.
+const BUNCHED_TICKS: [u64; 3] = [3, 70, 5_000];
+
 /// Weighted op generator (the vendored proptest stub has no `prop_oneof!`). Push times mix
-/// sub-tick deltas, mid-range delays and beyond-horizon outliers so every wheel path (ready
-/// buffer, each level, overflow heap) is exercised.
+/// sub-tick deltas, mid-range delays, beyond-horizon outliers and many instants crowded into
+/// one tick in random order, and `Peek` / `PopDue` move the cursor without consuming, so every
+/// path is exercised: each wheel level, the overflow heap, a sorted batch of any size, and
+/// pushes that land behind the cursor on either side of the batch's head.
 struct QueueOpStrategy;
 
 impl Strategy for QueueOpStrategy {
     type Value = QueueOp;
     fn sample(&self, rng: &mut proptest::TestRng) -> QueueOp {
         use rand::Rng;
-        match rng.gen_range(0u32..17) {
+        match rng.gen_range(0u32..30) {
             0..=4 => QueueOp::Push(rng.gen_range(0u64..2_000)),
             5..=9 => QueueOp::Push(rng.gen_range(0u64..10_000_000_000)),
             10 => QueueOp::Push(rng.gen_range(0u64..u64::MAX)),
-            11 | 12 => QueueOp::Cancel(rng.gen_range(0usize..64)),
+            11..=18 => {
+                let tick = BUNCHED_TICKS[rng.gen_range(0usize..BUNCHED_TICKS.len())];
+                // A coarse grid inside the tick, so instants repeat and FIFO ties are hit.
+                QueueOp::Push(tick * TICK_NS + rng.gen_range(0u64..64) * (TICK_NS / 64))
+            }
+            19..=21 => QueueOp::Cancel(rng.gen_range(0usize..64)),
+            22 | 23 => QueueOp::Peek,
+            24 => QueueOp::PopDue(rng.gen_range(0u64..2_000)),
+            25 => QueueOp::PopDue(rng.gen_range(0u64..10_000_000_000)),
             _ => QueueOp::Pop,
         }
     }
@@ -95,8 +129,9 @@ proptest! {
     }
 
     /// The timer wheel is observation-equivalent to the reference model queue: any random
-    /// interleaving of schedules, cancellations and pops yields the same sequence of
-    /// `(time, payload)` observations and the same cancellation outcomes.
+    /// interleaving of schedules, cancellations, peeks and (deadline-bounded) pops yields the
+    /// same sequence of `(time, payload)` observations, the same cancellation outcomes and
+    /// the same length after every step.
     #[test]
     fn wheel_is_observation_equivalent_to_reference_heap(
         ops in prop::collection::vec(QueueOpStrategy, 1..400),
@@ -123,9 +158,16 @@ proptest! {
                         prop_assert!(!wheel.cancel(id));
                     }
                 }
-                QueueOp::Pop => {
-                    let got = wheel.pop().map(|(t, _, p)| (t, p));
-                    let want = model.pop();
+                QueueOp::Peek => prop_assert_eq!(wheel.peek_time(), model.peek()),
+                QueueOp::Pop | QueueOp::PopDue(_) => {
+                    let (got, want) = match op {
+                        QueueOp::PopDue(deadline) => {
+                            let deadline = SimTime::from_nanos(*deadline);
+                            (wheel.pop_due(deadline), model.pop_due(deadline))
+                        }
+                        _ => (wheel.pop(), model.pop()),
+                    };
+                    let got = got.map(|(t, _, p)| (t, p));
                     prop_assert_eq!(got, want);
                     if let Some((_, p)) = got {
                         live.retain(|&(_, seq)| {
