@@ -28,7 +28,7 @@
 //! Exit codes: `0` success, `1` a run failed (or `--strict` outcome check), `2` usage, parse
 //! or validation error.
 
-use p2plab_bench::{write_results_file, write_run_report, write_run_report_in};
+use p2plab_bench::{results_path, write_results_file, write_run_report, write_run_report_in};
 use p2plab_core::{
     default_threads, oversubscription_warning, parse_toml, render_table, run_campaign,
     CampaignSpec, CampaignSummary, ScenarioFile,
@@ -228,7 +228,7 @@ fn run_one(path: &str, args: &Args) -> Result<(), ExitCode> {
                 match result {
                     Ok(report) => {
                         write_run_report_in(
-                            &format!("campaign/{}/{}", campaign.name, cell.label),
+                            &["campaign", &campaign.name, &cell.label],
                             "",
                             &report,
                         );
@@ -280,14 +280,9 @@ fn run_one(path: &str, args: &Args) -> Result<(), ExitCode> {
                 )
             );
             if args.cell.is_none() {
-                write_results_file(
-                    &format!("campaign/{}/summary.csv", campaign.name),
-                    &summary.to_csv(),
-                );
-                write_results_file(
-                    &format!("campaign/{}/summary.json", campaign.name),
-                    &summary.to_json(),
-                );
+                let stem = results_path(&["campaign", &campaign.name, "summary"]);
+                write_results_file(&format!("{stem}.csv"), &summary.to_csv());
+                write_results_file(&format!("{stem}.json"), &summary.to_json());
             } else {
                 println!(
                     "(--cell run: per-cell report refreshed, full-grid summary left untouched)"

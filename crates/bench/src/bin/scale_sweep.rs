@@ -17,9 +17,9 @@
 //! ```
 //!
 //! The fig10-configuration run doubles as the **throughput pin**: when the pre-refactor
-//! baseline report (`results/scale_sweep/fig10-1439-clients.baseline.report.json`, schema v1)
-//! is present, the sweep prints the events/sec speedup against it. Perf-relevant changes are
-//! expected to include a before/after `scale_sweep` report in the PR.
+//! baseline report (`results/scale_sweep/fig10-1439-clients.baseline.report.json`) is present,
+//! the sweep prints the events/sec speedup against it. Perf-relevant changes are expected to
+//! include a before/after `scale_sweep` report in the PR.
 
 use p2plab_bench::{write_results_file, write_run_report};
 use p2plab_core::{

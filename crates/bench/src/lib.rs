@@ -30,48 +30,41 @@ pub fn arg_scale(default: f64, min: f64) -> f64 {
 ///
 /// `label` distinguishes multiple reports of one binary (`""` uses the scenario name alone).
 pub fn write_run_report(label: &str, report: &RunReport) -> PathBuf {
+    write_run_report_in(&[], label, report)
+}
+
+/// Like [`write_run_report`], but places the artifacts under `results/<dirs[0]>/<dirs[1]>/...`
+/// (see [`results_path`]; the whole chain of directories is created). Campaign cells use this
+/// to keep each grid cell's report in its own directory.
+pub fn write_run_report_in(dirs: &[&str], label: &str, report: &RunReport) -> PathBuf {
     let json = report.to_json();
     let loaded = RunReport::from_json(&json).expect("run report JSON must parse back");
     assert_eq!(
         &loaded, report,
         "run report drifted through JSON round-trip"
     );
-    let stem = sanitize_stem(&format!(
-        "{}{}{}",
-        report.scenario,
-        if label.is_empty() { "" } else { "-" },
-        label
-    ));
+    let dash = if label.is_empty() { "" } else { "-" };
+    let stem = format!("{}{dash}{label}", report.scenario);
+    let stem = results_path(&[dirs, &[&stem]].concat());
     write_results_file(&format!("{stem}.metrics.csv"), &report.scalars_csv());
     write_results_file(&format!("{stem}.report.json"), &json)
 }
 
-/// Like [`write_run_report`], but places the artifacts under `results/<subdir>/` (creating the
-/// whole chain of directories). Campaign cells use this to keep each grid cell's report in its
-/// own directory.
-pub fn write_run_report_in(subdir: &str, label: &str, report: &RunReport) -> PathBuf {
-    let json = report.to_json();
-    let loaded = RunReport::from_json(&json).expect("run report JSON must parse back");
-    assert_eq!(
-        &loaded, report,
-        "run report drifted through JSON round-trip"
-    );
-    let stem = sanitize_stem(&format!(
-        "{}{}{}",
-        report.scenario,
-        if label.is_empty() { "" } else { "-" },
-        label
-    ));
-    write_results_file(
-        &format!("{subdir}/{stem}.metrics.csv"),
-        &report.scalars_csv(),
-    );
-    write_results_file(&format!("{subdir}/{stem}.report.json"), &json)
+/// The `/`-joined path, relative to `results/`, whose segments may each be named by a scenario
+/// or campaign file: every segment is sanitised on its own, so no name — `../../x`, `..`, an
+/// empty string — can leave the results directory or fold two levels into one.
+pub fn results_path(segments: &[&str]) -> String {
+    let segments: Vec<String> = segments.iter().map(|s| sanitize_stem(s)).collect();
+    segments.join("/")
 }
 
-/// Keeps `[A-Za-z0-9._-]` and replaces everything else with `_`, so scenario names can't
-/// escape the results directory or produce awkward filenames.
+/// Keeps `[A-Za-z0-9._-]` and replaces everything else (a `/` included) with `_`; a name that
+/// is empty or all dots (`.`, `..`) is spelled in `_` as well. What comes back is one plain
+/// file or directory name.
 fn sanitize_stem(raw: &str) -> String {
+    if raw.chars().all(|c| c == '.') {
+        return "_".repeat(raw.len().max(1));
+    }
     raw.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.' {
@@ -155,10 +148,26 @@ mod tests {
             metrics: rec.finish(),
         };
         let path = write_run_report("unit", &report);
-        assert!(path.ends_with("bench_selftest_report-unit.report.json"));
+        assert!(path.ends_with("results/bench_selftest_report-unit.report.json"));
         let loaded = RunReport::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(loaded, report);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(path.with_extension("").with_extension("metrics.csv")).ok();
+
+        // Names taken from a campaign file cannot climb out of `results/`: every segment is
+        // sanitised on its own and none comes back as `.`, `..` or empty.
+        let hostile = ["bench_selftest_campaign", "../../escaped", "..", ""];
+        let path = write_run_report_in(&hostile, "", &report);
+        assert!(path.ends_with(
+            "results/bench_selftest_campaign/.._.._escaped/__/_/bench_selftest_report.report.json"
+        ));
+        assert!(path.exists());
+        assert_eq!(
+            results_path(&["campaign", "a/../b", ".", "summary"]),
+            "campaign/a_.._b/_/summary"
+        );
+        let root = path.ancestors().nth(4).unwrap();
+        assert!(root.ends_with("results/bench_selftest_campaign"));
+        std::fs::remove_dir_all(root).ok();
     }
 }

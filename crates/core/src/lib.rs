@@ -64,8 +64,8 @@ pub use scenario::dsl::{
     TomlTable, TomlValue, LINK_PROFILES,
 };
 pub use scenario::{
-    run_reported, run_scenario, ArrivalProcess, ArrivalSchedule, ArrivalSpec, ScenarioBuilder,
-    ScenarioError, ScenarioRun, ScenarioSpec, SessionProcess, Workload,
+    run_reported, run_scenario, ArrivalSchedule, ArrivalSpec, ScenarioBuilder, ScenarioError,
+    ScenarioRun, ScenarioSpec, SessionProcess, Workload,
 };
 pub use workloads::{
     DhtLookupResult, DhtLookupSpec, DhtLookupWorkload, GossipResult, GossipShardedResult,

@@ -4,9 +4,11 @@
 //! Every scenario run produces a [`RunReport`] — workload name, spec echo, seed, wall/sim
 //! time and the full [`MetricSet`] the run recorded — which the bench binaries serialize to
 //! JSON (and CSV) under `results/`. The vendored serde stub has no-op derives, so the JSON
-//! writer and loader here are hand-rolled: [`RunReport::to_json`] emits the
-//! [`RUN_REPORT_SCHEMA`] (`v2`) schema and [`RunReport::from_json`] parses it back (and still
-//! reads `v1`), which is what the CI smoke step round-trips to catch schema drift.
+//! form is hand-rolled, and described **once**: `REPORT_FIELDS` lists the document's fields and
+//! `KINDS` each metric kind's, every line naming a field next to the place it fills, and
+//! [`RunReport::to_json`] and [`RunReport::from_json`] are the two interpreters of those lists
+//! (the convention the scenario DSL's `Keys` follows for scenario files). Every report a bench
+//! binary writes is read back and compared, which is what catches schema drift.
 //!
 //! The table/CSV/ASCII helpers below are used by the figure-regeneration binaries to print,
 //! for every figure of the paper, the same rows or series the figure plots, so a run of the
@@ -16,15 +18,13 @@ use p2plab_sim::{
     HistogramSnapshot, Metric, MetricSet, MetricValue, RunOutcome, SimDuration, SimTime, TimeSeries,
 };
 use std::fmt;
+use std::mem::discriminant;
 
-/// Schema tag written into every report, bumped on incompatible format changes.
+/// Schema tag written into every report, bumped on incompatible format changes; a document
+/// carrying any other tag is a [`ReportError::Schema`].
 ///
 /// `v2` added the `events_per_sec` throughput field (the scale benchmarks' headline number).
-/// `v1` reports are still read: the field is derived from `events_executed / wall_secs`.
 pub const RUN_REPORT_SCHEMA: &str = "p2plab.run-report.v2";
-
-/// The previous schema, still accepted by [`RunReport::from_json`].
-pub const RUN_REPORT_SCHEMA_V1: &str = "p2plab.run-report.v1";
 
 /// The workload-agnostic artifact of one scenario run.
 ///
@@ -33,7 +33,7 @@ pub const RUN_REPORT_SCHEMA_V1: &str = "p2plab.run-report.v1";
 /// same timing facts (wall-clock and virtual time, event count, outcome) and the run's full
 /// [`MetricSet`]. Workload-specific result types still exist for rich in-process analysis, but
 /// everything that leaves the process goes through a `RunReport`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Workload kind (`"swarm"`, `"ping-mesh"`, `"gossip"`, ...).
     pub workload: String,
@@ -66,153 +66,203 @@ pub struct RunReport {
     pub metrics: MetricSet,
 }
 
+/// One JSON field of a record `T`: its name, and how the place it names in `T` is written and
+/// read. A record's JSON form is described **once**, as a list of these built by [`field!`];
+/// [`write_fields`] and [`read_fields`] are the two interpreters of such a list.
+struct Field<T> {
+    name: &'static str,
+    write: fn(&T, &mut String),
+    /// Decodes the value into its place, or says what is wrong with it.
+    read: fn(&mut T, &Json) -> Result<(), String>,
+}
+
+/// `field!("name", t => place)`: the field `name`, held in the place `place` of the record
+/// bound to `t` and spelled as the place's type's [`Codec`] says.
+/// `field!("name", Variant(p) => place)` is a field of a [`MetricValue`] kind's payload.
+macro_rules! field {
+    ($name:literal, $t:ident => $place:expr) => {
+        Field {
+            name: $name,
+            write: |$t, out| $place.write(out),
+            read: |$t, json| {
+                $place = Codec::read(json)?;
+                Ok(())
+            },
+        }
+    };
+    ($name:literal, $variant:ident($p:ident) => $place:expr) => {
+        Field {
+            name: $name,
+            write: |value, out| {
+                if let MetricValue::$variant($p) = value {
+                    $place.write(out)
+                }
+            },
+            read: |value, json| {
+                if let MetricValue::$variant($p) = value {
+                    $place = Codec::read(json)?;
+                }
+                Ok(())
+            },
+        }
+    };
+}
+
+/// The fields of a [`RunReport`] document, in file order.
+const REPORT_FIELDS: &[Field<RunReport>] = &[
+    Field {
+        name: "schema",
+        write: |_, out| out.push_str(&json_str(RUN_REPORT_SCHEMA)),
+        read: |_, json| match String::read(json)? {
+            schema if schema == RUN_REPORT_SCHEMA => Ok(()),
+            schema => Err(format!(
+                "unsupported schema {schema:?} (expected {RUN_REPORT_SCHEMA:?})"
+            )),
+        },
+    },
+    field!("workload", r => r.workload),
+    field!("scenario", r => r.scenario),
+    field!("seed", r => r.seed),
+    field!("machines", r => r.machines),
+    field!("vnodes", r => r.vnodes),
+    field!("participants", r => r.participants),
+    field!("folding_ratio", r => r.folding_ratio),
+    field!("wall_secs", r => r.wall_secs),
+    field!("stopped_at_ns", r => r.stopped_at),
+    field!("events_executed", r => r.events_executed),
+    field!("events_per_sec", r => r.events_per_sec),
+    field!("outcome", r => r.outcome),
+    field!("spec", r => r.spec),
+    field!("metrics", r => r.metrics),
+];
+
+/// One kind of metric: the `kind` tag of its JSON object, the blank value its fields are read
+/// over, and the fields of its payload.
+struct Kind {
+    tag: &'static str,
+    blank: fn() -> MetricValue,
+    fields: &'static [Field<MetricValue>],
+}
+
+/// Every metric kind. A metric is written as `{"name": .., "kind": <tag>, <fields>}`.
+const KINDS: &[Kind] = &[
+    Kind {
+        tag: "counter",
+        blank: || MetricValue::Counter(0),
+        fields: &[field!("value", Counter(c) => *c)],
+    },
+    Kind {
+        tag: "gauge",
+        blank: || MetricValue::Gauge(0.0),
+        fields: &[field!("value", Gauge(g) => *g)],
+    },
+    Kind {
+        tag: "series",
+        blank: || MetricValue::Series(TimeSeries::new()),
+        fields: &[field!("points", Series(s) => *s)],
+    },
+    Kind {
+        tag: "histogram",
+        blank: || MetricValue::Histogram(HistogramSnapshot::default()),
+        fields: &[
+            field!("count", Histogram(h) => h.count),
+            field!("min", Histogram(h) => h.min),
+            field!("max", Histogram(h) => h.max),
+            field!("p50", Histogram(h) => h.p50),
+            field!("p90", Histogram(h) => h.p90),
+            field!("p99", Histogram(h) => h.p99),
+            field!("buckets", Histogram(h) => h.buckets),
+        ],
+    },
+];
+
+/// The two keys every metric object starts with, before its kind's fields.
+const METRIC_NAME: &str = "name";
+const METRIC_KIND: &str = "kind";
+
+/// The kind `value` is of.
+fn kind_of(value: &MetricValue) -> &'static Kind {
+    KINDS
+        .iter()
+        .find(|kind| discriminant(&(kind.blank)()) == discriminant(value))
+        .expect("every variant is one of `KINDS`")
+}
+
+/// The labels a [`RunOutcome`] is written as.
+const OUTCOMES: &[(&str, RunOutcome)] = &[
+    ("drained", RunOutcome::Drained),
+    ("deadline-reached", RunOutcome::DeadlineReached),
+    ("event-budget-exhausted", RunOutcome::EventBudgetExhausted),
+];
+
+pub(crate) fn outcome_label(o: RunOutcome) -> &'static str {
+    let (label, _) = OUTCOMES
+        .iter()
+        .find(|(_, outcome)| *outcome == o)
+        .expect("every outcome is one of `OUTCOMES`");
+    label
+}
+
+/// The writer: `"name": value` for every field, `sep` between them.
+fn write_fields<T>(fields: &[Field<T>], record: &T, sep: &str, out: &mut String) {
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        out.extend(["\"", field.name, "\": "]);
+        (field.write)(record, out);
+    }
+}
+
+/// The reader: every field must be present in the object `json` and decode into its place; the
+/// error names the field.
+fn read_fields<T>(fields: &[Field<T>], record: &mut T, json: &Json) -> Result<(), String> {
+    for field in fields {
+        let name = field.name;
+        let value = json.get(name).ok_or(format!("missing field {name:?}"))?;
+        (field.read)(record, value).map_err(|e| format!("field {name:?}: {e}"))?;
+    }
+    Ok(())
+}
+
 impl RunReport {
     /// Serializes the report as [`RUN_REPORT_SCHEMA`] (`v2`) JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json_str(RUN_REPORT_SCHEMA)));
-        out.push_str(&format!("  \"workload\": {},\n", json_str(&self.workload)));
-        out.push_str(&format!("  \"scenario\": {},\n", json_str(&self.scenario)));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"machines\": {},\n", self.machines));
-        out.push_str(&format!("  \"vnodes\": {},\n", self.vnodes));
-        out.push_str(&format!("  \"participants\": {},\n", self.participants));
-        out.push_str(&format!(
-            "  \"folding_ratio\": {},\n",
-            json_f64(self.folding_ratio)
-        ));
-        out.push_str(&format!("  \"wall_secs\": {},\n", json_f64(self.wall_secs)));
-        out.push_str(&format!(
-            "  \"stopped_at_ns\": {},\n",
-            self.stopped_at.as_nanos()
-        ));
-        out.push_str(&format!(
-            "  \"events_executed\": {},\n",
-            self.events_executed
-        ));
-        out.push_str(&format!(
-            "  \"events_per_sec\": {},\n",
-            json_f64(self.events_per_sec)
-        ));
-        out.push_str(&format!(
-            "  \"outcome\": {},\n",
-            json_str(outcome_label(self.outcome))
-        ));
-        out.push_str("  \"spec\": {");
-        for (i, (k, v)) in self.spec.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {}", json_str(k), json_str(v)));
-        }
-        out.push_str(if self.spec.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"metrics\": [");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            write_metric_json(&mut out, m);
-        }
-        out.push_str(if self.metrics.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push('}');
-        out.push('\n');
+        out.push_str("{\n  ");
+        write_fields(REPORT_FIELDS, self, ",\n  ", &mut out);
+        out.push_str("\n}\n");
         out
     }
 
-    /// Parses a JSON report produced by [`RunReport::to_json`], or an older
-    /// [`RUN_REPORT_SCHEMA_V1`] report.
+    /// Parses a JSON report produced by [`RunReport::to_json`].
     pub fn from_json(text: &str) -> Result<RunReport, ReportError> {
         let root = Json::parse(text)?;
-        let schema = root.str_field("schema")?;
-        if schema != RUN_REPORT_SCHEMA && schema != RUN_REPORT_SCHEMA_V1 {
-            return Err(ReportError::Schema(format!(
-                "unsupported schema {schema:?} (expected {RUN_REPORT_SCHEMA:?} or {RUN_REPORT_SCHEMA_V1:?})"
-            )));
-        }
-        let mut metrics = MetricSet::new();
-        for entry in root.arr_field("metrics")? {
-            metrics.push(parse_metric_json(entry)?);
-        }
-        let mut spec = Vec::new();
-        for (k, v) in root.obj_field("spec")? {
-            spec.push((
-                k.clone(),
-                v.as_str()
-                    .ok_or_else(|| ReportError::Schema(format!("spec entry {k:?} not a string")))?
-                    .to_string(),
-            ));
-        }
-        let wall_secs = root.f64_field("wall_secs")?;
-        let events_executed = root.u64_field("events_executed")?;
-        // v1 reports predate the throughput field; derive it so old baselines stay comparable.
-        let events_per_sec = if schema == RUN_REPORT_SCHEMA_V1 {
-            if wall_secs > 0.0 {
-                events_executed as f64 / wall_secs
-            } else {
-                0.0
-            }
-        } else {
-            root.f64_field("events_per_sec")?
-        };
-        Ok(RunReport {
-            workload: root.str_field("workload")?.to_string(),
-            scenario: root.str_field("scenario")?.to_string(),
-            seed: root.u64_field("seed")?,
-            machines: root.u64_field("machines")? as usize,
-            vnodes: root.u64_field("vnodes")? as usize,
-            participants: root.u64_field("participants")? as usize,
-            folding_ratio: root.f64_field("folding_ratio")?,
-            wall_secs,
-            stopped_at: SimTime::from_nanos(root.u64_field("stopped_at_ns")?),
-            events_executed,
-            events_per_sec,
-            outcome: parse_outcome(root.str_field("outcome")?)?,
-            spec,
-            metrics,
-        })
+        let mut report = RunReport::default();
+        read_fields(REPORT_FIELDS, &mut report, &root).map_err(ReportError::Schema)?;
+        Ok(report)
     }
 
     /// The scalar metrics (counters, gauges, histogram summaries) as a `metric,kind,value` CSV
-    /// — the quick-look sibling of the JSON artifact.
+    /// — the quick-look sibling of the JSON artifact. One row per scalar field of each metric,
+    /// named `<metric>.<field>` when the kind has several; an unset histogram summary (`null`)
+    /// and the histogram's bucket array have no row, and series go through [`series_to_csv`].
     pub fn scalars_csv(&self) -> String {
         let mut out = String::from("metric,kind,value\n");
-        for m in self.metrics.iter() {
-            match &m.value {
-                MetricValue::Counter(c) => {
-                    out.push_str(&format!("{},counter,{c}\n", m.name));
+        let scalar = |m: &&Metric| !matches!(m.value, MetricValue::Series(_));
+        for m in self.metrics.iter().filter(scalar) {
+            let kind = kind_of(&m.value);
+            for field in kind.fields {
+                let mut value = String::new();
+                (field.write)(&m.value, &mut value);
+                if value == "null" || value.starts_with('[') {
+                    continue;
                 }
-                MetricValue::Gauge(g) => {
-                    out.push_str(&format!("{},gauge,{}\n", m.name, json_f64(*g)));
+                out.push_str(&m.name);
+                if kind.fields.len() > 1 {
+                    out.push_str(&format!(".{}", field.name));
                 }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!("{}.count,histogram,{}\n", m.name, h.count));
-                    for (label, v) in [
-                        ("min", h.min),
-                        ("max", h.max),
-                        ("p50", h.p50),
-                        ("p90", h.p90),
-                        ("p99", h.p99),
-                    ] {
-                        if let Some(v) = v {
-                            out.push_str(&format!(
-                                "{}.{label},histogram,{}\n",
-                                m.name,
-                                json_f64(v)
-                            ));
-                        }
-                    }
-                }
-                MetricValue::Series(_) => {} // series go through `series_to_csv`
+                out.push_str(&format!(",{},{value}\n", kind.tag));
             }
         }
         out
@@ -236,111 +286,6 @@ impl RunReport {
     }
 }
 
-pub(crate) fn outcome_label(o: RunOutcome) -> &'static str {
-    match o {
-        RunOutcome::Drained => "drained",
-        RunOutcome::DeadlineReached => "deadline-reached",
-        RunOutcome::EventBudgetExhausted => "event-budget-exhausted",
-    }
-}
-
-fn parse_outcome(s: &str) -> Result<RunOutcome, ReportError> {
-    match s {
-        "drained" => Ok(RunOutcome::Drained),
-        "deadline-reached" => Ok(RunOutcome::DeadlineReached),
-        "event-budget-exhausted" => Ok(RunOutcome::EventBudgetExhausted),
-        other => Err(ReportError::Schema(format!("unknown outcome {other:?}"))),
-    }
-}
-
-fn write_metric_json(out: &mut String, m: &Metric) {
-    out.push_str(&format!("{{\"name\": {}, ", json_str(&m.name)));
-    match &m.value {
-        MetricValue::Counter(c) => {
-            out.push_str(&format!("\"kind\": \"counter\", \"value\": {c}}}"));
-        }
-        MetricValue::Gauge(g) => {
-            out.push_str(&format!(
-                "\"kind\": \"gauge\", \"value\": {}}}",
-                json_f64(*g)
-            ));
-        }
-        MetricValue::Series(s) => {
-            out.push_str("\"kind\": \"series\", \"points\": [");
-            for (i, &(t, v)) in s.samples().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{},{}]", t.as_nanos(), json_f64(v)));
-            }
-            out.push_str("]}");
-        }
-        MetricValue::Histogram(h) => {
-            out.push_str(&format!(
-                "\"kind\": \"histogram\", \"count\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                h.count,
-                json_opt_f64(h.min),
-                json_opt_f64(h.max),
-                json_opt_f64(h.p50),
-                json_opt_f64(h.p90),
-                json_opt_f64(h.p99),
-            ));
-            for (i, &(edge, c)) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{},{c}]", json_f64(edge)));
-            }
-            out.push_str("]}");
-        }
-    }
-}
-
-fn parse_metric_json(entry: &Json) -> Result<Metric, ReportError> {
-    let name = entry.str_field("name")?.to_string();
-    let value = match entry.str_field("kind")? {
-        "counter" => MetricValue::Counter(entry.u64_field("value")?),
-        "gauge" => MetricValue::Gauge(entry.f64_field("value")?),
-        "series" => {
-            let mut s = TimeSeries::new();
-            for p in entry.arr_field("points")? {
-                let pair = p
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| ReportError::Schema("series point not a pair".into()))?;
-                s.push(SimTime::from_nanos(pair[0].to_u64()?), pair[1].to_f64()?);
-            }
-            MetricValue::Series(s)
-        }
-        "histogram" => {
-            let mut buckets = Vec::new();
-            for b in entry.arr_field("buckets")? {
-                let pair = b
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| ReportError::Schema("histogram bucket not a pair".into()))?;
-                buckets.push((pair[0].to_f64()?, pair[1].to_u64()?));
-            }
-            MetricValue::Histogram(HistogramSnapshot {
-                count: entry.u64_field("count")?,
-                min: entry.opt_f64_field("min")?,
-                max: entry.opt_f64_field("max")?,
-                p50: entry.opt_f64_field("p50")?,
-                p90: entry.opt_f64_field("p90")?,
-                p99: entry.opt_f64_field("p99")?,
-                buckets,
-            })
-        }
-        other => {
-            return Err(ReportError::Schema(format!(
-                "unknown metric kind {other:?}"
-            )))
-        }
-    };
-    Ok(Metric { name, value })
-}
-
 /// Why a report could not be parsed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReportError {
@@ -361,6 +306,244 @@ impl fmt::Display for ReportError {
 
 impl std::error::Error for ReportError {}
 
+/// How a Rust type is spelled as a JSON value — the report's counterpart of the scenario
+/// DSL's `Value`. [`read`](Codec::read) says what is wrong with a value; the caller names
+/// the field.
+trait Codec: Sized {
+    fn write(&self, out: &mut String);
+    fn read(json: &Json) -> Result<Self, String>;
+}
+
+impl Codec for String {
+    fn write(&self, out: &mut String) {
+        out.push_str(&json_str(self));
+    }
+    fn read(json: &Json) -> Result<String, String> {
+        match json {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err("not a string".into()),
+        }
+    }
+}
+
+/// A number token parsed as exactly the type the field holds.
+fn number<N: std::str::FromStr>(json: &Json, what: &str) -> Result<N, String> {
+    match json {
+        Json::Num(raw) => raw.parse().map_err(|_| format!("{raw:?} is not {what}")),
+        _ => Err(format!("{json:?} is not a number")),
+    }
+}
+
+/// Strict: the writer always emits u64 fields as plain decimal integers, so a negative or
+/// fractional value here is drift and must be rejected, not saturating-cast.
+impl Codec for u64 {
+    fn write(&self, out: &mut String) {
+        out.push_str(&self.to_string());
+    }
+    fn read(json: &Json) -> Result<u64, String> {
+        number(json, "a u64")
+    }
+}
+
+impl Codec for usize {
+    fn write(&self, out: &mut String) {
+        (*self as u64).write(out);
+    }
+    fn read(json: &Json) -> Result<usize, String> {
+        u64::read(json).map(|v| v as usize)
+    }
+}
+
+/// `null` (the writer's spelling of a non-finite float) is rejected in required float
+/// positions: the metric pipeline is finite-only, so a null here is drift — surfacing it as a
+/// schema error beats loading NaN and failing every later equality check.
+impl Codec for f64 {
+    fn write(&self, out: &mut String) {
+        out.push_str(&json_f64(*self));
+    }
+    fn read(json: &Json) -> Result<f64, String> {
+        number(json, "a number")
+    }
+}
+
+/// A histogram summary: `null` when nothing was recorded.
+impl Codec for Option<f64> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn read(json: &Json) -> Result<Option<f64>, String> {
+        match json {
+            Json::Null => Ok(None),
+            v => f64::read(v).map(Some),
+        }
+    }
+}
+
+/// Nanoseconds, as an exact integer.
+impl Codec for SimTime {
+    fn write(&self, out: &mut String) {
+        self.as_nanos().write(out);
+    }
+    fn read(json: &Json) -> Result<SimTime, String> {
+        u64::read(json).map(SimTime::from_nanos)
+    }
+}
+
+/// One of the [`OUTCOMES`] labels.
+impl Codec for RunOutcome {
+    fn write(&self, out: &mut String) {
+        out.push_str(&json_str(outcome_label(*self)));
+    }
+    fn read(json: &Json) -> Result<RunOutcome, String> {
+        let label = String::read(json)?;
+        match OUTCOMES.iter().find(|(known, _)| *known == label) {
+            Some((_, outcome)) => Ok(*outcome),
+            None => Err(format!("unknown outcome {label:?}")),
+        }
+    }
+}
+
+/// `[a,b]`: a series point or a histogram bucket.
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        self.0.write(out);
+        out.push(',');
+        self.1.write(out);
+        out.push(']');
+    }
+    fn read(json: &Json) -> Result<(A, B), String> {
+        match json {
+            Json::Arr(pair) if pair.len() == 2 => Ok((A::read(&pair[0])?, B::read(&pair[1])?)),
+            _ => Err("not a pair".into()),
+        }
+    }
+}
+
+/// The items of a JSON array.
+fn items(json: &Json) -> Result<&[Json], String> {
+    match json {
+        Json::Arr(items) => Ok(items),
+        _ => Err("not an array".into()),
+    }
+}
+
+/// The items of a compact one-line array, `[a,b,..]`, written and read.
+fn write_row<V: Codec>(row: &[V], out: &mut String) {
+    out.push('[');
+    for (i, item) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write(out);
+    }
+    out.push(']');
+}
+
+fn read_row<V: Codec>(json: &Json) -> Result<Vec<V>, String> {
+    items(json)?.iter().map(V::read).collect()
+}
+
+/// Histogram buckets: a compact array of `[low_edge,count]` pairs.
+impl Codec for Vec<(f64, u64)> {
+    fn write(&self, out: &mut String) {
+        write_row(self, out);
+    }
+    fn read(json: &Json) -> Result<Self, String> {
+        read_row(json)
+    }
+}
+
+/// A series: a compact array of `[time_ns,value]` points.
+impl Codec for TimeSeries {
+    fn write(&self, out: &mut String) {
+        write_row(self.samples(), out);
+    }
+    fn read(json: &Json) -> Result<TimeSeries, String> {
+        let mut series = TimeSeries::new();
+        for (at, value) in read_row::<(SimTime, f64)>(json)? {
+            series.push(at, value);
+        }
+        Ok(series)
+    }
+}
+
+/// Writes `open`, every line of a top-level field's block on its own indented line, `close`
+/// (on a line of its own unless the block is empty).
+fn write_block(open: char, close: char, lines: impl Iterator<Item = String>, out: &mut String) {
+    out.push(open);
+    let mut empty = true;
+    for line in lines {
+        out.push_str(if empty { "\n    " } else { ",\n    " });
+        out.push_str(&line);
+        empty = false;
+    }
+    out.push_str(if empty { "" } else { "\n  " });
+    out.push(close);
+}
+
+/// The spec echo: an object of strings, one pair a line.
+impl Codec for Vec<(String, String)> {
+    fn write(&self, out: &mut String) {
+        let pair = |(k, v): &(String, String)| format!("{}: {}", json_str(k), json_str(v));
+        write_block('{', '}', self.iter().map(pair), out);
+    }
+    fn read(json: &Json) -> Result<Self, String> {
+        let Json::Obj(pairs) = json else {
+            return Err("not an object".into());
+        };
+        let pair = |(k, v): &(String, Json)| match String::read(v) {
+            Ok(v) => Ok((k.clone(), v)),
+            Err(e) => Err(format!("entry {k:?}: {e}")),
+        };
+        pairs.iter().map(pair).collect()
+    }
+}
+
+/// The metrics: an array of metric objects, one a line.
+impl Codec for MetricSet {
+    fn write(&self, out: &mut String) {
+        let metric = |m: &Metric| {
+            let kind = kind_of(&m.value);
+            let mut line = format!(
+                "{{\"{METRIC_NAME}\": {}, \"{METRIC_KIND}\": \"{}\", ",
+                json_str(&m.name),
+                kind.tag
+            );
+            write_fields(kind.fields, &m.value, ", ", &mut line);
+            line.push('}');
+            line
+        };
+        write_block('[', ']', self.iter().map(metric), out);
+    }
+    fn read(json: &Json) -> Result<MetricSet, String> {
+        let mut metrics = MetricSet::new();
+        for (i, entry) in items(json)?.iter().enumerate() {
+            metrics.push(read_metric(entry).map_err(|e| format!("metric {i}: {e}"))?);
+        }
+        Ok(metrics)
+    }
+}
+
+fn read_metric(entry: &Json) -> Result<Metric, String> {
+    let text = |key| match entry.get(key) {
+        Some(value) => String::read(value).map_err(|e| format!("field {key:?}: {e}")),
+        None => Err(format!("missing field {key:?}")),
+    };
+    let name = text(METRIC_NAME)?;
+    let tag = text(METRIC_KIND)?;
+    let kind = KINDS
+        .iter()
+        .find(|kind| kind.tag == tag)
+        .ok_or(format!("unknown metric kind {tag:?}"))?;
+    let mut value = (kind.blank)();
+    read_fields(kind.fields, &mut value, entry)?;
+    Ok(Metric { name, value })
+}
+
 /// Formats a finite float so it round-trips exactly through parsing (Rust's shortest
 /// round-trip `Display`); non-finite values become `null`.
 pub(crate) fn json_f64(v: f64) -> String {
@@ -369,10 +552,6 @@ pub(crate) fn json_f64(v: f64) -> String {
     } else {
         "null".into()
     }
-}
-
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map(json_f64).unwrap_or_else(|| "null".into())
 }
 
 /// Escapes a string as a JSON string literal.
@@ -424,88 +603,11 @@ impl Json {
         Ok(v)
     }
 
+    /// The value under `key`, when `self` is an object that has it.
     fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn to_u64(&self) -> Result<u64, ReportError> {
-        // Strict: the writer always emits u64 fields as plain decimal integers, so a negative
-        // or fractional value here is drift and must be rejected, not saturating-cast.
-        match self {
-            Json::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| ReportError::Schema(format!("{raw:?} is not a u64"))),
-            _ => Err(ReportError::Schema(format!("{self:?} is not a number"))),
-        }
-    }
-
-    fn to_f64(&self) -> Result<f64, ReportError> {
-        // `null` (the writer's spelling of a non-finite float) is rejected in required float
-        // positions: the metric pipeline is finite-only, so a null here is drift — surfacing
-        // it as a schema error beats loading NaN and failing every later equality check.
-        match self {
-            Json::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| ReportError::Schema(format!("{raw:?} is not a number"))),
-            _ => Err(ReportError::Schema(format!("{self:?} is not a number"))),
-        }
-    }
-
-    fn field(&self, key: &str) -> Result<&Json, ReportError> {
-        self.get(key)
-            .ok_or_else(|| ReportError::Schema(format!("missing field {key:?}")))
-    }
-
-    fn str_field(&self, key: &str) -> Result<&str, ReportError> {
-        self.field(key)?
-            .as_str()
-            .ok_or_else(|| ReportError::Schema(format!("field {key:?} is not a string")))
-    }
-
-    fn u64_field(&self, key: &str) -> Result<u64, ReportError> {
-        self.field(key)?.to_u64()
-    }
-
-    fn f64_field(&self, key: &str) -> Result<f64, ReportError> {
-        self.field(key)?.to_f64()
-    }
-
-    fn opt_f64_field(&self, key: &str) -> Result<Option<f64>, ReportError> {
-        match self.field(key)? {
-            Json::Null => Ok(None),
-            v => v.to_f64().map(Some),
-        }
-    }
-
-    fn arr_field(&self, key: &str) -> Result<&[Json], ReportError> {
-        self.field(key)?
-            .as_array()
-            .ok_or_else(|| ReportError::Schema(format!("field {key:?} is not an array")))
-    }
-
-    fn obj_field(&self, key: &str) -> Result<&[(String, Json)], ReportError> {
-        match self.field(key)? {
-            Json::Obj(fields) => Ok(fields),
-            _ => Err(ReportError::Schema(format!(
-                "field {key:?} is not an object"
-            ))),
         }
     }
 }
@@ -885,6 +987,25 @@ mod tests {
     }
 
     #[test]
+    fn committed_v2_reports_rewrite_byte_identically() {
+        // The writer's bytes are pinned by documents it wrote in earlier revisions: loading
+        // one and writing it back must reproduce the file.
+        for path in [
+            "results/scale_sweep/fig10-1439-clients.report.json",
+            "results/scale_sweep/fig10-1439-clients.baseline.report.json",
+            "benchmark/testdata/sample.report.json",
+        ] {
+            let file = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let report = RunReport::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert!(
+                report.to_json() == text,
+                "{path} is not rewritten as it stands"
+            );
+        }
+    }
+
+    #[test]
     fn run_report_json_preserves_large_u64_exactly() {
         // events_executed is u64::MAX - 3, which f64 cannot represent; the raw-token number
         // path must keep it exact.
@@ -928,31 +1049,29 @@ mod tests {
             RunReport::from_json(&json),
             Err(ReportError::Schema(_))
         ));
-    }
-
-    #[test]
-    fn v1_reports_parse_with_derived_throughput() {
-        // A v1 report (no events_per_sec field) must still load, deriving the throughput.
-        let mut r = sample_report();
-        r.events_executed = 1_000;
-        r.wall_secs = 0.5;
-        let v1 = r
-            .to_json()
-            .replace(RUN_REPORT_SCHEMA, RUN_REPORT_SCHEMA_V1)
-            .lines()
-            .filter(|l| !l.contains("events_per_sec"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let loaded = RunReport::from_json(&v1).expect("v1 parses");
-        assert_eq!(loaded.events_per_sec, 2_000.0);
-        // Unknown schemas are still rejected.
-        let bad = r
-            .to_json()
-            .replace(RUN_REPORT_SCHEMA, "p2plab.run-report.v0");
-        assert!(matches!(
-            RunReport::from_json(&bad),
-            Err(ReportError::Schema(_))
-        ));
+        // A missing field is named, at whatever depth.
+        let json = sample_report().to_json().replace("\"vnodes\": 16,", "");
+        let Err(ReportError::Schema(e)) = RunReport::from_json(&json) else {
+            panic!("a report without vnodes loaded");
+        };
+        assert_eq!(e, "missing field \"vnodes\"");
+        let json = sample_report().to_json().replace("\"p90\"", "\"p9x\"");
+        let Err(ReportError::Schema(e)) = RunReport::from_json(&json) else {
+            panic!("a histogram without p90 loaded");
+        };
+        assert!(e.ends_with("missing field \"p90\""), "{e}");
+        // `null` in a required float, an unknown kind and an unknown outcome are drift too.
+        for (from, to) in [
+            ("\"folding_ratio\": 4", "\"folding_ratio\": null"),
+            ("\"kind\": \"gauge\"", "\"kind\": \"gouge\""),
+            ("\"drained\"", "\"drowned\""),
+        ] {
+            let json = sample_report().to_json().replace(from, to);
+            assert!(
+                matches!(RunReport::from_json(&json), Err(ReportError::Schema(_))),
+                "{to}"
+            );
+        }
     }
 
     #[test]

@@ -56,8 +56,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 pub use processes::{
-    schedule_session_chain, ArrivalProcess, ArrivalSchedule, ArrivalSpec, FlashCrowdProcess,
-    PoissonProcess, RampProcess, SessionAction, SessionProcess, TraceProcess,
+    schedule_session_chain, ArrivalSchedule, ArrivalSpec, SessionAction, SessionProcess,
 };
 
 /// An application that can be run by [`run_scenario`].
@@ -202,8 +201,9 @@ pub trait Workload {
     }
 }
 
-/// What a shard-native execution ([`Workload::run_sharded`]) hands back to the runner: the
-/// shard-count-invariant run aggregates the report needs (wall-clock fields are the runner's).
+/// What an execution — shard-native ([`Workload::run_sharded`]) or the runner's own reference
+/// engine — hands back to the runner's tail: the shard-count-invariant run aggregates the report
+/// needs (wall-clock fields are the runner's).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedOutcome {
     /// Virtual time when the run stopped.
@@ -761,168 +761,138 @@ fn run_scenario_inner<W: Workload + 'static>(
     // report schema, so the runner's series and counters always come first, then whatever the
     // workload registers. The adversary counters exist only on adversarial runs, between the
     // transport counters and the workload's own metrics.
-    let mut plain_recorder = Recorder::new();
-    let progress_id = plain_recorder.time_series("progress");
-    let cwnd_id = plain_recorder.time_series("cwnd_mean_bytes");
-    let transport_counters = TransportCounters::register(&mut plain_recorder);
+    let mut recorder = Recorder::new();
+    let progress_id = recorder.time_series("progress");
+    let cwnd_id = recorder.time_series("cwnd_mean_bytes");
+    let transport_counters = TransportCounters::register(&mut recorder);
     let adversary_counters = roster
         .as_ref()
-        .map(|_| AdversaryCounters::register(&mut plain_recorder));
-    workload.setup_metrics(&mut plain_recorder);
+        .map(|_| AdversaryCounters::register(&mut recorder));
+    workload.setup_metrics(&mut recorder);
 
-    // Shard-native workloads execute on the conservative-window runtime at every shard count
-    // (`shards = 1` runs the same windowed algorithm inline — the reference semantics); the
-    // classic deploy/run loop below never sees them. Workloads without a shard-native path
-    // return `None` and run the reference engine regardless of `spec.shards`.
-    if let Some(sharded) = workload.run_sharded(spec, &arrivals, &mut plain_recorder, progress_id) {
-        let (world, sharded) = sharded?;
-        if let (Some(roster), Some(counters)) = (&roster, adversary_counters) {
-            let inv = workload.check_invariants(&world, sharded.outcome);
-            counters.record(roster.len(), &inv, &mut plain_recorder);
-        }
-        let metrics = plain_recorder.finish();
-        let samples = metrics
-            .series("progress")
-            .cloned()
-            .expect("the runner registered the progress series");
-        let wall_secs = wall_start.elapsed().as_secs_f64();
-        let events_per_sec = if wall_secs > 0.0 {
-            sharded.events_executed as f64 / wall_secs
-        } else {
-            0.0
-        };
-        let report = want_report.then(|| RunReport {
-            workload: workload_kind.to_string(),
-            scenario: spec.name.clone(),
-            seed: spec.seed,
-            machines: spec.deployment.machines,
-            vnodes: spec.topology.total_nodes(),
-            participants,
-            folding_ratio: spec.folding_ratio(),
-            wall_secs,
-            stopped_at: sharded.stopped_at,
-            events_executed: sharded.events_executed,
-            events_per_sec,
-            outcome: sharded.outcome,
-            spec: spec_echo(spec),
-            metrics: metrics.clone(),
-        });
-        let run = ScenarioRun {
-            name: spec.name.clone(),
-            folding_ratio: spec.folding_ratio(),
-            seed: spec.seed,
-            stopped_at: sharded.stopped_at,
-            events_executed: sharded.events_executed,
-            wall_secs,
-            events_per_sec,
-            outcome: sharded.outcome,
-            samples,
-            peak_nic_utilization: 0.0,
-            monitor: None,
-            metrics,
-        };
-        return Ok((workload.finalize(world, run), report));
-    }
-
-    let deployment = deploy(&spec.topology, spec.deployment, spec.network)
-        .map_err(ScenarioError::DeploymentFailed)?;
-
-    let world = workload.build_world(deployment);
-    let mut sim: Simulation<W::World, W::Event> = Simulation::with_events(world, spec.seed);
-    // Pre-size the event queue from the scenario's participant count (or the explicit hint):
-    // the arrival burst plus per-participant timers otherwise regrow the queue slab mid-run.
-    sim.reserve_events(
-        spec.event_capacity
-            .unwrap_or_else(|| (participants * 8).max(1024)),
-    );
-    if let Some(budget) = spec.event_budget {
-        sim.set_event_budget(budget);
-    }
-
-    workload.on_deployed(&mut sim);
-    workload.schedule_arrivals(&mut sim, &arrivals);
-    if let Some(sessions) = &spec.sessions {
-        workload.schedule_churn(&mut sim, sessions, &arrivals);
-    }
-
-    // Shared with the periodic sampler: the runner itself contributes the workload's progress
-    // curve; the monitor and the workload record through the same instance.
-    let recorder: Rc<RefCell<Recorder>> = Rc::new(RefCell::new(plain_recorder));
-
-    // Periodic sampling of the workload's progress metric and of the physical machines' NIC
-    // utilization, on the same grid the figures use. The `progress` series in the recorder is
-    // the single copy of the progress curve; `ScenarioRun::samples` is derived from it at the
-    // end.
-    let monitor: Rc<RefCell<Option<ResourceMonitor>>> =
-        Rc::new(RefCell::new(spec.monitor_resources.then(|| {
-            ResourceMonitor::new(W::network(sim.world()), &mut recorder.borrow_mut())
-        })));
+    // The classic path's periodic sampler shares the workload and the recorder with the runner:
+    // the runner itself contributes the workload's progress curve; the monitor and the workload
+    // record through the same instance.
     let workload = Rc::new(RefCell::new(workload));
-    {
-        let monitor = monitor.clone();
-        let workload = workload.clone();
-        let recorder = recorder.clone();
-        schedule_periodic(&mut sim, SimTime::ZERO, spec.sample_interval, move |sim| {
-            let now = sim.now();
-            let world = sim.world();
-            let mut workload = workload.borrow_mut();
+    let recorder = Rc::new(RefCell::new(recorder));
+
+    // Execution is the only part of a run that differs by path. Shard-native workloads execute
+    // on the conservative-window runtime at every shard count (`shards = 1` runs the same
+    // windowed algorithm inline — the reference semantics); workloads without a shard-native
+    // path return `None` and run the reference engine regardless of `spec.shards`.
+    let sharded =
+        workload
+            .borrow_mut()
+            .run_sharded(spec, &arrivals, &mut recorder.borrow_mut(), progress_id);
+    let (world, stop, monitor) = match sharded {
+        Some(result) => {
+            let (world, stop) = result?;
+            (world, stop, None)
+        }
+        None => {
+            let deployment = deploy(&spec.topology, spec.deployment, spec.network)
+                .map_err(ScenarioError::DeploymentFailed)?;
+
+            let world = workload.borrow_mut().build_world(deployment);
+            let mut sim: Simulation<W::World, W::Event> = Simulation::with_events(world, spec.seed);
+            // Pre-size the event queue from the scenario's participant count (or the explicit
+            // hint): the arrival burst plus per-participant timers otherwise regrow the queue
+            // slab mid-run.
+            sim.reserve_events(
+                spec.event_capacity
+                    .unwrap_or_else(|| (participants * 8).max(1024)),
+            );
+            if let Some(budget) = spec.event_budget {
+                sim.set_event_budget(budget);
+            }
+
+            {
+                let mut workload = workload.borrow_mut();
+                workload.on_deployed(&mut sim);
+                workload.schedule_arrivals(&mut sim, &arrivals);
+                if let Some(sessions) = &spec.sessions {
+                    workload.schedule_churn(&mut sim, sessions, &arrivals);
+                }
+            }
+
+            // Periodic sampling of the workload's progress metric and of the physical machines'
+            // NIC utilization, on the same grid the figures use. The `progress` series in the
+            // recorder is the single copy of the progress curve; `ScenarioRun::samples` is
+            // derived from it at the end.
+            let monitor: Rc<RefCell<Option<ResourceMonitor>>> =
+                Rc::new(RefCell::new(spec.monitor_resources.then(|| {
+                    ResourceMonitor::new(W::network(sim.world()), &mut recorder.borrow_mut())
+                })));
+            {
+                let monitor = monitor.clone();
+                let workload = workload.clone();
+                let recorder = recorder.clone();
+                schedule_periodic(&mut sim, SimTime::ZERO, spec.sample_interval, move |sim| {
+                    let now = sim.now();
+                    let world = sim.world();
+                    let mut workload = workload.borrow_mut();
+                    let rec = &mut *recorder.borrow_mut();
+                    let progress = workload.sample(now, world, rec);
+                    rec.push(progress_id, now, progress);
+                    transport_counters.sync(W::network(world).stats(), rec);
+                    // Congestion-window trajectory, sampled only when the protocol-depth layer
+                    // has live connections (the series stays empty on legacy-path runs).
+                    if let Some(cwnd) = W::network(world).cwnd_mean_bytes() {
+                        rec.push(cwnd_id, now, cwnd as f64);
+                    }
+                    if let Some(m) = monitor.borrow_mut().as_mut() {
+                        m.record(now, W::network(world), rec);
+                    }
+                    !workload.is_complete(world)
+                });
+            }
+
+            let outcome = sim.run_until(SimTime::ZERO + spec.deadline);
+            let stop = ShardedOutcome {
+                stopped_at: sim.now(),
+                events_executed: sim.executed_events(),
+                outcome,
+            };
+            let world = sim.into_world();
+
+            // Final sample so the progress curve extends to the stop time, and a last
+            // transport-counter sync so drops/retransmits/timeouts after the final grid tick
+            // are not lost.
             let rec = &mut *recorder.borrow_mut();
-            let progress = workload.sample(now, world, rec);
-            rec.push(progress_id, now, progress);
-            transport_counters.sync(W::network(world).stats(), rec);
-            // Congestion-window trajectory, sampled only when the protocol-depth layer has
-            // live connections (the series stays empty on legacy-path runs).
-            if let Some(cwnd) = W::network(world).cwnd_mean_bytes() {
-                rec.push(cwnd_id, now, cwnd as f64);
+            let progress = workload.borrow_mut().sample(stop.stopped_at, &world, rec);
+            rec.push(progress_id, stop.stopped_at, progress);
+            transport_counters.sync(W::network(&world).stats(), rec);
+            if let Some(cwnd) = W::network(&world).cwnd_mean_bytes() {
+                rec.push(cwnd_id, stop.stopped_at, cwnd as f64);
             }
-            if let Some(m) = monitor.borrow_mut().as_mut() {
-                m.record(now, W::network(world), rec);
-            }
-            !workload.is_complete(world)
-        });
-    }
+            let monitor = monitor.borrow_mut().take();
+            (world, stop, monitor)
+        }
+    };
 
-    let outcome = sim.run_until(SimTime::ZERO + spec.deadline);
-    let stopped_at = sim.now();
-    let events_executed = sim.executed_events();
-    let world = sim.into_world();
-
-    // Dropping the simulation released the queued sampler closure, so the workload and
-    // measurement handles are unique again.
-    let mut workload = Rc::try_unwrap(workload)
+    // Whichever path ran, its simulation (and with it the queued sampler closure) is gone, so
+    // the workload and the recorder are unique again.
+    let workload = Rc::try_unwrap(workload)
+        .unwrap_or_else(|_| unreachable!("sampler closures were dropped with the simulation"))
+        .into_inner();
+    let mut recorder = Rc::try_unwrap(recorder)
         .unwrap_or_else(|_| unreachable!("sampler closures were dropped with the simulation"))
         .into_inner();
 
-    // Final sample so the progress curve extends to the stop time, and a last transport-counter
-    // sync so drops/retransmits/timeouts after the final grid tick are not lost.
-    {
-        let rec = &mut *recorder.borrow_mut();
-        let progress = workload.sample(stopped_at, &world, rec);
-        rec.push(progress_id, stopped_at, progress);
-        transport_counters.sync(W::network(&world).stats(), rec);
-        if let Some(cwnd) = W::network(&world).cwnd_mean_bytes() {
-            rec.push(cwnd_id, stopped_at, cwnd as f64);
-        }
-        // The invariant monitor runs once, over the final world: honest-node safety checks and
-        // the byzantine traffic tally land in the same metric set the report carries.
-        if let (Some(roster), Some(counters)) = (&roster, adversary_counters) {
-            let inv = workload.check_invariants(&world, outcome);
-            counters.record(roster.len(), &inv, rec);
-        }
+    // The invariant monitor runs once, over the final world: honest-node safety checks and the
+    // byzantine traffic tally land in the same metric set the report carries.
+    if let (Some(roster), Some(counters)) = (&roster, adversary_counters) {
+        let inv = workload.check_invariants(&world, stop.outcome);
+        counters.record(roster.len(), &inv, &mut recorder);
     }
-
-    let monitor = monitor.borrow_mut().take();
-    let metrics = Rc::try_unwrap(recorder)
-        .unwrap_or_else(|_| unreachable!("sampler closures were dropped with the simulation"))
-        .into_inner()
-        .finish();
+    let metrics = recorder.finish();
     let samples = metrics
         .series("progress")
         .cloned()
         .expect("the runner registered the progress series");
     let wall_secs = wall_start.elapsed().as_secs_f64();
     let events_per_sec = if wall_secs > 0.0 {
-        events_executed as f64 / wall_secs
+        stop.events_executed as f64 / wall_secs
     } else {
         0.0
     };
@@ -935,10 +905,10 @@ fn run_scenario_inner<W: Workload + 'static>(
         participants,
         folding_ratio: spec.folding_ratio(),
         wall_secs,
-        stopped_at,
-        events_executed,
+        stopped_at: stop.stopped_at,
+        events_executed: stop.events_executed,
         events_per_sec,
-        outcome,
+        outcome: stop.outcome,
         spec: spec_echo(spec),
         metrics: metrics.clone(),
     });
@@ -946,11 +916,11 @@ fn run_scenario_inner<W: Workload + 'static>(
         name: spec.name.clone(),
         folding_ratio: spec.folding_ratio(),
         seed: spec.seed,
-        stopped_at,
-        events_executed,
+        stopped_at: stop.stopped_at,
+        events_executed: stop.events_executed,
         wall_secs,
         events_per_sec,
-        outcome,
+        outcome: stop.outcome,
         samples,
         peak_nic_utilization: monitor.as_ref().map_or(0.0, |m| m.peak_utilization()),
         monitor,

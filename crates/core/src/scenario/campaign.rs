@@ -455,39 +455,17 @@ impl CampaignSummary {
         }
     }
 
-    /// The aggregate as CSV (deterministic: exact integers, shortest round-trip floats).
+    /// The aggregate as CSV (deterministic: exact integers, shortest round-trip floats): a
+    /// header naming every column of `COLUMNS`, then one line per row.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "cell,overrides,workload,scenario,seed,machines,vnodes,participants,outcome,\
-             stopped_at_ns,events_executed,final_progress,progress_dev_vs_first\n",
-        );
-        for row in &self.rows {
-            let overrides: Vec<String> = row
-                .overrides
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            out.push_str(&format!(
-                "{},{:?},{},{},{},{},{},{},{},{},{},{},{}\n",
-                row.label,
-                overrides.join(";").replace('"', "'"),
-                row.workload,
-                row.scenario,
-                row.seed,
-                row.machines,
-                row.vnodes,
-                row.participants,
-                row.outcome,
-                row.stopped_at_ns,
-                row.events_executed,
-                json_f64(row.final_progress),
-                json_f64(row.progress_dev_vs_first),
-            ));
-        }
-        out
+        let line = |cells: Vec<String>| cells.join(",") + "\n";
+        let header = line(COLUMNS.iter().map(|(name, _)| name.to_string()).collect());
+        let row = |row| line(COLUMNS.iter().map(|(_, cell)| cell(row).csv()).collect());
+        header + &self.rows.iter().map(row).collect::<String>()
     }
 
-    /// The aggregate as schema-tagged JSON ([`CAMPAIGN_SCHEMA`]).
+    /// The aggregate as schema-tagged JSON ([`CAMPAIGN_SCHEMA`]): one object per row, keyed by
+    /// the names of `COLUMNS`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
@@ -495,45 +473,88 @@ impl CampaignSummary {
         out.push_str(&format!("  \"campaign\": {},\n", json_str(&self.campaign)));
         out.push_str("  \"cells\": [");
         for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"cell\": {}, ", json_str(&row.label)));
-            out.push_str("\"overrides\": {");
-            for (j, (k, v)) in row.overrides.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{}: {}", json_str(k), json_str(v)));
-            }
-            out.push_str("}, ");
-            out.push_str(&format!("\"workload\": {}, ", json_str(&row.workload)));
-            out.push_str(&format!("\"scenario\": {}, ", json_str(&row.scenario)));
-            out.push_str(&format!("\"seed\": {}, ", row.seed));
-            out.push_str(&format!("\"machines\": {}, ", row.machines));
-            out.push_str(&format!("\"vnodes\": {}, ", row.vnodes));
-            out.push_str(&format!("\"participants\": {}, ", row.participants));
-            out.push_str(&format!("\"outcome\": {}, ", json_str(&row.outcome)));
-            out.push_str(&format!("\"stopped_at_ns\": {}, ", row.stopped_at_ns));
-            out.push_str(&format!("\"events_executed\": {}, ", row.events_executed));
-            out.push_str(&format!(
-                "\"final_progress\": {}, ",
-                json_f64(row.final_progress)
-            ));
-            out.push_str(&format!(
-                "\"progress_dev_vs_first\": {}}}",
-                json_f64(row.progress_dev_vs_first)
-            ));
+            let cells: Vec<String> = COLUMNS
+                .iter()
+                .map(|(name, cell)| format!("\"{name}\": {}", cell(row).json()))
+                .collect();
+            out.push_str(if i > 0 { ",\n    {" } else { "\n    {" });
+            out.push_str(&cells.join(", "));
+            out.push('}');
         }
         out.push_str(if self.rows.is_empty() {
             "]\n"
         } else {
             "\n  ]\n"
         });
-        out.push('}');
-        out.push('\n');
+        out.push_str("}\n");
         out
+    }
+}
+
+/// The value of one column in one row, spelled by [`Cell::csv`] and [`Cell::json`].
+enum Cell<'a> {
+    Text(&'a str),
+    Int(u64),
+    Float(f64),
+    /// The overrides: `path` → rendered value.
+    Pairs(&'a [(String, String)]),
+}
+
+/// A column of the aggregate: its name and the cell a row has in it.
+type Column = (&'static str, fn(&CampaignRow) -> Cell<'_>);
+
+/// The columns of the aggregate: each [`CampaignRow`] fact is named once, here, and the CSV
+/// header, the CSV rows and the JSON objects are all read off this list.
+const COLUMNS: &[Column] = &[
+    ("cell", |row| Cell::Text(&row.label)),
+    ("overrides", |row| Cell::Pairs(&row.overrides)),
+    ("workload", |row| Cell::Text(&row.workload)),
+    ("scenario", |row| Cell::Text(&row.scenario)),
+    ("seed", |row| Cell::Int(row.seed)),
+    ("machines", |row| Cell::Int(row.machines as u64)),
+    ("vnodes", |row| Cell::Int(row.vnodes as u64)),
+    ("participants", |row| Cell::Int(row.participants as u64)),
+    ("outcome", |row| Cell::Text(&row.outcome)),
+    ("stopped_at_ns", |row| Cell::Int(row.stopped_at_ns)),
+    ("events_executed", |row| Cell::Int(row.events_executed)),
+    ("final_progress", |row| Cell::Float(row.final_progress)),
+    ("progress_dev_vs_first", |row| {
+        Cell::Float(row.progress_dev_vs_first)
+    }),
+];
+
+impl Cell<'_> {
+    /// A CSV cell. Text is quoted (RFC 4180) only when it holds a comma, a quote or a line
+    /// break; the overrides are one always-quoted `path=value;...` cell whose inner double
+    /// quotes are spelled `'`.
+    fn csv(&self) -> String {
+        match self {
+            Cell::Text(text) if text.contains([',', '"', '\n', '\r']) => {
+                format!("\"{}\"", text.replace('"', "\"\""))
+            }
+            Cell::Text(text) => text.to_string(),
+            Cell::Int(v) => v.to_string(),
+            Cell::Float(v) => json_f64(*v),
+            Cell::Pairs(pairs) => {
+                let pairs: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                format!("{:?}", pairs.join(";").replace('"', "'"))
+            }
+        }
+    }
+
+    /// A JSON value: numbers as in the CSV, the overrides as an object of strings.
+    fn json(&self) -> String {
+        match self {
+            Cell::Text(text) => json_str(text),
+            Cell::Int(_) | Cell::Float(_) => self.csv(),
+            Cell::Pairs(pairs) => {
+                let pairs: Vec<String> = pairs
+                    .iter()
+                    .map(|(k, v)| format!("{}: {}", json_str(k), json_str(v)))
+                    .collect();
+                format!("{{{}}}", pairs.join(", "))
+            }
+        }
     }
 }
 
@@ -849,6 +870,63 @@ topology.loss = [0.0, 0.1]
         // The baseline cell's self-deviation is zero; the schema tag is present.
         assert_eq!(a.rows[0].progress_dev_vs_first, 0.0);
         assert!(a.to_json().contains(CAMPAIGN_SCHEMA));
+    }
+
+    #[test]
+    fn summary_csv_and_json_goldens() {
+        // The bytes of both artefacts, pinned: a plain row, and a row whose override value
+        // holds a double quote and whose scenario name holds a comma.
+        let row = |index: usize, overrides: &[(&str, &str)], scenario: &str| CampaignRow {
+            index,
+            label: format!("cell-{index:02}"),
+            overrides: overrides
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            workload: "gossip".into(),
+            scenario: scenario.into(),
+            seed: 7 + index as u64,
+            machines: 2,
+            vnodes: 16,
+            participants: 12,
+            outcome: "drained".into(),
+            stopped_at_ns: 1_500_000_000,
+            events_executed: u64::MAX - index as u64,
+            final_progress: 12.0,
+            progress_dev_vs_first: 0.125 * index as f64,
+        };
+        let summary = CampaignSummary {
+            campaign: "golden".into(),
+            rows: vec![
+                row(
+                    0,
+                    &[("topology.loss", "0.05"), ("scenario.seed", "7")],
+                    "plain",
+                ),
+                row(1, &[("workload.kind", "\"gossip\"")], "a,b"),
+            ],
+        };
+        assert_eq!(
+            summary.to_csv(),
+            "cell,overrides,workload,scenario,seed,machines,vnodes,participants,outcome,\
+             stopped_at_ns,events_executed,final_progress,progress_dev_vs_first\n\
+             cell-00,\"topology.loss=0.05;scenario.seed=7\",gossip,plain,7,2,16,12,drained,\
+             1500000000,18446744073709551615,12,0\n\
+             cell-01,\"workload.kind='gossip'\",gossip,\"a,b\",8,2,16,12,drained,\
+             1500000000,18446744073709551614,12,0.125\n"
+        );
+        assert_eq!(
+            summary.to_json(),
+            r#"{
+  "schema": "p2plab.campaign.v1",
+  "campaign": "golden",
+  "cells": [
+    {"cell": "cell-00", "overrides": {"topology.loss": "0.05", "scenario.seed": "7"}, "workload": "gossip", "scenario": "plain", "seed": 7, "machines": 2, "vnodes": 16, "participants": 12, "outcome": "drained", "stopped_at_ns": 1500000000, "events_executed": 18446744073709551615, "final_progress": 12, "progress_dev_vs_first": 0},
+    {"cell": "cell-01", "overrides": {"workload.kind": "\"gossip\""}, "workload": "gossip", "scenario": "a,b", "seed": 8, "machines": 2, "vnodes": 16, "participants": 12, "outcome": "drained", "stopped_at_ns": 1500000000, "events_executed": 18446744073709551614, "final_progress": 12, "progress_dev_vs_first": 0.125}
+  ]
+}
+"#
+        );
     }
 
     #[test]

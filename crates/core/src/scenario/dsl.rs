@@ -44,9 +44,9 @@
 //! function next to the struct the key fills (`GossipSpec::keys`,
 //! `ArrivalSpec::keys`, `AdversaryPlan::keys`, and here the file-level sections:
 //! `scenario_keys`, `topology_keys`, `condition_keys`, `transport_keys`). The line gives the
-//! key's name, its type (the place's: see [`Value`] for how each Rust type is spelled in TOML)
+//! key's name, its type (the place's: see `Value` for how each Rust type is spelled in TOML)
 //! and whether it is required; an optional key's default is whatever the spec's constructor
-//! put in the place. Everything else is an interpreter of these descriptions ([`Keys`]):
+//! put in the place. Everything else is an interpreter of these descriptions (`Keys`):
 //! [`ScenarioFile::from_table`] is the reader, [`ScenarioFile::to_toml`] the writer, and the
 //! set of keys a section accepts is the set its description names. Every error carries the
 //! offending key's line and dotted path ([`DslError`]); unknown keys are rejected (a typoed key

@@ -6,13 +6,11 @@
 //! traces). Before this module every workload re-derived both by hand; now the scenario layer
 //! owns them and hands each workload a concrete schedule:
 //!
-//! * [`ArrivalProcess`] is the generator abstraction — a next-arrival iterator over
-//!   [`SimTime`] — with Poisson, uniform-ramp, flash-crowd and trace-driven implementations;
 //! * [`ArrivalSpec`] is the serializable description stored in a
-//!   [`ScenarioSpec`](crate::scenario::ScenarioSpec), turned into a concrete, sorted
-//!   [`ArrivalSchedule`] by [`run_scenario`](crate::scenario::run_scenario) (one arrival per
-//!   participant, drawn from a dedicated RNG stream so arrival sampling never perturbs the
-//!   simulation's other draws);
+//!   [`ScenarioSpec`](crate::scenario::ScenarioSpec) — Poisson, uniform ramp, flash crowd or a
+//!   replayed trace — turned into a concrete, sorted [`ArrivalSchedule`] by
+//!   [`run_scenario`](crate::scenario::run_scenario) (one arrival per participant, drawn from
+//!   a dedicated RNG stream so arrival sampling never perturbs the simulation's other draws);
 //! * [`SessionProcess`] describes churn: exponential on/off sessions, Pareto heavy-tailed
 //!   sessions, or a trace of `(session, downtime)` pairs replayed cyclically.
 //!
@@ -26,172 +24,27 @@ use p2plab_sim::{NoEvent, SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 use serde::{Deserialize, Serialize};
 use std::rc::Rc;
 
-/// A generator of participant arrival instants: the iterator half of the arrival library.
-///
-/// `next_arrival` returns instants in non-decreasing order; `None` means the process is
-/// exhausted (only the trace-driven process is finite). Randomized processes draw from the
-/// provided RNG, so the same seed replays the same crowd.
-pub trait ArrivalProcess {
-    /// The next arrival instant, or `None` when the process has no more arrivals.
-    fn next_arrival(&mut self, rng: &mut SimRng) -> Option<SimTime>;
-}
-
-/// Poisson arrivals: independent exponential inter-arrival gaps at `rate` arrivals/second,
-/// starting from time zero. The memoryless steady-state arrival model.
-#[derive(Debug, Clone)]
-pub struct PoissonProcess {
-    rate: f64,
-    clock: SimTime,
-}
-
-impl PoissonProcess {
-    /// A Poisson process at `rate` arrivals per second (must be finite and positive).
-    pub fn new(rate: f64) -> PoissonProcess {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "invalid Poisson rate {rate}"
-        );
-        PoissonProcess {
-            rate,
-            clock: SimTime::ZERO,
-        }
-    }
-}
-
-impl ArrivalProcess for PoissonProcess {
-    fn next_arrival(&mut self, rng: &mut SimRng) -> Option<SimTime> {
-        self.clock += SimDuration::from_secs_f64(rng.exponential(1.0 / self.rate));
-        Some(self.clock)
-    }
-}
-
-/// Deterministic uniform ramp: the first participant arrives at `start`, each subsequent one
-/// `interval` later. This is the staggered-start pattern of the paper's BitTorrent experiments
-/// (one client every 10 s in Figure 8) and draws nothing from the RNG.
-#[derive(Debug, Clone)]
-pub struct RampProcess {
-    next: SimTime,
-    interval: SimDuration,
-}
-
-impl RampProcess {
-    /// A ramp starting at `start` with one arrival per `interval`.
-    pub fn new(start: SimDuration, interval: SimDuration) -> RampProcess {
-        RampProcess {
-            next: SimTime::ZERO + start,
-            interval,
-        }
-    }
-}
-
-impl ArrivalProcess for RampProcess {
-    fn next_arrival(&mut self, _rng: &mut SimRng) -> Option<SimTime> {
-        let at = self.next;
-        self.next += self.interval;
-        Some(at)
-    }
-}
-
-/// Flash crowd: a Poisson trickle at `trickle_rate` until the `trigger` instant (the moment
-/// the torrent site posts the link), then a Poisson burst at the much higher `burst_rate`.
-/// Every participant still arrives exactly once — the burst changes *when*, not *how many*.
-#[derive(Debug, Clone)]
-pub struct FlashCrowdProcess {
-    trickle_rate: f64,
-    burst_rate: f64,
-    trigger: SimTime,
-    clock: SimTime,
-    bursting: bool,
-}
-
-impl FlashCrowdProcess {
-    /// A flash crowd triggered at `trigger`: `trickle_rate` arrivals/second before it,
-    /// `burst_rate` after (both finite and positive).
-    pub fn new(trickle_rate: f64, trigger: SimDuration, burst_rate: f64) -> FlashCrowdProcess {
-        assert!(
-            trickle_rate.is_finite() && trickle_rate > 0.0,
-            "invalid trickle rate {trickle_rate}"
-        );
-        assert!(
-            burst_rate.is_finite() && burst_rate > 0.0,
-            "invalid burst rate {burst_rate}"
-        );
-        FlashCrowdProcess {
-            trickle_rate,
-            burst_rate,
-            trigger: SimTime::ZERO + trigger,
-            clock: SimTime::ZERO,
-            bursting: false,
-        }
-    }
-}
-
-impl ArrivalProcess for FlashCrowdProcess {
-    fn next_arrival(&mut self, rng: &mut SimRng) -> Option<SimTime> {
-        if !self.bursting {
-            let candidate =
-                self.clock + SimDuration::from_secs_f64(rng.exponential(1.0 / self.trickle_rate));
-            if candidate < self.trigger {
-                self.clock = candidate;
-                return Some(candidate);
-            }
-            // The trickle draw crossed the trigger; by memorylessness the remainder can be
-            // discarded and the burst clock starts at the trigger itself.
-            self.bursting = true;
-            self.clock = self.trigger;
-        }
-        self.clock += SimDuration::from_secs_f64(rng.exponential(1.0 / self.burst_rate));
-        Some(self.clock)
-    }
-}
-
-/// Trace-driven arrivals: replays measured arrival offsets exactly, in order. Finite — the
-/// process is exhausted after the last trace entry.
-#[derive(Debug, Clone)]
-pub struct TraceProcess {
-    times: Vec<SimDuration>,
-    idx: usize,
-}
-
-impl TraceProcess {
-    /// A process replaying `times` (offsets from scenario start, non-decreasing).
-    pub fn new(times: Vec<SimDuration>) -> TraceProcess {
-        assert!(
-            times.windows(2).all(|w| w[0] <= w[1]),
-            "arrival trace must be sorted"
-        );
-        TraceProcess { times, idx: 0 }
-    }
-}
-
-impl ArrivalProcess for TraceProcess {
-    fn next_arrival(&mut self, _rng: &mut SimRng) -> Option<SimTime> {
-        let at = self.times.get(self.idx).map(|&d| SimTime::ZERO + d);
-        if at.is_some() {
-            self.idx += 1;
-        }
-        at
-    }
-}
-
 /// Serializable description of an arrival process, stored in a
 /// [`ScenarioSpec`](crate::scenario::ScenarioSpec) and turned into a concrete
 /// [`ArrivalSchedule`] by the runner.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalSpec {
-    /// Poisson arrivals at `rate` arrivals/second from time zero.
+    /// Poisson arrivals: independent exponential inter-arrival gaps at `rate` arrivals/second
+    /// from time zero — the memoryless steady-state arrival model.
     Poisson {
         /// Arrivals per second.
         rate: f64,
     },
-    /// Uniform ramp: first arrival at `start`, one more every `interval` (deterministic).
+    /// Uniform ramp: first arrival at `start`, one more every `interval` (deterministic) — the
+    /// staggered start of the paper's BitTorrent experiments (one client every 10 s in Figure 8).
     UniformRamp {
         /// When the first participant arrives.
         start: SimDuration,
         /// Spacing between consecutive arrivals.
         interval: SimDuration,
     },
-    /// Flash crowd: Poisson trickle before `trigger`, Poisson burst after.
+    /// Flash crowd: a Poisson trickle until `trigger` (the moment the torrent site posts the
+    /// link), then a Poisson burst at the much higher `burst_rate`.
     FlashCrowd {
         /// Arrivals per second before the trigger.
         trickle_rate: f64,
@@ -309,43 +162,76 @@ impl ArrivalSpec {
         Ok(())
     }
 
-    /// Instantiates the generator this description names.
-    pub fn process(&self) -> Box<dyn ArrivalProcess> {
-        match self {
-            ArrivalSpec::Poisson { rate } => Box::new(PoissonProcess::new(*rate)),
-            ArrivalSpec::UniformRamp { start, interval } => {
-                Box::new(RampProcess::new(*start, *interval))
-            }
-            ArrivalSpec::FlashCrowd {
-                trickle_rate,
-                trigger,
-                burst_rate,
-            } => Box::new(FlashCrowdProcess::new(*trickle_rate, *trigger, *burst_rate)),
-            ArrivalSpec::Trace { times } => Box::new(TraceProcess::new(times.clone())),
-        }
-    }
-
-    /// Draws a concrete schedule of exactly `participants` arrivals. Fails when a trace is
-    /// shorter than the participant count — arrival processes conserve participants, they
-    /// never invent or drop them.
+    /// Draws a concrete schedule of exactly `participants` arrivals, in non-decreasing order;
+    /// the same seed replays the same crowd. Fails when a trace is shorter than the participant
+    /// count — arrival processes conserve participants, they never invent or drop them.
     pub fn schedule(
         &self,
         participants: usize,
         rng: &mut SimRng,
     ) -> Result<ArrivalSchedule, String> {
         self.validate()?;
-        let mut process = self.process();
-        let mut times = Vec::with_capacity(participants);
-        for drawn in 0..participants {
-            match process.next_arrival(rng) {
-                Some(at) => times.push(at),
-                None => {
+        // One exponential inter-arrival gap at `rate` arrivals per second.
+        let gap =
+            |rng: &mut SimRng, rate: f64| SimDuration::from_secs_f64(rng.exponential(1.0 / rate));
+        let mut clock = SimTime::ZERO;
+        let times = match self {
+            ArrivalSpec::Poisson { rate } => (0..participants)
+                .map(|_| {
+                    clock += gap(rng, *rate);
+                    clock
+                })
+                .collect(),
+            // Deterministic: draws nothing from the RNG.
+            ArrivalSpec::UniformRamp { start, interval } => {
+                clock += *start;
+                (0..participants)
+                    .map(|_| {
+                        let at = clock;
+                        clock += *interval;
+                        at
+                    })
+                    .collect()
+            }
+            // Every participant still arrives exactly once — the burst changes *when*, not
+            // *how many*.
+            ArrivalSpec::FlashCrowd {
+                trickle_rate,
+                trigger,
+                burst_rate,
+            } => {
+                let trigger = SimTime::ZERO + *trigger;
+                let mut bursting = false;
+                (0..participants)
+                    .map(|_| {
+                        if !bursting {
+                            let candidate = clock + gap(rng, *trickle_rate);
+                            if candidate < trigger {
+                                clock = candidate;
+                                return candidate;
+                            }
+                            // The trickle draw crossed the trigger; by memorylessness the
+                            // remainder can be discarded and the burst clock starts at the
+                            // trigger itself.
+                            bursting = true;
+                            clock = trigger;
+                        }
+                        clock += gap(rng, *burst_rate);
+                        clock
+                    })
+                    .collect()
+            }
+            ArrivalSpec::Trace { times } => {
+                let drawn = times.len();
+                if drawn < participants {
                     return Err(format!(
                         "arrival process is exhausted after {drawn} arrivals but the workload has {participants} participants"
-                    ))
+                    ));
                 }
+                let replayed = times[..participants].iter();
+                replayed.map(|&offset| SimTime::ZERO + offset).collect()
             }
-        }
+        };
         Ok(ArrivalSchedule { times })
     }
 }

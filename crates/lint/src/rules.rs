@@ -63,10 +63,10 @@ const THREAD_SANCTIONED: [&str; 2] = [
 /// and the split-stream seeding, so every behavior stays reachable and reproducible.
 const ADVERSARY_HOME: &str = "crates/core/src/adversary/";
 
-/// Bench-bin stems allowed by `ad-hoc-bin`: figure/ablation/table regeneration plus the three
+/// Bench-bin stems allowed by `ad-hoc-bin`: figure/ablation/table regeneration plus the two
 /// standing harnesses. Everything else ships as a `.toml` scenario (ROADMAP convention).
 const ALLOWED_BIN_PREFIXES: [&str; 3] = ["fig", "ablation", "tbl"];
-const ALLOWED_BIN_NAMES: [&str; 3] = ["campaign", "scale_sweep", "smoke_reports"];
+const ALLOWED_BIN_NAMES: [&str; 2] = ["campaign", "scale_sweep"];
 
 /// One finding, pointing at a repo-relative file and 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]

@@ -148,7 +148,6 @@ fn ad_hoc_bin_accepts_the_allowed_families() {
         "tbl_intercept_overhead",
         "campaign",
         "scale_sweep",
-        "smoke_reports",
     ] {
         let path = format!("crates/bench/src/bin/{name}.rs");
         assert!(rules_for(&path, "fn main() {}\n").is_empty(), "{name}");

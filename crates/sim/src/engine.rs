@@ -76,9 +76,10 @@ enum Payload<W, E> {
 }
 
 /// Outcome of [`Simulation::run_until`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RunOutcome {
     /// The event queue drained before the deadline.
+    #[default]
     Drained,
     /// The deadline was reached with events still pending.
     DeadlineReached,

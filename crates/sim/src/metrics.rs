@@ -168,7 +168,7 @@ fn bucket_low_edge(idx: usize) -> f64 {
 }
 
 /// The frozen, serializable form of a [`LogHistogram`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistogramSnapshot {
     /// Number of recorded values.
     pub count: u64,

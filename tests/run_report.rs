@@ -3,8 +3,8 @@
 //! and the recorded metrics must agree with the workload's own result struct.
 
 use p2plab::core::{
-    run_reported, GossipSpec, GossipWorkload, PingMeshSpec, PingMeshWorkload, RunReport,
-    ScenarioBuilder, SwarmExperiment,
+    run_reported, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
+    PingMeshWorkload, RunReport, ScenarioBuilder, SwarmExperiment,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
 use p2plab::sim::{MetricValue, RunOutcome, SimDuration};
@@ -129,6 +129,44 @@ fn gossip_report_round_trips_and_matches_result() {
         &result.dissemination
     );
     assert_eq!(loaded.metrics.gauge("online_nodes"), Some(16.0));
+}
+
+#[test]
+fn dht_report_round_trips_and_matches_result() {
+    let dht = DhtLookupSpec::new(24);
+    let spec = ScenarioBuilder::new(
+        "report-dht",
+        TopologySpec::uniform(
+            "report-dht",
+            24,
+            AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(2)),
+        ),
+    )
+    .machines(3)
+    .arrival_ramp(dht.arrival_ramp())
+    .deadline(dht.arrival_ramp() + SimDuration::from_secs(120))
+    .sample_interval(SimDuration::from_secs(1))
+    .seed(3)
+    .build()
+    .unwrap();
+    let lookups = dht.lookups as u64;
+    let (result, report) = run_reported(&spec, DhtLookupWorkload::new(dht)).unwrap();
+    let loaded = round_trip(&report);
+
+    assert_eq!(loaded.workload, "dht-lookup");
+    assert!(result.finished, "{}", result.summary());
+    // Every lookup converged on the closest node and left its hop count in the histogram.
+    assert_eq!(
+        result.found_closest,
+        result.completed,
+        "{}",
+        result.summary()
+    );
+    assert_eq!(
+        loaded.metrics.histogram("lookup_hops").unwrap().count,
+        lookups
+    );
+    assert!(loaded.metrics.counter("rpc_calls").unwrap() > 0);
 }
 
 #[test]
