@@ -16,10 +16,13 @@
 //! cargo run --release -p p2plab-bench --bin scale_sweep -- --smoke
 //! ```
 //!
-//! The fig10-configuration run doubles as the **throughput pin**: when the pre-refactor
-//! baseline report (`results/scale_sweep/fig10-1439-clients.baseline.report.json`) is present,
-//! the sweep prints the events/sec speedup against it. Perf-relevant changes are expected to
-//! include a before/after `scale_sweep` report in the PR.
+//! The fig10-configuration run doubles as the **throughput pin**: when the baseline report
+//! (`results/scale_sweep/fig10-1439-clients.baseline.report.json`) is present, the sweep
+//! prints the events/sec speedup against it and asserts the event counts are equal. The pin
+//! restarts at PR 16, which corrected the BitTorrent client's request bookkeeping and so moved
+//! every swarm's event order (34,059,056 → 34,655,558 events): the baseline is that commit's
+//! own run, and speedups are relative to it. Perf-relevant changes are expected to include a
+//! before/after `scale_sweep` report in the PR.
 
 use p2plab_bench::{write_results_file, write_run_report};
 use p2plab_core::{
@@ -261,7 +264,7 @@ fn swarm(clients: usize, smoke: bool) -> RunReport {
 
 /// The fig10 throughput pin: the paper's Figure 10 swarm at quarter scale (1439 clients,
 /// 16 MiB file) — the configuration whose events/sec is compared against the committed
-/// pre-refactor baseline report.
+/// baseline report.
 fn fig10_pin(smoke: bool, shards: usize) -> RunReport {
     let cfg = SwarmExperiment::paper_figure10(0.25);
     let mut scenario = cfg.to_scenario();
@@ -425,7 +428,7 @@ fn main() {
     }
     write_results_file("scale_sweep.csv", &csv);
 
-    // Throughput pin against the committed pre-refactor baseline, when present.
+    // Throughput pin against the committed baseline, when present.
     let baseline_path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../results/scale_sweep/fig10-1439-clients.baseline.report.json");
     match std::fs::read_to_string(&baseline_path) {
@@ -433,7 +436,7 @@ fn main() {
             Ok(baseline) => {
                 let speedup = fig10.events_per_sec / baseline.events_per_sec.max(1e-9);
                 println!(
-                    "fig10 throughput pin: {:.0} events/s vs pre-refactor baseline {:.0} events/s = {speedup:.2}x",
+                    "fig10 throughput pin: {:.0} events/s vs baseline {:.0} events/s = {speedup:.2}x",
                     fig10.events_per_sec, baseline.events_per_sec
                 );
                 assert_eq!(

@@ -4,15 +4,20 @@
 //! the choker, one [`PeerConn`] per open peer connection, the peers learned from the tracker,
 //! and the time-stamped download progress log (the paper instruments the client by adding a
 //! time-stamp to its default output — [`Client::progress`] is that log).
+//!
+//! The client also owns the **request ledger**. Who asked for which block, and when, is recorded
+//! once, in the asked peer's [`PeerConn::inflight`]; the piece manager keeps only a per-block
+//! count of those entries, and the two move together through [`Client::request_blocks`],
+//! [`Client::block_answered`], [`Client::forget_requests`] and [`Client::expire_requests`].
 
 use crate::bitfield::Bitfield;
 use crate::choke::{ChokeConfig, Choker, PeerSnapshot};
 use crate::messages::PeerId;
-use crate::piece::PieceManager;
+use crate::piece::{BlockOutcome, PieceManager};
 use crate::torrent::Torrent;
 use p2plab_net::{ConnId, Misbehavior, SocketAddr, VNodeId};
 use p2plab_sim::FxHashSet;
-use p2plab_sim::{RateEstimator, SimDuration, SimTime, TimeSeries};
+use p2plab_sim::{RateEstimator, SimDuration, SimRng, SimTime, TimeSeries};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -35,7 +40,8 @@ pub struct ClientConfig {
     pub tracker_interval: SimDuration,
     /// Number of peers requested from the tracker.
     pub numwant: usize,
-    /// Outstanding requests older than this are re-issued to another peer.
+    /// A request unanswered for longer than this is forgotten at the next choker round, so the
+    /// block can be re-issued (to any peer).
     pub request_timeout: SimDuration,
     /// If the client has fewer known peers than this it re-announces early.
     pub min_peers: usize,
@@ -86,8 +92,10 @@ pub struct PeerConn {
     pub peer_interested: bool,
     /// The peer's piece bitfield (as far as we know).
     pub bitfield: Bitfield,
-    /// Block requests sent to the peer and not yet answered.
-    pub inflight: Vec<(u32, u32)>,
+    /// Block requests sent to the peer and not yet answered, as `((piece, block), sent_at)`,
+    /// oldest first. Change it only through the [`Client`] transitions, which keep the piece
+    /// manager's count in step.
+    pub inflight: Vec<((u32, u32), SimTime)>,
     /// Rate at which the peer uploads to us.
     pub download: RateEstimator,
     /// Rate at which we upload to the peer.
@@ -125,6 +133,12 @@ impl PeerConn {
             blocks_received: 0,
             blocks_sent: 0,
         }
+    }
+
+    /// Whether block requests may be sent to the peer now: it has something we need and is
+    /// not choking us.
+    pub fn is_serving(&self) -> bool {
+        self.handshaken && self.am_interested && !self.peer_choking
     }
 }
 
@@ -195,6 +209,8 @@ pub struct Client {
     /// Reused choker-round snapshot buffer (one snapshot per round per client would otherwise
     /// allocate throughout the whole run).
     pub(crate) snapshot_scratch: Vec<PeerSnapshot>,
+    /// Reused buffer for the blocks one [`request_blocks`](Client::request_blocks) call picks.
+    pub(crate) request_scratch: Vec<(u32, u32)>,
 }
 
 impl Client {
@@ -225,6 +241,7 @@ impl Client {
             misbehavior: Misbehavior::default(),
             timer_generation: 0,
             snapshot_scratch: Vec::new(),
+            request_scratch: Vec::new(),
             config,
         }
     }
@@ -250,6 +267,96 @@ impl Client {
             (Some(s), Some(c)) => Some(c - s),
             _ => None,
         }
+    }
+
+    /// Request transition: tops the pipeline toward a [serving](PeerConn::is_serving) `conn` up
+    /// to `request_pipeline`, stamps the new requests `now`, and leaves their blocks in `picked`
+    /// for the caller to put on the wire.
+    pub fn request_blocks(
+        &mut self,
+        conn: ConnId,
+        now: SimTime,
+        rng: &mut SimRng,
+        picked: &mut Vec<(u32, u32)>,
+    ) {
+        picked.clear();
+        let Some(p) = self.peers.get_mut(&conn).filter(|p| p.is_serving()) else {
+            return;
+        };
+        let budget = self
+            .config
+            .request_pipeline
+            .saturating_sub(p.inflight.len());
+        let inflight = &p.inflight;
+        let holds = |block| inflight.iter().any(|r| r.0 == block);
+        self.pieces
+            .pick_into(&p.bitfield, budget, rng, holds, picked);
+        p.inflight.extend(picked.iter().map(|&block| (block, now)));
+    }
+
+    /// Answered transition: `conn` delivered a verified block. That settles every request for
+    /// it — the sender's and any other holder's (an endgame twin, or the re-issue of a request
+    /// this answer outlived), as mainline's `cancel` does: no pipeline slot stays pinned by a
+    /// block that is already here.
+    pub fn block_answered(&mut self, conn: ConnId, piece: u32, block: u32) -> BlockOutcome {
+        let is_it = |r: &((u32, u32), SimTime)| r.0 == (piece, block);
+        let mut holders = self.pieces.request_count(piece, block);
+        if let Some(p) = self.peers.get_mut(&conn) {
+            if let Some(i) = p.inflight.iter().position(is_it) {
+                p.inflight.remove(i);
+                holders -= 1;
+            }
+        }
+        if holders > 0 {
+            for p in self.peers.values_mut() {
+                p.inflight.retain(|r| !is_it(r));
+            }
+        }
+        self.pieces.block_received(piece, block)
+    }
+
+    /// Forget transition: `conn` disconnected (`only` is `None`) or answered the block `only`
+    /// with corrupt data. Its requests come off their blocks' counts too (an endgame twin
+    /// elsewhere keeps the block reserved). Returns how many were forgotten.
+    pub fn forget_requests(&mut self, conn: ConnId, only: Option<(u32, u32)>) -> usize {
+        let Some(p) = self.peers.get_mut(&conn) else {
+            return 0;
+        };
+        let before = p.inflight.len();
+        p.inflight.retain(|r| {
+            let gone = only.is_none_or(|block| block == r.0);
+            if gone {
+                self.pieces.release_requests(&[r.0]);
+            }
+            !gone
+        });
+        before - p.inflight.len()
+    }
+
+    /// Forget transition, by age: every request older than `request_timeout` — each from its
+    /// own send time — is given up on: the head of each oldest-first list. Most were dropped by
+    /// an uploader that choked us since.
+    pub fn expire_requests(&mut self, now: SimTime) {
+        let timeout = self.config.request_timeout;
+        for p in self.peers.values_mut() {
+            let stale = |r: &((u32, u32), SimTime)| now.saturating_since(r.1) > timeout;
+            let n = p.inflight.partition_point(stale);
+            for (block, _) in p.inflight.drain(..n) {
+                self.pieces.release_requests(&[block]);
+            }
+        }
+        debug_assert!(self.ledger_is_coherent());
+    }
+
+    /// Recounts the piece manager's request counts from the peers' lists: every block's count
+    /// equals the number of peers holding a request for it, and no count is left over.
+    pub fn ledger_is_coherent(&self) -> bool {
+        let held = || self.peers.values().flat_map(|p| &p.inflight);
+        held().count() as u64 == self.pieces.requests_outstanding()
+            && held().all(|r| {
+                let holders = held().filter(|q| q.0 == r.0).count();
+                holders == self.pieces.request_count(r.0 .0, r.0 .1) as usize
+            })
     }
 
     /// Snapshot of every handshaken peer for the choker.
@@ -294,6 +401,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::piece::MAX_ENDGAME_DUPLICATION;
     use p2plab_net::VirtAddr;
 
     fn tracker_addr() -> SocketAddr {
@@ -309,6 +417,139 @@ mod tests {
             tracker_addr(),
             ClientConfig::default(),
         )
+    }
+
+    /// A leecher of a `blocks`-block single-piece torrent with serving peers `1..=peers` that
+    /// own the whole file.
+    fn leecher_with_peers(blocks: u32, peers: u64) -> Client {
+        let torrent = Torrent {
+            name: "tiny".into(),
+            total_bytes: blocks as u64 * 16 * 1024,
+            piece_size: blocks * 16 * 1024,
+            block_size: 16 * 1024,
+        };
+        let cfg = ClientConfig::default();
+        let mut c = Client::new(PeerId(1), VNodeId(0), torrent, false, tracker_addr(), cfg);
+        for conn in (1..=peers).map(ConnId) {
+            let addr = SocketAddr::new(VirtAddr::new(10, 0, 0, conn.0 as u8), 6881);
+            let mut p = PeerConn::new(conn, addr, true, 1, cfg.rate_window);
+            p.bitfield = Bitfield::full(1);
+            c.pieces.add_peer_bitfield(&p.bitfield);
+            (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
+            c.peers.insert(conn, p);
+        }
+        c
+    }
+
+    fn request(c: &mut Client, conn: u64, at: u64) -> Vec<(u32, u32)> {
+        let mut picked = Vec::new();
+        c.request_blocks(
+            ConnId(conn),
+            SimTime::from_secs(at),
+            &mut SimRng::new(7),
+            &mut picked,
+        );
+        assert!(c.ledger_is_coherent());
+        picked
+    }
+
+    fn holds(c: &Client, conn: u64) -> Vec<(u32, u32)> {
+        c.peers[&ConnId(conn)]
+            .inflight
+            .iter()
+            .map(|r| r.0)
+            .collect()
+    }
+
+    #[test]
+    fn expired_requests_are_forgotten_each_from_its_own_send_time() {
+        let mut c = leecher_with_peers(16, 3);
+        let early = request(&mut c, 1, 0);
+        let late = request(&mut c, 2, 50);
+        assert_eq!((early.len(), late.len()), (5, 5));
+        // Nothing is forgotten before the timeout...
+        c.expire_requests(SimTime::from_secs(60));
+        assert_eq!(c.pieces.requests_outstanding(), 10);
+        // ...then only the requests that are themselves too old: the block's reservation and
+        // the peer's pipeline slot come back together.
+        c.expire_requests(SimTime::from_secs(70));
+        assert_eq!(holds(&c, 1), []);
+        assert_eq!(holds(&c, 2), late);
+        assert_eq!(c.pieces.requests_outstanding(), 5);
+        // The forgotten blocks can be picked again.
+        assert_eq!(request(&mut c, 3, 70), early);
+    }
+
+    #[test]
+    fn a_choking_peers_pipeline_budget_comes_back() {
+        // The peer accepted five requests, then choked and dropped them silently. Within
+        // `request_timeout + choke_interval` the sweep gives the slots (and the blocks) back,
+        // and holds nothing against the peer: its next unchoke can use all five.
+        let mut c = leecher_with_peers(16, 1);
+        assert_eq!(request(&mut c, 1, 0).len(), c.config.request_pipeline);
+        c.peers.get_mut(&ConnId(1)).unwrap().peer_choking = true;
+        assert_eq!(request(&mut c, 1, 5), [], "a choking peer gets no requests");
+        c.expire_requests(SimTime::ZERO + c.config.request_timeout + c.config.choke_interval);
+        assert_eq!(holds(&c, 1), []);
+        assert_eq!(c.pieces.requests_outstanding(), 0);
+        c.peers.get_mut(&ConnId(1)).unwrap().peer_choking = false;
+        assert_eq!(request(&mut c, 1, 80).len(), c.config.request_pipeline);
+    }
+
+    #[test]
+    fn an_answer_settles_every_holders_request() {
+        // Endgame: both peers hold both blocks. Peer 1's answer frees peer 2's slot as well.
+        let mut c = leecher_with_peers(2, 2);
+        assert_eq!(request(&mut c, 1, 0).len(), 2);
+        assert_eq!(request(&mut c, 2, 1).len(), 2);
+        assert_eq!(c.block_answered(ConnId(1), 0, 0), BlockOutcome::Progress);
+        assert!(c.ledger_is_coherent());
+        assert_eq!(holds(&c, 1), [(0, 1)]);
+        assert_eq!(holds(&c, 2), [(0, 1)]);
+        // A late answer to a request that expired and was re-issued elsewhere does the same.
+        c.expire_requests(SimTime::from_secs(61));
+        assert_eq!(holds(&c, 1), []);
+        assert_eq!(
+            c.block_answered(ConnId(1), 0, 1),
+            BlockOutcome::FileComplete(0)
+        );
+        assert_eq!(holds(&c, 2), []);
+        assert!(c.ledger_is_coherent());
+    }
+
+    #[test]
+    fn endgame_repick_toward_a_holder_leaves_room_for_a_second_holder() {
+        let mut c = leecher_with_peers(2, 3);
+        assert_eq!(request(&mut c, 1, 0).len(), 2);
+        assert!(c.pieces.in_endgame());
+        // Asking the same peer again hands nothing back and counts no phantom holder...
+        assert_eq!(request(&mut c, 1, 1), []);
+        assert_eq!(c.pieces.request_count(0, 0), 1);
+        // ...so a real second holder still fits, and a third is capped.
+        assert_eq!(request(&mut c, 2, 2).len(), 2);
+        assert_eq!(request(&mut c, 3, 3), []);
+        assert_eq!(c.pieces.request_count(0, 0), MAX_ENDGAME_DUPLICATION);
+    }
+
+    #[test]
+    fn forgetting_one_endgame_holder_keeps_the_twins_reservation() {
+        let mut c = leecher_with_peers(2, 2);
+        request(&mut c, 1, 0);
+        request(&mut c, 2, 1);
+        // Peer 1 answers block 0 with corrupt data, then disconnects: only its own requests go.
+        c.forget_requests(ConnId(1), Some((0, 0)));
+        assert_eq!(c.pieces.request_count(0, 0), 1);
+        c.forget_requests(ConnId(1), None);
+        assert_eq!(holds(&c, 1), []);
+        assert_eq!(holds(&c, 2), [(0, 0), (0, 1)]);
+        assert!(c.pieces.in_endgame(), "every block is still reserved");
+        // A second corrupt answer for a request that is already gone releases nothing.
+        c.forget_requests(ConnId(1), Some((0, 0)));
+        assert_eq!(c.pieces.request_count(0, 0), 1);
+        // Once the twin goes too, the blocks are uncovered again.
+        c.forget_requests(ConnId(2), None);
+        assert!(!c.pieces.in_endgame());
+        assert_eq!(c.pieces.requests_outstanding(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::bitfield::Bitfield;
 use crate::torrent::Torrent;
-use p2plab_sim::{SimDuration, SimRng, SimTime};
+use p2plab_sim::{SimRng, SimTime};
 use std::collections::BTreeMap;
 
 /// Number of complete pieces below which the client picks pieces at random rather than
@@ -32,33 +32,28 @@ pub enum BlockOutcome {
 /// duplication with `cancel` messages; the model caps the number of parallel requests instead.
 pub const MAX_ENDGAME_DUPLICATION: u8 = 2;
 
-#[derive(Debug, Clone, Copy)]
-struct BlockRequest {
-    first_at: SimTime,
-    count: u8,
-}
-
 #[derive(Debug, Clone)]
 struct PartialPiece {
     received: Bitfield,
-    /// Outstanding request per block (indexed by block number — pieces have a small, fixed
-    /// block count, so an array beats a hash map in the per-block hot loops), with the first
-    /// request time and how many peers have the request outstanding.
-    requested: Vec<Option<BlockRequest>>,
+    /// How many peers hold an outstanding request for each block (indexed by block number —
+    /// pieces have a small, fixed block count, so an array beats a hash map in the per-block
+    /// hot loops). A count only: *who* asked and *when* is recorded once, in the peers'
+    /// `PeerConn::inflight` lists, and `Client` keeps the two in step. Zero for a received block.
+    requested: Vec<u8>,
 }
 
 impl PartialPiece {
     fn new(blocks: u32) -> PartialPiece {
         PartialPiece {
             received: Bitfield::new(blocks),
-            requested: vec![None; blocks as usize],
+            requested: vec![0; blocks as usize],
         }
     }
 
     /// Blocks neither received nor requested — the quantity the endgame test sums.
     fn uncovered(&self) -> u64 {
         (0..self.requested.len() as u32)
-            .filter(|&b| !self.received.get(b) && self.requested[b as usize].is_none())
+            .filter(|&b| !self.received.get(b) && self.requested[b as usize] == 0)
             .count() as u64
     }
 }
@@ -77,7 +72,7 @@ pub struct PieceManager {
     /// Blocks that are neither owned nor currently requested, over the whole torrent —
     /// maintained incrementally so the endgame test is O(1) instead of a scan per pick.
     uncovered_blocks: u64,
-    /// Scratch buffer reused by `pick_blocks` (in-progress candidates, then fresh pieces).
+    /// Scratch buffer reused by `pick_into` (in-progress candidates, then fresh pieces).
     candidates: Vec<u32>,
 }
 
@@ -191,21 +186,53 @@ impl PieceManager {
             .sum()
     }
 
-    /// Picks up to `max` blocks to request from a peer owning `peer_have`, marking them as
-    /// requested at `now`. Blocks already requested from other peers are skipped unless
-    /// endgame mode is active.
+    /// How many peers hold an outstanding request for this block.
+    pub(crate) fn request_count(&self, piece: u32, block: u32) -> u8 {
+        self.partial
+            .get(&piece)
+            .map_or(0, |pp| pp.requested[block as usize])
+    }
+
+    /// Requests outstanding over all peers: the sum of every block's request count (a scan —
+    /// for the recount and tests, not the hot path).
+    pub(crate) fn requests_outstanding(&self) -> u64 {
+        let counts = self.partial.values().flat_map(|pp| &pp.requested);
+        counts.map(|&c| c as u64).sum()
+    }
+
+    /// Picks up to `max` blocks to request from a peer owning `peer_have` and counts one more
+    /// request against each. Blocks already requested from other peers are skipped unless
+    /// endgame mode is active. `_now` is unused — a request's age lives with the peer that holds
+    /// it ([`Client::request_blocks`](crate::Client::request_blocks)) — and stays only because
+    /// `benchmark`'s probe calls this signature.
     pub fn pick_blocks(
         &mut self,
         peer_have: &Bitfield,
         max: usize,
-        now: SimTime,
+        _now: SimTime,
         rng: &mut SimRng,
     ) -> Vec<(u32, u32)> {
+        let mut picked = Vec::with_capacity(max);
+        self.pick_into(peer_have, max, rng, |_| false, &mut picked);
+        picked
+    }
+
+    /// [`pick_blocks`](Self::pick_blocks) into a caller-owned buffer, for a peer that already
+    /// `holds` requests of its own: endgame mode never hands such a block to the same peer a
+    /// second time (it would only waste its upload link, and count a holder that is not one).
+    pub fn pick_into(
+        &mut self,
+        peer_have: &Bitfield,
+        max: usize,
+        rng: &mut SimRng,
+        holds: impl Fn((u32, u32)) -> bool,
+        picked: &mut Vec<(u32, u32)>,
+    ) {
+        picked.clear();
         if max == 0 || self.is_complete() {
-            return Vec::new();
+            return;
         }
         let endgame = self.in_endgame();
-        let mut picked = Vec::with_capacity(max);
 
         // Candidate pieces, in one reused scratch buffer: strict priority first (blocks of
         // pieces already in progress; BTreeMap iteration is already in piece order), then
@@ -245,8 +272,9 @@ impl PieceManager {
             }
         }
 
+        let mut budget = max;
         for &piece in &candidates {
-            if picked.len() >= max {
+            if budget == 0 {
                 break;
             }
             let blocks = self.torrent.blocks_in_piece(piece);
@@ -255,31 +283,29 @@ impl PieceManager {
                 .entry(piece)
                 .or_insert_with(|| PartialPiece::new(blocks));
             for b in 0..blocks {
-                if picked.len() >= max {
+                if budget == 0 {
                     break;
                 }
                 if entry.received.get(b) {
                     continue;
                 }
-                match &mut entry.requested[b as usize] {
-                    slot @ None => {
-                        *slot = Some(BlockRequest {
-                            first_at: now,
-                            count: 1,
-                        });
-                        self.uncovered_blocks -= 1;
-                        picked.push((piece, b));
-                    }
-                    Some(req) if endgame && req.count < MAX_ENDGAME_DUPLICATION => {
-                        req.count += 1;
-                        picked.push((piece, b));
-                    }
-                    Some(_) => {}
+                let count = &mut entry.requested[b as usize];
+                if *count > 0 && (!endgame || *count >= MAX_ENDGAME_DUPLICATION) {
+                    continue;
                 }
+                budget -= 1;
+                if *count == 0 {
+                    self.uncovered_blocks -= 1;
+                } else if holds((piece, b)) {
+                    // An endgame block the peer already holds uses up one of its picks, but is
+                    // neither counted nor handed back a second time.
+                    continue;
+                }
+                *count += 1;
+                picked.push((piece, b));
             }
         }
         self.candidates = candidates;
-        picked
     }
 
     /// Records a received block. Returns what the block achieved.
@@ -295,7 +321,8 @@ impl PieceManager {
         if !entry.received.set(block) {
             return BlockOutcome::Duplicate;
         }
-        if entry.requested[block as usize].take().is_none() {
+        // Receipt settles every request for the block, whoever held one.
+        if std::mem::take(&mut entry.requested[block as usize]) == 0 {
             // A block that was never requested (or whose request timed out) stops being
             // uncovered the moment it is owned.
             self.uncovered_blocks -= 1;
@@ -314,32 +341,18 @@ impl PieceManager {
         }
     }
 
-    /// Releases requested-but-not-received blocks older than `timeout`, so they can be requested
-    /// again (from another peer). Returns how many requests were released.
-    pub fn release_stale_requests(&mut self, now: SimTime, timeout: SimDuration) -> usize {
-        let mut released = 0;
-        for pp in self.partial.values_mut() {
-            for b in 0..pp.requested.len() {
-                if let Some(req) = pp.requested[b] {
-                    if now.saturating_since(req.first_at) > timeout {
-                        pp.requested[b] = None;
-                        if !pp.received.get(b as u32) {
-                            self.uncovered_blocks += 1;
-                        }
-                        released += 1;
-                    }
-                }
-            }
-        }
-        released
-    }
-
-    /// Releases every outstanding request issued to a disconnected peer (identified by the exact
-    /// blocks it had in flight).
+    /// Takes one holder off each listed block's request count — the peer that held the request
+    /// disconnected, answered with corrupt data, or let it time out. A block stays reserved
+    /// while another peer (an endgame twin) still holds a request for it.
     pub fn release_requests(&mut self, blocks: &[(u32, u32)]) {
         for &(piece, block) in blocks {
-            if let Some(pp) = self.partial.get_mut(&piece) {
-                if pp.requested[block as usize].take().is_some() && !pp.received.get(block) {
+            let Some(pp) = self.partial.get_mut(&piece) else {
+                continue;
+            };
+            let count = &mut pp.requested[block as usize];
+            if *count > 0 {
+                *count -= 1;
+                if *count == 0 {
                     self.uncovered_blocks += 1;
                 }
             }
@@ -483,29 +496,6 @@ mod tests {
         // A second peer can now request the same outstanding blocks.
         let second = pm.pick_blocks(&peer, 10, SimTime::ZERO, &mut r);
         assert_eq!(second.len(), 2);
-    }
-
-    #[test]
-    fn stale_requests_are_released() {
-        let t = small_torrent();
-        let mut pm = PieceManager::new(t.clone(), false);
-        let peer = Bitfield::full(t.num_pieces());
-        pm.add_peer_bitfield(&peer);
-        let mut r = rng();
-        let picked = pm.pick_blocks(&peer, 4, SimTime::ZERO, &mut r);
-        assert_eq!(picked.len(), 4);
-        // Nothing released before the timeout.
-        assert_eq!(
-            pm.release_stale_requests(SimTime::from_secs(10), SimDuration::from_secs(60)),
-            0
-        );
-        assert_eq!(
-            pm.release_stale_requests(SimTime::from_secs(100), SimDuration::from_secs(60)),
-            4
-        );
-        // The same blocks can be picked again afterwards.
-        let again = pm.pick_blocks(&peer, 4, SimTime::from_secs(100), &mut r);
-        assert_eq!(again.len(), 4);
     }
 
     #[test]

@@ -352,9 +352,14 @@ fn handle_client_event(sim: &mut SwarmSim, idx: usize, event: TransportEvent<BtP
 
 fn drop_peer(sim: &mut SwarmSim, idx: usize, conn: ConnId) {
     let client = &mut sim.world_mut().clients[idx];
+    let freed = client.forget_requests(conn, None);
     if let Some(p) = client.peers.remove(&conn) {
         client.pieces.remove_peer_bitfield(&p.bitfield);
-        client.pieces.release_requests(&p.inflight);
+    }
+    // Blocks it was asked for are free again: offer them to the peers still serving us now,
+    // not at the next choker round (a client that is shutting down asks nobody).
+    if freed > 0 && client.online {
+        fill_pipelines(sim, idx);
     }
 }
 
@@ -418,19 +423,17 @@ fn handle_peer_message(sim: &mut SwarmSim, idx: usize, conn: ConnId, msg: PeerMe
             let client = &mut sim.world_mut().clients[idx];
             if let Some(p) = client.peers.get_mut(&conn) {
                 p.peer_choking = true;
-                // Requests already accepted by the peer are usually answered anyway (the data is
-                // in flight on its upload link), so keep them reserved instead of immediately
-                // re-requesting the same blocks elsewhere; the stale-request sweep reclaims them
-                // if they never arrive. This mirrors mainline behaviour and avoids duplicate
-                // transfers on every choke/unchoke rotation.
+                // A choking uploader drops what it has not answered yet, so the requests still
+                // outstanding are almost surely dead. They stay reserved all the same:
+                // re-requesting the blocks elsewhere at once costs a tenth more events and
+                // drains the swarm no sooner. The choker round's `Client::expire_requests`
+                // reclaims the block's reservation and this peer's pipeline slot together.
             }
         }
         PeerMessage::Unchoke => {
-            {
-                let client = &mut sim.world_mut().clients[idx];
-                if let Some(p) = client.peers.get_mut(&conn) {
-                    p.peer_choking = false;
-                }
+            let client = &mut sim.world_mut().clients[idx];
+            if let Some(p) = client.peers.get_mut(&conn) {
+                p.peer_choking = false;
             }
             request_blocks(sim, idx, conn);
         }
@@ -521,19 +524,20 @@ fn handle_piece(
     if corrupt {
         // The block fails the piece-hash check: reject it before it reaches the piece manager
         // (no corruption is ever accepted), retract the lying peer's claim to the piece so the
-        // picker re-requests the block from someone else, and release the reservation.
+        // picker re-requests the block from someone else — at once, from whoever is serving
+        // us — and forget this peer's request.
         let client = &mut sim.world_mut().clients[idx];
         let Some(p) = client.peers.get_mut(&conn) else {
             return;
         };
-        p.inflight.retain(|&b| b != (piece, block));
         p.download.record(now, data_len as u64);
         client.stats.corrupted_blocks_rejected += 1;
         if p.bitfield.clear(piece) {
             client.pieces.remove_peer_have(piece);
         }
-        client.pieces.release_requests(&[(piece, block)]);
-        request_blocks(sim, idx, conn);
+        if client.forget_requests(conn, Some((piece, block))) > 0 {
+            fill_pipelines(sim, idx);
+        }
         return;
     }
     let (completed_piece, file_complete, broadcast_conns) = {
@@ -541,12 +545,11 @@ fn handle_piece(
         let Some(p) = client.peers.get_mut(&conn) else {
             return;
         };
-        p.inflight.retain(|&b| b != (piece, block));
         p.download.record(now, data_len as u64);
         p.blocks_received += 1;
         client.stats.bytes_downloaded += data_len as u64;
         client.stats.blocks_downloaded += 1;
-        let outcome = client.pieces.block_received(piece, block);
+        let outcome = client.block_answered(conn, piece, block);
         let (completed_piece, file_complete) = match outcome {
             BlockOutcome::Duplicate => {
                 client.stats.duplicate_blocks += 1;
@@ -615,30 +618,26 @@ fn update_interest(sim: &mut SwarmSim, idx: usize, conn: ConnId) {
 
 fn request_blocks(sim: &mut SwarmSim, idx: usize, conn: ConnId) {
     let now = sim.now();
-    let requests = {
-        let (world, rng) = sim.world_and_rng();
-        let client = &mut world.clients[idx];
-        match client.peers.get_mut(&conn) {
-            Some(p) if p.handshaken && p.am_interested && !p.peer_choking => {
-                let budget = client
-                    .config
-                    .request_pipeline
-                    .saturating_sub(p.inflight.len());
-                let picked = client.pieces.pick_blocks(&p.bitfield, budget, now, rng);
-                // Endgame mode may hand back blocks this very peer already has in flight;
-                // re-requesting them from the same peer would only waste its upload link.
-                let picked: Vec<(u32, u32)> = picked
-                    .into_iter()
-                    .filter(|b| !p.inflight.contains(b))
-                    .collect();
-                p.inflight.extend(picked.iter().copied());
-                picked
-            }
-            _ => Vec::new(),
-        }
-    };
-    for (piece, block) in requests {
+    let (world, rng) = sim.world_and_rng();
+    let client = &mut world.clients[idx];
+    let mut requests = std::mem::take(&mut client.request_scratch);
+    client.request_blocks(conn, now, rng, &mut requests);
+    for &(piece, block) in &requests {
         send_peer(sim, idx, conn, PeerMessage::Request { piece, block });
+    }
+    sim.world_mut().clients[idx].request_scratch = requests;
+}
+
+/// Keeps the request pipeline full towards every peer that is currently serving us.
+fn fill_pipelines(sim: &mut SwarmSim, idx: usize) {
+    let mut from = ConnId(0);
+    while let Some(conn) = sim.world().clients[idx]
+        .peers
+        .range(from..)
+        .find_map(|(&conn, p)| p.is_serving().then_some(conn))
+    {
+        request_blocks(sim, idx, conn);
+        from = ConnId(conn.0 + 1);
     }
 }
 
@@ -657,8 +656,7 @@ fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) -> bool {
     let choke_msgs = {
         let (world, rng) = sim.world_and_rng();
         let client = &mut world.clients[idx];
-        let timeout = client.config.request_timeout;
-        client.pieces.release_stale_requests(now, timeout);
+        client.expire_requests(now);
         let mut snapshot = std::mem::take(&mut client.snapshot_scratch);
         client.choker_snapshot_into(now, &mut snapshot);
         let seeding = client.is_seeding();
@@ -683,16 +681,7 @@ fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) -> bool {
     for (conn, msg) in choke_msgs {
         send_peer(sim, idx, conn, msg);
     }
-    // Keep the request pipeline full towards every peer that is currently serving us.
-    let active: Vec<ConnId> = sim.world().clients[idx]
-        .peers
-        .values()
-        .filter(|p| p.handshaken && p.am_interested && !p.peer_choking)
-        .map(|p| p.conn)
-        .collect();
-    for conn in active {
-        request_blocks(sim, idx, conn);
-    }
+    fill_pipelines(sim, idx);
     connect_to_peers(sim, idx);
     true
 }
@@ -994,6 +983,36 @@ mod tests {
         let c2 = &sim.world().clients[2];
         let uploads_after_completion = c1.stats.bytes_uploaded > 0 || c2.stats.bytes_uploaded > 0;
         assert!(uploads_after_completion);
+    }
+
+    #[test]
+    fn blocks_a_lost_peer_held_are_offered_to_serving_peers_at_once() {
+        // A leecher holds its whole pipeline toward peer 2 while peer 1, also serving, had
+        // nothing left to be asked for. Peer 2 disconnects; corrupt data from peer 1 next.
+        // Either way the freed blocks go straight to whoever still serves us — no leecher sits
+        // unchoked by a useful peer with nothing requested until its next choker round.
+        let world = build_swarm(1, 0, 1, fast_link(), 64 * 1024);
+        let mut sim: SwarmSim = Simulation::with_events(world, 19);
+        let client = &mut sim.world_mut().clients[0];
+        client.online = true;
+        for conn in [ConnId(1), ConnId(2)] {
+            let addr = SocketAddr::new(VirtAddr::new(10, 0, 0, 99), 6881);
+            let mut p = PeerConn::new(conn, addr, true, 1, SimDuration::from_secs(20));
+            p.bitfield = Bitfield::full(1);
+            client.pieces.add_peer_bitfield(&p.bitfield);
+            (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
+            client.peers.insert(conn, p);
+        }
+        request_blocks(&mut sim, 0, ConnId(2));
+        let held = |sim: &SwarmSim, conn| sim.world().clients[0].peers[&conn].inflight.len();
+        assert_eq!((held(&sim, ConnId(1)), held(&sim, ConnId(2))), (0, 4));
+        drop_peer(&mut sim, 0, ConnId(2));
+        assert_eq!(held(&sim, ConnId(1)), 4);
+        handle_piece(&mut sim, 0, ConnId(1), 0, 2, 16 * 1024, true);
+        let client = &mut sim.world_mut().clients[0];
+        assert_eq!(client.stats.corrupted_blocks_rejected, 1);
+        assert_eq!(client.pieces.requests_outstanding(), 3);
+        assert!(client.ledger_is_coherent());
     }
 
     #[test]

@@ -1,9 +1,36 @@
-//! Property-based tests of the BitTorrent data structures: torrent geometry, bitfields and the
-//! piece manager's bookkeeping invariants.
+//! Property-based tests of the BitTorrent data structures: torrent geometry, bitfields, the
+//! piece manager's bookkeeping invariants and the client's request ledger.
 
-use p2plab_bittorrent::{Bitfield, BlockOutcome, PieceManager, Torrent};
-use p2plab_sim::{SimRng, SimTime};
+use p2plab_bittorrent::{
+    Bitfield, BlockOutcome, Client, ClientConfig, PeerConn, PeerId, PieceManager, Torrent,
+};
+use p2plab_net::{ConnId, SocketAddr, VNodeId, VirtAddr};
+use p2plab_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+const LEDGER_PEERS: u64 = 4;
+
+/// A leecher of a 3-piece, 12-block torrent with `LEDGER_PEERS` serving peers owning all of it.
+fn ledger_client() -> Client {
+    let torrent = Torrent {
+        name: "prop".into(),
+        total_bytes: 3 * 64 * 1024,
+        piece_size: 64 * 1024,
+        block_size: 16 * 1024,
+    };
+    let addr = |host| SocketAddr::new(VirtAddr::new(10, 0, 0, host), 6881);
+    let cfg = ClientConfig::default();
+    let mut c = Client::new(PeerId(0), VNodeId(0), torrent, false, addr(250), cfg);
+    for conn in (1..=LEDGER_PEERS).map(ConnId) {
+        let mut p = PeerConn::new(conn, addr(conn.0 as u8), true, 3, cfg.rate_window);
+        p.bitfield = Bitfield::full(3);
+        c.pieces.add_peer_bitfield(&p.bitfield);
+        (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
+        c.peers.insert(conn, p);
+    }
+    c
+}
 
 proptest! {
     /// Block lengths of any torrent tile the file exactly.
@@ -134,5 +161,88 @@ proptest! {
         dedup.sort_unstable();
         dedup.dedup();
         prop_assert_eq!(dedup.len(), picked.len());
+    }
+
+    /// The request ledger against a model that records who asked for what, and when, once:
+    /// under any interleaving of request / answer / corrupt answer / disconnect / choke /
+    /// unchoke / expiry over several peers, the peers' lists equal the model's, every block's count
+    /// equals its holders in the model, and the endgame test (whose debug recount checks
+    /// `uncovered_blocks`) agrees with the model's coverage.
+    #[test]
+    fn request_ledger_matches_a_single_owner_model(
+        ops in prop::collection::vec((0u8..8, 1u64..LEDGER_PEERS + 1, 0u32..12, 0u64..40), 1..200),
+        seed in 0u64..1000,
+    ) {
+        let mut c = ledger_client();
+        let mut rng = SimRng::new(seed);
+        let mut held: Vec<Vec<((u32, u32), SimTime)>> = vec![Vec::new(); LEDGER_PEERS as usize + 1];
+        let mut received = BTreeSet::new();
+        let mut now = SimTime::ZERO;
+        let mut picked = Vec::new();
+        for (op, peer, arg, dt) in ops {
+            now += SimDuration::from_secs(dt);
+            let conn = ConnId(peer);
+            let mine = &mut held[peer as usize];
+            // The block an answer names: one this peer was asked for, else an unsolicited one.
+            let block = mine
+                .get(arg as usize % mine.len().max(1))
+                .map_or((arg / 4, arg % 4), |r| r.0);
+            match op {
+                0..=2 => {
+                    let holders = |b| held.iter().flatten().filter(|r| r.0 == b).count();
+                    let uncovered = (0..12)
+                        .map(|i| (i / 4, i % 4))
+                        .any(|b| !received.contains(&b) && holders(b) == 0);
+                    let before: Vec<usize> = (0..12).map(|i| holders((i / 4, i % 4))).collect();
+                    let budget = c.config.request_pipeline - held[peer as usize].len();
+                    c.request_blocks(conn, now, &mut rng, &mut picked);
+                    prop_assert!(picked.len() <= budget);
+                    if !c.peers[&conn].is_serving() {
+                        prop_assert!(picked.is_empty());
+                    }
+                    for &b in &picked {
+                        prop_assert!(!received.contains(&b), "picked a received block");
+                        prop_assert!(held[peer as usize].iter().all(|r| r.0 != b), "asked twice");
+                        let cap = if uncovered { 0 } else { 1 };
+                        prop_assert!(before[(b.0 * 4 + b.1) as usize] <= cap);
+                        held[peer as usize].push((b, now));
+                    }
+                }
+                3 => {
+                    let outcome = c.block_answered(conn, block.0, block.1);
+                    prop_assert_eq!(outcome == BlockOutcome::Duplicate, !received.insert(block));
+                    held.iter_mut().for_each(|h| h.retain(|r| r.0 != block));
+                }
+                4 => {
+                    c.forget_requests(conn, Some(block));
+                    mine.retain(|r| r.0 != block);
+                }
+                5 => {
+                    c.forget_requests(conn, None);
+                    mine.clear();
+                }
+                6 => {
+                    let p = c.peers.get_mut(&conn).unwrap();
+                    p.peer_choking = !p.peer_choking;
+                }
+                _ => {
+                    c.expire_requests(now);
+                    let timeout = c.config.request_timeout;
+                    held.iter_mut()
+                        .for_each(|h| h.retain(|r| now.saturating_since(r.1) <= timeout));
+                }
+            }
+            let holders = |b| held.iter().flatten().filter(|r| r.0 == b).count();
+            for p in c.peers.values() {
+                prop_assert_eq!(&p.inflight, &held[p.conn.0 as usize]);
+            }
+            // The lists equal the model's, and every block's count equals its holders there.
+            prop_assert!(c.ledger_is_coherent());
+            let covered = (0..12)
+                .map(|i| (i / 4, i % 4))
+                .all(|b| received.contains(&b) || holders(b) > 0);
+            prop_assert_eq!(c.pieces.in_endgame(), covered && received.len() < 12);
+            prop_assert_eq!(c.pieces.is_complete(), received.len() == 12);
+        }
     }
 }

@@ -122,7 +122,7 @@ pub trait Workload {
     /// derived from protocol state, never magic values) and tallies byzantine traffic. Called
     /// only when a roster was installed; the runner records the report's counts into the run's
     /// metric set (`invariants_checked`, `invariant_violations`, `byzantine_msgs_sent`).
-    fn check_invariants(&self, _world: &Self::World, _outcome: RunOutcome) -> InvariantReport {
+    fn check_invariants(&self, _world: &Self::World, _stop: &ShardedOutcome) -> InvariantReport {
         InvariantReport::new()
     }
 
@@ -882,7 +882,7 @@ fn run_scenario_inner<W: Workload + 'static>(
     // The invariant monitor runs once, over the final world: honest-node safety checks and the
     // byzantine traffic tally land in the same metric set the report carries.
     if let (Some(roster), Some(counters)) = (&roster, adversary_counters) {
-        let inv = workload.check_invariants(&world, stop.outcome);
+        let inv = workload.check_invariants(&world, &stop);
         counters.record(roster.len(), &inv, &mut recorder);
     }
     let metrics = recorder.finish();

@@ -17,7 +17,7 @@
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys};
-use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, Workload};
+use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, ShardedOutcome, Workload};
 use p2plab_net::rpc::{self, RpcConfig, RpcHost, RpcOutcome, RpcPayload, RpcStats, RpcTable};
 use p2plab_net::{
     Misbehavior, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
@@ -758,7 +758,7 @@ impl Workload for DhtLookupWorkload {
         Ok(())
     }
 
-    fn check_invariants(&self, world: &DhtWorld, outcome: RunOutcome) -> InvariantReport {
+    fn check_invariants(&self, world: &DhtWorld, stop: &ShardedOutcome) -> InvariantReport {
         let mut inv = InvariantReport::new();
         inv.byzantine_msgs_sent = world.net.stats().byzantine_msgs_sent;
         // Safety: every candidate a lookup accepted an answer from is a real node of the id
@@ -787,7 +787,7 @@ impl Workload for DhtLookupWorkload {
         // Liveness: bounded RPC retries guarantee every shortlist settles, so a drained run
         // must have finished every scheduled lookup — byzantine nodes may make lookups miss
         // the true closest node, but they can never wedge one.
-        if outcome == RunOutcome::Drained {
+        if stop.outcome == RunOutcome::Drained {
             inv.check(world.records.len() >= self.spec.lookups, || {
                 format!(
                     "only {}/{} lookups settled in a drained run",

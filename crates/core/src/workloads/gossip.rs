@@ -12,7 +12,8 @@ use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{
-    schedule_session_chain, ArrivalSchedule, ArrivalSpec, ScenarioRun, SessionProcess, Workload,
+    schedule_session_chain, ArrivalSchedule, ArrivalSpec, ScenarioRun, SessionProcess,
+    ShardedOutcome, Workload,
 };
 use p2plab_net::{
     Endpoint, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
@@ -366,7 +367,7 @@ impl Workload for GossipWorkload {
         Ok(())
     }
 
-    fn check_invariants(&self, world: &GossipWorld, outcome: RunOutcome) -> InvariantReport {
+    fn check_invariants(&self, world: &GossipWorld, stop: &ShardedOutcome) -> InvariantReport {
         let mut inv = InvariantReport::new();
         inv.byzantine_msgs_sent = world.net.stats().byzantine_msgs_sent;
         let roster = self.roster.as_ref();
@@ -378,7 +379,7 @@ impl Workload for GossipWorkload {
         // as are deadline/budget cut-offs.
         let any_honest_informed =
             (0..world.nodes()).any(|k| honest(k) && world.informed_at[k].is_some());
-        if outcome == RunOutcome::Drained && any_honest_informed {
+        if stop.outcome == RunOutcome::Drained && any_honest_informed {
             for k in (0..world.nodes()).filter(|&k| honest(k)) {
                 inv.check(world.informed_at[k].is_some(), || {
                     format!("honest node {k} never heard the rumor in a drained run")

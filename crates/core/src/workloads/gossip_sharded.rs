@@ -504,7 +504,7 @@ impl Workload for GossipShardedWorkload {
     fn check_invariants(
         &self,
         world: &GossipShardedWorld,
-        _outcome: RunOutcome,
+        _stop: &ShardedOutcome,
     ) -> InvariantReport {
         let mut inv = InvariantReport::new();
         inv.byzantine_msgs_sent = world.byzantine_msgs_sent;

@@ -10,7 +10,8 @@ use crate::deploy::Deployment;
 use crate::experiment::SwarmResult;
 use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{
-    schedule_session_chain, ArrivalSchedule, ArrivalSpec, ScenarioRun, SessionProcess, Workload,
+    schedule_session_chain, ArrivalSchedule, ArrivalSpec, ScenarioRun, SessionProcess,
+    ShardedOutcome, Workload,
 };
 use p2plab_bittorrent::{
     schedule_client_start, start_client, stop_client, ClientConfig, SwarmSim, SwarmWorld, Torrent,
@@ -202,7 +203,21 @@ impl Workload for SwarmWorkload {
         Ok(())
     }
 
-    fn check_invariants(&self, world: &SwarmWorld, outcome: RunOutcome) -> InvariantReport {
+    /// The swarm's monitor. Safety: completion implies the full verified piece set. Liveness
+    /// of a drained run: every honest leecher finished. And, for every honest leecher still
+    /// online and incomplete when the run stopped — however it stopped — the request ledger
+    /// must be *coherent and live*:
+    ///
+    /// 1. each block's request count equals the number of peers holding a request for it;
+    /// 2. no request is older than `request_timeout + choke_interval` (the choker round's
+    ///    sweep forgets them);
+    /// 3. a leecher that some peer is unchoking, while that peer has a piece it lacks, has
+    ///    requests outstanding.
+    ///
+    /// A deadline or budget stop that leaves leechers incomplete is still a clean failure
+    /// *of the swarm* (too little time, too many free-riders) — but not when (3) fails: a
+    /// leecher that could ask and is not asking will never finish, and that is a violation.
+    fn check_invariants(&self, world: &SwarmWorld, stop: &ShardedOutcome) -> InvariantReport {
         let mut inv = InvariantReport::new();
         inv.byzantine_msgs_sent = world.net.stats().byzantine_msgs_sent;
         for (l, client) in world
@@ -227,13 +242,37 @@ impl Workload for SwarmWorkload {
                 },
             );
             // Liveness: when the run drained (nothing left to do), every honest leecher must
-            // have finished its download despite the byzantine peers. Deadline or budget
-            // cut-offs are clean failures, not invariant violations.
-            if outcome == RunOutcome::Drained {
+            // have finished its download despite the byzantine peers.
+            if stop.outcome == RunOutcome::Drained {
                 inv.check(client.completed_at.is_some(), || {
                     format!("honest leecher {l} never completed in a drained run")
                 });
             }
+            if !client.online || client.pieces.is_complete() {
+                continue;
+            }
+            inv.check(client.ledger_is_coherent(), || {
+                format!("honest leecher {l}: block request counts disagree with the peers' lists")
+            });
+            let max_age = client.config.request_timeout + client.config.choke_interval;
+            let oldest = client
+                .peers
+                .values()
+                .flat_map(|p| p.inflight.iter().map(|r| r.1))
+                .min();
+            inv.check(
+                oldest.is_none_or(|sent_at| stop.stopped_at.saturating_since(sent_at) <= max_age),
+                || format!("honest leecher {l} holds a request sent at {oldest:?}, never swept"),
+            );
+            let served = client.peers.values().any(|p| {
+                p.handshaken
+                    && !p.peer_choking
+                    && client.pieces.have().is_interested_in(&p.bitfield)
+            });
+            let asking = client.peers.values().any(|p| !p.inflight.is_empty());
+            inv.check(!served || asking, || {
+                format!("honest leecher {l} is served by a peer it needs and requests nothing")
+            });
         }
         inv
     }
@@ -387,9 +426,11 @@ impl Workload for SwarmWorkload {
 mod tests {
     use super::*;
     use crate::adversary::AdversaryPlan;
+    use crate::deploy::deploy;
     use crate::experiment::SwarmExperiment;
     use crate::scenario::{run_reported, run_scenario, ScenarioBuilder};
-    use p2plab_net::TopologySpec;
+    use p2plab_bittorrent::{Bitfield, PeerConn};
+    use p2plab_net::{ConnId, NetworkConfig, SocketAddr, TopologySpec};
 
     #[test]
     fn byzantine_leechers_slow_but_never_corrupt_honest_downloads() {
@@ -424,6 +465,71 @@ mod tests {
         // Free-riding costs the swarm time: the last completion is no earlier than the
         // honest baseline's (the byzantine_sweep campaign shows the monotone curve).
         assert!(byz.completion_times.last() >= honest.completion_times.last());
+    }
+
+    #[test]
+    fn request_ledger_stays_coherent_and_live_under_silent_drop_and_withholding() {
+        // Byzantine peers that accept requests and never answer are the choke-drop path made
+        // permanent. Cut the run short at several instants, so honest leechers are caught
+        // mid-download: each contributes the three ledger checks on top of the two it always
+        // gets, and none of them fires.
+        let mut cfg = SwarmExperiment::quick();
+        cfg.leechers = 8;
+        for (deadline, behaviors) in [
+            (21, ["silent-drop", "ack-withhold"]),
+            (25, ["silent-drop", "ack-withhold"]),
+            (29, ["ack-withhold", "corrupt-replies"]),
+        ] {
+            let mut spec = cfg.to_scenario();
+            spec.deadline = SimDuration::from_secs(deadline);
+            spec.adversary = Some(AdversaryPlan::new(0.25, &behaviors));
+            let (r, report) = run_reported(&spec, cfg.workload()).unwrap();
+            assert!(!r.finished, "the deadline must cut the download short");
+            assert_eq!(report.outcome, RunOutcome::DeadlineReached);
+            assert_eq!(report.metrics.counter("invariant_violations"), Some(0));
+            let honest_incomplete = 6 - r.completed as u64;
+            assert!(
+                report.metrics.counter("invariants_checked").unwrap() >= 6 + 3 * honest_incomplete,
+                "ledger checks must have run on the incomplete honest leechers"
+            );
+        }
+    }
+
+    #[test]
+    fn a_wedged_leecher_is_a_violation_even_at_a_deadline_stop() {
+        let cfg = SwarmExperiment::quick();
+        let spec = cfg.to_scenario();
+        let mut w = cfg.workload();
+        let deployment = deploy(&spec.topology, spec.deployment, NetworkConfig::default()).unwrap();
+        let mut world = w.build_world(deployment);
+        let stop = ShardedOutcome {
+            stopped_at: SimTime::from_secs(500),
+            events_executed: 0,
+            outcome: RunOutcome::DeadlineReached,
+        };
+        assert!(w.check_invariants(&world, &stop).is_clean());
+        // A leecher that a seeder is unchoking, asking for nothing...
+        let seeder_addr = SocketAddr::new(world.net.addr_of(world.clients[0].vnode), 6881);
+        let leecher = &mut world.clients[cfg.seeders];
+        leecher.online = true;
+        let mut p = PeerConn::new(
+            ConnId(1),
+            seeder_addr,
+            true,
+            8,
+            cfg.client_config.rate_window,
+        );
+        p.bitfield = Bitfield::full(8);
+        (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
+        leecher.peers.insert(ConnId(1), p);
+        let inv = w.check_invariants(&world, &stop);
+        assert_eq!(inv.violations.len(), 1, "{:?}", inv.violations);
+        // ...or holding a request nobody counted and no sweep ever forgot: two more.
+        let leecher = &mut world.clients[cfg.seeders];
+        let p = leecher.peers.get_mut(&ConnId(1)).unwrap();
+        p.inflight.push(((0, 0), SimTime::from_secs(100)));
+        let inv = w.check_invariants(&world, &stop);
+        assert_eq!(inv.violations.len(), 2, "{:?}", inv.violations);
     }
 
     #[test]
