@@ -91,11 +91,6 @@ impl SwarmWorld {
             .map(|i| i as usize)
     }
 
-    /// Number of downloaders (clients that started incomplete).
-    pub fn leecher_count(&self) -> usize {
-        self.clients.iter().filter(|c| !c.initial_seeder).count()
-    }
-
     /// Number of downloaders that have completed.
     pub fn completed_count(&self) -> usize {
         debug_assert_eq!(
@@ -827,14 +822,12 @@ mod tests {
         let machine_ids: Vec<_> = (0..machines)
             .map(|m| net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m as u8 + 1)))
             .collect();
-        let mut vnodes = Vec::new();
-        for i in 0..n {
-            let addr = VirtAddr::new(10, 0, 0, 0).offset(i as u32 + 1);
-            let vid = net
-                .add_vnode(machine_ids[i % machines], addr, GroupId(0))
-                .unwrap();
-            vnodes.push(vid);
-        }
+        let vnodes: Vec<_> = (0..n)
+            .map(|i| {
+                net.add_vnode(machine_ids[i % machines], GroupId(0))
+                    .unwrap()
+            })
+            .collect();
         let torrent = Torrent::new("test", total_bytes);
         let mut world = SwarmWorld::new(net, vnodes[0]);
         for i in 0..seeders {

@@ -6,6 +6,11 @@
 //! machine needs. The *folding ratio* (virtual nodes per physical machine) is the paper's key
 //! scalability metric: Figure 9 shows results are unchanged up to 80 virtual nodes per machine,
 //! and the 5760-node run of Figures 10-11 uses 32 per machine.
+//!
+//! Virtual nodes are created in the topology's enumeration order (group by group, node by
+//! node) on a fresh network, so node `i` of that order **is** `VNodeId(i)` — workloads index
+//! their per-node state by `vnode.0` instead of keeping an id-to-index map — and its address
+//! is the one the network assigns: the next alias of its group's subnet (paper, Figure 4).
 
 use p2plab_net::{GroupId, NetError, Network, NetworkConfig, TopologySpec, VNodeId, VirtAddr};
 use serde::{Deserialize, Serialize};
@@ -53,7 +58,7 @@ impl DeploymentSpec {
 pub struct Deployment {
     /// The configured emulated network.
     pub net: Network,
-    /// Virtual nodes in topology order.
+    /// Virtual nodes in topology order: `vnodes[i] == VNodeId(i)`.
     pub vnodes: Vec<VNodeId>,
     /// The deployment request this was built from.
     pub spec: DeploymentSpec,
@@ -86,7 +91,7 @@ impl Deployment {
 /// Builds the emulated network for `topology` folded onto the machines of `spec`.
 ///
 /// Machines receive administration addresses in `192.168.38.0/16` (as in the paper's Figure 4);
-/// virtual-node addresses come from each group's subnet.
+/// the network numbers each group's virtual nodes from the group's subnet.
 pub fn deploy(
     topology: &TopologySpec,
     spec: DeploymentSpec,
@@ -100,17 +105,16 @@ pub fn deploy(
         net.add_machine(format!("gdx-{:03}", m + 1), admin);
     }
     let mut vnodes = Vec::with_capacity(topology.total_nodes());
-    let mut global_index = 0usize;
     for (gi, group) in topology.groups.iter().enumerate() {
-        for i in 0..group.node_count {
+        for _ in 0..group.node_count {
+            let global_index = vnodes.len();
             let machine = match spec.placement {
                 Placement::RoundRobin => global_index % spec.machines,
                 Placement::Blocks => global_index * spec.machines / topology.total_nodes().max(1),
             };
-            let addr = topology.node_addr(GroupId(gi), i);
-            let id = net.add_vnode(p2plab_net::MachineId(machine), addr, GroupId(gi))?;
+            let id = net.add_vnode(p2plab_net::MachineId(machine), GroupId(gi))?;
+            debug_assert_eq!(id, VNodeId(global_index));
             vnodes.push(id);
-            global_index += 1;
         }
     }
     Ok(Deployment { net, vnodes, spec })

@@ -244,12 +244,6 @@ pub struct ArrivalSchedule {
 }
 
 impl ArrivalSchedule {
-    /// Builds a schedule from explicit instants (sorted internally).
-    pub fn from_times(mut times: Vec<SimTime>) -> ArrivalSchedule {
-        times.sort_unstable();
-        ArrivalSchedule { times }
-    }
-
     /// The arrival instants, in non-decreasing order; participant `k` arrives at `times()[k]`.
     pub fn times(&self) -> &[SimTime] {
         &self.times

@@ -23,7 +23,7 @@ use p2plab_net::{
     Misbehavior, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
 };
 use p2plab_sim::{
-    Counter, FxHashMap, HistogramId, Recorder, RunOutcome, SimDuration, SimRng, SimTime, TimeSeries,
+    Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimRng, SimTime, TimeSeries,
 };
 use serde::{Deserialize, Serialize};
 
@@ -206,20 +206,19 @@ pub struct LookupRecord {
 }
 
 /// The DHT world: the emulated network, the id space and routing tables, in-progress lookups
-/// and the RPC state.
+/// and the RPC state. DHT node `i` runs on `VNodeId(i)` (the deployment's identity rule, see
+/// [`mod@crate::deploy`]), so every per-node table below is indexed by `vnode.0`.
 pub struct DhtWorld {
     /// The emulated network.
     pub net: Network,
-    vnodes: Vec<VNodeId>,
-    /// Node ids, indexed like `vnodes`.
+    /// Node ids.
     ids: Vec<u64>,
     /// `(id, node index)` sorted by id — the ground truth for [`xor_closest`].
     sorted_ids: Vec<(u64, usize)>,
     /// Static per-node routing tables: up to `k` peers per XOR-distance bucket, flattened.
     routing: Vec<Vec<(u64, SocketAddr)>>,
-    /// DHT addresses, indexed like `vnodes`.
+    /// DHT addresses.
     addrs: Vec<SocketAddr>,
-    vnode_index: FxHashMap<VNodeId, usize>,
     k: usize,
     alpha: usize,
     /// Application-level deviations byzantine nodes apply when serving (noop when honest).
@@ -234,18 +233,11 @@ pub struct DhtWorld {
 }
 
 impl DhtWorld {
-    fn new(
-        mut net: Network,
-        vnodes: Vec<VNodeId>,
-        spec: &DhtLookupSpec,
-        roster: Option<&AdversaryRoster>,
-    ) -> DhtWorld {
+    fn new(mut net: Network, spec: &DhtLookupSpec, roster: Option<&AdversaryRoster>) -> DhtWorld {
         let n = spec.nodes;
-        let vnodes_used = &vnodes[..n];
         let ids: Vec<u64> = (0..n as u64).map(splitmix64).collect();
-        let addrs: Vec<SocketAddr> = vnodes_used
-            .iter()
-            .map(|&v| SocketAddr::new(net.addr_of(v), DHT_PORT))
+        let addrs: Vec<SocketAddr> = (0..n)
+            .map(|i| SocketAddr::new(net.addr_of(VNodeId(i)), DHT_PORT))
             .collect();
         let mut sorted_ids: Vec<(u64, usize)> = ids.iter().copied().zip(0..n).collect();
         sorted_ids.sort_unstable();
@@ -274,11 +266,6 @@ impl DhtWorld {
             }
             routing.push(table);
         }
-        let vnode_index = vnodes_used
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
         // Byzantine members: wire tampering on the sender path, plus a private per-node
         // stream for serve-side fabrication (split off the wire stream so the two never
         // correlate).
@@ -291,19 +278,16 @@ impl DhtWorld {
             .collect();
         if let Some(r) = roster {
             for &m in r.members() {
-                let vnode = vnodes_used[m];
-                net.set_tamper(vnode, r.tamper, r.wire_rng(m));
-                net.mark_byzantine(vnode);
+                net.set_tamper(VNodeId(m), r.tamper, r.wire_rng(m));
+                net.mark_byzantine(VNodeId(m));
             }
         }
         DhtWorld {
             net,
-            vnodes,
             ids,
             sorted_ids,
             routing,
             addrs,
-            vnode_index,
             k: spec.k,
             alpha: spec.alpha,
             misbehavior: roster.map(|r| r.flags).unwrap_or_default(),
@@ -373,8 +357,8 @@ impl RpcHost for DhtWorld {
             return None; // a Neighbors body is never a request
         };
         let world = sim.world_mut();
-        let idx = *world.vnode_index.get(&node)?;
-        let responder = world.ids[idx];
+        let idx = node.0;
+        let responder = *world.ids.get(idx)?;
         if world.serve_rng[idx].is_some() {
             let flags = world.misbehavior;
             if flags.withhold_serves {
@@ -491,7 +475,7 @@ fn advance(sim: &mut NetSim<DhtWorld>, li: usize) {
             Step::Query(ci) => {
                 let (origin_vnode, addr, cand_id, depth, target) = {
                     let world = sim.world_mut();
-                    let origin_vnode = world.vnodes[world.lookups[li].origin];
+                    let origin_vnode = VNodeId(world.lookups[li].origin);
                     let lookup = &mut world.lookups[li];
                     let c = &mut lookup.shortlist[ci];
                     c.state = CandState::Inflight;
@@ -804,12 +788,7 @@ impl Workload for DhtLookupWorkload {
     }
 
     fn build_world(&mut self, deployment: Deployment) -> DhtWorld {
-        DhtWorld::new(
-            deployment.net,
-            deployment.vnodes,
-            &self.spec,
-            self.roster.as_ref(),
-        )
+        DhtWorld::new(deployment.net, &self.spec, self.roster.as_ref())
     }
 
     fn on_deployed(&mut self, _sim: &mut NetSim<DhtWorld>) {

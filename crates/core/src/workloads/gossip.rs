@@ -19,8 +19,7 @@ use p2plab_net::{
     Endpoint, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
 };
 use p2plab_sim::{
-    schedule_periodic, Counter, FxHashMap, Gauge, Recorder, RunOutcome, SimDuration, SimTime,
-    TimeSeries,
+    schedule_periodic, Counter, Gauge, Recorder, RunOutcome, SimDuration, SimTime, TimeSeries,
 };
 use serde::{Deserialize, Serialize};
 use std::rc::Rc;
@@ -71,12 +70,11 @@ pub struct Rumor {
     pub hops: u32,
 }
 
-/// The gossip world: the emulated network plus per-node arrival/infection state.
+/// The gossip world: the emulated network plus per-node arrival/infection state. Gossip node
+/// `k` runs on `VNodeId(k)` (the deployment's identity rule, see [`mod@crate::deploy`]).
 pub struct GossipWorld {
     /// The emulated network.
     pub net: Network,
-    /// Virtual-node handles, indexed by gossip node id.
-    pub vnodes: Vec<VNodeId>,
     /// Whether each node is currently online (arrived and not churned away).
     pub online: Vec<bool>,
     /// When each node first heard the rumor.
@@ -95,24 +93,13 @@ pub struct GossipWorld {
     rumor_bytes: u64,
     fanout: usize,
     round_interval: SimDuration,
-    vnode_index: FxHashMap<VNodeId, usize>,
 }
 
 impl GossipWorld {
-    fn new(net: Network, vnodes: Vec<VNodeId>, spec: &GossipSpec) -> GossipWorld {
+    fn new(net: Network, spec: &GossipSpec) -> GossipWorld {
         let n = spec.nodes;
-        // Rumor receipts resolve the receiving vnode through this map; a linear scan per
-        // datagram would make every gossip round O(nodes^2).
-        let vnode_index = vnodes
-            .iter()
-            .take(n)
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
         GossipWorld {
             net,
-            vnodes,
-            vnode_index,
             online: vec![false; n],
             informed_at: vec![None; n],
             informed: 0,
@@ -136,8 +123,9 @@ impl GossipWorld {
         self.informed >= self.nodes()
     }
 
+    /// The gossip node on `vnode`, if it takes part (the topology may be larger).
     fn index_of(&self, vnode: VNodeId) -> Option<usize> {
-        self.vnode_index.get(&vnode).copied()
+        (vnode.0 < self.nodes()).then_some(vnode.0)
     }
 }
 
@@ -216,11 +204,10 @@ fn push_rumor(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
             target += 1;
         }
         let world = sim.world_mut();
-        let from = world.vnodes[idx];
-        let to_addr = world.net.addr_of(world.vnodes[target]);
+        let to_addr = world.net.addr_of(VNodeId(target));
         let size = world.rumor_bytes;
         world.rumors_sent += 1;
-        let _ = Endpoint::new(from).send_datagram(
+        let _ = Endpoint::new(VNodeId(idx)).send_datagram(
             sim,
             GOSSIP_PORT,
             SocketAddr::new(to_addr, GOSSIP_PORT),
@@ -348,11 +335,11 @@ impl Workload for GossipWorkload {
     }
 
     fn build_world(&mut self, deployment: Deployment) -> GossipWorld {
-        let mut world = GossipWorld::new(deployment.net, deployment.vnodes, &self.spec);
+        let mut world = GossipWorld::new(deployment.net, &self.spec);
         if let Some(roster) = &self.roster {
             for &k in roster.members() {
                 world.suppress[k] = roster.flags.suppress_forward;
-                let vnode = world.vnodes[k];
+                let vnode = VNodeId(k);
                 world
                     .net
                     .set_tamper(vnode, roster.tamper, roster.wire_rng(k));

@@ -14,9 +14,7 @@ use crate::scenario::dsl::{DslError, Keys, Named};
 use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, Workload};
 use p2plab_net::ping::{ping, PingWorld};
 use p2plab_net::{NetSim, NetStats, Network, VNodeId};
-use p2plab_sim::{
-    FxHashMap, HistogramId, Recorder, RunOutcome, SimDuration, SimTime, Summary, TimeSeries,
-};
+use p2plab_sim::{HistogramId, Recorder, RunOutcome, SimDuration, SimTime, Summary, TimeSeries};
 use serde::{Deserialize, Serialize};
 
 /// Which ordered pairs of nodes probe each other.
@@ -204,7 +202,6 @@ impl PingMeshResult {
 #[derive(Debug, Clone)]
 pub struct PingMeshWorkload {
     spec: PingMeshSpec,
-    vnodes: Vec<VNodeId>,
     rtt_hist: Option<HistogramId>,
     /// RTTs already recorded into the histogram (`world.rtts` is append-only, so this is a
     /// high-water mark).
@@ -221,7 +218,6 @@ impl PingMeshWorkload {
     pub fn new(spec: PingMeshSpec) -> PingMeshWorkload {
         PingMeshWorkload {
             spec,
-            vnodes: Vec::new(),
             rtt_hist: None,
             rtts_recorded: 0,
             last_probe_at: SimTime::ZERO,
@@ -259,7 +255,6 @@ impl Workload for PingMeshWorkload {
     }
 
     fn build_world(&mut self, deployment: Deployment) -> PingWorld {
-        self.vnodes = deployment.vnodes;
         PingWorld::new(deployment.net, self.spec.packet_bytes)
     }
 
@@ -271,7 +266,8 @@ impl Workload for PingMeshWorkload {
         // Each probe pair starts at the instant the scenario's arrival process drew for it and
         // then sends its pings at the configured interval.
         for (pair_idx, (i, j)) in self.spec.pairs().into_iter().enumerate() {
-            let (from, to) = (self.vnodes[i], self.vnodes[j]);
+            // Mesh node `i` runs on `VNodeId(i)` (the deployment's identity rule).
+            let (from, to) = (VNodeId(i), VNodeId(j));
             let start = arrivals.get(pair_idx).unwrap_or(SimTime::ZERO);
             for round in 0..self.spec.pings_per_pair {
                 let at = start + self.spec.interval * round as u64;
@@ -310,20 +306,11 @@ impl Workload for PingMeshWorkload {
 
     fn finalize(self, world: PingWorld, run: ScenarioRun) -> PingMeshResult {
         let probes_scheduled = self.spec.expected_probes();
-        // A full mesh produces O(n^2) replies; resolve origins through a map rather than a
-        // per-reply linear scan of the vnode list.
-        let vnode_index: FxHashMap<VNodeId, usize> = self
-            .vnodes
-            .iter()
-            .take(self.spec.nodes)
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
         let mut per_node_sum = vec![(0u64, 0u64); self.spec.nodes];
         for &(origin, rtt) in &world.rtts {
-            if let Some(&idx) = vnode_index.get(&origin) {
-                per_node_sum[idx].0 += rtt.as_nanos();
-                per_node_sum[idx].1 += 1;
+            if let Some(sum) = per_node_sum.get_mut(origin.0) {
+                sum.0 += rtt.as_nanos();
+                sum.1 += 1;
             }
         }
         let per_node_mean_rtt = per_node_sum

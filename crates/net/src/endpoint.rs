@@ -45,8 +45,8 @@
 //! let topo = TopologySpec::uniform("doc", 2, AccessLinkClass::bittorrent_dsl());
 //! let mut net = Network::new(NetworkConfig::default(), topo);
 //! let m = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
-//! let a = net.add_vnode(m, VirtAddr::new(10, 0, 0, 1), GroupId(0)).unwrap();
-//! let b = net.add_vnode(m, VirtAddr::new(10, 0, 0, 2), GroupId(0)).unwrap();
+//! let a = net.add_vnode(m, GroupId(0)).unwrap();
+//! let b = net.add_vnode(m, GroupId(0)).unwrap();
 //! let peer = p2plab_net::SocketAddr::new(net.addr_of(b), 6881);
 //!
 //! let mut sim: NetSim<Echo> = Simulation::with_events(Echo { net, delivered: vec![] }, 1);
@@ -203,13 +203,8 @@ mod tests {
         let topo = TopologySpec::uniform("lan", n, AccessLinkClass::bittorrent_dsl());
         let mut net = Network::new(NetworkConfig::default(), topo);
         let m = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
-        for i in 0..n {
-            net.add_vnode(
-                m,
-                VirtAddr::new(10, 0, 0, 0).offset(i as u32 + 1),
-                GroupId(0),
-            )
-            .unwrap();
+        for _ in 0..n {
+            net.add_vnode(m, GroupId(0)).unwrap();
         }
         World {
             net,

@@ -12,15 +12,14 @@
 //! The **emulated** cost stays linear, but the **simulator's** per-packet cost must not be:
 //! the firewall exposes a [`version`](Firewall::version) counter (bumped on every rule change)
 //! and an uncounted [`walk`](Firewall::walk) so that the network layer can precompute the
-//! classification of each (source host, destination group) path once per rule-set version and
-//! charge later packets from that memo — see `Network::classify_out` / `Network::classify_in`
-//! in [`crate::network`]. `classify` itself stays the plain linear walk.
+//! classification of each (hosted node, peer group) path once per rule-set version and charge
+//! later packets from that memo — see `Network::classify` in [`crate::network`]. `classify`
+//! itself stays the plain linear walk.
 
 use crate::addr::{Subnet, VirtAddr};
 use crate::pipe::PipeId;
 use p2plab_sim::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::hash::Hasher;
 use std::ops::Deref;
 
 /// Direction of a packet relative to the physical node evaluating the rules.
@@ -170,30 +169,6 @@ pub struct FirewallStats {
     pub denied: u64,
 }
 
-/// A fast, deterministic hasher for packed `u64` path keys (used by the network layer's
-/// per-machine path memo). One multiply-xor round is plenty — SipHash would dominate the (hot)
-/// classification lookup otherwise.
-#[derive(Default)]
-pub(crate) struct PathKeyHasher(u64);
-
-impl Hasher for PathKeyHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("path keys hash through write_u64");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        // splitmix64-style finalizer: full avalanche on the packed key.
-        let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// An ordered list of rules evaluated linearly, as IPFW does.
 #[derive(Debug, Clone)]
 pub struct Firewall {
@@ -220,11 +195,6 @@ impl Firewall {
     /// at version `v` is valid exactly while `version()` still returns `v`.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The latency each examined rule adds.
-    pub fn per_rule_cost(&self) -> SimDuration {
-        self.per_rule_cost
     }
 
     /// Appends a rule and returns its index.
@@ -270,30 +240,20 @@ impl Firewall {
         dst: VirtAddr,
         direction: Direction,
     ) -> Classification {
-        let (pipes, accepted, rules_examined) = self.walk(src, dst, direction);
-        self.count_packet(rules_examined, !accepted);
-        Classification {
-            pipes,
-            accepted,
-            rules_examined,
-            evaluation_cost: self.per_rule_cost * rules_examined as u64,
-        }
+        let classification = self.walk(src, dst, direction);
+        self.count_packet(&classification);
+        classification
     }
 
     /// The linear rule walk alone — no statistics update. This is what the network layer's
     /// path memo runs once per rule-set version; [`count_packet`](Firewall::count_packet)
     /// charges each later packet so the statistics stay identical to per-packet walking.
-    pub fn walk(
-        &self,
-        src: VirtAddr,
-        dst: VirtAddr,
-        direction: Direction,
-    ) -> (PipeList, bool, usize) {
+    pub fn walk(&self, src: VirtAddr, dst: VirtAddr, direction: Direction) -> Classification {
         let mut pipes = PipeList::default();
-        let mut examined = 0;
+        let mut rules_examined = 0;
         let mut accepted = true;
         for rule in &self.rules {
-            examined += 1;
+            rules_examined += 1;
             if !rule.matches(src, dst, direction) {
                 continue;
             }
@@ -306,15 +266,20 @@ impl Firewall {
                 }
             }
         }
-        (pipes, accepted, examined)
+        Classification {
+            pipes,
+            accepted,
+            rules_examined,
+            evaluation_cost: self.per_rule_cost * rules_examined as u64,
+        }
     }
 
     /// Accounts one classified packet in the firewall statistics (the memoized path in the
     /// network layer calls this instead of re-walking).
-    pub fn count_packet(&mut self, rules_examined: usize, denied: bool) {
+    pub fn count_packet(&mut self, classification: &Classification) {
         self.stats.packets += 1;
-        self.stats.rules_examined += rules_examined as u64;
-        if denied {
+        self.stats.rules_examined += classification.rules_examined as u64;
+        if !classification.accepted {
             self.stats.denied += 1;
         }
     }

@@ -73,11 +73,6 @@ impl InterceptConfig {
         model.cost_of_sequence(self.connect_syscalls())
     }
 
-    /// CPU time charged when setting up a listener.
-    pub fn listen_cost(&self, model: &SyscallCostModel) -> SimDuration {
-        model.cost_of_sequence(self.listen_syscalls())
-    }
-
     /// The full connect/disconnect microbenchmark of the paper (client + server side of a local
     /// connection), in the current mode.
     pub fn connect_cycle_cost(&self, model: &SyscallCostModel) -> SimDuration {

@@ -10,9 +10,16 @@
 //!
 //! The active part — walking a packet through those components with discrete events — lives in
 //! [`crate::transport`].
+//!
+//! **One identity per entity.** [`MachineId`], [`VNodeId`], [`ConnId`] and [`PipeId`] are
+//! indices into this network's arenas, handed out in creation order, and whatever the data
+//! plane keeps about an entity lives in that entity's slot — never in a table keyed by the id.
+//! Addresses are assigned by the network, not the caller: the `k`-th node added to a group gets
+//! [`TopologySpec::node_addr`]`(group, k)` (the paper's Figure 4 alias numbering), which makes
+//! [`Network::resolve`] arithmetic on the group's subnet instead of a lookup.
 
 use crate::addr::{Subnet, VirtAddr};
-use crate::firewall::{Classification, Direction, Firewall, PathKeyHasher, PipeList, Rule};
+use crate::firewall::{Classification, Direction, Firewall, Rule};
 use crate::iface::Interface;
 use crate::intercept::InterceptConfig;
 use crate::pipe::{Pipe, PipeConfig, PipeId};
@@ -20,11 +27,8 @@ use crate::proto::{CongestionController, ProtoConn, TransportConfig};
 use crate::tamper::{TamperSpec, TamperState};
 use crate::topology::{GroupId, GroupSpec, TopologySpec};
 use p2plab_os::SyscallCostModel;
-use p2plab_sim::{FxHashMap, FxHashSet, SimDuration, SimRng, SimTime};
+use p2plab_sim::{FxHashSet, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-// lint:allow(nondet-hash) — every instantiation pins `BuildHasherDefault<PathKeyHasher>`, a fixed deterministic hasher
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 /// Index of a physical machine in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -131,21 +135,14 @@ impl Connection {
     }
 }
 
-/// One precomputed path classification (see [`PathMemo`]).
-#[derive(Debug, Clone)]
-struct CachedPath {
-    pipes: PipeList,
-    accepted: bool,
-    rules_examined: usize,
-}
-
-/// Per-machine memo of firewall classifications at `(host address, peer group)` granularity —
+/// Per-machine memo of firewall classifications at `(hosted node, peer group)` granularity —
 /// the precomputation the paper's per-packet IPFW walk invites: in a deployed topology every
 /// rule is either a hosted node's own `/32` access-link rule or a group-subnet latency rule, so
 /// the outgoing classification depends only on the concrete source host and the *group* of the
-/// destination (and symmetrically for incoming traffic). That makes the memo a few dozen
-/// entries per machine (hosted nodes × groups) — small enough to stay cache-resident, unlike a
-/// full `(src, dst)` pair memo.
+/// destination (and symmetrically for incoming traffic). That makes the memo one dense table
+/// per machine — hosted nodes × groups × directions, indexed by the hosted node's position on
+/// the machine ([`VNodeNet`]'s slot) and the peer's group — small enough to stay
+/// cache-resident, unlike a full `(src, dst)` pair memo, and reached without hashing.
 ///
 /// Soundness is checked, not assumed: the memo is rebuilt whenever the firewall's rule-set
 /// version changes, and if any rule's subnet cuts *through* a group (so two peers in one group
@@ -156,14 +153,10 @@ struct CachedPath {
 struct PathMemo {
     /// Firewall rule-set version the memo matches; 0 = never built.
     version: u64,
-    /// Whether `(src host, dst group)` granularity is sound for outgoing classification.
-    out_usable: bool,
-    /// Whether `(src group, dst host)` granularity is sound for incoming classification.
-    in_usable: bool,
-    /// Outgoing paths: key packs `(src host address, dst group)`.
-    out: HashMap<u64, CachedPath, BuildHasherDefault<PathKeyHasher>>,
-    /// Incoming paths: key packs `(dst host address, src group)`.
-    inbound: HashMap<u64, CachedPath, BuildHasherDefault<PathKeyHasher>>,
+    /// Whether `(hosted node, peer group)` granularity is sound, indexed by [`Direction`].
+    usable: [bool; 2],
+    /// `[(slot * groups + peer group) * 2 + direction]`; `None` until the path is first walked.
+    paths: Vec<Option<Classification>>,
 }
 
 /// True when `subnet` never cuts through a group: for every group it either covers the whole
@@ -173,10 +166,6 @@ fn group_uniform(subnet: Subnet, groups: &[GroupSpec]) -> bool {
     groups
         .iter()
         .all(|g| !(subnet.prefix > g.subnet.prefix && g.subnet.contains(subnet.base)))
-}
-
-fn path_key(host: VirtAddr, group: GroupId) -> u64 {
-    ((host.0 as u64) << 32) | group.0 as u64
 }
 
 /// A physical machine's networking state.
@@ -194,6 +183,8 @@ pub struct MachineNet {
     pub nic_rx: PipeId,
     /// Groups that already have their inter-group rules installed on this machine.
     group_rules_installed: FxHashSet<GroupId>,
+    /// Virtual nodes hosted here; the next one's [`VNodeNet`] slot.
+    hosted: u32,
     /// Memoized per-path classifications (lazily rebuilt per firewall version).
     path_memo: PathMemo,
 }
@@ -201,57 +192,24 @@ pub struct MachineNet {
 impl MachineNet {
     /// Rebuilds the path memo against the firewall's current rule set.
     fn refresh_path_memo(&mut self, groups: &[GroupSpec]) {
-        let memo = &mut self.path_memo;
-        memo.out.clear();
-        memo.inbound.clear();
         let rules = self.firewall.rules();
-        memo.out_usable = rules
-            .iter()
-            .filter(|r| r.direction != Some(Direction::In))
-            .all(|r| group_uniform(r.dst, groups));
-        memo.in_usable = rules
-            .iter()
-            .filter(|r| r.direction != Some(Direction::Out))
-            .all(|r| group_uniform(r.src, groups));
+        // Outgoing paths may vary with the destination's group only, incoming ones with the
+        // source's: every rule that applies in a direction must treat the peer's group as one.
+        let usable = |direction: Direction, peer: fn(&Rule) -> Subnet| {
+            rules
+                .iter()
+                .filter(|r| r.direction.is_none_or(|d| d == direction))
+                .all(|r| group_uniform(peer(r), groups))
+        };
+        let memo = &mut self.path_memo;
+        memo.usable = [
+            usable(Direction::Out, |r| r.dst),
+            usable(Direction::In, |r| r.src),
+        ];
+        memo.paths.clear();
+        memo.paths
+            .resize(self.hosted as usize * groups.len() * 2, None);
         memo.version = self.firewall.version();
-    }
-
-    /// Classifies through the memo (`key` in the map picked by `direction`), walking and
-    /// memoizing on first use. Firewall statistics are charged exactly as `classify` would.
-    fn classify_memoized(
-        &mut self,
-        key: u64,
-        src_addr: VirtAddr,
-        dst_addr: VirtAddr,
-        direction: Direction,
-    ) -> Classification {
-        let map = match direction {
-            Direction::Out => &mut self.path_memo.out,
-            Direction::In => &mut self.path_memo.inbound,
-        };
-        let (pipes, accepted, rules_examined) = match map.get(&key) {
-            Some(c) => (c.pipes.clone(), c.accepted, c.rules_examined),
-            None => {
-                let (pipes, accepted, rules_examined) =
-                    self.firewall.walk(src_addr, dst_addr, direction);
-                map.insert(
-                    key,
-                    CachedPath {
-                        pipes: pipes.clone(),
-                        accepted,
-                        rules_examined,
-                    },
-                );
-                (pipes, accepted, rules_examined)
-            }
-        };
-        self.firewall.count_packet(rules_examined, !accepted);
-        Classification {
-            pipes,
-            accepted,
-            rules_examined,
-            evaluation_cost: self.firewall.per_rule_cost() * rules_examined as u64,
-        }
     }
 }
 
@@ -272,6 +230,13 @@ pub struct VNodeNet {
     pub bytes_sent: u64,
     /// Bytes delivered to this node's applications.
     pub bytes_received: u64,
+    /// The node's position among the virtual nodes of its machine (its path-memo row).
+    slot: u32,
+    /// Marked byzantine, for `byzantine_msgs_sent` accounting.
+    pub(crate) byzantine: bool,
+    /// Sender-side wire-tamper state (see [`crate::tamper`]); `None` — and therefore
+    /// completely inert, drawing no randomness — unless an adversary installed it.
+    pub(crate) tamper: Option<Box<TamperState>>,
 }
 
 /// Global data-plane counters.
@@ -314,8 +279,10 @@ pub struct NetStats {
 /// Errors from network construction or transport calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// The address is already assigned to a virtual node.
-    AddressInUse(VirtAddr),
+    /// The group cannot host another node: all `node_count` addresses of its subnet are handed
+    /// out, or the next one is unusable (it falls inside an earlier group's overlapping subnet
+    /// or is the hosting machine's administration address).
+    GroupFull(GroupId),
     /// The group id does not exist in the topology.
     UnknownGroup(GroupId),
     /// The machine id does not exist.
@@ -337,7 +304,7 @@ pub enum NetError {
 impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NetError::AddressInUse(a) => write!(f, "address {a} already in use"),
+            NetError::GroupFull(g) => write!(f, "group {} has no address left to assign", g.0),
             NetError::UnknownGroup(g) => write!(f, "unknown group {}", g.0),
             NetError::UnknownMachine(m) => write!(f, "unknown machine {}", m.0),
             NetError::UnknownVNode(v) => write!(f, "unknown virtual node {}", v.0),
@@ -360,22 +327,22 @@ pub struct Network {
     pipes: Vec<Pipe>,
     machines: Vec<MachineNet>,
     vnodes: Vec<VNodeNet>,
-    addr_map: FxHashMap<VirtAddr, VNodeId>,
+    /// Each group's nodes in the order they were added: node `k` owns the group's `k`-th
+    /// address, so the list is both the allocation counter and the reverse map of `resolve`.
+    members: Vec<Vec<VNodeId>>,
     pub(crate) listeners: FxHashSet<(VNodeId, u16)>,
     /// Connection arena: `ConnId`s are allocated sequentially, so the id doubles as the index
     /// (connections are never removed, matching real conntrack tables kept until reboot).
     pub(crate) conns: Vec<Connection>,
     next_ephemeral: u16,
     pub(crate) stats: NetStats,
-    /// Protocol-layer state per connection, keyed by id. A side table (rather than fields on
-    /// [`Connection`], which is `Copy` and widely passed by value) populated lazily on first
-    /// protocol activity.
-    pub(crate) proto: FxHashMap<ConnId, ProtoConn>,
-    /// Sender-side wire-tamper state per virtual node (see [`crate::tamper`]). Empty — and
-    /// therefore completely inert, drawing no randomness — unless an adversary installed it.
-    pub(crate) tamper: FxHashMap<VNodeId, TamperState>,
-    /// Virtual nodes marked byzantine, for `byzantine_msgs_sent` accounting.
-    pub(crate) byzantine: FxHashSet<VNodeId>,
+    /// Protocol-layer state per connection, indexed like `conns`. A parallel table (rather
+    /// than fields on [`Connection`], which is `Copy` and widely passed by value) that stays
+    /// empty until the first protocol activity, so the legacy path allocates nothing.
+    proto: Vec<Option<Box<ProtoConn>>>,
+    /// Whether any node carries a tamper point or byzantine mark — the one flag the honest
+    /// packet walk tests before looking at per-node adversary state.
+    pub(crate) adversary: bool,
 }
 
 impl Network {
@@ -383,18 +350,17 @@ impl Network {
     pub fn new(config: NetworkConfig, topology: TopologySpec) -> Network {
         Network {
             config,
-            topology,
             pipes: Vec::new(),
             machines: Vec::new(),
             vnodes: Vec::new(),
-            addr_map: FxHashMap::default(),
+            members: vec![Vec::new(); topology.groups.len()],
             listeners: FxHashSet::default(),
             conns: Vec::new(),
             next_ephemeral: 49152,
             stats: NetStats::default(),
-            proto: FxHashMap::default(),
-            tamper: FxHashMap::default(),
-            byzantine: FxHashSet::default(),
+            proto: Vec::new(),
+            adversary: false,
+            topology,
         }
     }
 
@@ -414,7 +380,7 @@ impl Network {
     }
 
     /// Pre-sizes the per-entity collections for a deployment of `machines` physical machines
-    /// hosting `vnodes` virtual nodes, so large deployments build without rehash/regrow churn.
+    /// hosting `vnodes` virtual nodes, so large deployments build without regrow churn.
     pub fn reserve(&mut self, machines: usize, vnodes: usize) {
         self.machines.reserve(machines);
         self.vnodes.reserve(vnodes);
@@ -423,7 +389,9 @@ impl Network {
         let groups = self.topology.groups.len();
         self.pipes
             .reserve(2 * vnodes + 2 * machines + groups * groups);
-        self.addr_map.reserve(vnodes);
+        for (members, group) in self.members.iter_mut().zip(&self.topology.groups) {
+            members.reserve(group.node_count);
+        }
     }
 
     /// Adds a physical machine with the given administration address.
@@ -442,93 +410,81 @@ impl Network {
             nic_tx,
             nic_rx,
             group_rules_installed: FxHashSet::default(),
+            hosted: 0,
             path_memo: PathMemo::default(),
         });
         MachineId(self.machines.len() - 1)
     }
 
-    /// Classifies an outgoing packet on `machine`'s firewall, through the per-machine path
-    /// memo when its `(src host, dst group)` granularity is sound (see [`PathMemo`]); falls
-    /// back to the plain linear walk otherwise — results and statistics are identical either
-    /// way. `src` / `dst` are the transmitting and destination virtual nodes; `src_addr` may
-    /// differ from `src`'s address when interception is disabled (traffic attributed to the
-    /// machine's administration address), which also forces the fallback.
-    pub(crate) fn classify_out(
+    /// Classifies a packet from `src` to `dst` on the firewall of the machine hosting `src`
+    /// ([`Direction::Out`]) or `dst` ([`Direction::In`]), through that machine's path memo when
+    /// its `(hosted node, peer group)` granularity is sound (see [`PathMemo`]); falls back to
+    /// the plain linear walk otherwise — results and statistics are identical either way.
+    /// `src_addr` may differ from `src`'s address when interception is disabled (traffic
+    /// attributed to the machine's administration address), which also forces the fallback.
+    pub(crate) fn classify(
         &mut self,
-        machine: MachineId,
+        direction: Direction,
         src: VNodeId,
         src_addr: VirtAddr,
         dst: VNodeId,
     ) -> Classification {
-        let src_is_vnode = self.vnodes[src.0].addr == src_addr;
-        let dst_group = self.vnodes[dst.0].group;
-        let dst_addr = self.vnodes[dst.0].addr;
+        let (s, d) = (&self.vnodes[src.0], &self.vnodes[dst.0]);
+        let (src_is_vnode, dst_addr) = (s.addr == src_addr, d.addr);
+        let (host, peer) = match direction {
+            Direction::Out => (s, d),
+            Direction::In => (d, s),
+        };
         let groups = &self.topology.groups;
-        let m = &mut self.machines[machine.0];
+        let path = (host.slot as usize * groups.len() + peer.group.0) * 2 + direction as usize;
+        let m = &mut self.machines[host.machine.0];
         if m.path_memo.version != m.firewall.version() {
             m.refresh_path_memo(groups);
         }
-        if !src_is_vnode || !m.path_memo.out_usable {
-            return m.firewall.classify(src_addr, dst_addr, Direction::Out);
+        if !src_is_vnode || !m.path_memo.usable[direction as usize] {
+            return m.firewall.classify(src_addr, dst_addr, direction);
         }
-        m.classify_memoized(
-            path_key(src_addr, dst_group),
-            src_addr,
-            dst_addr,
-            Direction::Out,
-        )
+        // Walk and memoize on first use; statistics are charged exactly as `classify` would.
+        let firewall = &mut m.firewall;
+        let classification = m.path_memo.paths[path]
+            .get_or_insert_with(|| firewall.walk(src_addr, dst_addr, direction))
+            .clone();
+        firewall.count_packet(&classification);
+        classification
     }
 
-    /// Incoming twin of [`classify_out`](Network::classify_out): memo key is
-    /// `(dst host, src group)`.
-    pub(crate) fn classify_in(
-        &mut self,
-        machine: MachineId,
-        src: VNodeId,
-        src_addr: VirtAddr,
-        dst: VNodeId,
-    ) -> Classification {
-        let src_is_vnode = self.vnodes[src.0].addr == src_addr;
-        let src_group = self.vnodes[src.0].group;
-        let dst_addr = self.vnodes[dst.0].addr;
-        let groups = &self.topology.groups;
-        let m = &mut self.machines[machine.0];
-        if m.path_memo.version != m.firewall.version() {
-            m.refresh_path_memo(groups);
-        }
-        if !src_is_vnode || !m.path_memo.in_usable {
-            return m.firewall.classify(src_addr, dst_addr, Direction::In);
-        }
-        m.classify_memoized(
-            path_key(dst_addr, src_group),
-            src_addr,
-            dst_addr,
-            Direction::In,
-        )
-    }
-
-    /// Adds a virtual node of `group` on `machine` with address `addr`.
+    /// Adds a virtual node of `group` on `machine`, at the group's next unassigned address
+    /// ([`TopologySpec::node_addr`] of the group's node count so far).
     ///
     /// This performs what the P2PLab deployment scripts do on each physical node: configure an
     /// interface alias for the node, create its two dummynet pipes (upload and download, from
     /// the group's access-link class), add the two corresponding IPFW rules, and — the first
     /// time a group appears on the machine — the inter-group latency rules.
-    pub fn add_vnode(
-        &mut self,
-        machine: MachineId,
-        addr: VirtAddr,
-        group: GroupId,
-    ) -> Result<VNodeId, NetError> {
-        if group.0 >= self.topology.groups.len() {
-            return Err(NetError::UnknownGroup(group));
-        }
+    ///
+    /// All-or-nothing: a refused node leaves the network exactly as it was.
+    pub fn add_vnode(&mut self, machine: MachineId, group: GroupId) -> Result<VNodeId, NetError> {
+        let spec = self
+            .topology
+            .groups
+            .get(group.0)
+            .ok_or(NetError::UnknownGroup(group))?;
         if machine.0 >= self.machines.len() {
             return Err(NetError::UnknownMachine(machine));
         }
-        if self.addr_map.contains_key(&addr) {
-            return Err(NetError::AddressInUse(addr));
+        let k = self.members[group.0].len();
+        if k >= spec.node_count {
+            return Err(NetError::GroupFull(group));
         }
-        let link = self.topology.groups[group.0].link;
+        let link = spec.link;
+        let addr = self.topology.node_addr(group, k);
+        // `resolve` finds a node through its address's group, so the address must lead back
+        // here (it does not when an earlier group's subnet overlaps this one). The alias is the
+        // only other step that can refuse, so it goes first.
+        if self.topology.group_of(addr) != Some(group)
+            || self.machines[machine.0].iface.add_alias(addr).is_err()
+        {
+            return Err(NetError::GroupFull(group));
+        }
         let up_pipe = self.add_pipe(
             PipeConfig::shaped(link.up_bps, link.latency)
                 .with_loss(link.loss_rate)
@@ -541,26 +497,23 @@ impl Network {
                 .with_queue_limit(None)
                 .with_condition(link.effective_condition_down()),
         );
-        let id = VNodeId(self.vnodes.len());
-        {
-            let m = &mut self.machines[machine.0];
-            m.iface
-                .add_alias(addr)
-                .map_err(|_| NetError::AddressInUse(addr))?;
-            m.firewall.add_rule(Rule::pipe(
-                Subnet::host(addr),
-                Subnet::any(),
-                Direction::Out,
-                up_pipe,
-            ));
-            m.firewall.add_rule(Rule::pipe(
-                Subnet::any(),
-                Subnet::host(addr),
-                Direction::In,
-                down_pipe,
-            ));
-        }
+        let m = &mut self.machines[machine.0];
+        m.firewall.add_rule(Rule::pipe(
+            Subnet::host(addr),
+            Subnet::any(),
+            Direction::Out,
+            up_pipe,
+        ));
+        m.firewall.add_rule(Rule::pipe(
+            Subnet::any(),
+            Subnet::host(addr),
+            Direction::In,
+            down_pipe,
+        ));
+        let slot = m.hosted;
+        m.hosted += 1;
         self.install_group_rules(machine, group);
+        let id = VNodeId(self.vnodes.len());
         self.vnodes.push(VNodeNet {
             addr,
             group,
@@ -569,8 +522,11 @@ impl Network {
             down_pipe,
             bytes_sent: 0,
             bytes_received: 0,
+            slot,
+            byzantine: false,
+            tamper: None,
         });
-        self.addr_map.insert(addr, id);
+        self.members[group.0].push(id);
         Ok(id)
     }
 
@@ -655,9 +611,13 @@ impl Network {
         self.vnodes.iter().enumerate().map(|(i, v)| (VNodeId(i), v))
     }
 
-    /// Resolves an address to a virtual node.
+    /// Resolves an address to a virtual node: the address's group, then its position in the
+    /// group's subnet (node `k` sits at host index `k + 1`, see [`TopologySpec::node_addr`]).
     pub fn resolve(&self, addr: VirtAddr) -> Option<VNodeId> {
-        self.addr_map.get(&addr).copied()
+        let group = self.topology.group_of(addr)?;
+        let base = self.topology.groups[group.0].subnet.base;
+        let k = (addr.0 - base.0).checked_sub(1)?;
+        self.members[group.0].get(k as usize).copied()
     }
 
     /// The address of a virtual node.
@@ -681,10 +641,19 @@ impl Network {
     }
 
     /// The protocol-layer state of a connection, created on first access with the configured
-    /// congestion controller.
+    /// congestion controller. `id` names an allocated connection (frames only ever carry ids
+    /// from [`allocate_conn`](Network::allocate_conn)).
     pub(crate) fn proto_mut(&mut self, id: ConnId) -> &mut ProtoConn {
         let kind = self.config.transport.congestion;
-        self.proto.entry(id).or_insert_with(|| ProtoConn::new(kind))
+        if self.proto.len() <= id.0 as usize {
+            self.proto.resize_with(self.conns.len(), || None);
+        }
+        self.proto[id.0 as usize].get_or_insert_with(|| Box::new(ProtoConn::new(kind)))
+    }
+
+    /// The protocol-layer state of a connection, if any protocol activity created it.
+    pub(crate) fn proto_existing(&mut self, id: ConnId) -> Option<&mut ProtoConn> {
+        self.proto.get_mut(id.0 as usize)?.as_deref_mut()
     }
 
     /// Mean congestion window over every direction of every connection with protocol state,
@@ -693,7 +662,7 @@ impl Network {
     pub fn cwnd_mean_bytes(&self) -> Option<u64> {
         let mut sum = 0u128;
         let mut n = 0u128;
-        for conn in self.proto.values() {
+        for conn in self.proto.iter().flatten() {
             for half in &conn.halves {
                 sum += u128::from(half.cc.cwnd_bytes());
                 n += 1;
@@ -705,27 +674,19 @@ impl Network {
     /// Installs a sender-side wire-tamper point on `node` (see [`crate::tamper`]): every fresh
     /// frame the node transmits is run through `spec` using `rng` (a stream split off the
     /// adversary's seed, never the simulation's global stream). Inert specs are ignored, so an
-    /// adversary-free network keeps an empty tamper map and the data plane stays byte-frozen.
+    /// adversary-free network installs nothing and the data plane stays byte-frozen.
     pub fn set_tamper(&mut self, node: VNodeId, spec: TamperSpec, rng: SimRng) {
         if !spec.is_noop() {
-            self.tamper.insert(node, TamperState { spec, rng });
+            self.vnodes[node.0].tamper = Some(Box::new(TamperState { spec, rng }));
+            self.adversary = true;
         }
     }
 
     /// Marks `node` as byzantine for the `byzantine_msgs_sent` counter. Accounting only — the
     /// node's actual misbehavior comes from its tamper point and its application behavior.
     pub fn mark_byzantine(&mut self, node: VNodeId) {
-        self.byzantine.insert(node);
-    }
-
-    /// Whether `node` was marked byzantine.
-    pub fn is_byzantine(&self, node: VNodeId) -> bool {
-        self.byzantine.contains(&node)
-    }
-
-    /// True if any node carries a tamper point or byzantine mark.
-    pub fn adversary_active(&self) -> bool {
-        !self.tamper.is_empty() || !self.byzantine.is_empty()
+        self.vnodes[node.0].byzantine = true;
+        self.adversary = true;
     }
 
     /// Number of connections ever created.
@@ -753,11 +714,6 @@ impl Network {
         self.conns
             .iter()
             .filter(move |c| c.client.0 == node || c.server.0 == node)
-    }
-
-    /// Total application bytes received over all virtual nodes (the metric of Figure 9).
-    pub fn total_bytes_received(&self) -> u64 {
-        self.vnodes.iter().map(|v| v.bytes_received).sum()
     }
 
     /// Total rules configured over all machines (the scalability driver of Figure 6).
@@ -797,7 +753,10 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::firewall::RuleAction;
     use crate::topology::AccessLinkClass;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn dsl_network(n_machines: usize, vnodes_per_machine: usize) -> Network {
         let topo = TopologySpec::uniform(
@@ -806,13 +765,10 @@ mod tests {
             AccessLinkClass::bittorrent_dsl(),
         );
         let mut net = Network::new(NetworkConfig::default(), topo);
-        let mut next = 0u32;
         for m in 0..n_machines {
             let mid = net.add_machine(format!("node{m}"), VirtAddr::new(192, 168, 38, m as u8 + 1));
             for _ in 0..vnodes_per_machine {
-                next += 1;
-                let addr = VirtAddr::new(10, 0, 0, 0).offset(next);
-                net.add_vnode(mid, addr, GroupId(0)).unwrap();
+                net.add_vnode(mid, GroupId(0)).unwrap();
             }
         }
         net
@@ -834,31 +790,63 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_address_rejected() {
-        let topo = TopologySpec::uniform("dsl", 10, AccessLinkClass::bittorrent_dsl());
-        let mut net = Network::new(NetworkConfig::default(), topo);
-        let m = net.add_machine("node0", VirtAddr::new(192, 168, 38, 1));
-        let addr = VirtAddr::new(10, 0, 0, 1);
-        net.add_vnode(m, addr, GroupId(0)).unwrap();
-        assert_eq!(
-            net.add_vnode(m, addr, GroupId(0)),
-            Err(NetError::AddressInUse(addr))
-        );
-    }
-
-    #[test]
     fn unknown_group_and_machine_rejected() {
         let topo = TopologySpec::uniform("dsl", 10, AccessLinkClass::bittorrent_dsl());
         let mut net = Network::new(NetworkConfig::default(), topo);
         let m = net.add_machine("node0", VirtAddr::new(192, 168, 38, 1));
         assert_eq!(
-            net.add_vnode(m, VirtAddr::new(10, 0, 0, 1), GroupId(7)),
+            net.add_vnode(m, GroupId(7)),
             Err(NetError::UnknownGroup(GroupId(7)))
         );
         assert_eq!(
-            net.add_vnode(MachineId(9), VirtAddr::new(10, 0, 0, 1), GroupId(0)),
+            net.add_vnode(MachineId(9), GroupId(0)),
             Err(NetError::UnknownMachine(MachineId(9)))
         );
+    }
+
+    #[test]
+    fn refused_node_leaves_the_network_untouched() {
+        // Everything `add_vnode` writes: pipes, rules (and their version), aliases, the
+        // machine's slot counter, the node arena and the group's allocation counter.
+        let state = |net: &Network| {
+            let per_machine: Vec<_> = net
+                .machines
+                .iter()
+                .map(|m| (m.firewall.version(), m.iface.alias_count(), m.hosted))
+                .collect();
+            let allocated: Vec<_> = net.members.iter().map(Vec::len).collect();
+            (net.pipes.len(), per_machine, net.vnodes.len(), allocated)
+        };
+        // A second group whose subnet lies inside the first one's: its addresses lead
+        // `group_of` back to the first group, so it can never host a node.
+        let mut topo = TopologySpec::uniform("outer", 2, AccessLinkClass::bittorrent_dsl());
+        let inner = topo.add_group(
+            "inner",
+            "10.9.0.0/16".parse().unwrap(),
+            2,
+            AccessLinkClass::bittorrent_dsl(),
+        );
+        let mut net = Network::new(NetworkConfig::default(), topo);
+        let m = net.add_machine("node0", VirtAddr::new(192, 168, 38, 1));
+        // A machine whose administration address is the outer group's first alias.
+        let clash = net.add_machine("node1", VirtAddr::new(10, 0, 0, 1));
+        let fresh = state(&net);
+        for (machine, group) in [(clash, GroupId(0)), (m, inner)] {
+            assert_eq!(
+                net.add_vnode(machine, group),
+                Err(NetError::GroupFull(group))
+            );
+            assert_eq!(state(&net), fresh);
+        }
+        // Past the group's node count: an error, where `node_addr` would panic.
+        net.add_vnode(m, GroupId(0)).unwrap();
+        net.add_vnode(m, GroupId(0)).unwrap();
+        let full = state(&net);
+        assert_eq!(
+            net.add_vnode(m, GroupId(0)),
+            Err(NetError::GroupFull(GroupId(0)))
+        );
+        assert_eq!(state(&net), full);
     }
 
     #[test]
@@ -871,8 +859,10 @@ mod tests {
             .topology()
             .group_of("10.1.3.1".parse().unwrap())
             .unwrap();
-        net.add_vnode(m, "10.1.3.1".parse().unwrap(), g).unwrap();
-        net.add_vnode(m, "10.1.3.2".parse().unwrap(), g).unwrap();
+        let first = net.add_vnode(m, g).unwrap();
+        let second = net.add_vnode(m, g).unwrap();
+        assert_eq!(net.addr_of(first), "10.1.3.1".parse().unwrap());
+        assert_eq!(net.addr_of(second), "10.1.3.2".parse().unwrap());
         // 2 vnodes x 2 rules + 4 group rules (to 10.1.1, 10.1.2, 10.2, 10.3) = 8.
         assert_eq!(net.machine(m).firewall.rule_count(), 8);
     }
@@ -891,8 +881,8 @@ mod tests {
             .topology()
             .group_of("10.2.0.1".parse().unwrap())
             .unwrap();
-        net.add_vnode(m, "10.1.3.1".parse().unwrap(), g1).unwrap();
-        net.add_vnode(m, "10.2.0.1".parse().unwrap(), g2).unwrap();
+        net.add_vnode(m, g1).unwrap();
+        net.add_vnode(m, g2).unwrap();
         // 4 vnode rules + 4 group rules for 10.1.3 + 4 group rules for 10.2 = 12.
         assert_eq!(net.machine(m).firewall.rule_count(), 12);
     }
@@ -923,5 +913,157 @@ mod tests {
         assert_eq!(c.peer_of(VNodeId(7)), VNodeId(3));
         assert_eq!(c.port_of(VNodeId(3)), 50000);
         assert_eq!(c.port_of(VNodeId(7)), 6881);
+    }
+
+    proptest! {
+        /// `resolve` is arithmetic on the group's subnet; the model is the map a caller would
+        /// have kept: every assigned address, inserted as the nodes are added.
+        #[test]
+        fn resolve_agrees_with_a_map_built_alongside(seed in any::<u64>()) {
+            let mut rng = SimRng::new(seed);
+            let mut topo = TopologySpec::new();
+            for g in 0..rng.gen_range(1..5u8) {
+                let subnet = Subnet::new(VirtAddr::new(10, g + 1, 0, 0), rng.gen_range(16..27u8));
+                let nodes = rng.gen_range(1..30usize);
+                topo.add_group(format!("g{g}"), subnet, nodes, AccessLinkClass::bittorrent_dsl());
+            }
+            let mut net = Network::new(NetworkConfig::default(), topo.clone());
+            let machines: Vec<MachineId> = (0..rng.gen_range(1..4u8))
+                .map(|m| net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m + 1)))
+                .collect();
+            // Interleave groups and machines at random; some groups fill up, most do not.
+            let mut model = BTreeMap::new();
+            for _ in 0..rng.gen_range(0..80usize) {
+                let group = GroupId(rng.gen_range(0..topo.groups.len()));
+                let machine = machines[rng.gen_range(0..machines.len())];
+                let k = net.members[group.0].len();
+                match net.add_vnode(machine, group) {
+                    Ok(id) => {
+                        prop_assert_eq!(net.addr_of(id), topo.node_addr(group, k));
+                        prop_assert_eq!(model.insert(net.addr_of(id), id), None);
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(e, NetError::GroupFull(group));
+                        prop_assert_eq!(k, topo.groups[group.0].node_count);
+                    }
+                }
+            }
+            let actual: BTreeMap<VirtAddr, VNodeId> =
+                net.vnodes().map(|(id, v)| (v.addr, id)).collect();
+            prop_assert_eq!(&actual, &model);
+            for (gi, group) in topo.groups.iter().enumerate() {
+                // The network address (host 0), every assigned address, the next unassigned
+                // one and a stretch beyond it.
+                for host in 0..group.node_count as u32 + 3 {
+                    let addr = group.subnet.base.offset(host);
+                    prop_assert_eq!(net.resolve(addr), model.get(&addr).copied());
+                }
+                let next = group.subnet.base.offset(net.members[gi].len() as u32 + 1);
+                prop_assert_eq!(net.resolve(next), None);
+                prop_assert_eq!(net.resolve(group.subnet.base), None);
+            }
+            prop_assert_eq!(net.resolve(VirtAddr::new(10, 200, 0, 1)), None);
+            prop_assert_eq!(net.resolve(VirtAddr::new(192, 168, 38, 1)), None);
+        }
+
+        /// The path memo against the walk it replaces: a twin of every machine's firewall
+        /// classifies each packet with the plain linear [`Firewall::classify`].
+        #[test]
+        fn memoized_classification_equals_the_linear_walk(seed in any::<u64>(), cut in any::<bool>()) {
+            let mut rng = SimRng::new(seed);
+            let topo = TopologySpec::paper_figure7();
+            // Whole groups, a supernet of three of them and everything: all group-uniform.
+            let mut subnets: Vec<Subnet> = topo.groups.iter().map(|g| g.subnet).collect();
+            subnets.extend([Subnet::any(), "10.1.0.0/16".parse().unwrap()]);
+            let subnet = |rng: &mut SimRng| {
+                if cut && rng.chance(0.4) {
+                    // Cuts through the 10.2.0.0/16 group: its first three nodes are inside.
+                    "10.2.0.0/30".parse().unwrap()
+                } else {
+                    subnets[rng.gen_range(0..subnets.len())]
+                }
+            };
+            let random_rule = |rng: &mut SimRng| Rule {
+                src: subnet(rng),
+                dst: subnet(rng),
+                direction: [None, Some(Direction::Out), Some(Direction::In)][rng.gen_range(0..3)],
+                action: match rng.gen_range(0..4u8) {
+                    0 => RuleAction::Allow,
+                    1 => RuleAction::Deny,
+                    _ => RuleAction::Pipe(PipeId(rng.gen_range(0..4))),
+                },
+            };
+            let mut net = Network::new(NetworkConfig::default(), topo.clone());
+            let machines = [
+                net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1)),
+                net.add_machine("pm1", VirtAddr::new(192, 168, 38, 2)),
+            ];
+            // Random rules ahead of the deployment's own (a Deny up front cuts walks short)
+            // and behind them.
+            for ahead in [true, false] {
+                for &m in &machines {
+                    if rng.chance(0.5) {
+                        let rule = random_rule(&mut rng);
+                        net.machine_mut(m).firewall.add_rule(rule);
+                    }
+                }
+                if ahead {
+                    for g in 0..topo.groups.len() {
+                        for k in 0..5 {
+                            net.add_vnode(machines[(g + k) % 2], GroupId(g)).unwrap();
+                        }
+                    }
+                }
+            }
+            let mut twins: Vec<Firewall> = net.machines.iter().map(|m| m.firewall.clone()).collect();
+            let (mut hits, packets) = (0, 400);
+            for i in 0..packets {
+                if i == packets / 2 {
+                    // A rule added mid-stream must invalidate what the memo holds.
+                    let rule = random_rule(&mut rng);
+                    let m = rng.gen_range(0..machines.len());
+                    net.machines[m].firewall.add_rule(rule);
+                    twins[m].add_rule(rule);
+                }
+                let src = VNodeId(rng.gen_range(0..net.vnode_count()));
+                let dst = VNodeId(rng.gen_range(0..net.vnode_count()));
+                let direction = if rng.chance(0.5) { Direction::Out } else { Direction::In };
+                let host = match direction {
+                    Direction::Out => src,
+                    Direction::In => dst,
+                };
+                let m = net.vnode(host).machine.0;
+                // Without the interception shim traffic carries the machine's own address.
+                let src_addr = if rng.chance(0.1) {
+                    net.machine(net.vnode(src).machine).iface.admin_addr()
+                } else {
+                    net.addr_of(src)
+                };
+                let usable = {
+                    let machine = &net.machines[m];
+                    machine.path_memo.version == machine.firewall.version()
+                        && machine.path_memo.usable[direction as usize]
+                };
+                hits += usize::from(usable && src_addr == net.addr_of(src));
+                let got = net.classify(direction, src, src_addr, dst);
+                let want = twins[m].classify(src_addr, net.addr_of(dst), direction);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(net.machines[m].firewall.stats(), twins[m].stats());
+            }
+            for (machine, twin) in net.machines.iter().zip(&twins) {
+                prop_assert_eq!(machine.firewall.stats(), twin.stats());
+                // A cutting rule that applies in a direction switches that direction's memo
+                // off; without one the memo stays on.
+                for (d, peer) in [(Direction::Out, 0), (Direction::In, 1)] {
+                    let cuts = cut
+                        && twin.rules().iter().any(|r| {
+                            r.direction.is_none_or(|rd| rd == d)
+                                && [r.dst, r.src][peer].prefix == 30
+                        });
+                    prop_assert_eq!(machine.path_memo.usable[d as usize], !cuts);
+                }
+            }
+            prop_assert!(cut || hits > packets / 2, "the memo was barely exercised: {hits}");
+        }
     }
 }

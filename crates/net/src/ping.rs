@@ -169,10 +169,8 @@ mod tests {
         let mut net = Network::new(NetworkConfig::default(), topo);
         let m0 = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
         let m1 = net.add_machine("pm1", VirtAddr::new(192, 168, 38, 2));
-        net.add_vnode(m0, VirtAddr::new(10, 0, 0, 1), GroupId(0))
-            .unwrap();
-        net.add_vnode(m1, VirtAddr::new(10, 0, 0, 2), GroupId(0))
-            .unwrap();
+        net.add_vnode(m0, GroupId(0)).unwrap();
+        net.add_vnode(m1, GroupId(0)).unwrap();
         net.machine_mut(crate::network::MachineId(0))
             .firewall
             .add_dummy_rules(rules_on_sender);

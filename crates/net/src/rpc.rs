@@ -63,8 +63,8 @@
 //! let topo = TopologySpec::uniform("doc", 2, AccessLinkClass::bittorrent_dsl());
 //! let mut net = Network::new(NetworkConfig::default(), topo);
 //! let m = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
-//! let a = net.add_vnode(m, VirtAddr::new(10, 0, 0, 1), GroupId(0)).unwrap();
-//! let b = net.add_vnode(m, VirtAddr::new(10, 0, 0, 2), GroupId(0)).unwrap();
+//! let a = net.add_vnode(m, GroupId(0)).unwrap();
+//! let b = net.add_vnode(m, GroupId(0)).unwrap();
 //! let remote = SocketAddr::new(net.addr_of(b), 4000);
 //!
 //! let world = Adder { net, rpc: RpcTable::new(RpcConfig::default()), answers: vec![] };
@@ -169,13 +169,6 @@ pub enum RpcOutcome<B> {
         /// Request transmissions performed.
         attempts: u32,
     },
-}
-
-impl<B> RpcOutcome<B> {
-    /// Whether the call completed with a reply.
-    pub fn is_reply(&self) -> bool {
-        matches!(self, RpcOutcome::Reply { .. })
-    }
 }
 
 /// The boxed continuation a call completes into.
@@ -502,13 +495,8 @@ mod tests {
         let topo = TopologySpec::uniform("rpc", n, link.with_loss(loss));
         let mut net = Network::new(NetworkConfig::default(), topo);
         let m = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
-        for i in 0..n {
-            net.add_vnode(
-                m,
-                VirtAddr::new(10, 0, 0, 0).offset(i as u32 + 1),
-                GroupId(0),
-            )
-            .unwrap();
+        for _ in 0..n {
+            net.add_vnode(m, GroupId(0)).unwrap();
         }
         World {
             net,

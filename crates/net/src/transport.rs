@@ -28,14 +28,15 @@
 //! application-level logic is free to keep using closure events on the same simulation.
 
 use crate::addr::{SocketAddr, VirtAddr};
+use crate::firewall::Direction;
 use crate::lane::LaneKind;
-use crate::network::{ConnId, ConnState, MachineId, NetError, Network, VNodeId};
-use crate::pipe::EnqueueOutcome;
+use crate::network::{ConnId, ConnState, NetError, Network, VNodeId};
+use crate::pipe::{EnqueueOutcome, PipeId};
 use crate::proto::{
     flow_dir, fragment_count, fragment_size, AckBitfield, CongestionController, FragOutcome,
     ProtoHalf, FRAG_HEADER_BYTES,
 };
-use p2plab_sim::{SimDuration, Simulation, TypedEvent};
+use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 
 /// World types that embed an emulated [`Network`] and receive transport events.
 ///
@@ -133,17 +134,8 @@ pub enum NetEvent<P> {
 impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload> {
     fn fire(self, sim: &mut NetSim<W>) {
         match self {
-            NetEvent::NicTx { flight } => {
-                let src_machine = sim.world_mut().network().vnode(flight.src).machine;
-                nic_tx(sim, flight, src_machine);
-            }
-            NetEvent::Receive { flight } => {
-                let net = sim.world_mut().network();
-                let src_machine = net.vnode(flight.src).machine;
-                let dst_machine = net.vnode(flight.dst).machine;
-                let via = (src_machine != dst_machine).then_some(dst_machine);
-                receiver_side(sim, flight, via);
-            }
+            NetEvent::NicTx { flight } => nic_tx(sim, flight),
+            NetEvent::Receive { flight } => receiver_side(sim, flight),
             NetEvent::Deliver { flight } => deliver(sim, flight),
             NetEvent::Retransmit { flight } => transmit(sim, flight, SimDuration::ZERO),
             NetEvent::PaceRelease { flight } => release_fragment(sim, flight),
@@ -156,7 +148,7 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload> {
             } => {
                 let net = sim.world_mut().network();
                 let timeout = net.config().transport.reassembly_timeout;
-                let current = net.proto.get(&conn).and_then(|p| {
+                let current = net.proto_existing(conn).and_then(|p| {
                     p.halves[usize::from(dir)].lanes[lane.index()]
                         .recv
                         .assembly
@@ -182,7 +174,7 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload> {
                     // A full timeout without a single new fragment: discard.
                     Some(_) => {
                         let net = sim.world_mut().network();
-                        if let Some(p) = net.proto.get_mut(&conn) {
+                        if let Some(p) = net.proto_existing(conn) {
                             p.halves[usize::from(dir)].lanes[lane.index()]
                                 .recv
                                 .assembly
@@ -650,15 +642,14 @@ fn transmit<W: NetHost>(
     if flight.attempts == 0 {
         let net = sim.world_mut().network();
         net.stats.messages_sent += 1;
-        if !net.byzantine.is_empty() && net.byzantine.contains(&flight.src) {
-            net.stats.byzantine_msgs_sent += 1;
-        }
         // Sender-side tamper point (see `crate::tamper`): only fresh frames from nodes with an
         // installed tamper state are touched, drawing from the node's own split RNG stream. An
-        // honest run keeps the map empty, so the frozen packet walk is byte-identical.
-        if !net.tamper.is_empty() {
+        // honest run never sets the flag, so the frozen packet walk is byte-identical.
+        if net.adversary {
+            net.stats.byzantine_msgs_sent += u64::from(net.vnode(flight.src).byzantine);
             let duplicable = flight.frame.duplicable();
-            let action = net.tamper.get_mut(&flight.src).map(|state| {
+            let tamper = net.vnode_mut(flight.src).tamper.as_deref_mut();
+            let action = tamper.map(|state| {
                 if state.rng.chance(state.spec.drop_rate) {
                     None
                 } else {
@@ -696,125 +687,116 @@ fn transmit<W: NetHost>(
     }
     let (world, rng) = sim.world_and_rng();
     let net = world.network();
-    let src_machine = net.vnode(flight.src).machine;
-    let dst_machine = net.vnode(flight.dst).machine;
-    let classification = net.classify_out(src_machine, flight.src, flight.src_addr, flight.dst);
+    let classification = net.classify(Direction::Out, flight.src, flight.src_addr, flight.dst);
     if !classification.accepted {
         net.stats.messages_dropped += 1;
         return;
     }
-    let mut t = now + extra_delay + classification.evaluation_cost;
-    let mut dup_off: Option<SimDuration> = None;
-    for pipe in &classification.pipes {
-        match net.pipe_mut(pipe).enqueue(t, wire, rng) {
-            EnqueueOutcome::Forwarded { exit, dup } => {
-                if dup_off.is_none() {
-                    // The duplicated copy trails the original by the dup's extra serialization;
-                    // it re-walks the remaining stages as an independent packet.
-                    dup_off = dup.map(|d| d - exit);
-                }
-                t = exit;
-            }
-            EnqueueOutcome::Dropped(_) => {
-                handle_drop(sim, flight);
-                return;
-            }
-        }
-    }
-    let dup_t = dup_off
-        .filter(|_| flight.frame.duplicable())
-        .map(|off| t + off);
-    if src_machine == dst_machine {
+    let folded = net.vnode(flight.src).machine == net.vnode(flight.dst).machine;
+    let mut walk = PipeWalk::starting_at(now + extra_delay + classification.evaluation_cost);
+    if !walk.through(net, rng, &classification.pipes, wire) {
+        handle_drop(sim, flight);
+    } else if folded {
         // Folded nodes: traffic stays inside the machine (loopback), no NIC involved.
-        if let Some(dt) = dup_t {
-            let copy = flight.clone();
-            sim.schedule_event_at(dt, NetEvent::Receive { flight: copy });
-        }
-        sim.schedule_event_at(t, NetEvent::Receive { flight });
+        walk.forward(sim, flight, |flight| NetEvent::Receive { flight });
     } else {
-        if let Some(dt) = dup_t {
-            let copy = flight.clone();
-            sim.schedule_event_at(dt, NetEvent::NicTx { flight: copy });
+        walk.forward(sim, flight, |flight| NetEvent::NicTx { flight });
+    }
+}
+
+/// A frame's progress through consecutive pipes: when it leaves the last one, and how far
+/// behind it a conditioner-duplicated copy trails (by the dup's extra serialization). Only the
+/// first duplication along the way counts; the copy re-walks the remaining stages as an
+/// independent packet.
+struct PipeWalk {
+    t: SimTime,
+    dup_off: Option<SimDuration>,
+}
+
+impl PipeWalk {
+    fn starting_at(t: SimTime) -> PipeWalk {
+        PipeWalk { t, dup_off: None }
+    }
+
+    /// Enqueues `wire` bytes on each of `pipes` in turn; false when a pipe dropped the frame.
+    fn through(
+        &mut self,
+        net: &mut Network,
+        rng: &mut SimRng,
+        pipes: &[PipeId],
+        wire: u64,
+    ) -> bool {
+        for &pipe in pipes {
+            match net.pipe_mut(pipe).enqueue(self.t, wire, rng) {
+                EnqueueOutcome::Forwarded { exit, dup } => {
+                    if self.dup_off.is_none() {
+                        self.dup_off = dup.map(|d| d - exit);
+                    }
+                    self.t = exit;
+                }
+                EnqueueOutcome::Dropped(_) => return false,
+            }
         }
-        sim.schedule_event_at(t, NetEvent::NicTx { flight });
+        true
+    }
+
+    /// Schedules the frame's next `hop` for when it leaves the last pipe — and before it the
+    /// duplicated copy's, if there is one and the frame type honors duplication.
+    fn forward<W: NetHost>(
+        self,
+        sim: &mut NetSim<W>,
+        flight: InFlight<W::Payload>,
+        hop: fn(InFlight<W::Payload>) -> NetEvent<W::Payload>,
+    ) {
+        if let Some(off) = self.dup_off.filter(|_| flight.frame.duplicable()) {
+            sim.schedule_event_at(self.t + off, hop(flight.clone()));
+        }
+        sim.schedule_event_at(self.t, hop(flight));
     }
 }
 
 /// The cluster-network hop: charge the source machine's NIC transmit pipe and forward to the
 /// receiver side on the destination machine.
-fn nic_tx<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>, src_machine: MachineId) {
-    let now = sim.now();
+fn nic_tx<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
     let wire = flight.frame.wire_size();
+    let mut walk = PipeWalk::starting_at(sim.now());
     let (world, rng) = sim.world_and_rng();
     let net = world.network();
-    let nic_tx = net.machine(src_machine).nic_tx;
-    match net.pipe_mut(nic_tx).enqueue(now, wire, rng) {
-        EnqueueOutcome::Forwarded { exit, dup } => {
-            if let Some(dt) = dup.filter(|_| flight.frame.duplicable()) {
-                let copy = flight.clone();
-                sim.schedule_event_at(dt, NetEvent::Receive { flight: copy });
-            }
-            sim.schedule_event_at(exit, NetEvent::Receive { flight });
-        }
-        EnqueueOutcome::Dropped(_) => handle_drop(sim, flight),
+    let nic_tx = net.machine(net.vnode(flight.src).machine).nic_tx;
+    if walk.through(net, rng, &[nic_tx], wire) {
+        walk.forward(sim, flight, |flight| NetEvent::Receive { flight });
+    } else {
+        handle_drop(sim, flight);
     }
 }
 
-/// Receiver-side processing: NIC receive pipe (if the message crossed the cluster network), the
-/// receiving machine's firewall and the destination node's download pipe, then delivery.
-fn receiver_side<W: NetHost>(
-    sim: &mut NetSim<W>,
-    flight: InFlight<W::Payload>,
-    via_machine: Option<crate::network::MachineId>,
-) {
-    let now = sim.now();
+/// Receiver-side processing: NIC receive pipe (if the message crossed the cluster network,
+/// i.e. the endpoints are hosted on different machines), the receiving machine's firewall and
+/// the destination node's download pipe, then delivery.
+fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
     let wire = flight.frame.wire_size();
+    let mut walk = PipeWalk::starting_at(sim.now());
     let (world, rng) = sim.world_and_rng();
     let net = world.network();
-    let mut t = now;
-    let mut dup_off: Option<SimDuration> = None;
-    if let Some(machine) = via_machine {
-        let nic_rx = net.machine(machine).nic_rx;
-        match net.pipe_mut(nic_rx).enqueue(now, wire, rng) {
-            EnqueueOutcome::Forwarded { exit, dup } => {
-                dup_off = dup.map(|d| d - exit);
-                t = exit;
-            }
-            EnqueueOutcome::Dropped(_) => {
-                handle_drop(sim, flight);
-                return;
-            }
+    let dst_machine = net.vnode(flight.dst).machine;
+    if net.vnode(flight.src).machine != dst_machine {
+        let nic_rx = net.machine(dst_machine).nic_rx;
+        if !walk.through(net, rng, &[nic_rx], wire) {
+            handle_drop(sim, flight);
+            return;
         }
     }
-    let dst_machine = net.vnode(flight.dst).machine;
-    let classification = net.classify_in(dst_machine, flight.src, flight.src_addr, flight.dst);
+    let classification = net.classify(Direction::In, flight.src, flight.src_addr, flight.dst);
     if !classification.accepted {
         net.stats.messages_dropped += 1;
         return;
     }
-    t += classification.evaluation_cost;
-    for pipe in &classification.pipes {
-        match net.pipe_mut(pipe).enqueue(t, wire, rng) {
-            EnqueueOutcome::Forwarded { exit, dup } => {
-                if dup_off.is_none() {
-                    dup_off = dup.map(|d| d - exit);
-                }
-                t = exit;
-            }
-            EnqueueOutcome::Dropped(_) => {
-                handle_drop(sim, flight);
-                return;
-            }
-        }
+    walk.t += classification.evaluation_cost;
+    if walk.through(net, rng, &classification.pipes, wire) {
+        walk.forward(sim, flight, |flight| NetEvent::Deliver { flight });
+    } else {
+        handle_drop(sim, flight);
     }
-    let dup_t = dup_off
-        .filter(|_| flight.frame.duplicable())
-        .map(|off| t + off);
-    if let Some(dt) = dup_t {
-        let copy = flight.clone();
-        sim.schedule_event_at(dt, NetEvent::Deliver { flight: copy });
-    }
-    sim.schedule_event_at(t, NetEvent::Deliver { flight });
 }
 
 /// Retransmission policy after a pipe dropped the frame: reliable frames are retried on their
@@ -1081,7 +1063,7 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
             // The ack's receiver is the sender of the acked data, so the flow direction is
             // the one where `dst` transmits.
             let dir = flow_dir(dst == c.client.0);
-            let Some(proto) = net.proto.get_mut(&conn) else {
+            let Some(proto) = net.proto_existing(conn) else {
                 return;
             };
             let ProtoHalf { cc, lanes, .. } = &mut proto.halves[dir];
@@ -1179,13 +1161,10 @@ mod tests {
             AccessLinkClass::bittorrent_dsl(),
         );
         let mut net = Network::new(config, topo);
-        let mut next = 0u32;
         for m in 0..machines {
             let mid = net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m as u8 + 1));
             for _ in 0..per_machine {
-                next += 1;
-                net.add_vnode(mid, VirtAddr::new(10, 0, 0, 0).offset(next), GroupId(0))
-                    .unwrap();
+                net.add_vnode(mid, GroupId(0)).unwrap();
             }
         }
         TestWorld {
@@ -1398,10 +1377,8 @@ mod tests {
         let mut net = Network::new(NetworkConfig::default(), topo);
         let m0 = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
         let m1 = net.add_machine("pm1", VirtAddr::new(192, 168, 38, 2));
-        net.add_vnode(m0, VirtAddr::new(10, 0, 0, 1), GroupId(0))
-            .unwrap();
-        net.add_vnode(m1, VirtAddr::new(10, 0, 0, 2), GroupId(0))
-            .unwrap();
+        net.add_vnode(m0, GroupId(0)).unwrap();
+        net.add_vnode(m1, GroupId(0)).unwrap();
         let world = TestWorld {
             net,
             events: Vec::new(),
@@ -1444,10 +1421,8 @@ mod tests {
             TopologySpec::uniform("lossy", 2, AccessLinkClass::bittorrent_dsl().with_loss(1.0));
         let mut net = Network::new(NetworkConfig::default(), topo);
         let m0 = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
-        net.add_vnode(m0, VirtAddr::new(10, 0, 0, 1), GroupId(0))
-            .unwrap();
-        net.add_vnode(m0, VirtAddr::new(10, 0, 0, 2), GroupId(0))
-            .unwrap();
+        net.add_vnode(m0, GroupId(0)).unwrap();
+        net.add_vnode(m0, GroupId(0)).unwrap();
         let world = TestWorld {
             net,
             events: Vec::new(),

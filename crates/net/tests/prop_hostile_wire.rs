@@ -65,13 +65,8 @@ fn world() -> World {
     let topo = TopologySpec::uniform("hostile-rpc", 2, link);
     let mut net = Network::new(NetworkConfig::default(), topo);
     let m = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
-    for i in 0..2 {
-        net.add_vnode(
-            m,
-            VirtAddr::new(10, 0, 0, 0).offset(i as u32 + 1),
-            GroupId(0),
-        )
-        .unwrap();
+    for _ in 0..2 {
+        net.add_vnode(m, GroupId(0)).unwrap();
     }
     World {
         net,

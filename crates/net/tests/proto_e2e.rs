@@ -44,8 +44,7 @@ fn world(link: AccessLinkClass, transport: TransportConfig) -> World {
     let mut net = Network::new(config, topo);
     for i in 0..2u8 {
         let m = net.add_machine(format!("pm{i}"), VirtAddr::new(192, 168, 38, i + 1));
-        net.add_vnode(m, VirtAddr::new(10, 0, 0, i + 1), GroupId(0))
-            .unwrap();
+        net.add_vnode(m, GroupId(0)).unwrap();
     }
     World {
         net,

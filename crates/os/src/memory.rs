@@ -52,15 +52,6 @@ impl MemoryModel {
         }
     }
 
-    /// A memory model with the given RAM that never swaps (infinite penalty-free memory is not
-    /// realistic, so demand beyond RAM still slows down, but with the Linux-like mild penalty).
-    pub fn with_ram(ram_bytes: u64, os: OsKind) -> MemoryModel {
-        MemoryModel {
-            ram_bytes,
-            ..MemoryModel::grid_explorer(os)
-        }
-    }
-
     /// Total memory a machine can host before `spawn` refuses new processes.
     pub fn capacity(&self) -> u64 {
         self.ram_bytes.saturating_add(self.swap_bytes)

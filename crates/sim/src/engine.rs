@@ -151,11 +151,6 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
         self.executed_events
     }
 
-    /// Number of events still pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Limits the total number of events the run loop will execute (runaway protection for
     /// property tests and CI). Default is unlimited.
     pub fn set_event_budget(&mut self, budget: u64) {
@@ -213,17 +208,23 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
         self.queue.cancel(id)
     }
 
+    /// Executes one popped event: the clock jumps to its time, then its handler runs.
+    #[inline]
+    fn fire(&mut self, (time, _id, payload): (SimTime, EventId, Payload<W, E>)) {
+        debug_assert!(time >= self.now, "time must be monotonic");
+        self.now = time;
+        self.executed_events += 1;
+        match payload {
+            Payload::Closure(f) => f(self),
+            Payload::Typed(e) => e.fire(self),
+        }
+    }
+
     /// Runs a single event, if any, and returns whether one was executed.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some((time, _id, payload)) => {
-                debug_assert!(time >= self.now, "time must be monotonic");
-                self.now = time;
-                self.executed_events += 1;
-                match payload {
-                    Payload::Closure(f) => f(self),
-                    Payload::Typed(e) => e.fire(self),
-                }
+            Some(event) => {
+                self.fire(event);
                 true
             }
             None => false,
@@ -235,37 +236,30 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
         self.run_until(SimTime::MAX)
     }
 
+    /// Runs every event due at or before `last`; the clock stays at the last executed event.
+    fn run_through(&mut self, last: SimTime) -> RunOutcome {
+        loop {
+            if self.executed_events >= self.event_budget {
+                return RunOutcome::EventBudgetExhausted;
+            }
+            match self.queue.pop_due(last) {
+                Some(event) => self.fire(event),
+                None if self.queue.is_empty() => return RunOutcome::Drained,
+                None => return RunOutcome::DeadlineReached,
+            }
+        }
+    }
+
     /// Runs until the queue drains or virtual time would pass `deadline`.
     ///
     /// Events scheduled exactly at `deadline` are executed. On return with
     /// [`RunOutcome::DeadlineReached`] the clock is advanced to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        loop {
-            if self.executed_events >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
-            }
-            match self.queue.pop_due(deadline) {
-                Some((time, _id, payload)) => {
-                    debug_assert!(time >= self.now, "time must be monotonic");
-                    self.now = time;
-                    self.executed_events += 1;
-                    match payload {
-                        Payload::Closure(f) => f(self),
-                        Payload::Typed(e) => e.fire(self),
-                    }
-                }
-                None if self.queue.is_empty() => return RunOutcome::Drained,
-                None => {
-                    self.now = deadline.max(self.now);
-                    return RunOutcome::DeadlineReached;
-                }
-            }
+        let outcome = self.run_through(deadline);
+        if outcome == RunOutcome::DeadlineReached {
+            self.now = deadline.max(self.now);
         }
-    }
-
-    /// Runs for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
-        self.run_until(self.now + span)
+        outcome
     }
 
     /// Runs every event strictly **before** `end` (a half-open window `[now, end)`).
@@ -282,25 +276,7 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
                 RunOutcome::DeadlineReached
             };
         }
-        let last = SimTime::from_nanos(end.as_nanos() - 1);
-        loop {
-            if self.executed_events >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
-            }
-            match self.queue.pop_due(last) {
-                Some((time, _id, payload)) => {
-                    debug_assert!(time >= self.now, "time must be monotonic");
-                    self.now = time;
-                    self.executed_events += 1;
-                    match payload {
-                        Payload::Closure(f) => f(self),
-                        Payload::Typed(e) => e.fire(self),
-                    }
-                }
-                None if self.queue.is_empty() => return RunOutcome::Drained,
-                None => return RunOutcome::DeadlineReached,
-            }
-        }
+        self.run_through(SimTime::from_nanos(end.as_nanos() - 1))
     }
 
     /// The timestamp of the earliest pending event, if any. Used by the sharded runtime's

@@ -142,15 +142,6 @@ impl Summary {
             std_dev: var.sqrt(),
         })
     }
-
-    /// Coefficient of variation (std_dev / mean); zero when the mean is zero.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 /// An empirical cumulative distribution function.
