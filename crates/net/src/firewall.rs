@@ -91,7 +91,7 @@ impl Rule {
 
 /// A small inline list of pipes a packet traverses. Real classifications are one or two pipes
 /// (access link, plus at most a group-latency pipe), so the common case lives on the stack and
-/// copying a memoized classification allocates nothing.
+/// a walk allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipeList {
     len: u8,
@@ -241,7 +241,10 @@ impl Firewall {
         direction: Direction,
     ) -> Classification {
         let classification = self.walk(src, dst, direction);
-        self.count_packet(&classification);
+        self.count_packet(
+            classification.rules_examined as u64,
+            classification.accepted,
+        );
         classification
     }
 
@@ -270,16 +273,22 @@ impl Firewall {
             pipes,
             accepted,
             rules_examined,
-            evaluation_cost: self.per_rule_cost * rules_examined as u64,
+            evaluation_cost: self.evaluation_cost(rules_examined as u64),
         }
+    }
+
+    /// The latency a walk that examined `rules_examined` rules adds to its packet (Figure 6's
+    /// linear cost): what a memo keeps of a walk is the count, not the duration.
+    pub(crate) fn evaluation_cost(&self, rules_examined: u64) -> SimDuration {
+        self.per_rule_cost * rules_examined
     }
 
     /// Accounts one classified packet in the firewall statistics (the memoized path in the
     /// network layer calls this instead of re-walking).
-    pub fn count_packet(&mut self, classification: &Classification) {
+    pub fn count_packet(&mut self, rules_examined: u64, accepted: bool) {
         self.stats.packets += 1;
-        self.stats.rules_examined += classification.rules_examined as u64;
-        if !classification.accepted {
+        self.stats.rules_examined += rules_examined;
+        if !accepted {
             self.stats.denied += 1;
         }
     }

@@ -19,7 +19,7 @@
 //! [`Network::resolve`] arithmetic on the group's subnet instead of a lookup.
 
 use crate::addr::{Subnet, VirtAddr};
-use crate::firewall::{Classification, Direction, Firewall, Rule};
+use crate::firewall::{Classification, Direction, Firewall, PipeList, Rule};
 use crate::iface::Interface;
 use crate::intercept::InterceptConfig;
 use crate::pipe::{Pipe, PipeConfig, PipeId};
@@ -155,8 +155,80 @@ struct PathMemo {
     version: u64,
     /// Whether `(hosted node, peer group)` granularity is sound, indexed by [`Direction`].
     usable: [bool; 2],
-    /// `[(slot * groups + peer group) * 2 + direction]`; `None` until the path is first walked.
-    paths: Vec<Option<Classification>>,
+    /// `[(slot * groups + peer group) * 2 + direction]`; unfilled until the path is first walked.
+    paths: Vec<PathCell>,
+}
+
+/// One memoized path: what [`Firewall::walk`] found for it, in the 20 bytes the packet walk
+/// reads. The rule cost is kept as the count it is derived from
+/// ([`Firewall::evaluation_cost`]). A walk that collects more than three pipes, or ids beyond
+/// `u32`, does not fit and is not memoized: that path takes the linear walk for every packet.
+#[derive(Debug, Clone, Copy, Default)]
+struct PathCell {
+    rules_examined: u32,
+    pipes: [u32; 3],
+    len: u8,
+    accepted: bool,
+    filled: bool,
+}
+
+// One cell per (hosted node, peer group, direction): 100,000 of them at 50,000 vnodes, read at
+// random by every packet. A field added here is paid for in cache misses.
+const _: () = assert!(std::mem::size_of::<PathCell>() <= 24);
+
+impl PathCell {
+    fn of(walked: &Classification) -> Option<PathCell> {
+        let mut pipes = [0; 3];
+        if walked.pipes.len() > pipes.len() {
+            return None;
+        }
+        for (slot, pipe) in pipes.iter_mut().zip(&walked.pipes) {
+            *slot = u32::try_from(pipe.0).ok()?;
+        }
+        Some(PathCell {
+            rules_examined: u32::try_from(walked.rules_examined).ok()?,
+            pipes,
+            len: walked.pipes.len() as u8,
+            accepted: walked.accepted,
+            filled: true,
+        })
+    }
+}
+
+/// What the packet walk needs of a classification, from the memo or from a linear walk.
+pub(crate) struct PacketPath {
+    /// Whether the packet is accepted (false if a Deny rule matched).
+    pub accepted: bool,
+    /// Latency added by rule evaluation itself.
+    pub evaluation_cost: SimDuration,
+    pipes: PathPipes,
+}
+
+enum PathPipes {
+    Memoized(PathCell),
+    Walked(PipeList),
+}
+
+impl PacketPath {
+    /// Pipes the packet must traverse, in rule order.
+    pub fn pipes(&self) -> impl Iterator<Item = PipeId> + '_ {
+        let (memoized, walked): (&[u32], &[PipeId]) = match &self.pipes {
+            PathPipes::Memoized(cell) => (&cell.pipes[..cell.len as usize], &[]),
+            PathPipes::Walked(list) => (&[], list),
+        };
+        let memoized = memoized.iter().map(|&pipe| PipeId(pipe as usize));
+        memoized.chain(walked.iter().copied())
+    }
+}
+
+impl From<Classification> for PacketPath {
+    fn from(walked: Classification) -> PacketPath {
+        PacketPath {
+            accepted: walked.accepted,
+            evaluation_cost: walked.evaluation_cost,
+            pipes: PathPipes::Walked(walked.pipes),
+        }
+    }
 }
 
 /// True when `subnet` never cuts through a group: for every group it either covers the whole
@@ -208,7 +280,7 @@ impl MachineNet {
         ];
         memo.paths.clear();
         memo.paths
-            .resize(self.hosted as usize * groups.len() * 2, None);
+            .resize(self.hosted as usize * groups.len() * 2, PathCell::default());
         memo.version = self.firewall.version();
     }
 }
@@ -428,7 +500,7 @@ impl Network {
         src: VNodeId,
         src_addr: VirtAddr,
         dst: VNodeId,
-    ) -> Classification {
+    ) -> PacketPath {
         let (s, d) = (&self.vnodes[src.0], &self.vnodes[dst.0]);
         let (src_is_vnode, dst_addr) = (s.addr == src_addr, d.addr);
         let (host, peer) = match direction {
@@ -442,15 +514,26 @@ impl Network {
             m.refresh_path_memo(groups);
         }
         if !src_is_vnode || !m.path_memo.usable[direction as usize] {
-            return m.firewall.classify(src_addr, dst_addr, direction);
+            return m.firewall.classify(src_addr, dst_addr, direction).into();
         }
         // Walk and memoize on first use; statistics are charged exactly as `classify` would.
         let firewall = &mut m.firewall;
-        let classification = m.path_memo.paths[path]
-            .get_or_insert_with(|| firewall.walk(src_addr, dst_addr, direction))
-            .clone();
-        firewall.count_packet(&classification);
-        classification
+        let cell = &mut m.path_memo.paths[path];
+        if !cell.filled {
+            let walked = firewall.walk(src_addr, dst_addr, direction);
+            let Some(filled) = PathCell::of(&walked) else {
+                firewall.count_packet(walked.rules_examined as u64, walked.accepted);
+                return walked.into();
+            };
+            *cell = filled;
+        }
+        let cell = *cell;
+        firewall.count_packet(cell.rules_examined.into(), cell.accepted);
+        PacketPath {
+            accepted: cell.accepted,
+            evaluation_cost: firewall.evaluation_cost(cell.rules_examined.into()),
+            pipes: PathPipes::Memoized(cell),
+        }
     }
 
     /// Adds a virtual node of `group` on `machine`, at the group's next unassigned address
@@ -967,9 +1050,15 @@ mod tests {
         }
 
         /// The path memo against the walk it replaces: a twin of every machine's firewall
-        /// classifies each packet with the plain linear [`Firewall::classify`].
+        /// classifies each packet with the plain linear [`Firewall::classify`]. `cut` adds rules
+        /// that switch a direction's memo off; `wide` puts four pipe rules in front of
+        /// everything, so every path collects more pipes than a cell holds.
         #[test]
-        fn memoized_classification_equals_the_linear_walk(seed in any::<u64>(), cut in any::<bool>()) {
+        fn memoized_classification_equals_the_linear_walk(
+            seed in any::<u64>(),
+            cut in any::<bool>(),
+            wide in any::<bool>(),
+        ) {
             let mut rng = SimRng::new(seed);
             let topo = TopologySpec::paper_figure7();
             // Whole groups, a supernet of three of them and everything: all group-uniform.
@@ -998,6 +1087,19 @@ mod tests {
                 net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1)),
                 net.add_machine("pm1", VirtAddr::new(192, 168, 38, 2)),
             ];
+            if wide {
+                for &m in &machines {
+                    for pipe in 0..4 {
+                        let rule = Rule {
+                            src: Subnet::any(),
+                            dst: Subnet::any(),
+                            direction: None,
+                            action: RuleAction::Pipe(PipeId(pipe)),
+                        };
+                        net.machine_mut(m).firewall.add_rule(rule);
+                    }
+                }
+            }
             // Random rules ahead of the deployment's own (a Deny up front cuts walks short)
             // and behind them.
             for ahead in [true, false] {
@@ -1016,7 +1118,7 @@ mod tests {
                 }
             }
             let mut twins: Vec<Firewall> = net.machines.iter().map(|m| m.firewall.clone()).collect();
-            let (mut hits, packets) = (0, 400);
+            let (mut hits, mut unmemoized, packets) = (0, 0, 400);
             for i in 0..packets {
                 if i == packets / 2 {
                     // A rule added mid-stream must invalidate what the memo holds.
@@ -1039,17 +1141,26 @@ mod tests {
                 } else {
                     net.addr_of(src)
                 };
-                let usable = {
-                    let machine = &net.machines[m];
-                    machine.path_memo.version == machine.firewall.version()
-                        && machine.path_memo.usable[direction as usize]
-                };
-                hits += usize::from(usable && src_addr == net.addr_of(src));
                 let got = net.classify(direction, src, src_addr, dst);
                 let want = twins[m].classify(src_addr, net.addr_of(dst), direction);
-                prop_assert_eq!(got, want);
+                // `classify` has brought the memo up to the rule set by now.
+                let through_memo =
+                    net.machines[m].path_memo.usable[direction as usize] && src_addr == net.addr_of(src);
+                hits += usize::from(through_memo);
+                prop_assert_eq!(got.accepted, want.accepted);
+                prop_assert_eq!(got.evaluation_cost, want.evaluation_cost);
+                prop_assert_eq!(&got.pipes().collect::<Vec<_>>()[..], &want.pipes[..]);
+                // `rules_examined` is compared through what it is charged to.
                 prop_assert_eq!(net.machines[m].firewall.stats(), twins[m].stats());
+                // A path of up to three pipes is answered from its cell; a longer one is not
+                // memoized, however often it comes by.
+                let memoized = matches!(got.pipes, PathPipes::Memoized(_));
+                prop_assert_eq!(memoized, through_memo && want.pipes.len() <= 3);
+                unmemoized += usize::from(through_memo && !memoized);
             }
+            // The four leading pipe rules put every path that reaches the memo beyond a cell
+            // (and without a cutting rule most packets reach it, see the last assertion).
+            prop_assert!(!wide || unmemoized == hits, "{unmemoized} of {hits}");
             for (machine, twin) in net.machines.iter().zip(&twins) {
                 prop_assert_eq!(machine.firewall.stats(), twin.stats());
                 // A cutting rule that applies in a direction switches that direction's memo

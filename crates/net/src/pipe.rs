@@ -6,8 +6,9 @@
 //! drop packets, either randomly (packet loss rate) or because the bounded queue overflows.
 //!
 //! The model here is exact for FIFO fixed-rate queues: the departure time of a packet is
-//! `max(arrival, previous departure) + size/bandwidth`, so per-packet state is just the time the
-//! queue becomes idle plus a short window of recent departures for occupancy accounting.
+//! `max(arrival, previous departure) + size/bandwidth`, so the state of a pipe is just the time
+//! its queue becomes idle. Only a pipe with a queue bound also keeps a short window of recent
+//! departures, which is what its overflow check counts occupancy from.
 
 use crate::proto::LinkCondition;
 use p2plab_sim::{SimDuration, SimRng, SimTime};
@@ -24,7 +25,10 @@ pub struct PipeConfig {
     /// Drain rate in bits per second. `None` means unlimited (a pure-delay pipe, as used for
     /// inter-group latency rules).
     pub bandwidth_bps: Option<u64>,
-    /// Propagation delay added after the packet leaves the queue.
+    /// Propagation delay added after the packet leaves the queue. Also the minimum time any
+    /// forwarded packet spends in the pipe — queueing, serialization and conditioners (jitter,
+    /// reordering) only add hold-back, never deliver early — which is the floor the sharded
+    /// runtime's conservative lookahead is derived from.
     pub delay: SimDuration,
     /// Random packet loss rate in `[0, 1]`.
     pub loss_rate: f64,
@@ -81,14 +85,6 @@ impl PipeConfig {
         self.condition = condition.filter(|c| !c.is_noop());
         self
     }
-
-    /// The minimum time any forwarded packet spends in this pipe: the configured propagation
-    /// delay. Queueing and serialization only add to it, and conditioners (jitter, reordering)
-    /// only add extra hold-back — never deliver early. This floor is what the sharded
-    /// runtime's conservative lookahead is derived from.
-    pub fn transit_floor(&self) -> SimDuration {
-        self.delay
-    }
 }
 
 /// Why a packet was dropped by a pipe.
@@ -133,84 +129,146 @@ pub struct PipeStats {
 }
 
 /// A dummynet pipe instance.
+///
+/// One cache line: the drain clock, the rate and delay the serialization arithmetic reads, and
+/// the forwarding counters every packet bumps. Whatever only *some* pipes are configured with —
+/// loss, a queue bound, a conditioner — sits behind `extras`, so the access, NIC and inter-group
+/// pipes of an unconditioned deployment allocate nothing and keep nothing per packet.
 #[derive(Debug, Clone)]
 pub struct Pipe {
-    config: PipeConfig,
     /// Time at which the transmission queue becomes idle.
     busy_until: SimTime,
-    /// Recent departures `(queue exit time, size)` kept for occupancy accounting.
-    in_queue: VecDeque<(SimTime, u64)>,
-    /// Running sum of the sizes in `in_queue`, so occupancy checks are O(1) per packet
-    /// instead of a queue scan (batched accounting: the scan only happens implicitly, as the
-    /// prune pops expired departures).
-    queued: u64,
+    /// Drain rate ([`PipeConfig::bandwidth_bps`]).
+    bandwidth_bps: Option<u64>,
+    /// Propagation delay ([`PipeConfig::delay`]).
+    delay: SimDuration,
+    forwarded_packets: u64,
+    forwarded_bytes: u64,
+    /// `None` for a pipe that only rate-limits and delays.
+    extras: Option<Box<PipeExtras>>,
+}
+
+// A field added to `Pipe` pushes every deployed pipe onto a second cache line of the per-packet
+// working set (50,000 vnodes own 100,000 of them); it belongs in `PipeExtras`.
+const _: () = assert!(std::mem::size_of::<Pipe>() <= 64);
+
+/// What a pipe configured with loss, a queue bound or a conditioner keeps beyond [`Pipe`]'s
+/// own fields, with the counters of the drops only such a pipe can produce.
+#[derive(Debug, Clone)]
+struct PipeExtras {
+    loss_rate: f64,
+    bound: Option<QueueBound>,
+    condition: Option<LinkCondition>,
     /// Gilbert–Elliott chain state of the conditioner (`true` = bad state).
     bad: bool,
-    stats: PipeStats,
+    dropped_loss: u64,
+    dropped_overflow: u64,
+    dropped_burst: u64,
+}
+
+/// Occupancy accounting of a bounded transmission queue.
+#[derive(Debug, Clone)]
+struct QueueBound {
+    limit_bytes: u64,
+    /// Departures `(queue exit time, size)` not yet known to lie in the past.
+    window: VecDeque<(SimTime, u64)>,
+    /// Running sum of the sizes in `window`, so the overflow check is O(1) per packet (the
+    /// scan only happens implicitly, as the prune pops expired departures).
+    queued: u64,
+}
+
+impl QueueBound {
+    /// Forgets the departures that have left the queue by `now`.
+    fn prune(&mut self, now: SimTime) {
+        while let Some(&(exit, size)) = self.window.front() {
+            if exit > now {
+                break;
+            }
+            self.window.pop_front();
+            self.queued -= size;
+        }
+    }
+
+    /// Whether `size` more bytes overflow the queue as of the last prune (an empty queue
+    /// always takes one packet, however large).
+    fn overflows(&self, size: u64) -> bool {
+        self.queued + size > self.limit_bytes && !self.window.is_empty()
+    }
 }
 
 impl Pipe {
     /// Creates a pipe from its configuration.
     pub fn new(config: PipeConfig) -> Pipe {
+        let plain = config.loss_rate == 0.0
+            && config.queue_limit_bytes.is_none()
+            && config.condition.is_none();
+        let extras = (!plain).then(|| {
+            Box::new(PipeExtras {
+                loss_rate: config.loss_rate,
+                bound: config.queue_limit_bytes.map(|limit_bytes| QueueBound {
+                    limit_bytes,
+                    window: VecDeque::new(),
+                    queued: 0,
+                }),
+                condition: config.condition,
+                bad: false,
+                dropped_loss: 0,
+                dropped_overflow: 0,
+                dropped_burst: 0,
+            })
+        });
         Pipe {
-            config,
             busy_until: SimTime::ZERO,
-            in_queue: VecDeque::new(),
-            queued: 0,
-            bad: false,
-            stats: PipeStats::default(),
+            bandwidth_bps: config.bandwidth_bps,
+            delay: config.delay,
+            forwarded_packets: 0,
+            forwarded_bytes: 0,
+            extras,
         }
-    }
-
-    /// The pipe's configuration.
-    pub fn config(&self) -> &PipeConfig {
-        &self.config
-    }
-
-    /// Replaces the pipe's configuration (used when reconfiguring an emulated link mid-run).
-    /// Queued traffic keeps its already-computed departure times.
-    pub fn reconfigure(&mut self, config: PipeConfig) {
-        self.config = config;
     }
 
     /// Traffic counters.
     pub fn stats(&self) -> PipeStats {
-        self.stats
-    }
-
-    /// Bytes currently waiting in (or being serialized by) the transmission queue at `now`.
-    pub fn queued_bytes(&mut self, now: SimTime) -> u64 {
-        self.prune(now);
-        self.queued
+        let x = self.extras.as_deref();
+        PipeStats {
+            forwarded_packets: self.forwarded_packets,
+            forwarded_bytes: self.forwarded_bytes,
+            dropped_loss: x.map_or(0, |x| x.dropped_loss),
+            dropped_overflow: x.map_or(0, |x| x.dropped_overflow),
+            dropped_burst: x.map_or(0, |x| x.dropped_burst),
+        }
     }
 
     /// Offers a packet of `size` bytes to the pipe at time `now`.
     pub fn enqueue(&mut self, now: SimTime, size: u64, rng: &mut SimRng) -> EnqueueOutcome {
-        if rng.chance(self.config.loss_rate) {
-            self.stats.dropped_loss += 1;
-            return EnqueueOutcome::Dropped(DropReason::RandomLoss);
-        }
-        let condition = self.config.condition;
-        if let Some(burst) = condition.and_then(|c| c.burst) {
-            if burst.step(&mut self.bad, rng) {
-                self.stats.dropped_burst += 1;
-                return EnqueueOutcome::Dropped(DropReason::BurstLoss);
+        let mut condition = None;
+        if let Some(x) = self.extras.as_deref_mut() {
+            if rng.chance(x.loss_rate) {
+                x.dropped_loss += 1;
+                return EnqueueOutcome::Dropped(DropReason::RandomLoss);
             }
-        }
-        self.prune(now);
-        if let Some(limit) = self.config.queue_limit_bytes {
-            if self.queued + size > limit && !self.in_queue.is_empty() {
-                self.stats.dropped_overflow += 1;
-                return EnqueueOutcome::Dropped(DropReason::QueueOverflow);
+            condition = x.condition;
+            if let Some(burst) = condition.and_then(|c| c.burst) {
+                if burst.step(&mut x.bad, rng) {
+                    x.dropped_burst += 1;
+                    return EnqueueOutcome::Dropped(DropReason::BurstLoss);
+                }
+            }
+            if let Some(bound) = x.bound.as_mut() {
+                bound.prune(now);
+                if bound.overflows(size) {
+                    x.dropped_overflow += 1;
+                    return EnqueueOutcome::Dropped(DropReason::QueueOverflow);
+                }
             }
         }
         let queue_exit = self.serialize(now, size);
-        let mut latency = self.config.delay;
+        let mut latency = self.delay;
         if let Some(c) = condition.as_ref() {
             latency += c.extra_latency(rng);
         }
-        self.stats.forwarded_packets += 1;
-        self.stats.forwarded_bytes += size;
+        self.forwarded_packets += 1;
+        self.forwarded_bytes += size;
         let exit = queue_exit + latency;
         let dup = match condition.as_ref() {
             Some(c) if c.duplicates(rng) => self.duplicate_exit(now, size, exit),
@@ -219,15 +277,21 @@ impl Pipe {
         EnqueueOutcome::Forwarded { exit, dup }
     }
 
+    fn bound_mut(&mut self) -> Option<&mut QueueBound> {
+        self.extras.as_deref_mut()?.bound.as_mut()
+    }
+
     /// Charges one serialization slot and returns its queue exit time.
     fn serialize(&mut self, now: SimTime, size: u64) -> SimTime {
-        match self.config.bandwidth_bps {
+        match self.bandwidth_bps {
             Some(bps) => {
                 let start = self.busy_until.max(now);
                 let exit = start + SimDuration::transmission(size, bps);
                 self.busy_until = exit;
-                self.in_queue.push_back((exit, size));
-                self.queued += size;
+                if let Some(bound) = self.bound_mut() {
+                    bound.window.push_back((exit, size));
+                    bound.queued += size;
+                }
                 exit
             }
             None => now,
@@ -238,26 +302,13 @@ impl Pipe {
     /// after the original's. The copy is dropped silently when the queue is full (a duplicate
     /// never evicts real traffic, and its loss is invisible by construction).
     fn duplicate_exit(&mut self, now: SimTime, size: u64, exit: SimTime) -> Option<SimTime> {
-        if let Some(limit) = self.config.queue_limit_bytes {
-            if self.queued + size > limit && !self.in_queue.is_empty() {
-                return None;
-            }
+        if self.bound_mut().is_some_and(|b| b.overflows(size)) {
+            return None;
         }
-        let dup_exit = self.serialize(now, size) + self.config.delay;
-        self.stats.forwarded_packets += 1;
-        self.stats.forwarded_bytes += size;
+        let dup_exit = self.serialize(now, size) + self.delay;
+        self.forwarded_packets += 1;
+        self.forwarded_bytes += size;
         Some(dup_exit.max(exit + SimDuration::from_nanos(1)))
-    }
-
-    fn prune(&mut self, now: SimTime) {
-        while let Some(&(exit, size)) = self.in_queue.front() {
-            if exit <= now {
-                self.in_queue.pop_front();
-                self.queued -= size;
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -371,23 +422,50 @@ mod tests {
 
     #[test]
     fn queued_bytes_tracks_occupancy() {
-        let mut p = Pipe::new(PipeConfig::shaped(8_000, SimDuration::ZERO).with_queue_limit(None));
+        // What `queue_limit_drops_excess`'s overflow check reads: prune, then the running sum.
+        let mut p =
+            Pipe::new(PipeConfig::shaped(8_000, SimDuration::ZERO).with_queue_limit(Some(3000)));
         let mut r = rng();
         p.enqueue(SimTime::ZERO, 1000, &mut r); // drains at t=1s
         p.enqueue(SimTime::ZERO, 1000, &mut r); // drains at t=2s
-        assert_eq!(p.queued_bytes(SimTime::from_millis(500)), 2000);
-        assert_eq!(p.queued_bytes(SimTime::from_millis(1500)), 1000);
-        assert_eq!(p.queued_bytes(SimTime::from_secs(3)), 0);
+        let mut queued_bytes = |now| {
+            let bound = p.bound_mut().expect("the pipe is bounded");
+            bound.prune(now);
+            bound.queued
+        };
+        assert_eq!(queued_bytes(SimTime::from_millis(500)), 2000);
+        assert_eq!(queued_bytes(SimTime::from_millis(1500)), 1000);
+        assert_eq!(queued_bytes(SimTime::from_secs(3)), 0);
     }
 
     #[test]
-    fn reconfigure_changes_future_traffic() {
-        let mut p = Pipe::new(PipeConfig::shaped(1_000_000, SimDuration::ZERO));
-        let mut r = rng();
-        p.reconfigure(PipeConfig::shaped(2_000_000, SimDuration::ZERO));
-        match p.enqueue(SimTime::ZERO, 2500, &mut r) {
-            EnqueueOutcome::Forwarded { exit, .. } => assert_eq!(exit, SimTime::from_millis(10)),
-            other => panic!("unexpected: {other:?}"),
+    fn plain_pipe_keeps_no_extras() {
+        // Every pipe `Network` deploys for an unconditioned topology is one of these.
+        let plain = [
+            PipeConfig::delay_only(SimDuration::from_millis(5)),
+            PipeConfig::shaped(1_000_000, SimDuration::ZERO).with_queue_limit(None),
+            PipeConfig::shaped(1_000_000, SimDuration::ZERO)
+                .with_loss(0.0)
+                .with_queue_limit(None)
+                .with_condition(Some(LinkCondition::none())),
+        ];
+        for config in plain {
+            assert!(Pipe::new(config).extras.is_none(), "{config:?}");
+        }
+        let unbounded = PipeConfig::shaped(1_000_000, SimDuration::ZERO).with_queue_limit(None);
+        let not_plain = [
+            PipeConfig::shaped(1_000_000, SimDuration::ZERO),
+            unbounded.with_loss(0.1),
+            unbounded.with_condition(Some(LinkCondition::none().with_duplication(0.5))),
+        ];
+        for config in not_plain {
+            let pipe = Pipe::new(config);
+            let extras = pipe
+                .extras
+                .as_deref()
+                .expect("configured beyond rate and delay");
+            // The departure window exists only where a bound can read it.
+            assert_eq!(extras.bound.is_some(), config.queue_limit_bytes.is_some());
         }
     }
 

@@ -306,7 +306,7 @@ impl TopologySpec {
     /// The conservative lookahead this topology supports: a lower bound on the one-way
     /// node-to-node delivery time. Every path crosses the sender's access link and the
     /// receiver's access link (each contributing its propagation latency — queueing,
-    /// serialization and conditioners only add, see [`crate::PipeConfig::transit_floor`]),
+    /// serialization and conditioners only add, see [`crate::PipeConfig::delay`]),
     /// and inter-group latency is strictly additive on top. Hence
     /// `2 × min_access_latency`.
     ///

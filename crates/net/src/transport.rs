@@ -694,7 +694,7 @@ fn transmit<W: NetHost>(
     }
     let folded = net.vnode(flight.src).machine == net.vnode(flight.dst).machine;
     let mut walk = PipeWalk::starting_at(now + extra_delay + classification.evaluation_cost);
-    if !walk.through(net, rng, &classification.pipes, wire) {
+    if !walk.through(net, rng, classification.pipes(), wire) {
         handle_drop(sim, flight);
     } else if folded {
         // Folded nodes: traffic stays inside the machine (loopback), no NIC involved.
@@ -723,10 +723,10 @@ impl PipeWalk {
         &mut self,
         net: &mut Network,
         rng: &mut SimRng,
-        pipes: &[PipeId],
+        pipes: impl IntoIterator<Item = PipeId>,
         wire: u64,
     ) -> bool {
-        for &pipe in pipes {
+        for pipe in pipes {
             match net.pipe_mut(pipe).enqueue(self.t, wire, rng) {
                 EnqueueOutcome::Forwarded { exit, dup } => {
                     if self.dup_off.is_none() {
@@ -763,7 +763,7 @@ fn nic_tx<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
     let (world, rng) = sim.world_and_rng();
     let net = world.network();
     let nic_tx = net.machine(net.vnode(flight.src).machine).nic_tx;
-    if walk.through(net, rng, &[nic_tx], wire) {
+    if walk.through(net, rng, [nic_tx], wire) {
         walk.forward(sim, flight, |flight| NetEvent::Receive { flight });
     } else {
         handle_drop(sim, flight);
@@ -781,7 +781,7 @@ fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
     let dst_machine = net.vnode(flight.dst).machine;
     if net.vnode(flight.src).machine != dst_machine {
         let nic_rx = net.machine(dst_machine).nic_rx;
-        if !walk.through(net, rng, &[nic_rx], wire) {
+        if !walk.through(net, rng, [nic_rx], wire) {
             handle_drop(sim, flight);
             return;
         }
@@ -792,7 +792,7 @@ fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
         return;
     }
     walk.t += classification.evaluation_cost;
-    if walk.through(net, rng, &classification.pipes, wire) {
+    if walk.through(net, rng, classification.pipes(), wire) {
         walk.forward(sim, flight, |flight| NetEvent::Deliver { flight });
     } else {
         handle_drop(sim, flight);

@@ -1,8 +1,98 @@
 //! Property-based tests of the network substrate: addressing, pipes and firewalls.
 
-use p2plab_net::{Direction, Firewall, Pipe, PipeConfig, PipeId, Rule, Subnet, VirtAddr};
+use p2plab_net::{
+    BurstLoss, Direction, DropReason, EnqueueOutcome, Firewall, LinkCondition, Pipe, PipeConfig,
+    PipeId, PipeStats, Rule, Subnet, VirtAddr,
+};
 use p2plab_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+use std::collections::VecDeque;
+
+/// The pipe model written out in full, independent of how [`Pipe`] lays its state out: the
+/// whole [`PipeConfig`] consulted on every packet, and a departure window kept whether or not
+/// a bound reads it.
+struct ReferencePipe {
+    config: PipeConfig,
+    busy_until: SimTime,
+    window: VecDeque<(SimTime, u64)>,
+    bad: bool,
+    stats: PipeStats,
+}
+
+impl ReferencePipe {
+    fn full(&self, size: u64) -> bool {
+        let queued: u64 = self.window.iter().map(|&(_, size)| size).sum();
+        self.config
+            .queue_limit_bytes
+            .is_some_and(|limit| queued + size > limit && !self.window.is_empty())
+    }
+
+    /// Forwards one packet (or duplicated copy) and returns when it leaves the queue.
+    fn serialize(&mut self, now: SimTime, size: u64) -> SimTime {
+        self.stats.forwarded_packets += 1;
+        self.stats.forwarded_bytes += size;
+        let Some(bps) = self.config.bandwidth_bps else {
+            return now;
+        };
+        self.busy_until = self.busy_until.max(now) + SimDuration::transmission(size, bps);
+        self.window.push_back((self.busy_until, size));
+        self.busy_until
+    }
+
+    fn enqueue(&mut self, now: SimTime, size: u64, rng: &mut SimRng) -> EnqueueOutcome {
+        if rng.chance(self.config.loss_rate) {
+            self.stats.dropped_loss += 1;
+            return EnqueueOutcome::Dropped(DropReason::RandomLoss);
+        }
+        let condition = self.config.condition.unwrap_or_default();
+        if condition.burst.is_some_and(|b| b.step(&mut self.bad, rng)) {
+            self.stats.dropped_burst += 1;
+            return EnqueueOutcome::Dropped(DropReason::BurstLoss);
+        }
+        self.window.retain(|&(exit, _)| exit > now);
+        if self.full(size) {
+            self.stats.dropped_overflow += 1;
+            return EnqueueOutcome::Dropped(DropReason::QueueOverflow);
+        }
+        let exit = self.serialize(now, size) + self.config.delay + condition.extra_latency(rng);
+        let dup = (condition.duplicates(rng) && !self.full(size)).then(|| {
+            let copy = self.serialize(now, size) + self.config.delay;
+            copy.max(exit + SimDuration::from_nanos(1))
+        });
+        EnqueueOutcome::Forwarded { exit, dup }
+    }
+}
+
+/// A pipe configuration with each optional part present about half the time, so plain,
+/// lossy, bounded, conditioned pipes and every mix of them are drawn.
+fn random_pipe_config(rng: &mut SimRng) -> PipeConfig {
+    let delay = SimDuration::from_micros(rng.gen_range(0..200_000u64));
+    let mut config = if rng.chance(0.2) {
+        PipeConfig::delay_only(delay)
+    } else {
+        PipeConfig::shaped(rng.gen_range(56_000..10_000_000u64), delay)
+    };
+    if rng.chance(0.5) {
+        config = config.with_loss(rng.gen_range(0.0..0.3));
+    }
+    config = config.with_queue_limit(rng.chance(0.5).then(|| rng.gen_range(0..40_000u64)));
+    let mut condition = LinkCondition::none();
+    if rng.chance(0.3) {
+        let (enter, exit) = (rng.gen_range(0.0..0.3), rng.gen_range(0.05..1.0));
+        condition = condition.with_burst(BurstLoss::new(enter, exit, rng.gen_range(0.0..=1.0)));
+    }
+    if rng.chance(0.3) {
+        condition = condition.with_jitter(SimDuration::from_micros(rng.gen_range(1..20_000u64)));
+    }
+    if rng.chance(0.3) {
+        let hold = SimDuration::from_micros(rng.gen_range(0..50_000u64));
+        condition = condition.with_reorder(rng.gen_range(0.0..=1.0), hold);
+    }
+    if rng.chance(0.3) {
+        condition = condition.with_duplication(rng.gen_range(0.0..=1.0));
+    }
+    config.with_condition(Some(condition))
+}
 
 proptest! {
     /// Address parsing and display round-trip for every possible address.
@@ -45,7 +135,7 @@ proptest! {
         for (i, &size) in sizes.iter().enumerate() {
             now += SimDuration::from_micros(gap_us[i % gap_us.len()]);
             match pipe.enqueue(now, size, &mut rng) {
-                p2plab_net::EnqueueOutcome::Forwarded { exit, .. } => {
+                EnqueueOutcome::Forwarded { exit, .. } => {
                     // Never earlier than arrival + own serialization + delay.
                     let earliest = now
                         + SimDuration::transmission(size, bps)
@@ -71,6 +161,38 @@ proptest! {
             last_exit + SimDuration::from_nanos(1) >= min_finish,
             "forwarded {total_bytes} bytes faster than {bps} bps allows"
         );
+    }
+
+    /// [`Pipe`] against the model above under random configurations and arrivals: the same
+    /// outcome for every packet, the same counters, and both RNGs left in the same state —
+    /// which is what shows that the draws happened in the same order.
+    #[test]
+    fn pipe_equals_the_reference_model(seed in any::<u64>()) {
+        let mut input = SimRng::new(seed);
+        let config = random_pipe_config(&mut input);
+        let mut pipe = Pipe::new(config);
+        let mut reference = ReferencePipe {
+            config,
+            busy_until: SimTime::ZERO,
+            window: VecDeque::new(),
+            bad: false,
+            stats: PipeStats::default(),
+        };
+        let (mut rng, mut reference_rng) = (SimRng::new(seed ^ 1), SimRng::new(seed ^ 1));
+        let mut now = SimTime::ZERO;
+        for _ in 0..300 {
+            // Bursts at one instant, gaps that let the queue drain, and empty packets (whose
+            // departure coincides with their arrival on an idle pipe).
+            if input.chance(0.7) {
+                now += SimDuration::from_micros(input.gen_range(0..30_000u64));
+            }
+            let size = if input.chance(0.05) { 0 } else { input.gen_range(1..=16_384u64) };
+            let got = pipe.enqueue(now, size, &mut rng);
+            let want = reference.enqueue(now, size, &mut reference_rng);
+            prop_assert_eq!(got, want, "{config:?} at {now:?}, {size} bytes");
+        }
+        prop_assert_eq!(pipe.stats(), reference.stats, "{config:?}");
+        prop_assert_eq!(rng.gen_f64().to_bits(), reference_rng.gen_f64().to_bits(), "{config:?}");
     }
 
     /// Firewall classification: the number of rules examined never exceeds the rule count, the
@@ -109,7 +231,7 @@ proptest! {
             .filter(|_| {
                 matches!(
                     pipe.enqueue(SimTime::ZERO, 100, &mut rng),
-                    p2plab_net::EnqueueOutcome::Dropped(_)
+                    EnqueueOutcome::Dropped(_)
                 )
             })
             .count();

@@ -169,9 +169,17 @@ impl SimDuration {
         if bits_per_sec == 0 {
             return SimDuration::MAX;
         }
-        let bits = bytes as u128 * 8;
-        let nanos = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
-        SimDuration(u64::try_from(nanos).unwrap_or(u64::MAX))
+        // Every packet on every shaped pipe comes through here: a 64-bit division whenever
+        // the bit-nanoseconds fit (anything under 2.3 GB), the 128-bit one (`__udivti3`)
+        // only beyond.
+        match bytes.checked_mul(8 * 1_000_000_000) {
+            Some(bit_nanos) => SimDuration(bit_nanos.div_ceil(bits_per_sec)),
+            None => {
+                let bit_nanos = bytes as u128 * (8 * 1_000_000_000);
+                let nanos = bit_nanos.div_ceil(bits_per_sec as u128);
+                SimDuration(u64::try_from(nanos).unwrap_or(u64::MAX))
+            }
+        }
     }
 }
 
@@ -265,6 +273,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_agree() {
@@ -308,6 +317,65 @@ mod tests {
         let d = SimDuration::transmission(16 * 1024, 128_000);
         assert!((d.as_secs_f64() - 1.024).abs() < 1e-6);
         assert_eq!(SimDuration::transmission(100, 0), SimDuration::MAX);
+    }
+
+    /// The 128-bit formula `transmission` is defined by, whichever width it computes in.
+    fn transmission_u128(bytes: u64, bits_per_sec: u64) -> SimDuration {
+        if bits_per_sec == 0 {
+            return SimDuration::MAX;
+        }
+        let nanos = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bits_per_sec as u128);
+        SimDuration(u64::try_from(nanos).unwrap_or(u64::MAX))
+    }
+
+    #[test]
+    fn transmission_edges_match_the_u128_formula() {
+        // `fits` is the last byte count whose bit-nanoseconds fit in 64 bits.
+        let fits = u64::MAX / 8_000_000_000;
+        let (k, g, max) = (1500, 1_000_000_000, u64::MAX);
+        let edges = [
+            0,
+            1,
+            2,
+            7,
+            k,
+            g,
+            8 * g,
+            fits - 1,
+            fits,
+            fits + 1,
+            max - 1,
+            max,
+        ];
+        for bytes in edges {
+            for bps in edges {
+                assert_eq!(
+                    SimDuration::transmission(bytes, bps),
+                    transmission_u128(bytes, bps),
+                    "{bytes} bytes at {bps} bps"
+                );
+            }
+        }
+        assert_eq!(SimDuration::transmission(u64::MAX, 1), SimDuration::MAX);
+    }
+
+    proptest! {
+        /// Magnitudes from one bit to 64 on both arguments, so both widths and the saturating
+        /// case are drawn about equally often.
+        #[test]
+        fn transmission_matches_the_u128_formula(
+            bytes in any::<u64>(),
+            bytes_shift in 0u32..64,
+            bps in any::<u64>(),
+            bps_shift in 0u32..64,
+        ) {
+            let (bytes, bps) = (bytes >> bytes_shift, bps >> bps_shift);
+            prop_assert_eq!(
+                SimDuration::transmission(bytes, bps),
+                transmission_u128(bytes, bps),
+                "{bytes} bytes at {bps} bps"
+            );
+        }
     }
 
     #[test]
