@@ -2,8 +2,8 @@
 //! 10^3–10^5 virtual nodes (gossip also as one synchronised fan-out-16 burst) — plus the
 //! protocol-depth A/B (`figure10-proto-*`: the fig10 swarm under burst loss with
 //! fragmentation active, legacy vs AIMD congestion control) and the shard axis (the 50k
-//! sharded-gossip configuration on 1 vs 2 event-loop threads, the fig10 pin at `shards`
-//! 1/2/4, and — full sweep only — a 10^6-vnode sharded gossip on 4 threads) — each emitting
+//! sharded-gossip configuration on 1 vs 2 event-loop threads and — full sweep only — a
+//! 10^6-vnode sharded gossip on 4 threads) — each emitting
 //! its `RunReport` under `results/` and summarized as `results/scale_sweep.csv` (which
 //! carries a `shards` column).
 //!
@@ -94,7 +94,6 @@ fn gossip(name: &str, nodes: usize, fanout: usize, spacing: SimDuration, smoke: 
     )
     .machines(machines)
     .arrivals(ArrivalSpec::ramp(SimDuration::ZERO, spacing))
-    .arrival_ramp(ramp)
     .deadline(ramp + SimDuration::from_secs(900))
     .sample_interval(SimDuration::from_secs(10))
     .monitor_resources(false)
@@ -139,7 +138,6 @@ fn gossip_sharded(nodes: usize, shards: usize, smoke: bool) -> RunReport {
     )
     .machines(machines)
     .arrivals(ArrivalSpec::ramp(SimDuration::ZERO, spacing))
-    .arrival_ramp(ramp)
     .deadline(ramp + SimDuration::from_secs(900))
     .sample_interval(SimDuration::from_secs(10))
     .monitor_resources(false)
@@ -174,7 +172,6 @@ fn ping_mesh(nodes: usize, smoke: bool) -> RunReport {
         ),
     )
     .machines(machines)
-    .arrival_ramp(mesh.arrival_ramp())
     .deadline(mesh.arrival_ramp() + SimDuration::from_secs(120))
     .sample_interval(SimDuration::from_secs(10))
     .monitor_resources(false)
@@ -208,7 +205,6 @@ fn dht(nodes: usize, smoke: bool) -> RunReport {
         ),
     )
     .machines(machines)
-    .arrival_ramp(ramp)
     .deadline(ramp + SimDuration::from_secs(300))
     .sample_interval(SimDuration::from_secs(10))
     .monitor_resources(false)
@@ -265,10 +261,9 @@ fn swarm(clients: usize, smoke: bool) -> RunReport {
 /// The fig10 throughput pin: the paper's Figure 10 swarm at quarter scale (1439 clients,
 /// 16 MiB file) — the configuration whose events/sec is compared against the committed
 /// baseline report.
-fn fig10_pin(smoke: bool, shards: usize) -> RunReport {
+fn fig10_pin(smoke: bool) -> RunReport {
     let cfg = SwarmExperiment::paper_figure10(0.25);
     let mut scenario = cfg.to_scenario();
-    scenario.shards = shards;
     if smoke {
         scenario.event_budget = Some(120_000_000);
     }
@@ -318,7 +313,11 @@ fn fig10_proto(kind: CcKind, smoke: bool) -> RunReport {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let sweep_start = Instant::now(); // lint:allow(wall-clock) — the sweep's wall cap is real time by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sweep's wall cap is real time by definition"
+    )]
+    let sweep_start = Instant::now();
     let mut rows: Vec<SweepRow> = Vec::new();
 
     for nodes in [1_000, 10_000] {
@@ -371,26 +370,8 @@ fn main() {
         let report = swarm(clients, smoke);
         record(&mut rows, "swarm", clients, 1, &report);
     }
-    let fig10 = fig10_pin(smoke, 1);
+    let fig10 = fig10_pin(smoke);
     record(&mut rows, "swarm", fig10.vnodes, 1, &fig10);
-    // Shard-count invariance on the pin itself: the legacy swarm path accepts the `shards`
-    // knob (running the reference engine regardless), so the report must be byte-identical —
-    // wall-clock fields aside — at every value.
-    let canonical = |report: &RunReport| {
-        let mut r = report.clone();
-        r.wall_secs = 0.0;
-        r.events_per_sec = 0.0;
-        r.to_json()
-    };
-    for shards in [2usize, 4] {
-        let again = fig10_pin(smoke, shards);
-        record(&mut rows, "swarm", again.vnodes, shards, &again);
-        assert_eq!(
-            canonical(&fig10),
-            canonical(&again),
-            "fig10 pin diverged between shards=1 and shards={shards}"
-        );
-    }
     for kind in [CcKind::Legacy, CcKind::Aimd] {
         let report = fig10_proto(kind, smoke);
         record(&mut rows, "swarm-proto", report.vnodes, 1, &report);

@@ -1,12 +1,9 @@
-//! Shared helpers for the benchmark harness and the figure-regeneration binaries.
+//! Shared helpers for the figure-regeneration binaries.
 //!
-//! Every table and figure of the paper's evaluation has two entry points:
-//!
-//! * a **binary** (`cargo run --release -p p2plab-bench --bin fig8_swarm_progress`) that runs
-//!   the experiment at paper scale (or a scale given on the command line) and prints the same
-//!   rows/series the figure plots;
-//! * a **Criterion bench** (`cargo bench -p p2plab-bench`) that exercises the same code path at
-//!   a reduced scale so the whole suite stays fast and can run in CI.
+//! Every table and figure of the paper's evaluation has a **binary**
+//! (`cargo run --release -p p2plab-bench --bin fig8_swarm_progress`) that runs the experiment
+//! at paper scale (or a scale given on the command line) and prints the same rows/series the
+//! figure plots.
 
 #![warn(missing_docs)]
 

@@ -141,6 +141,10 @@ impl Choker {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "std collections model the implementation under test"
+)]
 mod tests {
     use super::*;
 

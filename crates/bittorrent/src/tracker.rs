@@ -69,7 +69,10 @@ impl Tracker {
     }
 
     /// Handles an announce and returns the peer list for the response.
-    #[allow(clippy::too_many_arguments)] // lint:allow(bare-allow) — mirrors the announce request's field list
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the announce request's field list"
+    )]
     pub fn handle_announce(
         &mut self,
         now: SimTime,

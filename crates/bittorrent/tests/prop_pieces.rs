@@ -1,6 +1,11 @@
 //! Property-based tests of the BitTorrent data structures: torrent geometry, bitfields, the
 //! piece manager's bookkeeping invariants and the client's request ledger.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "std collections model the implementation under test"
+)]
+
 use p2plab_bittorrent::{
     Bitfield, BlockOutcome, Client, ClientConfig, PeerConn, PeerId, PieceManager, Torrent,
 };

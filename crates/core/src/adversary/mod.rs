@@ -6,9 +6,9 @@
 //! and assert that honest nodes still get what the protocol promises them. The subsystem has
 //! three parts:
 //!
-//! * [`Behavior`] — a composable, named misbehavior policy ([`behaviors`]): ack withholding,
-//!   garbage bitfields, corrupted replies, silent frame dropping, reply delay, duplicate
-//!   amplification and equivocation. Behaviors fold into two inert flag structs — the
+//! * [`BEHAVIORS`] — the table of composable, named misbehavior policies ([`behaviors`]): ack
+//!   withholding, garbage bitfields, corrupted replies, silent frame dropping, reply delay,
+//!   duplicate amplification and equivocation. Behaviors fold into two inert flag structs — the
 //!   wire-level [`TamperSpec`] consumed by the data plane's sender-side tamper point and the
 //!   application-level [`Misbehavior`] flags consumed by workload protocol code.
 //! * [`AdversaryPlan`] — the scenario-level assignment: which fraction (or explicit set) of
@@ -27,7 +27,7 @@
 
 pub mod behaviors;
 
-pub use behaviors::{behavior_by_name, Behavior, BEHAVIOR_NAMES};
+pub use behaviors::BEHAVIORS;
 
 use crate::scenario::dsl::{DslError, Keys, Named};
 use p2plab_net::{Misbehavior, TamperSpec};
@@ -80,7 +80,7 @@ pub struct AdversaryPlan {
     /// Fraction of the workload's adversary population to mark byzantine (rounded to the
     /// nearest whole participant). Ignored by [`Selection::Trace`].
     pub fraction: f64,
-    /// Names of the [`Behavior`]s every byzantine node runs, folded together.
+    /// Names of the [`BEHAVIORS`] every byzantine node runs, folded together.
     pub behaviors: Vec<String>,
     /// How the byzantine subset is chosen.
     pub selection: Selection,
@@ -123,14 +123,7 @@ impl AdversaryPlan {
         if self.behaviors.is_empty() {
             return Err("adversary plan lists no behaviors".to_string());
         }
-        for name in &self.behaviors {
-            if behavior_by_name(name).is_none() {
-                return Err(format!(
-                    "unknown adversary behavior {name:?} (known: {})",
-                    BEHAVIOR_NAMES.join(", ")
-                ));
-            }
-        }
+        self.folded()?;
         if let Selection::Trace(indices) = &self.selection {
             if indices.is_empty() {
                 return Err("adversary trace selection lists no indices".to_string());
@@ -139,18 +132,29 @@ impl AdversaryPlan {
         Ok(())
     }
 
+    /// Folds the listed behaviors' contributions together; an unknown name is the error.
+    fn folded(&self) -> Result<(TamperSpec, Misbehavior), String> {
+        let mut folded = (TamperSpec::none(), Misbehavior::default());
+        for name in &self.behaviors {
+            let Some((_, wire, app)) = BEHAVIORS.iter().find(|(known, ..)| known == name) else {
+                let known: Vec<&str> = BEHAVIORS.iter().map(|b| b.0).collect();
+                return Err(format!(
+                    "unknown adversary behavior {name:?} (known: {})",
+                    known.join(", ")
+                ));
+            };
+            folded.0.stack(*wire);
+            folded.1.stack(*app);
+        }
+        Ok(folded)
+    }
+
     /// Resolves the plan against a concrete population, deterministically from the scenario
     /// seed. Returns `Ok(None)` when the plan selects nobody (fraction rounds to zero) — the
     /// run is then exactly an honest run.
     pub fn resolve(&self, seed: u64, population: usize) -> Result<Option<AdversaryRoster>, String> {
         self.validate()?;
-        let mut tamper = TamperSpec::none();
-        let mut flags = Misbehavior::default();
-        for name in &self.behaviors {
-            let b = behavior_by_name(name).expect("validated above");
-            b.wire(&mut tamper);
-            b.apply(&mut flags);
-        }
+        let (tamper, flags) = self.folded()?;
         let members = match &self.selection {
             Selection::Trace(indices) => {
                 let mut members = indices.clone();

@@ -39,10 +39,7 @@ pub use accuracy::{
     figure7_latency_experiment, interception_overhead, rule_scaling_experiment,
     InterceptionOverhead, LatencyDecomposition, RuleScalingPoint,
 };
-pub use adversary::{
-    behavior_by_name, AdversaryPlan, AdversaryRoster, Behavior, InvariantReport, Selection,
-    BEHAVIOR_NAMES,
-};
+pub use adversary::{AdversaryPlan, AdversaryRoster, InvariantReport, Selection, BEHAVIORS};
 pub use analysis::{
     compare_folding, compare_folding_reports, completion_summary, download_phases,
     histogram_ks_distance, relative_curve_deviation, samples_ks_distance, CompletionSummary,

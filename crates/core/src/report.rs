@@ -899,8 +899,10 @@ pub fn ascii_plot(title: &str, series: &TimeSeries, width: usize, height: usize)
     let width = width.max(10);
     let height = height.max(4);
     let mut grid = vec![vec![' '; width]; height];
-    // lint:allow(bare-allow) — `col` indexes the second dimension of `grid`
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`col` indexes the second dimension of `grid`"
+    )]
     for col in 0..width {
         let t = SimTime::from_secs_f64(end.as_secs_f64() * col as f64 / (width - 1) as f64);
         let v = series.value_at(t, 0.0);

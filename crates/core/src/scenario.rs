@@ -240,9 +240,6 @@ pub struct ScenarioSpec {
     pub sample_interval: SimDuration,
     /// Whether per-machine NIC utilization is monitored during the run.
     pub monitor_resources: bool,
-    /// Duration of the arrival ramp, when the caller knows it (used for validation only:
-    /// a deadline shorter than the ramp cannot possibly let the workload finish).
-    pub arrival_ramp: Option<SimDuration>,
     /// Pre-sizing hint: how many events may be pending at once. `None` derives a default from
     /// the participant count; the runner passes it to the event queue so arrival bursts never
     /// regrow the queue slab mid-run. At most [`MAX_EVENT_CAPACITY`].
@@ -298,7 +295,7 @@ pub enum ScenarioError {
         /// Why the scenario cannot run sharded.
         reason: String,
     },
-    /// The deadline ends before the declared arrival ramp completes.
+    /// The deadline ends before the last scheduled arrival.
     DeadlineBeforeArrivalRamp {
         /// Duration of the arrival ramp.
         ramp: SimDuration,
@@ -418,7 +415,6 @@ impl ScenarioBuilder {
                 deadline: SimDuration::from_secs(3600),
                 sample_interval: SimDuration::from_secs(10),
                 monitor_resources: true,
-                arrival_ramp: None,
                 event_capacity: None,
                 event_budget: None,
                 shards: 1,
@@ -484,13 +480,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Declares how long the workload's arrival ramp lasts, so `build` can reject deadlines
-    /// that end before every participant has even joined.
-    pub fn arrival_ramp(mut self, ramp: SimDuration) -> Self {
-        self.spec.arrival_ramp = Some(ramp);
-        self
-    }
-
     /// Overrides the event queue's pre-sizing hint (pending-event capacity). The default is
     /// derived from the workload's participant count.
     pub fn event_capacity(mut self, events: usize) -> Self {
@@ -548,14 +537,6 @@ impl ScenarioSpec {
         }
         if let Some(requested) = self.event_capacity.filter(|&cap| cap > MAX_EVENT_CAPACITY) {
             return Err(ScenarioError::EventCapacityTooLarge { requested });
-        }
-        if let Some(ramp) = self.arrival_ramp {
-            if self.deadline < ramp {
-                return Err(ScenarioError::DeadlineBeforeArrivalRamp {
-                    ramp,
-                    deadline: self.deadline,
-                });
-            }
         }
         if let Some(arrivals) = &self.arrivals {
             arrivals
@@ -709,7 +690,11 @@ fn run_scenario_inner<W: Workload + 'static>(
     workload: W,
     want_report: bool,
 ) -> Result<(W::Output, Option<RunReport>), ScenarioError> {
-    let wall_start = Instant::now(); // lint:allow(wall-clock) — the runner's one sanctioned site: RunReport.wall_secs/events_per_sec
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the runner's one wall-clock read: RunReport.wall_secs / events_per_sec"
+    )]
+    let wall_start = Instant::now();
     spec.validate()?;
     let needed = workload.vnodes_required();
     let available = spec.topology.total_nodes();
@@ -727,9 +712,8 @@ fn run_scenario_inner<W: Workload + 'static>(
     let arrivals = arrival_spec
         .schedule(workload.participants(), &mut arrival_rng)
         .map_err(|reason| ScenarioError::InvalidArrivals { reason })?;
-    // The builder can only check a *declared* ramp; here the concrete schedule is known, so a
-    // deadline that ends before the last participant even joins is rejected outright instead
-    // of silently dropping the tail of the crowd.
+    // A deadline that ends before the last participant even joins is rejected outright
+    // instead of silently dropping the tail of the crowd.
     let ramp = arrivals.ramp();
     if spec.deadline < ramp {
         return Err(ScenarioError::DeadlineBeforeArrivalRamp {
@@ -1024,24 +1008,29 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_deadline_shorter_than_arrival_ramp() {
-        let err = ScenarioBuilder::new("bad", topo(2))
-            .arrival_ramp(SimDuration::from_secs(100))
-            .deadline(SimDuration::from_secs(50))
-            .build();
+    fn run_rejects_deadline_shorter_than_arrival_ramp() {
+        use crate::workloads::{PingMeshSpec, PingMeshWorkload};
+        // Four probe streams joining 10 s apart: the last one at 30 s.
+        let run = |deadline: u64| {
+            let spec = ScenarioBuilder::new("late", topo(4))
+                .arrivals(ArrivalSpec::ramp(
+                    SimDuration::ZERO,
+                    SimDuration::from_secs(10),
+                ))
+                .deadline(SimDuration::from_secs(deadline))
+                .build()
+                .unwrap();
+            run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring(4)))
+        };
         assert_eq!(
-            err.unwrap_err(),
+            run(29).unwrap_err(),
             ScenarioError::DeadlineBeforeArrivalRamp {
-                ramp: SimDuration::from_secs(100),
-                deadline: SimDuration::from_secs(50),
+                ramp: SimDuration::from_secs(30),
+                deadline: SimDuration::from_secs(29),
             }
         );
         // Equal is fine.
-        assert!(ScenarioBuilder::new("ok", topo(2))
-            .arrival_ramp(SimDuration::from_secs(50))
-            .deadline(SimDuration::from_secs(50))
-            .build()
-            .is_ok());
+        assert!(run(30).is_ok());
     }
 
     #[test]

@@ -295,6 +295,10 @@ pub fn run_campaign(
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<RunReport, ScenarioError>>>> =
         cells.iter().map(|_| Mutex::new(None)).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the campaign pool runs whole cells, each a self-contained simulation"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {

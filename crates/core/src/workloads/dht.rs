@@ -117,8 +117,7 @@ impl DhtLookupSpec {
         }
     }
 
-    /// When the last lookup of the default ramp starts — usable as
-    /// [`ScenarioBuilder::arrival_ramp`](crate::scenario::ScenarioBuilder::arrival_ramp).
+    /// When the last lookup of the default ramp starts — what callers size deadlines from.
     pub fn arrival_ramp(&self) -> SimDuration {
         self.lookup_interval * self.lookups.saturating_sub(1) as u64
     }
@@ -881,7 +880,6 @@ mod tests {
     fn scenario(name: &str, spec: &DhtLookupSpec) -> ScenarioBuilder {
         ScenarioBuilder::new(name, lan(spec.nodes))
             .machines(4)
-            .arrival_ramp(spec.arrival_ramp())
             .deadline(spec.arrival_ramp() + SimDuration::from_secs(300))
             .sample_interval(SimDuration::from_secs(1))
             .seed(7)
@@ -955,7 +953,6 @@ mod tests {
         );
         let s = ScenarioBuilder::new("dht-lossy", topo)
             .machines(4)
-            .arrival_ramp(spec.arrival_ramp())
             .deadline(spec.arrival_ramp() + SimDuration::from_secs(600))
             .sample_interval(SimDuration::from_secs(1))
             .seed(11)

@@ -126,8 +126,7 @@ impl PingMeshSpec {
         self.pair_count() * self.pings_per_pair
     }
 
-    /// When the last echo request is scheduled — usable as
-    /// [`ScenarioBuilder::arrival_ramp`](crate::scenario::ScenarioBuilder::arrival_ramp).
+    /// When the last echo request is scheduled — what callers size deadlines from.
     pub fn arrival_ramp(&self) -> SimDuration {
         let pairs = self.pair_count().max(1) as u64;
         self.interval * self.pings_per_pair.saturating_sub(1) as u64 + self.stagger * (pairs - 1)
@@ -355,7 +354,6 @@ mod tests {
         let spec = PingMeshSpec::full(4);
         let scenario = ScenarioBuilder::new("mesh4", lan(4))
             .machines(2)
-            .arrival_ramp(spec.arrival_ramp())
             .deadline(SimDuration::from_secs(60))
             .sample_interval(SimDuration::from_secs(1))
             .seed(1)

@@ -2,7 +2,7 @@
 //!
 //! This module holds the *plain data* half of the adversary subsystem: what a hostile node does
 //! to the frames it sends ([`TamperSpec`]) and which application-level deviations its protocol
-//! logic applies ([`Misbehavior`]). The policy half — the composable `Behavior` trait that
+//! logic applies ([`Misbehavior`]). The policy half — the table of named behaviors that
 //! fills these structs in — lives in the core crate's `adversary` module, so hostile *code*
 //! never sits inside honest protocol paths; the data plane only ever sees inert flag structs.
 //!
@@ -32,7 +32,7 @@ pub struct TamperSpec {
 
 impl TamperSpec {
     /// A spec that changes nothing.
-    pub fn none() -> TamperSpec {
+    pub const fn none() -> TamperSpec {
         TamperSpec {
             drop_rate: 0.0,
             duplicate_rate: 0.0,

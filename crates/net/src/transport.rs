@@ -464,7 +464,10 @@ pub(crate) fn op_send<W: NetHost>(
 /// The protocol-depth send path: fragments the message to the configured MTU, assigns wire
 /// sequence numbers, paces releases through the congestion controller and records reliable
 /// fragments in the sender window. One [`Frame::Frag`] per fragment enters the packet walk.
-#[allow(clippy::too_many_arguments)] // lint:allow(bare-allow) — internal send path mirrors op_send's checked arguments
+#[expect(
+    clippy::too_many_arguments,
+    reason = "internal send path mirrors op_send's checked arguments"
+)]
 fn proto_send<W: NetHost>(
     sim: &mut NetSim<W>,
     node: VNodeId,

@@ -1,5 +1,10 @@
 //! Property-based tests of the network substrate: addressing, pipes and firewalls.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "std collections model the implementation under test"
+)]
+
 use p2plab_net::{
     BurstLoss, Direction, DropReason, EnqueueOutcome, Firewall, LinkCondition, Pipe, PipeConfig,
     PipeId, PipeStats, Rule, Subnet, VirtAddr,

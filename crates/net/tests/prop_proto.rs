@@ -2,6 +2,11 @@
 //! round-trips, fragment-plan arithmetic, and the reassembler/ack-tracker invariants under
 //! arbitrary (including adversarial) input sequences.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "std collections model the implementation under test"
+)]
+
 use p2plab_net::proto::{
     fragment_count, fragment_size, seq_newer, AckBitfield, AckTracker, FragHeader, FragOutcome,
     Reassembler, SentWindow,

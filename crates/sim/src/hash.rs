@@ -75,9 +75,17 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` on the deterministic fast hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "every instantiation pins the deterministic hasher"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` on the deterministic fast hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "every instantiation pins the deterministic hasher"
+)]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
@@ -112,7 +120,7 @@ mod tests {
     fn sequential_ids_spread() {
         // The avalanche must keep sequential ids from colliding into few buckets: check that
         // the low 8 bits of the hashes of 0..256 hit a healthy number of distinct values.
-        let mut buckets = std::collections::HashSet::new();
+        let mut buckets = std::collections::BTreeSet::new();
         for i in 0u64..256 {
             let mut h = FxHasher::default();
             h.write_u64(i);

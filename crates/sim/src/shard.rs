@@ -1,7 +1,7 @@
 //! Deterministic multi-core execution: the sharded event-loop runtime.
 //!
-//! This module is the **sanctioned home of real OS threads** in the simulation path (the
-//! `raw-thread` lint rule points here). It runs K independent [`Simulation`]s — one per shard,
+//! This module is the **sanctioned home of real OS threads** in the simulation path
+//! (`clippy.toml` disallows `std::thread::scope` everywhere else). It runs K independent [`Simulation`]s — one per shard,
 //! each with its own timer-wheel queue — synchronized Chandy–Misra style by a **conservative
 //! lookahead window**: every cross-shard interaction is a time-stamped message with a delivery
 //! delay of at least the lookahead `L`, so a shard can execute a whole window of virtual time
@@ -491,6 +491,10 @@ pub fn run_sharded<W: ShardWorld>(
         let shared_ref = &shared;
         let build_ref = &build;
         let init_ref = &init;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the sharded runtime is where sim-path OS threads live"
+        )]
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..cfg.shards)
                 .map(|idx| {

@@ -1,5 +1,10 @@
 //! Property-based tests of the discrete-event engine and the measurement types.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "std collections model the implementation under test"
+)]
+
 use p2plab_sim::{Cdf, EventId, EventQueue, SimDuration, SimTime, Simulation, Summary, TimeSeries};
 use proptest::prelude::*;
 

@@ -1,6 +1,6 @@
-//! Runtime determinism smoke: the dynamic complement of the `p2plab-lint` static pass.
+//! Runtime determinism smoke: the dynamic complement of the `clippy.toml` bans.
 //!
-//! The lint proves the *absence of known nondeterminism sources* (process-seeded hash maps,
+//! Clippy proves the *absence of known nondeterminism sources* (process-seeded hash maps,
 //! wall-clock reads); this test checks the property those rules protect on a real run: the
 //! same scenario cell with the same seed, executed twice in one process, produces
 //! byte-identical `RunReport` metric output. Wall-clock fields (`wall_secs`,

@@ -72,7 +72,6 @@ fn ping_mesh_report_round_trips_and_matches_result() {
         ),
     )
     .machines(2)
-    .arrival_ramp(mesh.arrival_ramp())
     .deadline(SimDuration::from_secs(120))
     .sample_interval(SimDuration::from_secs(1))
     .seed(3)
@@ -143,7 +142,6 @@ fn dht_report_round_trips_and_matches_result() {
         ),
     )
     .machines(3)
-    .arrival_ramp(dht.arrival_ramp())
     .deadline(dht.arrival_ramp() + SimDuration::from_secs(120))
     .sample_interval(SimDuration::from_secs(1))
     .seed(3)

@@ -29,7 +29,6 @@ fn both_workloads_run_through_the_same_generic_loop() {
         ),
     )
     .machines(2)
-    .arrival_ramp(mesh.arrival_ramp())
     .deadline(SimDuration::from_secs(120))
     .sample_interval(SimDuration::from_secs(1))
     .seed(3)
@@ -145,21 +144,10 @@ fn builder_validation_is_enforced_through_the_facade() {
         Err(ScenarioError::NoMachines)
     );
     assert_eq!(
-        ScenarioBuilder::new("v", topo.clone())
+        ScenarioBuilder::new("v", topo)
             .deadline(SimDuration::ZERO)
             .build()
             .unwrap_err(),
         ScenarioError::ZeroDeadline
-    );
-    assert_eq!(
-        ScenarioBuilder::new("v", topo)
-            .arrival_ramp(SimDuration::from_secs(10))
-            .deadline(SimDuration::from_secs(5))
-            .build()
-            .unwrap_err(),
-        ScenarioError::DeadlineBeforeArrivalRamp {
-            ramp: SimDuration::from_secs(10),
-            deadline: SimDuration::from_secs(5),
-        }
     );
 }
