@@ -31,12 +31,12 @@ fn main() {
     );
     let (a, report_a) =
         run_reported(&with_choking.to_scenario(), with_choking.workload()).expect("scenario runs");
-    write_run_report("", &report_a);
+    write_run_report(&report_a);
     println!("  {}", a.summary());
     println!("running {} clients with choking disabled...", base.leechers);
     let (b, report_b) = run_reported(&without_choking.to_scenario(), without_choking.workload())
         .expect("scenario runs");
-    write_run_report("", &report_b);
+    write_run_report(&report_b);
     println!("  {}\n", b.summary());
 
     let row = |r: &p2plab_core::SwarmResult| {

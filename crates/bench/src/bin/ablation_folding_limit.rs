@@ -34,7 +34,7 @@ fn main() {
         cfg.name = format!("fast-links-{per_machine}-per-machine");
         println!("running {} ({} machines)...", cfg.name, cfg.machines);
         let (r, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
-        write_run_report("", &report);
+        write_run_report(&report);
         println!(
             "  {} (peak NIC utilization {:.0}%)",
             r.summary(),

@@ -31,7 +31,7 @@
 use p2plab_bench::{results_path, write_results_file, write_run_report, write_run_report_in};
 use p2plab_core::{
     default_threads, oversubscription_warning, parse_toml, render_table, run_campaign,
-    CampaignSpec, CampaignSummary, ScenarioFile,
+    CampaignCell, CampaignSpec, CampaignSummary, ScenarioFile,
 };
 use std::process::ExitCode;
 
@@ -96,17 +96,18 @@ fn parse_args() -> Result<Args, ExitCode> {
     Ok(parsed)
 }
 
-fn read_file(path: &str) -> Result<String, ExitCode> {
-    std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        ExitCode::from(2)
-    })
+/// What a file holds, parsed and validated — what `run` then executes, so the file is read once.
+enum Loaded {
+    Scenario(Box<ScenarioFile>),
+    Campaign(CampaignSpec, Vec<CampaignCell>),
 }
 
-/// Parses + validates one file; prints what it found. Returns the expanded campaign (name,
-/// threads, cells) when the file is a campaign, `None` for a plain scenario.
-fn load(path: &str) -> Result<Option<(CampaignSpec, Vec<p2plab_core::CampaignCell>)>, ExitCode> {
-    let text = read_file(path)?;
+/// Parses + validates one file (a campaign's cells all expanded); prints what it found.
+fn load(path: &str) -> Result<Loaded, ExitCode> {
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("error: cannot read {path}: {e}");
+        ExitCode::from(2)
+    })?;
     let root = parse_toml(&text).map_err(|e| {
         eprintln!("error: {path}: {e}");
         ExitCode::from(2)
@@ -126,7 +127,7 @@ fn load(path: &str) -> Result<Option<(CampaignSpec, Vec<p2plab_core::CampaignCel
             cells.len(),
             campaign.axes.len()
         );
-        Ok(Some((campaign, cells)))
+        Ok(Loaded::Campaign(campaign, cells))
     } else {
         let file = ScenarioFile::from_table(&root).map_err(|e| {
             eprintln!("error: {path}: {e}");
@@ -143,20 +144,18 @@ fn load(path: &str) -> Result<Option<(CampaignSpec, Vec<p2plab_core::CampaignCel
             file.spec.topology.total_nodes(),
             file.spec.deployment.machines
         );
-        Ok(None)
+        Ok(Loaded::Scenario(Box::new(file)))
     }
 }
 
 fn run_one(path: &str, args: &Args) -> Result<(), ExitCode> {
     match load(path)? {
-        None => {
+        Loaded::Scenario(file) => {
             if args.cell.is_some() {
                 eprintln!("error: {path}: --cell only applies to campaign files");
                 return Err(ExitCode::from(2));
             }
             // Plain scenario: one run, one report under results/.
-            let text = read_file(path)?;
-            let file = ScenarioFile::parse(&text).expect("validated above");
             let report = file.workload.run_reported(&file.spec).map_err(|e| {
                 eprintln!("error: {path}: run failed: {e}");
                 ExitCode::from(1)
@@ -182,16 +181,16 @@ fn run_one(path: &str, args: &Args) -> Result<(), ExitCode> {
                     ]],
                 )
             );
-            write_run_report("", &report);
+            write_run_report(&report);
             Ok(())
         }
-        Some((campaign, cells)) => {
+        Loaded::Campaign(campaign, cells) => {
             // --cell: re-run just the named grid cell, refreshing its per-cell report without
             // touching the full-grid summary artifacts.
             let cells = match &args.cell {
                 None => cells,
                 Some(label) => {
-                    let selected: Vec<p2plab_core::CampaignCell> = cells
+                    let selected: Vec<CampaignCell> = cells
                         .iter()
                         .filter(|c| &c.label == label)
                         .cloned()
@@ -227,11 +226,7 @@ fn run_one(path: &str, args: &Args) -> Result<(), ExitCode> {
             for (cell, result) in cells.iter().zip(results) {
                 match result {
                     Ok(report) => {
-                        write_run_report_in(
-                            &["campaign", &campaign.name, &cell.label],
-                            "",
-                            &report,
-                        );
+                        write_run_report_in(&["campaign", &campaign.name, &cell.label], &report);
                         reports.push(report);
                     }
                     Err(e) => {

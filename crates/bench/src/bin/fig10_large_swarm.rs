@@ -24,7 +24,7 @@ fn main() {
         cfg.start_interval
     );
     let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
-    write_run_report("", &report);
+    write_run_report(&report);
     println!("{}", result.summary());
     println!("simulation executed {} events\n", result.events_executed);
 

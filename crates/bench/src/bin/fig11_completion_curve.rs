@@ -17,7 +17,7 @@ fn main() {
         cfg.leechers, cfg.machines
     );
     let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
-    write_run_report("", &report);
+    write_run_report(&report);
     println!("{}\n", result.summary());
 
     println!(

@@ -27,7 +27,7 @@ fn main() {
         cfg.leechers, cfg.seeders, cfg.start_interval
     );
     let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
-    write_run_report("", &report);
+    write_run_report(&report);
     println!("{}\n", result.summary());
 
     if let Some(s) = completion_summary(&result) {

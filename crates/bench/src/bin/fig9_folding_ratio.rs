@@ -29,7 +29,7 @@ fn main() {
             cfg.folding_ratio()
         );
         let (r, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
-        write_run_report("", &report);
+        write_run_report(&report);
         println!(
             "  {} (peak NIC utilization {:.0}%)",
             r.summary(),

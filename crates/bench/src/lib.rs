@@ -23,26 +23,23 @@ pub fn arg_scale(default: f64, min: f64) -> f64 {
 
 /// Writes a run's [`RunReport`] as JSON (plus its scalar-metrics CSV) under `results/`,
 /// verifying on the way out that the JSON round-trips through the loader — a bench binary can
-/// never leave behind an artifact the tooling cannot read back. Returns the JSON path.
-///
-/// `label` distinguishes multiple reports of one binary (`""` uses the scenario name alone).
-pub fn write_run_report(label: &str, report: &RunReport) -> PathBuf {
-    write_run_report_in(&[], label, report)
+/// never leave behind an artifact the tooling cannot read back. The files are named after the
+/// report's scenario. Returns the JSON path.
+pub fn write_run_report(report: &RunReport) -> PathBuf {
+    write_run_report_in(&[], report)
 }
 
 /// Like [`write_run_report`], but places the artifacts under `results/<dirs[0]>/<dirs[1]>/...`
 /// (see [`results_path`]; the whole chain of directories is created). Campaign cells use this
 /// to keep each grid cell's report in its own directory.
-pub fn write_run_report_in(dirs: &[&str], label: &str, report: &RunReport) -> PathBuf {
+pub fn write_run_report_in(dirs: &[&str], report: &RunReport) -> PathBuf {
     let json = report.to_json();
     let loaded = RunReport::from_json(&json).expect("run report JSON must parse back");
     assert_eq!(
         &loaded, report,
         "run report drifted through JSON round-trip"
     );
-    let dash = if label.is_empty() { "" } else { "-" };
-    let stem = format!("{}{dash}{label}", report.scenario);
-    let stem = results_path(&[dirs, &[&stem]].concat());
+    let stem = results_path(&[dirs, &[&report.scenario]].concat());
     write_results_file(&format!("{stem}.metrics.csv"), &report.scalars_csv());
     write_results_file(&format!("{stem}.report.json"), &json)
 }
@@ -144,8 +141,8 @@ mod tests {
             spec: vec![("name".into(), "selftest".into())],
             metrics: rec.finish(),
         };
-        let path = write_run_report("unit", &report);
-        assert!(path.ends_with("results/bench_selftest_report-unit.report.json"));
+        let path = write_run_report(&report);
+        assert!(path.ends_with("results/bench_selftest_report.report.json"));
         let loaded = RunReport::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(loaded, report);
         std::fs::remove_file(&path).ok();
@@ -154,7 +151,7 @@ mod tests {
         // Names taken from a campaign file cannot climb out of `results/`: every segment is
         // sanitised on its own and none comes back as `.`, `..` or empty.
         let hostile = ["bench_selftest_campaign", "../../escaped", "..", ""];
-        let path = write_run_report_in(&hostile, "", &report);
+        let path = write_run_report_in(&hostile, &report);
         assert!(path.ends_with(
             "results/bench_selftest_campaign/.._.._escaped/__/_/bench_selftest_report.report.json"
         ));

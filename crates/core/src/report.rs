@@ -55,8 +55,8 @@ pub struct RunReport {
     pub stopped_at: SimTime,
     /// Simulation events executed.
     pub events_executed: u64,
-    /// Wall-clock event throughput (`events_executed / wall_secs`) — the simulator's headline
-    /// performance number, compared across runs by the `scale_sweep` baseline.
+    /// Wall-clock event throughput (`events_executed / wall_secs`): one run's reading, host
+    /// weather included. Across commits, throughput is compared by `benchmark/run.sh`.
     pub events_per_sec: f64,
     /// How the run ended.
     pub outcome: RunOutcome,
@@ -993,11 +993,10 @@ mod tests {
         // The writer's bytes are pinned by documents it wrote in earlier revisions: loading
         // one and writing it back must reproduce the file.
         for path in [
-            "results/scale_sweep/fig10-1439-clients.report.json",
-            "results/scale_sweep/fig10-1439-clients.baseline.report.json",
-            "benchmark/testdata/sample.report.json",
+            "testdata/fig10-1439-clients.report.json",
+            "../../benchmark/testdata/sample.report.json",
         ] {
-            let file = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+            let file = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{file}: {e}"));
             let report = RunReport::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
             assert!(

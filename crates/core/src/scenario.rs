@@ -47,8 +47,8 @@ use crate::monitor::ResourceMonitor;
 use crate::report::RunReport;
 use p2plab_net::{NetError, NetStats, Network, NetworkConfig, TopologySpec};
 use p2plab_sim::{
-    schedule_periodic, Counter, MetricSet, Recorder, RunOutcome, SimDuration, SimRng, SimTime,
-    Simulation, TimeSeries, TimeSeriesId, TypedEvent,
+    schedule_periodic, Counter, Recorder, RunOutcome, SimDuration, SimRng, SimTime, Simulation,
+    TimeSeries, TimeSeriesId, TypedEvent,
 };
 use std::cell::RefCell;
 use std::fmt;
@@ -240,10 +240,6 @@ pub struct ScenarioSpec {
     pub sample_interval: SimDuration,
     /// Whether per-machine NIC utilization is monitored during the run.
     pub monitor_resources: bool,
-    /// Pre-sizing hint: how many events may be pending at once. `None` derives a default from
-    /// the participant count; the runner passes it to the event queue so arrival bursts never
-    /// regrow the queue slab mid-run. At most [`MAX_EVENT_CAPACITY`].
-    pub event_capacity: Option<usize>,
     /// Hard cap on executed events. `None` is unlimited; CI smoke runs set it so a runaway
     /// event loop fails fast ([`RunOutcome::EventBudgetExhausted`]) instead of hanging the job.
     pub event_budget: Option<u64>,
@@ -264,12 +260,6 @@ impl ScenarioSpec {
     }
 }
 
-/// The largest [`ScenarioSpec::event_capacity`] hint a scenario may carry. The runner allocates
-/// the hinted slots before the first event runs, so an unchecked value from a scenario file
-/// could abort the process inside `Vec::reserve`; 2^24 pending events is twice what the largest
-/// checked-in scenario (10^6 vnodes, 8 slots each by default) reserves.
-pub const MAX_EVENT_CAPACITY: usize = 1 << 24;
-
 /// Why a scenario could not be built or run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
@@ -283,11 +273,6 @@ pub enum ScenarioError {
     ZeroSampleInterval,
     /// The shard count is zero.
     ZeroShards,
-    /// The `event_capacity` pre-sizing hint exceeds [`MAX_EVENT_CAPACITY`].
-    EventCapacityTooLarge {
-        /// The requested hint.
-        requested: usize,
-    },
     /// The scenario asked for sharded execution but the combination cannot be sharded (e.g.
     /// zero-latency links leave no conservative lookahead, or the workload does not support a
     /// requested feature under sharding).
@@ -357,10 +342,6 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ZeroShards => {
                 write!(f, "scenario shard count must be positive (shards = 0)")
             }
-            ScenarioError::EventCapacityTooLarge { requested } => write!(
-                f,
-                "event_capacity = {requested} exceeds the limit of {MAX_EVENT_CAPACITY} pending events"
-            ),
             ScenarioError::ShardingUnsupported { reason } => {
                 write!(f, "scenario cannot run sharded: {reason}")
             }
@@ -415,7 +396,6 @@ impl ScenarioBuilder {
                 deadline: SimDuration::from_secs(3600),
                 sample_interval: SimDuration::from_secs(10),
                 monitor_resources: true,
-                event_capacity: None,
                 event_budget: None,
                 shards: 1,
                 seed: 0,
@@ -480,13 +460,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the event queue's pre-sizing hint (pending-event capacity). The default is
-    /// derived from the workload's participant count.
-    pub fn event_capacity(mut self, events: usize) -> Self {
-        self.spec.event_capacity = Some(events);
-        self
-    }
-
     /// Caps the number of events the run may execute. CI smoke runs use this so a
     /// queue/livelock regression fails the job quickly instead of hanging it.
     pub fn event_budget(mut self, budget: u64) -> Self {
@@ -534,9 +507,6 @@ impl ScenarioSpec {
         }
         if self.shards == 0 {
             return Err(ScenarioError::ZeroShards);
-        }
-        if let Some(requested) = self.event_capacity.filter(|&cap| cap > MAX_EVENT_CAPACITY) {
-            return Err(ScenarioError::EventCapacityTooLarge { requested });
         }
         if let Some(arrivals) = &self.arrivals {
             arrivals
@@ -630,16 +600,10 @@ pub struct ScenarioRun {
     pub name: String,
     /// Folding ratio of the deployment.
     pub folding_ratio: f64,
-    /// The RNG seed the run used.
-    pub seed: u64,
     /// Virtual time when the run stopped.
     pub stopped_at: SimTime,
     /// Number of simulation events executed.
     pub events_executed: u64,
-    /// Wall-clock seconds the run took (deploy to finalize).
-    pub wall_secs: f64,
-    /// Wall-clock event throughput, `events_executed / wall_secs`.
-    pub events_per_sec: f64,
     /// How the run ended (queue drained vs deadline).
     pub outcome: RunOutcome,
     /// The workload's progress metric sampled on the scenario grid (plus one final sample at
@@ -647,11 +611,6 @@ pub struct ScenarioRun {
     pub samples: TimeSeries,
     /// Highest NIC utilization reached by any physical machine (0 when monitoring is off).
     pub peak_nic_utilization: f64,
-    /// The full resource monitor, when monitoring was enabled.
-    pub monitor: Option<ResourceMonitor>,
-    /// Everything recorded through the run's [`Recorder`]: the `progress` curve, the monitor's
-    /// per-machine NIC series and whatever the workload registered.
-    pub metrics: MetricSet,
 }
 
 /// Runs `workload` under `spec`: deploy and fold the topology, build the world, draw the
@@ -668,28 +627,17 @@ pub fn run_scenario<W: Workload + 'static>(
     spec: &ScenarioSpec,
     workload: W,
 ) -> Result<W::Output, ScenarioError> {
-    run_scenario_inner(spec, workload, false).map(|(output, _)| output)
+    run_reported(spec, workload).map(|(output, _)| output)
 }
 
 /// Runs `workload` under `spec` exactly like [`run_scenario`] and additionally returns the
 /// run's [`RunReport`]: workload kind, spec echo, seed, wall/sim time and the full
-/// [`MetricSet`] the run recorded. Bench binaries serialize the report to JSON/CSV under
-/// `results/`.
+/// [`MetricSet`](p2plab_sim::MetricSet) the run recorded. Bench binaries serialize the report
+/// to JSON/CSV under `results/`.
 pub fn run_reported<W: Workload + 'static>(
     spec: &ScenarioSpec,
     workload: W,
 ) -> Result<(W::Output, RunReport), ScenarioError> {
-    run_scenario_inner(spec, workload, true)
-        .map(|(output, report)| (output, report.expect("report was requested")))
-}
-
-/// The shared run loop. `want_report` gates the [`RunReport`] assembly (and its clone of the
-/// metric set), so plain [`run_scenario`] calls pay nothing for the artifact they discard.
-fn run_scenario_inner<W: Workload + 'static>(
-    spec: &ScenarioSpec,
-    workload: W,
-    want_report: bool,
-) -> Result<(W::Output, Option<RunReport>), ScenarioError> {
     #[expect(
         clippy::disallowed_methods,
         reason = "the runner's one wall-clock read: RunReport.wall_secs / events_per_sec"
@@ -779,13 +727,9 @@ fn run_scenario_inner<W: Workload + 'static>(
 
             let world = workload.borrow_mut().build_world(deployment);
             let mut sim: Simulation<W::World, W::Event> = Simulation::with_events(world, spec.seed);
-            // Pre-size the event queue from the scenario's participant count (or the explicit
-            // hint): the arrival burst plus per-participant timers otherwise regrow the queue
-            // slab mid-run.
-            sim.reserve_events(
-                spec.event_capacity
-                    .unwrap_or_else(|| (participants * 8).max(1024)),
-            );
+            // Pre-size the event queue from the scenario's participant count: the arrival burst
+            // plus per-participant timers otherwise regrow the queue slab mid-run.
+            sim.reserve_events((participants * 8).max(1024));
             if let Some(budget) = spec.event_budget {
                 sim.set_event_budget(budget);
             }
@@ -880,7 +824,16 @@ fn run_scenario_inner<W: Workload + 'static>(
     } else {
         0.0
     };
-    let report = want_report.then(|| RunReport {
+    let run = ScenarioRun {
+        name: spec.name.clone(),
+        folding_ratio: spec.folding_ratio(),
+        stopped_at: stop.stopped_at,
+        events_executed: stop.events_executed,
+        outcome: stop.outcome,
+        samples,
+        peak_nic_utilization: monitor.map_or(0.0, |m| m.peak_utilization()),
+    };
+    let report = RunReport {
         workload: workload_kind.to_string(),
         scenario: spec.name.clone(),
         seed: spec.seed,
@@ -894,20 +847,6 @@ fn run_scenario_inner<W: Workload + 'static>(
         events_per_sec,
         outcome: stop.outcome,
         spec: spec_echo(spec),
-        metrics: metrics.clone(),
-    });
-    let run = ScenarioRun {
-        name: spec.name.clone(),
-        folding_ratio: spec.folding_ratio(),
-        seed: spec.seed,
-        stopped_at: stop.stopped_at,
-        events_executed: stop.events_executed,
-        wall_secs,
-        events_per_sec,
-        outcome: stop.outcome,
-        samples,
-        peak_nic_utilization: monitor.as_ref().map_or(0.0, |m| m.peak_utilization()),
-        monitor,
         metrics,
     };
     Ok((workload.finalize(world, run), report))
@@ -937,9 +876,6 @@ fn spec_echo(spec: &ScenarioSpec) -> Vec<(String, String)> {
     ];
     if let Some(arrivals) = &spec.arrivals {
         echo.push(("arrivals".to_string(), format!("{arrivals:?}")));
-    }
-    if let Some(cap) = spec.event_capacity {
-        echo.push(("event_capacity".to_string(), cap.to_string()));
     }
     if let Some(budget) = spec.event_budget {
         echo.push(("event_budget".to_string(), budget.to_string()));
@@ -997,14 +933,6 @@ mod tests {
             .sample_interval(SimDuration::ZERO)
             .build();
         assert_eq!(err.unwrap_err(), ScenarioError::ZeroSampleInterval);
-        let requested = MAX_EVENT_CAPACITY + 1;
-        let err = ScenarioBuilder::new("bad", topo(2))
-            .event_capacity(requested)
-            .build();
-        assert_eq!(
-            err.unwrap_err(),
-            ScenarioError::EventCapacityTooLarge { requested }
-        );
     }
 
     #[test]

@@ -1185,7 +1185,6 @@ fn scenario_keys(k: &mut Keys, spec: &mut ScenarioSpec) -> Result<(), DslError> 
     k.opt("deadline", &mut spec.deadline)?;
     k.opt("sample_interval", &mut spec.sample_interval)?;
     k.opt("monitor_resources", &mut spec.monitor_resources)?;
-    k.opt("event_capacity", &mut spec.event_capacity)?;
     k.opt("event_budget", &mut spec.event_budget)?;
     k.opt("shards", &mut spec.shards)?;
     Ok(())
@@ -1939,28 +1938,6 @@ mean_downtime = \"20s\"
                 available: 4
             })
         );
-    }
-
-    #[test]
-    fn oversized_event_capacity_is_rejected_by_validation() {
-        let hint = "name = \"g\"\nevent_capacity = 9000000000000000000\n";
-        let file = ScenarioFile::parse(&swap("name = \"g\"\n", hint)).unwrap();
-        let err = file.validate().unwrap_err();
-        assert_eq!(
-            err,
-            ScenarioError::EventCapacityTooLarge {
-                requested: 9_000_000_000_000_000_000
-            }
-        );
-        assert!(err
-            .to_string()
-            .contains("event_capacity = 9000000000000000000"));
-        assert_eq!(file.run().unwrap_err(), err);
-        // The largest accepted hint still validates.
-        let max = crate::scenario::MAX_EVENT_CAPACITY;
-        let hint = format!("name = \"g\"\nevent_capacity = {max}\n");
-        let file = ScenarioFile::parse(&swap("name = \"g\"\n", &hint)).unwrap();
-        assert_eq!(file.validate(), Ok(()));
     }
 
     #[test]

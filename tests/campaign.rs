@@ -1,13 +1,14 @@
 //! Integration tests of the campaign layer: the checked-in campaign files expand to their
 //! documented grids, and — the load-bearing determinism claim — running a ≥12-cell grid over
 //! multiple workloads produces **byte-identical** aggregate artifacts whatever the thread
-//! count.
+//! count. The committed scale-sweep aggregate is re-checked on its cheap cells, so behaviour
+//! drift shows in seconds here and not only in CI's full regeneration.
 
 use p2plab::core::{
     run_campaign, CampaignCell, CampaignSpec, CampaignSummary, RunReport, WORKLOAD_KINDS,
 };
 use p2plab::sim::RunOutcome;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 fn example(rel: &str) -> String {
@@ -182,4 +183,92 @@ fn byzantine_sweep_swarm_curve_degrades_monotonically() {
         last_times[3] > last_times[0],
         "a 0.4 byzantine fraction must visibly slow the honest swarm: {last_times:?}"
     );
+}
+
+/// The rows of a committed `results/campaign/<name>/summary.csv`, each as column → cell.
+/// Quotes are dropped, which is all the comparisons below need.
+fn committed_rows(campaign: &str) -> Vec<BTreeMap<String, String>> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("results/campaign")
+        .join(campaign)
+        .join("summary.csv");
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let split = |line: &str| {
+        let mut fields = vec![String::new()];
+        let mut quoted = false;
+        for c in line.chars() {
+            match c {
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(String::new()),
+                c => fields.last_mut().expect("starts non-empty").push(c),
+            }
+        }
+        fields
+    };
+    let mut lines = text.lines();
+    let header = split(lines.next().expect("header line"));
+    lines
+        .map(|line| header.iter().cloned().zip(split(line)).collect())
+        .collect()
+}
+
+/// The scale sweep's committed aggregate is the tree's behaviour ledger; CI regenerates all of
+/// it. Here: every cell of the file expands and validates and has its committed row; the
+/// cells cheap enough for tier-1 are re-run and must reproduce their rows; and the committed
+/// rows of the shard axis agree (the sharded runtime is partition-invariant).
+#[test]
+fn scale_sweep_reproduces_its_committed_aggregate_on_the_cheap_cells() {
+    let campaign = CampaignSpec::parse(&example("campaigns/scale_sweep.toml")).unwrap();
+    let cells = campaign.expand().unwrap();
+    let committed = committed_rows(&campaign.name);
+    assert_eq!(cells.len(), committed.len(), "one committed row per cell");
+    for (cell, row) in cells.iter().zip(&committed) {
+        assert_eq!(cell.label, row["cell"]);
+        assert_eq!(cell.file.spec.name, row["scenario"]);
+    }
+
+    let cheap: Vec<CampaignCell> = (cells.iter().zip(&committed))
+        .filter(|(_, row)| row["events_executed"].parse::<u64>().unwrap() < 100_000)
+        .map(|(cell, _)| cell.clone())
+        .collect();
+    let names: Vec<&str> = cheap.iter().map(|c| c.file.spec.name.as_str()).collect();
+    assert_eq!(
+        names,
+        ["scale-mesh-1000", "scale-gossip-1000", "scale-dht-1000"]
+    );
+    let reports: Vec<RunReport> = run_campaign(&cheap, 1)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("every cheap cell runs");
+    for row in CampaignSummary::new(&campaign.name, &cheap, &reports).rows {
+        let was = &committed[row.index];
+        let now = (
+            row.outcome.as_str(),
+            row.stopped_at_ns,
+            row.events_executed,
+            row.final_progress,
+        );
+        let then = (
+            was["outcome"].as_str(),
+            was["stopped_at_ns"].parse().unwrap(),
+            was["events_executed"].parse().unwrap(),
+            was["final_progress"].parse().unwrap(),
+        );
+        assert_eq!(now, then, "{} drifted from its committed row", row.scenario);
+    }
+
+    let sharded: Vec<_> = committed
+        .iter()
+        .filter(|row| row["workload"] == "gossip-sharded")
+        .collect();
+    assert_eq!(sharded.len(), 2, "the shard axis: 1 and 2 threads");
+    for (column, one) in sharded[0] {
+        if !["cell", "overrides", "scenario"].contains(&column.as_str()) {
+            assert_eq!(
+                one, &sharded[1][column],
+                "{column} depends on the shard count"
+            );
+        }
+    }
 }

@@ -11,7 +11,7 @@ fn entries(dir: &str) -> Vec<std::path::PathBuf> {
 
 /// New scenarios ship as `.toml` files run by `campaign`, not as new binaries.
 #[test]
-fn bench_bins_are_figure_regenerators_or_the_two_harnesses() {
+fn bench_bins_are_figure_regenerators_or_the_campaign_runner() {
     let bins = entries("crates/bench/src/bin");
     assert!(!bins.is_empty());
     for bin in bins {
@@ -20,7 +20,7 @@ fn bench_bins_are_figure_regenerators_or_the_two_harnesses() {
             ["fig", "ablation", "tbl"]
                 .iter()
                 .any(|p| stem.starts_with(p))
-                || ["campaign", "scale_sweep"].contains(&stem),
+                || stem == "campaign",
             "ad-hoc bench bin `{stem}`: ship the scenario as a .toml campaign file"
         );
     }

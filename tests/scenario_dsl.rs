@@ -178,8 +178,8 @@ proptest! {
         let mut text = format!(
             "[scenario]\nname = \"prop-{kind}\"\nseed = {seed}\nmachines = {}\n\
              deadline = \"{}s\"\nsample_interval = \"{}ms\"\nmonitor_resources = false\n\
-             event_capacity = {}\nevent_budget = {}\nshards = {}\n",
-            n % 7 + 2, n + 5000, n + 1, n + 2000, n + 3000, n % 3 + 2,
+             event_budget = {}\nshards = {}\n",
+            n % 7 + 2, n + 5000, n + 1, n + 3000, n % 3 + 2,
         );
         text.push_str(match arrivals_ix {
             0 => "",
