@@ -908,6 +908,16 @@ impl<'a> Keys<'a> {
         self.key(key, place, true, |_| Ok(()))
     }
 
+    /// A required key whose value must pass `check`.
+    pub(crate) fn req_checked<V: Value>(
+        &mut self,
+        key: &'static str,
+        place: &mut V,
+        check: fn(&V) -> Result<(), String>,
+    ) -> Result<bool, DslError> {
+        self.key(key, place, true, check)
+    }
+
     /// An optional key whose value must pass `check`.
     pub(crate) fn checked<V: Value>(
         &mut self,
@@ -2052,6 +2062,12 @@ mean_downtime = \"20s\"
             (plus("[transport]\ncongestion = \"aimd\"\nmtu = 16\n"), 11, "transport.mtu", "mtu must be at least 64 bytes, got 16"),
             (plus("[transport]\nmtu = 1500\nreassembly_timeout = \"0s\"\n"), 11, "transport.reassembly_timeout", "must be positive"),
             (plus("[adversary]\nbehaviors = [\"amplify\"]\nfraction = 1.5\n"), 9, "adversary", "fraction must be in [0, 1]"),
+            // A DHT value that would panic or stall a run is rejected at its key.
+            (plus("[workload.dht-lookup]\nnodes = 1\n").replace("\"gossip\"", "\"dht-lookup\""), 10, "workload.dht-lookup.nodes", "a DHT needs at least two nodes, got 1"),
+            (plus("[workload.dht-lookup]\nnodes = 8\nalpha = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.alpha", "at least one RPC in flight, got 0"),
+            (plus("[workload.dht-lookup]\nnodes = 8\nk = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.k", "room for at least one peer, got 0"),
+            (plus("[workload.dht-lookup]\nnodes = 8\nrpc_timeout = \"0s\"\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_timeout", "rpc timeout must be positive"),
+            (plus("[workload.dht-lookup]\nnodes = 8\nrpc_attempts = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_attempts", "at least one attempt, got 0"),
             // Bad trace elements carry the element's own line and index.
             (plus("[arrivals]\nkind = \"trace\"\ntimes = [\n  \"1s\",\n  5,\n]\n"), 13, "arrivals.times[1]", "duration string"),
             (plus("[arrivals]\nkind = \"trace\"\ntimes = [\"fast\"]\n"), 11, "arrivals.times[0]", "unit suffix"),

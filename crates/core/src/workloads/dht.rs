@@ -1,13 +1,17 @@
 //! Kademlia-style iterative DHT lookups as a [`Workload`] — the proof workload of the
 //! session/lane/RPC transport API.
 //!
-//! Every node owns a 64-bit id in an XOR metric space and a static routing table built the way
-//! Kademlia's buckets are shaped: for each distance prefix (bucket) up to `k` known peers. A
+//! Every node owns a 64-bit id in an XOR metric space and a static routing table shaped the way
+//! Kademlia's buckets are: for each distance prefix (bucket) up to `k` known peers. The table is
+//! stored as a *bucket directory* — per node, the range of the globally sorted id list that each
+//! bucket covers (≈ log₂ n ranges), its `k` entries sampled evenly from the range when read —
+//! and `FIND_NODE` is served from the target's bucket outward, which is XOR-distance order. A
 //! *lookup* picks a random target key and iteratively queries the `alpha` closest known nodes
 //! with `FIND_NODE` RPCs ([`p2plab_net::rpc`]: unreliable datagrams, flat timeout, bounded
 //! retries); each response returns the responder's `k` closest known peers, which are merged
 //! into the candidate shortlist. The lookup terminates when the `k` closest candidates have all
-//! answered (or failed), exactly like the iterative procedure of the Kademlia paper.
+//! answered (or failed), exactly like the iterative procedure of the Kademlia paper; a settled
+//! lookup keeps its [`LookupRecord`] and drops its shortlist.
 //!
 //! Measured quantities, recorded through the run's [`Recorder`] per the metrics convention:
 //! hop-count and latency histograms (`lookup_hops`, `lookup_latency_secs`), RPC traffic
@@ -96,15 +100,34 @@ impl DhtLookupSpec {
     /// The `[workload.dht-lookup]` keys of a scenario file; absent ones keep
     /// [`DhtLookupSpec::new`]'s defaults — including its one-lookup-per-node rule, applied
     /// here to a node count that comes from a file.
+    /// Values that would panic a run or let it end without an RPC are rejected at their key.
     pub(crate) fn keys(k: &mut Keys, spec: &mut DhtLookupSpec) -> Result<(), DslError> {
-        if k.req("nodes", &mut spec.nodes)? && k.reading() {
+        let nodes = k.req_checked("nodes", &mut spec.nodes, |&n| match n {
+            0 | 1 => Err(format!("a DHT needs at least two nodes, got {n}")),
+            _ => Ok(()),
+        })?;
+        if nodes && k.reading() {
             spec.lookups = spec.nodes;
         }
         k.opt("lookups", &mut spec.lookups)?;
-        k.opt("alpha", &mut spec.alpha)?;
-        k.opt("k", &mut spec.k)?;
-        k.opt("rpc_timeout", &mut spec.rpc_timeout)?;
-        k.opt("rpc_attempts", &mut spec.rpc_attempts)?;
+        k.checked("alpha", &mut spec.alpha, |&n| match n {
+            0 => Err("a lookup needs at least one RPC in flight, got 0".to_string()),
+            _ => Ok(()),
+        })?;
+        k.checked("k", &mut spec.k, |&n| match n {
+            0 => Err("buckets and replies need room for at least one peer, got 0".to_string()),
+            _ => Ok(()),
+        })?;
+        k.checked("rpc_timeout", &mut spec.rpc_timeout, |t| {
+            if t.is_zero() {
+                return Err("rpc timeout must be positive".to_string());
+            }
+            Ok(())
+        })?;
+        k.checked("rpc_attempts", &mut spec.rpc_attempts, |&n| match n {
+            0 => Err("an RPC needs at least one attempt, got 0".to_string()),
+            _ => Ok(()),
+        })?;
         k.opt("lookup_interval", &mut spec.lookup_interval)?;
         Ok(())
     }
@@ -175,17 +198,43 @@ struct Candidate {
     state: CandState,
 }
 
-/// One iterative lookup in progress.
+/// One iterative lookup: in progress, or settled with its shortlist dropped.
 struct Lookup {
     target: u64,
     origin: usize,
     true_closest: u64,
     started: SimTime,
+    /// Empty once the lookup is `done`.
     shortlist: Vec<Candidate>,
     inflight: usize,
     rpcs: u32,
     timeouts: u32,
     done: bool,
+}
+
+impl Lookup {
+    /// The monitor's safety check over lookup `li`: every candidate it accepted an answer from
+    /// is a real node of the id space. Fabricated "closer" ids are rejected by responder
+    /// validation before they can reach the Responded state, so `found_closest` can never name
+    /// a node that does not exist — a lookup converges to a real closest node or fails cleanly.
+    fn check_accepted(&self, li: usize, sorted_ids: &[(u64, usize)], inv: &mut InvariantReport) {
+        for c in &self.shortlist {
+            if c.state != CandState::Responded {
+                continue;
+            }
+            inv.check(
+                sorted_ids
+                    .binary_search_by_key(&c.id, |&(id, _)| id)
+                    .is_ok(),
+                || {
+                    format!(
+                        "lookup {li} accepted a reply from fabricated node {:#x}",
+                        c.id
+                    )
+                },
+            );
+        }
+    }
 }
 
 /// The outcome of one finished lookup.
@@ -204,7 +253,7 @@ pub struct LookupRecord {
     pub timeouts: u32,
 }
 
-/// The DHT world: the emulated network, the id space and routing tables, in-progress lookups
+/// The DHT world: the emulated network, the id space and the bucket directory, the lookups
 /// and the RPC state. DHT node `i` runs on `VNodeId(i)` (the deployment's identity rule, see
 /// [`mod@crate::deploy`]), so every per-node table below is indexed by `vnode.0`.
 pub struct DhtWorld {
@@ -212,10 +261,16 @@ pub struct DhtWorld {
     pub net: Network,
     /// Node ids.
     ids: Vec<u64>,
-    /// `(id, node index)` sorted by id — the ground truth for [`xor_closest`].
+    /// `(id, node index)` sorted by id — the ground truth for [`xor_closest`], and what the
+    /// bucket directory's ranges index.
     sorted_ids: Vec<(u64, usize)>,
-    /// Static per-node routing tables: up to `k` peers per XOR-distance bucket, flattened.
-    routing: Vec<Vec<(u64, SocketAddr)>>,
+    /// The static routing tables as a bucket directory: node `x`'s table is
+    /// `buckets[bucket_start[x]..bucket_start[x + 1]]`, whose entry `j` is the `sorted_ids`
+    /// range `lo..hi` of the ids that differ from `x`'s first at bit `63 − j`. Entries stop
+    /// where `x` is alone in its prefix range, since every lower bucket is empty. A bucket's
+    /// up-to-`k` routing entries are sampled when read ([`DhtWorld::push_bucket`]).
+    buckets: Vec<(u32, u32)>,
+    bucket_start: Vec<u32>,
     /// DHT addresses.
     addrs: Vec<SocketAddr>,
     k: usize,
@@ -225,9 +280,13 @@ pub struct DhtWorld {
     /// Per-node fabrication streams: `Some` exactly for byzantine nodes. Draws never touch
     /// the simulation's global stream, so honest runs execute the frozen event sequence.
     serve_rng: Vec<Option<SimRng>>,
+    /// Every lookup started, by start order; a settled one keeps no shortlist.
     lookups: Vec<Lookup>,
     /// Finished lookups, in completion order (the workload drains them into histograms).
     pub records: Vec<LookupRecord>,
+    /// The monitor's [`Lookup::check_accepted`] tally over settled lookups, taken as each
+    /// settles (its shortlist is dropped right after): `Some` exactly in adversarial runs.
+    settled_checks: Option<InvariantReport>,
     rpc: RpcTable<DhtWorld>,
 }
 
@@ -242,28 +301,33 @@ impl DhtWorld {
         sorted_ids.sort_unstable();
         // Bucketed routing tables from global knowledge (the emulation studies lookups, not
         // table maintenance): for node `x` and bit `b`, the ids differing from `x` first at bit
-        // `b` form one contiguous range of the sorted order — sample up to `k` of them, evenly,
-        // so tables are diverse without any per-node randomness.
-        let mut routing = Vec::with_capacity(n);
+        // `b` form one contiguous range of the sorted order. One prefix descent per node (the
+        // walk `xor_closest` does) records them, highest bit first: at each bit the half
+        // without `x` is that bit's bucket, until `x` is alone in its range.
+        assert!(
+            n <= (u32::MAX / 64) as usize,
+            "{n} DHT nodes overflow the bucket directory"
+        );
+        let mut buckets = Vec::new();
+        let mut bucket_start = Vec::with_capacity(n + 1);
+        bucket_start.push(0);
         for &own in &ids {
-            let mut table = Vec::new();
-            for bit in 0..64 {
-                let mask = 1u64 << bit;
-                let lo_id = (own ^ mask) & !(mask - 1);
-                let hi_id = lo_id | (mask - 1);
-                let lo = sorted_ids.partition_point(|&(id, _)| id < lo_id);
-                let hi = sorted_ids.partition_point(|&(id, _)| id <= hi_id);
-                if lo == hi {
-                    continue;
+            let (mut lo, mut hi) = (0, n);
+            for bit in (0..64).rev() {
+                if hi - lo <= 1 {
+                    break;
                 }
-                let len = hi - lo;
-                let take = len.min(spec.k);
-                for t in 0..take {
-                    let (id, idx) = sorted_ids[lo + t * len / take];
-                    table.push((id, addrs[idx]));
+                let mask = 1u64 << bit;
+                let split = lo + sorted_ids[lo..hi].partition_point(|&(id, _)| id & mask == 0);
+                if own & mask == 0 {
+                    buckets.push((split as u32, hi as u32));
+                    hi = split;
+                } else {
+                    buckets.push((lo as u32, split as u32));
+                    lo = split;
                 }
             }
-            routing.push(table);
+            bucket_start.push(buckets.len() as u32);
         }
         // Byzantine members: wire tampering on the sender path, plus a private per-node
         // stream for serve-side fabrication (split off the wire stream so the two never
@@ -285,7 +349,8 @@ impl DhtWorld {
             net,
             ids,
             sorted_ids,
-            routing,
+            buckets,
+            bucket_start,
             addrs,
             k: spec.k,
             alpha: spec.alpha,
@@ -293,6 +358,7 @@ impl DhtWorld {
             serve_rng,
             lookups: Vec::with_capacity(spec.lookups),
             records: Vec::with_capacity(spec.lookups),
+            settled_checks: roster.map(|_| InvariantReport::new()),
             rpc: RpcTable::new(spec.rpc_config()),
         }
     }
@@ -307,17 +373,91 @@ impl DhtWorld {
         self.rpc.stats()
     }
 
-    /// The `k` closest entries of `node`'s routing table to `target`. Runs on every
-    /// `FIND_NODE` serve, so it selects the k-smallest in O(len) and sorts only those —
-    /// bucket ranges are disjoint, so the table never holds duplicate ids.
+    /// The `k` closest entries of `node`'s routing table to `target`, closest first. Runs on
+    /// every `FIND_NODE` serve, so it reads buckets in distance order instead of sorting the
+    /// table. With `h` the highest bit at which `target` differs from the node's id, bucket `h`
+    /// lies wholly below distance 2^h, the buckets below `h` all within [2^h, 2^(h+1)), and
+    /// bucket `b > h` within [2^b, 2^(b+1)). Distances to one target are distinct, so reading
+    /// bucket `h`, then the buckets below it, then `h + 1, h + 2, …` until `k` entries are in
+    /// hand yields exactly the k-smallest of the whole table, in order.
     fn closest_known(&self, node: usize, target: u64) -> Vec<(u64, SocketAddr)> {
-        let mut entries = self.routing[node].clone();
-        if self.k > 0 && entries.len() > self.k {
-            entries.select_nth_unstable_by_key(self.k - 1, |&(id, _)| id ^ target);
-            entries.truncate(self.k);
+        let dir =
+            &self.buckets[self.bucket_start[node] as usize..self.bucket_start[node + 1] as usize];
+        let mut out = Vec::with_capacity(self.k);
+        // Bucket h's directory entry: 64, past every entry, when the target is the node's id.
+        let jh = (self.ids[node] ^ target).leading_zeros() as usize;
+        if jh < dir.len() {
+            self.take_closest(&dir[jh..=jh], target, &mut out);
+            if out.len() < self.k {
+                self.take_closest(&dir[jh + 1..], target, &mut out);
+            }
         }
-        entries.sort_unstable_by_key(|&(id, _)| id ^ target);
-        entries
+        for j in (0..jh.min(dir.len())).rev() {
+            if out.len() >= self.k {
+                break;
+            }
+            self.take_closest(&dir[j..=j], target, &mut out);
+        }
+        out
+    }
+
+    /// Appends the entries of `buckets` — all farther from `target` than whatever `out` holds
+    /// — keeping the closest ones `out` has room for, in distance order.
+    fn take_closest(&self, buckets: &[(u32, u32)], target: u64, out: &mut Vec<(u64, SocketAddr)>) {
+        let start = out.len();
+        for &bucket in buckets {
+            self.push_bucket(bucket, out);
+        }
+        let room = self.k - start;
+        if out.len() - start > room {
+            out[start..].select_nth_unstable_by_key(room - 1, |&(id, _)| id ^ target);
+            out.truncate(self.k);
+        }
+        out[start..].sort_unstable_by_key(|&(id, _)| id ^ target);
+    }
+
+    /// Appends a bucket's routing entries: up to `k` of the ids in its `sorted_ids` range,
+    /// spread evenly over it, so tables are diverse without any per-node randomness.
+    fn push_bucket(&self, (lo, hi): (u32, u32), out: &mut Vec<(u64, SocketAddr)>) {
+        let (lo, len) = (lo as usize, (hi - lo) as usize);
+        let take = len.min(self.k);
+        out.extend((0..take).map(|t| {
+            let (id, idx) = self.sorted_ids[lo + t * len / take];
+            (id, self.addrs[idx])
+        }));
+    }
+
+    /// Settles lookup `li` at `now`: appends its [`LookupRecord`], then — the monitor's check
+    /// taken first in adversarial runs — drops its shortlist.
+    fn finish(&mut self, li: usize, now: SimTime) {
+        let lookup = &mut self.lookups[li];
+        lookup.done = true;
+        let closest_responded = lookup
+            .shortlist
+            .iter()
+            .find(|c| c.state == CandState::Responded);
+        // The lookup succeeds when it located the globally closest node to the target — either
+        // the closest answering peer, or the origin itself (a node never appears on its own
+        // shortlist, yet it can be the closest node in the whole id space).
+        let own_id = self.ids[lookup.origin];
+        let (hops, found_closest) = match closest_responded {
+            Some(c) => (
+                c.depth,
+                c.id == lookup.true_closest || own_id == lookup.true_closest,
+            ),
+            None => (0, own_id == lookup.true_closest),
+        };
+        self.records.push(LookupRecord {
+            hops,
+            latency: now - lookup.started,
+            found_closest,
+            rpcs: lookup.rpcs,
+            timeouts: lookup.timeouts,
+        });
+        if let Some(inv) = &mut self.settled_checks {
+            lookup.check_accepted(li, &self.sorted_ids, inv);
+        }
+        lookup.shortlist = Vec::new();
     }
 }
 
@@ -468,7 +608,8 @@ fn advance(sim: &mut NetSim<DhtWorld>, li: usize) {
         match step {
             Step::Wait => return,
             Step::Finish => {
-                finish(sim, li);
+                let now = sim.now();
+                sim.world_mut().finish(li, now);
                 return;
             }
             Step::Query(ci) => {
@@ -549,11 +690,16 @@ fn on_find_node_done(
         ) = (state, outcome)
         {
             for (id, addr) in peers {
-                if id == own_id || lookup.shortlist.iter().any(|c| c.id == id) {
+                if id == own_id {
                     continue;
                 }
+                // Distance to the target is injective in the id, so the insertion point is
+                // also where an already-listed copy of `id` would sit.
                 let dist = id ^ lookup.target;
                 let pos = lookup.shortlist.partition_point(|c| c.dist < dist);
+                if lookup.shortlist.get(pos).is_some_and(|c| c.dist == dist) {
+                    continue;
+                }
                 lookup.shortlist.insert(
                     pos,
                     Candidate {
@@ -568,36 +714,6 @@ fn on_find_node_done(
         }
     }
     advance(sim, li);
-}
-
-/// Completes lookup `li` and appends its [`LookupRecord`].
-fn finish(sim: &mut NetSim<DhtWorld>, li: usize) {
-    let now = sim.now();
-    let world = sim.world_mut();
-    let lookup = &mut world.lookups[li];
-    lookup.done = true;
-    let closest_responded = lookup
-        .shortlist
-        .iter()
-        .find(|c| c.state == CandState::Responded);
-    // The lookup succeeds when it located the globally closest node to the target — either
-    // the closest answering peer, or the origin itself (a node never appears on its own
-    // shortlist, yet it can be the closest node in the whole id space).
-    let own_id = world.ids[lookup.origin];
-    let (hops, found_closest) = match closest_responded {
-        Some(c) => (
-            c.depth,
-            c.id == lookup.true_closest || own_id == lookup.true_closest,
-        ),
-        None => (0, own_id == lookup.true_closest),
-    };
-    world.records.push(LookupRecord {
-        hops,
-        latency: now - lookup.started,
-        found_closest,
-        rpcs: lookup.rpcs,
-        timeouts: lookup.timeouts,
-    });
 }
 
 /// Everything a DHT lookup run produces.
@@ -742,30 +858,12 @@ impl Workload for DhtLookupWorkload {
     }
 
     fn check_invariants(&self, world: &DhtWorld, stop: &ShardedOutcome) -> InvariantReport {
-        let mut inv = InvariantReport::new();
+        // Safety: every accepted reply came from a real node. Settled lookups were checked as
+        // they settled and hold no shortlist any more; the open ones are checked here.
+        let mut inv = world.settled_checks.clone().unwrap_or_default();
         inv.byzantine_msgs_sent = world.net.stats().byzantine_msgs_sent;
-        // Safety: every candidate a lookup accepted an answer from is a real node of the id
-        // space. Fabricated "closer" ids are rejected by responder validation before they can
-        // reach the Responded state, so `found_closest` can never name a node that does not
-        // exist — a lookup converges to a real closest node or fails cleanly.
         for (li, lookup) in world.lookups.iter().enumerate() {
-            for c in &lookup.shortlist {
-                if c.state != CandState::Responded {
-                    continue;
-                }
-                inv.check(
-                    world
-                        .sorted_ids
-                        .binary_search_by_key(&c.id, |&(id, _)| id)
-                        .is_ok(),
-                    || {
-                        format!(
-                            "lookup {li} accepted a reply from fabricated node {:#x}",
-                            c.id
-                        )
-                    },
-                );
-            }
+            lookup.check_accepted(li, &world.sorted_ids, &mut inv);
         }
         // Liveness: bounded RPC retries guarantee every shortlist settles, so a drained run
         // must have finished every scheduled lookup — byzantine nodes may make lookups miss
@@ -866,8 +964,9 @@ impl Workload for DhtLookupWorkload {
 mod tests {
     use super::*;
     use crate::adversary::AdversaryPlan;
+    use crate::deploy::{deploy, DeploymentSpec};
     use crate::scenario::{run_reported, run_scenario, ScenarioBuilder};
-    use p2plab_net::{AccessLinkClass, TopologySpec};
+    use p2plab_net::{AccessLinkClass, NetworkConfig, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
         TopologySpec::uniform(
@@ -883,6 +982,166 @@ mod tests {
             .deadline(spec.arrival_ramp() + SimDuration::from_secs(300))
             .sample_interval(SimDuration::from_secs(1))
             .seed(7)
+    }
+
+    /// A freshly built world of `workload`'s size on a 4-machine LAN, before any lookup.
+    fn world_of(workload: &mut DhtLookupWorkload) -> DhtWorld {
+        let topology = lan(workload.spec.nodes);
+        let deployment = deploy(&topology, DeploymentSpec::new(4), NetworkConfig::default());
+        workload.build_world(deployment.unwrap())
+    }
+
+    /// The reference for [`DhtWorld::closest_known`]'s table: `node`'s routing table materialised
+    /// the way it was before the bucket directory — per bit, the ids first differing from the
+    /// node's at that bit found by two binary searches over the sorted id list, up to `k` of
+    /// them sampled evenly.
+    fn materialised_table(world: &DhtWorld, node: usize) -> Vec<(u64, SocketAddr)> {
+        let sorted = &world.sorted_ids;
+        let own = world.ids[node];
+        let mut table = Vec::new();
+        for bit in 0..64 {
+            let mask = 1u64 << bit;
+            let lo_id = (own ^ mask) & !(mask - 1);
+            let hi_id = lo_id | (mask - 1);
+            let lo = sorted.partition_point(|&(id, _)| id < lo_id);
+            let hi = sorted.partition_point(|&(id, _)| id <= hi_id);
+            let (len, take) = (hi - lo, (hi - lo).min(world.k));
+            for t in 0..take {
+                let (id, idx) = sorted[lo + t * len / take];
+                let addr = SocketAddr::new(world.net.addr_of(VNodeId(idx)), DHT_PORT);
+                table.push((id, addr));
+            }
+        }
+        table
+    }
+
+    /// Checks `closest_known` for `node` at the world's `k` against the `k` XOR-closest entries
+    /// of the materialised table, by a full sort, toward the node's own id, another node's id,
+    /// one either side of each, and a random key.
+    fn assert_closest_known_matches(world: &DhtWorld, node: usize, rng: &mut SimRng) {
+        let table = materialised_table(world, node);
+        let own = world.ids[node];
+        let other = world.ids[rng.gen_range(0..world.nodes())];
+        let random = rng.gen_range(0..=u64::MAX);
+        for target in [own, own.wrapping_add(1), own.wrapping_sub(1), other]
+            .into_iter()
+            .chain([other.wrapping_add(1), other.wrapping_sub(1), random])
+        {
+            let mut closest = table.clone();
+            closest.sort_unstable_by_key(|&(id, _)| id ^ target);
+            closest.truncate(world.k);
+            assert_eq!(
+                world.closest_known(node, target),
+                closest,
+                "n {} node {node} k {} target {target:#x}",
+                world.nodes(),
+                world.k
+            );
+        }
+    }
+
+    #[test]
+    fn closest_known_matches_the_materialised_table() {
+        let mut rng = SimRng::new(25);
+        // Every node and every k on small worlds, where bucket boundaries are densest…
+        for n in 2..=40 {
+            let mut world = world_of(&mut DhtLookupWorkload::new(DhtLookupSpec::new(n)));
+            for k in 1..=20 {
+                world.k = k;
+                for node in 0..n {
+                    assert_closest_known_matches(&world, node, &mut rng);
+                }
+            }
+        }
+        // …and sampled nodes and k up to 600 nodes, where buckets overflow k.
+        for _ in 0..12 {
+            let n = rng.gen_range(41..=600);
+            let mut world = world_of(&mut DhtLookupWorkload::new(DhtLookupSpec::new(n)));
+            for _ in 0..40 {
+                world.k = rng.gen_range(1..=20);
+                let node = rng.gen_range(0..n);
+                assert_closest_known_matches(&world, node, &mut rng);
+            }
+        }
+    }
+
+    /// The benchmark's size (`dht-rpc`: 20,000 nodes, k = 8), every node; run in release by CI.
+    #[test]
+    #[ignore = "20,000 nodes: run in release"]
+    fn closest_known_matches_the_materialised_table_at_benchmark_scale() {
+        let world = world_of(&mut DhtLookupWorkload::new(DhtLookupSpec::new(20_000)));
+        let mut rng = SimRng::new(20_000);
+        for node in 0..world.nodes() {
+            assert_closest_known_matches(&world, node, &mut rng);
+        }
+    }
+
+    #[test]
+    fn monitor_reports_a_fabricated_accept_whether_its_lookup_settled_or_not() {
+        let spec = DhtLookupSpec::new(16);
+        let mut workload = DhtLookupWorkload::new(spec.clone());
+        let plan = AdversaryPlan::new(0.25, &["equivocate"]);
+        let roster = plan.resolve(7, spec.nodes).unwrap().unwrap();
+        workload.set_adversary(&roster).unwrap();
+        let mut world = world_of(&mut workload);
+        let fabricated = world.ids[3] ^ 1;
+        assert!(!world.ids.contains(&fabricated));
+        // Four open lookups; the odd ones accepted a reply from the fabricated id.
+        for li in 0..4 {
+            let candidate = |id: u64, state| Candidate {
+                dist: id,
+                id,
+                addr: world.addrs[0],
+                depth: 1,
+                state,
+            };
+            let mut shortlist = vec![
+                candidate(world.ids[1], CandState::Responded),
+                candidate(world.ids[2], CandState::Failed),
+                candidate(world.ids[3], CandState::Responded),
+            ];
+            if li % 2 == 1 {
+                shortlist.push(candidate(fabricated, CandState::Responded));
+            }
+            world.lookups.push(Lookup {
+                target: 0,
+                origin: 0,
+                true_closest: world.ids[1],
+                started: SimTime::ZERO,
+                shortlist,
+                inflight: 0,
+                rpcs: 3,
+                timeouts: 0,
+                done: false,
+            });
+        }
+        // What the monitor counted when it scanned every shortlist at the end of the run.
+        let full_scan_checked = world
+            .lookups
+            .iter()
+            .flat_map(|l| &l.shortlist)
+            .filter(|c| c.state == CandState::Responded)
+            .count() as u64;
+        let stop = ShardedOutcome {
+            stopped_at: SimTime::from_secs(10),
+            events_executed: 0,
+            outcome: RunOutcome::DeadlineReached,
+        };
+        let open = workload.check_invariants(&world, &stop);
+        assert_eq!(open.checked, full_scan_checked);
+        assert_eq!(open.violations.len(), 2, "{:?}", open.violations);
+        // Settle one lookup of each kind: their shortlists go, their checks stay counted.
+        for li in [0, 1] {
+            world.finish(li, SimTime::from_secs(1));
+        }
+        assert!(world.lookups[..2]
+            .iter()
+            .all(|l| l.done && l.shortlist.capacity() == 0));
+        let settled = workload.check_invariants(&world, &stop);
+        assert_eq!(settled.checked, full_scan_checked);
+        let mut violations = settled.violations.clone();
+        violations.sort();
+        assert_eq!(violations, open.violations);
     }
 
     #[test]
