@@ -25,6 +25,8 @@ pub use choke::{no_choking, ChokeConfig, Choker, PeerSnapshot};
 pub use client::{Client, ClientConfig, ClientStats, PeerConn};
 pub use messages::{AnnounceEvent, BtPayload, PeerId, PeerMessage, TrackerMessage};
 pub use piece::{BlockOutcome, PieceManager};
-pub use swarm::{schedule_client_start, start_client, stop_client, SwarmSim, SwarmWorld};
+pub use swarm::{
+    schedule_client_start, start_client, stop_client, SwarmSim, SwarmTimer, SwarmWorld,
+};
 pub use torrent::{Torrent, DEFAULT_BLOCK_SIZE, DEFAULT_PIECE_SIZE};
 pub use tracker::{Tracker, TrackerStats, TRACKER_PORT};

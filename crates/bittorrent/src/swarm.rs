@@ -4,7 +4,8 @@
 //! evaluation: it owns the emulated [`Network`], one [`Client`] per participating virtual node
 //! and the [`Tracker`], and it dispatches socket events to the protocol logic. Experiments are
 //! driven by scheduling client starts ([`schedule_client_start`]) and running the simulation;
-//! per-client progress logs and global counters are read back afterwards.
+//! per-client progress logs and global counters are read back afterwards. A client's start and
+//! its periodic choker and tracker rounds are [`SwarmTimer`]s.
 
 use crate::bitfield::Bitfield;
 use crate::client::{Client, ClientConfig, PeerConn};
@@ -13,9 +14,10 @@ use crate::piece::BlockOutcome;
 use crate::torrent::Torrent;
 use crate::tracker::Tracker;
 use p2plab_net::{
-    ConnId, Endpoint, LaneKind, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
+    ConnId, Endpoint, LaneKind, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent,
+    VNodeId,
 };
-use p2plab_sim::{schedule_periodic, SimTime, TimeSeries};
+use p2plab_sim::{SimTime, TimeSeries};
 
 /// The world of a BitTorrent experiment.
 pub struct SwarmWorld {
@@ -144,11 +146,35 @@ impl SwarmWorld {
 }
 
 /// The simulation type every BitTorrent experiment runs on: [`SwarmWorld`] with the network
-/// substrate's pooled [`p2plab_net::NetEvent`] class.
+/// substrate's [`NetEvent`] class.
 pub type SwarmSim = NetSim<SwarmWorld>;
+
+/// The timers of a [`SwarmWorld`]. The periodic rounds carry the client's timer generation at
+/// the start that armed them: a round of an earlier session (the client churned away and came
+/// back) finds a newer generation and stops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SwarmTimer {
+    /// Client `idx` starts ([`start_client`]).
+    Start(usize),
+    /// Client `idx`'s choker round.
+    Choke {
+        /// The client.
+        idx: usize,
+        /// Its timer generation when the round was armed.
+        generation: u64,
+    },
+    /// Client `idx`'s periodic tracker re-announce.
+    Tracker {
+        /// The client.
+        idx: usize,
+        /// Its timer generation when the round was armed.
+        generation: u64,
+    },
+}
 
 impl NetHost for SwarmWorld {
     type Payload = BtPayload;
+    type Timer = SwarmTimer;
 
     fn network(&mut self) -> &mut Network {
         &mut self.net
@@ -161,11 +187,19 @@ impl NetHost for SwarmWorld {
             handle_client_event(sim, idx, event);
         }
     }
+
+    fn on_timer(sim: &mut SwarmSim, timer: SwarmTimer) {
+        match timer {
+            SwarmTimer::Start(idx) => start_client(sim, idx),
+            SwarmTimer::Choke { idx, generation } => choke_round(sim, idx, generation),
+            SwarmTimer::Tracker { idx, generation } => periodic_announce(sim, idx, generation),
+        }
+    }
 }
 
 /// Schedules a client to start at `at` (the paper starts clients at fixed intervals).
 pub fn schedule_client_start(sim: &mut SwarmSim, idx: usize, at: SimTime) {
-    sim.schedule_at(at, move |sim| start_client(sim, idx));
+    sim.schedule_event_at(at, NetEvent::Timer(SwarmTimer::Start(idx)));
 }
 
 /// Starts (or restarts, after churn) a client: bind + listen, announce to the tracker, start
@@ -201,12 +235,10 @@ pub fn start_client(sim: &mut SwarmSim, idx: usize) {
     let _ = Endpoint::new(vnode).bind(sim, listen_port);
     announce(sim, idx, AnnounceEvent::Started);
 
-    schedule_periodic(sim, now + choke_interval, choke_interval, move |sim| {
-        choke_round(sim, idx, generation)
-    });
-    schedule_periodic(sim, now + tracker_interval, tracker_interval, move |sim| {
-        periodic_announce(sim, idx, generation)
-    });
+    let choke = SwarmTimer::Choke { idx, generation };
+    sim.schedule_event_at(now + choke_interval, NetEvent::Timer(choke));
+    let tracker = SwarmTimer::Tracker { idx, generation };
+    sim.schedule_event_at(now + tracker_interval, NetEvent::Timer(tracker));
 }
 
 /// Stops a client (session end under churn, or the end of an experiment): announces `Stopped`,
@@ -636,9 +668,9 @@ fn fill_pipelines(sim: &mut SwarmSim, idx: usize) {
     }
 }
 
-/// One 10-second choker round. Returns false once the client is offline or the whole swarm has
-/// finished, which stops the periodic timer (and therefore lets the simulation drain).
-fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) -> bool {
+/// One 10-second choker round; it re-arms one interval later. The rounds stop once the client
+/// is offline or the whole swarm has finished (and therefore let the simulation drain).
+fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) {
     let now = sim.now();
     let keep_running = {
         let world = sim.world();
@@ -646,7 +678,7 @@ fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) -> bool {
         client.online && client.timer_generation == generation && !world.swarm_finished()
     };
     if !keep_running {
-        return false;
+        return;
     }
     let choke_msgs = {
         let (world, rng) = sim.world_and_rng();
@@ -678,11 +710,16 @@ fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) -> bool {
     }
     fill_pipelines(sim, idx);
     connect_to_peers(sim, idx);
-    true
+    let interval = sim.world().clients[idx].config.choke_interval;
+    sim.schedule_event_in(
+        interval,
+        NetEvent::Timer(SwarmTimer::Choke { idx, generation }),
+    );
 }
 
-/// Periodic tracker re-announce. Returns false once the client is offline or the swarm finished.
-fn periodic_announce(sim: &mut SwarmSim, idx: usize, generation: u64) -> bool {
+/// Periodic tracker re-announce; it re-arms one interval later until the client is offline or
+/// the swarm finished.
+fn periodic_announce(sim: &mut SwarmSim, idx: usize, generation: u64) {
     let (keep_running, need_peers) = {
         let world = sim.world();
         let client = &world.clients[idx];
@@ -692,12 +729,16 @@ fn periodic_announce(sim: &mut SwarmSim, idx: usize, generation: u64) -> bool {
         )
     };
     if !keep_running {
-        return false;
+        return;
     }
     if need_peers {
         announce(sim, idx, AnnounceEvent::Periodic);
     }
-    true
+    let interval = sim.world().clients[idx].config.tracker_interval;
+    sim.schedule_event_in(
+        interval,
+        NetEvent::Timer(SwarmTimer::Tracker { idx, generation }),
+    );
 }
 
 fn announce(sim: &mut SwarmSim, idx: usize, event: AnnounceEvent) {
@@ -864,7 +905,7 @@ mod tests {
     #[test]
     fn single_leecher_downloads_from_seeder() {
         let world = build_swarm(2, 1, 1, fast_link(), 1024 * 1024);
-        let mut sim: SwarmSim = Simulation::with_events(world, 11);
+        let mut sim: SwarmSim = Simulation::new(world, 11);
         start_all(&mut sim, SimDuration::from_secs(1));
         let outcome = sim.run_until(SimTime::from_secs(600));
         assert!(sim.world().swarm_finished(), "outcome={outcome:?}");
@@ -881,7 +922,7 @@ mod tests {
     #[test]
     fn progress_log_is_monotonic_and_complete() {
         let world = build_swarm(2, 1, 2, fast_link(), 512 * 1024);
-        let mut sim: SwarmSim = Simulation::with_events(world, 12);
+        let mut sim: SwarmSim = Simulation::new(world, 12);
         start_all(&mut sim, SimDuration::from_secs(1));
         sim.run_until(SimTime::from_secs(600));
         assert!(sim.world().swarm_finished());
@@ -904,7 +945,7 @@ mod tests {
         let link = AccessLinkClass::new(10_000_000, 1_000_000, SimDuration::from_millis(5));
         let file = 2 * 1024 * 1024u64;
         let world = build_swarm(3, 1, 4, link, file);
-        let mut sim: SwarmSim = Simulation::with_events(world, 13);
+        let mut sim: SwarmSim = Simulation::new(world, 13);
         start_all(&mut sim, SimDuration::from_secs(2));
         let outcome = sim.run_until(SimTime::from_secs(2000));
         assert!(sim.world().swarm_finished(), "outcome={outcome:?}");
@@ -931,7 +972,7 @@ mod tests {
     #[test]
     fn completion_curve_counts_finishers() {
         let world = build_swarm(2, 1, 3, fast_link(), 512 * 1024);
-        let mut sim: SwarmSim = Simulation::with_events(world, 14);
+        let mut sim: SwarmSim = Simulation::new(world, 14);
         start_all(&mut sim, SimDuration::from_secs(1));
         sim.run_until(SimTime::from_secs(2000));
         let curve = sim.world().completion_curve();
@@ -945,7 +986,7 @@ mod tests {
     #[test]
     fn no_seeder_means_no_completion() {
         let world = build_swarm(2, 0, 3, fast_link(), 512 * 1024);
-        let mut sim: SwarmSim = Simulation::with_events(world, 15);
+        let mut sim: SwarmSim = Simulation::new(world, 15);
         start_all(&mut sim, SimDuration::from_secs(1));
         sim.run_until(SimTime::from_secs(300));
         assert_eq!(sim.world().completed_count(), 0);
@@ -955,7 +996,7 @@ mod tests {
     #[test]
     fn tracker_learns_about_all_clients() {
         let world = build_swarm(2, 1, 3, fast_link(), 512 * 1024);
-        let mut sim: SwarmSim = Simulation::with_events(world, 16);
+        let mut sim: SwarmSim = Simulation::new(world, 16);
         start_all(&mut sim, SimDuration::from_secs(1));
         sim.run_until(SimTime::from_secs(60));
         assert_eq!(sim.world().tracker.member_count(), 4);
@@ -968,7 +1009,7 @@ mod tests {
         // paper: "when the clients have finished the download of the file, they stay online and
         // become seeders").
         let world = build_swarm(2, 1, 2, fast_link(), 2 * 1024 * 1024);
-        let mut sim: SwarmSim = Simulation::with_events(world, 17);
+        let mut sim: SwarmSim = Simulation::new(world, 17);
         start_all(&mut sim, SimDuration::from_secs(1));
         sim.run_until(SimTime::from_secs(2000));
         assert!(sim.world().swarm_finished());
@@ -985,7 +1026,7 @@ mod tests {
         // Either way the freed blocks go straight to whoever still serves us — no leecher sits
         // unchoked by a useful peer with nothing requested until its next choker round.
         let world = build_swarm(1, 0, 1, fast_link(), 64 * 1024);
-        let mut sim: SwarmSim = Simulation::with_events(world, 19);
+        let mut sim: SwarmSim = Simulation::new(world, 19);
         let client = &mut sim.world_mut().clients[0];
         client.online = true;
         for conn in [ConnId(1), ConnId(2)] {
@@ -1014,7 +1055,7 @@ mod tests {
         // completion time should be within a factor of ~3 of the upload-capacity bound
         // (128 kbps aggregate per uploader), and far above the download-capacity bound.
         let world = build_swarm(2, 1, 3, AccessLinkClass::bittorrent_dsl(), 1024 * 1024);
-        let mut sim: SwarmSim = Simulation::with_events(world, 18);
+        let mut sim: SwarmSim = Simulation::new(world, 18);
         start_all(&mut sim, SimDuration::from_secs(5));
         let outcome = sim.run_until(SimTime::from_secs(4000));
         assert!(sim.world().swarm_finished(), "outcome={outcome:?}");

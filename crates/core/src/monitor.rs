@@ -182,8 +182,8 @@ fn nic_bytes(net: &Network, m: MachineId) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::deploy::{deploy, DeploymentSpec};
-    use p2plab_net::ping::{ping, PingWorld};
-    use p2plab_net::{AccessLinkClass, NetworkConfig, TopologySpec, VirtAddr};
+    use p2plab_net::ping::{PingTimer, PingWorld};
+    use p2plab_net::{AccessLinkClass, NetEvent, NetworkConfig, TopologySpec, VirtAddr};
     use p2plab_sim::{SimDuration, Simulation};
 
     fn two_machine_net() -> (p2plab_net::Network, Vec<p2plab_net::VNodeId>) {
@@ -212,10 +212,11 @@ mod tests {
     fn cross_machine_traffic_is_accounted() {
         let (net, vnodes) = two_machine_net();
         let world = PingWorld::new(net, 1000);
-        let mut sim: p2plab_net::NetSim<PingWorld> = Simulation::with_events(world, 1);
+        let mut sim: p2plab_net::NetSim<PingWorld> = Simulation::new(world, 1);
         let (a, b) = (vnodes[0], vnodes[1]);
         for i in 0..20 {
-            sim.schedule_at(SimTime::from_millis(i * 10), move |sim| ping(sim, a, b));
+            let probe = PingTimer::Probe { from: a, to: b };
+            sim.schedule_event_at(SimTime::from_millis(i * 10), NetEvent::Timer(probe));
         }
         sim.run();
         let net = &sim.world().net;

@@ -47,17 +47,13 @@ use crate::monitor::ResourceMonitor;
 use crate::report::RunReport;
 use p2plab_net::{NetError, NetStats, Network, NetworkConfig, TopologySpec};
 use p2plab_sim::{
-    schedule_periodic, Counter, Recorder, RunOutcome, SimDuration, SimRng, SimTime, Simulation,
-    TimeSeries, TimeSeriesId, TypedEvent,
+    Counter, Halt, Recorder, RunOutcome, SimDuration, SimRng, SimTime, Simulation, TimeSeries,
+    TimeSeriesId, TypedEvent,
 };
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 use std::time::Instant;
 
-pub use processes::{
-    schedule_session_chain, ArrivalSchedule, ArrivalSpec, SessionAction, SessionProcess,
-};
+pub use processes::{ArrivalSchedule, ArrivalSpec, SessionProcess};
 
 /// An application that can be run by [`run_scenario`].
 ///
@@ -70,7 +66,9 @@ pub use processes::{
 ///    before any arrivals (seeders, servers, bootstrap nodes);
 /// 3. [`schedule_arrivals`](Workload::schedule_arrivals) schedules the participants joining
 ///    over time;
-/// 4. [`schedule_churn`](Workload::schedule_churn) (optional) applies the scenario's [`SessionProcess`];
+/// 4. under a scenario's [`SessionProcess`], the runner drives each participant's on/off chain
+///    through [`depart`](Workload::depart) and [`rejoin`](Workload::rejoin) (a workload that
+///    churns says so with [`churns`](Workload::churns));
 /// 5. [`sample`](Workload::sample) is called on the sampling grid and feeds the scenario's
 ///    global progress curve; [`is_complete`](Workload::is_complete) lets the runner stop
 ///    sampling once the workload is done;
@@ -79,8 +77,8 @@ pub use processes::{
 pub trait Workload {
     /// The simulation world (application state plus the emulated network).
     type World: 'static;
-    /// The world's pooled typed-event class (for a [`NetHost`](p2plab_net::NetHost) world this
-    /// is `NetEvent<Payload>`, spelled `p2plab_net::NetSim<World>` at the simulation type).
+    /// The world's event class (for a [`NetHost`](p2plab_net::NetHost) world this is
+    /// `NetEvent<Payload, Timer>`, spelled `p2plab_net::NetSim<World>` at the simulation type).
     type Event: TypedEvent<Self::World>;
     /// What the workload produces after a run.
     type Output;
@@ -145,15 +143,24 @@ pub trait Workload {
         arrivals: &ArrivalSchedule,
     );
 
-    /// Applies the session (churn) process. `arrivals` is the same schedule handed to
-    /// [`schedule_arrivals`](Workload::schedule_arrivals), so churn chains can anchor on each
-    /// participant's actual join time. The default implementation ignores churn.
-    fn schedule_churn(
-        &mut self,
-        _sim: &mut Simulation<Self::World, Self::Event>,
-        _sessions: &SessionProcess,
-        _arrivals: &ArrivalSchedule,
-    ) {
+    /// Whether the workload churns: it implements [`depart`](Workload::depart) and
+    /// [`rejoin`](Workload::rejoin). The default is no, and the runner rejects a scenario that
+    /// carries a [`SessionProcess`] for such a workload instead of silently ignoring it.
+    fn churns(&self) -> bool {
+        false
+    }
+
+    /// Ends participant `p`'s current session: takes it offline and returns true, or returns
+    /// false — leaving it as it is — to end its churn chain (finished, already offline, ...).
+    /// The runner calls it when a session drawn from the scenario's [`SessionProcess`] runs
+    /// out; the first session starts at the participant's arrival.
+    fn depart(&mut self, _sim: &mut Simulation<Self::World, Self::Event>, _p: usize) -> bool {
+        false
+    }
+
+    /// Brings participant `p` back after its downtime; returns false to end its churn chain.
+    fn rejoin(&mut self, _sim: &mut Simulation<Self::World, Self::Event>, _p: usize) -> bool {
+        false
     }
 
     /// Access to the emulated network inside the world (for resource monitoring).
@@ -310,6 +317,11 @@ pub enum ScenarioError {
         /// Why the workload rejected the plan.
         reason: String,
     },
+    /// The scenario carries a session (churn) process but the workload does not churn.
+    ChurnUnsupported {
+        /// The workload's kind label.
+        workload: &'static str,
+    },
     /// The topology has fewer virtual nodes than the workload needs.
     TopologyTooSmall {
         /// Nodes the workload requires.
@@ -361,6 +373,10 @@ impl fmt::Display for ScenarioError {
             ScenarioError::AdversaryUnsupported { reason } => {
                 write!(f, "adversary plan rejected: {reason}")
             }
+            ScenarioError::ChurnUnsupported { workload } => write!(
+                f,
+                "session process rejected: the {workload:?} workload has no churn (drop [sessions])"
+            ),
             ScenarioError::TopologyTooSmall { needed, available } => write!(
                 f,
                 "workload needs {needed} virtual nodes but the topology provides {available}"
@@ -592,6 +608,18 @@ impl AdversaryCounters {
     }
 }
 
+/// The wake token of the runner's sampler; churn chains wake with their participant's index.
+const SAMPLER: usize = usize::MAX;
+
+/// Where one participant's churn chain stands.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chain {
+    /// The index of its current (or, while offline, last) session.
+    session: usize,
+    /// Whether it is between sessions: its next wake is a rejoin, not a departure.
+    offline: bool,
+}
+
 /// Everything the generic runner measured during a scenario, handed to
 /// [`Workload::finalize`] alongside the world.
 #[derive(Debug, Clone)]
@@ -702,31 +730,27 @@ pub fn run_reported<W: Workload + 'static>(
         .map(|_| AdversaryCounters::register(&mut recorder));
     workload.setup_metrics(&mut recorder);
 
-    // The classic path's periodic sampler shares the workload and the recorder with the runner:
-    // the runner itself contributes the workload's progress curve; the monitor and the workload
-    // record through the same instance.
-    let workload = Rc::new(RefCell::new(workload));
-    let recorder = Rc::new(RefCell::new(recorder));
-
     // Execution is the only part of a run that differs by path. Shard-native workloads execute
     // on the conservative-window runtime at every shard count (`shards = 1` runs the same
     // windowed algorithm inline — the reference semantics); workloads without a shard-native
     // path return `None` and run the reference engine regardless of `spec.shards`.
-    let sharded =
-        workload
-            .borrow_mut()
-            .run_sharded(spec, &arrivals, &mut recorder.borrow_mut(), progress_id);
+    let sharded = workload.run_sharded(spec, &arrivals, &mut recorder, progress_id);
     let (world, stop, monitor) = match sharded {
         Some(result) => {
             let (world, stop) = result?;
             (world, stop, None)
         }
         None => {
+            if spec.sessions.is_some() && !workload.churns() {
+                return Err(ScenarioError::ChurnUnsupported {
+                    workload: workload_kind,
+                });
+            }
             let deployment = deploy(&spec.topology, spec.deployment, spec.network)
                 .map_err(ScenarioError::DeploymentFailed)?;
 
-            let world = workload.borrow_mut().build_world(deployment);
-            let mut sim: Simulation<W::World, W::Event> = Simulation::with_events(world, spec.seed);
+            let world = workload.build_world(deployment);
+            let mut sim: Simulation<W::World, W::Event> = Simulation::new(world, spec.seed);
             // Pre-size the event queue from the scenario's participant count: the arrival burst
             // plus per-participant timers otherwise regrow the queue slab mid-run.
             sim.reserve_events((participants * 8).max(1024));
@@ -734,48 +758,81 @@ pub fn run_reported<W: Workload + 'static>(
                 sim.set_event_budget(budget);
             }
 
-            {
-                let mut workload = workload.borrow_mut();
-                workload.on_deployed(&mut sim);
-                workload.schedule_arrivals(&mut sim, &arrivals);
-                if let Some(sessions) = &spec.sessions {
-                    workload.schedule_churn(&mut sim, sessions, &arrivals);
+            workload.on_deployed(&mut sim);
+            workload.schedule_arrivals(&mut sim, &arrivals);
+            // Churn: participant `p`'s chain wakes the runner with token `p`. Its first session
+            // starts at its arrival; a session's length is drawn when it starts, the downtime
+            // when the participant departs.
+            let mut chains = Vec::new();
+            if let Some(sessions) = &spec.sessions {
+                for p in 0..participants {
+                    let start = arrivals.get(p).unwrap_or(SimTime::ZERO);
+                    let session = sessions.session_at(0, sim.rng());
+                    sim.schedule_wake_at(start + session, p);
                 }
+                chains = vec![Chain::default(); participants];
             }
 
             // Periodic sampling of the workload's progress metric and of the physical machines'
             // NIC utilization, on the same grid the figures use. The `progress` series in the
             // recorder is the single copy of the progress curve; `ScenarioRun::samples` is
             // derived from it at the end.
-            let monitor: Rc<RefCell<Option<ResourceMonitor>>> =
-                Rc::new(RefCell::new(spec.monitor_resources.then(|| {
-                    ResourceMonitor::new(W::network(sim.world()), &mut recorder.borrow_mut())
-                })));
-            {
-                let monitor = monitor.clone();
-                let workload = workload.clone();
-                let recorder = recorder.clone();
-                schedule_periodic(&mut sim, SimTime::ZERO, spec.sample_interval, move |sim| {
-                    let now = sim.now();
-                    let world = sim.world();
-                    let mut workload = workload.borrow_mut();
-                    let rec = &mut *recorder.borrow_mut();
-                    let progress = workload.sample(now, world, rec);
-                    rec.push(progress_id, now, progress);
-                    transport_counters.sync(W::network(world).stats(), rec);
-                    // Congestion-window trajectory, sampled only when the protocol-depth layer
-                    // has live connections (the series stays empty on legacy-path runs).
-                    if let Some(cwnd) = W::network(world).cwnd_mean_bytes() {
-                        rec.push(cwnd_id, now, cwnd as f64);
-                    }
-                    if let Some(m) = monitor.borrow_mut().as_mut() {
-                        m.record(now, W::network(world), rec);
-                    }
-                    !workload.is_complete(world)
-                });
-            }
+            let mut monitor = spec
+                .monitor_resources
+                .then(|| ResourceMonitor::new(W::network(sim.world()), &mut recorder));
+            sim.schedule_wake_at(SimTime::ZERO, SAMPLER);
 
-            let outcome = sim.run_until(SimTime::ZERO + spec.deadline);
+            // One sample: the workload's progress, the transport counters and the
+            // congestion-window trajectory (sampled only when the protocol-depth layer has live
+            // connections; the series stays empty on legacy-path runs).
+            let sample = |workload: &mut W, world: &W::World, now, rec: &mut Recorder| {
+                let progress = workload.sample(now, world, rec);
+                rec.push(progress_id, now, progress);
+                transport_counters.sync(W::network(world).stats(), rec);
+                if let Some(cwnd) = W::network(world).cwnd_mean_bytes() {
+                    rec.push(cwnd_id, now, cwnd as f64);
+                }
+            };
+            let deadline = SimTime::ZERO + spec.deadline;
+            let outcome = loop {
+                let p = match sim.run_until_wake(deadline) {
+                    Halt::Stopped(outcome) => break outcome,
+                    Halt::Wake(SAMPLER) => {
+                        let now = sim.now();
+                        let world = sim.world();
+                        sample(&mut workload, world, now, &mut recorder);
+                        if let Some(m) = monitor.as_mut() {
+                            m.record(now, W::network(world), &mut recorder);
+                        }
+                        // Like every periodic round, the sampler re-arms after its body.
+                        if !workload.is_complete(world) {
+                            sim.schedule_wake_at(now + spec.sample_interval, SAMPLER);
+                        }
+                        continue;
+                    }
+                    Halt::Wake(p) => p,
+                };
+                let sessions = spec
+                    .sessions
+                    .as_ref()
+                    .expect("only churn chains wake with p");
+                let chain = &mut chains[p];
+                let next = if chain.offline {
+                    if !workload.rejoin(&mut sim, p) {
+                        continue;
+                    }
+                    chain.session += 1;
+                    sessions.session_at(chain.session, sim.rng())
+                } else {
+                    if !workload.depart(&mut sim, p) {
+                        continue;
+                    }
+                    sessions.downtime_at(chain.session, sim.rng())
+                };
+                chain.offline = !chain.offline;
+                let at = sim.now() + next;
+                sim.schedule_wake_at(at, p);
+            };
             let stop = ShardedOutcome {
                 stopped_at: sim.now(),
                 events_executed: sim.executed_events(),
@@ -786,26 +843,10 @@ pub fn run_reported<W: Workload + 'static>(
             // Final sample so the progress curve extends to the stop time, and a last
             // transport-counter sync so drops/retransmits/timeouts after the final grid tick
             // are not lost.
-            let rec = &mut *recorder.borrow_mut();
-            let progress = workload.borrow_mut().sample(stop.stopped_at, &world, rec);
-            rec.push(progress_id, stop.stopped_at, progress);
-            transport_counters.sync(W::network(&world).stats(), rec);
-            if let Some(cwnd) = W::network(&world).cwnd_mean_bytes() {
-                rec.push(cwnd_id, stop.stopped_at, cwnd as f64);
-            }
-            let monitor = monitor.borrow_mut().take();
+            sample(&mut workload, &world, stop.stopped_at, &mut recorder);
             (world, stop, monitor)
         }
     };
-
-    // Whichever path ran, its simulation (and with it the queued sampler closure) is gone, so
-    // the workload and the recorder are unique again.
-    let workload = Rc::try_unwrap(workload)
-        .unwrap_or_else(|_| unreachable!("sampler closures were dropped with the simulation"))
-        .into_inner();
-    let mut recorder = Rc::try_unwrap(recorder)
-        .unwrap_or_else(|_| unreachable!("sampler closures were dropped with the simulation"))
-        .into_inner();
 
     // The invariant monitor runs once, over the final world: honest-node safety checks and the
     // byzantine traffic tally land in the same metric set the report carries.
@@ -1000,6 +1041,43 @@ mod tests {
         );
     }
 
+    /// A scenario with exponential sessions over `n` nodes.
+    fn churning(n: usize) -> ScenarioSpec {
+        ScenarioBuilder::new("churn", topo(n))
+            .sessions(SessionProcess::Exponential {
+                mean_session: SimDuration::from_secs(5),
+                mean_downtime: SimDuration::from_secs(5),
+            })
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn sessions_on_the_ping_mesh_are_rejected_not_ignored() {
+        use crate::workloads::{PingMeshSpec, PingMeshWorkload};
+        let err = run_scenario(&churning(4), PingMeshWorkload::new(PingMeshSpec::ring(4)));
+        assert_eq!(
+            err.unwrap_err(),
+            ScenarioError::ChurnUnsupported {
+                workload: "ping-mesh"
+            }
+        );
+    }
+
+    #[test]
+    fn sessions_on_dht_lookups_are_rejected_not_ignored() {
+        use crate::workloads::{DhtLookupSpec, DhtLookupWorkload};
+        let err = run_scenario(&churning(8), DhtLookupWorkload::new(DhtLookupSpec::new(8)));
+        let err = err.unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::ChurnUnsupported {
+                workload: "dht-lookup"
+            }
+        );
+        assert!(err.to_string().contains("\"dht-lookup\""), "{err}");
+    }
+
     #[test]
     fn builder_rejects_degenerate_arrivals() {
         let err = ScenarioBuilder::new("bad", topo(4))
@@ -1043,6 +1121,9 @@ mod tests {
             },
             ScenarioError::AdversaryUnsupported {
                 reason: "the ping-mesh workload has no adversarial mode".into(),
+            },
+            ScenarioError::ChurnUnsupported {
+                workload: "ping-mesh",
             },
             ScenarioError::TopologyTooSmall {
                 needed: 5,

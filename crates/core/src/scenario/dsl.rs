@@ -2068,6 +2068,12 @@ mean_downtime = \"20s\"
             (plus("[workload.dht-lookup]\nnodes = 8\nk = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.k", "room for at least one peer, got 0"),
             (plus("[workload.dht-lookup]\nnodes = 8\nrpc_timeout = \"0s\"\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_timeout", "rpc timeout must be positive"),
             (plus("[workload.dht-lookup]\nnodes = 8\nrpc_attempts = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_attempts", "at least one attempt, got 0"),
+            // So is a gossip value that would panic a run, spin it at one instant or idle it.
+            (plus("fanout = 0\n"), 9, "workload.gossip.fanout", "at least one peer, got 0"),
+            (plus("round_interval = \"0s\"\n"), 9, "workload.gossip.round_interval", "round interval must be positive"),
+            (plus("[workload.gossip-sharded]\nnodes = 1\n").replace("\"gossip\"", "\"gossip-sharded\""), 10, "workload.gossip-sharded.nodes", "at least two nodes, got 1"),
+            (plus("[workload.gossip-sharded]\nnodes = 8\nfanout = 0\n").replace("\"gossip\"", "\"gossip-sharded\""), 11, "workload.gossip-sharded.fanout", "at least one peer, got 0"),
+            (plus("[workload.gossip-sharded]\nnodes = 8\nround_interval = \"0s\"\n").replace("\"gossip\"", "\"gossip-sharded\""), 11, "workload.gossip-sharded.round_interval", "round interval must be positive"),
             // Bad trace elements carry the element's own line and index.
             (plus("[arrivals]\nkind = \"trace\"\ntimes = [\n  \"1s\",\n  5,\n]\n"), 13, "arrivals.times[1]", "duration string"),
             (plus("[arrivals]\nkind = \"trace\"\ntimes = [\"fast\"]\n"), 11, "arrivals.times[0]", "unit suffix"),

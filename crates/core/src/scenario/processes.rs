@@ -16,13 +16,12 @@
 //!
 //! **Convention:** arrival and churn schedules come from the scenario layer; workloads consume
 //! them through [`Workload::schedule_arrivals`](crate::scenario::Workload::schedule_arrivals)
-//! and [`Workload::schedule_churn`](crate::scenario::Workload::schedule_churn) — they do not
-//! re-derive them.
+//! and the runner's depart/rejoin chain ([`Workload::depart`](crate::scenario::Workload::depart),
+//! [`Workload::rejoin`](crate::scenario::Workload::rejoin)) — they do not re-derive them.
 
 use crate::scenario::dsl::{DslError, Keys, Kinds};
-use p2plab_sim::{NoEvent, SimDuration, SimRng, SimTime, Simulation, TypedEvent};
+use p2plab_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::rc::Rc;
 
 /// Serializable description of an arrival process, stored in a
 /// [`ScenarioSpec`](crate::scenario::ScenarioSpec) and turned into a concrete
@@ -439,44 +438,6 @@ impl SessionProcess {
             SessionProcess::Trace { pairs } => pairs[k % pairs.len()].1,
         }
     }
-}
-
-/// A shared churn-chain action: runs against the simulation at a depart or rejoin instant and
-/// returns whether the chain continues (see [`schedule_session_chain`]).
-pub type SessionAction<W, E = NoEvent> = Rc<dyn Fn(&mut Simulation<W, E>) -> bool>;
-
-/// Drives one participant's on/off churn chain from a [`SessionProcess`]: draw the `k`-th
-/// session length, schedule the departure at its end, draw the downtime, schedule the rejoin,
-/// and recurse with session index `k + 1`.
-///
-/// The workload supplies only its application actions: `depart` runs at the end of a session
-/// and returns `false` to end the chain (participant finished, already offline, ...) or `true`
-/// after taking the participant offline; `rejoin` runs after the downtime and returns `false`
-/// to end the chain or `true` after bringing the participant back. Draw order is fixed here —
-/// session at schedule time, downtime at depart time — so every workload's churn consumes the
-/// RNG stream identically.
-pub fn schedule_session_chain<W: 'static, E: TypedEvent<W>>(
-    sim: &mut Simulation<W, E>,
-    not_before: SimTime,
-    sessions: Rc<SessionProcess>,
-    k: usize,
-    depart: SessionAction<W, E>,
-    rejoin: SessionAction<W, E>,
-) {
-    let session = sessions.session_at(k, sim.rng());
-    sim.schedule_at(not_before + session, move |sim| {
-        if !depart(sim) {
-            return;
-        }
-        let downtime = sessions.downtime_at(k, sim.rng());
-        sim.schedule_in(downtime, move |sim| {
-            if !rejoin(sim) {
-                return;
-            }
-            let now = sim.now();
-            schedule_session_chain(sim, now, sessions, k + 1, depart, rejoin);
-        });
-    });
 }
 
 #[cfg(test)]

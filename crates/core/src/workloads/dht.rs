@@ -22,9 +22,11 @@ use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, ShardedOutcome, Workload};
-use p2plab_net::rpc::{self, RpcConfig, RpcHost, RpcOutcome, RpcPayload, RpcStats, RpcTable};
+use p2plab_net::rpc::{
+    self, RpcConfig, RpcHost, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout,
+};
 use p2plab_net::{
-    Misbehavior, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
+    Misbehavior, NetEvent, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
 };
 use p2plab_sim::{
     Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimRng, SimTime, TimeSeries,
@@ -196,6 +198,14 @@ struct Candidate {
     /// Hops from the lookup origin to whoever told us about this node (origin's table = 1).
     depth: u32,
     state: CandState,
+}
+
+/// What a `FIND_NODE` call remembers: the lookup it serves, the candidate it asked and that
+/// candidate's depth.
+pub struct Query {
+    li: usize,
+    cand_id: u64,
+    depth: u32,
 }
 
 /// One iterative lookup: in progress, or settled with its shortlist dropped.
@@ -461,8 +471,24 @@ impl DhtWorld {
     }
 }
 
+/// The timers of a [`DhtWorld`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DhtTimer {
+    /// The next scheduled lookup starts.
+    StartLookup,
+    /// A `FIND_NODE` call's attempt timed out.
+    Rpc(RpcTimeout),
+}
+
+impl From<RpcTimeout> for DhtTimer {
+    fn from(timeout: RpcTimeout) -> DhtTimer {
+        DhtTimer::Rpc(timeout)
+    }
+}
+
 impl NetHost for DhtWorld {
     type Payload = RpcPayload<DhtBody>;
+    type Timer = DhtTimer;
 
     fn network(&mut self) -> &mut Network {
         &mut self.net
@@ -476,10 +502,18 @@ impl NetHost for DhtWorld {
         // All DHT traffic is RPC; anything the dispatcher hands back is ignored.
         let _ = rpc::dispatch(sim, node, event);
     }
+
+    fn on_timer(sim: &mut NetSim<Self>, timer: DhtTimer) {
+        match timer {
+            DhtTimer::StartLookup => start_lookup(sim),
+            DhtTimer::Rpc(timeout) => rpc::on_timeout(sim, timeout),
+        }
+    }
 }
 
 impl RpcHost for DhtWorld {
     type Body = DhtBody;
+    type Context = Query;
 
     fn rpc_table(&mut self) -> &mut RpcTable<DhtWorld> {
         &mut self.rpc
@@ -526,10 +560,14 @@ impl RpcHost for DhtWorld {
         let size = NEIGHBORS_BASE_BYTES + NEIGHBOR_ENTRY_BYTES * peers.len() as u64;
         Some((DhtBody::Neighbors { responder, peers }, size))
     }
+
+    fn on_outcome(sim: &mut NetSim<Self>, query: Query, outcome: RpcOutcome<DhtBody>) {
+        on_find_node_done(sim, query, outcome);
+    }
 }
 
 /// Starts one lookup from a randomly drawn origin toward a randomly drawn target key.
-fn start_lookup(sim: &mut NetSim<DhtWorld>, spec_lookups: usize) {
+fn start_lookup(sim: &mut NetSim<DhtWorld>) {
     let now = sim.now();
     let (origin, target) = {
         let n = sim.world().nodes();
@@ -538,7 +576,6 @@ fn start_lookup(sim: &mut NetSim<DhtWorld>, spec_lookups: usize) {
         (origin, target)
     };
     let world = sim.world_mut();
-    debug_assert!(world.lookups.len() < spec_lookups);
     let true_closest = xor_closest(&world.sorted_ids, target);
     let mut shortlist: Vec<Candidate> = world
         .closest_known(origin, target)
@@ -629,7 +666,7 @@ fn advance(sim: &mut NetSim<DhtWorld>, li: usize) {
                     addr,
                     DhtBody::FindNode { target },
                     FIND_NODE_BYTES,
-                    move |sim, outcome| on_find_node_done(sim, li, cand_id, depth, outcome),
+                    Query { li, cand_id, depth },
                 );
                 match sent {
                     // Only requests that actually left count toward the lookup's RPC tally.
@@ -649,15 +686,10 @@ fn advance(sim: &mut NetSim<DhtWorld>, li: usize) {
     }
 }
 
-/// RPC continuation: merge the response's peers into the shortlist (or fail the candidate) and
-/// keep driving the lookup.
-fn on_find_node_done(
-    sim: &mut NetSim<DhtWorld>,
-    li: usize,
-    cand_id: u64,
-    depth: u32,
-    outcome: RpcOutcome<DhtBody>,
-) {
+/// A `FIND_NODE` call completed: merge the response's peers into the shortlist (or fail the
+/// candidate) and keep driving the lookup.
+fn on_find_node_done(sim: &mut NetSim<DhtWorld>, query: Query, outcome: RpcOutcome<DhtBody>) {
+    let Query { li, cand_id, depth } = query;
     {
         let world = sim.world_mut();
         let own_id = world.ids[world.lookups[li].origin];
@@ -831,7 +863,7 @@ impl DhtLookupWorkload {
 
 impl Workload for DhtLookupWorkload {
     type World = DhtWorld;
-    type Event = p2plab_net::NetEvent<RpcPayload<DhtBody>>;
+    type Event = NetEvent<RpcPayload<DhtBody>, DhtTimer>;
     type Output = DhtLookupResult;
 
     fn kind(&self) -> &'static str {
@@ -893,9 +925,8 @@ impl Workload for DhtLookupWorkload {
     }
 
     fn schedule_arrivals(&mut self, sim: &mut NetSim<DhtWorld>, arrivals: &ArrivalSchedule) {
-        let total = self.spec.lookups;
-        for &at in arrivals.times().iter() {
-            sim.schedule_at(at, move |sim| start_lookup(sim, total));
+        for &at in arrivals.times() {
+            sim.schedule_event_at(at, NetEvent::Timer(DhtTimer::StartLookup));
         }
     }
 

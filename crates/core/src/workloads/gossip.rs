@@ -11,18 +11,12 @@
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys};
-use crate::scenario::{
-    schedule_session_chain, ArrivalSchedule, ArrivalSpec, ScenarioRun, SessionProcess,
-    ShardedOutcome, Workload,
-};
+use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, ShardedOutcome, Workload};
 use p2plab_net::{
-    Endpoint, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
+    Endpoint, NetEvent, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
 };
-use p2plab_sim::{
-    schedule_periodic, Counter, Gauge, Recorder, RunOutcome, SimDuration, SimTime, TimeSeries,
-};
+use p2plab_sim::{Counter, Gauge, Recorder, RunOutcome, SimDuration, SimTime, TimeSeries};
 use serde::{Deserialize, Serialize};
-use std::rc::Rc;
 
 /// The UDP-like port the gossip protocol runs on.
 pub const GOSSIP_PORT: u16 = 4100;
@@ -53,14 +47,34 @@ impl GossipSpec {
     }
 
     /// The `[workload.gossip]` keys of a scenario file; absent ones keep [`GossipSpec::new`]'s
-    /// defaults.
+    /// defaults. A value that would stall a run is rejected at its key.
     pub(crate) fn keys(k: &mut Keys, spec: &mut GossipSpec) -> Result<(), DslError> {
         k.req("nodes", &mut spec.nodes)?;
-        k.opt("fanout", &mut spec.fanout)?;
-        k.opt("round_interval", &mut spec.round_interval)?;
+        k.checked("fanout", &mut spec.fanout, check_fanout)?;
+        k.checked(
+            "round_interval",
+            &mut spec.round_interval,
+            check_round_interval,
+        )?;
         k.opt("rumor_bytes", &mut spec.rumor_bytes)?;
         Ok(())
     }
+}
+
+/// A node that pushes to nobody never spreads the rumor: the run would idle to its deadline.
+pub(crate) fn check_fanout(&fanout: &usize) -> Result<(), String> {
+    match fanout {
+        0 => Err("a round must push to at least one peer, got 0".to_string()),
+        _ => Ok(()),
+    }
+}
+
+/// A zero interval re-arms every round at the instant it ran: virtual time never advances.
+pub(crate) fn check_round_interval(interval: &SimDuration) -> Result<(), String> {
+    if interval.is_zero() {
+        return Err("round interval must be positive".to_string());
+    }
+    Ok(())
 }
 
 /// Payload of the gossip protocol: the rumor, tagged with how many hops it has travelled.
@@ -129,8 +143,23 @@ impl GossipWorld {
     }
 }
 
+/// The timers of a [`GossipWorld`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GossipTimer {
+    /// Node `k` joins the overlay; the first to arrive carries the rumor.
+    Arrive(usize),
+    /// Node `idx`'s gossip round, pushing the rumor it heard at hop depth `hops`.
+    Round {
+        /// The gossiping node.
+        idx: usize,
+        /// Hops the rumor had travelled when the node heard it.
+        hops: u32,
+    },
+}
+
 impl NetHost for GossipWorld {
     type Payload = Rumor;
+    type Timer = GossipTimer;
 
     fn network(&mut self) -> &mut Network {
         &mut self.net
@@ -157,14 +186,25 @@ impl NetHost for GossipWorld {
             }
         }
     }
+
+    fn on_timer(sim: &mut NetSim<Self>, timer: GossipTimer) {
+        match timer {
+            GossipTimer::Arrive(k) => {
+                sim.world_mut().online[k] = true;
+                // The first participant to arrive carries the rumor.
+                if k == 0 {
+                    start_gossip(sim, k, 0);
+                }
+            }
+            GossipTimer::Round { idx, hops } => gossip_round(sim, idx, hops),
+        }
+    }
 }
 
-/// Marks node `idx` informed (hop count `hops`) and starts its periodic gossip rounds. The
-/// rounds stop on their own once the whole overlay is informed, so the event queue drains
-/// instead of ticking until the deadline.
+/// Marks node `idx` informed (hop count `hops`) and starts its periodic gossip rounds, the
+/// first one at once.
 fn start_gossip(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
     let now = sim.now();
-    let round = sim.world().round_interval;
     {
         let world = sim.world_mut();
         if world.informed_at[idx].is_some() {
@@ -176,20 +216,24 @@ fn start_gossip(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
             return;
         }
     }
-    schedule_periodic(sim, now, round, move |sim| {
-        if sim.world().fully_informed() {
-            return false;
-        }
-        if sim.world().suppress[idx] {
-            // A forward-suppressing byzantine node hears everything and passes on nothing;
-            // its rounds stop outright instead of ticking until the overlay is informed.
-            return false;
-        }
-        if sim.world().online[idx] {
-            push_rumor(sim, idx, hops);
-        }
-        true
-    });
+    sim.schedule_event_at(now, NetEvent::Timer(GossipTimer::Round { idx, hops }));
+}
+
+/// One gossip round of node `idx`; it re-arms one interval later. The rounds stop on their own
+/// once the whole overlay is informed, so the event queue drains instead of ticking until the
+/// deadline.
+fn gossip_round(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
+    let world = sim.world();
+    // A forward-suppressing byzantine node hears everything and passes on nothing; its rounds
+    // stop outright instead of ticking until the overlay is informed.
+    if world.fully_informed() || world.suppress[idx] {
+        return;
+    }
+    if world.online[idx] {
+        push_rumor(sim, idx, hops);
+    }
+    let round = sim.world().round_interval;
+    sim.schedule_event_in(round, NetEvent::Timer(GossipTimer::Round { idx, hops }));
 }
 
 /// Pushes the rumor from `idx` to `fanout` random peers (sampled with replacement, self
@@ -313,7 +357,7 @@ impl GossipWorkload {
 
 impl Workload for GossipWorkload {
     type World = GossipWorld;
-    type Event = p2plab_net::NetEvent<Rumor>;
+    type Event = NetEvent<Rumor, GossipTimer>;
     type Output = GossipResult;
 
     fn kind(&self) -> &'static str {
@@ -389,41 +433,30 @@ impl Workload for GossipWorkload {
 
     fn schedule_arrivals(&mut self, sim: &mut NetSim<GossipWorld>, arrivals: &ArrivalSchedule) {
         for (k, &at) in arrivals.times().iter().enumerate() {
-            sim.schedule_at(at, move |sim| {
-                sim.world_mut().online[k] = true;
-                // The first participant to arrive carries the rumor.
-                if k == 0 {
-                    start_gossip(sim, k, 0);
-                }
-            });
+            sim.schedule_event_at(at, NetEvent::Timer(GossipTimer::Arrive(k)));
         }
     }
 
-    fn schedule_churn(
-        &mut self,
-        sim: &mut NetSim<GossipWorld>,
-        sessions: &SessionProcess,
-        arrivals: &ArrivalSchedule,
-    ) {
-        // Every node alternates online sessions and offline periods; offline nodes miss rumors
-        // and are re-infected by later rounds after they rejoin. The depart/rejoin chain is
-        // the scenario layer's shared helper and ends once the overlay is fully informed.
-        let sessions = Rc::new(sessions.clone());
-        for k in 0..self.spec.nodes {
-            let first_start = arrivals.get(k).unwrap_or(SimTime::ZERO);
-            let depart = Rc::new(move |sim: &mut NetSim<GossipWorld>| {
-                if sim.world().fully_informed() || !sim.world().online[k] {
-                    return false;
-                }
-                sim.world_mut().online[k] = false;
-                true
-            });
-            let rejoin = Rc::new(move |sim: &mut NetSim<GossipWorld>| {
-                sim.world_mut().online[k] = true;
-                !sim.world().fully_informed()
-            });
-            schedule_session_chain(sim, first_start, sessions.clone(), 0, depart, rejoin);
+    // Every node alternates online sessions and offline periods; offline nodes miss rumors and
+    // are re-infected by later rounds after they rejoin. The chain ends once the overlay is
+    // fully informed.
+    fn churns(&self) -> bool {
+        true
+    }
+
+    fn depart(&mut self, sim: &mut NetSim<GossipWorld>, k: usize) -> bool {
+        let world = sim.world_mut();
+        if world.fully_informed() || !world.online[k] {
+            return false;
         }
+        world.online[k] = false;
+        true
+    }
+
+    fn rejoin(&mut self, sim: &mut NetSim<GossipWorld>, k: usize) -> bool {
+        let world = sim.world_mut();
+        world.online[k] = true;
+        !world.fully_informed()
     }
 
     fn network(world: &GossipWorld) -> &Network {

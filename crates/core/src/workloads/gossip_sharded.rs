@@ -25,6 +25,7 @@
 //! global visibility); scenarios with a session process are rejected with
 //! [`ScenarioError::ShardingUnsupported`].
 
+use super::gossip::{check_fanout, check_round_interval};
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{
@@ -72,11 +73,19 @@ impl GossipShardedSpec {
     }
 
     /// The `[workload.gossip-sharded]` keys of a scenario file; absent ones keep
-    /// [`GossipShardedSpec::new`]'s defaults.
+    /// [`GossipShardedSpec::new`]'s defaults. A value that would panic or stall a run is
+    /// rejected at its key.
     pub(crate) fn keys(k: &mut Keys, spec: &mut GossipShardedSpec) -> Result<(), DslError> {
-        k.req("nodes", &mut spec.nodes)?;
-        k.opt("fanout", &mut spec.fanout)?;
-        k.opt("round_interval", &mut spec.round_interval)?;
+        k.req_checked("nodes", &mut spec.nodes, |&n| match n {
+            0 | 1 => Err(format!("gossip needs at least two nodes, got {n}")),
+            _ => Ok(()),
+        })?;
+        k.checked("fanout", &mut spec.fanout, check_fanout)?;
+        k.checked(
+            "round_interval",
+            &mut spec.round_interval,
+            check_round_interval,
+        )?;
         k.opt("rumor_bytes", &mut spec.rumor_bytes)?;
         k.opt("rounds", &mut spec.rounds)?;
         Ok(())
@@ -216,8 +225,8 @@ impl GossipShard {
     }
 }
 
-/// Marks `node` informed and schedules its first gossip round (immediately, matching the
-/// classic workload's `schedule_periodic(now, ...)`).
+/// Marks `node` informed and schedules its first gossip round (immediately, like the classic
+/// workload's first round).
 fn become_informed(sim: &mut ShardSim<GossipShard>, node: usize, hops: u32) {
     let now = sim.now();
     let world = sim.model();

@@ -22,9 +22,12 @@ pub mod ping_mesh;
 pub mod swarm;
 
 pub use dht::{
-    DhtBody, DhtLookupResult, DhtLookupSpec, DhtLookupWorkload, DhtWorld, LookupRecord, DHT_PORT,
+    DhtBody, DhtLookupResult, DhtLookupSpec, DhtLookupWorkload, DhtTimer, DhtWorld, LookupRecord,
+    DHT_PORT,
 };
-pub use gossip::{GossipResult, GossipSpec, GossipWorkload, GossipWorld, Rumor, GOSSIP_PORT};
+pub use gossip::{
+    GossipResult, GossipSpec, GossipTimer, GossipWorkload, GossipWorld, Rumor, GOSSIP_PORT,
+};
 pub use gossip_sharded::{
     GossipShardedResult, GossipShardedSpec, GossipShardedWorkload, GossipShardedWorld,
 };

@@ -12,8 +12,8 @@
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys, Named};
 use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, Workload};
-use p2plab_net::ping::{ping, PingWorld};
-use p2plab_net::{NetSim, NetStats, Network, VNodeId};
+use p2plab_net::ping::{PingPayload, PingTimer, PingWorld};
+use p2plab_net::{NetEvent, NetSim, NetStats, Network, VNodeId};
 use p2plab_sim::{HistogramId, Recorder, RunOutcome, SimDuration, SimTime, Summary, TimeSeries};
 use serde::{Deserialize, Serialize};
 
@@ -232,7 +232,7 @@ impl PingMeshWorkload {
 
 impl Workload for PingMeshWorkload {
     type World = PingWorld;
-    type Event = p2plab_net::NetEvent<p2plab_net::PingPayload>;
+    type Event = NetEvent<PingPayload, PingTimer>;
     type Output = PingMeshResult;
 
     fn kind(&self) -> &'static str {
@@ -271,7 +271,7 @@ impl Workload for PingMeshWorkload {
             for round in 0..self.spec.pings_per_pair {
                 let at = start + self.spec.interval * round as u64;
                 self.last_probe_at = self.last_probe_at.max(at);
-                sim.schedule_at(at, move |sim| ping(sim, from, to));
+                sim.schedule_event_at(at, NetEvent::Timer(PingTimer::Probe { from, to }));
             }
         }
     }

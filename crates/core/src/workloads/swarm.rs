@@ -9,17 +9,14 @@ use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::experiment::SwarmResult;
 use crate::scenario::dsl::{DslError, Keys};
-use crate::scenario::{
-    schedule_session_chain, ArrivalSchedule, ArrivalSpec, ScenarioRun, SessionProcess,
-    ShardedOutcome, Workload,
-};
+use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, ShardedOutcome, Workload};
 use p2plab_bittorrent::{
-    schedule_client_start, start_client, stop_client, ClientConfig, SwarmSim, SwarmWorld, Torrent,
+    schedule_client_start, start_client, stop_client, BtPayload, ClientConfig, SwarmSim,
+    SwarmTimer, SwarmWorld, Torrent,
 };
-use p2plab_net::Network;
+use p2plab_net::{NetEvent, Network};
 use p2plab_sim::{Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimTime, TimeSeriesId};
 use serde::{Deserialize, Serialize};
-use std::rc::Rc;
 
 /// Description of a BitTorrent swarm: what is shared, by whom, and how downloaders join.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -141,7 +138,7 @@ impl SwarmWorkload {
 
 impl Workload for SwarmWorkload {
     type World = SwarmWorld;
-    type Event = p2plab_net::NetEvent<p2plab_bittorrent::BtPayload>;
+    type Event = NetEvent<BtPayload, SwarmTimer>;
     type Output = SwarmResult;
 
     fn kind(&self) -> &'static str {
@@ -291,38 +288,30 @@ impl Workload for SwarmWorkload {
         }
     }
 
-    fn schedule_churn(
-        &mut self,
-        sim: &mut SwarmSim,
-        sessions: &SessionProcess,
-        arrivals: &ArrivalSchedule,
-    ) {
-        // Each downloader alternates online sessions and offline periods until its download
-        // completes (finished clients stay online and seed, as in the paper's experiments).
-        // The depart/rejoin chain itself is the scenario layer's shared helper.
-        let sessions = Rc::new(sessions.clone());
-        for l in 0..self.cfg.leechers {
-            let idx = self.cfg.seeders + l;
-            let first_start = arrivals.get(l).unwrap_or(SimTime::ZERO);
-            let depart = Rc::new(move |sim: &mut SwarmSim| {
-                let done = sim.world().clients[idx].completed_at.is_some();
-                if done || !sim.world().clients[idx].online {
-                    // Finished clients stay online and seed; offline clients are between
-                    // sessions.
-                    return false;
-                }
-                stop_client(sim, idx);
-                true
-            });
-            let rejoin = Rc::new(move |sim: &mut SwarmSim| {
-                if sim.world().clients[idx].completed_at.is_some() {
-                    return false;
-                }
-                start_client(sim, idx);
-                true
-            });
-            schedule_session_chain(sim, first_start, sessions.clone(), 0, depart, rejoin);
+    // Each downloader alternates online sessions and offline periods until its download
+    // completes (finished clients stay online and seed, as in the paper's experiments).
+    fn churns(&self) -> bool {
+        true
+    }
+
+    fn depart(&mut self, sim: &mut SwarmSim, l: usize) -> bool {
+        let idx = self.cfg.seeders + l;
+        let client = &sim.world().clients[idx];
+        if client.completed_at.is_some() || !client.online {
+            // Finished clients stay online and seed; offline clients are between sessions.
+            return false;
         }
+        stop_client(sim, idx);
+        true
+    }
+
+    fn rejoin(&mut self, sim: &mut SwarmSim, l: usize) -> bool {
+        let idx = self.cfg.seeders + l;
+        if sim.world().clients[idx].completed_at.is_some() {
+            return false;
+        }
+        start_client(sim, idx);
+        true
     }
 
     fn network(world: &SwarmWorld) -> &Network {

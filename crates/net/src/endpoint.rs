@@ -18,7 +18,7 @@
 //!     AccessLinkClass, Endpoint, GroupId, LaneKind, NetHost, NetSim, Network, NetworkConfig,
 //!     TopologySpec, TransportEvent, VNodeId, VirtAddr,
 //! };
-//! use p2plab_sim::Simulation;
+//! use p2plab_sim::{NoEvent, Simulation};
 //!
 //! /// A world whose nodes echo every message back on the lane it arrived on.
 //! struct Echo {
@@ -28,8 +28,12 @@
 //!
 //! impl NetHost for Echo {
 //!     type Payload = u32;
+//!     type Timer = NoEvent;
 //!     fn network(&mut self) -> &mut Network {
 //!         &mut self.net
+//!     }
+//!     fn on_timer(_sim: &mut NetSim<Self>, timer: NoEvent) {
+//!         match timer {}
 //!     }
 //!     fn on_transport_event(sim: &mut NetSim<Self>, node: VNodeId, ev: TransportEvent<u32>) {
 //!         if let TransportEvent::Message { conn, lane, payload, size, .. } = ev {
@@ -49,7 +53,7 @@
 //! let b = net.add_vnode(m, GroupId(0)).unwrap();
 //! let peer = p2plab_net::SocketAddr::new(net.addr_of(b), 6881);
 //!
-//! let mut sim: NetSim<Echo> = Simulation::with_events(Echo { net, delivered: vec![] }, 1);
+//! let mut sim: NetSim<Echo> = Simulation::new(Echo { net, delivered: vec![] }, 1);
 //! let server = Endpoint::new(b);
 //! server.bind(&mut sim, 6881).unwrap();
 //! let client = Endpoint::new(a);
@@ -167,7 +171,7 @@ mod tests {
     use crate::topology::{AccessLinkClass, GroupId, TopologySpec};
     use crate::transport::TransportEvent;
     use crate::VirtAddr;
-    use p2plab_sim::Simulation;
+    use p2plab_sim::{NoEvent, Simulation};
 
     /// Records every transport event as `(node, label)`.
     struct World {
@@ -177,6 +181,11 @@ mod tests {
 
     impl NetHost for World {
         type Payload = u32;
+        type Timer = NoEvent;
+
+        fn on_timer(_sim: &mut NetSim<Self>, timer: NoEvent) {
+            match timer {}
+        }
 
         fn network(&mut self) -> &mut Network {
             &mut self.net
@@ -216,7 +225,7 @@ mod tests {
     fn lane_tag_travels_with_the_message() {
         let w = world(2);
         let peer = SocketAddr::new(w.net.addr_of(VNodeId(1)), 7000);
-        let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+        let mut sim: NetSim<World> = Simulation::new(w, 1);
         Endpoint::new(VNodeId(1)).bind(&mut sim, 7000).unwrap();
         let ep = Endpoint::new(VNodeId(0));
         let conn = ep.connect(&mut sim, peer).unwrap();
@@ -238,7 +247,7 @@ mod tests {
     fn unbind_releases_the_port() {
         let w = world(2);
         let addr1 = w.net.addr_of(VNodeId(1));
-        let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+        let mut sim: NetSim<World> = Simulation::new(w, 1);
         let server = Endpoint::new(VNodeId(1));
         server.bind(&mut sim, 7000).unwrap();
         assert!(server.unbind(&mut sim, 7000));
@@ -259,7 +268,7 @@ mod tests {
     fn endpoint_reports_its_ports_and_connections() {
         let w = world(3);
         let peer = SocketAddr::new(w.net.addr_of(VNodeId(1)), 7000);
-        let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+        let mut sim: NetSim<World> = Simulation::new(w, 1);
         let server = Endpoint::new(VNodeId(1));
         server.bind(&mut sim, 7000).unwrap();
         server.bind(&mut sim, 7001).unwrap();
@@ -286,7 +295,7 @@ mod tests {
     fn endpoint_rejects_foreign_connections() {
         let w = world(3);
         let peer = SocketAddr::new(w.net.addr_of(VNodeId(1)), 7000);
-        let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+        let mut sim: NetSim<World> = Simulation::new(w, 1);
         Endpoint::new(VNodeId(1)).bind(&mut sim, 7000).unwrap();
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();

@@ -52,13 +52,13 @@ pub use network::{
     ConnId, ConnState, Connection, MachineId, MachineNet, NetError, NetStats, Network,
     NetworkConfig, VNodeId, VNodeNet,
 };
-pub use ping::{ping, ping_series, PingPayload, PingWorld, ECHO_PORT};
+pub use ping::{ping, ping_series, PingPayload, PingTimer, PingWorld, ECHO_PORT};
 pub use pipe::{DropReason, EnqueueOutcome, Pipe, PipeConfig, PipeId, PipeStats};
 pub use proto::{
     Aimd, BurstLoss, CcKind, CongestionController, FragHeader, Legacy, LinkCondition,
     TransportConfig,
 };
-pub use rpc::{RpcConfig, RpcHost, RpcId, RpcOutcome, RpcPayload, RpcStats, RpcTable};
+pub use rpc::{RpcConfig, RpcHost, RpcId, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout};
 pub use tamper::{Misbehavior, TamperSpec};
 pub use topology::{AccessLinkClass, GroupId, GroupSpec, TopologySpec};
 pub use transport::{InFlight, NetEvent, NetHost, NetSim, TransportEvent};

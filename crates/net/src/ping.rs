@@ -8,7 +8,7 @@
 use crate::addr::SocketAddr;
 use crate::endpoint::Endpoint;
 use crate::network::{Network, VNodeId};
-use crate::transport::{NetHost, NetSim, TransportEvent};
+use crate::transport::{NetEvent, NetHost, NetSim, TransportEvent};
 use p2plab_sim::{FxHashMap, SimDuration, SimTime, Simulation};
 
 /// The ICMP-like echo port.
@@ -26,6 +26,18 @@ pub enum PingPayload {
     Reply {
         /// Sequence number of the request being answered.
         seq: u64,
+    },
+}
+
+/// The timers of a [`PingWorld`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PingTimer {
+    /// Send one echo request from `from` to `to` ([`ping`]).
+    Probe {
+        /// The pinging node.
+        from: VNodeId,
+        /// The pinged node.
+        to: VNodeId,
     },
 }
 
@@ -72,6 +84,7 @@ impl PingWorld {
 
 impl NetHost for PingWorld {
     type Payload = PingPayload;
+    type Timer = PingTimer;
 
     fn network(&mut self) -> &mut Network {
         &mut self.net
@@ -111,6 +124,10 @@ impl NetHost for PingWorld {
             _ => {}
         }
     }
+
+    fn on_timer(sim: &mut NetSim<Self>, PingTimer::Probe { from, to }: PingTimer) {
+        ping(sim, from, to);
+    }
 }
 
 /// Sends one echo request from `from` to `to`. The RTT is recorded in
@@ -141,11 +158,10 @@ pub fn ping_series(
     interval: SimDuration,
     seed: u64,
 ) -> (PingWorld, Vec<SimDuration>) {
-    let mut sim: NetSim<PingWorld> = Simulation::with_events(world, seed);
+    let mut sim: NetSim<PingWorld> = Simulation::new(world, seed);
     for i in 0..count {
-        sim.schedule_at(SimTime::ZERO + interval * i as u64, move |sim| {
-            ping(sim, from, to);
-        });
+        let at = SimTime::ZERO + interval * i as u64;
+        sim.schedule_event_at(at, NetEvent::Timer(PingTimer::Probe { from, to }));
     }
     sim.run();
     let world = sim.into_world();

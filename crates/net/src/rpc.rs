@@ -4,48 +4,56 @@
 //! a query, wait bounded time for the answer, retry a few times, give up. This module packages
 //! that pattern over the transport's unreliable datagram path:
 //!
-//! * [`call`] sends a request and registers a continuation; the reply (or a timeout after
-//!   `max_attempts` tries) is delivered to the continuation with the measured latency;
+//! * [`call`] sends a request and remembers the caller's per-call context; the reply (or a
+//!   timeout after `max_attempts` tries) is handed back with that context to
+//!   [`RpcHost::on_outcome`], with the measured latency;
 //! * retransmissions are **bounded retries** on a flat timeout — the reliability lives in the
 //!   RPC layer, not the transport, exactly like UDP-based DHT protocols;
-//! * the per-call timeout timer is cancelled through the engine's timer wheel when the reply
-//!   arrives first — the overwhelmingly common case — so a completed call costs O(1)
-//!   cancellation instead of a tombstoned timer firing later;
+//! * the per-call timeout is one of the world's own timers ([`NetHost::Timer`], built from an
+//!   [`RpcTimeout`]), cancelled through the engine's timer wheel when the reply arrives first
+//!   — the overwhelmingly common case — so a completed call costs O(1) cancellation instead of
+//!   a stale timer firing later;
 //! * request/response correlation, duplicate/late-reply suppression and statistics live in the
 //!   world's [`RpcTable`].
 //!
-//! A world opts in by choosing [`RpcPayload`] as its transport payload and implementing
-//! [`RpcHost`]: [`RpcHost::serve`] answers incoming requests, and the world's
+//! A world opts in by choosing [`RpcPayload`] as its transport payload, a timer type that an
+//! [`RpcTimeout`] converts into, and implementing [`RpcHost`]: [`RpcHost::serve`] answers
+//! incoming requests and [`RpcHost::on_outcome`] completes calls. The world's
 //! `on_transport_event` routes events through [`dispatch`], which consumes RPC traffic and
-//! passes everything else back.
+//! passes everything else back, and its `on_timer` routes timeouts to [`on_timeout`].
 //!
 //! ```
-//! use p2plab_net::rpc::{self, RpcConfig, RpcHost, RpcOutcome, RpcPayload, RpcTable};
+//! use p2plab_net::rpc::{self, RpcConfig, RpcHost, RpcOutcome, RpcPayload, RpcTable, RpcTimeout};
 //! use p2plab_net::{
 //!     AccessLinkClass, GroupId, NetHost, NetSim, Network, NetworkConfig, SocketAddr,
 //!     TopologySpec, TransportEvent, VNodeId, VirtAddr,
 //! };
 //! use p2plab_sim::Simulation;
 //!
-//! /// Nodes answer `n` with `n + 1`; the world records completed calls.
+//! /// Nodes answer `n` with `n + 1`; the world records `(call label, answer)` pairs.
 //! struct Adder {
 //!     net: Network,
 //!     rpc: RpcTable<Adder>,
-//!     answers: Vec<u64>,
+//!     answers: Vec<(&'static str, u64)>,
 //! }
 //!
 //! impl NetHost for Adder {
 //!     type Payload = RpcPayload<u64>;
+//!     type Timer = RpcTimeout; // the only timers here are RPC timeouts
 //!     fn network(&mut self) -> &mut Network {
 //!         &mut self.net
 //!     }
 //!     fn on_transport_event(sim: &mut NetSim<Self>, node: VNodeId, ev: TransportEvent<RpcPayload<u64>>) {
 //!         rpc::dispatch(sim, node, ev); // everything here is RPC traffic
 //!     }
+//!     fn on_timer(sim: &mut NetSim<Self>, timeout: RpcTimeout) {
+//!         rpc::on_timeout(sim, timeout);
+//!     }
 //! }
 //!
 //! impl RpcHost for Adder {
 //!     type Body = u64;
+//!     type Context = &'static str;
 //!     fn rpc_table(&mut self) -> &mut RpcTable<Adder> {
 //!         &mut self.rpc
 //!     }
@@ -58,6 +66,11 @@
 //!     ) -> Option<(u64, u64)> {
 //!         Some((body + 1, 8)) // reply payload, reply wire bytes
 //!     }
+//!     fn on_outcome(sim: &mut NetSim<Self>, label: &'static str, outcome: RpcOutcome<u64>) {
+//!         if let RpcOutcome::Reply { body, .. } = outcome {
+//!             sim.world_mut().answers.push((label, body));
+//!         }
+//!     }
 //! }
 //!
 //! let topo = TopologySpec::uniform("doc", 2, AccessLinkClass::bittorrent_dsl());
@@ -68,21 +81,16 @@
 //! let remote = SocketAddr::new(net.addr_of(b), 4000);
 //!
 //! let world = Adder { net, rpc: RpcTable::new(RpcConfig::default()), answers: vec![] };
-//! let mut sim: NetSim<Adder> = Simulation::with_events(world, 1);
-//! rpc::call(&mut sim, a, 4000, remote, 41, 8, |sim, outcome| {
-//!     if let RpcOutcome::Reply { body, .. } = outcome {
-//!         sim.world_mut().answers.push(body);
-//!     }
-//! })
-//! .unwrap();
+//! let mut sim: NetSim<Adder> = Simulation::new(world, 1);
+//! rpc::call(&mut sim, a, 4000, remote, 41, 8, "the answer").unwrap();
 //! sim.run();
-//! assert_eq!(sim.world().answers, vec![42]);
+//! assert_eq!(sim.world().answers, vec![("the answer", 42)]);
 //! ```
 
 use crate::addr::SocketAddr;
 use crate::endpoint::Endpoint;
 use crate::network::{NetError, VNodeId};
-use crate::transport::{NetHost, NetSim, TransportEvent};
+use crate::transport::{NetEvent, NetHost, NetSim, TransportEvent};
 use p2plab_sim::{EventId, FxHashMap, SimDuration, SimTime};
 
 /// Correlation id of one RPC call, unique within the world's [`RpcTable`]. The raw value is
@@ -153,7 +161,7 @@ pub struct RpcStats {
     pub served: u64,
 }
 
-/// How one RPC call ended, handed to the continuation passed to [`call`].
+/// How one RPC call ended, handed to [`RpcHost::on_outcome`] with the call's context.
 pub enum RpcOutcome<B> {
     /// The response arrived.
     Reply {
@@ -171,8 +179,11 @@ pub enum RpcOutcome<B> {
     },
 }
 
-/// The boxed continuation a call completes into.
-type OnDone<W> = Box<dyn FnOnce(&mut NetSim<W>, RpcOutcome<<W as RpcHost>::Body>)>;
+/// The timer of one call's current attempt. A world carries it inside its own
+/// [`NetHost::Timer`] and routes it back to [`on_timeout`] from
+/// [`on_timer`](NetHost::on_timer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RpcTimeout(u64);
 
 /// One in-flight call.
 struct Pending<W: RpcHost> {
@@ -186,7 +197,8 @@ struct Pending<W: RpcHost> {
     attempts: u32,
     timer: EventId,
     started: SimTime,
-    on_done: OnDone<W>,
+    /// What the caller handed to [`call`], returned with the outcome.
+    ctx: W::Context,
 }
 
 /// Per-world RPC state: pending calls keyed by correlation id, the retry policy and counters.
@@ -230,11 +242,19 @@ impl<W: RpcHost> RpcTable<W> {
     }
 }
 
-/// A world that runs the RPC layer: transport payload is [`RpcPayload`], requests are answered
-/// by [`serve`](RpcHost::serve), and pending-call state lives in the embedded [`RpcTable`].
-pub trait RpcHost: NetHost<Payload = RpcPayload<<Self as RpcHost>::Body>> {
+/// A world that runs the RPC layer: transport payload is [`RpcPayload`], call timeouts are
+/// [`RpcTimeout`]s inside the world's timers, requests are answered by
+/// [`serve`](RpcHost::serve), calls complete into [`on_outcome`](RpcHost::on_outcome), and
+/// pending-call state lives in the embedded [`RpcTable`].
+pub trait RpcHost:
+    NetHost<Payload = RpcPayload<<Self as RpcHost>::Body>, Timer: From<RpcTimeout>>
+{
     /// Application message body carried inside requests and responses.
     type Body: Clone + 'static;
+
+    /// What a caller remembers about one call: passed to [`call`], kept in the call's
+    /// [`RpcTable`] row and handed back to [`on_outcome`](RpcHost::on_outcome).
+    type Context: 'static;
 
     /// Access to the world's RPC state.
     fn rpc_table(&mut self) -> &mut RpcTable<Self>;
@@ -249,11 +269,17 @@ pub trait RpcHost: NetHost<Payload = RpcPayload<<Self as RpcHost>::Body>> {
         port: u16,
         body: Self::Body,
     ) -> Option<(Self::Body, u64)>;
+
+    /// Completes a call: `ctx` is what was passed to [`call`], `outcome` the reply or the
+    /// final timeout. Runs exactly once per call that left the node.
+    fn on_outcome(sim: &mut NetSim<Self>, ctx: Self::Context, outcome: RpcOutcome<Self::Body>);
 }
 
 /// Issues an RPC from `node:from_port` to `remote`: sends `body` (`size` wire bytes) as an
 /// unreliable datagram, retrying on the table's flat timeout up to its `max_attempts`, and
-/// hands the outcome to `on_done` — with the reply and measured latency, or as a timeout.
+/// hands the outcome to [`RpcHost::on_outcome`] together with `ctx` — with the reply and
+/// measured latency, or as a timeout. A synchronous send error returns `Err` and keeps
+/// nothing: `on_outcome` then never runs for this call.
 ///
 /// The timeout timer is cancelled in O(1) through the engine's timer wheel when the reply
 /// arrives first (the common case), so completed calls leave nothing behind in the queue.
@@ -264,7 +290,7 @@ pub fn call<W: RpcHost>(
     remote: SocketAddr,
     body: W::Body,
     size: u64,
-    on_done: impl FnOnce(&mut NetSim<W>, RpcOutcome<W::Body>) + 'static,
+    ctx: W::Context,
 ) -> Result<RpcId, NetError> {
     let now = sim.now();
     let (id, timeout) = {
@@ -286,7 +312,7 @@ pub fn call<W: RpcHost>(
     // Counted only once the request is actually on the wire: a synchronous send error above
     // leaves the stats invariant `calls == replies + timeouts + pending` intact.
     sim.world_mut().rpc_table().stats.calls += 1;
-    let timer = sim.schedule_in(timeout, move |sim| on_timeout(sim, id));
+    let timer = sim.schedule_event_in(timeout, NetEvent::Timer(RpcTimeout(id).into()));
     sim.world_mut().rpc_table().pending.insert(
         id,
         Pending {
@@ -298,7 +324,7 @@ pub fn call<W: RpcHost>(
             attempts: 1,
             timer,
             started: now,
-            on_done: Box::new(on_done),
+            ctx,
         },
     );
     Ok(RpcId(id))
@@ -358,8 +384,9 @@ pub fn dispatch<W: RpcHost>(
             sim.world_mut().rpc_table().stats.replies += 1;
             // The common completed-before-timeout case: O(1) timer-wheel cancellation.
             sim.cancel(p.timer);
-            (p.on_done)(
+            W::on_outcome(
                 sim,
+                p.ctx,
                 RpcOutcome::Reply {
                     body,
                     rtt: now - p.started,
@@ -372,8 +399,9 @@ pub fn dispatch<W: RpcHost>(
     }
 }
 
-/// Timeout path: retry while attempts remain, otherwise fail the call.
-fn on_timeout<W: RpcHost>(sim: &mut NetSim<W>, id: u64) {
+/// Timeout path, routed here from the world's [`on_timer`](NetHost::on_timer): retry while
+/// attempts remain, otherwise fail the call.
+pub fn on_timeout<W: RpcHost>(sim: &mut NetSim<W>, RpcTimeout(id): RpcTimeout) {
     let retry = {
         let table = sim.world_mut().rpc_table();
         match table.pending.get(&id) {
@@ -402,7 +430,7 @@ fn on_timeout<W: RpcHost>(sim: &mut NetSim<W>, id: u64) {
                     body,
                 },
             );
-            let timer = sim.schedule_in(timeout, move |sim| on_timeout(sim, id));
+            let timer = sim.schedule_event_in(timeout, NetEvent::Timer(RpcTimeout(id).into()));
             let table = sim.world_mut().rpc_table();
             if let Some(p) = table.pending.get_mut(&id) {
                 p.attempts += 1;
@@ -418,8 +446,9 @@ fn on_timeout<W: RpcHost>(sim: &mut NetSim<W>, id: u64) {
                 .expect("pending checked above");
             sim.world_mut().rpc_table().stats.timeouts += 1;
             sim.world_mut().network().stats.rpc_timeouts += 1;
-            (p.on_done)(
+            W::on_outcome(
                 sim,
+                p.ctx,
                 RpcOutcome::TimedOut {
                     attempts: p.attempts,
                 },
@@ -434,18 +463,20 @@ mod tests {
     use crate::network::{Network, NetworkConfig};
     use crate::topology::{AccessLinkClass, GroupId, TopologySpec};
     use crate::VirtAddr;
-    use p2plab_sim::Simulation;
+    use p2plab_sim::{RunOutcome, Simulation};
 
-    /// Echo-with-increment RPC world; drops requests on nodes listed in `mute`.
+    /// Echo-with-increment RPC world; drops requests on nodes listed in `mute`. A call's
+    /// context is a tag, recorded with its outcome.
     struct World {
         net: Network,
         rpc: RpcTable<World>,
-        outcomes: Vec<(u64, bool, u32)>, // (call tag, replied, attempts)
+        outcomes: Vec<(u64, Option<u64>, u32)>, // (context, reply body, attempts)
         mute: Vec<VNodeId>,
     }
 
     impl NetHost for World {
         type Payload = RpcPayload<u64>;
+        type Timer = RpcTimeout;
 
         fn network(&mut self) -> &mut Network {
             &mut self.net
@@ -456,21 +487,18 @@ mod tests {
             node: VNodeId,
             ev: TransportEvent<RpcPayload<u64>>,
         ) {
-            rpc_dispatch_all(sim, node, ev);
+            let leftover = super::dispatch(sim, node, ev);
+            assert!(leftover.is_none(), "only RPC traffic in this world");
         }
-    }
 
-    fn rpc_dispatch_all(
-        sim: &mut NetSim<World>,
-        node: VNodeId,
-        ev: TransportEvent<RpcPayload<u64>>,
-    ) {
-        let leftover = super::dispatch(sim, node, ev);
-        assert!(leftover.is_none(), "only RPC traffic in this world");
+        fn on_timer(sim: &mut NetSim<Self>, timeout: RpcTimeout) {
+            on_timeout(sim, timeout);
+        }
     }
 
     impl RpcHost for World {
         type Body = u64;
+        type Context = u64;
 
         fn rpc_table(&mut self) -> &mut RpcTable<World> {
             &mut self.rpc
@@ -487,6 +515,14 @@ mod tests {
                 return None;
             }
             Some((body + 1, 16))
+        }
+
+        fn on_outcome(sim: &mut NetSim<Self>, tag: u64, outcome: RpcOutcome<u64>) {
+            let record = match outcome {
+                RpcOutcome::Reply { body, attempts, .. } => (tag, Some(body), attempts),
+                RpcOutcome::TimedOut { attempts } => (tag, None, attempts),
+            };
+            sim.world_mut().outcomes.push(record);
         }
     }
 
@@ -506,28 +542,23 @@ mod tests {
         }
     }
 
+    fn port_of(sim: &mut NetSim<World>, node: VNodeId) -> SocketAddr {
+        SocketAddr::new(sim.world_mut().net.addr_of(node), 4000)
+    }
+
+    /// Calls `to` with body `tag` and context `tag`.
     fn call_tagged(sim: &mut NetSim<World>, from: VNodeId, to: VNodeId, tag: u64) {
-        let remote = SocketAddr::new(sim.world_mut().net.addr_of(to), 4000);
-        call(sim, from, 4000, remote, tag, 32, move |sim, outcome| {
-            let (replied, attempts) = match &outcome {
-                RpcOutcome::Reply { attempts, body, .. } => {
-                    assert_eq!(*body, tag + 1, "reply echoes the request body + 1");
-                    (true, *attempts)
-                }
-                RpcOutcome::TimedOut { attempts } => (false, *attempts),
-            };
-            sim.world_mut().outcomes.push((tag, replied, attempts));
-        })
-        .unwrap();
+        let remote = port_of(sim, to);
+        call(sim, from, 4000, remote, tag, 32, tag).unwrap();
     }
 
     #[test]
     fn call_completes_and_cancels_its_timer() {
         let w = world(2, 0.0, RpcConfig::default());
-        let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+        let mut sim: NetSim<World> = Simulation::new(w, 1);
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 7);
         sim.run();
-        assert_eq!(sim.world().outcomes, vec![(7, true, 1)]);
+        assert_eq!(sim.world().outcomes, vec![(7, Some(8), 1)]);
         let stats = sim.world_mut().rpc.stats();
         assert_eq!(stats.calls, 1);
         assert_eq!(stats.replies, 1);
@@ -547,11 +578,11 @@ mod tests {
             max_attempts: 3,
         };
         let w = world(2, 0.0, config);
-        let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+        let mut sim: NetSim<World> = Simulation::new(w, 1);
         sim.world_mut().mute.push(VNodeId(1));
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 9);
         sim.run();
-        assert_eq!(sim.world().outcomes, vec![(9, false, 3)]);
+        assert_eq!(sim.world().outcomes, vec![(9, None, 3)]);
         let stats = sim.world_mut().rpc.stats();
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.timeouts, 1);
@@ -572,12 +603,17 @@ mod tests {
             max_attempts: 8,
         };
         let w = world(2, 0.2, config);
-        let mut sim: NetSim<World> = Simulation::with_events(w, 5);
+        let mut sim: NetSim<World> = Simulation::new(w, 5);
         for tag in 0..20 {
             call_tagged(&mut sim, VNodeId(0), VNodeId(1), tag);
         }
         sim.run();
-        let replied = sim.world().outcomes.iter().filter(|(_, r, _)| *r).count();
+        let replied = sim
+            .world()
+            .outcomes
+            .iter()
+            .filter(|(_, r, _)| r.is_some())
+            .count();
         assert!(replied >= 16, "only {replied}/20 RPCs survived 20% loss");
         assert!(sim.world_mut().rpc.stats().retries > 0);
         assert_eq!(sim.world_mut().rpc.pending_calls(), 0);
@@ -592,12 +628,75 @@ mod tests {
             max_attempts: 2,
         };
         let w = world(2, 0.0, config);
-        let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+        let mut sim: NetSim<World> = Simulation::new(w, 1);
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 3);
         sim.run();
-        assert_eq!(sim.world().outcomes, vec![(3, false, 2)]);
+        assert_eq!(sim.world().outcomes, vec![(3, None, 2)]);
         let stats = sim.world_mut().rpc.stats();
         assert_eq!(stats.timeouts, 1);
         assert_eq!(stats.late_replies, 2, "both attempts' replies arrived late");
+    }
+
+    #[test]
+    fn each_outcome_carries_its_calls_context() {
+        // Two concurrent calls whose contexts have nothing to do with their bodies: the
+        // answered one gets its context back with the reply, the one to a mute node with its
+        // final timeout.
+        let config = RpcConfig {
+            timeout: SimDuration::from_millis(100),
+            max_attempts: 2,
+        };
+        let mut sim: NetSim<World> = Simulation::new(world(3, 0.0, config), 1);
+        sim.world_mut().mute.push(VNodeId(2));
+        let (answering, mute) = (port_of(&mut sim, VNodeId(1)), port_of(&mut sim, VNodeId(2)));
+        call(&mut sim, VNodeId(0), 4000, mute, 5, 32, 900).unwrap();
+        call(&mut sim, VNodeId(0), 4000, answering, 40, 32, 901).unwrap();
+        sim.run();
+        assert_eq!(
+            sim.world().outcomes,
+            vec![(901, Some(41), 1), (900, None, 2)]
+        );
+    }
+
+    #[test]
+    fn a_reply_racing_its_timeout_at_one_instant_completes_once() {
+        // The round trip of a lossless call, then the same call with a timeout of exactly that
+        // long: the timer and the reply fall on one instant. The timer was scheduled first, so
+        // it fires first — a final timeout (the reply then arrives late) or a retry (the reply
+        // then completes the call); either way the call completes exactly once.
+        let rtt = {
+            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, RpcConfig::default()), 1);
+            call_tagged(&mut sim, VNodeId(0), VNodeId(1), 1);
+            sim.run();
+            sim.now() - SimTime::ZERO
+        };
+        for (max_attempts, outcome) in [(1, (1, None, 1)), (2, (1, Some(2), 2))] {
+            let config = RpcConfig {
+                timeout: rtt,
+                max_attempts,
+            };
+            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, config), 1);
+            call_tagged(&mut sim, VNodeId(0), VNodeId(1), 1);
+            sim.run();
+            assert_eq!(sim.world().outcomes, vec![outcome]);
+            let stats = sim.world_mut().rpc.stats();
+            assert_eq!(stats.calls, stats.replies + stats.timeouts);
+            assert_eq!(stats.late_replies, 1, "the losing reply is counted late");
+            assert_eq!(sim.world_mut().rpc.pending_calls(), 0);
+        }
+    }
+
+    #[test]
+    fn a_timeout_that_raced_its_cancellation_is_ignored() {
+        // A timer that fires for a call completed at the same instant finds no pending row:
+        // nothing is retried, counted or completed a second time.
+        let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, RpcConfig::default()), 1);
+        call_tagged(&mut sim, VNodeId(0), VNodeId(1), 7);
+        sim.run();
+        let stats = sim.world_mut().rpc.stats();
+        on_timeout(&mut sim, RpcTimeout(0));
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(sim.world().outcomes, vec![(7, Some(8), 1)]);
+        assert_eq!(sim.world_mut().rpc.stats(), stats);
     }
 }

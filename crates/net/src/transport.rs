@@ -21,11 +21,11 @@
 //! handles, lanes) with the typed request/response layer in [`crate::rpc`]; this module holds
 //! the operations behind it and the [`TransportEvent`]s it delivers.
 //!
-//! Every hop of the walk is a **pooled typed event** ([`NetEvent`]), not a boxed closure: the
-//! in-flight record is stored inline in the engine's slab-backed queue, so the data plane —
-//! the dominant event class of every large scenario — schedules no per-event heap allocation.
-//! A [`NetHost`] world therefore runs on a [`NetSim`] (`Simulation<W, NetEvent<Payload>>`);
-//! application-level logic is free to keep using closure events on the same simulation.
+//! Every hop of the walk is a value of [`NetEvent`]: the in-flight record is stored inline in
+//! the engine's slab-backed queue, so the data plane — the dominant event class of every large
+//! scenario — schedules no per-event heap allocation. A [`NetHost`] world runs on a [`NetSim`]
+//! (`Simulation<W, NetEvent<Payload, Timer>>`), and its own timers (rounds, arrivals, RPC
+//! timeouts) ride in the same queue as the [`NetEvent::Timer`] variant.
 
 use crate::addr::{SocketAddr, VirtAddr};
 use crate::firewall::Direction;
@@ -44,7 +44,8 @@ use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 /// forgot the hook — and would silently drop every delivery — does not compile:
 ///
 /// ```compile_fail,E0046
-/// use p2plab_net::{NetHost, Network};
+/// use p2plab_net::{NetHost, NetSim, Network};
+/// use p2plab_sim::NoEvent;
 ///
 /// struct Deaf {
 ///     net: Network,
@@ -52,8 +53,12 @@ use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 ///
 /// impl NetHost for Deaf {
 ///     type Payload = u32;
+///     type Timer = NoEvent;
 ///     fn network(&mut self) -> &mut Network {
 ///         &mut self.net
+///     }
+///     fn on_timer(_sim: &mut NetSim<Self>, timer: NoEvent) {
+///         match timer {}
 ///     }
 /// }
 /// ```
@@ -62,6 +67,11 @@ use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 pub trait NetHost: Sized + 'static {
     /// Application payload carried by data messages and datagrams.
     type Payload: Clone + 'static;
+
+    /// The world's own timers: a value scheduled as [`NetEvent::Timer`] is handed to
+    /// [`on_timer`](NetHost::on_timer) when it comes due. A world without timers uses the
+    /// uninhabited [`NoEvent`](p2plab_sim::NoEvent).
+    type Timer: 'static;
 
     /// Access to the embedded network.
     fn network(&mut self) -> &mut Network;
@@ -73,15 +83,24 @@ pub trait NetHost: Sized + 'static {
         node: VNodeId,
         event: TransportEvent<Self::Payload>,
     );
+
+    /// Called when one of the world's timers comes due. A periodic round re-arms itself here,
+    /// after its body has run.
+    fn on_timer(sim: &mut NetSim<Self>, timer: Self::Timer);
 }
 
-/// The simulation type a [`NetHost`] world runs on: the typed-event class is the network
-/// substrate's [`NetEvent`], so data-plane hops are pooled instead of boxed.
-pub type NetSim<W> = Simulation<W, NetEvent<<W as NetHost>::Payload>>;
+/// A packet hop's event constructor (`NetEvent::NicTx` and friends).
+type Hop<W> = fn(
+    InFlight<<W as NetHost>::Payload>,
+) -> NetEvent<<W as NetHost>::Payload, <W as NetHost>::Timer>;
 
-/// The data plane's pooled event class: one variant per packet hop. Stored inline in the event
-/// queue's slab — scheduling one performs no allocation.
-pub enum NetEvent<P> {
+/// The simulation type a [`NetHost`] world runs on: the event class is the network substrate's
+/// [`NetEvent`] over the world's payload and timers.
+pub type NetSim<W> = Simulation<W, NetEvent<<W as NetHost>::Payload, <W as NetHost>::Timer>>;
+
+/// The event class of a [`NetHost`] world: one variant per packet hop, plus the world's own
+/// timers. Stored inline in the event queue's slab — scheduling one performs no allocation.
+pub enum NetEvent<P, T> {
     /// Sender-side pipes done; enqueue on the source machine's NIC transmit pipe and cross the
     /// cluster network toward the destination's machine (both machines are re-derived from the
     /// flight's endpoints — events carry no redundant routing state, keeping queue slots
@@ -129,11 +148,14 @@ pub enum NetEvent<P> {
         /// Fragments received when the timer was armed — unchanged on fire means stalled.
         progress: u16,
     },
+    /// One of the world's own timers ([`NetHost::Timer`]).
+    Timer(T),
 }
 
-impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload> {
+impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
     fn fire(self, sim: &mut NetSim<W>) {
         match self {
+            NetEvent::Timer(timer) => W::on_timer(sim, timer),
             NetEvent::NicTx { flight } => nic_tx(sim, flight),
             NetEvent::Receive { flight } => receiver_side(sim, flight),
             NetEvent::Deliver { flight } => deliver(sim, flight),
@@ -745,12 +767,7 @@ impl PipeWalk {
 
     /// Schedules the frame's next `hop` for when it leaves the last pipe — and before it the
     /// duplicated copy's, if there is one and the frame type honors duplication.
-    fn forward<W: NetHost>(
-        self,
-        sim: &mut NetSim<W>,
-        flight: InFlight<W::Payload>,
-        hop: fn(InFlight<W::Payload>) -> NetEvent<W::Payload>,
-    ) {
+    fn forward<W: NetHost>(self, sim: &mut NetSim<W>, flight: InFlight<W::Payload>, hop: Hop<W>) {
         if let Some(off) = self.dup_off.filter(|_| flight.frame.duplicable()) {
             sim.schedule_event_at(self.t + off, hop(flight.clone()));
         }
@@ -1121,7 +1138,7 @@ mod tests {
     use crate::endpoint::Endpoint;
     use crate::network::NetworkConfig;
     use crate::topology::{AccessLinkClass, GroupId, TopologySpec};
-    use p2plab_sim::SimTime;
+    use p2plab_sim::{NoEvent, SimTime};
 
     /// Minimal world for transport tests: records every transport event with its timestamp.
     struct TestWorld {
@@ -1132,6 +1149,11 @@ mod tests {
 
     impl NetHost for TestWorld {
         type Payload = u32;
+        type Timer = NoEvent;
+
+        fn on_timer(_sim: &mut NetSim<Self>, timer: NoEvent) {
+            match timer {}
+        }
 
         fn network(&mut self) -> &mut Network {
             &mut self.net
@@ -1185,7 +1207,7 @@ mod tests {
     fn connect_and_exchange_data() {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
@@ -1231,7 +1253,7 @@ mod tests {
     fn connection_refused_without_listener() {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
         let labels: Vec<&str> = sim
@@ -1252,7 +1274,7 @@ mod tests {
     fn send_requires_established_connection() {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         // Not yet established: the SYN has not even left.
@@ -1270,7 +1292,7 @@ mod tests {
     fn oversized_message_rejected() {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
@@ -1284,7 +1306,7 @@ mod tests {
     #[test]
     fn duplicate_listener_rejected() {
         let world = build_world(1, 2, NetworkConfig::default());
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         Endpoint::new(VNodeId(0)).bind(&mut sim, 6881).unwrap();
         assert_eq!(
             Endpoint::new(VNodeId(0)).bind(&mut sim, 6881),
@@ -1298,7 +1320,7 @@ mod tests {
     fn close_notifies_peer() {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
@@ -1323,7 +1345,7 @@ mod tests {
     fn datagram_roundtrip_and_counters() {
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 9);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         Endpoint::new(VNodeId(0))
             .send_datagram(&mut sim, 9, peer, 100, 42)
             .unwrap();
@@ -1340,7 +1362,7 @@ mod tests {
         // access links (the whole point of the decentralized emulation model).
         let world = build_world(1, 2, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 9);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         Endpoint::new(VNodeId(0))
             .send_datagram(&mut sim, 9, peer, 100, 1)
             .unwrap();
@@ -1358,7 +1380,7 @@ mod tests {
         let run = |machines: usize, per_machine: usize| {
             let world = build_world(machines, per_machine, NetworkConfig::default());
             let peer = remote(&world, VNodeId(1), 9);
-            let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+            let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
             Endpoint::new(VNodeId(0))
                 .send_datagram(&mut sim, 9, peer, 1000, 1)
                 .unwrap();
@@ -1388,7 +1410,7 @@ mod tests {
             received_payloads: Vec::new(),
         };
         let peer = SocketAddr::new(VirtAddr::new(10, 0, 0, 2), 6881);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 3);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 3);
         Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
@@ -1432,7 +1454,7 @@ mod tests {
             received_payloads: Vec::new(),
         };
         let peer = SocketAddr::new(VirtAddr::new(10, 0, 0, 2), 9);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 3);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 3);
         Endpoint::new(VNodeId(0))
             .send_datagram(&mut sim, 9, peer, 100, 1)
             .unwrap();
@@ -1448,7 +1470,7 @@ mod tests {
         // 10 x 16 KiB from a DSL node (128 kbps up): about 10.5 s of serialization.
         let world = build_world(2, 1, NetworkConfig::default());
         let peer = remote(&world, VNodeId(1), 6881);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
@@ -1479,7 +1501,7 @@ mod tests {
         // together they roughly double the throughput seen from one uploader.
         let world = build_world(3, 1, NetworkConfig::default());
         let receiver_addr = remote(&world, VNodeId(2), 6881);
-        let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
         Endpoint::new(VNodeId(2)).bind(&mut sim, 6881).unwrap();
         let c0 = Endpoint::new(VNodeId(0))
             .connect(&mut sim, receiver_addr)
@@ -1523,7 +1545,7 @@ mod tests {
         let run = |config: NetworkConfig| {
             let world = build_world(2, 1, config);
             let peer = remote(&world, VNodeId(1), 6881);
-            let mut sim: NetSim<TestWorld> = Simulation::with_events(world, 1);
+            let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
             Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
             let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
             sim.run();

@@ -9,7 +9,9 @@
 //! call, double-completing one, or corrupting its accounting.
 
 use p2plab_net::proto::{AckBitfield, FragHeader};
-use p2plab_net::rpc::{self, RpcConfig, RpcHost, RpcId, RpcOutcome, RpcPayload, RpcTable};
+use p2plab_net::rpc::{
+    self, RpcConfig, RpcHost, RpcId, RpcOutcome, RpcPayload, RpcTable, RpcTimeout,
+};
 use p2plab_net::{
     AccessLinkClass, GroupId, NetHost, NetSim, Network, NetworkConfig, SocketAddr, TopologySpec,
     TransportEvent, VNodeId, VirtAddr,
@@ -27,6 +29,7 @@ struct World {
 
 impl NetHost for World {
     type Payload = RpcPayload<u64>;
+    type Timer = RpcTimeout;
 
     fn network(&mut self) -> &mut Network {
         &mut self.net
@@ -40,10 +43,15 @@ impl NetHost for World {
         let leftover = rpc::dispatch(sim, node, ev);
         assert!(leftover.is_none(), "only RPC traffic in this world");
     }
+
+    fn on_timer(sim: &mut NetSim<Self>, timeout: RpcTimeout) {
+        rpc::on_timeout(sim, timeout);
+    }
 }
 
 impl RpcHost for World {
     type Body = u64;
+    type Context = u64;
 
     fn rpc_table(&mut self) -> &mut RpcTable<World> {
         &mut self.rpc
@@ -57,6 +65,13 @@ impl RpcHost for World {
         body: u64,
     ) -> Option<(u64, u64)> {
         Some((body + 1, 16))
+    }
+
+    fn on_outcome(sim: &mut NetSim<Self>, tag: u64, outcome: RpcOutcome<u64>) {
+        match outcome {
+            RpcOutcome::Reply { body, .. } => sim.world_mut().outcomes.push((tag, body)),
+            RpcOutcome::TimedOut { .. } => panic!("lossless link never times out"),
+        }
     }
 }
 
@@ -126,15 +141,10 @@ proptest! {
         calls in 0u64..6,
         forged in prop::collection::vec((any::<u64>(), 0u8..2, any::<u64>()), 1..60),
     ) {
-        let mut sim: NetSim<World> = Simulation::with_events(world(), 1);
+        let mut sim: NetSim<World> = Simulation::new(world(), 1);
         for tag in 0..calls {
             let remote = SocketAddr::new(sim.world_mut().net.addr_of(VNodeId(1)), 4000);
-            rpc::call(&mut sim, VNodeId(0), 4000, remote, tag, 32, move |sim, outcome| {
-                match outcome {
-                    RpcOutcome::Reply { body, .. } => sim.world_mut().outcomes.push((tag, body)),
-                    RpcOutcome::TimedOut { .. } => panic!("lossless link never times out"),
-                }
-            }).unwrap();
+            rpc::call(&mut sim, VNodeId(0), 4000, remote, tag, 32, tag).unwrap();
         }
 
         // Phase 1 — while every call is pending: forge ids that were never allocated at the

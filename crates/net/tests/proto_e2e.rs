@@ -8,7 +8,7 @@ use p2plab_net::{
     NetHost, NetSim, Network, NetworkConfig, SocketAddr, TopologySpec, TransportConfig,
     TransportEvent, VNodeId, VirtAddr,
 };
-use p2plab_sim::{SimDuration, Simulation};
+use p2plab_sim::{NoEvent, SimDuration, Simulation};
 
 /// Records every delivered message/datagram payload per node.
 struct World {
@@ -18,6 +18,11 @@ struct World {
 
 impl NetHost for World {
     type Payload = u32;
+    type Timer = NoEvent;
+
+    fn on_timer(_sim: &mut NetSim<Self>, timer: NoEvent) {
+        match timer {}
+    }
 
     fn network(&mut self) -> &mut Network {
         &mut self.net
@@ -80,7 +85,7 @@ fn fragmentation_delivers_each_message_exactly_once() {
         AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5)),
         transport,
     );
-    let mut sim: NetSim<World> = Simulation::with_events(w, 42);
+    let mut sim: NetSim<World> = Simulation::new(w, 42);
     let conn = establish(&mut sim);
     let ep = Endpoint::new(VNodeId(0));
     for i in 0..10u32 {
@@ -120,7 +125,7 @@ fn aimd_grows_its_window_on_a_clean_link() {
         AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5)),
         transport,
     );
-    let mut sim: NetSim<World> = Simulation::with_events(w, 42);
+    let mut sim: NetSim<World> = Simulation::new(w, 42);
     let conn = establish(&mut sim);
     let initial = sim.world_mut().net.cwnd_mean_bytes();
     let ep = Endpoint::new(VNodeId(0));
@@ -148,7 +153,7 @@ fn lossy_link_triggers_selective_retransmits_and_still_delivers() {
     };
     let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5)).with_loss(0.2);
     let w = world(link, transport);
-    let mut sim: NetSim<World> = Simulation::with_events(w, 42);
+    let mut sim: NetSim<World> = Simulation::new(w, 42);
     let conn = establish(&mut sim);
     let ep = Endpoint::new(VNodeId(0));
     for i in 0..20u32 {
@@ -186,7 +191,7 @@ fn burst_loss_and_duplication_preserve_exactly_once() {
     let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5))
         .with_condition(Some(condition));
     let w = world(link, transport);
-    let mut sim: NetSim<World> = Simulation::with_events(w, 2006);
+    let mut sim: NetSim<World> = Simulation::new(w, 2006);
     let conn = establish(&mut sim);
     let ep = Endpoint::new(VNodeId(0));
     for i in 0..20u32 {
@@ -224,7 +229,7 @@ fn incomplete_unreliable_messages_time_out() {
     };
     let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5)).with_loss(0.4);
     let w = world(link, transport);
-    let mut sim: NetSim<World> = Simulation::with_events(w, 42);
+    let mut sim: NetSim<World> = Simulation::new(w, 42);
     let conn = establish(&mut sim);
     let ep = Endpoint::new(VNodeId(0));
     // Unreliable lane: lost fragments are never retransmitted, so most multi-fragment
@@ -255,7 +260,7 @@ fn default_config_keeps_the_legacy_wire_path() {
         AccessLinkClass::bittorrent_dsl(),
         TransportConfig::default(),
     );
-    let mut sim: NetSim<World> = Simulation::with_events(w, 42);
+    let mut sim: NetSim<World> = Simulation::new(w, 42);
     let conn = establish(&mut sim);
     let ep = Endpoint::new(VNodeId(0));
     for i in 0..5u32 {

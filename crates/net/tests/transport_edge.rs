@@ -6,7 +6,7 @@ use p2plab_net::{
     AccessLinkClass, ConnState, Endpoint, GroupId, LaneKind, NetHost, NetSim, Network,
     NetworkConfig, SocketAddr, TopologySpec, TransportEvent, VNodeId, VirtAddr,
 };
-use p2plab_sim::{SimDuration, Simulation};
+use p2plab_sim::{NoEvent, SimDuration, SimTime, Simulation};
 
 /// Records every transport event as `(node, label)`.
 struct World {
@@ -16,6 +16,11 @@ struct World {
 
 impl NetHost for World {
     type Payload = u32;
+    type Timer = NoEvent;
+
+    fn on_timer(_sim: &mut NetSim<Self>, timer: NoEvent) {
+        match timer {}
+    }
 
     fn network(&mut self) -> &mut Network {
         &mut self.net
@@ -67,7 +72,7 @@ fn labels_of(sim: &NetSim<World>, node: VNodeId) -> Vec<&str> {
 fn close_with_data_in_flight_discards_the_data() {
     let w = world(2, lan());
     let peer = SocketAddr::new(w.net.addr_of(VNodeId(1)), 7000);
-    let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+    let mut sim: NetSim<World> = Simulation::new(w, 1);
     Endpoint::new(VNodeId(1)).bind(&mut sim, 7000).unwrap();
     let ep = Endpoint::new(VNodeId(0));
     let conn = ep.connect(&mut sim, peer).unwrap();
@@ -106,7 +111,7 @@ fn data_arriving_at_closed_connection_is_dropped() {
     // reaches a closed connection and must be discarded, not delivered.
     let w = world(2, lan());
     let peer = SocketAddr::new(w.net.addr_of(VNodeId(1)), 7000);
-    let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+    let mut sim: NetSim<World> = Simulation::new(w, 1);
     Endpoint::new(VNodeId(1)).bind(&mut sim, 7000).unwrap();
     let ep = Endpoint::new(VNodeId(0));
     let conn = ep.connect(&mut sim, peer).unwrap();
@@ -134,14 +139,13 @@ fn connect_racing_a_concurrent_listen() {
     // race's benign ordering.
     let w = world(2, lan());
     let addr1 = w.net.addr_of(VNodeId(1));
-    let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+    let mut sim: NetSim<World> = Simulation::new(w, 1);
     let conn = Endpoint::new(VNodeId(0))
         .connect(&mut sim, SocketAddr::new(addr1, 7000))
         .unwrap();
     // Bind 1 ms after the connect: well before the ~10 ms one-way trip of the SYN.
-    sim.schedule_in(SimDuration::from_millis(1), |sim| {
-        Endpoint::new(VNodeId(1)).bind(sim, 7000).unwrap();
-    });
+    sim.run_until(SimTime::from_millis(1));
+    Endpoint::new(VNodeId(1)).bind(&mut sim, 7000).unwrap();
     sim.run();
     assert_eq!(
         sim.world_mut().net.connection(conn).unwrap().state,
@@ -158,14 +162,13 @@ fn connect_losing_the_listen_race_is_refused() {
     // stays refused — the transport does not retroactively accept.
     let w = world(2, lan());
     let addr1 = w.net.addr_of(VNodeId(1));
-    let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+    let mut sim: NetSim<World> = Simulation::new(w, 1);
     let conn = Endpoint::new(VNodeId(0))
         .connect(&mut sim, SocketAddr::new(addr1, 7000))
         .unwrap();
     // Bind long after the SYN arrived and was refused.
-    sim.schedule_in(SimDuration::from_secs(1), |sim| {
-        Endpoint::new(VNodeId(1)).bind(sim, 7000).unwrap();
-    });
+    sim.run_until(SimTime::from_secs(1));
+    Endpoint::new(VNodeId(1)).bind(&mut sim, 7000).unwrap();
     sim.run();
     assert_eq!(
         sim.world_mut().net.connection(conn).unwrap().state,
@@ -179,7 +182,7 @@ fn connect_losing_the_listen_race_is_refused() {
 fn reliable_lane_retransmit_accounting_under_loss() {
     let w = world(2, lan().with_loss(0.3));
     let peer = SocketAddr::new(w.net.addr_of(VNodeId(1)), 7000);
-    let mut sim: NetSim<World> = Simulation::with_events(w, 42);
+    let mut sim: NetSim<World> = Simulation::new(w, 42);
     Endpoint::new(VNodeId(1)).bind(&mut sim, 7000).unwrap();
     let ep = Endpoint::new(VNodeId(0));
     let conn = ep.connect(&mut sim, peer).unwrap();
@@ -236,7 +239,7 @@ fn same_vnode_loopback_delivery() {
     // model) and is delivered back to the node itself.
     let w = world(1, lan());
     let own = SocketAddr::new(w.net.addr_of(VNodeId(0)), 7001);
-    let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+    let mut sim: NetSim<World> = Simulation::new(w, 1);
     Endpoint::new(VNodeId(0))
         .send_datagram(&mut sim, 7000, own, 256, 5)
         .unwrap();
@@ -254,7 +257,7 @@ fn datagrams_demux_by_receiving_port() {
     // two services on one node cannot tell their traffic apart.
     let w = world(2, lan());
     let addr1 = w.net.addr_of(VNodeId(1));
-    let mut sim: NetSim<World> = Simulation::with_events(w, 1);
+    let mut sim: NetSim<World> = Simulation::new(w, 1);
     let server = Endpoint::new(VNodeId(1));
     server.bind(&mut sim, 8001).unwrap();
     server.bind(&mut sim, 8002).unwrap();

@@ -5,7 +5,7 @@
 //! them to finish and report either the average per-process execution time (Figures 1-2) or the
 //! full distribution of completion times (Figure 3).
 
-use crate::machine::{arm_machine_completion, MachineSpec};
+use crate::machine::{MachineEvent, MachineSim, MachineSpec};
 use crate::memory::OsKind;
 use crate::process::CompletedProcess;
 use crate::sched::SchedulerKind;
@@ -116,17 +116,10 @@ pub fn host_os(scheduler: SchedulerKind) -> OsKind {
 pub fn run_batch(config: BatchConfig) -> BatchResult {
     let machine = MachineSpec::grid_explorer(config.scheduler, config.os).build("node");
     let cores = machine.cores();
-    let mut sim = Simulation::new(machine, config.seed);
+    let mut sim: MachineSim = Simulation::new(machine, config.seed);
     for i in 0..config.concurrency {
-        let workload = config.workload;
-        sim.schedule_at(SimTime::ZERO + config.stagger * i as u64, move |sim| {
-            let now = sim.now();
-            let (machine, rng) = sim.world_and_rng();
-            machine
-                .spawn(now, workload, rng)
-                .expect("experiment exceeds RAM+swap; shrink the workload");
-            arm_machine_completion(sim);
-        });
+        let at = SimTime::ZERO + config.stagger * i as u64;
+        sim.schedule_event_at(at, MachineEvent::Spawn(config.workload));
     }
     sim.run();
     let machine = sim.world();

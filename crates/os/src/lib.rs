@@ -20,7 +20,7 @@ pub mod sched;
 pub mod syscall;
 pub mod workload;
 
-pub use machine::{arm_machine_completion, Machine, MachineSpec, SpawnError};
+pub use machine::{Machine, MachineEvent, MachineSim, MachineSpec, SpawnError};
 pub use memory::{MemoryModel, OsKind};
 pub use process::{CompletedProcess, Pid, SimProcess};
 pub use sched::{SchedulerKind, SchedulerModel};

@@ -9,7 +9,7 @@ use crate::memory::{MemoryModel, OsKind};
 use crate::process::{CompletedProcess, Pid, SimProcess};
 use crate::sched::{SchedulerKind, SchedulerModel};
 use crate::workload::WorkloadSpec;
-use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation};
+use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -319,21 +319,40 @@ impl Machine {
     }
 }
 
-/// Arms the next completion event for a simulation whose world *is* a [`Machine`] (used by the
-/// scheduler experiments; the full framework in `p2plab-core` embeds machines in a larger world
-/// and drives them the same way).
-pub fn arm_machine_completion(sim: &mut Simulation<Machine>) {
-    let now = sim.now();
-    if let Some((t, _pid)) = sim.world().next_completion(now) {
-        let epoch = sim.world().epoch();
-        sim.schedule_at(t, move |sim| {
-            if sim.world().epoch() != epoch {
-                return;
+/// A simulation whose world *is* a [`Machine`] (the scheduler experiments).
+pub type MachineSim = Simulation<Machine, MachineEvent>;
+
+/// The events of a [`MachineSim`]. Each one that changes the process set arms the next
+/// completion.
+pub enum MachineEvent {
+    /// Spawn a process running `spec`.
+    Spawn(WorkloadSpec),
+    /// The next process completion computed at `epoch`; stale once the process set changed.
+    Complete {
+        /// [`Machine::epoch`] when the event was armed.
+        epoch: u64,
+    },
+}
+
+impl TypedEvent<Machine> for MachineEvent {
+    fn fire(self, sim: &mut MachineSim) {
+        let now = sim.now();
+        match self {
+            MachineEvent::Spawn(spec) => {
+                let (machine, rng) = sim.world_and_rng();
+                machine
+                    .spawn(now, spec, rng)
+                    .expect("experiment exceeds RAM+swap; shrink the workload");
             }
-            let now = sim.now();
-            sim.world_mut().complete_due(now);
-            arm_machine_completion(sim);
-        });
+            MachineEvent::Complete { epoch } if epoch == sim.world().epoch() => {
+                sim.world_mut().complete_due(now);
+            }
+            MachineEvent::Complete { .. } => return,
+        }
+        if let Some((t, _pid)) = sim.world().next_completion(now) {
+            let epoch = sim.world().epoch();
+            sim.schedule_event_at(t, MachineEvent::Complete { epoch });
+        }
     }
 }
 
@@ -477,16 +496,10 @@ mod tests {
     #[test]
     fn driver_loop_completes_all_processes() {
         let machine = quiet_machine(2);
-        let mut sim = Simulation::new(machine, 7);
+        let mut sim: MachineSim = Simulation::new(machine, 7);
         for i in 0..10u64 {
-            sim.schedule_at(SimTime::from_secs(i), |sim| {
-                let now = sim.now();
-                let (world, rng) = sim.world_and_rng();
-                world
-                    .spawn(now, WorkloadSpec::cpu_bound(1.65), rng)
-                    .unwrap();
-                arm_machine_completion(sim);
-            });
+            let spawn = MachineEvent::Spawn(WorkloadSpec::cpu_bound(1.65));
+            sim.schedule_event_at(SimTime::from_secs(i), spawn);
         }
         sim.run();
         assert_eq!(sim.world().completed().len(), 10);

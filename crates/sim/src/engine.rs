@@ -2,65 +2,66 @@
 //!
 //! A [`Simulation`] owns a user-defined *world* `W` (the mutable state of the whole experiment:
 //! physical nodes, network, applications), a virtual clock, a deterministic RNG and an event
-//! queue. Events come in two representations:
-//!
-//! * **Closure events** — `Box<dyn FnOnce(&mut Simulation<W, E>)>`, scheduled with
-//!   [`schedule_at`](Simulation::schedule_at) and friends. Fully general, one heap allocation
-//!   per event. This is the fallback arm every simulation supports.
-//! * **Pooled typed events** — a value of the simulation's typed-event class `E` (implementing
-//!   [`TypedEvent`]), scheduled with [`schedule_event_at`](Simulation::schedule_event_at).
-//!   The value is stored inline in the queue's slab slot, so the dominant event classes of a
-//!   hot loop (the network substrate's packet hops, see `p2plab-net`) run **allocation-free**.
-//!
-//! `E` defaults to the uninhabited [`NoEvent`], so `Simulation<W>` keeps its historical
-//! closure-only shape and none of the existing call sites change.
+//! queue. Every event is a plain value of the simulation's event class `E` — an enum
+//! implementing [`TypedEvent`] — fired by a `match`. The value is stored inline in the queue's
+//! slab slot, so scheduling an event performs no allocation, and a simulation holds nothing
+//! but data.
 //!
 //! ```
-//! use p2plab_sim::{Simulation, SimDuration};
+//! use p2plab_sim::{SimDuration, SimTime, Simulation, TypedEvent};
 //!
-//! let mut sim = Simulation::new(0u64, 42);
-//! sim.schedule_in(SimDuration::from_secs(1), |sim| {
-//!     *sim.world_mut() += 1;
-//!     sim.schedule_in(SimDuration::from_secs(1), |sim| *sim.world_mut() += 10);
-//! });
-//! sim.run();
-//! assert_eq!(*sim.world(), 11);
-//! assert_eq!(sim.now().as_secs_f64(), 2.0);
-//! ```
-//!
-//! A typed-event class is an enum plus a dispatch function:
-//!
-//! ```
-//! use p2plab_sim::{Simulation, SimTime, TypedEvent};
-//!
-//! enum Tick { Add(u32) }
+//! enum Tick {
+//!     Add(u32),
+//!     AddTwice(u32),
+//! }
 //! impl TypedEvent<u32> for Tick {
 //!     fn fire(self, sim: &mut Simulation<u32, Tick>) {
-//!         match self { Tick::Add(n) => *sim.world_mut() += n }
+//!         match self {
+//!             Tick::Add(n) => *sim.world_mut() += n,
+//!             Tick::AddTwice(n) => {
+//!                 *sim.world_mut() += n;
+//!                 sim.schedule_event_in(SimDuration::from_secs(1), Tick::Add(n));
+//!             }
+//!         }
 //!     }
 //! }
-//! let mut sim: Simulation<u32, Tick> = Simulation::with_events(0, 7);
-//! sim.schedule_event_at(SimTime::from_secs(1), Tick::Add(5));
+//! let mut sim: Simulation<u32, Tick> = Simulation::new(0, 7);
+//! sim.schedule_event_at(SimTime::from_secs(1), Tick::AddTwice(5));
 //! sim.run();
-//! assert_eq!(*sim.world(), 5);
+//! assert_eq!(*sim.world(), 10);
+//! assert_eq!(sim.now(), SimTime::from_secs(2));
+//! ```
+//!
+//! Besides events the queue holds **wakes**: entries that carry a small token instead of an
+//! event and hand control back to whoever drives the loop through
+//! [`run_until_wake`](Simulation::run_until_wake). A caller with state of its own — the
+//! scenario runner's sampler and churn chains — keeps that state outside the world and
+//! schedules wakes for it. A wake is ordered, counted and budgeted exactly like an event; a
+//! loop run by [`run_until`](Simulation::run_until) or [`run_before`](Simulation::run_before)
+//! passes over a wake as an event that does nothing.
+//!
+//! ```
+//! use p2plab_sim::{Halt, NoEvent, RunOutcome, SimTime, Simulation};
+//!
+//! let mut sim: Simulation<(), NoEvent> = Simulation::new((), 1);
+//! sim.schedule_wake_at(SimTime::from_secs(3), 7);
+//! assert_eq!(sim.run_until_wake(SimTime::MAX), Halt::Wake(7));
+//! assert_eq!(sim.now(), SimTime::from_secs(3));
+//! assert_eq!(sim.run_until_wake(SimTime::MAX), Halt::Stopped(RunOutcome::Drained));
 //! ```
 
 use crate::event::{EventId, EventQueue};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
-/// An event handler: a one-shot closure run when its scheduled time is reached.
-pub type EventFn<W, E = NoEvent> = Box<dyn FnOnce(&mut Simulation<W, E>)>;
-
-/// A simulation's pooled typed-event class: a plain value stored inline in the event queue
-/// (no per-event allocation) and dispatched by [`fire`](TypedEvent::fire) when due.
+/// A simulation's event class: a plain value stored inline in the event queue (no per-event
+/// allocation) and dispatched by [`fire`](TypedEvent::fire) when due.
 pub trait TypedEvent<W>: Sized + 'static {
-    /// Executes the event. Equivalent to a scheduled closure's body, with `self` carrying the
-    /// event's data.
+    /// Executes the event, with `self` carrying the event's data.
     fn fire(self, sim: &mut Simulation<W, Self>);
 }
 
-/// The default, uninhabited typed-event class: a `Simulation<W>` carries closure events only.
+/// The uninhabited event class, for a simulation (or a timer slot) that never holds a value.
 pub enum NoEvent {}
 
 impl<W> TypedEvent<W> for NoEvent {
@@ -69,10 +70,10 @@ impl<W> TypedEvent<W> for NoEvent {
     }
 }
 
-/// A queued event: the generic closure fallback, or an inline value of the typed class.
-enum Payload<W, E> {
-    Closure(EventFn<W, E>),
-    Typed(E),
+/// A queue slot: an event of the simulation's class, or a wake for the loop's caller.
+enum Slot<E> {
+    Event(E),
+    Wake(usize),
 }
 
 /// Outcome of [`Simulation::run_until`].
@@ -87,29 +88,30 @@ pub enum RunOutcome {
     EventBudgetExhausted,
 }
 
-/// A deterministic discrete-event simulation over a world `W`, with pooled typed events `E`.
-pub struct Simulation<W, E = NoEvent> {
+/// Why [`Simulation::run_until_wake`] handed control back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Halt {
+    /// The run stopped, as [`run_until`](Simulation::run_until) would have.
+    Stopped(RunOutcome),
+    /// The wake with this token came due; the clock stands at its time. Calling
+    /// `run_until_wake` again resumes the run.
+    Wake(usize),
+}
+
+/// A deterministic discrete-event simulation over a world `W`, with events of class `E`.
+pub struct Simulation<W, E> {
     now: SimTime,
-    queue: EventQueue<Payload<W, E>>,
+    queue: EventQueue<Slot<E>>,
     world: W,
     rng: SimRng,
     executed_events: u64,
     event_budget: u64,
 }
 
-impl<W> Simulation<W> {
-    /// Creates a closure-only simulation at time zero with the given world and RNG seed.
-    /// For a simulation with a pooled typed-event class, use
-    /// [`with_events`](Simulation::with_events).
-    pub fn new(world: W, seed: u64) -> Self {
-        Simulation::with_events(world, seed)
-    }
-}
-
 impl<W, E: TypedEvent<W>> Simulation<W, E> {
-    /// Creates a simulation at time zero whose pooled typed-event class is `E` (pick the class
-    /// through an annotation or turbofish: `Simulation::<World, MyEvent>::with_events(..)`).
-    pub fn with_events(world: W, seed: u64) -> Self {
+    /// Creates a simulation at time zero with the given world and RNG seed (pick the event
+    /// class through an annotation or turbofish: `Simulation::<World, MyEvent>::new(..)`).
+    pub fn new(world: W, seed: u64) -> Self {
         Simulation {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -146,7 +148,7 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
         (&mut self.world, &mut self.rng)
     }
 
-    /// Number of events executed so far.
+    /// Number of events (wakes included) executed so far.
     pub fn executed_events(&self) -> u64 {
         self.executed_events
     }
@@ -163,72 +165,27 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
         self.queue.reserve(events);
     }
 
-    /// Schedules `f` to run at absolute time `at`. Times in the past are clamped to "now"
-    /// (the event still runs, immediately after the current one).
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
-    where
-        F: FnOnce(&mut Simulation<W, E>) + 'static,
-    {
-        let at = at.max(self.now);
-        self.queue.push(at, Payload::Closure(Box::new(f)))
-    }
-
-    /// Schedules `f` to run after `delay`.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F) -> EventId
-    where
-        F: FnOnce(&mut Simulation<W, E>) + 'static,
-    {
-        self.schedule_at(self.now + delay, f)
-    }
-
-    /// Schedules `f` to run at the current instant, after all handlers already queued for this
-    /// instant.
-    pub fn schedule_now<F>(&mut self, f: F) -> EventId
-    where
-        F: FnOnce(&mut Simulation<W, E>) + 'static,
-    {
-        self.schedule_at(self.now, f)
-    }
-
-    /// Schedules a pooled typed event at absolute time `at` (clamped to "now" like
-    /// [`schedule_at`](Simulation::schedule_at)). The value is stored inline in the queue —
-    /// no per-event allocation.
+    /// Schedules `event` at absolute time `at`. Times in the past are clamped to "now" (the
+    /// event still runs, after everything already queued for this instant).
     pub fn schedule_event_at(&mut self, at: SimTime, event: E) -> EventId {
-        let at = at.max(self.now);
-        self.queue.push(at, Payload::Typed(event))
+        self.queue.push(at.max(self.now), Slot::Event(event))
     }
 
-    /// Schedules a pooled typed event after `delay`.
+    /// Schedules `event` after `delay`.
     pub fn schedule_event_in(&mut self, delay: SimDuration, event: E) -> EventId {
         self.schedule_event_at(self.now + delay, event)
     }
 
-    /// Cancels a scheduled event. Returns true if the event had not yet fired.
+    /// Schedules a wake carrying `token` at absolute time `at` (clamped to "now" like an
+    /// event): [`run_until_wake`](Simulation::run_until_wake) returns
+    /// [`Halt::Wake(token)`](Halt::Wake) when it comes due.
+    pub fn schedule_wake_at(&mut self, at: SimTime, token: usize) -> EventId {
+        self.queue.push(at.max(self.now), Slot::Wake(token))
+    }
+
+    /// Cancels a scheduled event or wake. Returns true if it had not yet fired.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
-    }
-
-    /// Executes one popped event: the clock jumps to its time, then its handler runs.
-    #[inline]
-    fn fire(&mut self, (time, _id, payload): (SimTime, EventId, Payload<W, E>)) {
-        debug_assert!(time >= self.now, "time must be monotonic");
-        self.now = time;
-        self.executed_events += 1;
-        match payload {
-            Payload::Closure(f) => f(self),
-            Payload::Typed(e) => e.fire(self),
-        }
-    }
-
-    /// Runs a single event, if any, and returns whether one was executed.
-    pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            Some(event) => {
-                self.fire(event);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Runs until the queue drains.
@@ -236,18 +193,38 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
         self.run_until(SimTime::MAX)
     }
 
-    /// Runs every event due at or before `last`; the clock stays at the last executed event.
-    fn run_through(&mut self, last: SimTime) -> RunOutcome {
+    /// Runs every event due at or before `last` until a wake comes due; the clock stays at the
+    /// last executed event.
+    fn run_through(&mut self, last: SimTime) -> Halt {
         loop {
             if self.executed_events >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
+                return Halt::Stopped(RunOutcome::EventBudgetExhausted);
             }
-            match self.queue.pop_due(last) {
-                Some(event) => self.fire(event),
-                None if self.queue.is_empty() => return RunOutcome::Drained,
-                None => return RunOutcome::DeadlineReached,
+            let Some((time, _id, slot)) = self.queue.pop_due(last) else {
+                return Halt::Stopped(if self.queue.is_empty() {
+                    RunOutcome::Drained
+                } else {
+                    RunOutcome::DeadlineReached
+                });
+            };
+            debug_assert!(time >= self.now, "time must be monotonic");
+            self.now = time;
+            self.executed_events += 1;
+            match slot {
+                Slot::Event(event) => event.fire(self),
+                Slot::Wake(token) => return Halt::Wake(token),
             }
         }
+    }
+
+    /// Runs like [`run_until`](Simulation::run_until), but hands control back as soon as a
+    /// wake comes due.
+    pub fn run_until_wake(&mut self, deadline: SimTime) -> Halt {
+        let halt = self.run_through(deadline);
+        if halt == Halt::Stopped(RunOutcome::DeadlineReached) {
+            self.now = deadline.max(self.now);
+        }
+        halt
     }
 
     /// Runs until the queue drains or virtual time would pass `deadline`.
@@ -255,11 +232,11 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
     /// Events scheduled exactly at `deadline` are executed. On return with
     /// [`RunOutcome::DeadlineReached`] the clock is advanced to `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        let outcome = self.run_through(deadline);
-        if outcome == RunOutcome::DeadlineReached {
-            self.now = deadline.max(self.now);
+        loop {
+            if let Halt::Stopped(outcome) = self.run_until_wake(deadline) {
+                return outcome;
+            }
         }
-        outcome
     }
 
     /// Runs every event strictly **before** `end` (a half-open window `[now, end)`).
@@ -276,7 +253,12 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
                 RunOutcome::DeadlineReached
             };
         }
-        self.run_through(SimTime::from_nanos(end.as_nanos() - 1))
+        let last = SimTime::from_nanos(end.as_nanos() - 1);
+        loop {
+            if let Halt::Stopped(outcome) = self.run_through(last) {
+                return outcome;
+            }
+        }
     }
 
     /// The timestamp of the earliest pending event, if any. Used by the sharded runtime's
@@ -291,110 +273,134 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
     }
 }
 
-/// Schedules `f` every `period`, starting at `start`, until `f` returns `false`.
-///
-/// This is the building block for the periodic timers used all over the substrates
-/// (choker rounds, tracker re-announces, rate estimators).
-///
-/// # Panics
-///
-/// Panics on a zero `period`: the timer would reschedule itself at the current instant
-/// forever, livelocking the run loop without ever advancing virtual time.
-pub fn schedule_periodic<W, E, F>(
-    sim: &mut Simulation<W, E>,
-    start: SimTime,
-    period: SimDuration,
-    f: F,
-) where
-    W: 'static,
-    E: TypedEvent<W>,
-    F: FnMut(&mut Simulation<W, E>) -> bool + 'static,
-{
-    assert!(
-        !period.is_zero(),
-        "schedule_periodic needs a non-zero period (a zero period livelocks the event loop)"
-    );
-    struct Periodic<W, F> {
-        period: SimDuration,
-        f: F,
-        _marker: std::marker::PhantomData<fn(&mut W)>,
-    }
-
-    fn tick<W, E, F>(mut state: Periodic<W, F>, sim: &mut Simulation<W, E>)
-    where
-        W: 'static,
-        E: TypedEvent<W>,
-        F: FnMut(&mut Simulation<W, E>) -> bool + 'static,
-    {
-        if (state.f)(sim) {
-            let period = state.period;
-            sim.schedule_in(period, move |sim| tick(state, sim));
-        }
-    }
-
-    let state = Periodic {
-        period,
-        f,
-        _marker: std::marker::PhantomData,
-    };
-    sim.schedule_at(start, move |sim| tick(state, sim));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+
+    /// The engine tests' event class over a log of observations.
+    enum Ev {
+        /// Log `n`.
+        Push(u32),
+        /// Log the clock.
+        Stamp,
+        /// Log `n`, then schedule `Push(n * 10)` one second later.
+        Nest(u32),
+        /// Schedule `Stamp` at an absolute time that may lie in the past.
+        StampAt(SimTime),
+        /// Reschedule itself one nanosecond later, for ever.
+        Forever,
+        /// Log `n`, then push a wake with token `n` and a `Push(n + 1)` at the current instant.
+        WakeAndPush(u32),
+        /// A periodic round: log `100 + n`, push `Push(n)` onto the next tick, then re-arm
+        /// itself there while `n < 3`.
+        Round(u32),
+    }
+
+    /// What the test events log.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Seen {
+        N(u32),
+        At(SimTime),
+    }
+
+    type Sim = Simulation<Vec<Seen>, Ev>;
+
+    impl TypedEvent<Vec<Seen>> for Ev {
+        fn fire(self, sim: &mut Sim) {
+            match self {
+                Ev::Push(n) => sim.world_mut().push(Seen::N(n)),
+                Ev::Stamp => {
+                    let now = sim.now();
+                    sim.world_mut().push(Seen::At(now));
+                }
+                Ev::Nest(n) => {
+                    sim.world_mut().push(Seen::N(n));
+                    sim.schedule_event_in(SimDuration::from_secs(1), Ev::Push(n * 10));
+                }
+                Ev::StampAt(at) => {
+                    sim.schedule_event_at(at, Ev::Stamp);
+                }
+                Ev::Forever => {
+                    sim.schedule_event_in(SimDuration::from_nanos(1), Ev::Forever);
+                }
+                Ev::WakeAndPush(n) => {
+                    sim.world_mut().push(Seen::N(n));
+                    let now = sim.now();
+                    sim.schedule_wake_at(now, n as usize);
+                    sim.schedule_event_at(now, Ev::Push(n + 1));
+                }
+                Ev::Round(n) => {
+                    sim.world_mut().push(Seen::N(100 + n));
+                    let period = SimDuration::from_secs(1);
+                    sim.schedule_event_in(period, Ev::Push(n));
+                    if n < 3 {
+                        sim.schedule_event_in(period, Ev::Round(n + 1));
+                    }
+                }
+            }
+        }
+    }
+
+    fn sim() -> Sim {
+        Simulation::new(Vec::new(), 1)
+    }
+
+    fn ns(seen: &[Seen]) -> Vec<u32> {
+        seen.iter()
+            .filter_map(|s| match s {
+                Seen::N(n) => Some(*n),
+                Seen::At(_) => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn events_run_in_time_order() {
-        let mut sim = Simulation::new(Vec::<u32>::new(), 1);
-        sim.schedule_in(SimDuration::from_secs(3), |s| s.world_mut().push(3));
-        sim.schedule_in(SimDuration::from_secs(1), |s| s.world_mut().push(1));
-        sim.schedule_in(SimDuration::from_secs(2), |s| s.world_mut().push(2));
+        let mut sim = sim();
+        for n in [3, 1, 2] {
+            sim.schedule_event_in(SimDuration::from_secs(n as u64), Ev::Push(n));
+        }
         assert_eq!(sim.run(), RunOutcome::Drained);
-        assert_eq!(sim.world(), &vec![1, 2, 3]);
+        assert_eq!(ns(sim.world()), vec![1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_secs(3));
         assert_eq!(sim.executed_events(), 3);
     }
 
     #[test]
     fn nested_scheduling() {
-        let mut sim = Simulation::new(0u32, 1);
-        sim.schedule_in(SimDuration::from_secs(1), |s| {
-            *s.world_mut() += 1;
-            s.schedule_in(SimDuration::from_secs(1), |s| *s.world_mut() += 100);
-        });
+        let mut sim = sim();
+        sim.schedule_event_in(SimDuration::from_secs(1), Ev::Nest(1));
         sim.run();
-        assert_eq!(*sim.world(), 101);
+        assert_eq!(ns(sim.world()), vec![1, 10]);
         assert_eq!(sim.now(), SimTime::from_secs(2));
+        assert_eq!(sim.executed_events(), 2);
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
-        let mut sim = Simulation::new(0u32, 1);
+        let mut sim = sim();
         for i in 1..=10 {
-            sim.schedule_in(SimDuration::from_secs(i), |s| *s.world_mut() += 1);
+            sim.schedule_event_in(SimDuration::from_secs(i), Ev::Push(i as u32));
         }
         let outcome = sim.run_until(SimTime::from_secs(5));
         assert_eq!(outcome, RunOutcome::DeadlineReached);
-        assert_eq!(*sim.world(), 5);
+        assert_eq!(ns(sim.world()), vec![1, 2, 3, 4, 5]);
         assert_eq!(sim.now(), SimTime::from_secs(5));
         // Remaining events still runnable.
         assert_eq!(sim.run(), RunOutcome::Drained);
-        assert_eq!(*sim.world(), 10);
+        assert_eq!(sim.world().len(), 10);
     }
 
     #[test]
     fn run_before_is_exclusive_and_keeps_clock() {
-        let mut sim = Simulation::new(0u32, 1);
+        let mut sim = sim();
         for i in 1..=10 {
-            sim.schedule_in(SimDuration::from_secs(i), |s| *s.world_mut() += 1);
+            sim.schedule_event_in(SimDuration::from_secs(i), Ev::Push(i as u32));
         }
         let outcome = sim.run_before(SimTime::from_secs(5));
         assert_eq!(outcome, RunOutcome::DeadlineReached);
         // Events at exactly t=5 did NOT run, and the clock sits at the last executed event.
-        assert_eq!(*sim.world(), 4);
+        assert_eq!(sim.world().len(), 4);
         assert_eq!(sim.now(), SimTime::from_secs(4));
         assert_eq!(sim.next_event_time(), Some(SimTime::from_secs(5)));
         // A window that opens at the frontier still executes the boundary event.
@@ -402,107 +408,72 @@ mod tests {
             sim.run_before(SimTime::from_secs(6)),
             RunOutcome::DeadlineReached
         );
-        assert_eq!(*sim.world(), 5);
+        assert_eq!(sim.world().len(), 5);
         assert_eq!(sim.run_before(SimTime::MAX), RunOutcome::Drained);
-        assert_eq!(*sim.world(), 10);
+        assert_eq!(sim.world().len(), 10);
         assert_eq!(sim.next_event_time(), None);
     }
 
     #[test]
     fn run_before_zero_window_runs_nothing() {
-        let mut sim = Simulation::new(0u32, 1);
-        sim.schedule_at(SimTime::ZERO, |s| *s.world_mut() += 1);
+        let mut sim = sim();
+        sim.schedule_event_at(SimTime::ZERO, Ev::Push(1));
         assert_eq!(sim.run_before(SimTime::ZERO), RunOutcome::DeadlineReached);
-        assert_eq!(*sim.world(), 0);
+        assert!(sim.world().is_empty());
         assert_eq!(sim.run(), RunOutcome::Drained);
-        assert_eq!(*sim.world(), 1);
+        assert_eq!(ns(sim.world()), vec![1]);
     }
 
     #[test]
     fn past_events_are_clamped_to_now() {
-        let mut sim = Simulation::new(Vec::new(), 1);
-        sim.schedule_in(SimDuration::from_secs(5), |s| {
-            // Scheduling "in the past" must not move time backwards.
-            s.schedule_at(SimTime::from_secs(1), |s| {
-                let now = s.now();
-                s.world_mut().push(now);
-            });
-        });
+        let mut sim = sim();
+        // Scheduling "in the past" must not move time backwards.
+        sim.schedule_event_in(
+            SimDuration::from_secs(5),
+            Ev::StampAt(SimTime::from_secs(1)),
+        );
         sim.run();
-        assert_eq!(sim.world(), &vec![SimTime::from_secs(5)]);
+        assert_eq!(sim.world(), &vec![Seen::At(SimTime::from_secs(5))]);
     }
 
     #[test]
     fn cancel_prevents_execution() {
-        let mut sim = Simulation::new(0u32, 1);
-        let id = sim.schedule_in(SimDuration::from_secs(1), |s| *s.world_mut() += 1);
-        sim.schedule_in(SimDuration::from_secs(2), |s| *s.world_mut() += 10);
+        let mut sim = sim();
+        let id = sim.schedule_event_in(SimDuration::from_secs(1), Ev::Push(1));
+        sim.schedule_event_in(SimDuration::from_secs(2), Ev::Push(10));
         assert!(sim.cancel(id));
+        assert!(!sim.cancel(id), "a cancelled event stays cancelled");
         sim.run();
-        assert_eq!(*sim.world(), 10);
+        assert_eq!(ns(sim.world()), vec![10]);
     }
 
     #[test]
     fn event_budget_stops_runaway() {
-        let mut sim = Simulation::new((), 1);
-        fn forever(sim: &mut Simulation<()>) {
-            sim.schedule_in(SimDuration::from_nanos(1), forever);
-        }
-        sim.schedule_now(forever);
+        let mut sim = sim();
+        sim.schedule_event_at(SimTime::ZERO, Ev::Forever);
         sim.set_event_budget(1000);
         assert_eq!(sim.run(), RunOutcome::EventBudgetExhausted);
         assert_eq!(sim.executed_events(), 1000);
     }
 
     #[test]
-    fn periodic_runs_until_false() {
-        let counter = Rc::new(RefCell::new(0));
-        let c2 = counter.clone();
-        let mut sim = Simulation::new((), 1);
-        schedule_periodic(
-            &mut sim,
-            SimTime::from_secs(1),
-            SimDuration::from_secs(1),
-            move |_sim| {
-                *c2.borrow_mut() += 1;
-                *c2.borrow() < 5
-            },
-        );
-        sim.run();
-        assert_eq!(*counter.borrow(), 5);
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero period")]
-    fn periodic_rejects_zero_period() {
-        // A zero period would reschedule the timer at the same instant until the event budget
-        // (or the operator's patience) runs out; it must be refused up front.
-        let mut sim = Simulation::new((), 1);
-        schedule_periodic(&mut sim, SimTime::ZERO, SimDuration::ZERO, |_| true);
-    }
-
-    #[test]
     fn same_instant_fifo() {
-        let mut sim = Simulation::new(Vec::new(), 1);
+        let mut sim = sim();
         let t = SimTime::from_secs(1);
         for i in 0..10 {
-            sim.schedule_at(t, move |s| s.world_mut().push(i));
+            sim.schedule_event_at(t, Ev::Push(i));
         }
         sim.run();
-        assert_eq!(sim.world(), &(0..10).collect::<Vec<_>>());
+        assert_eq!(ns(sim.world()), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn determinism_same_seed_same_draws() {
         let run = |seed| {
-            let mut sim = Simulation::new(Vec::new(), seed);
+            let mut sim: Sim = Simulation::new(Vec::new(), seed);
             for _ in 0..100 {
                 let d = SimDuration::from_nanos(sim.rng().gen_range(1..1_000_000));
-                sim.schedule_in(d, move |s| {
-                    let now = s.now();
-                    s.world_mut().push(now);
-                });
+                sim.schedule_event_in(d, Ev::Stamp);
             }
             sim.run();
             sim.into_world()
@@ -511,53 +482,87 @@ mod tests {
         assert_ne!(run(7), run(8));
     }
 
-    /// A minimal typed-event class for engine-level tests.
-    enum TestEvent {
-        Add(u32),
-        Spawn,
-    }
-
-    impl TypedEvent<Vec<u32>> for TestEvent {
-        fn fire(self, sim: &mut Simulation<Vec<u32>, TestEvent>) {
-            match self {
-                TestEvent::Add(n) => sim.world_mut().push(n),
-                TestEvent::Spawn => {
-                    // Typed handlers can schedule both typed and closure events.
-                    sim.schedule_event_in(SimDuration::from_secs(1), TestEvent::Add(99));
-                    sim.schedule_now(|s| s.world_mut().push(1));
-                }
-            }
-        }
+    #[test]
+    fn a_periodic_round_rearms_after_the_events_its_body_pushes() {
+        // The workloads' rounds (gossip, choker, tracker, sampler) re-arm themselves once
+        // their body has run, so whatever a body schedules onto the next tick runs before
+        // that tick's round.
+        let mut sim = sim();
+        sim.schedule_event_at(SimTime::ZERO, Ev::Round(0));
+        sim.run();
+        assert_eq!(ns(sim.world()), vec![100, 0, 101, 1, 102, 2, 103, 3]);
+        assert_eq!(sim.now(), SimTime::from_secs(4));
     }
 
     #[test]
-    fn typed_and_closure_events_interleave_in_seq_order() {
-        let mut sim: Simulation<Vec<u32>, TestEvent> = Simulation::with_events(Vec::new(), 1);
+    fn a_wake_keeps_push_order_and_counts_as_an_event() {
+        let mut sim = sim();
         let t = SimTime::from_secs(1);
-        sim.schedule_event_at(t, TestEvent::Add(10));
-        sim.schedule_at(t, |s| s.world_mut().push(20));
-        sim.schedule_event_at(t, TestEvent::Add(30));
-        sim.run();
-        assert_eq!(sim.world(), &vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn typed_events_can_spawn_more_work() {
-        let mut sim: Simulation<Vec<u32>, TestEvent> = Simulation::with_events(Vec::new(), 1);
-        sim.schedule_event_at(SimTime::from_secs(1), TestEvent::Spawn);
-        sim.run();
-        assert_eq!(sim.world(), &vec![1, 99]);
-        assert_eq!(sim.now(), SimTime::from_secs(2));
+        sim.schedule_event_at(t, Ev::Push(1));
+        sim.schedule_wake_at(t, 42);
+        sim.schedule_event_at(t, Ev::Push(2));
+        // The wake surfaces between the two events pushed around it, at their instant, and is
+        // counted as the second executed event.
+        assert_eq!(sim.run_until_wake(SimTime::MAX), Halt::Wake(42));
+        assert_eq!(sim.now(), t);
+        assert_eq!(ns(sim.world()), vec![1]);
+        assert_eq!(sim.executed_events(), 2);
+        assert_eq!(
+            sim.run_until_wake(SimTime::MAX),
+            Halt::Stopped(RunOutcome::Drained)
+        );
+        assert_eq!(ns(sim.world()), vec![1, 2]);
         assert_eq!(sim.executed_events(), 3);
     }
 
     #[test]
-    fn typed_events_are_cancellable() {
-        let mut sim: Simulation<Vec<u32>, TestEvent> = Simulation::with_events(Vec::new(), 1);
-        let id = sim.schedule_event_at(SimTime::from_secs(1), TestEvent::Add(1));
-        sim.schedule_event_at(SimTime::from_secs(2), TestEvent::Add(2));
+    fn a_wake_pushed_by_an_event_runs_after_it_and_before_later_pushes() {
+        let mut sim = sim();
+        sim.schedule_event_at(SimTime::from_secs(2), Ev::WakeAndPush(5));
+        assert_eq!(sim.run_until_wake(SimTime::MAX), Halt::Wake(5));
+        assert_eq!(ns(sim.world()), vec![5]);
+        assert_eq!(
+            sim.run_until_wake(SimTime::MAX),
+            Halt::Stopped(RunOutcome::Drained)
+        );
+        assert_eq!(ns(sim.world()), vec![5, 6]);
+    }
+
+    #[test]
+    fn wakes_stop_on_the_event_budget_like_events() {
+        let mut sim = sim();
+        for i in 0..5 {
+            sim.schedule_wake_at(SimTime::from_secs(i), i as usize);
+        }
+        sim.set_event_budget(3);
+        for i in 0..3 {
+            assert_eq!(sim.run_until_wake(SimTime::MAX), Halt::Wake(i));
+        }
+        assert_eq!(
+            sim.run_until_wake(SimTime::MAX),
+            Halt::Stopped(RunOutcome::EventBudgetExhausted)
+        );
+        assert_eq!(sim.executed_events(), 3);
+    }
+
+    #[test]
+    fn run_until_wake_advances_to_the_deadline_and_run_until_passes_over_wakes() {
+        let mut sim = sim();
+        sim.schedule_wake_at(SimTime::from_secs(1), 0);
+        sim.schedule_event_at(SimTime::from_secs(2), Ev::Push(1));
+        sim.schedule_wake_at(SimTime::from_secs(9), 1);
+        assert_eq!(sim.run_until_wake(SimTime::from_secs(5)), Halt::Wake(0));
+        assert_eq!(
+            sim.run_until_wake(SimTime::from_secs(5)),
+            Halt::Stopped(RunOutcome::DeadlineReached)
+        );
+        assert_eq!(sim.now(), SimTime::from_secs(5));
+        // A cancelled wake never surfaces; `run_until` counts the remaining one and goes on.
+        let id = sim.schedule_wake_at(SimTime::from_secs(6), 2);
         assert!(sim.cancel(id));
-        sim.run();
-        assert_eq!(sim.world(), &vec![2]);
+        sim.schedule_event_at(SimTime::from_secs(10), Ev::Push(2));
+        assert_eq!(sim.run_until(SimTime::MAX), RunOutcome::Drained);
+        assert_eq!(ns(sim.world()), vec![1, 2]);
+        assert_eq!(sim.executed_events(), 4);
     }
 }

@@ -363,7 +363,7 @@ fn run_shard<W: ShardWorld>(
 ) -> ShardExit<W> {
     let shard_seed = SimRng::new(cfg.seed).split_u64(idx as u64).seed();
     let host = ShardHost::new(build(idx), idx, cfg.shards, cfg.lookahead);
-    let mut sim: ShardSim<W> = Simulation::with_events(host, shard_seed);
+    let mut sim: ShardSim<W> = Simulation::new(host, shard_seed);
     init(&mut sim);
 
     let mut windows = 0u64;

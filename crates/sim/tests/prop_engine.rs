@@ -5,8 +5,23 @@
     reason = "std collections model the implementation under test"
 )]
 
-use p2plab_sim::{Cdf, EventId, EventQueue, SimDuration, SimTime, Simulation, Summary, TimeSeries};
+use p2plab_sim::{
+    Cdf, EventId, EventQueue, SimDuration, SimTime, Simulation, Summary, TimeSeries, TypedEvent,
+};
 use proptest::prelude::*;
+
+/// Logs the clock; with `Some(delay)` it also schedules a nested stamp `delay` ns later.
+struct Stamp(Option<u64>);
+
+impl TypedEvent<Vec<SimTime>> for Stamp {
+    fn fire(self, sim: &mut Simulation<Vec<SimTime>, Stamp>) {
+        let now = sim.now();
+        sim.world_mut().push(now);
+        if let Some(delay) = self.0 {
+            sim.schedule_event_in(SimDuration::from_nanos(delay), Stamp(None));
+        }
+    }
+}
 
 /// A trivially-correct reference queue: a vector scanned for the minimum `(time, seq)` on
 /// every pop. The timer wheel must be observation-equivalent to it under any interleaving of
@@ -240,17 +255,9 @@ proptest! {
     /// The simulation clock never goes backwards, no matter how events are scheduled.
     #[test]
     fn simulation_time_is_monotonic(delays in prop::collection::vec(0u64..5_000_000u64, 1..100)) {
-        let mut sim: Simulation<Vec<SimTime>> = Simulation::new(Vec::new(), 1);
+        let mut sim: Simulation<Vec<SimTime>, Stamp> = Simulation::new(Vec::new(), 1);
         for &d in &delays {
-            sim.schedule_in(SimDuration::from_nanos(d), move |sim| {
-                let now = sim.now();
-                sim.world_mut().push(now);
-                // Nested event with another arbitrary delay.
-                sim.schedule_in(SimDuration::from_nanos(d / 2 + 1), move |sim| {
-                    let now = sim.now();
-                    sim.world_mut().push(now);
-                });
-            });
+            sim.schedule_event_in(SimDuration::from_nanos(d), Stamp(Some(d / 2 + 1)));
         }
         sim.run();
         let observed = sim.world();

@@ -213,6 +213,56 @@ fn committed_rows(campaign: &str) -> Vec<BTreeMap<String, String>> {
         .collect()
 }
 
+/// Runs `cells` and asserts each reproduces its committed row: outcome, stop time, event count
+/// and final progress. Returns the reports.
+fn rerun_against_committed(
+    campaign: &str,
+    cells: &[CampaignCell],
+    committed: &[BTreeMap<String, String>],
+) -> Vec<RunReport> {
+    let reports: Vec<RunReport> = run_campaign(cells, 1)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("every cell runs");
+    for row in CampaignSummary::new(campaign, cells, &reports).rows {
+        let was = &committed[row.index];
+        let now = (
+            row.outcome.as_str(),
+            row.stopped_at_ns,
+            row.events_executed,
+            row.final_progress,
+        );
+        let then = (
+            was["outcome"].as_str(),
+            was["stopped_at_ns"].parse().unwrap(),
+            was["events_executed"].parse().unwrap(),
+            was["final_progress"].parse().unwrap(),
+        );
+        assert_eq!(now, then, "{} drifted from its committed row", row.scenario);
+    }
+    reports
+}
+
+/// The churn campaign is cheap enough to re-run whole: every cell reproduces its committed
+/// row, and in every cell the session process really acted — the swarm's tracker saw
+/// departures, and each gossip run differs from the same overlay without sessions.
+#[test]
+fn churn_campaign_reproduces_its_committed_aggregate() {
+    let campaign = CampaignSpec::parse(&example("campaigns/churn.toml")).unwrap();
+    let cells = campaign.expand().unwrap();
+    let committed = committed_rows(&campaign.name);
+    assert_eq!(cells.len(), committed.len(), "one committed row per cell");
+    let mut calm = cells[0].file.clone();
+    calm.spec.sessions = None;
+    let calm = calm.run().expect("the base runs without sessions");
+    for report in rerun_against_committed(&campaign.name, &cells, &committed) {
+        match report.workload.as_str() {
+            "gossip" => assert_ne!(report.events_executed, calm.events_executed),
+            _ => assert!(report.metrics.counter("churn_departures") > Some(0)),
+        }
+    }
+}
+
 /// The scale sweep's committed aggregate is the tree's behaviour ledger; CI regenerates all of
 /// it. Here: every cell of the file expands and validates and has its committed row; the
 /// cells cheap enough for tier-1 are re-run and must reproduce their rows; and the committed
@@ -237,26 +287,7 @@ fn scale_sweep_reproduces_its_committed_aggregate_on_the_cheap_cells() {
         names,
         ["scale-mesh-1000", "scale-gossip-1000", "scale-dht-1000"]
     );
-    let reports: Vec<RunReport> = run_campaign(&cheap, 1)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("every cheap cell runs");
-    for row in CampaignSummary::new(&campaign.name, &cheap, &reports).rows {
-        let was = &committed[row.index];
-        let now = (
-            row.outcome.as_str(),
-            row.stopped_at_ns,
-            row.events_executed,
-            row.final_progress,
-        );
-        let then = (
-            was["outcome"].as_str(),
-            was["stopped_at_ns"].parse().unwrap(),
-            was["events_executed"].parse().unwrap(),
-            was["final_progress"].parse().unwrap(),
-        );
-        assert_eq!(now, then, "{} drifted from its committed row", row.scenario);
-    }
+    rerun_against_committed(&campaign.name, &cheap, &committed);
 
     let sharded: Vec<_> = committed
         .iter()

@@ -1,5 +1,6 @@
-//! The two conventions `cargo clippy` cannot state (the rest are `clippy.toml` and
-//! `[workspace.lints]`): which bench binaries may exist, and that no crate drops out of the gate.
+//! The conventions `cargo clippy` cannot state (the rest are `clippy.toml` and
+//! `[workspace.lints]`): which bench binaries may exist, that no crate drops out of the gate,
+//! and that no crate source holds a `dyn Fn`.
 
 use std::path::Path;
 
@@ -37,6 +38,35 @@ fn every_crate_opts_into_the_workspace_lints() {
             text.contains("[lints]\nworkspace = true"),
             "{} must opt into [workspace.lints]",
             manifest.display()
+        );
+    }
+}
+
+/// Every scheduled event is a value of its world's event enum: no crate source stores a
+/// closure behind `dyn Fn`, `dyn FnMut` or `dyn FnOnce` (a simulation is plain data).
+#[test]
+fn no_crate_source_holds_a_dyn_closure() {
+    fn sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                sources(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    for krate in entries("crates") {
+        sources(&krate.join("src"), &mut files);
+    }
+    assert!(files.len() > 10);
+    for file in files {
+        let text = std::fs::read_to_string(&file).unwrap();
+        assert!(
+            !text.contains("dyn Fn"),
+            "{}: a `dyn Fn*` closure; make it a variant of the world's event enum",
+            file.display()
         );
     }
 }
