@@ -9,9 +9,9 @@
 //! changes how upload capacity is partitioned (every interested peer competes for each uploader's
 //! access link at once) and with it the per-client completion profile.
 
-use p2plab_bench::{arg_scale, write_run_report};
-use p2plab_bittorrent::no_choking;
-use p2plab_core::{completion_summary, render_table, run_reported, SwarmExperiment};
+use p2plab_bench::{arg_scale, run_summary, write_run_report};
+use p2plab_bittorrent::{no_choking, SwarmWorld};
+use p2plab_core::{completion_summary, render_table, run_scenario, RunReport, SwarmExperiment};
 
 fn main() {
     let scale = arg_scale(0.25, 0.05);
@@ -29,21 +29,23 @@ fn main() {
         "running {} clients with tit-for-tat choking...",
         base.leechers
     );
-    let (a, report_a) =
-        run_reported(&with_choking.to_scenario(), with_choking.workload()).expect("scenario runs");
-    write_run_report(&report_a);
-    println!("  {}", a.summary());
+    let a =
+        run_scenario(&with_choking.to_scenario(), with_choking.workload()).expect("scenario runs");
+    write_run_report(&a.1);
+    println!("  {}", run_summary(&a.1));
     println!("running {} clients with choking disabled...", base.leechers);
-    let (b, report_b) = run_reported(&without_choking.to_scenario(), without_choking.workload())
+    let b = run_scenario(&without_choking.to_scenario(), without_choking.workload())
         .expect("scenario runs");
-    write_run_report(&report_b);
-    println!("  {}\n", b.summary());
+    write_run_report(&b.1);
+    println!("  {}\n", run_summary(&b.1));
 
-    let row = |r: &p2plab_core::SwarmResult| {
-        let s = completion_summary(r);
+    let row = |(world, report): &(SwarmWorld, RunReport)| {
+        let s = completion_summary(&world.completion_times());
+        let peer_up: u64 = world.downloaders().map(|c| c.stats.bytes_uploaded).sum();
+        let seeder_up = world.total_bytes_uploaded() - peer_up;
         vec![
-            r.name.clone(),
-            format!("{}/{}", r.completed, r.leechers),
+            report.scenario.clone(),
+            format!("{}/{}", world.completed_count(), report.participants),
             s.map(|s| format!("{:.0}", s.first.as_secs_f64()))
                 .unwrap_or_else(|| "-".into()),
             s.map(|s| format!("{:.0}", s.median.as_secs_f64()))
@@ -52,8 +54,8 @@ fn main() {
                 .unwrap_or_else(|| "-".into()),
             s.map(|s| format!("{:.0}", s.p5_p95_spread_secs))
                 .unwrap_or_else(|| "-".into()),
-            format!("{:.1}", r.seeder_upload_bytes as f64 / (1024.0 * 1024.0)),
-            format!("{:.1}", r.leecher_upload_bytes as f64 / (1024.0 * 1024.0)),
+            format!("{:.1}", seeder_up as f64 / (1024.0 * 1024.0)),
+            format!("{:.1}", peer_up as f64 / (1024.0 * 1024.0)),
         ]
     };
     println!(

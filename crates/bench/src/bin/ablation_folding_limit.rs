@@ -11,8 +11,8 @@
 //! aggregate demand exceeds one machine's NIC, so the deviation from the baseline becomes
 //! visible — the boundary of the approach.
 
-use p2plab_bench::{arg_scale, write_run_report};
-use p2plab_core::{compare_folding, render_table, run_reported, SwarmExperiment};
+use p2plab_bench::{arg_scale, run_summary, write_run_report};
+use p2plab_core::{compare_folding, render_table, run_scenario, SwarmExperiment};
 use p2plab_net::AccessLinkClass;
 use p2plab_sim::SimDuration;
 
@@ -27,25 +27,26 @@ fn main() {
 
     let total = base.leechers + base.seeders + 1;
     let ratios = [1usize, 10, 40, total];
-    let mut results = Vec::new();
+    // Each run's report and the exact completion times of its downloaders.
+    let mut runs = Vec::new();
     for &per_machine in &ratios {
         let mut cfg = base.clone();
         cfg.machines = total.div_ceil(per_machine);
         cfg.name = format!("fast-links-{per_machine}-per-machine");
         println!("running {} ({} machines)...", cfg.name, cfg.machines);
-        let (r, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
+        let (world, report) =
+            run_scenario(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
         write_run_report(&report);
         println!(
             "  {} (peak NIC utilization {:.0}%)",
-            r.summary(),
-            100.0 * r.peak_nic_utilization
+            run_summary(&report),
+            100.0 * report.metrics.gauge("peak_nic_utilization").unwrap_or(0.0)
         );
-        results.push(r);
+        runs.push((report, world.completion_times()));
     }
 
-    let baseline = &results[0];
-    let folded: Vec<&_> = results[1..].iter().collect();
-    let cmp = compare_folding(baseline, &folded);
+    let runs: Vec<_> = runs.iter().map(|(r, t)| (r, t.as_slice())).collect();
+    let cmp = compare_folding(runs[0], &runs[1..]);
     let rows: Vec<Vec<String>> = cmp
         .rows
         .iter()

@@ -156,7 +156,7 @@ fn run_one(path: &str, args: &Args) -> Result<(), ExitCode> {
                 return Err(ExitCode::from(2));
             }
             // Plain scenario: one run, one report under results/.
-            let report = file.workload.run_reported(&file.spec).map_err(|e| {
+            let report = file.workload.run(&file.spec).map_err(|e| {
                 eprintln!("error: {path}: run failed: {e}");
                 ExitCode::from(1)
             })?;

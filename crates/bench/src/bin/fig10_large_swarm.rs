@@ -8,9 +8,9 @@
 //! cargo run --release -p p2plab-bench --bin fig10_large_swarm
 //! ```
 
-use p2plab_bench::{arg_scale, write_results_file, write_run_report};
-use p2plab_core::{completion_summary, run_reported, series_to_csv, SwarmExperiment};
-use p2plab_sim::{SimDuration, SimTime};
+use p2plab_bench::{arg_scale, run_summary, write_results_file, write_run_report};
+use p2plab_core::{completion_summary, run_scenario, series_to_csv, SwarmExperiment};
+use p2plab_sim::{SimDuration, SimTime, TimeSeries};
 
 fn main() {
     let scale = arg_scale(0.1, 0.002);
@@ -23,12 +23,12 @@ fn main() {
         cfg.folding_ratio(),
         cfg.start_interval
     );
-    let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
+    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
     write_run_report(&report);
-    println!("{}", result.summary());
-    println!("simulation executed {} events\n", result.events_executed);
+    println!("{}", run_summary(&report));
+    println!("simulation executed {} events\n", report.events_executed);
 
-    if let Some(s) = completion_summary(&result) {
+    if let Some(s) = completion_summary(&world.completion_times()) {
         println!(
             "completions: first {} / median {} / last {} (p5-p95 spread {:.0} s)",
             s.first, s.median, s.last, s.p5_p95_spread_secs
@@ -41,13 +41,14 @@ fn main() {
     }
 
     // The paper plots clients 50, 100, 150, ... 5750; sample the same way, scaled.
-    let stride = (result.progress.len() / 115).max(1);
+    let progress: Vec<&TimeSeries> = world.downloaders().map(|c| &c.progress).collect();
+    let stride = (progress.len() / 115).max(1);
     println!("Selected clients (the paper samples every 50th client):");
     println!(
         "{:>8}  {:>10}  {:>10}  {:>10}",
         "client", "25% at", "75% at", "done at"
     );
-    for (i, p) in result.progress.iter().enumerate().step_by(stride * 8) {
+    for (i, p) in progress.iter().enumerate().step_by(stride * 8) {
         let fmt = |t: Option<SimTime>| {
             t.map(|t| format!("{:.0}s", t.as_secs_f64()))
                 .unwrap_or_else(|| "-".into())
@@ -61,17 +62,15 @@ fn main() {
         );
     }
 
-    let sampled: Vec<(String, &p2plab_sim::TimeSeries)> = result
-        .progress
+    let sampled: Vec<(String, &TimeSeries)> = progress
         .iter()
         .enumerate()
         .step_by(stride)
-        .map(|(i, p)| (format!("client{i}"), p))
+        .map(|(i, p)| (format!("client{i}"), *p))
         .collect();
-    let series: Vec<(&str, &p2plab_sim::TimeSeries)> =
-        sampled.iter().map(|(n, p)| (n.as_str(), *p)).collect();
+    let series: Vec<(&str, &TimeSeries)> = sampled.iter().map(|(n, p)| (n.as_str(), *p)).collect();
     write_results_file(
         "fig10_selected_progress.csv",
-        &series_to_csv(&series, SimDuration::from_secs(25), result.stopped_at),
+        &series_to_csv(&series, SimDuration::from_secs(25), report.stopped_at),
     );
 }

@@ -5,8 +5,8 @@
 //! cargo run --release -p p2plab-bench --bin fig11_completion_curve [scale]
 //! ```
 
-use p2plab_bench::{arg_scale, write_results_file, write_run_report};
-use p2plab_core::{ascii_plot, run_reported, series_to_csv, SwarmExperiment};
+use p2plab_bench::{arg_scale, run_summary, write_results_file, write_run_report};
+use p2plab_core::{ascii_plot, run_scenario, series_to_csv, SwarmExperiment};
 use p2plab_sim::SimDuration;
 
 fn main() {
@@ -16,15 +16,16 @@ fn main() {
         "Figure 11: completion curve of {} clients on {} machines",
         cfg.leechers, cfg.machines
     );
-    let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
+    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
     write_run_report(&report);
-    println!("{}\n", result.summary());
+    println!("{}\n", run_summary(&report));
 
+    let completion_curve = world.completion_curve();
     println!(
         "{}",
         ascii_plot(
             "clients having completed the download",
-            &result.completion_curve,
+            &completion_curve,
             72,
             16
         )
@@ -35,9 +36,9 @@ fn main() {
     write_results_file(
         "fig11_completion_curve.csv",
         &series_to_csv(
-            &[("completed_clients", &result.completion_curve)],
+            &[("completed_clients", &completion_curve)],
             SimDuration::from_secs(10),
-            result.stopped_at,
+            report.stopped_at,
         ),
     );
 }

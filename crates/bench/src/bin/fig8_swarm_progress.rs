@@ -8,11 +8,11 @@
 //! The optional `scale` argument (0..1] shrinks the number of clients proportionally; the
 //! default reproduces the paper's 160 clients.
 
-use p2plab_bench::{arg_scale, write_results_file, write_run_report};
+use p2plab_bench::{arg_scale, run_summary, write_results_file, write_run_report};
 use p2plab_core::{
-    ascii_plot, completion_summary, download_phases, run_reported, series_to_csv, SwarmExperiment,
+    ascii_plot, completion_summary, download_phases, run_scenario, series_to_csv, SwarmExperiment,
 };
-use p2plab_sim::SimDuration;
+use p2plab_sim::{SimDuration, SimTime, TimeSeries};
 
 fn main() {
     let scale = arg_scale(1.0, 0.05);
@@ -26,17 +26,18 @@ fn main() {
         "Figure 8: {} clients + {} seeders, 16 MB file, DSL 2 Mbps/128 kbps/30 ms, start interval {}",
         cfg.leechers, cfg.seeders, cfg.start_interval
     );
-    let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
+    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
     write_run_report(&report);
-    println!("{}\n", result.summary());
+    println!("{}\n", run_summary(&report));
 
-    if let Some(s) = completion_summary(&result) {
+    let times = world.completion_times();
+    if let Some(s) = completion_summary(&times) {
         println!(
             "completions: first {} / median {} / last {}",
             s.first, s.median, s.last
         );
     }
-    if let Some(p) = download_phases(&result) {
+    if let Some(p) = download_phases(&times, report.progress()) {
         println!("download phases (as read off the curves):");
         println!(
             "  1. seeders-only uploading until about {}",
@@ -54,30 +55,29 @@ fn main() {
 
     // The figure plots every client's progress; print a sample of clients and write all curves
     // to CSV for plotting.
+    let progress: Vec<&TimeSeries> = world.downloaders().map(|c| &c.progress).collect();
     println!("\nSelected clients (percent done at 500 s / 1000 s / 1500 s, completion time):");
-    let step = (result.progress.len() / 10).max(1);
-    for (i, p) in result.progress.iter().enumerate().step_by(step) {
+    let step = (progress.len() / 10).max(1);
+    for (i, p) in progress.iter().enumerate().step_by(step) {
         println!(
             "  client {:3}: {:5.1}% {:6.1}% {:6.1}%   done at {}",
             i,
-            p.value_at(p2plab_sim::SimTime::from_secs(500), 0.0),
-            p.value_at(p2plab_sim::SimTime::from_secs(1000), 0.0),
-            p.value_at(p2plab_sim::SimTime::from_secs(1500), 0.0),
+            p.value_at(SimTime::from_secs(500), 0.0),
+            p.value_at(SimTime::from_secs(1000), 0.0),
+            p.value_at(SimTime::from_secs(1500), 0.0),
             p.time_to_reach(100.0)
                 .map(|t| t.to_string())
                 .unwrap_or_else(|| "-".into())
         );
     }
 
-    let names: Vec<String> = (0..result.progress.len())
-        .map(|i| format!("client{i}"))
-        .collect();
-    let series: Vec<(&str, &p2plab_sim::TimeSeries)> = names
+    let names: Vec<String> = (0..progress.len()).map(|i| format!("client{i}")).collect();
+    let series: Vec<(&str, &TimeSeries)> = names
         .iter()
         .map(|n| n.as_str())
-        .zip(result.progress.iter())
+        .zip(progress.iter().copied())
         .collect();
-    let csv = series_to_csv(&series, SimDuration::from_secs(20), result.stopped_at);
+    let csv = series_to_csv(&series, SimDuration::from_secs(20), report.stopped_at);
     write_results_file("fig8_progress.csv", &csv);
 
     println!();
@@ -85,7 +85,7 @@ fn main() {
         "{}",
         ascii_plot(
             "median client progress shape (percent)",
-            &median_curve(&result),
+            &median_curve(&progress, report.stopped_at),
             70,
             12
         )
@@ -93,14 +93,13 @@ fn main() {
     println!("Paper: all three phases of a BitTorrent download are visible, and clients finish around 1500-2000 s.");
 }
 
-fn median_curve(result: &p2plab_core::SwarmResult) -> p2plab_sim::TimeSeries {
-    // Build a "median client" curve by sampling all progress curves on a grid.
-    let mut out = p2plab_sim::TimeSeries::new();
-    let end = result.stopped_at;
+/// A "median client" curve: every progress curve sampled on a 20 s grid up to `end`.
+fn median_curve(progress: &[&TimeSeries], end: SimTime) -> TimeSeries {
+    let mut out = TimeSeries::new();
     let step = SimDuration::from_secs(20);
-    let mut t = p2plab_sim::SimTime::ZERO;
+    let mut t = SimTime::ZERO;
     while t <= end {
-        let mut vals: Vec<f64> = result.progress.iter().map(|p| p.value_at(t, 0.0)).collect();
+        let mut vals: Vec<f64> = progress.iter().map(|p| p.value_at(t, 0.0)).collect();
         vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
         if !vals.is_empty() {
             out.push(t, vals[vals.len() / 2]);

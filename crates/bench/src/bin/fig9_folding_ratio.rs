@@ -6,14 +6,15 @@
 //! cargo run --release -p p2plab-bench --bin fig9_folding_ratio [scale]
 //! ```
 
-use p2plab_bench::{arg_scale, write_results_file, write_run_report};
-use p2plab_core::{compare_folding, render_table, run_reported, series_to_csv, SwarmExperiment};
-use p2plab_sim::SimDuration;
+use p2plab_bench::{arg_scale, run_summary, write_results_file, write_run_report};
+use p2plab_core::{compare_folding, render_table, run_scenario, series_to_csv, SwarmExperiment};
+use p2plab_sim::{SimDuration, SimTime, TimeSeries};
 
 fn main() {
     let scale = arg_scale(1.0, 0.05);
     let ratios = [1usize, 10, 20, 40, 80];
-    let mut results = Vec::new();
+    // Each run's report and the exact completion times of its downloaders.
+    let mut runs = Vec::new();
     for &per_machine in &ratios {
         let mut cfg = SwarmExperiment::paper_figure9(per_machine);
         if scale < 1.0 {
@@ -28,19 +29,19 @@ fn main() {
             cfg.machines,
             cfg.folding_ratio()
         );
-        let (r, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
+        let (world, report) =
+            run_scenario(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
         write_run_report(&report);
         println!(
             "  {} (peak NIC utilization {:.0}%)",
-            r.summary(),
-            100.0 * r.peak_nic_utilization
+            run_summary(&report),
+            100.0 * report.metrics.gauge("peak_nic_utilization").unwrap_or(0.0)
         );
-        results.push(r);
+        runs.push((report, world.completion_times()));
     }
 
-    let baseline = &results[0];
-    let folded: Vec<&_> = results[1..].iter().collect();
-    let cmp = compare_folding(baseline, &folded);
+    let runs: Vec<_> = runs.iter().map(|(r, t)| (r, t.as_slice())).collect();
+    let cmp = compare_folding(runs[0], &runs[1..]);
     let rows: Vec<Vec<String>> = cmp
         .rows
         .iter()
@@ -77,16 +78,16 @@ fn main() {
         100.0 * cmp.worst_deviation()
     );
 
-    let names: Vec<String> = results
+    let names: Vec<String> = runs
         .iter()
-        .map(|r| format!("{:.0}_per_machine", r.folding_ratio))
+        .map(|(r, _)| format!("{:.0}_per_machine", r.folding_ratio))
         .collect();
-    let series: Vec<(&str, &p2plab_sim::TimeSeries)> = names
+    let series: Vec<(&str, &TimeSeries)> = names
         .iter()
         .map(|n| n.as_str())
-        .zip(results.iter().map(|r| &r.total_downloaded))
+        .zip(runs.iter().map(|(r, _)| r.progress()))
         .collect();
-    let end = results.iter().map(|r| r.stopped_at).max().unwrap();
+    let end: SimTime = runs.iter().map(|(r, _)| r.stopped_at).max().unwrap();
     write_results_file(
         "fig9_total_data.csv",
         &series_to_csv(&series, SimDuration::from_secs(20), end),

@@ -21,6 +21,18 @@ pub fn arg_scale(default: f64, min: f64) -> f64 {
         .clamp(min, 1.0)
 }
 
+/// One line naming a run: scenario, outcome, stop time, event count and folding ratio.
+pub fn run_summary(report: &RunReport) -> String {
+    format!(
+        "{}: {:?} at {} after {} events, folding {:.0}:1",
+        report.scenario,
+        report.outcome,
+        report.stopped_at,
+        report.events_executed,
+        report.folding_ratio
+    )
+}
+
 /// Writes a run's [`RunReport`] as JSON (plus its scalar-metrics CSV) under `results/`,
 /// verifying on the way out that the JSON round-trips through the loader — a bench binary can
 /// never leave behind an artifact the tooling cannot read back. The files are named after the

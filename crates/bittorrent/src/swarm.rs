@@ -122,14 +122,14 @@ impl SwarmWorld {
         self.clients.iter().map(|c| c.stats.bytes_uploaded).sum()
     }
 
+    /// The downloaders — every client but the initial seeders — in the order they were added.
+    pub fn downloaders(&self) -> impl Iterator<Item = &Client> {
+        self.clients.iter().filter(|c| !c.initial_seeder)
+    }
+
     /// Completion times of all finished downloaders, sorted.
     pub fn completion_times(&self) -> Vec<SimTime> {
-        let mut times: Vec<SimTime> = self
-            .clients
-            .iter()
-            .filter(|c| !c.initial_seeder)
-            .filter_map(|c| c.completed_at)
-            .collect();
+        let mut times: Vec<SimTime> = self.downloaders().filter_map(|c| c.completed_at).collect();
         times.sort();
         times
     }

@@ -2,21 +2,19 @@
 //!
 //! The paper's central claim for P2PLab's usefulness is that folding many virtual nodes onto one
 //! physical node does **not** change the application-level results ("results are nearly
-//! identical", Figure 9). [`compare_folding`] quantifies that: it overlays the total-data curves
+//! identical", Figure 9). [`compare_folding`] quantifies that: it overlays the progress curves
 //! of runs with different folding ratios and reports their worst-case relative deviation from
 //! the unfolded baseline.
 //!
-//! Since the metrics redesign the statistical machinery is workload-agnostic: the relative
-//! curve deviation ([`relative_curve_deviation`]), Kolmogorov-Smirnov distances
-//! ([`samples_ks_distance`], [`histogram_ks_distance`]) and the folding comparison over run
-//! reports ([`compare_folding_reports`]) operate on plain series / sample sets / histogram
-//! snapshots, so any workload that records through the [`Recorder`](p2plab_sim::Recorder) gets
-//! the same analysis for free. The original [`compare_folding`] over [`SwarmResult`]s is
-//! re-expressed on top of these primitives.
+//! Everything here works over plain data: the relative curve deviation
+//! ([`relative_curve_deviation`]) over any two series, the Kolmogorov-Smirnov distance
+//! ([`samples_ks_distance`]) over any two sample sets, and the completion statistics over a
+//! sorted list of completion times — what a swarm world's
+//! [`completion_times`](p2plab_bittorrent::SwarmWorld::completion_times) returns. A run's curve,
+//! folding ratio, participant count and stop time come from its [`RunReport`].
 
-use crate::experiment::SwarmResult;
 use crate::report::RunReport;
-use p2plab_sim::{Cdf, HistogramSnapshot, SimDuration, SimTime, TimeSeries};
+use p2plab_sim::{Cdf, SimDuration, SimTime, TimeSeries};
 use serde::{Deserialize, Serialize};
 
 /// Deviation of one folded run from the baseline run.
@@ -54,16 +52,6 @@ impl FoldingComparison {
     }
 }
 
-fn completion_cdf(result: &SwarmResult) -> Cdf {
-    Cdf::from_samples(
-        result
-            .completion_times
-            .iter()
-            .map(|t| t.as_secs_f64())
-            .collect(),
-    )
-}
-
 /// Worst-case difference between two curves on a shared regular grid, as a fraction of the
 /// baseline's final value — the workload-agnostic form of the Figure 9 deviation measure.
 /// Works on any non-negative progress-like series (bytes downloaded, nodes informed, replies
@@ -83,127 +71,47 @@ pub fn samples_ks_distance(a: &[f64], b: &[f64]) -> f64 {
     Cdf::from_samples(a.to_vec()).ks_distance(&Cdf::from_samples(b.to_vec()))
 }
 
-/// Kolmogorov-Smirnov distance between two log-bucket histogram snapshots, computed over the
-/// union of their bucket edges (each bucket's mass sits at its low edge). Exact up to the
-/// bucket resolution: identical histograms give 0, and the error of a true KS distance is
-/// bounded by the mass of the buckets the two histograms split differently.
-pub fn histogram_ks_distance(a: &HistogramSnapshot, b: &HistogramSnapshot) -> f64 {
-    if a.count == 0 || b.count == 0 {
-        return if a.count == b.count { 0.0 } else { 1.0 };
-    }
-    let fraction_at = |h: &HistogramSnapshot, x: f64| -> f64 {
-        let below: u64 = h
-            .buckets
-            .iter()
-            .filter(|&&(edge, _)| edge <= x)
-            .map(|&(_, c)| c)
-            .sum();
-        below as f64 / h.count as f64
-    };
-    let mut d: f64 = 0.0;
-    for &(edge, _) in a.buckets.iter().chain(b.buckets.iter()) {
-        d = d.max((fraction_at(a, edge) - fraction_at(b, edge)).abs());
-    }
-    d
-}
-
-/// Compares folded runs against a baseline run of the same experiment (Figure 9). This is the
-/// swarm-specific entry point, expressed over the generic primitives
-/// ([`relative_curve_deviation`], [`samples_ks_distance`]); for arbitrary workloads compare
-/// their run reports with [`compare_folding_reports`].
-pub fn compare_folding(baseline: &SwarmResult, folded: &[&SwarmResult]) -> FoldingComparison {
+/// Compares folded runs against a baseline run of the same experiment (Figure 9). A run is its
+/// report — progress curve, folding ratio, participants, stop time — and the exact completion
+/// times of its participants, sorted (a swarm world's
+/// [`completion_times`](p2plab_bittorrent::SwarmWorld::completion_times)).
+pub fn compare_folding(
+    baseline: (&RunReport, &[SimTime]),
+    folded: &[(&RunReport, &[SimTime])],
+) -> FoldingComparison {
+    let (base, base_times) = baseline;
     let end = folded
         .iter()
-        .map(|r| r.stopped_at)
-        .chain(std::iter::once(baseline.stopped_at))
+        .map(|(r, _)| r.stopped_at)
+        .chain(std::iter::once(base.stopped_at))
         .max()
         .unwrap_or(SimTime::ZERO);
     let step = SimDuration::from_secs(10);
     let secs = |times: &[SimTime]| -> Vec<f64> { times.iter().map(|t| t.as_secs_f64()).collect() };
-    let baseline_completions = secs(&baseline.completion_times);
+    let baseline_completions = secs(base_times);
     let rows = folded
         .iter()
-        .map(|r| FoldingRow {
+        .map(|&(r, times)| FoldingRow {
             folding_ratio: r.folding_ratio,
             max_relative_deviation: relative_curve_deviation(
-                &baseline.total_downloaded,
-                &r.total_downloaded,
+                base.progress(),
+                r.progress(),
                 step,
                 end,
             ),
-            completion_ks_distance: samples_ks_distance(
-                &baseline_completions,
-                &secs(&r.completion_times),
-            ),
-            median_completion: r.median_completion(),
-            completion_fraction: if r.leechers == 0 {
+            completion_ks_distance: samples_ks_distance(&baseline_completions, &secs(times)),
+            median_completion: times.get(times.len() / 2).copied(),
+            completion_fraction: if r.participants == 0 {
                 1.0
             } else {
-                r.completed as f64 / r.leechers as f64
+                times.len() as f64 / r.participants as f64
             },
         })
         .collect();
     FoldingComparison {
-        baseline_ratio: baseline.folding_ratio,
+        baseline_ratio: base.folding_ratio,
         rows,
     }
-}
-
-/// Compares folded runs against a baseline using only their [`RunReport`]s — no
-/// workload-specific result type involved. `curve_metric` names the progress-like series to
-/// overlay (`"progress"` for any scenario run) and `completion_metric` names the histogram of
-/// per-participant completion values whose distributions are compared by KS distance
-/// (`"completion_time_secs"` for the swarm). Returns an error naming the missing metric when a
-/// report does not carry the requested ones.
-pub fn compare_folding_reports(
-    baseline: &RunReport,
-    folded: &[&RunReport],
-    curve_metric: &str,
-    completion_metric: &str,
-) -> Result<FoldingComparison, String> {
-    fn curve_of<'a>(r: &'a RunReport, name: &str) -> Result<&'a TimeSeries, String> {
-        r.metrics
-            .series(name)
-            .ok_or_else(|| format!("report {:?} has no series metric {name:?}", r.scenario))
-    }
-    fn hist_of<'a>(r: &'a RunReport, name: &str) -> Result<&'a HistogramSnapshot, String> {
-        r.metrics
-            .histogram(name)
-            .ok_or_else(|| format!("report {:?} has no histogram metric {name:?}", r.scenario))
-    }
-    let baseline_curve = curve_of(baseline, curve_metric)?;
-    let baseline_hist = hist_of(baseline, completion_metric)?;
-    let end = folded
-        .iter()
-        .map(|r| r.stopped_at)
-        .chain(std::iter::once(baseline.stopped_at))
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let step = SimDuration::from_secs(10);
-    let mut rows = Vec::with_capacity(folded.len());
-    for r in folded {
-        let hist = hist_of(r, completion_metric)?;
-        rows.push(FoldingRow {
-            folding_ratio: r.folding_ratio,
-            max_relative_deviation: relative_curve_deviation(
-                baseline_curve,
-                curve_of(r, curve_metric)?,
-                step,
-                end,
-            ),
-            completion_ks_distance: histogram_ks_distance(baseline_hist, hist),
-            median_completion: hist.p50.map(SimTime::from_secs_f64),
-            completion_fraction: if r.participants == 0 {
-                1.0
-            } else {
-                hist.count as f64 / r.participants as f64
-            },
-        });
-    }
-    Ok(FoldingComparison {
-        baseline_ratio: baseline.folding_ratio,
-        rows,
-    })
 }
 
 /// Summary statistics of a run's completion times.
@@ -221,17 +129,15 @@ pub struct CompletionSummary {
     pub p5_p95_spread_secs: f64,
 }
 
-/// Computes completion statistics for a run, if any downloader finished.
-pub fn completion_summary(result: &SwarmResult) -> Option<CompletionSummary> {
-    if result.completion_times.is_empty() {
-        return None;
-    }
-    let cdf = completion_cdf(result);
+/// Computes completion statistics over sorted completion times, if there are any.
+pub fn completion_summary(times: &[SimTime]) -> Option<CompletionSummary> {
+    let (&first, &last) = (times.first()?, times.last()?);
+    let cdf = Cdf::from_samples(times.iter().map(|t| t.as_secs_f64()).collect());
     Some(CompletionSummary {
-        completed: result.completion_times.len(),
-        first: *result.completion_times.first().expect("non-empty"),
-        last: *result.completion_times.last().expect("non-empty"),
-        median: result.median_completion().expect("non-empty"),
+        completed: times.len(),
+        first,
+        last,
+        median: times[times.len() / 2],
         p5_p95_spread_secs: cdf.quantile(0.95).expect("non-empty")
             - cdf.quantile(0.05).expect("non-empty"),
     })
@@ -252,14 +158,15 @@ pub struct DownloadPhases {
     pub last_completion: SimTime,
 }
 
-/// Extracts the phase boundaries from a finished run.
-pub fn download_phases(result: &SwarmResult) -> Option<DownloadPhases> {
-    let first_completion = *result.completion_times.first()?;
-    let last_completion = *result.completion_times.last()?;
+/// Extracts the phase boundaries from a run's sorted completion times and its total-data curve
+/// (a swarm report's `progress` series).
+pub fn download_phases(times: &[SimTime], total_downloaded: &TimeSeries) -> Option<DownloadPhases> {
+    let first_completion = *times.first()?;
+    let last_completion = *times.last()?;
     // Seeder-only phase: aggregate download rate while only the initial seeders upload is
     // bounded by their upload capacity. Detect the first sample where the rate over the
     // previous interval exceeds twice the rate of the very first active interval.
-    let samples = result.total_downloaded.samples();
+    let samples = total_downloaded.samples();
     let mut initial_rate = None;
     let mut seeder_only_until = first_completion;
     for w in samples.windows(2) {
@@ -291,34 +198,40 @@ pub fn download_phases(result: &SwarmResult) -> Option<DownloadPhases> {
 mod tests {
     use super::*;
     use crate::experiment::SwarmExperiment;
-    use crate::scenario::{run_reported, run_scenario};
+    use crate::scenario::run_scenario;
 
-    fn quick_result(machines: usize, seed: u64) -> SwarmResult {
+    /// The quick swarm on `machines` machines: its report and its sorted completion times.
+    fn quick_run(machines: usize, seed: u64) -> (RunReport, Vec<SimTime>) {
         let mut cfg = SwarmExperiment::quick();
         cfg.machines = machines;
         cfg.seed = seed;
         cfg.name = format!("quick-{machines}m");
-        run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap()
+        let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+        (report, world.completion_times())
     }
 
     #[test]
     fn folding_comparison_of_identical_runs_is_zero() {
-        let a = quick_result(4, 7);
-        let b = quick_result(4, 7);
-        let cmp = compare_folding(&a, &[&b]);
+        let (a, a_times) = quick_run(4, 7);
+        let (b, b_times) = quick_run(4, 7);
+        let cmp = compare_folding((&a, &a_times), &[(&b, &b_times)]);
         assert_eq!(cmp.rows.len(), 1);
         assert!(cmp.worst_deviation() < 1e-12);
         assert!(cmp.rows[0].completion_ks_distance < 1e-12);
         assert_eq!(cmp.rows[0].completion_fraction, 1.0);
+        assert_eq!(
+            cmp.rows[0].median_completion,
+            Some(b_times[b_times.len() / 2])
+        );
     }
 
     #[test]
     fn folding_comparison_across_ratios_is_small() {
         // The core Figure 9 claim at unit-test scale: fold the same quick swarm onto fewer
         // machines and the aggregate curves stay close.
-        let spread = quick_result(15, 7); // ~1 virtual node per machine
-        let folded = quick_result(1, 7); // everything on one machine
-        let cmp = compare_folding(&spread, &[&folded]);
+        let (spread, spread_times) = quick_run(15, 7); // ~1 virtual node per machine
+        let (folded, folded_times) = quick_run(1, 7); // everything on one machine
+        let cmp = compare_folding((&spread, &spread_times), &[(&folded, &folded_times)]);
         assert!(
             cmp.worst_deviation() < 0.12,
             "deviation {} too large",
@@ -329,22 +242,20 @@ mod tests {
 
     #[test]
     fn completion_summary_and_phases() {
-        let r = quick_result(4, 7);
-        let s = completion_summary(&r).unwrap();
-        assert_eq!(s.completed, r.leechers);
+        let (report, times) = quick_run(4, 7);
+        let s = completion_summary(&times).unwrap();
+        assert_eq!(s.completed, report.participants);
         assert!(s.first <= s.median && s.median <= s.last);
         assert!(s.p5_p95_spread_secs >= 0.0);
-        let phases = download_phases(&r).unwrap();
+        let phases = download_phases(&times, report.progress()).unwrap();
         assert!(phases.seeder_only_until <= phases.first_completion);
         assert!(phases.first_completion <= phases.last_completion);
     }
 
     #[test]
-    fn empty_result_has_no_summary() {
-        let mut r = quick_result(4, 7);
-        r.completion_times.clear();
-        assert!(completion_summary(&r).is_none());
-        assert!(download_phases(&r).is_none());
+    fn no_completions_have_no_summary() {
+        assert!(completion_summary(&[]).is_none());
+        assert!(download_phases(&[], &TimeSeries::new()).is_none());
     }
 
     #[test]
@@ -363,69 +274,5 @@ mod tests {
         assert!((dev - 7.0 / 100.0).abs() < 1e-12);
         assert_eq!(samples_ks_distance(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
         assert_eq!(samples_ks_distance(&[1.0, 2.0], &[10.0, 20.0]), 1.0);
-    }
-
-    #[test]
-    fn histogram_ks_is_zero_for_identical_and_one_for_disjoint() {
-        use p2plab_sim::LogHistogram;
-        let mut h1 = LogHistogram::new();
-        let mut h2 = LogHistogram::new();
-        let mut far = LogHistogram::new();
-        for i in 1..=100 {
-            h1.record(i as f64);
-            h2.record(i as f64);
-            far.record(i as f64 * 1e6);
-        }
-        assert_eq!(histogram_ks_distance(&h1.snapshot(), &h2.snapshot()), 0.0);
-        assert_eq!(histogram_ks_distance(&h1.snapshot(), &far.snapshot()), 1.0);
-        let empty = LogHistogram::new().snapshot();
-        assert_eq!(histogram_ks_distance(&empty, &empty), 0.0);
-        assert_eq!(histogram_ks_distance(&h1.snapshot(), &empty), 1.0);
-    }
-
-    #[test]
-    fn folding_comparison_over_reports_matches_result_comparison() {
-        let run = |machines: usize| {
-            let mut cfg = SwarmExperiment::quick();
-            cfg.leechers = 6;
-            cfg.machines = machines;
-            cfg.name = format!("report-folding-{machines}m");
-            run_reported(&cfg.to_scenario(), cfg.workload()).unwrap()
-        };
-        let (spread_result, spread_report) = run(9);
-        let (folded_result, folded_report) = run(1);
-
-        let by_results = compare_folding(&spread_result, &[&folded_result]);
-        let by_reports = compare_folding_reports(
-            &spread_report,
-            &[&folded_report],
-            "progress",
-            "completion_time_secs",
-        )
-        .unwrap();
-
-        assert_eq!(by_reports.rows.len(), 1);
-        assert_eq!(by_reports.baseline_ratio, by_results.baseline_ratio);
-        // The curve deviation is computed from the same "progress" series the result carries,
-        // so the two paths agree exactly.
-        assert!(
-            (by_reports.rows[0].max_relative_deviation - by_results.rows[0].max_relative_deviation)
-                .abs()
-                < 1e-12
-        );
-        // The report path sees bucketized completion times; distances agree up to the
-        // histogram's bucket resolution.
-        assert!(
-            (by_reports.rows[0].completion_ks_distance - by_results.rows[0].completion_ks_distance)
-                .abs()
-                < 0.35
-        );
-        assert_eq!(by_reports.rows[0].completion_fraction, 1.0);
-        assert!(by_reports.rows[0].median_completion.is_some());
-
-        // Missing metrics are named, not silently zeroed.
-        let err = compare_folding_reports(&spread_report, &[&folded_report], "progress", "nope")
-            .unwrap_err();
-        assert!(err.contains("nope"), "{err}");
     }
 }

@@ -1,18 +1,21 @@
-//! The paper's BitTorrent experiments as presets, and the result a swarm run produces.
+//! The paper's BitTorrent experiments as presets.
 //!
 //! These are the experiment descriptions of the paper's evaluation section, expressed as data:
 //! how many clients and seeders, which access-link profile, how many physical machines the
 //! virtual nodes are folded onto, how clients are started over time, and what gets sampled.
 //!
 //! A [`SwarmExperiment`] is run by splitting it into its two halves and handing them to the
-//! generic loop: `run_scenario(&cfg.to_scenario(), cfg.workload())` (or
-//! [`run_reported`](crate::scenario::run_reported) for the run's report as well).
+//! generic loop: [`run_scenario`](crate::scenario::run_scenario)`(&cfg.to_scenario(),
+//! cfg.workload())` returns the final [`SwarmWorld`](p2plab_bittorrent::SwarmWorld) — per-client
+//! progress curves, completion times, upload counters — and the run's
+//! [`RunReport`](crate::report::RunReport), whose `progress` series is the total-data curve of
+//! Figure 9.
 
 use crate::scenario::{ScenarioBuilder, ScenarioSpec, SessionProcess};
 use crate::workloads::{SwarmSpec, SwarmWorkload};
 use p2plab_bittorrent::ClientConfig;
-use p2plab_net::{AccessLinkClass, NetStats, TopologySpec};
-use p2plab_sim::{SimDuration, SimTime, TimeSeries};
+use p2plab_net::{AccessLinkClass, TopologySpec};
+use p2plab_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Description of one BitTorrent swarm experiment.
@@ -171,119 +174,49 @@ impl SwarmExperiment {
     }
 }
 
-/// Everything a swarm experiment produces.
-#[derive(Debug, Clone)]
-pub struct SwarmResult {
-    /// The experiment name.
-    pub name: String,
-    /// Folding ratio of the deployment.
-    pub folding_ratio: f64,
-    /// Number of downloaders.
-    pub leechers: usize,
-    /// Number of downloaders that finished before the deadline.
-    pub completed: usize,
-    /// Per-downloader progress curves (percent vs time), in client start order — Figure 8/10.
-    pub progress: Vec<TimeSeries>,
-    /// Completion-count step curve — Figure 11.
-    pub completion_curve: TimeSeries,
-    /// Total application bytes received by all nodes, sampled periodically — Figure 9.
-    pub total_downloaded: TimeSeries,
-    /// Completion times of finished downloaders, sorted.
-    pub completion_times: Vec<SimTime>,
-    /// Whether every downloader finished before the deadline.
-    pub finished: bool,
-    /// Virtual time when the run stopped.
-    pub stopped_at: SimTime,
-    /// Number of simulation events executed.
-    pub events_executed: u64,
-    /// Data-plane counters.
-    pub net_stats: NetStats,
-    /// Total bytes uploaded by the initial seeders.
-    pub seeder_upload_bytes: u64,
-    /// Total bytes uploaded by downloaders (reciprocation volume).
-    pub leecher_upload_bytes: u64,
-    /// Highest utilization reached by any physical machine's NIC during the run (the resource
-    /// the paper identifies as the first folding limit).
-    pub peak_nic_utilization: f64,
-    /// Number of churn departures (Stopped announces) observed by the tracker.
-    pub churn_departures: u64,
-}
-
-impl SwarmResult {
-    /// Median completion time, if any client finished.
-    pub fn median_completion(&self) -> Option<SimTime> {
-        if self.completion_times.is_empty() {
-            None
-        } else {
-            Some(self.completion_times[self.completion_times.len() / 2])
-        }
-    }
-
-    /// Time by which `fraction` (0-1) of the downloaders had finished.
-    pub fn completion_quantile(&self, fraction: f64) -> Option<SimTime> {
-        if self.completion_times.is_empty() {
-            return None;
-        }
-        let idx = ((self.completion_times.len() as f64 * fraction).ceil() as usize)
-            .clamp(1, self.completion_times.len());
-        Some(self.completion_times[idx - 1])
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}: {}/{} clients done, median completion {}, total downloaded {:.1} MB, folding {:.0}:1",
-            self.name,
-            self.completed,
-            self.leechers,
-            self.median_completion()
-                .map(|t| t.to_string())
-                .unwrap_or_else(|| "n/a".into()),
-            self.total_downloaded.last().map(|(_, v)| v).unwrap_or(0.0) / (1024.0 * 1024.0),
-            self.folding_ratio,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::completion_summary;
+    use crate::report::RunReport;
     use crate::scenario::run_scenario;
+    use p2plab_bittorrent::SwarmWorld;
 
-    fn run(cfg: &SwarmExperiment) -> SwarmResult {
+    fn run(cfg: &SwarmExperiment) -> (SwarmWorld, RunReport) {
         run_scenario(&cfg.to_scenario(), cfg.workload()).expect("deployment must succeed")
     }
 
     #[test]
     fn quick_experiment_completes() {
         let cfg = SwarmExperiment::quick();
-        let r = run(&cfg);
-        assert!(r.finished, "{:?}", r.summary());
-        assert_eq!(r.completed, cfg.leechers);
-        assert_eq!(r.progress.len(), cfg.leechers);
-        assert_eq!(r.completion_times.len(), cfg.leechers);
+        let (world, report) = run(&cfg);
+        assert!(world.swarm_finished(), "{:?}", report.outcome);
+        assert_eq!(report.scenario, "quick");
+        assert_eq!(world.completed_count(), cfg.leechers);
+        assert_eq!(world.downloaders().count(), cfg.leechers);
         // Every progress curve ends at 100%.
-        for p in &r.progress {
-            assert_eq!(p.last().unwrap().1, 100.0);
+        for c in world.downloaders() {
+            assert_eq!(c.progress.last().unwrap().1, 100.0);
         }
         // The total-downloaded curve is non-decreasing and ends at >= leechers x file size.
-        let samples = r.total_downloaded.samples();
-        assert!(samples.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert!(
-            r.total_downloaded.last().unwrap().1 >= (cfg.leechers as u64 * cfg.file_bytes) as f64
-        );
+        let total = report.progress();
+        assert!(total.samples().windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(total.last().unwrap().1 >= (cfg.leechers as u64 * cfg.file_bytes) as f64);
         // Completion curve ends at the number of downloaders.
-        assert_eq!(r.completion_curve.last().unwrap().1, cfg.leechers as f64);
-        assert!(r.median_completion().is_some());
-        assert!(r.completion_quantile(1.0).unwrap() >= r.completion_quantile(0.5).unwrap());
-        assert!(r.summary().contains("quick"));
+        assert_eq!(
+            world.completion_curve().last().unwrap().1,
+            cfg.leechers as f64
+        );
+        let s = completion_summary(&world.completion_times()).unwrap();
+        assert_eq!(s.completed, cfg.leechers);
+        assert!(s.first <= s.median && s.median <= s.last);
     }
 
     #[test]
     fn leechers_reciprocate_in_quick_experiment() {
-        let r = run(&SwarmExperiment::quick());
+        let (world, _) = run(&SwarmExperiment::quick());
         assert!(
-            r.leecher_upload_bytes > 0,
+            world.downloaders().any(|c| c.stats.bytes_uploaded > 0),
             "downloaders must upload to each other (tit-for-tat)"
         );
     }
@@ -318,14 +251,14 @@ mod tests {
             file_bytes: 512 * 1024,
             ..SwarmExperiment::quick()
         };
-        let a = run(&cfg);
-        let b = run(&cfg);
-        assert_eq!(a.completion_times, b.completion_times);
-        assert_eq!(a.events_executed, b.events_executed);
+        let (a, report_a) = run(&cfg);
+        let (b, report_b) = run(&cfg);
+        assert_eq!(a.completion_times(), b.completion_times());
+        assert_eq!(report_a.events_executed, report_b.events_executed);
         let mut cfg2 = cfg.clone();
         cfg2.seed = 99;
-        let c = run(&cfg2);
-        assert_ne!(a.completion_times, c.completion_times);
+        let (c, _) = run(&cfg2);
+        assert_ne!(a.completion_times(), c.completion_times());
     }
 
     #[test]
@@ -342,32 +275,31 @@ mod tests {
             mean_downtime: SimDuration::from_secs(30),
         });
         churny.deadline = SimDuration::from_secs(6000);
-        let a = run(&steady);
-        let b = run(&churny);
+        let (a, report_a) = run(&steady);
+        let (b, report_b) = run(&churny);
         assert!(
-            a.finished && b.finished,
-            "a={} b={}",
-            a.summary(),
-            b.summary()
+            a.swarm_finished() && b.swarm_finished(),
+            "a={:?} b={:?}",
+            report_a.outcome,
+            report_b.outcome
         );
-        assert_eq!(a.churn_departures, 0);
+        assert_eq!(report_a.metrics.counter("churn_departures"), Some(0));
         assert!(
-            b.churn_departures > 0,
+            report_b.metrics.counter("churn_departures").unwrap() > 0,
             "churn must actually interrupt sessions"
         );
+        let median = |w: &SwarmWorld| completion_summary(&w.completion_times()).unwrap().median;
         assert!(
-            b.median_completion().unwrap() > a.median_completion().unwrap(),
+            median(&b) > median(&a),
             "interrupted downloads should take longer"
         );
     }
 
     #[test]
     fn nic_utilization_is_monitored_and_bounded() {
-        let r = run(&SwarmExperiment::quick());
-        assert!(
-            r.peak_nic_utilization > 0.0,
-            "cross-machine traffic must show up"
-        );
-        assert!(r.peak_nic_utilization <= 1.0);
+        let (_, report) = run(&SwarmExperiment::quick());
+        let peak = report.metrics.gauge("peak_nic_utilization").unwrap();
+        assert!(peak > 0.0, "cross-machine traffic must show up");
+        assert!(peak <= 1.0);
     }
 }

@@ -8,14 +8,15 @@
 //!   network-emulation model);
 //! * [`scenario`] — the workload-agnostic experiment layer: the [`Workload`] trait,
 //!   [`ScenarioBuilder`], the single generic [`run_scenario`] loop every experiment runs
-//!   through, and the arrival/session process library
+//!   through (it returns the final world and the run's [`RunReport`]), and the arrival/session
+//!   process library
 //!   ([`scenario::processes`]: Poisson, uniform-ramp, flash-crowd and trace arrivals;
 //!   exponential, Pareto and trace-driven churn sessions);
 //! * [`workloads`] — the first-class workloads: the BitTorrent swarm of the evaluation section,
 //!   the ping-mesh latency probe, the gossip (epidemic broadcast) workload and Kademlia-style
 //!   DHT lookups over the transport's RPC layer;
 //! * [`experiment`] — the BitTorrent experiment presets of the evaluation section
-//!   (Figures 8-11) and the swarm result type;
+//!   (Figures 8-11);
 //! * [`adversary`] — byzantine peers, wire-level fault injection and invariant monitors: mark
 //!   a fraction of a workload's population hostile and assert honest-node safety;
 //! * [`accuracy`] — the emulation-accuracy experiments (rule-count scaling of Figure 6, the
@@ -41,13 +42,12 @@ pub use accuracy::{
 };
 pub use adversary::{AdversaryPlan, AdversaryRoster, InvariantReport, Selection, BEHAVIORS};
 pub use analysis::{
-    compare_folding, compare_folding_reports, completion_summary, download_phases,
-    histogram_ks_distance, relative_curve_deviation, samples_ks_distance, CompletionSummary,
-    DownloadPhases, FoldingComparison, FoldingRow,
+    compare_folding, completion_summary, download_phases, relative_curve_deviation,
+    samples_ks_distance, CompletionSummary, DownloadPhases, FoldingComparison, FoldingRow,
 };
 pub use deploy::{deploy, Deployment, DeploymentSpec, Placement};
-pub use experiment::{SwarmExperiment, SwarmResult};
-pub use monitor::{MachineSample, ResourceMonitor};
+pub use experiment::SwarmExperiment;
+pub use monitor::ResourceMonitor;
 pub use report::{
     ascii_plot, points_to_csv, render_table, series_to_csv, ReportError, RunReport,
     RUN_REPORT_SCHEMA,
@@ -61,12 +61,11 @@ pub use scenario::dsl::{
     TomlTable, TomlValue, LINK_PROFILES,
 };
 pub use scenario::{
-    run_reported, run_scenario, ArrivalSchedule, ArrivalSpec, ScenarioBuilder, ScenarioError,
-    ScenarioRun, ScenarioSpec, SessionProcess, Workload,
+    run_scenario, ArrivalSchedule, ArrivalSpec, ScenarioBuilder, ScenarioError, ScenarioSpec,
+    SessionProcess, Workload,
 };
 pub use workloads::{
-    DhtLookupResult, DhtLookupSpec, DhtLookupWorkload, GossipResult, GossipShardedResult,
-    GossipShardedSpec, GossipShardedWorkload, GossipSpec, GossipWorkload, MeshPattern,
-    PingMeshResult, PingMeshSpec, PingMeshWorkload, SwarmSpec, SwarmWorkload, WorkloadConfig,
-    WORKLOAD_KINDS,
+    DhtLookupSpec, DhtLookupWorkload, GossipShardedSpec, GossipShardedWorkload, GossipSpec,
+    GossipWorkload, MeshPattern, PingMeshSpec, PingMeshWorkload, SwarmSpec, SwarmWorkload,
+    WorkloadConfig, WORKLOAD_KINDS,
 };

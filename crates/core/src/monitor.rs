@@ -8,28 +8,13 @@
 //! infrastructure itself did not distort results (and detect when it does, as in the
 //! `ablation_folding_limit` bench).
 //!
-//! Since the metrics redesign the monitor records through the run's shared
-//! [`Recorder`]: every machine gets a `nic_utilization.machine<m>` time series and the
-//! running peak is kept as the `peak_nic_utilization` gauge, so the utilization curves land in
-//! the run's [`MetricSet`](p2plab_sim::MetricSet) next to the workload's own metrics instead of
-//! in a private `Vec<TimeSeries>`.
+//! The monitor records through the run's shared [`Recorder`]: every machine gets a
+//! `nic_utilization.machine<m>` time series and the running peak is kept as the
+//! `peak_nic_utilization` gauge, so the utilization curves land in the run's
+//! [`MetricSet`](p2plab_sim::MetricSet) next to the workload's own metrics.
 
 use p2plab_net::{MachineId, Network};
 use p2plab_sim::{Gauge, Recorder, SimTime, TimeSeriesId};
-use serde::{Deserialize, Serialize};
-
-/// One monitoring sample of one machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MachineSample {
-    /// Sample time.
-    pub at: SimTime,
-    /// Bytes transmitted by the machine's NIC since the previous sample.
-    pub nic_tx_bytes: u64,
-    /// Bytes received by the machine's NIC since the previous sample.
-    pub nic_rx_bytes: u64,
-    /// NIC utilization (max of both directions) over the sampling interval, in `[0, 1]`.
-    pub nic_utilization: f64,
-}
 
 /// Rolling monitor of the emulated cluster's physical resources.
 #[derive(Debug, Clone)]
@@ -41,16 +26,14 @@ pub struct ResourceMonitor {
     /// Per-machine utilization series handles in the run's recorder.
     series: Vec<TimeSeriesId>,
     peak_gauge: Gauge,
-    /// Highest NIC utilization observed on any machine.
+    /// Highest NIC utilization observed on any machine (the value of `peak_gauge`).
     peak_utilization: f64,
-    /// The machine that reached the peak.
-    peak_machine: Option<MachineId>,
 }
 
 impl ResourceMonitor {
     /// Creates a monitor for the machines currently present in `net`, registering their
     /// utilization series in `rec`. Machines added to the network later are picked up (and
-    /// registered) lazily by [`sample`](ResourceMonitor::sample).
+    /// registered) lazily by [`record`](ResourceMonitor::record).
     pub fn new(net: &Network, rec: &mut Recorder) -> ResourceMonitor {
         let mut monitor = ResourceMonitor {
             nic_bps: net.config().nic_bps,
@@ -60,7 +43,6 @@ impl ResourceMonitor {
             series: Vec::new(),
             peak_gauge: rec.gauge("peak_nic_utilization"),
             peak_utilization: 0.0,
-            peak_machine: None,
         };
         monitor.grow_to(net, net.machine_count(), rec, true);
         monitor
@@ -87,87 +69,33 @@ impl ResourceMonitor {
         }
     }
 
-    /// Takes one sample of every machine at `now` and records the utilization series through
-    /// `rec`, without materializing the per-machine sample list — the allocation-free path the
-    /// scenario runner's periodic sampler uses (at 10^4–10^5 vnodes a `Vec` per tick is real
-    /// churn). Use [`sample`](ResourceMonitor::sample) to also get the samples back.
+    /// Takes one sample of every machine at `now`: each machine's NIC utilization (the busier
+    /// direction over the interval since the previous sample, in `[0, 1]`) is pushed onto its
+    /// series, and the peak gauge follows the highest value seen. Allocation-free, which is what
+    /// the scenario runner's periodic sampler needs at 10^4–10^5 vnodes.
     pub fn record(&mut self, now: SimTime, net: &Network, rec: &mut Recorder) {
         let machines = net.machine_count();
         self.grow_to(net, machines, rec, false);
         let interval = now.saturating_since(self.last_sample_at).as_secs_f64();
         for m in 0..machines {
-            self.step_machine(m, now, interval, net, rec);
+            let (tx, rx) = nic_bytes(net, MachineId(m));
+            let d_tx = tx.saturating_sub(self.last_tx[m]);
+            let d_rx = rx.saturating_sub(self.last_rx[m]);
+            self.last_tx[m] = tx;
+            self.last_rx[m] = rx;
+            let utilization = if interval > 0.0 && self.nic_bps > 0 {
+                let bps = d_tx.max(d_rx) as f64 * 8.0 / interval;
+                (bps / self.nic_bps as f64).min(1.0)
+            } else {
+                0.0
+            };
+            rec.push(self.series[m], now, utilization);
+            if utilization > self.peak_utilization {
+                self.peak_utilization = utilization;
+                rec.set(self.peak_gauge, utilization);
+            }
         }
         self.last_sample_at = now;
-    }
-
-    /// Takes one sample of every machine at `now`, records the utilization series through
-    /// `rec`, and returns the per-machine samples.
-    pub fn sample(
-        &mut self,
-        now: SimTime,
-        net: &Network,
-        rec: &mut Recorder,
-    ) -> Vec<MachineSample> {
-        let machines = net.machine_count();
-        self.grow_to(net, machines, rec, false);
-        let interval = now.saturating_since(self.last_sample_at).as_secs_f64();
-        let mut out = Vec::with_capacity(machines);
-        for m in 0..machines {
-            out.push(self.step_machine(m, now, interval, net, rec));
-        }
-        self.last_sample_at = now;
-        out
-    }
-
-    /// Samples one machine: updates its baseline, records its utilization point and the
-    /// running peak.
-    fn step_machine(
-        &mut self,
-        m: usize,
-        now: SimTime,
-        interval: f64,
-        net: &Network,
-        rec: &mut Recorder,
-    ) -> MachineSample {
-        let (tx, rx) = nic_bytes(net, MachineId(m));
-        let d_tx = tx.saturating_sub(self.last_tx[m]);
-        let d_rx = rx.saturating_sub(self.last_rx[m]);
-        self.last_tx[m] = tx;
-        self.last_rx[m] = rx;
-        let utilization = if interval > 0.0 && self.nic_bps > 0 {
-            let bps = d_tx.max(d_rx) as f64 * 8.0 / interval;
-            (bps / self.nic_bps as f64).min(1.0)
-        } else {
-            0.0
-        };
-        rec.push(self.series[m], now, utilization);
-        if utilization > self.peak_utilization {
-            self.peak_utilization = utilization;
-            self.peak_machine = Some(MachineId(m));
-            rec.set(self.peak_gauge, utilization);
-        }
-        MachineSample {
-            at: now,
-            nic_tx_bytes: d_tx,
-            nic_rx_bytes: d_rx,
-            nic_utilization: utilization,
-        }
-    }
-
-    /// Highest NIC utilization seen on any machine so far.
-    pub fn peak_utilization(&self) -> f64 {
-        self.peak_utilization
-    }
-
-    /// The machine that hit the peak utilization, if any traffic was seen.
-    pub fn peak_machine(&self) -> Option<MachineId> {
-        self.peak_machine
-    }
-
-    /// Number of machines currently tracked.
-    pub fn machines_tracked(&self) -> usize {
-        self.last_tx.len()
     }
 }
 
@@ -184,9 +112,9 @@ mod tests {
     use crate::deploy::{deploy, DeploymentSpec};
     use p2plab_net::ping::{PingTimer, PingWorld};
     use p2plab_net::{AccessLinkClass, NetEvent, NetworkConfig, TopologySpec, VirtAddr};
-    use p2plab_sim::{SimDuration, Simulation};
+    use p2plab_sim::{MetricSet, SimDuration, Simulation};
 
-    fn two_machine_net() -> (p2plab_net::Network, Vec<p2plab_net::VNodeId>) {
+    fn two_machine_net() -> (Network, Vec<p2plab_net::VNodeId>) {
         let topo = TopologySpec::uniform(
             "mon",
             2,
@@ -196,90 +124,99 @@ mod tests {
         (d.net, d.vnodes)
     }
 
-    #[test]
-    fn idle_network_has_zero_utilization() {
-        let (net, _) = two_machine_net();
-        let mut rec = Recorder::new();
-        let mut monitor = ResourceMonitor::new(&net, &mut rec);
-        let samples = monitor.sample(SimTime::from_secs(10), &net, &mut rec);
-        assert_eq!(samples.len(), 2);
-        assert!(samples.iter().all(|s| s.nic_utilization == 0.0));
-        assert_eq!(monitor.peak_utilization(), 0.0);
-        assert!(monitor.peak_machine().is_none());
-    }
-
-    #[test]
-    fn cross_machine_traffic_is_accounted() {
+    /// The two-machine network after 20 pings of 1000 bytes from the first vnode to the
+    /// second, which sit on different machines.
+    fn pinged_net() -> Network {
         let (net, vnodes) = two_machine_net();
-        let world = PingWorld::new(net, 1000);
-        let mut sim: p2plab_net::NetSim<PingWorld> = Simulation::new(world, 1);
         let (a, b) = (vnodes[0], vnodes[1]);
+        let mut sim: p2plab_net::NetSim<PingWorld> = Simulation::new(PingWorld::new(net, 1000), 1);
         for i in 0..20 {
             let probe = PingTimer::Probe { from: a, to: b };
             sim.schedule_event_at(SimTime::from_millis(i * 10), NetEvent::Timer(probe));
         }
         sim.run();
-        let net = &sim.world().net;
+        sim.into_world().net
+    }
+
+    /// The utilization points each machine's series holds, in machine order.
+    fn utilization(set: &MetricSet, machines: usize) -> Vec<Vec<f64>> {
+        (0..machines)
+            .map(|m| {
+                let series = set.series(&format!("nic_utilization.machine{m}")).unwrap();
+                series.samples().iter().map(|&(_, u)| u).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn idle_network_has_zero_utilization() {
+        let (net, _) = two_machine_net();
         let mut rec = Recorder::new();
-        let mut monitor = ResourceMonitor::new(net, &mut rec);
-        // The monitor was created after the traffic, so baselines already include it; force a
-        // fresh monitor with zero baselines to observe the counters instead.
+        let mut monitor = ResourceMonitor::new(&net, &mut rec);
+        monitor.record(SimTime::from_secs(10), &net, &mut rec);
+        let set = rec.finish();
+        assert_eq!(utilization(&set, 2), vec![vec![0.0], vec![0.0]]);
+        assert!(set.series("nic_utilization.machine2").is_none());
+        assert_eq!(set.gauge("peak_nic_utilization"), Some(0.0));
+    }
+
+    #[test]
+    fn cross_machine_traffic_is_accounted() {
+        let net = pinged_net();
+        let mut rec = Recorder::new();
+        let mut monitor = ResourceMonitor::new(&net, &mut rec);
+        // The monitor was created after the traffic, so baselines already include it; zero
+        // them to observe the counters instead.
         monitor.last_tx = vec![0, 0];
         monitor.last_rx = vec![0, 0];
-        let samples = monitor.sample(SimTime::from_secs(1), net, &mut rec);
-        let total_tx: u64 = samples.iter().map(|s| s.nic_tx_bytes).sum();
-        assert!(
-            total_tx > 20 * 1000,
-            "all pings crossed the cluster network"
-        );
-        assert!(monitor.peak_utilization() > 0.0);
-        assert!(monitor.peak_machine().is_some());
-        // The utilization curves and the peak live in the recorder now.
+        monitor.record(SimTime::from_secs(1), &net, &mut rec);
         let set = rec.finish();
-        assert_eq!(set.series("nic_utilization.machine0").unwrap().len(), 1);
-        assert_eq!(
-            set.gauge("peak_nic_utilization"),
-            Some(monitor.peak_utilization())
+        let per_machine = utilization(&set, 2);
+        // Over a one-second interval, utilization × NIC rate / 8 is the busier direction's
+        // byte count, which bounds the machine's transmitted bytes from above.
+        let nic_bytes_per_sec = net.config().nic_bps as f64 / 8.0;
+        let accounted: f64 = per_machine.iter().map(|u| u[0] * nic_bytes_per_sec).sum();
+        assert!(
+            accounted > (20 * 1000) as f64,
+            "all pings crossed the cluster network: {accounted} bytes"
         );
+        // The peak gauge is the highest point of any machine's series.
+        let peak = per_machine.iter().flatten().copied().fold(0.0, f64::max);
+        assert!(peak > 0.0);
+        assert_eq!(set.gauge("peak_nic_utilization"), Some(peak));
     }
 
     #[test]
     fn utilization_is_bounded_by_one() {
-        let (net, _) = two_machine_net();
+        let net = pinged_net();
         let mut rec = Recorder::new();
         let mut monitor = ResourceMonitor::new(&net, &mut rec);
-        // Pretend an absurd amount of traffic happened in a tiny interval.
+        // Charge all of the run's traffic to a one-nanosecond interval.
         monitor.last_tx = vec![0, 0];
         monitor.last_rx = vec![0, 0];
-        let samples = monitor.sample(SimTime::from_nanos(1), &net, &mut rec);
-        assert!(samples.iter().all(|s| s.nic_utilization <= 1.0));
+        monitor.record(SimTime::from_nanos(1), &net, &mut rec);
+        let set = rec.finish();
+        assert_eq!(utilization(&set, 2), vec![vec![1.0], vec![1.0]]);
+        assert_eq!(set.gauge("peak_nic_utilization"), Some(1.0));
     }
 
     #[test]
     fn machine_added_after_creation_is_sampled_not_panicked() {
-        // Regression: `sample` used to loop over `net.machine_count()` while the baseline
+        // Regression: sampling used to loop over `net.machine_count()` while the baseline
         // vectors kept their creation-time size, so a machine added after monitor creation
         // indexed past the end. The monitor must grow its baselines lazily instead.
         let (mut net, _) = two_machine_net();
         let mut rec = Recorder::new();
         let mut monitor = ResourceMonitor::new(&net, &mut rec);
-        assert_eq!(monitor.machines_tracked(), 2);
         net.add_machine("late-joiner", VirtAddr::new(192, 168, 77, 9));
-        let samples = monitor.sample(SimTime::from_secs(1), &net, &mut rec);
-        assert_eq!(samples.len(), 3);
-        assert_eq!(monitor.machines_tracked(), 3);
-        // The late machine baselines from zero (its pipes were created with zeroed counters),
-        // so with no traffic since joining its first sample reports exactly nothing — but any
-        // bytes it had forwarded between joining and this tick would have been counted.
-        assert_eq!(samples[2].nic_tx_bytes, 0);
-        assert_eq!(samples[2].nic_rx_bytes, 0);
-        // Its series was registered on the fly.
+        monitor.record(SimTime::from_secs(1), &net, &mut rec);
+        // The late machine's series was registered on the fly. It baselines from zero (its
+        // pipes were created with zeroed counters), so with no traffic since joining its first
+        // sample reports exactly nothing — but any bytes it had forwarded between joining and
+        // this tick would have been counted.
         assert_eq!(
-            rec.finish()
-                .series("nic_utilization.machine2")
-                .unwrap()
-                .len(),
-            1
+            utilization(&rec.finish(), 3),
+            vec![vec![0.0], vec![0.0], vec![0.0]]
         );
     }
 }

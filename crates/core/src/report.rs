@@ -28,11 +28,12 @@ pub const RUN_REPORT_SCHEMA: &str = "p2plab.run-report.v2";
 
 /// The workload-agnostic artifact of one scenario run.
 ///
-/// This replaces the ad-hoc side of the result structs: whatever the workload is, the report
-/// carries the same identification (workload kind, scenario name, seed, deployment shape), the
-/// same timing facts (wall-clock and virtual time, event count, outcome) and the run's full
-/// [`MetricSet`]. Workload-specific result types still exist for rich in-process analysis, but
-/// everything that leaves the process goes through a `RunReport`.
+/// Whatever the workload is, the report carries the same identification (workload kind,
+/// scenario name, seed, deployment shape), the same timing facts (wall-clock and virtual time,
+/// event count, outcome) and the run's full [`MetricSet`]. It is one half of what
+/// [`run_scenario`](crate::scenario::run_scenario) returns; the other is the final world, for
+/// in-process analysis of workload state. Everything that leaves the process goes through a
+/// `RunReport`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Workload kind (`"swarm"`, `"ping-mesh"`, `"gossip"`, ...).
@@ -241,6 +242,18 @@ impl RunReport {
         let mut report = RunReport::default();
         read_fields(REPORT_FIELDS, &mut report, &root).map_err(ReportError::Schema)?;
         Ok(report)
+    }
+
+    /// The run's `progress` curve: what [`Workload::sample`](crate::scenario::Workload::sample)
+    /// returned on the sampling grid, plus a final sample at the stop time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the report has no `progress` series; every report the runner builds has one.
+    pub fn progress(&self) -> &TimeSeries {
+        self.metrics
+            .series("progress")
+            .expect("every run report carries the progress series")
     }
 
     /// The scalar metrics (counters, gauges, histogram summaries) as a `metric,kind,value` CSV

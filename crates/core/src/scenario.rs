@@ -5,7 +5,8 @@
 //! besides the application itself — topology, deployment/folding, network configuration, node
 //! churn, resource monitoring, time-series sampling, deadline and seed — is composed by
 //! [`ScenarioBuilder`] into a [`ScenarioSpec`], and [`run_scenario`] drives any application that
-//! implements [`Workload`] through the same deploy → schedule → run → sample → finalize loop.
+//! implements [`Workload`] through the same deploy → schedule → run → sample loop, and hands
+//! back the final world together with the run's [`RunReport`].
 //!
 //! Three first-class workloads ship with the framework (see [`crate::workloads`]): the
 //! BitTorrent swarm of the paper's evaluation, a ping-mesh latency probe built on the echo
@@ -33,8 +34,9 @@
 //!     .seed(cfg.seed)
 //!     .build()
 //!     .unwrap();
-//! let result = run_scenario(&spec, cfg.workload()).unwrap();
-//! assert!(result.finished);
+//! let (world, report) = run_scenario(&spec, cfg.workload()).unwrap();
+//! assert!(world.swarm_finished());
+//! assert_eq!(report.participants, 4);
 //! ```
 
 pub mod campaign;
@@ -47,8 +49,8 @@ use crate::monitor::ResourceMonitor;
 use crate::report::RunReport;
 use p2plab_net::{NetError, NetStats, Network, NetworkConfig, TopologySpec};
 use p2plab_sim::{
-    Counter, Halt, Recorder, RunOutcome, SimDuration, SimRng, SimTime, Simulation, TimeSeries,
-    TimeSeriesId, TypedEvent,
+    Counter, Halt, Recorder, RunOutcome, SimDuration, SimRng, SimTime, Simulation, TimeSeriesId,
+    TypedEvent,
 };
 use std::fmt;
 use std::time::Instant;
@@ -71,17 +73,16 @@ pub use processes::{ArrivalSchedule, ArrivalSpec, SessionProcess};
 ///    churns says so with [`churns`](Workload::churns));
 /// 5. [`sample`](Workload::sample) is called on the sampling grid and feeds the scenario's
 ///    global progress curve; [`is_complete`](Workload::is_complete) lets the runner stop
-///    sampling once the workload is done;
-/// 6. [`finalize`](Workload::finalize) consumes the world and the runner's measurements and
-///    produces the workload-specific result type.
+///    sampling once the workload is done.
+///
+/// The run's result is the final world and the [`RunReport`]: run facts and recorded metrics are
+/// read from the report, workload state from the world's own fields and accessors.
 pub trait Workload {
     /// The simulation world (application state plus the emulated network).
     type World: 'static;
     /// The world's event class (for a [`NetHost`](p2plab_net::NetHost) world this is
     /// `NetEvent<Payload, Timer>`, spelled `p2plab_net::NetSim<World>` at the simulation type).
     type Event: TypedEvent<Self::World>;
-    /// What the workload produces after a run.
-    type Output;
 
     /// Short workload-kind label used in run reports (`"swarm"`, `"ping-mesh"`, ...).
     fn kind(&self) -> &'static str {
@@ -181,9 +182,6 @@ pub trait Workload {
     /// Whether the workload has reached its natural end (stops the periodic sampler; the
     /// simulation itself still drains remaining events up to the deadline).
     fn is_complete(&self, world: &Self::World) -> bool;
-
-    /// Consumes the workload and the run's measurements into the output type.
-    fn finalize(self, world: Self::World, run: ScenarioRun) -> Self::Output;
 
     /// Executes the workload on the sharded conservative-window runtime
     /// (`p2plab_sim::shard`), when the workload supports it.
@@ -620,52 +618,22 @@ struct Chain {
     offline: bool,
 }
 
-/// Everything the generic runner measured during a scenario, handed to
-/// [`Workload::finalize`] alongside the world.
-#[derive(Debug, Clone)]
-pub struct ScenarioRun {
-    /// The scenario name.
-    pub name: String,
-    /// Folding ratio of the deployment.
-    pub folding_ratio: f64,
-    /// Virtual time when the run stopped.
-    pub stopped_at: SimTime,
-    /// Number of simulation events executed.
-    pub events_executed: u64,
-    /// How the run ended (queue drained vs deadline).
-    pub outcome: RunOutcome,
-    /// The workload's progress metric sampled on the scenario grid (plus one final sample at
-    /// the stop time).
-    pub samples: TimeSeries,
-    /// Highest NIC utilization reached by any physical machine (0 when monitoring is off).
-    pub peak_nic_utilization: f64,
-}
-
 /// Runs `workload` under `spec`: deploy and fold the topology, build the world, draw the
 /// arrival schedule from the scenario's arrival process, schedule infrastructure / arrivals /
-/// churn, run to completion or deadline while sampling progress and machine resources, then let
-/// the workload turn everything into its output type.
+/// churn, and run to completion or deadline while sampling progress and machine resources.
+/// Returns the final world and the run's [`RunReport`]: workload kind, spec echo, seed,
+/// wall/sim time, outcome and the full [`MetricSet`](p2plab_sim::MetricSet) the run recorded.
+/// Bench binaries serialize the report to JSON/CSV under `results/`.
 ///
 /// Arrival instants are drawn from a dedicated RNG stream (split off the scenario seed by
 /// label), so switching arrival processes never perturbs the draws the simulation itself makes.
 ///
 /// This is the single generic experiment loop of the framework: every workload runs through
-/// it. To also obtain the run's machine-readable [`RunReport`] artifact, use [`run_reported`].
+/// it.
 pub fn run_scenario<W: Workload + 'static>(
     spec: &ScenarioSpec,
     workload: W,
-) -> Result<W::Output, ScenarioError> {
-    run_reported(spec, workload).map(|(output, _)| output)
-}
-
-/// Runs `workload` under `spec` exactly like [`run_scenario`] and additionally returns the
-/// run's [`RunReport`]: workload kind, spec echo, seed, wall/sim time and the full
-/// [`MetricSet`](p2plab_sim::MetricSet) the run recorded. Bench binaries serialize the report
-/// to JSON/CSV under `results/`.
-pub fn run_reported<W: Workload + 'static>(
-    spec: &ScenarioSpec,
-    workload: W,
-) -> Result<(W::Output, RunReport), ScenarioError> {
+) -> Result<(W::World, RunReport), ScenarioError> {
     #[expect(
         clippy::disallowed_methods,
         reason = "the runner's one wall-clock read: RunReport.wall_secs / events_per_sec"
@@ -735,11 +703,8 @@ pub fn run_reported<W: Workload + 'static>(
     // windowed algorithm inline — the reference semantics); workloads without a shard-native
     // path return `None` and run the reference engine regardless of `spec.shards`.
     let sharded = workload.run_sharded(spec, &arrivals, &mut recorder, progress_id);
-    let (world, stop, monitor) = match sharded {
-        Some(result) => {
-            let (world, stop) = result?;
-            (world, stop, None)
-        }
+    let (world, stop) = match sharded {
+        Some(result) => result?,
         None => {
             if spec.sessions.is_some() && !workload.churns() {
                 return Err(ScenarioError::ChurnUnsupported {
@@ -775,8 +740,7 @@ pub fn run_reported<W: Workload + 'static>(
 
             // Periodic sampling of the workload's progress metric and of the physical machines'
             // NIC utilization, on the same grid the figures use. The `progress` series in the
-            // recorder is the single copy of the progress curve; `ScenarioRun::samples` is
-            // derived from it at the end.
+            // recorder is the single copy of the progress curve.
             let mut monitor = spec
                 .monitor_resources
                 .then(|| ResourceMonitor::new(W::network(sim.world()), &mut recorder));
@@ -844,7 +808,7 @@ pub fn run_reported<W: Workload + 'static>(
             // transport-counter sync so drops/retransmits/timeouts after the final grid tick
             // are not lost.
             sample(&mut workload, &world, stop.stopped_at, &mut recorder);
-            (world, stop, monitor)
+            (world, stop)
         }
     };
 
@@ -855,24 +819,11 @@ pub fn run_reported<W: Workload + 'static>(
         counters.record(roster.len(), &inv, &mut recorder);
     }
     let metrics = recorder.finish();
-    let samples = metrics
-        .series("progress")
-        .cloned()
-        .expect("the runner registered the progress series");
     let wall_secs = wall_start.elapsed().as_secs_f64();
     let events_per_sec = if wall_secs > 0.0 {
         stop.events_executed as f64 / wall_secs
     } else {
         0.0
-    };
-    let run = ScenarioRun {
-        name: spec.name.clone(),
-        folding_ratio: spec.folding_ratio(),
-        stopped_at: stop.stopped_at,
-        events_executed: stop.events_executed,
-        outcome: stop.outcome,
-        samples,
-        peak_nic_utilization: monitor.map_or(0.0, |m| m.peak_utilization()),
     };
     let report = RunReport {
         workload: workload_kind.to_string(),
@@ -890,7 +841,7 @@ pub fn run_reported<W: Workload + 'static>(
         spec: spec_echo(spec),
         metrics,
     };
-    Ok((workload.finalize(world, run), report))
+    Ok((world, report))
 }
 
 /// Renders the spec as ordered key/value pairs for the report's provenance block. This is an
@@ -992,11 +943,11 @@ mod tests {
             run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring(4)))
         };
         assert_eq!(
-            run(29).unwrap_err(),
-            ScenarioError::DeadlineBeforeArrivalRamp {
+            run(29).err(),
+            Some(ScenarioError::DeadlineBeforeArrivalRamp {
                 ramp: SimDuration::from_secs(30),
                 deadline: SimDuration::from_secs(29),
-            }
+            })
         );
         // Equal is fine.
         assert!(run(30).is_ok());
@@ -1057,10 +1008,10 @@ mod tests {
         use crate::workloads::{PingMeshSpec, PingMeshWorkload};
         let err = run_scenario(&churning(4), PingMeshWorkload::new(PingMeshSpec::ring(4)));
         assert_eq!(
-            err.unwrap_err(),
-            ScenarioError::ChurnUnsupported {
+            err.err(),
+            Some(ScenarioError::ChurnUnsupported {
                 workload: "ping-mesh"
-            }
+            })
         );
     }
 
@@ -1068,7 +1019,7 @@ mod tests {
     fn sessions_on_dht_lookups_are_rejected_not_ignored() {
         use crate::workloads::{DhtLookupSpec, DhtLookupWorkload};
         let err = run_scenario(&churning(8), DhtLookupWorkload::new(DhtLookupSpec::new(8)));
-        let err = err.unwrap_err();
+        let err = err.err().expect("churn is rejected");
         assert_eq!(
             err,
             ScenarioError::ChurnUnsupported {

@@ -1481,7 +1481,7 @@ impl ScenarioFile {
     /// Validates and runs the scenario, returning the run's [`RunReport`].
     pub fn run(&self) -> Result<RunReport, ScenarioError> {
         self.validate()?;
-        self.workload.run_reported(&self.spec)
+        self.workload.run(&self.spec)
     }
 
     /// Serializes the scenario back as TOML the parser reads into an equal [`ScenarioFile`]
@@ -2074,6 +2074,11 @@ mean_downtime = \"20s\"
             (plus("[workload.gossip-sharded]\nnodes = 1\n").replace("\"gossip\"", "\"gossip-sharded\""), 10, "workload.gossip-sharded.nodes", "at least two nodes, got 1"),
             (plus("[workload.gossip-sharded]\nnodes = 8\nfanout = 0\n").replace("\"gossip\"", "\"gossip-sharded\""), 11, "workload.gossip-sharded.fanout", "at least one peer, got 0"),
             (plus("[workload.gossip-sharded]\nnodes = 8\nround_interval = \"0s\"\n").replace("\"gossip\"", "\"gossip-sharded\""), 11, "workload.gossip-sharded.round_interval", "round interval must be positive"),
+            // And so is any other value whose run would idle to its deadline or end at once.
+            (plus("[workload.swarm]\nleechers = 4\nfile_bytes = 0\n").replace("\"gossip\"", "\"swarm\""), 11, "workload.swarm.file_bytes", "at least one byte, got 0"),
+            (plus("[workload.ping-mesh]\nnodes = 4\npings_per_pair = 0\n").replace("\"gossip\"", "\"ping-mesh\""), 11, "workload.ping-mesh.pings_per_pair", "at least one ping, got 0"),
+            (plus("[workload.ping-mesh]\nnodes = 1\n").replace("\"gossip\"", "\"ping-mesh\""), 10, "workload.ping-mesh.nodes", "at least two nodes, got 1"),
+            (plus("[workload.dht-lookup]\nnodes = 8\nlookups = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.lookups", "at least one lookup, got 0"),
             // Bad trace elements carry the element's own line and index.
             (plus("[arrivals]\nkind = \"trace\"\ntimes = [\n  \"1s\",\n  5,\n]\n"), 13, "arrivals.times[1]", "duration string"),
             (plus("[arrivals]\nkind = \"trace\"\ntimes = [\"fast\"]\n"), 11, "arrivals.times[0]", "unit suffix"),

@@ -21,16 +21,14 @@
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys};
-use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, ShardedOutcome, Workload};
+use crate::scenario::{ArrivalSchedule, ArrivalSpec, ShardedOutcome, Workload};
 use p2plab_net::rpc::{
     self, RpcConfig, RpcHost, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout,
 };
 use p2plab_net::{
-    Misbehavior, NetEvent, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
+    Misbehavior, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
 };
-use p2plab_sim::{
-    Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimRng, SimTime, TimeSeries,
-};
+use p2plab_sim::{Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// The UDP-like port the DHT protocol runs on.
@@ -111,7 +109,10 @@ impl DhtLookupSpec {
         if nodes && k.reading() {
             spec.lookups = spec.nodes;
         }
-        k.opt("lookups", &mut spec.lookups)?;
+        k.checked("lookups", &mut spec.lookups, |&n| match n {
+            0 => Err("a lookup wave needs at least one lookup, got 0".to_string()),
+            _ => Ok(()),
+        })?;
         k.checked("alpha", &mut spec.alpha, |&n| match n {
             0 => Err("a lookup needs at least one RPC in flight, got 0".to_string()),
             _ => Ok(()),
@@ -748,81 +749,6 @@ fn on_find_node_done(sim: &mut NetSim<DhtWorld>, query: Query, outcome: RpcOutco
     advance(sim, li);
 }
 
-/// Everything a DHT lookup run produces.
-#[derive(Debug, Clone)]
-pub struct DhtLookupResult {
-    /// The experiment name.
-    pub name: String,
-    /// Folding ratio of the deployment.
-    pub folding_ratio: f64,
-    /// Number of DHT nodes.
-    pub nodes: usize,
-    /// Lookups requested.
-    pub lookups: usize,
-    /// Lookups that terminated before the run stopped.
-    pub completed: usize,
-    /// Lookups whose closest answering node was the globally closest node to the target.
-    pub found_closest: usize,
-    /// Per-lookup outcomes, in completion order.
-    pub records: Vec<LookupRecord>,
-    /// Completed-lookups curve over time (the scenario progress metric).
-    pub progress: TimeSeries,
-    /// The RPC layer's counters.
-    pub rpc_stats: RpcStats,
-    /// Whether every lookup terminated before the deadline.
-    pub finished: bool,
-    /// Virtual time when the run stopped.
-    pub stopped_at: SimTime,
-    /// Number of simulation events executed.
-    pub events_executed: u64,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Data-plane counters of the emulated network.
-    pub net_stats: NetStats,
-    /// Highest NIC utilization reached by any physical machine.
-    pub peak_nic_utilization: f64,
-}
-
-impl DhtLookupResult {
-    /// Mean hop count over completed lookups.
-    pub fn mean_hops(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().map(|r| r.hops as f64).sum::<f64>() / self.records.len() as f64
-    }
-
-    /// Mean lookup latency in seconds over completed lookups.
-    pub fn mean_latency_secs(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records
-            .iter()
-            .map(|r| r.latency.as_secs_f64())
-            .sum::<f64>()
-            / self.records.len() as f64
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}: {}/{} lookups done ({} exact), {:.2} hops / {:.0} ms mean, {} rpcs \
-             ({} retries, {} timeouts), folding {:.0}:1",
-            self.name,
-            self.completed,
-            self.lookups,
-            self.found_closest,
-            self.mean_hops(),
-            self.mean_latency_secs() * 1e3,
-            self.rpc_stats.calls,
-            self.rpc_stats.retries,
-            self.rpc_stats.timeouts,
-            self.folding_ratio,
-        )
-    }
-}
-
 /// Metric handles registered by [`DhtLookupWorkload::setup_metrics`].
 #[derive(Debug, Clone, Copy)]
 struct DhtMetrics {
@@ -864,7 +790,6 @@ impl DhtLookupWorkload {
 impl Workload for DhtLookupWorkload {
     type World = DhtWorld;
     type Event = NetEvent<RpcPayload<DhtBody>, DhtTimer>;
-    type Output = DhtLookupResult;
 
     fn kind(&self) -> &'static str {
         "dht-lookup"
@@ -967,28 +892,6 @@ impl Workload for DhtLookupWorkload {
     fn is_complete(&self, world: &DhtWorld) -> bool {
         world.records.len() >= self.spec.lookups
     }
-
-    fn finalize(self, world: DhtWorld, run: ScenarioRun) -> DhtLookupResult {
-        let completed = world.records.len();
-        let found_closest = world.records.iter().filter(|r| r.found_closest).count();
-        DhtLookupResult {
-            name: run.name,
-            folding_ratio: run.folding_ratio,
-            nodes: self.spec.nodes,
-            lookups: self.spec.lookups,
-            completed,
-            found_closest,
-            finished: completed >= self.spec.lookups,
-            records: world.records,
-            progress: run.samples,
-            rpc_stats: world.rpc.stats(),
-            stopped_at: run.stopped_at,
-            events_executed: run.events_executed,
-            outcome: run.outcome,
-            net_stats: world.net.stats(),
-            peak_nic_utilization: run.peak_nic_utilization,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -996,7 +899,8 @@ mod tests {
     use super::*;
     use crate::adversary::AdversaryPlan;
     use crate::deploy::{deploy, DeploymentSpec};
-    use crate::scenario::{run_reported, run_scenario, ScenarioBuilder};
+    use crate::report::RunReport;
+    use crate::scenario::{run_scenario, ScenarioBuilder, ScenarioSpec};
     use p2plab_net::{AccessLinkClass, NetworkConfig, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
@@ -1187,35 +1091,42 @@ mod tests {
         }
     }
 
+    /// Runs `spec` under `s` and asserts every lookup settled.
+    fn settle(s: &ScenarioSpec, spec: DhtLookupSpec) -> (DhtWorld, RunReport) {
+        let lookups = spec.lookups;
+        let (world, report) = run_scenario(s, DhtLookupWorkload::new(spec)).unwrap();
+        assert_eq!(world.records.len(), lookups, "{:?}", report.outcome);
+        (world, report)
+    }
+
+    /// Settled lookups that found the globally closest node.
+    fn found_closest(world: &DhtWorld) -> usize {
+        world.records.iter().filter(|r| r.found_closest).count()
+    }
+
     #[test]
     fn every_lookup_finds_the_globally_closest_node() {
         // On a loss-free network every FIND_NODE is answered, and the iterative procedure over
         // bucketed tables must converge on the true closest node for every lookup.
         let spec = DhtLookupSpec::new(64);
         let s = scenario("dht64", &spec).build().unwrap();
-        let r = run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap();
-        assert!(r.finished, "{}", r.summary());
-        assert_eq!(r.completed, 64);
-        assert_eq!(
-            r.found_closest,
-            64,
-            "iterative lookups must converge: {}",
-            r.summary()
-        );
-        assert!(r.mean_hops() >= 1.0, "{}", r.summary());
-        assert_eq!(r.rpc_stats.timeouts, 0);
-        assert_eq!(r.net_stats.rpc_timeouts, 0);
-        assert!(r.rpc_stats.calls > 64, "multi-hop lookups need >1 RPC each");
+        let (world, report) = settle(&s, spec);
+        assert_eq!(found_closest(&world), 64, "iterative lookups must converge");
+        let hops: u32 = world.records.iter().map(|r| r.hops).sum();
+        assert!(hops >= 64, "mean hop count {} below 1", hops as f64 / 64.0);
+        let rpc = world.rpc_stats();
+        assert_eq!(rpc.timeouts, 0);
+        assert_eq!(world.net.stats().rpc_timeouts, 0);
+        assert!(rpc.calls > 64, "multi-hop lookups need >1 RPC each");
         // The progress curve ends at the lookup count.
-        assert_eq!(r.progress.last().unwrap().1, 64.0);
+        assert_eq!(report.progress().last().unwrap().1, 64.0);
     }
 
     #[test]
     fn report_carries_hop_and_latency_histograms() {
         let spec = DhtLookupSpec::new(32);
         let s = scenario("dht-report", &spec).build().unwrap();
-        let (r, report) = run_reported(&s, DhtLookupWorkload::new(spec)).unwrap();
-        assert!(r.finished);
+        let (world, report) = settle(&s, spec);
         let hops = report.metrics.histogram("lookup_hops").unwrap();
         assert_eq!(hops.count, 32);
         let latency = report.metrics.histogram("lookup_latency_secs").unwrap();
@@ -1224,7 +1135,7 @@ mod tests {
         assert_eq!(report.metrics.counter("lookups_found_closest").unwrap(), 32);
         assert_eq!(
             report.metrics.counter("rpc_calls").unwrap(),
-            r.rpc_stats.calls
+            world.rpc_stats().calls
         );
         // The runner's transport counters are present for every workload (PR convention).
         assert_eq!(report.metrics.counter("rpc_timeouts"), Some(0));
@@ -1248,21 +1159,21 @@ mod tests {
             .seed(11)
             .build()
             .unwrap();
-        let (r, report) = run_reported(&s, DhtLookupWorkload::new(spec)).unwrap();
         // Every lookup still terminates (candidates fail, shortlists settle) even though many
         // calls die; that is the point of bounded retries.
-        assert!(r.finished, "{}", r.summary());
-        assert!(r.rpc_stats.retries > 0, "{}", r.summary());
-        assert!(r.rpc_stats.timeouts > 0, "{}", r.summary());
-        assert_eq!(r.net_stats.rpc_timeouts, r.rpc_stats.timeouts);
+        let (world, report) = settle(&s, spec);
+        let rpc = world.rpc_stats();
+        assert!(rpc.retries > 0, "{rpc:?}");
+        assert!(rpc.timeouts > 0, "{rpc:?}");
+        assert_eq!(world.net.stats().rpc_timeouts, rpc.timeouts);
         // The transport-counter convention: the run's metric set sees the same numbers.
         assert_eq!(
             report.metrics.counter("rpc_timeouts").unwrap(),
-            r.rpc_stats.timeouts
+            rpc.timeouts
         );
         assert!(report.metrics.counter("datagrams_dropped").unwrap() > 0);
         // Most lookups still find the closest node despite 25% per-pipe loss.
-        assert!(r.found_closest * 10 >= r.completed * 5, "{}", r.summary());
+        assert!(found_closest(&world) * 10 >= world.records.len() * 5);
     }
 
     #[test]
@@ -1274,13 +1185,15 @@ mod tests {
             .adversary(AdversaryPlan::new(0.25, &["ack-withhold"]))
             .build()
             .unwrap();
-        let (r, report) = run_reported(&s, DhtLookupWorkload::new(spec)).unwrap();
-        assert!(r.finished, "{}", r.summary());
-        assert!(r.rpc_stats.timeouts > 0, "withholders must cost timeouts");
+        let (world, report) = settle(&s, spec);
+        assert!(
+            world.rpc_stats().timeouts > 0,
+            "withholders must cost timeouts"
+        );
         assert_eq!(report.metrics.counter("invariant_violations"), Some(0));
         assert!(report.metrics.counter("invariants_checked").unwrap() > 0);
         // Degradation is graceful: most lookups still find the true closest node.
-        assert!(r.found_closest * 10 >= r.completed * 5, "{}", r.summary());
+        assert!(found_closest(&world) * 10 >= world.records.len() * 5);
     }
 
     #[test]
@@ -1293,13 +1206,12 @@ mod tests {
             .adversary(AdversaryPlan::new(0.25, &["equivocate"]))
             .build()
             .unwrap();
-        let (r, report) = run_reported(&s, DhtLookupWorkload::new(spec)).unwrap();
-        assert!(r.finished, "{}", r.summary());
+        let (world, report) = settle(&s, spec);
         assert_eq!(report.metrics.counter("invariant_violations"), Some(0));
         assert!(report.metrics.counter("byzantine_msgs_sent").unwrap() > 0);
         // Fabricated candidates are queried and rejected, so lookups burn extra RPCs
         // compared to the honest baseline but still mostly converge.
-        assert!(r.found_closest * 10 >= r.completed * 5, "{}", r.summary());
+        assert!(found_closest(&world) * 10 >= world.records.len() * 5);
     }
 
     #[test]
@@ -1313,10 +1225,10 @@ mod tests {
                 .unwrap();
             run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap()
         };
-        let a = run(5);
-        let b = run(5);
+        let (a, report_a) = run(5);
+        let (b, report_b) = run(5);
         assert_eq!(a.records, b.records);
-        assert_eq!(a.events_executed, b.events_executed);
+        assert_eq!(report_a.events_executed, report_b.events_executed);
     }
 
     #[test]
@@ -1326,11 +1238,11 @@ mod tests {
             let s = scenario("dht-det", &spec).seed(seed).build().unwrap();
             run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap()
         };
-        let a = run(5);
-        let b = run(5);
-        let c = run(6);
+        let (a, report_a) = run(5);
+        let (b, report_b) = run(5);
+        let (c, _) = run(6);
         assert_eq!(a.records, b.records);
-        assert_eq!(a.events_executed, b.events_executed);
+        assert_eq!(report_a.events_executed, report_b.events_executed);
         assert_ne!(a.records, c.records);
     }
 }

@@ -11,11 +11,11 @@
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys};
-use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, ShardedOutcome, Workload};
+use crate::scenario::{ArrivalSchedule, ArrivalSpec, ShardedOutcome, Workload};
 use p2plab_net::{
-    Endpoint, NetEvent, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
+    Endpoint, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
 };
-use p2plab_sim::{Counter, Gauge, Recorder, RunOutcome, SimDuration, SimTime, TimeSeries};
+use p2plab_sim::{Counter, Gauge, Recorder, RunOutcome, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// The UDP-like port the gossip protocol runs on.
@@ -135,6 +135,13 @@ impl GossipWorld {
     /// True once every node has heard the rumor.
     pub fn fully_informed(&self) -> bool {
         self.informed >= self.nodes()
+    }
+
+    /// When the last node heard the rumor, once every node has.
+    pub fn time_to_full(&self) -> Option<SimTime> {
+        self.fully_informed()
+            .then(|| self.informed_at.iter().filter_map(|&t| t).max())
+            .flatten()
     }
 
     /// The gossip node on `vnode`, if it takes part (the topology may be larger).
@@ -261,63 +268,6 @@ fn push_rumor(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
     }
 }
 
-/// Everything a gossip run produces.
-#[derive(Debug, Clone)]
-pub struct GossipResult {
-    /// The experiment name.
-    pub name: String,
-    /// Folding ratio of the deployment.
-    pub folding_ratio: f64,
-    /// Number of gossiping nodes.
-    pub nodes: usize,
-    /// Configured fanout.
-    pub fanout: usize,
-    /// Nodes that heard the rumor before the run stopped.
-    pub informed: usize,
-    /// When each node first heard the rumor, indexed by node.
-    pub informed_at: Vec<Option<SimTime>>,
-    /// Virtual time at which the last node was informed, when dissemination completed.
-    pub time_to_full: Option<SimTime>,
-    /// Informed-node count over time (the scenario progress metric).
-    pub dissemination: TimeSeries,
-    /// Rumor datagrams pushed.
-    pub rumors_sent: u64,
-    /// Rumors that reached already-informed nodes.
-    pub duplicate_receipts: u64,
-    /// Rumors that reached offline nodes.
-    pub missed_receipts: u64,
-    /// Whether every node was informed before the deadline.
-    pub finished: bool,
-    /// Virtual time when the run stopped.
-    pub stopped_at: SimTime,
-    /// Number of simulation events executed.
-    pub events_executed: u64,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Data-plane counters of the emulated network.
-    pub net_stats: NetStats,
-    /// Highest NIC utilization reached by any physical machine.
-    pub peak_nic_utilization: f64,
-}
-
-impl GossipResult {
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}: {}/{} nodes informed{}, {} rumors sent ({} duplicates), folding {:.0}:1",
-            self.name,
-            self.informed,
-            self.nodes,
-            self.time_to_full
-                .map(|t| format!(" (full at {t})"))
-                .unwrap_or_default(),
-            self.rumors_sent,
-            self.duplicate_receipts,
-            self.folding_ratio,
-        )
-    }
-}
-
 /// Metric handles registered by [`GossipWorkload::setup_metrics`]. The world keeps the
 /// authoritative counts (the recorder is not reachable from socket-event handlers); the
 /// sampling tick syncs them into the recorder.
@@ -358,7 +308,6 @@ impl GossipWorkload {
 impl Workload for GossipWorkload {
     type World = GossipWorld;
     type Event = NetEvent<Rumor, GossipTimer>;
-    type Output = GossipResult;
 
     fn kind(&self) -> &'static str {
         "gossip"
@@ -488,39 +437,14 @@ impl Workload for GossipWorkload {
     fn is_complete(&self, world: &GossipWorld) -> bool {
         world.fully_informed()
     }
-
-    fn finalize(self, world: GossipWorld, run: ScenarioRun) -> GossipResult {
-        let time_to_full = world
-            .fully_informed()
-            .then(|| world.informed_at.iter().filter_map(|&t| t).max())
-            .flatten();
-        GossipResult {
-            name: run.name,
-            folding_ratio: run.folding_ratio,
-            nodes: self.spec.nodes,
-            fanout: self.spec.fanout,
-            informed: world.informed,
-            finished: world.fully_informed(),
-            informed_at: world.informed_at,
-            time_to_full,
-            dissemination: run.samples,
-            rumors_sent: world.rumors_sent,
-            duplicate_receipts: world.duplicate_receipts,
-            missed_receipts: world.missed_receipts,
-            stopped_at: run.stopped_at,
-            events_executed: run.events_executed,
-            outcome: run.outcome,
-            net_stats: world.net.stats(),
-            peak_nic_utilization: run.peak_nic_utilization,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryPlan, Selection};
-    use crate::scenario::{run_reported, run_scenario, ScenarioBuilder, SessionProcess};
+    use crate::report::RunReport;
+    use crate::scenario::{run_scenario, ScenarioBuilder, ScenarioSpec, SessionProcess};
     use p2plab_net::{AccessLinkClass, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
@@ -539,28 +463,35 @@ mod tests {
             .seed(11)
     }
 
+    /// Runs `n` gossiping nodes under `s` and asserts the rumor reached all of them.
+    fn disseminate(s: &ScenarioSpec, n: usize) -> (GossipWorld, RunReport) {
+        let (world, report) = run_scenario(s, GossipWorkload::new(GossipSpec::new(n))).unwrap();
+        assert!(world.fully_informed(), "{:?}", report.outcome);
+        assert_eq!(world.informed, n);
+        (world, report)
+    }
+
     #[test]
     fn rumor_reaches_every_node() {
-        let spec = GossipSpec::new(16);
         let s = scenario("gossip16", 16).build().unwrap();
-        let r = run_scenario(&s, GossipWorkload::new(spec)).unwrap();
-        assert!(r.finished, "{}", r.summary());
-        assert_eq!(r.informed, 16);
-        assert!(r.informed_at.iter().all(|t| t.is_some()));
-        assert!(r.time_to_full.is_some());
-        // The origin is informed first.
-        let origin = r.informed_at[0].unwrap();
-        assert!(r.informed_at.iter().all(|&t| t.unwrap() >= origin));
-        assert!(r.rumors_sent > 0);
+        let (world, report) = disseminate(&s, 16);
+        assert!(world.informed_at.iter().all(|t| t.is_some()));
+        let full = world.time_to_full().unwrap();
+        // The origin is informed first, the last node at the time to full.
+        let origin = world.informed_at[0].unwrap();
+        assert!(world
+            .informed_at
+            .iter()
+            .all(|&t| (origin..=full).contains(&t.unwrap())));
+        assert!(world.rumors_sent > 0);
         // Dissemination curve is non-decreasing and ends at the node count.
-        let samples = r.dissemination.samples();
+        let samples = report.progress().samples();
         assert!(samples.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(samples.last().unwrap().1, 16.0);
     }
 
     #[test]
     fn flash_crowd_arrivals_disseminate() {
-        let spec = GossipSpec::new(24);
         let s = scenario("gossip-flash", 24)
             .arrivals(ArrivalSpec::flash_crowd(
                 0.2,
@@ -569,14 +500,11 @@ mod tests {
             ))
             .build()
             .unwrap();
-        let r = run_scenario(&s, GossipWorkload::new(spec)).unwrap();
-        assert!(r.finished, "{}", r.summary());
-        assert_eq!(r.informed, 24);
+        disseminate(&s, 24);
     }
 
     #[test]
     fn gossip_survives_churn() {
-        let spec = GossipSpec::new(12);
         let s = scenario("gossip-churn", 12)
             .sessions(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(20),
@@ -584,9 +512,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let r = run_scenario(&s, GossipWorkload::new(spec)).unwrap();
-        assert!(r.finished, "{}", r.summary());
-        assert_eq!(r.informed, 12);
+        disseminate(&s, 12);
     }
 
     #[test]
@@ -595,13 +521,10 @@ mod tests {
         // their outbound frames). With the origin honest, the remaining honest nodes keep
         // gossiping until everyone — suppressors included — is informed, and the invariant
         // monitor stays clean.
-        let spec = GossipSpec::new(16);
         let mut plan = AdversaryPlan::new(0.0, &["silent-drop"]);
         plan.selection = Selection::Trace(vec![3, 7, 11]);
         let s = scenario("gossip-byz", 16).adversary(plan).build().unwrap();
-        let (r, report) = run_reported(&s, GossipWorkload::new(spec)).unwrap();
-        assert!(r.finished, "{}", r.summary());
-        assert_eq!(r.informed, 16);
+        let (_, report) = disseminate(&s, 16);
         assert_eq!(report.metrics.counter("invariant_violations"), Some(0));
         assert!(report.metrics.counter("invariants_checked").unwrap() > 0);
     }
@@ -617,10 +540,10 @@ mod tests {
                 .unwrap();
             run_scenario(&s, GossipWorkload::new(spec)).unwrap()
         };
-        let a = run(5);
-        let b = run(5);
+        let (a, report_a) = run(5);
+        let (b, report_b) = run(5);
         assert_eq!(a.informed_at, b.informed_at);
-        assert_eq!(a.events_executed, b.events_executed);
+        assert_eq!(report_a.events_executed, report_b.events_executed);
     }
 
     #[test]
@@ -630,11 +553,11 @@ mod tests {
             let s = scenario("gossip-det", 10).seed(seed).build().unwrap();
             run_scenario(&s, GossipWorkload::new(spec)).unwrap()
         };
-        let a = run(5);
-        let b = run(5);
-        let c = run(6);
+        let (a, report_a) = run(5);
+        let (b, report_b) = run(5);
+        let (c, _) = run(6);
         assert_eq!(a.informed_at, b.informed_at);
-        assert_eq!(a.events_executed, b.events_executed);
+        assert_eq!(report_a.events_executed, report_b.events_executed);
         assert_ne!(a.informed_at, c.informed_at);
     }
 }

@@ -29,13 +29,12 @@ use super::gossip::{check_fanout, check_round_interval};
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{
-    ArrivalSchedule, ArrivalSpec, ScenarioError, ScenarioRun, ScenarioSpec, ShardedOutcome,
-    Workload,
+    ArrivalSchedule, ArrivalSpec, ScenarioError, ScenarioSpec, ShardedOutcome, Workload,
 };
 use p2plab_net::{Network, TamperSpec};
 use p2plab_sim::{
-    run_sharded, Counter, Gauge, NoEvent, Recorder, RunOutcome, ShardConfig, ShardSim, ShardWorld,
-    SimDuration, SimRng, SimTime, TimeSeries, TimeSeriesId,
+    run_sharded, Counter, Gauge, NoEvent, Recorder, ShardConfig, ShardSim, ShardWorld, SimDuration,
+    SimRng, SimTime, TimeSeriesId,
 };
 use serde::{Deserialize, Serialize};
 
@@ -53,8 +52,9 @@ pub struct GossipShardedSpec {
     /// How many rounds an informed node pushes before going quiet. `0` means unlimited: the
     /// run then stops at the runtime's summed dissemination target instead of draining. A
     /// capped run drains — every node exhausts its rounds and the queues empty — which is the
-    /// only shard-safe way to reach [`RunOutcome::Drained`] (a per-node countdown needs no
-    /// global informedness view, unlike the classic workload's `fully_informed()` stop).
+    /// only shard-safe way to reach [`RunOutcome::Drained`](p2plab_sim::RunOutcome::Drained) (a
+    /// per-node countdown needs no global informedness view, unlike the classic workload's
+    /// `fully_informed()` stop).
     pub rounds: u32,
 }
 
@@ -376,39 +376,6 @@ pub struct GossipShardedWorld {
     pub byzantine_msgs_sent: u64,
 }
 
-/// Everything a sharded gossip run produces.
-#[derive(Debug, Clone)]
-pub struct GossipShardedResult {
-    /// The experiment name.
-    pub name: String,
-    /// Number of gossiping nodes.
-    pub nodes: usize,
-    /// Nodes that heard the rumor before the run stopped.
-    pub informed: usize,
-    /// When each node first heard the rumor, indexed by node.
-    pub informed_at: Vec<Option<SimTime>>,
-    /// Virtual time at which the last node was informed, when dissemination completed.
-    pub time_to_full: Option<SimTime>,
-    /// Informed-node count over time (the scenario progress metric).
-    pub dissemination: TimeSeries,
-    /// Rumor datagrams pushed.
-    pub rumors_sent: u64,
-    /// Rumors that reached already-informed nodes.
-    pub duplicate_receipts: u64,
-    /// Rumors that reached nodes that had not arrived yet.
-    pub missed_receipts: u64,
-    /// Whether every node was informed before the deadline.
-    pub finished: bool,
-    /// Virtual time when the run stopped.
-    pub stopped_at: SimTime,
-    /// Number of simulation events executed.
-    pub events_executed: u64,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Messages that crossed a shard boundary.
-    pub cross_messages: u64,
-}
-
 /// Metric handles registered by [`GossipShardedWorkload::setup_metrics`], filled in after the
 /// sharded run from the merged (shard-count-invariant) aggregates.
 #[derive(Debug, Clone, Copy)]
@@ -448,7 +415,6 @@ impl GossipShardedWorkload {
 impl Workload for GossipShardedWorkload {
     type World = GossipShardedWorld;
     type Event = NoEvent;
-    type Output = GossipShardedResult;
 
     fn kind(&self) -> &'static str {
         "gossip-sharded"
@@ -547,29 +513,6 @@ impl Workload for GossipShardedWorkload {
         progress: TimeSeriesId,
     ) -> Option<Result<(GossipShardedWorld, ShardedOutcome), ScenarioError>> {
         Some(self.execute(spec, arrivals, rec, progress))
-    }
-
-    fn finalize(self, world: GossipShardedWorld, run: ScenarioRun) -> GossipShardedResult {
-        let finished = world.informed >= self.spec.nodes;
-        let time_to_full = finished
-            .then(|| world.informed_at.iter().filter_map(|&t| t).max())
-            .flatten();
-        GossipShardedResult {
-            name: run.name,
-            nodes: self.spec.nodes,
-            informed: world.informed,
-            finished,
-            informed_at: world.informed_at,
-            time_to_full,
-            dissemination: run.samples,
-            rumors_sent: world.rumors_sent,
-            duplicate_receipts: world.duplicate_receipts,
-            missed_receipts: world.missed_receipts,
-            stopped_at: run.stopped_at,
-            events_executed: run.events_executed,
-            outcome: run.outcome,
-            cross_messages: world.cross_messages,
-        }
     }
 }
 
@@ -725,8 +668,9 @@ impl GossipShardedWorkload {
 mod tests {
     use super::*;
     use crate::report::RunReport;
-    use crate::scenario::{run_reported, ScenarioBuilder, SessionProcess};
+    use crate::scenario::{run_scenario, ScenarioBuilder, SessionProcess};
     use p2plab_net::{AccessLinkClass, TopologySpec};
+    use p2plab_sim::RunOutcome;
 
     fn lan(n: usize) -> TopologySpec {
         TopologySpec::uniform(
@@ -745,10 +689,17 @@ mod tests {
             .shards(shards)
     }
 
-    fn run(n: usize, shards: usize) -> (GossipShardedResult, RunReport) {
+    fn run(n: usize, shards: usize) -> (GossipShardedWorld, RunReport) {
         let spec = GossipShardedSpec::new(n);
         let s = scenario("gossip-sharded", n, shards).build().unwrap();
-        run_reported(&s, GossipShardedWorkload::new(spec)).unwrap()
+        run_scenario(&s, GossipShardedWorkload::new(spec)).unwrap()
+    }
+
+    /// The report with its wall-clock fields zeroed, as JSON.
+    fn canon(mut report: RunReport) -> String {
+        report.wall_secs = 0.0;
+        report.events_per_sec = 0.0;
+        report.to_json()
     }
 
     #[test]
@@ -768,15 +719,15 @@ mod tests {
 
     #[test]
     fn rumor_reaches_every_node() {
-        let (r, _) = run(64, 1);
-        assert!(r.finished, "{}/{} informed", r.informed, r.nodes);
-        assert_eq!(r.informed, 64);
-        assert!(r.informed_at.iter().all(|t| t.is_some()));
-        assert!(r.time_to_full.is_some());
-        let origin = r.informed_at[0].unwrap();
-        assert!(r.informed_at.iter().all(|&t| t.unwrap() >= origin));
-        assert!(r.rumors_sent > 0);
-        let samples = r.dissemination.samples();
+        let (w, report) = run(64, 1);
+        assert_eq!(w.informed, 64, "{:?}", report.outcome);
+        let origin = w.informed_at[0].unwrap();
+        assert!(w
+            .informed_at
+            .iter()
+            .all(|&t| (origin..=report.stopped_at).contains(&t.unwrap())));
+        assert!(w.rumors_sent > 0);
+        let samples = report.progress().samples();
         assert!(samples.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(samples.last().unwrap().1, 64.0);
     }
@@ -785,26 +736,22 @@ mod tests {
     fn reports_are_byte_identical_across_shard_counts() {
         let (reference, report1) = run(64, 1);
         for shards in [2, 3, 4] {
-            let (r, report) = run(64, shards);
+            let (w, report) = run(64, shards);
             assert_eq!(
-                reference.informed_at, r.informed_at,
+                reference.informed_at, w.informed_at,
                 "informed times diverged at {shards} shards"
             );
-            assert_eq!(reference.events_executed, r.events_executed);
-            assert_eq!(reference.rumors_sent, r.rumors_sent);
-            assert_eq!(reference.duplicate_receipts, r.duplicate_receipts);
-            assert_eq!(reference.missed_receipts, r.missed_receipts);
-            assert_eq!(reference.stopped_at, r.stopped_at);
-            assert!(r.cross_messages > 0, "sharded run never crossed shards");
-            // The full report artifact matches modulo wall-clock fields.
-            let canon = |mut rep: RunReport| {
-                rep.wall_secs = 0.0;
-                rep.events_per_sec = 0.0;
-                rep
-            };
-            let a = canon(report1.clone()).to_json();
-            let b = canon(report).to_json();
-            assert_eq!(a, b, "RunReport diverged at {shards} shards");
+            assert_eq!(reference.rumors_sent, w.rumors_sent);
+            assert_eq!(reference.duplicate_receipts, w.duplicate_receipts);
+            assert_eq!(reference.missed_receipts, w.missed_receipts);
+            assert!(w.cross_messages > 0, "sharded run never crossed shards");
+            // The full report artifact (event count and stop time included) matches modulo
+            // wall-clock fields.
+            assert_eq!(
+                canon(report1.clone()),
+                canon(report),
+                "RunReport diverged at {shards} shards"
+            );
         }
     }
 
@@ -819,28 +766,18 @@ mod tests {
             let mut spec = GossipShardedSpec::new(48);
             spec.rounds = 60;
             let s = scenario("gossip-capped", 48, shards).build().unwrap();
-            run_reported(&s, GossipShardedWorkload::new(spec)).unwrap()
+            run_scenario(&s, GossipShardedWorkload::new(spec)).unwrap()
         };
         let (reference, report1) = run_capped(1);
-        assert_eq!(reference.outcome, RunOutcome::Drained);
-        assert!(
-            reference.finished,
-            "{}/{} informed",
-            reference.informed, reference.nodes
-        );
+        assert_eq!(report1.outcome, RunOutcome::Drained);
+        assert_eq!(reference.informed, 48, "{}/48 informed", reference.informed);
         for shards in [2, 4] {
-            let (r, report) = run_capped(shards);
-            assert_eq!(r.outcome, RunOutcome::Drained);
-            assert_eq!(reference.informed_at, r.informed_at);
-            assert_eq!(reference.events_executed, r.events_executed);
-            let canon = |mut rep: RunReport| {
-                rep.wall_secs = 0.0;
-                rep.events_per_sec = 0.0;
-                rep
-            };
+            let (w, report) = run_capped(shards);
+            assert_eq!(report.outcome, RunOutcome::Drained);
+            assert_eq!(reference.informed_at, w.informed_at);
             assert_eq!(
-                canon(report1.clone()).to_json(),
-                canon(report).to_json(),
+                canon(report1.clone()),
+                canon(report),
                 "capped RunReport diverged at {shards} shards"
             );
         }
@@ -859,32 +796,24 @@ mod tests {
                 .adversary(plan)
                 .build()
                 .unwrap();
-            run_reported(&s, GossipShardedWorkload::new(spec)).unwrap()
+            run_scenario(&s, GossipShardedWorkload::new(spec)).unwrap()
         };
         let (reference, report1) = run_byz(1);
-        assert!(
-            reference.finished,
-            "{}/{} informed",
-            reference.informed, reference.nodes
-        );
+        assert_eq!(reference.informed, 48, "{}/48 informed", reference.informed);
         assert!(report1.metrics.counter("byzantine_msgs_sent").unwrap() > 0);
         assert_eq!(report1.metrics.counter("invariant_violations"), Some(0));
         for shards in [2, 4] {
-            let (r, report) = run_byz(shards);
+            let (w, report) = run_byz(shards);
             assert_eq!(
-                reference.informed_at, r.informed_at,
+                reference.informed_at, w.informed_at,
                 "informed times diverged at {shards} shards"
             );
-            assert_eq!(reference.events_executed, r.events_executed);
-            assert_eq!(reference.duplicate_receipts, r.duplicate_receipts);
-            let canon = |mut rep: RunReport| {
-                rep.wall_secs = 0.0;
-                rep.events_per_sec = 0.0;
-                rep
-            };
-            let a = canon(report1.clone()).to_json();
-            let b = canon(report).to_json();
-            assert_eq!(a, b, "adversarial RunReport diverged at {shards} shards");
+            assert_eq!(reference.duplicate_receipts, w.duplicate_receipts);
+            assert_eq!(
+                canon(report1.clone()),
+                canon(report),
+                "adversarial RunReport diverged at {shards} shards"
+            );
         }
     }
 
@@ -898,8 +827,11 @@ mod tests {
             })
             .build()
             .unwrap();
-        let err = run_reported(&s, GossipShardedWorkload::new(spec)).unwrap_err();
-        assert!(matches!(err, ScenarioError::ShardingUnsupported { .. }));
+        let err = run_scenario(&s, GossipShardedWorkload::new(spec)).err();
+        assert!(matches!(
+            err,
+            Some(ScenarioError::ShardingUnsupported { .. })
+        ));
     }
 
     #[test]
@@ -914,8 +846,11 @@ mod tests {
             .deadline(SimDuration::from_secs(600))
             .build()
             .unwrap();
-        let err = run_reported(&s, GossipShardedWorkload::new(spec)).unwrap_err();
-        assert!(matches!(err, ScenarioError::ShardingUnsupported { .. }));
+        let err = run_scenario(&s, GossipShardedWorkload::new(spec)).err();
+        assert!(matches!(
+            err,
+            Some(ScenarioError::ShardingUnsupported { .. })
+        ));
     }
 
     #[test]
@@ -930,7 +865,10 @@ mod tests {
             .deadline(SimDuration::from_secs(600))
             .build()
             .unwrap();
-        let err = run_reported(&s, GossipShardedWorkload::new(spec)).unwrap_err();
-        assert!(matches!(err, ScenarioError::ShardingUnsupported { .. }));
+        let err = run_scenario(&s, GossipShardedWorkload::new(spec)).err();
+        assert!(matches!(
+            err,
+            Some(ScenarioError::ShardingUnsupported { .. })
+        ));
     }
 }

@@ -1,7 +1,7 @@
-//! First-class [`Workload`](crate::scenario::Workload) implementations.
+//! First-class [`Workload`] implementations.
 //!
 //! Every application studied on the framework lives here as a `Workload` impl, runnable by
-//! [`run_scenario`](crate::scenario::run_scenario):
+//! [`run_scenario`]:
 //!
 //! * [`SwarmWorkload`] — the BitTorrent swarm of the paper's evaluation (Figures 8-11);
 //! * [`PingMeshWorkload`] — an all-pairs/ring latency probe built on the echo application the
@@ -22,25 +22,20 @@ pub mod ping_mesh;
 pub mod swarm;
 
 pub use dht::{
-    DhtBody, DhtLookupResult, DhtLookupSpec, DhtLookupWorkload, DhtTimer, DhtWorld, LookupRecord,
-    DHT_PORT,
+    DhtBody, DhtLookupSpec, DhtLookupWorkload, DhtTimer, DhtWorld, LookupRecord, DHT_PORT,
 };
-pub use gossip::{
-    GossipResult, GossipSpec, GossipTimer, GossipWorkload, GossipWorld, Rumor, GOSSIP_PORT,
-};
-pub use gossip_sharded::{
-    GossipShardedResult, GossipShardedSpec, GossipShardedWorkload, GossipShardedWorld,
-};
-pub use ping_mesh::{MeshPattern, PingMeshResult, PingMeshSpec, PingMeshWorkload};
+pub use gossip::{GossipSpec, GossipTimer, GossipWorkload, GossipWorld, Rumor, GOSSIP_PORT};
+pub use gossip_sharded::{GossipShardedSpec, GossipShardedWorkload, GossipShardedWorld};
+pub use ping_mesh::{MeshPattern, PingMeshSpec, PingMeshWorkload};
 pub use swarm::{SwarmSpec, SwarmWorkload};
 
 use crate::report::RunReport;
 use crate::scenario::dsl::{DslError, Keys, Kinds};
-use crate::scenario::{run_reported, ScenarioError, ScenarioSpec};
+use crate::scenario::{run_scenario, ScenarioError, ScenarioSpec, Workload};
 
 /// The kind labels of every first-class workload, in registry order. These are the values a
 /// scenario file's `workload.kind` key accepts and the labels
-/// [`Workload::kind`](crate::scenario::Workload::kind) reports.
+/// [`Workload::kind`] reports.
 pub const WORKLOAD_KINDS: [&str; 5] = [
     "swarm",
     "ping-mesh",
@@ -51,11 +46,11 @@ pub const WORKLOAD_KINDS: [&str; 5] = [
 
 /// A workload configuration constructible *by name* — the registry half of the scenario DSL.
 ///
-/// [`Workload`](crate::scenario::Workload) has associated types (world, event, output), so the
-/// trait is not object-safe and a scenario file cannot hold a `Box<dyn Workload>`. This enum
-/// closes the gap: one variant per first-class workload, each carrying its spec struct, plus a
-/// uniform [`run_reported`](WorkloadConfig::run_reported) that instantiates the right workload
-/// and returns the run's workload-agnostic [`RunReport`].
+/// [`Workload`] has associated types (world, event), so the trait is not object-safe and a
+/// scenario file cannot hold a `Box<dyn Workload>`. This enum closes the gap: one variant per
+/// first-class workload, each carrying its spec struct, plus a uniform
+/// [`run`](WorkloadConfig::run) that instantiates the right workload and returns the run's
+/// workload-agnostic [`RunReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadConfig {
     /// The BitTorrent swarm of the paper's evaluation.
@@ -138,27 +133,22 @@ impl WorkloadConfig {
         }
     }
 
-    /// Runs the workload under `spec` through the generic
-    /// [`run_reported`] loop and returns the run's
-    /// [`RunReport`]. The workload-specific output is discarded — by-name construction is for
+    /// Runs the workload under `spec` through the generic [`run_scenario`] loop and returns the
+    /// run's [`RunReport`]. The final world is dropped — by-name construction is for
     /// campaign-style runs where everything that leaves the process goes through the report.
-    pub fn run_reported(&self, spec: &ScenarioSpec) -> Result<RunReport, ScenarioError> {
+    pub fn run(&self, spec: &ScenarioSpec) -> Result<RunReport, ScenarioError> {
+        fn report<W: Workload + 'static>(
+            spec: &ScenarioSpec,
+            workload: W,
+        ) -> Result<RunReport, ScenarioError> {
+            run_scenario(spec, workload).map(|(_, report)| report)
+        }
         match self {
-            WorkloadConfig::Swarm(s) => {
-                run_reported(spec, SwarmWorkload::new(s.clone())).map(|(_, r)| r)
-            }
-            WorkloadConfig::PingMesh(p) => {
-                run_reported(spec, PingMeshWorkload::new(p.clone())).map(|(_, r)| r)
-            }
-            WorkloadConfig::Gossip(g) => {
-                run_reported(spec, GossipWorkload::new(g.clone())).map(|(_, r)| r)
-            }
-            WorkloadConfig::GossipSharded(g) => {
-                run_reported(spec, GossipShardedWorkload::new(g.clone())).map(|(_, r)| r)
-            }
-            WorkloadConfig::DhtLookup(d) => {
-                run_reported(spec, DhtLookupWorkload::new(d.clone())).map(|(_, r)| r)
-            }
+            WorkloadConfig::Swarm(s) => report(spec, SwarmWorkload::new(s.clone())),
+            WorkloadConfig::PingMesh(p) => report(spec, PingMeshWorkload::new(p.clone())),
+            WorkloadConfig::Gossip(g) => report(spec, GossipWorkload::new(g.clone())),
+            WorkloadConfig::GossipSharded(g) => report(spec, GossipShardedWorkload::new(g.clone())),
+            WorkloadConfig::DhtLookup(d) => report(spec, DhtLookupWorkload::new(d.clone())),
         }
     }
 }

@@ -11,10 +11,10 @@
 
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys, Named};
-use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, Workload};
+use crate::scenario::{ArrivalSchedule, ArrivalSpec, Workload};
 use p2plab_net::ping::{PingPayload, PingTimer, PingWorld};
-use p2plab_net::{NetEvent, NetSim, NetStats, Network, VNodeId};
-use p2plab_sim::{HistogramId, Recorder, RunOutcome, SimDuration, SimTime, Summary, TimeSeries};
+use p2plab_net::{NetEvent, NetSim, Network, VNodeId};
+use p2plab_sim::{HistogramId, Recorder, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Which ordered pairs of nodes probe each other.
@@ -87,11 +87,18 @@ impl PingMeshSpec {
     }
 
     /// The `[workload.ping-mesh]` keys of a scenario file; absent ones keep
-    /// [`PingMeshSpec::full`]'s defaults.
+    /// [`PingMeshSpec::full`]'s defaults. A value that would leave the mesh without a probe —
+    /// the run then "drains" after one event — is rejected at its key.
     pub(crate) fn keys(k: &mut Keys, spec: &mut PingMeshSpec) -> Result<(), DslError> {
-        k.req("nodes", &mut spec.nodes)?;
+        k.req_checked("nodes", &mut spec.nodes, |&n| match n {
+            0 | 1 => Err(format!("a ping mesh needs at least two nodes, got {n}")),
+            _ => Ok(()),
+        })?;
         k.opt("pattern", &mut spec.pattern)?;
-        k.opt("pings_per_pair", &mut spec.pings_per_pair)?;
+        k.checked("pings_per_pair", &mut spec.pings_per_pair, |&n| match n {
+            0 => Err("a probe pair must send at least one ping, got 0".to_string()),
+            _ => Ok(()),
+        })?;
         k.opt("interval", &mut spec.interval)?;
         k.opt("stagger", &mut spec.stagger)?;
         k.opt("packet_bytes", &mut spec.packet_bytes)?;
@@ -133,70 +140,6 @@ impl PingMeshSpec {
     }
 }
 
-/// Everything a ping-mesh run produces.
-#[derive(Debug, Clone)]
-pub struct PingMeshResult {
-    /// The experiment name.
-    pub name: String,
-    /// Folding ratio of the deployment.
-    pub folding_ratio: f64,
-    /// Echo requests scheduled.
-    pub probes_scheduled: usize,
-    /// Echo replies received before the run stopped.
-    pub replies_received: usize,
-    /// All measured round-trip times, in completion order.
-    pub rtts: Vec<SimDuration>,
-    /// Mean RTT per probing node (`None` for nodes whose replies were all lost), indexed like
-    /// the topology's virtual nodes.
-    pub per_node_mean_rtt: Vec<Option<SimDuration>>,
-    /// Replies-received curve over time (the scenario progress metric).
-    pub progress: TimeSeries,
-    /// Whether every scheduled probe was answered before the deadline.
-    pub finished: bool,
-    /// Virtual time when the run stopped.
-    pub stopped_at: SimTime,
-    /// Number of simulation events executed.
-    pub events_executed: u64,
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Data-plane counters of the emulated network.
-    pub net_stats: NetStats,
-    /// Highest NIC utilization reached by any physical machine.
-    pub peak_nic_utilization: f64,
-}
-
-impl PingMeshResult {
-    /// Echo requests that went unanswered.
-    pub fn lost(&self) -> usize {
-        self.probes_scheduled - self.replies_received
-    }
-
-    /// Summary statistics (seconds) over all measured RTTs.
-    pub fn rtt_summary(&self) -> Option<Summary> {
-        let secs: Vec<f64> = self.rtts.iter().map(|d| d.as_secs_f64()).collect();
-        Summary::of(&secs)
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        let rtt = self
-            .rtt_summary()
-            .map(|s| {
-                format!(
-                    "rtt min/avg/max {:.2}/{:.2}/{:.2} ms",
-                    s.min * 1e3,
-                    s.mean * 1e3,
-                    s.max * 1e3
-                )
-            })
-            .unwrap_or_else(|| "no replies".into());
-        format!(
-            "{}: {}/{} probes answered, {}, folding {:.0}:1",
-            self.name, self.replies_received, self.probes_scheduled, rtt, self.folding_ratio,
-        )
-    }
-}
-
 /// The ping-mesh workload over the scenario's topology.
 #[derive(Debug, Clone)]
 pub struct PingMeshWorkload {
@@ -233,7 +176,6 @@ impl PingMeshWorkload {
 impl Workload for PingMeshWorkload {
     type World = PingWorld;
     type Event = NetEvent<PingPayload, PingTimer>;
-    type Output = PingMeshResult;
 
     fn kind(&self) -> &'static str {
         "ping-mesh"
@@ -302,37 +244,6 @@ impl Workload for PingMeshWorkload {
     fn is_complete(&self, world: &PingWorld) -> bool {
         world.rtts.len() >= self.spec.expected_probes() || self.settled
     }
-
-    fn finalize(self, world: PingWorld, run: ScenarioRun) -> PingMeshResult {
-        let probes_scheduled = self.spec.expected_probes();
-        let mut per_node_sum = vec![(0u64, 0u64); self.spec.nodes];
-        for &(origin, rtt) in &world.rtts {
-            if let Some(sum) = per_node_sum.get_mut(origin.0) {
-                sum.0 += rtt.as_nanos();
-                sum.1 += 1;
-            }
-        }
-        let per_node_mean_rtt = per_node_sum
-            .into_iter()
-            .map(|(total, n)| (n > 0).then(|| SimDuration::from_nanos(total / n)))
-            .collect();
-        let replies_received = world.rtts.len();
-        PingMeshResult {
-            name: run.name,
-            folding_ratio: run.folding_ratio,
-            probes_scheduled,
-            replies_received,
-            rtts: world.rtts.iter().map(|&(_, d)| d).collect(),
-            per_node_mean_rtt,
-            progress: run.samples,
-            finished: replies_received >= probes_scheduled,
-            stopped_at: run.stopped_at,
-            events_executed: run.events_executed,
-            outcome: run.outcome,
-            net_stats: world.net.stats(),
-            peak_nic_utilization: run.peak_nic_utilization,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -359,18 +270,18 @@ mod tests {
             .seed(1)
             .build()
             .unwrap();
-        let r = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap();
-        assert!(r.finished, "{}", r.summary());
-        assert_eq!(r.probes_scheduled, 4 * 3 * 5);
-        assert_eq!(r.replies_received, r.probes_scheduled);
-        assert_eq!(r.lost(), 0);
+        let (world, report) = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap();
+        assert_eq!(report.metrics.counter("probes_scheduled"), Some(4 * 3 * 5));
+        assert_eq!(world.rtts.len(), 4 * 3 * 5, "{:?}", report.outcome);
         // Two 100 us links each way: every RTT at least 400 us.
-        assert!(r.rtts.iter().all(|d| d.as_micros() >= 400));
-        assert!(r.per_node_mean_rtt.iter().all(|m| m.is_some()));
+        assert!(world.rtts.iter().all(|(_, d)| d.as_micros() >= 400));
+        // Every node probed and heard back.
+        assert!((0..4).all(|n| world.rtts.iter().any(|(from, _)| from.0 == n)));
         // Cross-machine probes show up on the cluster NICs.
-        assert!(r.peak_nic_utilization > 0.0);
-        let s = r.rtt_summary().unwrap();
-        assert!(s.min <= s.mean && s.mean <= s.max);
+        assert!(report.metrics.gauge("peak_nic_utilization").unwrap() > 0.0);
+        let (min, max) = world.min_max_rtt().unwrap();
+        let mean = world.average_rtt().unwrap();
+        assert!(min <= mean && mean <= max);
     }
 
     #[test]
@@ -383,9 +294,9 @@ mod tests {
             .seed(2)
             .build()
             .unwrap();
-        let r = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap();
-        assert!(r.finished);
-        assert_eq!(r.probes_scheduled, 8 * 5);
+        let (world, report) = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap();
+        assert_eq!(report.metrics.counter("probes_scheduled"), Some(8 * 5));
+        assert_eq!(world.rtts.len(), 8 * 5);
     }
 
     #[test]
@@ -394,21 +305,21 @@ mod tests {
         // be rejected rather than hanging the periodic sampler on a zero interval.
         let mut spec = ScenarioBuilder::new("hand", lan(2)).build().unwrap();
         spec.sample_interval = SimDuration::ZERO;
-        let err = run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring(2))).unwrap_err();
-        assert_eq!(err, ScenarioError::ZeroSampleInterval);
+        let err = run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring(2))).err();
+        assert_eq!(err, Some(ScenarioError::ZeroSampleInterval));
     }
 
     #[test]
     fn mesh_rejects_too_small_topology() {
         let spec = PingMeshSpec::full(10);
         let scenario = ScenarioBuilder::new("big", lan(4)).build().unwrap();
-        let err = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap_err();
+        let err = run_scenario(&scenario, PingMeshWorkload::new(spec)).err();
         assert_eq!(
             err,
-            ScenarioError::TopologyTooSmall {
+            Some(ScenarioError::TopologyTooSmall {
                 needed: 10,
                 available: 4
-            }
+            })
         );
     }
 
@@ -423,9 +334,9 @@ mod tests {
                 .unwrap();
             run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap()
         };
-        let a = run(7);
-        let b = run(7);
+        let (a, report_a) = run(7);
+        let (b, report_b) = run(7);
         assert_eq!(a.rtts, b.rtts);
-        assert_eq!(a.events_executed, b.events_executed);
+        assert_eq!(report_a.events_executed, report_b.events_executed);
     }
 }

@@ -7,9 +7,8 @@
 
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
-use crate::experiment::SwarmResult;
 use crate::scenario::dsl::{DslError, Keys};
-use crate::scenario::{ArrivalSchedule, ArrivalSpec, ScenarioRun, ShardedOutcome, Workload};
+use crate::scenario::{ArrivalSchedule, ArrivalSpec, ShardedOutcome, Workload};
 use p2plab_bittorrent::{
     schedule_client_start, start_client, stop_client, BtPayload, ClientConfig, SwarmSim,
     SwarmTimer, SwarmWorld, Torrent,
@@ -57,7 +56,12 @@ impl SwarmSpec {
     /// The `[workload.swarm]` keys of a scenario file; absent ones keep [`SwarmSpec::new`]'s
     /// defaults.
     pub(crate) fn keys(k: &mut Keys, spec: &mut SwarmSpec) -> Result<(), DslError> {
-        k.opt("file_bytes", &mut spec.file_bytes)?;
+        // An empty file has no pieces to ask for: nobody ever completes and the run idles to
+        // its deadline.
+        k.checked("file_bytes", &mut spec.file_bytes, |&n| match n {
+            0 => Err("a swarm needs a file of at least one byte, got 0".to_string()),
+            _ => Ok(()),
+        })?;
         k.opt("seeders", &mut spec.seeders)?;
         k.req("leechers", &mut spec.leechers)?;
         k.opt("start_interval", &mut spec.start_interval)?;
@@ -139,7 +143,6 @@ impl SwarmWorkload {
 impl Workload for SwarmWorkload {
     type World = SwarmWorld;
     type Event = NetEvent<BtPayload, SwarmTimer>;
-    type Output = SwarmResult;
 
     fn kind(&self) -> &'static str {
         "swarm"
@@ -217,12 +220,7 @@ impl Workload for SwarmWorkload {
     fn check_invariants(&self, world: &SwarmWorld, stop: &ShardedOutcome) -> InvariantReport {
         let mut inv = InvariantReport::new();
         inv.byzantine_msgs_sent = world.net.stats().byzantine_msgs_sent;
-        for (l, client) in world
-            .clients
-            .iter()
-            .filter(|c| !c.initial_seeder)
-            .enumerate()
-        {
+        for (l, client) in world.downloaders().enumerate() {
             if !self.leecher_is_honest(l) {
                 continue;
             }
@@ -338,13 +336,8 @@ impl Workload for SwarmWorkload {
                 // Gather into the reused scratch (sorted), so everything past the high-water
                 // mark is new; the periodic sampler stays allocation-free at steady state.
                 self.completion_scratch.clear();
-                self.completion_scratch.extend(
-                    world
-                        .clients
-                        .iter()
-                        .filter(|c| !c.initial_seeder)
-                        .filter_map(|c| c.completed_at),
-                );
+                self.completion_scratch
+                    .extend(world.downloaders().filter_map(|c| c.completed_at));
                 self.completion_scratch.sort_unstable();
                 for t in &self.completion_scratch[self.completions_recorded..] {
                     rec.record(m.completion_hist, t.as_secs_f64());
@@ -356,9 +349,7 @@ impl Workload for SwarmWorkload {
                 self.honest_scratch.clear();
                 self.honest_scratch.extend(
                     world
-                        .clients
-                        .iter()
-                        .filter(|c| !c.initial_seeder)
+                        .downloaders()
                         .enumerate()
                         .filter(|(l, _)| !roster.contains(*l))
                         .filter_map(|(_, c)| c.completed_at),
@@ -377,38 +368,6 @@ impl Workload for SwarmWorkload {
     fn is_complete(&self, world: &SwarmWorld) -> bool {
         world.swarm_finished()
     }
-
-    fn finalize(self, world: SwarmWorld, run: ScenarioRun) -> SwarmResult {
-        let cfg = &self.cfg;
-        let downloaders: Vec<&p2plab_bittorrent::Client> =
-            world.clients.iter().filter(|c| !c.initial_seeder).collect();
-        let seeder_upload_bytes = world
-            .clients
-            .iter()
-            .filter(|c| c.initial_seeder)
-            .map(|c| c.stats.bytes_uploaded)
-            .sum();
-        let leecher_upload_bytes = downloaders.iter().map(|c| c.stats.bytes_uploaded).sum();
-
-        SwarmResult {
-            name: run.name,
-            folding_ratio: run.folding_ratio,
-            leechers: cfg.leechers,
-            completed: world.completed_count(),
-            progress: downloaders.iter().map(|c| c.progress.clone()).collect(),
-            completion_curve: world.completion_curve(),
-            total_downloaded: run.samples,
-            completion_times: world.completion_times(),
-            finished: world.swarm_finished(),
-            stopped_at: run.stopped_at,
-            events_executed: run.events_executed,
-            net_stats: world.net.stats(),
-            seeder_upload_bytes,
-            leecher_upload_bytes,
-            peak_nic_utilization: run.peak_nic_utilization,
-            churn_departures: world.tracker.stats().stopped,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -417,7 +376,7 @@ mod tests {
     use crate::adversary::AdversaryPlan;
     use crate::deploy::deploy;
     use crate::experiment::SwarmExperiment;
-    use crate::scenario::{run_reported, run_scenario, ScenarioBuilder};
+    use crate::scenario::{run_scenario, ScenarioBuilder};
     use p2plab_bittorrent::{Bitfield, PeerConn};
     use p2plab_net::{ConnId, NetworkConfig, SocketAddr, TopologySpec};
 
@@ -429,16 +388,16 @@ mod tests {
         let mut cfg = SwarmExperiment::quick();
         cfg.leechers = 8;
         cfg.name = "swarm-byz".into();
-        let honest = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+        let (honest, _) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
         let mut spec = cfg.to_scenario();
         spec.adversary = Some(AdversaryPlan::new(
             0.25,
             &["ack-withhold", "corrupt-replies"],
         ));
-        let (byz, report) = run_reported(&spec, cfg.workload()).unwrap();
-        assert!(honest.finished, "honest baseline must finish");
+        let (byz, report) = run_scenario(&spec, cfg.workload()).unwrap();
+        assert!(honest.swarm_finished(), "honest baseline must finish");
         assert!(
-            byz.finished,
+            byz.swarm_finished(),
             "honest leechers must still finish under byzantine peers"
         );
         assert_eq!(report.metrics.counter("invariant_violations"), Some(0));
@@ -453,7 +412,7 @@ mod tests {
         assert_eq!(h.count, 6);
         // Free-riding costs the swarm time: the last completion is no earlier than the
         // honest baseline's (the byzantine_sweep campaign shows the monotone curve).
-        assert!(byz.completion_times.last() >= honest.completion_times.last());
+        assert!(byz.completion_times().last() >= honest.completion_times().last());
     }
 
     #[test]
@@ -472,11 +431,14 @@ mod tests {
             let mut spec = cfg.to_scenario();
             spec.deadline = SimDuration::from_secs(deadline);
             spec.adversary = Some(AdversaryPlan::new(0.25, &behaviors));
-            let (r, report) = run_reported(&spec, cfg.workload()).unwrap();
-            assert!(!r.finished, "the deadline must cut the download short");
+            let (world, report) = run_scenario(&spec, cfg.workload()).unwrap();
+            assert!(
+                !world.swarm_finished(),
+                "the deadline must cut the download short"
+            );
             assert_eq!(report.outcome, RunOutcome::DeadlineReached);
             assert_eq!(report.metrics.counter("invariant_violations"), Some(0));
-            let honest_incomplete = 6 - r.completed as u64;
+            let honest_incomplete = 6 - world.completed_count() as u64;
             assert!(
                 report.metrics.counter("invariants_checked").unwrap() >= 6 + 3 * honest_incomplete,
                 "ledger checks must have run on the incomplete honest leechers"
@@ -544,8 +506,8 @@ mod tests {
     }
 
     #[test]
-    fn result_reports_the_scenario_deployment() {
-        // The name and folding ratio of the result come from the scenario the workload ran
+    fn report_names_the_scenario_deployment() {
+        // The name and folding ratio of the report come from the scenario the workload ran
         // under — here a different name and machine count than the preset's own.
         let mut cfg = SwarmExperiment::quick();
         cfg.leechers = 4;
@@ -560,8 +522,8 @@ mod tests {
         .seed(cfg.seed)
         .build()
         .unwrap();
-        let r = run_scenario(&spec, cfg.workload()).unwrap();
-        assert_eq!(r.name, "actual-name");
-        assert!((r.folding_ratio - total as f64 / 7.0).abs() < 1e-9);
+        let (_, report) = run_scenario(&spec, cfg.workload()).unwrap();
+        assert_eq!(report.scenario, "actual-name");
+        assert!((report.folding_ratio - total as f64 / 7.0).abs() < 1e-9);
     }
 }

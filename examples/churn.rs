@@ -26,21 +26,25 @@ fn main() {
     });
 
     println!("running '{}'...", baseline.name);
-    let a = run_scenario(&baseline.to_scenario(), baseline.workload()).expect("swarm runs");
-    println!("  {}", a.summary());
+    let (a, _) = run_scenario(&baseline.to_scenario(), baseline.workload()).expect("swarm runs");
+    println!(
+        "  {}/{} clients done",
+        a.completed_count(),
+        baseline.leechers
+    );
     println!(
         "running '{}' (mean session 90 s, mean downtime 45 s)...",
         churny.name
     );
-    let b = run_scenario(&churny.to_scenario(), churny.workload()).expect("swarm runs");
-    println!("  {}", b.summary());
+    let (b, _) = run_scenario(&churny.to_scenario(), churny.workload()).expect("swarm runs");
+    println!("  {}/{} clients done", b.completed_count(), churny.leechers);
     println!(
         "  churn departures observed by the tracker: {}",
-        b.churn_departures
+        b.tracker.stats().stopped
     );
 
-    for (label, r) in [("no churn", &a), ("with churn", &b)] {
-        if let Some(s) = completion_summary(r) {
+    for (label, world) in [("no churn", &a), ("with churn", &b)] {
+        if let Some(s) = completion_summary(&world.completion_times()) {
             println!(
                 "{label:>12}: first {:.0}s, median {:.0}s, last {:.0}s",
                 s.first.as_secs_f64(),

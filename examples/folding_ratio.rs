@@ -7,14 +7,11 @@
 //! P2PLab's key scalability claim is that running many virtual nodes per physical node does not
 //! change application-level results. This example runs the same small swarm deployed on a
 //! decreasing number of emulated physical machines and compares the "total data received by the
-//! nodes" curves and the completion-time distributions against the unfolded baseline — twice:
-//! once over the rich in-process `SwarmResult`s, and once over the workload-agnostic
-//! `RunReport` artifacts alone, the way external tooling would after loading them from JSON.
+//! nodes" curves and the completion-time distributions against the unfolded baseline. Each run
+//! is its `RunReport` — here after a JSON round-trip, the way external tooling would load it —
+//! plus the exact completion times read off the final swarm world.
 
-use p2plab::core::{
-    compare_folding, compare_folding_reports, render_table, run_reported, RunReport,
-    SwarmExperiment,
-};
+use p2plab::core::{compare_folding, render_table, run_scenario, RunReport, SwarmExperiment};
 
 fn main() {
     let base = SwarmExperiment::quick();
@@ -22,8 +19,7 @@ fn main() {
 
     // Deploy the same swarm with 1, 5, 8 and 15 virtual nodes per machine.
     let ratios = [1usize, 5, 8, 15];
-    let mut results = Vec::new();
-    let mut reports: Vec<RunReport> = Vec::new();
+    let mut runs = Vec::new();
     for &per_machine in &ratios {
         let mut cfg = base.clone();
         cfg.machines = total_vnodes.div_ceil(per_machine);
@@ -34,15 +30,15 @@ fn main() {
             cfg.machines,
             cfg.folding_ratio()
         );
-        let (result, report) =
-            run_reported(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
-        results.push(result);
-        reports.push(report);
+        let (world, report) =
+            run_scenario(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
+        // The serialized report carries everything the comparison reads from it.
+        let reloaded = RunReport::from_json(&report.to_json()).expect("report round-trips");
+        runs.push((reloaded, world.completion_times()));
     }
 
-    let baseline = &results[0];
-    let folded: Vec<&_> = results[1..].iter().collect();
-    let cmp = compare_folding(baseline, &folded);
+    let runs: Vec<_> = runs.iter().map(|(r, t)| (r, t.as_slice())).collect();
+    let cmp = compare_folding(runs[0], &runs[1..]);
 
     let rows: Vec<Vec<String>> = cmp
         .rows
@@ -82,24 +78,4 @@ fn main() {
         100.0 * cmp.worst_deviation()
     );
     println!("(the paper reports 'nearly identical' curves up to 80 virtual nodes per machine)");
-
-    // The same comparison from the run-report artifacts alone (after a JSON round-trip, to
-    // prove the serialized form carries everything the analysis needs).
-    let reloaded: Vec<RunReport> = reports
-        .iter()
-        .map(|r| RunReport::from_json(&r.to_json()).expect("report round-trips"))
-        .collect();
-    let folded_reports: Vec<&RunReport> = reloaded[1..].iter().collect();
-    let by_reports = compare_folding_reports(
-        &reloaded[0],
-        &folded_reports,
-        "progress",
-        "completion_time_secs",
-    )
-    .expect("reports carry the folding metrics");
-    println!(
-        "same comparison from the serialized RunReports: worst-case deviation {:.2}%",
-        100.0 * by_reports.worst_deviation()
-    );
-    assert!((by_reports.worst_deviation() - cmp.worst_deviation()).abs() < 1e-9);
 }

@@ -33,11 +33,17 @@ fn main() {
         "(pass a scale factor between 0.002 and 1.0 as the first argument; 1.0 = paper scale)\n"
     );
 
-    let result = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
-    println!("{}", result.summary());
-    println!("simulation executed {} events", result.events_executed);
+    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
+    println!(
+        "{}/{} clients done, {:?} at {}",
+        world.completed_count(),
+        report.participants,
+        report.outcome,
+        report.stopped_at
+    );
+    println!("simulation executed {} events", report.events_executed);
 
-    if let Some(s) = completion_summary(&result) {
+    if let Some(s) = completion_summary(&world.completion_times()) {
         println!(
             "completions: first {} / median {} / last {}  (p5-p95 spread {:.0} s)",
             s.first, s.median, s.last, s.p5_p95_spread_secs
@@ -49,11 +55,11 @@ fn main() {
     }
 
     // Figure 10: progress of a few selected clients (every 50th in the paper).
-    let step = (result.progress.len() / 8).max(1);
+    let step = (report.participants / 8).max(1);
     println!("\nSelected client progress (Figure 10 samples):");
-    for (i, p) in result.progress.iter().enumerate().step_by(step) {
-        let half = p.time_to_reach(50.0);
-        let done = p.time_to_reach(100.0);
+    for (i, c) in world.downloaders().enumerate().step_by(step) {
+        let half = c.progress.time_to_reach(50.0);
+        let done = c.progress.time_to_reach(100.0);
         println!(
             "  client {:5}: 50% at {} / 100% at {}",
             i,
@@ -67,7 +73,7 @@ fn main() {
         "{}",
         ascii_plot(
             "clients having completed the download (Figure 11 shape)",
-            &result.completion_curve,
+            &world.completion_curve(),
             70,
             14
         )

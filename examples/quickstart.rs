@@ -7,9 +7,10 @@
 //! This is the smallest end-to-end use of the framework, written against the scenario API: a
 //! `SwarmExperiment` preset splits into the application side (`cfg.workload()`: tracker,
 //! seeders, downloaders, arrival ramp) and everything around it (`cfg.to_scenario()`: topology,
-//! folding, deadline, sampling, seed), and both go to the generic `run_scenario` loop.
-//! Deployment, network emulation, the BitTorrent protocol and the resource monitoring all
-//! happen inside the deterministic simulation.
+//! folding, deadline, sampling, seed), and both go to the generic `run_scenario` loop, which
+//! hands back the final swarm world and the run's report. Deployment, network emulation, the
+//! BitTorrent protocol and the resource monitoring all happen inside the deterministic
+//! simulation.
 
 use p2plab::core::{ascii_plot, completion_summary, run_scenario, SwarmExperiment};
 
@@ -29,31 +30,41 @@ fn main() {
         cfg.folding_ratio(),
     );
 
-    let result = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
+    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
 
-    println!("\n{}", result.summary());
-    if let Some(s) = completion_summary(&result) {
+    println!(
+        "\n{}: {}/{} clients done, {:?} at {} after {} events",
+        report.scenario,
+        world.completed_count(),
+        report.participants,
+        report.outcome,
+        report.stopped_at,
+        report.events_executed,
+    );
+    if let Some(s) = completion_summary(&world.completion_times()) {
         println!(
             "completions: first {} / median {} / last {}  (p5-p95 spread {:.1} s)",
             s.first, s.median, s.last, s.p5_p95_spread_secs
         );
     }
+    let net = world.net.stats();
     println!(
         "network: {} messages delivered, {} retransmissions, {:.1} MB of application data",
-        result.net_stats.messages_delivered,
-        result.net_stats.retransmissions,
-        result.net_stats.bytes_delivered as f64 / (1024.0 * 1024.0),
+        net.messages_delivered,
+        net.retransmissions,
+        net.bytes_delivered as f64 / (1024.0 * 1024.0),
     );
+    let reciprocated: u64 = world.downloaders().map(|c| c.stats.bytes_uploaded).sum();
     println!(
         "seeders uploaded {:.1} MB, downloaders reciprocated {:.1} MB",
-        result.seeder_upload_bytes as f64 / (1024.0 * 1024.0),
-        result.leecher_upload_bytes as f64 / (1024.0 * 1024.0),
+        (world.total_bytes_uploaded() - reciprocated) as f64 / (1024.0 * 1024.0),
+        reciprocated as f64 / (1024.0 * 1024.0),
     );
 
     // The per-client progress curves are the paper's Figure 8 at miniature scale.
     println!("\nPer-client completion times:");
-    for (i, p) in result.progress.iter().enumerate() {
-        let done = p.time_to_reach(100.0);
+    for (i, c) in world.downloaders().enumerate() {
+        let done = c.progress.time_to_reach(100.0);
         println!(
             "  client {:2}: {}",
             i,
@@ -67,7 +78,7 @@ fn main() {
         "{}",
         ascii_plot(
             "clients having completed their download (Figure 11 shape)",
-            &result.completion_curve,
+            &world.completion_curve(),
             70,
             12
         )

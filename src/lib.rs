@@ -23,18 +23,20 @@
 //! Experiments are *scenarios*: an application implementing
 //! [`Workload`](p2plab_core::scenario::Workload), composed with topology, folding, network
 //! config, churn, deadline and seed by a [`ScenarioBuilder`](p2plab_core::ScenarioBuilder), and
-//! driven by the generic [`run_scenario`](p2plab_core::run_scenario) loop:
+//! driven by the generic [`run_scenario`](p2plab_core::run_scenario) loop, which returns the
+//! final world and the run's [`RunReport`](p2plab_core::RunReport):
 //!
 //! ```
-//! use p2plab::core::{run_scenario, SwarmExperiment};
+//! use p2plab::core::{completion_summary, run_scenario, SwarmExperiment};
 //!
 //! // A small BitTorrent swarm on emulated access links, folded onto 4 physical machines. The
 //! // preset splits into the scenario (`ScenarioBuilder` under the hood) and the workload.
 //! let mut cfg = SwarmExperiment::quick();
 //! cfg.leechers = 6;
-//! let result = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
-//! assert!(result.finished);
-//! println!("{}", result.summary());
+//! let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+//! assert!(world.swarm_finished());
+//! let median = completion_summary(&world.completion_times()).unwrap().median;
+//! println!("{}: median completion {median}, {} events", report.scenario, report.events_executed);
 //! ```
 //!
 //! The same loop runs every other workload — e.g.
@@ -53,10 +55,9 @@ pub use p2plab_sim as sim;
 pub mod prelude {
     pub use p2plab_bittorrent::{ClientConfig, SwarmWorld, Torrent};
     pub use p2plab_core::{
-        compare_folding, deploy, run_reported, run_scenario, ArrivalSpec, DeploymentSpec,
-        DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
-        PingMeshWorkload, ScenarioBuilder, SessionProcess, SwarmExperiment, SwarmResult, SwarmSpec,
-        SwarmWorkload, Workload,
+        compare_folding, deploy, run_scenario, ArrivalSpec, DeploymentSpec, DhtLookupSpec,
+        DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec, PingMeshWorkload,
+        ScenarioBuilder, SessionProcess, SwarmExperiment, SwarmSpec, SwarmWorkload, Workload,
     };
     pub use p2plab_net::{
         AccessLinkClass, Endpoint, LaneKind, Network, NetworkConfig, TopologySpec, TransportEvent,

@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: a full BitTorrent experiment through the public facade —
 //! deployment, network emulation, protocol dynamics, analysis.
 
+use p2plab::bittorrent::SwarmWorld;
 use p2plab::core::{
-    compare_folding, completion_summary, download_phases, run_scenario, SwarmExperiment,
-    SwarmResult,
+    compare_folding, completion_summary, download_phases, run_scenario, RunReport, SwarmExperiment,
 };
 use p2plab::net::AccessLinkClass;
 use p2plab::sim::SimDuration;
@@ -21,43 +21,48 @@ fn small_paper_swarm(leechers: usize, machines: usize, seed: u64) -> SwarmExperi
     cfg
 }
 
-fn run(cfg: &SwarmExperiment) -> SwarmResult {
-    run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs")
+/// Runs the swarm and asserts every downloader finished.
+fn run(cfg: &SwarmExperiment) -> (SwarmWorld, RunReport) {
+    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
+    assert!(
+        world.swarm_finished(),
+        "{}: {:?}",
+        report.scenario,
+        report.outcome
+    );
+    (world, report)
 }
 
 #[test]
 fn paper_style_swarm_completes_with_consistent_accounting() {
     let cfg = small_paper_swarm(16, 21, 1);
-    let r = run(&cfg);
-    assert!(r.finished, "{}", r.summary());
-    assert_eq!(r.completed, 16);
+    let (world, report) = run(&cfg);
+    assert_eq!(world.completed_count(), 16);
 
     // Byte conservation across the whole system: uploads equal downloads, and every client
     // received at least the file. Endgame mode may fetch the last blocks twice; with a 2 MB
     // file that waste is proportionally larger than in the paper's 16 MB experiments (where it
     // stays below ~3%), so allow up to 12% here.
-    let total_down: f64 = r.total_downloaded.last().unwrap().1;
+    let total_down: f64 = report.progress().last().unwrap().1;
     assert!(total_down >= (16 * cfg.file_bytes) as f64);
     assert!(
         total_down <= 1.12 * (16 * cfg.file_bytes) as f64,
         "wasted transfer too high: {total_down} vs {} useful",
         16 * cfg.file_bytes
     );
-    assert_eq!(
-        r.seeder_upload_bytes + r.leecher_upload_bytes,
-        total_down as u64
-    );
+    assert_eq!(world.total_bytes_uploaded(), total_down as u64);
 
     // Downloaders reciprocated (tit-for-tat) rather than leaving all work to the seeders.
-    assert!(r.leecher_upload_bytes > 0);
+    assert!(world.downloaders().any(|c| c.stats.bytes_uploaded > 0));
 
     // The three phases of Figure 8 are identifiable and ordered.
-    let phases = download_phases(&r).expect("phases");
+    let times = world.completion_times();
+    let phases = download_phases(&times, report.progress()).expect("phases");
     assert!(phases.seeder_only_until <= phases.first_completion);
     assert!(phases.first_completion < phases.last_completion);
 
     // Completion statistics are coherent.
-    let s = completion_summary(&r).expect("summary");
+    let s = completion_summary(&times).expect("summary");
     assert_eq!(s.completed, 16);
     assert!(s.first <= s.median && s.median <= s.last);
 }
@@ -66,10 +71,12 @@ fn paper_style_swarm_completes_with_consistent_accounting() {
 fn folding_invariance_holds_at_test_scale() {
     // The Figure 9 claim: deploying the same swarm on fewer machines does not change the
     // aggregate results. Compare 1-ish clients per machine against everything on one machine.
-    let spread = run(&small_paper_swarm(12, 17, 3));
-    let folded = run(&small_paper_swarm(12, 1, 3));
-    assert!(spread.finished && folded.finished);
-    let cmp = compare_folding(&spread, &[&folded]);
+    let (spread, spread_report) = run(&small_paper_swarm(12, 17, 3));
+    let (folded, folded_report) = run(&small_paper_swarm(12, 1, 3));
+    let cmp = compare_folding(
+        (&spread_report, &spread.completion_times()),
+        &[(&folded_report, &folded.completion_times())],
+    );
     assert!(
         cmp.worst_deviation() < 0.10,
         "folding changed the aggregate curve by {:.1}%",
@@ -81,14 +88,15 @@ fn folding_invariance_holds_at_test_scale() {
 
 #[test]
 fn runs_are_reproducible_from_the_seed() {
-    let a = run(&small_paper_swarm(8, 5, 11));
-    let b = run(&small_paper_swarm(8, 5, 11));
-    assert_eq!(a.completion_times, b.completion_times);
-    assert_eq!(a.events_executed, b.events_executed);
-    assert_eq!(a.net_stats, b.net_stats);
-    let c = run(&small_paper_swarm(8, 5, 12));
+    let (a, report_a) = run(&small_paper_swarm(8, 5, 11));
+    let (b, report_b) = run(&small_paper_swarm(8, 5, 11));
+    assert_eq!(a.completion_times(), b.completion_times());
+    assert_eq!(report_a.events_executed, report_b.events_executed);
+    assert_eq!(a.net.stats(), b.net.stats());
+    let (c, _) = run(&small_paper_swarm(8, 5, 12));
     assert_ne!(
-        a.completion_times, c.completion_times,
+        a.completion_times(),
+        c.completion_times(),
         "different seeds should give different runs"
     );
 }
@@ -101,11 +109,13 @@ fn slower_access_links_slow_the_swarm_down() {
     fast.link = AccessLinkClass::new(2_000_000, 256_000, SimDuration::from_millis(30));
     let mut slow = small_paper_swarm(8, 11, 5);
     slow.link = AccessLinkClass::new(2_000_000, 128_000, SimDuration::from_millis(30));
-    let rf = run(&fast);
-    let rs = run(&slow);
-    assert!(rf.finished && rs.finished);
-    let f = rf.median_completion().unwrap().as_secs_f64();
-    let s = rs.median_completion().unwrap().as_secs_f64();
+    let median = |cfg: &SwarmExperiment| {
+        let (world, _) = run(cfg);
+        let times = world.completion_times();
+        completion_summary(&times).unwrap().median.as_secs_f64()
+    };
+    let f = median(&fast);
+    let s = median(&slow);
     assert!(
         s > 1.3 * f,
         "halving upload bandwidth should visibly slow completion: fast={f:.0}s slow={s:.0}s"

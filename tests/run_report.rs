@@ -1,9 +1,9 @@
 //! Integration tests of the unified metrics & run-report pipeline through the public facade:
 //! every shipped workload must emit a `RunReport` whose JSON round-trips through the loader,
-//! and the recorded metrics must agree with the workload's own result struct.
+//! and the recorded metrics must agree with the final world the run hands back.
 
 use p2plab::core::{
-    run_reported, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
+    run_scenario, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
     PingMeshWorkload, RunReport, ScenarioBuilder, SwarmExperiment,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
@@ -21,7 +21,7 @@ fn swarm_report_round_trips_and_matches_result() {
     let mut cfg = SwarmExperiment::quick();
     cfg.name = "report-swarm".into();
     cfg.leechers = 6;
-    let (result, report) = run_reported(&cfg.to_scenario(), cfg.workload()).unwrap();
+    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
     let loaded = round_trip(&report);
 
     assert_eq!(loaded.workload, "swarm");
@@ -32,18 +32,21 @@ fn swarm_report_round_trips_and_matches_result() {
     assert_eq!(loaded.outcome, RunOutcome::Drained);
     assert!(loaded.wall_secs > 0.0);
 
-    // The progress metric *is* the result's total-downloaded curve.
+    // The progress curve ends at the bytes the world's clients downloaded.
     assert_eq!(
-        loaded.metrics.series("progress").unwrap(),
-        &result.total_downloaded
+        loaded.progress().last().unwrap().1,
+        world.total_bytes_downloaded() as f64
     );
     // The completed-clients step curve ends at the downloader count.
     let completed = loaded.metrics.series("completed_clients").unwrap();
     assert_eq!(completed.last().unwrap().1, cfg.leechers as f64);
     // Every finished download landed in the completion-time histogram.
     let hist = loaded.metrics.histogram("completion_time_secs").unwrap();
-    assert_eq!(hist.count, result.completion_times.len() as u64);
-    assert_eq!(loaded.metrics.counter("churn_departures"), Some(0));
+    assert_eq!(hist.count, world.completion_times().len() as u64);
+    assert_eq!(
+        loaded.metrics.counter("churn_departures"),
+        Some(world.tracker.stats().stopped)
+    );
     // The monitor recorded one NIC-utilization series per machine plus the peak gauge.
     for m in 0..cfg.machines {
         assert!(
@@ -54,10 +57,17 @@ fn swarm_report_round_trips_and_matches_result() {
             "machine {m} has no utilization series"
         );
     }
-    assert_eq!(
-        loaded.metrics.gauge("peak_nic_utilization"),
-        Some(result.peak_nic_utilization)
-    );
+    // The peak gauge is the highest point of any machine's utilization series.
+    let peak = (0..cfg.machines)
+        .flat_map(|m| {
+            let series = loaded
+                .metrics
+                .series(&format!("nic_utilization.machine{m}"));
+            series.unwrap().samples().iter().map(|&(_, u)| u)
+        })
+        .fold(0.0, f64::max);
+    assert!(peak > 0.0);
+    assert_eq!(loaded.metrics.gauge("peak_nic_utilization"), Some(peak));
 }
 
 #[test]
@@ -77,17 +87,15 @@ fn ping_mesh_report_round_trips_and_matches_result() {
     .seed(3)
     .build()
     .unwrap();
-    let (result, report) = run_reported(&spec, PingMeshWorkload::new(mesh)).unwrap();
+    let probes = mesh.expected_probes() as u64;
+    let (world, report) = run_scenario(&spec, PingMeshWorkload::new(mesh)).unwrap();
     let loaded = round_trip(&report);
 
     assert_eq!(loaded.workload, "ping-mesh");
-    assert!(result.finished);
-    assert_eq!(
-        loaded.metrics.counter("probes_scheduled"),
-        Some(result.probes_scheduled as u64)
-    );
+    assert_eq!(world.rtts.len() as u64, probes, "every probe answered");
+    assert_eq!(loaded.metrics.counter("probes_scheduled"), Some(probes));
     let rtt = loaded.metrics.histogram("rtt_secs").unwrap();
-    assert_eq!(rtt.count, result.replies_received as u64);
+    assert_eq!(rtt.count, world.rtts.len() as u64);
     // 2 ms links, two hops each way: every RTT at least 8 ms, and the histogram knows it.
     assert!(rtt.min.unwrap() >= 0.008);
     assert!(rtt.p50.is_some() && rtt.p90.is_some() && rtt.p99.is_some());
@@ -109,24 +117,24 @@ fn gossip_report_round_trips_and_matches_result() {
     .seed(9)
     .build()
     .unwrap();
-    let (result, report) = run_reported(&spec, GossipWorkload::new(GossipSpec::new(16))).unwrap();
+    let (world, report) = run_scenario(&spec, GossipWorkload::new(GossipSpec::new(16))).unwrap();
     let loaded = round_trip(&report);
 
     assert_eq!(loaded.workload, "gossip");
-    assert!(result.finished, "{}", result.summary());
+    assert!(world.fully_informed(), "{:?}", loaded.outcome);
     assert_eq!(
         loaded.metrics.counter("rumors_sent"),
-        Some(result.rumors_sent)
+        Some(world.rumors_sent)
     );
     assert_eq!(
         loaded.metrics.counter("duplicate_receipts"),
-        Some(result.duplicate_receipts)
+        Some(world.duplicate_receipts)
     );
-    // The progress series is the dissemination curve.
-    assert_eq!(
-        loaded.metrics.series("progress").unwrap(),
-        &result.dissemination
-    );
+    // The progress series is the dissemination curve: it first counts every node at a sample
+    // no earlier than the last one heard the rumor, and counts them all at the stop.
+    let progress = loaded.progress();
+    assert!(progress.time_to_reach(16.0).unwrap() >= world.time_to_full().unwrap());
+    assert_eq!(progress.last().unwrap().1, world.informed as f64);
     assert_eq!(loaded.metrics.gauge("online_nodes"), Some(16.0));
 }
 
@@ -148,23 +156,26 @@ fn dht_report_round_trips_and_matches_result() {
     .build()
     .unwrap();
     let lookups = dht.lookups as u64;
-    let (result, report) = run_reported(&spec, DhtLookupWorkload::new(dht)).unwrap();
+    let (world, report) = run_scenario(&spec, DhtLookupWorkload::new(dht)).unwrap();
     let loaded = round_trip(&report);
 
     assert_eq!(loaded.workload, "dht-lookup");
-    assert!(result.finished, "{}", result.summary());
+    assert_eq!(world.records.len() as u64, lookups, "{:?}", loaded.outcome);
     // Every lookup converged on the closest node and left its hop count in the histogram.
+    assert!(world.records.iter().all(|r| r.found_closest));
     assert_eq!(
-        result.found_closest,
-        result.completed,
-        "{}",
-        result.summary()
+        loaded.metrics.counter("lookups_found_closest"),
+        Some(lookups)
     );
     assert_eq!(
         loaded.metrics.histogram("lookup_hops").unwrap().count,
         lookups
     );
-    assert!(loaded.metrics.counter("rpc_calls").unwrap() > 0);
+    assert_eq!(
+        loaded.metrics.counter("rpc_calls"),
+        Some(world.rpc_stats().calls)
+    );
+    assert!(world.rpc_stats().calls > 0);
 }
 
 #[test]
@@ -173,7 +184,7 @@ fn reports_are_deterministic_given_seed_apart_from_wall_time() {
         let mut cfg = SwarmExperiment::quick();
         cfg.name = "report-det".into();
         cfg.leechers = 5;
-        run_reported(&cfg.to_scenario(), cfg.workload()).unwrap().1
+        run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap().1
     };
     let mut a = run();
     let mut b = run();
@@ -187,13 +198,16 @@ fn reports_are_deterministic_given_seed_apart_from_wall_time() {
 }
 
 #[test]
-fn run_scenario_still_returns_plain_output() {
-    // The report is opt-in: run_scenario keeps its output-only signature for callers that do
-    // not need the artifact.
+fn run_scenario_returns_the_final_world_with_the_report() {
+    // One entry point: the report carries the run facts, the world the workload state they
+    // were recorded from.
     let mut cfg = SwarmExperiment::quick();
     cfg.leechers = 4;
-    let result = p2plab::core::run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
-    assert!(result.finished);
+    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+    assert!(world.swarm_finished());
+    assert_eq!(report.outcome, RunOutcome::Drained);
+    assert_eq!(world.downloaders().count(), report.participants);
+    assert!(world.completion_times().last().unwrap() <= &report.stopped_at);
 }
 
 #[test]
@@ -203,7 +217,7 @@ fn metric_order_is_stable_and_progress_comes_first() {
     // leading every report, and on series metrics actually being series.
     let mut cfg = SwarmExperiment::quick();
     cfg.leechers = 4;
-    let (_, report) = run_reported(&cfg.to_scenario(), cfg.workload()).unwrap();
+    let (_, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
     let first = report.metrics.iter().next().unwrap();
     assert_eq!(first.name, "progress");
     assert!(matches!(first.value, MetricValue::Series(_)));

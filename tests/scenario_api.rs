@@ -16,8 +16,8 @@ fn both_workloads_run_through_the_same_generic_loop() {
     let mut cfg = SwarmExperiment::quick();
     cfg.name = "generic-swarm".into();
     cfg.leechers = 4;
-    let swarm = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
-    assert!(swarm.finished);
+    let (swarm, _) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+    assert!(swarm.swarm_finished());
 
     let mesh = PingMeshSpec::full(5);
     let spec = ScenarioBuilder::new(
@@ -34,11 +34,11 @@ fn both_workloads_run_through_the_same_generic_loop() {
     .seed(3)
     .build()
     .unwrap();
-    let mesh = run_scenario(&spec, PingMeshWorkload::new(mesh)).unwrap();
-    assert!(mesh.finished, "{}", mesh.summary());
-    assert_eq!(mesh.replies_received, mesh.probes_scheduled);
+    let probes = mesh.expected_probes();
+    let (mesh, report) = run_scenario(&spec, PingMeshWorkload::new(mesh)).unwrap();
+    assert_eq!(mesh.rtts.len(), probes, "{:?}", report.outcome);
     // 5 ms links, two hops each way: at least 20 ms per round trip.
-    assert!(mesh.rtts.iter().all(|d| d.as_millis() >= 20));
+    assert!(mesh.rtts.iter().all(|(_, d)| d.as_millis() >= 20));
 }
 
 #[test]
@@ -76,11 +76,10 @@ fn gossip_runs_under_multiple_arrival_processes() {
             b = b.arrivals(a);
         }
         let spec = b.build().unwrap();
-        let r =
+        let (world, report) =
             run_scenario(&spec, GossipWorkload::new(GossipSpec::new(nodes))).expect("gossip runs");
-        assert!(r.finished, "{label}: {}", r.summary());
-        assert_eq!(r.informed, nodes, "{label}");
-        assert!(r.time_to_full.is_some(), "{label}");
+        assert_eq!(world.informed, nodes, "{label}: {:?}", report.outcome);
+        assert!(world.time_to_full().is_some(), "{label}");
     }
 }
 
@@ -127,9 +126,12 @@ fn swarm_completes_under_pareto_sessions() {
     .seed(cfg.seed)
     .build()
     .unwrap();
-    let r = run_scenario(&spec, cfg.workload()).unwrap();
-    assert!(r.finished, "{}", r.summary());
-    assert!(r.churn_departures > 0, "Pareto churn must actually fire");
+    let (world, report) = run_scenario(&spec, cfg.workload()).unwrap();
+    assert!(world.swarm_finished(), "{:?}", report.outcome);
+    assert!(
+        report.metrics.counter("churn_departures").unwrap() > 0,
+        "Pareto churn must actually fire"
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! ledger's drift bugs wedged one leecher one block short on 35 of these 1000 seeds, which only
 //! a sweep sees.
 
-use p2plab::core::{run_reported, SwarmExperiment};
+use p2plab::core::{run_scenario, SwarmExperiment};
 use p2plab::sim::RunOutcome;
 
 /// The paper's DSL swarm (Figure 8's profile) at test scale: 24 downloaders of a 2 MiB file
@@ -22,9 +22,18 @@ fn assert_all_complete(seeds: std::ops::Range<u64>) {
     let stuck: Vec<String> = seeds
         .filter_map(|seed| {
             let cfg = test_scale_swarm(seed);
-            let (r, report) = run_reported(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
-            let ok = r.finished && report.outcome == RunOutcome::Drained;
-            (!ok).then(|| format!("seed {seed}: {:?}, {}", report.outcome, r.summary()))
+            let (world, report) =
+                run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
+            let ok = world.swarm_finished() && report.outcome == RunOutcome::Drained;
+            (!ok).then(|| {
+                format!(
+                    "seed {seed}: {:?} at {}, {}/{} leechers done",
+                    report.outcome,
+                    report.stopped_at,
+                    world.completed_count(),
+                    report.participants
+                )
+            })
         })
         .collect();
     assert!(
