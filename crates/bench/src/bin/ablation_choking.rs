@@ -7,37 +7,37 @@
 //! The paper motivates emulation by noting that BitTorrent's reciprocation machinery is too
 //! complex to model faithfully. This ablation shows the machinery matters: removing choking
 //! changes how upload capacity is partitioned (every interested peer competes for each uploader's
-//! access link at once) and with it the per-client completion profile.
+//! access link at once) and with it the per-client completion profile. Both runs are
+//! `examples/scenarios/paper_fig8.toml` at the given scale; the second swaps the client's choke
+//! policy, which is not a scenario key.
 
-use p2plab_bench::{arg_scale, run_summary, write_run_report};
+use p2plab_bench::{arg_scale, run_swarm};
 use p2plab_bittorrent::{no_choking, SwarmWorld};
-use p2plab_core::{completion_summary, render_table, run_scenario, RunReport, SwarmExperiment};
+use p2plab_core::{completion_summary, render_table, RunReport, ScenarioFile, WorkloadConfig};
+
+const PAPER_FIG8: &str = include_str!("../../../../examples/scenarios/paper_fig8.toml");
 
 fn main() {
     let scale = arg_scale(0.25, 0.05);
-    let mut base = SwarmExperiment::paper_figure8();
-    base.leechers = ((base.leechers as f64 * scale).round() as usize).max(10);
-    base.machines = base.leechers + base.seeders + 1;
+    let leechers = ((160.0 * scale).round() as usize).max(10);
+    // One virtual node per machine: the clients, 4 seeders and the tracker.
+    let file = |name: &str| {
+        let overrides = format!(
+            "scenario.name = \"{name}\"\nscenario.machines = {}\n\
+             workload.swarm.leechers = {leechers}\n",
+            leechers + 5
+        );
+        ScenarioFile::parse_with(PAPER_FIG8, &overrides).expect("paper_fig8.toml parses")
+    };
+    let with_choking = file("tit-for-tat");
+    let mut without_choking = file("no-choking");
+    if let WorkloadConfig::Swarm(swarm) = &mut without_choking.workload {
+        swarm.client_config.choke = no_choking();
+    }
 
-    let mut with_choking = base.clone();
-    with_choking.name = "tit-for-tat".into();
-    let mut without_choking = base.clone();
-    without_choking.name = "no-choking".into();
-    without_choking.client_config.choke = no_choking();
-
-    println!(
-        "running {} clients with tit-for-tat choking...",
-        base.leechers
-    );
-    let a =
-        run_scenario(&with_choking.to_scenario(), with_choking.workload()).expect("scenario runs");
-    write_run_report(&a.1);
-    println!("  {}", run_summary(&a.1));
-    println!("running {} clients with choking disabled...", base.leechers);
-    let b = run_scenario(&without_choking.to_scenario(), without_choking.workload())
-        .expect("scenario runs");
-    write_run_report(&b.1);
-    println!("  {}\n", run_summary(&b.1));
+    let a = run_swarm(&with_choking);
+    let b = run_swarm(&without_choking);
+    println!();
 
     let row = |(world, report): &(SwarmWorld, RunReport)| {
         let s = completion_summary(&world.completion_times());

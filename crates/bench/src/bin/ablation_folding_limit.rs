@@ -7,41 +7,38 @@
 //!
 //! The paper notes that the first limiting factor of the folding experiment was the platform's
 //! Gigabit network, which saturates when the emulated links get faster. Here the access links
-//! are made 10x faster than the paper's DSL profile and the folding ratio is raised until the
-//! aggregate demand exceeds one machine's NIC, so the deviation from the baseline becomes
-//! visible — the boundary of the approach.
+//! of `examples/scenarios/paper_fig8.toml` are made 10x faster than the paper's DSL profile
+//! and the folding ratio is raised until the aggregate demand exceeds one machine's NIC, so the
+//! deviation from the baseline becomes visible — the boundary of the approach.
 
-use p2plab_bench::{arg_scale, run_summary, write_run_report};
-use p2plab_core::{compare_folding, render_table, run_scenario, SwarmExperiment};
-use p2plab_net::AccessLinkClass;
-use p2plab_sim::SimDuration;
+use p2plab_bench::{arg_scale, run_swarm};
+use p2plab_core::{compare_folding, render_table, ScenarioFile};
+
+const PAPER_FIG8: &str = include_str!("../../../../examples/scenarios/paper_fig8.toml");
 
 fn main() {
     let scale = arg_scale(0.25, 0.05);
-    let mut base = SwarmExperiment::paper_figure8();
-    base.leechers = ((base.leechers as f64 * scale).round() as usize).max(16);
-    // 80 Mbps symmetric links: a few dozen folded nodes can demand several Gbps from one NIC.
-    base.link = AccessLinkClass::symmetric(80_000_000, SimDuration::from_millis(15));
-    base.file_bytes = 8 * 1024 * 1024;
-    base.start_interval = SimDuration::from_secs(2);
-
-    let total = base.leechers + base.seeders + 1;
+    let leechers = ((160.0 * scale).round() as usize).max(16);
+    // The clients, 4 seeders and the tracker.
+    let total = leechers + 5;
     let ratios = [1usize, 10, 40, total];
     // Each run's report and the exact completion times of its downloaders.
     let mut runs = Vec::new();
     for &per_machine in &ratios {
-        let mut cfg = base.clone();
-        cfg.machines = total.div_ceil(per_machine);
-        cfg.name = format!("fast-links-{per_machine}-per-machine");
-        println!("running {} ({} machines)...", cfg.name, cfg.machines);
-        let (world, report) =
-            run_scenario(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
-        write_run_report(&report);
-        println!(
-            "  {} (peak NIC utilization {:.0}%)",
-            run_summary(&report),
-            100.0 * report.metrics.gauge("peak_nic_utilization").unwrap_or(0.0)
+        // 80 Mbps symmetric links: a few dozen folded nodes can demand several Gbps from one
+        // NIC.
+        let overrides = format!(
+            "scenario.name = \"fast-links-{per_machine}-per-machine\"\n\
+             scenario.machines = {}\n\
+             topology.down_bps = 80_000_000\ntopology.up_bps = 80_000_000\n\
+             topology.latency = \"15ms\"\n\
+             workload.swarm.leechers = {leechers}\nworkload.swarm.file_bytes = 8_388_608\n\
+             workload.swarm.start_interval = \"2s\"\n",
+            total.div_ceil(per_machine)
         );
+        let file =
+            ScenarioFile::parse_with(PAPER_FIG8, &overrides).expect("paper_fig8.toml parses");
+        let (world, report) = run_swarm(&file);
         runs.push((report, world.completion_times()));
     }
 

@@ -6,29 +6,27 @@
 //! ```
 //!
 //! The optional `scale` argument (0..1] shrinks the number of clients proportionally; the
-//! default reproduces the paper's 160 clients.
+//! default runs `examples/scenarios/paper_fig8.toml` as it stands: the paper's 160 clients.
 
-use p2plab_bench::{arg_scale, run_summary, write_results_file, write_run_report};
-use p2plab_core::{
-    ascii_plot, completion_summary, download_phases, run_scenario, series_to_csv, SwarmExperiment,
-};
+use p2plab_bench::{arg_scale, run_swarm, write_results_file};
+use p2plab_core::{ascii_plot, completion_summary, download_phases, series_to_csv, ScenarioFile};
 use p2plab_sim::{SimDuration, SimTime, TimeSeries};
+
+const PAPER_FIG8: &str = include_str!("../../../../examples/scenarios/paper_fig8.toml");
 
 fn main() {
     let scale = arg_scale(1.0, 0.05);
-    let mut cfg = SwarmExperiment::paper_figure8();
-    if scale < 1.0 {
-        cfg.leechers = ((cfg.leechers as f64 * scale).round() as usize).max(8);
-        cfg.machines = cfg.leechers + cfg.seeders + 1;
-        cfg.name = format!("figure8-{}-clients", cfg.leechers);
-    }
-    println!(
-        "Figure 8: {} clients + {} seeders, 16 MB file, DSL 2 Mbps/128 kbps/30 ms, start interval {}",
-        cfg.leechers, cfg.seeders, cfg.start_interval
+    // One virtual node per machine: the clients, 4 seeders and the tracker.
+    let leechers = ((160.0 * scale).round() as usize).max(8);
+    let overrides = format!(
+        "scenario.name = \"figure8-{leechers}-clients\"\nscenario.machines = {}\n\
+         workload.swarm.leechers = {leechers}\n",
+        leechers + 5
     );
-    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
-    write_run_report(&report);
-    println!("{}\n", run_summary(&report));
+    let file = ScenarioFile::parse_with(PAPER_FIG8, &overrides).expect("paper_fig8.toml parses");
+    println!("Figure 8: 16 MB file, DSL 2 Mbps/128 kbps/30 ms");
+    let (world, report) = run_swarm(&file);
+    println!();
 
     let times = world.completion_times();
     if let Some(s) = completion_summary(&times) {

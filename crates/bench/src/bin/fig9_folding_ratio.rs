@@ -5,38 +5,36 @@
 //! ```text
 //! cargo run --release -p p2plab-bench --bin fig9_folding_ratio [scale]
 //! ```
+//!
+//! Each run is `examples/scenarios/paper_fig8.toml` with the machine count (and, below scale
+//! 1, the client count) overridden.
 
-use p2plab_bench::{arg_scale, run_summary, write_results_file, write_run_report};
-use p2plab_core::{compare_folding, render_table, run_scenario, series_to_csv, SwarmExperiment};
+use p2plab_bench::{arg_scale, run_swarm, write_results_file};
+use p2plab_core::{compare_folding, render_table, series_to_csv, ScenarioFile};
 use p2plab_sim::{SimDuration, SimTime, TimeSeries};
+
+const PAPER_FIG8: &str = include_str!("../../../../examples/scenarios/paper_fig8.toml");
 
 fn main() {
     let scale = arg_scale(1.0, 0.05);
+    let leechers = ((160.0 * scale).round() as usize).max(8);
     let ratios = [1usize, 10, 20, 40, 80];
     // Each run's report and the exact completion times of its downloaders.
     let mut runs = Vec::new();
     for &per_machine in &ratios {
-        let mut cfg = SwarmExperiment::paper_figure9(per_machine);
+        let mut name = format!("figure9-{per_machine}-per-machine");
         if scale < 1.0 {
-            cfg.leechers = ((cfg.leechers as f64 * scale).round() as usize).max(8);
-            let total = cfg.leechers + cfg.seeders + 1;
-            cfg.machines = total.div_ceil(per_machine);
-            cfg.name = format!("figure9-{per_machine}-per-machine-{}-clients", cfg.leechers);
+            name += &format!("-{leechers}-clients");
         }
-        println!(
-            "running {} ({} machines, folding {:.1}:1)...",
-            cfg.name,
-            cfg.machines,
-            cfg.folding_ratio()
+        // The clients, 4 seeders and the tracker.
+        let machines = (leechers + 5).div_ceil(per_machine);
+        let overrides = format!(
+            "scenario.name = \"{name}\"\nscenario.machines = {machines}\n\
+             workload.swarm.leechers = {leechers}\n"
         );
-        let (world, report) =
-            run_scenario(&cfg.to_scenario(), cfg.workload()).expect("scenario runs");
-        write_run_report(&report);
-        println!(
-            "  {} (peak NIC utilization {:.0}%)",
-            run_summary(&report),
-            100.0 * report.metrics.gauge("peak_nic_utilization").unwrap_or(0.0)
-        );
+        let file =
+            ScenarioFile::parse_with(PAPER_FIG8, &overrides).expect("paper_fig8.toml parses");
+        let (world, report) = run_swarm(&file);
         runs.push((report, world.completion_times()));
     }
 

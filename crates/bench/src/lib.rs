@@ -3,11 +3,13 @@
 //! Every table and figure of the paper's evaluation has a **binary**
 //! (`cargo run --release -p p2plab-bench --bin fig8_swarm_progress`) that runs the experiment
 //! at paper scale (or a scale given on the command line) and prints the same rows/series the
-//! figure plots.
+//! figure plots. The swarm figures run the paper's scenario files
+//! (`examples/scenarios/paper_fig{8,10}.toml`) with their scale applied as overrides.
 
 #![warn(missing_docs)]
 
-use p2plab_core::RunReport;
+use p2plab_bittorrent::SwarmWorld;
+use p2plab_core::{run_scenario, RunReport, ScenarioFile, SwarmWorkload, WorkloadConfig};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -31,6 +33,36 @@ pub fn run_summary(report: &RunReport) -> String {
         report.events_executed,
         report.folding_ratio
     )
+}
+
+/// Runs a swarm scenario file, writes its report under `results/` and prints what ran and its
+/// [`run_summary`]. Returns the final swarm world and the report.
+///
+/// # Panics
+///
+/// Panics when the file is not a swarm scenario or the run fails to start.
+pub fn run_swarm(file: &ScenarioFile) -> (SwarmWorld, RunReport) {
+    let WorkloadConfig::Swarm(swarm) = &file.workload else {
+        panic!("{}: not a swarm scenario", file.spec.name);
+    };
+    println!(
+        "running {}: {} clients + {} seeders on {} machines (folding {:.1}:1), start interval {}",
+        file.spec.name,
+        swarm.leechers,
+        swarm.seeders,
+        file.spec.deployment.machines,
+        file.spec.folding_ratio(),
+        swarm.start_interval
+    );
+    let workload = SwarmWorkload::new(swarm.clone());
+    let (world, report) = run_scenario(&file.spec, workload).expect("scenario runs");
+    write_run_report(&report);
+    println!(
+        "  {} (peak NIC utilization {:.0}%)",
+        run_summary(&report),
+        100.0 * report.metrics.gauge("peak_nic_utilization").unwrap_or(0.0)
+    );
+    (world, report)
 }
 
 /// Writes a run's [`RunReport`] as JSON (plus its scalar-metrics CSV) under `results/`,

@@ -197,16 +197,23 @@ pub fn download_phases(times: &[SimTime], total_downloaded: &TimeSeries) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::SwarmExperiment;
+    use crate::scenario::dsl::ScenarioFile;
     use crate::scenario::run_scenario;
+    use crate::workloads::{SwarmWorkload, WorkloadConfig};
 
-    /// The quick swarm on `machines` machines: its report and its sorted completion times.
+    /// The quick swarm (`examples/scenarios/swarm_quick.toml`) on `machines` machines: its
+    /// report and its sorted completion times.
     fn quick_run(machines: usize, seed: u64) -> (RunReport, Vec<SimTime>) {
-        let mut cfg = SwarmExperiment::quick();
-        cfg.machines = machines;
-        cfg.seed = seed;
-        cfg.name = format!("quick-{machines}m");
-        let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+        let text = include_str!("../../../examples/scenarios/swarm_quick.toml");
+        let overrides = format!(
+            "scenario.machines = {machines}\nscenario.seed = {seed}\n\
+             scenario.name = \"quick-{machines}m\"\n"
+        );
+        let file = ScenarioFile::parse_with(text, &overrides).unwrap();
+        let WorkloadConfig::Swarm(swarm) = file.workload else {
+            panic!("swarm_quick.toml is a swarm scenario");
+        };
+        let (world, report) = run_scenario(&file.spec, SwarmWorkload::new(swarm)).unwrap();
         (report, world.completion_times())
     }
 

@@ -11,12 +11,12 @@
 //!   through (it returns the final world and the run's [`RunReport`]), and the arrival/session
 //!   process library
 //!   ([`scenario::processes`]: Poisson, uniform-ramp, flash-crowd and trace arrivals;
-//!   exponential, Pareto and trace-driven churn sessions);
+//!   exponential, Pareto and trace-driven churn sessions), and the scenario-file language
+//!   ([`scenario::dsl`]) the paper's experiments are written in
+//!   (`examples/scenarios/paper_fig8.toml`, `paper_fig10.toml`);
 //! * [`workloads`] — the first-class workloads: the BitTorrent swarm of the evaluation section,
 //!   the ping-mesh latency probe, the gossip (epidemic broadcast) workload and Kademlia-style
 //!   DHT lookups over the transport's RPC layer;
-//! * [`experiment`] — the BitTorrent experiment presets of the evaluation section
-//!   (Figures 8-11);
 //! * [`adversary`] — byzantine peers, wire-level fault injection and invariant monitors: mark
 //!   a fraction of a workload's population hostile and assert honest-node safety;
 //! * [`accuracy`] — the emulation-accuracy experiments (rule-count scaling of Figure 6, the
@@ -30,7 +30,6 @@ pub mod accuracy;
 pub mod adversary;
 pub mod analysis;
 pub mod deploy;
-pub mod experiment;
 pub mod monitor;
 pub mod report;
 pub mod scenario;
@@ -46,7 +45,6 @@ pub use analysis::{
     samples_ks_distance, CompletionSummary, DownloadPhases, FoldingComparison, FoldingRow,
 };
 pub use deploy::{deploy, Deployment, DeploymentSpec, Placement};
-pub use experiment::SwarmExperiment;
 pub use monitor::ResourceMonitor;
 pub use report::{
     ascii_plot, points_to_csv, render_table, series_to_csv, ReportError, RunReport,

@@ -22,19 +22,16 @@
 //!
 //! ```
 //! use p2plab_core::scenario::{run_scenario, ScenarioBuilder};
-//! use p2plab_core::SwarmExperiment;
-//! use p2plab_net::TopologySpec;
+//! use p2plab_core::{SwarmSpec, SwarmWorkload};
+//! use p2plab_net::{AccessLinkClass, TopologySpec};
+//! use p2plab_sim::SimDuration;
 //!
-//! let mut cfg = SwarmExperiment::quick();
-//! cfg.leechers = 4;
-//! let spec = ScenarioBuilder::new("doc", TopologySpec::uniform("doc", cfg.total_vnodes(), cfg.link))
-//!     .machines(cfg.machines)
-//!     .deadline(cfg.deadline)
-//!     .sample_interval(cfg.sample_interval)
-//!     .seed(cfg.seed)
-//!     .build()
-//!     .unwrap();
-//! let (world, report) = run_scenario(&spec, cfg.workload()).unwrap();
+//! // Four downloaders, a seeder and the tracker on 8M/1M links, folded onto 2 machines.
+//! let swarm = SwarmSpec::new(4);
+//! let link = AccessLinkClass::new(8_000_000, 1_000_000, SimDuration::from_millis(10));
+//! let topology = TopologySpec::uniform("doc", swarm.total_vnodes(), link);
+//! let spec = ScenarioBuilder::new("doc", topology).machines(2).seed(7).build().unwrap();
+//! let (world, report) = run_scenario(&spec, SwarmWorkload::new(swarm)).unwrap();
 //! assert!(world.swarm_finished());
 //! assert_eq!(report.participants, 4);
 //! ```
@@ -85,9 +82,7 @@ pub trait Workload {
     type Event: TypedEvent<Self::World>;
 
     /// Short workload-kind label used in run reports (`"swarm"`, `"ping-mesh"`, ...).
-    fn kind(&self) -> &'static str {
-        "workload"
-    }
+    fn kind(&self) -> &'static str;
 
     /// Number of virtual nodes the workload needs. The scenario's topology must provide at
     /// least this many.

@@ -41,7 +41,8 @@
 use crate::analysis::relative_curve_deviation;
 use crate::report::{json_f64, json_str, outcome_label, RunReport};
 use crate::scenario::dsl::{
-    parse_toml, read_section, table_of, DslError, Keys, ScenarioFile, Spanned, TomlTable, TomlValue,
+    flatten_overrides, parse_toml, read_section, table_of, DslError, Keys, ScenarioFile, Spanned,
+    TomlTable, TomlValue,
 };
 use crate::scenario::ScenarioError;
 use p2plab_sim::{SimDuration, SimTime};
@@ -195,32 +196,32 @@ impl CampaignSpec {
     }
 
     /// Applies one cell's overrides to the base table and re-parses it through the DSL's
-    /// strict path, so a bad cell fails with its label before anything runs.
+    /// strict path (the path of [`ScenarioFile::parse_with`]), so a bad cell fails with its
+    /// label before anything runs.
     fn build_cell(
         &self,
         index: usize,
         label: String,
         overrides: Vec<(String, Spanned)>,
     ) -> Result<CampaignCell, DslError> {
-        let mut table = self.base.clone();
-        let mut rendered = Vec::with_capacity(overrides.len());
-        for (path, value) in overrides {
-            table.set_path(&path, value.clone())?;
-            rendered.push((path, value.value.render()));
-        }
-        let file = ScenarioFile::from_table(&table).map_err(|mut e| {
-            e.message = format!("{label}: {}", e.message);
-            e
-        })?;
+        let file =
+            ScenarioFile::with_overrides(self.base.clone(), &overrides).map_err(|mut e| {
+                e.message = format!("{label}: {}", e.message);
+                e
+            })?;
         file.validate().map_err(|e| DslError {
             line: 0,
             path: label.clone(),
             message: format!("invalid scenario: {e}"),
         })?;
+        let overrides = overrides
+            .into_iter()
+            .map(|(path, value)| (path, value.value.render()))
+            .collect();
         Ok(CampaignCell {
             index,
             label,
-            overrides: rendered,
+            overrides,
             file,
         })
     }
@@ -264,23 +265,6 @@ fn flatten_axes(
         }
     }
     Ok(())
-}
-
-/// Recursively flattens an explicit `[cells.<label>]` table into `(dotted path, value)`
-/// overrides in file order. Unlike matrix axes, leaves here are literal values — arrays
-/// included (a `behaviors` list is one override, not an axis).
-fn flatten_overrides(table: &TomlTable, path_prefix: &str, out: &mut Vec<(String, Spanned)>) {
-    for (key, spanned) in table.entries() {
-        let path = if path_prefix.is_empty() {
-            key.clone()
-        } else {
-            format!("{path_prefix}.{key}")
-        };
-        match &spanned.value {
-            TomlValue::Table(t) => flatten_overrides(t, &path, out),
-            _ => out.push((path, spanned.clone())),
-        }
-    }
 }
 
 /// Runs every cell across `threads` OS worker threads and returns one result per cell, in

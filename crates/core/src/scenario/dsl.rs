@@ -225,6 +225,22 @@ impl TomlTable {
     }
 }
 
+/// Recursively flattens a table of overrides into `(dotted path, value)` pairs in file order.
+/// Every leaf is one literal value — an array included (a `behaviors` list is one override).
+pub(crate) fn flatten_overrides(
+    table: &TomlTable,
+    path_prefix: &str,
+    out: &mut Vec<(String, Spanned)>,
+) {
+    for (key, spanned) in table.entries() {
+        let path = join(path_prefix, key);
+        match &spanned.value {
+            TomlValue::Table(t) => flatten_overrides(t, &path, out),
+            _ => out.push((path, spanned.clone())),
+        }
+    }
+}
+
 /// Parses the supported TOML subset into a root [`TomlTable`].
 pub fn parse_toml(text: &str) -> Result<TomlTable, DslError> {
     let mut parser = TomlParser {
@@ -1453,6 +1469,30 @@ impl ScenarioFile {
         ScenarioFile::from_table(&root)
     }
 
+    /// Parses a scenario file with `overrides` applied: a TOML snippet of dotted keys
+    /// (`workload.swarm.leechers = 40`), applied exactly as a campaign applies a
+    /// `[cells.<label>]` table. Each key is set into the file's table, which then goes through
+    /// the strict reader: an unknown key or a bad value is a [`DslError`] naming its path, an
+    /// override may add a section the file lacks, and a topology without `nodes` is sized by
+    /// the overridden workload.
+    pub fn parse_with(text: &str, overrides: &str) -> Result<ScenarioFile, DslError> {
+        let mut flat = Vec::new();
+        flatten_overrides(&parse_toml(overrides)?, "", &mut flat);
+        ScenarioFile::with_overrides(parse_toml(text)?, &flat)
+    }
+
+    /// Sets each dotted `(path, value)` override into `table` and reads the result: the one
+    /// path of [`parse_with`](ScenarioFile::parse_with) and of a campaign's cells.
+    pub(crate) fn with_overrides(
+        mut table: TomlTable,
+        overrides: &[(String, Spanned)],
+    ) -> Result<ScenarioFile, DslError> {
+        for (path, value) in overrides {
+            table.set_path(path, value.clone())?;
+        }
+        ScenarioFile::from_table(&table)
+    }
+
     /// Builds a scenario from an already-parsed table (campaign expansion re-enters here for
     /// every grid cell, after applying the cell's overrides).
     pub fn from_table(root: &TomlTable) -> Result<ScenarioFile, DslError> {
@@ -2104,6 +2144,69 @@ mean_downtime = \"20s\"
             }
         }
         assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    fn minimal_swarm() -> String {
+        "[scenario]\nname = \"s\"\n[topology]\nlink = \"dsl-8m\"\n[workload]\nkind = \"swarm\"\n[workload.swarm]\nleechers = 4\n".to_string()
+    }
+
+    #[test]
+    fn parse_with_checks_overrides_at_their_key() {
+        let err = ScenarioFile::parse_with(&minimal_swarm(), "workload.swarm.file_bytes = 0")
+            .unwrap_err();
+        assert_eq!(err.path, "workload.swarm.file_bytes");
+        assert!(err.message.contains("at least one byte"), "{err}");
+        // The error's line is the override's own line in the snippet.
+        let err = ScenarioFile::parse_with(&minimal_swarm(), "\n\nworkload.swarm.leecher = 8")
+            .unwrap_err();
+        assert_eq!((err.line, err.path.as_str()), (3, "workload.swarm.leecher"));
+        assert!(err.message.contains("unknown key"), "{err}");
+        let err = ScenarioFile::parse_with(&minimal_swarm(), "[scenario]\nsede = 1").unwrap_err();
+        assert_eq!(err.path, "scenario.sede");
+    }
+
+    #[test]
+    fn parse_with_adds_sections_and_resizes_the_topology() {
+        let overrides = "workload.swarm.leechers = 8\n\
+                         sessions.kind = \"exponential\"\n\
+                         sessions.mean_session = \"15s\"\n\
+                         sessions.mean_downtime = \"30s\"\n";
+        let file = ScenarioFile::parse_with(&minimal_swarm(), overrides).unwrap();
+        assert_eq!(
+            file.spec.sessions,
+            Some(SessionProcess::Exponential {
+                mean_session: SimDuration::from_secs(15),
+                mean_downtime: SimDuration::from_secs(30),
+            })
+        );
+        // 8 leechers, the default seeder and the tracker: the topology follows the workload.
+        assert_eq!(file.spec.topology.total_nodes(), 10);
+        assert!(file.validate().is_ok());
+        // No overrides is the file itself.
+        let plain = ScenarioFile::parse(&minimal_swarm()).unwrap();
+        assert_eq!(
+            ScenarioFile::parse_with(&minimal_swarm(), "").unwrap(),
+            plain
+        );
+    }
+
+    #[test]
+    fn parse_with_equals_a_campaign_cell_of_the_same_overrides() {
+        let overrides = "scenario.seed = 9\nscenario.machines = 3\ntopology.loss = 0.01\n\
+                         workload.swarm.leechers = 6\nadversary.behaviors = [\"silent-drop\"]\n";
+        let campaign = format!(
+            "[campaign]\nname = \"c\"\n{}[cells.one]\n{overrides}",
+            minimal_swarm()
+        );
+        let cells = crate::scenario::campaign::CampaignSpec::parse(&campaign)
+            .unwrap()
+            .expand()
+            .unwrap();
+        let cell = cells.iter().find(|c| c.label == "cell-one").unwrap();
+        let file = ScenarioFile::parse_with(&minimal_swarm(), overrides).unwrap();
+        assert_eq!(cell.file, file);
+        assert_eq!(file.spec.seed, 9);
+        assert_eq!(file.spec.topology.total_nodes(), 8);
     }
 
     #[test]

@@ -122,17 +122,6 @@ impl WorkloadConfig {
         }
     }
 
-    /// Number of participants driven by the scenario's arrival process.
-    pub fn participants(&self) -> usize {
-        match self {
-            WorkloadConfig::Swarm(cfg) => cfg.leechers,
-            WorkloadConfig::PingMesh(spec) => spec.pair_count(),
-            WorkloadConfig::Gossip(spec) => spec.nodes,
-            WorkloadConfig::GossipSharded(spec) => spec.nodes,
-            WorkloadConfig::DhtLookup(spec) => spec.lookups,
-        }
-    }
-
     /// Runs the workload under `spec` through the generic [`run_scenario`] loop and returns the
     /// run's [`RunReport`]. The final world is dropped — by-name construction is for
     /// campaign-style runs where everything that leaves the process goes through the report.

@@ -374,27 +374,135 @@ impl Workload for SwarmWorkload {
 mod tests {
     use super::*;
     use crate::adversary::AdversaryPlan;
+    use crate::analysis::completion_summary;
     use crate::deploy::deploy;
-    use crate::experiment::SwarmExperiment;
-    use crate::scenario::{run_scenario, ScenarioBuilder};
+    use crate::report::RunReport;
+    use crate::scenario::dsl::ScenarioFile;
+    use crate::scenario::{run_scenario, ScenarioSpec, SessionProcess};
+    use crate::workloads::WorkloadConfig;
     use p2plab_bittorrent::{Bitfield, PeerConn};
-    use p2plab_net::{ConnId, NetworkConfig, SocketAddr, TopologySpec};
+    use p2plab_net::{ConnId, NetworkConfig, SocketAddr};
+
+    /// `examples/scenarios/swarm_quick.toml` under `overrides`: its scenario and its swarm.
+    fn quick(overrides: &str) -> (ScenarioSpec, SwarmSpec) {
+        let text = include_str!("../../../../examples/scenarios/swarm_quick.toml");
+        let file = ScenarioFile::parse_with(text, overrides).unwrap();
+        match file.workload {
+            WorkloadConfig::Swarm(swarm) => (file.spec, swarm),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn run(spec: &ScenarioSpec, swarm: &SwarmSpec) -> (SwarmWorld, RunReport) {
+        run_scenario(spec, SwarmWorkload::new(swarm.clone())).expect("deployment must succeed")
+    }
+
+    #[test]
+    fn quick_swarm_completes() {
+        let (spec, swarm) = quick("");
+        let (world, report) = run(&spec, &swarm);
+        assert!(world.swarm_finished(), "{:?}", report.outcome);
+        assert_eq!(report.scenario, "swarm-quick");
+        assert_eq!(world.completed_count(), swarm.leechers);
+        assert_eq!(world.downloaders().count(), swarm.leechers);
+        // Every progress curve ends at 100%.
+        for c in world.downloaders() {
+            assert_eq!(c.progress.last().unwrap().1, 100.0);
+        }
+        // The total-downloaded curve is non-decreasing and ends at >= leechers x file size.
+        let total = report.progress();
+        assert!(total.samples().windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(total.last().unwrap().1 >= (swarm.leechers as u64 * swarm.file_bytes) as f64);
+        // Completion curve ends at the number of downloaders.
+        assert_eq!(
+            world.completion_curve().last().unwrap().1,
+            swarm.leechers as f64
+        );
+        let s = completion_summary(&world.completion_times()).unwrap();
+        assert_eq!(s.completed, swarm.leechers);
+        assert!(s.first <= s.median && s.median <= s.last);
+    }
+
+    #[test]
+    fn leechers_reciprocate_in_the_quick_swarm() {
+        let (spec, swarm) = quick("");
+        let (world, _) = run(&spec, &swarm);
+        assert!(
+            world.downloaders().any(|c| c.stats.bytes_uploaded > 0),
+            "downloaders must upload to each other (tit-for-tat)"
+        );
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let small = "workload.swarm.leechers = 5\nworkload.swarm.seeders = 1\n\
+                     workload.swarm.file_bytes = 524_288\n";
+        let (spec, swarm) = quick(small);
+        let (a, report_a) = run(&spec, &swarm);
+        let (b, report_b) = run(&spec, &swarm);
+        assert_eq!(a.completion_times(), b.completion_times());
+        assert_eq!(report_a.events_executed, report_b.events_executed);
+        let (spec, swarm) = quick(&format!("{small}scenario.seed = 99\n"));
+        let (c, _) = run(&spec, &swarm);
+        assert_ne!(a.completion_times(), c.completion_times());
+    }
+
+    #[test]
+    fn churn_slows_but_does_not_prevent_completion() {
+        let eight = "workload.swarm.leechers = 8\n";
+        let (steady, swarm) = quick(&format!("{eight}scenario.name = \"churn-baseline\"\n"));
+        // Sessions must be shorter than the ~37 s undisturbed download time, otherwise most
+        // clients finish before their first departure and the comparison is pure noise.
+        let (churny, _) = quick(&format!(
+            "{eight}scenario.name = \"churn-on\"\nscenario.deadline = \"6000s\"\n\
+             sessions.kind = \"exponential\"\nsessions.mean_session = \"15s\"\n\
+             sessions.mean_downtime = \"30s\"\n"
+        ));
+        assert!(matches!(
+            churny.sessions,
+            Some(SessionProcess::Exponential { .. })
+        ));
+        let (a, report_a) = run(&steady, &swarm);
+        let (b, report_b) = run(&churny, &swarm);
+        assert!(
+            a.swarm_finished() && b.swarm_finished(),
+            "a={:?} b={:?}",
+            report_a.outcome,
+            report_b.outcome
+        );
+        assert_eq!(report_a.metrics.counter("churn_departures"), Some(0));
+        assert!(
+            report_b.metrics.counter("churn_departures").unwrap() > 0,
+            "churn must actually interrupt sessions"
+        );
+        let median = |w: &SwarmWorld| completion_summary(&w.completion_times()).unwrap().median;
+        assert!(
+            median(&b) > median(&a),
+            "interrupted downloads should take longer"
+        );
+    }
+
+    #[test]
+    fn nic_utilization_is_monitored_and_bounded() {
+        let (spec, swarm) = quick("");
+        let (_, report) = run(&spec, &swarm);
+        let peak = report.metrics.gauge("peak_nic_utilization").unwrap();
+        assert!(peak > 0.0, "cross-machine traffic must show up");
+        assert!(peak <= 1.0);
+    }
 
     #[test]
     fn byzantine_leechers_slow_but_never_corrupt_honest_downloads() {
         // A quarter of the downloaders free-ride (never serve) and corrupt what they do
         // upload. Honest leechers re-fetch rejected blocks elsewhere and still finish; the
         // invariant monitor confirms no honest node accepted corruption.
-        let mut cfg = SwarmExperiment::quick();
-        cfg.leechers = 8;
-        cfg.name = "swarm-byz".into();
-        let (honest, _) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
-        let mut spec = cfg.to_scenario();
+        let (mut spec, swarm) = quick("workload.swarm.leechers = 8\nscenario.name = \"swarm-byz\"");
+        let (honest, _) = run(&spec, &swarm);
         spec.adversary = Some(AdversaryPlan::new(
             0.25,
             &["ack-withhold", "corrupt-replies"],
         ));
-        let (byz, report) = run_scenario(&spec, cfg.workload()).unwrap();
+        let (byz, report) = run(&spec, &swarm);
         assert!(honest.swarm_finished(), "honest baseline must finish");
         assert!(
             byz.swarm_finished(),
@@ -421,17 +529,16 @@ mod tests {
         // permanent. Cut the run short at several instants, so honest leechers are caught
         // mid-download: each contributes the three ledger checks on top of the two it always
         // gets, and none of them fires.
-        let mut cfg = SwarmExperiment::quick();
-        cfg.leechers = 8;
+        let (base, swarm) = quick("workload.swarm.leechers = 8");
         for (deadline, behaviors) in [
             (21, ["silent-drop", "ack-withhold"]),
             (25, ["silent-drop", "ack-withhold"]),
             (29, ["ack-withhold", "corrupt-replies"]),
         ] {
-            let mut spec = cfg.to_scenario();
+            let mut spec = base.clone();
             spec.deadline = SimDuration::from_secs(deadline);
             spec.adversary = Some(AdversaryPlan::new(0.25, &behaviors));
-            let (world, report) = run_scenario(&spec, cfg.workload()).unwrap();
+            let (world, report) = run(&spec, &swarm);
             assert!(
                 !world.swarm_finished(),
                 "the deadline must cut the download short"
@@ -448,9 +555,8 @@ mod tests {
 
     #[test]
     fn a_wedged_leecher_is_a_violation_even_at_a_deadline_stop() {
-        let cfg = SwarmExperiment::quick();
-        let spec = cfg.to_scenario();
-        let mut w = cfg.workload();
+        let (spec, swarm) = quick("");
+        let mut w = SwarmWorkload::new(swarm.clone());
         let deployment = deploy(&spec.topology, spec.deployment, NetworkConfig::default()).unwrap();
         let mut world = w.build_world(deployment);
         let stop = ShardedOutcome {
@@ -461,14 +567,14 @@ mod tests {
         assert!(w.check_invariants(&world, &stop).is_clean());
         // A leecher that a seeder is unchoking, asking for nothing...
         let seeder_addr = SocketAddr::new(world.net.addr_of(world.clients[0].vnode), 6881);
-        let leecher = &mut world.clients[cfg.seeders];
+        let leecher = &mut world.clients[swarm.seeders];
         leecher.online = true;
         let mut p = PeerConn::new(
             ConnId(1),
             seeder_addr,
             true,
             8,
-            cfg.client_config.rate_window,
+            swarm.client_config.rate_window,
         );
         p.bitfield = Bitfield::full(8);
         (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
@@ -476,7 +582,7 @@ mod tests {
         let inv = w.check_invariants(&world, &stop);
         assert_eq!(inv.violations.len(), 1, "{:?}", inv.violations);
         // ...or holding a request nobody counted and no sweep ever forgot: two more.
-        let leecher = &mut world.clients[cfg.seeders];
+        let leecher = &mut world.clients[swarm.seeders];
         let p = leecher.peers.get_mut(&ConnId(1)).unwrap();
         p.inflight.push(((0, 0), SimTime::from_secs(100)));
         let inv = w.check_invariants(&world, &stop);
@@ -485,45 +591,37 @@ mod tests {
 
     #[test]
     fn arrival_ramp_matches_last_scheduled_arrival() {
-        let mut cfg = SwarmExperiment::quick();
-        cfg.leechers = 5;
-        let w = cfg.workload();
+        let (_, mut swarm) = quick("workload.swarm.leechers = 5");
         // First downloader starts at the head start, so the ramp spans leechers - 1 intervals.
         assert_eq!(
-            w.arrival_ramp(),
-            cfg.seeder_head_start + cfg.start_interval * 4
+            SwarmWorkload::new(swarm.clone()).arrival_ramp(),
+            swarm.seeder_head_start + swarm.start_interval * 4
         );
         // Many slow-staggered seeders can arrive after the last downloader.
-        let mut seeder_heavy = cfg.clone();
-        seeder_heavy.seeders = 100;
-        seeder_heavy.leechers = 1;
+        let seeder_heavy = SwarmSpec {
+            seeders: 100,
+            leechers: 1,
+            ..swarm.clone()
+        };
         assert_eq!(
-            seeder_heavy.workload().arrival_ramp(),
+            SwarmWorkload::new(seeder_heavy).arrival_ramp(),
             SimDuration::from_secs(99)
         );
-        cfg.leechers = 0;
-        assert_eq!(cfg.workload().arrival_ramp(), cfg.seeder_head_start);
+        swarm.leechers = 0;
+        let head_start = swarm.seeder_head_start;
+        assert_eq!(SwarmWorkload::new(swarm).arrival_ramp(), head_start);
     }
 
     #[test]
     fn report_names_the_scenario_deployment() {
         // The name and folding ratio of the report come from the scenario the workload ran
-        // under — here a different name and machine count than the preset's own.
-        let mut cfg = SwarmExperiment::quick();
-        cfg.leechers = 4;
-        let total = cfg.total_vnodes();
-        let spec = ScenarioBuilder::new(
-            "actual-name",
-            TopologySpec::uniform("actual-name", total, cfg.link),
-        )
-        .machines(7)
-        .deadline(cfg.deadline)
-        .sample_interval(cfg.sample_interval)
-        .seed(cfg.seed)
-        .build()
-        .unwrap();
-        let (_, report) = run_scenario(&spec, cfg.workload()).unwrap();
+        // under — here a different name and machine count than the file's own.
+        let (spec, swarm) = quick(
+            "workload.swarm.leechers = 4\nscenario.name = \"actual-name\"\nscenario.machines = 7",
+        );
+        let (_, report) = run(&spec, &swarm);
         assert_eq!(report.scenario, "actual-name");
+        let total = swarm.total_vnodes();
         assert!((report.folding_ratio - total as f64 / 7.0).abs() < 1e-9);
     }
 }

@@ -5,39 +5,38 @@
 //! ```
 //!
 //! Real peer-to-peer deployments see constant node arrival and departure. The paper's BitTorrent
-//! experiments keep every client online; this example uses the same emulated swarm but lets
-//! downloaders alternate between online sessions and offline periods (exponentially distributed)
-//! and compares completion times against the churn-free baseline.
+//! experiments keep every client online; this example runs the quick swarm
+//! (`examples/scenarios/swarm_quick.toml`) once as it is and once with a `[sessions]` section
+//! added as overrides, so downloaders alternate between online sessions and offline periods
+//! (exponentially distributed), and compares completion times.
 
-use p2plab::core::{completion_summary, run_scenario, SessionProcess, SwarmExperiment};
-use p2plab::sim::SimDuration;
+use p2plab::bittorrent::SwarmWorld;
+use p2plab::core::{completion_summary, run_scenario, ScenarioFile, SwarmWorkload, WorkloadConfig};
 
-fn main() {
-    let mut baseline = SwarmExperiment::quick();
-    baseline.name = "no-churn".into();
-    baseline.leechers = 10;
-
-    let mut churny = baseline.clone();
-    churny.name = "with-churn".into();
-    churny.deadline = SimDuration::from_secs(6000);
-    churny.churn = Some(SessionProcess::Exponential {
-        mean_session: SimDuration::from_secs(90),
-        mean_downtime: SimDuration::from_secs(45),
-    });
-
-    println!("running '{}'...", baseline.name);
-    let (a, _) = run_scenario(&baseline.to_scenario(), baseline.workload()).expect("swarm runs");
+/// Runs the quick swarm with ten downloaders under `overrides`.
+fn run(overrides: &str) -> SwarmWorld {
+    let overrides = format!("workload.swarm.leechers = 10\n{overrides}");
+    let file = ScenarioFile::parse_with(include_str!("scenarios/swarm_quick.toml"), &overrides)
+        .expect("swarm_quick.toml parses");
+    println!("running '{}'...", file.spec.name);
+    let WorkloadConfig::Swarm(swarm) = file.workload else {
+        unreachable!("swarm_quick.toml is a swarm scenario");
+    };
+    let (world, _) = run_scenario(&file.spec, SwarmWorkload::new(swarm)).expect("swarm runs");
     println!(
         "  {}/{} clients done",
-        a.completed_count(),
-        baseline.leechers
+        world.completed_count(),
+        world.downloaders().count()
     );
-    println!(
-        "running '{}' (mean session 90 s, mean downtime 45 s)...",
-        churny.name
+    world
+}
+
+fn main() {
+    let a = run("scenario.name = \"no-churn\"");
+    let b = run(
+        "scenario.name = \"with-churn\"\nscenario.deadline = \"6000s\"\n\
+         [sessions]\nkind = \"exponential\"\nmean_session = \"90s\"\nmean_downtime = \"45s\"\n",
     );
-    let (b, _) = run_scenario(&churny.to_scenario(), churny.workload()).expect("swarm runs");
-    println!("  {}/{} clients done", b.completed_count(), churny.leechers);
     println!(
         "  churn departures observed by the tracker: {}",
         b.tracker.stats().stopped

@@ -4,33 +4,41 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! This is the smallest end-to-end use of the framework, written against the scenario API: a
-//! `SwarmExperiment` preset splits into the application side (`cfg.workload()`: tracker,
-//! seeders, downloaders, arrival ramp) and everything around it (`cfg.to_scenario()`: topology,
-//! folding, deadline, sampling, seed), and both go to the generic `run_scenario` loop, which
-//! hands back the final swarm world and the run's report. Deployment, network emulation, the
-//! BitTorrent protocol and the resource monitoring all happen inside the deterministic
-//! simulation.
+//! This is the smallest end-to-end use of the framework: a scenario file
+//! (`examples/scenarios/swarm_quick.toml`) parses into the scenario (`file.spec`: topology,
+//! folding, deadline, sampling, seed) and the workload (`file.workload`: tracker, seeders,
+//! downloaders, arrival ramp), and both go to the generic `run_scenario` loop, which hands back
+//! the final swarm world and the run's report. Deployment, network emulation, the BitTorrent
+//! protocol and the resource monitoring all happen inside the deterministic simulation.
 
-use p2plab::core::{ascii_plot, completion_summary, run_scenario, SwarmExperiment};
+use p2plab::core::{
+    ascii_plot, completion_summary, run_scenario, ScenarioFile, SwarmWorkload, WorkloadConfig,
+};
 
 fn main() {
     // A 2 MB file shared by 2 seeders with 12 downloaders on 8 Mbps / 1 Mbps access links,
-    // folded onto 4 emulated physical machines.
-    let mut cfg = SwarmExperiment::quick();
-    cfg.name = "quickstart".into();
+    // folded onto 4 emulated physical machines; only the name is overridden.
+    let file = ScenarioFile::parse_with(
+        include_str!("scenarios/swarm_quick.toml"),
+        "scenario.name = \"quickstart\"",
+    )
+    .expect("swarm_quick.toml parses");
+    let WorkloadConfig::Swarm(swarm) = &file.workload else {
+        unreachable!("swarm_quick.toml is a swarm scenario");
+    };
 
     println!(
         "Running '{}': {} downloaders + {} seeders, {:.0} MB file, {} machines (folding {:.0}:1)",
-        cfg.name,
-        cfg.leechers,
-        cfg.seeders,
-        cfg.file_bytes as f64 / (1024.0 * 1024.0),
-        cfg.machines,
-        cfg.folding_ratio(),
+        file.spec.name,
+        swarm.leechers,
+        swarm.seeders,
+        swarm.file_bytes as f64 / (1024.0 * 1024.0),
+        file.spec.deployment.machines,
+        file.spec.folding_ratio(),
     );
 
-    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
+    let workload = SwarmWorkload::new(swarm.clone());
+    let (world, report) = run_scenario(&file.spec, workload).expect("swarm runs");
 
     println!(
         "\n{}: {}/{} clients done, {:?} at {} after {} events",

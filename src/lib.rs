@@ -20,20 +20,21 @@
 //!
 //! ## Quickstart
 //!
-//! Experiments are *scenarios*: an application implementing
-//! [`Workload`](p2plab_core::scenario::Workload), composed with topology, folding, network
-//! config, churn, deadline and seed by a [`ScenarioBuilder`](p2plab_core::ScenarioBuilder), and
-//! driven by the generic [`run_scenario`](p2plab_core::run_scenario) loop, which returns the
-//! final world and the run's [`RunReport`](p2plab_core::RunReport):
+//! Experiments are *scenarios*: a [`Workload`](p2plab_core::scenario::Workload) composed with
+//! topology, folding, network config, churn, deadline and seed — by a
+//! [`ScenarioBuilder`](p2plab_core::ScenarioBuilder) or a [`ScenarioFile`](p2plab_core::ScenarioFile)
+//! — and driven by the generic [`run_scenario`](p2plab_core::run_scenario) loop, which returns
+//! the final world and the run's [`RunReport`](p2plab_core::RunReport):
 //!
 //! ```
-//! use p2plab::core::{completion_summary, run_scenario, SwarmExperiment};
+//! use p2plab::core::{completion_summary, run_scenario, ScenarioFile, SwarmWorkload, WorkloadConfig};
 //!
-//! // A small BitTorrent swarm on emulated access links, folded onto 4 physical machines. The
-//! // preset splits into the scenario (`ScenarioBuilder` under the hood) and the workload.
-//! let mut cfg = SwarmExperiment::quick();
-//! cfg.leechers = 6;
-//! let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+//! // A small BitTorrent swarm on emulated access links, folded onto 4 physical machines: the
+//! // quick scenario file with six downloaders instead of twelve.
+//! let text = include_str!("../examples/scenarios/swarm_quick.toml");
+//! let file = ScenarioFile::parse_with(text, "workload.swarm.leechers = 6").unwrap();
+//! let WorkloadConfig::Swarm(swarm) = file.workload else { unreachable!() };
+//! let (world, report) = run_scenario(&file.spec, SwarmWorkload::new(swarm)).unwrap();
 //! assert!(world.swarm_finished());
 //! let median = completion_summary(&world.completion_times()).unwrap().median;
 //! println!("{}: median completion {median}, {} events", report.scenario, report.events_executed);
@@ -41,7 +42,8 @@
 //!
 //! The same loop runs every other workload — e.g.
 //! [`PingMeshWorkload`](p2plab_core::PingMeshWorkload) — and every workload can be described as
-//! a scenario file instead (`examples/scenarios/*.toml`, run by the `campaign` binary).
+//! a scenario file (`examples/scenarios/*.toml`, run by the `campaign` binary); the paper's
+//! Figures 8–11 are `paper_fig8.toml` and `paper_fig10.toml`.
 
 #![warn(missing_docs)]
 
@@ -57,7 +59,7 @@ pub mod prelude {
     pub use p2plab_core::{
         compare_folding, deploy, run_scenario, ArrivalSpec, DeploymentSpec, DhtLookupSpec,
         DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec, PingMeshWorkload,
-        ScenarioBuilder, SessionProcess, SwarmExperiment, SwarmSpec, SwarmWorkload, Workload,
+        ScenarioBuilder, ScenarioFile, SessionProcess, SwarmSpec, SwarmWorkload, Workload,
     };
     pub use p2plab_net::{
         AccessLinkClass, Endpoint, LaneKind, Network, NetworkConfig, TopologySpec, TransportEvent,

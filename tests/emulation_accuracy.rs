@@ -1,10 +1,9 @@
 //! Cross-crate integration tests for the emulation-accuracy results: Figure 6 (rule-count
-//! scaling), Figure 7 (latency decomposition) and the libc-interception overhead table.
+//! scaling) and Figure 7 (latency decomposition). The libc-interception overhead table is
+//! checked where it is computed: its calibrated values in `p2plab_os::syscall`, the shim's
+//! one extra `bind` and its "very low" overhead in `p2plab_core::accuracy`.
 
-use p2plab::core::{
-    deploy, figure7_latency_experiment, interception_overhead, rule_scaling_experiment,
-    DeploymentSpec,
-};
+use p2plab::core::{deploy, figure7_latency_experiment, rule_scaling_experiment, DeploymentSpec};
 use p2plab::net::{NetworkConfig, TopologySpec};
 use p2plab::sim::SimDuration;
 
@@ -60,18 +59,4 @@ fn figure7_topology_deploys_with_paper_rule_accounting() {
             "machine {m}: {rules} rules for {hosted} nodes"
         );
     }
-}
-
-#[test]
-fn interception_overhead_table_matches_paper() {
-    let o = interception_overhead();
-    let plain_us = o.plain.as_nanos() as f64 / 1000.0;
-    let shim_us = o.intercepted.as_nanos() as f64 / 1000.0;
-    assert!((plain_us - 10.22).abs() < 0.4, "plain cycle {plain_us} us");
-    assert!(
-        (shim_us - 10.79).abs() < 0.4,
-        "intercepted cycle {shim_us} us"
-    );
-    assert!(shim_us > plain_us);
-    assert!(o.relative() < 0.1, "overhead should be 'very low'");
 }

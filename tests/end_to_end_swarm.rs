@@ -3,27 +3,32 @@
 
 use p2plab::bittorrent::SwarmWorld;
 use p2plab::core::{
-    compare_folding, completion_summary, download_phases, run_scenario, RunReport, SwarmExperiment,
+    compare_folding, completion_summary, download_phases, run_scenario, RunReport, ScenarioFile,
+    SwarmWorkload, WorkloadConfig,
 };
-use p2plab::net::AccessLinkClass;
-use p2plab::sim::SimDuration;
 
-fn small_paper_swarm(leechers: usize, machines: usize, seed: u64) -> SwarmExperiment {
-    // A scaled-down Figure 8: the paper's DSL profile and 10 s start interval, but a 2 MB file
-    // and a handful of clients so the test stays fast.
-    let mut cfg = SwarmExperiment::paper_figure8();
-    cfg.name = format!("it-swarm-{leechers}x{machines}-{seed}");
-    cfg.leechers = leechers;
-    cfg.machines = machines;
-    cfg.file_bytes = 2 * 1024 * 1024;
-    cfg.start_interval = SimDuration::from_secs(5);
-    cfg.seed = seed;
-    cfg
+const FILE_BYTES: u64 = 2 * 1024 * 1024;
+
+/// A scaled-down Figure 8 (`examples/scenarios/paper_fig8.toml`): the paper's DSL profile, but a
+/// 2 MB file, a 5 s start interval and a handful of clients so the test stays fast; `extra`
+/// overrides go on top.
+fn small_paper_swarm(leechers: usize, machines: usize, seed: u64, extra: &str) -> ScenarioFile {
+    let overrides = format!(
+        "scenario.name = \"it-swarm-{leechers}x{machines}-{seed}\"\nscenario.machines = {machines}\n\
+         scenario.seed = {seed}\nworkload.swarm.leechers = {leechers}\n\
+         workload.swarm.file_bytes = {FILE_BYTES}\nworkload.swarm.start_interval = \"5s\"\n{extra}"
+    );
+    let text = include_str!("../examples/scenarios/paper_fig8.toml");
+    ScenarioFile::parse_with(text, &overrides).expect("paper_fig8.toml parses")
 }
 
 /// Runs the swarm and asserts every downloader finished.
-fn run(cfg: &SwarmExperiment) -> (SwarmWorld, RunReport) {
-    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
+fn run(file: &ScenarioFile) -> (SwarmWorld, RunReport) {
+    let WorkloadConfig::Swarm(swarm) = &file.workload else {
+        panic!("not a swarm: {:?}", file.workload);
+    };
+    let workload = SwarmWorkload::new(swarm.clone());
+    let (world, report) = run_scenario(&file.spec, workload).expect("swarm runs");
     assert!(
         world.swarm_finished(),
         "{}: {:?}",
@@ -35,8 +40,7 @@ fn run(cfg: &SwarmExperiment) -> (SwarmWorld, RunReport) {
 
 #[test]
 fn paper_style_swarm_completes_with_consistent_accounting() {
-    let cfg = small_paper_swarm(16, 21, 1);
-    let (world, report) = run(&cfg);
+    let (world, report) = run(&small_paper_swarm(16, 21, 1, ""));
     assert_eq!(world.completed_count(), 16);
 
     // Byte conservation across the whole system: uploads equal downloads, and every client
@@ -44,11 +48,11 @@ fn paper_style_swarm_completes_with_consistent_accounting() {
     // file that waste is proportionally larger than in the paper's 16 MB experiments (where it
     // stays below ~3%), so allow up to 12% here.
     let total_down: f64 = report.progress().last().unwrap().1;
-    assert!(total_down >= (16 * cfg.file_bytes) as f64);
+    assert!(total_down >= (16 * FILE_BYTES) as f64);
     assert!(
-        total_down <= 1.12 * (16 * cfg.file_bytes) as f64,
+        total_down <= 1.12 * (16 * FILE_BYTES) as f64,
         "wasted transfer too high: {total_down} vs {} useful",
-        16 * cfg.file_bytes
+        16 * FILE_BYTES
     );
     assert_eq!(world.total_bytes_uploaded(), total_down as u64);
 
@@ -71,8 +75,8 @@ fn paper_style_swarm_completes_with_consistent_accounting() {
 fn folding_invariance_holds_at_test_scale() {
     // The Figure 9 claim: deploying the same swarm on fewer machines does not change the
     // aggregate results. Compare 1-ish clients per machine against everything on one machine.
-    let (spread, spread_report) = run(&small_paper_swarm(12, 17, 3));
-    let (folded, folded_report) = run(&small_paper_swarm(12, 1, 3));
+    let (spread, spread_report) = run(&small_paper_swarm(12, 17, 3, ""));
+    let (folded, folded_report) = run(&small_paper_swarm(12, 1, 3, ""));
     let cmp = compare_folding(
         (&spread_report, &spread.completion_times()),
         &[(&folded_report, &folded.completion_times())],
@@ -88,12 +92,12 @@ fn folding_invariance_holds_at_test_scale() {
 
 #[test]
 fn runs_are_reproducible_from_the_seed() {
-    let (a, report_a) = run(&small_paper_swarm(8, 5, 11));
-    let (b, report_b) = run(&small_paper_swarm(8, 5, 11));
+    let (a, report_a) = run(&small_paper_swarm(8, 5, 11, ""));
+    let (b, report_b) = run(&small_paper_swarm(8, 5, 11, ""));
     assert_eq!(a.completion_times(), b.completion_times());
     assert_eq!(report_a.events_executed, report_b.events_executed);
     assert_eq!(a.net.stats(), b.net.stats());
-    let (c, _) = run(&small_paper_swarm(8, 5, 12));
+    let (c, _) = run(&small_paper_swarm(8, 5, 12, ""));
     assert_ne!(
         a.completion_times(),
         c.completion_times(),
@@ -105,12 +109,10 @@ fn runs_are_reproducible_from_the_seed() {
 fn slower_access_links_slow_the_swarm_down() {
     // Sanity of the network emulation as seen from the application: halving the upload
     // bandwidth must increase completion times (the swarm is upload-bound).
-    let mut fast = small_paper_swarm(8, 11, 5);
-    fast.link = AccessLinkClass::new(2_000_000, 256_000, SimDuration::from_millis(30));
-    let mut slow = small_paper_swarm(8, 11, 5);
-    slow.link = AccessLinkClass::new(2_000_000, 128_000, SimDuration::from_millis(30));
-    let median = |cfg: &SwarmExperiment| {
-        let (world, _) = run(cfg);
+    let fast = small_paper_swarm(8, 11, 5, "topology.up_bps = 256_000\n");
+    let slow = small_paper_swarm(8, 11, 5, "topology.up_bps = 128_000\n");
+    let median = |file: &ScenarioFile| {
+        let (world, _) = run(file);
         let times = world.completion_times();
         completion_summary(&times).unwrap().median.as_secs_f64()
     };

@@ -2,12 +2,30 @@
 //! every shipped workload must emit a `RunReport` whose JSON round-trips through the loader,
 //! and the recorded metrics must agree with the final world the run hands back.
 
+use p2plab::bittorrent::SwarmWorld;
 use p2plab::core::{
     run_scenario, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
-    PingMeshWorkload, RunReport, ScenarioBuilder, SwarmExperiment,
+    PingMeshWorkload, RunReport, ScenarioBuilder, ScenarioFile, ScenarioSpec, SwarmSpec,
+    SwarmWorkload, WorkloadConfig,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
 use p2plab::sim::{MetricValue, RunOutcome, SimDuration};
+
+/// `examples/scenarios/swarm_quick.toml` under `overrides`: the scenario and its swarm.
+fn quick(overrides: &str) -> (ScenarioSpec, SwarmSpec) {
+    let text = include_str!("../examples/scenarios/swarm_quick.toml");
+    let file = ScenarioFile::parse_with(text, overrides).expect("swarm_quick.toml parses");
+    let WorkloadConfig::Swarm(swarm) = file.workload else {
+        panic!("swarm_quick.toml is a swarm scenario");
+    };
+    (file.spec, swarm)
+}
+
+/// Runs the quick swarm under `overrides`.
+fn quick_swarm(overrides: &str) -> (SwarmWorld, RunReport) {
+    let (spec, swarm) = quick(overrides);
+    run_scenario(&spec, SwarmWorkload::new(swarm)).expect("swarm runs")
+}
 
 fn round_trip(report: &RunReport) -> RunReport {
     let json = report.to_json();
@@ -18,17 +36,17 @@ fn round_trip(report: &RunReport) -> RunReport {
 
 #[test]
 fn swarm_report_round_trips_and_matches_result() {
-    let mut cfg = SwarmExperiment::quick();
-    cfg.name = "report-swarm".into();
-    cfg.leechers = 6;
-    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+    let (spec, swarm) = quick("scenario.name = \"report-swarm\"\nworkload.swarm.leechers = 6");
+    let (world, report) = run_scenario(&spec, SwarmWorkload::new(swarm.clone())).unwrap();
     let loaded = round_trip(&report);
+    let machines = spec.deployment.machines;
 
     assert_eq!(loaded.workload, "swarm");
     assert_eq!(loaded.scenario, "report-swarm");
-    assert_eq!(loaded.seed, cfg.seed);
-    assert_eq!(loaded.participants, cfg.leechers);
-    assert_eq!(loaded.vnodes, cfg.total_vnodes());
+    assert_eq!(loaded.seed, spec.seed);
+    assert_eq!(loaded.machines, machines);
+    assert_eq!(loaded.participants, swarm.leechers);
+    assert_eq!(loaded.vnodes, swarm.total_vnodes());
     assert_eq!(loaded.outcome, RunOutcome::Drained);
     assert!(loaded.wall_secs > 0.0);
 
@@ -39,7 +57,7 @@ fn swarm_report_round_trips_and_matches_result() {
     );
     // The completed-clients step curve ends at the downloader count.
     let completed = loaded.metrics.series("completed_clients").unwrap();
-    assert_eq!(completed.last().unwrap().1, cfg.leechers as f64);
+    assert_eq!(completed.last().unwrap().1, swarm.leechers as f64);
     // Every finished download landed in the completion-time histogram.
     let hist = loaded.metrics.histogram("completion_time_secs").unwrap();
     assert_eq!(hist.count, world.completion_times().len() as u64);
@@ -48,7 +66,7 @@ fn swarm_report_round_trips_and_matches_result() {
         Some(world.tracker.stats().stopped)
     );
     // The monitor recorded one NIC-utilization series per machine plus the peak gauge.
-    for m in 0..cfg.machines {
+    for m in 0..machines {
         assert!(
             loaded
                 .metrics
@@ -58,7 +76,7 @@ fn swarm_report_round_trips_and_matches_result() {
         );
     }
     // The peak gauge is the highest point of any machine's utilization series.
-    let peak = (0..cfg.machines)
+    let peak = (0..machines)
         .flat_map(|m| {
             let series = loaded
                 .metrics
@@ -180,12 +198,7 @@ fn dht_report_round_trips_and_matches_result() {
 
 #[test]
 fn reports_are_deterministic_given_seed_apart_from_wall_time() {
-    let run = || {
-        let mut cfg = SwarmExperiment::quick();
-        cfg.name = "report-det".into();
-        cfg.leechers = 5;
-        run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap().1
-    };
+    let run = || quick_swarm("scenario.name = \"report-det\"\nworkload.swarm.leechers = 5").1;
     let mut a = run();
     let mut b = run();
     // Wall-clock time (and the throughput derived from it) are the only legitimately
@@ -201,9 +214,7 @@ fn reports_are_deterministic_given_seed_apart_from_wall_time() {
 fn run_scenario_returns_the_final_world_with_the_report() {
     // One entry point: the report carries the run facts, the world the workload state they
     // were recorded from.
-    let mut cfg = SwarmExperiment::quick();
-    cfg.leechers = 4;
-    let (world, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+    let (world, report) = quick_swarm("workload.swarm.leechers = 4");
     assert!(world.swarm_finished());
     assert_eq!(report.outcome, RunOutcome::Drained);
     assert_eq!(world.downloaders().count(), report.participants);
@@ -215,9 +226,7 @@ fn metric_order_is_stable_and_progress_comes_first() {
     // Registration order is the serialization order: the runner registers the progress curve
     // before the workload and monitor register theirs, so tooling can rely on `progress`
     // leading every report, and on series metrics actually being series.
-    let mut cfg = SwarmExperiment::quick();
-    cfg.leechers = 4;
-    let (_, report) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+    let (_, report) = quick_swarm("workload.swarm.leechers = 4");
     let first = report.metrics.iter().next().unwrap();
     assert_eq!(first.name, "progress");
     assert!(matches!(first.value, MetricValue::Series(_)));

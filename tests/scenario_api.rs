@@ -4,19 +4,28 @@
 
 use p2plab::core::{
     run_scenario, ArrivalSpec, GossipSpec, GossipWorkload, PingMeshSpec, PingMeshWorkload,
-    ScenarioBuilder, ScenarioError, SessionProcess, SwarmExperiment,
+    ScenarioBuilder, ScenarioError, ScenarioFile, ScenarioSpec, SessionProcess, SwarmSpec,
+    SwarmWorkload, WorkloadConfig,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
 use p2plab::sim::SimDuration;
+
+/// `examples/scenarios/swarm_quick.toml` under `overrides`: the scenario and its swarm.
+fn quick(overrides: &str) -> (ScenarioSpec, SwarmSpec) {
+    let text = include_str!("../examples/scenarios/swarm_quick.toml");
+    let file = ScenarioFile::parse_with(text, overrides).expect("swarm_quick.toml parses");
+    let WorkloadConfig::Swarm(swarm) = file.workload else {
+        panic!("swarm_quick.toml is a swarm scenario");
+    };
+    (file.spec, swarm)
+}
 
 #[test]
 fn both_workloads_run_through_the_same_generic_loop() {
     // One scenario layer, two applications: the swarm and a ping mesh both run via
     // `run_scenario` with nothing BitTorrent-specific in between.
-    let mut cfg = SwarmExperiment::quick();
-    cfg.name = "generic-swarm".into();
-    cfg.leechers = 4;
-    let (swarm, _) = run_scenario(&cfg.to_scenario(), cfg.workload()).unwrap();
+    let (spec, swarm) = quick("scenario.name = \"generic-swarm\"\nworkload.swarm.leechers = 4");
+    let (swarm, _) = run_scenario(&spec, SwarmWorkload::new(swarm)).unwrap();
     assert!(swarm.swarm_finished());
 
     let mesh = PingMeshSpec::full(5);
@@ -88,18 +97,15 @@ fn degenerate_churn_is_rejected_not_livelocked() {
     // Regression for the churn livelock: a zero mean used to make schedule_departure draw
     // zero-length exponential delays and spin depart/rejoin at one instant until the event
     // budget died. It must now be rejected by validation before the run starts.
-    let cfg = SwarmExperiment::quick();
-    let err = ScenarioBuilder::new(
-        &cfg.name,
-        TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
-    )
-    .sessions(SessionProcess::Exponential {
-        mean_session: SimDuration::ZERO,
-        mean_downtime: SimDuration::ZERO,
-    })
-    .deadline(cfg.deadline)
-    .build()
-    .unwrap_err();
+    let (spec, _) = quick("");
+    let err = ScenarioBuilder::new(&spec.name, spec.topology)
+        .sessions(SessionProcess::Exponential {
+            mean_session: SimDuration::ZERO,
+            mean_downtime: SimDuration::ZERO,
+        })
+        .deadline(spec.deadline)
+        .build()
+        .unwrap_err();
     assert!(matches!(err, ScenarioError::InvalidChurn { .. }), "{err}");
 }
 
@@ -107,26 +113,21 @@ fn degenerate_churn_is_rejected_not_livelocked() {
 fn swarm_completes_under_pareto_sessions() {
     // The swarm workload runs on the generalized session process too: heavy-tailed Pareto
     // sessions interrupt downloads but the swarm still finishes.
-    let mut cfg = SwarmExperiment::quick();
-    cfg.name = "pareto-churn".into();
-    cfg.leechers = 6;
-    cfg.deadline = SimDuration::from_secs(6000);
-    let spec = ScenarioBuilder::new(
-        &cfg.name,
-        TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
-    )
-    .machines(cfg.machines)
-    .sessions(SessionProcess::Pareto {
-        scale_session: SimDuration::from_secs(10),
-        shape: 1.5,
-        mean_downtime: SimDuration::from_secs(20),
-    })
-    .deadline(cfg.deadline)
-    .sample_interval(cfg.sample_interval)
-    .seed(cfg.seed)
-    .build()
-    .unwrap();
-    let (world, report) = run_scenario(&spec, cfg.workload()).unwrap();
+    let (spec, swarm) = quick(
+        "scenario.name = \"pareto-churn\"\nscenario.deadline = \"6000s\"\n\
+         workload.swarm.leechers = 6\n\
+         [sessions]\nkind = \"pareto\"\nscale_session = \"10s\"\nshape = 1.5\n\
+         mean_downtime = \"20s\"\n",
+    );
+    assert_eq!(
+        spec.sessions,
+        Some(SessionProcess::Pareto {
+            scale_session: SimDuration::from_secs(10),
+            shape: 1.5,
+            mean_downtime: SimDuration::from_secs(20),
+        })
+    );
+    let (world, report) = run_scenario(&spec, SwarmWorkload::new(swarm)).unwrap();
     assert!(world.swarm_finished(), "{:?}", report.outcome);
     assert!(
         report.metrics.counter("churn_departures").unwrap() > 0,

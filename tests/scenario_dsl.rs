@@ -6,6 +6,7 @@ use p2plab::core::{
     fmt_duration, parse_duration, parse_toml, ArrivalSpec, CampaignSpec, ScenarioFile,
     SessionProcess, WorkloadConfig, WORKLOAD_KINDS,
 };
+use p2plab::net::AccessLinkClass;
 use p2plab::sim::SimDuration;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -106,6 +107,40 @@ fn golden_example_fields() {
         gossip.spec.sessions,
         Some(SessionProcess::Exponential { .. })
     ));
+}
+
+/// The paper's experiments are scenario files: Figure 8's (and Figure 9's baseline) and the
+/// Figures 10-11 scalability run carry the paper's parameters.
+#[test]
+fn paper_scenario_files_carry_the_papers_parameters() {
+    let swarm = |file: &ScenarioFile| match &file.workload {
+        WorkloadConfig::Swarm(swarm) => swarm.clone(),
+        other => panic!("{other:?}"),
+    };
+    let fig8 = ScenarioFile::parse(&example("scenarios/paper_fig8.toml")).unwrap();
+    fig8.validate().unwrap();
+    let s = swarm(&fig8);
+    assert_eq!((s.leechers, s.seeders), (160, 4));
+    assert_eq!(s.file_bytes, 16 * 1024 * 1024);
+    assert_eq!(s.start_interval, SimDuration::from_secs(10));
+    // One virtual node — client, seeder or tracker — per physical machine.
+    assert_eq!(fig8.spec.topology.total_nodes(), s.total_vnodes());
+    assert_eq!(fig8.spec.deployment.machines, s.total_vnodes());
+    assert_eq!(fig8.spec.folding_ratio(), 1.0);
+    // The DSL link of the paper, spelled as rates so an override can change them.
+    let link = fig8.spec.topology.groups[0].link;
+    assert_eq!(link, AccessLinkClass::bittorrent_dsl());
+
+    let fig10 = ScenarioFile::parse(&example("scenarios/paper_fig10.toml")).unwrap();
+    fig10.validate().unwrap();
+    let s = swarm(&fig10);
+    assert_eq!(s.total_vnodes(), 5759);
+    assert_eq!(fig10.spec.topology.total_nodes(), 5759);
+    assert_eq!(fig10.spec.deployment.machines, 180);
+    assert!(fig10.spec.folding_ratio() <= 32.0);
+    assert_eq!(s.start_interval, SimDuration::from_millis(250));
+    assert_eq!(fig10.spec.topology.groups[0].link, link);
+    assert_eq!(s.file_bytes, swarm(&fig8).file_bytes);
 }
 
 /// A swarm file's `[sessions]` block reaches the run: the scenario spec is the only place churn

@@ -3,27 +3,29 @@
 //! ledger's drift bugs wedged one leecher one block short on 35 of these 1000 seeds, which only
 //! a sweep sees.
 
-use p2plab::core::{run_scenario, SwarmExperiment};
+use p2plab::core::{run_scenario, ScenarioFile, SwarmWorkload, WorkloadConfig};
 use p2plab::sim::RunOutcome;
 
-/// The paper's DSL swarm (Figure 8's profile) at test scale: 24 downloaders of a 2 MiB file
-/// folded onto 4 machines.
-fn test_scale_swarm(seed: u64) -> SwarmExperiment {
-    let mut cfg = SwarmExperiment::paper_figure8();
-    cfg.name = format!("liveness-{seed}");
-    cfg.leechers = 24;
-    cfg.machines = 4;
-    cfg.file_bytes = 2 * 1024 * 1024;
-    cfg.seed = seed;
-    cfg
+/// The paper's DSL swarm (`examples/scenarios/paper_fig8.toml`) at test scale: 24 downloaders
+/// of a 2 MiB file folded onto 4 machines.
+fn test_scale_swarm(seed: u64) -> ScenarioFile {
+    let overrides = format!(
+        "scenario.name = \"liveness-{seed}\"\nscenario.machines = 4\nscenario.seed = {seed}\n\
+         workload.swarm.leechers = 24\nworkload.swarm.file_bytes = 2_097_152\n"
+    );
+    let text = include_str!("../examples/scenarios/paper_fig8.toml");
+    ScenarioFile::parse_with(text, &overrides).expect("paper_fig8.toml parses")
 }
 
 fn assert_all_complete(seeds: std::ops::Range<u64>) {
     let stuck: Vec<String> = seeds
         .filter_map(|seed| {
-            let cfg = test_scale_swarm(seed);
+            let file = test_scale_swarm(seed);
+            let WorkloadConfig::Swarm(swarm) = file.workload else {
+                panic!("paper_fig8.toml is a swarm scenario");
+            };
             let (world, report) =
-                run_scenario(&cfg.to_scenario(), cfg.workload()).expect("swarm runs");
+                run_scenario(&file.spec, SwarmWorkload::new(swarm)).expect("swarm runs");
             let ok = world.swarm_finished() && report.outcome == RunOutcome::Drained;
             (!ok).then(|| {
                 format!(
