@@ -9,6 +9,7 @@
 use p2plab_net::ConnId;
 use p2plab_sim::SimRng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Choking policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,53 +83,54 @@ impl Choker {
         self.optimistic
     }
 
-    /// Runs one choker round and returns the set of peers to unchoke.
+    /// Runs one choker round and fills `unchoked` with the peers to unchoke.
     ///
     /// `seeding` selects the seeder policy (rank by upload rate to the peer) instead of the
-    /// leecher policy (rank by download rate from the peer).
+    /// leecher policy (rank by download rate from the peer). `peers` is ranked in place; both
+    /// buffers are the caller's, so a round allocates nothing once they have grown.
     pub fn run_round(
         &mut self,
-        peers: &[PeerSnapshot],
+        peers: &mut [PeerSnapshot],
         seeding: bool,
         rng: &mut SimRng,
-    ) -> Vec<ConnId> {
+        unchoked: &mut Vec<ConnId>,
+    ) {
         self.round += 1;
-        let mut interested: Vec<&PeerSnapshot> = peers.iter().filter(|p| p.interested).collect();
+        unchoked.clear();
         if self.config.regular_slots == usize::MAX {
             // Ablation mode: unchoke everyone who is interested.
-            return interested.iter().map(|p| p.conn).collect();
+            unchoked.extend(peers.iter().filter(|p| p.interested).map(|p| p.conn));
+            return;
         }
-        // Rank by the policy-relevant rate, ties broken by connection id for determinism.
-        interested.sort_by(|a, b| {
-            let (ra, rb) = if seeding {
-                (a.upload_rate, b.upload_rate)
+        // Interested peers first, ranked by the policy-relevant rate, ties broken by connection
+        // id. Rates are finite and ids unique, so the order is total and an unstable sort is
+        // deterministic.
+        let rate = |p: &PeerSnapshot| {
+            if seeding {
+                p.upload_rate
             } else {
-                (a.download_rate, b.download_rate)
-            };
-            rb.partial_cmp(&ra)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                p.download_rate
+            }
+        };
+        peers.sort_unstable_by(|a, b| {
+            b.interested
+                .cmp(&a.interested)
+                .then(rate(b).partial_cmp(&rate(a)).unwrap_or(Ordering::Equal))
                 .then(a.conn.cmp(&b.conn))
         });
-        let mut unchoked: Vec<ConnId> = interested
-            .iter()
-            .take(self.config.regular_slots)
-            .map(|p| p.conn)
-            .collect();
+        let interested = &peers[..peers.partition_point(|p| p.interested)];
+        let regular = interested.len().min(self.config.regular_slots);
+        unchoked.extend(interested[..regular].iter().map(|p| p.conn));
 
         if self.config.optimistic_slots > 0 {
             let rotate =
                 self.round % self.config.optimistic_rounds == 1 || self.optimistic.is_none();
             let still_valid = self
                 .optimistic
-                .map(|c| peers.iter().any(|p| p.conn == c && p.interested))
-                .unwrap_or(false);
+                .is_some_and(|c| interested.iter().any(|p| p.conn == c));
             if rotate || !still_valid {
-                let candidates: Vec<ConnId> = interested
-                    .iter()
-                    .map(|p| p.conn)
-                    .filter(|c| !unchoked.contains(c))
-                    .collect();
-                self.optimistic = rng.choose(&candidates).copied();
+                // The candidates are the interested peers no regular slot took, in rank order.
+                self.optimistic = rng.choose(&interested[regular..]).map(|p| p.conn);
             }
             if let Some(opt) = self.optimistic {
                 if !unchoked.contains(&opt) {
@@ -136,7 +138,6 @@ impl Choker {
                 }
             }
         }
-        unchoked
     }
 }
 
@@ -157,6 +158,95 @@ mod tests {
         }
     }
 
+    /// One round over a copy of `peers`; the unchoked set.
+    fn round(
+        choker: &mut Choker,
+        peers: &[PeerSnapshot],
+        seeding: bool,
+        rng: &mut SimRng,
+    ) -> Vec<ConnId> {
+        let mut unchoked = Vec::new();
+        choker.run_round(&mut peers.to_vec(), seeding, rng, &mut unchoked);
+        unchoked
+    }
+
+    /// The round as it was first written: a stable sort of the interested peers, and the
+    /// optimistic candidates collected by filtering out the regular unchokes.
+    fn reference_round(
+        choker: &mut Choker,
+        peers: &[PeerSnapshot],
+        seeding: bool,
+        rng: &mut SimRng,
+    ) -> Vec<ConnId> {
+        choker.round += 1;
+        let mut interested: Vec<&PeerSnapshot> = peers.iter().filter(|p| p.interested).collect();
+        let rate = |p: &PeerSnapshot| {
+            if seeding {
+                p.upload_rate
+            } else {
+                p.download_rate
+            }
+        };
+        interested.sort_by(|a, b| {
+            rate(b)
+                .partial_cmp(&rate(a))
+                .unwrap_or(Ordering::Equal)
+                .then(a.conn.cmp(&b.conn))
+        });
+        let mut unchoked: Vec<ConnId> = interested
+            .iter()
+            .take(choker.config.regular_slots)
+            .map(|p| p.conn)
+            .collect();
+        let rotate =
+            choker.round % choker.config.optimistic_rounds == 1 || choker.optimistic.is_none();
+        let still_valid = choker
+            .optimistic
+            .is_some_and(|c| peers.iter().any(|p| p.conn == c && p.interested));
+        if rotate || !still_valid {
+            let candidates: Vec<ConnId> = interested
+                .iter()
+                .map(|p| p.conn)
+                .filter(|c| !unchoked.contains(c))
+                .collect();
+            choker.optimistic = rng.choose(&candidates).copied();
+        }
+        if let Some(opt) = choker.optimistic.filter(|o| !unchoked.contains(o)) {
+            unchoked.push(opt);
+        }
+        unchoked
+    }
+
+    #[test]
+    fn ranking_in_place_matches_the_stable_sort_and_draws_alike() {
+        // Rates drawn from a handful of values so ties are common; snapshots arrive in any
+        // order and the interested set changes between rounds.
+        let mut draw = SimRng::new(30);
+        for case in 0..200 {
+            let (mut choker, mut twin) = (
+                Choker::new(ChokeConfig::default()),
+                Choker::new(ChokeConfig::default()),
+            );
+            let (mut rng, mut twin_rng) = (SimRng::new(case), SimRng::new(case));
+            let n = draw.gen_range(0..12u64);
+            let seeding = draw.chance(0.3);
+            for _ in 0..8 {
+                let mut peers: Vec<PeerSnapshot> = (0..n)
+                    .map(|id| {
+                        let interested = draw.chance(0.7);
+                        let down = f64::from(draw.gen_range(0..4u32)) * 100.0;
+                        let up = f64::from(draw.gen_range(0..4u32)) * 100.0;
+                        peer(id * 3, interested, down, up)
+                    })
+                    .collect();
+                draw.shuffle(&mut peers);
+                let expected = reference_round(&mut twin, &peers, seeding, &mut twin_rng);
+                assert_eq!(round(&mut choker, &peers, seeding, &mut rng), expected);
+                assert_eq!(choker.optimistic(), twin.optimistic());
+            }
+        }
+    }
+
     #[test]
     fn leecher_unchokes_best_uploaders() {
         let mut choker = Choker::new(ChokeConfig::default());
@@ -168,7 +258,7 @@ mod tests {
             peer(4, true, 200.0, 0.0),
             peer(5, true, 50.0, 0.0),
         ];
-        let unchoked = choker.run_round(&peers, false, &mut rng);
+        let unchoked = round(&mut choker, &peers, false, &mut rng);
         // Three regular slots go to the three fastest uploaders.
         assert!(unchoked.contains(&ConnId(2)));
         assert!(unchoked.contains(&ConnId(3)));
@@ -184,7 +274,7 @@ mod tests {
         let mut choker = Choker::new(ChokeConfig::default());
         let mut rng = SimRng::new(1);
         let peers = vec![peer(1, false, 1000.0, 0.0), peer(2, true, 10.0, 0.0)];
-        let unchoked = choker.run_round(&peers, false, &mut rng);
+        let unchoked = round(&mut choker, &peers, false, &mut rng);
         assert!(!unchoked.contains(&ConnId(1)));
         assert!(unchoked.contains(&ConnId(2)));
     }
@@ -202,7 +292,7 @@ mod tests {
             peer(3, true, 0.0, 300.0),
             peer(4, true, 0.0, 100.0),
         ];
-        let unchoked = choker.run_round(&peers, true, &mut rng);
+        let unchoked = round(&mut choker, &peers, true, &mut rng);
         assert_eq!(unchoked.len(), 3);
         assert!(unchoked.contains(&ConnId(2)));
         assert!(unchoked.contains(&ConnId(3)));
@@ -218,7 +308,7 @@ mod tests {
         let peers: Vec<PeerSnapshot> = (0..20).map(|i| peer(i, true, 0.0, 0.0)).collect();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..30 {
-            choker.run_round(&peers, false, &mut rng);
+            round(&mut choker, &peers, false, &mut rng);
             if let Some(o) = choker.optimistic() {
                 seen.insert(o);
             }
@@ -234,12 +324,12 @@ mod tests {
         let mut choker = Choker::new(ChokeConfig::default());
         let mut rng = SimRng::new(5);
         let peers: Vec<PeerSnapshot> = (0..10).map(|i| peer(i, true, i as f64, 0.0)).collect();
-        choker.run_round(&peers, false, &mut rng);
+        round(&mut choker, &peers, false, &mut rng);
         let first = choker.optimistic();
         // Round 2 and 3 are within the same 30 s optimistic period.
-        choker.run_round(&peers, false, &mut rng);
+        round(&mut choker, &peers, false, &mut rng);
         assert_eq!(choker.optimistic(), first);
-        choker.run_round(&peers, false, &mut rng);
+        round(&mut choker, &peers, false, &mut rng);
         assert_eq!(choker.optimistic(), first);
     }
 
@@ -248,7 +338,7 @@ mod tests {
         let mut choker = Choker::new(no_choking());
         let mut rng = SimRng::new(1);
         let peers: Vec<PeerSnapshot> = (0..50).map(|i| peer(i, true, 0.0, 0.0)).collect();
-        let unchoked = choker.run_round(&peers, false, &mut rng);
+        let unchoked = round(&mut choker, &peers, false, &mut rng);
         assert_eq!(unchoked.len(), 50);
     }
 
@@ -256,7 +346,7 @@ mod tests {
     fn empty_peer_set() {
         let mut choker = Choker::new(ChokeConfig::default());
         let mut rng = SimRng::new(1);
-        assert!(choker.run_round(&[], false, &mut rng).is_empty());
+        assert!(round(&mut choker, &[], false, &mut rng).is_empty());
         assert!(choker.optimistic().is_none());
     }
 }

@@ -5,6 +5,12 @@
 //! and the time-stamped download progress log (the paper instruments the client by adding a
 //! time-stamp to its default output — [`Client::progress`] is that log).
 //!
+//! A client's open connections are a [`PeerTable`]: a dense table kept sorted by [`ConnId`].
+//! A connection's position in it is its *slot*. The swarm resolves a `ConnId` to its slot once,
+//! where a transport event enters the client, and every transition below takes the slot.
+//! Walking the slots visits the connections in `ConnId` order, which keeps the choker, the
+//! pipeline fill and every random draw independent of the order connections opened in.
+//!
 //! The client also owns the **request ledger**. Who asked for which block, and when, is recorded
 //! once, in the asked peer's [`PeerConn::inflight`]; the piece manager keeps only a per-block
 //! count of those entries, and the two move together through [`Client::request_blocks`],
@@ -19,7 +25,7 @@ use p2plab_net::{ConnId, Misbehavior, SocketAddr, VNodeId};
 use p2plab_sim::FxHashSet;
 use p2plab_sim::{RateEstimator, SimDuration, SimRng, SimTime, TimeSeries};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::ops::{Index, IndexMut};
 
 /// Client policy parameters (mainline 4.x defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,7 +73,9 @@ impl Default for ClientConfig {
     }
 }
 
-/// State of one peer connection, from this client's point of view.
+/// State of one peer connection, from this client's point of view. It lives in its slot of
+/// the client's [`PeerTable`] from the connection's `Connected`/`Accepted` event to its
+/// `Closed` event (or the client's stop).
 #[derive(Debug, Clone)]
 pub struct PeerConn {
     /// The underlying transport connection.
@@ -142,6 +150,85 @@ impl PeerConn {
     }
 }
 
+/// A client's open connections: [`PeerConn`]s in ascending [`ConnId`] order, with the ids in
+/// a parallel dense array that [`slot`](PeerTable::slot) binary-searches. Indexing takes a
+/// slot. A slot is only valid until the next [`insert`](PeerTable::insert) or
+/// [`remove`](PeerTable::remove).
+#[derive(Debug, Clone, Default)]
+pub struct PeerTable {
+    /// `conns[i] == peers[i].conn`, strictly ascending.
+    conns: Vec<ConnId>,
+    peers: Vec<PeerConn>,
+}
+
+impl PeerTable {
+    /// Number of open connections.
+    pub fn len(&self) -> usize {
+        self.peers.len()
+    }
+
+    /// Whether there is no open connection.
+    pub fn is_empty(&self) -> bool {
+        self.peers.is_empty()
+    }
+
+    /// The slot of `conn`, if it is open.
+    pub fn slot(&self, conn: ConnId) -> Option<usize> {
+        self.conns.binary_search(&conn).ok()
+    }
+
+    /// Adds `peer` at its place in `ConnId` order (replacing an entry with the same id) and
+    /// returns its slot.
+    pub fn insert(&mut self, peer: PeerConn) -> usize {
+        match self.conns.binary_search(&peer.conn) {
+            Ok(slot) => {
+                self.peers[slot] = peer;
+                slot
+            }
+            Err(slot) => {
+                self.conns.insert(slot, peer.conn);
+                self.peers.insert(slot, peer);
+                slot
+            }
+        }
+    }
+
+    /// Removes the connection in `slot`; the slots above it move down by one.
+    pub fn remove(&mut self, slot: usize) -> PeerConn {
+        self.conns.remove(slot);
+        self.peers.remove(slot)
+    }
+
+    /// The open connections' ids, ascending (`conns()[slot]` is the slot's id).
+    pub fn conns(&self) -> &[ConnId] {
+        &self.conns
+    }
+
+    /// The connections in `ConnId` order.
+    pub fn iter(&self) -> std::slice::Iter<'_, PeerConn> {
+        self.peers.iter()
+    }
+
+    /// The connections in `ConnId` order, mutably.
+    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, PeerConn> {
+        self.peers.iter_mut()
+    }
+}
+
+impl Index<usize> for PeerTable {
+    type Output = PeerConn;
+
+    fn index(&self, slot: usize) -> &PeerConn {
+        &self.peers[slot]
+    }
+}
+
+impl IndexMut<usize> for PeerTable {
+    fn index_mut(&mut self, slot: usize) -> &mut PeerConn {
+        &mut self.peers[slot]
+    }
+}
+
 /// Aggregate per-client counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClientStats {
@@ -179,8 +266,8 @@ pub struct Client {
     pub pieces: PieceManager,
     /// Choker state.
     pub choker: Choker,
-    /// Open peer connections (ordered so that iteration is deterministic across runs).
-    pub peers: BTreeMap<ConnId, PeerConn>,
+    /// Open peer connections, by slot, in `ConnId` order.
+    pub peers: PeerTable,
     /// Addresses learned from the tracker, not necessarily connected.
     pub known_peers: Vec<SocketAddr>,
     /// Outgoing connection attempts in progress.
@@ -211,6 +298,10 @@ pub struct Client {
     pub(crate) snapshot_scratch: Vec<PeerSnapshot>,
     /// Reused buffer for the blocks one [`request_blocks`](Client::request_blocks) call picks.
     pub(crate) request_scratch: Vec<(u32, u32)>,
+    /// Reused buffer for the peers a choker round unchokes.
+    pub(crate) unchoke_scratch: Vec<ConnId>,
+    /// Reused buffer for the addresses one round of outgoing connection attempts picks from.
+    pub(crate) connect_scratch: Vec<SocketAddr>,
 }
 
 impl Client {
@@ -228,7 +319,7 @@ impl Client {
             vnode,
             pieces: PieceManager::new(torrent, complete),
             choker: Choker::new(config.choke),
-            peers: BTreeMap::new(),
+            peers: PeerTable::default(),
             known_peers: Vec::new(),
             connecting: FxHashSet::default(),
             tracker_addr,
@@ -242,6 +333,8 @@ impl Client {
             timer_generation: 0,
             snapshot_scratch: Vec::new(),
             request_scratch: Vec::new(),
+            unchoke_scratch: Vec::new(),
+            connect_scratch: Vec::new(),
             config,
         }
     }
@@ -269,20 +362,21 @@ impl Client {
         }
     }
 
-    /// Request transition: tops the pipeline toward a [serving](PeerConn::is_serving) `conn` up
-    /// to `request_pipeline`, stamps the new requests `now`, and leaves their blocks in `picked`
-    /// for the caller to put on the wire.
+    /// Request transition: tops the pipeline toward the peer in `slot`, if it is
+    /// [serving](PeerConn::is_serving), up to `request_pipeline`, stamps the new requests `now`,
+    /// and leaves their blocks in `picked` for the caller to put on the wire.
     pub fn request_blocks(
         &mut self,
-        conn: ConnId,
+        slot: usize,
         now: SimTime,
         rng: &mut SimRng,
         picked: &mut Vec<(u32, u32)>,
     ) {
         picked.clear();
-        let Some(p) = self.peers.get_mut(&conn).filter(|p| p.is_serving()) else {
+        let p = &mut self.peers[slot];
+        if !p.is_serving() {
             return;
-        };
+        }
         let budget = self
             .config
             .request_pipeline
@@ -294,34 +388,31 @@ impl Client {
         p.inflight.extend(picked.iter().map(|&block| (block, now)));
     }
 
-    /// Answered transition: `conn` delivered a verified block. That settles every request for
-    /// it — the sender's and any other holder's (an endgame twin, or the re-issue of a request
-    /// this answer outlived), as mainline's `cancel` does: no pipeline slot stays pinned by a
-    /// block that is already here.
-    pub fn block_answered(&mut self, conn: ConnId, piece: u32, block: u32) -> BlockOutcome {
+    /// Answered transition: the peer in `slot` delivered a verified block. That settles every
+    /// request for it — the sender's and any other holder's (an endgame twin, or the re-issue of
+    /// a request this answer outlived), as mainline's `cancel` does: no pipeline slot stays
+    /// pinned by a block that is already here.
+    pub fn block_answered(&mut self, slot: usize, piece: u32, block: u32) -> BlockOutcome {
         let is_it = |r: &((u32, u32), SimTime)| r.0 == (piece, block);
         let mut holders = self.pieces.request_count(piece, block);
-        if let Some(p) = self.peers.get_mut(&conn) {
-            if let Some(i) = p.inflight.iter().position(is_it) {
-                p.inflight.remove(i);
-                holders -= 1;
-            }
+        let p = &mut self.peers[slot];
+        if let Some(i) = p.inflight.iter().position(is_it) {
+            p.inflight.remove(i);
+            holders -= 1;
         }
         if holders > 0 {
-            for p in self.peers.values_mut() {
+            for p in self.peers.iter_mut() {
                 p.inflight.retain(|r| !is_it(r));
             }
         }
         self.pieces.block_received(piece, block)
     }
 
-    /// Forget transition: `conn` disconnected (`only` is `None`) or answered the block `only`
-    /// with corrupt data. Its requests come off their blocks' counts too (an endgame twin
-    /// elsewhere keeps the block reserved). Returns how many were forgotten.
-    pub fn forget_requests(&mut self, conn: ConnId, only: Option<(u32, u32)>) -> usize {
-        let Some(p) = self.peers.get_mut(&conn) else {
-            return 0;
-        };
+    /// Forget transition: the peer in `slot` disconnected (`only` is `None`) or answered the
+    /// block `only` with corrupt data. Its requests come off their blocks' counts too (an
+    /// endgame twin elsewhere keeps the block reserved). Returns how many were forgotten.
+    pub fn forget_requests(&mut self, slot: usize, only: Option<(u32, u32)>) -> usize {
+        let p = &mut self.peers[slot];
         let before = p.inflight.len();
         p.inflight.retain(|r| {
             let gone = only.is_none_or(|block| block == r.0);
@@ -338,7 +429,7 @@ impl Client {
     /// an uploader that choked us since.
     pub fn expire_requests(&mut self, now: SimTime) {
         let timeout = self.config.request_timeout;
-        for p in self.peers.values_mut() {
+        for p in self.peers.iter_mut() {
             let stale = |r: &((u32, u32), SimTime)| now.saturating_since(r.1) > timeout;
             let n = p.inflight.partition_point(stale);
             for (block, _) in p.inflight.drain(..n) {
@@ -351,7 +442,7 @@ impl Client {
     /// Recounts the piece manager's request counts from the peers' lists: every block's count
     /// equals the number of peers holding a request for it, and no count is left over.
     pub fn ledger_is_coherent(&self) -> bool {
-        let held = || self.peers.values().flat_map(|p| &p.inflight);
+        let held = || self.peers.iter().flat_map(|p| &p.inflight);
         held().count() as u64 == self.pieces.requests_outstanding()
             && held().all(|r| {
                 let holders = held().filter(|q| q.0 == r.0).count();
@@ -359,19 +450,13 @@ impl Client {
             })
     }
 
-    /// Snapshot of every handshaken peer for the choker.
-    pub fn choker_snapshot(&mut self, now: SimTime) -> Vec<PeerSnapshot> {
-        let mut out = Vec::new();
-        self.choker_snapshot_into(now, &mut out);
-        out
-    }
-
-    /// Fills `out` with the choker-round snapshot, reusing its capacity.
+    /// Fills `out` with the choker-round snapshot of every handshaken peer, reusing its
+    /// capacity.
     pub fn choker_snapshot_into(&mut self, now: SimTime, out: &mut Vec<PeerSnapshot>) {
         out.clear();
         out.extend(
             self.peers
-                .values_mut()
+                .iter_mut()
                 .filter(|p| p.handshaken)
                 .map(|p| PeerSnapshot {
                     conn: p.conn,
@@ -387,14 +472,13 @@ impl Client {
         self.online && self.peers.len() + self.connecting.len() < self.config.max_initiate
     }
 
-    /// The addresses the client could still try to connect to.
-    pub fn unconnected_known_peers(&self) -> Vec<SocketAddr> {
-        let connected: FxHashSet<SocketAddr> = self.peers.values().map(|p| p.peer_addr).collect();
-        self.known_peers
-            .iter()
-            .copied()
-            .filter(|a| !connected.contains(a) && !self.connecting.contains(a))
-            .collect()
+    /// Fills `out` with the addresses the client could still try to connect to, in the order
+    /// they were learned.
+    pub fn unconnected_known_peers_into(&self, out: &mut Vec<SocketAddr>) {
+        out.clear();
+        out.extend(self.known_peers.iter().copied().filter(|a| {
+            !self.connecting.contains(a) && self.peers.iter().all(|p| p.peer_addr != *a)
+        }));
     }
 }
 
@@ -436,15 +520,19 @@ mod tests {
             p.bitfield = Bitfield::full(1);
             c.pieces.add_peer_bitfield(&p.bitfield);
             (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
-            c.peers.insert(conn, p);
+            c.peers.insert(p);
         }
         c
+    }
+
+    fn slot(c: &Client, conn: u64) -> usize {
+        c.peers.slot(ConnId(conn)).unwrap()
     }
 
     fn request(c: &mut Client, conn: u64, at: u64) -> Vec<(u32, u32)> {
         let mut picked = Vec::new();
         c.request_blocks(
-            ConnId(conn),
+            slot(c, conn),
             SimTime::from_secs(at),
             &mut SimRng::new(7),
             &mut picked,
@@ -454,7 +542,7 @@ mod tests {
     }
 
     fn holds(c: &Client, conn: u64) -> Vec<(u32, u32)> {
-        c.peers[&ConnId(conn)]
+        c.peers[slot(c, conn)]
             .inflight
             .iter()
             .map(|r| r.0)
@@ -487,12 +575,12 @@ mod tests {
         // and holds nothing against the peer: its next unchoke can use all five.
         let mut c = leecher_with_peers(16, 1);
         assert_eq!(request(&mut c, 1, 0).len(), c.config.request_pipeline);
-        c.peers.get_mut(&ConnId(1)).unwrap().peer_choking = true;
+        c.peers[0].peer_choking = true;
         assert_eq!(request(&mut c, 1, 5), [], "a choking peer gets no requests");
         c.expire_requests(SimTime::ZERO + c.config.request_timeout + c.config.choke_interval);
         assert_eq!(holds(&c, 1), []);
         assert_eq!(c.pieces.requests_outstanding(), 0);
-        c.peers.get_mut(&ConnId(1)).unwrap().peer_choking = false;
+        c.peers[0].peer_choking = false;
         assert_eq!(request(&mut c, 1, 80).len(), c.config.request_pipeline);
     }
 
@@ -502,7 +590,7 @@ mod tests {
         let mut c = leecher_with_peers(2, 2);
         assert_eq!(request(&mut c, 1, 0).len(), 2);
         assert_eq!(request(&mut c, 2, 1).len(), 2);
-        assert_eq!(c.block_answered(ConnId(1), 0, 0), BlockOutcome::Progress);
+        assert_eq!(c.block_answered(slot(&c, 1), 0, 0), BlockOutcome::Progress);
         assert!(c.ledger_is_coherent());
         assert_eq!(holds(&c, 1), [(0, 1)]);
         assert_eq!(holds(&c, 2), [(0, 1)]);
@@ -510,7 +598,7 @@ mod tests {
         c.expire_requests(SimTime::from_secs(61));
         assert_eq!(holds(&c, 1), []);
         assert_eq!(
-            c.block_answered(ConnId(1), 0, 1),
+            c.block_answered(slot(&c, 1), 0, 1),
             BlockOutcome::FileComplete(0)
         );
         assert_eq!(holds(&c, 2), []);
@@ -537,17 +625,17 @@ mod tests {
         request(&mut c, 1, 0);
         request(&mut c, 2, 1);
         // Peer 1 answers block 0 with corrupt data, then disconnects: only its own requests go.
-        c.forget_requests(ConnId(1), Some((0, 0)));
+        c.forget_requests(slot(&c, 1), Some((0, 0)));
         assert_eq!(c.pieces.request_count(0, 0), 1);
-        c.forget_requests(ConnId(1), None);
+        c.forget_requests(slot(&c, 1), None);
         assert_eq!(holds(&c, 1), []);
         assert_eq!(holds(&c, 2), [(0, 0), (0, 1)]);
         assert!(c.pieces.in_endgame(), "every block is still reserved");
         // A second corrupt answer for a request that is already gone releases nothing.
-        c.forget_requests(ConnId(1), Some((0, 0)));
+        c.forget_requests(slot(&c, 1), Some((0, 0)));
         assert_eq!(c.pieces.request_count(0, 0), 1);
         // Once the twin goes too, the blocks are uncovered again.
-        c.forget_requests(ConnId(2), None);
+        c.forget_requests(slot(&c, 2), None);
         assert!(!c.pieces.in_endgame());
         assert_eq!(c.pieces.requests_outstanding(), 0);
     }
@@ -588,11 +676,16 @@ mod tests {
         let a3 = SocketAddr::new(VirtAddr::new(10, 0, 0, 13), 6881);
         c.known_peers = vec![a1, a2, a3];
         c.connecting.insert(a2);
-        c.peers.insert(
+        c.peers.insert(PeerConn::new(
             ConnId(5),
-            PeerConn::new(ConnId(5), a3, true, 64, SimDuration::from_secs(20)),
-        );
-        assert_eq!(c.unconnected_known_peers(), vec![a1]);
+            a3,
+            true,
+            64,
+            SimDuration::from_secs(20),
+        ));
+        let mut out = vec![a3];
+        c.unconnected_known_peers_into(&mut out);
+        assert_eq!(out, [a1]);
     }
 
     #[test]
@@ -616,9 +709,10 @@ mod tests {
         p1.handshaken = true;
         p1.peer_interested = true;
         let p2 = PeerConn::new(ConnId(2), a, true, 64, SimDuration::from_secs(20));
-        c.peers.insert(ConnId(1), p1);
-        c.peers.insert(ConnId(2), p2);
-        let snap = c.choker_snapshot(SimTime::from_secs(5));
+        c.peers.insert(p2);
+        c.peers.insert(p1);
+        let mut snap = Vec::new();
+        c.choker_snapshot_into(SimTime::from_secs(5), &mut snap);
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].conn, ConnId(1));
         assert!(snap[0].interested);

@@ -134,9 +134,14 @@ impl TrackerMessage {
 pub enum BtPayload {
     /// Peer wire protocol traffic.
     Peer(PeerMessage),
-    /// Tracker traffic.
-    Tracker(TrackerMessage),
+    /// Tracker traffic: well under 1 % of messages, boxed so that its peer list does not widen
+    /// every in-flight peer message.
+    Tracker(Box<TrackerMessage>),
 }
+
+// The payload rides inline in every queued packet event of a swarm; a variant wider than a
+// peer message grows each of them.
+const _: () = assert!(std::mem::size_of::<BtPayload>() == 16);
 
 impl BtPayload {
     /// Bytes on the wire.
@@ -209,7 +214,7 @@ mod tests {
         };
         assert!(large.wire_size() > small.wire_size());
         assert_eq!(
-            BtPayload::Tracker(small.clone()).wire_size(),
+            BtPayload::Tracker(Box::new(small.clone())).wire_size(),
             small.wire_size()
         );
     }

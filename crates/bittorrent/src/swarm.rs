@@ -14,8 +14,7 @@ use crate::piece::BlockOutcome;
 use crate::torrent::Torrent;
 use crate::tracker::Tracker;
 use p2plab_net::{
-    ConnId, Endpoint, LaneKind, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent,
-    VNodeId,
+    Endpoint, LaneKind, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
 };
 use p2plab_sim::{SimTime, TimeSeries};
 
@@ -172,6 +171,9 @@ pub enum SwarmTimer {
     },
 }
 
+// A swarm's queue slot holds this event inline; growing it slows every packet hop.
+const _: () = assert!(std::mem::size_of::<NetEvent<BtPayload, SwarmTimer>>() <= 88);
+
 impl NetHost for SwarmWorld {
     type Payload = BtPayload;
     type Timer = SwarmTimer;
@@ -248,56 +250,63 @@ pub fn stop_client(sim: &mut SwarmSim, idx: usize) {
         return;
     }
     announce(sim, idx, AnnounceEvent::Stopped);
-    let (vnode, conns) = {
+    let vnode = {
         let client = &mut sim.world_mut().clients[idx];
         client.online = false;
         client.connecting.clear();
-        let conns: Vec<ConnId> = client.peers.keys().copied().collect();
-        (client.vnode, conns)
+        client.vnode
     };
-    for conn in conns {
+    // Lowest `ConnId` first: each drop empties slot 0 for the next.
+    while let Some(&conn) = sim.world().clients[idx].peers.conns().first() {
         let _ = Endpoint::new(vnode).close(sim, conn);
-        drop_peer(sim, idx, conn);
+        drop_peer(sim, idx, 0);
     }
 }
 
 fn handle_tracker_event(sim: &mut SwarmSim, event: TransportEvent<BtPayload>) {
-    if let TransportEvent::Datagram {
+    let TransportEvent::Datagram {
         from,
-        payload:
-            BtPayload::Tracker(TrackerMessage::Announce {
-                peer_id,
-                port,
-                event,
-                left,
-                numwant,
-            }),
+        payload: BtPayload::Tracker(msg),
         ..
     } = event
-    {
-        let now = sim.now();
-        let (world, rng) = sim.world_and_rng();
-        let peer_addr = SocketAddr::new(from.addr, port);
-        let peers = world
-            .tracker
-            .handle_announce(now, peer_id, peer_addr, event, left, numwant, rng);
-        let tracker_vnode = world.tracker.vnode;
-        let tracker_port = world.tracker.port;
-        let response = TrackerMessage::Response {
-            peers,
-            interval_secs: 120,
-        };
-        let size = response.wire_size();
-        let _ = Endpoint::new(tracker_vnode).send_datagram(
-            sim,
-            tracker_port,
-            from,
-            size,
-            BtPayload::Tracker(response),
-        );
-    }
+    else {
+        return;
+    };
+    let TrackerMessage::Announce {
+        peer_id,
+        port,
+        event,
+        left,
+        numwant,
+    } = *msg
+    else {
+        return;
+    };
+    let now = sim.now();
+    let (world, rng) = sim.world_and_rng();
+    let peer_addr = SocketAddr::new(from.addr, port);
+    let peers = world
+        .tracker
+        .handle_announce(now, peer_id, peer_addr, event, left, numwant, rng);
+    let tracker_vnode = world.tracker.vnode;
+    let tracker_port = world.tracker.port;
+    let response = TrackerMessage::Response {
+        peers,
+        interval_secs: 120,
+    };
+    let size = response.wire_size();
+    let _ = Endpoint::new(tracker_vnode).send_datagram(
+        sim,
+        tracker_port,
+        from,
+        size,
+        BtPayload::Tracker(Box::new(response)),
+    );
 }
 
+/// The one place a client resolves a `ConnId` to its [`PeerTable`](crate::PeerTable) slot:
+/// everything below takes the slot. The table changes only here (`Connected`, `Accepted`,
+/// `Closed`) and in [`stop_client`], so a slot is never held across events.
 fn handle_client_event(sim: &mut SwarmSim, idx: usize, event: TransportEvent<BtPayload>) {
     match event {
         TransportEvent::Connected { conn, peer } => {
@@ -315,21 +324,18 @@ fn handle_client_event(sim: &mut SwarmSim, idx: usize, event: TransportEvent<BtP
                 let _ = Endpoint::new(vnode).close(sim, conn);
                 return;
             }
-            {
+            let (slot, our_id, our_bitfield) = {
                 let client = &mut sim.world_mut().clients[idx];
                 let mut pc = PeerConn::new(conn, peer, true, num_pieces, rate_window);
                 pc.sent_handshake = true;
-                client.peers.insert(conn, pc);
-            }
-            let (our_id, our_bitfield) = {
-                let client = &sim.world().clients[idx];
-                (client.id, advertised_bitfield(client))
+                let slot = client.peers.insert(pc);
+                (slot, client.id, advertised_bitfield(client))
             };
-            send_peer(sim, idx, conn, PeerMessage::Handshake { peer_id: our_id });
+            send_peer(sim, idx, slot, PeerMessage::Handshake { peer_id: our_id });
             send_peer(
                 sim,
                 idx,
-                conn,
+                slot,
                 PeerMessage::Bitfield(Box::new(our_bitfield)),
             );
         }
@@ -349,40 +355,54 @@ fn handle_client_event(sim: &mut SwarmSim, idx: usize, event: TransportEvent<BtP
                 return;
             }
             let client = &mut sim.world_mut().clients[idx];
-            client.peers.insert(
-                conn,
-                PeerConn::new(conn, peer, false, num_pieces, rate_window),
-            );
+            client
+                .peers
+                .insert(PeerConn::new(conn, peer, false, num_pieces, rate_window));
         }
         TransportEvent::Refused { peer, .. } => {
             sim.world_mut().clients[idx].connecting.remove(&peer);
         }
         TransportEvent::Closed { conn } => {
-            drop_peer(sim, idx, conn);
+            if let Some(slot) = sim.world().clients[idx].peers.slot(conn) {
+                drop_peer(sim, idx, slot);
+            }
         }
         TransportEvent::Message {
             conn,
             payload: BtPayload::Peer(msg),
             ..
         } => {
-            handle_peer_message(sim, idx, conn, msg);
+            let client = &mut sim.world_mut().clients[idx];
+            match client.peers.slot(conn) {
+                Some(slot) => handle_peer_message(sim, idx, slot, msg),
+                // A message on a connection this client already dropped changes nothing, but a
+                // withholding client counts every request it leaves unanswered.
+                None => {
+                    if matches!(msg, PeerMessage::Request { .. })
+                        && client.misbehavior.withhold_serves
+                    {
+                        client.stats.requests_ignored += 1;
+                    }
+                }
+            }
         }
         TransportEvent::Datagram {
-            payload: BtPayload::Tracker(TrackerMessage::Response { peers, .. }),
+            payload: BtPayload::Tracker(msg),
             ..
         } => {
-            handle_tracker_response(sim, idx, peers);
+            if let TrackerMessage::Response { peers, .. } = *msg {
+                handle_tracker_response(sim, idx, peers);
+            }
         }
         _ => {}
     }
 }
 
-fn drop_peer(sim: &mut SwarmSim, idx: usize, conn: ConnId) {
+fn drop_peer(sim: &mut SwarmSim, idx: usize, slot: usize) {
     let client = &mut sim.world_mut().clients[idx];
-    let freed = client.forget_requests(conn, None);
-    if let Some(p) = client.peers.remove(&conn) {
-        client.pieces.remove_peer_bitfield(&p.bitfield);
-    }
+    let freed = client.forget_requests(slot, None);
+    let p = client.peers.remove(slot);
+    client.pieces.remove_peer_bitfield(&p.bitfield);
     // Blocks it was asked for are free again: offer them to the peers still serving us now,
     // not at the next choker round (a client that is shutting down asks nobody).
     if freed > 0 && client.online {
@@ -390,35 +410,25 @@ fn drop_peer(sim: &mut SwarmSim, idx: usize, conn: ConnId) {
     }
 }
 
-fn handle_peer_message(sim: &mut SwarmSim, idx: usize, conn: ConnId, msg: PeerMessage) {
+fn handle_peer_message(sim: &mut SwarmSim, idx: usize, slot: usize, msg: PeerMessage) {
     match msg {
         PeerMessage::Handshake { peer_id } => {
             let reply = {
-                let client = &mut sim.world_mut().clients[idx];
-                match client.peers.get_mut(&conn) {
-                    Some(p) => {
-                        p.handshaken = true;
-                        p.peer_id = Some(peer_id);
-                        if !p.sent_handshake {
-                            p.sent_handshake = true;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    None => false,
-                }
+                let p = &mut sim.world_mut().clients[idx].peers[slot];
+                p.handshaken = true;
+                p.peer_id = Some(peer_id);
+                !std::mem::replace(&mut p.sent_handshake, true)
             };
             if reply {
                 let (our_id, our_bitfield) = {
                     let client = &sim.world().clients[idx];
                     (client.id, advertised_bitfield(client))
                 };
-                send_peer(sim, idx, conn, PeerMessage::Handshake { peer_id: our_id });
+                send_peer(sim, idx, slot, PeerMessage::Handshake { peer_id: our_id });
                 send_peer(
                     sim,
                     idx,
-                    conn,
+                    slot,
                     PeerMessage::Bitfield(Box::new(our_bitfield)),
                 );
             }
@@ -426,55 +436,41 @@ fn handle_peer_message(sim: &mut SwarmSim, idx: usize, conn: ConnId, msg: PeerMe
         PeerMessage::Bitfield(bf) => {
             {
                 let client = &mut sim.world_mut().clients[idx];
-                if let Some(p) = client.peers.get_mut(&conn) {
-                    client.pieces.remove_peer_bitfield(&p.bitfield);
-                    p.bitfield = *bf;
-                    client.pieces.add_peer_bitfield(&p.bitfield);
-                }
+                let p = &mut client.peers[slot];
+                client.pieces.remove_peer_bitfield(&p.bitfield);
+                p.bitfield = *bf;
+                client.pieces.add_peer_bitfield(&p.bitfield);
             }
-            update_interest(sim, idx, conn);
+            update_interest(sim, idx, slot);
         }
         PeerMessage::Have(piece) => {
             {
                 let client = &mut sim.world_mut().clients[idx];
-                if let Some(p) = client.peers.get_mut(&conn) {
-                    if piece < p.bitfield.len() && p.bitfield.set(piece) {
-                        client.pieces.add_peer_have(piece);
-                    }
+                let p = &mut client.peers[slot];
+                if piece < p.bitfield.len() && p.bitfield.set(piece) {
+                    client.pieces.add_peer_have(piece);
                 }
             }
-            update_interest(sim, idx, conn);
-            request_blocks(sim, idx, conn);
+            update_interest(sim, idx, slot);
+            request_blocks(sim, idx, slot);
         }
         PeerMessage::Choke => {
-            let client = &mut sim.world_mut().clients[idx];
-            if let Some(p) = client.peers.get_mut(&conn) {
-                p.peer_choking = true;
-                // A choking uploader drops what it has not answered yet, so the requests still
-                // outstanding are almost surely dead. They stay reserved all the same:
-                // re-requesting the blocks elsewhere at once costs a tenth more events and
-                // drains the swarm no sooner. The choker round's `Client::expire_requests`
-                // reclaims the block's reservation and this peer's pipeline slot together.
-            }
+            // A choking uploader drops what it has not answered yet, so the requests still
+            // outstanding are almost surely dead. They stay reserved all the same:
+            // re-requesting the blocks elsewhere at once costs a tenth more events and drains
+            // the swarm no sooner. The choker round's `Client::expire_requests` reclaims the
+            // block's reservation and this peer's pipeline slot together.
+            sim.world_mut().clients[idx].peers[slot].peer_choking = true;
         }
         PeerMessage::Unchoke => {
-            let client = &mut sim.world_mut().clients[idx];
-            if let Some(p) = client.peers.get_mut(&conn) {
-                p.peer_choking = false;
-            }
-            request_blocks(sim, idx, conn);
+            sim.world_mut().clients[idx].peers[slot].peer_choking = false;
+            request_blocks(sim, idx, slot);
         }
         PeerMessage::Interested => {
-            let client = &mut sim.world_mut().clients[idx];
-            if let Some(p) = client.peers.get_mut(&conn) {
-                p.peer_interested = true;
-            }
+            sim.world_mut().clients[idx].peers[slot].peer_interested = true;
         }
         PeerMessage::NotInterested => {
-            let client = &mut sim.world_mut().clients[idx];
-            if let Some(p) = client.peers.get_mut(&conn) {
-                p.peer_interested = false;
-            }
+            sim.world_mut().clients[idx].peers[slot].peer_interested = false;
         }
         PeerMessage::Request { piece, block } => {
             let respond = {
@@ -485,27 +481,23 @@ fn handle_peer_message(sim: &mut SwarmSim, idx: usize, conn: ConnId, msg: PeerMe
                     // to re-issue the block elsewhere.
                     client.stats.requests_ignored += 1;
                     None
+                } else if !client.peers[slot].am_choking
+                    && piece < client.pieces.have().len()
+                    && client.pieces.have().get(piece)
+                {
+                    Some((
+                        client.pieces.torrent().block_len(piece, block),
+                        client.misbehavior.corrupt_data,
+                    ))
                 } else {
-                    match client.peers.get(&conn) {
-                        Some(p)
-                            if !p.am_choking
-                                && piece < client.pieces.have().len()
-                                && client.pieces.have().get(piece) =>
-                        {
-                            Some((
-                                client.pieces.torrent().block_len(piece, block),
-                                client.misbehavior.corrupt_data,
-                            ))
-                        }
-                        _ => None,
-                    }
+                    None
                 }
             };
             if let Some((data_len, corrupt)) = respond {
                 send_peer(
                     sim,
                     idx,
-                    conn,
+                    slot,
                     PeerMessage::Piece {
                         piece,
                         block,
@@ -521,7 +513,7 @@ fn handle_peer_message(sim: &mut SwarmSim, idx: usize, conn: ConnId, msg: PeerMe
             data_len,
             corrupt,
         } => {
-            handle_piece(sim, idx, conn, piece, block, data_len, corrupt);
+            handle_piece(sim, idx, slot, piece, block, data_len, corrupt);
         }
         PeerMessage::Cancel { .. } | PeerMessage::KeepAlive => {}
     }
@@ -541,7 +533,7 @@ fn advertised_bitfield(client: &Client) -> Bitfield {
 fn handle_piece(
     sim: &mut SwarmSim,
     idx: usize,
-    conn: ConnId,
+    slot: usize,
     piece: u32,
     block: u32,
     data_len: u32,
@@ -554,29 +546,25 @@ fn handle_piece(
         // picker re-requests the block from someone else — at once, from whoever is serving
         // us — and forget this peer's request.
         let client = &mut sim.world_mut().clients[idx];
-        let Some(p) = client.peers.get_mut(&conn) else {
-            return;
-        };
+        let p = &mut client.peers[slot];
         p.download.record(now, data_len as u64);
         client.stats.corrupted_blocks_rejected += 1;
         if p.bitfield.clear(piece) {
             client.pieces.remove_peer_have(piece);
         }
-        if client.forget_requests(conn, Some((piece, block))) > 0 {
+        if client.forget_requests(slot, Some((piece, block))) > 0 {
             fill_pipelines(sim, idx);
         }
         return;
     }
-    let (completed_piece, file_complete, broadcast_conns) = {
+    let (completed_piece, file_complete) = {
         let client = &mut sim.world_mut().clients[idx];
-        let Some(p) = client.peers.get_mut(&conn) else {
-            return;
-        };
+        let p = &mut client.peers[slot];
         p.download.record(now, data_len as u64);
         p.blocks_received += 1;
         client.stats.bytes_downloaded += data_len as u64;
         client.stats.blocks_downloaded += 1;
-        let outcome = client.block_answered(conn, piece, block);
+        let outcome = client.block_answered(slot, piece, block);
         let (completed_piece, file_complete) = match outcome {
             BlockOutcome::Duplicate => {
                 client.stats.duplicate_blocks += 1;
@@ -586,29 +574,25 @@ fn handle_piece(
             BlockOutcome::PieceComplete(p) => (Some(p), false),
             BlockOutcome::FileComplete(p) => (Some(p), true),
         };
-        let mut broadcast = Vec::new();
         if completed_piece.is_some() {
             client.progress.push(now, client.percent_done());
-            broadcast = client
-                .peers
-                .values()
-                .filter(|p| p.handshaken)
-                .map(|p| p.conn)
-                .collect();
         }
         if file_complete {
             client.completed_at = Some(now);
         }
-        (completed_piece, file_complete, broadcast)
+        (completed_piece, file_complete)
     };
 
     if let Some(done_piece) = completed_piece {
-        for c in &broadcast_conns {
-            send_peer(sim, idx, *c, PeerMessage::Have(done_piece));
+        let peers = sim.world().clients[idx].peers.len();
+        for s in 0..peers {
+            if sim.world().clients[idx].peers[s].handshaken {
+                send_peer(sim, idx, s, PeerMessage::Have(done_piece));
+            }
         }
         // Our interest in some peers may have ended with this piece.
-        for c in broadcast_conns {
-            update_interest(sim, idx, c);
+        for s in 0..peers {
+            update_interest(sim, idx, s);
         }
     }
     if file_complete {
@@ -617,54 +601,48 @@ fn handle_piece(
         sim.world_mut().completed_downloaders += 1;
         announce(sim, idx, AnnounceEvent::Completed);
     }
-    request_blocks(sim, idx, conn);
+    request_blocks(sim, idx, slot);
 }
 
-fn update_interest(sim: &mut SwarmSim, idx: usize, conn: ConnId) {
-    let change = {
+fn update_interest(sim: &mut SwarmSim, idx: usize, slot: usize) {
+    let msg = {
         let client = &mut sim.world_mut().clients[idx];
-        match client.peers.get_mut(&conn) {
-            Some(p) if p.handshaken => {
-                let interested = client.pieces.have().is_interested_in(&p.bitfield);
-                if interested != p.am_interested {
-                    p.am_interested = interested;
-                    Some(interested)
-                } else {
-                    None
-                }
-            }
-            _ => None,
+        let p = &mut client.peers[slot];
+        if !p.handshaken {
+            return;
+        }
+        let interested = client.pieces.have().is_interested_in(&p.bitfield);
+        if interested == p.am_interested {
+            return;
+        }
+        p.am_interested = interested;
+        if interested {
+            PeerMessage::Interested
+        } else {
+            PeerMessage::NotInterested
         }
     };
-    match change {
-        Some(true) => send_peer(sim, idx, conn, PeerMessage::Interested),
-        Some(false) => send_peer(sim, idx, conn, PeerMessage::NotInterested),
-        None => {}
-    }
+    send_peer(sim, idx, slot, msg);
 }
 
-fn request_blocks(sim: &mut SwarmSim, idx: usize, conn: ConnId) {
+fn request_blocks(sim: &mut SwarmSim, idx: usize, slot: usize) {
     let now = sim.now();
     let (world, rng) = sim.world_and_rng();
     let client = &mut world.clients[idx];
     let mut requests = std::mem::take(&mut client.request_scratch);
-    client.request_blocks(conn, now, rng, &mut requests);
+    client.request_blocks(slot, now, rng, &mut requests);
     for &(piece, block) in &requests {
-        send_peer(sim, idx, conn, PeerMessage::Request { piece, block });
+        send_peer(sim, idx, slot, PeerMessage::Request { piece, block });
     }
     sim.world_mut().clients[idx].request_scratch = requests;
 }
 
 /// Keeps the request pipeline full towards every peer that is currently serving us.
 fn fill_pipelines(sim: &mut SwarmSim, idx: usize) {
-    let mut from = ConnId(0);
-    while let Some(conn) = sim.world().clients[idx]
-        .peers
-        .range(from..)
-        .find_map(|(&conn, p)| p.is_serving().then_some(conn))
-    {
-        request_blocks(sim, idx, conn);
-        from = ConnId(conn.0 + 1);
+    for slot in 0..sim.world().clients[idx].peers.len() {
+        if sim.world().clients[idx].peers[slot].is_serving() {
+            request_blocks(sim, idx, slot);
+        }
     }
 }
 
@@ -680,34 +658,40 @@ fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) {
     if !keep_running {
         return;
     }
-    let choke_msgs = {
+    let unchoked = {
         let (world, rng) = sim.world_and_rng();
         let client = &mut world.clients[idx];
         client.expire_requests(now);
         let mut snapshot = std::mem::take(&mut client.snapshot_scratch);
+        let mut unchoked = std::mem::take(&mut client.unchoke_scratch);
         client.choker_snapshot_into(now, &mut snapshot);
         let seeding = client.is_seeding();
-        let unchoked = client.choker.run_round(&snapshot, seeding, rng);
+        client
+            .choker
+            .run_round(&mut snapshot, seeding, rng, &mut unchoked);
         client.snapshot_scratch = snapshot;
-        let mut msgs = Vec::new();
-        for p in client.peers.values_mut() {
+        unchoked
+    };
+    for slot in 0..sim.world().clients[idx].peers.len() {
+        let msg = {
+            let p = &mut sim.world_mut().clients[idx].peers[slot];
             if !p.handshaken {
                 continue;
             }
-            let should_unchoke = unchoked.contains(&p.conn);
-            if should_unchoke && p.am_choking {
-                p.am_choking = false;
-                msgs.push((p.conn, PeerMessage::Unchoke));
-            } else if !should_unchoke && !p.am_choking {
-                p.am_choking = true;
-                msgs.push((p.conn, PeerMessage::Choke));
+            let unchoke = unchoked.contains(&p.conn);
+            if unchoke != p.am_choking {
+                continue; // already as the round wants it
             }
-        }
-        msgs
-    };
-    for (conn, msg) in choke_msgs {
-        send_peer(sim, idx, conn, msg);
+            p.am_choking = !unchoke;
+            if unchoke {
+                PeerMessage::Unchoke
+            } else {
+                PeerMessage::Choke
+            }
+        };
+        send_peer(sim, idx, slot, msg);
     }
+    sim.world_mut().clients[idx].unchoke_scratch = unchoked;
     fill_pipelines(sim, idx);
     connect_to_peers(sim, idx);
     let interval = sim.world().clients[idx].config.choke_interval;
@@ -765,7 +749,7 @@ fn announce(sim: &mut SwarmSim, idx: usize, event: AnnounceEvent) {
         listen_port,
         tracker_addr,
         size,
-        BtPayload::Tracker(msg),
+        BtPayload::Tracker(Box::new(msg)),
     );
 }
 
@@ -789,21 +773,21 @@ fn handle_tracker_response(sim: &mut SwarmSim, idx: usize, peers: Vec<SocketAddr
 fn connect_to_peers(sim: &mut SwarmSim, idx: usize) {
     let targets = {
         let (world, rng) = sim.world_and_rng();
-        let client = &world.clients[idx];
-        if !client.wants_more_peers() {
-            Vec::new()
-        } else {
-            let mut candidates = client.unconnected_known_peers();
+        let client = &mut world.clients[idx];
+        let mut candidates = std::mem::take(&mut client.connect_scratch);
+        candidates.clear();
+        if client.wants_more_peers() {
+            client.unconnected_known_peers_into(&mut candidates);
             rng.shuffle(&mut candidates);
             let budget = client
                 .config
                 .max_initiate
                 .saturating_sub(client.peers.len() + client.connecting.len());
             candidates.truncate(budget);
-            candidates
         }
+        candidates
     };
-    for target in targets {
+    for &target in &targets {
         let vnode = {
             let client = &mut sim.world_mut().clients[idx];
             client.connecting.insert(target);
@@ -814,22 +798,22 @@ fn connect_to_peers(sim: &mut SwarmSim, idx: usize) {
             sim.world_mut().clients[idx].connecting.remove(&target);
         }
     }
+    sim.world_mut().clients[idx].connect_scratch = targets;
 }
 
-fn send_peer(sim: &mut SwarmSim, idx: usize, conn: ConnId, msg: PeerMessage) {
+fn send_peer(sim: &mut SwarmSim, idx: usize, slot: usize, msg: PeerMessage) {
     let now = sim.now();
     let size = msg.wire_size();
-    let vnode = {
+    let (vnode, conn) = {
         let client = &mut sim.world_mut().clients[idx];
+        let p = &mut client.peers[slot];
         if let PeerMessage::Piece { data_len, .. } = &msg {
-            if let Some(p) = client.peers.get_mut(&conn) {
-                p.upload.record(now, *data_len as u64);
-                p.blocks_sent += 1;
-            }
+            p.upload.record(now, *data_len as u64);
+            p.blocks_sent += 1;
             client.stats.bytes_uploaded += *data_len as u64;
             client.stats.blocks_uploaded += 1;
         }
-        client.vnode
+        (client.vnode, p.conn)
     };
     // Peer-wire messages travel on the ordered reliable lane — the legacy data path, so the
     // ported client's wire costs and event stream are byte-identical.
@@ -845,7 +829,7 @@ fn send_peer(sim: &mut SwarmSim, idx: usize, conn: ConnId, msg: PeerMessage) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2plab_net::{AccessLinkClass, GroupId, NetworkConfig, TopologySpec, VirtAddr};
+    use p2plab_net::{AccessLinkClass, ConnId, GroupId, NetworkConfig, TopologySpec, VirtAddr};
     use p2plab_sim::{SimDuration, Simulation};
 
     /// Builds a swarm of `seeders + leechers` clients plus a tracker, folded onto `machines`
@@ -1035,18 +1019,70 @@ mod tests {
             p.bitfield = Bitfield::full(1);
             client.pieces.add_peer_bitfield(&p.bitfield);
             (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
-            client.peers.insert(conn, p);
+            client.peers.insert(p);
         }
-        request_blocks(&mut sim, 0, ConnId(2));
-        let held = |sim: &SwarmSim, conn| sim.world().clients[0].peers[&conn].inflight.len();
-        assert_eq!((held(&sim, ConnId(1)), held(&sim, ConnId(2))), (0, 4));
-        drop_peer(&mut sim, 0, ConnId(2));
-        assert_eq!(held(&sim, ConnId(1)), 4);
-        handle_piece(&mut sim, 0, ConnId(1), 0, 2, 16 * 1024, true);
+        // Peer 1 is in slot 0 and peer 2 in slot 1, then peer 1 alone in slot 0.
+        let held = |sim: &SwarmSim, slot| sim.world().clients[0].peers[slot].inflight.len();
+        request_blocks(&mut sim, 0, 1);
+        assert_eq!((held(&sim, 0), held(&sim, 1)), (0, 4));
+        drop_peer(&mut sim, 0, 1);
+        assert_eq!(sim.world().clients[0].peers.conns(), [ConnId(1)]);
+        assert_eq!(held(&sim, 0), 4);
+        handle_piece(&mut sim, 0, 0, 0, 2, 16 * 1024, true);
         let client = &mut sim.world_mut().clients[0];
         assert_eq!(client.stats.corrupted_blocks_rejected, 1);
         assert_eq!(client.pieces.requests_outstanding(), 3);
         assert!(client.ledger_is_coherent());
+    }
+
+    #[test]
+    fn connections_opened_out_of_id_order_are_walked_in_id_order() {
+        // An inbound connection with a higher id is accepted before the answer to an older
+        // outgoing connect arrives: the table still lists both by id, and a close in the middle
+        // keeps the order of the rest.
+        let world = build_swarm(1, 0, 1, fast_link(), 64 * 1024);
+        let mut sim: SwarmSim = Simulation::new(world, 20);
+        sim.world_mut().clients[0].online = true;
+        let peer = |host| SocketAddr::new(VirtAddr::new(10, 0, 0, host), 6881);
+        for event in [
+            TransportEvent::Accepted {
+                conn: ConnId(7),
+                peer: peer(7),
+            },
+            TransportEvent::Connected {
+                conn: ConnId(3),
+                peer: peer(3),
+            },
+            TransportEvent::Accepted {
+                conn: ConnId(5),
+                peer: peer(5),
+            },
+        ] {
+            handle_client_event(&mut sim, 0, event);
+        }
+        let peers = &sim.world().clients[0].peers;
+        assert_eq!(peers.conns(), [ConnId(3), ConnId(5), ConnId(7)]);
+        assert!(peers
+            .iter()
+            .map(|p| p.conn)
+            .eq(peers.conns().iter().copied()));
+        assert_eq!(
+            peers.iter().map(|p| p.outbound).collect::<Vec<_>>(),
+            [true, false, false]
+        );
+        handle_client_event(&mut sim, 0, TransportEvent::Closed { conn: ConnId(5) });
+        // A late message on the closed connection finds no slot and changes nothing.
+        let late = TransportEvent::Message {
+            conn: ConnId(5),
+            lane: LaneKind::ReliableOrdered,
+            from: peer(5),
+            payload: BtPayload::Peer(PeerMessage::Interested),
+            size: 5,
+        };
+        handle_client_event(&mut sim, 0, late);
+        let peers = &sim.world().clients[0].peers;
+        assert_eq!(peers.conns(), [ConnId(3), ConnId(7)]);
+        assert!(peers.iter().all(|p| !p.peer_interested));
     }
 
     #[test]

@@ -8,7 +8,6 @@ use crate::messages::{AnnounceEvent, PeerId};
 use p2plab_net::{SocketAddr, VNodeId};
 use p2plab_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Counters kept by the tracker.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,8 +34,11 @@ pub struct Tracker {
     pub vnode: VNodeId,
     /// The UDP-style port the tracker answers on.
     pub port: u16,
-    members: BTreeMap<PeerId, SwarmMember>,
+    /// Swarm members by peer id (a peer id is its client's index).
+    members: Vec<Option<SwarmMember>>,
     stats: TrackerStats,
+    /// Reused buffer for the addresses an announce's answer is sampled from.
+    others: Vec<SocketAddr>,
 }
 
 /// The default tracker port.
@@ -48,8 +50,9 @@ impl Tracker {
         Tracker {
             vnode,
             port: TRACKER_PORT,
-            members: BTreeMap::new(),
+            members: Vec::new(),
             stats: TrackerStats::default(),
+            others: Vec::new(),
         }
     }
 
@@ -60,12 +63,12 @@ impl Tracker {
 
     /// Number of known swarm members.
     pub fn member_count(&self) -> usize {
-        self.members.len()
+        self.members.iter().flatten().count()
     }
 
     /// Number of known seeders.
     pub fn seeder_count(&self) -> usize {
-        self.members.values().filter(|m| m.seeder).count()
+        self.members.iter().flatten().filter(|m| m.seeder).count()
     }
 
     /// Handles an announce and returns the peer list for the response.
@@ -84,10 +87,14 @@ impl Tracker {
         rng: &mut SimRng,
     ) -> Vec<SocketAddr> {
         self.stats.announces += 1;
+        let me = peer_id.0 as usize;
+        if self.members.len() <= me {
+            self.members.resize(me + 1, None);
+        }
         match event {
             AnnounceEvent::Stopped => {
                 self.stats.stopped += 1;
-                self.members.remove(&peer_id);
+                self.members[me] = None;
                 return Vec::new();
             }
             AnnounceEvent::Completed => {
@@ -95,27 +102,26 @@ impl Tracker {
             }
             AnnounceEvent::Started | AnnounceEvent::Periodic => {}
         }
-        self.members.insert(
-            peer_id,
-            SwarmMember {
-                addr: peer_addr,
-                seeder: left == 0,
-                last_announce: now,
-            },
-        );
-        // Random subset of everyone else.
-        let others: Vec<SocketAddr> = self
-            .members
-            .iter()
-            .filter(|(id, _)| **id != peer_id)
-            .map(|(_, m)| m.addr)
-            .collect();
-        rng.sample(&others, numwant).into_iter().copied().collect()
+        self.members[me] = Some(SwarmMember {
+            addr: peer_addr,
+            seeder: left == 0,
+            last_announce: now,
+        });
+        // Random subset of everyone else, drawn from the members in ascending id order.
+        self.others.clear();
+        let others = self.members.iter().enumerate().filter(|&(id, _)| id != me);
+        self.others
+            .extend(others.filter_map(|(_, m)| m.as_ref().map(|m| m.addr)));
+        rng.sample(&self.others, numwant)
+            .into_iter()
+            .copied()
+            .collect()
     }
 
     /// Time of the last announce from a peer, if it is still a member.
     pub fn last_announce(&self, peer: PeerId) -> Option<SimTime> {
-        self.members.get(&peer).map(|m| m.last_announce)
+        let member = self.members.get(peer.0 as usize)?.as_ref();
+        member.map(|m| m.last_announce)
     }
 }
 

@@ -32,7 +32,7 @@ fn ledger_client() -> Client {
         p.bitfield = Bitfield::full(3);
         c.pieces.add_peer_bitfield(&p.bitfield);
         (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
-        c.peers.insert(conn, p);
+        c.peers.insert(p);
     }
     c
 }
@@ -186,7 +186,7 @@ proptest! {
         let mut picked = Vec::new();
         for (op, peer, arg, dt) in ops {
             now += SimDuration::from_secs(dt);
-            let conn = ConnId(peer);
+            let slot = c.peers.slot(ConnId(peer)).unwrap();
             let mine = &mut held[peer as usize];
             // The block an answer names: one this peer was asked for, else an unsolicited one.
             let block = mine
@@ -200,9 +200,9 @@ proptest! {
                         .any(|b| !received.contains(&b) && holders(b) == 0);
                     let before: Vec<usize> = (0..12).map(|i| holders((i / 4, i % 4))).collect();
                     let budget = c.config.request_pipeline - held[peer as usize].len();
-                    c.request_blocks(conn, now, &mut rng, &mut picked);
+                    c.request_blocks(slot, now, &mut rng, &mut picked);
                     prop_assert!(picked.len() <= budget);
-                    if !c.peers[&conn].is_serving() {
+                    if !c.peers[slot].is_serving() {
                         prop_assert!(picked.is_empty());
                     }
                     for &b in &picked {
@@ -214,20 +214,20 @@ proptest! {
                     }
                 }
                 3 => {
-                    let outcome = c.block_answered(conn, block.0, block.1);
+                    let outcome = c.block_answered(slot, block.0, block.1);
                     prop_assert_eq!(outcome == BlockOutcome::Duplicate, !received.insert(block));
                     held.iter_mut().for_each(|h| h.retain(|r| r.0 != block));
                 }
                 4 => {
-                    c.forget_requests(conn, Some(block));
+                    c.forget_requests(slot, Some(block));
                     mine.retain(|r| r.0 != block);
                 }
                 5 => {
-                    c.forget_requests(conn, None);
+                    c.forget_requests(slot, None);
                     mine.clear();
                 }
                 6 => {
-                    let p = c.peers.get_mut(&conn).unwrap();
+                    let p = &mut c.peers[slot];
                     p.peer_choking = !p.peer_choking;
                 }
                 _ => {
@@ -238,7 +238,7 @@ proptest! {
                 }
             }
             let holders = |b| held.iter().flatten().filter(|r| r.0 == b).count();
-            for p in c.peers.values() {
+            for p in c.peers.iter() {
                 prop_assert_eq!(&p.inflight, &held[p.conn.0 as usize]);
             }
             // The lists equal the model's, and every block's count equals its holders there.

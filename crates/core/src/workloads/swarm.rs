@@ -252,19 +252,19 @@ impl Workload for SwarmWorkload {
             let max_age = client.config.request_timeout + client.config.choke_interval;
             let oldest = client
                 .peers
-                .values()
+                .iter()
                 .flat_map(|p| p.inflight.iter().map(|r| r.1))
                 .min();
             inv.check(
                 oldest.is_none_or(|sent_at| stop.stopped_at.saturating_since(sent_at) <= max_age),
                 || format!("honest leecher {l} holds a request sent at {oldest:?}, never swept"),
             );
-            let served = client.peers.values().any(|p| {
+            let served = client.peers.iter().any(|p| {
                 p.handshaken
                     && !p.peer_choking
                     && client.pieces.have().is_interested_in(&p.bitfield)
             });
-            let asking = client.peers.values().any(|p| !p.inflight.is_empty());
+            let asking = client.peers.iter().any(|p| !p.inflight.is_empty());
             inv.check(!served || asking, || {
                 format!("honest leecher {l} is served by a peer it needs and requests nothing")
             });
@@ -578,13 +578,14 @@ mod tests {
         );
         p.bitfield = Bitfield::full(8);
         (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
-        leecher.peers.insert(ConnId(1), p);
+        leecher.peers.insert(p);
         let inv = w.check_invariants(&world, &stop);
         assert_eq!(inv.violations.len(), 1, "{:?}", inv.violations);
         // ...or holding a request nobody counted and no sweep ever forgot: two more.
         let leecher = &mut world.clients[swarm.seeders];
-        let p = leecher.peers.get_mut(&ConnId(1)).unwrap();
-        p.inflight.push(((0, 0), SimTime::from_secs(100)));
+        leecher.peers[0]
+            .inflight
+            .push(((0, 0), SimTime::from_secs(100)));
         let inv = w.check_invariants(&world, &stop);
         assert_eq!(inv.violations.len(), 2, "{:?}", inv.violations);
     }
