@@ -3,10 +3,8 @@
 //! Compact set of piece indices, exchanged in the peer wire protocol's `bitfield` message and
 //! used for availability accounting (rarest-first needs per-piece counts over all peers).
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-size set of piece indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitfield {
     bits: Vec<u64>,
     len: u32,

@@ -8,11 +8,10 @@
 
 use p2plab_net::ConnId;
 use p2plab_sim::SimRng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Choking policy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChokeConfig {
     /// Number of regular (reciprocation-based) unchoke slots.
     pub regular_slots: usize,

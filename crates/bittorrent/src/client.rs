@@ -24,11 +24,10 @@ use crate::torrent::Torrent;
 use p2plab_net::{ConnId, Misbehavior, SocketAddr, VNodeId};
 use p2plab_sim::FxHashSet;
 use p2plab_sim::{RateEstimator, SimDuration, SimRng, SimTime, TimeSeries};
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// Client policy parameters (mainline 4.x defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientConfig {
     /// Port the client listens on.
     pub listen_port: u16,
@@ -230,7 +229,7 @@ impl IndexMut<usize> for PeerTable {
 }
 
 /// Aggregate per-client counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Application bytes downloaded (payload of Piece messages).
     pub bytes_downloaded: u64,

@@ -6,10 +6,9 @@
 
 use crate::bitfield::Bitfield;
 use p2plab_net::SocketAddr;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a participant (client or seeder) in a swarm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeerId(pub u32);
 
 /// Peer wire protocol messages.
@@ -82,7 +81,7 @@ impl PeerMessage {
 }
 
 /// Announce events, as in the HTTP tracker protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnnounceEvent {
     /// First announce of a session.
     Started,

@@ -4,15 +4,13 @@
 //! 256 KB pieces, and clients transfer pieces in 16 KiB blocks. The exact content does not
 //! matter to the dynamics, so pieces carry sizes rather than data.
 
-use serde::{Deserialize, Serialize};
-
 /// The piece size the paper quotes ("the file is always divided in pieces of 256 KB").
 pub const DEFAULT_PIECE_SIZE: u32 = 256 * 1024;
 /// The block ("sub-piece") size BitTorrent requests: 16 KiB.
 pub const DEFAULT_BLOCK_SIZE: u32 = 16 * 1024;
 
 /// Metadata of the distributed file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Torrent {
     /// Torrent name (for reports).
     pub name: String,

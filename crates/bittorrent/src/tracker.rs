@@ -7,10 +7,9 @@
 use crate::messages::{AnnounceEvent, PeerId};
 use p2plab_net::{SocketAddr, VNodeId};
 use p2plab_sim::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Counters kept by the tracker.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrackerStats {
     /// Announces received.
     pub announces: u64,

@@ -8,10 +8,9 @@ use p2plab_net::{
 };
 use p2plab_os::SyscallCostModel;
 use p2plab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One point of the Figure 6 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuleScalingPoint {
     /// Number of extra rules the outgoing packets must scan.
     pub rules: usize,
@@ -69,7 +68,7 @@ pub fn rule_scaling_experiment(
 }
 
 /// The latency decomposition of the paper's Figure 7 example measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyDecomposition {
     /// Delay added when the packet leaves the source node (its access-link latency).
     pub src_access: SimDuration,
@@ -127,7 +126,7 @@ pub fn figure7_latency_experiment(machines: usize, pings: usize) -> LatencyDecom
 
 /// The libc-interception overhead microbenchmark (the in-text table of the paper:
 /// 10.22 µs per connect/disconnect cycle without the modified libc, 10.79 µs with it).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterceptionOverhead {
     /// Cycle duration with the stock libc.
     pub plain: SimDuration,

@@ -32,10 +32,9 @@ pub use behaviors::BEHAVIORS;
 use crate::scenario::dsl::{DslError, Keys, Named};
 use p2plab_net::{Misbehavior, TamperSpec};
 use p2plab_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// How an [`AdversaryPlan`] picks which participants misbehave.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Selection {
     /// A deterministic shuffle of the population keyed by the scenario seed (the default).
     Random,
@@ -75,7 +74,7 @@ impl Named for Selection {
 }
 
 /// The scenario-level adversary assignment: who misbehaves, and how.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversaryPlan {
     /// Fraction of the workload's adversary population to mark byzantine (rounded to the
     /// nearest whole participant). Ignored by [`Selection::Trace`].

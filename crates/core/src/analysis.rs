@@ -15,10 +15,9 @@
 
 use crate::report::RunReport;
 use p2plab_sim::{Cdf, SimDuration, SimTime, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 /// Deviation of one folded run from the baseline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FoldingRow {
     /// Folding ratio of the run (virtual nodes per physical machine).
     pub folding_ratio: f64,
@@ -34,7 +33,7 @@ pub struct FoldingRow {
 }
 
 /// The folding-ratio comparison of Figure 9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FoldingComparison {
     /// Folding ratio of the baseline run (normally 1:1).
     pub baseline_ratio: f64,
@@ -115,7 +114,7 @@ pub fn compare_folding(
 }
 
 /// Summary statistics of a run's completion times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletionSummary {
     /// Number of downloaders that finished.
     pub completed: usize,
@@ -144,7 +143,7 @@ pub fn completion_summary(times: &[SimTime]) -> Option<CompletionSummary> {
 }
 
 /// The three phases of a BitTorrent download the paper reads off Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DownloadPhases {
     /// End of the first phase: the moment downloaders other than the initial seeders start
     /// contributing upload capacity (first completion of *any* piece exchange between leechers

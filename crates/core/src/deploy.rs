@@ -13,10 +13,9 @@
 //! is the one the network assigns: the next alias of its group's subnet (paper, Figure 4).
 
 use p2plab_net::{GroupId, NetError, Network, NetworkConfig, TopologySpec, VNodeId, VirtAddr};
-use serde::{Deserialize, Serialize};
 
 /// How virtual nodes are spread over the physical machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Node `i` goes to machine `i % machines` (interleaves groups over machines).
     RoundRobin,
@@ -25,7 +24,7 @@ pub enum Placement {
 }
 
 /// A deployment request: how many machines, and how to place virtual nodes on them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeploymentSpec {
     /// Number of physical machines available.
     pub machines: usize,

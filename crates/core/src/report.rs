@@ -3,7 +3,7 @@
 //!
 //! Every scenario run produces a [`RunReport`] — workload name, spec echo, seed, wall/sim
 //! time and the full [`MetricSet`] the run recorded — which the bench binaries serialize to
-//! JSON (and CSV) under `results/`. The vendored serde stub has no-op derives, so the JSON
+//! JSON (and CSV) under `results/`. The workspace has no serialization crate, so the JSON
 //! form is hand-rolled, and described **once**: `REPORT_FIELDS` lists the document's fields and
 //! `KINDS` each metric kind's, every line naming a field next to the place it fills, and
 //! [`RunReport::to_json`] and [`RunReport::from_json`] are the two interpreters of those lists

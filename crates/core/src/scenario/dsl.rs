@@ -3,8 +3,8 @@
 //!
 //! The paper's pitch is *one platform, many experimental questions* — which only holds if a new
 //! experiment is data, not a new bench binary. This module is the front end that makes it so: a
-//! hand-rolled parser for a TOML subset (the vendored serde stub has no-op derives, so nothing
-//! here can lean on a real deserializer) and, on top of it, the description of every section a
+//! hand-rolled parser for a TOML subset (the workspace has no serialization crate, so nothing
+//! here can lean on a deserializer) and, on top of it, the description of every section a
 //! scenario file can hold:
 //!
 //! ```toml

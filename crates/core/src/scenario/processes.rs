@@ -21,12 +21,11 @@
 
 use crate::scenario::dsl::{DslError, Keys, Kinds};
 use p2plab_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Serializable description of an arrival process, stored in a
 /// [`ScenarioSpec`](crate::scenario::ScenarioSpec) and turned into a concrete
 /// [`ArrivalSchedule`] by the runner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalSpec {
     /// Poisson arrivals: independent exponential inter-arrival gaps at `rate` arrivals/second
     /// from time zero — the memoryless steady-state arrival model.
@@ -279,7 +278,7 @@ impl ArrivalSchedule {
 ///
 /// Draws are indexed by the participant's session number `k` so that trace-driven processes
 /// can replay deterministically per node while the randomized variants simply ignore `k`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SessionProcess {
     /// Exponential sessions and downtimes — the memoryless model.
     Exponential {

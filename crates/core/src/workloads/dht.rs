@@ -28,8 +28,9 @@ use p2plab_net::rpc::{
 use p2plab_net::{
     Misbehavior, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
 };
-use p2plab_sim::{Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
+use p2plab_sim::{
+    splitmix64, Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimRng, SimTime,
+};
 
 /// The UDP-like port the DHT protocol runs on.
 pub const DHT_PORT: u16 = 4200;
@@ -62,7 +63,7 @@ pub enum DhtBody {
 }
 
 /// Description of a DHT lookup experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DhtLookupSpec {
     /// Number of DHT nodes.
     pub nodes: usize,
@@ -147,14 +148,6 @@ impl DhtLookupSpec {
     pub fn arrival_ramp(&self) -> SimDuration {
         self.lookup_interval * self.lookups.saturating_sub(1) as u64
     }
-}
-
-/// SplitMix64: a bijective mixer assigning every node index a distinct, well-spread 64-bit id.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The globally XOR-closest id to `target` in a sorted id list: greedy longest-common-prefix
@@ -304,6 +297,7 @@ pub struct DhtWorld {
 impl DhtWorld {
     fn new(mut net: Network, spec: &DhtLookupSpec, roster: Option<&AdversaryRoster>) -> DhtWorld {
         let n = spec.nodes;
+        // SplitMix64 is a bijection: every node index gets a distinct, well-spread id.
         let ids: Vec<u64> = (0..n as u64).map(splitmix64).collect();
         let addrs: Vec<SocketAddr> = (0..n)
             .map(|i| SocketAddr::new(net.addr_of(VNodeId(i)), DHT_PORT))

@@ -16,13 +16,12 @@ use p2plab_net::{
     Endpoint, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
 };
 use p2plab_sim::{Counter, Gauge, Recorder, RunOutcome, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The UDP-like port the gossip protocol runs on.
 pub const GOSSIP_PORT: u16 = 4100;
 
 /// Description of a gossip experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GossipSpec {
     /// Number of gossiping nodes.
     pub nodes: usize,

@@ -36,10 +36,9 @@ use p2plab_sim::{
     run_sharded, Counter, Gauge, NoEvent, Recorder, ShardConfig, ShardSim, ShardWorld, SimDuration,
     SimRng, SimTime, TimeSeriesId,
 };
-use serde::{Deserialize, Serialize};
 
 /// Description of a sharded gossip experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GossipShardedSpec {
     /// Number of gossiping nodes.
     pub nodes: usize,

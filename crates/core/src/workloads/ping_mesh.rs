@@ -15,10 +15,9 @@ use crate::scenario::{ArrivalSchedule, ArrivalSpec, Workload};
 use p2plab_net::ping::{PingPayload, PingTimer, PingWorld};
 use p2plab_net::{NetEvent, NetSim, Network, VNodeId};
 use p2plab_sim::{HistogramId, Recorder, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which ordered pairs of nodes probe each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeshPattern {
     /// Every ordered pair `(i, j)`, `i != j` — `n * (n-1)` probe streams.
     Full,
@@ -39,7 +38,7 @@ impl Named for MeshPattern {
 }
 
 /// Description of a ping-mesh experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PingMeshSpec {
     /// Number of virtual nodes in the mesh.
     pub nodes: usize,

@@ -15,10 +15,9 @@ use p2plab_bittorrent::{
 };
 use p2plab_net::{NetEvent, Network};
 use p2plab_sim::{Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimTime, TimeSeriesId};
-use serde::{Deserialize, Serialize};
 
 /// Description of a BitTorrent swarm: what is shared, by whom, and how downloaders join.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwarmSpec {
     /// Size of the distributed file in bytes.
     pub file_bytes: u64,

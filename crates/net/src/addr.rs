@@ -5,12 +5,11 @@
 //! virtual nodes in `10.0.0.0/8`). This module provides the address and subnet types used by the
 //! firewall rules, the topology description and the socket layer.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// An IPv4-style address of a virtual (or physical) node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VirtAddr(pub u32);
 
 impl VirtAddr {
@@ -71,7 +70,7 @@ impl FromStr for VirtAddr {
 }
 
 /// A CIDR subnet such as `10.1.3.0/24`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Subnet {
     /// Network base address (host bits zeroed on construction).
     pub base: VirtAddr,
@@ -148,7 +147,7 @@ impl FromStr for Subnet {
 }
 
 /// A `(address, port)` pair identifying a socket endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SocketAddr {
     /// Node address.
     pub addr: VirtAddr,

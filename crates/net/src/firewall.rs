@@ -19,11 +19,10 @@
 use crate::addr::{Subnet, VirtAddr};
 use crate::pipe::PipeId;
 use p2plab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::ops::Deref;
 
 /// Direction of a packet relative to the physical node evaluating the rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Leaving the physical node.
     Out,
@@ -32,7 +31,7 @@ pub enum Direction {
 }
 
 /// What a matching rule does with the packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleAction {
     /// Send the packet through a dummynet pipe, then keep evaluating rules.
     Pipe(PipeId),
@@ -43,7 +42,7 @@ pub enum RuleAction {
 }
 
 /// One firewall rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rule {
     /// Source subnet the rule matches.
     pub src: Subnet,
@@ -159,7 +158,7 @@ pub struct Classification {
 }
 
 /// Counters kept by the firewall.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FirewallStats {
     /// Packets classified.
     pub packets: u64,

@@ -6,11 +6,10 @@
 //! by making alias lookup a constant-cost operation.
 
 use crate::addr::VirtAddr;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The address configuration of one physical node's interface (`eth0` in the paper's figure).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Interface {
     /// The administration address of the physical node (e.g. `192.168.38.1`).
     admin_addr: VirtAddr,

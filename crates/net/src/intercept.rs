@@ -16,10 +16,9 @@
 use crate::addr::VirtAddr;
 use p2plab_os::{Syscall, SyscallCostModel};
 use p2plab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the libc interception layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterceptConfig {
     /// Whether the modified libc (BINDIP) is active.
     pub enabled: bool,

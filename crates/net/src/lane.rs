@@ -21,10 +21,9 @@
 //! kinds the emulation can distinguish.
 
 use p2plab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The delivery class of a message on a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaneKind {
     /// Delivered reliably, in order — the classic TCP-like stream.
     ReliableOrdered,

@@ -28,22 +28,21 @@ use crate::tamper::{TamperSpec, TamperState};
 use crate::topology::{GroupId, GroupSpec, TopologySpec};
 use p2plab_os::SyscallCostModel;
 use p2plab_sim::{FxHashSet, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Index of a physical machine in the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MachineId(pub usize);
 
 /// Index of a virtual node in the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VNodeId(pub usize);
 
 /// Identifier of a transport connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u64);
 
 /// Tunables of the emulation data plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Latency added per firewall rule examined (IPFW's linear evaluation, Figure 6).
     pub per_rule_cost: SimDuration,
@@ -84,7 +83,7 @@ impl Default for NetworkConfig {
 }
 
 /// Transport-level state of a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
     /// SYN sent, waiting for the handshake to complete.
     Connecting,
@@ -97,7 +96,7 @@ pub enum ConnState {
 }
 
 /// A transport connection between two virtual nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Connection {
     /// Connection id.
     pub id: ConnId,
@@ -312,7 +311,7 @@ pub struct VNodeNet {
 }
 
 /// Global data-plane counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Messages handed to the transport.
     pub messages_sent: u64,

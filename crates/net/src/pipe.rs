@@ -12,15 +12,14 @@
 
 use crate::proto::LinkCondition;
 use p2plab_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Index of a pipe in the network's pipe arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PipeId(pub usize);
 
 /// Configuration of a dummynet pipe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipeConfig {
     /// Drain rate in bits per second. `None` means unlimited (a pure-delay pipe, as used for
     /// inter-group latency rules).
@@ -88,7 +87,7 @@ impl PipeConfig {
 }
 
 /// Why a packet was dropped by a pipe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// Random loss (the pipe's configured packet loss rate).
     RandomLoss,
@@ -114,7 +113,7 @@ pub enum EnqueueOutcome {
 }
 
 /// Counters kept by every pipe.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipeStats {
     /// Packets forwarded.
     pub forwarded_packets: u64,

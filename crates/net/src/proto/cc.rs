@@ -10,11 +10,10 @@
 //! multiplicative decrease over a smoothed RTT, pacing at `cwnd / srtt`.
 
 use p2plab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Which congestion controller a connection direction uses (the configuration-level name;
 /// instantiated as a [`CcState`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcKind {
     /// Fixed window, zero pacing: wire-identical to the pre-protocol transport.
     Legacy,

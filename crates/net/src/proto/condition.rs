@@ -17,14 +17,13 @@
 //! byte-identical.
 
 use p2plab_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Two-state Gilbert–Elliott burst-loss model.
 ///
 /// Each packet first advances the chain (good → bad with probability `enter`, bad → good with
 /// probability `exit`), then, when in the bad state, drops with probability `loss`. Expected
 /// bad-run length is `1 / exit` packets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstLoss {
     /// Probability of entering the bad state, per packet in the good state.
     pub enter: f64,
@@ -59,7 +58,7 @@ impl BurstLoss {
 
 /// A composable link conditioner. [`LinkCondition::none`] (the `Default`) is inert: every rate
 /// zero, no burst model, and — because the pipe checks before drawing — zero extra RNG draws.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkCondition {
     /// Uniform random addition to the propagation delay, drawn per packet from
     /// `[0, jitter]`.

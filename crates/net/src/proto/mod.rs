@@ -38,11 +38,10 @@ pub use frag::{
 
 use crate::lane::LaneKind;
 use p2plab_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Protocol-depth configuration of the transport, carried inside
 /// [`NetworkConfig`](crate::network::NetworkConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransportConfig {
     /// Maximum fragment payload in bytes. `None` disables fragmentation (whole messages travel
     /// as one frame, the historical behaviour). Must be at least

@@ -12,13 +12,12 @@
 //! extra randomness and executes the exact frozen event sequence of an honest run.
 
 use p2plab_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// What a byzantine node's tamper point does to each fresh frame it transmits.
 ///
 /// All rates are per-frame probabilities drawn from the node's own split RNG stream (never the
 /// simulation's global stream), so adversarial runs stay byte-reproducible and shard-safe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TamperSpec {
     /// Probability a fresh frame is silently swallowed before it reaches the wire.
     pub drop_rate: f64,
@@ -63,7 +62,7 @@ impl Default for TamperSpec {
 ///
 /// Each flag is consulted by the workload's protocol code at a single decision point; honest
 /// nodes carry the all-`false` default and take the exact honest code path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Misbehavior {
     /// Never answer data requests (ack/serve withholding — a free-rider).
     pub withhold_serves: bool,

@@ -9,15 +9,14 @@
 use crate::addr::{Subnet, VirtAddr};
 use crate::proto::LinkCondition;
 use p2plab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a node group within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub usize);
 
 /// The access link between a node and its ISP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessLinkClass {
     /// Download (ISP -> node) bandwidth in bits per second.
     pub down_bps: u64,
@@ -32,11 +31,9 @@ pub struct AccessLinkClass {
     pub condition: Option<LinkCondition>,
     /// Optional conditioner applied to the download (ISP -> node) direction only. Takes
     /// precedence over `condition` on that direction.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub condition_down: Option<LinkCondition>,
     /// Optional conditioner applied to the upload (node -> ISP) direction only. Takes
     /// precedence over `condition` on that direction.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub condition_up: Option<LinkCondition>,
 }
 
@@ -134,7 +131,7 @@ impl AccessLinkClass {
 }
 
 /// A group of virtual nodes sharing a subnet and an access-link class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupSpec {
     /// Group name (for reports).
     pub name: String,
@@ -147,7 +144,7 @@ pub struct GroupSpec {
 }
 
 /// A full topology: groups plus pairwise inter-group latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
     /// The node groups.
     pub groups: Vec<GroupSpec>,

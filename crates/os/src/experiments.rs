@@ -11,7 +11,6 @@ use crate::process::CompletedProcess;
 use crate::sched::SchedulerKind;
 use crate::workload::WorkloadSpec;
 use p2plab_sim::{Cdf, SimDuration, SimTime, Simulation, Summary};
-use serde::{Deserialize, Serialize};
 
 /// Fixed per-experiment cost (process creation, measurement harness, warm-up) in seconds.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 pub const EXPERIMENT_FIXED_COST_SECS: f64 = 0.04;
 
 /// Result of running one batch of identical concurrent processes on one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchResult {
     /// Scheduler used.
     pub scheduler: SchedulerKind,
@@ -57,7 +56,7 @@ impl BatchResult {
 }
 
 /// Configuration of a concurrent-batch experiment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
     /// Scheduler flavour of the host.
     pub scheduler: SchedulerKind,

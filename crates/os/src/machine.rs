@@ -10,7 +10,6 @@ use crate::process::{CompletedProcess, Pid, SimProcess};
 use crate::sched::{SchedulerKind, SchedulerModel};
 use crate::workload::WorkloadSpec;
 use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Error returned when a process cannot be spawned.
@@ -44,7 +43,7 @@ impl std::fmt::Display for SpawnError {
 impl std::error::Error for SpawnError {}
 
 /// Declarative description of a machine, used by experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineSpec {
     /// Number of CPU cores.
     pub cores: usize,

@@ -6,10 +6,8 @@
 //! inside physical memory; the model below reproduces that cliff so the reproduction can draw
 //! the same conclusion.
 
-use serde::{Deserialize, Serialize};
-
 /// Host operating system flavour; controls how gracefully memory overcommit degrades.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OsKind {
     /// FreeBSD 6 (the OS P2PLab runs on, because of Dummynet).
     FreeBsd,
@@ -28,7 +26,7 @@ impl OsKind {
 }
 
 /// Parameters of the memory subsystem of a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Physical memory, in bytes (GridExplorer nodes: 2 GB).
     pub ram_bytes: u64,

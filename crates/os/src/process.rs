@@ -2,10 +2,9 @@
 
 use crate::workload::WorkloadSpec;
 use p2plab_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a process on a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pid(pub u64);
 
 impl std::fmt::Display for Pid {
@@ -33,7 +32,7 @@ pub struct SimProcess {
 }
 
 /// Record of a finished process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedProcess {
     /// Process id.
     pub pid: Pid,

@@ -18,10 +18,9 @@
 
 use crate::process::SimProcess;
 use p2plab_sim::{FxBuildHasher, FxHashMap, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Which scheduler a machine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// FreeBSD's classic 4BSD scheduler (the one the paper ends up using for P2PLab).
     Bsd4,
@@ -50,7 +49,7 @@ impl SchedulerKind {
 }
 
 /// Tunable parameters of a scheduler model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerModel {
     /// Which scheduler this parameterizes.
     pub kind: SchedulerKind,

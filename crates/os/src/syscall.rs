@@ -8,10 +8,9 @@
 //! charges, so the same microbenchmark can be regenerated.
 
 use p2plab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The network-related system calls the interception layer deals with (Figure 5 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Syscall {
     /// `socket()`
     Socket,
@@ -32,7 +31,7 @@ pub enum Syscall {
 }
 
 /// Per-syscall costs charged to the calling process, in nanoseconds of CPU time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyscallCostModel {
     /// Fixed cost of entering/leaving the kernel.
     pub trap_ns: u64,

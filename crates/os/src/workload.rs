@@ -6,10 +6,8 @@
 //! actual computations: what matters to the scheduler model is how many CPU-seconds and how much
 //! resident memory a process needs.
 
-use serde::{Deserialize, Serialize};
-
 /// Resource demand of one process instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// CPU time needed to complete, in seconds of a reference core.
     pub cpu_seconds: f64,

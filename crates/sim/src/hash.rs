@@ -64,10 +64,7 @@ impl Hasher for FxHasher {
     fn finish(&self) -> u64 {
         // Finalize with an avalanche so low-entropy keys (small sequential ids) still spread
         // over the map's buckets.
-        let mut z = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        crate::splitmix64(self.state)
     }
 }
 

@@ -30,7 +30,7 @@ pub use metrics::{
     Counter, Gauge, HistogramId, HistogramSnapshot, LogHistogram, Metric, MetricSet, MetricValue,
     Recorder, TimeSeriesId,
 };
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng, Uniform};
 pub use shard::{
     run_sharded, ShardConfig, ShardEvent, ShardHost, ShardOutcome, ShardRun, ShardSim, ShardWorld,
 };

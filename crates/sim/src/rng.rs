@@ -2,29 +2,74 @@
 //!
 //! Experiment reproducibility is one of the paper's motivations, so every source of randomness
 //! in the framework flows through [`SimRng`]: a seeded PRNG with helpers for the distributions
-//! the substrates need (uniform ranges, Bernoulli packet loss, exponential inter-arrivals,
-//! shuffles, weighted picks). Child generators can be split off by label so that adding a new
-//! consumer of randomness does not perturb the draws seen by existing ones.
+//! the substrates need (uniform ranges, Bernoulli packet loss, exponential, Pareto and normal
+//! variates, shuffles and samples). Child generators can be split off by label so that adding a
+//! new consumer of randomness does not perturb the draws seen by existing ones.
+//!
+//! The stream is defined here and nowhere else: xoshiro256++ seeded by SplitMix64, Lemire's
+//! multiply-shift for bounded integers and the top 53 bits for floats. Every committed pin and
+//! report byte depends on the exact draws each method makes, in order.
 
-use rand::distributions::uniform::{SampleRange, SampleUniform};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
+use std::fmt::Debug;
+use std::ops::{Bound, RangeBounds};
 
 /// A deterministic, splittable random number generator.
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: SmallRng,
+    s: [u64; 4],
     seed: u64,
+}
+
+/// SplitMix64's increment: 2^64 over the golden ratio.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output from state `x`: a bijective avalanche mixer. It seeds every [`SimRng`]
+/// and spreads sequential keys (hash states, DHT node ids) over 64 bits.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A type [`SimRng::gen_range`] draws uniformly.
+pub trait Uniform: Copy + PartialOrd + Debug {
+    /// Draws from `[low, high)`, or `[low, high]` if `inclusive`; the range is not empty.
+    fn draw(rng: &mut SimRng, low: Self, high: Self, inclusive: bool) -> Self;
+}
+
+macro_rules! impl_uniform_uint {
+    ($($t:ty),*) => {$(
+        impl Uniform for $t {
+            fn draw(rng: &mut SimRng, low: Self, high: Self, inclusive: bool) -> Self {
+                let span = (high as u64).wrapping_sub(low as u64);
+                let width = if inclusive { span.wrapping_add(1) } else { span };
+                low.wrapping_add(rng.below(width) as $t)
+            }
+        }
+    )*};
+}
+impl_uniform_uint!(u8, u32, u64, usize);
+
+impl Uniform for f64 {
+    fn draw(rng: &mut SimRng, low: Self, high: Self, _inclusive: bool) -> Self {
+        let v = low + (high - low) * rng.gen_f64();
+        // Rounding can reach `high`; keep a half-open draw below it.
+        if v >= high {
+            low.max(high - (high - low) * f64::EPSILON)
+        } else {
+            v
+        }
+    }
 }
 
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
-        SimRng {
-            inner: SmallRng::seed_from_u64(seed),
-            seed,
-        }
+        // SplitMix64's first four outputs from `seed`.
+        let s = [0, 1, 2, 3].map(|k: u64| splitmix64(seed.wrapping_add(k.wrapping_mul(GAMMA))));
+        SimRng { s, seed }
     }
 
     /// The seed this generator was created with.
@@ -59,18 +104,49 @@ impl SimRng {
         SimRng::new(h)
     }
 
-    /// Uniform draw from a range, e.g. `rng.gen_range(0..10)`.
-    pub fn gen_range<T, R>(&mut self, range: R) -> T
-    where
-        T: SampleUniform,
-        R: SampleRange<T>,
-    {
-        self.inner.gen_range(range)
+    /// The next 64 bits of xoshiro256++.
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform in `[0, width)` by Lemire's multiply-shift; `width == 0` stands for 2^64.
+    fn below(&mut self, width: u64) -> u64 {
+        if width == 0 {
+            return self.next_u64();
+        }
+        ((self.next_u64() as u128 * width as u128) >> 64) as u64
+    }
+
+    /// Uniform draw from a range, e.g. `rng.gen_range(0..10)` or `rng.gen_range(1..=6)`.
+    ///
+    /// Panics at the caller if the range is empty.
+    #[track_caller]
+    pub fn gen_range<T: Uniform>(&mut self, range: impl RangeBounds<T>) -> T {
+        match (range.start_bound(), range.end_bound()) {
+            (Bound::Included(&low), Bound::Excluded(&high)) => {
+                assert!(low < high, "gen_range: empty range {low:?}..{high:?}");
+                T::draw(self, low, high, false)
+            }
+            (Bound::Included(&low), Bound::Included(&high)) => {
+                assert!(low <= high, "gen_range: empty range {low:?}..={high:?}");
+                T::draw(self, low, high, true)
+            }
+            _ => panic!("gen_range: a range needs a start and an end"),
+        }
     }
 
     /// Uniform draw in `[0, 1)`.
     pub fn gen_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
@@ -80,14 +156,14 @@ impl SimRng {
         } else if p >= 1.0 {
             true
         } else {
-            self.inner.gen::<f64>() < p
+            self.gen_f64() < p
         }
     }
 
     /// Exponentially distributed value with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "mean must be positive");
-        let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
+        let u = self.gen_range(f64::MIN_POSITIVE..1.0);
         -mean * u.ln()
     }
 
@@ -99,36 +175,44 @@ impl SimRng {
             scale > 0.0 && scale.is_finite() && shape > 0.0 && shape.is_finite(),
             "invalid Pareto parameters: scale={scale} shape={shape}"
         );
-        let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
+        let u = self.gen_range(f64::MIN_POSITIVE..1.0);
         scale / u.powf(1.0 / shape)
     }
 
     /// Normally distributed value (Box-Muller) with the given mean and standard deviation.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.inner.gen::<f64>();
+        let u1 = self.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2 = self.gen_f64();
         let z = (-2.0_f64 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         mean + std_dev * z
     }
 
     /// Fisher-Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        slice.shuffle(&mut self.inner);
+        for i in (1..slice.len()).rev() {
+            let j = self.below(i as u64 + 1) as usize;
+            slice.swap(i, j);
+        }
     }
 
     /// Chooses up to `n` distinct elements uniformly at random, preserving no particular order.
     pub fn sample<'a, T>(&mut self, slice: &'a [T], n: usize) -> Vec<&'a T> {
-        slice.choose_multiple(&mut self.inner, n).collect()
+        // Partial Fisher-Yates over the indices: the first `n` slots end up a uniform sample.
+        let n = n.min(slice.len());
+        let mut indices: Vec<usize> = (0..slice.len()).collect();
+        for i in 0..n {
+            let j = i + self.below((slice.len() - i) as u64) as usize;
+            indices.swap(i, j);
+        }
+        indices[..n].iter().map(|&i| &slice[i]).collect()
     }
 
-    /// Chooses one element uniformly at random.
+    /// Chooses one element uniformly at random, or `None` from an empty slice.
     pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        slice.choose(&mut self.inner)
-    }
-
-    /// Access to the raw `rand` generator for anything not covered by the helpers.
-    pub fn raw(&mut self) -> &mut impl RngCore {
-        &mut self.inner
+        if slice.is_empty() {
+            return None;
+        }
+        Some(&slice[self.below(slice.len() as u64) as usize])
     }
 }
 
@@ -137,47 +221,72 @@ mod tests {
     use super::*;
 
     #[test]
-    fn same_seed_same_sequence() {
-        let mut a = SimRng::new(3);
-        let mut b = SimRng::new(3);
-        let va: Vec<u32> = (0..32).map(|_| a.gen_range(0..1000)).collect();
-        let vb: Vec<u32> = (0..32).map(|_| b.gen_range(0..1000)).collect();
-        assert_eq!(va, vb);
+    fn the_stream_is_a_function_of_the_seed() {
+        let draws = |seed| {
+            let mut rng = SimRng::new(seed);
+            (0..32)
+                .map(|_| rng.gen_range(0u32..1000))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(draws(3), draws(3));
+        assert_ne!(draws(3), draws(4));
     }
 
     #[test]
-    fn different_seed_different_sequence() {
-        let mut a = SimRng::new(3);
-        let mut b = SimRng::new(4);
-        let va: Vec<u32> = (0..32).map(|_| a.gen_range(0..1000)).collect();
-        let vb: Vec<u32> = (0..32).map(|_| b.gen_range(0..1000)).collect();
-        assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn split_is_label_dependent_and_stable() {
+    fn splits_are_label_dependent_and_stable() {
         let root = SimRng::new(11);
-        let mut a1 = root.split("net");
-        let mut a2 = root.split("net");
-        let mut b = root.split("os");
-        assert_eq!(a1.gen_range(0..u64::MAX), a2.gen_range(0..u64::MAX));
-        assert_ne!(
-            root.split("net").gen_range(0..u64::MAX),
-            b.gen_range(0..u64::MAX)
-        );
+        let first = |mut rng: SimRng| rng.gen_range(0..=u64::MAX);
+        assert_eq!(first(root.split("net")), first(root.split("net")));
+        assert_ne!(first(root.split("net")), first(root.split("os")));
+        assert_eq!(first(root.split_u64(7)), first(root.split_u64(7)));
+        assert_ne!(first(root.split_u64(7)), first(root.split_u64(8)));
     }
 
     #[test]
-    fn split_u64_is_label_dependent_and_stable() {
-        let root = SimRng::new(11);
-        let mut a1 = root.split_u64(7);
-        let mut a2 = root.split_u64(7);
-        let mut b = root.split_u64(8);
-        assert_eq!(a1.gen_range(0..u64::MAX), a2.gen_range(0..u64::MAX));
-        assert_ne!(
-            root.split_u64(7).gen_range(0..u64::MAX),
-            b.gen_range(0..u64::MAX)
-        );
+    fn ranges_stay_in_bounds() {
+        let mut rng = SimRng::new(42);
+        for _ in 0..10_000 {
+            assert!((10..20).contains(&rng.gen_range(10u32..20)));
+            assert!((8..=30).contains(&rng.gen_range(8u8..=30)));
+            assert!(rng.gen_range(200u8..=255) >= 200);
+            // A half-open float draw never returns its end.
+            for (low, high) in [(f64::MIN_POSITIVE, 1.0), (0.0, 0.3), (-5.0, -4.0)] {
+                let v = rng.gen_range(low..high);
+                assert!(v >= low && v < high, "{v} outside {low}..{high}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_u64_ranges_are_usable_and_reach_the_upper_half() {
+        let mut rng = SimRng::new(7);
+        let half_open = (0..64).any(|_| rng.gen_range(0..u64::MAX) > u64::MAX / 2);
+        let inclusive = (0..64).any(|_| rng.gen_range(0..=u64::MAX) > u64::MAX / 2);
+        assert!(half_open && inclusive);
+    }
+
+    #[test]
+    fn draws_are_roughly_uniform() {
+        let mut rng = SimRng::new(3);
+        let n = 100_000;
+        let mean = (0..n)
+            .map(|_| rng.gen_range(0u32..1000) as f64)
+            .sum::<f64>()
+            / n as f64;
+        assert!((mean - 499.5).abs() < 10.0, "mean={mean}");
+    }
+
+    #[test]
+    #[should_panic(expected = "gen_range: empty range 3..3")]
+    fn an_empty_half_open_range_panics_naming_it() {
+        SimRng::new(1).gen_range(3u32..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "gen_range: empty range 5..=3")]
+    fn a_reversed_inclusive_range_panics_naming_it() {
+        let (low, high) = (5usize, 3);
+        SimRng::new(1).gen_range(low..=high);
     }
 
     #[test]
@@ -256,5 +365,13 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn choose_picks_from_the_slice_and_an_empty_slice_gives_none() {
+        let mut rng = SimRng::new(9);
+        let v: Vec<u32> = (0..100).collect();
+        assert!(v.contains(rng.choose(&v).unwrap()));
+        assert!(rng.choose::<u32>(&[]).is_none());
     }
 }

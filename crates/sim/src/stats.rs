@@ -5,10 +5,9 @@
 //! types are the common output format of all experiments in the workspace.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A sequence of `(time, value)` samples in simulation time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     samples: Vec<(SimTime, f64)>,
 }
@@ -103,7 +102,7 @@ impl TimeSeries {
 }
 
 /// Basic summary statistics over a set of values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of values.
     pub count: usize,
@@ -145,7 +144,7 @@ impl Summary {
 }
 
 /// An empirical cumulative distribution function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -212,7 +211,7 @@ impl Cdf {
 
 /// Exponentially-weighted moving average rate estimator (bytes per second), in the style of the
 /// 20-second rolling rate BitTorrent clients use to pick tit-for-tat partners.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateEstimator {
     window: SimDuration,
     rate_bps: f64,

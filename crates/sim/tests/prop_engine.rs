@@ -107,7 +107,6 @@ struct QueueOpStrategy;
 impl Strategy for QueueOpStrategy {
     type Value = QueueOp;
     fn sample(&self, rng: &mut proptest::TestRng) -> QueueOp {
-        use rand::Rng;
         match rng.gen_range(0u32..30) {
             0..=4 => QueueOp::Push(rng.gen_range(0u64..2_000)),
             5..=9 => QueueOp::Push(rng.gen_range(0u64..10_000_000_000)),

@@ -1,6 +1,6 @@
 //! The conventions `cargo clippy` cannot state (the rest are `clippy.toml` and
 //! `[workspace.lints]`): which bench binaries may exist, that no crate drops out of the gate,
-//! and that no crate source holds a `dyn Fn`.
+//! that no crate source holds a `dyn Fn`, and that nothing comes from outside the workspace.
 
 use std::path::Path;
 
@@ -8,6 +8,26 @@ fn entries(dir: &str) -> Vec<std::path::PathBuf> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
     let listed = std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
     listed.map(|entry| entry.unwrap().path()).collect()
+}
+
+/// The root manifest and every `crates/*` manifest.
+fn manifests() -> Vec<std::path::PathBuf> {
+    let mut manifests = vec![Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml")];
+    manifests.extend(entries("crates").iter().map(|c| c.join("Cargo.toml")));
+    assert!(manifests.len() > 1);
+    manifests
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
 }
 
 /// New scenarios ship as `.toml` files run by `campaign`, not as new binaries.
@@ -29,10 +49,7 @@ fn bench_bins_are_figure_regenerators_or_the_campaign_runner() {
 
 #[test]
 fn every_crate_opts_into_the_workspace_lints() {
-    let mut manifests = vec![Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml")];
-    manifests.extend(entries("crates").iter().map(|c| c.join("Cargo.toml")));
-    assert!(manifests.len() > 1);
-    for manifest in manifests {
+    for manifest in manifests() {
         let text = std::fs::read_to_string(&manifest).unwrap();
         assert!(
             text.contains("[lints]\nworkspace = true"),
@@ -46,16 +63,6 @@ fn every_crate_opts_into_the_workspace_lints() {
 /// closure behind `dyn Fn`, `dyn FnMut` or `dyn FnOnce` (a simulation is plain data).
 #[test]
 fn no_crate_source_holds_a_dyn_closure() {
-    fn sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                sources(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
-    }
     let mut files = Vec::new();
     for krate in entries("crates") {
         sources(&krate.join("src"), &mut files);
@@ -68,5 +75,53 @@ fn no_crate_source_holds_a_dyn_closure() {
             "{}: a `dyn Fn*` closure; make it a variant of the world's event enum",
             file.display()
         );
+    }
+}
+
+/// The crates depend only on each other: randomness is `SimRng`'s own stream and reports and
+/// scenarios have their own readers and writers. `[dependencies]` tables name only `p2plab-*`
+/// crates, `[dev-dependencies]` only the `proptest` stub, `vendor/` holds only that stub, and no
+/// source names a serialization crate, derives its traits or reaches for `rand::`.
+#[test]
+fn no_crate_comes_from_outside_the_workspace() {
+    for manifest in manifests() {
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let mut section = "";
+        for line in text.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if !line.is_empty() && !line.starts_with('#') {
+                let name = line.split(['.', '=']).next().unwrap().trim();
+                let allowed = match section {
+                    "[dependencies]" => name.starts_with("p2plab-"),
+                    "[dev-dependencies]" => name == "proptest",
+                    "[workspace.dependencies]" => name.starts_with("p2plab-") || name == "proptest",
+                    _ => true,
+                };
+                assert!(allowed, "{}: `{name}` in {section}", manifest.display());
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert_eq!(entries("vendor"), [root.join("vendor/proptest")]);
+
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        sources(&root.join(dir), &mut files);
+    }
+    files.retain(|f| !f.ends_with(file!()));
+    assert!(files.len() > 10);
+    for file in files {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let named = ["serde", "rand::"].into_iter().find(|b| text.contains(b));
+        assert_eq!(named, None, "{}", file.display());
+        for (at, _) in text.match_indices("#[derive(") {
+            let list = &text[at..at + text[at..].find(')').unwrap()];
+            assert!(
+                !list.contains("Serialize") && !list.contains("Deserialize"),
+                "{}: derives a serialization trait",
+                file.display()
+            );
+        }
     }
 }
