@@ -8,8 +8,8 @@
 //! complex to model faithfully. This ablation shows the machinery matters: removing choking
 //! changes how upload capacity is partitioned (every interested peer competes for each uploader's
 //! access link at once) and with it the per-client completion profile. Both runs are
-//! `examples/scenarios/paper_fig8.toml` at the given scale; the second swaps the client's choke
-//! policy, which is not a scenario key.
+//! `examples/scenarios/paper_fig8.toml` at the given scale; the second swaps the swarm's
+//! `SwarmSpec::choke` policy, which is not a scenario key.
 
 use p2plab_bench::{arg_scale, run_swarm};
 use p2plab_bittorrent::{no_choking, SwarmWorld};
@@ -32,7 +32,7 @@ fn main() {
     let with_choking = file("tit-for-tat");
     let mut without_choking = file("no-choking");
     if let WorkloadConfig::Swarm(swarm) = &mut without_choking.workload {
-        swarm.client_config.choke = no_choking();
+        swarm.choke = no_choking();
     }
 
     let a = run_swarm(&with_choking);

@@ -206,10 +206,7 @@ fn run_one(path: &str, args: &Args) -> Result<(), ExitCode> {
                     selected
                 }
             };
-            let threads = args
-                .threads
-                .or(campaign.threads)
-                .unwrap_or_else(default_threads);
+            let threads = args.threads.unwrap_or_else(default_threads);
             println!(
                 "[{path}] running {} cell(s) on {} thread(s)",
                 cells.len(),

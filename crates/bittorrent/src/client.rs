@@ -26,51 +26,30 @@ use p2plab_sim::FxHashSet;
 use p2plab_sim::{RateEstimator, SimDuration, SimRng, SimTime, TimeSeries};
 use std::ops::{Index, IndexMut};
 
-/// Client policy parameters (mainline 4.x defaults).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClientConfig {
-    /// Port the client listens on.
-    pub listen_port: u16,
-    /// Maximum number of open peer connections.
-    pub max_connections: usize,
-    /// Maximum number of outgoing connections the client initiates on its own.
-    pub max_initiate: usize,
-    /// Number of outstanding block requests kept per unchoked peer.
-    pub request_pipeline: usize,
-    /// Choker period.
-    pub choke_interval: SimDuration,
-    /// Choking policy.
-    pub choke: ChokeConfig,
-    /// Periodic tracker re-announce interval.
-    pub tracker_interval: SimDuration,
-    /// Number of peers requested from the tracker.
-    pub numwant: usize,
-    /// A request unanswered for longer than this is forgotten at the next choker round, so the
-    /// block can be re-issued (to any peer).
-    pub request_timeout: SimDuration,
-    /// If the client has fewer known peers than this it re-announces early.
-    pub min_peers: usize,
-    /// Window of the transfer-rate estimators used by the choker.
-    pub rate_window: SimDuration,
-}
+// Client policy: mainline 4.x's defaults. Only the choking policy varies between
+// experiments, and it lives in the client's `Choker`.
 
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            listen_port: 6881,
-            max_connections: 55,
-            max_initiate: 40,
-            request_pipeline: 5,
-            choke_interval: SimDuration::from_secs(10),
-            choke: ChokeConfig::default(),
-            tracker_interval: SimDuration::from_secs(120),
-            numwant: 50,
-            request_timeout: SimDuration::from_secs(60),
-            min_peers: 20,
-            rate_window: SimDuration::from_secs(20),
-        }
-    }
-}
+/// Port the client listens on.
+pub const LISTEN_PORT: u16 = 6881;
+/// Maximum number of open peer connections.
+pub const MAX_CONNECTIONS: usize = 55;
+/// Maximum number of outgoing connections the client initiates on its own.
+pub const MAX_INITIATE: usize = 40;
+/// Number of outstanding block requests kept per unchoked peer.
+pub const REQUEST_PIPELINE: usize = 5;
+/// Choker period.
+pub const CHOKE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// Periodic tracker re-announce interval.
+pub const TRACKER_INTERVAL: SimDuration = SimDuration::from_secs(120);
+/// Number of peers requested from the tracker.
+pub const NUMWANT: usize = 50;
+/// A request unanswered for longer than this is forgotten at the next choker round, so the
+/// block can be re-issued (to any peer).
+pub const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(60);
+/// If the client has fewer open connections than this it re-announces early.
+pub const MIN_PEERS: usize = 20;
+/// Window of the transfer-rate estimators used by the choker.
+pub const RATE_WINDOW: SimDuration = SimDuration::from_secs(20);
 
 /// State of one peer connection, from this client's point of view. It lives in its slot of
 /// the client's [`PeerTable`] from the connection's `Connected`/`Accepted` event to its
@@ -115,13 +94,7 @@ pub struct PeerConn {
 
 impl PeerConn {
     /// Creates the state for a new connection.
-    pub fn new(
-        conn: ConnId,
-        peer_addr: SocketAddr,
-        outbound: bool,
-        num_pieces: u32,
-        rate_window: SimDuration,
-    ) -> PeerConn {
+    pub fn new(conn: ConnId, peer_addr: SocketAddr, outbound: bool, num_pieces: u32) -> PeerConn {
         PeerConn {
             conn,
             peer_addr,
@@ -135,8 +108,8 @@ impl PeerConn {
             peer_interested: false,
             bitfield: Bitfield::new(num_pieces),
             inflight: Vec::new(),
-            download: RateEstimator::new(rate_window),
-            upload: RateEstimator::new(rate_window),
+            download: RateEstimator::new(RATE_WINDOW),
+            upload: RateEstimator::new(RATE_WINDOW),
             blocks_received: 0,
             blocks_sent: 0,
         }
@@ -259,8 +232,6 @@ pub struct Client {
     pub id: PeerId,
     /// The virtual node the client runs on.
     pub vnode: VNodeId,
-    /// Policy parameters.
-    pub config: ClientConfig,
     /// Piece state and selection.
     pub pieces: PieceManager,
     /// Choker state.
@@ -304,20 +275,20 @@ pub struct Client {
 }
 
 impl Client {
-    /// Creates a client. `complete` makes it an initial seeder.
+    /// Creates a client that chokes by `choke`. `complete` makes it an initial seeder.
     pub fn new(
         id: PeerId,
         vnode: VNodeId,
         torrent: Torrent,
         complete: bool,
         tracker_addr: SocketAddr,
-        config: ClientConfig,
+        choke: ChokeConfig,
     ) -> Client {
         Client {
             id,
             vnode,
             pieces: PieceManager::new(torrent, complete),
-            choker: Choker::new(config.choke),
+            choker: Choker::new(choke),
             peers: PeerTable::default(),
             known_peers: Vec::new(),
             connecting: FxHashSet::default(),
@@ -334,7 +305,6 @@ impl Client {
             request_scratch: Vec::new(),
             unchoke_scratch: Vec::new(),
             connect_scratch: Vec::new(),
-            config,
         }
     }
 
@@ -376,10 +346,7 @@ impl Client {
         if !p.is_serving() {
             return;
         }
-        let budget = self
-            .config
-            .request_pipeline
-            .saturating_sub(p.inflight.len());
+        let budget = REQUEST_PIPELINE.saturating_sub(p.inflight.len());
         let inflight = &p.inflight;
         let holds = |block| inflight.iter().any(|r| r.0 == block);
         self.pieces
@@ -427,9 +394,8 @@ impl Client {
     /// own send time — is given up on: the head of each oldest-first list. Most were dropped by
     /// an uploader that choked us since.
     pub fn expire_requests(&mut self, now: SimTime) {
-        let timeout = self.config.request_timeout;
         for p in self.peers.iter_mut() {
-            let stale = |r: &((u32, u32), SimTime)| now.saturating_since(r.1) > timeout;
+            let stale = |r: &((u32, u32), SimTime)| now.saturating_since(r.1) > REQUEST_TIMEOUT;
             let n = p.inflight.partition_point(stale);
             for (block, _) in p.inflight.drain(..n) {
                 self.pieces.release_requests(&[block]);
@@ -468,7 +434,7 @@ impl Client {
 
     /// True if the client should try to open more outgoing connections.
     pub fn wants_more_peers(&self) -> bool {
-        self.online && self.peers.len() + self.connecting.len() < self.config.max_initiate
+        self.online && self.peers.len() + self.connecting.len() < MAX_INITIATE
     }
 
     /// Fills `out` with the addresses the client could still try to connect to, in the order
@@ -498,7 +464,7 @@ mod tests {
             Torrent::paper_16mb(),
             complete,
             tracker_addr(),
-            ClientConfig::default(),
+            ChokeConfig::default(),
         )
     }
 
@@ -511,11 +477,11 @@ mod tests {
             piece_size: blocks * 16 * 1024,
             block_size: 16 * 1024,
         };
-        let cfg = ClientConfig::default();
-        let mut c = Client::new(PeerId(1), VNodeId(0), torrent, false, tracker_addr(), cfg);
+        let choke = ChokeConfig::default();
+        let mut c = Client::new(PeerId(1), VNodeId(0), torrent, false, tracker_addr(), choke);
         for conn in (1..=peers).map(ConnId) {
             let addr = SocketAddr::new(VirtAddr::new(10, 0, 0, conn.0 as u8), 6881);
-            let mut p = PeerConn::new(conn, addr, true, 1, cfg.rate_window);
+            let mut p = PeerConn::new(conn, addr, true, 1);
             p.bitfield = Bitfield::full(1);
             c.pieces.add_peer_bitfield(&p.bitfield);
             (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
@@ -573,14 +539,14 @@ mod tests {
         // `request_timeout + choke_interval` the sweep gives the slots (and the blocks) back,
         // and holds nothing against the peer: its next unchoke can use all five.
         let mut c = leecher_with_peers(16, 1);
-        assert_eq!(request(&mut c, 1, 0).len(), c.config.request_pipeline);
+        assert_eq!(request(&mut c, 1, 0).len(), REQUEST_PIPELINE);
         c.peers[0].peer_choking = true;
         assert_eq!(request(&mut c, 1, 5), [], "a choking peer gets no requests");
-        c.expire_requests(SimTime::ZERO + c.config.request_timeout + c.config.choke_interval);
+        c.expire_requests(SimTime::ZERO + REQUEST_TIMEOUT + CHOKE_INTERVAL);
         assert_eq!(holds(&c, 1), []);
         assert_eq!(c.pieces.requests_outstanding(), 0);
         c.peers[0].peer_choking = false;
-        assert_eq!(request(&mut c, 1, 80).len(), c.config.request_pipeline);
+        assert_eq!(request(&mut c, 1, 80).len(), REQUEST_PIPELINE);
     }
 
     #[test]
@@ -659,7 +625,6 @@ mod tests {
             SocketAddr::new(VirtAddr::new(10, 0, 0, 2), 6881),
             true,
             64,
-            SimDuration::from_secs(20),
         );
         assert!(p.am_choking && p.peer_choking);
         assert!(!p.am_interested && !p.peer_interested);
@@ -675,13 +640,7 @@ mod tests {
         let a3 = SocketAddr::new(VirtAddr::new(10, 0, 0, 13), 6881);
         c.known_peers = vec![a1, a2, a3];
         c.connecting.insert(a2);
-        c.peers.insert(PeerConn::new(
-            ConnId(5),
-            a3,
-            true,
-            64,
-            SimDuration::from_secs(20),
-        ));
+        c.peers.insert(PeerConn::new(ConnId(5), a3, true, 64));
         let mut out = vec![a3];
         c.unconnected_known_peers_into(&mut out);
         assert_eq!(out, [a1]);
@@ -693,7 +652,7 @@ mod tests {
         assert!(!c.wants_more_peers(), "offline client never connects");
         c.online = true;
         assert!(c.wants_more_peers());
-        for i in 0..c.config.max_initiate {
+        for i in 0..MAX_INITIATE {
             c.connecting
                 .insert(SocketAddr::new(VirtAddr::new(10, 0, 1, i as u8), 6881));
         }
@@ -704,10 +663,10 @@ mod tests {
     fn choker_snapshot_only_includes_handshaken_peers() {
         let mut c = client(false);
         let a = SocketAddr::new(VirtAddr::new(10, 0, 0, 11), 6881);
-        let mut p1 = PeerConn::new(ConnId(1), a, true, 64, SimDuration::from_secs(20));
+        let mut p1 = PeerConn::new(ConnId(1), a, true, 64);
         p1.handshaken = true;
         p1.peer_interested = true;
-        let p2 = PeerConn::new(ConnId(2), a, true, 64, SimDuration::from_secs(20));
+        let p2 = PeerConn::new(ConnId(2), a, true, 64);
         c.peers.insert(p2);
         c.peers.insert(p1);
         let mut snap = Vec::new();

@@ -22,7 +22,7 @@ pub mod tracker;
 
 pub use bitfield::Bitfield;
 pub use choke::{no_choking, ChokeConfig, Choker, PeerSnapshot};
-pub use client::{Client, ClientConfig, ClientStats, PeerConn, PeerTable};
+pub use client::{Client, ClientStats, PeerConn, PeerTable};
 pub use messages::{AnnounceEvent, BtPayload, PeerId, PeerMessage, TrackerMessage};
 pub use piece::{BlockOutcome, PieceManager};
 pub use swarm::{

@@ -8,7 +8,11 @@
 //! its periodic choker and tracker rounds are [`SwarmTimer`]s.
 
 use crate::bitfield::Bitfield;
-use crate::client::{Client, ClientConfig, PeerConn};
+use crate::choke::ChokeConfig;
+use crate::client::{
+    Client, PeerConn, CHOKE_INTERVAL, LISTEN_PORT, MAX_CONNECTIONS, MAX_INITIATE, MIN_PEERS,
+    NUMWANT, TRACKER_INTERVAL,
+};
 use crate::messages::{AnnounceEvent, BtPayload, PeerId, PeerMessage, TrackerMessage};
 use crate::piece::BlockOutcome;
 use crate::torrent::Torrent;
@@ -55,13 +59,14 @@ impl SwarmWorld {
         SocketAddr::new(self.net.addr_of(self.tracker.vnode), self.tracker.port)
     }
 
-    /// Adds a client on `vnode`. `complete` makes it an initial seeder. Returns its index.
+    /// Adds a client on `vnode` that chokes by `choke`. `complete` makes it an initial seeder.
+    /// Returns its index.
     pub fn add_client(
         &mut self,
         vnode: VNodeId,
         torrent: Torrent,
         complete: bool,
-        config: ClientConfig,
+        choke: ChokeConfig,
     ) -> usize {
         let idx = self.clients.len();
         let tracker_addr = self.tracker_addr();
@@ -71,7 +76,7 @@ impl SwarmWorld {
             torrent,
             complete,
             tracker_addr,
-            config,
+            choke,
         ));
         if self.vnode_to_client.len() <= vnode.0 {
             self.vnode_to_client.resize(vnode.0 + 1, None);
@@ -209,7 +214,7 @@ pub fn schedule_client_start(sim: &mut SwarmSim, idx: usize, at: SimTime) {
 /// client restarted on the same download directory would.
 pub fn start_client(sim: &mut SwarmSim, idx: usize) {
     let now = sim.now();
-    let (vnode, listen_port, choke_interval, tracker_interval, already_online) = {
+    let (vnode, already_online) = {
         let client = &mut sim.world_mut().clients[idx];
         let already_online = client.online;
         client.online = true;
@@ -218,13 +223,7 @@ pub fn start_client(sim: &mut SwarmSim, idx: usize) {
         }
         let percent = client.percent_done();
         client.progress.push(now, percent);
-        (
-            client.vnode,
-            client.config.listen_port,
-            client.config.choke_interval,
-            client.config.tracker_interval,
-            already_online,
-        )
+        (client.vnode, already_online)
     };
     if already_online {
         return;
@@ -234,13 +233,13 @@ pub fn start_client(sim: &mut SwarmSim, idx: usize) {
         client.timer_generation += 1;
         client.timer_generation
     };
-    let _ = Endpoint::new(vnode).bind(sim, listen_port);
+    let _ = Endpoint::new(vnode).bind(sim, LISTEN_PORT);
     announce(sim, idx, AnnounceEvent::Started);
 
     let choke = SwarmTimer::Choke { idx, generation };
-    sim.schedule_event_at(now + choke_interval, NetEvent::Timer(choke));
+    sim.schedule_event_at(now + CHOKE_INTERVAL, NetEvent::Timer(choke));
     let tracker = SwarmTimer::Tracker { idx, generation };
-    sim.schedule_event_at(now + tracker_interval, NetEvent::Timer(tracker));
+    sim.schedule_event_at(now + TRACKER_INTERVAL, NetEvent::Timer(tracker));
 }
 
 /// Stops a client (session end under churn, or the end of an experiment): announces `Stopped`,
@@ -310,14 +309,13 @@ fn handle_tracker_event(sim: &mut SwarmSim, event: TransportEvent<BtPayload>) {
 fn handle_client_event(sim: &mut SwarmSim, idx: usize, event: TransportEvent<BtPayload>) {
     match event {
         TransportEvent::Connected { conn, peer } => {
-            let (vnode, over_limit, num_pieces, rate_window) = {
+            let (vnode, over_limit, num_pieces) = {
                 let client = &mut sim.world_mut().clients[idx];
                 client.connecting.remove(&peer);
                 (
                     client.vnode,
-                    client.peers.len() >= client.config.max_connections || !client.online,
+                    client.peers.len() >= MAX_CONNECTIONS || !client.online,
                     client.pieces.torrent().num_pieces(),
-                    client.config.rate_window,
                 )
             };
             if over_limit {
@@ -326,7 +324,7 @@ fn handle_client_event(sim: &mut SwarmSim, idx: usize, event: TransportEvent<BtP
             }
             let (slot, our_id, our_bitfield) = {
                 let client = &mut sim.world_mut().clients[idx];
-                let mut pc = PeerConn::new(conn, peer, true, num_pieces, rate_window);
+                let mut pc = PeerConn::new(conn, peer, true, num_pieces);
                 pc.sent_handshake = true;
                 let slot = client.peers.insert(pc);
                 (slot, client.id, advertised_bitfield(client))
@@ -340,13 +338,12 @@ fn handle_client_event(sim: &mut SwarmSim, idx: usize, event: TransportEvent<BtP
             );
         }
         TransportEvent::Accepted { conn, peer } => {
-            let (vnode, over_limit, num_pieces, rate_window, online) = {
+            let (vnode, over_limit, num_pieces, online) = {
                 let client = &sim.world().clients[idx];
                 (
                     client.vnode,
-                    client.peers.len() >= client.config.max_connections,
+                    client.peers.len() >= MAX_CONNECTIONS,
                     client.pieces.torrent().num_pieces(),
-                    client.config.rate_window,
                     client.online,
                 )
             };
@@ -357,7 +354,7 @@ fn handle_client_event(sim: &mut SwarmSim, idx: usize, event: TransportEvent<BtP
             let client = &mut sim.world_mut().clients[idx];
             client
                 .peers
-                .insert(PeerConn::new(conn, peer, false, num_pieces, rate_window));
+                .insert(PeerConn::new(conn, peer, false, num_pieces));
         }
         TransportEvent::Refused { peer, .. } => {
             sim.world_mut().clients[idx].connecting.remove(&peer);
@@ -694,9 +691,8 @@ fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) {
     sim.world_mut().clients[idx].unchoke_scratch = unchoked;
     fill_pipelines(sim, idx);
     connect_to_peers(sim, idx);
-    let interval = sim.world().clients[idx].config.choke_interval;
     sim.schedule_event_in(
-        interval,
+        CHOKE_INTERVAL,
         NetEvent::Timer(SwarmTimer::Choke { idx, generation }),
     );
 }
@@ -709,7 +705,7 @@ fn periodic_announce(sim: &mut SwarmSim, idx: usize, generation: u64) {
         let client = &world.clients[idx];
         (
             client.online && client.timer_generation == generation && !world.swarm_finished(),
-            client.peers.len() < client.config.min_peers,
+            client.peers.len() < MIN_PEERS,
         )
     };
     if !keep_running {
@@ -718,35 +714,29 @@ fn periodic_announce(sim: &mut SwarmSim, idx: usize, generation: u64) {
     if need_peers {
         announce(sim, idx, AnnounceEvent::Periodic);
     }
-    let interval = sim.world().clients[idx].config.tracker_interval;
     sim.schedule_event_in(
-        interval,
+        TRACKER_INTERVAL,
         NetEvent::Timer(SwarmTimer::Tracker { idx, generation }),
     );
 }
 
 fn announce(sim: &mut SwarmSim, idx: usize, event: AnnounceEvent) {
-    let (vnode, listen_port, tracker_addr, msg) = {
+    let (vnode, tracker_addr, msg) = {
         let client = &mut sim.world_mut().clients[idx];
         client.stats.announces += 1;
         let msg = TrackerMessage::Announce {
             peer_id: client.id,
-            port: client.config.listen_port,
+            port: LISTEN_PORT,
             event,
             left: client.pieces.bytes_left(),
-            numwant: client.config.numwant,
+            numwant: NUMWANT,
         };
-        (
-            client.vnode,
-            client.config.listen_port,
-            client.tracker_addr,
-            msg,
-        )
+        (client.vnode, client.tracker_addr, msg)
     };
     let size = msg.wire_size();
     let _ = Endpoint::new(vnode).send_datagram(
         sim,
-        listen_port,
+        LISTEN_PORT,
         tracker_addr,
         size,
         BtPayload::Tracker(Box::new(msg)),
@@ -756,10 +746,7 @@ fn announce(sim: &mut SwarmSim, idx: usize, event: AnnounceEvent) {
 fn handle_tracker_response(sim: &mut SwarmSim, idx: usize, peers: Vec<SocketAddr>) {
     {
         let world = sim.world_mut();
-        let own_addr = SocketAddr::new(
-            world.net.addr_of(world.clients[idx].vnode),
-            world.clients[idx].config.listen_port,
-        );
+        let own_addr = SocketAddr::new(world.net.addr_of(world.clients[idx].vnode), LISTEN_PORT);
         let client = &mut world.clients[idx];
         for p in peers {
             if p != own_addr && !client.known_peers.contains(&p) {
@@ -779,10 +766,7 @@ fn connect_to_peers(sim: &mut SwarmSim, idx: usize) {
         if client.wants_more_peers() {
             client.unconnected_known_peers_into(&mut candidates);
             rng.shuffle(&mut candidates);
-            let budget = client
-                .config
-                .max_initiate
-                .saturating_sub(client.peers.len() + client.connecting.len());
+            let budget = MAX_INITIATE.saturating_sub(client.peers.len() + client.connecting.len());
             candidates.truncate(budget);
         }
         candidates
@@ -856,19 +840,14 @@ mod tests {
         let torrent = Torrent::new("test", total_bytes);
         let mut world = SwarmWorld::new(net, vnodes[0]);
         for i in 0..seeders {
-            world.add_client(
-                vnodes[1 + i],
-                torrent.clone(),
-                true,
-                ClientConfig::default(),
-            );
+            world.add_client(vnodes[1 + i], torrent.clone(), true, ChokeConfig::default());
         }
         for i in 0..leechers {
             world.add_client(
                 vnodes[1 + seeders + i],
                 torrent.clone(),
                 false,
-                ClientConfig::default(),
+                ChokeConfig::default(),
             );
         }
         world
@@ -1015,7 +994,7 @@ mod tests {
         client.online = true;
         for conn in [ConnId(1), ConnId(2)] {
             let addr = SocketAddr::new(VirtAddr::new(10, 0, 0, 99), 6881);
-            let mut p = PeerConn::new(conn, addr, true, 1, SimDuration::from_secs(20));
+            let mut p = PeerConn::new(conn, addr, true, 1);
             p.bitfield = Bitfield::full(1);
             client.pieces.add_peer_bitfield(&p.bitfield);
             (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);

@@ -10,14 +10,14 @@
 
 use p2plab_bittorrent::{PeerConn, PeerTable};
 use p2plab_net::{ConnId, SocketAddr, VirtAddr};
-use p2plab_sim::{SimDuration, SimRng};
+use p2plab_sim::SimRng;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// A connection whose `blocks_received` carries `tag`, so a replacement is observable.
 fn peer(conn: u64, tag: u64) -> PeerConn {
     let addr = SocketAddr::new(VirtAddr::new(10, 0, (conn >> 8) as u8, conn as u8), 6881);
-    let mut p = PeerConn::new(ConnId(conn), addr, true, 8, SimDuration::from_secs(20));
+    let mut p = PeerConn::new(ConnId(conn), addr, true, 8);
     p.blocks_received = tag;
     p
 }

@@ -6,8 +6,9 @@
     reason = "std collections model the implementation under test"
 )]
 
+use p2plab_bittorrent::client::{REQUEST_PIPELINE, REQUEST_TIMEOUT};
 use p2plab_bittorrent::{
-    Bitfield, BlockOutcome, Client, ClientConfig, PeerConn, PeerId, PieceManager, Torrent,
+    Bitfield, BlockOutcome, ChokeConfig, Client, PeerConn, PeerId, PieceManager, Torrent,
 };
 use p2plab_net::{ConnId, SocketAddr, VNodeId, VirtAddr};
 use p2plab_sim::{SimDuration, SimRng, SimTime};
@@ -25,10 +26,10 @@ fn ledger_client() -> Client {
         block_size: 16 * 1024,
     };
     let addr = |host| SocketAddr::new(VirtAddr::new(10, 0, 0, host), 6881);
-    let cfg = ClientConfig::default();
-    let mut c = Client::new(PeerId(0), VNodeId(0), torrent, false, addr(250), cfg);
+    let choke = ChokeConfig::default();
+    let mut c = Client::new(PeerId(0), VNodeId(0), torrent, false, addr(250), choke);
     for conn in (1..=LEDGER_PEERS).map(ConnId) {
-        let mut p = PeerConn::new(conn, addr(conn.0 as u8), true, 3, cfg.rate_window);
+        let mut p = PeerConn::new(conn, addr(conn.0 as u8), true, 3);
         p.bitfield = Bitfield::full(3);
         c.pieces.add_peer_bitfield(&p.bitfield);
         (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
@@ -199,7 +200,7 @@ proptest! {
                         .map(|i| (i / 4, i % 4))
                         .any(|b| !received.contains(&b) && holders(b) == 0);
                     let before: Vec<usize> = (0..12).map(|i| holders((i / 4, i % 4))).collect();
-                    let budget = c.config.request_pipeline - held[peer as usize].len();
+                    let budget = REQUEST_PIPELINE - held[peer as usize].len();
                     c.request_blocks(slot, now, &mut rng, &mut picked);
                     prop_assert!(picked.len() <= budget);
                     if !c.peers[slot].is_serving() {
@@ -232,9 +233,8 @@ proptest! {
                 }
                 _ => {
                     c.expire_requests(now);
-                    let timeout = c.config.request_timeout;
                     held.iter_mut()
-                        .for_each(|h| h.retain(|r| now.saturating_since(r.1) <= timeout));
+                        .for_each(|h| h.retain(|r| now.saturating_since(r.1) <= REQUEST_TIMEOUT));
                 }
             }
             let holders = |b| held.iter().flatten().filter(|r| r.0 == b).count();

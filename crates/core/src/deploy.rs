@@ -14,40 +14,18 @@
 
 use p2plab_net::{GroupId, NetError, Network, NetworkConfig, TopologySpec, VNodeId, VirtAddr};
 
-/// How virtual nodes are spread over the physical machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Node `i` goes to machine `i % machines` (interleaves groups over machines).
-    RoundRobin,
-    /// Consecutive nodes fill one machine before the next (keeps groups together).
-    Blocks,
-}
-
-/// A deployment request: how many machines, and how to place virtual nodes on them.
+/// A deployment request: how many machines the virtual nodes fold onto. Node `i` goes to
+/// machine `i % machines`, which interleaves groups over machines (the P2PLab behaviour).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeploymentSpec {
     /// Number of physical machines available.
     pub machines: usize,
-    /// Placement policy.
-    pub placement: Placement,
 }
 
 impl DeploymentSpec {
-    /// A deployment over `machines` machines with round-robin placement (the default P2PLab
-    /// behaviour).
+    /// A deployment over `machines` machines.
     pub fn new(machines: usize) -> DeploymentSpec {
-        DeploymentSpec {
-            machines,
-            placement: Placement::RoundRobin,
-        }
-    }
-
-    /// Deployment with block placement.
-    pub fn blocks(machines: usize) -> DeploymentSpec {
-        DeploymentSpec {
-            machines,
-            placement: Placement::Blocks,
-        }
+        DeploymentSpec { machines }
     }
 }
 
@@ -107,11 +85,8 @@ pub fn deploy(
     for (gi, group) in topology.groups.iter().enumerate() {
         for _ in 0..group.node_count {
             let global_index = vnodes.len();
-            let machine = match spec.placement {
-                Placement::RoundRobin => global_index % spec.machines,
-                Placement::Blocks => global_index * spec.machines / topology.total_nodes().max(1),
-            };
-            let id = net.add_vnode(p2plab_net::MachineId(machine), GroupId(gi))?;
+            let machine = p2plab_net::MachineId(global_index % spec.machines);
+            let id = net.add_vnode(machine, GroupId(gi))?;
             debug_assert_eq!(id, VNodeId(global_index));
             vnodes.push(id);
         }
@@ -147,22 +122,6 @@ mod tests {
             );
         }
         assert_eq!(d.max_rules_per_machine(), 20);
-    }
-
-    #[test]
-    fn block_placement_fills_machines_in_order() {
-        let d = deploy(
-            &dsl_topology(100),
-            DeploymentSpec::blocks(4),
-            NetworkConfig::default(),
-        )
-        .unwrap();
-        // First 25 nodes on machine 0, next 25 on machine 1, ...
-        let first = d.net.vnode(d.vnodes[0]).machine;
-        let last_of_first_block = d.net.vnode(d.vnodes[24]).machine;
-        let first_of_second_block = d.net.vnode(d.vnodes[25]).machine;
-        assert_eq!(first, last_of_first_block);
-        assert_ne!(first, first_of_second_block);
     }
 
     #[test]

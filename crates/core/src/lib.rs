@@ -7,7 +7,7 @@
 //!   aliases and generate the per-machine dummynet/IPFW rules (the decentralized
 //!   network-emulation model);
 //! * [`scenario`] — the workload-agnostic experiment layer: the [`Workload`] trait,
-//!   [`ScenarioBuilder`], the single generic [`run_scenario`] loop every experiment runs
+//!   [`ScenarioSpec`], the single generic [`run_scenario`] loop every experiment runs
 //!   through (it returns the final world and the run's [`RunReport`]), and the arrival/session
 //!   process library
 //!   ([`scenario::processes`]: Poisson, uniform-ramp, flash-crowd and trace arrivals;
@@ -44,7 +44,7 @@ pub use analysis::{
     compare_folding, completion_summary, download_phases, relative_curve_deviation,
     samples_ks_distance, CompletionSummary, DownloadPhases, FoldingComparison, FoldingRow,
 };
-pub use deploy::{deploy, Deployment, DeploymentSpec, Placement};
+pub use deploy::{deploy, Deployment, DeploymentSpec};
 pub use monitor::ResourceMonitor;
 pub use report::{
     ascii_plot, points_to_csv, render_table, series_to_csv, ReportError, RunReport,
@@ -59,8 +59,8 @@ pub use scenario::dsl::{
     TomlTable, TomlValue, LINK_PROFILES,
 };
 pub use scenario::{
-    run_scenario, ArrivalSchedule, ArrivalSpec, ScenarioBuilder, ScenarioError, ScenarioSpec,
-    SessionProcess, Workload,
+    run_scenario, ArrivalSchedule, ArrivalSpec, ScenarioError, ScenarioSpec, SessionProcess,
+    Workload,
 };
 pub use workloads::{
     DhtLookupSpec, DhtLookupWorkload, GossipShardedSpec, GossipShardedWorkload, GossipSpec,

@@ -1,10 +1,10 @@
-//! The workload-agnostic scenario layer: [`Workload`], [`ScenarioBuilder`] and [`run_scenario`].
+//! The workload-agnostic scenario layer: [`Workload`], [`ScenarioSpec`] and [`run_scenario`].
 //!
 //! The paper presents P2PLab as a platform for studying P2P *applications* in general, not just
 //! BitTorrent. This module is the framework half of that claim: everything an experiment needs
 //! besides the application itself — topology, deployment/folding, network configuration, node
-//! churn, resource monitoring, time-series sampling, deadline and seed — is composed by
-//! [`ScenarioBuilder`] into a [`ScenarioSpec`], and [`run_scenario`] drives any application that
+//! churn, resource monitoring, time-series sampling, deadline and seed — is a field of
+//! [`ScenarioSpec`], and [`run_scenario`] drives any application that
 //! implements [`Workload`] through the same deploy → schedule → run → sample loop, and hands
 //! back the final world together with the run's [`RunReport`].
 //!
@@ -21,7 +21,8 @@
 //! re-derive them.
 //!
 //! ```
-//! use p2plab_core::scenario::{run_scenario, ScenarioBuilder};
+//! use p2plab_core::scenario::{run_scenario, ScenarioSpec};
+//! use p2plab_core::DeploymentSpec;
 //! use p2plab_core::{SwarmSpec, SwarmWorkload};
 //! use p2plab_net::{AccessLinkClass, TopologySpec};
 //! use p2plab_sim::SimDuration;
@@ -30,7 +31,11 @@
 //! let swarm = SwarmSpec::new(4);
 //! let link = AccessLinkClass::new(8_000_000, 1_000_000, SimDuration::from_millis(10));
 //! let topology = TopologySpec::uniform("doc", swarm.total_vnodes(), link);
-//! let spec = ScenarioBuilder::new("doc", topology).machines(2).seed(7).build().unwrap();
+//! let spec = ScenarioSpec {
+//!     deployment: DeploymentSpec::new(2),
+//!     seed: 7,
+//!     ..ScenarioSpec::new("doc", topology)
+//! };
 //! let (world, report) = run_scenario(&spec, SwarmWorkload::new(swarm)).unwrap();
 //! assert!(world.swarm_finished());
 //! assert_eq!(report.participants, 4);
@@ -121,7 +126,7 @@ pub trait Workload {
     }
 
     /// The workload's natural arrival pattern, used when the scenario does not override it
-    /// with [`ScenarioBuilder::arrivals`].
+    /// with [`ScenarioSpec::arrivals`].
     fn default_arrivals(&self) -> ArrivalSpec;
 
     /// Builds the simulation world from the finished deployment.
@@ -181,11 +186,11 @@ pub trait Workload {
     /// Executes the workload on the sharded conservative-window runtime
     /// (`p2plab_sim::shard`), when the workload supports it.
     ///
-    /// The default returns `None`: the workload has no shard-native execution path and runs on
-    /// the reference single-threaded engine **at any `shards` value** — accepting the knob
-    /// without changing behaviour is what keeps legacy runs byte-identical across shard
-    /// counts. A shard-native workload returns `Some` for *every* shard count (including 1,
-    /// which runs the same windowed algorithm inline): the runner then skips the classic
+    /// The default returns `None`: the workload has no shard-native execution path, runs on
+    /// the reference single-threaded engine, and the runner rejects `shards > 1`
+    /// ([`ScenarioError::ShardingUnsupported`]) rather than ignore it. A shard-native workload
+    /// returns `Some` for *every* shard count (including 1, which runs the same windowed
+    /// algorithm inline): the runner then skips the classic
     /// deploy/run loop entirely and the implementation is responsible for recording its
     /// metrics — the progress curve through `progress`, anything else through handles it
     /// stored in [`setup_metrics`](Workload::setup_metrics) — in a **shard-count-invariant**
@@ -214,7 +219,8 @@ pub struct ShardedOutcome {
     pub outcome: RunOutcome,
 }
 
-/// A fully specified scenario, produced by [`ScenarioBuilder::build`].
+/// A fully specified scenario. Start from [`ScenarioSpec::new`]'s defaults and set the fields an
+/// experiment varies: `ScenarioSpec { seed: 7, ..ScenarioSpec::new(name, topology) }`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Name used in reports and results.
@@ -246,14 +252,35 @@ pub struct ScenarioSpec {
     /// Number of event-loop shards (worker threads) for workloads with a shard-native
     /// execution path ([`Workload::run_sharded`]). `1` — the default and the reference
     /// semantics — runs single-threaded; results are bit-identical across shard counts, so
-    /// this knob is deliberately **excluded from the report's spec echo**. Workloads without a
-    /// shard-native path accept the knob and ignore it.
+    /// this knob is deliberately **excluded from the report's spec echo**. A workload without a
+    /// shard-native path rejects `shards > 1` ([`ScenarioError::ShardingUnsupported`]).
     pub shards: usize,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl ScenarioSpec {
+    /// A scenario with the given name and topology and the defaults: one machine (everything
+    /// folded), default network config, the workload's own arrivals, no churn, no adversary,
+    /// 1 h deadline, 10 s sampling, resource monitoring on, no event budget, one shard, seed 0.
+    pub fn new(name: impl Into<String>, topology: TopologySpec) -> ScenarioSpec {
+        ScenarioSpec {
+            name: name.into(),
+            topology,
+            deployment: DeploymentSpec::new(1),
+            network: NetworkConfig::default(),
+            arrivals: None,
+            sessions: None,
+            adversary: None,
+            deadline: SimDuration::from_secs(3600),
+            sample_interval: SimDuration::from_secs(10),
+            monitor_resources: true,
+            event_budget: None,
+            shards: 1,
+            seed: 0,
+        }
+    }
+
     /// The folding ratio this scenario deploys at.
     pub fn folding_ratio(&self) -> f64 {
         self.topology.total_nodes() as f64 / self.deployment.machines as f64
@@ -274,8 +301,8 @@ pub enum ScenarioError {
     /// The shard count is zero.
     ZeroShards,
     /// The scenario asked for sharded execution but the combination cannot be sharded (e.g.
-    /// zero-latency links leave no conservative lookahead, or the workload does not support a
-    /// requested feature under sharding).
+    /// the workload has no shard-native path, zero-latency links leave no conservative
+    /// lookahead, or the workload does not support a requested feature under sharding).
     ShardingUnsupported {
         /// Why the scenario cannot run sharded.
         reason: String,
@@ -381,126 +408,10 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-/// Composes everything around a workload — topology, folding, network, churn, monitoring,
-/// sampling, deadline, seed — and validates the combination.
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    spec: ScenarioSpec,
-}
-
-impl ScenarioBuilder {
-    /// Starts a scenario with the given name and topology. Defaults: one machine (everything
-    /// folded), default network config, no churn, 1 h deadline, 10 s sampling, resource
-    /// monitoring on, seed 0.
-    pub fn new(name: impl Into<String>, topology: TopologySpec) -> ScenarioBuilder {
-        ScenarioBuilder {
-            spec: ScenarioSpec {
-                name: name.into(),
-                topology,
-                deployment: DeploymentSpec::new(1),
-                network: NetworkConfig::default(),
-                arrivals: None,
-                sessions: None,
-                adversary: None,
-                deadline: SimDuration::from_secs(3600),
-                sample_interval: SimDuration::from_secs(10),
-                monitor_resources: true,
-                event_budget: None,
-                shards: 1,
-                seed: 0,
-            },
-        }
-    }
-
-    /// Folds the topology onto `machines` physical machines (round-robin placement).
-    pub fn machines(mut self, machines: usize) -> Self {
-        self.spec.deployment = DeploymentSpec::new(machines);
-        self
-    }
-
-    /// Uses an explicit deployment spec (machine count + placement policy).
-    pub fn deployment(mut self, deployment: DeploymentSpec) -> Self {
-        self.spec.deployment = deployment;
-        self
-    }
-
-    /// Overrides the emulated network's data-plane tunables.
-    pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.spec.network = network;
-        self
-    }
-
-    /// Overrides the workload's natural arrival pattern with an explicit arrival process
-    /// (Poisson, uniform ramp, flash crowd or trace).
-    pub fn arrivals(mut self, arrivals: ArrivalSpec) -> Self {
-        self.spec.arrivals = Some(arrivals);
-        self
-    }
-
-    /// Applies a session (churn) process to the workload's participants.
-    pub fn sessions(mut self, sessions: SessionProcess) -> Self {
-        self.spec.sessions = Some(sessions);
-        self
-    }
-
-    /// Marks a subset of the workload's population byzantine according to `plan`
-    /// ([`crate::adversary`]). A plan whose selection resolves to nobody (fraction 0) runs
-    /// exactly like an honest scenario.
-    pub fn adversary(mut self, plan: AdversaryPlan) -> Self {
-        self.spec.adversary = Some(plan);
-        self
-    }
-
-    /// Sets the virtual-time deadline.
-    pub fn deadline(mut self, deadline: SimDuration) -> Self {
-        self.spec.deadline = deadline;
-        self
-    }
-
-    /// Sets the sampling period of the progress curve and resource monitor.
-    pub fn sample_interval(mut self, interval: SimDuration) -> Self {
-        self.spec.sample_interval = interval;
-        self
-    }
-
-    /// Enables or disables per-machine resource monitoring.
-    pub fn monitor_resources(mut self, on: bool) -> Self {
-        self.spec.monitor_resources = on;
-        self
-    }
-
-    /// Caps the number of events the run may execute. CI smoke runs use this so a
-    /// queue/livelock regression fails the job quickly instead of hanging it.
-    pub fn event_budget(mut self, budget: u64) -> Self {
-        self.spec.event_budget = Some(budget);
-        self
-    }
-
-    /// Sets the number of event-loop shards for shard-native workloads (`1` — the default —
-    /// is the single-threaded reference semantics; results are identical at any count).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.spec.shards = shards;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Validates the composition and returns the finished spec.
-    pub fn build(self) -> Result<ScenarioSpec, ScenarioError> {
-        self.spec.validate()?;
-        Ok(self.spec)
-    }
-}
-
 impl ScenarioSpec {
-    /// Checks the spec's internal consistency. [`ScenarioBuilder::build`] calls this, and
-    /// [`run_scenario`] re-checks it so hand-constructed specs (the fields are public) cannot
-    /// hang the runner — a zero sample interval, for instance, would reschedule the periodic
-    /// sampler at the same instant forever.
+    /// Checks the spec's internal consistency. [`run_scenario`] calls this first, so no spec
+    /// can hang the runner — a zero sample interval, for instance, would reschedule the
+    /// periodic sampler at the same instant forever.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.deployment.machines == 0 {
             return Err(ScenarioError::NoMachines);
@@ -696,7 +607,7 @@ pub fn run_scenario<W: Workload + 'static>(
     // Execution is the only part of a run that differs by path. Shard-native workloads execute
     // on the conservative-window runtime at every shard count (`shards = 1` runs the same
     // windowed algorithm inline — the reference semantics); workloads without a shard-native
-    // path return `None` and run the reference engine regardless of `spec.shards`.
+    // path return `None`, run the reference engine, and reject `shards > 1`.
     let sharded = workload.run_sharded(spec, &arrivals, &mut recorder, progress_id);
     let (world, stop) = match sharded {
         Some(result) => result?,
@@ -704,6 +615,14 @@ pub fn run_scenario<W: Workload + 'static>(
             if spec.sessions.is_some() && !workload.churns() {
                 return Err(ScenarioError::ChurnUnsupported {
                     workload: workload_kind,
+                });
+            }
+            if spec.shards > 1 {
+                return Err(ScenarioError::ShardingUnsupported {
+                    reason: format!(
+                        "the {workload_kind:?} workload has no sharded mode (shards = {})",
+                        spec.shards
+                    ),
                 });
             }
             let deployment = deploy(&spec.topology, spec.deployment, spec.network)
@@ -889,9 +808,17 @@ mod tests {
         )
     }
 
+    /// `ScenarioSpec::new("bad", topo(n))` with `edit` applied, validated.
+    fn validated(n: usize, edit: impl FnOnce(&mut ScenarioSpec)) -> Result<(), ScenarioError> {
+        let mut spec = ScenarioSpec::new("bad", topo(n));
+        edit(&mut spec);
+        spec.validate()
+    }
+
     #[test]
-    fn builder_defaults_are_valid() {
-        let spec = ScenarioBuilder::new("ok", topo(4)).build().unwrap();
+    fn defaults_are_valid() {
+        let spec = ScenarioSpec::new("ok", topo(4));
+        assert_eq!(spec.validate(), Ok(()));
         assert_eq!(spec.name, "ok");
         assert_eq!(spec.deployment.machines, 1);
         assert!(spec.monitor_resources);
@@ -899,27 +826,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_machines() {
-        let err = ScenarioBuilder::new("bad", topo(4)).machines(0).build();
-        assert_eq!(err.unwrap_err(), ScenarioError::NoMachines);
+    fn validate_rejects_zero_machines() {
+        let err = validated(4, |s| s.deployment = DeploymentSpec::new(0));
+        assert_eq!(err, Err(ScenarioError::NoMachines));
     }
 
     #[test]
-    fn builder_rejects_empty_topology() {
-        let err = ScenarioBuilder::new("bad", topo(0)).build();
-        assert_eq!(err.unwrap_err(), ScenarioError::EmptyTopology);
+    fn validate_rejects_empty_topology() {
+        assert_eq!(validated(0, |_| ()), Err(ScenarioError::EmptyTopology));
     }
 
     #[test]
-    fn builder_rejects_zero_deadline_and_interval() {
-        let err = ScenarioBuilder::new("bad", topo(2))
-            .deadline(SimDuration::ZERO)
-            .build();
-        assert_eq!(err.unwrap_err(), ScenarioError::ZeroDeadline);
-        let err = ScenarioBuilder::new("bad", topo(2))
-            .sample_interval(SimDuration::ZERO)
-            .build();
-        assert_eq!(err.unwrap_err(), ScenarioError::ZeroSampleInterval);
+    fn validate_rejects_zero_deadline_and_interval() {
+        let err = validated(2, |s| s.deadline = SimDuration::ZERO);
+        assert_eq!(err, Err(ScenarioError::ZeroDeadline));
+        let err = validated(2, |s| s.sample_interval = SimDuration::ZERO);
+        assert_eq!(err, Err(ScenarioError::ZeroSampleInterval));
     }
 
     #[test]
@@ -927,14 +849,14 @@ mod tests {
         use crate::workloads::{PingMeshSpec, PingMeshWorkload};
         // Four probe streams joining 10 s apart: the last one at 30 s.
         let run = |deadline: u64| {
-            let spec = ScenarioBuilder::new("late", topo(4))
-                .arrivals(ArrivalSpec::ramp(
+            let spec = ScenarioSpec {
+                arrivals: Some(ArrivalSpec::ramp(
                     SimDuration::ZERO,
                     SimDuration::from_secs(10),
-                ))
-                .deadline(SimDuration::from_secs(deadline))
-                .build()
-                .unwrap();
+                )),
+                deadline: SimDuration::from_secs(deadline),
+                ..ScenarioSpec::new("late", topo(4))
+            };
             run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring(4)))
         };
         assert_eq!(
@@ -949,53 +871,43 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_degenerate_churn() {
+    fn validate_rejects_degenerate_churn() {
         // Regression: a zero mean-session or mean-downtime used to pass validation and then
         // livelock `schedule_departure` by drawing zero-length exponential delays — the
         // depart/rejoin pair re-fired at the same instant until the event budget died.
-        let err = ScenarioBuilder::new("bad", topo(4))
-            .sessions(SessionProcess::Exponential {
+        for sessions in [
+            SessionProcess::Exponential {
                 mean_session: SimDuration::ZERO,
                 mean_downtime: SimDuration::from_secs(10),
-            })
-            .build();
-        assert!(
-            matches!(err, Err(ScenarioError::InvalidChurn { .. })),
-            "{err:?}"
-        );
-        let err = ScenarioBuilder::new("bad", topo(4))
-            .sessions(SessionProcess::Exponential {
+            },
+            SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(10),
                 mean_downtime: SimDuration::ZERO,
-            })
-            .build();
-        assert!(
-            matches!(err, Err(ScenarioError::InvalidChurn { .. })),
-            "{err:?}"
-        );
-        // The generalized session processes are validated through the same gate.
-        let err = ScenarioBuilder::new("bad", topo(4))
-            .sessions(SessionProcess::Pareto {
+            },
+            // The generalized session processes are validated through the same gate.
+            SessionProcess::Pareto {
                 scale_session: SimDuration::from_secs(10),
                 shape: f64::NAN,
                 mean_downtime: SimDuration::from_secs(5),
-            })
-            .build();
-        assert!(
-            matches!(err, Err(ScenarioError::InvalidChurn { .. })),
-            "{err:?}"
-        );
+            },
+        ] {
+            let err = validated(4, |s| s.sessions = Some(sessions));
+            assert!(
+                matches!(err, Err(ScenarioError::InvalidChurn { .. })),
+                "{err:?}"
+            );
+        }
     }
 
     /// A scenario with exponential sessions over `n` nodes.
     fn churning(n: usize) -> ScenarioSpec {
-        ScenarioBuilder::new("churn", topo(n))
-            .sessions(SessionProcess::Exponential {
+        ScenarioSpec {
+            sessions: Some(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(5),
                 mean_downtime: SimDuration::from_secs(5),
-            })
-            .build()
-            .unwrap()
+            }),
+            ..ScenarioSpec::new("churn", topo(n))
+        }
     }
 
     #[test]
@@ -1025,24 +937,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_degenerate_arrivals() {
-        let err = ScenarioBuilder::new("bad", topo(4))
-            .arrivals(ArrivalSpec::poisson(f64::NAN))
-            .build();
-        assert!(
-            matches!(err, Err(ScenarioError::InvalidArrivals { .. })),
-            "{err:?}"
-        );
-        let err = ScenarioBuilder::new("bad", topo(4))
-            .arrivals(ArrivalSpec::trace(vec![
-                SimDuration::from_secs(3),
-                SimDuration::from_secs(1),
-            ]))
-            .build();
-        assert!(
-            matches!(err, Err(ScenarioError::InvalidArrivals { .. })),
-            "{err:?}"
-        );
+    fn validate_rejects_degenerate_arrivals() {
+        for arrivals in [
+            ArrivalSpec::poisson(f64::NAN),
+            ArrivalSpec::trace(vec![SimDuration::from_secs(3), SimDuration::from_secs(1)]),
+        ] {
+            let err = validated(4, |s| s.arrivals = Some(arrivals));
+            assert!(
+                matches!(err, Err(ScenarioError::InvalidArrivals { .. })),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1081,27 +986,21 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_malformed_adversary_plans() {
-        let err = ScenarioBuilder::new("bad", topo(4))
-            .adversary(crate::adversary::AdversaryPlan::new(1.5, &["silent-drop"]))
-            .build();
-        assert!(
-            matches!(err, Err(ScenarioError::InvalidAdversary { .. })),
-            "{err:?}"
-        );
-        let err = ScenarioBuilder::new("bad", topo(4))
-            .adversary(crate::adversary::AdversaryPlan::new(0.2, &["omniscient"]))
-            .build();
-        assert!(
-            matches!(err, Err(ScenarioError::InvalidAdversary { .. })),
-            "{err:?}"
-        );
+    fn validate_rejects_malformed_adversary_plans() {
+        for plan in [
+            AdversaryPlan::new(1.5, &["silent-drop"]),
+            AdversaryPlan::new(0.2, &["omniscient"]),
+        ] {
+            let err = validated(4, |s| s.adversary = Some(plan));
+            assert!(
+                matches!(err, Err(ScenarioError::InvalidAdversary { .. })),
+                "{err:?}"
+            );
+        }
         // A well-formed plan passes validation; whether the workload accepts it is decided at
         // run time by `Workload::set_adversary`.
-        assert!(ScenarioBuilder::new("ok", topo(4))
-            .adversary(crate::adversary::AdversaryPlan::new(0.25, &["silent-drop"]))
-            .build()
-            .is_ok());
+        let plan = AdversaryPlan::new(0.25, &["silent-drop"]);
+        assert_eq!(validated(4, |s| s.adversary = Some(plan)), Ok(()));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! ```toml
 //! [campaign]
 //! name = "loss-arrival-grid"   # results land under results/campaign/<name>/
-//! threads = 4                  # optional; defaults to the machine's parallelism
 //!
 //! [matrix]                     # dotted scenario paths -> value lists
 //! workload.kind = ["gossip", "ping-mesh"]
@@ -60,10 +59,6 @@ const CELLS_SECTION: &str = "cells";
 /// `[campaign]`, described like every scenario section (see [`dsl`](crate::scenario::dsl)).
 fn campaign_keys(k: &mut Keys, campaign: &mut CampaignSpec) -> Result<(), DslError> {
     k.req("name", &mut campaign.name)?;
-    k.checked("threads", &mut campaign.threads, |threads| match threads {
-        Some(0) => Err("thread count must be positive".to_string()),
-        _ => Ok(()),
-    })?;
     Ok(())
 }
 
@@ -72,8 +67,6 @@ fn campaign_keys(k: &mut Keys, campaign: &mut CampaignSpec) -> Result<(), DslErr
 pub struct CampaignSpec {
     /// Campaign name (the `results/campaign/<name>/` directory).
     pub name: String,
-    /// Worker-thread count requested by the file (`None` = pick at run time).
-    pub threads: Option<usize>,
     /// The scenario sections of the file (everything except `[campaign]` and `[matrix]`).
     pub base: TomlTable,
     /// The matrix axes: dotted scenario key path → the values it sweeps over, in file order.
@@ -127,7 +120,6 @@ impl CampaignSpec {
         }
         let mut spec = CampaignSpec {
             name: String::new(),
-            threads: None,
             base,
             axes: Vec::new(),
             extra: Vec::new(),
@@ -305,7 +297,7 @@ pub fn run_campaign(
         .collect()
 }
 
-/// The number of worker threads to use when neither the file nor the command line picks one.
+/// The number of worker threads to use when the command line does not pick one.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -789,6 +781,15 @@ sessions.kind = [\"exponential\", \"pareto\"]
         let text = grid_campaign().replace("scenario.seed = [1, 2, 3]", "scenario.seed = 1");
         let err = CampaignSpec::parse(&text).unwrap_err();
         assert!(err.message.contains("arrays"), "{err}");
+    }
+
+    #[test]
+    fn the_worker_count_is_not_a_file_key() {
+        // `campaign run --threads` picks it; the file describes the grid, not the machine.
+        let text = grid_campaign().replace("name = \"grid\"\n", "name = \"grid\"\nthreads = 4\n");
+        let err = CampaignSpec::parse(&text).unwrap_err();
+        assert_eq!((err.line, err.path.as_str()), (3, "campaign.threads"));
+        assert!(err.message.contains("unknown key"), "{err}");
     }
 
     #[test]

@@ -61,7 +61,7 @@
 
 use crate::adversary::AdversaryPlan;
 use crate::report::RunReport;
-use crate::scenario::{ArrivalSpec, ScenarioBuilder, ScenarioError, ScenarioSpec, SessionProcess};
+use crate::scenario::{ArrivalSpec, ScenarioError, ScenarioSpec, SessionProcess};
 use crate::workloads::WorkloadConfig;
 use p2plab_net::{
     AccessLinkClass, BurstLoss, CcKind, LinkCondition, TopologySpec, TransportConfig,
@@ -1203,7 +1203,7 @@ fn rate(rate: &f64) -> Result<(), String> {
 }
 
 /// `[scenario]`. The rest of a [`ScenarioSpec`] comes from the file's other sections; the
-/// defaults are [`ScenarioBuilder::new`]'s.
+/// defaults are [`ScenarioSpec::new`]'s.
 fn scenario_keys(k: &mut Keys, spec: &mut ScenarioSpec) -> Result<(), DslError> {
     k.req("name", &mut spec.name)?;
     k.opt("seed", &mut spec.seed)?;
@@ -1498,7 +1498,7 @@ impl ScenarioFile {
     pub fn from_table(root: &TomlTable) -> Result<ScenarioFile, DslError> {
         // Every section overwrites its part of this blank; the required ones all of it.
         let mut file = ScenarioFile {
-            spec: ScenarioBuilder::new("", TopologySpec::new()).spec,
+            spec: ScenarioSpec::new("", TopologySpec::new()),
             workload: (WorkloadConfig::KINDS[0].1)(),
         };
         read_section(root, "", &mut file, file_keys)?;
@@ -1518,16 +1518,16 @@ impl ScenarioFile {
         Ok(())
     }
 
-    /// Validates and runs the scenario, returning the run's [`RunReport`].
+    /// Runs the scenario, returning the run's [`RunReport`]; the runner performs
+    /// [`validate`](ScenarioFile::validate)'s checks first.
     pub fn run(&self) -> Result<RunReport, ScenarioError> {
-        self.validate()?;
         self.workload.run(&self.spec)
     }
 
     /// Serializes the scenario back as TOML the parser reads into an equal [`ScenarioFile`]
     /// (the round-trip property the DSL tests pin). Only DSL-expressible scenarios are
-    /// supported: a single-group uniform topology, a network config that is default apart from
-    /// its `[transport]` section, and default client config.
+    /// supported: a single-group uniform topology and a network config that is default apart
+    /// from its `[transport]` section.
     pub fn to_toml(&self) -> String {
         let mut writer = Keys::new(None, String::new());
         file_keys(&mut writer, &mut self.clone()).expect("only the reader reports errors");
@@ -2037,6 +2037,11 @@ mean_downtime = \"20s\"
             (plus(&format!("{churn}mean_downtime = \"1s\"\nmean = 1\n")), 13, "sessions.mean", "unknown key"),
             (plus("[adversary]\nbehaviors = [\"amplify\"]\nfrac = 0.1\n"), 11, "adversary.frac", "unknown key"),
             (plus("[topology.condition]\njiter = \"1ms\"\n"), 10, "topology.condition.jiter", "unknown key"),
+            // Settings with one value in use are constants, not keys.
+            (plus("[workload.dht-lookup]\nnodes = 8\nrpc_attempts = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_attempts", "unknown key"),
+            (plus("[workload.dht-lookup]\nnodes = 8\nrpc_attempts = 5000000000\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_attempts", "unknown key"),
+            (plus("[workload.ping-mesh]\nnodes = 4\nstagger = \"1ms\"\n").replace("\"gossip\"", "\"ping-mesh\""), 11, "workload.ping-mesh.stagger", "unknown key"),
+            (plus("[workload.ping-mesh]\nnodes = 4\npacket_bytes = 56\n").replace("\"gossip\"", "\"ping-mesh\""), 11, "workload.ping-mesh.packet_bytes", "unknown key"),
             (plus("[topology.condition.up]\njiter = \"1ms\"\n"), 10, "topology.condition.up.jiter", "unknown key"),
             // A preset stands for the whole knob set: an explicit knob next to it is unknown.
             (plus("[topology.condition]\npreset = \"clean\"\njitter = \"1ms\"\n"), 11, "topology.condition.jitter", "unknown key"),
@@ -2054,7 +2059,6 @@ mean_downtime = \"20s\"
             (plus("[topology.condition]\ndown = 1\n"), 10, "topology.condition.down", "expected a table, found integer"),
             // Negative and oversized integers.
             (swap("name = \"g\"\n", "name = \"g\"\nseed = -1\n"), 3, "scenario.seed", "non-negative"),
-            (plus("[workload.dht-lookup]\nnodes = 8\nrpc_attempts = 5000000000\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_attempts", "32 bits"),
             (plus("[workload.gossip-sharded]\nnodes = 8\nrounds = 5000000000\n").replace("\"gossip\"", "\"gossip-sharded\""), 11, "workload.gossip-sharded.rounds", "32 bits"),
             // Missing required keys and sections.
             (swap("name = \"g\"\n", ""), 1, "scenario.name", "missing required key"),
@@ -2107,7 +2111,6 @@ mean_downtime = \"20s\"
             (plus("[workload.dht-lookup]\nnodes = 8\nalpha = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.alpha", "at least one RPC in flight, got 0"),
             (plus("[workload.dht-lookup]\nnodes = 8\nk = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.k", "room for at least one peer, got 0"),
             (plus("[workload.dht-lookup]\nnodes = 8\nrpc_timeout = \"0s\"\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_timeout", "rpc timeout must be positive"),
-            (plus("[workload.dht-lookup]\nnodes = 8\nrpc_attempts = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_attempts", "at least one attempt, got 0"),
             // So is a gossip value that would panic a run, spin it at one instant or idle it.
             (plus("fanout = 0\n"), 9, "workload.gossip.fanout", "at least one peer, got 0"),
             (plus("round_interval = \"0s\"\n"), 9, "workload.gossip.round_interval", "round interval must be positive"),

@@ -76,15 +76,13 @@ pub struct DhtLookupSpec {
     pub k: usize,
     /// Per-attempt RPC timeout.
     pub rpc_timeout: SimDuration,
-    /// RPC transmission attempts before a candidate is marked failed.
-    pub rpc_attempts: u32,
     /// Spacing of the default lookup arrival ramp.
     pub lookup_interval: SimDuration,
 }
 
 impl DhtLookupSpec {
     /// A lookup experiment over `nodes` nodes: one lookup per node, `alpha` 3, `k` 8, 2 s RPC
-    /// timeout with 3 attempts, lookups starting 100 ms apart.
+    /// timeout, lookups starting 100 ms apart.
     pub fn new(nodes: usize) -> DhtLookupSpec {
         assert!(nodes >= 2, "a DHT needs at least two nodes");
         DhtLookupSpec {
@@ -93,7 +91,6 @@ impl DhtLookupSpec {
             alpha: 3,
             k: 8,
             rpc_timeout: SimDuration::from_secs(2),
-            rpc_attempts: 3,
             lookup_interval: SimDuration::from_millis(100),
         }
     }
@@ -128,19 +125,16 @@ impl DhtLookupSpec {
             }
             Ok(())
         })?;
-        k.checked("rpc_attempts", &mut spec.rpc_attempts, |&n| match n {
-            0 => Err("an RPC needs at least one attempt, got 0".to_string()),
-            _ => Ok(()),
-        })?;
         k.opt("lookup_interval", &mut spec.lookup_interval)?;
         Ok(())
     }
 
-    /// The RPC policy the world's [`RpcTable`] runs with.
+    /// The RPC policy the world's [`RpcTable`] runs with: the spec's timeout and the default
+    /// attempt count, after which a candidate is marked failed.
     pub fn rpc_config(&self) -> RpcConfig {
         RpcConfig {
             timeout: self.rpc_timeout,
-            max_attempts: self.rpc_attempts,
+            ..RpcConfig::default()
         }
     }
 
@@ -894,7 +888,7 @@ mod tests {
     use crate::adversary::AdversaryPlan;
     use crate::deploy::{deploy, DeploymentSpec};
     use crate::report::RunReport;
-    use crate::scenario::{run_scenario, ScenarioBuilder, ScenarioSpec};
+    use crate::scenario::{run_scenario, ScenarioSpec};
     use p2plab_net::{AccessLinkClass, NetworkConfig, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
@@ -905,12 +899,14 @@ mod tests {
         )
     }
 
-    fn scenario(name: &str, spec: &DhtLookupSpec) -> ScenarioBuilder {
-        ScenarioBuilder::new(name, lan(spec.nodes))
-            .machines(4)
-            .deadline(spec.arrival_ramp() + SimDuration::from_secs(300))
-            .sample_interval(SimDuration::from_secs(1))
-            .seed(7)
+    fn scenario(name: &str, spec: &DhtLookupSpec) -> ScenarioSpec {
+        ScenarioSpec {
+            deployment: DeploymentSpec::new(4),
+            deadline: spec.arrival_ramp() + SimDuration::from_secs(300),
+            sample_interval: SimDuration::from_secs(1),
+            seed: 7,
+            ..ScenarioSpec::new(name, lan(spec.nodes))
+        }
     }
 
     /// A freshly built world of `workload`'s size on a 4-machine LAN, before any lookup.
@@ -1103,7 +1099,7 @@ mod tests {
         // On a loss-free network every FIND_NODE is answered, and the iterative procedure over
         // bucketed tables must converge on the true closest node for every lookup.
         let spec = DhtLookupSpec::new(64);
-        let s = scenario("dht64", &spec).build().unwrap();
+        let s = scenario("dht64", &spec);
         let (world, report) = settle(&s, spec);
         assert_eq!(found_closest(&world), 64, "iterative lookups must converge");
         let hops: u32 = world.records.iter().map(|r| r.hops).sum();
@@ -1119,7 +1115,7 @@ mod tests {
     #[test]
     fn report_carries_hop_and_latency_histograms() {
         let spec = DhtLookupSpec::new(32);
-        let s = scenario("dht-report", &spec).build().unwrap();
+        let s = scenario("dht-report", &spec);
         let (world, report) = settle(&s, spec);
         let hops = report.metrics.histogram("lookup_hops").unwrap();
         assert_eq!(hops.count, 32);
@@ -1140,19 +1136,18 @@ mod tests {
     fn lossy_network_exercises_timeouts_and_retries() {
         let mut spec = DhtLookupSpec::new(48);
         spec.rpc_timeout = SimDuration::from_millis(250);
-        spec.rpc_attempts = 2;
         let topo = TopologySpec::uniform(
             "dht-lossy",
             48,
             AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(5)).with_loss(0.25),
         );
-        let s = ScenarioBuilder::new("dht-lossy", topo)
-            .machines(4)
-            .deadline(spec.arrival_ramp() + SimDuration::from_secs(600))
-            .sample_interval(SimDuration::from_secs(1))
-            .seed(11)
-            .build()
-            .unwrap();
+        let s = ScenarioSpec {
+            deployment: DeploymentSpec::new(4),
+            deadline: spec.arrival_ramp() + SimDuration::from_secs(600),
+            sample_interval: SimDuration::from_secs(1),
+            seed: 11,
+            ..ScenarioSpec::new("dht-lossy", topo)
+        };
         // Every lookup still terminates (candidates fail, shortlists settle) even though many
         // calls die; that is the point of bounded retries.
         let (world, report) = settle(&s, spec);
@@ -1175,10 +1170,10 @@ mod tests {
         // A quarter of the nodes never answer FIND_NODE: their candidates time out, honest
         // lookups still settle, and the invariant monitor sees no violations.
         let spec = DhtLookupSpec::new(48);
-        let s = scenario("dht-withhold", &spec)
-            .adversary(AdversaryPlan::new(0.25, &["ack-withhold"]))
-            .build()
-            .unwrap();
+        let s = ScenarioSpec {
+            adversary: Some(AdversaryPlan::new(0.25, &["ack-withhold"])),
+            ..scenario("dht-withhold", &spec)
+        };
         let (world, report) = settle(&s, spec);
         assert!(
             world.rpc_stats().timeouts > 0,
@@ -1196,10 +1191,10 @@ mod tests {
         // validation must reject every fabricated candidate, so all accepted replies come
         // from real nodes and the invariant monitor stays clean.
         let spec = DhtLookupSpec::new(48);
-        let s = scenario("dht-equiv", &spec)
-            .adversary(AdversaryPlan::new(0.25, &["equivocate"]))
-            .build()
-            .unwrap();
+        let s = ScenarioSpec {
+            adversary: Some(AdversaryPlan::new(0.25, &["equivocate"])),
+            ..scenario("dht-equiv", &spec)
+        };
         let (world, report) = settle(&s, spec);
         assert_eq!(report.metrics.counter("invariant_violations"), Some(0));
         assert!(report.metrics.counter("byzantine_msgs_sent").unwrap() > 0);
@@ -1212,11 +1207,11 @@ mod tests {
     fn adversarial_run_is_deterministic_given_seed() {
         let run = |seed: u64| {
             let spec = DhtLookupSpec::new(24);
-            let s = scenario("dht-byz-det", &spec)
-                .seed(seed)
-                .adversary(AdversaryPlan::new(0.25, &["equivocate", "silent-drop"]))
-                .build()
-                .unwrap();
+            let s = ScenarioSpec {
+                seed,
+                adversary: Some(AdversaryPlan::new(0.25, &["equivocate", "silent-drop"])),
+                ..scenario("dht-byz-det", &spec)
+            };
             run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap()
         };
         let (a, report_a) = run(5);
@@ -1229,7 +1224,10 @@ mod tests {
     fn deterministic_given_seed() {
         let run = |seed: u64| {
             let spec = DhtLookupSpec::new(24);
-            let s = scenario("dht-det", &spec).seed(seed).build().unwrap();
+            let s = ScenarioSpec {
+                seed,
+                ..scenario("dht-det", &spec)
+            };
             run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap()
         };
         let (a, report_a) = run(5);

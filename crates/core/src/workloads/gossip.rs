@@ -442,8 +442,9 @@ impl Workload for GossipWorkload {
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryPlan, Selection};
+    use crate::deploy::DeploymentSpec;
     use crate::report::RunReport;
-    use crate::scenario::{run_scenario, ScenarioBuilder, ScenarioSpec, SessionProcess};
+    use crate::scenario::{run_scenario, ScenarioSpec, SessionProcess};
     use p2plab_net::{AccessLinkClass, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
@@ -454,12 +455,14 @@ mod tests {
         )
     }
 
-    fn scenario(name: &str, n: usize) -> ScenarioBuilder {
-        ScenarioBuilder::new(name, lan(n))
-            .machines(4)
-            .deadline(SimDuration::from_secs(600))
-            .sample_interval(SimDuration::from_secs(1))
-            .seed(11)
+    fn scenario(name: &str, n: usize) -> ScenarioSpec {
+        ScenarioSpec {
+            deployment: DeploymentSpec::new(4),
+            deadline: SimDuration::from_secs(600),
+            sample_interval: SimDuration::from_secs(1),
+            seed: 11,
+            ..ScenarioSpec::new(name, lan(n))
+        }
     }
 
     /// Runs `n` gossiping nodes under `s` and asserts the rumor reached all of them.
@@ -472,7 +475,7 @@ mod tests {
 
     #[test]
     fn rumor_reaches_every_node() {
-        let s = scenario("gossip16", 16).build().unwrap();
+        let s = scenario("gossip16", 16);
         let (world, report) = disseminate(&s, 16);
         assert!(world.informed_at.iter().all(|t| t.is_some()));
         let full = world.time_to_full().unwrap();
@@ -491,26 +494,26 @@ mod tests {
 
     #[test]
     fn flash_crowd_arrivals_disseminate() {
-        let s = scenario("gossip-flash", 24)
-            .arrivals(ArrivalSpec::flash_crowd(
+        let s = ScenarioSpec {
+            arrivals: Some(ArrivalSpec::flash_crowd(
                 0.2,
                 SimDuration::from_secs(30),
                 20.0,
-            ))
-            .build()
-            .unwrap();
+            )),
+            ..scenario("gossip-flash", 24)
+        };
         disseminate(&s, 24);
     }
 
     #[test]
     fn gossip_survives_churn() {
-        let s = scenario("gossip-churn", 12)
-            .sessions(SessionProcess::Exponential {
+        let s = ScenarioSpec {
+            sessions: Some(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(20),
                 mean_downtime: SimDuration::from_secs(10),
-            })
-            .build()
-            .unwrap();
+            }),
+            ..scenario("gossip-churn", 12)
+        };
         disseminate(&s, 12);
     }
 
@@ -522,7 +525,10 @@ mod tests {
         // monitor stays clean.
         let mut plan = AdversaryPlan::new(0.0, &["silent-drop"]);
         plan.selection = Selection::Trace(vec![3, 7, 11]);
-        let s = scenario("gossip-byz", 16).adversary(plan).build().unwrap();
+        let s = ScenarioSpec {
+            adversary: Some(plan),
+            ..scenario("gossip-byz", 16)
+        };
         let (_, report) = disseminate(&s, 16);
         assert_eq!(report.metrics.counter("invariant_violations"), Some(0));
         assert!(report.metrics.counter("invariants_checked").unwrap() > 0);
@@ -532,11 +538,11 @@ mod tests {
     fn adversarial_gossip_is_deterministic_given_seed() {
         let run = |seed: u64| {
             let spec = GossipSpec::new(12);
-            let s = scenario("gossip-byz-det", 12)
-                .seed(seed)
-                .adversary(AdversaryPlan::new(0.25, &["silent-drop", "reply-delay"]))
-                .build()
-                .unwrap();
+            let s = ScenarioSpec {
+                seed,
+                adversary: Some(AdversaryPlan::new(0.25, &["silent-drop", "reply-delay"])),
+                ..scenario("gossip-byz-det", 12)
+            };
             run_scenario(&s, GossipWorkload::new(spec)).unwrap()
         };
         let (a, report_a) = run(5);
@@ -549,7 +555,10 @@ mod tests {
     fn deterministic_given_seed() {
         let run = |seed: u64| {
             let spec = GossipSpec::new(10);
-            let s = scenario("gossip-det", 10).seed(seed).build().unwrap();
+            let s = ScenarioSpec {
+                seed,
+                ..scenario("gossip-det", 10)
+            };
             run_scenario(&s, GossipWorkload::new(spec)).unwrap()
         };
         let (a, report_a) = run(5);

@@ -666,8 +666,9 @@ impl GossipShardedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::DeploymentSpec;
     use crate::report::RunReport;
-    use crate::scenario::{run_scenario, ScenarioBuilder, SessionProcess};
+    use crate::scenario::{run_scenario, SessionProcess};
     use p2plab_net::{AccessLinkClass, TopologySpec};
     use p2plab_sim::RunOutcome;
 
@@ -679,18 +680,20 @@ mod tests {
         )
     }
 
-    fn scenario(name: &str, n: usize, shards: usize) -> ScenarioBuilder {
-        ScenarioBuilder::new(name, lan(n))
-            .machines(4)
-            .deadline(SimDuration::from_secs(600))
-            .sample_interval(SimDuration::from_secs(1))
-            .seed(11)
-            .shards(shards)
+    fn scenario(name: &str, n: usize, shards: usize) -> ScenarioSpec {
+        ScenarioSpec {
+            deployment: DeploymentSpec::new(4),
+            deadline: SimDuration::from_secs(600),
+            sample_interval: SimDuration::from_secs(1),
+            seed: 11,
+            shards,
+            ..ScenarioSpec::new(name, lan(n))
+        }
     }
 
     fn run(n: usize, shards: usize) -> (GossipShardedWorld, RunReport) {
         let spec = GossipShardedSpec::new(n);
-        let s = scenario("gossip-sharded", n, shards).build().unwrap();
+        let s = scenario("gossip-sharded", n, shards);
         run_scenario(&s, GossipShardedWorkload::new(spec)).unwrap()
     }
 
@@ -764,7 +767,7 @@ mod tests {
             // exhausted its rounds never re-pushes to late arrivals.
             let mut spec = GossipShardedSpec::new(48);
             spec.rounds = 60;
-            let s = scenario("gossip-capped", 48, shards).build().unwrap();
+            let s = scenario("gossip-capped", 48, shards);
             run_scenario(&s, GossipShardedWorkload::new(spec)).unwrap()
         };
         let (reference, report1) = run_capped(1);
@@ -791,10 +794,10 @@ mod tests {
             let spec = GossipShardedSpec::new(48);
             let mut plan = AdversaryPlan::new(0.0, &["reply-delay", "amplify"]);
             plan.selection = Selection::Trace(vec![5, 17, 29]);
-            let s = scenario("gossip-byz", 48, shards)
-                .adversary(plan)
-                .build()
-                .unwrap();
+            let s = ScenarioSpec {
+                adversary: Some(plan),
+                ..scenario("gossip-byz", 48, shards)
+            };
             run_scenario(&s, GossipShardedWorkload::new(spec)).unwrap()
         };
         let (reference, report1) = run_byz(1);
@@ -819,13 +822,13 @@ mod tests {
     #[test]
     fn churn_is_rejected_under_sharding() {
         let spec = GossipShardedSpec::new(8);
-        let s = scenario("gossip-churn", 8, 2)
-            .sessions(SessionProcess::Exponential {
+        let s = ScenarioSpec {
+            sessions: Some(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(20),
                 mean_downtime: SimDuration::from_secs(10),
-            })
-            .build()
-            .unwrap();
+            }),
+            ..scenario("gossip-churn", 8, 2)
+        };
         let err = run_scenario(&s, GossipShardedWorkload::new(spec)).err();
         assert!(matches!(
             err,
@@ -841,10 +844,10 @@ mod tests {
                 p2plab_net::LinkCondition::none().with_jitter(SimDuration::from_millis(3)),
             ));
         let topo = TopologySpec::uniform("cond", 8, link);
-        let s = ScenarioBuilder::new("gossip-cond", topo)
-            .deadline(SimDuration::from_secs(600))
-            .build()
-            .unwrap();
+        let s = ScenarioSpec {
+            deadline: SimDuration::from_secs(600),
+            ..ScenarioSpec::new("gossip-cond", topo)
+        };
         let err = run_scenario(&s, GossipShardedWorkload::new(spec)).err();
         assert!(matches!(
             err,
@@ -860,10 +863,10 @@ mod tests {
             8,
             AccessLinkClass::symmetric(100_000_000, SimDuration::ZERO),
         );
-        let s = ScenarioBuilder::new("gossip-zero", topo)
-            .deadline(SimDuration::from_secs(600))
-            .build()
-            .unwrap();
+        let s = ScenarioSpec {
+            deadline: SimDuration::from_secs(600),
+            ..ScenarioSpec::new("gossip-zero", topo)
+        };
         let err = run_scenario(&s, GossipShardedWorkload::new(spec)).err();
         assert!(matches!(
             err,

@@ -37,6 +37,13 @@ impl Named for MeshPattern {
     }
 }
 
+/// Offset between distinct pairs' schedules under the default arrivals (avoids every probe
+/// firing on the same instant).
+const STAGGER: SimDuration = SimDuration::from_millis(1);
+
+/// Echo payload size in bytes: a standard ping's 56.
+const PACKET_BYTES: u64 = 56;
+
 /// Description of a ping-mesh experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PingMeshSpec {
@@ -48,11 +55,6 @@ pub struct PingMeshSpec {
     pub pings_per_pair: usize,
     /// Spacing between a pair's consecutive echo requests.
     pub interval: SimDuration,
-    /// Offset between distinct pairs' schedules (avoids every probe firing on the same
-    /// instant).
-    pub stagger: SimDuration,
-    /// Echo payload size in bytes (a standard ping carries 56).
-    pub packet_bytes: u64,
     /// Give up on unanswered probes this long after the last scheduled request, letting the
     /// run drain instead of waiting out the deadline. `None` (the default) keeps the original
     /// semantics: the run completes only when every probe is answered. Set it on lossy or
@@ -61,8 +63,7 @@ pub struct PingMeshSpec {
 }
 
 impl PingMeshSpec {
-    /// A full mesh over `nodes` nodes: 5 pings per ordered pair, 1 s apart, 1 ms stagger,
-    /// 56-byte payload.
+    /// A full mesh over `nodes` nodes: 5 pings per ordered pair, 1 s apart.
     pub fn full(nodes: usize) -> PingMeshSpec {
         assert!(nodes >= 2, "a ping mesh needs at least two nodes");
         PingMeshSpec {
@@ -70,8 +71,6 @@ impl PingMeshSpec {
             pattern: MeshPattern::Full,
             pings_per_pair: 5,
             interval: SimDuration::from_secs(1),
-            stagger: SimDuration::from_millis(1),
-            packet_bytes: 56,
             settle: None,
         }
     }
@@ -99,8 +98,6 @@ impl PingMeshSpec {
             _ => Ok(()),
         })?;
         k.opt("interval", &mut spec.interval)?;
-        k.opt("stagger", &mut spec.stagger)?;
-        k.opt("packet_bytes", &mut spec.packet_bytes)?;
         k.opt("settle", &mut spec.settle)?;
         Ok(())
     }
@@ -132,10 +129,11 @@ impl PingMeshSpec {
         self.pair_count() * self.pings_per_pair
     }
 
-    /// When the last echo request is scheduled — what callers size deadlines from.
+    /// When the last echo request is scheduled under the default arrivals — what callers size
+    /// deadlines from.
     pub fn arrival_ramp(&self) -> SimDuration {
         let pairs = self.pair_count().max(1) as u64;
-        self.interval * self.pings_per_pair.saturating_sub(1) as u64 + self.stagger * (pairs - 1)
+        self.interval * self.pings_per_pair.saturating_sub(1) as u64 + STAGGER * (pairs - 1)
     }
 }
 
@@ -189,13 +187,13 @@ impl Workload for PingMeshWorkload {
     }
 
     fn default_arrivals(&self) -> ArrivalSpec {
-        // One probe stream per pair, offset by the configured stagger so distinct pairs never
-        // all fire on the same instant.
-        ArrivalSpec::ramp(SimDuration::ZERO, self.spec.stagger)
+        // One probe stream per pair, staggered so distinct pairs never all fire on the same
+        // instant.
+        ArrivalSpec::ramp(SimDuration::ZERO, STAGGER)
     }
 
     fn build_world(&mut self, deployment: Deployment) -> PingWorld {
-        PingWorld::new(deployment.net, self.spec.packet_bytes)
+        PingWorld::new(deployment.net, PACKET_BYTES)
     }
 
     fn on_deployed(&mut self, _sim: &mut NetSim<PingWorld>) {
@@ -248,7 +246,8 @@ impl Workload for PingMeshWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_scenario, ScenarioBuilder, ScenarioError};
+    use crate::deploy::DeploymentSpec;
+    use crate::scenario::{run_scenario, ScenarioError, ScenarioSpec};
     use p2plab_net::{AccessLinkClass, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
@@ -262,13 +261,13 @@ mod tests {
     #[test]
     fn full_mesh_measures_every_pair() {
         let spec = PingMeshSpec::full(4);
-        let scenario = ScenarioBuilder::new("mesh4", lan(4))
-            .machines(2)
-            .deadline(SimDuration::from_secs(60))
-            .sample_interval(SimDuration::from_secs(1))
-            .seed(1)
-            .build()
-            .unwrap();
+        let scenario = ScenarioSpec {
+            deployment: DeploymentSpec::new(2),
+            deadline: SimDuration::from_secs(60),
+            sample_interval: SimDuration::from_secs(1),
+            seed: 1,
+            ..ScenarioSpec::new("mesh4", lan(4))
+        };
         let (world, report) = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap();
         assert_eq!(report.metrics.counter("probes_scheduled"), Some(4 * 3 * 5));
         assert_eq!(world.rtts.len(), 4 * 3 * 5, "{:?}", report.outcome);
@@ -287,12 +286,12 @@ mod tests {
     fn ring_scales_linearly_in_probe_count() {
         let spec = PingMeshSpec::ring(8);
         assert_eq!(spec.pairs().len(), 8);
-        let scenario = ScenarioBuilder::new("ring8", lan(8))
-            .machines(4)
-            .deadline(SimDuration::from_secs(60))
-            .seed(2)
-            .build()
-            .unwrap();
+        let scenario = ScenarioSpec {
+            deployment: DeploymentSpec::new(4),
+            deadline: SimDuration::from_secs(60),
+            seed: 2,
+            ..ScenarioSpec::new("ring8", lan(8))
+        };
         let (world, report) = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap();
         assert_eq!(report.metrics.counter("probes_scheduled"), Some(8 * 5));
         assert_eq!(world.rtts.len(), 8 * 5);
@@ -300,10 +299,12 @@ mod tests {
 
     #[test]
     fn hand_built_spec_is_validated_by_run_scenario() {
-        // ScenarioSpec fields are public; a literal spec that bypasses the builder must still
-        // be rejected rather than hanging the periodic sampler on a zero interval.
-        let mut spec = ScenarioBuilder::new("hand", lan(2)).build().unwrap();
-        spec.sample_interval = SimDuration::ZERO;
+        // A spec with a zero sample interval must be rejected rather than hang the periodic
+        // sampler.
+        let spec = ScenarioSpec {
+            sample_interval: SimDuration::ZERO,
+            ..ScenarioSpec::new("hand", lan(2))
+        };
         let err = run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring(2))).err();
         assert_eq!(err, Some(ScenarioError::ZeroSampleInterval));
     }
@@ -311,7 +312,7 @@ mod tests {
     #[test]
     fn mesh_rejects_too_small_topology() {
         let spec = PingMeshSpec::full(10);
-        let scenario = ScenarioBuilder::new("big", lan(4)).build().unwrap();
+        let scenario = ScenarioSpec::new("big", lan(4));
         let err = run_scenario(&scenario, PingMeshWorkload::new(spec)).err();
         assert_eq!(
             err,
@@ -326,11 +327,11 @@ mod tests {
     fn deterministic_given_seed() {
         let run = |seed| {
             let spec = PingMeshSpec::full(3);
-            let scenario = ScenarioBuilder::new("det", lan(3))
-                .deadline(SimDuration::from_secs(30))
-                .seed(seed)
-                .build()
-                .unwrap();
+            let scenario = ScenarioSpec {
+                deadline: SimDuration::from_secs(30),
+                seed,
+                ..ScenarioSpec::new("det", lan(3))
+            };
             run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap()
         };
         let (a, report_a) = run(7);

@@ -9,9 +9,10 @@ use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{ArrivalSchedule, ArrivalSpec, ShardedOutcome, Workload};
+use p2plab_bittorrent::client::{CHOKE_INTERVAL, REQUEST_TIMEOUT};
 use p2plab_bittorrent::{
-    schedule_client_start, start_client, stop_client, BtPayload, ClientConfig, SwarmSim,
-    SwarmTimer, SwarmWorld, Torrent,
+    schedule_client_start, start_client, stop_client, BtPayload, ChokeConfig, SwarmSim, SwarmTimer,
+    SwarmWorld, Torrent,
 };
 use p2plab_net::{NetEvent, Network};
 use p2plab_sim::{Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimTime, TimeSeriesId};
@@ -29,13 +30,13 @@ pub struct SwarmSpec {
     pub start_interval: SimDuration,
     /// How long before the first client the seeders (and tracker) come online.
     pub seeder_head_start: SimDuration,
-    /// Client policy parameters.
-    pub client_config: ClientConfig,
+    /// The clients' choking policy (the rest of the client policy is mainline's constants).
+    pub choke: ChokeConfig,
 }
 
 impl SwarmSpec {
     /// A swarm of `leechers` downloaders fetching a 2 MiB file from one seeder: clients start
-    /// 2 s apart, 5 s after the seeder, with the default client policy.
+    /// 2 s apart, 5 s after the seeder, with mainline's choking policy.
     pub fn new(leechers: usize) -> SwarmSpec {
         SwarmSpec {
             file_bytes: 2 * 1024 * 1024,
@@ -43,7 +44,7 @@ impl SwarmSpec {
             leechers,
             start_interval: SimDuration::from_secs(2),
             seeder_head_start: SimDuration::from_secs(5),
-            client_config: ClientConfig::default(),
+            choke: ChokeConfig::default(),
         }
     }
 
@@ -167,19 +168,14 @@ impl Workload for SwarmWorkload {
         // Virtual node 0 hosts the tracker; seeders follow; downloaders after that.
         let mut world = SwarmWorld::new(deployment.net, deployment.vnodes[0]);
         for s in 0..cfg.seeders {
-            world.add_client(
-                deployment.vnodes[1 + s],
-                torrent.clone(),
-                true,
-                cfg.client_config,
-            );
+            world.add_client(deployment.vnodes[1 + s], torrent.clone(), true, cfg.choke);
         }
         for l in 0..cfg.leechers {
             world.add_client(
                 deployment.vnodes[1 + cfg.seeders + l],
                 torrent.clone(),
                 false,
-                cfg.client_config,
+                cfg.choke,
             );
         }
         if let Some(roster) = &self.roster {
@@ -248,7 +244,7 @@ impl Workload for SwarmWorkload {
             inv.check(client.ledger_is_coherent(), || {
                 format!("honest leecher {l}: block request counts disagree with the peers' lists")
             });
-            let max_age = client.config.request_timeout + client.config.choke_interval;
+            let max_age = REQUEST_TIMEOUT + CHOKE_INTERVAL;
             let oldest = client
                 .peers
                 .iter()
@@ -568,13 +564,7 @@ mod tests {
         let seeder_addr = SocketAddr::new(world.net.addr_of(world.clients[0].vnode), 6881);
         let leecher = &mut world.clients[swarm.seeders];
         leecher.online = true;
-        let mut p = PeerConn::new(
-            ConnId(1),
-            seeder_addr,
-            true,
-            8,
-            swarm.client_config.rate_window,
-        );
+        let mut p = PeerConn::new(ConnId(1), seeder_addr, true, 8);
         p.bitfield = Bitfield::full(8);
         (p.handshaken, p.am_interested, p.peer_choking) = (true, true, false);
         leecher.peers.insert(p);

@@ -13,7 +13,7 @@
 //!   node-facing transport API, BINDIP shim);
 //! * [`bittorrent`] — the studied application (tracker, peer wire protocol, choking, swarms);
 //! * [`core`] — the P2PLab framework: the workload-agnostic scenario API
-//!   (`Workload` + `ScenarioBuilder` + `run_scenario`), the arrival/session process library
+//!   (`Workload` + `ScenarioSpec` + `run_scenario`), the arrival/session process library
 //!   (Poisson, ramp, flash-crowd, trace arrivals; exponential, Pareto, trace churn),
 //!   deployment/folding, the shipped workloads (BitTorrent swarm, ping mesh, gossip, DHT
 //!   lookups), analysis and reports.
@@ -22,7 +22,7 @@
 //!
 //! Experiments are *scenarios*: a [`Workload`](p2plab_core::scenario::Workload) composed with
 //! topology, folding, network config, churn, deadline and seed — by a
-//! [`ScenarioBuilder`](p2plab_core::ScenarioBuilder) or a [`ScenarioFile`](p2plab_core::ScenarioFile)
+//! [`ScenarioSpec`](p2plab_core::ScenarioSpec) or a [`ScenarioFile`](p2plab_core::ScenarioFile)
 //! — and driven by the generic [`run_scenario`](p2plab_core::run_scenario) loop, which returns
 //! the final world and the run's [`RunReport`](p2plab_core::RunReport):
 //!
@@ -55,11 +55,11 @@ pub use p2plab_sim as sim;
 
 /// The most commonly used items, for glob-importing in examples and experiments.
 pub mod prelude {
-    pub use p2plab_bittorrent::{ClientConfig, SwarmWorld, Torrent};
+    pub use p2plab_bittorrent::{SwarmWorld, Torrent};
     pub use p2plab_core::{
         compare_folding, deploy, run_scenario, ArrivalSpec, DeploymentSpec, DhtLookupSpec,
         DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec, PingMeshWorkload,
-        ScenarioBuilder, ScenarioFile, SessionProcess, SwarmSpec, SwarmWorkload, Workload,
+        ScenarioFile, ScenarioSpec, SessionProcess, SwarmSpec, SwarmWorkload, Workload,
     };
     pub use p2plab_net::{
         AccessLinkClass, Endpoint, LaneKind, Network, NetworkConfig, TopologySpec, TransportEvent,

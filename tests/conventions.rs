@@ -1,6 +1,7 @@
 //! The conventions `cargo clippy` cannot state (the rest are `clippy.toml` and
 //! `[workspace.lints]`): which bench binaries may exist, that no crate drops out of the gate,
-//! that no crate source holds a `dyn Fn`, and that nothing comes from outside the workspace.
+//! that no crate source holds a `dyn Fn`, that nothing comes from outside the workspace, and
+//! that every scenario key has a caller.
 
 use std::path::Path;
 
@@ -20,11 +21,16 @@ fn manifests() -> Vec<std::path::PathBuf> {
 
 /// Every `.rs` file under `dir`, recursively.
 fn sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    files(dir, "rs", out);
+}
+
+/// Every file with extension `ext` under `dir`, recursively.
+fn files(dir: &Path, ext: &str, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.is_dir() {
-            sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
+            files(&path, ext, out);
+        } else if path.extension().is_some_and(|e| e == ext) {
             out.push(path);
         }
     }
@@ -123,5 +129,94 @@ fn no_crate_comes_from_outside_the_workspace() {
                 file.display()
             );
         }
+    }
+}
+
+/// Scenario keys no shipped file sets, each with why it stays a key.
+const UNSET_KEYS: [(&str, &str); 5] = [
+    (
+        "jitter",
+        "tests turn the conditioner on, and the conditioner presets set it",
+    ),
+    (
+        "reorder_rate",
+        "tests turn reordering on, and the oracles work needs it",
+    ),
+    (
+        "reorder_delay",
+        "tests turn reordering on, and the oracles work needs it",
+    ),
+    ("duplicate_rate", "tests turn duplication on"),
+    (
+        "reassembly_timeout",
+        "echoed in every report's `network` field; removing it moves every digest",
+    ),
+];
+
+/// A setting with one value in use is a constant: every literal key that `crates/core`
+/// declares (a `k.opt` / `k.req` / `k.checked` / `k.req_checked` call outside its tests) is set
+/// by some scenario or campaign file under `examples/` or `benchmark/workloads/`, or is listed
+/// in [`UNSET_KEYS`] with its reason.
+#[test]
+fn every_scenario_key_has_a_caller() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut declared = Vec::new();
+    let mut rust = Vec::new();
+    sources(&root.join("crates/core/src"), &mut rust);
+    for file in rust {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let code = text.split("#[cfg(test)]").next().unwrap();
+        for call in ["k.opt(", "k.req(", "k.checked(", "k.req_checked("] {
+            for (at, _) in code.match_indices(call) {
+                let arg = code[at + call.len()..].trim_start();
+                if let Some(literal) = arg.strip_prefix('"') {
+                    declared.push(literal[..literal.find('"').unwrap()].to_string());
+                }
+            }
+        }
+    }
+    assert!(declared.len() > 40, "found only {declared:?}");
+
+    // The last segment of every assignment's (possibly dotted) key, in every shipped file.
+    let mut tomls = Vec::new();
+    files(&root.join("examples"), "toml", &mut tomls);
+    files(&root.join("benchmark/workloads"), "toml", &mut tomls);
+    let mut set = Vec::new();
+    for file in tomls {
+        for line in std::fs::read_to_string(&file).unwrap().lines() {
+            let Some((lhs, _)) = line.split_once('=') else {
+                continue;
+            };
+            let path = lhs.trim();
+            let plain = |c: char| c.is_ascii_alphanumeric() || "_-.".contains(c);
+            if !path.is_empty() && path.chars().all(plain) {
+                set.push(path.rsplit('.').next().unwrap().to_string());
+            }
+        }
+    }
+
+    let allowed = |key: &str| UNSET_KEYS.iter().any(|(k, _)| *k == key);
+    let mut uncalled: Vec<&str> = declared
+        .iter()
+        .map(String::as_str)
+        .filter(|key| !set.iter().any(|s| s == key) && !allowed(key))
+        .collect();
+    uncalled.sort_unstable();
+    uncalled.dedup();
+    assert!(
+        uncalled.is_empty(),
+        "keys no shipped file sets: {uncalled:?}. Make each a constant, or set it in a file, or \
+         list it in UNSET_KEYS with its reason"
+    );
+    for (key, _) in UNSET_KEYS {
+        assert!(
+            declared.iter().any(|k| k == key),
+            "`{key}` is no longer a key"
+        );
+        let stale = set.iter().any(|s| s == key);
+        assert!(
+            !stale,
+            "a shipped file sets `{key}`: drop it from UNSET_KEYS"
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! `events_per_sec`) are the two sanctioned nondeterministic fields — they are zeroed before
 //! comparison, exactly as the campaign summary excludes them.
 
-use p2plab::core::{CampaignSpec, RunReport};
+use p2plab::core::{CampaignSpec, RunReport, ScenarioError};
 use std::path::PathBuf;
 
 fn ci_smoke() -> String {
@@ -74,30 +74,27 @@ fn same_seed_adversarial_cell_yields_identical_report_bytes() {
     );
 }
 
-/// Shard-count invariance: the same cell at `shards = 1` and `shards = 4` must produce
-/// byte-identical reports. `shards` is an execution knob, not part of the experiment — it is
-/// deliberately excluded from the report's `spec_echo`, and the sharded runtime's windowed
-/// merge order is partition-invariant, so K must never leak into any metric.
+/// `shards` is an execution knob of shard-native workloads. The CI smoke's first cell is the
+/// swarm, which has no sharded mode, so `shards = 4` there is rejected instead of silently
+/// running on one thread; `tests/campaign.rs` pins shard-count invariance on the shard-native
+/// byzantine cell.
 #[test]
-fn shard_count_does_not_change_report_bytes() {
+fn shards_on_a_workload_without_a_sharded_mode_are_rejected() {
     let campaign = CampaignSpec::parse(&ci_smoke()).expect("ci_smoke parses");
     let cells = campaign.expand().expect("ci_smoke expands");
     let cell = &cells[0];
+    assert_eq!(cell.file.workload.kind(), "swarm");
 
-    let mut reference = cell.file.clone();
-    reference.spec.shards = 1;
     let mut sharded = cell.file.clone();
     sharded.spec.shards = 4;
-
-    let at_one = reference.run().expect("shards=1 run");
-    let at_four = sharded.run().expect("shards=4 run");
-
-    assert!(at_one.events_executed > 0, "smoke cell must execute events");
-    let a = canonical_bytes(at_one);
-    let b = canonical_bytes(at_four);
+    let err = sharded.run().expect_err("shards = 4 on the swarm cell");
     assert!(
-        a == b,
-        "cell `{}` diverged between shards=1 and shards=4 — sharding leaked into the report",
-        cell.label
+        matches!(err, ScenarioError::ShardingUnsupported { .. }),
+        "{err}"
+    );
+    let msg = err.to_string();
+    assert!(
+        msg.contains("\"swarm\"") && msg.contains("shards = 4"),
+        "{msg}"
     );
 }

@@ -4,8 +4,8 @@
 
 use p2plab::bittorrent::SwarmWorld;
 use p2plab::core::{
-    run_scenario, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
-    PingMeshWorkload, RunReport, ScenarioBuilder, ScenarioFile, ScenarioSpec, SwarmSpec,
+    run_scenario, DeploymentSpec, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload,
+    PingMeshSpec, PingMeshWorkload, RunReport, ScenarioFile, ScenarioSpec, SwarmSpec,
     SwarmWorkload, WorkloadConfig,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
@@ -19,6 +19,24 @@ fn quick(overrides: &str) -> (ScenarioSpec, SwarmSpec) {
         panic!("swarm_quick.toml is a swarm scenario");
     };
     (file.spec, swarm)
+}
+
+/// `nodes` nodes on 50 Mbps / 2 ms links folded onto `machines`, sampled every second.
+fn lan(
+    name: &str,
+    nodes: usize,
+    machines: usize,
+    deadline: SimDuration,
+    seed: u64,
+) -> ScenarioSpec {
+    let link = AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(2));
+    ScenarioSpec {
+        deployment: DeploymentSpec::new(machines),
+        deadline,
+        sample_interval: SimDuration::from_secs(1),
+        seed,
+        ..ScenarioSpec::new(name, TopologySpec::uniform(name, nodes, link))
+    }
 }
 
 /// Runs the quick swarm under `overrides`.
@@ -91,20 +109,7 @@ fn swarm_report_round_trips_and_matches_result() {
 #[test]
 fn ping_mesh_report_round_trips_and_matches_result() {
     let mesh = PingMeshSpec::full(4);
-    let spec = ScenarioBuilder::new(
-        "report-mesh",
-        TopologySpec::uniform(
-            "report-mesh",
-            4,
-            AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(2)),
-        ),
-    )
-    .machines(2)
-    .deadline(SimDuration::from_secs(120))
-    .sample_interval(SimDuration::from_secs(1))
-    .seed(3)
-    .build()
-    .unwrap();
+    let spec = lan("report-mesh", 4, 2, SimDuration::from_secs(120), 3);
     let probes = mesh.expected_probes() as u64;
     let (world, report) = run_scenario(&spec, PingMeshWorkload::new(mesh)).unwrap();
     let loaded = round_trip(&report);
@@ -121,20 +126,7 @@ fn ping_mesh_report_round_trips_and_matches_result() {
 
 #[test]
 fn gossip_report_round_trips_and_matches_result() {
-    let spec = ScenarioBuilder::new(
-        "report-gossip",
-        TopologySpec::uniform(
-            "report-gossip",
-            16,
-            AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(2)),
-        ),
-    )
-    .machines(4)
-    .deadline(SimDuration::from_secs(600))
-    .sample_interval(SimDuration::from_secs(1))
-    .seed(9)
-    .build()
-    .unwrap();
+    let spec = lan("report-gossip", 16, 4, SimDuration::from_secs(600), 9);
     let (world, report) = run_scenario(&spec, GossipWorkload::new(GossipSpec::new(16))).unwrap();
     let loaded = round_trip(&report);
 
@@ -159,20 +151,8 @@ fn gossip_report_round_trips_and_matches_result() {
 #[test]
 fn dht_report_round_trips_and_matches_result() {
     let dht = DhtLookupSpec::new(24);
-    let spec = ScenarioBuilder::new(
-        "report-dht",
-        TopologySpec::uniform(
-            "report-dht",
-            24,
-            AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(2)),
-        ),
-    )
-    .machines(3)
-    .deadline(dht.arrival_ramp() + SimDuration::from_secs(120))
-    .sample_interval(SimDuration::from_secs(1))
-    .seed(3)
-    .build()
-    .unwrap();
+    let deadline = dht.arrival_ramp() + SimDuration::from_secs(120);
+    let spec = lan("report-dht", 24, 3, deadline, 3);
     let lookups = dht.lookups as u64;
     let (world, report) = run_scenario(&spec, DhtLookupWorkload::new(dht)).unwrap();
     let loaded = round_trip(&report);

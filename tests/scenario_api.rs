@@ -1,10 +1,10 @@
 //! Integration tests of the workload-agnostic scenario API through the public facade:
 //! the generic `run_scenario` loop must carry every shipped workload under every arrival and
-//! session process, and builder validation must hold.
+//! session process, and spec validation must hold.
 
 use p2plab::core::{
-    run_scenario, ArrivalSpec, GossipSpec, GossipWorkload, PingMeshSpec, PingMeshWorkload,
-    ScenarioBuilder, ScenarioError, ScenarioFile, ScenarioSpec, SessionProcess, SwarmSpec,
+    run_scenario, ArrivalSpec, DeploymentSpec, GossipSpec, GossipWorkload, PingMeshSpec,
+    PingMeshWorkload, ScenarioError, ScenarioFile, ScenarioSpec, SessionProcess, SwarmSpec,
     SwarmWorkload, WorkloadConfig,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
@@ -29,20 +29,17 @@ fn both_workloads_run_through_the_same_generic_loop() {
     assert!(swarm.swarm_finished());
 
     let mesh = PingMeshSpec::full(5);
-    let spec = ScenarioBuilder::new(
-        "generic-mesh",
-        TopologySpec::uniform(
+    let link = AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(5));
+    let spec = ScenarioSpec {
+        deployment: DeploymentSpec::new(2),
+        deadline: SimDuration::from_secs(120),
+        sample_interval: SimDuration::from_secs(1),
+        seed: 3,
+        ..ScenarioSpec::new(
             "generic-mesh",
-            5,
-            AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(5)),
-        ),
-    )
-    .machines(2)
-    .deadline(SimDuration::from_secs(120))
-    .sample_interval(SimDuration::from_secs(1))
-    .seed(3)
-    .build()
-    .unwrap();
+            TopologySpec::uniform("generic-mesh", 5, link),
+        )
+    };
     let probes = mesh.expected_probes();
     let (mesh, report) = run_scenario(&spec, PingMeshWorkload::new(mesh)).unwrap();
     assert_eq!(mesh.rtts.len(), probes, "{:?}", report.outcome);
@@ -54,7 +51,7 @@ fn both_workloads_run_through_the_same_generic_loop() {
 fn gossip_runs_under_multiple_arrival_processes() {
     // The arrival library is scenario-level, not workload-level: the same gossip workload runs
     // unchanged under a deterministic ramp, a Poisson crowd and a flash crowd, only the
-    // `.arrivals(...)` line differs.
+    // spec's `arrivals` field differs.
     let nodes = 16;
     let topo = || {
         TopologySpec::uniform(
@@ -76,15 +73,14 @@ fn gossip_runs_under_multiple_arrival_processes() {
         ),
     ];
     for (label, arrivals) in processes {
-        let mut b = ScenarioBuilder::new(format!("gossip-{label}"), topo())
-            .machines(4)
-            .deadline(SimDuration::from_secs(600))
-            .sample_interval(SimDuration::from_secs(1))
-            .seed(9);
-        if let Some(a) = arrivals {
-            b = b.arrivals(a);
-        }
-        let spec = b.build().unwrap();
+        let spec = ScenarioSpec {
+            deployment: DeploymentSpec::new(4),
+            arrivals,
+            deadline: SimDuration::from_secs(600),
+            sample_interval: SimDuration::from_secs(1),
+            seed: 9,
+            ..ScenarioSpec::new(format!("gossip-{label}"), topo())
+        };
         let (world, report) =
             run_scenario(&spec, GossipWorkload::new(GossipSpec::new(nodes))).expect("gossip runs");
         assert_eq!(world.informed, nodes, "{label}: {:?}", report.outcome);
@@ -97,16 +93,21 @@ fn degenerate_churn_is_rejected_not_livelocked() {
     // Regression for the churn livelock: a zero mean used to make schedule_departure draw
     // zero-length exponential delays and spin depart/rejoin at one instant until the event
     // budget died. It must now be rejected by validation before the run starts.
-    let (spec, _) = quick("");
-    let err = ScenarioBuilder::new(&spec.name, spec.topology)
-        .sessions(SessionProcess::Exponential {
+    let (spec, swarm) = quick("");
+    let spec = ScenarioSpec {
+        sessions: Some(SessionProcess::Exponential {
             mean_session: SimDuration::ZERO,
             mean_downtime: SimDuration::ZERO,
-        })
-        .deadline(spec.deadline)
-        .build()
-        .unwrap_err();
+        }),
+        ..spec
+    };
+    let err = spec.validate().unwrap_err();
     assert!(matches!(err, ScenarioError::InvalidChurn { .. }), "{err}");
+    let err = run_scenario(&spec, SwarmWorkload::new(swarm)).err();
+    assert!(
+        matches!(err, Some(ScenarioError::InvalidChurn { .. })),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -136,21 +137,24 @@ fn swarm_completes_under_pareto_sessions() {
 }
 
 #[test]
-fn builder_validation_is_enforced_through_the_facade() {
+fn spec_validation_is_enforced_through_the_facade() {
     let topo = TopologySpec::uniform(
         "v",
         4,
         AccessLinkClass::symmetric(1_000_000, SimDuration::from_millis(1)),
     );
-    assert_eq!(
-        ScenarioBuilder::new("v", topo.clone()).machines(0).build(),
-        Err(ScenarioError::NoMachines)
-    );
-    assert_eq!(
-        ScenarioBuilder::new("v", topo)
-            .deadline(SimDuration::ZERO)
-            .build()
-            .unwrap_err(),
-        ScenarioError::ZeroDeadline
-    );
+    let no_machines = ScenarioSpec {
+        deployment: DeploymentSpec::new(0),
+        ..ScenarioSpec::new("v", topo.clone())
+    };
+    assert_eq!(no_machines.validate(), Err(ScenarioError::NoMachines));
+    let zero_deadline = ScenarioSpec {
+        deadline: SimDuration::ZERO,
+        ..ScenarioSpec::new("v", topo)
+    };
+    assert_eq!(zero_deadline.validate(), Err(ScenarioError::ZeroDeadline));
+    // The runner applies the same gate before anything is built.
+    let mesh = PingMeshWorkload::new(PingMeshSpec::ring(4));
+    let err = run_scenario(&zero_deadline, mesh).err();
+    assert_eq!(err, Some(ScenarioError::ZeroDeadline));
 }

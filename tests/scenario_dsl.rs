@@ -266,8 +266,8 @@ proptest! {
             ),
             "ping-mesh" => format!(
                 "nodes = {nodes}\npattern = \"ring\"\npings_per_pair = {}\ninterval = \"{}ms\"\n\
-                 stagger = \"{}us\"\npacket_bytes = {}\nsettle = \"{}s\"\n",
-                n + 6, n + 1, n + 1001, n + 57, n,
+                 settle = \"{}s\"\n",
+                n + 6, n + 1, n,
             ),
             "gossip" | "gossip-sharded" => {
                 let rounds = if kind == "gossip" { String::new() } else { format!("rounds = {n}\n") };
@@ -278,8 +278,8 @@ proptest! {
             }
             _ => format!(
                 "nodes = {nodes}\nlookups = {}\nalpha = {}\nk = {}\nrpc_timeout = \"{}ms\"\n\
-                 rpc_attempts = {}\nlookup_interval = \"{}ms\"\n",
-                nodes + n, n + 4, n + 9, n + 2001, n + 4, n + 101,
+                 lookup_interval = \"{}ms\"\n",
+                nodes + n, n + 4, n + 9, n + 2001, n + 101,
             ),
         });
         let file = ScenarioFile::parse(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
