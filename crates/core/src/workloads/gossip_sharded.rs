@@ -587,6 +587,9 @@ impl GossipShardedWorkload {
             },
             |sim| {
                 let block = sim.world().world().block.clone();
+                // As the single-thread runner does: the arrival burst would otherwise regrow
+                // the queue while it is being scheduled.
+                sim.reserve_events(block.len());
                 for node in block {
                     let at = arrivals
                         .get(node)

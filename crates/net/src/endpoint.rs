@@ -69,7 +69,7 @@
 
 use crate::addr::SocketAddr;
 use crate::lane::LaneKind;
-use crate::network::{ConnId, Connection, NetError, Network, VNodeId};
+use crate::network::{ConnId, NetError, Network, VNodeId};
 use crate::transport::{self, NetHost, NetSim};
 
 /// A virtual node's transport handle: bound ports, connections and lane sends.
@@ -155,12 +155,6 @@ impl Endpoint {
     /// not for hot paths).
     pub fn bound_ports<'a>(&self, net: &'a Network) -> impl Iterator<Item = u16> + 'a {
         net.bound_ports(self.node)
-    }
-
-    /// The connections this endpoint participates in, in allocation order (inspection helper,
-    /// not for hot paths).
-    pub fn connections<'a>(&self, net: &'a Network) -> impl Iterator<Item = &'a Connection> + 'a {
-        net.connections_of(self.node)
     }
 }
 
@@ -281,13 +275,14 @@ mod tests {
         ports.sort_unstable();
         assert_eq!(ports, vec![7000, 7001]);
         assert_eq!(client.bound_ports(net).count(), 0);
-        // Both sides see the one connection; the bystander sees none.
-        assert_eq!(
-            client.connections(net).map(|c| c.id).collect::<Vec<_>>(),
-            vec![conn]
-        );
-        assert_eq!(server.connections(net).count(), 1);
-        assert_eq!(Endpoint::new(VNodeId(2)).connections(net).count(), 0);
+        // The connection names both ends, each the other's peer.
+        let c = net.connection(conn).unwrap();
+        assert_eq!(c.state, ConnState::Established);
+        assert_eq!(c.client.0, client.node());
+        assert_eq!(c.server, (server.node(), 7000));
+        assert_eq!(c.peer_of(client.node()), server.node());
+        assert_eq!(c.peer_of(server.node()), client.node());
+        assert_eq!(c.port_of(server.node()), 7000);
         assert_eq!(server.node(), VNodeId(1));
     }
 

@@ -27,7 +27,7 @@ use crate::proto::{CongestionController, ProtoConn, TransportConfig};
 use crate::tamper::{TamperSpec, TamperState};
 use crate::topology::{GroupId, GroupSpec, TopologySpec};
 use p2plab_os::SyscallCostModel;
-use p2plab_sim::{FxHashSet, SimDuration, SimRng, SimTime};
+use p2plab_sim::{FxHashSet, SimDuration, SimRng};
 
 /// Index of a physical machine in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,24 +95,22 @@ pub enum ConnState {
     Refused,
 }
 
-/// A transport connection between two virtual nodes.
+/// A transport connection between two virtual nodes: its two endpoints and its state, which is
+/// what the transport reads to route and accept a frame. A record is kept for every connection
+/// ever opened — its [`ConnId`] is its index — so it holds nothing else: byte counts live on
+/// the vnodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Connection {
-    /// Connection id.
-    pub id: ConnId,
     /// Initiating endpoint (node, port).
     pub client: (VNodeId, u16),
     /// Accepting endpoint (node, port).
     pub server: (VNodeId, u16),
     /// Current state.
     pub state: ConnState,
-    /// Bytes sent by the client endpoint.
-    pub bytes_from_client: u64,
-    /// Bytes sent by the server endpoint.
-    pub bytes_from_server: u64,
-    /// Time the connection became established, if it did.
-    pub established_at: Option<SimTime>,
 }
+
+// One record per connection ever opened: about 2.8 million in the paper-scale swarm.
+const _: () = assert!(std::mem::size_of::<Connection>() <= 40);
 
 impl Connection {
     /// The node at the other end of the connection from `node`.
@@ -790,14 +788,6 @@ impl Network {
             .map(|&(_, p)| p)
     }
 
-    /// The connections `node` participates in, in allocation order (an endpoint inspection
-    /// helper; O(total connections), not for hot paths).
-    pub fn connections_of(&self, node: VNodeId) -> impl Iterator<Item = &Connection> + '_ {
-        self.conns
-            .iter()
-            .filter(move |c| c.client.0 == node || c.server.0 == node)
-    }
-
     /// Total rules configured over all machines (the scalability driver of Figure 6).
     pub fn total_rule_count(&self) -> usize {
         self.machines.iter().map(|m| m.firewall.rule_count()).sum()
@@ -810,13 +800,9 @@ impl Network {
     ) -> ConnId {
         let id = ConnId(self.conns.len() as u64);
         self.conns.push(Connection {
-            id,
             client,
             server,
             state: ConnState::Connecting,
-            bytes_from_client: 0,
-            bytes_from_server: 0,
-            established_at: None,
         });
         id
     }
@@ -983,13 +969,9 @@ mod tests {
     #[test]
     fn connection_peer_lookup() {
         let c = Connection {
-            id: ConnId(1),
             client: (VNodeId(3), 50000),
             server: (VNodeId(7), 6881),
             state: ConnState::Established,
-            bytes_from_client: 0,
-            bytes_from_server: 0,
-            established_at: None,
         };
         assert_eq!(c.peer_of(VNodeId(3)), VNodeId(7));
         assert_eq!(c.peer_of(VNodeId(7)), VNodeId(3));

@@ -908,11 +908,7 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
             };
             let listening = net.is_listening(dst, c.server.1);
             if listening {
-                {
-                    let entry = net.connection_mut(conn).expect("connection exists");
-                    entry.state = ConnState::Established;
-                    entry.established_at = Some(now);
-                }
+                net.connection_mut(conn).expect("connection exists").state = ConnState::Established;
                 let peer = SocketAddr::new(src_addr, c.client.1);
                 let reply = make_flight(net, dst, flight.src, Frame::SynAck { conn });
                 transmit(sim, reply, SimDuration::ZERO);
@@ -927,14 +923,9 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
                 Some(c) => *c,
                 None => return,
             };
-            {
-                let entry = net.connection_mut(conn).expect("connection exists");
-                if entry.state == ConnState::Connecting {
-                    entry.state = ConnState::Established;
-                }
-                if entry.established_at.is_none() {
-                    entry.established_at = Some(now);
-                }
+            let entry = net.connection_mut(conn).expect("connection exists");
+            if entry.state == ConnState::Connecting {
+                entry.state = ConnState::Established;
             }
             let peer = SocketAddr::new(net.addr_of(c.server.0), c.server.1);
             W::on_transport_event(sim, dst, TransportEvent::Connected { conn, peer });
@@ -960,11 +951,6 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
                 };
                 if entry.state == ConnState::Closed {
                     return;
-                }
-                if dst == entry.server.0 {
-                    entry.bytes_from_client += size;
-                } else {
-                    entry.bytes_from_server += size;
                 }
                 entry.port_of(entry.peer_of(dst))
             };
@@ -1017,14 +1003,6 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
             });
             match outcome {
                 FragOutcome::Complete => {
-                    {
-                        let entry = net.connection_mut(conn).expect("looked up above");
-                        if dst == entry.server.0 {
-                            entry.bytes_from_client += total_size;
-                        } else {
-                            entry.bytes_from_server += total_size;
-                        }
-                    }
                     net.vnode_mut(dst).bytes_received += total_size;
                     net.stats.bytes_delivered += total_size;
                     let from = SocketAddr::new(src_addr, c.port_of(c.peer_of(dst)));
@@ -1245,7 +1223,6 @@ mod tests {
         assert!(sim2.world().received_payloads.contains(&(VNodeId(1), 7)));
         let c = sim2.world_mut().net.connection(conn).unwrap();
         assert_eq!(c.state, ConnState::Established);
-        assert_eq!(c.bytes_from_client, 1024);
         assert_eq!(sim2.world_mut().net.vnode(VNodeId(1)).bytes_received, 1024);
     }
 
