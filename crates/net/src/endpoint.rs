@@ -145,8 +145,10 @@ impl Endpoint {
     }
 
     /// Closes connection `conn` from this side and notifies the peer. Messages already in
-    /// flight toward this node are discarded on arrival (the connection is closed); closing an
-    /// already-closed connection is a no-op.
+    /// flight on the connection are discarded on arrival. Closing again is a no-op while
+    /// frames on the connection are still in flight; once the last of them is gone the
+    /// connection is released, and `conn` is an unknown id
+    /// ([`NetError::UnknownConnection`]) to every call.
     pub fn close<W: NetHost>(&self, sim: &mut NetSim<W>, conn: ConnId) -> Result<(), NetError> {
         transport::op_close(sim, self.node, conn)
     }
@@ -251,10 +253,10 @@ mod tests {
             .connect(&mut sim, SocketAddr::new(addr1, 7000))
             .unwrap();
         sim.run();
-        assert_eq!(
-            sim.world_mut().net.connection(conn).unwrap().state,
-            ConnState::Refused
-        );
+        let refused = (VNodeId(0), "refused".to_string());
+        assert!(sim.world().seen.contains(&refused));
+        // Refused and with nothing left in flight, the connection is released.
+        assert!(sim.world().net.connection(conn).is_none());
         server.bind(&mut sim, 7000).unwrap();
     }
 

@@ -12,7 +12,8 @@
 //! [`crate::transport`].
 //!
 //! **One identity per entity.** [`MachineId`], [`VNodeId`], [`ConnId`] and [`PipeId`] are
-//! indices into this network's arenas, handed out in creation order, and whatever the data
+//! indices into this network's arenas, handed out in creation order (a [`ConnId`] also carries
+//! its open sequence, because a released connection's slot is reused), and whatever the data
 //! plane keeps about an entity lives in that entity's slot — never in a table keyed by the id.
 //! Addresses are assigned by the network, not the caller: the `k`-th node added to a group gets
 //! [`TopologySpec::node_addr`]`(group, k)` (the paper's Figure 4 alias numbering), which makes
@@ -37,9 +38,33 @@ pub struct MachineId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VNodeId(pub usize);
 
-/// Identifier of a transport connection.
+/// Identifier of a transport connection: the network-wide open sequence in the high 32 bits
+/// and the connection's arena slot in the low 32. Ids therefore compare in open order. A slot
+/// is reused once its connection is released, so a released id names nothing: the network
+/// answers it as unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u64);
+
+impl ConnId {
+    /// Low bits holding the slot; the open sequence takes the rest.
+    const SLOT_BITS: u32 = 32;
+    /// Marks a released record. Its sequence, `u32::MAX`, is never handed out.
+    const RELEASED: ConnId = ConnId(u64::MAX);
+
+    fn new(seq: u64, slot: usize) -> ConnId {
+        ConnId(seq << Self::SLOT_BITS | slot as u64)
+    }
+
+    /// The connection's position in the open sequence.
+    fn seq(self) -> u64 {
+        self.0 >> Self::SLOT_BITS
+    }
+
+    /// The connection's arena slot.
+    fn slot(self) -> usize {
+        (self.0 & ((1 << Self::SLOT_BITS) - 1)) as usize
+    }
+}
 
 /// Tunables of the emulation data plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,9 +121,9 @@ pub enum ConnState {
 }
 
 /// A transport connection between two virtual nodes: its two endpoints and its state, which is
-/// what the transport reads to route and accept a frame. A record is kept for every connection
-/// ever opened — its [`ConnId`] is its index — so it holds nothing else: byte counts live on
-/// the vnodes.
+/// what the transport reads to route and accept a frame, plus the count that decides when the
+/// record goes. A record lives while its connection is open, and after a close or refusal
+/// until nothing can name it any more; byte counts live on the vnodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Connection {
     /// Initiating endpoint (node, port).
@@ -107,10 +132,15 @@ pub struct Connection {
     pub server: (VNodeId, u16),
     /// Current state.
     pub state: ConnState,
+    /// The id that owns the slot, or [`ConnId::RELEASED`].
+    id: ConnId,
+    /// Frames in flight that name the connection, duplicates included, plus armed reassembly
+    /// timers. A closed or refused connection is released when this reaches zero.
+    pending: u32,
 }
 
-// One record per connection ever opened: about 2.8 million in the paper-scale swarm.
-const _: () = assert!(std::mem::size_of::<Connection>() <= 40);
+// One record per open or closing connection: at most a few thousand in `swarm-fig10`.
+const _: () = assert!(std::mem::size_of::<Connection>() <= 48);
 
 impl Connection {
     /// The node at the other end of the connection from `node`.
@@ -362,7 +392,7 @@ pub enum NetError {
     NoRouteToHost(VirtAddr),
     /// A listener is already bound to this port.
     PortInUse(VNodeId, u16),
-    /// The connection id is unknown.
+    /// The connection id is unknown: never opened, or its connection was released.
     UnknownConnection(ConnId),
     /// The connection is not in a state that allows the operation.
     NotEstablished(ConnId),
@@ -379,8 +409,8 @@ impl std::fmt::Display for NetError {
             NetError::UnknownVNode(v) => write!(f, "unknown virtual node {}", v.0),
             NetError::NoRouteToHost(a) => write!(f, "no virtual node owns {a}"),
             NetError::PortInUse(v, p) => write!(f, "port {p} already bound on vnode {}", v.0),
-            NetError::UnknownConnection(c) => write!(f, "unknown connection {}", c.0),
-            NetError::NotEstablished(c) => write!(f, "connection {} is not established", c.0),
+            NetError::UnknownConnection(c) => write!(f, "unknown connection {}", c.seq()),
+            NetError::NotEstablished(c) => write!(f, "connection {} is not established", c.seq()),
             NetError::MessageTooLarge(s) => write!(f, "message of {s} bytes exceeds the maximum"),
         }
     }
@@ -400,15 +430,21 @@ pub struct Network {
     /// address, so the list is both the allocation counter and the reverse map of `resolve`.
     members: Vec<Vec<VNodeId>>,
     pub(crate) listeners: FxHashSet<(VNodeId, u16)>,
-    /// Connection arena: `ConnId`s are allocated sequentially, so the id doubles as the index
-    /// (connections are never removed, matching real conntrack tables kept until reboot).
-    pub(crate) conns: Vec<Connection>,
+    /// Connection arena, indexed by [`ConnId`]'s slot.
+    conns: Vec<Connection>,
+    /// Released slots, reused last in, first out.
+    free_conns: Vec<u32>,
+    /// Connections opened so far: the open sequence of the next [`ConnId`].
+    opened: u64,
     next_ephemeral: u16,
     pub(crate) stats: NetStats,
     /// Protocol-layer state per connection, indexed like `conns`. A parallel table (rather
     /// than fields on [`Connection`], which is `Copy` and widely passed by value) that stays
     /// empty until the first protocol activity, so the legacy path allocates nothing.
     proto: Vec<Option<Box<ProtoConn>>>,
+    /// Congestion windows of released connections' protocol state, frozen at release:
+    /// (sum in bytes, directions), folded into [`cwnd_mean_bytes`](Network::cwnd_mean_bytes).
+    retired_cwnd: (u128, u128),
     /// Whether any node carries a tamper point or byzantine mark — the one flag the honest
     /// packet walk tests before looking at per-node adversary state.
     pub(crate) adversary: bool,
@@ -425,9 +461,12 @@ impl Network {
             members: vec![Vec::new(); topology.groups.len()],
             listeners: FxHashSet::default(),
             conns: Vec::new(),
+            free_conns: Vec::new(),
+            opened: 0,
             next_ephemeral: 49152,
             stats: NetStats::default(),
             proto: Vec::new(),
+            retired_cwnd: (0, 0),
             adversary: false,
             topology,
         }
@@ -705,14 +744,42 @@ impl Network {
         self.vnodes[id.0].addr
     }
 
-    /// Looks up a connection.
+    /// Looks up a connection; `None` once it has been released.
     pub fn connection(&self, id: ConnId) -> Option<&Connection> {
-        self.conns.get(id.0 as usize)
+        self.conns.get(id.slot()).filter(|c| c.id == id)
     }
 
     /// Mutable connection lookup.
     pub(crate) fn connection_mut(&mut self, id: ConnId) -> Option<&mut Connection> {
-        self.conns.get_mut(id.0 as usize)
+        self.conns.get_mut(id.slot()).filter(|c| c.id == id)
+    }
+
+    /// Counts one more frame or timer that names the live connection `id`.
+    pub(crate) fn pin(&mut self, id: ConnId) {
+        let c = &mut self.conns[id.slot()];
+        debug_assert_eq!(c.id, id, "pinning a released connection");
+        c.pending += 1;
+    }
+
+    /// One frame or timer naming `id` is gone. A closed or refused connection that nothing
+    /// names any more is released: its slot goes to the free list and its protocol state is
+    /// dropped, its congestion windows folded into the retired totals first.
+    pub(crate) fn unpin(&mut self, id: ConnId) {
+        let slot = id.slot();
+        let c = &mut self.conns[slot];
+        debug_assert!(c.id == id && c.pending > 0, "unpinning {id:?} past zero");
+        c.pending -= 1;
+        if c.pending > 0 || !matches!(c.state, ConnState::Closed | ConnState::Refused) {
+            return;
+        }
+        c.id = ConnId::RELEASED;
+        self.free_conns.push(slot as u32);
+        if let Some(proto) = self.proto.get_mut(slot).and_then(Option::take) {
+            for half in &proto.halves {
+                self.retired_cwnd.0 += u128::from(half.cc.cwnd_bytes());
+                self.retired_cwnd.1 += 1;
+            }
+        }
     }
 
     /// Whether the protocol layer (fragmentation, acks, congestion control) is switched on.
@@ -721,27 +788,30 @@ impl Network {
     }
 
     /// The protocol-layer state of a connection, created on first access with the configured
-    /// congestion controller. `id` names an allocated connection (frames only ever carry ids
-    /// from [`allocate_conn`](Network::allocate_conn)).
+    /// congestion controller. `id` names a live connection: the frame or timer that brings it
+    /// here pins the record.
     pub(crate) fn proto_mut(&mut self, id: ConnId) -> &mut ProtoConn {
+        debug_assert!(self.connection(id).is_some(), "{id:?} is released");
         let kind = self.config.transport.congestion;
-        if self.proto.len() <= id.0 as usize {
+        let slot = id.slot();
+        if self.proto.len() <= slot {
             self.proto.resize_with(self.conns.len(), || None);
         }
-        self.proto[id.0 as usize].get_or_insert_with(|| Box::new(ProtoConn::new(kind)))
+        self.proto[slot].get_or_insert_with(|| Box::new(ProtoConn::new(kind)))
     }
 
-    /// The protocol-layer state of a connection, if any protocol activity created it.
+    /// The protocol-layer state of a live connection, if any protocol activity created it.
     pub(crate) fn proto_existing(&mut self, id: ConnId) -> Option<&mut ProtoConn> {
-        self.proto.get_mut(id.0 as usize)?.as_deref_mut()
+        debug_assert!(self.connection(id).is_some(), "{id:?} is released");
+        self.proto.get_mut(id.slot())?.as_deref_mut()
     }
 
-    /// Mean congestion window over every direction of every connection with protocol state,
-    /// in bytes (`None` when no protocol state exists — e.g. the legacy path). The metric
-    /// behind the recorder's `cwnd_mean_bytes` time series.
+    /// Mean congestion window over every direction of every connection that ever had
+    /// protocol state, in bytes; a released connection counts with its windows frozen at
+    /// release. `None` when no protocol state was ever created — e.g. the legacy path. The
+    /// metric behind the recorder's `cwnd_mean_bytes` time series.
     pub fn cwnd_mean_bytes(&self) -> Option<u64> {
-        let mut sum = 0u128;
-        let mut n = 0u128;
+        let (mut sum, mut n) = self.retired_cwnd;
         for conn in self.proto.iter().flatten() {
             for half in &conn.halves {
                 sum += u128::from(half.cc.cwnd_bytes());
@@ -769,11 +839,6 @@ impl Network {
         self.adversary = true;
     }
 
-    /// Number of connections ever created.
-    pub fn connection_count(&self) -> usize {
-        self.conns.len()
-    }
-
     /// True if a listener is bound on `(node, port)`.
     pub fn is_listening(&self, node: VNodeId, port: u16) -> bool {
         self.listeners.contains(&(node, port))
@@ -798,12 +863,28 @@ impl Network {
         client: (VNodeId, u16),
         server: (VNodeId, u16),
     ) -> ConnId {
-        let id = ConnId(self.conns.len() as u64);
-        self.conns.push(Connection {
+        let seq = self.opened;
+        assert!(
+            seq < u64::from(u32::MAX),
+            "connection sequence overflow: {seq} connections opened"
+        );
+        self.opened += 1;
+        let slot = self
+            .free_conns
+            .pop()
+            .map_or(self.conns.len(), |s| s as usize);
+        let id = ConnId::new(seq, slot);
+        let record = Connection {
             client,
             server,
             state: ConnState::Connecting,
-        });
+            id,
+            pending: 0,
+        };
+        match self.conns.get_mut(slot) {
+            Some(free) => *free = record,
+            None => self.conns.push(record),
+        }
         id
     }
 
@@ -821,8 +902,14 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::SocketAddr;
+    use crate::endpoint::Endpoint;
     use crate::firewall::RuleAction;
+    use crate::lane::LaneKind;
+    use crate::proto::CcKind;
     use crate::topology::AccessLinkClass;
+    use crate::transport::{NetHost, NetSim, TransportEvent};
+    use p2plab_sim::{NoEvent, Simulation};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -972,6 +1059,8 @@ mod tests {
             client: (VNodeId(3), 50000),
             server: (VNodeId(7), 6881),
             state: ConnState::Established,
+            id: ConnId(0),
+            pending: 0,
         };
         assert_eq!(c.peer_of(VNodeId(3)), VNodeId(7));
         assert_eq!(c.peer_of(VNodeId(7)), VNodeId(3));
@@ -1157,5 +1246,220 @@ mod tests {
             }
             prop_assert!(cut || hits > packets / 2, "the memo was barely exercised: {hits}");
         }
+    }
+
+    /// A client that cycles connections to one server: on `Connected` it sends a 3,000-byte
+    /// message (unless `hold_open`), the server closes on the message, and the client's
+    /// `Closed` opens the next connection while `reconnects` lasts. So the number open at once
+    /// never exceeds the number the test starts with.
+    struct Cycler {
+        net: Network,
+        server: SocketAddr,
+        reconnects: u32,
+        hold_open: bool,
+        events: usize,
+        /// The nodes that saw `Closed`, in order.
+        closed: Vec<VNodeId>,
+    }
+
+    impl NetHost for Cycler {
+        type Payload = u32;
+        type Timer = NoEvent;
+
+        fn network(&mut self) -> &mut Network {
+            &mut self.net
+        }
+
+        fn on_timer(_sim: &mut NetSim<Self>, timer: NoEvent) {
+            match timer {}
+        }
+
+        fn on_transport_event(sim: &mut NetSim<Self>, node: VNodeId, event: TransportEvent<u32>) {
+            let ep = Endpoint::new(node);
+            sim.world_mut().events += 1;
+            if let TransportEvent::Closed { .. } = event {
+                sim.world_mut().closed.push(node);
+            }
+            match event {
+                TransportEvent::Connected { conn, .. } if !sim.world().hold_open => {
+                    ep.send(sim, conn, LaneKind::ReliableOrdered, 3000, 0)
+                        .unwrap();
+                }
+                TransportEvent::Message { conn, .. } => ep.close(sim, conn).unwrap(),
+                TransportEvent::Closed { .. } if sim.world().reconnects > 0 => {
+                    sim.world_mut().reconnects -= 1;
+                    let server = sim.world().server;
+                    ep.connect(sim, server).unwrap();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Node 0 (the client) and node 1 (the server, listening on 7000) on two machines over a
+    /// 10 Mbps, 5 ms link with the given loss rate.
+    fn cycler(transport: TransportConfig, loss: f64) -> NetSim<Cycler> {
+        let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5));
+        let topo = TopologySpec::uniform("cycle", 2, link.with_loss(loss));
+        let config = NetworkConfig {
+            transport,
+            ..NetworkConfig::default()
+        };
+        let mut net = Network::new(config, topo);
+        for m in 0..2u8 {
+            let mid = net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m + 1));
+            net.add_vnode(mid, GroupId(0)).unwrap();
+        }
+        let server = SocketAddr::new(net.addr_of(VNodeId(1)), 7000);
+        let world = Cycler {
+            net,
+            server,
+            reconnects: 0,
+            hold_open: false,
+            events: 0,
+            closed: Vec::new(),
+        };
+        let mut sim = Simulation::new(world, 5);
+        Endpoint::new(VNodeId(1)).bind(&mut sim, 7000).unwrap();
+        sim
+    }
+
+    #[test]
+    fn closed_connections_free_their_slots() {
+        const CYCLES: u32 = 100_000;
+        const OPEN: u32 = 100;
+        let aimd = TransportConfig {
+            mtu: Some(1500),
+            congestion: CcKind::Aimd,
+            ..TransportConfig::default()
+        };
+        for (transport, loss) in [(TransportConfig::default(), 0.0), (aimd, 0.05)] {
+            let mut sim = cycler(transport, loss);
+            sim.world_mut().reconnects = CYCLES - OPEN;
+            let client = Endpoint::new(VNodeId(0));
+            for _ in 0..OPEN {
+                let server = sim.world().server;
+                client.connect(&mut sim, server).unwrap();
+            }
+            sim.run();
+            let net = &sim.world().net;
+            assert_eq!(net.opened, u64::from(CYCLES));
+            assert_eq!(sim.world().reconnects, 0);
+            // Every connection was closed, so every record is released; the arena's high
+            // water is the open connections plus the few still pinned by their last frames.
+            assert!(net.conns.iter().all(|c| c.id == ConnId::RELEASED));
+            assert_eq!(net.free_conns.len(), net.conns.len());
+            assert!(
+                net.conns.len() <= OPEN as usize + 8,
+                "{} slots",
+                net.conns.len()
+            );
+            assert!(
+                net.proto.len() <= OPEN as usize + 8,
+                "{} slots",
+                net.proto.len()
+            );
+            assert!(net.proto.iter().all(Option::is_none));
+            // Released protocol state still counts toward the congestion-window mean.
+            assert_eq!(net.cwnd_mean_bytes().is_some(), transport.active());
+        }
+    }
+
+    #[test]
+    fn ids_keep_open_order_across_reuse() {
+        let mut sim = cycler(TransportConfig::default(), 0.0);
+        sim.world_mut().hold_open = true;
+        let (client, server) = (Endpoint::new(VNodeId(0)), Endpoint::new(VNodeId(1)));
+        let addr = sim.world().server;
+        // Open and close one connection at a time: each reuses the slot its predecessor freed,
+        // and still compares above it.
+        let mut ids = Vec::new();
+        for _ in 0..10 {
+            let conn = client.connect(&mut sim, addr).unwrap();
+            sim.run();
+            client.close(&mut sim, conn).unwrap();
+            sim.run();
+            assert!(sim.world().net.connection(conn).is_none());
+            ids.push(conn);
+        }
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        assert!(ids.iter().all(|c| c.slot() == ids[0].slot()), "{ids:?}");
+
+        // The slot's new owner is untouched by anything done with a freed id.
+        let stale = ids[9];
+        let owner = client.connect(&mut sim, addr).unwrap();
+        sim.run();
+        assert_eq!(owner.slot(), stale.slot());
+        assert!(owner > stale);
+        let before = *sim.world().net.connection(owner).unwrap();
+        let bytes = |sim: &NetSim<Cycler>| {
+            let v = |n| sim.world().net.vnode(VNodeId(n));
+            [
+                v(0).bytes_sent,
+                v(0).bytes_received,
+                v(1).bytes_sent,
+                v(1).bytes_received,
+            ]
+        };
+        let (bytes_before, events_before) = (bytes(&sim), sim.world().events);
+        for ep in [client, server] {
+            assert_eq!(
+                ep.send(&mut sim, stale, LaneKind::ReliableOrdered, 100, 1),
+                Err(NetError::UnknownConnection(stale))
+            );
+            assert_eq!(
+                ep.close(&mut sim, stale),
+                Err(NetError::UnknownConnection(stale))
+            );
+        }
+        sim.run();
+        assert_eq!(*sim.world().net.connection(owner).unwrap(), before);
+        assert_eq!(before.state, ConnState::Established);
+        assert_eq!(bytes(&sim), bytes_before);
+        assert_eq!(sim.world().events, events_before);
+    }
+
+    #[test]
+    fn a_closed_connection_lives_until_its_last_frame() {
+        // The sender closes right behind a paced 64 KiB message, so its FIN overtakes the
+        // paced fragments and the peer sees `Closed` while fragments are still to be released.
+        // Those late fragments still act on the record (a release feeds the congestion
+        // controller), so it must outlive them and go only with the last of them.
+        let aimd = TransportConfig {
+            mtu: Some(1500),
+            congestion: CcKind::Aimd,
+            ..TransportConfig::default()
+        };
+        let mut sim = cycler(aimd, 0.0);
+        sim.world_mut().hold_open = true;
+        let client = Endpoint::new(VNodeId(0));
+        let server = sim.world().server;
+        let conn = client.connect(&mut sim, server).unwrap();
+        sim.run();
+        let lane = LaneKind::ReliableOrdered;
+        client.send(&mut sim, conn, lane, 64 * 1024, 0).unwrap();
+        client.close(&mut sim, conn).unwrap();
+        while sim.world().closed.is_empty() {
+            let next = sim.now() + SimDuration::from_millis(1);
+            sim.run_until(next);
+        }
+        assert_eq!(sim.world().closed, [VNodeId(1)]);
+        let net = &sim.world().net;
+        assert_eq!(
+            net.connection(conn).map(|c| c.state),
+            Some(ConnState::Closed)
+        );
+        assert!(
+            net.conns[conn.slot()].pending > 0,
+            "the paced fragments pin the record"
+        );
+        sim.run();
+        let net = &sim.world().net;
+        assert!(net.connection(conn).is_none());
+        assert!(net.proto.iter().all(Option::is_none));
+        assert_eq!(
+            net.retired_cwnd.1, 2,
+            "both directions' windows are retired"
+        );
     }
 }

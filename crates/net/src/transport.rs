@@ -180,7 +180,8 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
                     // Completed or already expired: nothing to reap.
                     None => {}
                     // Still receiving (retransmissions trickling in): re-arm with the new
-                    // snapshot instead of reaping a repair in progress.
+                    // snapshot instead of reaping a repair in progress. The re-armed timer
+                    // takes over this one's pin on the connection.
                     Some(current) if current != progress => {
                         sim.schedule_event_in(
                             timeout,
@@ -192,6 +193,7 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
                                 progress: current,
                             },
                         );
+                        return;
                     }
                     // A full timeout without a single new fragment: discard.
                     Some(_) => {
@@ -205,6 +207,7 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
                         net.stats.reassembly_timeouts += 1;
                     }
                 }
+                sim.world_mut().network().unpin(conn);
             }
         }
     }
@@ -326,6 +329,20 @@ enum Frame<P> {
 }
 
 impl<P> Frame<P> {
+    /// The connection the frame names; `None` for a connectionless datagram.
+    fn conn(&self) -> Option<ConnId> {
+        match self {
+            Frame::Syn { conn }
+            | Frame::SynAck { conn }
+            | Frame::Rst { conn }
+            | Frame::Data { conn, .. }
+            | Frame::Frag { conn, .. }
+            | Frame::Ack { conn, .. }
+            | Frame::Fin { conn } => Some(*conn),
+            Frame::Dgram { .. } => None,
+        }
+    }
+
     /// Bytes the frame occupies on the wire (payload + per-lane framing).
     fn wire_size(&self) -> u64 {
         match self {
@@ -378,9 +395,9 @@ impl<P> Frame<P> {
 }
 
 /// A message in flight, carrying everything needed to retry it after a drop. Opaque outside
-/// the transport; it only travels inside [`NetEvent`]s. `Clone` exists for conditioner
-/// duplication (a duplicated packet re-walks the remaining stages independently).
-#[derive(Clone)]
+/// the transport; it only travels inside [`NetEvent`]s. A flight on a connection pins the
+/// connection's record from `make_flight` until it is delivered or dropped, so every copy
+/// goes through `InFlight::duplicate`.
 pub struct InFlight<P> {
     src: VNodeId,
     dst: VNodeId,
@@ -390,6 +407,29 @@ pub struct InFlight<P> {
     src_addr: VirtAddr,
     frame: Frame<P>,
     attempts: u32,
+}
+
+impl<P: Clone> InFlight<P> {
+    /// A copy of the flight (a tamper or conditioner duplicate, which re-walks the remaining
+    /// stages independently), pinning the connection like any other flight.
+    fn duplicate(&self, net: &mut Network) -> InFlight<P> {
+        if let Some(conn) = self.frame.conn() {
+            net.pin(conn);
+        }
+        InFlight {
+            frame: self.frame.clone(),
+            ..*self
+        }
+    }
+}
+
+impl<P> InFlight<P> {
+    /// The flight is dropped for good: unpins its connection.
+    fn retire(self, net: &mut Network) {
+        if let Some(conn) = self.frame.conn() {
+            net.unpin(conn);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -642,7 +682,11 @@ pub(crate) fn op_close<W: NetHost>(
 // The packet walk.
 // ---------------------------------------------------------------------------
 
-fn make_flight<P>(net: &Network, src: VNodeId, dst: VNodeId, frame: Frame<P>) -> InFlight<P> {
+/// A fresh flight of `frame` from `src` to `dst`, pinning the connection it names.
+fn make_flight<P>(net: &mut Network, src: VNodeId, dst: VNodeId, frame: Frame<P>) -> InFlight<P> {
+    if let Some(conn) = frame.conn() {
+        net.pin(conn);
+    }
     let src_node = net.vnode(src);
     let admin = net.machine(src_node.machine).iface.admin_addr();
     InFlight {
@@ -687,6 +731,7 @@ fn transmit<W: NetHost>(
                     // Swallowed before the wire: genuinely silent — no pipe drop occurred, so
                     // no retransmission machinery ever sees the frame.
                     net.stats.tampered_drops += 1;
+                    flight.retire(net);
                     return;
                 }
                 Some(Some((delay, dup))) => {
@@ -696,7 +741,7 @@ fn transmit<W: NetHost>(
                     }
                     if dup {
                         net.stats.tampered_duplicates += 1;
-                        let mut copy = flight.clone();
+                        let mut copy = flight.duplicate(net);
                         // Mark the copy non-fresh so it is neither re-counted nor re-tampered
                         // when it re-enters the walk behind the original.
                         copy.attempts = 1;
@@ -715,6 +760,7 @@ fn transmit<W: NetHost>(
     let classification = net.classify(Direction::Out, flight.src, flight.src_addr, flight.dst);
     if !classification.accepted {
         net.stats.messages_dropped += 1;
+        flight.retire(net);
         return;
     }
     let folded = net.vnode(flight.src).machine == net.vnode(flight.dst).machine;
@@ -769,7 +815,8 @@ impl PipeWalk {
     /// duplicated copy's, if there is one and the frame type honors duplication.
     fn forward<W: NetHost>(self, sim: &mut NetSim<W>, flight: InFlight<W::Payload>, hop: Hop<W>) {
         if let Some(off) = self.dup_off.filter(|_| flight.frame.duplicable()) {
-            sim.schedule_event_at(self.t + off, hop(flight.clone()));
+            let copy = flight.duplicate(sim.world_mut().network());
+            sim.schedule_event_at(self.t + off, hop(copy));
         }
         sim.schedule_event_at(self.t, hop(flight));
     }
@@ -809,6 +856,7 @@ fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
     let classification = net.classify(Direction::In, flight.src, flight.src_addr, flight.dst);
     if !classification.accepted {
         net.stats.messages_dropped += 1;
+        flight.retire(net);
         return;
     }
     walk.t += classification.evaluation_cost;
@@ -856,12 +904,13 @@ fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>
             sim.schedule_event_in(backoff, NetEvent::Retransmit { flight });
         }
         None => {
+            let net = sim.world_mut().network();
             // A lost ack is silent by design (the next ack re-covers its window) — it is
             // neither an abandoned message nor an application datagram.
             if matches!(flight.frame, Frame::Ack { .. }) {
+                flight.retire(net);
                 return;
             }
-            let net = sim.world_mut().network();
             let mut newly_dead = true;
             if let Frame::Frag {
                 conn, lane, msg, ..
@@ -888,12 +937,25 @@ fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>
                     stats.datagrams_dropped += 1;
                 }
             }
+            flight.retire(net);
         }
     }
 }
 
-/// Final delivery: updates connection/node counters and raises the application event.
+/// Final delivery: updates connection/node counters and raises the application event, then
+/// unpins the flight's connection.
 fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
+    let conn = flight.frame.conn();
+    deliver_frame(sim, flight);
+    if let Some(conn) = conn {
+        sim.world_mut().network().unpin(conn);
+    }
+}
+
+/// Why a frame's connection is always found: the flight pins the record until it is delivered.
+const PINNED: &str = "a frame in flight pins its connection";
+
+fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
     let now = sim.now();
     let dst = flight.dst;
     let src_addr = flight.src_addr;
@@ -902,13 +964,10 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
 
     match flight.frame {
         Frame::Syn { conn } => {
-            let c = match net.connection(conn) {
-                Some(c) => *c,
-                None => return,
-            };
+            let c = *net.connection(conn).expect(PINNED);
             let listening = net.is_listening(dst, c.server.1);
             if listening {
-                net.connection_mut(conn).expect("connection exists").state = ConnState::Established;
+                net.connection_mut(conn).expect(PINNED).state = ConnState::Established;
                 let peer = SocketAddr::new(src_addr, c.client.1);
                 let reply = make_flight(net, dst, flight.src, Frame::SynAck { conn });
                 transmit(sim, reply, SimDuration::ZERO);
@@ -919,11 +978,8 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
             }
         }
         Frame::SynAck { conn } => {
-            let c = match net.connection(conn) {
-                Some(c) => *c,
-                None => return,
-            };
-            let entry = net.connection_mut(conn).expect("connection exists");
+            let c = *net.connection(conn).expect(PINNED);
+            let entry = net.connection_mut(conn).expect(PINNED);
             if entry.state == ConnState::Connecting {
                 entry.state = ConnState::Established;
             }
@@ -931,11 +987,8 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
             W::on_transport_event(sim, dst, TransportEvent::Connected { conn, peer });
         }
         Frame::Rst { conn } => {
-            let c = match net.connection(conn) {
-                Some(c) => *c,
-                None => return,
-            };
-            net.connection_mut(conn).expect("connection exists").state = ConnState::Refused;
+            let c = *net.connection(conn).expect(PINNED);
+            net.connection_mut(conn).expect(PINNED).state = ConnState::Refused;
             let peer = SocketAddr::new(net.addr_of(c.server.0), c.server.1);
             W::on_transport_event(sim, dst, TransportEvent::Refused { conn, peer });
         }
@@ -945,15 +998,11 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
             payload,
             size,
         } => {
-            let from_port = {
-                let Some(entry) = net.connection_mut(conn) else {
-                    return;
-                };
-                if entry.state == ConnState::Closed {
-                    return;
-                }
-                entry.port_of(entry.peer_of(dst))
-            };
+            let c = *net.connection(conn).expect(PINNED);
+            if c.state == ConnState::Closed {
+                return;
+            }
+            let from_port = c.port_of(c.peer_of(dst));
             net.vnode_mut(dst).bytes_received += size;
             net.stats.bytes_delivered += size;
             let from = SocketAddr::new(src_addr, from_port);
@@ -981,10 +1030,7 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
             payload,
         } => {
             // All `net`-borrow work happens before any `sim` work (scheduling, app events).
-            let c = match net.connection(conn) {
-                Some(c) => *c,
-                None => return,
-            };
+            let c = *net.connection(conn).expect(PINNED);
             if c.state == ConnState::Closed {
                 return;
             }
@@ -1031,6 +1077,7 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
                     // timer would discard acked fragments that are never resent, leaving the
                     // message permanently undeliverable.
                     if first && !lane.reliable() {
+                        sim.world_mut().network().pin(conn);
                         sim.schedule_event_in(
                             reassembly_timeout,
                             NetEvent::ReassemblyTimeout {
@@ -1054,10 +1101,7 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
             }
         }
         Frame::Ack { conn, lane, ack } => {
-            let c = match net.connection(conn) {
-                Some(c) => *c,
-                None => return,
-            };
+            let c = *net.connection(conn).expect(PINNED);
             // The ack's receiver is the sender of the acked data, so the flow direction is
             // the one where `dst` transmits.
             let dir = flow_dir(dst == c.client.0);
@@ -1075,13 +1119,9 @@ fn deliver<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
                 });
         }
         Frame::Fin { conn } => {
-            let entry = match net.connection_mut(conn) {
-                Some(e) => e,
-                None => return,
-            };
             // The initiator already marked the connection closed before sending the FIN; the
             // receiving endpoint still gets its Closed notification.
-            entry.state = ConnState::Closed;
+            net.connection_mut(conn).expect(PINNED).state = ConnState::Closed;
             W::on_transport_event(sim, dst, TransportEvent::Closed { conn });
         }
         Frame::Dgram {
@@ -1241,10 +1281,8 @@ mod tests {
             .collect();
         assert!(labels.contains(&"refused"));
         assert!(!labels.contains(&"connected"));
-        assert_eq!(
-            sim.world_mut().net.connection(conn).unwrap().state,
-            ConnState::Refused
-        );
+        // Refused and with nothing left in flight, the connection is released.
+        assert!(sim.world().net.connection(conn).is_none());
     }
 
     #[test]
@@ -1302,6 +1340,8 @@ mod tests {
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
         Endpoint::new(VNodeId(0)).close(&mut sim, conn).unwrap();
+        // Closing again while the FIN is in flight is a no-op.
+        Endpoint::new(VNodeId(0)).close(&mut sim, conn).unwrap();
         sim.run();
         let labels: Vec<&str> = sim
             .world()
@@ -1310,12 +1350,13 @@ mod tests {
             .map(|(_, _, l)| l.as_str())
             .collect();
         assert!(labels.contains(&"closed"));
+        // Once the FIN is delivered nothing names the connection: it is released, and
+        // closing it is an unknown-connection error.
+        assert!(sim.world().net.connection(conn).is_none());
         assert_eq!(
-            sim.world_mut().net.connection(conn).unwrap().state,
-            ConnState::Closed
+            Endpoint::new(VNodeId(0)).close(&mut sim, conn),
+            Err(NetError::UnknownConnection(conn))
         );
-        // Closing again is a no-op.
-        Endpoint::new(VNodeId(0)).close(&mut sim, conn).unwrap();
     }
 
     #[test]
