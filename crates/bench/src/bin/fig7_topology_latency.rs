@@ -31,9 +31,9 @@ fn main() {
 
     let example = d.net.machine(MachineId(0));
     println!(
-        "example machine '{}': {} aliases, {} IPFW rules (2 per hosted node + group latency rules)\n",
+        "example machine '{}': {} hosted nodes, {} IPFW rules (2 per hosted node + group latency rules)\n",
         example.name,
-        example.iface.alias_count(),
+        example.hosted(),
         example.firewall.rule_count()
     );
 

@@ -318,11 +318,6 @@ impl Client {
         self.pieces.percent_done()
     }
 
-    /// Number of open peer connections.
-    pub fn connection_count(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Download duration, if the client finished.
     pub fn download_duration(&self) -> Option<SimDuration> {
         match (self.started_at, self.completed_at) {

@@ -3,9 +3,9 @@
 //! This crate is the reproduction of the paper's primary contribution: the P2PLab
 //! experimentation framework itself. It ties the substrates together:
 //!
-//! * [`deploy`](mod@deploy) — fold virtual nodes onto physical machines, configure interface
-//!   aliases and generate the per-machine dummynet/IPFW rules (the decentralized
-//!   network-emulation model);
+//! * [`deploy`](mod@deploy) — fold virtual nodes onto physical machines, each node at its own
+//!   address (an interface alias on its machine), and generate the per-machine dummynet/IPFW
+//!   rules (the decentralized network-emulation model);
 //! * [`scenario`] — the workload-agnostic experiment layer: the [`Workload`] trait,
 //!   [`ScenarioSpec`], the single generic [`run_scenario`] loop every experiment runs
 //!   through (it returns the final world and the run's [`RunReport`]), and the arrival/session

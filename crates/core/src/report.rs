@@ -280,23 +280,6 @@ impl RunReport {
         }
         out
     }
-
-    /// All series metrics rendered as one CSV on a shared grid (see [`series_to_csv`]);
-    /// `None` when the report has no series.
-    pub fn series_csv(&self, step: SimDuration) -> Option<String> {
-        let series: Vec<(&str, &TimeSeries)> = self
-            .metrics
-            .iter()
-            .filter_map(|m| match &m.value {
-                MetricValue::Series(s) => Some((m.name.as_str(), s)),
-                _ => None,
-            })
-            .collect();
-        if series.is_empty() {
-            return None;
-        }
-        Some(series_to_csv(&series, step, self.stopped_at))
-    }
 }
 
 /// Why a report could not be parsed.
@@ -1102,7 +1085,7 @@ mod tests {
     }
 
     #[test]
-    fn run_report_csv_views() {
+    fn run_report_scalars_csv() {
         let report = sample_report();
         let scalars = report.scalars_csv();
         assert!(scalars.starts_with("metric,kind,value\n"));
@@ -1110,11 +1093,6 @@ mod tests {
         assert!(scalars.contains("peak_nic_utilization,gauge,0.625"));
         assert!(scalars.contains("rtt_secs.count,histogram,3"));
         assert!(scalars.contains("rtt_secs.p50,histogram,"));
-        let series = report.series_csv(SimDuration::from_millis(500)).unwrap();
-        assert!(series.starts_with("time_s,progress\n"));
-        // Millisecond precision: the 500 ms grid points must not collapse.
-        assert!(series.contains("\n0.500,"));
-        assert!(series.contains("\n1.500,"));
     }
 
     #[test]

@@ -1248,8 +1248,7 @@ impl Named for Preset {
     }
 }
 
-/// The knob set of one conditioner table: `[topology.condition]` and its `down` / `up`
-/// sub-tables.
+/// The knob set of the conditioner table `[topology.condition]`.
 fn condition_keys(k: &mut Keys, c: &mut LinkCondition) -> Result<(), DslError> {
     // A preset stands for the whole knob set — next to one the explicit knobs are never named,
     // so they are unknown keys — and is only ever read: a conditioner is written knob by knob.
@@ -1288,28 +1287,6 @@ fn condition_keys(k: &mut Keys, c: &mut LinkCondition) -> Result<(), DslError> {
                 return Err(k.error("", message));
             }
         }
-    }
-    Ok(())
-}
-
-/// `[topology.condition]`: the knob set for both directions of the access link, plus the
-/// `down` / `up` sub-tables that replace it on one direction (asymmetric, eclipse-style
-/// degradation).
-fn conditions_keys(k: &mut Keys, link: &mut AccessLinkClass) -> Result<(), DslError> {
-    k.optional(
-        "down",
-        &mut link.condition_down,
-        LinkCondition::none,
-        condition_keys,
-    )?;
-    k.optional(
-        "up",
-        &mut link.condition_up,
-        LinkCondition::none,
-        condition_keys,
-    )?;
-    if k.reading() || link.condition.is_some() {
-        condition_keys(k, link.condition.get_or_insert_with(LinkCondition::none))?;
     }
     Ok(())
 }
@@ -1355,13 +1332,15 @@ fn topology_keys(k: &mut Keys, topology: &mut Topology) -> Result<(), DslError> 
         };
     }
     k.checked("loss", &mut link.loss_rate, rate)?;
-    k.table("condition", link, false, conditions_keys)?;
+    k.optional(
+        "condition",
+        &mut link.condition,
+        LinkCondition::none,
+        condition_keys,
+    )?;
     if k.reading() {
         // Inert conditioners normalize away.
-        *link = link
-            .with_condition(link.condition)
-            .with_condition_down(link.condition_down)
-            .with_condition_up(link.condition_up);
+        *link = link.with_condition(link.condition);
     }
     Ok(())
 }
@@ -1860,45 +1839,6 @@ mean_downtime = \"20s\"
     }
 
     #[test]
-    fn directional_condition_overrides_round_trip() {
-        // Eclipse-style asymmetric degradation: pristine uplink, hostile downlink.
-        let text = minimal_gossip()
-            + "[topology.condition]\n\
-               jitter = \"1ms\"\n\
-               [topology.condition.down]\n\
-               preset = \"burst-loss\"\n\
-               [topology.condition.up]\n\
-               jitter = \"8ms\"\n\
-               duplicate_rate = 0.05\n";
-        let file = ScenarioFile::parse(&text).unwrap();
-        let link = file.spec.topology.groups[0].link;
-        let base = link.condition.expect("base condition");
-        assert_eq!(base.jitter, SimDuration::from_millis(1));
-        let down = link.condition_down.expect("down override");
-        assert_eq!(Some(down), condition_preset("burst-loss"));
-        let up = link.condition_up.expect("up override");
-        assert_eq!(up.jitter, SimDuration::from_millis(8));
-        assert_eq!(up.duplicate_rate, 0.05);
-        assert_eq!(link.effective_condition_down(), Some(down));
-        assert_eq!(link.effective_condition_up(), Some(up));
-        let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
-        assert_eq!(reparsed, file);
-
-        // A directional sub-table works without a symmetric base; errors carry the sub-path.
-        let text = minimal_gossip() + "[topology.condition.down]\njitter = \"2ms\"\n";
-        let file = ScenarioFile::parse(&text).unwrap();
-        let link = file.spec.topology.groups[0].link;
-        assert_eq!(link.condition, None);
-        assert!(link.condition_down.is_some());
-        assert_eq!(link.effective_condition_up(), None);
-        let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
-        assert_eq!(reparsed, file);
-        let text = minimal_gossip() + "[topology.condition.up]\nduplicate_rate = 1.5\n";
-        let err = ScenarioFile::parse(&text).unwrap_err();
-        assert_eq!(err.path, "topology.condition.up.duplicate_rate");
-    }
-
-    #[test]
     fn adversary_section_round_trips() {
         let text = minimal_gossip()
             + "[adversary]\nfraction = 0.25\nbehaviors = [\"silent-drop\", \"equivocate\"]\n";
@@ -2037,12 +1977,13 @@ mean_downtime = \"20s\"
             (plus(&format!("{churn}mean_downtime = \"1s\"\nmean = 1\n")), 13, "sessions.mean", "unknown key"),
             (plus("[adversary]\nbehaviors = [\"amplify\"]\nfrac = 0.1\n"), 11, "adversary.frac", "unknown key"),
             (plus("[topology.condition]\njiter = \"1ms\"\n"), 10, "topology.condition.jiter", "unknown key"),
+            // A link has one conditioner, which both directions take.
+            (plus("[topology.condition.down]\njitter = \"1ms\"\n"), 9, "topology.condition.down", "unknown key"),
             // Settings with one value in use are constants, not keys.
             (plus("[workload.dht-lookup]\nnodes = 8\nrpc_attempts = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_attempts", "unknown key"),
             (plus("[workload.dht-lookup]\nnodes = 8\nrpc_attempts = 5000000000\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_attempts", "unknown key"),
             (plus("[workload.ping-mesh]\nnodes = 4\nstagger = \"1ms\"\n").replace("\"gossip\"", "\"ping-mesh\""), 11, "workload.ping-mesh.stagger", "unknown key"),
             (plus("[workload.ping-mesh]\nnodes = 4\npacket_bytes = 56\n").replace("\"gossip\"", "\"ping-mesh\""), 11, "workload.ping-mesh.packet_bytes", "unknown key"),
-            (plus("[topology.condition.up]\njiter = \"1ms\"\n"), 10, "topology.condition.up.jiter", "unknown key"),
             // A preset stands for the whole knob set: an explicit knob next to it is unknown.
             (plus("[topology.condition]\npreset = \"clean\"\njitter = \"1ms\"\n"), 11, "topology.condition.jitter", "unknown key"),
             // A selection-trace index list without `selection = "trace"` is unknown.
@@ -2056,7 +1997,6 @@ mean_downtime = \"20s\"
             (swap("[workload]\n", "loss = \"high\"\n[workload]\n"), 5, "topology.loss", "expected a number, found string"),
             (plus("[arrivals]\nkind = \"trace\"\ntimes = \"1s\"\n"), 11, "arrivals.times", "expected an array, found string"),
             (format!("transport = 3\n{}", minimal_gossip()), 1, "transport", "expected a table, found integer"),
-            (plus("[topology.condition]\ndown = 1\n"), 10, "topology.condition.down", "expected a table, found integer"),
             // Negative and oversized integers.
             (swap("name = \"g\"\n", "name = \"g\"\nseed = -1\n"), 3, "scenario.seed", "non-negative"),
             (plus("[workload.gossip-sharded]\nnodes = 8\nrounds = 5000000000\n").replace("\"gossip\"", "\"gossip-sharded\""), 11, "workload.gossip-sharded.rounds", "32 bits"),
@@ -2087,7 +2027,6 @@ mean_downtime = \"20s\"
             // Conditioner knob groups come complete or not at all.
             (plus("[topology.condition]\nreorder_rate = 0.1\n"), 9, "topology.condition", "reorder_rate and reorder_delay must be given together"),
             (plus("[topology.condition]\nburst_enter = 0.1\nburst_loss = 0.5\n"), 9, "topology.condition", "burst_enter, burst_exit and burst_loss must be given together"),
-            (plus("[topology.condition.down]\nreorder_delay = \"1ms\"\n"), 9, "topology.condition.down", "must be given together"),
             // Unknown names, one per closed name set.
             (swap("kind = \"gossip\"", "kind = \"bitcoin\""), 6, "workload.kind", "unknown workload kind \"bitcoin\" (known: swarm, ping-mesh, gossip, gossip-sharded, dht-lookup)"),
             (swap("link = \"dsl-8m\"", "link = \"isdn\""), 4, "topology.link", "unknown link profile \"isdn\" (known: bittorrent-dsl, "),
@@ -2102,7 +2041,6 @@ mean_downtime = \"20s\"
             (swap("[workload]\n", "loss = 1.5\n[workload]\n"), 5, "topology.loss", "must be within [0, 1], got 1.5"),
             (plus("[topology.condition]\njitter = \"1ms\"\nduplicate_rate = 1.5\n"), 11, "topology.condition.duplicate_rate", "must be within [0, 1], got 1.5"),
             (plus("[topology.condition]\nreorder_delay = \"1ms\"\nreorder_rate = 2\n"), 11, "topology.condition.reorder_rate", "must be within [0, 1], got 2"),
-            (plus("[topology.condition.up]\nburst_enter = 0.1\nburst_exit = 0.1\nburst_loss = 7.0\n"), 12, "topology.condition.up.burst_loss", "must be within [0, 1], got 7"),
             (plus("[transport]\ncongestion = \"aimd\"\nmtu = 16\n"), 11, "transport.mtu", "mtu must be at least 64 bytes, got 16"),
             (plus("[transport]\nmtu = 1500\nreassembly_timeout = \"0s\"\n"), 11, "transport.reassembly_timeout", "must be positive"),
             (plus("[adversary]\nbehaviors = [\"amplify\"]\nfraction = 1.5\n"), 9, "adversary", "fraction must be in [0, 1]"),

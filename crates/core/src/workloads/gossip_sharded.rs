@@ -537,7 +537,12 @@ impl GossipShardedWorkload {
                 reason: "zero-latency access links leave no conservative lookahead".to_string(),
             });
         };
-        if spec.topology.groups.iter().any(|g| g.link.has_condition()) {
+        if spec
+            .topology
+            .groups
+            .iter()
+            .any(|g| g.link.condition.is_some())
+        {
             return Err(ScenarioError::ShardingUnsupported {
                 reason: "gossip-sharded models its own wire delays and would silently ignore \
                          link conditioners"

@@ -3,10 +3,10 @@
 //!
 //! An [`Endpoint`] is a virtual node's view of its transport stack — the handle through which
 //! an application binds ports, opens and closes connections, and sends messages on typed
-//! [`LaneKind`] lanes or as connectionless datagrams. The passive state (listener table,
-//! connection arena, counters) lives in the [`Network`]; the endpoint is a cheap `Copy`
-//! capability that names the vnode, so application code can hold one per protocol instance
-//! without borrowing the world.
+//! [`LaneKind`](crate::lane::LaneKind) lanes or as connectionless datagrams. The passive state
+//! (listener table, connection arena, counters) lives in the [`Network`]; the endpoint is a
+//! cheap `Copy` capability that names the vnode, so application code can hold one per protocol
+//! instance without borrowing the world.
 //!
 //! Incoming traffic reaches the application through
 //! [`NetHost::on_transport_event`](crate::transport::NetHost) as
@@ -67,15 +67,14 @@
 //! assert!(sim.world().delivered.contains(&(a, LaneKind::UnreliableUnordered, 1002)));
 //! ```
 
-use crate::addr::SocketAddr;
-use crate::lane::LaneKind;
-use crate::network::{ConnId, NetError, Network, VNodeId};
-use crate::transport::{self, NetHost, NetSim};
+use crate::network::{Network, VNodeId};
 
 /// A virtual node's transport handle: bound ports, connections and lane sends.
 ///
 /// Cheap to create and `Copy` — an endpoint is the *name* of a vnode's transport stack, not a
-/// stateful object, so protocol code can construct one wherever it holds a [`VNodeId`].
+/// stateful object, so protocol code can construct one wherever it holds a [`VNodeId`]. The
+/// operations that put frames on the wire are implemented beside the packet walk, in
+/// [`crate::transport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     node: VNodeId,
@@ -92,67 +91,6 @@ impl Endpoint {
         self.node
     }
 
-    /// Binds `port` for incoming connections and datagrams. Fails with
-    /// [`NetError::PortInUse`] when the port is already bound on this node.
-    pub fn bind<W: NetHost>(&self, sim: &mut NetSim<W>, port: u16) -> Result<(), NetError> {
-        transport::op_bind(sim, self.node, port)
-    }
-
-    /// Releases a bound port. Returns whether it was bound. Established connections accepted
-    /// through the port are unaffected (as with a real listening socket).
-    pub fn unbind<W: NetHost>(&self, sim: &mut NetSim<W>, port: u16) -> bool {
-        transport::op_unbind(sim, self.node, port)
-    }
-
-    /// Initiates a connection to `remote`. The outcome arrives asynchronously as
-    /// [`TransportEvent::Connected`](crate::transport::TransportEvent::Connected) or
-    /// [`TransportEvent::Refused`](crate::transport::TransportEvent::Refused).
-    pub fn connect<W: NetHost>(
-        &self,
-        sim: &mut NetSim<W>,
-        remote: SocketAddr,
-    ) -> Result<ConnId, NetError> {
-        transport::op_connect(sim, self.node, remote)
-    }
-
-    /// Sends `payload` (`size` application bytes) on `lane` of the established connection
-    /// `conn`. The lane fixes the framing overhead charged on the wire and the retransmit
-    /// policy applied if a pipe drops the frame (see [`LaneKind`]).
-    pub fn send<W: NetHost>(
-        &self,
-        sim: &mut NetSim<W>,
-        conn: ConnId,
-        lane: LaneKind,
-        size: u64,
-        payload: W::Payload,
-    ) -> Result<(), NetError> {
-        transport::op_send(sim, self.node, conn, lane, size, payload)
-    }
-
-    /// Sends an unreliable connectionless datagram from `from_port` to `remote`. The receiver
-    /// sees the destination port as
-    /// [`TransportEvent::Datagram::to_port`](crate::transport::TransportEvent::Datagram), so a
-    /// node bound on several ports can demultiplex.
-    pub fn send_datagram<W: NetHost>(
-        &self,
-        sim: &mut NetSim<W>,
-        from_port: u16,
-        remote: SocketAddr,
-        size: u64,
-        payload: W::Payload,
-    ) -> Result<(), NetError> {
-        transport::op_send_datagram(sim, self.node, from_port, remote, size, payload)
-    }
-
-    /// Closes connection `conn` from this side and notifies the peer. Messages already in
-    /// flight on the connection are discarded on arrival. Closing again is a no-op while
-    /// frames on the connection are still in flight; once the last of them is gone the
-    /// connection is released, and `conn` is an unknown id
-    /// ([`NetError::UnknownConnection`]) to every call.
-    pub fn close<W: NetHost>(&self, sim: &mut NetSim<W>, conn: ConnId) -> Result<(), NetError> {
-        transport::op_close(sim, self.node, conn)
-    }
-
     /// The ports this endpoint currently has bound, in arbitrary order (inspection helper,
     /// not for hot paths).
     pub fn bound_ports<'a>(&self, net: &'a Network) -> impl Iterator<Item = u16> + 'a {
@@ -163,9 +101,11 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{ConnState, Network, NetworkConfig};
+    use crate::addr::SocketAddr;
+    use crate::lane::LaneKind;
+    use crate::network::{ConnState, NetError, NetworkConfig};
     use crate::topology::{AccessLinkClass, GroupId, TopologySpec};
-    use crate::transport::TransportEvent;
+    use crate::transport::{NetHost, NetSim, TransportEvent};
     use crate::VirtAddr;
     use p2plab_sim::{NoEvent, Simulation};
 

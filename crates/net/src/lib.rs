@@ -1,18 +1,20 @@
 //! # p2plab-net — the network-emulation substrate
 //!
 //! This crate models the part of P2PLab that makes many folded virtual nodes "look like real
-//! separate nodes from the outside": per-virtual-node IP addresses configured as interface
-//! aliases, a libc interception shim that binds each process to its own address, and a
-//! decentralized Dummynet/IPFW network model where every physical machine shapes the traffic of
-//! the virtual nodes it hosts (access-link bandwidth/latency/loss plus inter-group latency).
+//! separate nodes from the outside": one IP address per virtual node (an interface alias beside
+//! its machine's administration address), a libc interception shim that binds each process to
+//! its own address, and a decentralized Dummynet/IPFW network model where every physical machine
+//! shapes the traffic of the virtual nodes it hosts (access-link bandwidth/latency/loss plus
+//! inter-group latency).
 //!
 //! Layers, from bottom to top:
 //!
-//! * [`addr`], [`iface`] — virtual IPv4 addressing and interface aliases;
+//! * [`addr`] — virtual IPv4 addressing;
 //! * [`pipe`], [`firewall`] — dummynet pipes and linearly evaluated IPFW rules;
 //! * [`topology`] — the edge-centric topology description (groups + access links);
 //! * [`network`] — per-machine/per-node data-plane state;
-//! * [`transport`] — the frame-level data plane walking the emulated path;
+//! * [`transport`] — the frame-level data plane walking the emulated path, and the
+//!   [`Endpoint`] operations that start it;
 //! * [`lane`], [`endpoint`] — the node-facing session API: per-vnode [`Endpoint`] handles,
 //!   connections carrying typed [`LaneKind`] lanes;
 //! * [`proto`] — protocol depth under the lanes: MTU fragmentation, ack-bitfield
@@ -30,7 +32,6 @@
 pub mod addr;
 pub mod endpoint;
 pub mod firewall;
-pub mod iface;
 pub mod intercept;
 pub mod lane;
 pub mod network;
@@ -45,7 +46,6 @@ pub mod transport;
 pub use addr::{AddrParseError, SocketAddr, Subnet, VirtAddr};
 pub use endpoint::Endpoint;
 pub use firewall::{Classification, Direction, Firewall, FirewallStats, Rule, RuleAction};
-pub use iface::{IfaceError, Interface};
 pub use intercept::InterceptConfig;
 pub use lane::LaneKind;
 pub use network::{

@@ -21,7 +21,6 @@
 
 use crate::addr::{Subnet, VirtAddr};
 use crate::firewall::{Classification, Direction, Firewall, PipeList, Rule};
-use crate::iface::Interface;
 use crate::intercept::InterceptConfig;
 use crate::pipe::{Pipe, PipeConfig, PipeId};
 use crate::proto::{CongestionController, ProtoConn, TransportConfig};
@@ -272,16 +271,17 @@ fn group_uniform(subnet: Subnet, groups: &[GroupSpec]) -> bool {
 pub struct MachineNet {
     /// Machine name (for reports).
     pub name: String,
-    /// The machine's interface with its administration address and virtual-node aliases.
-    pub iface: Interface,
+    /// The machine's administration address. Each hosted node's interface alias is that
+    /// node's [`VNodeNet::addr`].
+    pub admin_addr: VirtAddr,
     /// The machine's firewall (dummynet/IPFW rules for its hosted virtual nodes).
     pub firewall: Firewall,
     /// NIC transmit pipe.
     pub nic_tx: PipeId,
     /// NIC receive pipe.
     pub nic_rx: PipeId,
-    /// Groups that already have their inter-group rules installed on this machine.
-    group_rules_installed: FxHashSet<GroupId>,
+    /// Per group (indexed by [`GroupId`]), whether its inter-group rules are installed here.
+    group_rules_installed: Vec<bool>,
     /// Virtual nodes hosted here; the next one's [`VNodeNet`] slot.
     hosted: u32,
     /// Memoized per-path classifications (lazily rebuilt per firewall version).
@@ -289,6 +289,11 @@ pub struct MachineNet {
 }
 
 impl MachineNet {
+    /// Number of virtual nodes hosted on this machine.
+    pub fn hosted(&self) -> usize {
+        self.hosted as usize
+    }
+
     /// Rebuilds the path memo against the firewall's current rule set.
     fn refresh_path_memo(&mut self, groups: &[GroupSpec]) {
         let rules = self.firewall.rules();
@@ -513,11 +518,11 @@ impl Network {
         );
         self.machines.push(MachineNet {
             name: name.into(),
-            iface: Interface::new(admin_addr),
+            admin_addr,
             firewall: Firewall::new(self.config.per_rule_cost),
             nic_tx,
             nic_rx,
-            group_rules_installed: FxHashSet::default(),
+            group_rules_installed: vec![false; self.topology.groups.len()],
             hosted: 0,
             path_memo: PathMemo::default(),
         });
@@ -575,10 +580,11 @@ impl Network {
     /// Adds a virtual node of `group` on `machine`, at the group's next unassigned address
     /// ([`TopologySpec::node_addr`] of the group's node count so far).
     ///
-    /// This performs what the P2PLab deployment scripts do on each physical node: configure an
-    /// interface alias for the node, create its two dummynet pipes (upload and download, from
-    /// the group's access-link class), add the two corresponding IPFW rules, and — the first
-    /// time a group appears on the machine — the inter-group latency rules.
+    /// This performs what the P2PLab deployment scripts do on each physical node: give the node
+    /// its interface alias (its address, which may not be the machine's own), create its two
+    /// dummynet pipes (upload and download, from the group's access-link class), add the two
+    /// corresponding IPFW rules, and — the first time a group appears on the machine — the
+    /// inter-group latency rules.
     ///
     /// All-or-nothing: a refused node leaves the network exactly as it was.
     pub fn add_vnode(&mut self, machine: MachineId, group: GroupId) -> Result<VNodeId, NetError> {
@@ -597,10 +603,10 @@ impl Network {
         let link = spec.link;
         let addr = self.topology.node_addr(group, k);
         // `resolve` finds a node through its address's group, so the address must lead back
-        // here (it does not when an earlier group's subnet overlaps this one). The alias is the
-        // only other step that can refuse, so it goes first.
+        // here (it does not when an earlier group's subnet overlaps this one), which also makes
+        // it unique; and the alias cannot be the machine's administration address.
         if self.topology.group_of(addr) != Some(group)
-            || self.machines[machine.0].iface.add_alias(addr).is_err()
+            || addr == self.machines[machine.0].admin_addr
         {
             return Err(NetError::GroupFull(group));
         }
@@ -608,13 +614,13 @@ impl Network {
             PipeConfig::shaped(link.up_bps, link.latency)
                 .with_loss(link.loss_rate)
                 .with_queue_limit(None)
-                .with_condition(link.effective_condition_up()),
+                .with_condition(link.condition),
         );
         let down_pipe = self.add_pipe(
             PipeConfig::shaped(link.down_bps, link.latency)
                 .with_loss(link.loss_rate)
                 .with_queue_limit(None)
-                .with_condition(link.effective_condition_down()),
+                .with_condition(link.condition),
         );
         let m = &mut self.machines[machine.0];
         m.firewall.add_rule(Rule::pipe(
@@ -652,10 +658,7 @@ impl Network {
     /// Installs the inter-group latency rules for traffic of `group` leaving `machine`, if they
     /// are not already present.
     fn install_group_rules(&mut self, machine: MachineId, group: GroupId) {
-        if self.machines[machine.0]
-            .group_rules_installed
-            .contains(&group)
-        {
+        if self.machines[machine.0].group_rules_installed[group.0] {
             return;
         }
         let src_subnet = self.topology.groups[group.0].subnet;
@@ -677,7 +680,7 @@ impl Network {
                 .firewall
                 .add_rule(Rule::pipe(src, dst, Direction::Out, pipe));
         }
-        self.machines[machine.0].group_rules_installed.insert(group);
+        self.machines[machine.0].group_rules_installed[group.0] = true;
     }
 
     fn add_pipe(&mut self, config: PipeConfig) -> PipeId {
@@ -930,18 +933,46 @@ mod tests {
     }
 
     #[test]
-    fn vnode_registration_creates_rules_and_aliases() {
+    fn vnode_registration_creates_rules_and_addresses() {
         let net = dsl_network(2, 10);
         assert_eq!(net.vnode_count(), 20);
         assert_eq!(net.machine_count(), 2);
         // Two rules per hosted vnode, no group rules in a single-group topology.
         assert_eq!(net.machine(MachineId(0)).firewall.rule_count(), 20);
-        assert_eq!(net.machine(MachineId(0)).iface.alias_count(), 10);
+        assert_eq!(net.machine(MachineId(0)).hosted(), 10);
         assert_eq!(net.total_rule_count(), 40);
         // Addresses resolve to their vnodes.
         let addr = net.addr_of(VNodeId(5));
         assert_eq!(net.resolve(addr), Some(VNodeId(5)));
         assert_eq!(net.resolve(VirtAddr::new(10, 200, 0, 1)), None);
+    }
+
+    #[test]
+    fn figure4_node1_configuration() {
+        // Node 1 of the paper's Figure 4: admin 192.168.38.1, aliases 10.0.0.1 .. 10.0.0.50.
+        let mut topo = TopologySpec::new();
+        let g = topo.add_group(
+            "fig4",
+            "10.0.0.0/24".parse().unwrap(),
+            50,
+            AccessLinkClass::bittorrent_dsl(),
+        );
+        let mut net = Network::new(NetworkConfig::default(), topo);
+        let admin = VirtAddr::new(192, 168, 38, 1);
+        let m = net.add_machine("node1", admin);
+        for _ in 0..50 {
+            net.add_vnode(m, g).unwrap();
+        }
+        assert_eq!(net.machine(m).hosted(), 50);
+        for i in 1..=50u8 {
+            let vnode = net.resolve(VirtAddr::new(10, 0, 0, i)).unwrap();
+            assert_eq!(
+                (vnode, net.vnode(vnode).machine),
+                (VNodeId(i as usize - 1), m)
+            );
+        }
+        assert_eq!(net.resolve(VirtAddr::new(10, 0, 0, 51)), None);
+        assert_eq!(net.resolve(admin), None);
     }
 
     #[test]
@@ -961,13 +992,13 @@ mod tests {
 
     #[test]
     fn refused_node_leaves_the_network_untouched() {
-        // Everything `add_vnode` writes: pipes, rules (and their version), aliases, the
-        // machine's slot counter, the node arena and the group's allocation counter.
+        // Everything `add_vnode` writes: pipes, rules (and their version), the machine's slot
+        // counter, the node arena and the group's allocation counter.
         let state = |net: &Network| {
             let per_machine: Vec<_> = net
                 .machines
                 .iter()
-                .map(|m| (m.firewall.version(), m.iface.alias_count(), m.hosted))
+                .map(|m| (m.firewall.version(), m.hosted))
                 .collect();
             let allocated: Vec<_> = net.members.iter().map(Vec::len).collect();
             (net.pipes.len(), per_machine, net.vnodes.len(), allocated)
@@ -983,7 +1014,7 @@ mod tests {
         );
         let mut net = Network::new(NetworkConfig::default(), topo);
         let m = net.add_machine("node0", VirtAddr::new(192, 168, 38, 1));
-        // A machine whose administration address is the outer group's first alias.
+        // A machine whose administration address is the outer group's first node address.
         let clash = net.add_machine("node1", VirtAddr::new(10, 0, 0, 1));
         let fresh = state(&net);
         for (machine, group) in [(clash, GroupId(0)), (m, inner)] {
@@ -1207,7 +1238,7 @@ mod tests {
                 let m = net.vnode(host).machine.0;
                 // Without the interception shim traffic carries the machine's own address.
                 let src_addr = if rng.chance(0.1) {
-                    net.machine(net.vnode(src).machine).iface.admin_addr()
+                    net.machine(net.vnode(src).machine).admin_addr
                 } else {
                     net.addr_of(src)
                 };

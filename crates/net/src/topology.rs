@@ -29,12 +29,6 @@ pub struct AccessLinkClass {
     /// Optional link conditioner (jitter, reordering, duplication, burst loss) applied to both
     /// directions of the access link.
     pub condition: Option<LinkCondition>,
-    /// Optional conditioner applied to the download (ISP -> node) direction only. Takes
-    /// precedence over `condition` on that direction.
-    pub condition_down: Option<LinkCondition>,
-    /// Optional conditioner applied to the upload (node -> ISP) direction only. Takes
-    /// precedence over `condition` on that direction.
-    pub condition_up: Option<LinkCondition>,
 }
 
 impl AccessLinkClass {
@@ -46,8 +40,6 @@ impl AccessLinkClass {
             latency,
             loss_rate: 0.0,
             condition: None,
-            condition_down: None,
-            condition_up: None,
         }
     }
 
@@ -68,35 +60,6 @@ impl AccessLinkClass {
     pub fn with_condition(mut self, condition: Option<LinkCondition>) -> AccessLinkClass {
         self.condition = condition.filter(|c| !c.is_noop());
         self
-    }
-
-    /// Stacks a conditioner on the download direction only (asymmetric degradation). Inert
-    /// conditioners are normalized to `None`.
-    pub fn with_condition_down(mut self, condition: Option<LinkCondition>) -> AccessLinkClass {
-        self.condition_down = condition.filter(|c| !c.is_noop());
-        self
-    }
-
-    /// Stacks a conditioner on the upload direction only (asymmetric degradation). Inert
-    /// conditioners are normalized to `None`.
-    pub fn with_condition_up(mut self, condition: Option<LinkCondition>) -> AccessLinkClass {
-        self.condition_up = condition.filter(|c| !c.is_noop());
-        self
-    }
-
-    /// The conditioner effective on the download (ISP -> node) direction.
-    pub fn effective_condition_down(&self) -> Option<LinkCondition> {
-        self.condition_down.or(self.condition)
-    }
-
-    /// The conditioner effective on the upload (node -> ISP) direction.
-    pub fn effective_condition_up(&self) -> Option<LinkCondition> {
-        self.condition_up.or(self.condition)
-    }
-
-    /// True if any direction of this link carries a conditioner.
-    pub fn has_condition(&self) -> bool {
-        self.condition.is_some() || self.condition_down.is_some() || self.condition_up.is_some()
     }
 
     /// The DSL profile of the paper's BitTorrent experiments: 2 Mbps down, 128 kbps up, 30 ms.

@@ -17,9 +17,9 @@
 //! [`LaneKind`] **lane** that fixes its framing overhead and retransmit policy. Connectionless
 //! datagrams are fire-and-forget.
 //!
-//! **The node-facing API lives in [`crate::endpoint`]** ([`Endpoint`](crate::endpoint::Endpoint)
-//! handles, lanes) with the typed request/response layer in [`crate::rpc`]; this module holds
-//! the operations behind it and the [`TransportEvent`]s it delivers.
+//! **The node-facing API is the [`Endpoint`] handle** (declared in [`crate::endpoint`]), with the
+//! typed request/response layer in [`crate::rpc`]. This module implements the handle's
+//! operations, which start the packet walk, and the [`TransportEvent`]s the walk delivers.
 //!
 //! Every hop of the walk is a value of [`NetEvent`]: the in-flight record is stored inline in
 //! the engine's slab-backed queue, so the data plane — the dominant event class of every large
@@ -28,6 +28,7 @@
 //! timeouts) ride in the same queue as the [`NetEvent::Timer`] variant.
 
 use crate::addr::{SocketAddr, VirtAddr};
+use crate::endpoint::Endpoint;
 use crate::firewall::Direction;
 use crate::lane::LaneKind;
 use crate::network::{ConnId, ConnState, NetError, Network, VNodeId};
@@ -433,94 +434,162 @@ impl<P> InFlight<P> {
 }
 
 // ---------------------------------------------------------------------------
-// Transport operations: the implementation behind the session/lane methods on `Endpoint`.
+// The node-facing operations: what an `Endpoint` puts on the wire.
 // ---------------------------------------------------------------------------
 
-/// Registers a listener on `(node, port)`.
-pub(crate) fn op_bind<W: NetHost>(
-    sim: &mut NetSim<W>,
-    node: VNodeId,
-    port: u16,
-) -> Result<(), NetError> {
-    let net = sim.world_mut().network();
-    if node.0 >= net.vnode_count() {
-        return Err(NetError::UnknownVNode(node));
+impl Endpoint {
+    /// Binds `port` for incoming connections and datagrams. Fails with
+    /// [`NetError::PortInUse`] when the port is already bound on this node.
+    pub fn bind<W: NetHost>(&self, sim: &mut NetSim<W>, port: u16) -> Result<(), NetError> {
+        let node = self.node();
+        let net = sim.world_mut().network();
+        if node.0 >= net.vnode_count() {
+            return Err(NetError::UnknownVNode(node));
+        }
+        if !net.listeners.insert((node, port)) {
+            return Err(NetError::PortInUse(node, port));
+        }
+        Ok(())
     }
-    if !net.listeners.insert((node, port)) {
-        return Err(NetError::PortInUse(node, port));
-    }
-    Ok(())
-}
 
-/// Removes the listener on `(node, port)`. Returns whether it was bound.
-pub(crate) fn op_unbind<W: NetHost>(sim: &mut NetSim<W>, node: VNodeId, port: u16) -> bool {
-    sim.world_mut().network().listeners.remove(&(node, port))
-}
+    /// Releases a bound port. Returns whether it was bound. Established connections accepted
+    /// through the port are unaffected (as with a real listening socket).
+    pub fn unbind<W: NetHost>(&self, sim: &mut NetSim<W>, port: u16) -> bool {
+        let node = self.node();
+        sim.world_mut().network().listeners.remove(&(node, port))
+    }
 
-/// Initiates a connection from `node` to `remote`.
-pub(crate) fn op_connect<W: NetHost>(
-    sim: &mut NetSim<W>,
-    node: VNodeId,
-    remote: SocketAddr,
-) -> Result<ConnId, NetError> {
-    let net = sim.world_mut().network();
-    if node.0 >= net.vnode_count() {
-        return Err(NetError::UnknownVNode(node));
+    /// Initiates a connection to `remote`. The outcome arrives asynchronously as
+    /// [`TransportEvent::Connected`] or [`TransportEvent::Refused`].
+    pub fn connect<W: NetHost>(
+        &self,
+        sim: &mut NetSim<W>,
+        remote: SocketAddr,
+    ) -> Result<ConnId, NetError> {
+        let node = self.node();
+        let net = sim.world_mut().network();
+        if node.0 >= net.vnode_count() {
+            return Err(NetError::UnknownVNode(node));
+        }
+        let dst = net
+            .resolve(remote.addr)
+            .ok_or(NetError::NoRouteToHost(remote.addr))?;
+        let port = net.allocate_ephemeral_port();
+        let conn = net.allocate_conn((node, port), (dst, remote.port));
+        let config = *net.config();
+        let syscall_cost = config.intercept.connect_cost(&config.syscalls);
+        let flight = make_flight(net, node, dst, Frame::Syn { conn });
+        transmit(sim, flight, syscall_cost);
+        Ok(conn)
     }
-    let dst = net
-        .resolve(remote.addr)
-        .ok_or(NetError::NoRouteToHost(remote.addr))?;
-    let port = net.allocate_ephemeral_port();
-    let conn = net.allocate_conn((node, port), (dst, remote.port));
-    let config = *net.config();
-    let syscall_cost = config.intercept.connect_cost(&config.syscalls);
-    let flight = make_flight(net, node, dst, Frame::Syn { conn });
-    transmit(sim, flight, syscall_cost);
-    Ok(conn)
-}
 
-/// Sends `payload` (`size` application bytes) from `node` on `lane` of an established
-/// connection.
-pub(crate) fn op_send<W: NetHost>(
-    sim: &mut NetSim<W>,
-    node: VNodeId,
-    conn: ConnId,
-    lane: LaneKind,
-    size: u64,
-    payload: W::Payload,
-) -> Result<(), NetError> {
-    let net = sim.world_mut().network();
-    if size > net.config().max_message_bytes {
-        return Err(NetError::MessageTooLarge(size));
+    /// Sends `payload` (`size` application bytes) on `lane` of the established connection
+    /// `conn`. The lane fixes the framing overhead charged on the wire and the retransmit
+    /// policy applied if a pipe drops the frame (see [`LaneKind`]).
+    pub fn send<W: NetHost>(
+        &self,
+        sim: &mut NetSim<W>,
+        conn: ConnId,
+        lane: LaneKind,
+        size: u64,
+        payload: W::Payload,
+    ) -> Result<(), NetError> {
+        let node = self.node();
+        let net = sim.world_mut().network();
+        if size > net.config().max_message_bytes {
+            return Err(NetError::MessageTooLarge(size));
+        }
+        let c = *net
+            .connection(conn)
+            .ok_or(NetError::UnknownConnection(conn))?;
+        if c.client.0 != node && c.server.0 != node {
+            return Err(NetError::UnknownConnection(conn));
+        }
+        if c.state != ConnState::Established {
+            return Err(NetError::NotEstablished(conn));
+        }
+        let dst = c.peer_of(node);
+        net.vnode_mut(node).bytes_sent += size;
+        if net.transport_active() {
+            let sender_is_client = c.client.0 == node;
+            return proto_send(sim, node, dst, sender_is_client, conn, lane, size, payload);
+        }
+        let flight = make_flight(
+            net,
+            node,
+            dst,
+            Frame::Data {
+                conn,
+                lane,
+                payload,
+                size,
+            },
+        );
+        transmit(sim, flight, SimDuration::ZERO);
+        Ok(())
     }
-    let c = *net
-        .connection(conn)
-        .ok_or(NetError::UnknownConnection(conn))?;
-    if c.client.0 != node && c.server.0 != node {
-        return Err(NetError::UnknownConnection(conn));
+
+    /// Sends an unreliable connectionless datagram from `from_port` to `remote`. The receiver
+    /// sees the destination port as [`TransportEvent::Datagram::to_port`], so a node bound on
+    /// several ports can demultiplex.
+    pub fn send_datagram<W: NetHost>(
+        &self,
+        sim: &mut NetSim<W>,
+        from_port: u16,
+        remote: SocketAddr,
+        size: u64,
+        payload: W::Payload,
+    ) -> Result<(), NetError> {
+        let node = self.node();
+        let net = sim.world_mut().network();
+        if size > net.config().max_message_bytes {
+            return Err(NetError::MessageTooLarge(size));
+        }
+        if node.0 >= net.vnode_count() {
+            return Err(NetError::UnknownVNode(node));
+        }
+        let dst = net
+            .resolve(remote.addr)
+            .ok_or(NetError::NoRouteToHost(remote.addr))?;
+        net.vnode_mut(node).bytes_sent += size;
+        let flight = make_flight(
+            net,
+            node,
+            dst,
+            Frame::Dgram {
+                from_port,
+                to_port: remote.port,
+                payload,
+                size,
+            },
+        );
+        transmit(sim, flight, SimDuration::ZERO);
+        Ok(())
     }
-    if c.state != ConnState::Established {
-        return Err(NetError::NotEstablished(conn));
+
+    /// Closes connection `conn` from this side and notifies the peer. Messages already in
+    /// flight on the connection are discarded on arrival. A refused connection has no peer to
+    /// notify, and closing it, like closing again, sends nothing; once the last frame on the
+    /// connection is gone it is released, and `conn` is an unknown id
+    /// ([`NetError::UnknownConnection`]) to every call.
+    pub fn close<W: NetHost>(&self, sim: &mut NetSim<W>, conn: ConnId) -> Result<(), NetError> {
+        let node = self.node();
+        let net = sim.world_mut().network();
+        let c = *net
+            .connection(conn)
+            .ok_or(NetError::UnknownConnection(conn))?;
+        if c.client.0 != node && c.server.0 != node {
+            return Err(NetError::UnknownConnection(conn));
+        }
+        if matches!(c.state, ConnState::Closed | ConnState::Refused) {
+            return Ok(());
+        }
+        net.connection_mut(conn).expect("checked above").state = ConnState::Closed;
+        let dst = c.peer_of(node);
+        let flight = make_flight(net, node, dst, Frame::Fin { conn });
+        transmit(sim, flight, SimDuration::ZERO);
+        Ok(())
     }
-    let dst = c.peer_of(node);
-    net.vnode_mut(node).bytes_sent += size;
-    if net.transport_active() {
-        let sender_is_client = c.client.0 == node;
-        return proto_send(sim, node, dst, sender_is_client, conn, lane, size, payload);
-    }
-    let flight = make_flight(
-        net,
-        node,
-        dst,
-        Frame::Data {
-            conn,
-            lane,
-            payload,
-            size,
-        },
-    );
-    transmit(sim, flight, SimDuration::ZERO);
-    Ok(())
 }
 
 /// The protocol-depth send path: fragments the message to the configured MTU, assigns wire
@@ -528,7 +597,7 @@ pub(crate) fn op_send<W: NetHost>(
 /// fragments in the sender window. One [`Frame::Frag`] per fragment enters the packet walk.
 #[expect(
     clippy::too_many_arguments,
-    reason = "internal send path mirrors op_send's checked arguments"
+    reason = "internal send path mirrors `Endpoint::send`'s checked arguments"
 )]
 fn proto_send<W: NetHost>(
     sim: &mut NetSim<W>,
@@ -620,64 +689,6 @@ fn release_fragment<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload
     transmit(sim, flight, SimDuration::ZERO);
 }
 
-/// Sends an unreliable connectionless datagram from `node:from_port` to `remote`.
-pub(crate) fn op_send_datagram<W: NetHost>(
-    sim: &mut NetSim<W>,
-    node: VNodeId,
-    from_port: u16,
-    remote: SocketAddr,
-    size: u64,
-    payload: W::Payload,
-) -> Result<(), NetError> {
-    let net = sim.world_mut().network();
-    if size > net.config().max_message_bytes {
-        return Err(NetError::MessageTooLarge(size));
-    }
-    if node.0 >= net.vnode_count() {
-        return Err(NetError::UnknownVNode(node));
-    }
-    let dst = net
-        .resolve(remote.addr)
-        .ok_or(NetError::NoRouteToHost(remote.addr))?;
-    net.vnode_mut(node).bytes_sent += size;
-    let flight = make_flight(
-        net,
-        node,
-        dst,
-        Frame::Dgram {
-            from_port,
-            to_port: remote.port,
-            payload,
-            size,
-        },
-    );
-    transmit(sim, flight, SimDuration::ZERO);
-    Ok(())
-}
-
-/// Closes a connection from `node`'s side and notifies the peer.
-pub(crate) fn op_close<W: NetHost>(
-    sim: &mut NetSim<W>,
-    node: VNodeId,
-    conn: ConnId,
-) -> Result<(), NetError> {
-    let net = sim.world_mut().network();
-    let c = *net
-        .connection(conn)
-        .ok_or(NetError::UnknownConnection(conn))?;
-    if c.client.0 != node && c.server.0 != node {
-        return Err(NetError::UnknownConnection(conn));
-    }
-    if c.state == ConnState::Closed {
-        return Ok(());
-    }
-    net.connection_mut(conn).expect("checked above").state = ConnState::Closed;
-    let dst = c.peer_of(node);
-    let flight = make_flight(net, node, dst, Frame::Fin { conn });
-    transmit(sim, flight, SimDuration::ZERO);
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // The packet walk.
 // ---------------------------------------------------------------------------
@@ -688,7 +699,7 @@ fn make_flight<P>(net: &mut Network, src: VNodeId, dst: VNodeId, frame: Frame<P>
         net.pin(conn);
     }
     let src_node = net.vnode(src);
-    let admin = net.machine(src_node.machine).iface.admin_addr();
+    let admin = net.machine(src_node.machine).admin_addr;
     InFlight {
         src,
         dst,
@@ -1153,7 +1164,6 @@ mod tests {
     // semantics have their own suites in `tests/transport_edge.rs` and the `endpoint`/`rpc`
     // module tests.
     use super::*;
-    use crate::endpoint::Endpoint;
     use crate::network::NetworkConfig;
     use crate::topology::{AccessLinkClass, GroupId, TopologySpec};
     use p2plab_sim::{NoEvent, SimTime};
@@ -1163,6 +1173,8 @@ mod tests {
         net: Network,
         events: Vec<(SimTime, VNodeId, String)>,
         received_payloads: Vec<(VNodeId, u32)>,
+        /// Close a refused connection from inside the `Refused` handler.
+        close_refused: bool,
     }
 
     impl NetHost for TestWorld {
@@ -1188,10 +1200,15 @@ mod tests {
                 TransportEvent::Closed { .. } => "closed".to_string(),
             };
             sim.world_mut().events.push((now, node, label));
-            if let TransportEvent::Message { payload, .. }
-            | TransportEvent::Datagram { payload, .. } = event
-            {
-                sim.world_mut().received_payloads.push((node, payload));
+            match event {
+                TransportEvent::Message { payload, .. }
+                | TransportEvent::Datagram { payload, .. } => {
+                    sim.world_mut().received_payloads.push((node, payload));
+                }
+                TransportEvent::Refused { conn, .. } if sim.world().close_refused => {
+                    Endpoint::new(node).close(sim, conn).unwrap();
+                }
+                _ => {}
             }
         }
     }
@@ -1214,6 +1231,7 @@ mod tests {
             net,
             events: Vec::new(),
             received_payloads: Vec::new(),
+            close_refused: false,
         }
     }
 
@@ -1282,6 +1300,22 @@ mod tests {
         assert!(labels.contains(&"refused"));
         assert!(!labels.contains(&"connected"));
         // Refused and with nothing left in flight, the connection is released.
+        assert!(sim.world().net.connection(conn).is_none());
+    }
+
+    #[test]
+    fn closing_a_refused_connection_notifies_nobody() {
+        let mut world = build_world(2, 1, NetworkConfig::default());
+        world.close_refused = true;
+        let peer = remote(&world, VNodeId(1), 6881);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
+        let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
+        sim.run();
+        // The far node never accepted the connection, so it hears nothing of the close.
+        let seen: Vec<(VNodeId, &str)> = (sim.world().events.iter())
+            .map(|(_, node, label)| (*node, label.as_str()))
+            .collect();
+        assert_eq!(seen, [(VNodeId(0), "refused")]);
         assert!(sim.world().net.connection(conn).is_none());
     }
 
@@ -1426,6 +1460,7 @@ mod tests {
             net,
             events: Vec::new(),
             received_payloads: Vec::new(),
+            close_refused: false,
         };
         let peer = SocketAddr::new(VirtAddr::new(10, 0, 0, 2), 6881);
         let mut sim: NetSim<TestWorld> = Simulation::new(world, 3);
@@ -1470,6 +1505,7 @@ mod tests {
             net,
             events: Vec::new(),
             received_payloads: Vec::new(),
+            close_refused: false,
         };
         let peer = SocketAddr::new(VirtAddr::new(10, 0, 0, 2), 9);
         let mut sim: NetSim<TestWorld> = Simulation::new(world, 3);

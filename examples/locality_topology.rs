@@ -48,7 +48,7 @@ fn main() {
             let machine = d.net.machine(p2plab::net::MachineId(m));
             vec![
                 machine.name.clone(),
-                machine.iface.alias_count().to_string(),
+                machine.hosted().to_string(),
                 machine.firewall.rule_count().to_string(),
             ]
         })
@@ -57,7 +57,7 @@ fn main() {
         "{}",
         render_table(
             "Per-machine configuration (first three machines)",
-            &["machine", "aliases (hosted vnodes)", "IPFW rules"],
+            &["machine", "hosted vnodes", "IPFW rules"],
             &rows
         )
     );

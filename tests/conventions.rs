@@ -156,44 +156,72 @@ const UNSET_KEYS: [(&str, &str); 5] = [
 /// A setting with one value in use is a constant: every literal key that `crates/core`
 /// declares (a `k.opt` / `k.req` / `k.checked` / `k.req_checked` call outside its tests) is set
 /// by some scenario or campaign file under `examples/` or `benchmark/workloads/`, or is listed
-/// in [`UNSET_KEYS`] with its reason.
+/// in [`UNSET_KEYS`] with its reason; and every section it declares (a `k.table` /
+/// `k.optional` call) is opened by some shipped file, in a `[section]` header or a dotted key.
 #[test]
 fn every_scenario_key_has_a_caller() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut declared = Vec::new();
-    let mut rust = Vec::new();
-    sources(&root.join("crates/core/src"), &mut rust);
-    for file in rust {
-        let text = std::fs::read_to_string(&file).unwrap();
-        let code = text.split("#[cfg(test)]").next().unwrap();
-        for call in ["k.opt(", "k.req(", "k.checked(", "k.req_checked("] {
-            for (at, _) in code.match_indices(call) {
-                let arg = code[at + call.len()..].trim_start();
-                if let Some(literal) = arg.strip_prefix('"') {
-                    declared.push(literal[..literal.find('"').unwrap()].to_string());
+    // The literal first argument of every call to one of `calls` in `crates/core`'s non-test code.
+    let declared_by = |calls: &[&str]| {
+        let mut declared = Vec::new();
+        let mut rust = Vec::new();
+        sources(&root.join("crates/core/src"), &mut rust);
+        for file in rust {
+            let text = std::fs::read_to_string(&file).unwrap();
+            let code = text.split("#[cfg(test)]").next().unwrap();
+            for call in calls {
+                for (at, _) in code.match_indices(call) {
+                    let arg = code[at + call.len()..].trim_start();
+                    if let Some(literal) = arg.strip_prefix('"') {
+                        declared.push(literal[..literal.find('"').unwrap()].to_string());
+                    }
                 }
             }
         }
-    }
+        declared
+    };
+    let declared = declared_by(&["k.opt(", "k.req(", "k.checked(", "k.req_checked("]);
     assert!(declared.len() > 40, "found only {declared:?}");
+    let sections = declared_by(&["k.table(", "k.optional("]);
+    assert!(sections.len() > 5, "found only {sections:?}");
 
-    // The last segment of every assignment's (possibly dotted) key, in every shipped file.
+    // The last segment of every assignment's (possibly dotted) key, in every shipped file, and
+    // every segment of those keys and of every `[section]` header.
     let mut tomls = Vec::new();
     files(&root.join("examples"), "toml", &mut tomls);
     files(&root.join("benchmark/workloads"), "toml", &mut tomls);
-    let mut set = Vec::new();
+    let (mut set, mut opened) = (Vec::new(), Vec::new());
+    let plain = |path: &str| {
+        !path.is_empty() && (path.chars()).all(|c| c.is_ascii_alphanumeric() || "_-.".contains(c))
+    };
     for file in tomls {
         for line in std::fs::read_to_string(&file).unwrap().lines() {
+            let line = line.trim();
+            if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+                opened.extend(header.split('.').map(str::to_string));
+                continue;
+            }
             let Some((lhs, _)) = line.split_once('=') else {
                 continue;
             };
             let path = lhs.trim();
-            let plain = |c: char| c.is_ascii_alphanumeric() || "_-.".contains(c);
-            if !path.is_empty() && path.chars().all(plain) {
+            if plain(path) {
                 set.push(path.rsplit('.').next().unwrap().to_string());
+                opened.extend(path.split('.').map(str::to_string));
             }
         }
     }
+    let mut unopened: Vec<&str> = sections
+        .iter()
+        .map(String::as_str)
+        .filter(|section| !opened.iter().any(|s| s == section))
+        .collect();
+    unopened.sort_unstable();
+    unopened.dedup();
+    assert!(
+        unopened.is_empty(),
+        "sections no shipped file opens: {unopened:?}. Delete each, or open it in a file"
+    );
 
     let allowed = |key: &str| UNSET_KEYS.iter().any(|(k, _)| *k == key);
     let mut uncalled: Vec<&str> = declared

@@ -48,7 +48,7 @@ fn figure7_topology_deploys_with_paper_rule_accounting() {
     // 2 x hosted + 4 x (number of groups hosted).
     for m in 0..180 {
         let machine = d.net.machine(p2plab::net::MachineId(m));
-        let hosted = machine.iface.alias_count();
+        let hosted = machine.hosted();
         let rules = machine.firewall.rule_count();
         assert!(
             rules >= 2 * hosted,

@@ -241,17 +241,11 @@ proptest! {
         } else {
             text.push_str(&format!("down_bps = {}\nup_bps = {}\nlatency = \"{n}us\"\n", 9_000_000 + n, 900_000 + n));
         }
-        let knobs = |k: u64| {
-            let r = (n + k) as f64 / 2000.0;
-            format!(
-                "jitter = \"{}us\"\nreorder_rate = {r}\nreorder_delay = \"{}ms\"\nduplicate_rate = {}\n\
-                 burst_enter = {}\nburst_exit = {}\nburst_loss = {}\n",
-                n + k, n + k + 1, r / 2.0, r / 4.0, r / 8.0 + 0.25, 1.0 - r,
-            )
-        };
+        let r = (n + 1) as f64 / 2000.0;
         text.push_str(&format!(
-            "[topology.condition]\n{}[topology.condition.down]\n{}[topology.condition.up]\n{}",
-            knobs(1), knobs(2), knobs(3),
+            "[topology.condition]\njitter = \"{}us\"\nreorder_rate = {r}\nreorder_delay = \"{}ms\"\n\
+             duplicate_rate = {}\nburst_enter = {}\nburst_exit = {}\nburst_loss = {}\n",
+            n + 1, n + 2, r / 2.0, r / 4.0, r / 8.0 + 0.25, 1.0 - r,
         ));
         text.push_str(&format!(
             "[transport]\nmtu = {}\ncongestion = \"aimd\"\nreassembly_timeout = \"{}ms\"\n",
@@ -295,7 +289,7 @@ proptest! {
         prop_assert_eq!(file.spec.network.transport.mtu, Some(n + 64));
         let link = file.spec.topology.groups[0].link;
         prop_assert_eq!(link.loss_rate, rate);
-        prop_assert!(link.condition.is_some() && link.condition_down.is_some() && link.condition_up.is_some());
+        prop_assert!(link.condition.is_some());
         prop_assert_eq!(file.spec.arrivals.is_some(), arrivals_ix > 0);
         prop_assert_eq!(file.spec.sessions.is_some(), sessions_ix > 0);
         prop_assert_eq!(file.spec.adversary.is_some(), selection_ix > 0);
