@@ -45,7 +45,7 @@ pub fn rule_scaling_experiment(
                 .machine_mut(MachineId(0))
                 .firewall
                 .add_dummy_rules(rules);
-            let world = PingWorld::new(d.net, 56);
+            let world = PingWorld::new(d.net);
             let (world, rtts) = ping_series(
                 world,
                 d.vnodes[0],
@@ -112,7 +112,7 @@ pub fn figure7_latency_experiment(machines: usize, pings: usize) -> LatencyDecom
     let dst_access = topo.groups[dst_group.0].link.latency;
     let group = topo.group_latency(src_group, dst_group);
 
-    let world = PingWorld::new(d.net, 56);
+    let world = PingWorld::new(d.net);
     let (world, _) = ping_series(world, src, dst, pings, SimDuration::from_secs(1), 1);
     let measured = world.average_rtt().expect("pings completed");
     LatencyDecomposition {

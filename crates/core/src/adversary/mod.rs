@@ -68,9 +68,6 @@ impl Named for Selection {
         .map(|mode| (mode.keyword(), mode))
         .into()
     }
-    fn is(&self, named: &Selection) -> bool {
-        std::mem::discriminant(self) == std::mem::discriminant(named)
-    }
 }
 
 /// The scenario-level adversary assignment: who misbehaves, and how.
@@ -104,10 +101,7 @@ impl AdversaryPlan {
         if let Selection::Trace(picks) = &mut plan.selection {
             k.req("trace", picks)?;
         }
-        if k.reading() {
-            plan.validate().map_err(|reason| k.error("", reason))?;
-        }
-        Ok(())
+        plan.validate().map_err(|reason| k.error("", reason))
     }
 
     /// Checks the plan is well-formed: a finite fraction in `[0, 1]` and a non-empty list of

@@ -55,8 +55,8 @@ pub use scenario::campaign::{
     CampaignSpec, CampaignSummary, CAMPAIGN_SCHEMA,
 };
 pub use scenario::dsl::{
-    fmt_duration, link_profile, parse_duration, parse_toml, DslError, ScenarioFile, Spanned,
-    TomlTable, TomlValue, LINK_PROFILES,
+    link_profile, parse_duration, parse_toml, DslError, ScenarioFile, Spanned, TomlTable,
+    TomlValue, LINK_PROFILES,
 };
 pub use scenario::{
     run_scenario, ArrivalSchedule, ArrivalSpec, ScenarioError, ScenarioSpec, SessionProcess,

@@ -110,7 +110,7 @@ fn nic_bytes(net: &Network, m: MachineId) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::deploy::{deploy, DeploymentSpec};
-    use p2plab_net::ping::{PingTimer, PingWorld};
+    use p2plab_net::ping::{PingTimer, PingWorld, ECHO_BYTES};
     use p2plab_net::{AccessLinkClass, NetEvent, NetworkConfig, TopologySpec, VirtAddr};
     use p2plab_sim::{MetricSet, SimDuration, Simulation};
 
@@ -124,12 +124,12 @@ mod tests {
         (d.net, d.vnodes)
     }
 
-    /// The two-machine network after 20 pings of 1000 bytes from the first vnode to the
-    /// second, which sit on different machines.
+    /// The two-machine network after 20 pings from the first vnode to the second, which sit
+    /// on different machines.
     fn pinged_net() -> Network {
         let (net, vnodes) = two_machine_net();
         let (a, b) = (vnodes[0], vnodes[1]);
-        let mut sim: p2plab_net::NetSim<PingWorld> = Simulation::new(PingWorld::new(net, 1000), 1);
+        let mut sim: p2plab_net::NetSim<PingWorld> = Simulation::new(PingWorld::new(net), 1);
         for i in 0..20 {
             let probe = PingTimer::Probe { from: a, to: b };
             sim.schedule_event_at(SimTime::from_millis(i * 10), NetEvent::Timer(probe));
@@ -177,7 +177,7 @@ mod tests {
         let nic_bytes_per_sec = net.config().nic_bps as f64 / 8.0;
         let accounted: f64 = per_machine.iter().map(|u| u[0] * nic_bytes_per_sec).sum();
         assert!(
-            accounted > (20 * 1000) as f64,
+            accounted > (20 * ECHO_BYTES) as f64,
             "all pings crossed the cluster network: {accounted} bytes"
         );
         // The peak gauge is the highest point of any machine's series.

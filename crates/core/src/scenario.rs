@@ -151,6 +151,27 @@ pub trait Workload {
         false
     }
 
+    /// Whether `spec` can execute on the workload's path, checked before anything is deployed.
+    /// The default is the reference engine's: a [`SessionProcess`] needs a workload that
+    /// [`churns`](Workload::churns) ([`ScenarioError::ChurnUnsupported`]), and `shards > 1` a
+    /// shard-native path ([`ScenarioError::ShardingUnsupported`]). A shard-native workload
+    /// replaces it with the limits of its own runtime.
+    fn check_execution(&self, spec: &ScenarioSpec) -> Result<(), ScenarioError> {
+        let workload = self.kind();
+        if spec.sessions.is_some() && !self.churns() {
+            return Err(ScenarioError::ChurnUnsupported { workload });
+        }
+        if spec.shards > 1 {
+            return Err(ScenarioError::ShardingUnsupported {
+                reason: format!(
+                    "the {workload:?} workload has no sharded mode (shards = {})",
+                    spec.shards
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Ends participant `p`'s current session: takes it offline and returns true, or returns
     /// false — leaving it as it is — to end its churn chain (finished, already offline, ...).
     /// The runner calls it when a session drawn from the scenario's [`SessionProcess`] runs
@@ -187,14 +208,15 @@ pub trait Workload {
     /// (`p2plab_sim::shard`), when the workload supports it.
     ///
     /// The default returns `None`: the workload has no shard-native execution path, runs on
-    /// the reference single-threaded engine, and the runner rejects `shards > 1`
-    /// ([`ScenarioError::ShardingUnsupported`]) rather than ignore it. A shard-native workload
-    /// returns `Some` for *every* shard count (including 1, which runs the same windowed
-    /// algorithm inline): the runner then skips the classic
-    /// deploy/run loop entirely and the implementation is responsible for recording its
-    /// metrics — the progress curve through `progress`, anything else through handles it
-    /// stored in [`setup_metrics`](Workload::setup_metrics) — in a **shard-count-invariant**
-    /// way (reconstructed on the sampling grid, never from per-shard interleaving).
+    /// the reference single-threaded engine, and the default
+    /// [`check_execution`](Workload::check_execution) rejects `shards > 1` rather than ignore
+    /// it. A shard-native workload replaces that check and returns `Some` for *every* shard
+    /// count (including 1, which runs the same windowed algorithm inline): the runner then
+    /// skips the classic deploy/run loop entirely and the implementation is responsible for
+    /// recording its metrics — the progress curve through `progress`, anything else through
+    /// handles it stored in [`setup_metrics`](Workload::setup_metrics) — in a
+    /// **shard-count-invariant** way (reconstructed on the sampling grid, never from per-shard
+    /// interleaving).
     fn run_sharded(
         &mut self,
         _spec: &ScenarioSpec,
@@ -538,58 +560,16 @@ struct Chain {
 /// it.
 pub fn run_scenario<W: Workload + 'static>(
     spec: &ScenarioSpec,
-    workload: W,
+    mut workload: W,
 ) -> Result<(W::World, RunReport), ScenarioError> {
     #[expect(
         clippy::disallowed_methods,
         reason = "the runner's one wall-clock read: RunReport.wall_secs / events_per_sec"
     )]
     let wall_start = Instant::now();
-    spec.validate()?;
-    let needed = workload.vnodes_required();
-    let available = spec.topology.total_nodes();
-    if needed > available {
-        return Err(ScenarioError::TopologyTooSmall { needed, available });
-    }
-
-    // Resolve the arrival process (scenario override or the workload's natural pattern) into
-    // one concrete instant per participant.
-    let arrival_spec = spec
-        .arrivals
-        .clone()
-        .unwrap_or_else(|| workload.default_arrivals());
-    let mut arrival_rng = SimRng::new(spec.seed).split("scenario-arrivals");
-    let arrivals = arrival_spec
-        .schedule(workload.participants(), &mut arrival_rng)
-        .map_err(|reason| ScenarioError::InvalidArrivals { reason })?;
-    // A deadline that ends before the last participant even joins is rejected outright
-    // instead of silently dropping the tail of the crowd.
-    let ramp = arrivals.ramp();
-    if spec.deadline < ramp {
-        return Err(ScenarioError::DeadlineBeforeArrivalRamp {
-            ramp,
-            deadline: spec.deadline,
-        });
-    }
-
-    let mut workload = workload;
+    let (arrivals, roster) = preflight(spec, &mut workload)?;
     let participants = workload.participants();
     let workload_kind = workload.kind();
-
-    // Resolve the adversary plan (when there is one) into a concrete roster, deterministically
-    // from the scenario seed, and install it on the workload before anything is built. A plan
-    // that selects nobody resolves to `None` and the run proceeds exactly like an honest one.
-    let roster = match &spec.adversary {
-        Some(plan) => plan
-            .resolve(spec.seed, workload.adversary_population())
-            .map_err(|reason| ScenarioError::InvalidAdversary { reason })?,
-        None => None,
-    };
-    if let Some(roster) = &roster {
-        workload
-            .set_adversary(roster)
-            .map_err(|reason| ScenarioError::AdversaryUnsupported { reason })?;
-    }
 
     // The run's recorder: one per run, owned by the runner. Registration order is part of the
     // report schema, so the runner's series and counters always come first, then whatever the
@@ -607,24 +587,11 @@ pub fn run_scenario<W: Workload + 'static>(
     // Execution is the only part of a run that differs by path. Shard-native workloads execute
     // on the conservative-window runtime at every shard count (`shards = 1` runs the same
     // windowed algorithm inline — the reference semantics); workloads without a shard-native
-    // path return `None`, run the reference engine, and reject `shards > 1`.
+    // path return `None` and run the reference engine.
     let sharded = workload.run_sharded(spec, &arrivals, &mut recorder, progress_id);
     let (world, stop) = match sharded {
         Some(result) => result?,
         None => {
-            if spec.sessions.is_some() && !workload.churns() {
-                return Err(ScenarioError::ChurnUnsupported {
-                    workload: workload_kind,
-                });
-            }
-            if spec.shards > 1 {
-                return Err(ScenarioError::ShardingUnsupported {
-                    reason: format!(
-                        "the {workload_kind:?} workload has no sharded mode (shards = {})",
-                        spec.shards
-                    ),
-                });
-            }
             let deployment = deploy(&spec.topology, spec.deployment, spec.network)
                 .map_err(ScenarioError::DeploymentFailed)?;
 
@@ -756,6 +723,59 @@ pub fn run_scenario<W: Workload + 'static>(
         metrics,
     };
     Ok((world, report))
+}
+
+/// The checks [`run_scenario`] makes before it deploys anything, in the order it makes them:
+/// the spec's own consistency, the topology's size, the arrival schedule and its ramp, the
+/// adversary roster (installed on `workload`) and the workload's
+/// [execution path](Workload::check_execution). Returns the schedule and the roster.
+pub(crate) fn preflight<W: Workload>(
+    spec: &ScenarioSpec,
+    workload: &mut W,
+) -> Result<(ArrivalSchedule, Option<AdversaryRoster>), ScenarioError> {
+    spec.validate()?;
+    let needed = workload.vnodes_required();
+    let available = spec.topology.total_nodes();
+    if needed > available {
+        return Err(ScenarioError::TopologyTooSmall { needed, available });
+    }
+
+    // Resolve the arrival process (scenario override or the workload's natural pattern) into
+    // one concrete instant per participant.
+    let arrival_spec = spec
+        .arrivals
+        .clone()
+        .unwrap_or_else(|| workload.default_arrivals());
+    let mut arrival_rng = SimRng::new(spec.seed).split("scenario-arrivals");
+    let arrivals = arrival_spec
+        .schedule(workload.participants(), &mut arrival_rng)
+        .map_err(|reason| ScenarioError::InvalidArrivals { reason })?;
+    // A deadline that ends before the last participant even joins is rejected outright
+    // instead of silently dropping the tail of the crowd.
+    let ramp = arrivals.ramp();
+    if spec.deadline < ramp {
+        return Err(ScenarioError::DeadlineBeforeArrivalRamp {
+            ramp,
+            deadline: spec.deadline,
+        });
+    }
+
+    // Resolve the adversary plan (when there is one) into a concrete roster, deterministically
+    // from the scenario seed, and install it on the workload before anything is built. A plan
+    // that selects nobody resolves to `None` and the run proceeds exactly like an honest one.
+    let roster = match &spec.adversary {
+        Some(plan) => plan
+            .resolve(spec.seed, workload.adversary_population())
+            .map_err(|reason| ScenarioError::InvalidAdversary { reason })?,
+        None => None,
+    };
+    if let Some(roster) = &roster {
+        workload
+            .set_adversary(roster)
+            .map_err(|reason| ScenarioError::AdversaryUnsupported { reason })?;
+    }
+    workload.check_execution(spec)?;
+    Ok((arrivals, roster))
 }
 
 /// Renders the spec as ordered key/value pairs for the report's provenance block. This is an

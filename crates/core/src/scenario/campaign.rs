@@ -910,8 +910,11 @@ topology.loss = [0.0, 0.1]
 
     #[test]
     fn oversubscription_warns_on_threads_times_shards() {
-        let text = grid_campaign().replace("seed = 1", "seed = 1\nshards = 4");
-        let campaign = CampaignSpec::parse(&text).unwrap();
+        // Only a shard-native workload takes `shards > 1`.
+        let text = "[campaign]\nname = \"sharded\"\n[scenario]\nname = \"base\"\nshards = 4\n\
+                    [topology]\nlink = \"lan-10m\"\n[workload]\nkind = \"gossip-sharded\"\n\
+                    [workload.gossip-sharded]\nnodes = 8\n[matrix]\nscenario.seed = [1, 2]\n";
+        let campaign = CampaignSpec::parse(text).unwrap();
         let cells = campaign.expand().unwrap();
         assert!(cells.iter().all(|c| c.file.spec.shards == 4));
         // Demanding far beyond any machine's parallelism must warn; a single worker running

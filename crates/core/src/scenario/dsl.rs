@@ -46,12 +46,12 @@
 //! `scenario_keys`, `topology_keys`, `condition_keys`, `transport_keys`). The line gives the
 //! key's name, its type (the place's: see `Value` for how each Rust type is spelled in TOML)
 //! and whether it is required; an optional key's default is whatever the spec's constructor
-//! put in the place. Everything else is an interpreter of these descriptions (`Keys`):
-//! [`ScenarioFile::from_table`] is the reader, [`ScenarioFile::to_toml`] the writer, and the
-//! set of keys a section accepts is the set its description names. Every error carries the
+//! put in the place. A scenario file is only ever read: the one interpreter of these
+//! descriptions is the reader (`Keys`, run by [`ScenarioFile::from_table`]), and the set of
+//! keys a section accepts is the set its description names. Every error carries the
 //! offending key's line and dotted path ([`DslError`]); unknown keys are rejected (a typoed key
 //! must fail, not silently fall back to a default); and [`ScenarioFile::validate`] runs the
-//! same checks [`run_scenario`](crate::scenario::run_scenario) would before anything executes.
+//! checks [`run_scenario`](crate::scenario::run_scenario) makes before it deploys anything.
 //!
 //! Durations are strings with a unit suffix (`ns`, `us`, `ms`, `s`). The supported TOML subset:
 //! `[section]` headers (dotted), `key = value` with dotted keys, basic strings, integers (with
@@ -68,7 +68,6 @@ use p2plab_net::{
 };
 use p2plab_sim::{FxHashSet, SimDuration};
 use std::fmt;
-use std::mem::discriminant;
 
 /// A parse or schema error in a scenario (or campaign) file, carrying the line number and the
 /// dotted key path it refers to — the two things a user needs to fix the file.
@@ -614,13 +613,10 @@ fn utf8_len(first: u8) -> usize {
 }
 
 /// How a Rust type is spelled as a TOML value. [`decode`](Value::decode) reports a mismatch at
-/// the value's own line under `path`; [`encode`](Value::encode) returns `None` for a value
-/// that is written by leaving its key out (an unset `Option`, a link that is no named profile).
+/// the value's own line under `path`.
 pub(crate) trait Value: Sized {
     /// Reads the value, or says what is wrong with `s`.
     fn decode(s: &Spanned, path: &str) -> Result<Self, DslError>;
-    /// The value as TOML.
-    fn encode(&self) -> Option<TomlValue>;
 }
 
 fn mismatch(s: &Spanned, path: &str, wanted: &str) -> DslError {
@@ -635,9 +631,6 @@ impl Value for String {
             _ => Err(mismatch(s, path, "a string")),
         }
     }
-    fn encode(&self) -> Option<TomlValue> {
-        Some(TomlValue::Str(self.clone()))
-    }
 }
 
 impl Value for u64 {
@@ -648,17 +641,11 @@ impl Value for u64 {
             _ => Err(mismatch(s, path, "an integer")),
         }
     }
-    fn encode(&self) -> Option<TomlValue> {
-        Some(TomlValue::Int(*self as i64))
-    }
 }
 
 impl Value for usize {
     fn decode(s: &Spanned, path: &str) -> Result<usize, DslError> {
         u64::decode(s, path).map(|v| v as usize)
-    }
-    fn encode(&self) -> Option<TomlValue> {
-        (*self as u64).encode()
     }
 }
 
@@ -666,9 +653,6 @@ impl Value for u32 {
     fn decode(s: &Spanned, path: &str) -> Result<u32, DslError> {
         u32::try_from(u64::decode(s, path)?)
             .map_err(|_| DslError::new(s.line, path, "value does not fit in 32 bits"))
-    }
-    fn encode(&self) -> Option<TomlValue> {
-        u64::from(*self).encode()
     }
 }
 
@@ -680,9 +664,6 @@ impl Value for f64 {
             _ => Err(mismatch(s, path, "a number")),
         }
     }
-    fn encode(&self) -> Option<TomlValue> {
-        Some(TomlValue::Float(*self))
-    }
 }
 
 impl Value for bool {
@@ -691,9 +672,6 @@ impl Value for bool {
             TomlValue::Bool(v) => Ok(v),
             _ => Err(mismatch(s, path, "a boolean")),
         }
-    }
-    fn encode(&self) -> Option<TomlValue> {
-        Some(TomlValue::Bool(*self))
     }
 }
 
@@ -706,17 +684,11 @@ impl Value for SimDuration {
             _ => Err(mismatch(s, path, "a duration string like \"30s\"")),
         }
     }
-    fn encode(&self) -> Option<TomlValue> {
-        Some(TomlValue::Str(fmt_duration(*self)))
-    }
 }
 
 impl<V: Value> Value for Option<V> {
     fn decode(s: &Spanned, path: &str) -> Result<Option<V>, DslError> {
         V::decode(s, path).map(Some)
-    }
-    fn encode(&self) -> Option<TomlValue> {
-        self.as_ref().and_then(V::encode)
     }
 }
 
@@ -728,10 +700,6 @@ impl<V: Value> Value for Vec<V> {
         };
         let element = |(i, item)| V::decode(item, &format!("{path}[{i}]"));
         items.iter().enumerate().map(element).collect()
-    }
-    fn encode(&self) -> Option<TomlValue> {
-        let items = self.iter().filter_map(V::encode).map(unplaced).collect();
-        Some(TomlValue::Array(items))
     }
 }
 
@@ -746,21 +714,16 @@ impl Value for (SimDuration, SimDuration) {
             _ => Err(mismatch(s, path, "a [session, downtime] duration pair")),
         }
     }
-    fn encode(&self) -> Option<TomlValue> {
-        vec![self.0, self.1].encode()
-    }
 }
 
 /// A value written as one of a closed set of names — link profiles, congestion controllers,
-/// mesh patterns. The `impl` is the only place the set is spelled: reading, writing and the
-/// `unknown <what> "x" (known: ...)` error all come from it.
+/// mesh patterns. The `impl` is the only place the set is spelled: reading and the
+/// `unknown <what> "x" (known: ...)` error both come from it.
 pub(crate) trait Named: Sized {
     /// What the names denote, for the error message.
     const WHAT: &'static str;
     /// Every legal name with the value it stands for.
     fn names() -> Vec<(&'static str, Self)>;
-    /// Whether `self` is the value `named` stands for.
-    fn is(&self, named: &Self) -> bool;
 }
 
 impl<T: Named> Value for T {
@@ -774,10 +737,6 @@ impl<T: Named> Value for T {
                 Err(DslError::new(s.line, path, unknown(T::WHAT, &name, known)))
             }
         }
-    }
-    fn encode(&self) -> Option<TomlValue> {
-        let (name, _) = T::names().into_iter().find(|(_, named)| self.is(named))?;
-        Some(TomlValue::Str(name.to_string()))
     }
 }
 
@@ -793,11 +752,6 @@ fn join(path: &str, key: &str) -> String {
     }
 }
 
-/// A written value: it has no source line.
-fn unplaced(value: TomlValue) -> Spanned {
-    Spanned { value, line: 0 }
-}
-
 /// The table behind a section's key.
 pub(crate) fn table_of<'a>(s: &'a Spanned, path: &str) -> Result<&'a TomlTable, DslError> {
     match &s.value {
@@ -807,28 +761,26 @@ pub(crate) fn table_of<'a>(s: &'a Spanned, path: &str) -> Result<&'a TomlTable, 
 }
 
 /// What a section's description — a `fn(&mut Keys, &mut T)` naming each key of the section once,
-/// next to the place in `T` the key fills — runs against: one of the two interpreters. The
-/// **reader** walks a parsed table: a key's value is decoded into its place, a place whose key
-/// is absent keeps what its spec constructor put there, and once the description has run every
-/// key it did not name is rejected. The **writer** encodes every place under its key. The key
-/// methods return whether the key was present (reader) or written (writer).
+/// next to the place in `T` the key fills — runs against: the reader. It walks a parsed table:
+/// a key's value is decoded into its place, a place whose key is absent keeps what its spec
+/// constructor put there, and once the description has run every key it did not name is
+/// rejected. The key methods return whether the key was present.
 pub(crate) struct Keys<'a> {
     path: String,
-    /// The table being read; `None` while writing.
-    source: Option<&'a TomlTable>,
-    /// Reading: every key the description has named so far.
+    /// The table being read.
+    source: &'a TomlTable,
+    /// Every key the description has named so far.
     named: Vec<&'static str>,
-    /// Reading, but only to learn which keys a description names: nothing is decoded.
+    /// Only learning which keys a description names: nothing is decoded.
     naming_only: bool,
-    /// Writing: the table so far.
-    written: TomlTable,
 }
 
 /// The description of a section filling a `T`.
 pub(crate) type Describe<T> = fn(&mut Keys, &mut T) -> Result<(), DslError>;
 
-/// The variants of a [tagged](Keys::tagged) section: each `kind` name with the blank value
-/// the variant's keys are read over.
+/// A closed set of names, each with the constructor of the value it stands for: the variants
+/// of a [tagged](Keys::tagged) section (each `kind` with the blank value the variant's keys are
+/// read over), the link profiles, the conditioner presets.
 pub(crate) type Kinds<T> = [(&'static str, fn() -> T)];
 
 /// The table a tagged section's selected variant reads its keys from when the file has none.
@@ -841,41 +793,28 @@ static ABSENT: TomlTable = TomlTable {
 const KIND: &str = "kind";
 
 impl<'a> Keys<'a> {
-    fn new(source: Option<&'a TomlTable>, path: String) -> Keys<'a> {
+    fn new(source: &'a TomlTable, path: String) -> Keys<'a> {
         Keys {
             path,
             source,
             named: Vec::new(),
             naming_only: false,
-            written: TomlTable::default(),
         }
-    }
-
-    /// Whether values are being decoded — the pass in which a description applies its
-    /// cross-key rules.
-    pub(crate) fn reading(&self) -> bool {
-        self.source.is_some() && !self.naming_only
-    }
-
-    fn writing(&self) -> bool {
-        self.source.is_none()
     }
 
     /// An error about the section (`key` empty) or a key missing from it, at the header's line.
     pub(crate) fn error(&self, key: &str, message: impl Into<String>) -> DslError {
-        let line = self.source.map_or(0, |table| table.line);
-        DslError::new(line, join(&self.path, key), message)
+        DslError::new(self.source.line, join(&self.path, key), message)
     }
 
-    /// Reader: names `key` and hands back its entry when the file has one and this pass decodes.
+    /// Names `key` and hands back its entry when the file has one and this pass decodes.
     fn entry(
         &mut self,
-        table: &'a TomlTable,
         key: &'static str,
         required: bool,
     ) -> Result<Option<&'a Spanned>, DslError> {
         self.named.push(key);
-        match table.get(key) {
+        match self.source.get(key) {
             _ if self.naming_only => Ok(None),
             None if required => Err(self.error(key, "missing required key")),
             found => Ok(found),
@@ -890,13 +829,7 @@ impl<'a> Keys<'a> {
         required: bool,
         check: fn(&V) -> Result<(), String>,
     ) -> Result<bool, DslError> {
-        let Some(table) = self.source else {
-            let value = place.encode().map(|v| (key.to_string(), unplaced(v)));
-            let written = value.is_some();
-            self.written.entries.extend(value);
-            return Ok(written);
-        };
-        let Some(s) = self.entry(table, key, required)? else {
+        let Some(s) = self.entry(key, required)? else {
             return Ok(false);
         };
         let path = join(&self.path, key);
@@ -944,7 +877,7 @@ impl<'a> Keys<'a> {
         self.key(key, place, false, check)
     }
 
-    /// A sub-table, described by `keys`. A sub-table nothing is written into is left out.
+    /// A sub-table, described by `keys`.
     fn table<T>(
         &mut self,
         key: &'static str,
@@ -952,20 +885,10 @@ impl<'a> Keys<'a> {
         required: bool,
         keys: Describe<T>,
     ) -> Result<bool, DslError> {
-        let path = join(&self.path, key);
-        let Some(table) = self.source else {
-            let mut sub = Keys::new(None, path);
-            keys(&mut sub, place)?;
-            let written = !sub.written.entries.is_empty();
-            if written {
-                let table = unplaced(TomlValue::Table(sub.written));
-                self.written.entries.push((key.to_string(), table));
-            }
-            return Ok(written);
-        };
-        let Some(s) = self.entry(table, key, required)? else {
+        let Some(s) = self.entry(key, required)? else {
             return Ok(false);
         };
+        let path = join(&self.path, key);
         read_section(table_of(s, &path)?, path, place, keys)?;
         Ok(true)
     }
@@ -978,11 +901,9 @@ impl<'a> Keys<'a> {
         blank: fn() -> T,
         keys: Describe<T>,
     ) -> Result<(), DslError> {
-        if self.source.is_some() || place.is_some() {
-            let mut value = place.take().unwrap_or_else(blank);
-            if self.table(key, &mut value, false, keys)? {
-                *place = Some(value);
-            }
+        let mut value = blank();
+        if self.table(key, &mut value, false, keys)? {
+            *place = Some(value);
         }
         Ok(())
     }
@@ -1001,21 +922,10 @@ impl<'a> Keys<'a> {
         nested: bool,
         keys: Describe<T>,
     ) -> Result<(), DslError> {
-        let Some(table) = self.source else {
-            let (kind, _) = kinds
-                .iter()
-                .find(|(_, blank)| discriminant(&blank()) == discriminant(place))
-                .expect("every variant is one of `kinds`");
-            self.opt(KIND, &mut kind.to_string())?;
-            if nested {
-                return self.table(kind, place, false, keys).map(drop);
-            }
-            return keys(self, place);
-        };
         let mut kind = String::new();
         self.req(KIND, &mut kind)?;
         let Some((kind, blank)) = kinds.iter().find(|(known, _)| *known == kind) else {
-            let line = table.get(KIND).map_or(0, |s| s.line);
+            let line = self.source.get(KIND).map_or(0, |s| s.line);
             let message = unknown(&format!("{what} kind"), &kind, kinds.iter().map(|k| k.0));
             return Err(DslError::new(line, join(&self.path, KIND), message));
         };
@@ -1023,7 +933,7 @@ impl<'a> Keys<'a> {
         if nested {
             self.named.extend(kinds.iter().map(|(known, _)| *known));
             let path = join(&self.path, kind);
-            let params = match table.get(kind) {
+            let params = match self.source.get(kind) {
                 Some(s) => table_of(s, &path)?,
                 None => &ABSENT,
             };
@@ -1040,11 +950,8 @@ impl<'a> Keys<'a> {
     /// Fails on the first key of the table no description named — a typoed key must fail
     /// loudly, with its line, instead of silently falling back to a default.
     fn finish(self) -> Result<(), DslError> {
-        let entries = self.source.map_or(&[][..], |table| table.entries());
-        match entries
-            .iter()
-            .find(|(key, _)| !self.named.contains(&key.as_str()))
-        {
+        let unnamed = |(key, _): &&(String, Spanned)| !self.named.contains(&key.as_str());
+        match self.source.entries.iter().find(unnamed) {
             Some((key, s)) => Err(DslError::new(s.line, join(&self.path, key), "unknown key")),
             None => Ok(()),
         }
@@ -1059,30 +966,9 @@ pub(crate) fn read_section<T>(
     place: &mut T,
     keys: Describe<T>,
 ) -> Result<(), DslError> {
-    let mut reader = Keys::new(Some(table), path.into());
+    let mut reader = Keys::new(table, path.into());
     keys(&mut reader, place)?;
     reader.finish()
-}
-
-/// Renders a written table as TOML source: its plain keys under its dotted `[header]` (which a
-/// table holding nothing but sub-tables does not need), then each sub-table.
-fn render_table(table: &TomlTable, path: &str, out: &mut String) {
-    let is_table = |(_, s): &&(String, Spanned)| matches!(s.value, TomlValue::Table(_));
-    let (tables, keys): (Vec<_>, Vec<_>) = table.entries.iter().partition(is_table);
-    if !path.is_empty() && (!keys.is_empty() || tables.is_empty()) {
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out.push_str(&format!("[{path}]\n"));
-    }
-    for (key, s) in keys {
-        out.push_str(&format!("{key} = {}\n", s.value.render()));
-    }
-    for (key, s) in tables {
-        if let TomlValue::Table(sub) = &s.value {
-            render_table(sub, &join(path, key), out);
-        }
-    }
 }
 
 /// Parses a duration literal: a number followed by `ns`, `us`, `ms` or `s` (e.g. `"30s"`,
@@ -1117,24 +1003,6 @@ pub fn parse_duration(text: &str) -> Result<SimDuration, String> {
     }
 }
 
-/// Formats a duration as a literal [`parse_duration`] reads back exactly: the largest unit that
-/// divides the value evenly, so `2_000_000_000 ns` prints as `"2s"` and `1_500_000 ns` as
-/// `"1500us"`.
-pub fn fmt_duration(d: SimDuration) -> String {
-    let ns = d.as_nanos();
-    if ns == 0 {
-        "0s".into()
-    } else if ns.is_multiple_of(1_000_000_000) {
-        format!("{}s", ns / 1_000_000_000)
-    } else if ns.is_multiple_of(1_000_000) {
-        format!("{}ms", ns / 1_000_000)
-    } else if ns.is_multiple_of(1_000) {
-        format!("{}us", ns / 1_000)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
 /// Formats a float so the parser reads it back bit-exactly (Rust's shortest round-trip
 /// `Display`, with a `.0` forced onto integral values so it stays a TOML float).
 fn fmt_float(v: f64) -> String {
@@ -1146,51 +1014,48 @@ fn fmt_float(v: f64) -> String {
     }
 }
 
-/// The named access-link profiles a scenario file can reference by string, mapping to the
-/// [`AccessLinkClass`] constructors of the same name.
-pub const LINK_PROFILES: [&str; 6] = [
-    "bittorrent-dsl",
-    "modem-56k",
-    "dsl-512k",
-    "dsl-8m",
-    "lan-10m",
-    "wan-1m",
+/// The named access-link profiles a scenario file can reference by string, each with the
+/// [`AccessLinkClass`] constructor of the same name.
+pub const LINK_PROFILES: &Kinds<AccessLinkClass> = &[
+    ("bittorrent-dsl", AccessLinkClass::bittorrent_dsl),
+    ("modem-56k", AccessLinkClass::modem_56k),
+    ("dsl-512k", AccessLinkClass::dsl_512k),
+    ("dsl-8m", AccessLinkClass::dsl_8m),
+    ("lan-10m", AccessLinkClass::lan_10m),
+    ("wan-1m", AccessLinkClass::wan_1m),
 ];
 
 /// Resolves a named link profile to its [`AccessLinkClass`], if the name is known.
 pub fn link_profile(name: &str) -> Option<AccessLinkClass> {
-    match name {
-        "bittorrent-dsl" => Some(AccessLinkClass::bittorrent_dsl()),
-        "modem-56k" => Some(AccessLinkClass::modem_56k()),
-        "dsl-512k" => Some(AccessLinkClass::dsl_512k()),
-        "dsl-8m" => Some(AccessLinkClass::dsl_8m()),
-        "lan-10m" => Some(AccessLinkClass::lan_10m()),
-        "wan-1m" => Some(AccessLinkClass::wan_1m()),
-        _ => None,
-    }
+    let (_, link) = LINK_PROFILES.iter().find(|(known, _)| *known == name)?;
+    Some(link())
 }
 
 /// The named link-conditioner presets a `[topology.condition]` section can reference with
 /// `preset = "<name>"` instead of spelling out every knob.
-pub const CONDITION_PRESETS: [&str; 4] = ["clean", "jittery-dsl", "burst-loss", "jitter-burst"];
+pub const CONDITION_PRESETS: &Kinds<LinkCondition> = &[
+    // No conditioning at all — the baseline value a campaign matrix sweeps against.
+    ("clean", LinkCondition::none),
+    // Wide uniform jitter, as seen on loaded consumer uplinks.
+    ("jittery-dsl", || {
+        LinkCondition::none().with_jitter(SimDuration::from_millis(5))
+    }),
+    // Gilbert–Elliott bursts: rare entry, short bad periods, near-total loss inside them.
+    ("burst-loss", || {
+        LinkCondition::none().with_burst(BurstLoss::new(0.02, 0.25, 0.9))
+    }),
+    // Both at once — the hostile-path profile the protocol-depth demos use.
+    ("jitter-burst", || {
+        LinkCondition::none()
+            .with_jitter(SimDuration::from_millis(3))
+            .with_burst(BurstLoss::new(0.05, 0.25, 0.9))
+    }),
+];
 
 /// Resolves a named conditioner preset to its [`LinkCondition`], if the name is known.
 pub fn condition_preset(name: &str) -> Option<LinkCondition> {
-    match name {
-        // No conditioning at all — the baseline value a campaign matrix sweeps against.
-        "clean" => Some(LinkCondition::none()),
-        // Wide uniform jitter, as seen on loaded consumer uplinks.
-        "jittery-dsl" => Some(LinkCondition::none().with_jitter(SimDuration::from_millis(5))),
-        // Gilbert–Elliott bursts: rare entry, short bad periods, near-total loss inside them.
-        "burst-loss" => Some(LinkCondition::none().with_burst(BurstLoss::new(0.02, 0.25, 0.9))),
-        // Both at once — the hostile-path profile the protocol-depth demos use.
-        "jitter-burst" => Some(
-            LinkCondition::none()
-                .with_jitter(SimDuration::from_millis(3))
-                .with_burst(BurstLoss::new(0.05, 0.25, 0.9)),
-        ),
-        _ => None,
-    }
+    let (_, preset) = CONDITION_PRESETS.iter().find(|(known, _)| *known == name)?;
+    Some(preset())
 }
 
 /// Validator of the probability knobs: within `[0, 1]`, checked before the value reaches a
@@ -1216,20 +1081,16 @@ fn scenario_keys(k: &mut Keys, spec: &mut ScenarioSpec) -> Result<(), DslError> 
     Ok(())
 }
 
-/// A named access-link profile (`link = "dsl-8m"`). A link is written by name when its rates
-/// and latency are a profile's, whatever its loss and conditioners.
+/// A named access-link profile (`link = "dsl-8m"`).
 struct Profile(AccessLinkClass);
 
 impl Named for Profile {
     const WHAT: &'static str = "link profile";
     fn names() -> Vec<(&'static str, Profile)> {
-        let resolve = |name| link_profile(name).expect("LINK_PROFILES entries all resolve");
-        let named = |&name| (name, Profile(resolve(name)));
-        LINK_PROFILES.iter().map(named).collect()
-    }
-    fn is(&self, named: &Profile) -> bool {
-        let (a, b) = (self.0, named.0);
-        a.down_bps == b.down_bps && a.up_bps == b.up_bps && a.latency == b.latency
+        LINK_PROFILES
+            .iter()
+            .map(|&(name, link)| (name, Profile(link())))
+            .collect()
     }
 }
 
@@ -1239,19 +1100,17 @@ struct Preset(LinkCondition);
 impl Named for Preset {
     const WHAT: &'static str = "condition preset";
     fn names() -> Vec<(&'static str, Preset)> {
-        let resolve = |name| condition_preset(name).expect("CONDITION_PRESETS entries all resolve");
-        let named = |&name| (name, Preset(resolve(name)));
-        CONDITION_PRESETS.iter().map(named).collect()
-    }
-    fn is(&self, named: &Preset) -> bool {
-        self.0 == named.0
+        CONDITION_PRESETS
+            .iter()
+            .map(|&(name, preset)| (name, Preset(preset())))
+            .collect()
     }
 }
 
 /// The knob set of the conditioner table `[topology.condition]`.
 fn condition_keys(k: &mut Keys, c: &mut LinkCondition) -> Result<(), DslError> {
-    // A preset stands for the whole knob set — next to one the explicit knobs are never named,
-    // so they are unknown keys — and is only ever read: a conditioner is written knob by knob.
+    // A preset stands for the whole knob set: next to one the explicit knobs are never named,
+    // so they are unknown keys.
     let mut preset = None;
     k.opt("preset", &mut preset)?;
     if let Some(Preset(preset)) = preset {
@@ -1268,24 +1127,22 @@ fn condition_keys(k: &mut Keys, c: &mut LinkCondition) -> Result<(), DslError> {
     if reorder[0] != reorder[1] {
         return Err(k.error("", "reorder_rate and reorder_delay must be given together"));
     }
-    if k.reading() || c.burst.is_some() {
-        let mut burst = c.burst.unwrap_or(BurstLoss {
-            enter: 0.0,
-            exit: 0.0,
-            loss: 0.0,
-        });
-        let given = [
-            k.checked("burst_enter", &mut burst.enter, rate)?,
-            k.checked("burst_exit", &mut burst.exit, rate)?,
-            k.checked("burst_loss", &mut burst.loss, rate)?,
-        ];
-        match given {
-            [false, false, false] => {}
-            [true, true, true] => c.burst = Some(burst),
-            _ => {
-                let message = "burst_enter, burst_exit and burst_loss must be given together";
-                return Err(k.error("", message));
-            }
+    let mut burst = BurstLoss {
+        enter: 0.0,
+        exit: 0.0,
+        loss: 0.0,
+    };
+    let given = [
+        k.checked("burst_enter", &mut burst.enter, rate)?,
+        k.checked("burst_exit", &mut burst.exit, rate)?,
+        k.checked("burst_loss", &mut burst.loss, rate)?,
+    ];
+    match given {
+        [false, false, false] => {}
+        [true, true, true] => c.burst = Some(burst),
+        _ => {
+            let message = "burst_enter, burst_exit and burst_loss must be given together";
+            return Err(k.error("", message));
         }
     }
     Ok(())
@@ -1301,36 +1158,26 @@ struct Topology {
 fn topology_keys(k: &mut Keys, topology: &mut Topology) -> Result<(), DslError> {
     const LINK: &str = "link";
     k.opt("nodes", &mut topology.nodes)?;
-    let link = &mut topology.link;
-    // The link is a named profile or, when no profile has its rates, three explicit keys.
-    let explicit = k.writing() && Profile(*link).encode().is_none();
-    let mut profile = k.writing().then_some(Profile(*link));
-    let mut rates = (
-        explicit.then_some(link.down_bps),
-        explicit.then_some(link.up_bps),
-        explicit.then_some(link.latency),
-    );
+    // The link is a named profile or three explicit keys.
+    let mut profile = None;
+    let mut rates = (None, None, None);
     k.opt(LINK, &mut profile)?;
     k.opt("down_bps", &mut rates.0)?;
     k.opt("up_bps", &mut rates.1)?;
     k.opt("latency", &mut rates.2)?;
-    if k.reading() {
-        *link = match (profile, rates) {
-            (Some(Profile(link)), (None, None, None)) => link,
-            (None, (Some(down), Some(up), Some(latency))) => {
-                AccessLinkClass::new(down, up, latency)
-            }
-            (Some(_), _) => {
-                let message =
-                    "a named link profile cannot be combined with down_bps/up_bps/latency";
-                return Err(k.error(LINK, message));
-            }
-            _ => {
-                let message = "topology needs either `link = \"<profile>\"` or all of down_bps, up_bps and latency";
-                return Err(k.error(LINK, message));
-            }
-        };
-    }
+    let link = &mut topology.link;
+    *link = match (profile, rates) {
+        (Some(Profile(link)), (None, None, None)) => link,
+        (None, (Some(down), Some(up), Some(latency))) => AccessLinkClass::new(down, up, latency),
+        (Some(_), _) => {
+            let message = "a named link profile cannot be combined with down_bps/up_bps/latency";
+            return Err(k.error(LINK, message));
+        }
+        _ => {
+            let message = "topology needs either `link = \"<profile>\"` or all of down_bps, up_bps and latency";
+            return Err(k.error(LINK, message));
+        }
+    };
     k.checked("loss", &mut link.loss_rate, rate)?;
     k.optional(
         "condition",
@@ -1338,10 +1185,8 @@ fn topology_keys(k: &mut Keys, topology: &mut Topology) -> Result<(), DslError> 
         LinkCondition::none,
         condition_keys,
     )?;
-    if k.reading() {
-        // Inert conditioners normalize away.
-        *link = link.with_condition(link.condition);
-    }
+    // Inert conditioners normalize away.
+    *link = link.with_condition(link.condition);
     Ok(())
 }
 
@@ -1374,9 +1219,6 @@ impl Named for CcKind {
             .map(|kind| (kind.name(), kind))
             .into()
     }
-    fn is(&self, named: &CcKind) -> bool {
-        self == named
-    }
 }
 
 /// A fully parsed scenario file: the [`ScenarioSpec`] plus the workload to run under it.
@@ -1394,17 +1236,18 @@ fn file_keys(k: &mut Keys, file: &mut ScenarioFile) -> Result<(), DslError> {
     let spec = &mut file.spec;
     k.table("scenario", spec, true, scenario_keys)?;
     // The DSL's topology is one uniform group, named after the scenario and sized, by
-    // default, by the workload.
+    // default, by the workload. `topology_keys` always replaces the placeholder link.
     let mut topology = Topology {
-        nodes: k.writing().then_some(spec.topology.total_nodes()),
-        link: (spec.topology.groups.first())
-            .map_or_else(AccessLinkClass::bittorrent_dsl, |g| g.link),
+        nodes: None,
+        link: AccessLinkClass::bittorrent_dsl(),
     };
     k.table("topology", &mut topology, true, topology_keys)?;
-    let transport = &mut spec.network.transport;
-    if k.reading() || *transport != TransportConfig::default() {
-        k.table("transport", transport, false, transport_keys)?;
-    }
+    k.table(
+        "transport",
+        &mut spec.network.transport,
+        false,
+        transport_keys,
+    )?;
     k.table(
         "workload",
         &mut file.workload,
@@ -1432,12 +1275,10 @@ fn file_keys(k: &mut Keys, file: &mut ScenarioFile) -> Result<(), DslError> {
         honest,
         AdversaryPlan::keys,
     )?;
-    if k.reading() {
-        let nodes = topology
-            .nodes
-            .unwrap_or_else(|| file.workload.vnodes_required());
-        spec.topology = TopologySpec::uniform(&spec.name, nodes, topology.link);
-    }
+    let nodes = topology
+        .nodes
+        .unwrap_or_else(|| file.workload.vnodes_required());
+    spec.topology = TopologySpec::uniform(&spec.name, nodes, topology.link);
     Ok(())
 }
 
@@ -1484,35 +1325,19 @@ impl ScenarioFile {
         Ok(file)
     }
 
-    /// Runs the same checks [`run_scenario`](crate::scenario::run_scenario) performs before
-    /// anything executes: the spec's internal consistency plus the topology-vs-workload size
-    /// check.
+    /// Makes the checks [`run_scenario`](crate::scenario::run_scenario) makes before it
+    /// deploys anything: the spec's internal consistency, the topology's size, the arrival
+    /// schedule against the deadline, the adversary plan against the workload, and churn and
+    /// shard count against the workload's execution path. A file that passes can still fail
+    /// only at deployment ([`ScenarioError::DeploymentFailed`]).
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        self.spec.validate()?;
-        let needed = self.workload.vnodes_required();
-        let available = self.spec.topology.total_nodes();
-        if needed > available {
-            return Err(ScenarioError::TopologyTooSmall { needed, available });
-        }
-        Ok(())
+        self.workload.validate(&self.spec)
     }
 
     /// Runs the scenario, returning the run's [`RunReport`]; the runner performs
     /// [`validate`](ScenarioFile::validate)'s checks first.
     pub fn run(&self) -> Result<RunReport, ScenarioError> {
         self.workload.run(&self.spec)
-    }
-
-    /// Serializes the scenario back as TOML the parser reads into an equal [`ScenarioFile`]
-    /// (the round-trip property the DSL tests pin). Only DSL-expressible scenarios are
-    /// supported: a single-group uniform topology and a network config that is default apart
-    /// from its `[transport]` section.
-    pub fn to_toml(&self) -> String {
-        let mut writer = Keys::new(None, String::new());
-        file_keys(&mut writer, &mut self.clone()).expect("only the reader reports errors");
-        let mut out = String::with_capacity(1024);
-        render_table(&writer.written, "", &mut out);
-        out
     }
 }
 
@@ -1605,7 +1430,7 @@ mod tests {
     }
 
     #[test]
-    fn duration_literals_round_trip() {
+    fn duration_literals_parse() {
         for (text, ns) in [
             ("30s", 30_000_000_000u64),
             ("100ms", 100_000_000),
@@ -1615,15 +1440,6 @@ mod tests {
             ("0.5ms", 500_000),
         ] {
             assert_eq!(parse_duration(text).unwrap(), SimDuration::from_nanos(ns));
-        }
-        for good in [
-            SimDuration::from_secs(2),
-            SimDuration::from_millis(1500),
-            SimDuration::from_micros(250),
-            SimDuration::from_nanos(7),
-            SimDuration::ZERO,
-        ] {
-            assert_eq!(parse_duration(&fmt_duration(good)).unwrap(), good);
         }
         assert!(parse_duration("30").is_err());
         assert!(parse_duration("fast").is_err());
@@ -1704,16 +1520,16 @@ mod tests {
 
     #[test]
     fn every_link_profile_resolves() {
-        for name in LINK_PROFILES {
-            let link = link_profile(name).unwrap_or_else(|| panic!("{name}"));
-            // Loss and conditioners do not change which profile a link is written as.
-            let written = Profile(link.with_loss(0.1)).encode();
-            assert_eq!(written, Some(TomlValue::Str(name.to_string())));
+        for &(name, link) in LINK_PROFILES {
+            assert_eq!(link_profile(name), Some(link()));
+            let text = minimal_gossip().replace("\"dsl-8m\"", &format!("{name:?}"));
+            let file = ScenarioFile::parse(&text).unwrap();
+            assert_eq!(file.spec.topology.groups[0].link, link());
         }
     }
 
     #[test]
-    fn full_scenario_round_trips() {
+    fn full_scenario_parses() {
         let text = "\
 [scenario]
 name = \"flash\"
@@ -1757,12 +1573,10 @@ mean_downtime = \"20s\"
                 burst_rate: 50.0,
             })
         );
-        let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
-        assert_eq!(reparsed, file);
     }
 
     #[test]
-    fn trace_arrivals_and_sessions_round_trip() {
+    fn trace_arrivals_and_sessions_parse() {
         let text = minimal_gossip()
             + "[arrivals]\nkind = \"trace\"\ntimes = [\"1s\", \"2s\", \"2s\"]\n\
                [sessions]\nkind = \"trace\"\npairs = [[\"10s\", \"1s\"], [\"20s\", \"2s\"]]\n";
@@ -1777,12 +1591,20 @@ mean_downtime = \"20s\"
                 ]
             })
         );
-        let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
-        assert_eq!(reparsed, file);
+        let pair = |session, downtime| {
+            let secs = SimDuration::from_secs;
+            (secs(session), secs(downtime))
+        };
+        assert_eq!(
+            file.spec.sessions,
+            Some(SessionProcess::Trace {
+                pairs: vec![pair(10, 1), pair(20, 2)]
+            })
+        );
     }
 
     #[test]
-    fn condition_and_transport_sections_round_trip() {
+    fn condition_and_transport_sections_parse() {
         let text = minimal_gossip()
             + "[topology.condition]\n\
                jitter = \"3ms\"\n\
@@ -1809,26 +1631,23 @@ mean_downtime = \"20s\"
         assert_eq!(t.congestion, CcKind::Aimd);
         assert_eq!(t.reassembly_timeout, SimDuration::from_secs(10));
         assert!(t.active());
-        let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
-        assert_eq!(reparsed, file);
     }
 
     #[test]
-    fn condition_presets_resolve_and_round_trip() {
-        for name in CONDITION_PRESETS {
-            let preset = condition_preset(name).unwrap_or_else(|| panic!("{name}"));
+    fn condition_presets_resolve() {
+        for &(name, preset) in CONDITION_PRESETS {
+            let preset = preset();
+            assert_eq!(condition_preset(name), Some(preset));
             let text = minimal_gossip() + &format!("[topology.condition]\npreset = {name:?}\n");
             let file = ScenarioFile::parse(&text).unwrap();
             // Inert presets ("clean") normalize away; real ones survive verbatim.
             let want = if preset.is_noop() { None } else { Some(preset) };
             assert_eq!(file.spec.topology.groups[0].link.condition, want);
-            let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
-            assert_eq!(reparsed, file);
         }
         let text = minimal_gossip() + "[topology.condition]\npreset = \"solar-flare\"\n";
         let err = ScenarioFile::parse(&text).unwrap_err();
         assert_eq!(err.path, "topology.condition.preset");
-        for name in CONDITION_PRESETS {
+        for &(name, _) in CONDITION_PRESETS {
             assert!(err.message.contains(name), "{err}");
         }
         // A preset cannot be combined with explicit knobs.
@@ -1839,7 +1658,7 @@ mean_downtime = \"20s\"
     }
 
     #[test]
-    fn adversary_section_round_trips() {
+    fn adversary_section_parses() {
         let text = minimal_gossip()
             + "[adversary]\nfraction = 0.25\nbehaviors = [\"silent-drop\", \"equivocate\"]\n";
         let file = ScenarioFile::parse(&text).unwrap();
@@ -1847,16 +1666,12 @@ mean_downtime = \"20s\"
         assert_eq!(plan.fraction, 0.25);
         assert_eq!(plan.behaviors, vec!["silent-drop", "equivocate"]);
         assert_eq!(plan.selection, Selection::Random);
-        let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
-        assert_eq!(reparsed, file);
 
         let text = minimal_gossip()
             + "[adversary]\nbehaviors = [\"ack-withhold\"]\nselection = \"trace\"\ntrace = [3, 1]\n";
         let file = ScenarioFile::parse(&text).unwrap();
         let plan = file.spec.adversary.as_ref().unwrap();
         assert_eq!(plan.selection, Selection::Trace(vec![3, 1]));
-        let reparsed = ScenarioFile::parse(&file.to_toml()).unwrap();
-        assert_eq!(reparsed, file);
     }
 
     #[test]
@@ -1906,15 +1721,6 @@ mean_downtime = \"20s\"
         let text = minimal_gossip() + "[transport]\nreassembly_timeout = \"0s\"\n";
         let err = ScenarioFile::parse(&text).unwrap_err();
         assert_eq!(err.path, "transport.reassembly_timeout");
-    }
-
-    #[test]
-    fn default_transport_section_is_not_emitted() {
-        let file = ScenarioFile::parse(&minimal_gossip()).unwrap();
-        assert_eq!(file.spec.network.transport, TransportConfig::default());
-        let toml = file.to_toml();
-        assert!(!toml.contains("[transport]"), "{toml}");
-        assert!(!toml.contains("[topology.condition]"), "{toml}");
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl DhtLookupSpec {
             0 | 1 => Err(format!("a DHT needs at least two nodes, got {n}")),
             _ => Ok(()),
         })?;
-        if nodes && k.reading() {
+        if nodes {
             spec.lookups = spec.nodes;
         }
         k.checked("lookups", &mut spec.lookups, |&n| match n {

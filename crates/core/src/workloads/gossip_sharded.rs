@@ -504,6 +504,37 @@ impl Workload for GossipShardedWorkload {
         inv
     }
 
+    /// Any shard count runs; churn, zero-latency links and link conditioners do not.
+    fn check_execution(&self, spec: &ScenarioSpec) -> Result<(), ScenarioError> {
+        let unsupported = |reason: &str| {
+            let reason = reason.to_string();
+            Err(ScenarioError::ShardingUnsupported { reason })
+        };
+        if spec.sessions.is_some() {
+            return unsupported(
+                "gossip-sharded does not support churn (a session process needs same-instant \
+                 global visibility)",
+            );
+        }
+        if spec.topology.conservative_lookahead().is_none() {
+            return unsupported("zero-latency access links leave no conservative lookahead");
+        }
+        if spec
+            .topology
+            .groups
+            .iter()
+            .any(|g| g.link.condition.is_some())
+        {
+            return unsupported(
+                "gossip-sharded models its own wire delays and would silently ignore link \
+                 conditioners",
+            );
+        }
+        Ok(())
+    }
+
+    /// The sharded execution: derive the lookahead, run the windowed runtime, merge the
+    /// per-shard worlds and reconstruct the metrics shard-count-invariantly.
     fn run_sharded(
         &mut self,
         spec: &ScenarioSpec,
@@ -511,44 +542,8 @@ impl Workload for GossipShardedWorkload {
         rec: &mut Recorder,
         progress: TimeSeriesId,
     ) -> Option<Result<(GossipShardedWorld, ShardedOutcome), ScenarioError>> {
-        Some(self.execute(spec, arrivals, rec, progress))
-    }
-}
-
-impl GossipShardedWorkload {
-    /// The actual sharded execution: validate, derive the lookahead, run the windowed runtime,
-    /// merge the per-shard worlds and reconstruct the metrics shard-count-invariantly.
-    fn execute(
-        &mut self,
-        spec: &ScenarioSpec,
-        arrivals: &ArrivalSchedule,
-        rec: &mut Recorder,
-        progress: TimeSeriesId,
-    ) -> Result<(GossipShardedWorld, ShardedOutcome), ScenarioError> {
-        if spec.sessions.is_some() {
-            return Err(ScenarioError::ShardingUnsupported {
-                reason: "gossip-sharded does not support churn (a session process needs \
-                         same-instant global visibility)"
-                    .to_string(),
-            });
-        }
-        let Some(lookahead) = spec.topology.conservative_lookahead() else {
-            return Err(ScenarioError::ShardingUnsupported {
-                reason: "zero-latency access links leave no conservative lookahead".to_string(),
-            });
-        };
-        if spec
-            .topology
-            .groups
-            .iter()
-            .any(|g| g.link.condition.is_some())
-        {
-            return Err(ScenarioError::ShardingUnsupported {
-                reason: "gossip-sharded models its own wire delays and would silently ignore \
-                         link conditioners"
-                    .to_string(),
-            });
-        }
+        let lookahead = (spec.topology.conservative_lookahead())
+            .expect("the runner's check_execution rejects a topology without lookahead");
 
         // Per-node link parameters: node ids are assigned consecutively per group, in group
         // order (the same numbering the DSL's single-group topologies trivially satisfy).
@@ -660,14 +655,14 @@ impl GossipShardedWorkload {
             rec.set(m.online_nodes, online as f64);
         }
 
-        Ok((
+        Some(Ok((
             world,
             ShardedOutcome {
                 stopped_at,
                 events_executed: run.executed_events,
                 outcome: run.outcome.as_run_outcome(),
             },
-        ))
+        )))
     }
 }
 

@@ -31,7 +31,7 @@ pub use swarm::{SwarmSpec, SwarmWorkload};
 
 use crate::report::RunReport;
 use crate::scenario::dsl::{DslError, Keys, Kinds};
-use crate::scenario::{run_scenario, ScenarioError, ScenarioSpec, Workload};
+use crate::scenario::{preflight, run_scenario, ScenarioError, ScenarioSpec, Workload};
 
 /// The kind labels of every first-class workload, in registry order. These are the values a
 /// scenario file's `workload.kind` key accepts and the labels
@@ -119,6 +119,21 @@ impl WorkloadConfig {
             WorkloadConfig::Gossip(spec) => spec.nodes,
             WorkloadConfig::GossipSharded(spec) => spec.nodes,
             WorkloadConfig::DhtLookup(spec) => spec.nodes,
+        }
+    }
+
+    /// Makes the checks [`run`](WorkloadConfig::run) makes before it deploys anything, on a
+    /// workload that is then dropped.
+    pub(crate) fn validate(&self, spec: &ScenarioSpec) -> Result<(), ScenarioError> {
+        fn check<W: Workload>(spec: &ScenarioSpec, mut workload: W) -> Result<(), ScenarioError> {
+            preflight(spec, &mut workload).map(drop)
+        }
+        match self {
+            WorkloadConfig::Swarm(s) => check(spec, SwarmWorkload::new(s.clone())),
+            WorkloadConfig::PingMesh(p) => check(spec, PingMeshWorkload::new(p.clone())),
+            WorkloadConfig::Gossip(g) => check(spec, GossipWorkload::new(g.clone())),
+            WorkloadConfig::GossipSharded(g) => check(spec, GossipShardedWorkload::new(g.clone())),
+            WorkloadConfig::DhtLookup(d) => check(spec, DhtLookupWorkload::new(d.clone())),
         }
     }
 

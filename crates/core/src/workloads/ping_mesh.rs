@@ -32,17 +32,11 @@ impl Named for MeshPattern {
     fn names() -> Vec<(&'static str, MeshPattern)> {
         vec![("full", MeshPattern::Full), ("ring", MeshPattern::Ring)]
     }
-    fn is(&self, named: &MeshPattern) -> bool {
-        self == named
-    }
 }
 
 /// Offset between distinct pairs' schedules under the default arrivals (avoids every probe
 /// firing on the same instant).
 const STAGGER: SimDuration = SimDuration::from_millis(1);
-
-/// Echo payload size in bytes: a standard ping's 56.
-const PACKET_BYTES: u64 = 56;
 
 /// Description of a ping-mesh experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,7 +187,7 @@ impl Workload for PingMeshWorkload {
     }
 
     fn build_world(&mut self, deployment: Deployment) -> PingWorld {
-        PingWorld::new(deployment.net, PACKET_BYTES)
+        PingWorld::new(deployment.net)
     }
 
     fn on_deployed(&mut self, _sim: &mut NetSim<PingWorld>) {

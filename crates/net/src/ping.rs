@@ -14,6 +14,9 @@ use p2plab_sim::{FxHashMap, SimDuration, SimTime, Simulation};
 /// The ICMP-like echo port.
 pub const ECHO_PORT: u16 = 7;
 
+/// Echo payload size in bytes: a standard ping's 56.
+pub const ECHO_BYTES: u64 = 56;
+
 /// Payload of the echo protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PingPayload {
@@ -49,19 +52,16 @@ pub struct PingWorld {
     pub rtts: Vec<(VNodeId, SimDuration)>,
     pending: FxHashMap<u64, (VNodeId, SimTime)>,
     next_seq: u64,
-    packet_size: u64,
 }
 
 impl PingWorld {
-    /// Creates a ping world over the given network. `packet_size` is the echo payload size
-    /// (a standard ping uses 56 bytes of payload).
-    pub fn new(net: Network, packet_size: u64) -> PingWorld {
+    /// Creates a ping world over the given network; every echo carries [`ECHO_BYTES`].
+    pub fn new(net: Network) -> PingWorld {
         PingWorld {
             net,
             rtts: Vec::new(),
             pending: FxHashMap::default(),
             next_seq: 0,
-            packet_size,
         }
     }
 
@@ -138,12 +138,11 @@ pub fn ping(sim: &mut NetSim<PingWorld>, from: VNodeId, to: VNodeId) {
     let now = sim.now();
     sim.world_mut().pending.insert(seq, (from, now));
     let to_addr = sim.world_mut().net.addr_of(to);
-    let size = sim.world().packet_size;
     let _ = Endpoint::new(from).send_datagram(
         sim,
         ECHO_PORT,
         SocketAddr::new(to_addr, ECHO_PORT),
-        size,
+        ECHO_BYTES,
         PingPayload::Echo { seq },
     );
 }
@@ -190,7 +189,7 @@ mod tests {
         net.machine_mut(crate::network::MachineId(0))
             .firewall
             .add_dummy_rules(rules_on_sender);
-        PingWorld::new(net, 56)
+        PingWorld::new(net)
     }
 
     #[test]

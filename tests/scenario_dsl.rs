@@ -1,12 +1,15 @@
 //! Integration tests of the declarative scenario language (`p2plab::core::scenario::dsl`):
-//! every checked-in example file parses and validates, error paths report a line and a key
-//! path, and a property test pins the spec → TOML → spec round-trip.
+//! every checked-in example file parses and validates, `validate` refuses what a run refuses,
+//! error paths report a line and a key path, and a property test pins every key to its place.
 
 use p2plab::core::{
-    fmt_duration, parse_duration, parse_toml, ArrivalSpec, CampaignSpec, ScenarioFile,
-    SessionProcess, WorkloadConfig, WORKLOAD_KINDS,
+    parse_toml, AdversaryPlan, ArrivalSpec, CampaignSpec, DeploymentSpec, DhtLookupSpec,
+    GossipShardedSpec, GossipSpec, PingMeshSpec, ScenarioError, ScenarioFile, ScenarioSpec,
+    Selection, SessionProcess, SwarmSpec, WorkloadConfig, WORKLOAD_KINDS,
 };
-use p2plab::net::AccessLinkClass;
+use p2plab::net::{
+    AccessLinkClass, BurstLoss, CcKind, LinkCondition, NetworkConfig, TopologySpec, TransportConfig,
+};
 use p2plab::sim::SimDuration;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -144,15 +147,64 @@ fn paper_scenario_files_carry_the_papers_parameters() {
 }
 
 /// A swarm file's `[sessions]` block reaches the run: the scenario spec is the only place churn
-/// lives, so the downloaders really depart, and the block survives the TOML round trip.
+/// lives, so the downloaders really depart.
 #[test]
-fn swarm_file_sessions_churn_the_run_and_round_trip() {
+fn swarm_file_sessions_churn_the_run() {
     let text = example("scenarios/swarm_quick.toml")
         + "\n[sessions]\nkind = \"exponential\"\nmean_session = \"15s\"\nmean_downtime = \"30s\"\n";
     let file = ScenarioFile::parse(&text).unwrap();
     let report = file.run().unwrap();
     assert!(report.metrics.counter("churn_departures").unwrap() > 0);
-    assert_eq!(ScenarioFile::parse(&file.to_toml()).unwrap(), file);
+}
+
+/// `validate` makes every check the run makes before it deploys anything: each shipped file
+/// below, with one change, is refused by both with the same error.
+#[test]
+fn validate_rejects_what_run_rejects() {
+    let sessions = "sessions.kind = \"exponential\"\nsessions.mean_session = \"60s\"\n\
+                    sessions.mean_downtime = \"10s\"\n";
+    let cases = [
+        (
+            "swarm_quick.toml",
+            "scenario.shards = 2",
+            "ShardingUnsupported",
+        ),
+        ("dht_lookup.toml", sessions, "ChurnUnsupported"),
+        (
+            "swarm_quick.toml",
+            "scenario.deadline = \"5s\"",
+            "DeadlineBeforeArrivalRamp",
+        ),
+        (
+            "ping_mesh_ring.toml",
+            "adversary.fraction = 0.25\nadversary.behaviors = [\"silent-drop\"]",
+            "AdversaryUnsupported",
+        ),
+        (
+            "gossip_sharded.toml",
+            "topology.condition.jitter = \"1ms\"",
+            "ShardingUnsupported",
+        ),
+    ];
+    for (name, overrides, variant) in cases {
+        let text = example(&format!("scenarios/{name}"));
+        let file = ScenarioFile::parse_with(&text, overrides).unwrap();
+        let refused = file.validate().expect_err(name);
+        assert!(
+            format!("{refused:?}").starts_with(variant),
+            "{name}: {refused}"
+        );
+        assert_eq!(file.run().map(drop), Err(refused), "{name}");
+    }
+    let swarm = ScenarioFile::parse_with(
+        &example("scenarios/swarm_quick.toml"),
+        "scenario.deadline = \"5s\"",
+    )
+    .unwrap();
+    // 5 s of seeder head start, then 11 more leechers 2 s apart.
+    let (ramp, deadline) = (SimDuration::from_secs(27), SimDuration::from_secs(5));
+    let refused = ScenarioError::DeadlineBeforeArrivalRamp { ramp, deadline };
+    assert_eq!(swarm.validate(), Err(refused));
 }
 
 #[test]
@@ -184,19 +236,13 @@ fn missing_required_fields_report_key_path() {
 }
 
 proptest! {
-    /// Durations survive format → parse for any nanosecond count.
+    /// The reader fills every place a key names: with a non-default value under every scalar
+    /// key of every section, the parse equals the `ScenarioFile` built in Rust from the same
+    /// drawn values. Covered: each workload kind, named vs explicit links, the conditioner,
+    /// transport, every arrival and session kind (traces included) and every adversary
+    /// selection mode.
     #[test]
-    fn durations_round_trip(nanos in 0u64..u64::MAX / 2) {
-        let d = SimDuration::from_nanos(nanos);
-        prop_assert_eq!(parse_duration(&fmt_duration(d)).unwrap(), d);
-    }
-
-    /// spec → TOML → spec is the identity with a non-default value under every scalar key of
-    /// every section: each workload kind, named vs explicit links, symmetric and directional
-    /// conditioners, transport, every arrival and session kind (traces included) and every
-    /// adversary selection mode.
-    #[test]
-    fn scenario_files_round_trip_through_toml(
+    fn scenario_files_parse_to_their_model(
         kind_ix in 0usize..5,
         nodes in 4u64..64,
         // TOML integers are i64, so file-expressible seeds top out at i64::MAX.
@@ -208,90 +254,188 @@ proptest! {
         selection_ix in 0usize..4,
         explicit_link in 0u64..2,
     ) {
+        let (us, ms, secs) = (SimDuration::from_micros, SimDuration::from_millis, SimDuration::from_secs);
         let kind = WORKLOAD_KINDS[kind_ix];
+        let name = format!("prop-{kind}");
         let rate = n as f64 / 1000.0;
         let mut text = format!(
-            "[scenario]\nname = \"prop-{kind}\"\nseed = {seed}\nmachines = {}\n\
+            "[scenario]\nname = \"{name}\"\nseed = {seed}\nmachines = {}\n\
              deadline = \"{}s\"\nsample_interval = \"{}ms\"\nmonitor_resources = false\n\
              event_budget = {}\nshards = {}\n",
             n % 7 + 2, n + 5000, n + 1, n + 3000, n % 3 + 2,
         );
-        text.push_str(match arrivals_ix {
-            0 => "",
-            1 => "[arrivals]\nkind = \"poisson\"\nrate = 2.5\n",
-            2 => "[arrivals]\nkind = \"ramp\"\nstart = \"3s\"\ninterval = \"250ms\"\n",
-            3 => "[arrivals]\nkind = \"flash-crowd\"\ntrickle_rate = 0.5\ntrigger = \"30s\"\nburst_rate = 50.0\n",
-            _ => "[arrivals]\nkind = \"trace\"\ntimes = [\"1s\", \"1500ms\", \"7us\"]\n",
-        });
-        text.push_str(match sessions_ix {
-            0 => "",
-            1 => "[sessions]\nkind = \"exponential\"\nmean_session = \"90s\"\nmean_downtime = \"45s\"\n",
-            2 => "[sessions]\nkind = \"pareto\"\nscale_session = \"60s\"\nshape = 2.5\nmean_downtime = \"10s\"\n",
-            _ => "[sessions]\nkind = \"trace\"\npairs = [[\"10s\", \"1s\"], [\"20500ms\", \"2s\"]]\n",
-        });
-        text.push_str(match selection_ix {
-            0 => "",
-            1 => "[adversary]\nfraction = 0.25\nbehaviors = [\"silent-drop\", \"equivocate\"]\n",
-            2 => "[adversary]\nfraction = 0.5\nbehaviors = [\"amplify\"]\nselection = \"first\"\n",
-            _ => "[adversary]\nbehaviors = [\"reply-delay\"]\nselection = \"trace\"\ntrace = [3, 1]\n",
-        });
+        let (arrivals_toml, arrivals) = match arrivals_ix {
+            0 => ("", None),
+            1 => ("[arrivals]\nkind = \"poisson\"\nrate = 2.5\n", Some(ArrivalSpec::poisson(2.5))),
+            2 => (
+                "[arrivals]\nkind = \"ramp\"\nstart = \"3s\"\ninterval = \"250ms\"\n",
+                Some(ArrivalSpec::ramp(secs(3), ms(250))),
+            ),
+            3 => (
+                "[arrivals]\nkind = \"flash-crowd\"\ntrickle_rate = 0.5\ntrigger = \"30s\"\nburst_rate = 50.0\n",
+                Some(ArrivalSpec::flash_crowd(0.5, secs(30), 50.0)),
+            ),
+            _ => (
+                "[arrivals]\nkind = \"trace\"\ntimes = [\"1s\", \"1500ms\", \"7us\"]\n",
+                Some(ArrivalSpec::trace(vec![secs(1), ms(1500), us(7)])),
+            ),
+        };
+        text.push_str(arrivals_toml);
+        let (sessions_toml, sessions) = match sessions_ix {
+            0 => ("", None),
+            1 => (
+                "[sessions]\nkind = \"exponential\"\nmean_session = \"90s\"\nmean_downtime = \"45s\"\n",
+                Some(SessionProcess::Exponential { mean_session: secs(90), mean_downtime: secs(45) }),
+            ),
+            2 => (
+                "[sessions]\nkind = \"pareto\"\nscale_session = \"60s\"\nshape = 2.5\nmean_downtime = \"10s\"\n",
+                Some(SessionProcess::Pareto { scale_session: secs(60), shape: 2.5, mean_downtime: secs(10) }),
+            ),
+            _ => (
+                "[sessions]\nkind = \"trace\"\npairs = [[\"10s\", \"1s\"], [\"20500ms\", \"2s\"]]\n",
+                Some(SessionProcess::Trace { pairs: vec![(secs(10), secs(1)), (ms(20500), secs(2))] }),
+            ),
+        };
+        text.push_str(sessions_toml);
+        let (adversary_toml, adversary) = match selection_ix {
+            0 => ("", None),
+            1 => (
+                "[adversary]\nfraction = 0.25\nbehaviors = [\"silent-drop\", \"equivocate\"]\n",
+                Some(AdversaryPlan::new(0.25, &["silent-drop", "equivocate"])),
+            ),
+            2 => (
+                "[adversary]\nfraction = 0.5\nbehaviors = [\"amplify\"]\nselection = \"first\"\n",
+                Some(AdversaryPlan { selection: Selection::First, ..AdversaryPlan::new(0.5, &["amplify"]) }),
+            ),
+            _ => (
+                "[adversary]\nbehaviors = [\"reply-delay\"]\nselection = \"trace\"\ntrace = [3, 1]\n",
+                Some(AdversaryPlan { selection: Selection::Trace(vec![3, 1]), ..AdversaryPlan::new(0.0, &["reply-delay"]) }),
+            ),
+        };
+        text.push_str(adversary_toml);
         text.push_str(&format!("[topology]\nnodes = {}\nloss = {rate}\n", nodes + 70));
-        if explicit_link == 0 {
+        let link = if explicit_link == 0 {
             text.push_str("link = \"wan-1m\"\n");
+            AccessLinkClass::wan_1m()
         } else {
             text.push_str(&format!("down_bps = {}\nup_bps = {}\nlatency = \"{n}us\"\n", 9_000_000 + n, 900_000 + n));
-        }
+            AccessLinkClass::new(9_000_000 + n, 900_000 + n, us(n))
+        };
         let r = (n + 1) as f64 / 2000.0;
         text.push_str(&format!(
             "[topology.condition]\njitter = \"{}us\"\nreorder_rate = {r}\nreorder_delay = \"{}ms\"\n\
              duplicate_rate = {}\nburst_enter = {}\nburst_exit = {}\nburst_loss = {}\n",
             n + 1, n + 2, r / 2.0, r / 4.0, r / 8.0 + 0.25, 1.0 - r,
         ));
+        let condition = LinkCondition {
+            jitter: us(n + 1),
+            reorder_rate: r,
+            reorder_delay: ms(n + 2),
+            duplicate_rate: r / 2.0,
+            burst: Some(BurstLoss { enter: r / 4.0, exit: r / 8.0 + 0.25, loss: 1.0 - r }),
+        };
+        let link = AccessLinkClass { loss_rate: rate, condition: Some(condition), ..link };
         text.push_str(&format!(
             "[transport]\nmtu = {}\ncongestion = \"aimd\"\nreassembly_timeout = \"{}ms\"\n",
             n + 64, n + 1,
         ));
+        let transport = TransportConfig {
+            mtu: Some(n + 64),
+            congestion: CcKind::Aimd,
+            reassembly_timeout: ms(n + 1),
+        };
         text.push_str(&format!("[workload]\nkind = \"{kind}\"\n[workload.{kind}]\n"));
-        text.push_str(&match kind {
-            "swarm" => format!(
-                "leechers = {nodes}\nseeders = {}\nfile_bytes = {}\nstart_interval = \"{}ms\"\n\
-                 seeder_head_start = \"{}ms\"\n",
-                n % 4 + 2, n + 1_000_000, n + 1, n + 7,
-            ),
-            "ping-mesh" => format!(
-                "nodes = {nodes}\npattern = \"ring\"\npings_per_pair = {}\ninterval = \"{}ms\"\n\
-                 settle = \"{}s\"\n",
-                n + 6, n + 1, n,
-            ),
-            "gossip" | "gossip-sharded" => {
-                let rounds = if kind == "gossip" { String::new() } else { format!("rounds = {n}\n") };
+        let size = nodes as usize;
+        let (workload_toml, workload) = match kind {
+            "swarm" => (
                 format!(
-                    "nodes = {nodes}\nfanout = {}\nround_interval = \"{}ms\"\nrumor_bytes = {}\n{rounds}",
-                    n + 4, n + 1001, n + 257,
-                )
-            }
-            _ => format!(
-                "nodes = {nodes}\nlookups = {}\nalpha = {}\nk = {}\nrpc_timeout = \"{}ms\"\n\
-                 lookup_interval = \"{}ms\"\n",
-                nodes + n, n + 4, n + 9, n + 2001, n + 101,
+                    "leechers = {nodes}\nseeders = {}\nfile_bytes = {}\nstart_interval = \"{}ms\"\n\
+                     seeder_head_start = \"{}ms\"\n",
+                    n % 4 + 2, n + 1_000_000, n + 1, n + 7,
+                ),
+                WorkloadConfig::Swarm(SwarmSpec {
+                    seeders: (n % 4 + 2) as usize,
+                    file_bytes: n + 1_000_000,
+                    start_interval: ms(n + 1),
+                    seeder_head_start: ms(n + 7),
+                    ..SwarmSpec::new(size)
+                }),
             ),
-        });
+            "ping-mesh" => (
+                format!(
+                    "nodes = {nodes}\npattern = \"ring\"\npings_per_pair = {}\ninterval = \"{}ms\"\n\
+                     settle = \"{}s\"\n",
+                    n + 6, n + 1, n,
+                ),
+                WorkloadConfig::PingMesh(PingMeshSpec {
+                    pings_per_pair: (n + 6) as usize,
+                    interval: ms(n + 1),
+                    settle: Some(secs(n)),
+                    ..PingMeshSpec::ring(size)
+                }),
+            ),
+            "gossip" => (
+                format!(
+                    "nodes = {nodes}\nfanout = {}\nround_interval = \"{}ms\"\nrumor_bytes = {}\n",
+                    n + 4, n + 1001, n + 257,
+                ),
+                WorkloadConfig::Gossip(GossipSpec {
+                    fanout: (n + 4) as usize,
+                    round_interval: ms(n + 1001),
+                    rumor_bytes: n + 257,
+                    ..GossipSpec::new(size)
+                }),
+            ),
+            "gossip-sharded" => (
+                format!(
+                    "nodes = {nodes}\nfanout = {}\nround_interval = \"{}ms\"\nrumor_bytes = {}\n\
+                     rounds = {n}\n",
+                    n + 4, n + 1001, n + 257,
+                ),
+                WorkloadConfig::GossipSharded(GossipShardedSpec {
+                    fanout: (n + 4) as usize,
+                    round_interval: ms(n + 1001),
+                    rumor_bytes: n + 257,
+                    rounds: n as u32,
+                    ..GossipShardedSpec::new(size)
+                }),
+            ),
+            _ => (
+                format!(
+                    "nodes = {nodes}\nlookups = {}\nalpha = {}\nk = {}\nrpc_timeout = \"{}ms\"\n\
+                     lookup_interval = \"{}ms\"\n",
+                    nodes + n, n + 4, n + 9, n + 2001, n + 101,
+                ),
+                WorkloadConfig::DhtLookup(DhtLookupSpec {
+                    lookups: (nodes + n) as usize,
+                    alpha: (n + 4) as usize,
+                    k: (n + 9) as usize,
+                    rpc_timeout: ms(n + 2001),
+                    lookup_interval: ms(n + 101),
+                    ..DhtLookupSpec::new(size)
+                }),
+            ),
+        };
+        text.push_str(&workload_toml);
+        let topology = TopologySpec::uniform(&name, (nodes + 70) as usize, link);
+        let model = ScenarioFile {
+            spec: ScenarioSpec {
+                deployment: DeploymentSpec::new((n % 7 + 2) as usize),
+                network: NetworkConfig { transport, ..NetworkConfig::default() },
+                arrivals,
+                sessions,
+                adversary,
+                deadline: secs(n + 5000),
+                sample_interval: ms(n + 1),
+                monitor_resources: false,
+                event_budget: Some(n + 3000),
+                shards: (n % 3 + 2) as usize,
+                seed,
+                ..ScenarioSpec::new(name, topology)
+            },
+            workload,
+        };
         let file = ScenarioFile::parse(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
-        let emitted = file.to_toml();
-        let reparsed = ScenarioFile::parse(&emitted)
-            .unwrap_or_else(|e| panic!("emitted TOML must re-parse: {e}\n---\n{emitted}"));
-        prop_assert_eq!(&reparsed, &file, "round-trip drift\n---\n{}", emitted);
-        // Nothing above sits at its default, so a key the writer dropped (or the reader
-        // ignored) would show here as a value that fell back.
-        prop_assert_eq!(file.spec.seed, seed);
-        prop_assert_eq!(file.spec.shards as u64, n % 3 + 2);
-        prop_assert_eq!(file.spec.topology.total_nodes() as u64, nodes + 70);
-        prop_assert_eq!(file.spec.network.transport.mtu, Some(n + 64));
-        let link = file.spec.topology.groups[0].link;
-        prop_assert_eq!(link.loss_rate, rate);
-        prop_assert!(link.condition.is_some());
-        prop_assert_eq!(file.spec.arrivals.is_some(), arrivals_ix > 0);
-        prop_assert_eq!(file.spec.sessions.is_some(), sessions_ix > 0);
-        prop_assert_eq!(file.spec.adversary.is_some(), selection_ix > 0);
+        prop_assert_eq!(file, model, "\n---\n{}", text);
     }
 }
