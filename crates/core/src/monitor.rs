@@ -131,7 +131,14 @@ mod tests {
         let (a, b) = (vnodes[0], vnodes[1]);
         let mut sim: p2plab_net::NetSim<PingWorld> = Simulation::new(PingWorld::new(net), 1);
         for i in 0..20 {
-            let probe = PingTimer::Probe { from: a, to: b };
+            // A single probe: a series with nothing left to re-arm, so its rank is unused.
+            let probe = PingTimer::Probe {
+                from: a,
+                to: b,
+                rank: 0,
+                left: 0,
+                interval: SimDuration::ZERO,
+            };
             sim.schedule_event_at(SimTime::from_millis(i * 10), NetEvent::Timer(probe));
         }
         sim.run();

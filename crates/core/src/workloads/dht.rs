@@ -278,6 +278,10 @@ pub struct DhtWorld {
     /// Per-node fabrication streams: `Some` exactly for byzantine nodes. Draws never touch
     /// the simulation's global stream, so honest runs execute the frozen event sequence.
     serve_rng: Vec<Option<SimRng>>,
+    /// When each lookup starts (the arrival schedule): lookup `k` starts at `starts[k]` under
+    /// queue rank `start_rank + k`, armed by lookup `k - 1`'s start.
+    starts: Vec<SimTime>,
+    start_rank: u64,
     /// Every lookup started, by start order; a settled one keeps no shortlist.
     lookups: Vec<Lookup>,
     /// Finished lookups, in completion order (the workload drains them into histograms).
@@ -355,6 +359,8 @@ impl DhtWorld {
             alpha: spec.alpha,
             misbehavior: roster.map(|r| r.flags).unwrap_or_default(),
             serve_rng,
+            starts: Vec::new(),
+            start_rank: 0,
             lookups: Vec::with_capacity(spec.lookups),
             records: Vec::with_capacity(spec.lookups),
             settled_checks: roster.map(|_| InvariantReport::new()),
@@ -463,11 +469,14 @@ impl DhtWorld {
 /// The timers of a [`DhtWorld`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DhtTimer {
-    /// The next scheduled lookup starts.
-    StartLookup,
+    /// Lookup `k` of the arrival schedule starts, and arms lookup `k + 1`'s start.
+    StartLookup(usize),
     /// A `FIND_NODE` call's attempt timed out.
     Rpc(RpcTimeout),
 }
+
+// The lookup index must not widen the DHT's queue slot.
+const _: () = assert!(std::mem::size_of::<NetEvent<RpcPayload<DhtBody>, DhtTimer>>() <= 120);
 
 impl From<RpcTimeout> for DhtTimer {
     fn from(timeout: RpcTimeout) -> DhtTimer {
@@ -494,7 +503,10 @@ impl NetHost for DhtWorld {
 
     fn on_timer(sim: &mut NetSim<Self>, timer: DhtTimer) {
         match timer {
-            DhtTimer::StartLookup => start_lookup(sim),
+            DhtTimer::StartLookup(k) => {
+                start_lookup(sim);
+                arm_start(sim, k + 1);
+            }
             DhtTimer::Rpc(timeout) => rpc::on_timeout(sim, timeout),
         }
     }
@@ -553,6 +565,23 @@ impl RpcHost for DhtWorld {
     fn on_outcome(sim: &mut NetSim<Self>, query: Query, outcome: RpcOutcome<DhtBody>) {
         on_find_node_done(sim, query, outcome);
     }
+}
+
+/// Schedules lookup `k`'s start, if the arrival schedule has one, at its arrival instant and
+/// its reserved rank: the starts are one pending event at a time, in the order scheduling
+/// every one up front would give.
+fn arm_start(sim: &mut NetSim<DhtWorld>, k: usize) {
+    let now = sim.now();
+    let world = sim.world();
+    let Some(&at) = world.starts.get(k) else {
+        return;
+    };
+    debug_assert!(
+        at >= now,
+        "lookup {k} would start at {at:?}, before {now:?}"
+    );
+    let rank = world.start_rank + k as u64;
+    sim.schedule_event_ranked(at, rank, NetEvent::Timer(DhtTimer::StartLookup(k)));
 }
 
 /// Starts one lookup from a randomly drawn origin toward a randomly drawn target key.
@@ -838,9 +867,12 @@ impl Workload for DhtLookupWorkload {
     }
 
     fn schedule_arrivals(&mut self, sim: &mut NetSim<DhtWorld>, arrivals: &ArrivalSchedule) {
-        for &at in arrivals.times() {
-            sim.schedule_event_at(at, NetEvent::Timer(DhtTimer::StartLookup));
-        }
+        // The schedule is non-decreasing, so each start can arm the next.
+        let start_rank = sim.reserve_ranks(arrivals.len() as u64);
+        let world = sim.world_mut();
+        world.starts = arrivals.times().to_vec();
+        world.start_rank = start_rank;
+        arm_start(sim, 0);
     }
 
     fn network(world: &DhtWorld) -> &Network {
@@ -1218,6 +1250,85 @@ mod tests {
         let (b, report_b) = run(5);
         assert_eq!(a.records, b.records);
         assert_eq!(report_a.events_executed, report_b.events_executed);
+    }
+
+    /// The up-front schedule the chained starts replace: every lookup's start scheduled at
+    /// once, each under the sequence number it draws then. The world's `starts` stay empty,
+    /// so a start arms nothing. Everything else is the lookup workload's.
+    struct UpFront(DhtLookupWorkload);
+
+    impl Workload for UpFront {
+        type World = DhtWorld;
+        type Event = NetEvent<RpcPayload<DhtBody>, DhtTimer>;
+
+        fn kind(&self) -> &'static str {
+            self.0.kind()
+        }
+        fn vnodes_required(&self) -> usize {
+            self.0.vnodes_required()
+        }
+        fn participants(&self) -> usize {
+            self.0.participants()
+        }
+        fn default_arrivals(&self) -> ArrivalSpec {
+            self.0.default_arrivals()
+        }
+        fn build_world(&mut self, deployment: Deployment) -> DhtWorld {
+            self.0.build_world(deployment)
+        }
+        fn on_deployed(&mut self, _sim: &mut NetSim<DhtWorld>) {}
+        fn schedule_arrivals(&mut self, sim: &mut NetSim<DhtWorld>, arrivals: &ArrivalSchedule) {
+            for (k, &at) in arrivals.times().iter().enumerate() {
+                sim.schedule_event_at(at, NetEvent::Timer(DhtTimer::StartLookup(k)));
+            }
+        }
+        fn network(world: &DhtWorld) -> &Network {
+            &world.net
+        }
+        fn setup_metrics(&mut self, rec: &mut Recorder) {
+            self.0.setup_metrics(rec);
+        }
+        fn sample(&mut self, now: SimTime, world: &DhtWorld, rec: &mut Recorder) -> f64 {
+            self.0.sample(now, world, rec)
+        }
+        fn is_complete(&self, world: &DhtWorld) -> bool {
+            self.0.is_complete(world)
+        }
+    }
+
+    #[test]
+    fn chained_starts_run_in_the_up_front_order() {
+        // Starts 10 ms apart, RPC attempts that time out after 250 ms on lossy links: a call
+        // made at one lookup's start times out on the instant another lookup starts. Up front
+        // that start goes first; armed under a fresh sequence number it would go second. The
+        // trace starts lookups three at a time.
+        let spec = DhtLookupSpec {
+            lookups: 60,
+            rpc_timeout: SimDuration::from_millis(250),
+            lookup_interval: SimDuration::from_millis(10),
+            ..DhtLookupSpec::new(40)
+        };
+        let link = AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(5));
+        let topology = TopologySpec::uniform("dht-chain", 40, link.with_loss(0.25));
+        let trace = (0..60)
+            .map(|k| SimDuration::from_millis(k / 3 * 5))
+            .collect();
+        for arrivals in [None, Some(ArrivalSpec::trace(trace))] {
+            let s = ScenarioSpec {
+                topology: topology.clone(),
+                arrivals: arrivals.clone(),
+                ..scenario("dht-chain", &spec)
+            };
+            let chained = run_scenario(&s, DhtLookupWorkload::new(spec.clone())).unwrap();
+            let up_front = run_scenario(&s, UpFront(DhtLookupWorkload::new(spec.clone()))).unwrap();
+            assert!(chained.0.rpc_stats().timeouts > 0, "{arrivals:?}");
+            assert_eq!(chained.0.records.len(), spec.lookups, "{arrivals:?}");
+            assert_eq!(chained.0.records, up_front.0.records, "{arrivals:?}");
+            assert_eq!(
+                chained.1.events_executed, up_front.1.events_executed,
+                "{arrivals:?}"
+            );
+        }
     }
 
     #[test]

@@ -196,16 +196,30 @@ impl Workload for PingMeshWorkload {
 
     fn schedule_arrivals(&mut self, sim: &mut NetSim<PingWorld>, arrivals: &ArrivalSchedule) {
         // Each probe pair starts at the instant the scenario's arrival process drew for it and
-        // then sends its pings at the configured interval.
-        for (pair_idx, (i, j)) in self.spec.pairs().into_iter().enumerate() {
-            // Mesh node `i` runs on `VNodeId(i)` (the deployment's identity rule).
-            let (from, to) = (VNodeId(i), VNodeId(j));
+        // then sends its pings at the configured interval, as one probe series. Its ranks are
+        // the sequence numbers its probes would draw if every probe were scheduled here, pair
+        // by pair, so the series run in that order.
+        let Some(left) = self.spec.pings_per_pair.checked_sub(1) else {
+            return;
+        };
+        let left = u32::try_from(left).expect("a probe pair's pings fit in u32");
+        let per_pair = self.spec.pings_per_pair as u64;
+        let interval = self.spec.interval;
+        let pairs = self.spec.pairs();
+        let first = sim.reserve_ranks(pairs.len() as u64 * per_pair);
+        for (pair_idx, (i, j)) in pairs.into_iter().enumerate() {
             let start = arrivals.get(pair_idx).unwrap_or(SimTime::ZERO);
-            for round in 0..self.spec.pings_per_pair {
-                let at = start + self.spec.interval * round as u64;
-                self.last_probe_at = self.last_probe_at.max(at);
-                sim.schedule_event_at(at, NetEvent::Timer(PingTimer::Probe { from, to }));
-            }
+            self.last_probe_at = self.last_probe_at.max(start + interval * u64::from(left));
+            let rank = first + pair_idx as u64 * per_pair;
+            // Mesh node `i` runs on `VNodeId(i)` (the deployment's identity rule).
+            let probe = PingTimer::Probe {
+                from: VNodeId(i),
+                to: VNodeId(j),
+                rank,
+                left,
+                interval,
+            };
+            sim.schedule_event_ranked(start, rank, NetEvent::Timer(probe));
         }
     }
 
@@ -243,6 +257,7 @@ mod tests {
     use crate::deploy::DeploymentSpec;
     use crate::scenario::{run_scenario, ScenarioError, ScenarioSpec};
     use p2plab_net::{AccessLinkClass, TopologySpec};
+    use p2plab_sim::FxHashSet;
 
     fn lan(n: usize) -> TopologySpec {
         TopologySpec::uniform(
@@ -289,6 +304,102 @@ mod tests {
         let (world, report) = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap();
         assert_eq!(report.metrics.counter("probes_scheduled"), Some(8 * 5));
         assert_eq!(world.rtts.len(), 8 * 5);
+    }
+
+    /// The up-front schedule the probe series replace: one single probe per (pair, round),
+    /// pair-major, each under the sequence number it draws when scheduled. Everything else is
+    /// the mesh workload's.
+    struct UpFront(PingMeshWorkload);
+
+    impl Workload for UpFront {
+        type World = PingWorld;
+        type Event = NetEvent<PingPayload, PingTimer>;
+
+        fn kind(&self) -> &'static str {
+            self.0.kind()
+        }
+        fn vnodes_required(&self) -> usize {
+            self.0.vnodes_required()
+        }
+        fn participants(&self) -> usize {
+            self.0.participants()
+        }
+        fn default_arrivals(&self) -> ArrivalSpec {
+            self.0.default_arrivals()
+        }
+        fn build_world(&mut self, deployment: Deployment) -> PingWorld {
+            self.0.build_world(deployment)
+        }
+        fn on_deployed(&mut self, _sim: &mut NetSim<PingWorld>) {}
+        fn schedule_arrivals(&mut self, sim: &mut NetSim<PingWorld>, arrivals: &ArrivalSchedule) {
+            let spec = &self.0.spec;
+            for (pair_idx, (i, j)) in spec.pairs().into_iter().enumerate() {
+                let start = arrivals.get(pair_idx).unwrap_or(SimTime::ZERO);
+                for round in 0..spec.pings_per_pair {
+                    let probe = PingTimer::Probe {
+                        from: VNodeId(i),
+                        to: VNodeId(j),
+                        rank: 0,
+                        left: 0,
+                        interval: SimDuration::ZERO,
+                    };
+                    let at = start + spec.interval * round as u64;
+                    sim.schedule_event_at(at, NetEvent::Timer(probe));
+                }
+            }
+        }
+        fn network(world: &PingWorld) -> &Network {
+            &world.net
+        }
+        fn setup_metrics(&mut self, rec: &mut Recorder) {
+            self.0.setup_metrics(rec);
+        }
+        fn sample(&mut self, now: SimTime, world: &PingWorld, rec: &mut Recorder) -> f64 {
+            self.0.sample(now, world, rec)
+        }
+        fn is_complete(&self, world: &PingWorld) -> bool {
+            self.0.is_complete(world)
+        }
+    }
+
+    #[test]
+    fn probe_series_run_in_the_up_front_order() {
+        // A full mesh whose pairs start a stagger apart and probe every three staggers, so
+        // pair p's round r + 1 falls on the instant of pair p + 3's round r: up front the
+        // earlier pair's probe goes first, and a series re-armed under a fresh sequence number
+        // would go last. Under Poisson arrivals the pairs' series interleave instead.
+        let spec = PingMeshSpec {
+            pings_per_pair: 6,
+            interval: STAGGER * 3,
+            ..PingMeshSpec::full(5)
+        };
+        let ramp = ArrivalSpec::ramp(SimDuration::ZERO, STAGGER);
+        let (pairs, rounds) = (spec.pair_count() as u64, spec.pings_per_pair as u64);
+        let instants: FxHashSet<u64> = (0..pairs)
+            .flat_map(|p| (0..rounds).map(move |r| (STAGGER * p + STAGGER * 3 * r).as_nanos()))
+            .collect();
+        assert!(
+            instants.len() < spec.expected_probes(),
+            "probe instants collide"
+        );
+        for arrivals in [ramp, ArrivalSpec::poisson(400.0)] {
+            let scenario = ScenarioSpec {
+                deployment: DeploymentSpec::new(2),
+                deadline: SimDuration::from_secs(60),
+                arrivals: Some(arrivals.clone()),
+                seed: 11,
+                ..ScenarioSpec::new("series", lan(5))
+            };
+            let chained = run_scenario(&scenario, PingMeshWorkload::new(spec.clone())).unwrap();
+            let up_front =
+                run_scenario(&scenario, UpFront(PingMeshWorkload::new(spec.clone()))).unwrap();
+            assert_eq!(chained.0.rtts.len(), spec.expected_probes(), "{arrivals:?}");
+            assert_eq!(chained.0.rtts, up_front.0.rtts, "{arrivals:?}");
+            assert_eq!(
+                chained.1.events_executed, up_front.1.events_executed,
+                "{arrivals:?}"
+            );
+        }
     }
 
     #[test]

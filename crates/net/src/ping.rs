@@ -35,14 +35,27 @@ pub enum PingPayload {
 /// The timers of a [`PingWorld`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PingTimer {
-    /// Send one echo request from `from` to `to` ([`ping`]).
+    /// A probe series: send one echo request from `from` to `to` ([`ping`]), then, while
+    /// `left > 0`, re-arm `interval` later at queue rank `rank + 1` with one fewer left. One
+    /// series is one pending event whatever its length, and its ranks — reserved with
+    /// [`Simulation::reserve_ranks`] — keep it in the order scheduling every request up front
+    /// would give. A single probe is a series with `left = 0`.
     Probe {
         /// The pinging node.
         from: VNodeId,
         /// The pinged node.
         to: VNodeId,
+        /// This request's queue rank; the series' later requests take the ranks after it.
+        rank: u64,
+        /// Requests the series still sends after this one.
+        left: u32,
+        /// Spacing between the series' requests.
+        interval: SimDuration,
     },
 }
+
+// The series fields must not widen the event's queue slot.
+const _: () = assert!(std::mem::size_of::<NetEvent<PingPayload, PingTimer>>() <= 88);
 
 /// A world whose virtual nodes all run an echo responder.
 pub struct PingWorld {
@@ -125,8 +138,26 @@ impl NetHost for PingWorld {
         }
     }
 
-    fn on_timer(sim: &mut NetSim<Self>, PingTimer::Probe { from, to }: PingTimer) {
+    fn on_timer(sim: &mut NetSim<Self>, timer: PingTimer) {
+        let PingTimer::Probe {
+            from,
+            to,
+            rank,
+            left,
+            interval,
+        } = timer;
         ping(sim, from, to);
+        if left > 0 {
+            let next = PingTimer::Probe {
+                from,
+                to,
+                rank: rank + 1,
+                left: left - 1,
+                interval,
+            };
+            let at = sim.now() + interval;
+            sim.schedule_event_ranked(at, rank + 1, NetEvent::Timer(next));
+        }
     }
 }
 
@@ -158,9 +189,16 @@ pub fn ping_series(
     seed: u64,
 ) -> (PingWorld, Vec<SimDuration>) {
     let mut sim: NetSim<PingWorld> = Simulation::new(world, seed);
-    for i in 0..count {
-        let at = SimTime::ZERO + interval * i as u64;
-        sim.schedule_event_at(at, NetEvent::Timer(PingTimer::Probe { from, to }));
+    if let Some(left) = count.checked_sub(1) {
+        let rank = sim.reserve_ranks(count as u64);
+        let probe = PingTimer::Probe {
+            from,
+            to,
+            rank,
+            left: u32::try_from(left).expect("a ping series fits in u32 requests"),
+            interval,
+        };
+        sim.schedule_event_ranked(SimTime::ZERO, rank, NetEvent::Timer(probe));
     }
     sim.run();
     let world = sim.into_world();

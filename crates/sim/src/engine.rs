@@ -32,6 +32,45 @@
 //! assert_eq!(sim.now(), SimTime::from_secs(2));
 //! ```
 //!
+//! A fixed series of events — a probe stream, a list of arrivals — need not sit in the queue
+//! all at once. [`reserve_ranks`](Simulation::reserve_ranks) sets aside the sequence numbers
+//! the series would have drawn had it been scheduled up front, and each member is scheduled
+//! under its own rank by [`schedule_event_ranked`](Simulation::schedule_event_ranked), usually
+//! from the handler of the one before it. Every push draws or was reserved a sequence number,
+//! so the series holds one queue slot and still runs in exactly the up-front order, ties at
+//! an instant included.
+//!
+//! ```
+//! use p2plab_sim::{SimDuration, SimTime, Simulation, TypedEvent};
+//!
+//! /// Log `n`; while `left > 0`, re-arm one second later at the next rank.
+//! struct Series {
+//!     n: u32,
+//!     rank: u64,
+//!     left: u32,
+//! }
+//! impl TypedEvent<Vec<u32>> for Series {
+//!     fn fire(self, sim: &mut Simulation<Vec<u32>, Series>) {
+//!         sim.world_mut().push(self.n);
+//!         if self.left > 0 {
+//!             let next = Series { rank: self.rank + 1, left: self.left - 1, ..self };
+//!             let at = sim.now() + SimDuration::from_secs(1);
+//!             sim.schedule_event_ranked(at, next.rank, next);
+//!         }
+//!     }
+//! }
+//! let mut sim: Simulation<Vec<u32>, Series> = Simulation::new(Vec::new(), 7);
+//! // Two three-event series, the second starting at t = 1 s: up front, the first series'
+//! // second event (rank 1) runs before the second series' first (rank 3).
+//! let rank = sim.reserve_ranks(6);
+//! sim.schedule_event_ranked(SimTime::ZERO, rank, Series { n: 1, rank, left: 2 });
+//! let second = rank + 3;
+//! let at = SimTime::from_secs(1);
+//! sim.schedule_event_ranked(at, second, Series { n: 2, rank: second, left: 2 });
+//! sim.run();
+//! assert_eq!(sim.world(), &vec![1, 1, 2, 1, 2, 2]);
+//! ```
+//!
 //! Besides events the queue holds **wakes**: entries that carry a small token instead of an
 //! event and hand control back to whoever drives the loop through
 //! [`run_until_wake`](Simulation::run_until_wake). A caller with state of its own — the
@@ -169,6 +208,22 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
     /// event still runs, after everything already queued for this instant).
     pub fn schedule_event_at(&mut self, at: SimTime, event: E) -> EventId {
         self.queue.push(at.max(self.now), Slot::Event(event))
+    }
+
+    /// Reserves `n` consecutive ranks for [`schedule_event_ranked`](Simulation::schedule_event_ranked)
+    /// and returns the first: the sequence numbers `n` pushes made here would have drawn.
+    pub fn reserve_ranks(&mut self, n: u64) -> u64 {
+        self.queue.reserve_seqs(n)
+    }
+
+    /// Schedules `event` at absolute time `at` (clamped to "now" like
+    /// [`schedule_event_at`](Simulation::schedule_event_at)) under a rank
+    /// [`reserve_ranks`](Simulation::reserve_ranks) handed out. Each rank is scheduled at most
+    /// once, before its `(time, rank)` comes due; the event then runs exactly where it would
+    /// have had it been scheduled when the rank was reserved.
+    pub fn schedule_event_ranked(&mut self, at: SimTime, rank: u64, event: E) -> EventId {
+        self.queue
+            .push_ranked(at.max(self.now), rank, Slot::Event(event))
     }
 
     /// Schedules `event` after `delay`.

@@ -33,11 +33,21 @@
 //!   otherwise into the `late` min-heap, `O(log n)` either way, however many entries are due
 //!   before it.
 //!
-//! Determinism is preserved exactly: every push still draws a global **sequence number**, and
-//! the due set pops in `(time, sequence)` order, so two events scheduled for the same instant
-//! always execute in the order they were scheduled — the property the reproduction's
-//! byte-identity pins rely on, checked against a reference model queue by
+//! Determinism is preserved exactly: every push draws or was reserved a global **sequence
+//! number**, and the due set pops in `(time, sequence)` order, so two events scheduled for the
+//! same instant always execute in the order they were scheduled — the property the
+//! reproduction's byte-identity pins rely on, checked against a reference model queue by
 //! `tests/prop_engine.rs`.
+//!
+//! **Ranked pushes** let a fixed series of events hold one slab slot instead of one per event.
+//! [`reserve_seqs`](EventQueue::reserve_seqs) sets aside a block of sequence numbers at the
+//! point where the whole series would have been pushed, and
+//! [`push_ranked`](EventQueue::push_ranked) pushes one member under its reserved number later —
+//! typically from the handler of its predecessor, which re-arms the series. The contract: each
+//! reserved number is pushed at most once, and before its `(time, sequence)` key comes due
+//! (an event that orders before it, such as its predecessor in the series, may push it). Pops
+//! then come in the same `(time, sequence)` order, under the same sequence numbers, as if the
+//! whole block had been pushed when it was reserved.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -223,10 +233,31 @@ impl<E> EventQueue<E> {
         self.payloads.len()
     }
 
+    /// Reserves `n` consecutive sequence numbers for [`push_ranked`](Self::push_ranked) and
+    /// returns the first: later pushes draw theirs after the block.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
     /// Schedules `payload` at absolute time `time` and returns its id.
     pub fn push(&mut self, time: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.push_ranked(time, seq, payload)
+    }
+
+    /// Schedules `payload` at absolute time `time` under a sequence number `seq` taken from a
+    /// block [`reserve_seqs`](Self::reserve_seqs) handed out, and returns its id. Each reserved
+    /// number is pushed at most once (see the module docs for the ordering this keeps).
+    // Forced: the one push body, so `push` costs what it did before ranks existed.
+    #[inline(always)]
+    pub fn push_ranked(&mut self, time: SimTime, seq: u64, payload: E) -> EventId {
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
         let slot = match self.free.pop() {
             Some(i) => {
                 debug_assert!(self.payloads[i as usize].is_none());
@@ -774,6 +805,31 @@ mod tests {
         }
         assert_eq!(free, q.chunks.len());
         assert_eq!(free, 100usize.div_ceil(CHUNK));
+    }
+
+    #[test]
+    fn a_ranked_chain_holds_one_slot() {
+        // A 10,000-long series pushed one member at a time, each when its predecessor pops,
+        // pops under the numbers reserved for it and never holds a second slab slot.
+        let mut q = EventQueue::new();
+        let n = 10_000u64;
+        let first = q.reserve_seqs(n);
+        q.push_ranked(SimTime::ZERO, first, 0);
+        for k in 0..n {
+            let (t, id, p) = q.pop().expect("the chain is pending");
+            assert_eq!((t, id.raw(), p), (SimTime::from_millis(k), first + k, k));
+            if k + 1 < n {
+                q.push_ranked(SimTime::from_millis(k + 1), first + k + 1, k + 1);
+            }
+            assert_eq!(q.slot_capacity(), 1);
+        }
+        assert!(q.is_empty());
+        let next = q.push(SimTime::ZERO, n);
+        assert_eq!(
+            next.raw(),
+            first + n,
+            "pushes draw after the reserved block"
+        );
     }
 
     #[test]

@@ -65,8 +65,12 @@ impl ModelQueue {
     }
 
     fn pop(&mut self) -> Option<(SimTime, usize)> {
-        let (t, _, p) = self.entries.remove(self.min_index()?);
-        Some((t, p))
+        self.pop_entry().map(|(t, _, p)| (t, p))
+    }
+
+    /// Removes and returns the entry with the least `(time, seq)`.
+    fn pop_entry(&mut self) -> Option<(SimTime, u64, usize)> {
+        Some(self.entries.remove(self.min_index()?))
     }
 
     fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, usize)> {
@@ -123,6 +127,71 @@ impl Strategy for QueueOpStrategy {
             _ => QueueOp::Pop,
         }
     }
+}
+
+/// One step of a random workload with reserved blocks of ranks.
+#[derive(Debug, Clone)]
+enum RankedOp {
+    /// An ordinary queue step.
+    Queue(QueueOp),
+    /// Reserve `len` ranks for events at the non-decreasing raw-nanosecond times `start`,
+    /// `start + gap`, …: the model pushes them all now, the wheel one at a time, each when
+    /// its predecessor pops.
+    Series { start: u64, len: u64, gap: u64 },
+}
+
+/// Mostly [`QueueOpStrategy`]'s steps, with blocks that start on the bunched ticks' grid and
+/// step by zero, one grid cell, one tick or a random delay, so their members collide with
+/// ordinary pushes and with each other.
+struct RankedOpStrategy;
+
+impl Strategy for RankedOpStrategy {
+    type Value = RankedOp;
+    fn sample(&self, rng: &mut proptest::TestRng) -> RankedOp {
+        if rng.gen_range(0u32..5) != 0 {
+            return RankedOp::Queue(QueueOpStrategy.sample(rng));
+        }
+        let tick = BUNCHED_TICKS[rng.gen_range(0usize..BUNCHED_TICKS.len())];
+        let start = tick * TICK_NS + rng.gen_range(0u64..64) * (TICK_NS / 64);
+        let gap = match rng.gen_range(0u32..4) {
+            0 => 0,
+            1 => TICK_NS / 64,
+            2 => TICK_NS,
+            _ => rng.gen_range(0u64..2_000_000_000),
+        };
+        RankedOp::Series {
+            start,
+            len: rng.gen_range(1u64..20),
+            gap,
+        }
+    }
+}
+
+/// A reserved block as the wheel sees it: the member pending in the queue, and the times of
+/// the ones still to push.
+struct Block {
+    first: u64,
+    times: Vec<SimTime>,
+    /// Index of the pending member, and its id.
+    pending: (usize, EventId),
+    /// Payload of member 0; member `k` carries `payload + k`.
+    payload: usize,
+}
+
+impl Block {
+    /// The member after the one carrying payload `p`, as `(index, time, rank, payload)`.
+    fn successor(&self, p: usize) -> Option<(usize, SimTime, u64, usize)> {
+        let k = p - self.payload + 1;
+        let &time = self.times.get(k)?;
+        Some((k, time, self.first + k as u64, p + 1))
+    }
+}
+
+/// A cancellable handle of the ranked test: an ordinary event, or a block (its pending member).
+#[derive(Clone, Copy)]
+enum Handle {
+    One(EventId, u64),
+    Block(usize),
 }
 
 proptest! {
@@ -205,6 +274,109 @@ proptest! {
             prop_assert_eq!(got, want);
             if got.is_none() {
                 break;
+            }
+        }
+    }
+
+    /// Reserved ranks keep the up-front order: a block pushed lazily into the wheel, each member
+    /// when its predecessor pops, pops in the same `(time, sequence)` order, under the same
+    /// sequence numbers, as the model that pushes the whole block when it is reserved — mixed
+    /// with ordinary pushes, cancels (of a block: its pending member and so the rest of it),
+    /// peeks and deadline-bounded pops at colliding instants.
+    #[test]
+    fn lazily_pushed_ranks_pop_as_if_pushed_at_reservation(
+        ops in prop::collection::vec(RankedOpStrategy, 1..300),
+    ) {
+        let mut wheel: EventQueue<usize> = EventQueue::new();
+        let mut model = ModelQueue::default();
+        let mut blocks: Vec<Block> = Vec::new();
+        // Payload -> block index, for block members.
+        let mut member_of: Vec<Option<usize>> = Vec::new();
+        let mut live: Vec<Handle> = Vec::new();
+        // Block members the model holds and the wheel has not been handed yet.
+        let mut unpushed = 0usize;
+        for op in &ops {
+            match *op {
+                RankedOp::Series { start, len, gap } => {
+                    let times: Vec<SimTime> =
+                        (0..len).map(|k| SimTime::from_nanos(start + k * gap)).collect();
+                    let first = wheel.reserve_seqs(len);
+                    let payload = member_of.len();
+                    for (k, &t) in times.iter().enumerate() {
+                        prop_assert_eq!(model.push(t, payload + k), first + k as u64);
+                        member_of.push(Some(blocks.len()));
+                    }
+                    let id = wheel.push_ranked(times[0], first, payload);
+                    unpushed += times.len() - 1;
+                    live.push(Handle::Block(blocks.len()));
+                    blocks.push(Block { first, times, pending: (0, id), payload });
+                }
+                RankedOp::Queue(QueueOp::Push(t)) => {
+                    let time = SimTime::from_nanos(t);
+                    let payload = member_of.len();
+                    member_of.push(None);
+                    let id = wheel.push(time, payload);
+                    prop_assert_eq!(id.raw(), model.push(time, payload));
+                    live.push(Handle::One(id, id.raw()));
+                }
+                RankedOp::Queue(QueueOp::Cancel(i)) => {
+                    if !live.is_empty() {
+                        match live.remove(i % live.len()) {
+                            Handle::One(id, seq) => {
+                                prop_assert_eq!(wheel.cancel(id), model.cancel(seq));
+                            }
+                            Handle::Block(b) => {
+                                let block = &blocks[b];
+                                let (k, id) = block.pending;
+                                prop_assert!(wheel.cancel(id));
+                                for rest in k..block.times.len() {
+                                    prop_assert!(model.cancel(block.first + rest as u64));
+                                }
+                                unpushed -= block.times.len() - 1 - k;
+                            }
+                        }
+                    }
+                }
+                RankedOp::Queue(QueueOp::Peek) => {
+                    prop_assert_eq!(wheel.peek_time(), model.peek());
+                }
+                RankedOp::Queue(ref pop) => {
+                    let (got, want) = match *pop {
+                        QueueOp::PopDue(deadline) => {
+                            let deadline = SimTime::from_nanos(deadline);
+                            let want = match model.peek() {
+                                Some(t) if t <= deadline => model.pop_entry(),
+                                _ => None,
+                            };
+                            (wheel.pop_due(deadline), want)
+                        }
+                        _ => (wheel.pop(), model.pop_entry()),
+                    };
+                    let got = got.map(|(t, id, p)| (t, id.raw(), p));
+                    prop_assert_eq!(got, want);
+                    let Some((_, seq, p)) = got else { continue };
+                    match member_of[p] {
+                        None => live.retain(|h| !matches!(*h, Handle::One(_, s) if s == seq)),
+                        // The popped member arms its successor, as a handler would.
+                        Some(b) => match blocks[b].successor(p) {
+                            Some((k, time, rank, next)) => {
+                                blocks[b].pending = (k, wheel.push_ranked(time, rank, next));
+                                unpushed -= 1;
+                            }
+                            None => live.retain(|h| !matches!(*h, Handle::Block(x) if x == b)),
+                        },
+                    }
+                }
+            }
+            prop_assert_eq!(wheel.len() + unpushed, model.entries.len());
+        }
+        // Drain both queues, re-arming blocks as they go; the tails must agree too.
+        loop {
+            let got = wheel.pop().map(|(t, id, p)| (t, id.raw(), p));
+            prop_assert_eq!(got, model.pop_entry());
+            let Some((_, _, p)) = got else { break };
+            if let Some((_, time, rank, next)) = member_of[p].and_then(|b| blocks[b].successor(p)) {
+                wheel.push_ranked(time, rank, next);
             }
         }
     }
