@@ -4,7 +4,7 @@
 //! (Figure 11).
 //!
 //! ```text
-//! # paper scale (5754 clients, 137.5 M events; 140 s and 670 MiB peak RSS on a 2-core host):
+//! # paper scale (5754 clients, 137.5 M events; 75–200 s and 115 MiB peak RSS on a 2-core host):
 //! cargo run --release -p p2plab-bench --bin fig10_large_swarm -- 1.0
 //! # default: 10% scale
 //! cargo run --release -p p2plab-bench --bin fig10_large_swarm

@@ -2,22 +2,62 @@
 //!
 //! Compact set of piece indices, exchanged in the peer wire protocol's `bitfield` message and
 //! used for availability accounting (rarest-first needs per-piece counts over all peers).
+//!
+//! Every peer connection, partial piece and `bitfield` message carries one, so up to 128 pieces
+//! are stored in the value itself (every shipped torrent has at most 64); only a longer
+//! bitfield puts its words on the heap.
+
+/// Words stored inline: 128 pieces.
+const INLINE_WORDS: usize = 2;
+
+/// The words of a bitfield: inline up to `64 * INLINE_WORDS` pieces, boxed beyond. Inline words
+/// past the bitfield's length stay zero, so the derived equality compares contents.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
+}
 
 /// A fixed-size set of piece indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitfield {
-    bits: Vec<u64>,
+    bits: Words,
     len: u32,
     count: u32,
 }
 
+// One per peer connection and partial piece: the inline words may not make it any larger.
+const _: () = assert!(std::mem::size_of::<Bitfield>() <= 32);
+
 impl Bitfield {
     /// An empty bitfield over `len` pieces.
     pub fn new(len: u32) -> Bitfield {
+        let words = (len as usize).div_ceil(64);
+        let bits = if words <= INLINE_WORDS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; words].into_boxed_slice())
+        };
         Bitfield {
-            bits: vec![0; (len as usize).div_ceil(64)],
+            bits,
             len,
             count: 0,
+        }
+    }
+
+    /// The `len.div_ceil(64)` words in use.
+    fn words(&self) -> &[u64] {
+        match &self.bits {
+            Words::Inline(w) => &w[..(self.len as usize).div_ceil(64)],
+            Words::Heap(w) => w,
+        }
+    }
+
+    /// The words in use, mutably.
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.bits {
+            Words::Inline(w) => &mut w[..(self.len as usize).div_ceil(64)],
+            Words::Heap(w) => w,
         }
     }
 
@@ -53,13 +93,13 @@ impl Bitfield {
     /// True if piece `i` is set.
     pub fn get(&self, i: u32) -> bool {
         assert!(i < self.len, "piece index out of range");
-        self.bits[(i / 64) as usize] & (1 << (i % 64)) != 0
+        self.words()[(i / 64) as usize] & (1 << (i % 64)) != 0
     }
 
     /// Sets piece `i`. Returns true if it was newly set.
     pub fn set(&mut self, i: u32) -> bool {
         assert!(i < self.len, "piece index out of range");
-        let word = &mut self.bits[(i / 64) as usize];
+        let word = &mut self.words_mut()[(i / 64) as usize];
         let mask = 1u64 << (i % 64);
         if *word & mask == 0 {
             *word |= mask;
@@ -73,7 +113,7 @@ impl Bitfield {
     /// Clears piece `i`. Returns true if it was previously set.
     pub fn clear(&mut self, i: u32) -> bool {
         assert!(i < self.len, "piece index out of range");
-        let word = &mut self.bits[(i / 64) as usize];
+        let word = &mut self.words_mut()[(i / 64) as usize];
         let mask = 1u64 << (i % 64);
         if *word & mask != 0 {
             *word &= !mask;
@@ -87,21 +127,21 @@ impl Bitfield {
     /// Iterates over set piece indices (word-at-a-time: these iterators feed the per-message
     /// hot paths, so per-bit probing would cost a division and a load per piece).
     pub fn iter_set(&self) -> impl Iterator<Item = u32> + '_ {
-        WordBitIter::new(&self.bits, self.len, 0)
+        WordBitIter::new(self.words(), self.len, 0)
     }
 
     /// Iterates over missing piece indices.
     pub fn iter_missing(&self) -> impl Iterator<Item = u32> + '_ {
-        WordBitIter::new(&self.bits, self.len, u64::MAX)
+        WordBitIter::new(self.words(), self.len, u64::MAX)
     }
 
     /// Iterates over pieces that `other` has and this bitfield is missing (ascending) — the
     /// candidate set of the piece picker, one AND-NOT per word.
     pub fn iter_missing_in<'a>(&'a self, other: &'a Bitfield) -> impl Iterator<Item = u32> + 'a {
         assert_eq!(self.len, other.len, "bitfield length mismatch");
-        self.bits
+        self.words()
             .iter()
-            .zip(&other.bits)
+            .zip(other.words())
             .enumerate()
             .flat_map(|(w, (&mine, &theirs))| {
                 let mut bits = theirs & !mine;
@@ -120,9 +160,9 @@ impl Bitfield {
     /// `other` is interesting to us). One AND-NOT per word.
     pub fn is_interested_in(&self, other: &Bitfield) -> bool {
         assert_eq!(self.len, other.len, "bitfield length mismatch");
-        self.bits
+        self.words()
             .iter()
-            .zip(&other.bits)
+            .zip(other.words())
             .any(|(&mine, &theirs)| theirs & !mine != 0)
     }
 

@@ -66,8 +66,6 @@ pub struct PeerConn {
     pub handshaken: bool,
     /// Whether this client already sent its handshake.
     pub sent_handshake: bool,
-    /// The remote peer id, learned from its handshake.
-    pub peer_id: Option<PeerId>,
     /// We are choking the peer.
     pub am_choking: bool,
     /// We are interested in the peer's pieces.
@@ -86,11 +84,10 @@ pub struct PeerConn {
     pub download: RateEstimator,
     /// Rate at which we upload to the peer.
     pub upload: RateEstimator,
-    /// Blocks received from the peer.
-    pub blocks_received: u64,
-    /// Blocks sent to the peer.
-    pub blocks_sent: u64,
 }
+
+// A client holds up to `MAX_CONNECTIONS` of these, so every byte counts 55 times per client.
+const _: () = assert!(std::mem::size_of::<PeerConn>() <= 144);
 
 impl PeerConn {
     /// Creates the state for a new connection.
@@ -101,17 +98,14 @@ impl PeerConn {
             outbound,
             handshaken: false,
             sent_handshake: false,
-            peer_id: None,
             am_choking: true,
             am_interested: false,
             peer_choking: true,
             peer_interested: false,
             bitfield: Bitfield::new(num_pieces),
             inflight: Vec::new(),
-            download: RateEstimator::new(RATE_WINDOW),
-            upload: RateEstimator::new(RATE_WINDOW),
-            blocks_received: 0,
-            blocks_sent: 0,
+            download: RateEstimator::default(),
+            upload: RateEstimator::default(),
         }
     }
 
@@ -126,6 +120,9 @@ impl PeerConn {
 /// a parallel dense array that [`slot`](PeerTable::slot) binary-searches. Indexing takes a
 /// slot. A slot is only valid until the next [`insert`](PeerTable::insert) or
 /// [`remove`](PeerTable::remove).
+///
+/// The first insert reserves room for [`MAX_CONNECTIONS`] in both arrays, exactly: the swarm
+/// refuses a connection over that limit before it inserts, so a client's table never moves.
 #[derive(Debug, Clone, Default)]
 pub struct PeerTable {
     /// `conns[i] == peers[i].conn`, strictly ascending.
@@ -152,6 +149,10 @@ impl PeerTable {
     /// Adds `peer` at its place in `ConnId` order (replacing an entry with the same id) and
     /// returns its slot.
     pub fn insert(&mut self, peer: PeerConn) -> usize {
+        if self.peers.capacity() == 0 {
+            self.conns.reserve_exact(MAX_CONNECTIONS);
+            self.peers.reserve_exact(MAX_CONNECTIONS);
+        }
         match self.conns.binary_search(&peer.conn) {
             Ok(slot) => {
                 self.peers[slot] = peer;
@@ -252,7 +253,8 @@ pub struct Client {
     pub started_at: Option<SimTime>,
     /// When the download completed (never for initial seeders).
     pub completed_at: Option<SimTime>,
-    /// Time-stamped download progress in percent (the paper's instrumented client output).
+    /// Time-stamped download progress in percent (the paper's instrumented client output): the
+    /// start sample plus one per completed piece, reserved exactly at construction.
     pub progress: TimeSeries,
     /// Aggregate counters.
     pub stats: ClientStats,
@@ -263,15 +265,6 @@ pub struct Client {
     /// Bumped on every (re)start; periodic timers from older sessions stop when they notice a
     /// newer generation, so a churn restart never leaves two choker timers running.
     pub timer_generation: u64,
-    /// Reused choker-round snapshot buffer (one snapshot per round per client would otherwise
-    /// allocate throughout the whole run).
-    pub(crate) snapshot_scratch: Vec<PeerSnapshot>,
-    /// Reused buffer for the blocks one [`request_blocks`](Client::request_blocks) call picks.
-    pub(crate) request_scratch: Vec<(u32, u32)>,
-    /// Reused buffer for the peers a choker round unchokes.
-    pub(crate) unchoke_scratch: Vec<ConnId>,
-    /// Reused buffer for the addresses one round of outgoing connection attempts picks from.
-    pub(crate) connect_scratch: Vec<SocketAddr>,
 }
 
 impl Client {
@@ -284,10 +277,12 @@ impl Client {
         tracker_addr: SocketAddr,
         choke: ChokeConfig,
     ) -> Client {
+        let pieces = PieceManager::new(torrent, complete);
+        let missing = pieces.have().len() - pieces.have().count();
         Client {
             id,
             vnode,
-            pieces: PieceManager::new(torrent, complete),
+            pieces,
             choker: Choker::new(choke),
             peers: PeerTable::default(),
             known_peers: Vec::new(),
@@ -297,14 +292,10 @@ impl Client {
             initial_seeder: complete,
             started_at: None,
             completed_at: None,
-            progress: TimeSeries::new(),
+            progress: TimeSeries::with_capacity(1 + missing as usize),
             stats: ClientStats::default(),
             misbehavior: Misbehavior::default(),
             timer_generation: 0,
-            snapshot_scratch: Vec::new(),
-            request_scratch: Vec::new(),
-            unchoke_scratch: Vec::new(),
-            connect_scratch: Vec::new(),
         }
     }
 
@@ -346,7 +337,12 @@ impl Client {
         let holds = |block| inflight.iter().any(|r| r.0 == block);
         self.pieces
             .pick_into(&p.bitfield, budget, rng, holds, picked);
+        if !picked.is_empty() {
+            // Room for the whole pipeline, taken once: the budget never lets the list outgrow it.
+            p.inflight.reserve_exact(budget);
+        }
         p.inflight.extend(picked.iter().map(|&block| (block, now)));
+        debug_assert!(p.inflight.len() <= REQUEST_PIPELINE);
     }
 
     /// Answered transition: the peer in `slot` delivered a verified block. That settles every
@@ -421,8 +417,8 @@ impl Client {
                 .map(|p| PeerSnapshot {
                     conn: p.conn,
                     interested: p.peer_interested,
-                    download_rate: p.download.rate(now),
-                    upload_rate: p.upload.rate(now),
+                    download_rate: p.download.rate(now, RATE_WINDOW),
+                    upload_rate: p.upload.rate(now, RATE_WINDOW),
                 }),
         );
     }
@@ -598,6 +594,36 @@ mod tests {
         c.forget_requests(slot(&c, 2), None);
         assert!(!c.pieces.in_endgame());
         assert_eq!(c.pieces.requests_outstanding(), 0);
+    }
+
+    #[test]
+    fn a_full_table_churned_never_moves() {
+        let mut c = client(false);
+        let addr = |conn: u64| SocketAddr::new(VirtAddr::new(10, 0, 1, conn as u8), 6881);
+        let mut next = 0u64;
+        let mut open = |c: &mut Client| {
+            next += 1;
+            c.peers
+                .insert(PeerConn::new(ConnId(next), addr(next), true, 64));
+        };
+        open(&mut c);
+        let (conns, peers) = (c.peers.conns.as_ptr(), c.peers.peers.as_ptr());
+        while c.peers.len() < MAX_CONNECTIONS {
+            open(&mut c);
+        }
+        let mut rng = SimRng::new(40);
+        for _ in 0..1_000 {
+            let slot = rng.gen_range(0..c.peers.len());
+            c.peers.remove(slot);
+            open(&mut c);
+            assert_eq!(c.peers.len(), MAX_CONNECTIONS);
+        }
+        let table = &c.peers;
+        assert_eq!(
+            (table.conns.capacity(), table.peers.capacity()),
+            (MAX_CONNECTIONS, MAX_CONNECTIONS)
+        );
+        assert_eq!((table.conns.as_ptr(), table.peers.as_ptr()), (conns, peers));
     }
 
     #[test]

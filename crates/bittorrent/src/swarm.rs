@@ -8,17 +8,18 @@
 //! its periodic choker and tracker rounds are [`SwarmTimer`]s.
 
 use crate::bitfield::Bitfield;
-use crate::choke::ChokeConfig;
+use crate::choke::{ChokeConfig, PeerSnapshot};
 use crate::client::{
     Client, PeerConn, CHOKE_INTERVAL, LISTEN_PORT, MAX_CONNECTIONS, MAX_INITIATE, MIN_PEERS,
-    NUMWANT, TRACKER_INTERVAL,
+    NUMWANT, RATE_WINDOW, TRACKER_INTERVAL,
 };
 use crate::messages::{AnnounceEvent, BtPayload, PeerId, PeerMessage, TrackerMessage};
 use crate::piece::BlockOutcome;
 use crate::torrent::Torrent;
 use crate::tracker::Tracker;
 use p2plab_net::{
-    Endpoint, LaneKind, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
+    ConnId, Endpoint, LaneKind, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent,
+    VNodeId,
 };
 use p2plab_sim::{SimTime, TimeSeries};
 
@@ -38,6 +39,17 @@ pub struct SwarmWorld {
     /// every client's periodic timers, so a scan over all clients here would make each timer
     /// tick O(swarm size) — quadratic per round at 10^4 clients.
     completed_downloaders: usize,
+    // Reused buffers, one set for the whole swarm: each is taken by one handler and put back
+    // before it returns (a nested take would find an empty buffer, which costs an allocation
+    // and nothing else).
+    /// The choker-round snapshot.
+    snapshot_scratch: Vec<PeerSnapshot>,
+    /// The blocks one request transition picks.
+    request_scratch: Vec<(u32, u32)>,
+    /// The peers a choker round unchokes.
+    unchoke_scratch: Vec<ConnId>,
+    /// The addresses one round of outgoing connection attempts picks from.
+    connect_scratch: Vec<SocketAddr>,
 }
 
 impl SwarmWorld {
@@ -51,6 +63,10 @@ impl SwarmWorld {
             vnode_to_client,
             downloaders: 0,
             completed_downloaders: 0,
+            snapshot_scratch: Vec::new(),
+            request_scratch: Vec::new(),
+            unchoke_scratch: Vec::new(),
+            connect_scratch: Vec::new(),
         }
     }
 
@@ -409,11 +425,10 @@ fn drop_peer(sim: &mut SwarmSim, idx: usize, slot: usize) {
 
 fn handle_peer_message(sim: &mut SwarmSim, idx: usize, slot: usize, msg: PeerMessage) {
     match msg {
-        PeerMessage::Handshake { peer_id } => {
+        PeerMessage::Handshake { .. } => {
             let reply = {
                 let p = &mut sim.world_mut().clients[idx].peers[slot];
                 p.handshaken = true;
-                p.peer_id = Some(peer_id);
                 !std::mem::replace(&mut p.sent_handshake, true)
             };
             if reply {
@@ -544,7 +559,7 @@ fn handle_piece(
         // us — and forget this peer's request.
         let client = &mut sim.world_mut().clients[idx];
         let p = &mut client.peers[slot];
-        p.download.record(now, data_len as u64);
+        p.download.record(now, data_len as u64, RATE_WINDOW);
         client.stats.corrupted_blocks_rejected += 1;
         if p.bitfield.clear(piece) {
             client.pieces.remove_peer_have(piece);
@@ -557,8 +572,7 @@ fn handle_piece(
     let (completed_piece, file_complete) = {
         let client = &mut sim.world_mut().clients[idx];
         let p = &mut client.peers[slot];
-        p.download.record(now, data_len as u64);
-        p.blocks_received += 1;
+        p.download.record(now, data_len as u64, RATE_WINDOW);
         client.stats.bytes_downloaded += data_len as u64;
         client.stats.blocks_downloaded += 1;
         let outcome = client.block_answered(slot, piece, block);
@@ -625,13 +639,12 @@ fn update_interest(sim: &mut SwarmSim, idx: usize, slot: usize) {
 fn request_blocks(sim: &mut SwarmSim, idx: usize, slot: usize) {
     let now = sim.now();
     let (world, rng) = sim.world_and_rng();
-    let client = &mut world.clients[idx];
-    let mut requests = std::mem::take(&mut client.request_scratch);
-    client.request_blocks(slot, now, rng, &mut requests);
+    let mut requests = std::mem::take(&mut world.request_scratch);
+    world.clients[idx].request_blocks(slot, now, rng, &mut requests);
     for &(piece, block) in &requests {
         send_peer(sim, idx, slot, PeerMessage::Request { piece, block });
     }
-    sim.world_mut().clients[idx].request_scratch = requests;
+    sim.world_mut().request_scratch = requests;
 }
 
 /// Keeps the request pipeline full towards every peer that is currently serving us.
@@ -657,16 +670,16 @@ fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) {
     }
     let unchoked = {
         let (world, rng) = sim.world_and_rng();
+        let mut snapshot = std::mem::take(&mut world.snapshot_scratch);
+        let mut unchoked = std::mem::take(&mut world.unchoke_scratch);
         let client = &mut world.clients[idx];
         client.expire_requests(now);
-        let mut snapshot = std::mem::take(&mut client.snapshot_scratch);
-        let mut unchoked = std::mem::take(&mut client.unchoke_scratch);
         client.choker_snapshot_into(now, &mut snapshot);
         let seeding = client.is_seeding();
         client
             .choker
             .run_round(&mut snapshot, seeding, rng, &mut unchoked);
-        client.snapshot_scratch = snapshot;
+        world.snapshot_scratch = snapshot;
         unchoked
     };
     for slot in 0..sim.world().clients[idx].peers.len() {
@@ -688,7 +701,7 @@ fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) {
         };
         send_peer(sim, idx, slot, msg);
     }
-    sim.world_mut().clients[idx].unchoke_scratch = unchoked;
+    sim.world_mut().unchoke_scratch = unchoked;
     fill_pipelines(sim, idx);
     connect_to_peers(sim, idx);
     sim.schedule_event_in(
@@ -760,8 +773,8 @@ fn handle_tracker_response(sim: &mut SwarmSim, idx: usize, peers: Vec<SocketAddr
 fn connect_to_peers(sim: &mut SwarmSim, idx: usize) {
     let targets = {
         let (world, rng) = sim.world_and_rng();
-        let client = &mut world.clients[idx];
-        let mut candidates = std::mem::take(&mut client.connect_scratch);
+        let mut candidates = std::mem::take(&mut world.connect_scratch);
+        let client = &world.clients[idx];
         candidates.clear();
         if client.wants_more_peers() {
             client.unconnected_known_peers_into(&mut candidates);
@@ -782,7 +795,7 @@ fn connect_to_peers(sim: &mut SwarmSim, idx: usize) {
             sim.world_mut().clients[idx].connecting.remove(&target);
         }
     }
-    sim.world_mut().clients[idx].connect_scratch = targets;
+    sim.world_mut().connect_scratch = targets;
 }
 
 fn send_peer(sim: &mut SwarmSim, idx: usize, slot: usize, msg: PeerMessage) {
@@ -792,8 +805,7 @@ fn send_peer(sim: &mut SwarmSim, idx: usize, slot: usize, msg: PeerMessage) {
         let client = &mut sim.world_mut().clients[idx];
         let p = &mut client.peers[slot];
         if let PeerMessage::Piece { data_len, .. } = &msg {
-            p.upload.record(now, *data_len as u64);
-            p.blocks_sent += 1;
+            p.upload.record(now, *data_len as u64, RATE_WINDOW);
             client.stats.bytes_uploaded += *data_len as u64;
             client.stats.blocks_uploaded += 1;
         }

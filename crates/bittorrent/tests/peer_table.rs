@@ -14,21 +14,22 @@ use p2plab_sim::SimRng;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// A connection whose `blocks_received` carries `tag`, so a replacement is observable.
-fn peer(conn: u64, tag: u64) -> PeerConn {
-    let addr = SocketAddr::new(VirtAddr::new(10, 0, (conn >> 8) as u8, conn as u8), 6881);
-    let mut p = PeerConn::new(ConnId(conn), addr, true, 8);
-    p.blocks_received = tag;
-    p
+/// A connection whose remote port carries `tag`, so a replacement is observable.
+fn peer(conn: u64, tag: u16) -> PeerConn {
+    let addr = SocketAddr::new(VirtAddr::new(10, 0, (conn >> 8) as u8, conn as u8), tag);
+    PeerConn::new(ConnId(conn), addr, true, 8)
 }
 
 /// Applies `ops` — `(kind, conn)`: 0–1 insert, 2 remove (if open), 3 look up — over conns
 /// `0..conns` to a table and to the model, checking them against each other after every op.
 fn check_against_model(ops: &[(u8, u64)], conns: u64) {
     let mut table = PeerTable::default();
-    let mut model: BTreeMap<ConnId, u64> = BTreeMap::new();
+    let mut model: BTreeMap<ConnId, u16> = BTreeMap::new();
     for (tag, &(kind, conn)) in ops.iter().enumerate() {
-        let (conn, tag) = (ConnId(conn), tag as u64);
+        let (conn, tag) = (
+            ConnId(conn),
+            u16::try_from(tag).expect("a tag per operation"),
+        );
         match kind {
             0 | 1 => {
                 let slot = table.insert(peer(conn.0, tag));
@@ -43,20 +44,19 @@ fn check_against_model(ops: &[(u8, u64)], conns: u64) {
                 let removed = table.slot(conn).map(|slot| table.remove(slot));
                 let expected = model.remove(&conn);
                 assert_eq!(
-                    removed.map(|p| (p.conn, p.blocks_received)),
+                    removed.map(|p| (p.conn, p.peer_addr.port)),
                     expected.map(|t| (conn, t))
                 );
             }
             _ => {
-                let found = table.slot(conn).map(|slot| table[slot].blocks_received);
+                let found = table.slot(conn).map(|slot| table[slot].peer_addr.port);
                 assert_eq!(found, model.get(&conn).copied());
             }
         }
         assert_eq!(table.len(), model.len());
         assert_eq!(table.is_empty(), model.is_empty());
-        let listed: Vec<(ConnId, u64)> =
-            table.iter().map(|p| (p.conn, p.blocks_received)).collect();
-        let expected: Vec<(ConnId, u64)> = model.iter().map(|(&c, &t)| (c, t)).collect();
+        let listed: Vec<(ConnId, u16)> = table.iter().map(|p| (p.conn, p.peer_addr.port)).collect();
+        let expected: Vec<(ConnId, u16)> = model.iter().map(|(&c, &t)| (c, t)).collect();
         assert_eq!(listed, expected, "iteration order or contents differ");
         for (slot, &c) in table.conns().iter().enumerate() {
             assert_eq!(

@@ -20,6 +20,13 @@ impl TimeSeries {
         }
     }
 
+    /// Creates an empty series with room for `samples` samples.
+    pub fn with_capacity(samples: usize) -> Self {
+        TimeSeries {
+            samples: Vec::with_capacity(samples),
+        }
+    }
+
     /// Appends a sample. Samples are expected in non-decreasing time order; out-of-order
     /// samples are accepted but `value_at` assumes ordering.
     pub fn push(&mut self, time: SimTime, value: f64) {
@@ -211,53 +218,41 @@ impl Cdf {
 
 /// Exponentially-weighted moving average rate estimator (bytes per second), in the style of the
 /// 20-second rolling rate BitTorrent clients use to pick tit-for-tat partners.
-#[derive(Debug, Clone)]
+///
+/// An idle estimator is its `Default`. The smoothing window is not stored: the caller passes its
+/// one window constant to every [`record`](RateEstimator::record) and
+/// [`rate`](RateEstimator::rate), the same value each time.
+#[derive(Debug, Clone, Default)]
 pub struct RateEstimator {
-    window: SimDuration,
     rate_bps: f64,
     last_update: SimTime,
-    total: u64,
     /// One-entry memo of the last decay factor: periodic samplers (the 10 s choker round)
     /// produce the same `dt` for millions of estimator touches, and `exp` for equal input
-    /// bits is deterministic, so reusing the factor is exact and skips the `exp` call.
+    /// bits is deterministic, so reusing the factor is exact and skips the `exp` call. Zero
+    /// means empty: a zero `dt` never decays.
     memo_dt_nanos: u64,
     memo_alpha: f64,
 }
 
+// One per direction of every peer connection.
+const _: () = assert!(std::mem::size_of::<RateEstimator>() <= 32);
+
 impl RateEstimator {
-    /// Creates an estimator with the given smoothing window.
-    pub fn new(window: SimDuration) -> RateEstimator {
-        assert!(!window.is_zero(), "window must be non-zero");
-        RateEstimator {
-            window,
-            rate_bps: 0.0,
-            last_update: SimTime::ZERO,
-            total: 0,
-            memo_dt_nanos: 0,
-            memo_alpha: 1.0,
-        }
-    }
-
-    /// Records `bytes` transferred at time `now`.
-    pub fn record(&mut self, now: SimTime, bytes: u64) {
-        self.decay_to(now);
-        self.total += bytes;
+    /// Records `bytes` transferred at time `now`, smoothed over `window`.
+    pub fn record(&mut self, now: SimTime, bytes: u64, window: SimDuration) {
+        self.decay_to(now, window);
         // Treat the transfer as spread over the window: contributes bytes/window to the rate.
-        self.rate_bps += bytes as f64 / self.window.as_secs_f64();
+        self.rate_bps += bytes as f64 / window.as_secs_f64();
     }
 
-    /// Current estimated rate in bytes per second at time `now`.
-    pub fn rate(&mut self, now: SimTime) -> f64 {
-        self.decay_to(now);
+    /// Current estimated rate in bytes per second at time `now`, smoothed over `window`.
+    pub fn rate(&mut self, now: SimTime, window: SimDuration) -> f64 {
+        self.decay_to(now, window);
         self.rate_bps
     }
 
-    /// Total bytes ever recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    fn decay_to(&mut self, now: SimTime) {
+    fn decay_to(&mut self, now: SimTime, window: SimDuration) {
+        debug_assert!(!window.is_zero(), "window must be non-zero");
         if now <= self.last_update {
             return;
         }
@@ -270,7 +265,7 @@ impl RateEstimator {
         let dt = now - self.last_update;
         if dt.as_nanos() != self.memo_dt_nanos {
             self.memo_dt_nanos = dt.as_nanos();
-            self.memo_alpha = (-dt.as_secs_f64() / self.window.as_secs_f64()).exp();
+            self.memo_alpha = (-dt.as_secs_f64() / window.as_secs_f64()).exp();
         }
         self.rate_bps *= self.memo_alpha;
         self.last_update = now;
@@ -368,12 +363,14 @@ mod tests {
 
     #[test]
     fn rate_estimator_decays() {
-        let mut r = RateEstimator::new(SimDuration::from_secs(20));
-        r.record(SimTime::from_secs(0), 20_000);
-        let early = r.rate(SimTime::from_secs(1));
-        let late = r.rate(SimTime::from_secs(60));
+        let window = SimDuration::from_secs(20);
+        let mut r = RateEstimator::default();
+        r.record(SimTime::from_secs(0), 20_000, window);
+        // Right after a transfer from rest, the rate is the bytes spread over the window.
+        assert_eq!(r.rate(SimTime::from_secs(0), window), 20_000.0 / 20.0);
+        let early = r.rate(SimTime::from_secs(1), window);
+        let late = r.rate(SimTime::from_secs(60), window);
         assert!(early > late);
         assert!(late < 100.0);
-        assert_eq!(r.total(), 20_000);
     }
 }
