@@ -151,7 +151,7 @@ mod tests {
         // Every vnode's address must belong to its group's subnet.
         for &v in &d.vnodes {
             let vn = d.net.vnode(v);
-            let group = &topo.groups[vn.group.0];
+            let group = &topo.groups[vn.group().0];
             assert!(group.subnet.contains(vn.addr));
         }
     }

@@ -10,11 +10,12 @@
 //! access-link pipe and a group-latency pipe.
 //!
 //! The **emulated** cost stays linear, but the **simulator's** per-packet cost must not be:
-//! the firewall exposes a [`version`](Firewall::version) counter (bumped on every rule change)
-//! and an uncounted [`walk`](Firewall::walk) so that the network layer can precompute the
-//! classification of each (hosted node, peer group) path once per rule-set version and charge
-//! later packets from that memo — see `Network::classify` in [`crate::network`]. `classify`
-//! itself stays the plain linear walk.
+//! while a machine's rules are exactly the ones its deployment installed, the network layer
+//! computes a packet's classification from the deployment and charges it with
+//! [`count_packet`](Firewall::count_packet) — see `Network::classify` in [`crate::network`].
+//! The firewall's [`version`](Firewall::version) counter, bumped on every rule change, tells
+//! the network when a rule came from elsewhere. `classify` itself stays the plain linear walk,
+//! and the reference everything else is checked against.
 
 use crate::addr::{Subnet, VirtAddr};
 use crate::pipe::PipeId;
@@ -174,7 +175,8 @@ pub struct Firewall {
     rules: Vec<Rule>,
     per_rule_cost: SimDuration,
     stats: FirewallStats,
-    /// Bumped on every rule mutation; memo layers above compare against it.
+    /// Bumped on every rule mutation; the network compares it with the version its own rules
+    /// left.
     version: u64,
 }
 
@@ -190,8 +192,8 @@ impl Firewall {
         }
     }
 
-    /// The rule-set version: bumped on every rule change. A memoized classification computed
-    /// at version `v` is valid exactly while `version()` still returns `v`.
+    /// The rule-set version: bumped on every rule change. Rules known at version `v` are the
+    /// whole rule set exactly while `version()` still returns `v`.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -247,9 +249,9 @@ impl Firewall {
         classification
     }
 
-    /// The linear rule walk alone — no statistics update. This is what the network layer's
-    /// path memo runs once per rule-set version; [`count_packet`](Firewall::count_packet)
-    /// charges each later packet so the statistics stay identical to per-packet walking.
+    /// The linear rule walk alone — no statistics update. [`classify`](Firewall::classify) is
+    /// this plus [`count_packet`](Firewall::count_packet); the network layer's deployed
+    /// classification is checked against it in debug builds.
     pub fn walk(&self, src: VirtAddr, dst: VirtAddr, direction: Direction) -> Classification {
         let mut pipes = PipeList::default();
         let mut rules_examined = 0;
@@ -277,13 +279,13 @@ impl Firewall {
     }
 
     /// The latency a walk that examined `rules_examined` rules adds to its packet (Figure 6's
-    /// linear cost): what a memo keeps of a walk is the count, not the duration.
+    /// linear cost).
     pub(crate) fn evaluation_cost(&self, rules_examined: u64) -> SimDuration {
         self.per_rule_cost * rules_examined
     }
 
-    /// Accounts one classified packet in the firewall statistics (the memoized path in the
-    /// network layer calls this instead of re-walking).
+    /// Accounts one classified packet in the firewall statistics (the network layer's deployed
+    /// classification calls this instead of walking).
     pub fn count_packet(&mut self, rules_examined: u64, accepted: bool) {
         self.stats.packets += 1;
         self.stats.rules_examined += rules_examined;
@@ -443,8 +445,8 @@ mod tests {
 
     #[test]
     fn version_bumps_on_rule_changes_and_classify_stays_exact() {
-        // A cached path must re-walk after the rule list changes: first a plain pipe rule,
-        // then a Deny inserted behind it that flips the verdict.
+        // A classification must follow the rule list when it changes: first a plain pipe
+        // rule, then a Deny inserted behind it that flips the verdict.
         let mut fw = Firewall::new(SimDuration::from_nanos(100));
         fw.add_rule(Rule::pipe(
             Subnet::any(),

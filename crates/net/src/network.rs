@@ -17,7 +17,18 @@
 //! plane keeps about an entity lives in that entity's slot — never in a table keyed by the id.
 //! Addresses are assigned by the network, not the caller: the `k`-th node added to a group gets
 //! [`TopologySpec::node_addr`]`(group, k)` (the paper's Figure 4 alias numbering), which makes
-//! [`Network::resolve`] arithmetic on the group's subnet instead of a lookup.
+//! [`Network::resolve`] arithmetic on the group's subnet instead of a lookup. A [`VNodeNet`] is
+//! one 32-byte record: its ids are stored as `u32`, and its download pipe is the one created
+//! right after its upload pipe.
+//!
+//! **A packet reads its path from the deployment.** A machine's rule set as deployed is two
+//! `/32` pipe rules per hosted node and one latency rule per installed (source group,
+//! destination group) pair. While its firewall holds nothing else, `Network::classify` answers
+//! from the two nodes' records and the machine's table of group-pair pipes: every rule is
+//! examined, the packet is accepted, and it crosses the sender's upload pipe and the pair's
+//! latency pipe, or the receiver's download pipe. A rule from anywhere else, overlapping group
+//! subnets, or a packet under the machine's administration address takes the linear walk,
+//! [`Firewall::classify`].
 
 use crate::addr::{Subnet, VirtAddr};
 use crate::firewall::{Classification, Direction, Firewall, PipeList, Rule};
@@ -25,7 +36,7 @@ use crate::intercept::InterceptConfig;
 use crate::pipe::{Pipe, PipeConfig, PipeId};
 use crate::proto::{CongestionController, ProtoConn, TransportConfig};
 use crate::tamper::{TamperSpec, TamperState};
-use crate::topology::{GroupId, GroupSpec, TopologySpec};
+use crate::topology::{GroupId, TopologySpec};
 use p2plab_os::SyscallCostModel;
 use p2plab_sim::{FxHashSet, SimDuration, SimRng};
 
@@ -122,7 +133,7 @@ pub enum ConnState {
 /// A transport connection between two virtual nodes: its two endpoints and its state, which is
 /// what the transport reads to route and accept a frame, plus the count that decides when the
 /// record goes. A record lives while its connection is open, and after a close or refusal
-/// until nothing can name it any more; byte counts live on the vnodes.
+/// until nothing can name it any more.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Connection {
     /// Initiating endpoint (node, port).
@@ -161,67 +172,8 @@ impl Connection {
     }
 }
 
-/// Per-machine memo of firewall classifications at `(hosted node, peer group)` granularity —
-/// the precomputation the paper's per-packet IPFW walk invites: in a deployed topology every
-/// rule is either a hosted node's own `/32` access-link rule or a group-subnet latency rule, so
-/// the outgoing classification depends only on the concrete source host and the *group* of the
-/// destination (and symmetrically for incoming traffic). That makes the memo one dense table
-/// per machine — hosted nodes × groups × directions, indexed by the hosted node's position on
-/// the machine ([`VNodeNet`]'s slot) and the peer's group — small enough to stay
-/// cache-resident, unlike a full `(src, dst)` pair memo, and reached without hashing.
-///
-/// Soundness is checked, not assumed: the memo is rebuilt whenever the firewall's rule-set
-/// version changes, and if any rule's subnet cuts *through* a group (so two peers in one group
-/// could classify differently) the memo disables itself and every packet falls back to the
-/// plain linear walk. Statistics are charged per packet either way, so `FirewallStats` is
-/// byte-identical with and without the memo.
-#[derive(Debug, Clone, Default)]
-struct PathMemo {
-    /// Firewall rule-set version the memo matches; 0 = never built.
-    version: u64,
-    /// Whether `(hosted node, peer group)` granularity is sound, indexed by [`Direction`].
-    usable: [bool; 2],
-    /// `[(slot * groups + peer group) * 2 + direction]`; unfilled until the path is first walked.
-    paths: Vec<PathCell>,
-}
-
-/// One memoized path: what [`Firewall::walk`] found for it, in the 20 bytes the packet walk
-/// reads. The rule cost is kept as the count it is derived from
-/// ([`Firewall::evaluation_cost`]). A walk that collects more than three pipes, or ids beyond
-/// `u32`, does not fit and is not memoized: that path takes the linear walk for every packet.
-#[derive(Debug, Clone, Copy, Default)]
-struct PathCell {
-    rules_examined: u32,
-    pipes: [u32; 3],
-    len: u8,
-    accepted: bool,
-    filled: bool,
-}
-
-// One cell per (hosted node, peer group, direction): 100,000 of them at 50,000 vnodes, read at
-// random by every packet. A field added here is paid for in cache misses.
-const _: () = assert!(std::mem::size_of::<PathCell>() <= 24);
-
-impl PathCell {
-    fn of(walked: &Classification) -> Option<PathCell> {
-        let mut pipes = [0; 3];
-        if walked.pipes.len() > pipes.len() {
-            return None;
-        }
-        for (slot, pipe) in pipes.iter_mut().zip(&walked.pipes) {
-            *slot = u32::try_from(pipe.0).ok()?;
-        }
-        Some(PathCell {
-            rules_examined: u32::try_from(walked.rules_examined).ok()?,
-            pipes,
-            len: walked.pipes.len() as u8,
-            accepted: walked.accepted,
-            filled: true,
-        })
-    }
-}
-
-/// What the packet walk needs of a classification, from the memo or from a linear walk.
+/// What the packet walk needs of a classification: computed from the deployment, or found by
+/// the linear walk.
 pub(crate) struct PacketPath {
     /// Whether the packet is accepted (false if a Deny rule matched).
     pub accepted: bool,
@@ -231,19 +183,21 @@ pub(crate) struct PacketPath {
 }
 
 enum PathPipes {
-    Memoized(PathCell),
+    /// An as-deployed machine's answer: the first `len` of `pipes`.
+    Deployed {
+        pipes: [PipeId; 2],
+        len: u8,
+    },
     Walked(PipeList),
 }
 
 impl PacketPath {
     /// Pipes the packet must traverse, in rule order.
-    pub fn pipes(&self) -> impl Iterator<Item = PipeId> + '_ {
-        let (memoized, walked): (&[u32], &[PipeId]) = match &self.pipes {
-            PathPipes::Memoized(cell) => (&cell.pipes[..cell.len as usize], &[]),
-            PathPipes::Walked(list) => (&[], list),
-        };
-        let memoized = memoized.iter().map(|&pipe| PipeId(pipe as usize));
-        memoized.chain(walked.iter().copied())
+    pub fn pipes(&self) -> &[PipeId] {
+        match &self.pipes {
+            PathPipes::Deployed { pipes, len } => &pipes[..usize::from(*len)],
+            PathPipes::Walked(list) => list,
+        }
     }
 }
 
@@ -257,13 +211,12 @@ impl From<Classification> for PacketPath {
     }
 }
 
-/// True when `subnet` never cuts through a group: for every group it either covers the whole
-/// group subnet or is disjoint from it. Prefix subnets are nested-or-disjoint, so the only bad
-/// case is `subnet` strictly inside a group's subnet.
-fn group_uniform(subnet: Subnet, groups: &[GroupSpec]) -> bool {
-    groups
-        .iter()
-        .all(|g| !(subnet.prefix > g.subnet.prefix && g.subnet.contains(subnet.base)))
+/// Marks a (source group, destination group) pair with no latency rule on a machine.
+const NO_PIPE: u32 = u32::MAX;
+
+/// An arena index as the `u32` the per-node and per-machine records store.
+fn narrow(id: usize) -> u32 {
+    u32::try_from(id).expect("arena ids fit in 32 bits")
 }
 
 /// A physical machine's networking state.
@@ -282,10 +235,14 @@ pub struct MachineNet {
     pub nic_rx: PipeId,
     /// Per group (indexed by [`GroupId`]), whether its inter-group rules are installed here.
     group_rules_installed: Vec<bool>,
-    /// Virtual nodes hosted here; the next one's [`VNodeNet`] slot.
+    /// The latency pipe of each installed inter-group rule, at `[src * groups + dst]`, or
+    /// [`NO_PIPE`]; empty until the first such rule is installed.
+    group_pipes: Vec<u32>,
+    /// The firewall's version after the last rule `add_vnode` installed: while the firewall
+    /// still reports it, every rule on the machine is the deployment's own.
+    deployed_version: u64,
+    /// Virtual nodes hosted on this machine.
     hosted: u32,
-    /// Memoized per-path classifications (lazily rebuilt per firewall version).
-    path_memo: PathMemo,
 }
 
 impl MachineNet {
@@ -294,53 +251,55 @@ impl MachineNet {
         self.hosted as usize
     }
 
-    /// Rebuilds the path memo against the firewall's current rule set.
-    fn refresh_path_memo(&mut self, groups: &[GroupSpec]) {
-        let rules = self.firewall.rules();
-        // Outgoing paths may vary with the destination's group only, incoming ones with the
-        // source's: every rule that applies in a direction must treat the peer's group as one.
-        let usable = |direction: Direction, peer: fn(&Rule) -> Subnet| {
-            rules
-                .iter()
-                .filter(|r| r.direction.is_none_or(|d| d == direction))
-                .all(|r| group_uniform(peer(r), groups))
-        };
-        let memo = &mut self.path_memo;
-        memo.usable = [
-            usable(Direction::Out, |r| r.dst),
-            usable(Direction::In, |r| r.src),
-        ];
-        memo.paths.clear();
-        memo.paths
-            .resize(self.hosted as usize * groups.len() * 2, PathCell::default());
-        memo.version = self.firewall.version();
+    /// Whether the firewall holds exactly the rules the deployment installed.
+    fn as_deployed(&self) -> bool {
+        self.firewall.version() == self.deployed_version
     }
 }
 
-/// A virtual node's networking state.
+/// A virtual node's networking state. Ids are stored as `u32` and read through the accessors.
 #[derive(Debug, Clone)]
 pub struct VNodeNet {
     /// The node's emulated IP address (an interface alias on its machine).
     pub addr: VirtAddr,
-    /// The group the node belongs to.
-    pub group: GroupId,
-    /// The machine hosting the node.
-    pub machine: MachineId,
-    /// Access-link upload pipe.
-    pub up_pipe: PipeId,
-    /// Access-link download pipe.
-    pub down_pipe: PipeId,
-    /// Bytes sent by this node's applications.
-    pub bytes_sent: u64,
-    /// Bytes delivered to this node's applications.
-    pub bytes_received: u64,
-    /// The node's position among the virtual nodes of its machine (its path-memo row).
-    slot: u32,
+    group: u32,
+    machine: u32,
+    /// Access-link upload pipe; the download pipe is the next one.
+    up_pipe: u32,
+    /// Whether this node's arrival installed its group's inter-group rules on its machine, so
+    /// that its own upload rule precedes them.
+    installed_group_rules: bool,
     /// Marked byzantine, for `byzantine_msgs_sent` accounting.
     pub(crate) byzantine: bool,
     /// Sender-side wire-tamper state (see [`crate::tamper`]); `None` — and therefore
     /// completely inert, drawing no randomness — unless an adversary installed it.
     pub(crate) tamper: Option<Box<TamperState>>,
+}
+
+// Read twice per packet hop, at random over the deployment: 50,000 of them in `gossip-wide`.
+// A field added here is paid for in cache misses.
+const _: () = assert!(std::mem::size_of::<VNodeNet>() <= 32);
+
+impl VNodeNet {
+    /// The group the node belongs to.
+    pub fn group(&self) -> GroupId {
+        GroupId(self.group as usize)
+    }
+
+    /// The machine hosting the node.
+    pub fn machine(&self) -> MachineId {
+        MachineId(self.machine as usize)
+    }
+
+    /// Access-link upload pipe.
+    pub fn up_pipe(&self) -> PipeId {
+        PipeId(self.up_pipe as usize)
+    }
+
+    /// Access-link download pipe.
+    pub fn down_pipe(&self) -> PipeId {
+        PipeId(self.up_pipe as usize + 1)
+    }
 }
 
 /// Global data-plane counters.
@@ -453,11 +412,21 @@ pub struct Network {
     /// Whether any node carries a tamper point or byzantine mark — the one flag the honest
     /// packet walk tests before looking at per-node adversary state.
     pub(crate) adversary: bool,
+    /// Whether no two group subnets overlap, which the deployed classification relies on: a
+    /// node's address then lies in its own group's subnet and in no other.
+    disjoint_groups: bool,
 }
 
 impl Network {
     /// Creates a network for the given topology.
     pub fn new(config: NetworkConfig, topology: TopologySpec) -> Network {
+        // Prefix subnets are nested or disjoint: two overlap when one holds the other's base.
+        let groups = &topology.groups;
+        let disjoint_groups = groups.iter().enumerate().all(|(i, a)| {
+            groups[..i]
+                .iter()
+                .all(|b| !a.subnet.contains(b.subnet.base) && !b.subnet.contains(a.subnet.base))
+        });
         Network {
             config,
             pipes: Vec::new(),
@@ -473,6 +442,7 @@ impl Network {
             proto: Vec::new(),
             retired_cwnd: (0, 0),
             adversary: false,
+            disjoint_groups,
             topology,
         }
     }
@@ -516,25 +486,32 @@ impl Network {
         let nic_rx = self.add_pipe(
             PipeConfig::shaped(self.config.nic_bps, SimDuration::ZERO).with_queue_limit(None),
         );
+        let firewall = Firewall::new(self.config.per_rule_cost);
         self.machines.push(MachineNet {
             name: name.into(),
             admin_addr,
-            firewall: Firewall::new(self.config.per_rule_cost),
+            deployed_version: firewall.version(),
+            firewall,
             nic_tx,
             nic_rx,
             group_rules_installed: vec![false; self.topology.groups.len()],
+            group_pipes: Vec::new(),
             hosted: 0,
-            path_memo: PathMemo::default(),
         });
         MachineId(self.machines.len() - 1)
     }
 
     /// Classifies a packet from `src` to `dst` on the firewall of the machine hosting `src`
-    /// ([`Direction::Out`]) or `dst` ([`Direction::In`]), through that machine's path memo when
-    /// its `(hosted node, peer group)` granularity is sound (see [`PathMemo`]); falls back to
-    /// the plain linear walk otherwise — results and statistics are identical either way.
-    /// `src_addr` may differ from `src`'s address when interception is disabled (traffic
-    /// attributed to the machine's administration address), which also forces the fallback.
+    /// ([`Direction::Out`]) or `dst` ([`Direction::In`]). Results and statistics are those of
+    /// [`Firewall::classify`], which answers whenever the machine's rules are not as deployed.
+    ///
+    /// A deployed rule set is two `/32` pipe rules per hosted node and one latency rule per
+    /// installed (source group, destination group) pair, and no Allow or Deny. So every packet
+    /// examines every rule and is accepted, and the pipes follow from the two nodes: an
+    /// outgoing packet crosses `src`'s upload pipe and the machine's latency pipe for the
+    /// groups' pair, if there is one, in rule order; an incoming one crosses `dst`'s download
+    /// pipe. That holds while group subnets are disjoint and the source is `src`'s own address
+    /// (`src_addr` is the machine's administration address when interception is disabled).
     pub(crate) fn classify(
         &mut self,
         direction: Direction,
@@ -543,38 +520,45 @@ impl Network {
         dst: VNodeId,
     ) -> PacketPath {
         let (s, d) = (&self.vnodes[src.0], &self.vnodes[dst.0]);
-        let (src_is_vnode, dst_addr) = (s.addr == src_addr, d.addr);
-        let (host, peer) = match direction {
-            Direction::Out => (s, d),
-            Direction::In => (d, s),
+        let host = match direction {
+            Direction::Out => s,
+            Direction::In => d,
         };
-        let groups = &self.topology.groups;
-        let path = (host.slot as usize * groups.len() + peer.group.0) * 2 + direction as usize;
-        let m = &mut self.machines[host.machine.0];
-        if m.path_memo.version != m.firewall.version() {
-            m.refresh_path_memo(groups);
+        let m = &mut self.machines[host.machine as usize];
+        if !self.disjoint_groups || s.addr != src_addr || !m.as_deployed() {
+            return m.firewall.classify(src_addr, d.addr, direction).into();
         }
-        if !src_is_vnode || !m.path_memo.usable[direction as usize] {
-            return m.firewall.classify(src_addr, dst_addr, direction).into();
-        }
-        // Walk and memoize on first use; statistics are charged exactly as `classify` would.
-        let firewall = &mut m.firewall;
-        let cell = &mut m.path_memo.paths[path];
-        if !cell.filled {
-            let walked = firewall.walk(src_addr, dst_addr, direction);
-            let Some(filled) = PathCell::of(&walked) else {
-                firewall.count_packet(walked.rules_examined as u64, walked.accepted);
-                return walked.into();
-            };
-            *cell = filled;
-        }
-        let cell = *cell;
-        firewall.count_packet(cell.rules_examined.into(), cell.accepted);
-        PacketPath {
-            accepted: cell.accepted,
-            evaluation_cost: firewall.evaluation_cost(cell.rules_examined.into()),
-            pipes: PathPipes::Memoized(cell),
-        }
+        let (pipes, len) = match direction {
+            Direction::Out => {
+                let groups = self.topology.groups.len();
+                let pair = s.group as usize * groups + d.group as usize;
+                match m.group_pipes.get(pair).copied().unwrap_or(NO_PIPE) {
+                    NO_PIPE => ([s.up_pipe(), PipeId(0)], 1),
+                    latency if s.installed_group_rules => {
+                        ([s.up_pipe(), PipeId(latency as usize)], 2)
+                    }
+                    latency => ([PipeId(latency as usize), s.up_pipe()], 2),
+                }
+            }
+            Direction::In => ([d.down_pipe(), PipeId(0)], 1),
+        };
+        let rules = m.firewall.rule_count() as u64;
+        m.firewall.count_packet(rules, true);
+        let path = PacketPath {
+            accepted: true,
+            evaluation_cost: m.firewall.evaluation_cost(rules),
+            pipes: PathPipes::Deployed { pipes, len },
+        };
+        debug_assert!(
+            {
+                let walked = m.firewall.walk(src_addr, d.addr, direction);
+                walked.accepted
+                    && walked.rules_examined as u64 == rules
+                    && path.pipes() == &walked.pipes[..]
+            },
+            "deployed classification of {src:?} -> {dst:?} ({direction:?}) differs from the walk"
+        );
+        path
     }
 
     /// Adds a virtual node of `group` on `machine`, at the group's next unassigned address
@@ -622,7 +606,13 @@ impl Network {
                 .with_queue_limit(None)
                 .with_condition(link.condition),
         );
+        debug_assert_eq!(
+            down_pipe.0,
+            up_pipe.0 + 1,
+            "a node's pipes are created back to back"
+        );
         let m = &mut self.machines[machine.0];
+        let deployed = m.as_deployed();
         m.firewall.add_rule(Rule::pipe(
             Subnet::host(addr),
             Subnet::any(),
@@ -635,19 +625,19 @@ impl Network {
             Direction::In,
             down_pipe,
         ));
-        let slot = m.hosted;
         m.hosted += 1;
-        self.install_group_rules(machine, group);
+        let installed_group_rules = self.install_group_rules(machine, group);
+        let m = &mut self.machines[machine.0];
+        if deployed {
+            m.deployed_version = m.firewall.version();
+        }
         let id = VNodeId(self.vnodes.len());
         self.vnodes.push(VNodeNet {
             addr,
-            group,
-            machine,
-            up_pipe,
-            down_pipe,
-            bytes_sent: 0,
-            bytes_received: 0,
-            slot,
+            group: narrow(group.0),
+            machine: narrow(machine.0),
+            up_pipe: narrow(up_pipe.0),
+            installed_group_rules,
             byzantine: false,
             tamper: None,
         });
@@ -656,31 +646,31 @@ impl Network {
     }
 
     /// Installs the inter-group latency rules for traffic of `group` leaving `machine`, if they
-    /// are not already present.
-    fn install_group_rules(&mut self, machine: MachineId, group: GroupId) {
-        if self.machines[machine.0].group_rules_installed[group.0] {
-            return;
+    /// are not already present; true if this call installed them.
+    fn install_group_rules(&mut self, machine: MachineId, group: GroupId) -> bool {
+        let installed = &mut self.machines[machine.0].group_rules_installed[group.0];
+        if std::mem::replace(installed, true) {
+            return false;
         }
-        let src_subnet = self.topology.groups[group.0].subnet;
-        let mut new_rules = Vec::new();
-        for (other_idx, other) in self.topology.groups.iter().enumerate() {
-            let other_id = GroupId(other_idx);
-            if other_id == group {
-                continue;
-            }
-            let latency = self.topology.group_latency(group, other_id);
+        let groups = &self.topology.groups;
+        let (n, src) = (groups.len(), groups[group.0].subnet);
+        for other in 0..n {
+            // Zero for the group itself, which therefore gets no rule.
+            let latency = self.topology.group_latency(group, GroupId(other));
             if latency.is_zero() {
                 continue;
             }
-            new_rules.push((src_subnet, other.subnet, latency));
-        }
-        for (src, dst, latency) in new_rules {
+            let dst = self.topology.groups[other].subnet;
             let pipe = self.add_pipe(PipeConfig::delay_only(latency));
-            self.machines[machine.0]
-                .firewall
+            let m = &mut self.machines[machine.0];
+            m.firewall
                 .add_rule(Rule::pipe(src, dst, Direction::Out, pipe));
+            if m.group_pipes.is_empty() {
+                m.group_pipes.resize(n * n, NO_PIPE);
+            }
+            m.group_pipes[group.0 * n + other] = narrow(pipe.0);
         }
-        self.machines[machine.0].group_rules_installed[group.0] = true;
+        true
     }
 
     fn add_pipe(&mut self, config: PipeConfig) -> PipeId {
@@ -967,7 +957,7 @@ mod tests {
         for i in 1..=50u8 {
             let vnode = net.resolve(VirtAddr::new(10, 0, 0, i)).unwrap();
             assert_eq!(
-                (vnode, net.vnode(vnode).machine),
+                (vnode, net.vnode(vnode).machine()),
                 (VNodeId(i as usize - 1), m)
             );
         }
@@ -1150,29 +1140,32 @@ mod tests {
             prop_assert_eq!(net.resolve(VirtAddr::new(192, 168, 38, 1)), None);
         }
 
-        /// The path memo against the walk it replaces: a twin of every machine's firewall
-        /// classifies each packet with the plain linear [`Firewall::classify`]. `cut` adds rules
-        /// that switch a direction's memo off; `wide` puts four pipe rules in front of
-        /// everything, so every path collects more pipes than a cell holds.
+        /// The deployed classification against the walk it stands for: a twin of every
+        /// machine's firewall classifies each packet with the plain linear
+        /// [`Firewall::classify`]. `foreign` adds rules, dummy rules or a clear from outside the
+        /// deployment, ahead of it, behind it and mid-stream; `nested` adds a group whose subnet
+        /// holds every other group's, so a node's address matches more than its own group.
         #[test]
-        fn memoized_classification_equals_the_linear_walk(
+        fn deployed_classification_equals_the_linear_walk(
             seed in any::<u64>(),
-            cut in any::<bool>(),
-            wide in any::<bool>(),
+            foreign in any::<bool>(),
+            nested in any::<bool>(),
         ) {
             let mut rng = SimRng::new(seed);
-            let topo = TopologySpec::paper_figure7();
-            // Whole groups, a supernet of three of them and everything: all group-uniform.
+            let mut topo = TopologySpec::paper_figure7();
+            if nested {
+                let lan = AccessLinkClass::lan_10m();
+                let all = topo.add_group("all", "10.0.0.0/8".parse().unwrap(), 5, lan);
+                topo.set_group_latency(all, GroupId(0), SimDuration::from_millis(7));
+                topo.set_group_latency(all, GroupId(3), SimDuration::from_millis(9));
+            }
+            // Whole groups, a supernet of three of them, everything, and a subnet that cuts
+            // through the 10.2.0.0/16 group (its first three nodes are inside).
             let mut subnets: Vec<Subnet> = topo.groups.iter().map(|g| g.subnet).collect();
-            subnets.extend([Subnet::any(), "10.1.0.0/16".parse().unwrap()]);
-            let subnet = |rng: &mut SimRng| {
-                if cut && rng.chance(0.4) {
-                    // Cuts through the 10.2.0.0/16 group: its first three nodes are inside.
-                    "10.2.0.0/30".parse().unwrap()
-                } else {
-                    subnets[rng.gen_range(0..subnets.len())]
-                }
-            };
+            for extra in ["0.0.0.0/0", "10.1.0.0/16", "10.2.0.0/30"] {
+                subnets.push(extra.parse().unwrap());
+            }
+            let subnet = |rng: &mut SimRng| subnets[rng.gen_range(0..subnets.len())];
             let random_rule = |rng: &mut SimRng| Rule {
                 src: subnet(rng),
                 dst: subnet(rng),
@@ -1183,31 +1176,34 @@ mod tests {
                     _ => RuleAction::Pipe(PipeId(rng.gen_range(0..4))),
                 },
             };
+            // One mutation from outside the deployment, applied to a firewall and its twin.
+            let mutate = |rng: &mut SimRng, firewalls: [&mut Firewall; 2]| {
+                let (kind, dummies, rule) =
+                    (rng.gen_range(0..8u8), rng.gen_range(1..4usize), random_rule(rng));
+                for firewall in firewalls {
+                    match kind {
+                        0 => firewall.clear(),
+                        1 => firewall.add_dummy_rules(dummies),
+                        _ => {
+                            firewall.add_rule(rule);
+                        }
+                    }
+                }
+            };
             let mut net = Network::new(NetworkConfig::default(), topo.clone());
             let machines = [
                 net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1)),
                 net.add_machine("pm1", VirtAddr::new(192, 168, 38, 2)),
             ];
-            if wide {
-                for &m in &machines {
-                    for pipe in 0..4 {
-                        let rule = Rule {
-                            src: Subnet::any(),
-                            dst: Subnet::any(),
-                            direction: None,
-                            action: RuleAction::Pipe(PipeId(pipe)),
-                        };
-                        net.machine_mut(m).firewall.add_rule(rule);
-                    }
-                }
-            }
-            // Random rules ahead of the deployment's own (a Deny up front cuts walks short)
-            // and behind them.
+            // The twins start empty and take every rule their machine takes.
+            let mut twins = [(); 2].map(|_| Firewall::new(NetworkConfig::default().per_rule_cost));
+            let mut foreign_on = [false; 2];
+            // Rules ahead of the deployment's own (a Deny up front cuts walks short) and behind.
             for ahead in [true, false] {
-                for &m in &machines {
-                    if rng.chance(0.5) {
-                        let rule = random_rule(&mut rng);
-                        net.machine_mut(m).firewall.add_rule(rule);
+                for (m, twin) in twins.iter_mut().enumerate() {
+                    if foreign && rng.chance(0.5) {
+                        mutate(&mut rng, [&mut net.machines[m].firewall, twin]);
+                        foreign_on[m] = true;
                     }
                 }
                 if ahead {
@@ -1216,17 +1212,19 @@ mod tests {
                             net.add_vnode(machines[(g + k) % 2], GroupId(g)).unwrap();
                         }
                     }
+                    for (machine, twin) in net.machines.iter().zip(&mut twins) {
+                        for &rule in &machine.firewall.rules()[twin.rule_count()..] {
+                            twin.add_rule(rule);
+                        }
+                    }
                 }
             }
-            let mut twins: Vec<Firewall> = net.machines.iter().map(|m| m.firewall.clone()).collect();
-            let (mut hits, mut unmemoized, packets) = (0, 0, 400);
+            let (mut by_arithmetic, packets) = (0, 400);
             for i in 0..packets {
-                if i == packets / 2 {
-                    // A rule added mid-stream must invalidate what the memo holds.
-                    let rule = random_rule(&mut rng);
+                if foreign && i == packets / 2 {
                     let m = rng.gen_range(0..machines.len());
-                    net.machines[m].firewall.add_rule(rule);
-                    twins[m].add_rule(rule);
+                    mutate(&mut rng, [&mut net.machines[m].firewall, &mut twins[m]]);
+                    foreign_on[m] = true;
                 }
                 let src = VNodeId(rng.gen_range(0..net.vnode_count()));
                 let dst = VNodeId(rng.gen_range(0..net.vnode_count()));
@@ -1235,47 +1233,99 @@ mod tests {
                     Direction::Out => src,
                     Direction::In => dst,
                 };
-                let m = net.vnode(host).machine.0;
+                let m = net.vnode(host).machine().0;
                 // Without the interception shim traffic carries the machine's own address.
                 let src_addr = if rng.chance(0.1) {
-                    net.machine(net.vnode(src).machine).admin_addr
+                    net.machine(net.vnode(src).machine()).admin_addr
                 } else {
                     net.addr_of(src)
                 };
                 let got = net.classify(direction, src, src_addr, dst);
                 let want = twins[m].classify(src_addr, net.addr_of(dst), direction);
-                // `classify` has brought the memo up to the rule set by now.
-                let through_memo =
-                    net.machines[m].path_memo.usable[direction as usize] && src_addr == net.addr_of(src);
-                hits += usize::from(through_memo);
                 prop_assert_eq!(got.accepted, want.accepted);
                 prop_assert_eq!(got.evaluation_cost, want.evaluation_cost);
-                prop_assert_eq!(&got.pipes().collect::<Vec<_>>()[..], &want.pipes[..]);
+                prop_assert_eq!(got.pipes(), &want.pipes[..]);
                 // `rules_examined` is compared through what it is charged to.
                 prop_assert_eq!(net.machines[m].firewall.stats(), twins[m].stats());
-                // A path of up to three pipes is answered from its cell; a longer one is not
-                // memoized, however often it comes by.
-                let memoized = matches!(got.pipes, PathPipes::Memoized(_));
-                prop_assert_eq!(memoized, through_memo && want.pipes.len() <= 3);
-                unmemoized += usize::from(through_memo && !memoized);
+                // A machine answers by arithmetic exactly while it has never taken a rule from
+                // outside, its groups are disjoint and the source is the node's own address.
+                let arithmetic = matches!(got.pipes, PathPipes::Deployed { .. });
+                prop_assert_eq!(
+                    arithmetic,
+                    !foreign_on[m] && !nested && src_addr == net.addr_of(src)
+                );
+                by_arithmetic += usize::from(arithmetic);
             }
-            // The four leading pipe rules put every path that reaches the memo beyond a cell
-            // (and without a cutting rule most packets reach it, see the last assertion).
-            prop_assert!(!wide || unmemoized == hits, "{unmemoized} of {hits}");
             for (machine, twin) in net.machines.iter().zip(&twins) {
                 prop_assert_eq!(machine.firewall.stats(), twin.stats());
-                // A cutting rule that applies in a direction switches that direction's memo
-                // off; without one the memo stays on.
-                for (d, peer) in [(Direction::Out, 0), (Direction::In, 1)] {
-                    let cuts = cut
-                        && twin.rules().iter().any(|r| {
-                            r.direction.is_none_or(|rd| rd == d)
-                                && [r.dst, r.src][peer].prefix == 30
-                        });
-                    prop_assert_eq!(machine.path_memo.usable[d as usize], !cuts);
-                }
             }
-            prop_assert!(cut || hits > packets / 2, "the memo was barely exercised: {hits}");
+            prop_assert!(
+                foreign || nested || by_arithmetic > packets / 2,
+                "the arithmetic was barely exercised: {by_arithmetic}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_deployed_machine_stores_what_its_rules_say() {
+        // Figure 7's five groups, interleaved over three machines.
+        let topo = TopologySpec::paper_figure7();
+        let groups = topo.groups.len();
+        let mut net = Network::new(NetworkConfig::default(), topo.clone());
+        for m in 0..3u8 {
+            net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m + 1));
+        }
+        for k in 0..20 {
+            net.add_vnode(MachineId(k % 3), GroupId(k % groups))
+                .unwrap();
+        }
+        let mut installers = BTreeMap::new();
+        for (id, v) in net.vnodes() {
+            assert_eq!(v.down_pipe().0, v.up_pipe().0 + 1);
+            let rules = net.machine(v.machine()).firewall.rules();
+            let host = Subnet::host(v.addr);
+            assert!(rules.contains(&Rule::pipe(
+                host,
+                Subnet::any(),
+                Direction::Out,
+                v.up_pipe()
+            )));
+            assert!(rules.contains(&Rule::pipe(
+                Subnet::any(),
+                host,
+                Direction::In,
+                v.down_pipe()
+            )));
+            // The first node of a group on a machine is the one that installed its rules.
+            installers.entry((v.machine(), v.group())).or_insert(id);
+            let installer = installers[&(v.machine(), v.group())];
+            assert_eq!(v.installed_group_rules, installer == id, "{id:?}");
+        }
+        for machine in &net.machines {
+            assert!(machine.as_deployed());
+            // Every group-subnet rule, keyed by its groups, against the table's entries.
+            let group = |subnet: Subnet| {
+                net.topology()
+                    .groups
+                    .iter()
+                    .position(|g| g.subnet == subnet)
+            };
+            let ruled: BTreeMap<(usize, usize), usize> = machine
+                .firewall
+                .rules()
+                .iter()
+                .filter_map(|r| match (group(r.src), group(r.dst), r.action) {
+                    (Some(s), Some(d), RuleAction::Pipe(pipe)) => Some(((s, d), pipe.0)),
+                    _ => None,
+                })
+                .collect();
+            let tabled: BTreeMap<(usize, usize), usize> = (machine.group_pipes.iter().enumerate())
+                .filter(|&(_, &pipe)| pipe != NO_PIPE)
+                .map(|(pair, &pipe)| ((pair / groups, pair % groups), pipe as usize))
+                .collect();
+            assert_eq!(ruled, tabled);
+            // Each machine hosts all five groups, each with latency to the four others.
+            assert_eq!(ruled.len(), 5 * 4);
         }
     }
 
@@ -1423,16 +1473,7 @@ mod tests {
         assert_eq!(owner.slot(), stale.slot());
         assert!(owner > stale);
         let before = *sim.world().net.connection(owner).unwrap();
-        let bytes = |sim: &NetSim<Cycler>| {
-            let v = |n| sim.world().net.vnode(VNodeId(n));
-            [
-                v(0).bytes_sent,
-                v(0).bytes_received,
-                v(1).bytes_sent,
-                v(1).bytes_received,
-            ]
-        };
-        let (bytes_before, events_before) = (bytes(&sim), sim.world().events);
+        let (stats_before, events_before) = (sim.world().net.stats(), sim.world().events);
         for ep in [client, server] {
             assert_eq!(
                 ep.send(&mut sim, stale, LaneKind::ReliableOrdered, 100, 1),
@@ -1446,7 +1487,7 @@ mod tests {
         sim.run();
         assert_eq!(*sim.world().net.connection(owner).unwrap(), before);
         assert_eq!(before.state, ConnState::Established);
-        assert_eq!(bytes(&sim), bytes_before);
+        assert_eq!(sim.world().net.stats(), stats_before);
         assert_eq!(sim.world().events, events_before);
     }
 

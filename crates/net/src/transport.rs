@@ -509,7 +509,6 @@ impl Endpoint {
             return Err(NetError::NotEstablished(conn));
         }
         let dst = c.peer_of(node);
-        net.vnode_mut(node).bytes_sent += size;
         if net.transport_active() {
             let sender_is_client = c.client.0 == node;
             return proto_send(sim, node, dst, sender_is_client, conn, lane, size, payload);
@@ -551,7 +550,6 @@ impl Endpoint {
         let dst = net
             .resolve(remote.addr)
             .ok_or(NetError::NoRouteToHost(remote.addr))?;
-        net.vnode_mut(node).bytes_sent += size;
         let flight = make_flight(
             net,
             node,
@@ -699,7 +697,7 @@ fn make_flight<P>(net: &mut Network, src: VNodeId, dst: VNodeId, frame: Frame<P>
         net.pin(conn);
     }
     let src_node = net.vnode(src);
-    let admin = net.machine(src_node.machine).admin_addr;
+    let admin = net.machine(src_node.machine()).admin_addr;
     InFlight {
         src,
         dst,
@@ -774,7 +772,7 @@ fn transmit<W: NetHost>(
         flight.retire(net);
         return;
     }
-    let folded = net.vnode(flight.src).machine == net.vnode(flight.dst).machine;
+    let folded = net.vnode(flight.src).machine() == net.vnode(flight.dst).machine();
     let mut walk = PipeWalk::starting_at(now + extra_delay + classification.evaluation_cost);
     if !walk.through(net, rng, classification.pipes(), wire) {
         handle_drop(sim, flight);
@@ -805,10 +803,10 @@ impl PipeWalk {
         &mut self,
         net: &mut Network,
         rng: &mut SimRng,
-        pipes: impl IntoIterator<Item = PipeId>,
+        pipes: &[PipeId],
         wire: u64,
     ) -> bool {
-        for pipe in pipes {
+        for &pipe in pipes {
             match net.pipe_mut(pipe).enqueue(self.t, wire, rng) {
                 EnqueueOutcome::Forwarded { exit, dup } => {
                     if self.dup_off.is_none() {
@@ -840,8 +838,8 @@ fn nic_tx<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
     let mut walk = PipeWalk::starting_at(sim.now());
     let (world, rng) = sim.world_and_rng();
     let net = world.network();
-    let nic_tx = net.machine(net.vnode(flight.src).machine).nic_tx;
-    if walk.through(net, rng, [nic_tx], wire) {
+    let nic_tx = net.machine(net.vnode(flight.src).machine()).nic_tx;
+    if walk.through(net, rng, &[nic_tx], wire) {
         walk.forward(sim, flight, |flight| NetEvent::Receive { flight });
     } else {
         handle_drop(sim, flight);
@@ -856,10 +854,10 @@ fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
     let mut walk = PipeWalk::starting_at(sim.now());
     let (world, rng) = sim.world_and_rng();
     let net = world.network();
-    let dst_machine = net.vnode(flight.dst).machine;
-    if net.vnode(flight.src).machine != dst_machine {
+    let dst_machine = net.vnode(flight.dst).machine();
+    if net.vnode(flight.src).machine() != dst_machine {
         let nic_rx = net.machine(dst_machine).nic_rx;
-        if !walk.through(net, rng, [nic_rx], wire) {
+        if !walk.through(net, rng, &[nic_rx], wire) {
             handle_drop(sim, flight);
             return;
         }
@@ -1014,7 +1012,6 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
                 return;
             }
             let from_port = c.port_of(c.peer_of(dst));
-            net.vnode_mut(dst).bytes_received += size;
             net.stats.bytes_delivered += size;
             let from = SocketAddr::new(src_addr, from_port);
             W::on_transport_event(
@@ -1060,7 +1057,6 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
             });
             match outcome {
                 FragOutcome::Complete => {
-                    net.vnode_mut(dst).bytes_received += total_size;
                     net.stats.bytes_delivered += total_size;
                     let from = SocketAddr::new(src_addr, c.port_of(c.peer_of(dst)));
                     if let Some(f) = ack_flight {
@@ -1141,7 +1137,6 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
             payload,
             size,
         } => {
-            net.vnode_mut(dst).bytes_received += size;
             net.stats.bytes_delivered += size;
             let from = SocketAddr::new(src_addr, from_port);
             W::on_transport_event(
@@ -1281,7 +1276,8 @@ mod tests {
         assert!(sim2.world().received_payloads.contains(&(VNodeId(1), 7)));
         let c = sim2.world_mut().net.connection(conn).unwrap();
         assert_eq!(c.state, ConnState::Established);
-        assert_eq!(sim2.world_mut().net.vnode(VNodeId(1)).bytes_received, 1024);
+        // Node 1 is the only receiver.
+        assert_eq!(sim2.world().net.stats().bytes_delivered, 1024);
     }
 
     #[test]
@@ -1581,10 +1577,8 @@ mod tests {
                 .count(),
             10
         );
-        assert_eq!(
-            sim.world_mut().net.vnode(VNodeId(2)).bytes_received,
-            10 * 16 * 1024
-        );
+        // Node 2 is the only receiver.
+        assert_eq!(sim.world().net.stats().bytes_delivered, 10 * 16 * 1024);
     }
 
     #[test]

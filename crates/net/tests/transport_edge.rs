@@ -95,7 +95,8 @@ fn close_with_data_in_flight_discards_the_data() {
     );
     // Closed, with the data and the FIN gone, the connection is released.
     assert!(sim.world().net.connection(conn).is_none());
-    assert_eq!(sim.world_mut().net.vnode(VNodeId(1)).bytes_received, 0);
+    // Node 1 is the only receiver.
+    assert_eq!(sim.world().net.stats().bytes_delivered, 0);
 
     // Sending on the closed connection fails immediately.
     assert!(ep
@@ -127,7 +128,8 @@ fn data_arriving_at_closed_connection_is_dropped() {
         !receiver.iter().any(|l| l.starts_with("msg:")),
         "in-flight data must be discarded at the closed connection: {receiver:?}"
     );
-    assert_eq!(sim.world_mut().net.vnode(VNodeId(1)).bytes_received, 0);
+    // Node 1 is the only receiver.
+    assert_eq!(sim.world().net.stats().bytes_delivered, 0);
 }
 
 #[test]
@@ -243,8 +245,9 @@ fn same_vnode_loopback_delivery() {
     assert_eq!(labels_of(&sim, VNodeId(0)), vec!["dgram:7001:5"]);
     // Both access-link latencies applied: at least 2 x 5 ms even without leaving the node.
     assert!(sim.now().as_millis() >= 10, "delivered at {}", sim.now());
-    assert_eq!(sim.world_mut().net.vnode(VNodeId(0)).bytes_received, 256);
-    assert_eq!(sim.world_mut().net.vnode(VNodeId(0)).bytes_sent, 256);
+    // Node 0 is the only sender and the only receiver.
+    let stats = sim.world().net.stats();
+    assert_eq!((stats.messages_sent, stats.bytes_delivered), (1, 256));
 }
 
 #[test]
