@@ -309,14 +309,6 @@ impl Client {
         self.pieces.percent_done()
     }
 
-    /// Download duration, if the client finished.
-    pub fn download_duration(&self) -> Option<SimDuration> {
-        match (self.started_at, self.completed_at) {
-            (Some(s), Some(c)) => Some(c - s),
-            _ => None,
-        }
-    }
-
     /// Request transition: tops the pipeline toward the peer in `slot`, if it is
     /// [serving](PeerConn::is_serving), up to `request_pipeline`, stamps the new requests `now`,
     /// and leaves their blocks in `picked` for the caller to put on the wire.
@@ -635,7 +627,7 @@ mod tests {
         let leecher = client(false);
         assert!(!leecher.is_seeding());
         assert_eq!(leecher.percent_done(), 0.0);
-        assert!(leecher.download_duration().is_none());
+        assert!(leecher.completed_at.is_none());
     }
 
     #[test]

@@ -104,8 +104,6 @@ pub enum TrackerMessage {
         port: u16,
         /// Announce event.
         event: AnnounceEvent,
-        /// Bytes left to download.
-        left: u64,
         /// Number of peers requested.
         numwant: usize,
     },

@@ -123,11 +123,6 @@ impl PieceManager {
         self.bytes_done
     }
 
-    /// Bytes still missing.
-    pub fn bytes_left(&self) -> u64 {
-        self.torrent.total_bytes - self.bytes_done
-    }
-
     /// Download progress in percent (0-100), the quantity plotted in Figures 8 and 10.
     pub fn percent_done(&self) -> f64 {
         100.0 * self.bytes_done as f64 / self.torrent.total_bytes as f64
@@ -358,17 +353,6 @@ impl PieceManager {
             }
         }
     }
-
-    /// True if the client still needs this block (used to suppress duplicate endgame data).
-    pub fn needs_block(&self, piece: u32, block: u32) -> bool {
-        if self.have.get(piece) {
-            return false;
-        }
-        match self.partial.get(&piece) {
-            Some(pp) => !pp.received.get(block),
-            None => true,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -389,7 +373,7 @@ mod tests {
         let pm = PieceManager::new(small_torrent(), true);
         assert!(pm.is_complete());
         assert_eq!(pm.percent_done(), 100.0);
-        assert_eq!(pm.bytes_left(), 0);
+        assert_eq!(pm.bytes_done(), pm.torrent().total_bytes);
         assert!(!pm.in_endgame());
     }
 
@@ -401,7 +385,7 @@ mod tests {
         pm.add_peer_bitfield(&seeder);
         let mut r = rng();
         let mut done = false;
-        let mut received = 0u64;
+        let mut received = 0;
         while !done {
             let blocks = pm.pick_blocks(&seeder, 8, SimTime::ZERO, &mut r);
             assert!(
@@ -418,7 +402,8 @@ mod tests {
             }
         }
         assert!(pm.is_complete());
-        assert_eq!(received, t.total_blocks());
+        let blocks: u32 = (0..t.num_pieces()).map(|p| t.blocks_in_piece(p)).sum();
+        assert_eq!(received, blocks);
         assert_eq!(pm.bytes_done(), t.total_bytes);
     }
 
@@ -528,11 +513,19 @@ mod tests {
 
     #[test]
     fn needs_block_reflects_state() {
+        // Still needed: the piece is missing and the block not yet received.
+        let needs = |pm: &PieceManager, piece, block| {
+            !pm.have.get(piece)
+                && pm
+                    .partial
+                    .get(&piece)
+                    .is_none_or(|pp| !pp.received.get(block))
+        };
         let t = small_torrent();
         let mut pm = PieceManager::new(t, false);
-        assert!(pm.needs_block(0, 0));
+        assert!(needs(&pm, 0, 0));
         pm.block_received(0, 0);
-        assert!(!pm.needs_block(0, 0));
-        assert!(pm.needs_block(0, 1));
+        assert!(!needs(&pm, 0, 0));
+        assert!(needs(&pm, 0, 1));
     }
 }

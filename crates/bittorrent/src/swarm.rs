@@ -291,7 +291,6 @@ fn handle_tracker_event(sim: &mut SwarmSim, event: TransportEvent<BtPayload>) {
         peer_id,
         port,
         event,
-        left,
         numwant,
     } = *msg
     else {
@@ -302,7 +301,7 @@ fn handle_tracker_event(sim: &mut SwarmSim, event: TransportEvent<BtPayload>) {
     let peer_addr = SocketAddr::new(from.addr, port);
     let peers = world
         .tracker
-        .handle_announce(now, peer_id, peer_addr, event, left, numwant, rng);
+        .handle_announce(now, peer_id, peer_addr, event, numwant, rng);
     let tracker_vnode = world.tracker.vnode;
     let tracker_port = world.tracker.port;
     let response = TrackerMessage::Response {
@@ -741,7 +740,6 @@ fn announce(sim: &mut SwarmSim, idx: usize, event: AnnounceEvent) {
             peer_id: client.id,
             port: LISTEN_PORT,
             event,
-            left: client.pieces.bytes_left(),
             numwant: NUMWANT,
         };
         (client.vnode, client.tracker_addr, msg)
@@ -974,8 +972,12 @@ mod tests {
         let mut sim: SwarmSim = Simulation::new(world, 16);
         start_all(&mut sim, SimDuration::from_secs(1));
         sim.run_until(SimTime::from_secs(60));
-        assert_eq!(sim.world().tracker.member_count(), 4);
-        assert!(sim.world().tracker.stats().announces >= 4);
+        let world = sim.world();
+        let members = (0..world.clients.len() as u32)
+            .filter(|&i| world.tracker.last_announce(PeerId(i)).is_some())
+            .count();
+        assert_eq!(members, 4);
+        assert!(world.tracker.stats().announces >= 4);
     }
 
     #[test]

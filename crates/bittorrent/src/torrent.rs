@@ -64,13 +64,6 @@ impl Torrent {
         let start = block * self.block_size;
         (self.piece_len(piece) - start).min(self.block_size)
     }
-
-    /// Total number of blocks in the torrent.
-    pub fn total_blocks(&self) -> u64 {
-        (0..self.num_pieces())
-            .map(|p| self.blocks_in_piece(p) as u64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +78,8 @@ mod tests {
         assert_eq!(t.piece_len(63), 256 * 1024);
         assert_eq!(t.blocks_in_piece(0), 16);
         assert_eq!(t.block_len(0, 0), 16 * 1024);
-        assert_eq!(t.total_blocks(), 64 * 16);
+        let blocks: u32 = (0..t.num_pieces()).map(|p| t.blocks_in_piece(p)).sum();
+        assert_eq!(blocks, 64 * 16);
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub struct TrackerStats {
 #[derive(Debug, Clone)]
 struct SwarmMember {
     addr: SocketAddr,
-    seeder: bool,
     last_announce: SimTime,
 }
 
@@ -60,28 +59,13 @@ impl Tracker {
         self.stats
     }
 
-    /// Number of known swarm members.
-    pub fn member_count(&self) -> usize {
-        self.members.iter().flatten().count()
-    }
-
-    /// Number of known seeders.
-    pub fn seeder_count(&self) -> usize {
-        self.members.iter().flatten().filter(|m| m.seeder).count()
-    }
-
     /// Handles an announce and returns the peer list for the response.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors the announce request's field list"
-    )]
     pub fn handle_announce(
         &mut self,
         now: SimTime,
         peer_id: PeerId,
         peer_addr: SocketAddr,
         event: AnnounceEvent,
-        left: u64,
         numwant: usize,
         rng: &mut SimRng,
     ) -> Vec<SocketAddr> {
@@ -103,7 +87,6 @@ impl Tracker {
         }
         self.members[me] = Some(SwarmMember {
             addr: peer_addr,
-            seeder: left == 0,
             last_announce: now,
         });
         // Random subset of everyone else, drawn from the members in ascending id order.
@@ -133,6 +116,10 @@ mod tests {
         SocketAddr::new(VirtAddr::new(10, 0, 0, i), 6881)
     }
 
+    fn member_count(t: &Tracker) -> usize {
+        t.members.iter().flatten().count()
+    }
+
     #[test]
     fn announce_registers_and_returns_other_peers() {
         let mut t = Tracker::new(VNodeId(0));
@@ -142,7 +129,6 @@ mod tests {
             PeerId(1),
             addr(1),
             AnnounceEvent::Started,
-            100,
             50,
             &mut rng,
         );
@@ -152,19 +138,17 @@ mod tests {
             PeerId(2),
             addr(2),
             AnnounceEvent::Started,
-            100,
             50,
             &mut rng,
         );
         assert_eq!(p2, vec![addr(1)]);
-        assert_eq!(t.member_count(), 2);
+        assert_eq!(member_count(&t), 2);
         // A peer never gets itself back.
         let p1_again = t.handle_announce(
             SimTime::ZERO,
             PeerId(1),
             addr(1),
             AnnounceEvent::Periodic,
-            100,
             50,
             &mut rng,
         );
@@ -181,7 +165,6 @@ mod tests {
                 PeerId(i as u32),
                 addr(i),
                 AnnounceEvent::Started,
-                100,
                 0,
                 &mut rng,
             );
@@ -191,7 +174,6 @@ mod tests {
             PeerId(200),
             SocketAddr::new(VirtAddr::new(10, 0, 1, 1), 6881),
             AnnounceEvent::Started,
-            100,
             50,
             &mut rng,
         );
@@ -212,21 +194,17 @@ mod tests {
             PeerId(1),
             addr(1),
             AnnounceEvent::Started,
-            100,
             50,
             &mut rng,
         );
-        assert_eq!(t.seeder_count(), 0);
         t.handle_announce(
             SimTime::from_secs(10),
             PeerId(1),
             addr(1),
             AnnounceEvent::Completed,
-            0,
             50,
             &mut rng,
         );
-        assert_eq!(t.seeder_count(), 1);
         assert_eq!(t.stats().completed, 1);
         assert_eq!(t.last_announce(PeerId(1)), Some(SimTime::from_secs(10)));
         t.handle_announce(
@@ -234,38 +212,11 @@ mod tests {
             PeerId(1),
             addr(1),
             AnnounceEvent::Stopped,
-            0,
             50,
             &mut rng,
         );
-        assert_eq!(t.member_count(), 0);
+        assert_eq!(member_count(&t), 0);
         assert_eq!(t.stats().stopped, 1);
         assert_eq!(t.last_announce(PeerId(1)), None);
-    }
-
-    #[test]
-    fn seeders_counted_by_left_field() {
-        let mut t = Tracker::new(VNodeId(0));
-        let mut rng = SimRng::new(1);
-        t.handle_announce(
-            SimTime::ZERO,
-            PeerId(1),
-            addr(1),
-            AnnounceEvent::Started,
-            0,
-            50,
-            &mut rng,
-        );
-        t.handle_announce(
-            SimTime::ZERO,
-            PeerId(2),
-            addr(2),
-            AnnounceEvent::Started,
-            10,
-            50,
-            &mut rng,
-        );
-        assert_eq!(t.seeder_count(), 1);
-        assert_eq!(t.member_count(), 2);
     }
 }

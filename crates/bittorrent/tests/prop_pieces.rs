@@ -157,9 +157,8 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let picked = pm.pick_blocks(&peer, budget, SimTime::ZERO, &mut rng);
         prop_assert!(picked.len() <= budget);
-        for &(p, b) in &picked {
+        for &(p, _) in &picked {
             prop_assert!(peer.get(p), "picked piece {p} the peer does not have");
-            prop_assert!(pm.needs_block(p, b) || !pm.have().get(p));
             prop_assert!(!pm.have().get(p), "picked a piece we already own");
         }
         // No duplicates within one pick.

@@ -85,7 +85,7 @@ mod tests {
         ] {
             let (_, wire, app) = BEHAVIORS.iter().find(|b| b.0 == name).expect(name);
             assert!(wire.is_noop(), "{name} must not touch the wire");
-            assert!(!app.is_honest(), "{name} must do something");
+            assert_ne!(*app, Misbehavior::default(), "{name} must do something");
         }
     }
 }

@@ -261,11 +261,6 @@ impl InvariantReport {
             self.violations.push(describe());
         }
     }
-
-    /// True when every performed check passed.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -346,7 +341,7 @@ mod tests {
         rep.check(true, || unreachable!("passing checks never describe"));
         rep.check(false, || "leecher 3 incomplete".to_string());
         assert_eq!(rep.checked, 2);
-        assert!(!rep.is_clean());
+        assert!(!rep.violations.is_empty());
         assert_eq!(rep.violations, vec!["leecher 3 incomplete".to_string()]);
     }
 }

@@ -55,8 +55,8 @@ pub use scenario::campaign::{
     CampaignSpec, CampaignSummary, CAMPAIGN_SCHEMA,
 };
 pub use scenario::dsl::{
-    link_profile, parse_duration, parse_toml, DslError, ScenarioFile, Spanned, TomlTable,
-    TomlValue, LINK_PROFILES,
+    parse_duration, parse_toml, DslError, ScenarioFile, Spanned, TomlTable, TomlValue,
+    LINK_PROFILES,
 };
 pub use scenario::{
     run_scenario, ArrivalSchedule, ArrivalSpec, ScenarioError, ScenarioSpec, SessionProcess,
@@ -65,5 +65,5 @@ pub use scenario::{
 pub use workloads::{
     DhtLookupSpec, DhtLookupWorkload, GossipShardedSpec, GossipShardedWorkload, GossipSpec,
     GossipWorkload, MeshPattern, PingMeshSpec, PingMeshWorkload, SwarmSpec, SwarmWorkload,
-    WorkloadConfig, WORKLOAD_KINDS,
+    WorkloadConfig,
 };

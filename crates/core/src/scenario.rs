@@ -86,8 +86,9 @@ pub trait Workload {
     /// `NetEvent<Payload, Timer>`, spelled `p2plab_net::NetSim<World>` at the simulation type).
     type Event: TypedEvent<Self::World>;
 
-    /// Short workload-kind label used in run reports (`"swarm"`, `"ping-mesh"`, ...).
-    fn kind(&self) -> &'static str;
+    /// The workload's kind label: a scenario file's `workload.kind` and a run report's
+    /// `workload` (`"swarm"`, `"ping-mesh"`, ...).
+    const KIND: &'static str;
 
     /// Number of virtual nodes the workload needs. The scenario's topology must provide at
     /// least this many.
@@ -112,7 +113,7 @@ pub trait Workload {
     fn set_adversary(&mut self, _roster: &AdversaryRoster) -> Result<(), String> {
         Err(format!(
             "the {:?} workload has no adversarial mode",
-            self.kind()
+            Self::KIND
         ))
     }
 
@@ -157,7 +158,7 @@ pub trait Workload {
     /// shard-native path ([`ScenarioError::ShardingUnsupported`]). A shard-native workload
     /// replaces it with the limits of its own runtime.
     fn check_execution(&self, spec: &ScenarioSpec) -> Result<(), ScenarioError> {
-        let workload = self.kind();
+        let workload = Self::KIND;
         if spec.sessions.is_some() && !self.churns() {
             return Err(ScenarioError::ChurnUnsupported { workload });
         }
@@ -569,7 +570,7 @@ pub fn run_scenario<W: Workload + 'static>(
     let wall_start = Instant::now();
     let (arrivals, roster) = preflight(spec, &mut workload)?;
     let participants = workload.participants();
-    let workload_kind = workload.kind();
+    let workload_kind = W::KIND;
 
     // The run's recorder: one per run, owned by the runner. Registration order is part of the
     // report schema, so the runner's series and counters always come first, then whatever the
@@ -866,7 +867,7 @@ mod tests {
 
     #[test]
     fn run_rejects_deadline_shorter_than_arrival_ramp() {
-        use crate::workloads::{PingMeshSpec, PingMeshWorkload};
+        use crate::workloads::{MeshPattern, PingMeshSpec, PingMeshWorkload};
         // Four probe streams joining 10 s apart: the last one at 30 s.
         let run = |deadline: u64| {
             let spec = ScenarioSpec {
@@ -877,7 +878,13 @@ mod tests {
                 deadline: SimDuration::from_secs(deadline),
                 ..ScenarioSpec::new("late", topo(4))
             };
-            run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring(4)))
+            run_scenario(
+                &spec,
+                PingMeshWorkload::new(PingMeshSpec {
+                    pattern: MeshPattern::Ring,
+                    ..PingMeshSpec::full(4)
+                }),
+            )
         };
         assert_eq!(
             run(29).err(),
@@ -932,8 +939,14 @@ mod tests {
 
     #[test]
     fn sessions_on_the_ping_mesh_are_rejected_not_ignored() {
-        use crate::workloads::{PingMeshSpec, PingMeshWorkload};
-        let err = run_scenario(&churning(4), PingMeshWorkload::new(PingMeshSpec::ring(4)));
+        use crate::workloads::{MeshPattern, PingMeshSpec, PingMeshWorkload};
+        let err = run_scenario(
+            &churning(4),
+            PingMeshWorkload::new(PingMeshSpec {
+                pattern: MeshPattern::Ring,
+                ..PingMeshSpec::full(4)
+            }),
+        );
         assert_eq!(
             err.err(),
             Some(ScenarioError::ChurnUnsupported {

@@ -1025,12 +1025,6 @@ pub const LINK_PROFILES: &Kinds<AccessLinkClass> = &[
     ("wan-1m", AccessLinkClass::wan_1m),
 ];
 
-/// Resolves a named link profile to its [`AccessLinkClass`], if the name is known.
-pub fn link_profile(name: &str) -> Option<AccessLinkClass> {
-    let (_, link) = LINK_PROFILES.iter().find(|(known, _)| *known == name)?;
-    Some(link())
-}
-
 /// The named link-conditioner presets a `[topology.condition]` section can reference with
 /// `preset = "<name>"` instead of spelling out every knob.
 pub const CONDITION_PRESETS: &Kinds<LinkCondition> = &[
@@ -1051,12 +1045,6 @@ pub const CONDITION_PRESETS: &Kinds<LinkCondition> = &[
             .with_burst(BurstLoss::new(0.05, 0.25, 0.9))
     }),
 ];
-
-/// Resolves a named conditioner preset to its [`LinkCondition`], if the name is known.
-pub fn condition_preset(name: &str) -> Option<LinkCondition> {
-    let (_, preset) = CONDITION_PRESETS.iter().find(|(known, _)| *known == name)?;
-    Some(preset())
-}
 
 /// Validator of the probability knobs: within `[0, 1]`, checked before the value reaches a
 /// builder that would panic on it.
@@ -1345,7 +1333,6 @@ impl ScenarioFile {
 mod tests {
     use super::*;
     use crate::adversary::Selection;
-    use crate::workloads::WORKLOAD_KINDS;
 
     #[test]
     fn parses_basic_values_and_sections() {
@@ -1493,7 +1480,7 @@ mod tests {
         let text = minimal_gossip().replace("kind = \"gossip\"", "kind = \"bitcoin\"");
         let err = ScenarioFile::parse(&text).unwrap_err();
         assert_eq!(err.path, "workload.kind");
-        for kind in WORKLOAD_KINDS {
+        for (kind, _) in WorkloadConfig::KINDS {
             assert!(err.message.contains(kind), "{err}");
         }
     }
@@ -1521,7 +1508,6 @@ mod tests {
     #[test]
     fn every_link_profile_resolves() {
         for &(name, link) in LINK_PROFILES {
-            assert_eq!(link_profile(name), Some(link()));
             let text = minimal_gossip().replace("\"dsl-8m\"", &format!("{name:?}"));
             let file = ScenarioFile::parse(&text).unwrap();
             assert_eq!(file.spec.topology.groups[0].link, link());
@@ -1637,7 +1623,6 @@ mean_downtime = \"20s\"
     fn condition_presets_resolve() {
         for &(name, preset) in CONDITION_PRESETS {
             let preset = preset();
-            assert_eq!(condition_preset(name), Some(preset));
             let text = minimal_gossip() + &format!("[topology.condition]\npreset = {name:?}\n");
             let file = ScenarioFile::parse(&text).unwrap();
             // Inert presets ("clean") normalize away; real ones survive verbatim.
@@ -1738,11 +1723,6 @@ mean_downtime = \"20s\"
 
     #[test]
     fn workload_kinds_match_the_registry() {
-        let kinds: Vec<&str> = WorkloadConfig::KINDS
-            .iter()
-            .map(|(kind, _)| *kind)
-            .collect();
-        assert_eq!(kinds, WORKLOAD_KINDS);
         for (kind, blank) in WorkloadConfig::KINDS {
             assert_eq!(blank().kind(), *kind);
         }

@@ -137,11 +137,6 @@ impl DhtLookupSpec {
             ..RpcConfig::default()
         }
     }
-
-    /// When the last lookup of the default ramp starts — what callers size deadlines from.
-    pub fn arrival_ramp(&self) -> SimDuration {
-        self.lookup_interval * self.lookups.saturating_sub(1) as u64
-    }
 }
 
 /// The globally XOR-closest id to `target` in a sorted id list: greedy longest-common-prefix
@@ -808,9 +803,7 @@ impl Workload for DhtLookupWorkload {
     type World = DhtWorld;
     type Event = NetEvent<RpcPayload<DhtBody>, DhtTimer>;
 
-    fn kind(&self) -> &'static str {
-        "dht-lookup"
-    }
+    const KIND: &'static str = "dht-lookup";
 
     fn vnodes_required(&self) -> usize {
         self.spec.nodes
@@ -934,7 +927,8 @@ mod tests {
     fn scenario(name: &str, spec: &DhtLookupSpec) -> ScenarioSpec {
         ScenarioSpec {
             deployment: DeploymentSpec::new(4),
-            deadline: spec.arrival_ramp() + SimDuration::from_secs(300),
+            deadline: spec.lookup_interval * (spec.lookups as u64 - 1)
+                + SimDuration::from_secs(300),
             sample_interval: SimDuration::from_secs(1),
             seed: 7,
             ..ScenarioSpec::new(name, lan(spec.nodes))
@@ -1175,7 +1169,8 @@ mod tests {
         );
         let s = ScenarioSpec {
             deployment: DeploymentSpec::new(4),
-            deadline: spec.arrival_ramp() + SimDuration::from_secs(600),
+            deadline: spec.lookup_interval * (spec.lookups as u64 - 1)
+                + SimDuration::from_secs(600),
             sample_interval: SimDuration::from_secs(1),
             seed: 11,
             ..ScenarioSpec::new("dht-lossy", topo)
@@ -1261,9 +1256,7 @@ mod tests {
         type World = DhtWorld;
         type Event = NetEvent<RpcPayload<DhtBody>, DhtTimer>;
 
-        fn kind(&self) -> &'static str {
-            self.0.kind()
-        }
+        const KIND: &'static str = DhtLookupWorkload::KIND;
         fn vnodes_required(&self) -> usize {
             self.0.vnodes_required()
         }

@@ -136,13 +136,6 @@ impl GossipWorld {
         self.informed >= self.nodes()
     }
 
-    /// When the last node heard the rumor, once every node has.
-    pub fn time_to_full(&self) -> Option<SimTime> {
-        self.fully_informed()
-            .then(|| self.informed_at.iter().filter_map(|&t| t).max())
-            .flatten()
-    }
-
     /// The gossip node on `vnode`, if it takes part (the topology may be larger).
     fn index_of(&self, vnode: VNodeId) -> Option<usize> {
         (vnode.0 < self.nodes()).then_some(vnode.0)
@@ -308,9 +301,7 @@ impl Workload for GossipWorkload {
     type World = GossipWorld;
     type Event = NetEvent<Rumor, GossipTimer>;
 
-    fn kind(&self) -> &'static str {
-        "gossip"
-    }
+    const KIND: &'static str = "gossip";
 
     fn vnodes_required(&self) -> usize {
         self.spec.nodes
@@ -478,7 +469,7 @@ mod tests {
         let s = scenario("gossip16", 16);
         let (world, report) = disseminate(&s, 16);
         assert!(world.informed_at.iter().all(|t| t.is_some()));
-        let full = world.time_to_full().unwrap();
+        let full = *world.informed_at.iter().flatten().max().unwrap();
         // The origin is informed first, the last node at the time to full.
         let origin = world.informed_at[0].unwrap();
         assert!(world

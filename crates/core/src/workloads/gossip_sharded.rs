@@ -415,9 +415,7 @@ impl Workload for GossipShardedWorkload {
     type World = GossipShardedWorld;
     type Event = NoEvent;
 
-    fn kind(&self) -> &'static str {
-        "gossip-sharded"
-    }
+    const KIND: &'static str = "gossip-sharded";
 
     fn vnodes_required(&self) -> usize {
         self.spec.nodes

@@ -33,17 +33,6 @@ use crate::report::RunReport;
 use crate::scenario::dsl::{DslError, Keys, Kinds};
 use crate::scenario::{preflight, run_scenario, ScenarioError, ScenarioSpec, Workload};
 
-/// The kind labels of every first-class workload, in registry order. These are the values a
-/// scenario file's `workload.kind` key accepts and the labels
-/// [`Workload::kind`] reports.
-pub const WORKLOAD_KINDS: [&str; 5] = [
-    "swarm",
-    "ping-mesh",
-    "gossip",
-    "gossip-sharded",
-    "dht-lookup",
-];
-
 /// A workload configuration constructible *by name* — the registry half of the scenario DSL.
 ///
 /// [`Workload`] has associated types (world, event), so the trait is not object-safe and a
@@ -67,19 +56,24 @@ pub enum WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// The `workload.kind` names of a scenario file. Each kind's blank is its spec's
-    /// constructor — the defaults live there — called with a placeholder for the required size
-    /// key, which always overwrites it.
-    pub(crate) const KINDS: &'static Kinds<WorkloadConfig> = &[
-        ("swarm", || WorkloadConfig::Swarm(SwarmSpec::new(0))),
-        ("ping-mesh", || {
+    /// The `workload.kind` names of a scenario file, one per first-class workload, in
+    /// registry order: each is its workload's [`Workload::KIND`]. Each kind's blank is its
+    /// spec's constructor — the defaults live there — called with a placeholder for the
+    /// required size key, which always overwrites it.
+    pub const KINDS: &'static Kinds<WorkloadConfig> = &[
+        (SwarmWorkload::KIND, || {
+            WorkloadConfig::Swarm(SwarmSpec::new(0))
+        }),
+        (PingMeshWorkload::KIND, || {
             WorkloadConfig::PingMesh(PingMeshSpec::full(2))
         }),
-        ("gossip", || WorkloadConfig::Gossip(GossipSpec::new(2))),
-        ("gossip-sharded", || {
+        (GossipWorkload::KIND, || {
+            WorkloadConfig::Gossip(GossipSpec::new(2))
+        }),
+        (GossipShardedWorkload::KIND, || {
             WorkloadConfig::GossipSharded(GossipShardedSpec::new(2))
         }),
-        ("dht-lookup", || {
+        (DhtLookupWorkload::KIND, || {
             WorkloadConfig::DhtLookup(DhtLookupSpec::new(2))
         }),
     ];
@@ -100,14 +94,14 @@ impl WorkloadConfig {
         }
     }
 
-    /// The workload's kind label (an entry of [`WORKLOAD_KINDS`]).
+    /// The workload's kind label, its [`Workload::KIND`].
     pub fn kind(&self) -> &'static str {
         match self {
-            WorkloadConfig::Swarm(_) => "swarm",
-            WorkloadConfig::PingMesh(_) => "ping-mesh",
-            WorkloadConfig::Gossip(_) => "gossip",
-            WorkloadConfig::GossipSharded(_) => "gossip-sharded",
-            WorkloadConfig::DhtLookup(_) => "dht-lookup",
+            WorkloadConfig::Swarm(_) => SwarmWorkload::KIND,
+            WorkloadConfig::PingMesh(_) => PingMeshWorkload::KIND,
+            WorkloadConfig::Gossip(_) => GossipWorkload::KIND,
+            WorkloadConfig::GossipSharded(_) => GossipShardedWorkload::KIND,
+            WorkloadConfig::DhtLookup(_) => DhtLookupWorkload::KIND,
         }
     }
 

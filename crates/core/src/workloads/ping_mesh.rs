@@ -69,15 +69,6 @@ impl PingMeshSpec {
         }
     }
 
-    /// A ring over `nodes` nodes (each node probes its successor), otherwise like
-    /// [`PingMeshSpec::full`].
-    pub fn ring(nodes: usize) -> PingMeshSpec {
-        PingMeshSpec {
-            pattern: MeshPattern::Ring,
-            ..PingMeshSpec::full(nodes)
-        }
-    }
-
     /// The `[workload.ping-mesh]` keys of a scenario file; absent ones keep
     /// [`PingMeshSpec::full`]'s defaults. A value that would leave the mesh without a probe —
     /// the run then "drains" after one event — is rejected at its key.
@@ -122,13 +113,6 @@ impl PingMeshSpec {
     pub fn expected_probes(&self) -> usize {
         self.pair_count() * self.pings_per_pair
     }
-
-    /// When the last echo request is scheduled under the default arrivals — what callers size
-    /// deadlines from.
-    pub fn arrival_ramp(&self) -> SimDuration {
-        let pairs = self.pair_count().max(1) as u64;
-        self.interval * self.pings_per_pair.saturating_sub(1) as u64 + STAGGER * (pairs - 1)
-    }
 }
 
 /// The ping-mesh workload over the scenario's topology.
@@ -168,9 +152,7 @@ impl Workload for PingMeshWorkload {
     type World = PingWorld;
     type Event = NetEvent<PingPayload, PingTimer>;
 
-    fn kind(&self) -> &'static str {
-        "ping-mesh"
-    }
+    const KIND: &'static str = "ping-mesh";
 
     fn vnodes_required(&self) -> usize {
         self.spec.nodes
@@ -281,7 +263,10 @@ mod tests {
         assert_eq!(report.metrics.counter("probes_scheduled"), Some(4 * 3 * 5));
         assert_eq!(world.rtts.len(), 4 * 3 * 5, "{:?}", report.outcome);
         // Two 100 us links each way: every RTT at least 400 us.
-        assert!(world.rtts.iter().all(|(_, d)| d.as_micros() >= 400));
+        assert!(world
+            .rtts
+            .iter()
+            .all(|&(_, d)| d >= SimDuration::from_micros(400)));
         // Every node probed and heard back.
         assert!((0..4).all(|n| world.rtts.iter().any(|(from, _)| from.0 == n)));
         // Cross-machine probes show up on the cluster NICs.
@@ -293,7 +278,10 @@ mod tests {
 
     #[test]
     fn ring_scales_linearly_in_probe_count() {
-        let spec = PingMeshSpec::ring(8);
+        let spec = PingMeshSpec {
+            pattern: MeshPattern::Ring,
+            ..PingMeshSpec::full(8)
+        };
         assert_eq!(spec.pairs().len(), 8);
         let scenario = ScenarioSpec {
             deployment: DeploymentSpec::new(4),
@@ -315,9 +303,7 @@ mod tests {
         type World = PingWorld;
         type Event = NetEvent<PingPayload, PingTimer>;
 
-        fn kind(&self) -> &'static str {
-            self.0.kind()
-        }
+        const KIND: &'static str = PingMeshWorkload::KIND;
         fn vnodes_required(&self) -> usize {
             self.0.vnodes_required()
         }
@@ -410,7 +396,14 @@ mod tests {
             sample_interval: SimDuration::ZERO,
             ..ScenarioSpec::new("hand", lan(2))
         };
-        let err = run_scenario(&spec, PingMeshWorkload::new(PingMeshSpec::ring(2))).err();
+        let err = run_scenario(
+            &spec,
+            PingMeshWorkload::new(PingMeshSpec {
+                pattern: MeshPattern::Ring,
+                ..PingMeshSpec::full(2)
+            }),
+        )
+        .err();
         assert_eq!(err, Some(ScenarioError::ZeroSampleInterval));
     }
 

@@ -128,25 +128,13 @@ impl SwarmWorkload {
     pub fn config(&self) -> &SwarmSpec {
         &self.cfg
     }
-
-    /// When the last client arrival is scheduled: the later of the seeder stagger (seeder `s`
-    /// starts at `s` seconds) and the downloader ramp (the first downloader starts at the head
-    /// start itself, so `leechers - 1` intervals after it).
-    pub fn arrival_ramp(&self) -> SimDuration {
-        let seeder_ramp = SimDuration::from_secs(self.cfg.seeders.saturating_sub(1) as u64);
-        let downloader_ramp = self.cfg.seeder_head_start
-            + self.cfg.start_interval * self.cfg.leechers.saturating_sub(1) as u64;
-        seeder_ramp.max(downloader_ramp)
-    }
 }
 
 impl Workload for SwarmWorkload {
     type World = SwarmWorld;
     type Event = NetEvent<BtPayload, SwarmTimer>;
 
-    fn kind(&self) -> &'static str {
-        "swarm"
-    }
+    const KIND: &'static str = "swarm";
 
     fn vnodes_required(&self) -> usize {
         self.cfg.total_vnodes()
@@ -164,7 +152,7 @@ impl Workload for SwarmWorkload {
 
     fn build_world(&mut self, deployment: Deployment) -> SwarmWorld {
         let cfg = &self.cfg;
-        let torrent = Torrent::new(self.kind(), cfg.file_bytes);
+        let torrent = Torrent::new(Self::KIND, cfg.file_bytes);
         // Virtual node 0 hosts the tracker; seeders follow; downloaders after that.
         let mut world = SwarmWorld::new(deployment.net, deployment.vnodes[0]);
         for s in 0..cfg.seeders {
@@ -377,6 +365,7 @@ mod tests {
     use crate::workloads::WorkloadConfig;
     use p2plab_bittorrent::{Bitfield, PeerConn};
     use p2plab_net::{ConnId, NetworkConfig, SocketAddr};
+    use p2plab_sim::SimRng;
 
     /// `examples/scenarios/swarm_quick.toml` under `overrides`: its scenario and its swarm.
     fn quick(overrides: &str) -> (ScenarioSpec, SwarmSpec) {
@@ -559,7 +548,7 @@ mod tests {
             events_executed: 0,
             outcome: RunOutcome::DeadlineReached,
         };
-        assert!(w.check_invariants(&world, &stop).is_clean());
+        assert!(w.check_invariants(&world, &stop).violations.is_empty());
         // A leecher that a seeder is unchoking, asking for nothing...
         let seeder_addr = SocketAddr::new(world.net.addr_of(world.clients[0].vnode), 6881);
         let leecher = &mut world.clients[swarm.seeders];
@@ -581,25 +570,34 @@ mod tests {
 
     #[test]
     fn arrival_ramp_matches_last_scheduled_arrival() {
+        // The ramp `preflight` holds the deadline to: that of the drawn default arrivals.
+        let ramp = |swarm: &SwarmSpec| {
+            let w = SwarmWorkload::new(swarm.clone());
+            let arrivals = w.default_arrivals();
+            arrivals
+                .schedule(w.participants(), &mut SimRng::new(1))
+                .unwrap()
+                .ramp()
+        };
         let (_, mut swarm) = quick("workload.swarm.leechers = 5");
         // First downloader starts at the head start, so the ramp spans leechers - 1 intervals.
         assert_eq!(
-            SwarmWorkload::new(swarm.clone()).arrival_ramp(),
+            ramp(&swarm),
             swarm.seeder_head_start + swarm.start_interval * 4
         );
-        // Many slow-staggered seeders can arrive after the last downloader.
+        // Many slow-staggered seeders can arrive after the last downloader: seeder `s` starts
+        // at `s` seconds.
         let seeder_heavy = SwarmSpec {
             seeders: 100,
             leechers: 1,
             ..swarm.clone()
         };
-        assert_eq!(
-            SwarmWorkload::new(seeder_heavy).arrival_ramp(),
-            SimDuration::from_secs(99)
-        );
+        let last_seeder = SimDuration::from_secs(seeder_heavy.seeders as u64 - 1);
+        assert_eq!(ramp(&seeder_heavy), seeder_heavy.seeder_head_start);
+        assert!(last_seeder > ramp(&seeder_heavy));
+        // No downloader, no ramp.
         swarm.leechers = 0;
-        let head_start = swarm.seeder_head_start;
-        assert_eq!(SwarmWorkload::new(swarm).arrival_ramp(), head_start);
+        assert_eq!(ramp(&swarm), SimDuration::ZERO);
     }
 
     #[test]

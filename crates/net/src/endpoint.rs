@@ -4,9 +4,10 @@
 //! An [`Endpoint`] is a virtual node's view of its transport stack — the handle through which
 //! an application binds ports, opens and closes connections, and sends messages on typed
 //! [`LaneKind`](crate::lane::LaneKind) lanes or as connectionless datagrams. The passive state
-//! (listener table, connection arena, counters) lives in the [`Network`]; the endpoint is a
-//! cheap `Copy` capability that names the vnode, so application code can hold one per protocol
-//! instance without borrowing the world.
+//! (listener table, connection arena, counters) lives in the
+//! [`Network`](crate::network::Network); the endpoint is a cheap `Copy` capability that names
+//! the vnode, so application code can hold one per protocol instance without borrowing the
+//! world.
 //!
 //! Incoming traffic reaches the application through
 //! [`NetHost::on_transport_event`](crate::transport::NetHost) as
@@ -67,7 +68,7 @@
 //! assert!(sim.world().delivered.contains(&(a, LaneKind::UnreliableUnordered, 1002)));
 //! ```
 
-use crate::network::{Network, VNodeId};
+use crate::network::VNodeId;
 
 /// A virtual node's transport handle: bound ports, connections and lane sends.
 ///
@@ -90,12 +91,6 @@ impl Endpoint {
     pub fn node(&self) -> VNodeId {
         self.node
     }
-
-    /// The ports this endpoint currently has bound, in arbitrary order (inspection helper,
-    /// not for hot paths).
-    pub fn bound_ports<'a>(&self, net: &'a Network) -> impl Iterator<Item = u16> + 'a {
-        net.bound_ports(self.node)
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +98,7 @@ mod tests {
     use super::*;
     use crate::addr::SocketAddr;
     use crate::lane::LaneKind;
-    use crate::network::{ConnState, NetError, NetworkConfig};
+    use crate::network::{ConnState, NetError, Network, NetworkConfig};
     use crate::topology::{AccessLinkClass, GroupId, TopologySpec};
     use crate::transport::{NetHost, NetSim, TransportEvent};
     use crate::VirtAddr;
@@ -180,15 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn unbind_releases_the_port() {
+    fn connect_to_an_unbound_port_is_refused() {
         let w = world(2);
         let addr1 = w.net.addr_of(VNodeId(1));
         let mut sim: NetSim<World> = Simulation::new(w, 1);
-        let server = Endpoint::new(VNodeId(1));
-        server.bind(&mut sim, 7000).unwrap();
-        assert!(server.unbind(&mut sim, 7000));
-        assert!(!server.unbind(&mut sim, 7000), "second unbind is a no-op");
-        // Rebinding works, and a connect to the unbound port is refused in between.
         let conn = Endpoint::new(VNodeId(0))
             .connect(&mut sim, SocketAddr::new(addr1, 7000))
             .unwrap();
@@ -197,7 +187,6 @@ mod tests {
         assert!(sim.world().seen.contains(&refused));
         // Refused and with nothing left in flight, the connection is released.
         assert!(sim.world().net.connection(conn).is_none());
-        server.bind(&mut sim, 7000).unwrap();
     }
 
     #[test]
@@ -213,10 +202,16 @@ mod tests {
         sim.run();
 
         let net = &sim.world().net;
-        let mut ports: Vec<u16> = server.bound_ports(net).collect();
-        ports.sort_unstable();
-        assert_eq!(ports, vec![7000, 7001]);
-        assert_eq!(client.bound_ports(net).count(), 0);
+        let bound = |ep: &Endpoint| {
+            let mut ports: Vec<u16> = (net.listeners.iter())
+                .filter(|&&(n, _)| n == ep.node())
+                .map(|&(_, p)| p)
+                .collect();
+            ports.sort_unstable();
+            ports
+        };
+        assert_eq!(bound(&server), [7000, 7001]);
+        assert_eq!(bound(&client), []);
         // The connection names both ends, each the other's peer.
         let c = net.connection(conn).unwrap();
         assert_eq!(c.state, ConnState::Established);

@@ -53,20 +53,6 @@ impl InterceptConfig {
         }
     }
 
-    /// The system-call sequence one passive open (`listen()`) performs.
-    pub fn listen_syscalls(&self) -> &'static [Syscall] {
-        if self.enabled {
-            &[
-                Syscall::Socket,
-                Syscall::Bind,
-                Syscall::Bind,
-                Syscall::Listen,
-            ]
-        } else {
-            &[Syscall::Socket, Syscall::Bind, Syscall::Listen]
-        }
-    }
-
     /// CPU time charged on the initiating side of a connection.
     pub fn connect_cost(&self, model: &SyscallCostModel) -> SimDuration {
         model.cost_of_sequence(self.connect_syscalls())
@@ -143,16 +129,5 @@ mod tests {
                 model.intercepted_connect_cycle()
             );
         }
-    }
-
-    #[test]
-    fn listen_keeps_existing_bind_and_adds_one() {
-        let on = InterceptConfig::enabled();
-        let binds = on
-            .listen_syscalls()
-            .iter()
-            .filter(|&&c| c == Syscall::Bind)
-            .count();
-        assert_eq!(binds, 2, "the application's own bind plus the shim's");
     }
 }

@@ -837,20 +837,6 @@ impl Network {
         self.listeners.contains(&(node, port))
     }
 
-    /// The ports currently bound on `node`, in arbitrary order (an endpoint inspection helper;
-    /// O(total listeners), not for hot paths).
-    pub fn bound_ports(&self, node: VNodeId) -> impl Iterator<Item = u16> + '_ {
-        self.listeners
-            .iter()
-            .filter(move |(n, _)| *n == node)
-            .map(|&(_, p)| p)
-    }
-
-    /// Total rules configured over all machines (the scalability driver of Figure 6).
-    pub fn total_rule_count(&self) -> usize {
-        self.machines.iter().map(|m| m.firewall.rule_count()).sum()
-    }
-
     pub(crate) fn allocate_conn(
         &mut self,
         client: (VNodeId, u16),
@@ -930,7 +916,10 @@ mod tests {
         // Two rules per hosted vnode, no group rules in a single-group topology.
         assert_eq!(net.machine(MachineId(0)).firewall.rule_count(), 20);
         assert_eq!(net.machine(MachineId(0)).hosted(), 10);
-        assert_eq!(net.total_rule_count(), 40);
+        let rules: usize = (0..2)
+            .map(|m| net.machine(MachineId(m)).firewall.rule_count())
+            .sum();
+        assert_eq!(rules, 40);
         // Addresses resolve to their vnodes.
         let addr = net.addr_of(VNodeId(5));
         assert_eq!(net.resolve(addr), Some(VNodeId(5)));

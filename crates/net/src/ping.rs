@@ -243,8 +243,9 @@ mod tests {
         );
         assert_eq!(rtts.len(), 5);
         // Two traversals of the 100 us links in each direction: at least 400 us.
-        assert!(rtts.iter().all(|r| r.as_micros() >= 400));
-        assert!(world.average_rtt().unwrap().as_micros() >= 400);
+        let floor = SimDuration::from_micros(400);
+        assert!(rtts.iter().all(|&r| r >= floor));
+        assert!(world.average_rtt().unwrap() >= floor);
         let (min, max) = world.min_max_rtt().unwrap();
         assert!(min <= max);
     }

@@ -455,7 +455,10 @@ mod tests {
         let not_plain = [
             PipeConfig::shaped(1_000_000, SimDuration::ZERO),
             unbounded.with_loss(0.1),
-            unbounded.with_condition(Some(LinkCondition::none().with_duplication(0.5))),
+            unbounded.with_condition(Some(LinkCondition {
+                duplicate_rate: 0.5,
+                ..LinkCondition::none()
+            })),
         ];
         for config in not_plain {
             let pipe = Pipe::new(config);
@@ -520,7 +523,10 @@ mod tests {
         use crate::proto::LinkCondition;
         let cfg = PipeConfig::shaped(1_000_000, SimDuration::from_millis(10))
             .with_queue_limit(None)
-            .with_condition(Some(LinkCondition::none().with_duplication(1.0)));
+            .with_condition(Some(LinkCondition {
+                duplicate_rate: 1.0,
+                ..LinkCondition::none()
+            }));
         let mut p = Pipe::new(cfg);
         let mut r = rng();
         match p.enqueue(SimTime::ZERO, 1250, &mut r) {

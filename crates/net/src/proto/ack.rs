@@ -182,11 +182,6 @@ impl SentWindow {
             self.entries.pop_front();
         }
     }
-
-    /// Number of tracked (sent, not yet contiguously acked) fragments.
-    pub fn in_flight(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -264,7 +259,7 @@ mod tests {
         for seq in 0..4u16 {
             w.on_sent(seq, 100, SimTime::from_millis(u64::from(seq)));
         }
-        assert_eq!(w.in_flight(), 4);
+        assert_eq!(w.entries.len(), 4);
         // Ack 0, 1 and 3 (2 missing).
         let mut acked = Vec::new();
         let mut t = AckTracker::default();
@@ -278,13 +273,13 @@ mod tests {
         // None of these were retransmitted, so every ack carries an RTT anchor.
         assert!(acked.iter().all(|&(_, sent)| sent.is_some()));
         // 2 is still unacked, so the prefix drain stops there.
-        assert_eq!(w.in_flight(), 2);
+        assert_eq!(w.entries.len(), 2);
         // Re-applying the same ack produces no new samples.
         w.on_ack(&t.bitfield(), |_, _| panic!("duplicate ack sample"));
         // Acking 2 drains everything.
         t.record(2);
         w.on_ack(&t.bitfield(), |_, _| {});
-        assert_eq!(w.in_flight(), 0);
+        assert_eq!(w.entries.len(), 0);
     }
 
     #[test]
@@ -309,6 +304,6 @@ mod tests {
         for i in 0..(SENT_WINDOW_CAP + 10) {
             w.on_sent(i as u16, 1, SimTime::ZERO);
         }
-        assert_eq!(w.in_flight(), SENT_WINDOW_CAP);
+        assert_eq!(w.entries.len(), SENT_WINDOW_CAP);
     }
 }

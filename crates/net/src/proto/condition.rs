@@ -92,24 +92,6 @@ impl LinkCondition {
         self
     }
 
-    /// Adds probabilistic reordering (`rate` in `[0, 1]`).
-    pub fn with_reorder(mut self, rate: f64, delay: SimDuration) -> LinkCondition {
-        assert!((0.0..=1.0).contains(&rate), "reorder rate must be in [0,1]");
-        self.reorder_rate = rate;
-        self.reorder_delay = delay;
-        self
-    }
-
-    /// Adds probabilistic duplication (`rate` in `[0, 1]`).
-    pub fn with_duplication(mut self, rate: f64) -> LinkCondition {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "duplicate rate must be in [0,1]"
-        );
-        self.duplicate_rate = rate;
-        self
-    }
-
     /// Adds Gilbert–Elliott burst loss.
     pub fn with_burst(mut self, burst: BurstLoss) -> LinkCondition {
         self.burst = Some(burst);
@@ -176,7 +158,11 @@ mod tests {
 
     #[test]
     fn reorder_adds_fixed_delay() {
-        let c = LinkCondition::none().with_reorder(1.0, SimDuration::from_millis(40));
+        let c = LinkCondition {
+            reorder_rate: 1.0,
+            reorder_delay: SimDuration::from_millis(40),
+            ..LinkCondition::none()
+        };
         let mut rng = SimRng::new(42);
         assert_eq!(c.extra_latency(&mut rng), SimDuration::from_millis(40));
     }
@@ -217,7 +203,10 @@ mod tests {
 
     #[test]
     fn duplication_rate_respected() {
-        let c = LinkCondition::none().with_duplication(0.3);
+        let c = LinkCondition {
+            duplicate_rate: 0.3,
+            ..LinkCondition::none()
+        };
         let mut rng = SimRng::new(9);
         let dups = (0..10_000).filter(|_| c.duplicates(&mut rng)).count();
         assert!((2700..3300).contains(&dups), "dups={dups}");

@@ -193,11 +193,6 @@ impl Reassembler {
         self.entries.get(&msg).map(|e| e.received)
     }
 
-    /// Whether `msg` already completed (and its duplicates are being ignored).
-    pub fn is_completed(&self, msg: u16) -> bool {
-        self.completed.contains(&msg)
-    }
-
     fn finish(&mut self, msg: u16) {
         self.completed.insert(msg);
         // Forget the id opposite in the sequence space: a completed id is remembered for 32768
@@ -251,7 +246,7 @@ mod tests {
         // Any further fragment of the completed message is ignored.
         assert_eq!(r.accept(5, 0, 3), FragOutcome::Ignored);
         assert_eq!(r.accept(5, 1, 3), FragOutcome::Ignored);
-        assert!(r.is_completed(5));
+        assert!(r.completed.contains(&5));
         assert_eq!(r.pending(), 0);
     }
 

@@ -36,7 +36,6 @@ pub use frag::{
     fragment_count, fragment_size, FragHeader, FragOutcome, Reassembler, FRAG_HEADER_BYTES,
 };
 
-use crate::lane::LaneKind;
 use p2plab_sim::{SimDuration, SimTime};
 
 /// Protocol-depth configuration of the transport, carried inside
@@ -115,7 +114,7 @@ pub struct ProtoHalf {
     pub pace_until: SimTime,
     /// The congestion controller of this direction.
     pub cc: CcState,
-    /// Per-lane protocol state, indexed by [`LaneKind::index`].
+    /// Per-lane protocol state, indexed by [`LaneKind::index`](crate::lane::LaneKind::index).
     pub lanes: [LaneProto; 3],
 }
 
@@ -126,11 +125,6 @@ impl ProtoHalf {
             cc: CcState::new(kind),
             lanes: Default::default(),
         }
-    }
-
-    /// The lane state for `lane`.
-    pub fn lane_mut(&mut self, lane: LaneKind) -> &mut LaneProto {
-        &mut self.lanes[lane.index()]
     }
 }
 
@@ -163,6 +157,7 @@ pub fn flow_dir(sender_is_client: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::LaneKind;
 
     #[test]
     fn default_config_is_inactive() {
@@ -188,9 +183,9 @@ mod tests {
 
     #[test]
     fn proto_conn_initial_state() {
-        let mut p = ProtoConn::new(CcKind::Aimd);
+        let p = ProtoConn::new(CcKind::Aimd);
         assert_eq!(p.halves[0].pace_until, SimTime::ZERO);
-        let lane = p.halves[0].lane_mut(LaneKind::ReliableOrdered);
+        let lane = &p.halves[0].lanes[LaneKind::ReliableOrdered.index()];
         assert_eq!(lane.send.next_seq, 0);
         assert_eq!(lane.send.next_msg, 0);
     }

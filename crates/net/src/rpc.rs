@@ -235,11 +235,6 @@ impl<W: RpcHost> RpcTable<W> {
     pub fn stats(&self) -> RpcStats {
         self.stats
     }
-
-    /// Number of calls currently awaiting a response.
-    pub fn pending_calls(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// A world that runs the RPC layer: transport payload is [`RpcPayload`], call timeouts are
@@ -564,7 +559,7 @@ mod tests {
         assert_eq!(stats.replies, 1);
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.timeouts, 0);
-        assert_eq!(sim.world_mut().rpc.pending_calls(), 0);
+        assert_eq!(sim.world().rpc.pending.len(), 0);
         assert_eq!(sim.world_mut().net.stats().rpc_timeouts, 0);
         // The cancelled timeout timer never fired: virtual time stops at the reply, well
         // before the 1 s timeout.
@@ -616,7 +611,7 @@ mod tests {
             .count();
         assert!(replied >= 16, "only {replied}/20 RPCs survived 20% loss");
         assert!(sim.world_mut().rpc.stats().retries > 0);
-        assert_eq!(sim.world_mut().rpc.pending_calls(), 0);
+        assert_eq!(sim.world().rpc.pending.len(), 0);
     }
 
     #[test]
@@ -682,7 +677,7 @@ mod tests {
             let stats = sim.world_mut().rpc.stats();
             assert_eq!(stats.calls, stats.replies + stats.timeouts);
             assert_eq!(stats.late_replies, 1, "the losing reply is counted late");
-            assert_eq!(sim.world_mut().rpc.pending_calls(), 0);
+            assert_eq!(sim.world().rpc.pending.len(), 0);
         }
     }
 

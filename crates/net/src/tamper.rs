@@ -77,11 +77,6 @@ pub struct Misbehavior {
 }
 
 impl Misbehavior {
-    /// True if every flag is off (an honest node).
-    pub fn is_honest(&self) -> bool {
-        *self == Misbehavior::default()
-    }
-
     /// Folds another set of flags into this one.
     pub fn stack(&mut self, other: Misbehavior) {
         self.withhold_serves |= other.withhold_serves;
@@ -137,12 +132,12 @@ mod tests {
     #[test]
     fn misbehavior_defaults_honest_and_stacks() {
         let mut m = Misbehavior::default();
-        assert!(m.is_honest());
+        assert_eq!(m, Misbehavior::default());
         m.stack(Misbehavior {
             withhold_serves: true,
             ..Misbehavior::default()
         });
-        assert!(!m.is_honest());
+        assert_ne!(m, Misbehavior::default());
         assert!(m.withhold_serves && !m.corrupt_data);
     }
 }

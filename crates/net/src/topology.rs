@@ -278,22 +278,6 @@ impl TopologySpec {
         let lookahead = min * 2;
         (!lookahead.is_zero()).then_some(lookahead)
     }
-
-    /// Number of inter-group rules a physical node hosting nodes from `groups_present` needs
-    /// (the paper's rule-count accounting for Figure 7: one rule per hosted source group per
-    /// distinct destination group with configured latency).
-    pub fn group_rule_count(&self, groups_present: &[GroupId]) -> usize {
-        let mut count = 0;
-        for &src in groups_present {
-            for dst in 0..self.groups.len() {
-                let dst = GroupId(dst);
-                if dst != src && !self.group_latency(src, dst).is_zero() {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
 }
 
 impl Default for TopologySpec {
@@ -365,7 +349,12 @@ mod tests {
         // 10.3.0.0/16 — four group rules.
         let t = TopologySpec::paper_figure7();
         let host_group = t.group_of("10.1.3.207".parse().unwrap()).unwrap();
-        assert_eq!(t.group_rule_count(&[host_group]), 4);
+        // One rule per other group with a configured latency.
+        let rules = (0..t.groups.len())
+            .map(GroupId)
+            .filter(|&dst| dst != host_group && !t.group_latency(host_group, dst).is_zero())
+            .count();
+        assert_eq!(rules, 4);
     }
 
     #[test]

@@ -452,13 +452,6 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Releases a bound port. Returns whether it was bound. Established connections accepted
-    /// through the port are unaffected (as with a real listening socket).
-    pub fn unbind<W: NetHost>(&self, sim: &mut NetSim<W>, port: u16) -> bool {
-        let node = self.node();
-        sim.world_mut().network().listeners.remove(&(node, port))
-    }
-
     /// Initiates a connection to `remote`. The outcome arrives asynchronously as
     /// [`TransportEvent::Connected`] or [`TransportEvent::Refused`].
     pub fn connect<W: NetHost>(
@@ -1259,11 +1252,11 @@ mod tests {
             .map(|(t, _, _)| *t)
             .unwrap();
         assert!(
-            connected_at.as_millis() >= 120,
+            connected_at >= SimTime::from_millis(120),
             "connected at {connected_at}"
         );
         assert!(
-            connected_at.as_millis() < 300,
+            connected_at < SimTime::from_millis(300),
             "connected at {connected_at}"
         );
 
@@ -1418,7 +1411,7 @@ mod tests {
         let (t, _, _) = sim.world().events[0];
         // 30 ms up + 30 ms down plus serialization: at least 60 ms even though it never left
         // the machine.
-        assert!(t.as_millis() >= 60, "delivered at {t}");
+        assert!(t >= SimTime::from_millis(60), "delivered at {t}");
     }
 
     #[test]

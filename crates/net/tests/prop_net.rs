@@ -91,10 +91,11 @@ fn random_pipe_config(rng: &mut SimRng) -> PipeConfig {
     }
     if rng.chance(0.3) {
         let hold = SimDuration::from_micros(rng.gen_range(0..50_000u64));
-        condition = condition.with_reorder(rng.gen_range(0.0..=1.0), hold);
+        condition.reorder_rate = rng.gen_range(0.0..=1.0);
+        condition.reorder_delay = hold;
     }
     if rng.chance(0.3) {
-        condition = condition.with_duplication(rng.gen_range(0.0..=1.0));
+        condition.duplicate_rate = rng.gen_range(0.0..=1.0);
     }
     config.with_condition(Some(condition))
 }

@@ -130,6 +130,12 @@ proptest! {
         }
         prop_assert!(acked.len() <= sends.len());
         prop_assert!(acked_bytes <= sends.iter().sum::<u64>());
-        prop_assert!(w.in_flight() <= sends.len());
+        // Acking every send afterwards credits exactly the sends not credited yet: the window
+        // holds no entry it was not given (and, under its cap, drops none).
+        let mut rest = 0;
+        for latest in 0..sends.len() as u16 {
+            w.on_ack(&AckBitfield { latest, bits: u32::MAX }, |_, _| rest += 1);
+        }
+        prop_assert_eq!(acked.len() + rest, sends.len());
     }
 }

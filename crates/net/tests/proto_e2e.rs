@@ -182,10 +182,12 @@ fn burst_loss_and_duplication_preserve_exactly_once() {
         congestion: CcKind::Aimd,
         ..TransportConfig::default()
     };
-    let condition = LinkCondition::none()
-        .with_jitter(SimDuration::from_millis(3))
-        .with_duplication(0.1)
-        .with_burst(BurstLoss::new(0.05, 0.25, 0.9));
+    let condition = LinkCondition {
+        duplicate_rate: 0.1,
+        ..LinkCondition::none()
+    }
+    .with_jitter(SimDuration::from_millis(3))
+    .with_burst(BurstLoss::new(0.05, 0.25, 0.9));
     let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5))
         .with_condition(Some(condition));
     let w = world(link, transport);

@@ -244,7 +244,11 @@ fn same_vnode_loopback_delivery() {
     sim.run();
     assert_eq!(labels_of(&sim, VNodeId(0)), vec!["dgram:7001:5"]);
     // Both access-link latencies applied: at least 2 x 5 ms even without leaving the node.
-    assert!(sim.now().as_millis() >= 10, "delivered at {}", sim.now());
+    assert!(
+        sim.now() >= SimTime::from_millis(10),
+        "delivered at {}",
+        sim.now()
+    );
     // Node 0 is the only sender and the only receiver.
     let stats = sim.world().net.stats();
     assert_eq!((stats.messages_sent, stats.bytes_delivered), (1, 256));

@@ -164,11 +164,6 @@ impl Machine {
         self.epoch
     }
 
-    /// Number of processes currently running.
-    pub fn running(&self) -> usize {
-        self.procs.len()
-    }
-
     /// Records of all completed processes.
     pub fn completed(&self) -> &[CompletedProcess] {
         &self.completed
@@ -299,16 +294,6 @@ impl Machine {
         out
     }
 
-    /// Kills a process without recording a completion (used when a virtual node is torn down).
-    pub fn kill(&mut self, now: SimTime, pid: Pid) -> bool {
-        self.advance(now);
-        let removed = self.procs.remove(&pid).is_some();
-        if removed {
-            self.epoch += 1;
-        }
-        removed
-    }
-
     fn queue_occupancy(&self) -> Vec<usize> {
         let mut occ = vec![0; self.cores];
         for p in self.procs.values() {
@@ -403,7 +388,7 @@ mod tests {
         assert!((t.as_secs_f64() - 2.0).abs() < 1e-9, "t={t}");
         let done = m.complete_due(t);
         assert_eq!(done.len(), 4, "identical processes finish together");
-        assert_eq!(m.running(), 0);
+        assert_eq!(m.procs.len(), 0);
     }
 
     #[test]
@@ -419,7 +404,7 @@ mod tests {
         let (t1, _) = m.next_completion(SimTime::ZERO).unwrap();
         assert!((t1.as_secs_f64() - 2.0).abs() < 1e-9);
         m.complete_due(t1);
-        assert_eq!(m.running(), 1);
+        assert_eq!(m.procs.len(), 1);
         let (t2, _) = m.next_completion(t1).unwrap();
         assert!((t2.as_secs_f64() - 3.0).abs() < 1e-9, "t2={t2}");
     }
@@ -466,19 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn kill_removes_without_completion_record() {
-        let mut m = quiet_machine(2);
-        let mut rng = test_rng();
-        let pid = m
-            .spawn(SimTime::ZERO, WorkloadSpec::cpu_bound(10.0), &mut rng)
-            .unwrap();
-        assert!(m.kill(SimTime::from_secs(1), pid));
-        assert!(!m.kill(SimTime::from_secs(1), pid));
-        assert_eq!(m.completed().len(), 0);
-        assert_eq!(m.running(), 0);
-    }
-
-    #[test]
     fn epoch_changes_on_spawn_and_completion() {
         let mut m = quiet_machine(2);
         let mut rng = test_rng();
@@ -502,7 +474,7 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.world().completed().len(), 10);
-        assert_eq!(sim.world().running(), 0);
+        assert_eq!(sim.world().procs.len(), 0);
         // Conservation: total CPU delivered equals total demand.
         assert!((sim.world().total_cpu_delivered() - 16.5).abs() < 1e-6);
     }
@@ -523,7 +495,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        assert_eq!(m.running(), 2);
+        assert_eq!(m.procs.len(), 2);
         assert_eq!(m.resident_memory(), 200 << 20);
         assert!((m.load() - 1.0).abs() < 1e-12);
     }

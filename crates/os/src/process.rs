@@ -46,44 +46,9 @@ pub struct CompletedProcess {
     pub cpu_seconds: f64,
 }
 
-impl CompletedProcess {
-    /// Slowdown relative to running alone on a dedicated core (wall / cpu demand).
-    pub fn slowdown(&self) -> f64 {
-        if self.cpu_seconds == 0.0 {
-            1.0
-        } else {
-            self.wall_seconds / self.cpu_seconds
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slowdown_is_wall_over_demand() {
-        let c = CompletedProcess {
-            pid: Pid(1),
-            started_at: SimTime::ZERO,
-            finished_at: SimTime::from_secs(10),
-            wall_seconds: 10.0,
-            cpu_seconds: 5.0,
-        };
-        assert!((c.slowdown() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_demand_has_unit_slowdown() {
-        let c = CompletedProcess {
-            pid: Pid(2),
-            started_at: SimTime::ZERO,
-            finished_at: SimTime::ZERO,
-            wall_seconds: 0.0,
-            cpu_seconds: 0.0,
-        };
-        assert_eq!(c.slowdown(), 1.0);
-    }
 
     #[test]
     fn pid_displays_compactly() {

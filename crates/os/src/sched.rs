@@ -100,16 +100,6 @@ impl SchedulerModel {
         }
     }
 
-    /// The FreeBSD 5 flavour of ULE described in the paper's earlier experiments, where some
-    /// processes were excessively privileged by the scheduler. Used by the ablation bench.
-    pub fn ule_freebsd5() -> SchedulerModel {
-        SchedulerModel {
-            fairness_jitter: 0.35,
-            balance_loss: 0.5,
-            ..SchedulerModel::new(SchedulerKind::Ule)
-        }
-    }
-
     /// Draws the share weight of a newly spawned process.
     pub fn draw_weight(&self, rng: &mut SimRng) -> f64 {
         (rng.normal(1.0, self.fairness_jitter)).max(0.1)
@@ -342,14 +332,6 @@ mod tests {
         let total: f64 = r.iter().sum();
         let expected = 2.0 * (1.0 - m.switch_overhead(4, 2));
         assert!((total - expected).abs() < 1e-6, "total={total}");
-    }
-
-    #[test]
-    fn freebsd5_ule_is_much_less_fair() {
-        let good = SchedulerModel::new(SchedulerKind::Ule);
-        let bad = SchedulerModel::ule_freebsd5();
-        assert!(bad.fairness_jitter > 3.0 * good.fairness_jitter);
-        assert!(bad.balance_loss > good.balance_loss);
     }
 
     #[test]

@@ -96,7 +96,8 @@ proptest! {
         // Drive completions to the end, advancing virtual time monotonically.
         let mut now = SimTime::ZERO;
         let mut guard = 0;
-        while machine.running() > 0 {
+        // A process is running until it completes.
+        while machine.completed().len() < demands.len() {
             let (t, _) = machine.next_completion(now).expect("progress");
             machine.complete_due(t);
             now = t;

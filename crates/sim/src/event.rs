@@ -228,11 +228,6 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Number of slab slots currently allocated (live events plus free-list capacity).
-    pub fn slot_capacity(&self) -> usize {
-        self.payloads.len()
-    }
-
     /// Reserves `n` consecutive sequence numbers for [`push_ranked`](Self::push_ranked) and
     /// returns the first: later pushes draw theirs after the block.
     pub fn reserve_seqs(&mut self, n: u64) -> u64 {
@@ -741,9 +736,9 @@ mod tests {
             assert_eq!(p, round);
         }
         assert!(
-            q.slot_capacity() <= 2,
+            q.payloads.len() <= 2,
             "steady-state push/pop must reuse slots, got {}",
-            q.slot_capacity()
+            q.payloads.len()
         );
     }
 
@@ -821,7 +816,7 @@ mod tests {
             if k + 1 < n {
                 q.push_ranked(SimTime::from_millis(k + 1), first + k + 1, k + 1);
             }
-            assert_eq!(q.slot_capacity(), 1);
+            assert_eq!(q.payloads.len(), 1);
         }
         assert!(q.is_empty());
         let next = q.push(SimTime::ZERO, n);

@@ -398,11 +398,6 @@ impl Recorder {
         *v = (*v).max(total);
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, c: Counter) -> u64 {
-        self.counters[c.0]
-    }
-
     /// Sets a gauge. Non-finite values are ignored (the metric pipeline and the run-report
     /// format are finite-only; the gauge keeps its last finite value).
     pub fn set(&mut self, g: Gauge, v: f64) {
@@ -461,7 +456,7 @@ mod tests {
         rec.record(rtt, 0.030);
         rec.record(rtt, 0.031);
 
-        assert_eq!(rec.counter_value(sent), 5);
+        assert_eq!(rec.counters[sent.0], 5);
         let set = rec.finish();
         let names: Vec<&str> = set.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["sent", "online", "progress", "rtt"]);
@@ -520,7 +515,7 @@ mod tests {
         rec.set_total(c, 10);
         rec.set_total(c, 7); // stale sync must not roll the counter back
         rec.set_total(c, 12);
-        assert_eq!(rec.counter_value(c), 12);
+        assert_eq!(rec.counters[c.0], 12);
     }
 
     #[test]

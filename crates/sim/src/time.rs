@@ -54,16 +54,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since simulation start (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Milliseconds since simulation start (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds since simulation start as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -110,16 +100,6 @@ impl SimDuration {
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Seconds as a float.
@@ -275,8 +255,11 @@ mod tests {
 
     #[test]
     fn from_secs_f64_rounds() {
-        assert_eq!(SimTime::from_secs_f64(1.5).as_millis(), 1500);
-        assert_eq!(SimDuration::from_secs_f64(0.25).as_millis(), 250);
+        assert_eq!(SimTime::from_secs_f64(1.5), SimTime::from_millis(1500));
+        assert_eq!(
+            SimDuration::from_secs_f64(0.25),
+            SimDuration::from_millis(250)
+        );
     }
 
     #[test]
@@ -302,7 +285,7 @@ mod tests {
     fn transmission_delay() {
         // 1500 bytes at 1 Mbps = 12 ms.
         let d = SimDuration::transmission(1500, 1_000_000);
-        assert_eq!(d.as_millis(), 12);
+        assert_eq!(d, SimDuration::from_millis(12));
         // 16 KiB block at 128 kbps ~ 1.024 s.
         let d = SimDuration::transmission(16 * 1024, 128_000);
         assert!((d.as_secs_f64() - 1.024).abs() < 1e-6);

@@ -5,7 +5,7 @@
 //! drift shows in seconds here and not only in CI's full regeneration.
 
 use p2plab::core::{
-    run_campaign, CampaignCell, CampaignSpec, CampaignSummary, RunReport, WORKLOAD_KINDS,
+    run_campaign, CampaignCell, CampaignSpec, CampaignSummary, RunReport, WorkloadConfig,
 };
 use p2plab::sim::RunOutcome;
 use std::collections::{BTreeMap, BTreeSet};
@@ -29,7 +29,7 @@ fn ci_smoke_campaign_covers_the_registry() {
     let cells = campaign.expand().unwrap();
     assert_eq!(campaign.name, "ci-smoke");
     let kinds: BTreeSet<&str> = cells.iter().map(|c| c.file.workload.kind()).collect();
-    let expected: BTreeSet<&str> = WORKLOAD_KINDS.iter().copied().collect();
+    let expected: BTreeSet<&str> = WorkloadConfig::KINDS.iter().map(|&(k, _)| k).collect();
     assert_eq!(kinds, expected);
 
     let byz = cells.last().expect("non-empty campaign");

@@ -1,8 +1,9 @@
-//! The conventions `cargo clippy` cannot state (the rest are `clippy.toml` and
+//! Five conventions `cargo clippy` cannot state (the rest are `clippy.toml` and
 //! `[workspace.lints]`): which bench binaries may exist, that no crate drops out of the gate,
 //! that no crate source holds a `dyn Fn`, that nothing comes from outside the workspace, and
-//! that every scenario key has a caller.
+//! that every scenario key and every public item has a caller.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
 fn entries(dir: &str) -> Vec<std::path::PathBuf> {
@@ -34,6 +35,114 @@ fn files(dir: &Path, ext: &str, out: &mut Vec<std::path::PathBuf>) {
             out.push(path);
         }
     }
+}
+
+/// `file`'s non-test code: the text above its trailing `#[cfg(test)] mod tests`, without `//`
+/// comments (a doc mention is not a caller, a doc example not a declaration). The cut must be
+/// that trailing module, so a mid-file `#[cfg(test)]` item cannot hide the rest of a file.
+fn non_test_code(file: &Path) -> String {
+    let text = std::fs::read_to_string(file).unwrap();
+    let cut = text.find("#[cfg(test)]").unwrap_or(text.len());
+    assert!(
+        cut == text.len() || is_trailing_tests_module(&text[cut..]),
+        "{}: the first `#[cfg(test)]` must be the file's trailing `mod tests`",
+        file.display()
+    );
+    lex(&text[..cut], false)
+}
+
+/// Whether `rest` is attributes, then `mod tests { .. }`, then nothing.
+fn is_trailing_tests_module(rest: &str) -> bool {
+    let code = lex(rest, true);
+    let tokens = tokens(&code);
+    let mut at = 0;
+    while tokens.get(at) == Some(&"#") {
+        let mut depth = 0;
+        at += 1 + tokens[at + 1..]
+            .iter()
+            .position(|t| {
+                depth += i32::from(*t == "[") - i32::from(*t == "]");
+                depth == 0
+            })
+            .unwrap();
+        at += 1;
+    }
+    let mut depth = 0;
+    let body = &tokens[at..];
+    body.starts_with(&["mod", "tests", "{"])
+        && body.iter().position(|t| {
+            depth += i32::from(*t == "{") - i32::from(*t == "}");
+            depth == 0 && *t == "}"
+        }) == Some(body.len() - 1)
+}
+
+/// `code` without its `//` comments; with `blank`, every string and char literal is also
+/// emptied to `""`, so what remains is identifiers, punctuation and balanced braces.
+fn lex(code: &str, blank: bool) -> String {
+    let mut out = String::with_capacity(code.len());
+    let mut rest = code;
+    while let Some(c) = rest.chars().next() {
+        let len = if rest.starts_with("//") {
+            rest.find('\n').unwrap_or(rest.len())
+        } else if let Some(len) = literal_len(rest, out.chars().last()) {
+            out.push_str(if blank { "\"\"" } else { &rest[..len] });
+            len
+        } else {
+            out.push(c);
+            c.len_utf8()
+        };
+        rest = &rest[len..];
+    }
+    out
+}
+
+/// The byte length of the string, raw string or char literal `rest` starts with, if it starts
+/// with one (`before` is the character in front of it: `r"` inside an identifier is no prefix).
+fn literal_len(rest: &str, before: Option<char>) -> Option<usize> {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    if let Some(raw) = rest.strip_prefix('r').filter(|_| !ident(before)) {
+        let hashes = raw.len() - raw.trim_start_matches('#').len();
+        if raw[hashes..].starts_with('"') {
+            let close = format!("\"{}", "#".repeat(hashes));
+            return Some(1 + hashes + 1 + raw[hashes + 1..].find(&close).unwrap() + close.len());
+        }
+    }
+    let mut chars = rest.char_indices();
+    match chars.next()?.1 {
+        '"' => {
+            let mut escaped = false;
+            let close = chars.find(|&(_, c)| {
+                let closes = !escaped && c == '"';
+                escaped = !escaped && c == '\\';
+                closes
+            });
+            close.map(|(i, _)| i + 1)
+        }
+        '\'' => match chars.next()? {
+            (_, '\\') => rest[3..].find('\'').map(|i| i + 4),
+            (i, c) => rest[i + c.len_utf8()..]
+                .starts_with('\'')
+                .then_some(i + c.len_utf8() + 1),
+        },
+        _ => None,
+    }
+}
+
+/// Identifiers and single punctuation characters, in order.
+fn tokens(code: &str) -> Vec<&str> {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    let mut rest = code.trim_start();
+    while let Some(c) = rest.chars().next() {
+        let len = if word(c) {
+            rest.find(|c| !word(c)).unwrap_or(rest.len())
+        } else {
+            c.len_utf8()
+        };
+        out.push(&rest[..len]);
+        rest = rest[len..].trim_start();
+    }
+    out
 }
 
 /// New scenarios ship as `.toml` files run by `campaign`, not as new binaries.
@@ -167,8 +276,7 @@ fn every_scenario_key_has_a_caller() {
         let mut rust = Vec::new();
         sources(&root.join("crates/core/src"), &mut rust);
         for file in rust {
-            let text = std::fs::read_to_string(&file).unwrap();
-            let code = text.split("#[cfg(test)]").next().unwrap();
+            let code = non_test_code(&file);
             for call in calls {
                 for (at, _) in code.match_indices(call) {
                     let arg = code[at + call.len()..].trim_start();
@@ -245,6 +353,99 @@ fn every_scenario_key_has_a_caller() {
         assert!(
             !stale,
             "a shipped file sets `{key}`: drop it from UNSET_KEYS"
+        );
+    }
+}
+
+/// Public items that only tests call, each with why it stays.
+const UNCALLED_ITEMS: [(&str, &str); 0] = [];
+
+/// The keywords that introduce a definition of the name after them.
+const DEFINES: [&str; 7] = ["fn", "const", "static", "struct", "enum", "type", "trait"];
+
+/// `rustc`'s dead-code lint never flags a `pub` item, so this does: every `pub fn` and every
+/// `pub const|static|struct|enum|type|trait` in the non-test code of `crates/*/src` is named as
+/// a word by the non-test code of `crates/*/src`, `src/`, `examples/` or `benchmark/src` (whose
+/// probe links the public API) outside every definition of that name, every `use` declaration
+/// and the body of every function of that name (a relay to a namesake is no caller); or it is
+/// listed in [`UNCALLED_ITEMS`] with its reason. `pub(crate)` items are `rustc`'s to check.
+#[test]
+fn every_public_item_has_a_caller() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut crates = Vec::new();
+    for krate in entries("crates") {
+        sources(&krate.join("src"), &mut crates);
+    }
+    let mut callers = crates.clone();
+    for dir in ["src", "examples", "benchmark/src"] {
+        sources(&root.join(dir), &mut callers);
+    }
+    let word = |t: &str| t.starts_with(|c: char| c.is_alphanumeric() || c == '_');
+
+    // (`path::name`, name) of every public item, and every name something calls.
+    let (mut items, mut called) = (Vec::new(), BTreeSet::new());
+    for file in &callers {
+        let code = lex(&non_test_code(file), true);
+        let tokens = tokens(&code);
+        if crates.contains(file) {
+            let path = file.strip_prefix(root).unwrap().display();
+            for at in (0..tokens.len()).filter(|&at| tokens[at] == "pub") {
+                let mut next = &tokens[at + 1..];
+                if next.starts_with(&["const", "fn"]) {
+                    next = &next[1..];
+                }
+                if let [keyword, name, ..] = next {
+                    if DEFINES.contains(keyword) {
+                        items.push((format!("{path}::{name}"), name.to_string()));
+                    }
+                }
+            }
+        }
+        // (name, brace depth) of each function body the scan is in.
+        let mut bodies: Vec<(&str, i32)> = Vec::new();
+        let (mut depth, mut pending, mut in_use) = (0, None, false);
+        for (at, &token) in tokens.iter().enumerate() {
+            let defines = at > 0 && DEFINES.contains(&tokens[at - 1]) && word(token);
+            match token {
+                "{" => {
+                    bodies.extend(pending.take().map(|name| (name, depth)));
+                    depth += 1;
+                }
+                "}" => {
+                    depth -= 1;
+                    if bodies.last().is_some_and(|&(_, d)| d == depth) {
+                        bodies.pop();
+                    }
+                }
+                ";" => (pending, in_use) = (None, false),
+                "use" => in_use = true,
+                name if defines => pending = (tokens[at - 1] == "fn").then_some(name),
+                name if word(name) && !in_use && !bodies.iter().any(|&(n, _)| n == name) => {
+                    called.insert(name.to_string());
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(items.len() > 500, "found only {} public items", items.len());
+
+    let allowed = |item: &str| UNCALLED_ITEMS.iter().any(|(i, _)| *i == item);
+    let mut uncalled: Vec<&str> = (items.iter())
+        .filter(|(item, name)| !called.contains(name) && !allowed(item))
+        .map(|(item, _)| item.as_str())
+        .collect();
+    uncalled.sort_unstable();
+    assert!(
+        uncalled.is_empty(),
+        "public items only tests call: {uncalled:?}. Delete each (a test that needs the value \
+         computes it), or list it in UNCALLED_ITEMS with its reason"
+    );
+    for (item, _) in UNCALLED_ITEMS {
+        let declared = items.iter().find(|(i, _)| i == item);
+        let (_, name) = declared.unwrap_or_else(|| panic!("`{item}` is no longer a public item"));
+        assert!(
+            !called.contains(name),
+            "`{item}` has a caller: drop it from UNCALLED_ITEMS"
         );
     }
 }

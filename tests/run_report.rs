@@ -143,7 +143,8 @@ fn gossip_report_round_trips_and_matches_result() {
     // The progress series is the dissemination curve: it first counts every node at a sample
     // no earlier than the last one heard the rumor, and counts them all at the stop.
     let progress = loaded.progress();
-    assert!(progress.time_to_reach(16.0).unwrap() >= world.time_to_full().unwrap());
+    let last_heard = *world.informed_at.iter().flatten().max().unwrap();
+    assert!(progress.time_to_reach(16.0).unwrap() >= last_heard);
     assert_eq!(progress.last().unwrap().1, world.informed as f64);
     assert_eq!(loaded.metrics.gauge("online_nodes"), Some(16.0));
 }
@@ -151,7 +152,8 @@ fn gossip_report_round_trips_and_matches_result() {
 #[test]
 fn dht_report_round_trips_and_matches_result() {
     let dht = DhtLookupSpec::new(24);
-    let deadline = dht.arrival_ramp() + SimDuration::from_secs(120);
+    // The last lookup starts `lookups - 1` intervals in.
+    let deadline = dht.lookup_interval * (dht.lookups as u64 - 1) + SimDuration::from_secs(120);
     let spec = lan("report-dht", 24, 3, deadline, 3);
     let lookups = dht.lookups as u64;
     let (world, report) = run_scenario(&spec, DhtLookupWorkload::new(dht)).unwrap();

@@ -3,9 +3,9 @@
 //! session process, and spec validation must hold.
 
 use p2plab::core::{
-    run_scenario, ArrivalSpec, DeploymentSpec, GossipSpec, GossipWorkload, PingMeshSpec,
-    PingMeshWorkload, ScenarioError, ScenarioFile, ScenarioSpec, SessionProcess, SwarmSpec,
-    SwarmWorkload, WorkloadConfig,
+    run_scenario, ArrivalSpec, DeploymentSpec, GossipSpec, GossipWorkload, MeshPattern,
+    PingMeshSpec, PingMeshWorkload, ScenarioError, ScenarioFile, ScenarioSpec, SessionProcess,
+    SwarmSpec, SwarmWorkload, WorkloadConfig,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
 use p2plab::sim::SimDuration;
@@ -44,7 +44,10 @@ fn both_workloads_run_through_the_same_generic_loop() {
     let (mesh, report) = run_scenario(&spec, PingMeshWorkload::new(mesh)).unwrap();
     assert_eq!(mesh.rtts.len(), probes, "{:?}", report.outcome);
     // 5 ms links, two hops each way: at least 20 ms per round trip.
-    assert!(mesh.rtts.iter().all(|(_, d)| d.as_millis() >= 20));
+    assert!(mesh
+        .rtts
+        .iter()
+        .all(|&(_, d)| d >= SimDuration::from_millis(20)));
 }
 
 #[test]
@@ -84,7 +87,7 @@ fn gossip_runs_under_multiple_arrival_processes() {
         let (world, report) =
             run_scenario(&spec, GossipWorkload::new(GossipSpec::new(nodes))).expect("gossip runs");
         assert_eq!(world.informed, nodes, "{label}: {:?}", report.outcome);
-        assert!(world.time_to_full().is_some(), "{label}");
+        assert!(world.informed_at.iter().all(Option::is_some), "{label}");
     }
 }
 
@@ -154,7 +157,10 @@ fn spec_validation_is_enforced_through_the_facade() {
     };
     assert_eq!(zero_deadline.validate(), Err(ScenarioError::ZeroDeadline));
     // The runner applies the same gate before anything is built.
-    let mesh = PingMeshWorkload::new(PingMeshSpec::ring(4));
+    let mesh = PingMeshWorkload::new(PingMeshSpec {
+        pattern: MeshPattern::Ring,
+        ..PingMeshSpec::full(4)
+    });
     let err = run_scenario(&zero_deadline, mesh).err();
     assert_eq!(err, Some(ScenarioError::ZeroDeadline));
 }

@@ -4,8 +4,8 @@
 
 use p2plab::core::{
     parse_toml, AdversaryPlan, ArrivalSpec, CampaignSpec, DeploymentSpec, DhtLookupSpec,
-    GossipShardedSpec, GossipSpec, PingMeshSpec, ScenarioError, ScenarioFile, ScenarioSpec,
-    Selection, SessionProcess, SwarmSpec, WorkloadConfig, WORKLOAD_KINDS,
+    GossipShardedSpec, GossipSpec, MeshPattern, PingMeshSpec, ScenarioError, ScenarioFile,
+    ScenarioSpec, Selection, SessionProcess, SwarmSpec, WorkloadConfig,
 };
 use p2plab::net::{
     AccessLinkClass, BurstLoss, CcKind, LinkCondition, NetworkConfig, TopologySpec, TransportConfig,
@@ -39,7 +39,7 @@ fn checked_in_examples_cover_every_workload_kind() {
         assert_eq!(file.workload.kind(), expected_kind, "{rel}");
         kinds.push(file.workload.kind());
     }
-    let mut registry = WORKLOAD_KINDS.to_vec();
+    let mut registry: Vec<&str> = WorkloadConfig::KINDS.iter().map(|&(k, _)| k).collect();
     registry.sort_unstable();
     kinds.sort_unstable();
     assert_eq!(kinds, registry);
@@ -255,7 +255,7 @@ proptest! {
         explicit_link in 0u64..2,
     ) {
         let (us, ms, secs) = (SimDuration::from_micros, SimDuration::from_millis, SimDuration::from_secs);
-        let kind = WORKLOAD_KINDS[kind_ix];
+        let kind = WorkloadConfig::KINDS[kind_ix].0;
         let name = format!("prop-{kind}");
         let rate = n as f64 / 1000.0;
         let mut text = format!(
@@ -371,7 +371,8 @@ proptest! {
                     pings_per_pair: (n + 6) as usize,
                     interval: ms(n + 1),
                     settle: Some(secs(n)),
-                    ..PingMeshSpec::ring(size)
+                    pattern: MeshPattern::Ring,
+                    ..PingMeshSpec::full(size)
                 }),
             ),
             "gossip" => (
