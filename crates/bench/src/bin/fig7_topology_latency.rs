@@ -34,7 +34,7 @@ fn main() {
         "example machine '{}': {} hosted nodes, {} IPFW rules (2 per hosted node + group latency rules)\n",
         example.name,
         example.hosted(),
-        example.firewall.rule_count()
+        example.rule_count()
     );
 
     let lat = figure7_latency_experiment(machines, 20);

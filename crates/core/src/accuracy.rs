@@ -41,10 +41,7 @@ pub fn rule_scaling_experiment(
             );
             let mut d = deploy(&topo, DeploymentSpec::new(2), NetworkConfig::default())
                 .expect("two-node deployment");
-            d.net
-                .machine_mut(MachineId(0))
-                .firewall
-                .add_dummy_rules(rules);
+            d.net.firewall_mut(MachineId(0)).add_dummy_rules(rules);
             let world = PingWorld::new(d.net);
             let (world, rtts) = ping_series(
                 world,

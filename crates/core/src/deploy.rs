@@ -50,10 +50,7 @@ impl Deployment {
 
     /// Number of IPFW rules configured on machine `m` (the paper's per-node rule accounting).
     pub fn rules_on_machine(&self, m: usize) -> usize {
-        self.net
-            .machine(p2plab_net::MachineId(m))
-            .firewall
-            .rule_count()
+        self.net.machine(p2plab_net::MachineId(m)).rule_count()
     }
 
     /// The largest rule count over all machines — the quantity that bounds scalability

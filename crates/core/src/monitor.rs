@@ -53,12 +53,12 @@ impl ResourceMonitor {
     /// network grew after monitor creation). At monitor creation (`from_current`) baselines
     /// start from the machines' current counters, so a monitor attached to a warm network is
     /// not charged for traffic it never observed. A machine that appears *mid-run* instead
-    /// baselines from zero: its pipes were created with zeroed counters, so everything it
+    /// baselines from zero: it was created with zeroed NIC counters, so everything it
     /// forwarded since joining belongs to its first sampling interval.
     fn grow_to(&mut self, net: &Network, machines: usize, rec: &mut Recorder, from_current: bool) {
         for m in self.last_tx.len()..machines {
             let (tx, rx) = if from_current {
-                nic_bytes(net, MachineId(m))
+                net.machine(MachineId(m)).nic_bytes()
             } else {
                 (0, 0)
             };
@@ -78,7 +78,7 @@ impl ResourceMonitor {
         self.grow_to(net, machines, rec, false);
         let interval = now.saturating_since(self.last_sample_at).as_secs_f64();
         for m in 0..machines {
-            let (tx, rx) = nic_bytes(net, MachineId(m));
+            let (tx, rx) = net.machine(MachineId(m)).nic_bytes();
             let d_tx = tx.saturating_sub(self.last_tx[m]);
             let d_rx = rx.saturating_sub(self.last_rx[m]);
             self.last_tx[m] = tx;
@@ -97,13 +97,6 @@ impl ResourceMonitor {
         }
         self.last_sample_at = now;
     }
-}
-
-fn nic_bytes(net: &Network, m: MachineId) -> (u64, u64) {
-    let machine = net.machine(m);
-    let tx = net.pipe(machine.nic_tx).stats().forwarded_bytes;
-    let rx = net.pipe(machine.nic_rx).stats().forwarded_bytes;
-    (tx, rx)
 }
 
 #[cfg(test)]

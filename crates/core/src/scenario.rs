@@ -130,6 +130,13 @@ pub trait Workload {
     /// with [`ScenarioSpec::arrivals`].
     fn default_arrivals(&self) -> ArrivalSpec;
 
+    /// When the last of the starts the workload schedules itself, outside the arrival process,
+    /// happens (the swarm's seeders). The deadline is held to it as to the arrival ramp. The
+    /// default is zero: no such start.
+    fn own_ramp(&self) -> SimDuration {
+        SimDuration::ZERO
+    }
+
     /// Builds the simulation world from the finished deployment.
     fn build_world(&mut self, deployment: Deployment) -> Self::World;
 
@@ -198,8 +205,9 @@ pub trait Workload {
     /// One sample of the workload's global progress metric, taken on the scenario's sampling
     /// grid. The runner feeds the returned value to the run's progress curve; the workload
     /// records any further metrics of its own through `rec` using the handles it registered in
-    /// [`setup_metrics`](Workload::setup_metrics).
-    fn sample(&mut self, now: SimTime, world: &Self::World, rec: &mut Recorder) -> f64;
+    /// [`setup_metrics`](Workload::setup_metrics), and may drain from the world what it has
+    /// recorded.
+    fn sample(&mut self, now: SimTime, world: &mut Self::World, rec: &mut Recorder) -> f64;
 
     /// Whether the workload has reached its natural end (stops the periodic sampler; the
     /// simulation itself still drains remaining events up to the deadline).
@@ -631,7 +639,7 @@ pub fn run_scenario<W: Workload + 'static>(
             // One sample: the workload's progress, the transport counters and the
             // congestion-window trajectory (sampled only when the protocol-depth layer has live
             // connections; the series stays empty on legacy-path runs).
-            let sample = |workload: &mut W, world: &W::World, now, rec: &mut Recorder| {
+            let sample = |workload: &mut W, world: &mut W::World, now, rec: &mut Recorder| {
                 let progress = workload.sample(now, world, rec);
                 rec.push(progress_id, now, progress);
                 transport_counters.sync(W::network(world).stats(), rec);
@@ -645,7 +653,7 @@ pub fn run_scenario<W: Workload + 'static>(
                     Halt::Stopped(outcome) => break outcome,
                     Halt::Wake(SAMPLER) => {
                         let now = sim.now();
-                        let world = sim.world();
+                        let world = sim.world_mut();
                         sample(&mut workload, world, now, &mut recorder);
                         if let Some(m) = monitor.as_mut() {
                             m.record(now, W::network(world), &mut recorder);
@@ -684,12 +692,12 @@ pub fn run_scenario<W: Workload + 'static>(
                 events_executed: sim.executed_events(),
                 outcome,
             };
-            let world = sim.into_world();
+            let mut world = sim.into_world();
 
             // Final sample so the progress curve extends to the stop time, and a last
             // transport-counter sync so drops/retransmits/timeouts after the final grid tick
             // are not lost.
-            sample(&mut workload, &world, stop.stopped_at, &mut recorder);
+            sample(&mut workload, &mut world, stop.stopped_at, &mut recorder);
             (world, stop)
         }
     };
@@ -753,7 +761,7 @@ pub(crate) fn preflight<W: Workload>(
         .map_err(|reason| ScenarioError::InvalidArrivals { reason })?;
     // A deadline that ends before the last participant even joins is rejected outright
     // instead of silently dropping the tail of the crowd.
-    let ramp = arrivals.ramp();
+    let ramp = arrivals.ramp().max(workload.own_ramp());
     if spec.deadline < ramp {
         return Err(ScenarioError::DeadlineBeforeArrivalRamp {
             ramp,

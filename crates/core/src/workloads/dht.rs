@@ -270,9 +270,10 @@ pub struct DhtWorld {
     alpha: usize,
     /// Application-level deviations byzantine nodes apply when serving (noop when honest).
     misbehavior: Misbehavior,
-    /// Per-node fabrication streams: `Some` exactly for byzantine nodes. Draws never touch
-    /// the simulation's global stream, so honest runs execute the frozen event sequence.
-    serve_rng: Vec<Option<SimRng>>,
+    /// Per-node fabrication streams: `Some` exactly for byzantine nodes, and boxed, so an
+    /// honest node's slot is one null pointer. Draws never touch the simulation's global
+    /// stream, so honest runs execute the frozen event sequence.
+    serve_rng: Vec<Option<Box<SimRng>>>,
     /// When each lookup starts (the arrival schedule): lookup `k` starts at `starts[k]` under
     /// queue rank `start_rank + k`, armed by lookup `k - 1`'s start.
     starts: Vec<SimTime>,
@@ -334,7 +335,7 @@ impl DhtWorld {
             .map(|i| {
                 roster
                     .filter(|r| r.contains(i))
-                    .map(|r| r.wire_rng(i).split("dht-serve"))
+                    .map(|r| Box::new(r.wire_rng(i).split("dht-serve")))
             })
             .collect();
         if let Some(r) = roster {
@@ -883,7 +884,7 @@ impl Workload for DhtLookupWorkload {
         });
     }
 
-    fn sample(&mut self, _now: SimTime, world: &DhtWorld, rec: &mut Recorder) -> f64 {
+    fn sample(&mut self, _now: SimTime, world: &mut DhtWorld, rec: &mut Recorder) -> f64 {
         if let Some(m) = self.metrics {
             for r in &world.records[self.records_recorded..] {
                 rec.record(m.hops, r.hops as f64);
@@ -1281,7 +1282,7 @@ mod tests {
         fn setup_metrics(&mut self, rec: &mut Recorder) {
             self.0.setup_metrics(rec);
         }
-        fn sample(&mut self, now: SimTime, world: &DhtWorld, rec: &mut Recorder) -> f64 {
+        fn sample(&mut self, now: SimTime, world: &mut DhtWorld, rec: &mut Recorder) -> f64 {
             self.0.sample(now, world, rec)
         }
         fn is_complete(&self, world: &DhtWorld) -> bool {

@@ -411,7 +411,7 @@ impl Workload for GossipWorkload {
         });
     }
 
-    fn sample(&mut self, _now: SimTime, world: &GossipWorld, rec: &mut Recorder) -> f64 {
+    fn sample(&mut self, _now: SimTime, world: &mut GossipWorld, rec: &mut Recorder) -> f64 {
         if let Some(m) = self.metrics {
             rec.set_total(m.rumors_sent, world.rumors_sent);
             rec.set_total(m.duplicate_receipts, world.duplicate_receipts);

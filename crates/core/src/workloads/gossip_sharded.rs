@@ -164,8 +164,9 @@ struct GossipShard {
     /// The folded wire tampering byzantine members apply to their own pushes.
     tamper: TamperSpec,
     /// Per-node tamper RNG streams, `Some` only for byzantine members — split off the scenario
-    /// seed by node id, so tamper draws are partition-invariant like peer selection.
-    tamper_rng: Vec<Option<SimRng>>,
+    /// seed by node id, so tamper draws are partition-invariant like peer selection. Boxed:
+    /// every push reads its sender's slot, and an honest one is a null pointer.
+    tamper_rng: Vec<Option<Box<SimRng>>>,
     informed: u64,
     rumors_sent: u64,
     duplicate_receipts: u64,
@@ -197,7 +198,11 @@ impl GossipShard {
             tamper: roster.map(|r| r.tamper).unwrap_or_else(TamperSpec::none),
             tamper_rng: block
                 .clone()
-                .map(|n| roster.filter(|r| r.contains(n)).map(|r| r.wire_rng(n)))
+                .map(|n| {
+                    roster
+                        .filter(|r| r.contains(n))
+                        .map(|r| Box::new(r.wire_rng(n)))
+                })
                 .collect(),
             block,
             shards,
@@ -460,7 +465,12 @@ impl Workload for GossipShardedWorkload {
         });
     }
 
-    fn sample(&mut self, _now: SimTime, world: &GossipShardedWorld, _rec: &mut Recorder) -> f64 {
+    fn sample(
+        &mut self,
+        _now: SimTime,
+        world: &mut GossipShardedWorld,
+        _rec: &mut Recorder,
+    ) -> f64 {
         world.informed as f64
     }
 

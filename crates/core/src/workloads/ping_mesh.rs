@@ -120,9 +120,6 @@ impl PingMeshSpec {
 pub struct PingMeshWorkload {
     spec: PingMeshSpec,
     rtt_hist: Option<HistogramId>,
-    /// RTTs already recorded into the histogram (`world.rtts` is append-only, so this is a
-    /// high-water mark).
-    rtts_recorded: usize,
     /// When the last echo request fires (known once arrivals are scheduled) — the anchor for
     /// the optional settle grace.
     last_probe_at: SimTime,
@@ -136,7 +133,6 @@ impl PingMeshWorkload {
         PingMeshWorkload {
             spec,
             rtt_hist: None,
-            rtts_recorded: 0,
             last_probe_at: SimTime::ZERO,
             settled: false,
         }
@@ -215,21 +211,21 @@ impl Workload for PingMeshWorkload {
         self.rtt_hist = Some(rec.histogram("rtt_secs"));
     }
 
-    fn sample(&mut self, now: SimTime, world: &PingWorld, rec: &mut Recorder) -> f64 {
+    fn sample(&mut self, now: SimTime, world: &mut PingWorld, rec: &mut Recorder) -> f64 {
+        // The histogram is the run's copy of the RTTs: the world keeps none once recorded.
         if let Some(h) = self.rtt_hist {
-            for &(_, rtt) in &world.rtts[self.rtts_recorded..] {
+            for (_, rtt) in world.rtts.drain(..) {
                 rec.record(h, rtt.as_secs_f64());
             }
-            self.rtts_recorded = world.rtts.len();
         }
         if let Some(grace) = self.spec.settle {
             self.settled |= now >= self.last_probe_at + grace;
         }
-        world.rtts.len() as f64
+        world.replies as f64
     }
 
     fn is_complete(&self, world: &PingWorld) -> bool {
-        world.rtts.len() >= self.spec.expected_probes() || self.settled
+        world.replies >= self.spec.expected_probes() || self.settled
     }
 }
 
@@ -237,9 +233,78 @@ impl Workload for PingMeshWorkload {
 mod tests {
     use super::*;
     use crate::deploy::DeploymentSpec;
+    use crate::report::RunReport;
     use crate::scenario::{run_scenario, ScenarioError, ScenarioSpec};
     use p2plab_net::{AccessLinkClass, TopologySpec};
     use p2plab_sim::FxHashSet;
+
+    /// A mesh workload whose world keeps every RTT, so a test can read them all after the
+    /// run: the inner workload's `sample` sees and drains only the RTTs that arrived since the
+    /// last sample, then this hands back the whole list.
+    struct Keeping<W> {
+        inner: W,
+        /// RTTs handed back so far: the front of `world.rtts` at the next sample.
+        kept: usize,
+    }
+
+    impl<W> Workload for Keeping<W>
+    where
+        W: Workload<World = PingWorld, Event = NetEvent<PingPayload, PingTimer>>,
+    {
+        type World = PingWorld;
+        type Event = NetEvent<PingPayload, PingTimer>;
+
+        const KIND: &'static str = W::KIND;
+        fn vnodes_required(&self) -> usize {
+            self.inner.vnodes_required()
+        }
+        fn participants(&self) -> usize {
+            self.inner.participants()
+        }
+        fn default_arrivals(&self) -> ArrivalSpec {
+            self.inner.default_arrivals()
+        }
+        fn build_world(&mut self, deployment: Deployment) -> PingWorld {
+            self.inner.build_world(deployment)
+        }
+        fn on_deployed(&mut self, sim: &mut NetSim<PingWorld>) {
+            self.inner.on_deployed(sim);
+        }
+        fn schedule_arrivals(&mut self, sim: &mut NetSim<PingWorld>, arrivals: &ArrivalSchedule) {
+            self.inner.schedule_arrivals(sim, arrivals);
+        }
+        fn network(world: &PingWorld) -> &Network {
+            &world.net
+        }
+        fn setup_metrics(&mut self, rec: &mut Recorder) {
+            self.inner.setup_metrics(rec);
+        }
+        fn sample(&mut self, now: SimTime, world: &mut PingWorld, rec: &mut Recorder) -> f64 {
+            let mut kept = std::mem::take(&mut world.rtts);
+            world.rtts = kept.split_off(self.kept);
+            kept.extend_from_slice(&world.rtts);
+            let progress = self.inner.sample(now, world, rec);
+            assert!(world.rtts.is_empty(), "the mesh drains what it recorded");
+            self.kept = kept.len();
+            world.rtts = kept;
+            progress
+        }
+        fn is_complete(&self, world: &PingWorld) -> bool {
+            self.inner.is_complete(world)
+        }
+    }
+
+    /// Runs `workload` wrapped in [`Keeping`].
+    fn run_keeping<W>(scenario: &ScenarioSpec, workload: W) -> (PingWorld, RunReport)
+    where
+        W: Workload<World = PingWorld, Event = NetEvent<PingPayload, PingTimer>> + 'static,
+    {
+        let keeping = Keeping {
+            inner: workload,
+            kept: 0,
+        };
+        run_scenario(scenario, keeping).unwrap()
+    }
 
     fn lan(n: usize) -> TopologySpec {
         TopologySpec::uniform(
@@ -259,9 +324,13 @@ mod tests {
             seed: 1,
             ..ScenarioSpec::new("mesh4", lan(4))
         };
-        let (world, report) = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap();
+        let (world, report) = run_keeping(&scenario, PingMeshWorkload::new(spec));
         assert_eq!(report.metrics.counter("probes_scheduled"), Some(4 * 3 * 5));
         assert_eq!(world.rtts.len(), 4 * 3 * 5, "{:?}", report.outcome);
+        // The histogram took every RTT, and the replies counted them.
+        let histogram = report.metrics.histogram("rtt_secs").unwrap();
+        assert_eq!(histogram.count, 4 * 3 * 5);
+        assert_eq!(world.replies, 4 * 3 * 5);
         // Two 100 us links each way: every RTT at least 400 us.
         assert!(world
             .rtts
@@ -291,7 +360,9 @@ mod tests {
         };
         let (world, report) = run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap();
         assert_eq!(report.metrics.counter("probes_scheduled"), Some(8 * 5));
-        assert_eq!(world.rtts.len(), 8 * 5);
+        assert_eq!(world.replies, 8 * 5);
+        // The histogram is the run's copy of the RTTs: the world keeps none.
+        assert!(world.rtts.is_empty());
     }
 
     /// The up-front schedule the probe series replace: one single probe per (pair, round),
@@ -340,7 +411,7 @@ mod tests {
         fn setup_metrics(&mut self, rec: &mut Recorder) {
             self.0.setup_metrics(rec);
         }
-        fn sample(&mut self, now: SimTime, world: &PingWorld, rec: &mut Recorder) -> f64 {
+        fn sample(&mut self, now: SimTime, world: &mut PingWorld, rec: &mut Recorder) -> f64 {
             self.0.sample(now, world, rec)
         }
         fn is_complete(&self, world: &PingWorld) -> bool {
@@ -376,9 +447,8 @@ mod tests {
                 seed: 11,
                 ..ScenarioSpec::new("series", lan(5))
             };
-            let chained = run_scenario(&scenario, PingMeshWorkload::new(spec.clone())).unwrap();
-            let up_front =
-                run_scenario(&scenario, UpFront(PingMeshWorkload::new(spec.clone()))).unwrap();
+            let chained = run_keeping(&scenario, PingMeshWorkload::new(spec.clone()));
+            let up_front = run_keeping(&scenario, UpFront(PingMeshWorkload::new(spec.clone())));
             assert_eq!(chained.0.rtts.len(), spec.expected_probes(), "{arrivals:?}");
             assert_eq!(chained.0.rtts, up_front.0.rtts, "{arrivals:?}");
             assert_eq!(
@@ -430,7 +500,7 @@ mod tests {
                 seed,
                 ..ScenarioSpec::new("det", lan(3))
             };
-            run_scenario(&scenario, PingMeshWorkload::new(spec)).unwrap()
+            run_keeping(&scenario, PingMeshWorkload::new(spec))
         };
         let (a, report_a) = run(7);
         let (b, report_b) = run(7);

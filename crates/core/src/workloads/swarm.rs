@@ -130,6 +130,11 @@ impl SwarmWorkload {
     }
 }
 
+/// When seeder `s` comes online: the seeders start a second apart from time zero.
+fn seeder_start(s: usize) -> SimDuration {
+    SimDuration::from_secs(s as u64)
+}
+
 impl Workload for SwarmWorkload {
     type World = SwarmWorld;
     type Event = NetEvent<BtPayload, SwarmTimer>;
@@ -255,10 +260,14 @@ impl Workload for SwarmWorkload {
         inv
     }
 
+    fn own_ramp(&self) -> SimDuration {
+        seeder_start(self.cfg.seeders.saturating_sub(1))
+    }
+
     fn on_deployed(&mut self, sim: &mut SwarmSim) {
         // Seeders (and the tracker, which is passive) come online first.
         for s in 0..self.cfg.seeders {
-            schedule_client_start(sim, s, SimTime::ZERO + SimDuration::from_secs(s as u64));
+            schedule_client_start(sim, s, SimTime::ZERO + seeder_start(s));
         }
     }
 
@@ -311,7 +320,7 @@ impl Workload for SwarmWorkload {
         });
     }
 
-    fn sample(&mut self, now: SimTime, world: &SwarmWorld, rec: &mut Recorder) -> f64 {
+    fn sample(&mut self, now: SimTime, world: &mut SwarmWorld, rec: &mut Recorder) -> f64 {
         if let Some(m) = self.metrics {
             let completed = world.completed_count();
             rec.push(m.completed, now, completed as f64);

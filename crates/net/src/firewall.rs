@@ -13,9 +13,12 @@
 //! while a machine's rules are exactly the ones its deployment installed, the network layer
 //! computes a packet's classification from the deployment and charges it with
 //! [`count_packet`](Firewall::count_packet) — see `Network::classify` in [`crate::network`].
-//! The firewall's [`version`](Firewall::version) counter, bumped on every rule change, tells
-//! the network when a rule came from elsewhere. `classify` itself stays the plain linear walk,
-//! and the reference everything else is checked against.
+//! Such a machine's firewall stores none of those rules, only its counters: the network
+//! counts the rules and builds their list from its node records when something must walk or
+//! change it, and from then on the firewall holds the whole list. The firewall's
+//! [`version`](Firewall::version) counter, bumped on every rule change, tells the network when
+//! a rule came from elsewhere. `classify` itself stays the plain linear walk, and the
+//! reference everything else is checked against.
 
 use crate::addr::{Subnet, VirtAddr};
 use crate::pipe::PipeId;
@@ -253,10 +256,22 @@ impl Firewall {
     /// this plus [`count_packet`](Firewall::count_packet); the network layer's deployed
     /// classification is checked against it in debug builds.
     pub fn walk(&self, src: VirtAddr, dst: VirtAddr, direction: Direction) -> Classification {
+        self.walk_rules(self.rules.iter().copied(), src, dst, direction)
+    }
+
+    /// The linear walk over `rules` instead of the stored list, at this firewall's per-rule
+    /// cost: how the network checks a deployed machine, whose list it builds, not stores.
+    pub(crate) fn walk_rules(
+        &self,
+        rules: impl IntoIterator<Item = Rule>,
+        src: VirtAddr,
+        dst: VirtAddr,
+        direction: Direction,
+    ) -> Classification {
         let mut pipes = PipeList::default();
         let mut rules_examined = 0;
         let mut accepted = true;
-        for rule in &self.rules {
+        for rule in rules {
             rules_examined += 1;
             if !rule.matches(src, dst, direction) {
                 continue;

@@ -29,6 +29,16 @@
 //! latency pipe, or the receiver's download pipe. A rule from anywhere else, overlapping group
 //! subnets, or a packet under the machine's administration address takes the linear walk,
 //! [`Firewall::classify`].
+//!
+//! **Nothing is stored that a packet does not read.** So a deployed machine keeps its rule
+//! count and its hosted nodes' ids, but no rule. The list is built from the hosted nodes'
+//! records, the group-pair table and the topology — per hosted node in id order, its outgoing
+//! and incoming `/32` rules, then its group's latency rules if its arrival installed them —
+//! the first time something must walk or change it: a rule from outside (through
+//! [`Network::firewall_mut`]), a packet under the administration address, or a topology whose
+//! groups overlap (at once). From then on the firewall stores the list, as it would have all
+//! along. A deployed node costs the network 108 bytes: its record, its two 32-byte pipes, its
+//! id in its machine's hosted list and its entry in its group's member list.
 
 use crate::addr::{Subnet, VirtAddr};
 use crate::firewall::{Classification, Direction, Firewall, PipeList, Rule};
@@ -227,12 +237,16 @@ pub struct MachineNet {
     /// The machine's administration address. Each hosted node's interface alias is that
     /// node's [`VNodeNet::addr`].
     pub admin_addr: VirtAddr,
-    /// The machine's firewall (dummynet/IPFW rules for its hosted virtual nodes).
-    pub firewall: Firewall,
+    /// The machine's firewall (dummynet/IPFW rules for its hosted virtual nodes): always its
+    /// counters, and its rules once they are built (see `unstored_rules`). Changed from outside
+    /// the deployment only through [`Network::firewall_mut`].
+    firewall: Firewall,
     /// NIC transmit pipe.
     pub nic_tx: PipeId,
     /// NIC receive pipe.
     pub nic_rx: PipeId,
+    /// Bytes the NIC transmit and receive pipes forwarded.
+    nic_bytes: (u64, u64),
     /// Per group (indexed by [`GroupId`]), whether its inter-group rules are installed here.
     group_rules_installed: Vec<bool>,
     /// The latency pipe of each installed inter-group rule, at `[src * groups + dst]`, or
@@ -241,19 +255,46 @@ pub struct MachineNet {
     /// The firewall's version after the last rule `add_vnode` installed: while the firewall
     /// still reports it, every rule on the machine is the deployment's own.
     deployed_version: u64,
-    /// Virtual nodes hosted on this machine.
-    hosted: u32,
+    /// The virtual nodes hosted on this machine, in id order (the order they arrived in).
+    hosted: Vec<u32>,
+    /// `Some(n)` while the machine's `n` rules are the deployment's and the firewall stores
+    /// none of them: [`Network::deployed_rules`] builds the list from the hosted nodes'
+    /// records, the first time something must walk or change it. `None` from then on, and
+    /// from the start when group subnets overlap (such a machine always walks).
+    unstored_rules: Option<usize>,
 }
 
 impl MachineNet {
     /// Number of virtual nodes hosted on this machine.
     pub fn hosted(&self) -> usize {
-        self.hosted as usize
+        self.hosted.len()
+    }
+
+    /// Number of IPFW rules on this machine: every packet it classifies pays for each one.
+    pub fn rule_count(&self) -> usize {
+        self.unstored_rules
+            .unwrap_or_else(|| self.firewall.rule_count())
+    }
+
+    /// Bytes forwarded by the NIC's transmit and receive pipes, for the resource monitor.
+    pub fn nic_bytes(&self) -> (u64, u64) {
+        self.nic_bytes
     }
 
     /// Whether the firewall holds exactly the rules the deployment installed.
     fn as_deployed(&self) -> bool {
         self.firewall.version() == self.deployed_version
+    }
+
+    /// Appends a rule the deployment installs: to the firewall once it stores its rules, to
+    /// the count before.
+    fn install(&mut self, rule: Rule) {
+        match self.unstored_rules.as_mut() {
+            Some(n) => *n += 1,
+            None => {
+                self.firewall.add_rule(rule);
+            }
+        }
     }
 }
 
@@ -494,9 +535,11 @@ impl Network {
             firewall,
             nic_tx,
             nic_rx,
+            nic_bytes: (0, 0),
             group_rules_installed: vec![false; self.topology.groups.len()],
             group_pipes: Vec::new(),
-            hosted: 0,
+            hosted: Vec::new(),
+            unstored_rules: self.disjoint_groups.then_some(0),
         });
         MachineId(self.machines.len() - 1)
     }
@@ -520,13 +563,16 @@ impl Network {
         dst: VNodeId,
     ) -> PacketPath {
         let (s, d) = (&self.vnodes[src.0], &self.vnodes[dst.0]);
-        let host = match direction {
-            Direction::Out => s,
-            Direction::In => d,
-        };
-        let m = &mut self.machines[host.machine as usize];
+        let host = MachineId(match direction {
+            Direction::Out => s.machine,
+            Direction::In => d.machine,
+        } as usize);
+        let m = &self.machines[host.0];
         if !self.disjoint_groups || s.addr != src_addr || !m.as_deployed() {
-            return m.firewall.classify(src_addr, d.addr, direction).into();
+            let dst_addr = d.addr;
+            self.store_rules(host);
+            let firewall = &mut self.machines[host.0].firewall;
+            return firewall.classify(src_addr, dst_addr, direction).into();
         }
         let (pipes, len) = match direction {
             Direction::Out => {
@@ -542,8 +588,7 @@ impl Network {
             }
             Direction::In => ([d.down_pipe(), PipeId(0)], 1),
         };
-        let rules = m.firewall.rule_count() as u64;
-        m.firewall.count_packet(rules, true);
+        let rules = m.rule_count() as u64;
         let path = PacketPath {
             accepted: true,
             evaluation_cost: m.firewall.evaluation_cost(rules),
@@ -551,14 +596,73 @@ impl Network {
         };
         debug_assert!(
             {
-                let walked = m.firewall.walk(src_addr, d.addr, direction);
+                let walked = match m.unstored_rules {
+                    Some(_) => {
+                        (m.firewall).walk_rules(self.deployed_rules(m), src_addr, d.addr, direction)
+                    }
+                    None => m.firewall.walk(src_addr, d.addr, direction),
+                };
                 walked.accepted
                     && walked.rules_examined as u64 == rules
                     && path.pipes() == &walked.pipes[..]
             },
             "deployed classification of {src:?} -> {dst:?} ({direction:?}) differs from the walk"
         );
+        self.machines[host.0].firewall.count_packet(rules, true);
         path
+    }
+
+    /// The rules the deployment installed on `machine`, in the order `add_vnode` installed
+    /// them: for each hosted node in id order, its outgoing `/32` rule through its upload
+    /// pipe, its incoming `/32` rule through its download pipe, then — if that node's arrival
+    /// installed them — its group's latency rules, one per other group in group order.
+    fn deployed_rules<'a>(&'a self, machine: &'a MachineNet) -> impl Iterator<Item = Rule> + 'a {
+        let groups = &self.topology.groups;
+        let n = groups.len();
+        machine.hosted.iter().flat_map(move |&id| {
+            let v = &self.vnodes[id as usize];
+            let host = Subnet::host(v.addr);
+            let access = [
+                Rule::pipe(host, Subnet::any(), Direction::Out, v.up_pipe()),
+                Rule::pipe(Subnet::any(), host, Direction::In, v.down_pipe()),
+            ];
+            let g = v.group as usize;
+            let latency = match v.installed_group_rules {
+                true => machine.group_pipes.get(g * n..(g + 1) * n).unwrap_or(&[]),
+                false => &[],
+            };
+            let latency = (latency.iter().enumerate())
+                .filter(|&(_, &pipe)| pipe != NO_PIPE)
+                .map(move |(other, &pipe)| {
+                    let (src, dst) = (groups[g].subnet, groups[other].subnet);
+                    Rule::pipe(src, dst, Direction::Out, PipeId(pipe as usize))
+                });
+            access.into_iter().chain(latency)
+        })
+    }
+
+    /// Mutable access to a machine's firewall, for rules from outside the deployment (the
+    /// dummy rules of Figure 6's experiment). The firewall holds the machine's whole list
+    /// first; a rule changed through it then sends the machine's packets down the linear walk.
+    pub fn firewall_mut(&mut self, machine: MachineId) -> &mut Firewall {
+        self.store_rules(machine);
+        &mut self.machines[machine.0].firewall
+    }
+
+    /// Builds and stores the rule list of a machine that stores none; it stays as deployed.
+    fn store_rules(&mut self, machine: MachineId) {
+        let m = &self.machines[machine.0];
+        let Some(count) = m.unstored_rules else {
+            return;
+        };
+        let rules: Vec<Rule> = self.deployed_rules(m).collect();
+        debug_assert_eq!(rules.len(), count, "the built list has every counted rule");
+        let m = &mut self.machines[machine.0];
+        for rule in rules {
+            m.firewall.add_rule(rule);
+        }
+        m.unstored_rules = None;
+        m.deployed_version = m.firewall.version();
     }
 
     /// Adds a virtual node of `group` on `machine`, at the group's next unassigned address
@@ -611,27 +715,27 @@ impl Network {
             up_pipe.0 + 1,
             "a node's pipes are created back to back"
         );
+        let id = VNodeId(self.vnodes.len());
         let m = &mut self.machines[machine.0];
         let deployed = m.as_deployed();
-        m.firewall.add_rule(Rule::pipe(
+        m.install(Rule::pipe(
             Subnet::host(addr),
             Subnet::any(),
             Direction::Out,
             up_pipe,
         ));
-        m.firewall.add_rule(Rule::pipe(
+        m.install(Rule::pipe(
             Subnet::any(),
             Subnet::host(addr),
             Direction::In,
             down_pipe,
         ));
-        m.hosted += 1;
+        m.hosted.push(narrow(id.0));
         let installed_group_rules = self.install_group_rules(machine, group);
         let m = &mut self.machines[machine.0];
         if deployed {
             m.deployed_version = m.firewall.version();
         }
-        let id = VNodeId(self.vnodes.len());
         self.vnodes.push(VNodeNet {
             addr,
             group: narrow(group.0),
@@ -663,8 +767,7 @@ impl Network {
             let dst = self.topology.groups[other].subnet;
             let pipe = self.add_pipe(PipeConfig::delay_only(latency));
             let m = &mut self.machines[machine.0];
-            m.firewall
-                .add_rule(Rule::pipe(src, dst, Direction::Out, pipe));
+            m.install(Rule::pipe(src, dst, Direction::Out, pipe));
             if m.group_pipes.is_empty() {
                 m.group_pipes.resize(n * n, NO_PIPE);
             }
@@ -678,11 +781,6 @@ impl Network {
         PipeId(self.pipes.len() - 1)
     }
 
-    /// Access to a pipe.
-    pub fn pipe(&self, id: PipeId) -> &Pipe {
-        &self.pipes[id.0]
-    }
-
     /// Mutable access to a pipe.
     pub fn pipe_mut(&mut self, id: PipeId) -> &mut Pipe {
         &mut self.pipes[id.0]
@@ -693,9 +791,14 @@ impl Network {
         &self.machines[id.0]
     }
 
-    /// Mutable access to a machine.
-    pub fn machine_mut(&mut self, id: MachineId) -> &mut MachineNet {
-        &mut self.machines[id.0]
+    /// Counts `bytes` forwarded by `machine`'s NIC pipe in `direction` ([`Direction::Out`]:
+    /// transmit).
+    pub(crate) fn count_nic_bytes(&mut self, machine: MachineId, direction: Direction, bytes: u64) {
+        let counts = &mut self.machines[machine.0].nic_bytes;
+        match direction {
+            Direction::Out => counts.0 += bytes,
+            Direction::In => counts.1 += bytes,
+        }
     }
 
     /// Number of machines.
@@ -892,6 +995,15 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    /// A machine's rule list: the one it would build while it stores none.
+    fn rules_of(net: &Network, machine: MachineId) -> Vec<Rule> {
+        let m = net.machine(machine);
+        match m.unstored_rules {
+            Some(_) => net.deployed_rules(m).collect(),
+            None => m.firewall.rules().to_vec(),
+        }
+    }
+
     fn dsl_network(n_machines: usize, vnodes_per_machine: usize) -> Network {
         let topo = TopologySpec::uniform(
             "dsl",
@@ -914,11 +1026,9 @@ mod tests {
         assert_eq!(net.vnode_count(), 20);
         assert_eq!(net.machine_count(), 2);
         // Two rules per hosted vnode, no group rules in a single-group topology.
-        assert_eq!(net.machine(MachineId(0)).firewall.rule_count(), 20);
+        assert_eq!(net.machine(MachineId(0)).rule_count(), 20);
         assert_eq!(net.machine(MachineId(0)).hosted(), 10);
-        let rules: usize = (0..2)
-            .map(|m| net.machine(MachineId(m)).firewall.rule_count())
-            .sum();
+        let rules: usize = (0..2).map(|m| net.machine(MachineId(m)).rule_count()).sum();
         assert_eq!(rules, 40);
         // Addresses resolve to their vnodes.
         let addr = net.addr_of(VNodeId(5));
@@ -977,7 +1087,7 @@ mod tests {
             let per_machine: Vec<_> = net
                 .machines
                 .iter()
-                .map(|m| (m.firewall.version(), m.hosted))
+                .map(|m| (m.firewall.version(), m.rule_count(), m.hosted.clone()))
                 .collect();
             let allocated: Vec<_> = net.members.iter().map(Vec::len).collect();
             (net.pipes.len(), per_machine, net.vnodes.len(), allocated)
@@ -1029,7 +1139,7 @@ mod tests {
         assert_eq!(net.addr_of(first), "10.1.3.1".parse().unwrap());
         assert_eq!(net.addr_of(second), "10.1.3.2".parse().unwrap());
         // 2 vnodes x 2 rules + 4 group rules (to 10.1.1, 10.1.2, 10.2, 10.3) = 8.
-        assert_eq!(net.machine(m).firewall.rule_count(), 8);
+        assert_eq!(net.machine(m).rule_count(), 8);
     }
 
     #[test]
@@ -1049,7 +1159,7 @@ mod tests {
         net.add_vnode(m, g1).unwrap();
         net.add_vnode(m, g2).unwrap();
         // 4 vnode rules + 4 group rules for 10.1.3 + 4 group rules for 10.2 = 12.
-        assert_eq!(net.machine(m).firewall.rule_count(), 12);
+        assert_eq!(net.machine(m).rule_count(), 12);
     }
 
     #[test]
@@ -1191,7 +1301,7 @@ mod tests {
             for ahead in [true, false] {
                 for (m, twin) in twins.iter_mut().enumerate() {
                     if foreign && rng.chance(0.5) {
-                        mutate(&mut rng, [&mut net.machines[m].firewall, twin]);
+                        mutate(&mut rng, [net.firewall_mut(MachineId(m)), twin]);
                         foreign_on[m] = true;
                     }
                 }
@@ -1201,8 +1311,8 @@ mod tests {
                             net.add_vnode(machines[(g + k) % 2], GroupId(g)).unwrap();
                         }
                     }
-                    for (machine, twin) in net.machines.iter().zip(&mut twins) {
-                        for &rule in &machine.firewall.rules()[twin.rule_count()..] {
+                    for (m, twin) in twins.iter_mut().enumerate() {
+                        for &rule in &rules_of(&net, MachineId(m))[twin.rule_count()..] {
                             twin.add_rule(rule);
                         }
                     }
@@ -1212,7 +1322,7 @@ mod tests {
             for i in 0..packets {
                 if foreign && i == packets / 2 {
                     let m = rng.gen_range(0..machines.len());
-                    mutate(&mut rng, [&mut net.machines[m].firewall, &mut twins[m]]);
+                    mutate(&mut rng, [net.firewall_mut(MachineId(m)), &mut twins[m]]);
                     foreign_on[m] = true;
                 }
                 let src = VNodeId(rng.gen_range(0..net.vnode_count()));
@@ -1255,6 +1365,176 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// The list a deployed machine builds against the list `add_vnode` used to append,
+        /// modelled here: each arrival appends its node's two `/32` rules through the next two
+        /// pipes, then — the first time its group comes to the machine — one latency rule per
+        /// other group with a latency, through the pipes after those. Groups arrive interleaved
+        /// over the machines, and rules from outside the deployment land at random points on
+        /// the machine and on its twin, which takes every rule the model appends.
+        #[test]
+        fn built_rule_lists_equal_the_appended_ones(seed in any::<u64>()) {
+            let mut rng = SimRng::new(seed);
+            let mut topo = TopologySpec::new();
+            let (groups, per_group) = (rng.gen_range(1..6usize), 12);
+            for g in 0..groups {
+                let subnet = Subnet::new(VirtAddr::new(10, g as u8 + 1, 0, 0), 24);
+                topo.add_group(format!("g{g}"), subnet, per_group, AccessLinkClass::bittorrent_dsl());
+            }
+            for a in 0..groups {
+                for b in a + 1..groups {
+                    if rng.chance(0.7) {
+                        let latency = SimDuration::from_millis(rng.gen_range(1..100u64));
+                        topo.set_group_latency(GroupId(a), GroupId(b), latency);
+                    }
+                }
+            }
+            let mut net = Network::new(NetworkConfig::default(), topo.clone());
+            let machines = rng.gen_range(1..4usize);
+            let mut twins = Vec::new();
+            for m in 0..machines {
+                net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m as u8 + 1));
+                twins.push(Firewall::new(NetworkConfig::default().per_rule_cost));
+            }
+            // The model: the next pipe id (each machine's two NIC pipes come first), which
+            // groups' latency rules each machine has, and each group's next node.
+            let mut next_pipe = 2 * machines;
+            let mut installed = vec![vec![false; groups]; machines];
+            let mut members = vec![0; groups];
+            // Whether something made the machine store its list: a rule from outside or a
+            // packet under its administration address.
+            let mut stored = vec![false; machines];
+            for _ in 0..rng.gen_range(0..150usize) {
+                let m = rng.gen_range(0..machines);
+                match rng.gen_range(0..10u8) {
+                    0 => {
+                        let twin = &mut twins[m];
+                        let firewall = net.firewall_mut(MachineId(m));
+                        match rng.gen_range(0..3u8) {
+                            0 => [firewall, twin].map(Firewall::clear),
+                            1 => [firewall, twin].map(|f| f.add_dummy_rules(2)),
+                            _ => [firewall, twin].map(|f| {
+                                let deny = Subnet::new(VirtAddr::new(10, 1, 0, 0), 30);
+                                f.add_rule(Rule {
+                                    src: deny,
+                                    dst: Subnet::any(),
+                                    direction: None,
+                                    action: RuleAction::Deny,
+                                });
+                            }),
+                        };
+                        stored[m] = true;
+                    }
+                    1 | 2 if net.vnode_count() > 0 => {
+                        let src = VNodeId(rng.gen_range(0..net.vnode_count()));
+                        let dst = VNodeId(rng.gen_range(0..net.vnode_count()));
+                        let direction = if rng.chance(0.5) { Direction::Out } else { Direction::In };
+                        let host = match direction {
+                            Direction::Out => net.vnode(src).machine(),
+                            Direction::In => net.vnode(dst).machine(),
+                        };
+                        let src_addr = if rng.chance(0.2) {
+                            stored[host.0] = true;
+                            net.machine(net.vnode(src).machine()).admin_addr
+                        } else {
+                            net.addr_of(src)
+                        };
+                        let got = net.classify(direction, src, src_addr, dst);
+                        let want = twins[host.0].classify(src_addr, net.addr_of(dst), direction);
+                        prop_assert_eq!(got.accepted, want.accepted);
+                        prop_assert_eq!(got.evaluation_cost, want.evaluation_cost);
+                        prop_assert_eq!(got.pipes(), &want.pipes[..]);
+                    }
+                    _ => {
+                        let g = rng.gen_range(0..groups);
+                        if members[g] == per_group {
+                            continue;
+                        }
+                        net.add_vnode(MachineId(m), GroupId(g)).unwrap();
+                        let host = Subnet::host(topo.node_addr(GroupId(g), members[g]));
+                        members[g] += 1;
+                        let twin = &mut twins[m];
+                        twin.add_rule(Rule::pipe(host, Subnet::any(), Direction::Out, PipeId(next_pipe)));
+                        twin.add_rule(Rule::pipe(Subnet::any(), host, Direction::In, PipeId(next_pipe + 1)));
+                        next_pipe += 2;
+                        if !std::mem::replace(&mut installed[m][g], true) {
+                            for other in 0..groups {
+                                if topo.group_latency(GroupId(g), GroupId(other)).is_zero() {
+                                    continue;
+                                }
+                                let (src, dst) = (topo.groups[g].subnet, topo.groups[other].subnet);
+                                twin.add_rule(Rule::pipe(src, dst, Direction::Out, PipeId(next_pipe)));
+                                next_pipe += 1;
+                            }
+                        }
+                    }
+                }
+                for (m, twin) in twins.iter().enumerate() {
+                    let machine = net.machine(MachineId(m));
+                    prop_assert_eq!(rules_of(&net, MachineId(m)), twin.rules());
+                    prop_assert_eq!(machine.rule_count(), twin.rule_count());
+                    prop_assert_eq!(machine.firewall.stats(), twin.stats());
+                    // A machine stores its list only once something had to walk or change it.
+                    prop_assert_eq!(machine.unstored_rules.is_none(), stored[m]);
+                    if !stored[m] {
+                        prop_assert_eq!(machine.firewall.rule_count(), 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_deployed_machine_stores_no_rule() {
+        // 50 nodes of two groups with a latency between them, folded onto two machines.
+        let mut topo = TopologySpec::new();
+        for g in 1..=2u8 {
+            let subnet = Subnet::new(VirtAddr::new(10, g, 0, 0), 24);
+            topo.add_group(
+                format!("g{g}"),
+                subnet,
+                25,
+                AccessLinkClass::bittorrent_dsl(),
+            );
+        }
+        topo.set_group_latency(GroupId(0), GroupId(1), SimDuration::from_millis(40));
+        let mut net = Network::new(NetworkConfig::default(), topo);
+        for m in 0..2u8 {
+            net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m + 1));
+        }
+        for k in 0..50 {
+            net.add_vnode(MachineId(k % 2), GroupId(k / 25)).unwrap();
+        }
+        let packets = [(0, 1), (1, 30), (30, 3), (49, 0)];
+        for (src, dst) in packets.map(|(s, d)| (VNodeId(s), VNodeId(d))) {
+            for direction in [Direction::Out, Direction::In] {
+                net.classify(direction, src, net.addr_of(src), dst);
+            }
+        }
+        for machine in &net.machines {
+            // 25 nodes' two rules, plus one latency rule for each group.
+            assert_eq!(machine.rule_count(), 25 * 2 + 2);
+            assert_eq!(machine.firewall.rule_count(), 0);
+            assert_eq!(machine.firewall.stats().packets, 4);
+        }
+        // A packet under the administration address walks: its machine stores the list, and
+        // still answers its nodes' own packets by arithmetic.
+        let admin = net.machine(MachineId(0)).admin_addr;
+        net.classify(Direction::Out, VNodeId(0), admin, VNodeId(1));
+        let built = rules_of(&net, MachineId(1));
+        assert_eq!(net.machines[0].firewall.rule_count(), 52);
+        assert_eq!(net.machines[1].firewall.rule_count(), 0);
+        let path = net.classify(
+            Direction::Out,
+            VNodeId(0),
+            net.addr_of(VNodeId(0)),
+            VNodeId(1),
+        );
+        assert!(matches!(path.pipes, PathPipes::Deployed { .. }));
+        // The other machine stores the list it builds once asked for its firewall.
+        assert_eq!(net.firewall_mut(MachineId(1)).rules(), built);
+    }
+
     #[test]
     fn a_deployed_machine_stores_what_its_rules_say() {
         // Figure 7's five groups, interleaved over three machines.
@@ -1271,7 +1551,7 @@ mod tests {
         let mut installers = BTreeMap::new();
         for (id, v) in net.vnodes() {
             assert_eq!(v.down_pipe().0, v.up_pipe().0 + 1);
-            let rules = net.machine(v.machine()).firewall.rules();
+            let rules = rules_of(&net, v.machine());
             let host = Subnet::host(v.addr);
             assert!(rules.contains(&Rule::pipe(
                 host,
@@ -1290,8 +1570,13 @@ mod tests {
             let installer = installers[&(v.machine(), v.group())];
             assert_eq!(v.installed_group_rules, installer == id, "{id:?}");
         }
-        for machine in &net.machines {
+        for (m, machine) in net.machines.iter().enumerate() {
             assert!(machine.as_deployed());
+            assert_eq!(machine.firewall.rule_count(), 0);
+            assert_eq!(
+                Some(rules_of(&net, MachineId(m)).len()),
+                machine.unstored_rules
+            );
             // Every group-subnet rule, keyed by its groups, against the table's entries.
             let group = |subnet: Subnet| {
                 net.topology()
@@ -1299,9 +1584,7 @@ mod tests {
                     .iter()
                     .position(|g| g.subnet == subnet)
             };
-            let ruled: BTreeMap<(usize, usize), usize> = machine
-                .firewall
-                .rules()
+            let ruled: BTreeMap<(usize, usize), usize> = rules_of(&net, MachineId(m))
                 .iter()
                 .filter_map(|r| match (group(r.src), group(r.dst), r.action) {
                     (Some(s), Some(d), RuleAction::Pipe(pipe)) => Some(((s, d), pipe.0)),

@@ -61,8 +61,11 @@ const _: () = assert!(std::mem::size_of::<NetEvent<PingPayload, PingTimer>>() <=
 pub struct PingWorld {
     /// The emulated network.
     pub net: Network,
-    /// Completed round trips: `(pinging node, rtt)`.
+    /// Completed round trips, `(pinging node, rtt)`, in completion order, less any a reader
+    /// has drained.
     pub rtts: Vec<(VNodeId, SimDuration)>,
+    /// Round trips completed so far, drained ones included.
+    pub replies: usize,
     pending: FxHashMap<u64, (VNodeId, SimTime)>,
     next_seq: u64,
 }
@@ -73,6 +76,7 @@ impl PingWorld {
         PingWorld {
             net,
             rtts: Vec::new(),
+            replies: 0,
             pending: FxHashMap::default(),
             next_seq: 0,
         }
@@ -130,8 +134,10 @@ impl NetHost for PingWorld {
                 ..
             } => {
                 let now = sim.now();
-                if let Some((origin, sent_at)) = sim.world_mut().pending.remove(&seq) {
-                    sim.world_mut().rtts.push((origin, now - sent_at));
+                let world = sim.world_mut();
+                if let Some((origin, sent_at)) = world.pending.remove(&seq) {
+                    world.rtts.push((origin, now - sent_at));
+                    world.replies += 1;
                 }
             }
             _ => {}
@@ -224,8 +230,7 @@ mod tests {
         let m1 = net.add_machine("pm1", VirtAddr::new(192, 168, 38, 2));
         net.add_vnode(m0, GroupId(0)).unwrap();
         net.add_vnode(m1, GroupId(0)).unwrap();
-        net.machine_mut(crate::network::MachineId(0))
-            .firewall
+        net.firewall_mut(crate::network::MachineId(0))
             .add_dummy_rules(rules_on_sender);
         PingWorld::new(net)
     }

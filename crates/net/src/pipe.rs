@@ -8,7 +8,9 @@
 //! The model here is exact for FIFO fixed-rate queues: the departure time of a packet is
 //! `max(arrival, previous departure) + size/bandwidth`, so the state of a pipe is just the time
 //! its queue becomes idle. Only a pipe with a queue bound also keeps a short window of recent
-//! departures, which is what its overflow check counts occupancy from.
+//! departures, which is what its overflow check counts occupancy from. A pipe counts its drops,
+//! not its forwarded traffic: the NIC bytes the resource monitor reads are counted by the
+//! machine (`MachineNet::nic_bytes`).
 
 use crate::proto::LinkCondition;
 use p2plab_sim::{SimDuration, SimRng, SimTime};
@@ -112,13 +114,10 @@ pub enum EnqueueOutcome {
     Dropped(DropReason),
 }
 
-/// Counters kept by every pipe.
+/// Drop counters of a pipe. A pipe counts no forwarded traffic: the only such count read is
+/// a machine's NIC bytes, which its [`MachineNet`](crate::MachineNet) keeps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipeStats {
-    /// Packets forwarded.
-    pub forwarded_packets: u64,
-    /// Bytes forwarded.
-    pub forwarded_bytes: u64,
     /// Packets dropped by random loss.
     pub dropped_loss: u64,
     /// Packets dropped by queue overflow.
@@ -129,27 +128,34 @@ pub struct PipeStats {
 
 /// A dummynet pipe instance.
 ///
-/// One cache line: the drain clock, the rate and delay the serialization arithmetic reads, and
-/// the forwarding counters every packet bumps. Whatever only *some* pipes are configured with —
-/// loss, a queue bound, a conditioner — sits behind `extras`, so the access, NIC and inter-group
-/// pipes of an unconditioned deployment allocate nothing and keep nothing per packet.
+/// 32 bytes, aligned to 32, so no pipe straddles two cache lines: the drain clock, the rate
+/// and delay the serialization arithmetic reads, and the pointer to whatever only *some* pipes
+/// are configured with — loss, a queue bound, a conditioner, and the drop counters only such a
+/// pipe can bump. The access, NIC and inter-group pipes of an unconditioned deployment
+/// allocate nothing and write nothing but the clock per packet. A node's upload and download
+/// pipes are created back to back: 64 adjacent bytes.
 #[derive(Debug, Clone)]
+#[repr(align(32))]
 pub struct Pipe {
     /// Time at which the transmission queue becomes idle.
     busy_until: SimTime,
-    /// Drain rate ([`PipeConfig::bandwidth_bps`]).
-    bandwidth_bps: Option<u64>,
+    /// Drain rate in bits per second, or [`UNSHAPED`] for a pipe that only delays
+    /// ([`PipeConfig::bandwidth_bps`] `None`).
+    bps: u64,
     /// Propagation delay ([`PipeConfig::delay`]).
     delay: SimDuration,
-    forwarded_packets: u64,
-    forwarded_bytes: u64,
     /// `None` for a pipe that only rate-limits and delays.
     extras: Option<Box<PipeExtras>>,
 }
 
-// A field added to `Pipe` pushes every deployed pipe onto a second cache line of the per-packet
-// working set (50,000 vnodes own 100,000 of them); it belongs in `PipeExtras`.
-const _: () = assert!(std::mem::size_of::<Pipe>() <= 64);
+// 50,000 vnodes own 100,000 pipes in `gossip-wide`, two per packet hop: a field added to `Pipe`
+// moves every one of them onto a cache line of its own. It belongs in `PipeExtras`.
+const _: () = assert!(std::mem::size_of::<Pipe>() == 32);
+const _: () = assert!(std::mem::align_of::<Pipe>() == 32);
+
+/// [`Pipe::bps`] of a pure-delay pipe. A configured rate of 0 bit/s is no such pipe: it never
+/// drains, so [`Pipe::new`] stores it as a rate whose queue is busy until the end of time.
+const UNSHAPED: u64 = 0;
 
 /// What a pipe configured with loss, a queue bound or a conditioner keeps beyond [`Pipe`]'s
 /// own fields, with the counters of the drops only such a pipe can produce.
@@ -216,22 +222,25 @@ impl Pipe {
                 dropped_burst: 0,
             })
         });
+        // A 0 bit/s queue's first packet leaves it busy until `SimTime::MAX` (the end of time,
+        // where every later departure saturates too); starting it there is the same pipe.
+        let (busy_until, bps) = match config.bandwidth_bps {
+            None => (SimTime::ZERO, UNSHAPED),
+            Some(0) => (SimTime::MAX, 1),
+            Some(bps) => (SimTime::ZERO, bps),
+        };
         Pipe {
-            busy_until: SimTime::ZERO,
-            bandwidth_bps: config.bandwidth_bps,
+            busy_until,
+            bps,
             delay: config.delay,
-            forwarded_packets: 0,
-            forwarded_bytes: 0,
             extras,
         }
     }
 
-    /// Traffic counters.
+    /// Drop counters.
     pub fn stats(&self) -> PipeStats {
         let x = self.extras.as_deref();
         PipeStats {
-            forwarded_packets: self.forwarded_packets,
-            forwarded_bytes: self.forwarded_bytes,
             dropped_loss: x.map_or(0, |x| x.dropped_loss),
             dropped_overflow: x.map_or(0, |x| x.dropped_overflow),
             dropped_burst: x.map_or(0, |x| x.dropped_burst),
@@ -266,8 +275,6 @@ impl Pipe {
         if let Some(c) = condition.as_ref() {
             latency += c.extra_latency(rng);
         }
-        self.forwarded_packets += 1;
-        self.forwarded_bytes += size;
         let exit = queue_exit + latency;
         let dup = match condition.as_ref() {
             Some(c) if c.duplicates(rng) => self.duplicate_exit(now, size, exit),
@@ -282,19 +289,17 @@ impl Pipe {
 
     /// Charges one serialization slot and returns its queue exit time.
     fn serialize(&mut self, now: SimTime, size: u64) -> SimTime {
-        match self.bandwidth_bps {
-            Some(bps) => {
-                let start = self.busy_until.max(now);
-                let exit = start + SimDuration::transmission(size, bps);
-                self.busy_until = exit;
-                if let Some(bound) = self.bound_mut() {
-                    bound.window.push_back((exit, size));
-                    bound.queued += size;
-                }
-                exit
-            }
-            None => now,
+        if self.bps == UNSHAPED {
+            return now;
         }
+        let start = self.busy_until.max(now);
+        let exit = start + SimDuration::transmission(size, self.bps);
+        self.busy_until = exit;
+        if let Some(bound) = self.bound_mut() {
+            bound.window.push_back((exit, size));
+            bound.queued += size;
+        }
+        exit
     }
 
     /// Serializes a conditioner-duplicated copy and returns its release time, kept strictly
@@ -305,8 +310,6 @@ impl Pipe {
             return None;
         }
         let dup_exit = self.serialize(now, size) + self.delay;
-        self.forwarded_packets += 1;
-        self.forwarded_bytes += size;
         Some(dup_exit.max(exit + SimDuration::from_nanos(1)))
     }
 }
@@ -388,7 +391,11 @@ mod tests {
             EnqueueOutcome::Dropped(DropReason::QueueOverflow)
         );
         assert_eq!(p.stats().dropped_overflow, 1);
-        assert_eq!(p.stats().forwarded_packets, 3);
+        let forwarded = outcomes
+            .iter()
+            .filter(|o| matches!(o, EnqueueOutcome::Forwarded { .. }))
+            .count();
+        assert_eq!(forwarded, 3);
     }
 
     #[test]
@@ -538,7 +545,39 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
-        assert_eq!(p.stats().forwarded_packets, 2);
+        // Both copies were serialized: the queue is busy for two 10 ms slots.
+        assert_eq!(p.busy_until, SimTime::from_millis(20));
+    }
+
+    #[test]
+    fn zero_rate_pipe_never_drains() {
+        // 0 bit/s: every packet's serialization takes `SimDuration::MAX`, so each one leaves
+        // at the end of time, and a bounded queue fills as the departures never come.
+        let mut p = Pipe::new(PipeConfig::shaped(0, SimDuration::from_millis(5)));
+        let mut r = rng();
+        let end = EnqueueOutcome::Forwarded {
+            exit: SimTime::MAX,
+            dup: None,
+        };
+        assert_eq!(p.enqueue(SimTime::from_secs(1), 50_000, &mut r), end);
+        assert_eq!(p.enqueue(SimTime::from_secs(9), 20_000, &mut r), end);
+        assert_eq!(
+            p.enqueue(SimTime::from_secs(9), 10_000, &mut r),
+            EnqueueOutcome::Dropped(DropReason::QueueOverflow)
+        );
+        // The fastest finite rate still charges its nanosecond; only an unshaped pipe does not.
+        let mut fastest = Pipe::new(PipeConfig::shaped(u64::MAX, SimDuration::ZERO));
+        let mut unshaped = Pipe::new(PipeConfig::delay_only(SimDuration::ZERO));
+        let now = SimTime::from_secs(1);
+        let exit = |outcome| match outcome {
+            EnqueueOutcome::Forwarded { exit, .. } => exit,
+            other => panic!("unexpected: {other:?}"),
+        };
+        assert_eq!(
+            exit(fastest.enqueue(now, 1500, &mut r)),
+            now + SimDuration::from_nanos(1)
+        );
+        assert_eq!(exit(unshaped.enqueue(now, 1500, &mut r)), now);
     }
 
     #[test]

@@ -831,8 +831,10 @@ fn nic_tx<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
     let mut walk = PipeWalk::starting_at(sim.now());
     let (world, rng) = sim.world_and_rng();
     let net = world.network();
-    let nic_tx = net.machine(net.vnode(flight.src).machine()).nic_tx;
+    let src_machine = net.vnode(flight.src).machine();
+    let nic_tx = net.machine(src_machine).nic_tx;
     if walk.through(net, rng, &[nic_tx], wire) {
+        net.count_nic_bytes(src_machine, Direction::Out, wire);
         walk.forward(sim, flight, |flight| NetEvent::Receive { flight });
     } else {
         handle_drop(sim, flight);
@@ -854,6 +856,7 @@ fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
             handle_drop(sim, flight);
             return;
         }
+        net.count_nic_bytes(dst_machine, Direction::In, wire);
     }
     let classification = net.classify(Direction::In, flight.src, flight.src_addr, flight.dst);
     if !classification.accepted {

@@ -34,8 +34,6 @@ impl ReferencePipe {
 
     /// Forwards one packet (or duplicated copy) and returns when it leaves the queue.
     fn serialize(&mut self, now: SimTime, size: u64) -> SimTime {
-        self.stats.forwarded_packets += 1;
-        self.stats.forwarded_bytes += size;
         let Some(bps) = self.config.bandwidth_bps else {
             return now;
         };
@@ -98,6 +96,47 @@ fn random_pipe_config(rng: &mut SimRng) -> PipeConfig {
         condition.duplicate_rate = rng.gen_range(0.0..=1.0);
     }
     config.with_condition(Some(condition))
+}
+
+/// Runs [`Pipe`] and [`ReferencePipe`] side by side on a random configuration drawn from
+/// `seed` — with its rate replaced by `rate`, if given — and 300 random arrivals.
+fn equals_the_reference_model(seed: u64, rate: Option<u64>) {
+    let mut input = SimRng::new(seed);
+    let mut config = random_pipe_config(&mut input);
+    if let Some(bps) = rate {
+        config.bandwidth_bps = Some(bps);
+    }
+    let mut pipe = Pipe::new(config);
+    let mut reference = ReferencePipe {
+        config,
+        busy_until: SimTime::ZERO,
+        window: VecDeque::new(),
+        bad: false,
+        stats: PipeStats::default(),
+    };
+    let (mut rng, mut reference_rng) = (SimRng::new(seed ^ 1), SimRng::new(seed ^ 1));
+    let mut now = SimTime::ZERO;
+    for _ in 0..300 {
+        // Bursts at one instant, gaps that let the queue drain, and empty packets (whose
+        // departure coincides with their arrival on an idle pipe).
+        if input.chance(0.7) {
+            now += SimDuration::from_micros(input.gen_range(0..30_000u64));
+        }
+        let size = if input.chance(0.05) {
+            0
+        } else {
+            input.gen_range(1..=16_384u64)
+        };
+        let got = pipe.enqueue(now, size, &mut rng);
+        let want = reference.enqueue(now, size, &mut reference_rng);
+        assert_eq!(got, want, "{config:?} at {now:?}, {size} bytes");
+    }
+    assert_eq!(pipe.stats(), reference.stats, "{config:?}");
+    assert_eq!(
+        rng.gen_f64().to_bits(),
+        reference_rng.gen_f64().to_bits(),
+        "{config:?}"
+    );
 }
 
 proptest! {
@@ -174,31 +213,14 @@ proptest! {
     /// which is what shows that the draws happened in the same order.
     #[test]
     fn pipe_equals_the_reference_model(seed in any::<u64>()) {
-        let mut input = SimRng::new(seed);
-        let config = random_pipe_config(&mut input);
-        let mut pipe = Pipe::new(config);
-        let mut reference = ReferencePipe {
-            config,
-            busy_until: SimTime::ZERO,
-            window: VecDeque::new(),
-            bad: false,
-            stats: PipeStats::default(),
-        };
-        let (mut rng, mut reference_rng) = (SimRng::new(seed ^ 1), SimRng::new(seed ^ 1));
-        let mut now = SimTime::ZERO;
-        for _ in 0..300 {
-            // Bursts at one instant, gaps that let the queue drain, and empty packets (whose
-            // departure coincides with their arrival on an idle pipe).
-            if input.chance(0.7) {
-                now += SimDuration::from_micros(input.gen_range(0..30_000u64));
-            }
-            let size = if input.chance(0.05) { 0 } else { input.gen_range(1..=16_384u64) };
-            let got = pipe.enqueue(now, size, &mut rng);
-            let want = reference.enqueue(now, size, &mut reference_rng);
-            prop_assert_eq!(got, want, "{config:?} at {now:?}, {size} bytes");
-        }
-        prop_assert_eq!(pipe.stats(), reference.stats, "{config:?}");
-        prop_assert_eq!(rng.gen_f64().to_bits(), reference_rng.gen_f64().to_bits(), "{config:?}");
+        equals_the_reference_model(seed, None);
+    }
+
+    /// The same at the rates a pipe stores specially: 0 bit/s (never drains), and the
+    /// fastest ones, which still charge a nanosecond a packet.
+    #[test]
+    fn pipe_at_extreme_rates_equals_the_reference_model(seed in any::<u64>(), pick in 0usize..3) {
+        equals_the_reference_model(seed, Some([0, 1, u64::MAX][pick]));
     }
 
     /// Firewall classification: the number of rules examined never exceeds the rule count, the

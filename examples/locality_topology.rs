@@ -49,7 +49,7 @@ fn main() {
             vec![
                 machine.name.clone(),
                 machine.hosted().to_string(),
-                machine.firewall.rule_count().to_string(),
+                machine.rule_count().to_string(),
             ]
         })
         .collect();

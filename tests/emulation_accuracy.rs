@@ -49,7 +49,7 @@ fn figure7_topology_deploys_with_paper_rule_accounting() {
     for m in 0..180 {
         let machine = d.net.machine(p2plab::net::MachineId(m));
         let hosted = machine.hosted();
-        let rules = machine.firewall.rule_count();
+        let rules = machine.rule_count();
         assert!(
             rules >= 2 * hosted,
             "machine {m}: {rules} rules for {hosted} nodes"

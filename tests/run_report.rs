@@ -115,10 +115,10 @@ fn ping_mesh_report_round_trips_and_matches_result() {
     let loaded = round_trip(&report);
 
     assert_eq!(loaded.workload, "ping-mesh");
-    assert_eq!(world.rtts.len() as u64, probes, "every probe answered");
+    assert_eq!(world.replies as u64, probes, "every probe answered");
     assert_eq!(loaded.metrics.counter("probes_scheduled"), Some(probes));
     let rtt = loaded.metrics.histogram("rtt_secs").unwrap();
-    assert_eq!(rtt.count, world.rtts.len() as u64);
+    assert_eq!(rtt.count, world.replies as u64);
     // 2 ms links, two hops each way: every RTT at least 8 ms, and the histogram knows it.
     assert!(rtt.min.unwrap() >= 0.008);
     assert!(rtt.p50.is_some() && rtt.p90.is_some() && rtt.p99.is_some());

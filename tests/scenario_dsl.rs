@@ -207,6 +207,27 @@ fn validate_rejects_what_run_rejects() {
     assert_eq!(swarm.validate(), Err(refused));
 }
 
+/// The swarm's seeders start a second apart, outside the arrival process: a deadline that
+/// ends before the last of them is refused like one that ends before the last downloader.
+#[test]
+fn validate_holds_the_deadline_to_the_seeder_stagger() {
+    let edit = |seeders: usize| {
+        let overrides = format!(
+            "workload.swarm.seeders = {seeders}\nworkload.swarm.leechers = 2\n\
+             scenario.deadline = \"40s\""
+        );
+        ScenarioFile::parse_with(&example("scenarios/swarm_quick.toml"), &overrides).unwrap()
+    };
+    // Seeder 59 would start at 59 s; the downloaders' ramp ends at 7 s.
+    let sixty = edit(60);
+    let (ramp, deadline) = (SimDuration::from_secs(59), SimDuration::from_secs(40));
+    let refused = ScenarioError::DeadlineBeforeArrivalRamp { ramp, deadline };
+    assert_eq!(sixty.validate(), Err(refused.clone()));
+    assert_eq!(sixty.run().map(drop), Err(refused));
+    // Seeder 40 starts at the deadline, as late as a downloader may.
+    assert_eq!(edit(41).validate(), Ok(()));
+}
+
 #[test]
 fn unknown_keys_report_line_and_key_path() {
     let text = example("scenarios/dht_lookup.toml") + "surprise = 1\n";
