@@ -11,7 +11,8 @@
 //! retries); each response returns the responder's `k` closest known peers, which are merged
 //! into the candidate shortlist. The lookup terminates when the `k` closest candidates have all
 //! answered (or failed), exactly like the iterative procedure of the Kademlia paper; a settled
-//! lookup keeps its [`LookupRecord`] and drops its shortlist.
+//! lookup drops its shortlist, and its [`LookupRecord`] stays in the world only until the next
+//! sample records it.
 //!
 //! Measured quantities, recorded through the run's [`Recorder`] per the metrics convention:
 //! hop-count and latency histograms (`lookup_hops`, `lookup_latency_secs`), RPC traffic
@@ -280,8 +281,11 @@ pub struct DhtWorld {
     start_rank: u64,
     /// Every lookup started, by start order; a settled one keeps no shortlist.
     lookups: Vec<Lookup>,
-    /// Finished lookups, in completion order (the workload drains them into histograms).
+    /// Lookups settled since the workload's last sample, in completion order: the sample
+    /// drains them into the run's histograms and counters, which keep the run's copy.
     pub records: Vec<LookupRecord>,
+    /// Lookups settled so far.
+    settled: usize,
     /// The monitor's [`Lookup::check_accepted`] tally over settled lookups, taken as each
     /// settles (its shortlist is dropped right after): `Some` exactly in adversarial runs.
     settled_checks: Option<InvariantReport>,
@@ -358,7 +362,8 @@ impl DhtWorld {
             starts: Vec::new(),
             start_rank: 0,
             lookups: Vec::with_capacity(spec.lookups),
-            records: Vec::with_capacity(spec.lookups),
+            records: Vec::new(),
+            settled: 0,
             settled_checks: roster.map(|_| InvariantReport::new()),
             rpc: RpcTable::new(spec.rpc_config()),
         }
@@ -428,8 +433,8 @@ impl DhtWorld {
         }));
     }
 
-    /// Settles lookup `li` at `now`: appends its [`LookupRecord`], then — the monitor's check
-    /// taken first in adversarial runs — drops its shortlist.
+    /// Settles lookup `li` at `now`: counts it and appends its [`LookupRecord`], then — the
+    /// monitor's check taken first in adversarial runs — drops its shortlist.
     fn finish(&mut self, li: usize, now: SimTime) {
         let lookup = &mut self.lookups[li];
         lookup.done = true;
@@ -448,6 +453,7 @@ impl DhtWorld {
             ),
             None => (0, own_id == lookup.true_closest),
         };
+        self.settled += 1;
         self.records.push(LookupRecord {
             hops,
             latency: now - lookup.started,
@@ -778,8 +784,6 @@ struct DhtMetrics {
 pub struct DhtLookupWorkload {
     spec: DhtLookupSpec,
     metrics: Option<DhtMetrics>,
-    /// Records already drained into the histograms (`records` is append-only).
-    records_recorded: usize,
     roster: Option<AdversaryRoster>,
 }
 
@@ -789,7 +793,6 @@ impl DhtLookupWorkload {
         DhtLookupWorkload {
             spec,
             metrics: None,
-            records_recorded: 0,
             roster: None,
         }
     }
@@ -837,11 +840,10 @@ impl Workload for DhtLookupWorkload {
         // must have finished every scheduled lookup — byzantine nodes may make lookups miss
         // the true closest node, but they can never wedge one.
         if stop.outcome == RunOutcome::Drained {
-            inv.check(world.records.len() >= self.spec.lookups, || {
+            inv.check(world.settled >= self.spec.lookups, || {
                 format!(
                     "only {}/{} lookups settled in a drained run",
-                    world.records.len(),
-                    self.spec.lookups
+                    world.settled, self.spec.lookups
                 )
             });
         }
@@ -885,8 +887,10 @@ impl Workload for DhtLookupWorkload {
     }
 
     fn sample(&mut self, _now: SimTime, world: &mut DhtWorld, rec: &mut Recorder) -> f64 {
+        // The histograms and counters are the run's copy of the records: the world keeps none
+        // once recorded.
         if let Some(m) = self.metrics {
-            for r in &world.records[self.records_recorded..] {
+            for r in world.records.drain(..) {
                 rec.record(m.hops, r.hops as f64);
                 rec.record(m.latency, r.latency.as_secs_f64());
                 if r.found_closest {
@@ -895,16 +899,15 @@ impl Workload for DhtLookupWorkload {
                     rec.add(m.lookups_missed, 1);
                 }
             }
-            self.records_recorded = world.records.len();
             let stats = world.rpc_stats();
             rec.set_total(m.rpc_calls, stats.calls);
             rec.set_total(m.rpc_retries, stats.retries);
         }
-        world.records.len() as f64
+        world.settled as f64
     }
 
     fn is_complete(&self, world: &DhtWorld) -> bool {
-        world.records.len() >= self.spec.lookups
+        world.settled >= self.spec.lookups
     }
 }
 
@@ -1108,11 +1111,92 @@ mod tests {
         }
     }
 
-    /// Runs `spec` under `s` and asserts every lookup settled.
+    /// A lookup workload whose world keeps every record, so a test can read them all after
+    /// the run: the inner workload's `sample` sees and drains only the records settled since
+    /// the last sample, then this hands back the whole list.
+    struct Keeping<W> {
+        inner: W,
+        /// Records handed back so far: the front of `world.records` at the next sample.
+        kept: usize,
+    }
+
+    impl<W> Workload for Keeping<W>
+    where
+        W: Workload<World = DhtWorld, Event = NetEvent<RpcPayload<DhtBody>, DhtTimer>>,
+    {
+        type World = DhtWorld;
+        type Event = NetEvent<RpcPayload<DhtBody>, DhtTimer>;
+
+        const KIND: &'static str = W::KIND;
+        fn vnodes_required(&self) -> usize {
+            self.inner.vnodes_required()
+        }
+        fn participants(&self) -> usize {
+            self.inner.participants()
+        }
+        fn adversary_population(&self) -> usize {
+            self.inner.adversary_population()
+        }
+        fn set_adversary(&mut self, roster: &AdversaryRoster) -> Result<(), String> {
+            self.inner.set_adversary(roster)
+        }
+        fn check_invariants(&self, world: &DhtWorld, stop: &ShardedOutcome) -> InvariantReport {
+            self.inner.check_invariants(world, stop)
+        }
+        fn default_arrivals(&self) -> ArrivalSpec {
+            self.inner.default_arrivals()
+        }
+        fn build_world(&mut self, deployment: Deployment) -> DhtWorld {
+            self.inner.build_world(deployment)
+        }
+        fn on_deployed(&mut self, sim: &mut NetSim<DhtWorld>) {
+            self.inner.on_deployed(sim);
+        }
+        fn schedule_arrivals(&mut self, sim: &mut NetSim<DhtWorld>, arrivals: &ArrivalSchedule) {
+            self.inner.schedule_arrivals(sim, arrivals);
+        }
+        fn network(world: &DhtWorld) -> &Network {
+            &world.net
+        }
+        fn setup_metrics(&mut self, rec: &mut Recorder) {
+            self.inner.setup_metrics(rec);
+        }
+        fn sample(&mut self, now: SimTime, world: &mut DhtWorld, rec: &mut Recorder) -> f64 {
+            let mut kept = std::mem::take(&mut world.records);
+            world.records = kept.split_off(self.kept);
+            kept.extend_from_slice(&world.records);
+            let progress = self.inner.sample(now, world, rec);
+            assert!(
+                world.records.is_empty(),
+                "the workload drains what it recorded"
+            );
+            self.kept = kept.len();
+            world.records = kept;
+            progress
+        }
+        fn is_complete(&self, world: &DhtWorld) -> bool {
+            self.inner.is_complete(world)
+        }
+    }
+
+    /// Runs `workload` wrapped in [`Keeping`].
+    fn run_keeping<W>(s: &ScenarioSpec, workload: W) -> (DhtWorld, RunReport)
+    where
+        W: Workload<World = DhtWorld, Event = NetEvent<RpcPayload<DhtBody>, DhtTimer>> + 'static,
+    {
+        let keeping = Keeping {
+            inner: workload,
+            kept: 0,
+        };
+        run_scenario(s, keeping).unwrap()
+    }
+
+    /// Runs `spec` under `s`, keeping every record, and asserts every lookup settled.
     fn settle(s: &ScenarioSpec, spec: DhtLookupSpec) -> (DhtWorld, RunReport) {
         let lookups = spec.lookups;
-        let (world, report) = run_scenario(s, DhtLookupWorkload::new(spec)).unwrap();
+        let (world, report) = run_keeping(s, DhtLookupWorkload::new(spec));
         assert_eq!(world.records.len(), lookups, "{:?}", report.outcome);
+        assert_eq!(world.settled, lookups);
         (world, report)
     }
 
@@ -1143,7 +1227,10 @@ mod tests {
     fn report_carries_hop_and_latency_histograms() {
         let spec = DhtLookupSpec::new(32);
         let s = scenario("dht-report", &spec);
-        let (world, report) = settle(&s, spec);
+        let (world, report) = run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap();
+        // The report holds the run's records; the world has drained them all.
+        assert_eq!(world.settled, 32);
+        assert!(world.records.is_empty());
         let hops = report.metrics.histogram("lookup_hops").unwrap();
         assert_eq!(hops.count, 32);
         let latency = report.metrics.histogram("lookup_latency_secs").unwrap();
@@ -1240,7 +1327,7 @@ mod tests {
                 adversary: Some(AdversaryPlan::new(0.25, &["equivocate", "silent-drop"])),
                 ..scenario("dht-byz-det", &spec)
             };
-            run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap()
+            run_keeping(&s, DhtLookupWorkload::new(spec))
         };
         let (a, report_a) = run(5);
         let (b, report_b) = run(5);
@@ -1313,8 +1400,8 @@ mod tests {
                 arrivals: arrivals.clone(),
                 ..scenario("dht-chain", &spec)
             };
-            let chained = run_scenario(&s, DhtLookupWorkload::new(spec.clone())).unwrap();
-            let up_front = run_scenario(&s, UpFront(DhtLookupWorkload::new(spec.clone()))).unwrap();
+            let chained = run_keeping(&s, DhtLookupWorkload::new(spec.clone()));
+            let up_front = run_keeping(&s, UpFront(DhtLookupWorkload::new(spec.clone())));
             assert!(chained.0.rpc_stats().timeouts > 0, "{arrivals:?}");
             assert_eq!(chained.0.records.len(), spec.lookups, "{arrivals:?}");
             assert_eq!(chained.0.records, up_front.0.records, "{arrivals:?}");
@@ -1333,7 +1420,7 @@ mod tests {
                 seed,
                 ..scenario("dht-det", &spec)
             };
-            run_scenario(&s, DhtLookupWorkload::new(spec)).unwrap()
+            run_keeping(&s, DhtLookupWorkload::new(spec))
         };
         let (a, report_a) = run(5);
         let (b, report_b) = run(5);

@@ -83,14 +83,23 @@ pub struct Rumor {
     pub hops: u32,
 }
 
+/// [`GossipWorld::flags`] bit: the node is online (arrived and not churned away).
+const ONLINE: u8 = 1;
+/// [`GossipWorld::flags`] bit: the node heard the rumor (its `informed_at` is set).
+const INFORMED: u8 = 2;
+/// [`GossipWorld::flags`] bit: a byzantine node with the `suppress_forward` flag, which hears
+/// the rumor but never pushes it on (never set on honest runs).
+const SUPPRESSED: u8 = 4;
+
 /// The gossip world: the emulated network plus per-node arrival/infection state. Gossip node
 /// `k` runs on `VNodeId(k)` (the deployment's identity rule, see [`mod@crate::deploy`]).
 pub struct GossipWorld {
     /// The emulated network.
     pub net: Network,
-    /// Whether each node is currently online (arrived and not churned away).
-    pub online: Vec<bool>,
-    /// When each node first heard the rumor.
+    /// Per node, the [`ONLINE`], [`INFORMED`] and [`SUPPRESSED`] bits: the one byte a receipt
+    /// and a round read, at random over the overlay.
+    flags: Vec<u8>,
+    /// When each node first heard the rumor: the record the report and the invariants read.
     pub informed_at: Vec<Option<SimTime>>,
     /// Number of informed nodes.
     pub informed: usize,
@@ -100,9 +109,6 @@ pub struct GossipWorld {
     pub duplicate_receipts: u64,
     /// Rumor datagrams that reached a node that was offline (not yet arrived or churned away).
     pub missed_receipts: u64,
-    /// Per-node forwarding suppression: a byzantine node with the `suppress_forward` flag
-    /// hears the rumor but never pushes it on (all false on honest runs).
-    pub suppress: Vec<bool>,
     rumor_bytes: u64,
     fanout: usize,
     round_interval: SimDuration,
@@ -113,13 +119,12 @@ impl GossipWorld {
         let n = spec.nodes;
         GossipWorld {
             net,
-            online: vec![false; n],
+            flags: vec![0; n],
             informed_at: vec![None; n],
             informed: 0,
             rumors_sent: 0,
             duplicate_receipts: 0,
             missed_receipts: 0,
-            suppress: vec![false; n],
             rumor_bytes: spec.rumor_bytes,
             fanout: spec.fanout,
             round_interval: spec.round_interval,
@@ -128,7 +133,7 @@ impl GossipWorld {
 
     /// Number of gossiping nodes.
     pub fn nodes(&self) -> usize {
-        self.online.len()
+        self.flags.len()
     }
 
     /// True once every node has heard the rumor.
@@ -174,11 +179,12 @@ impl NetHost for GossipWorld {
                 return;
             };
             let world = sim.world_mut();
-            if !world.online[idx] {
+            let flags = world.flags[idx];
+            if flags & ONLINE == 0 {
                 // The node has not arrived yet (or is churned away): it misses the rumor and
                 // must be re-infected by a later round once it is back online.
                 world.missed_receipts += 1;
-            } else if world.informed_at[idx].is_some() {
+            } else if flags & INFORMED != 0 {
                 world.duplicate_receipts += 1;
             } else {
                 start_gossip(sim, idx, hops + 1);
@@ -189,7 +195,7 @@ impl NetHost for GossipWorld {
     fn on_timer(sim: &mut NetSim<Self>, timer: GossipTimer) {
         match timer {
             GossipTimer::Arrive(k) => {
-                sim.world_mut().online[k] = true;
+                sim.world_mut().flags[k] |= ONLINE;
                 // The first participant to arrive carries the rumor.
                 if k == 0 {
                     start_gossip(sim, k, 0);
@@ -206,9 +212,10 @@ fn start_gossip(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
     let now = sim.now();
     {
         let world = sim.world_mut();
-        if world.informed_at[idx].is_some() {
+        if world.flags[idx] & INFORMED != 0 {
             return;
         }
+        world.flags[idx] |= INFORMED;
         world.informed_at[idx] = Some(now);
         world.informed += 1;
         if world.fully_informed() {
@@ -225,10 +232,11 @@ fn gossip_round(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
     let world = sim.world();
     // A forward-suppressing byzantine node hears everything and passes on nothing; its rounds
     // stop outright instead of ticking until the overlay is informed.
-    if world.fully_informed() || world.suppress[idx] {
+    let flags = world.flags[idx];
+    if world.fully_informed() || flags & SUPPRESSED != 0 {
         return;
     }
-    if world.online[idx] {
+    if flags & ONLINE != 0 {
         push_rumor(sim, idx, hops);
     }
     let round = sim.world().round_interval;
@@ -321,7 +329,9 @@ impl Workload for GossipWorkload {
         let mut world = GossipWorld::new(deployment.net, &self.spec);
         if let Some(roster) = &self.roster {
             for &k in roster.members() {
-                world.suppress[k] = roster.flags.suppress_forward;
+                if roster.flags.suppress_forward {
+                    world.flags[k] |= SUPPRESSED;
+                }
                 let vnode = VNodeId(k);
                 world
                     .net
@@ -385,16 +395,16 @@ impl Workload for GossipWorkload {
 
     fn depart(&mut self, sim: &mut NetSim<GossipWorld>, k: usize) -> bool {
         let world = sim.world_mut();
-        if world.fully_informed() || !world.online[k] {
+        if world.fully_informed() || world.flags[k] & ONLINE == 0 {
             return false;
         }
-        world.online[k] = false;
+        world.flags[k] &= !ONLINE;
         true
     }
 
     fn rejoin(&mut self, sim: &mut NetSim<GossipWorld>, k: usize) -> bool {
         let world = sim.world_mut();
-        world.online[k] = true;
+        world.flags[k] |= ONLINE;
         !world.fully_informed()
     }
 
@@ -418,7 +428,7 @@ impl Workload for GossipWorkload {
             rec.set_total(m.missed_receipts, world.missed_receipts);
             rec.set(
                 m.online_nodes,
-                world.online.iter().filter(|&&o| o).count() as f64,
+                world.flags.iter().filter(|&&f| f & ONLINE != 0).count() as f64,
             );
         }
         world.informed as f64
@@ -469,6 +479,7 @@ mod tests {
         let s = scenario("gossip16", 16);
         let (world, report) = disseminate(&s, 16);
         assert!(world.informed_at.iter().all(|t| t.is_some()));
+        assert!(world.flags.iter().all(|&f| f & INFORMED != 0));
         let full = *world.informed_at.iter().flatten().max().unwrap();
         // The origin is informed first, the last node at the time to full.
         let origin = world.informed_at[0].unwrap();

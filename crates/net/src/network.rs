@@ -5,6 +5,7 @@
 //! * one [`Firewall`] + NIC pipes per *physical machine* (the decentralized model of the paper:
 //!   every physical node shapes the traffic of the virtual nodes it hosts),
 //! * one pair of access-link pipes per *virtual node* (upload and download, as two IPFW rules),
+//!   kept as the group's two [`Shaping`]s plus each pipe's drain clock in the node's record,
 //! * one delay pipe per (hosted source group, destination group) pair with configured latency,
 //! * the connection/listener tables of the transport layer.
 //!
@@ -18,8 +19,16 @@
 //! Addresses are assigned by the network, not the caller: the `k`-th node added to a group gets
 //! [`TopologySpec::node_addr`]`(group, k)` (the paper's Figure 4 alias numbering), which makes
 //! [`Network::resolve`] arithmetic on the group's subnet instead of a lookup. A [`VNodeNet`] is
-//! one 32-byte record: its ids are stored as `u32`, and its download pipe is the one created
-//! right after its upload pipe.
+//! one 32-byte record: its ids are stored as `u32`, and it holds its access link's state.
+//!
+//! **A pipe is a [`PipeId`] wherever it lives.** The arena holds each machine's two NIC pipes
+//! and its inter-group latency pipes, numbered from 0 in creation order. A node's access pipes
+//! are not in it: all of a group's are built from the group's access-link class, so the network
+//! keeps that class once per group and direction ([`Shaping`]), and what a packet changes —
+//! each direction's drain clock and Gilbert–Elliott bit — lives in the node's record. Their ids
+//! are arithmetic on the node's: node `v`'s upload pipe is `ACCESS_PIPES + 2v` and its
+//! download pipe the next id. So a rule names either kind the same way, and the deployed
+//! classification and the walked firewall reach the same clock.
 //!
 //! **A packet reads its path from the deployment.** A machine's rule set as deployed is two
 //! `/32` pipe rules per hosted node and one latency rule per installed (source group,
@@ -37,18 +46,18 @@
 //! the first time something must walk or change it: a rule from outside (through
 //! [`Network::firewall_mut`]), a packet under the administration address, or a topology whose
 //! groups overlap (at once). From then on the firewall stores the list, as it would have all
-//! along. A deployed node costs the network 108 bytes: its record, its two 32-byte pipes, its
-//! id in its machine's hosted list and its entry in its group's member list.
+//! along. A deployed node costs the network 40 bytes: its 32-byte record, its id in its
+//! machine's hosted list and its id in its group's member list.
 
 use crate::addr::{Subnet, VirtAddr};
 use crate::firewall::{Classification, Direction, Firewall, PipeList, Rule};
 use crate::intercept::InterceptConfig;
-use crate::pipe::{Pipe, PipeConfig, PipeId};
+use crate::pipe::{EnqueueOutcome, Pipe, PipeConfig, PipeId, Shaping};
 use crate::proto::{CongestionController, ProtoConn, TransportConfig};
 use crate::tamper::{TamperSpec, TamperState};
 use crate::topology::{GroupId, TopologySpec};
 use p2plab_os::SyscallCostModel;
-use p2plab_sim::{FxHashSet, SimDuration, SimRng};
+use p2plab_sim::{FxHashSet, SimDuration, SimRng, SimTime};
 
 /// Index of a physical machine in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -224,6 +233,15 @@ impl From<Classification> for PacketPath {
 /// Marks a (source group, destination group) pair with no latency rule on a machine.
 const NO_PIPE: u32 = u32::MAX;
 
+/// [`PipeId`]s from here on name access pipes: node `v`'s upload pipe is `ACCESS_PIPES + 2v`,
+/// its download pipe `ACCESS_PIPES + 2v + 1`. The ids below index the pipe arena.
+const ACCESS_PIPES: usize = 1 << (usize::BITS - 1);
+
+/// The access pipe of `node` in `direction` ([`Direction::Out`]: upload).
+fn access_pipe(node: usize, direction: Direction) -> PipeId {
+    PipeId(ACCESS_PIPES + 2 * node + usize::from(direction == Direction::In))
+}
+
 /// An arena index as the `u32` the per-node and per-machine records store.
 fn narrow(id: usize) -> u32 {
     u32::try_from(id).expect("arena ids fit in 32 bits")
@@ -298,27 +316,29 @@ impl MachineNet {
     }
 }
 
-/// A virtual node's networking state. Ids are stored as `u32` and read through the accessors.
+/// A virtual node's networking state: where it is, and the state of its two access pipes,
+/// whose rate, delay, loss and conditioner are its group's [`Shaping`]s. Ids are stored as
+/// `u32` and read through the accessors; the pipes' [`PipeId`]s follow from the node's id.
 #[derive(Debug, Clone)]
 pub struct VNodeNet {
     /// The node's emulated IP address (an interface alias on its machine).
     pub addr: VirtAddr,
     group: u32,
     machine: u32,
-    /// Access-link upload pipe; the download pipe is the next one.
-    up_pipe: u32,
     /// Whether this node's arrival installed its group's inter-group rules on its machine, so
     /// that its own upload rule precedes them.
     installed_group_rules: bool,
     /// Marked byzantine, for `byzantine_msgs_sent` accounting.
     pub(crate) byzantine: bool,
-    /// Sender-side wire-tamper state (see [`crate::tamper`]); `None` — and therefore
-    /// completely inert, drawing no randomness — unless an adversary installed it.
-    pub(crate) tamper: Option<Box<TamperState>>,
+    /// The upload (`[0]`) and download (`[1]`) pipes' Gilbert–Elliott states; written only
+    /// under a burst-loss conditioner.
+    bad: [bool; 2],
+    /// The upload (`[0]`) and download (`[1]`) pipes' drain clocks.
+    busy_until: [SimTime; 2],
 }
 
-// Read twice per packet hop, at random over the deployment: 50,000 of them in `gossip-wide`.
-// A field added here is paid for in cache misses.
+// Read twice per packet hop, at random over the deployment, and its clocks written: 50,000 of
+// them in `gossip-wide`. A field added here is paid for in cache misses.
 const _: () = assert!(std::mem::size_of::<VNodeNet>() <= 32);
 
 impl VNodeNet {
@@ -330,16 +350,6 @@ impl VNodeNet {
     /// The machine hosting the node.
     pub fn machine(&self) -> MachineId {
         MachineId(self.machine as usize)
-    }
-
-    /// Access-link upload pipe.
-    pub fn up_pipe(&self) -> PipeId {
-        PipeId(self.up_pipe as usize)
-    }
-
-    /// Access-link download pipe.
-    pub fn down_pipe(&self) -> PipeId {
-        PipeId(self.up_pipe as usize + 1)
     }
 }
 
@@ -428,12 +438,18 @@ impl std::error::Error for NetError {}
 pub struct Network {
     config: NetworkConfig,
     topology: TopologySpec,
+    /// The NIC and inter-group latency pipes; access pipes live in the node records.
     pipes: Vec<Pipe>,
+    /// Each group's access link, upload (`[0]`) and download (`[1]`).
+    links: Vec<[Shaping; 2]>,
     machines: Vec<MachineNet>,
     vnodes: Vec<VNodeNet>,
-    /// Each group's nodes in the order they were added: node `k` owns the group's `k`-th
+    /// Each group's nodes' ids in the order they were added: node `k` owns the group's `k`-th
     /// address, so the list is both the allocation counter and the reverse map of `resolve`.
-    members: Vec<Vec<VNodeId>>,
+    members: Vec<Vec<u32>>,
+    /// Sender-side wire-tamper state per node (see [`crate::tamper`]): empty — and every node
+    /// therefore inert, drawing no randomness — until an adversary installs a tamper point.
+    tampers: Vec<Option<Box<TamperState>>>,
     pub(crate) listeners: FxHashSet<(VNodeId, u16)>,
     /// Connection arena, indexed by [`ConnId`]'s slot.
     conns: Vec<Connection>,
@@ -468,12 +484,28 @@ impl Network {
                 .iter()
                 .all(|b| !a.subnet.contains(b.subnet.base) && !b.subnet.contains(a.subnet.base))
         });
+        let links = groups
+            .iter()
+            .map(|g| {
+                let link = g.link;
+                [link.up_bps, link.down_bps].map(|bps| {
+                    Shaping::new(
+                        PipeConfig::shaped(bps, link.latency)
+                            .with_loss(link.loss_rate)
+                            .with_queue_limit(None)
+                            .with_condition(link.condition),
+                    )
+                })
+            })
+            .collect();
         Network {
             config,
             pipes: Vec::new(),
+            links,
             machines: Vec::new(),
             vnodes: Vec::new(),
             members: vec![Vec::new(); topology.groups.len()],
+            tampers: Vec::new(),
             listeners: FxHashSet::default(),
             conns: Vec::new(),
             free_conns: Vec::new(),
@@ -508,11 +540,9 @@ impl Network {
     pub fn reserve(&mut self, machines: usize, vnodes: usize) {
         self.machines.reserve(machines);
         self.vnodes.reserve(vnodes);
-        // Two access-link pipes per vnode, two NIC pipes per machine, plus a bounded number of
-        // inter-group delay pipes.
+        // Two NIC pipes per machine, plus a bounded number of inter-group delay pipes.
         let groups = self.topology.groups.len();
-        self.pipes
-            .reserve(2 * vnodes + 2 * machines + groups * groups);
+        self.pipes.reserve(2 * machines + groups * groups);
         for (members, group) in self.members.iter_mut().zip(&self.topology.groups) {
             members.reserve(group.node_count);
         }
@@ -578,15 +608,14 @@ impl Network {
             Direction::Out => {
                 let groups = self.topology.groups.len();
                 let pair = s.group as usize * groups + d.group as usize;
+                let up = access_pipe(src.0, Direction::Out);
                 match m.group_pipes.get(pair).copied().unwrap_or(NO_PIPE) {
-                    NO_PIPE => ([s.up_pipe(), PipeId(0)], 1),
-                    latency if s.installed_group_rules => {
-                        ([s.up_pipe(), PipeId(latency as usize)], 2)
-                    }
-                    latency => ([PipeId(latency as usize), s.up_pipe()], 2),
+                    NO_PIPE => ([up, PipeId(0)], 1),
+                    latency if s.installed_group_rules => ([up, PipeId(latency as usize)], 2),
+                    latency => ([PipeId(latency as usize), up], 2),
                 }
             }
-            Direction::In => ([d.down_pipe(), PipeId(0)], 1),
+            Direction::In => ([access_pipe(dst.0, Direction::In), PipeId(0)], 1),
         };
         let rules = m.rule_count() as u64;
         let path = PacketPath {
@@ -622,9 +651,10 @@ impl Network {
         machine.hosted.iter().flat_map(move |&id| {
             let v = &self.vnodes[id as usize];
             let host = Subnet::host(v.addr);
+            let [up, down] = [Direction::Out, Direction::In].map(|d| access_pipe(id as usize, d));
             let access = [
-                Rule::pipe(host, Subnet::any(), Direction::Out, v.up_pipe()),
-                Rule::pipe(Subnet::any(), host, Direction::In, v.down_pipe()),
+                Rule::pipe(host, Subnet::any(), Direction::Out, up),
+                Rule::pipe(Subnet::any(), host, Direction::In, down),
             ];
             let g = v.group as usize;
             let latency = match v.installed_group_rules {
@@ -670,7 +700,8 @@ impl Network {
     ///
     /// This performs what the P2PLab deployment scripts do on each physical node: give the node
     /// its interface alias (its address, which may not be the machine's own), create its two
-    /// dummynet pipes (upload and download, from the group's access-link class), add the two
+    /// dummynet pipes (upload and download, from the group's access-link class: the node's
+    /// record starts their clocks, the group's [`Shaping`]s are the rest), add the two
     /// corresponding IPFW rules, and — the first time a group appears on the machine — the
     /// inter-group latency rules.
     ///
@@ -688,7 +719,6 @@ impl Network {
         if k >= spec.node_count {
             return Err(NetError::GroupFull(group));
         }
-        let link = spec.link;
         let addr = self.topology.node_addr(group, k);
         // `resolve` finds a node through its address's group, so the address must lead back
         // here (it does not when an earlier group's subnet overlaps this one), which also makes
@@ -698,23 +728,6 @@ impl Network {
         {
             return Err(NetError::GroupFull(group));
         }
-        let up_pipe = self.add_pipe(
-            PipeConfig::shaped(link.up_bps, link.latency)
-                .with_loss(link.loss_rate)
-                .with_queue_limit(None)
-                .with_condition(link.condition),
-        );
-        let down_pipe = self.add_pipe(
-            PipeConfig::shaped(link.down_bps, link.latency)
-                .with_loss(link.loss_rate)
-                .with_queue_limit(None)
-                .with_condition(link.condition),
-        );
-        debug_assert_eq!(
-            down_pipe.0,
-            up_pipe.0 + 1,
-            "a node's pipes are created back to back"
-        );
         let id = VNodeId(self.vnodes.len());
         let m = &mut self.machines[machine.0];
         let deployed = m.as_deployed();
@@ -722,13 +735,13 @@ impl Network {
             Subnet::host(addr),
             Subnet::any(),
             Direction::Out,
-            up_pipe,
+            access_pipe(id.0, Direction::Out),
         ));
         m.install(Rule::pipe(
             Subnet::any(),
             Subnet::host(addr),
             Direction::In,
-            down_pipe,
+            access_pipe(id.0, Direction::In),
         ));
         m.hosted.push(narrow(id.0));
         let installed_group_rules = self.install_group_rules(machine, group);
@@ -740,12 +753,12 @@ impl Network {
             addr,
             group: narrow(group.0),
             machine: narrow(machine.0),
-            up_pipe: narrow(up_pipe.0),
             installed_group_rules,
             byzantine: false,
-            tamper: None,
+            bad: [false; 2],
+            busy_until: self.links[group.0].each_ref().map(Shaping::idle),
         });
-        self.members[group.0].push(id);
+        self.members[group.0].push(narrow(id.0));
         Ok(id)
     }
 
@@ -781,9 +794,22 @@ impl Network {
         PipeId(self.pipes.len() - 1)
     }
 
-    /// Mutable access to a pipe.
-    pub fn pipe_mut(&mut self, id: PipeId) -> &mut Pipe {
-        &mut self.pipes[id.0]
+    /// Offers a packet of `size` bytes at `now` to `pipe`: an arena pipe, or one direction of
+    /// a node's access link, whose clock is in the node's record and whose shaping is its
+    /// group's.
+    pub(crate) fn enqueue(
+        &mut self,
+        pipe: PipeId,
+        now: SimTime,
+        size: u64,
+        rng: &mut SimRng,
+    ) -> EnqueueOutcome {
+        let Some(link) = pipe.0.checked_sub(ACCESS_PIPES) else {
+            return self.pipes[pipe.0].enqueue(now, size, rng);
+        };
+        let (v, d) = (&mut self.vnodes[link / 2], link % 2);
+        let shaping = &self.links[v.group as usize][d];
+        shaping.enqueue(&mut v.busy_until[d], &mut v.bad[d], now, size, rng)
     }
 
     /// Access to a machine.
@@ -811,9 +837,9 @@ impl Network {
         &self.vnodes[id.0]
     }
 
-    /// Mutable access to a virtual node.
-    pub(crate) fn vnode_mut(&mut self, id: VNodeId) -> &mut VNodeNet {
-        &mut self.vnodes[id.0]
+    /// The tamper point an adversary installed on `node`, if any.
+    pub(crate) fn tamper_mut(&mut self, node: VNodeId) -> Option<&mut TamperState> {
+        self.tampers.get_mut(node.0)?.as_deref_mut()
     }
 
     /// Number of virtual nodes.
@@ -832,7 +858,8 @@ impl Network {
         let group = self.topology.group_of(addr)?;
         let base = self.topology.groups[group.0].subnet.base;
         let k = (addr.0 - base.0).checked_sub(1)?;
-        self.members[group.0].get(k as usize).copied()
+        let id = self.members[group.0].get(k as usize)?;
+        Some(VNodeId(*id as usize))
     }
 
     /// The address of a virtual node.
@@ -923,7 +950,10 @@ impl Network {
     /// adversary-free network installs nothing and the data plane stays byte-frozen.
     pub fn set_tamper(&mut self, node: VNodeId, spec: TamperSpec, rng: SimRng) {
         if !spec.is_noop() {
-            self.vnodes[node.0].tamper = Some(Box::new(TamperState { spec, rng }));
+            if self.tampers.len() < self.vnodes.len() {
+                self.tampers.resize_with(self.vnodes.len(), || None);
+            }
+            self.tampers[node.0] = Some(Box::new(TamperState { spec, rng }));
             self.adversary = true;
         }
     }
@@ -1367,9 +1397,9 @@ mod tests {
 
     proptest! {
         /// The list a deployed machine builds against the list `add_vnode` used to append,
-        /// modelled here: each arrival appends its node's two `/32` rules through the next two
-        /// pipes, then — the first time its group comes to the machine — one latency rule per
-        /// other group with a latency, through the pipes after those. Groups arrive interleaved
+        /// modelled here: each arrival appends its node's two `/32` rules through its two
+        /// access pipes, then — the first time its group comes to the machine — one latency
+        /// rule per other group with a latency, through the next arena pipes. Groups arrive interleaved
         /// over the machines, and rules from outside the deployment land at random points on
         /// the machine and on its twin, which takes every rule the model appends.
         #[test]
@@ -1396,8 +1426,9 @@ mod tests {
                 net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m as u8 + 1));
                 twins.push(Firewall::new(NetworkConfig::default().per_rule_cost));
             }
-            // The model: the next pipe id (each machine's two NIC pipes come first), which
-            // groups' latency rules each machine has, and each group's next node.
+            // The model: the next arena pipe id (each machine's two NIC pipes come first; a
+            // node's access pipes are named by its id), which groups' latency rules each
+            // machine has, and each group's next node.
             let mut next_pipe = 2 * machines;
             let mut installed = vec![vec![false; groups]; machines];
             let mut members = vec![0; groups];
@@ -1450,13 +1481,13 @@ mod tests {
                         if members[g] == per_group {
                             continue;
                         }
-                        net.add_vnode(MachineId(m), GroupId(g)).unwrap();
+                        let id = net.add_vnode(MachineId(m), GroupId(g)).unwrap();
                         let host = Subnet::host(topo.node_addr(GroupId(g), members[g]));
                         members[g] += 1;
                         let twin = &mut twins[m];
-                        twin.add_rule(Rule::pipe(host, Subnet::any(), Direction::Out, PipeId(next_pipe)));
-                        twin.add_rule(Rule::pipe(Subnet::any(), host, Direction::In, PipeId(next_pipe + 1)));
-                        next_pipe += 2;
+                        let [up, down] = [Direction::Out, Direction::In].map(|d| access_pipe(id.0, d));
+                        twin.add_rule(Rule::pipe(host, Subnet::any(), Direction::Out, up));
+                        twin.add_rule(Rule::pipe(Subnet::any(), host, Direction::In, down));
                         if !std::mem::replace(&mut installed[m][g], true) {
                             for other in 0..groups {
                                 if topo.group_latency(GroupId(g), GroupId(other)).is_zero() {
@@ -1550,20 +1581,19 @@ mod tests {
         }
         let mut installers = BTreeMap::new();
         for (id, v) in net.vnodes() {
-            assert_eq!(v.down_pipe().0, v.up_pipe().0 + 1);
             let rules = rules_of(&net, v.machine());
             let host = Subnet::host(v.addr);
             assert!(rules.contains(&Rule::pipe(
                 host,
                 Subnet::any(),
                 Direction::Out,
-                v.up_pipe()
+                access_pipe(id.0, Direction::Out)
             )));
             assert!(rules.contains(&Rule::pipe(
                 Subnet::any(),
                 host,
                 Direction::In,
-                v.down_pipe()
+                access_pipe(id.0, Direction::In)
             )));
             // The first node of a group on a machine is the one that installed its rules.
             installers.entry((v.machine(), v.group())).or_insert(id);
@@ -1598,6 +1628,59 @@ mod tests {
             assert_eq!(ruled, tabled);
             // Each machine hosts all five groups, each with latency to the four others.
             assert_eq!(ruled.len(), 5 * 4);
+        }
+    }
+
+    #[test]
+    fn the_arena_holds_no_pipe_per_node() {
+        // Figure 7's five groups interleaved over three machines.
+        let topo = TopologySpec::paper_figure7();
+        let groups = topo.groups.len();
+        let mut net = Network::new(NetworkConfig::default(), topo.clone());
+        for m in 0..3u8 {
+            net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m + 1));
+        }
+        let nic = 2 * 3;
+        assert_eq!(net.pipes.len(), nic);
+        for k in 0..40 {
+            net.add_vnode(MachineId(k % 3), GroupId(k % groups))
+                .unwrap();
+            let latency: usize = (net.machines.iter())
+                .map(|m| m.group_pipes.iter().filter(|&&p| p != NO_PIPE).count())
+                .sum();
+            assert_eq!(net.pipes.len(), nic + latency, "after node {k}");
+        }
+        // Each machine hosts all five groups, each with latency to the four others.
+        assert_eq!(net.pipes.len(), nic + 3 * 5 * 4);
+        // A rule names an arena pipe or an access pipe of a node its machine hosts.
+        for m in 0..3 {
+            for rule in rules_of(&net, MachineId(m)) {
+                let RuleAction::Pipe(pipe) = rule.action else {
+                    panic!("the deployment installs pipe rules only: {rule:?}");
+                };
+                match pipe.0.checked_sub(ACCESS_PIPES) {
+                    None => assert!(pipe.0 < net.pipes.len()),
+                    Some(link) => assert_eq!(net.vnode(VNodeId(link / 2)).machine(), MachineId(m)),
+                }
+            }
+        }
+        // A packet through node 3's (10.2.0.0/16, 10 Mbps, 5 ms) download pipe writes that
+        // pipe's clock in its record and nothing else.
+        let before: Vec<[SimTime; 2]> = net.vnodes.iter().map(|v| v.busy_until).collect();
+        let mut rng = SimRng::new(1);
+        let now = SimTime::from_secs(1);
+        let link = topo.groups[3].link;
+        let serialized = now + SimDuration::transmission(1250, link.down_bps);
+        assert_eq!(
+            net.enqueue(access_pipe(3, Direction::In), now, 1250, &mut rng),
+            EnqueueOutcome::Forwarded {
+                exit: serialized + link.latency,
+                dup: None
+            }
+        );
+        for (v, (node, was)) in net.vnodes.iter().zip(before).enumerate() {
+            let expected = if v == 3 { [was[0], serialized] } else { was };
+            assert_eq!(node.busy_until, expected, "node {v}");
         }
     }
 

@@ -11,12 +11,19 @@
 //! departures, which is what its overflow check counts occupancy from. A pipe counts its drops,
 //! not its forwarded traffic: the NIC bytes the resource monitor reads are counted by the
 //! machine (`MachineNet::nic_bytes`).
+//!
+//! A [`Pipe`] holds its whole configuration. A virtual node's two access-link pipes do not:
+//! every pipe of a group is built from the group's access-link class, so the network keeps that
+//! class once per group and direction as a [`Shaping`], and each node keeps only what a packet
+//! changes — each direction's drain clock and Gilbert–Elliott bit — in its record. Both kinds
+//! take a packet through one function, in one draw order.
 
 use crate::proto::LinkCondition;
 use p2plab_sim::{SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 
-/// Index of a pipe in the network's pipe arena.
+/// Names a pipe of the network: one of its arena's [`Pipe`]s, or one direction of a virtual
+/// node's access link (see [`Network`](crate::Network) for the numbering).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PipeId(pub usize);
 
@@ -131,9 +138,8 @@ pub struct PipeStats {
 /// 32 bytes, aligned to 32, so no pipe straddles two cache lines: the drain clock, the rate
 /// and delay the serialization arithmetic reads, and the pointer to whatever only *some* pipes
 /// are configured with — loss, a queue bound, a conditioner, and the drop counters only such a
-/// pipe can bump. The access, NIC and inter-group pipes of an unconditioned deployment
-/// allocate nothing and write nothing but the clock per packet. A node's upload and download
-/// pipes are created back to back: 64 adjacent bytes.
+/// pipe can bump. The NIC and inter-group pipes of an unconditioned deployment allocate
+/// nothing and write nothing but the clock per packet.
 #[derive(Debug, Clone)]
 #[repr(align(32))]
 pub struct Pipe {
@@ -148,22 +154,41 @@ pub struct Pipe {
     extras: Option<Box<PipeExtras>>,
 }
 
-// 50,000 vnodes own 100,000 pipes in `gossip-wide`, two per packet hop: a field added to `Pipe`
-// moves every one of them onto a cache line of its own. It belongs in `PipeExtras`.
+// Every cross-machine packet crosses two NIC pipes, and most cross a latency pipe: a field added
+// to `Pipe` moves each of them onto a cache line of its own. It belongs in `PipeExtras`.
 const _: () = assert!(std::mem::size_of::<Pipe>() == 32);
 const _: () = assert!(std::mem::align_of::<Pipe>() == 32);
 
 /// [`Pipe::bps`] of a pure-delay pipe. A configured rate of 0 bit/s is no such pipe: it never
-/// drains, so [`Pipe::new`] stores it as a rate whose queue is busy until the end of time.
+/// drains, so it is stored as a rate whose queue is busy until the end of time (see [`rate`]).
 const UNSHAPED: u64 = 0;
+
+/// The drain clock and rate a pipe of `bandwidth_bps` starts with.
+fn rate(bandwidth_bps: Option<u64>) -> (SimTime, u64) {
+    // A 0 bit/s queue's first packet leaves it busy until `SimTime::MAX` (the end of time,
+    // where every later departure saturates too); starting it there is the same pipe.
+    match bandwidth_bps {
+        None => (SimTime::ZERO, UNSHAPED),
+        Some(0) => (SimTime::MAX, 1),
+        Some(bps) => (SimTime::ZERO, bps),
+    }
+}
+
+/// Random loss and a conditioner: what a pipe may be configured with beyond its rate, delay
+/// and queue bound.
+#[derive(Debug, Clone, PartialEq)]
+struct Impairments {
+    loss_rate: f64,
+    condition: Option<LinkCondition>,
+}
 
 /// What a pipe configured with loss, a queue bound or a conditioner keeps beyond [`Pipe`]'s
 /// own fields, with the counters of the drops only such a pipe can produce.
 #[derive(Debug, Clone)]
 struct PipeExtras {
-    loss_rate: f64,
+    /// Loss rate 0 and no conditioner when only the bound put the pipe here.
+    impairments: Impairments,
     bound: Option<QueueBound>,
-    condition: Option<LinkCondition>,
     /// Gilbert–Elliott chain state of the conditioner (`true` = bad state).
     bad: bool,
     dropped_loss: u64,
@@ -201,6 +226,85 @@ impl QueueBound {
     }
 }
 
+/// What serialization writes: a pipe's drain clock, and the departure window a bounded pipe's
+/// overflow check counts from.
+struct Queue<'a> {
+    busy_until: &'a mut SimTime,
+    bound: Option<&'a mut QueueBound>,
+}
+
+impl Queue<'_> {
+    /// Charges one serialization slot at `bps` and returns its queue exit time.
+    fn serialize(&mut self, bps: u64, now: SimTime, size: u64) -> SimTime {
+        if bps == UNSHAPED {
+            return now;
+        }
+        let start = (*self.busy_until).max(now);
+        let exit = start + SimDuration::transmission(size, bps);
+        *self.busy_until = exit;
+        if let Some(bound) = self.bound.as_deref_mut() {
+            bound.window.push_back((exit, size));
+            bound.queued += size;
+        }
+        exit
+    }
+}
+
+/// Offers a packet of `size` bytes at `now` to a pipe of rate `bps` and delay `delay`: the one
+/// packet model of every pipe, in the one draw order — random loss, the burst chain, the queue
+/// bound, serialization, jitter and reordering, duplication. `impaired` is the pipe's loss and
+/// conditioner with its Gilbert–Elliott state; a pipe without (`None`) draws no randomness.
+///
+/// A conditioner-duplicated copy is serialized behind the original and released strictly
+/// after it. It is dropped silently when the queue is full (a duplicate never evicts real
+/// traffic, and its loss is invisible by construction).
+#[inline(always)]
+fn pass(
+    bps: u64,
+    delay: SimDuration,
+    impaired: Option<(&Impairments, &mut bool)>,
+    mut queue: Queue<'_>,
+    now: SimTime,
+    size: u64,
+    rng: &mut SimRng,
+) -> EnqueueOutcome {
+    let mut condition = None;
+    if let Some((x, bad)) = impaired {
+        if rng.chance(x.loss_rate) {
+            return EnqueueOutcome::Dropped(DropReason::RandomLoss);
+        }
+        condition = x.condition.as_ref();
+        if let Some(burst) = condition.and_then(|c| c.burst) {
+            if burst.step(bad, rng) {
+                return EnqueueOutcome::Dropped(DropReason::BurstLoss);
+            }
+        }
+    }
+    if let Some(bound) = queue.bound.as_deref_mut() {
+        bound.prune(now);
+        if bound.overflows(size) {
+            return EnqueueOutcome::Dropped(DropReason::QueueOverflow);
+        }
+    }
+    let queue_exit = queue.serialize(bps, now, size);
+    let mut latency = delay;
+    if let Some(c) = condition {
+        latency += c.extra_latency(rng);
+    }
+    let exit = queue_exit + latency;
+    let dup = match condition {
+        Some(c) if c.duplicates(rng) => {
+            let full = queue.bound.as_deref().is_some_and(|b| b.overflows(size));
+            (!full).then(|| {
+                let dup_exit = queue.serialize(bps, now, size) + delay;
+                dup_exit.max(exit + SimDuration::from_nanos(1))
+            })
+        }
+        _ => None,
+    };
+    EnqueueOutcome::Forwarded { exit, dup }
+}
+
 impl Pipe {
     /// Creates a pipe from its configuration.
     pub fn new(config: PipeConfig) -> Pipe {
@@ -209,26 +313,22 @@ impl Pipe {
             && config.condition.is_none();
         let extras = (!plain).then(|| {
             Box::new(PipeExtras {
-                loss_rate: config.loss_rate,
+                impairments: Impairments {
+                    loss_rate: config.loss_rate,
+                    condition: config.condition,
+                },
                 bound: config.queue_limit_bytes.map(|limit_bytes| QueueBound {
                     limit_bytes,
                     window: VecDeque::new(),
                     queued: 0,
                 }),
-                condition: config.condition,
                 bad: false,
                 dropped_loss: 0,
                 dropped_overflow: 0,
                 dropped_burst: 0,
             })
         });
-        // A 0 bit/s queue's first packet leaves it busy until `SimTime::MAX` (the end of time,
-        // where every later departure saturates too); starting it there is the same pipe.
-        let (busy_until, bps) = match config.bandwidth_bps {
-            None => (SimTime::ZERO, UNSHAPED),
-            Some(0) => (SimTime::MAX, 1),
-            Some(bps) => (SimTime::ZERO, bps),
-        };
+        let (busy_until, bps) = rate(config.bandwidth_bps);
         Pipe {
             busy_until,
             bps,
@@ -249,68 +349,93 @@ impl Pipe {
 
     /// Offers a packet of `size` bytes to the pipe at time `now`.
     pub fn enqueue(&mut self, now: SimTime, size: u64, rng: &mut SimRng) -> EnqueueOutcome {
-        let mut condition = None;
-        if let Some(x) = self.extras.as_deref_mut() {
-            if rng.chance(x.loss_rate) {
-                x.dropped_loss += 1;
-                return EnqueueOutcome::Dropped(DropReason::RandomLoss);
-            }
-            condition = x.condition;
-            if let Some(burst) = condition.and_then(|c| c.burst) {
-                if burst.step(&mut x.bad, rng) {
-                    x.dropped_burst += 1;
-                    return EnqueueOutcome::Dropped(DropReason::BurstLoss);
-                }
-            }
-            if let Some(bound) = x.bound.as_mut() {
-                bound.prune(now);
-                if bound.overflows(size) {
-                    x.dropped_overflow += 1;
-                    return EnqueueOutcome::Dropped(DropReason::QueueOverflow);
-                }
-            }
-        }
-        let queue_exit = self.serialize(now, size);
-        let mut latency = self.delay;
-        if let Some(c) = condition.as_ref() {
-            latency += c.extra_latency(rng);
-        }
-        let exit = queue_exit + latency;
-        let dup = match condition.as_ref() {
-            Some(c) if c.duplicates(rng) => self.duplicate_exit(now, size, exit),
-            _ => None,
+        let busy_until = &mut self.busy_until;
+        let Some(x) = self.extras.as_deref_mut() else {
+            let queue = Queue {
+                busy_until,
+                bound: None,
+            };
+            return pass(self.bps, self.delay, None, queue, now, size, rng);
         };
-        EnqueueOutcome::Forwarded { exit, dup }
+        let queue = Queue {
+            busy_until,
+            bound: x.bound.as_mut(),
+        };
+        let impaired = Some((&x.impairments, &mut x.bad));
+        let outcome = pass(self.bps, self.delay, impaired, queue, now, size, rng);
+        if let EnqueueOutcome::Dropped(reason) = outcome {
+            *match reason {
+                DropReason::RandomLoss => &mut x.dropped_loss,
+                DropReason::QueueOverflow => &mut x.dropped_overflow,
+                DropReason::BurstLoss => &mut x.dropped_burst,
+            } += 1;
+        }
+        outcome
+    }
+}
+
+/// What an unbounded pipe does to a packet, apart from the state the packet changes: rate,
+/// delay, loss and conditioner. Every access pipe of a group in one direction is built from the
+/// group's access-link class, so the network keeps one `Shaping` per group and direction, and
+/// each node keeps the state of its two pipes — a drain clock and a Gilbert–Elliott bit each —
+/// in its [`VNodeNet`](crate::VNodeNet) record.
+///
+/// [`enqueue`](Shaping::enqueue) on that state is [`Pipe::enqueue`] on `Pipe::new(config)`:
+/// the same exits, drops and draws, with no drop counters kept.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Shaping {
+    /// As [`Pipe::bps`].
+    bps: u64,
+    delay: SimDuration,
+    /// The drain clock of a pipe no packet has crossed yet.
+    idle: SimTime,
+    impairments: Option<Impairments>,
+}
+
+impl Shaping {
+    /// The shaping of the pipe `config` describes, which has no queue bound: a bounded pipe
+    /// keeps a departure window, so it is a [`Pipe`].
+    pub fn new(config: PipeConfig) -> Shaping {
+        assert!(
+            config.queue_limit_bytes.is_none(),
+            "a shared shaping keeps no departure window"
+        );
+        let (idle, bps) = rate(config.bandwidth_bps);
+        let impaired = config.loss_rate != 0.0 || config.condition.is_some();
+        Shaping {
+            bps,
+            delay: config.delay,
+            idle,
+            impairments: impaired.then_some(Impairments {
+                loss_rate: config.loss_rate,
+                condition: config.condition,
+            }),
+        }
     }
 
-    fn bound_mut(&mut self) -> Option<&mut QueueBound> {
-        self.extras.as_deref_mut()?.bound.as_mut()
+    /// The drain clock a pipe starts with: the end of time for a 0 bit/s pipe, which never
+    /// drains.
+    pub fn idle(&self) -> SimTime {
+        self.idle
     }
 
-    /// Charges one serialization slot and returns its queue exit time.
-    fn serialize(&mut self, now: SimTime, size: u64) -> SimTime {
-        if self.bps == UNSHAPED {
-            return now;
-        }
-        let start = self.busy_until.max(now);
-        let exit = start + SimDuration::transmission(size, self.bps);
-        self.busy_until = exit;
-        if let Some(bound) = self.bound_mut() {
-            bound.window.push_back((exit, size));
-            bound.queued += size;
-        }
-        exit
-    }
-
-    /// Serializes a conditioner-duplicated copy and returns its release time, kept strictly
-    /// after the original's. The copy is dropped silently when the queue is full (a duplicate
-    /// never evicts real traffic, and its loss is invisible by construction).
-    fn duplicate_exit(&mut self, now: SimTime, size: u64, exit: SimTime) -> Option<SimTime> {
-        if self.bound_mut().is_some_and(|b| b.overflows(size)) {
-            return None;
-        }
-        let dup_exit = self.serialize(now, size) + self.delay;
-        Some(dup_exit.max(exit + SimDuration::from_nanos(1)))
+    /// Offers a packet of `size` bytes at `now` to the pipe whose drain clock is `busy_until`
+    /// and whose burst-loss chain is in its bad state when `bad` is.
+    #[inline]
+    pub fn enqueue(
+        &self,
+        busy_until: &mut SimTime,
+        bad: &mut bool,
+        now: SimTime,
+        size: u64,
+        rng: &mut SimRng,
+    ) -> EnqueueOutcome {
+        let impaired = self.impairments.as_ref().map(|x| (x, bad));
+        let queue = Queue {
+            busy_until,
+            bound: None,
+        };
+        pass(self.bps, self.delay, impaired, queue, now, size, rng)
     }
 }
 
@@ -435,7 +560,8 @@ mod tests {
         p.enqueue(SimTime::ZERO, 1000, &mut r); // drains at t=1s
         p.enqueue(SimTime::ZERO, 1000, &mut r); // drains at t=2s
         let mut queued_bytes = |now| {
-            let bound = p.bound_mut().expect("the pipe is bounded");
+            let extras = p.extras.as_deref_mut().expect("the pipe is bounded");
+            let bound = extras.bound.as_mut().expect("the pipe is bounded");
             bound.prune(now);
             bound.queued
         };

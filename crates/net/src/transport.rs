@@ -719,7 +719,7 @@ fn transmit<W: NetHost>(
         if net.adversary {
             net.stats.byzantine_msgs_sent += u64::from(net.vnode(flight.src).byzantine);
             let duplicable = flight.frame.duplicable();
-            let tamper = net.vnode_mut(flight.src).tamper.as_deref_mut();
+            let tamper = net.tamper_mut(flight.src);
             let action = tamper.map(|state| {
                 if state.rng.chance(state.spec.drop_rate) {
                     None
@@ -791,7 +791,8 @@ impl PipeWalk {
         PipeWalk { t, dup_off: None }
     }
 
-    /// Enqueues `wire` bytes on each of `pipes` in turn; false when a pipe dropped the frame.
+    /// Enqueues `wire` bytes on each of `pipes` in turn, arena pipes and access pipes alike;
+    /// false when a pipe dropped the frame.
     fn through(
         &mut self,
         net: &mut Network,
@@ -800,7 +801,7 @@ impl PipeWalk {
         wire: u64,
     ) -> bool {
         for &pipe in pipes {
-            match net.pipe_mut(pipe).enqueue(self.t, wire, rng) {
+            match net.enqueue(pipe, self.t, wire, rng) {
                 EnqueueOutcome::Forwarded { exit, dup } => {
                     if self.dup_off.is_none() {
                         self.dup_off = dup.map(|d| d - exit);

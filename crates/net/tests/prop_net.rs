@@ -7,7 +7,7 @@
 
 use p2plab_net::{
     BurstLoss, Direction, DropReason, EnqueueOutcome, Firewall, LinkCondition, Pipe, PipeConfig,
-    PipeId, PipeStats, Rule, Subnet, VirtAddr,
+    PipeId, PipeStats, Rule, Shaping, Subnet, VirtAddr,
 };
 use p2plab_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -98,6 +98,25 @@ fn random_pipe_config(rng: &mut SimRng) -> PipeConfig {
     config.with_condition(Some(condition))
 }
 
+/// 300 random arrivals `(time, size)`: bursts at one instant, gaps that let the queue drain,
+/// and empty packets (whose departure coincides with their arrival on an idle pipe).
+fn random_arrivals(input: &mut SimRng) -> Vec<(SimTime, u64)> {
+    let mut now = SimTime::ZERO;
+    (0..300)
+        .map(|_| {
+            if input.chance(0.7) {
+                now += SimDuration::from_micros(input.gen_range(0..30_000u64));
+            }
+            let size = if input.chance(0.05) {
+                0
+            } else {
+                input.gen_range(1..=16_384u64)
+            };
+            (now, size)
+        })
+        .collect()
+}
+
 /// Runs [`Pipe`] and [`ReferencePipe`] side by side on a random configuration drawn from
 /// `seed` — with its rate replaced by `rate`, if given — and 300 random arrivals.
 fn equals_the_reference_model(seed: u64, rate: Option<u64>) {
@@ -115,18 +134,7 @@ fn equals_the_reference_model(seed: u64, rate: Option<u64>) {
         stats: PipeStats::default(),
     };
     let (mut rng, mut reference_rng) = (SimRng::new(seed ^ 1), SimRng::new(seed ^ 1));
-    let mut now = SimTime::ZERO;
-    for _ in 0..300 {
-        // Bursts at one instant, gaps that let the queue drain, and empty packets (whose
-        // departure coincides with their arrival on an idle pipe).
-        if input.chance(0.7) {
-            now += SimDuration::from_micros(input.gen_range(0..30_000u64));
-        }
-        let size = if input.chance(0.05) {
-            0
-        } else {
-            input.gen_range(1..=16_384u64)
-        };
+    for (now, size) in random_arrivals(&mut input) {
         let got = pipe.enqueue(now, size, &mut rng);
         let want = reference.enqueue(now, size, &mut reference_rng);
         assert_eq!(got, want, "{config:?} at {now:?}, {size} bytes");
@@ -221,6 +229,30 @@ proptest! {
     #[test]
     fn pipe_at_extreme_rates_equals_the_reference_model(seed in any::<u64>(), pick in 0usize..3) {
         equals_the_reference_model(seed, Some([0, 1, u64::MAX][pick]));
+    }
+
+    /// An access pipe kept as its group's [`Shaping`] plus a drain clock and a Gilbert–Elliott
+    /// bit in its node's record, against [`Pipe::new`] from the same unbounded configuration:
+    /// the same exits and drops for every packet, and both RNGs left in the same state. The
+    /// configurations mix loss, burst loss, jitter, reordering and duplication, at a random
+    /// rate, 0 bit/s, the fastest rates and none (pure delay).
+    #[test]
+    fn a_record_clock_link_equals_the_pipe(seed in any::<u64>(), pick in 0usize..5) {
+        let mut input = SimRng::new(seed);
+        let mut config = random_pipe_config(&mut input).with_queue_limit(None);
+        if let Some(bps) = [None, Some(Some(0)), Some(Some(1)), Some(Some(u64::MAX)), Some(None)][pick] {
+            config.bandwidth_bps = bps;
+        }
+        let mut pipe = Pipe::new(config);
+        let shaping = Shaping::new(config);
+        let (mut busy_until, mut bad) = (shaping.idle(), false);
+        let (mut rng, mut record_rng) = (SimRng::new(seed ^ 1), SimRng::new(seed ^ 1));
+        for (now, size) in random_arrivals(&mut input) {
+            let want = pipe.enqueue(now, size, &mut rng);
+            let got = shaping.enqueue(&mut busy_until, &mut bad, now, size, &mut record_rng);
+            prop_assert_eq!(got, want, "{:?} at {:?}, {} bytes", config, now, size);
+        }
+        prop_assert_eq!(record_rng.gen_f64().to_bits(), rng.gen_f64().to_bits(), "{:?}", config);
     }
 
     /// Firewall classification: the number of rules examined never exceeds the rule count, the

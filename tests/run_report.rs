@@ -160,13 +160,15 @@ fn dht_report_round_trips_and_matches_result() {
     let loaded = round_trip(&report);
 
     assert_eq!(loaded.workload, "dht-lookup");
-    assert_eq!(world.records.len() as u64, lookups, "{:?}", loaded.outcome);
-    // Every lookup converged on the closest node and left its hop count in the histogram.
-    assert!(world.records.iter().all(|r| r.found_closest));
+    // Every lookup settled, converged on the closest node and left its hop count in the
+    // histogram.
+    let settled = loaded.progress().last().unwrap().1;
+    assert_eq!(settled, lookups as f64, "{:?}", loaded.outcome);
     assert_eq!(
         loaded.metrics.counter("lookups_found_closest"),
         Some(lookups)
     );
+    assert_eq!(loaded.metrics.counter("lookups_missed"), Some(0));
     assert_eq!(
         loaded.metrics.histogram("lookup_hops").unwrap().count,
         lookups
