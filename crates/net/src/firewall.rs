@@ -365,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn packet_traverses_access_and_group_pipes() {
+    fn packet_traverses_access_and_latency_pipes() {
         let mut fw = paper_firewall();
         // 10.1.3.207 -> 10.2.2.117: outgoing access pipe + 10.1/16 -> 10.2/16 latency pipe.
         let c = fw.classify(addr("10.1.3.207"), addr("10.2.2.117"), Direction::Out);

@@ -53,7 +53,7 @@ pub use network::{
     NetworkConfig, VNodeId, VNodeNet,
 };
 pub use ping::{ping, ping_series, PingPayload, PingTimer, PingWorld, ECHO_PORT};
-pub use pipe::{DropReason, EnqueueOutcome, Pipe, PipeConfig, PipeId, PipeStats, Shaping};
+pub use pipe::{DropReason, EnqueueOutcome, Pipe, PipeConfig, PipeId, Shaping};
 pub use proto::{
     Aimd, BurstLoss, CcKind, CongestionController, FragHeader, Legacy, LinkCondition,
     TransportConfig,

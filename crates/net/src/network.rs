@@ -2,57 +2,55 @@
 //!
 //! A [`Network`] is the passive state of the emulation data plane. It owns
 //!
-//! * one [`Firewall`] + NIC pipes per *physical machine* (the decentralized model of the paper:
+//! * one [`Firewall`] and one NIC per *physical machine* (the decentralized model of the paper:
 //!   every physical node shapes the traffic of the virtual nodes it hosts),
 //! * one pair of access-link pipes per *virtual node* (upload and download, as two IPFW rules),
-//!   kept as the group's two [`Shaping`]s plus each pipe's drain clock in the node's record,
-//! * one delay pipe per (hosted source group, destination group) pair with configured latency,
+//! * one latency rule per (hosted source group, destination group) pair with configured latency,
 //! * the connection/listener tables of the transport layer.
 //!
 //! The active part — walking a packet through those components with discrete events — lives in
 //! [`crate::transport`].
 //!
-//! **One identity per entity.** [`MachineId`], [`VNodeId`], [`ConnId`] and [`PipeId`] are
-//! indices into this network's arenas, handed out in creation order (a [`ConnId`] also carries
-//! its open sequence, because a released connection's slot is reused), and whatever the data
-//! plane keeps about an entity lives in that entity's slot — never in a table keyed by the id.
-//! Addresses are assigned by the network, not the caller: the `k`-th node added to a group gets
+//! **One identity per entity.** [`MachineId`], [`VNodeId`] and [`ConnId`] are indices into this
+//! network's arenas, handed out in creation order (a [`ConnId`] also carries its open sequence,
+//! because a released connection's slot is reused), and whatever the data plane keeps about an
+//! entity lives in that entity's slot — never in a table keyed by the id. Addresses are assigned
+//! by the network, not the caller: the `k`-th node added to a group gets
 //! [`TopologySpec::node_addr`]`(group, k)` (the paper's Figure 4 alias numbering), which makes
 //! [`Network::resolve`] arithmetic on the group's subnet instead of a lookup. A [`VNodeNet`] is
 //! one 32-byte record: its ids are stored as `u32`, and it holds its access link's state.
 //!
-//! **A pipe is a [`PipeId`] wherever it lives.** The arena holds each machine's two NIC pipes
-//! and its inter-group latency pipes, numbered from 0 in creation order. A node's access pipes
-//! are not in it: all of a group's are built from the group's access-link class, so the network
-//! keeps that class once per group and direction ([`Shaping`]), and what a packet changes —
-//! each direction's drain clock and Gilbert–Elliott bit — lives in the node's record. Their ids
-//! are arithmetic on the node's: node `v`'s upload pipe is `ACCESS_PIPES + 2v` and its
-//! download pipe the next id. So a rule names either kind the same way, and the deployed
-//! classification and the walked firewall reach the same clock.
+//! **A pipe is a class and a clock.** The network keeps each class once — a [`Shaping`] per
+//! group and direction for the access links, one per direction for the NICs — and each pipe's
+//! drain clock (and Gilbert–Elliott bit) where the pipe lives: in the node's record, or the
+//! machine's. An inter-group latency pipe only delays, so it is its group pair's latency and
+//! nothing else. A rule names a pipe by arithmetic: the latency pipe from group `s` to group
+//! `d` is `PipeId(s × groups + d)` on every machine, node `v`'s upload pipe `ACCESS_PIPES + 2v`
+//! and its download pipe the next id, so the deployed classification and the walked firewall
+//! reach the same pipe. No rule names a NIC: every packet between two machines crosses both.
 //!
 //! **A packet reads its path from the deployment.** A machine's rule set as deployed is two
 //! `/32` pipe rules per hosted node and one latency rule per installed (source group,
 //! destination group) pair. While its firewall holds nothing else, `Network::classify` answers
-//! from the two nodes' records and the machine's table of group-pair pipes: every rule is
-//! examined, the packet is accepted, and it crosses the sender's upload pipe and the pair's
-//! latency pipe, or the receiver's download pipe. A rule from anywhere else, overlapping group
-//! subnets, or a packet under the machine's administration address takes the linear walk,
-//! [`Firewall::classify`].
+//! from the two nodes' records and the group pair's latency: every rule is examined, the packet
+//! is accepted, and it crosses the sender's upload pipe and the pair's latency pipe, or the
+//! receiver's download pipe. A rule from anywhere else, overlapping group subnets, or a packet
+//! under the machine's administration address takes the linear walk, [`Firewall::classify`].
 //!
 //! **Nothing is stored that a packet does not read.** So a deployed machine keeps its rule
 //! count and its hosted nodes' ids, but no rule. The list is built from the hosted nodes'
-//! records, the group-pair table and the topology — per hosted node in id order, its outgoing
-//! and incoming `/32` rules, then its group's latency rules if its arrival installed them —
-//! the first time something must walk or change it: a rule from outside (through
-//! [`Network::firewall_mut`]), a packet under the administration address, or a topology whose
-//! groups overlap (at once). From then on the firewall stores the list, as it would have all
-//! along. A deployed node costs the network 40 bytes: its 32-byte record, its id in its
-//! machine's hosted list and its id in its group's member list.
+//! records and the topology — per hosted node in id order, its outgoing and incoming `/32`
+//! rules, then its group's latency rules if its arrival installed them — the first time
+//! something must walk or change it: a rule from outside (through [`Network::firewall_mut`]), a
+//! packet under the administration address, or a topology whose groups overlap (at once). From
+//! then on the firewall stores the list, as it would have all along. A deployed node costs the
+//! network 40 bytes: its 32-byte record, its id in its machine's hosted list and its id in its
+//! group's member list.
 
 use crate::addr::{Subnet, VirtAddr};
 use crate::firewall::{Classification, Direction, Firewall, PipeList, Rule};
 use crate::intercept::InterceptConfig;
-use crate::pipe::{EnqueueOutcome, Pipe, PipeConfig, PipeId, Shaping};
+use crate::pipe::{EnqueueOutcome, PipeConfig, PipeId, Shaping};
 use crate::proto::{CongestionController, ProtoConn, TransportConfig};
 use crate::tamper::{TamperSpec, TamperState};
 use crate::topology::{GroupId, TopologySpec};
@@ -230,11 +228,8 @@ impl From<Classification> for PacketPath {
     }
 }
 
-/// Marks a (source group, destination group) pair with no latency rule on a machine.
-const NO_PIPE: u32 = u32::MAX;
-
 /// [`PipeId`]s from here on name access pipes: node `v`'s upload pipe is `ACCESS_PIPES + 2v`,
-/// its download pipe `ACCESS_PIPES + 2v + 1`. The ids below index the pipe arena.
+/// its download pipe `ACCESS_PIPES + 2v + 1`. The ids below name group pairs' latency pipes.
 const ACCESS_PIPES: usize = 1 << (usize::BITS - 1);
 
 /// The access pipe of `node` in `direction` ([`Direction::Out`]: upload).
@@ -259,17 +254,13 @@ pub struct MachineNet {
     /// counters, and its rules once they are built (see `unstored_rules`). Changed from outside
     /// the deployment only through [`Network::firewall_mut`].
     firewall: Firewall,
-    /// NIC transmit pipe.
-    pub nic_tx: PipeId,
-    /// NIC receive pipe.
-    pub nic_rx: PipeId,
-    /// Bytes the NIC transmit and receive pipes forwarded.
-    nic_bytes: (u64, u64),
+    /// The NIC's transmit (`[0]`) and receive (`[1]`) drain clocks; its shaping is the
+    /// network's.
+    nic_busy_until: [SimTime; 2],
+    /// Bytes the NIC transmitted (`[0]`) and received (`[1]`).
+    nic_bytes: [u64; 2],
     /// Per group (indexed by [`GroupId`]), whether its inter-group rules are installed here.
     group_rules_installed: Vec<bool>,
-    /// The latency pipe of each installed inter-group rule, at `[src * groups + dst]`, or
-    /// [`NO_PIPE`]; empty until the first such rule is installed.
-    group_pipes: Vec<u32>,
     /// The firewall's version after the last rule `add_vnode` installed: while the firewall
     /// still reports it, every rule on the machine is the deployment's own.
     deployed_version: u64,
@@ -294,9 +285,9 @@ impl MachineNet {
             .unwrap_or_else(|| self.firewall.rule_count())
     }
 
-    /// Bytes forwarded by the NIC's transmit and receive pipes, for the resource monitor.
+    /// Bytes the NIC transmitted and received, for the resource monitor.
     pub fn nic_bytes(&self) -> (u64, u64) {
-        self.nic_bytes
+        (self.nic_bytes[0], self.nic_bytes[1])
     }
 
     /// Whether the firewall holds exactly the rules the deployment installed.
@@ -438,10 +429,14 @@ impl std::error::Error for NetError {}
 pub struct Network {
     config: NetworkConfig,
     topology: TopologySpec,
-    /// The NIC and inter-group latency pipes; access pipes live in the node records.
-    pipes: Vec<Pipe>,
     /// Each group's access link, upload (`[0]`) and download (`[1]`).
     links: Vec<[Shaping; 2]>,
+    /// Every machine's NIC, transmit (`[0]`: toward the switch, whose latency it carries) and
+    /// receive (`[1]`).
+    nic: [Shaping; 2],
+    /// The one-way latency from group `s` to group `d`, at `[s * groups + d]`: the delay of
+    /// latency pipe `PipeId(s * groups + d)`.
+    latencies: Vec<SimDuration>,
     machines: Vec<MachineNet>,
     vnodes: Vec<VNodeNet>,
     /// Each group's nodes' ids in the order they were added: node `k` owns the group's `k`-th
@@ -492,16 +487,22 @@ impl Network {
                     Shaping::new(
                         PipeConfig::shaped(bps, link.latency)
                             .with_loss(link.loss_rate)
-                            .with_queue_limit(None)
                             .with_condition(link.condition),
                     )
                 })
             })
             .collect();
+        let nic = [config.switch_latency, SimDuration::ZERO]
+            .map(|delay| Shaping::new(PipeConfig::shaped(config.nic_bps, delay)));
+        let n = groups.len();
+        let latencies = (0..n * n)
+            .map(|pair| topology.group_latency(GroupId(pair / n), GroupId(pair % n)))
+            .collect();
         Network {
             config,
-            pipes: Vec::new(),
             links,
+            nic,
+            latencies,
             machines: Vec::new(),
             vnodes: Vec::new(),
             members: vec![Vec::new(); topology.groups.len()],
@@ -540,9 +541,6 @@ impl Network {
     pub fn reserve(&mut self, machines: usize, vnodes: usize) {
         self.machines.reserve(machines);
         self.vnodes.reserve(vnodes);
-        // Two NIC pipes per machine, plus a bounded number of inter-group delay pipes.
-        let groups = self.topology.groups.len();
-        self.pipes.reserve(2 * machines + groups * groups);
         for (members, group) in self.members.iter_mut().zip(&self.topology.groups) {
             members.reserve(group.node_count);
         }
@@ -550,24 +548,15 @@ impl Network {
 
     /// Adds a physical machine with the given administration address.
     pub fn add_machine(&mut self, name: impl Into<String>, admin_addr: VirtAddr) -> MachineId {
-        let nic_tx = self.add_pipe(
-            PipeConfig::shaped(self.config.nic_bps, self.config.switch_latency)
-                .with_queue_limit(None),
-        );
-        let nic_rx = self.add_pipe(
-            PipeConfig::shaped(self.config.nic_bps, SimDuration::ZERO).with_queue_limit(None),
-        );
         let firewall = Firewall::new(self.config.per_rule_cost);
         self.machines.push(MachineNet {
             name: name.into(),
             admin_addr,
             deployed_version: firewall.version(),
             firewall,
-            nic_tx,
-            nic_rx,
-            nic_bytes: (0, 0),
+            nic_busy_until: self.nic.each_ref().map(Shaping::idle),
+            nic_bytes: [0; 2],
             group_rules_installed: vec![false; self.topology.groups.len()],
-            group_pipes: Vec::new(),
             hosted: Vec::new(),
             unstored_rules: self.disjoint_groups.then_some(0),
         });
@@ -581,10 +570,11 @@ impl Network {
     /// A deployed rule set is two `/32` pipe rules per hosted node and one latency rule per
     /// installed (source group, destination group) pair, and no Allow or Deny. So every packet
     /// examines every rule and is accepted, and the pipes follow from the two nodes: an
-    /// outgoing packet crosses `src`'s upload pipe and the machine's latency pipe for the
-    /// groups' pair, if there is one, in rule order; an incoming one crosses `dst`'s download
-    /// pipe. That holds while group subnets are disjoint and the source is `src`'s own address
-    /// (`src_addr` is the machine's administration address when interception is disabled).
+    /// outgoing packet crosses `src`'s upload pipe and, if the groups have a latency, their
+    /// latency pipe (installed on `src`'s machine when its group arrived), in rule order; an
+    /// incoming one crosses `dst`'s download pipe. That holds while group subnets are disjoint
+    /// and the source is `src`'s own address (`src_addr` is the machine's administration
+    /// address when interception is disabled).
     pub(crate) fn classify(
         &mut self,
         direction: Direction,
@@ -607,12 +597,14 @@ impl Network {
         let (pipes, len) = match direction {
             Direction::Out => {
                 let groups = self.topology.groups.len();
-                let pair = s.group as usize * groups + d.group as usize;
+                let latency = PipeId(s.group as usize * groups + d.group as usize);
                 let up = access_pipe(src.0, Direction::Out);
-                match m.group_pipes.get(pair).copied().unwrap_or(NO_PIPE) {
-                    NO_PIPE => ([up, PipeId(0)], 1),
-                    latency if s.installed_group_rules => ([up, PipeId(latency as usize)], 2),
-                    latency => ([PipeId(latency as usize), up], 2),
+                if self.latencies[latency.0].is_zero() {
+                    ([up, PipeId(0)], 1)
+                } else if s.installed_group_rules {
+                    ([up, latency], 2)
+                } else {
+                    ([latency, up], 2)
                 }
             }
             Direction::In => ([access_pipe(dst.0, Direction::In), PipeId(0)], 1),
@@ -657,15 +649,15 @@ impl Network {
                 Rule::pipe(Subnet::any(), host, Direction::In, down),
             ];
             let g = v.group as usize;
-            let latency = match v.installed_group_rules {
-                true => machine.group_pipes.get(g * n..(g + 1) * n).unwrap_or(&[]),
-                false => &[],
+            let pairs = match v.installed_group_rules {
+                true => g * n..(g + 1) * n,
+                false => 0..0,
             };
-            let latency = (latency.iter().enumerate())
-                .filter(|&(_, &pipe)| pipe != NO_PIPE)
-                .map(move |(other, &pipe)| {
-                    let (src, dst) = (groups[g].subnet, groups[other].subnet);
-                    Rule::pipe(src, dst, Direction::Out, PipeId(pipe as usize))
+            let latency = pairs
+                .filter(|&pair| !self.latencies[pair].is_zero())
+                .map(move |pair| {
+                    let (src, dst) = (groups[g].subnet, groups[pair % n].subnet);
+                    Rule::pipe(src, dst, Direction::Out, PipeId(pair))
                 });
             access.into_iter().chain(latency)
         })
@@ -765,38 +757,25 @@ impl Network {
     /// Installs the inter-group latency rules for traffic of `group` leaving `machine`, if they
     /// are not already present; true if this call installed them.
     fn install_group_rules(&mut self, machine: MachineId, group: GroupId) -> bool {
-        let installed = &mut self.machines[machine.0].group_rules_installed[group.0];
-        if std::mem::replace(installed, true) {
+        let m = &mut self.machines[machine.0];
+        if std::mem::replace(&mut m.group_rules_installed[group.0], true) {
             return false;
         }
         let groups = &self.topology.groups;
         let (n, src) = (groups.len(), groups[group.0].subnet);
-        for other in 0..n {
+        for (other, dst) in groups.iter().enumerate() {
+            let pair = group.0 * n + other;
             // Zero for the group itself, which therefore gets no rule.
-            let latency = self.topology.group_latency(group, GroupId(other));
-            if latency.is_zero() {
-                continue;
+            if !self.latencies[pair].is_zero() {
+                m.install(Rule::pipe(src, dst.subnet, Direction::Out, PipeId(pair)));
             }
-            let dst = self.topology.groups[other].subnet;
-            let pipe = self.add_pipe(PipeConfig::delay_only(latency));
-            let m = &mut self.machines[machine.0];
-            m.install(Rule::pipe(src, dst, Direction::Out, pipe));
-            if m.group_pipes.is_empty() {
-                m.group_pipes.resize(n * n, NO_PIPE);
-            }
-            m.group_pipes[group.0 * n + other] = narrow(pipe.0);
         }
         true
     }
 
-    fn add_pipe(&mut self, config: PipeConfig) -> PipeId {
-        self.pipes.push(Pipe::new(config));
-        PipeId(self.pipes.len() - 1)
-    }
-
-    /// Offers a packet of `size` bytes at `now` to `pipe`: an arena pipe, or one direction of
-    /// a node's access link, whose clock is in the node's record and whose shaping is its
-    /// group's.
+    /// Offers a packet of `size` bytes at `now` to `pipe`: a group pair's latency pipe, which
+    /// only delays, or one direction of a node's access link, whose clock is in the node's
+    /// record and whose shaping is its group's.
     pub(crate) fn enqueue(
         &mut self,
         pipe: PipeId,
@@ -805,26 +784,38 @@ impl Network {
         rng: &mut SimRng,
     ) -> EnqueueOutcome {
         let Some(link) = pipe.0.checked_sub(ACCESS_PIPES) else {
-            return self.pipes[pipe.0].enqueue(now, size, rng);
+            let exit = now + self.latencies[pipe.0];
+            return EnqueueOutcome::Forwarded { exit, dup: None };
         };
         let (v, d) = (&mut self.vnodes[link / 2], link % 2);
         let shaping = &self.links[v.group as usize][d];
         shaping.enqueue(&mut v.busy_until[d], &mut v.bad[d], now, size, rng)
     }
 
+    /// Takes a packet of `size` bytes at `now` through `machine`'s NIC in `direction`
+    /// ([`Direction::Out`]: transmit), counts its bytes, and returns when it leaves. A NIC only
+    /// rate-limits and delays, so it forwards every packet, once.
+    pub(crate) fn cross_nic(
+        &mut self,
+        machine: MachineId,
+        direction: Direction,
+        now: SimTime,
+        size: u64,
+        rng: &mut SimRng,
+    ) -> SimTime {
+        let m = &mut self.machines[machine.0];
+        let d = usize::from(direction == Direction::In);
+        m.nic_bytes[d] += size;
+        let mut bad = false;
+        match self.nic[d].enqueue(&mut m.nic_busy_until[d], &mut bad, now, size, rng) {
+            EnqueueOutcome::Forwarded { exit, dup: None } => exit,
+            outcome => unreachable!("a NIC neither drops nor duplicates: {outcome:?}"),
+        }
+    }
+
     /// Access to a machine.
     pub fn machine(&self, id: MachineId) -> &MachineNet {
         &self.machines[id.0]
-    }
-
-    /// Counts `bytes` forwarded by `machine`'s NIC pipe in `direction` ([`Direction::Out`]:
-    /// transmit).
-    pub(crate) fn count_nic_bytes(&mut self, machine: MachineId, direction: Direction, bytes: u64) {
-        let counts = &mut self.machines[machine.0].nic_bytes;
-        match direction {
-            Direction::Out => counts.0 += bytes,
-            Direction::In => counts.1 += bytes,
-        }
     }
 
     /// Number of machines.
@@ -1111,8 +1102,8 @@ mod tests {
 
     #[test]
     fn refused_node_leaves_the_network_untouched() {
-        // Everything `add_vnode` writes: pipes, rules (and their version), the machine's slot
-        // counter, the node arena and the group's allocation counter.
+        // Everything `add_vnode` writes: rules (and their version), the machine's slot counter,
+        // the node arena and the group's allocation counter.
         let state = |net: &Network| {
             let per_machine: Vec<_> = net
                 .machines
@@ -1120,7 +1111,7 @@ mod tests {
                 .map(|m| (m.firewall.version(), m.rule_count(), m.hosted.clone()))
                 .collect();
             let allocated: Vec<_> = net.members.iter().map(Vec::len).collect();
-            (net.pipes.len(), per_machine, net.vnodes.len(), allocated)
+            (per_machine, net.vnodes.len(), allocated)
         };
         // A second group whose subnet lies inside the first one's: its addresses lead
         // `group_of` back to the first group, so it can never host a node.
@@ -1399,9 +1390,9 @@ mod tests {
         /// The list a deployed machine builds against the list `add_vnode` used to append,
         /// modelled here: each arrival appends its node's two `/32` rules through its two
         /// access pipes, then — the first time its group comes to the machine — one latency
-        /// rule per other group with a latency, through the next arena pipes. Groups arrive interleaved
-        /// over the machines, and rules from outside the deployment land at random points on
-        /// the machine and on its twin, which takes every rule the model appends.
+        /// rule per other group with a latency, through that group pair's pipe. Groups arrive
+        /// interleaved over the machines, and rules from outside the deployment land at random
+        /// points on the machine and on its twin, which takes every rule the model appends.
         #[test]
         fn built_rule_lists_equal_the_appended_ones(seed in any::<u64>()) {
             let mut rng = SimRng::new(seed);
@@ -1426,10 +1417,8 @@ mod tests {
                 net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m as u8 + 1));
                 twins.push(Firewall::new(NetworkConfig::default().per_rule_cost));
             }
-            // The model: the next arena pipe id (each machine's two NIC pipes come first; a
-            // node's access pipes are named by its id), which groups' latency rules each
-            // machine has, and each group's next node.
-            let mut next_pipe = 2 * machines;
+            // The model: which groups' latency rules each machine has, and each group's next
+            // node. A node's access pipes are named by its id, a latency pipe by its group pair.
             let mut installed = vec![vec![false; groups]; machines];
             let mut members = vec![0; groups];
             // Whether something made the machine store its list: a rule from outside or a
@@ -1494,8 +1483,8 @@ mod tests {
                                     continue;
                                 }
                                 let (src, dst) = (topo.groups[g].subnet, topo.groups[other].subnet);
-                                twin.add_rule(Rule::pipe(src, dst, Direction::Out, PipeId(next_pipe)));
-                                next_pipe += 1;
+                                let pipe = PipeId(g * groups + other);
+                                twin.add_rule(Rule::pipe(src, dst, Direction::Out, pipe));
                             }
                         }
                     }
@@ -1607,7 +1596,8 @@ mod tests {
                 Some(rules_of(&net, MachineId(m)).len()),
                 machine.unstored_rules
             );
-            // Every group-subnet rule, keyed by its groups, against the table's entries.
+            // Every group-subnet rule, keyed by its groups, against the pairs with a latency
+            // from each group the machine hosts, whose pipe is the pair's.
             let group = |subnet: Subnet| {
                 net.topology()
                     .groups
@@ -1621,18 +1611,20 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            let tabled: BTreeMap<(usize, usize), usize> = (machine.group_pipes.iter().enumerate())
-                .filter(|&(_, &pipe)| pipe != NO_PIPE)
-                .map(|(pair, &pipe)| ((pair / groups, pair % groups), pipe as usize))
+            let latent: BTreeMap<(usize, usize), usize> = (0..groups * groups)
+                .map(|pair| (pair / groups, pair % groups))
+                .filter(|&(s, _)| machine.group_rules_installed[s])
+                .filter(|&(s, d)| !topo.group_latency(GroupId(s), GroupId(d)).is_zero())
+                .map(|(s, d)| ((s, d), s * groups + d))
                 .collect();
-            assert_eq!(ruled, tabled);
+            assert_eq!(ruled, latent);
             // Each machine hosts all five groups, each with latency to the four others.
             assert_eq!(ruled.len(), 5 * 4);
         }
     }
 
     #[test]
-    fn the_arena_holds_no_pipe_per_node() {
+    fn the_network_stores_no_pipe() {
         // Figure 7's five groups interleaved over three machines.
         let topo = TopologySpec::paper_figure7();
         let groups = topo.groups.len();
@@ -1640,35 +1632,68 @@ mod tests {
         for m in 0..3u8 {
             net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m + 1));
         }
-        let nic = 2 * 3;
-        assert_eq!(net.pipes.len(), nic);
         for k in 0..40 {
             net.add_vnode(MachineId(k % 3), GroupId(k % groups))
                 .unwrap();
-            let latency: usize = (net.machines.iter())
-                .map(|m| m.group_pipes.iter().filter(|&&p| p != NO_PIPE).count())
-                .sum();
-            assert_eq!(net.pipes.len(), nic + latency, "after node {k}");
         }
-        // Each machine hosts all five groups, each with latency to the four others.
-        assert_eq!(net.pipes.len(), nic + 3 * 5 * 4);
-        // A rule names an arena pipe or an access pipe of a node its machine hosts.
+        // A rule names a group pair with a latency or an access pipe of a node its machine
+        // hosts.
         for m in 0..3 {
             for rule in rules_of(&net, MachineId(m)) {
                 let RuleAction::Pipe(pipe) = rule.action else {
                     panic!("the deployment installs pipe rules only: {rule:?}");
                 };
                 match pipe.0.checked_sub(ACCESS_PIPES) {
-                    None => assert!(pipe.0 < net.pipes.len()),
+                    None => {
+                        let (s, d) = (GroupId(pipe.0 / groups), GroupId(pipe.0 % groups));
+                        assert!(pipe.0 < groups * groups, "{rule:?}");
+                        assert!(!topo.group_latency(s, d).is_zero(), "{rule:?}");
+                    }
                     Some(link) => assert_eq!(net.vnode(VNodeId(link / 2)).machine(), MachineId(m)),
                 }
             }
         }
-        // A packet through node 3's (10.2.0.0/16, 10 Mbps, 5 ms) download pipe writes that
-        // pipe's clock in its record and nothing else.
-        let before: Vec<[SimTime; 2]> = net.vnodes.iter().map(|v| v.busy_until).collect();
+        let clocks = |net: &Network| {
+            let nics: Vec<[SimTime; 2]> = net.machines.iter().map(|m| m.nic_busy_until).collect();
+            let vnodes: Vec<[SimTime; 2]> = net.vnodes.iter().map(|v| v.busy_until).collect();
+            (nics, vnodes)
+        };
+        let (nics, vnodes) = clocks(&net);
         let mut rng = SimRng::new(1);
         let now = SimTime::from_secs(1);
+        // A latency pipe only delays: 400 ms from 10.1.1.0/24 (group 0) to 10.2.0.0/16 (group
+        // 3), whatever the size and however many packets cross it, and no clock moves.
+        let latency = PipeId(3);
+        for size in [1250, 0, 64_000] {
+            assert_eq!(
+                net.enqueue(latency, now, size, &mut rng),
+                EnqueueOutcome::Forwarded {
+                    exit: now + SimDuration::from_millis(400),
+                    dup: None
+                }
+            );
+        }
+        assert_eq!(clocks(&net), (nics.clone(), vnodes.clone()));
+        // Two packets through machine 1's NIC queue behind each other and count their bytes;
+        // no other NIC clock moves.
+        let slot = SimDuration::transmission(1250, net.config.nic_bps);
+        let switch = net.config.switch_latency;
+        for k in 1..=2u32 {
+            let exit = net.cross_nic(MachineId(1), Direction::Out, now, 1250, &mut rng);
+            assert_eq!(exit, now + slot * u64::from(k) + switch);
+        }
+        assert_eq!(net.machine(MachineId(1)).nic_bytes(), (2500, 0));
+        let (after, _) = clocks(&net);
+        for (m, (was, is)) in nics.iter().zip(&after).enumerate() {
+            let expected = if m == 1 {
+                [now + slot * 2, was[1]]
+            } else {
+                *was
+            };
+            assert_eq!(*is, expected, "machine {m}");
+        }
+        // A packet through node 3's (10.2.0.0/16, 10 Mbps, 5 ms) download pipe writes that
+        // pipe's clock in its record and nothing else.
         let link = topo.groups[3].link;
         let serialized = now + SimDuration::transmission(1250, link.down_bps);
         assert_eq!(
@@ -1678,7 +1703,7 @@ mod tests {
                 dup: None
             }
         );
-        for (v, (node, was)) in net.vnodes.iter().zip(before).enumerate() {
+        for (v, (node, was)) in net.vnodes.iter().zip(vnodes).enumerate() {
             let expected = if v == 3 { [was[0], serialized] } else { was };
             assert_eq!(node.busy_until, expected, "node {v}");
         }

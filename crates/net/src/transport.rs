@@ -791,7 +791,7 @@ impl PipeWalk {
         PipeWalk { t, dup_off: None }
     }
 
-    /// Enqueues `wire` bytes on each of `pipes` in turn, arena pipes and access pipes alike;
+    /// Enqueues `wire` bytes on each of `pipes` in turn, latency pipes and access pipes alike;
     /// false when a pipe dropped the frame.
     fn through(
         &mut self,
@@ -825,21 +825,15 @@ impl PipeWalk {
     }
 }
 
-/// The cluster-network hop: charge the source machine's NIC transmit pipe and forward to the
-/// receiver side on the destination machine.
+/// The cluster-network hop: the source machine's NIC transmit pipe, then the receiver side on
+/// the destination machine.
 fn nic_tx<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
-    let wire = flight.frame.wire_size();
-    let mut walk = PipeWalk::starting_at(sim.now());
+    let (now, wire) = (sim.now(), flight.frame.wire_size());
     let (world, rng) = sim.world_and_rng();
     let net = world.network();
     let src_machine = net.vnode(flight.src).machine();
-    let nic_tx = net.machine(src_machine).nic_tx;
-    if walk.through(net, rng, &[nic_tx], wire) {
-        net.count_nic_bytes(src_machine, Direction::Out, wire);
-        walk.forward(sim, flight, |flight| NetEvent::Receive { flight });
-    } else {
-        handle_drop(sim, flight);
-    }
+    let exit = net.cross_nic(src_machine, Direction::Out, now, wire, rng);
+    sim.schedule_event_at(exit, NetEvent::Receive { flight });
 }
 
 /// Receiver-side processing: NIC receive pipe (if the message crossed the cluster network,
@@ -852,12 +846,7 @@ fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
     let net = world.network();
     let dst_machine = net.vnode(flight.dst).machine();
     if net.vnode(flight.src).machine() != dst_machine {
-        let nic_rx = net.machine(dst_machine).nic_rx;
-        if !walk.through(net, rng, &[nic_rx], wire) {
-            handle_drop(sim, flight);
-            return;
-        }
-        net.count_nic_bytes(dst_machine, Direction::In, wire);
+        walk.t = net.cross_nic(dst_machine, Direction::In, walk.t, wire, rng);
     }
     let classification = net.classify(Direction::In, flight.src, flight.src_addr, flight.dst);
     if !classification.accepted {

@@ -7,58 +7,39 @@
 
 use p2plab_net::{
     BurstLoss, Direction, DropReason, EnqueueOutcome, Firewall, LinkCondition, Pipe, PipeConfig,
-    PipeId, PipeStats, Rule, Shaping, Subnet, VirtAddr,
+    PipeId, Rule, Subnet, VirtAddr,
 };
 use p2plab_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
-use std::collections::VecDeque;
 
 /// The pipe model written out in full, independent of how [`Pipe`] lays its state out: the
-/// whole [`PipeConfig`] consulted on every packet, and a departure window kept whether or not
-/// a bound reads it.
+/// whole [`PipeConfig`] consulted on every packet.
 struct ReferencePipe {
     config: PipeConfig,
     busy_until: SimTime,
-    window: VecDeque<(SimTime, u64)>,
     bad: bool,
-    stats: PipeStats,
 }
 
 impl ReferencePipe {
-    fn full(&self, size: u64) -> bool {
-        let queued: u64 = self.window.iter().map(|&(_, size)| size).sum();
-        self.config
-            .queue_limit_bytes
-            .is_some_and(|limit| queued + size > limit && !self.window.is_empty())
-    }
-
     /// Forwards one packet (or duplicated copy) and returns when it leaves the queue.
     fn serialize(&mut self, now: SimTime, size: u64) -> SimTime {
         let Some(bps) = self.config.bandwidth_bps else {
             return now;
         };
         self.busy_until = self.busy_until.max(now) + SimDuration::transmission(size, bps);
-        self.window.push_back((self.busy_until, size));
         self.busy_until
     }
 
     fn enqueue(&mut self, now: SimTime, size: u64, rng: &mut SimRng) -> EnqueueOutcome {
         if rng.chance(self.config.loss_rate) {
-            self.stats.dropped_loss += 1;
             return EnqueueOutcome::Dropped(DropReason::RandomLoss);
         }
         let condition = self.config.condition.unwrap_or_default();
         if condition.burst.is_some_and(|b| b.step(&mut self.bad, rng)) {
-            self.stats.dropped_burst += 1;
             return EnqueueOutcome::Dropped(DropReason::BurstLoss);
         }
-        self.window.retain(|&(exit, _)| exit > now);
-        if self.full(size) {
-            self.stats.dropped_overflow += 1;
-            return EnqueueOutcome::Dropped(DropReason::QueueOverflow);
-        }
         let exit = self.serialize(now, size) + self.config.delay + condition.extra_latency(rng);
-        let dup = (condition.duplicates(rng) && !self.full(size)).then(|| {
+        let dup = condition.duplicates(rng).then(|| {
             let copy = self.serialize(now, size) + self.config.delay;
             copy.max(exit + SimDuration::from_nanos(1))
         });
@@ -67,18 +48,19 @@ impl ReferencePipe {
 }
 
 /// A pipe configuration with each optional part present about half the time, so plain,
-/// lossy, bounded, conditioned pipes and every mix of them are drawn.
+/// lossy, conditioned pipes and every mix of them are drawn.
 fn random_pipe_config(rng: &mut SimRng) -> PipeConfig {
     let delay = SimDuration::from_micros(rng.gen_range(0..200_000u64));
-    let mut config = if rng.chance(0.2) {
-        PipeConfig::delay_only(delay)
-    } else {
-        PipeConfig::shaped(rng.gen_range(56_000..10_000_000u64), delay)
+    let bandwidth_bps = (!rng.chance(0.2)).then(|| rng.gen_range(56_000..10_000_000u64));
+    let mut config = PipeConfig {
+        bandwidth_bps,
+        delay,
+        loss_rate: 0.0,
+        condition: None,
     };
     if rng.chance(0.5) {
         config = config.with_loss(rng.gen_range(0.0..0.3));
     }
-    config = config.with_queue_limit(rng.chance(0.5).then(|| rng.gen_range(0..40_000u64)));
     let mut condition = LinkCondition::none();
     if rng.chance(0.3) {
         let (enter, exit) = (rng.gen_range(0.0..0.3), rng.gen_range(0.05..1.0));
@@ -119,19 +101,17 @@ fn random_arrivals(input: &mut SimRng) -> Vec<(SimTime, u64)> {
 
 /// Runs [`Pipe`] and [`ReferencePipe`] side by side on a random configuration drawn from
 /// `seed` — with its rate replaced by `rate`, if given — and 300 random arrivals.
-fn equals_the_reference_model(seed: u64, rate: Option<u64>) {
+fn equals_the_reference_model(seed: u64, rate: Option<Option<u64>>) {
     let mut input = SimRng::new(seed);
     let mut config = random_pipe_config(&mut input);
     if let Some(bps) = rate {
-        config.bandwidth_bps = Some(bps);
+        config.bandwidth_bps = bps;
     }
     let mut pipe = Pipe::new(config);
     let mut reference = ReferencePipe {
         config,
         busy_until: SimTime::ZERO,
-        window: VecDeque::new(),
         bad: false,
-        stats: PipeStats::default(),
     };
     let (mut rng, mut reference_rng) = (SimRng::new(seed ^ 1), SimRng::new(seed ^ 1));
     for (now, size) in random_arrivals(&mut input) {
@@ -139,7 +119,6 @@ fn equals_the_reference_model(seed: u64, rate: Option<u64>) {
         let want = reference.enqueue(now, size, &mut reference_rng);
         assert_eq!(got, want, "{config:?} at {now:?}, {size} bytes");
     }
-    assert_eq!(pipe.stats(), reference.stats, "{config:?}");
     assert_eq!(
         rng.gen_f64().to_bits(),
         reference_rng.gen_f64().to_bits(),
@@ -178,9 +157,7 @@ proptest! {
         delay_ms in 0u64..200,
         gap_us in prop::collection::vec(0u64..100_000, 1..100),
     ) {
-        let mut pipe = Pipe::new(
-            PipeConfig::shaped(bps, SimDuration::from_millis(delay_ms)).with_queue_limit(None),
-        );
+        let mut pipe = Pipe::new(PipeConfig::shaped(bps, SimDuration::from_millis(delay_ms)));
         let mut rng = SimRng::new(1);
         let mut now = SimTime::ZERO;
         let mut exits = Vec::new();
@@ -217,42 +194,19 @@ proptest! {
     }
 
     /// [`Pipe`] against the model above under random configurations and arrivals: the same
-    /// outcome for every packet, the same counters, and both RNGs left in the same state —
-    /// which is what shows that the draws happened in the same order.
+    /// outcome for every packet, and both RNGs left in the same state — which is what shows
+    /// that the draws happened in the same order.
     #[test]
     fn pipe_equals_the_reference_model(seed in any::<u64>()) {
         equals_the_reference_model(seed, None);
     }
 
-    /// The same at the rates a pipe stores specially: 0 bit/s (never drains), and the
-    /// fastest ones, which still charge a nanosecond a packet.
+    /// The same at the rates a pipe stores specially: 0 bit/s (never drains, so its clock
+    /// starts at the end of time), the fastest ones, which still charge a nanosecond a packet,
+    /// and none (a pure delay).
     #[test]
-    fn pipe_at_extreme_rates_equals_the_reference_model(seed in any::<u64>(), pick in 0usize..3) {
-        equals_the_reference_model(seed, Some([0, 1, u64::MAX][pick]));
-    }
-
-    /// An access pipe kept as its group's [`Shaping`] plus a drain clock and a Gilbert–Elliott
-    /// bit in its node's record, against [`Pipe::new`] from the same unbounded configuration:
-    /// the same exits and drops for every packet, and both RNGs left in the same state. The
-    /// configurations mix loss, burst loss, jitter, reordering and duplication, at a random
-    /// rate, 0 bit/s, the fastest rates and none (pure delay).
-    #[test]
-    fn a_record_clock_link_equals_the_pipe(seed in any::<u64>(), pick in 0usize..5) {
-        let mut input = SimRng::new(seed);
-        let mut config = random_pipe_config(&mut input).with_queue_limit(None);
-        if let Some(bps) = [None, Some(Some(0)), Some(Some(1)), Some(Some(u64::MAX)), Some(None)][pick] {
-            config.bandwidth_bps = bps;
-        }
-        let mut pipe = Pipe::new(config);
-        let shaping = Shaping::new(config);
-        let (mut busy_until, mut bad) = (shaping.idle(), false);
-        let (mut rng, mut record_rng) = (SimRng::new(seed ^ 1), SimRng::new(seed ^ 1));
-        for (now, size) in random_arrivals(&mut input) {
-            let want = pipe.enqueue(now, size, &mut rng);
-            let got = shaping.enqueue(&mut busy_until, &mut bad, now, size, &mut record_rng);
-            prop_assert_eq!(got, want, "{:?} at {:?}, {} bytes", config, now, size);
-        }
-        prop_assert_eq!(record_rng.gen_f64().to_bits(), rng.gen_f64().to_bits(), "{:?}", config);
+    fn pipe_at_extreme_rates_equals_the_reference_model(seed in any::<u64>(), pick in 0usize..4) {
+        equals_the_reference_model(seed, Some([Some(0), Some(1), Some(u64::MAX), None][pick]));
     }
 
     /// Firewall classification: the number of rules examined never exceeds the rule count, the
@@ -284,7 +238,13 @@ proptest! {
     #[test]
     fn pipe_loss_rate_is_calibrated(loss_pct in 1u32..99) {
         let loss = loss_pct as f64 / 100.0;
-        let mut pipe = Pipe::new(PipeConfig::delay_only(SimDuration::ZERO).with_loss(loss));
+        let pure_delay = PipeConfig {
+            bandwidth_bps: None,
+            delay: SimDuration::ZERO,
+            loss_rate: 0.0,
+            condition: None,
+        };
+        let mut pipe = Pipe::new(pure_delay.with_loss(loss));
         let mut rng = SimRng::new(7);
         let n = 4_000;
         let dropped = (0..n)

@@ -360,15 +360,42 @@ fn every_scenario_key_has_a_caller() {
 /// Public items that only tests call, each with why it stays.
 const UNCALLED_ITEMS: [(&str, &str); 0] = [];
 
+/// Public items that nothing calls but the benchmark probe (`benchmark/src`, which links the
+/// public API) and tests, each with why it stays. The probe is changed only with the benchmark,
+/// so each goes when the probe stops naming it.
+const PROBE_ONLY_ITEMS: [(&str, &str); 5] = [
+    (
+        "crates/bittorrent/src/piece.rs::pick_blocks",
+        "the probe times the block picker through it",
+    ),
+    (
+        "crates/bittorrent/src/torrent.rs::paper_16mb",
+        "the probe builds its torrent with it",
+    ),
+    (
+        "crates/net/src/pipe.rs::with_queue_limit",
+        "the probe switches the queue bound off with it; only `None` is accepted",
+    ),
+    (
+        "crates/net/src/proto/ack.rs::encode",
+        "the probe times an ack bitfield's round trip through `encode` and `decode`",
+    ),
+    (
+        "crates/net/src/proto/frag.rs::encode",
+        "only tests call it, but the probe's call of the ack bitfield's namesake counts for it",
+    ),
+];
+
 /// The keywords that introduce a definition of the name after them.
 const DEFINES: [&str; 7] = ["fn", "const", "static", "struct", "enum", "type", "trait"];
 
 /// `rustc`'s dead-code lint never flags a `pub` item, so this does: every `pub fn` and every
 /// `pub const|static|struct|enum|type|trait` in the non-test code of `crates/*/src` is named as
-/// a word by the non-test code of `crates/*/src`, `src/`, `examples/` or `benchmark/src` (whose
-/// probe links the public API) outside every definition of that name, every `use` declaration
-/// and the body of every function of that name (a relay to a namesake is no caller); or it is
-/// listed in [`UNCALLED_ITEMS`] with its reason. `pub(crate)` items are `rustc`'s to check.
+/// a word by the non-test code of `crates/*/src`, `src/` or `examples/` outside every
+/// definition of that name, every `use` declaration and the body of every function of that
+/// name (a relay to a namesake is no caller); or it is listed in [`UNCALLED_ITEMS`] with its
+/// reason. An item that only `benchmark/src` names that way is listed in [`PROBE_ONLY_ITEMS`]
+/// instead, so what the probe alone keeps is counted. `pub(crate)` items are `rustc`'s to check.
 #[test]
 fn every_public_item_has_a_caller() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -382,9 +409,14 @@ fn every_public_item_has_a_caller() {
     }
     let word = |t: &str| t.starts_with(|c: char| c.is_alphanumeric() || c == '_');
 
-    // (`path::name`, name) of every public item, and every name something calls.
-    let (mut items, mut called) = (Vec::new(), BTreeSet::new());
+    // (`path::name`, name) of every public item, every name something calls, and every name
+    // the probe calls.
+    let (mut items, mut called, mut probed) = (Vec::new(), BTreeSet::new(), BTreeSet::new());
     for file in &callers {
+        let calls = match file.starts_with(root.join("benchmark")) {
+            true => &mut probed,
+            false => &mut called,
+        };
         let code = lex(&non_test_code(file), true);
         let tokens = tokens(&code);
         if crates.contains(file) {
@@ -421,7 +453,7 @@ fn every_public_item_has_a_caller() {
                 "use" => in_use = true,
                 name if defines => pending = (tokens[at - 1] == "fn").then_some(name),
                 name if word(name) && !in_use && !bodies.iter().any(|&(n, _)| n == name) => {
-                    called.insert(name.to_string());
+                    calls.insert(name.to_string());
                 }
                 _ => {}
             }
@@ -429,23 +461,49 @@ fn every_public_item_has_a_caller() {
     }
     assert!(items.len() > 500, "found only {} public items", items.len());
 
-    let allowed = |item: &str| UNCALLED_ITEMS.iter().any(|(i, _)| *i == item);
-    let mut uncalled: Vec<&str> = (items.iter())
-        .filter(|(item, name)| !called.contains(name) && !allowed(item))
-        .map(|(item, _)| item.as_str())
-        .collect();
-    uncalled.sort_unstable();
+    let listed = |list: &[(&str, &str)], item: &str| list.iter().any(|(i, _)| *i == item);
+    let unlisted = |probe: bool, list: &[(&str, &str)]| {
+        let mut unlisted: Vec<&str> = (items.iter())
+            .filter(|(_, name)| !called.contains(name) && probed.contains(name) == probe)
+            .map(|(item, _)| item.as_str())
+            .filter(|item| !listed(list, item))
+            .collect();
+        unlisted.sort_unstable();
+        unlisted
+    };
+    let uncalled = unlisted(false, &UNCALLED_ITEMS);
     assert!(
         uncalled.is_empty(),
         "public items only tests call: {uncalled:?}. Delete each (a test that needs the value \
          computes it), or list it in UNCALLED_ITEMS with its reason"
     );
-    for (item, _) in UNCALLED_ITEMS {
+    let probe_only = unlisted(true, &PROBE_ONLY_ITEMS);
+    assert!(
+        probe_only.is_empty(),
+        "public items only the benchmark probe calls: {probe_only:?}. List each in \
+         PROBE_ONLY_ITEMS with its reason"
+    );
+    let name_of = |item: &str| {
         let declared = items.iter().find(|(i, _)| i == item);
         let (_, name) = declared.unwrap_or_else(|| panic!("`{item}` is no longer a public item"));
+        name
+    };
+    for (item, _) in UNCALLED_ITEMS {
+        let name = name_of(item);
+        assert!(
+            !called.contains(name) && !probed.contains(name),
+            "`{item}` has a caller: drop it from UNCALLED_ITEMS"
+        );
+    }
+    for (item, _) in PROBE_ONLY_ITEMS {
+        let name = name_of(item);
         assert!(
             !called.contains(name),
-            "`{item}` has a caller: drop it from UNCALLED_ITEMS"
+            "`{item}` has a caller beside the probe: drop it from PROBE_ONLY_ITEMS"
+        );
+        assert!(
+            probed.contains(name),
+            "the probe no longer calls `{item}`: move it to UNCALLED_ITEMS or delete it"
         );
     }
 }

@@ -4,7 +4,10 @@
 //! one extra `bind` and its "very low" overhead in `p2plab_core::accuracy`.
 
 use p2plab::core::{deploy, figure7_latency_experiment, rule_scaling_experiment, DeploymentSpec};
-use p2plab::net::{NetworkConfig, TopologySpec};
+use p2plab::net::ping::ECHO_BYTES;
+use p2plab::net::{
+    ping_series, LaneKind, MachineId, Network, NetworkConfig, PingWorld, TopologySpec, VNodeId,
+};
 use p2plab::sim::SimDuration;
 
 #[test]
@@ -59,4 +62,60 @@ fn figure7_topology_deploys_with_paper_rule_accounting() {
             "machine {m}: {rules} rules for {hosted} nodes"
         );
     }
+}
+
+/// The RTT oracle: one unloaded ping on Figure 7's topology takes, to the nanosecond, what the
+/// test adds up itself from the configuration. Per direction: both access pipes' serialization
+/// at their groups' rates and their delays, the group pair's latency, both NICs' serialization
+/// and the switch latency (between machines only), and the per-rule cost of every rule on each
+/// firewall the packet is classified on. One ping crosses two machines, the other stays on one.
+#[test]
+fn figure7_ping_rtt_equals_the_configured_path_to_the_nanosecond() {
+    let topo = TopologySpec::paper_figure7();
+    let config = NetworkConfig::default();
+    let wire = ECHO_BYTES + LaneKind::UnreliableUnordered.header_bytes();
+    let one_way = |net: &Network, from: VNodeId, to: VNodeId| {
+        let (a, b) = (net.vnode(from), net.vnode(to));
+        let (up, down) = (topo.groups[a.group().0].link, topo.groups[b.group().0].link);
+        let mut path = SimDuration::transmission(wire, up.up_bps)
+            + up.latency
+            + topo.group_latency(a.group(), b.group())
+            + SimDuration::transmission(wire, down.down_bps)
+            + down.latency;
+        if a.machine() != b.machine() {
+            path += SimDuration::transmission(wire, config.nic_bps) * 2 + config.switch_latency;
+        }
+        let rules = net.machine(a.machine()).rule_count() + net.machine(b.machine()).rule_count();
+        path + config.per_rule_cost * rules as u64
+    };
+    let rtt = |pick: fn(&Network) -> (VNodeId, VNodeId)| {
+        let d = deploy(&topo, DeploymentSpec::new(50), config).unwrap();
+        let (from, to) = pick(&d.net);
+        let expected = one_way(&d.net, from, to) + one_way(&d.net, to, from);
+        let (_, rtts) = ping_series(PingWorld::new(d.net), from, to, 1, SimDuration::ZERO, 1);
+        (from, to, rtts, expected)
+    };
+    // The paper's pair, 10.1.3.207 (8 Mbps / 1 Mbps, 20 ms) to 10.2.2.117 (10 Mbps, 5 ms),
+    // 400 ms apart, on two machines.
+    let (from, to, rtts, expected) = rtt(|net| {
+        let [from, to] = ["10.1.3.207", "10.2.2.117"].map(|a| net.resolve(a.parse().unwrap()));
+        let (from, to) = (from.unwrap(), to.unwrap());
+        assert_ne!(net.vnode(from).machine(), net.vnode(to).machine());
+        (from, to)
+    });
+    assert_eq!(rtts, [expected], "{from:?} -> {to:?}");
+    assert!(expected > SimDuration::from_millis(850));
+    // Node 0 (10.1.1.1, a 56k modem) and the first 10.3.0.0/16 node (1 Mbps, 10 ms) on its
+    // machine, 600 ms apart: no NIC, and each packet is classified twice on one firewall.
+    let (from, to, rtts, expected) = rtt(|net| {
+        let from = VNodeId(0);
+        let machine = net.vnode(from).machine();
+        let (to, _) = (net.vnodes())
+            .find(|(_, v)| v.machine() == machine && v.group().0 == 4)
+            .unwrap();
+        assert_eq!(machine, MachineId(0));
+        (from, to)
+    });
+    assert_eq!(rtts, [expected], "{from:?} -> {to:?}");
+    assert!(expected > SimDuration::from_millis(2 * (100 + 600 + 10)));
 }
