@@ -26,7 +26,8 @@ pub use client::{Client, ClientStats, PeerConn, PeerTable};
 pub use messages::{AnnounceEvent, BtPayload, PeerId, PeerMessage, TrackerMessage};
 pub use piece::{BlockOutcome, PieceManager};
 pub use swarm::{
-    schedule_client_start, start_client, stop_client, SwarmSim, SwarmTimer, SwarmWorld,
+    schedule_client_start, schedule_client_starts, start_client, stop_client, SwarmSim, SwarmTimer,
+    SwarmWorld,
 };
 pub use torrent::{Torrent, DEFAULT_BLOCK_SIZE, DEFAULT_PIECE_SIZE};
 pub use tracker::{Tracker, TrackerStats, TRACKER_PORT};

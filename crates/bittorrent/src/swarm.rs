@@ -3,9 +3,11 @@
 //! [`SwarmWorld`] is the [`NetHost`] used by every BitTorrent experiment in the paper's
 //! evaluation: it owns the emulated [`Network`], one [`Client`] per participating virtual node
 //! and the [`Tracker`], and it dispatches socket events to the protocol logic. Experiments are
-//! driven by scheduling client starts ([`schedule_client_start`]) and running the simulation;
-//! per-client progress logs and global counters are read back afterwards. A client's start and
-//! its periodic choker and tracker rounds are [`SwarmTimer`]s.
+//! driven by scheduling client starts ([`schedule_client_start`], or [`schedule_client_starts`]
+//! for a whole arrival schedule) and running the simulation; per-client progress logs and
+//! global counters are read back afterwards. A client's start and its periodic choker and
+//! tracker rounds are [`SwarmTimer`]s; the rounds of all clients are two periodic series, one
+//! pending event each.
 
 use crate::bitfield::Bitfield;
 use crate::choke::{ChokeConfig, PeerSnapshot};
@@ -21,7 +23,7 @@ use p2plab_net::{
     ConnId, Endpoint, LaneKind, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent,
     VNodeId,
 };
-use p2plab_sim::{SimTime, TimeSeries};
+use p2plab_sim::{PeriodicSeries, SimTime, TimeSeries};
 
 /// The world of a BitTorrent experiment.
 pub struct SwarmWorld {
@@ -39,6 +41,18 @@ pub struct SwarmWorld {
     /// every client's periodic timers, so a scan over all clients here would make each timer
     /// tick O(swarm size) — quadratic per round at 10^4 clients.
     completed_downloaders: usize,
+    /// Every armed choker round as `(idx, generation)`: the client and its timer generation
+    /// when the round was armed.
+    choke_rounds: PeriodicSeries<(usize, u64)>,
+    /// Every armed tracker re-announce, as `choke_rounds`.
+    tracker_rounds: PeriodicSeries<(usize, u64)>,
+    /// The arrival series' start instants, non-decreasing: arrival `k` starts client
+    /// `first_arrival + k` at `arrivals[k]`, under rank `arrival_rank + k`.
+    arrivals: Vec<SimTime>,
+    /// The client arrival 0 starts.
+    first_arrival: usize,
+    /// The rank reserved for arrival 0.
+    arrival_rank: u64,
     // Reused buffers, one set for the whole swarm: each is taken by one handler and put back
     // before it returns (a nested take would find an empty buffer, which costs an allocation
     // and nothing else).
@@ -63,6 +77,11 @@ impl SwarmWorld {
             vnode_to_client,
             downloaders: 0,
             completed_downloaders: 0,
+            choke_rounds: PeriodicSeries::new(CHOKE_INTERVAL),
+            tracker_rounds: PeriodicSeries::new(TRACKER_INTERVAL),
+            arrivals: Vec::new(),
+            first_arrival: 0,
+            arrival_rank: 0,
             snapshot_scratch: Vec::new(),
             request_scratch: Vec::new(),
             unchoke_scratch: Vec::new(),
@@ -169,27 +188,20 @@ impl SwarmWorld {
 /// substrate's [`NetEvent`] class.
 pub type SwarmSim = NetSim<SwarmWorld>;
 
-/// The timers of a [`SwarmWorld`]. The periodic rounds carry the client's timer generation at
-/// the start that armed them: a round of an earlier session (the client churned away and came
-/// back) finds a newer generation and stops.
+/// The timers of a [`SwarmWorld`]. A periodic round's member carries the client's timer
+/// generation at the start that armed it: a round of an earlier session (the client churned
+/// away and came back) finds a newer generation and stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwarmTimer {
     /// Client `idx` starts ([`start_client`]).
     Start(usize),
-    /// Client `idx`'s choker round.
-    Choke {
-        /// The client.
-        idx: usize,
-        /// Its timer generation when the round was armed.
-        generation: u64,
-    },
-    /// Client `idx`'s periodic tracker re-announce.
-    Tracker {
-        /// The client.
-        idx: usize,
-        /// Its timer generation when the round was armed.
-        generation: u64,
-    },
+    /// Arrival `k` of the series [`schedule_client_starts`] armed: its client starts, and the
+    /// next arrival is armed.
+    Arrive(usize),
+    /// The choker round of the client at the front of the world's choker series.
+    Choke,
+    /// The tracker re-announce of the client at the front of the world's tracker series.
+    Tracker,
 }
 
 // A swarm's queue slot holds this event inline; growing it slows every packet hop.
@@ -214,15 +226,53 @@ impl NetHost for SwarmWorld {
     fn on_timer(sim: &mut SwarmSim, timer: SwarmTimer) {
         match timer {
             SwarmTimer::Start(idx) => start_client(sim, idx),
-            SwarmTimer::Choke { idx, generation } => choke_round(sim, idx, generation),
-            SwarmTimer::Tracker { idx, generation } => periodic_announce(sim, idx, generation),
+            SwarmTimer::Arrive(k) => {
+                arm_arrival(sim, k + 1);
+                let idx = sim.world().first_arrival + k;
+                start_client(sim, idx);
+            }
+            SwarmTimer::Choke => {
+                let (idx, generation) = sim.pop_periodic(|w| &mut w.choke_rounds, CHOKE);
+                choke_round(sim, idx, generation);
+            }
+            SwarmTimer::Tracker => {
+                let (idx, generation) = sim.pop_periodic(|w| &mut w.tracker_rounds, TRACKER);
+                periodic_announce(sim, idx, generation);
+            }
         }
     }
 }
 
+/// The head event of a [`SwarmWorld`]'s choker series.
+const CHOKE: NetEvent<BtPayload, SwarmTimer> = NetEvent::Timer(SwarmTimer::Choke);
+/// The head event of a [`SwarmWorld`]'s tracker series.
+const TRACKER: NetEvent<BtPayload, SwarmTimer> = NetEvent::Timer(SwarmTimer::Tracker);
+
 /// Schedules a client to start at `at` (the paper starts clients at fixed intervals).
 pub fn schedule_client_start(sim: &mut SwarmSim, idx: usize, at: SimTime) {
     sim.schedule_event_at(at, NetEvent::Timer(SwarmTimer::Start(idx)));
+}
+
+/// Schedules clients `first`, `first + 1`, … to start at the non-decreasing instants `at`, as
+/// a ranked series: one pending event at a time, in the order scheduling every start here
+/// would give.
+pub fn schedule_client_starts(sim: &mut SwarmSim, first: usize, at: &[SimTime]) {
+    let arrival_rank = sim.reserve_ranks(at.len() as u64);
+    let world = sim.world_mut();
+    world.arrivals = at.to_vec();
+    world.first_arrival = first;
+    world.arrival_rank = arrival_rank;
+    arm_arrival(sim, 0);
+}
+
+/// Schedules arrival `k`, if the series has one, at its instant and its reserved rank.
+fn arm_arrival(sim: &mut SwarmSim, k: usize) {
+    let world = sim.world();
+    let Some(&at) = world.arrivals.get(k) else {
+        return;
+    };
+    let rank = world.arrival_rank + k as u64;
+    sim.schedule_event_ranked(at, rank, NetEvent::Timer(SwarmTimer::Arrive(k)));
 }
 
 /// Starts (or restarts, after churn) a client: bind + listen, announce to the tracker, start
@@ -252,10 +302,8 @@ pub fn start_client(sim: &mut SwarmSim, idx: usize) {
     let _ = Endpoint::new(vnode).bind(sim, LISTEN_PORT);
     announce(sim, idx, AnnounceEvent::Started);
 
-    let choke = SwarmTimer::Choke { idx, generation };
-    sim.schedule_event_at(now + CHOKE_INTERVAL, NetEvent::Timer(choke));
-    let tracker = SwarmTimer::Tracker { idx, generation };
-    sim.schedule_event_at(now + TRACKER_INTERVAL, NetEvent::Timer(tracker));
+    sim.push_periodic(|w| &mut w.choke_rounds, (idx, generation), CHOKE);
+    sim.push_periodic(|w| &mut w.tracker_rounds, (idx, generation), TRACKER);
 }
 
 /// Stops a client (session end under churn, or the end of an experiment): announces `Stopped`,
@@ -703,10 +751,7 @@ fn choke_round(sim: &mut SwarmSim, idx: usize, generation: u64) {
     sim.world_mut().unchoke_scratch = unchoked;
     fill_pipelines(sim, idx);
     connect_to_peers(sim, idx);
-    sim.schedule_event_in(
-        CHOKE_INTERVAL,
-        NetEvent::Timer(SwarmTimer::Choke { idx, generation }),
-    );
+    sim.push_periodic(|w| &mut w.choke_rounds, (idx, generation), CHOKE);
 }
 
 /// Periodic tracker re-announce; it re-arms one interval later until the client is offline or
@@ -726,10 +771,7 @@ fn periodic_announce(sim: &mut SwarmSim, idx: usize, generation: u64) {
     if need_peers {
         announce(sim, idx, AnnounceEvent::Periodic);
     }
-    sim.schedule_event_in(
-        TRACKER_INTERVAL,
-        NetEvent::Timer(SwarmTimer::Tracker { idx, generation }),
-    );
+    sim.push_periodic(|w| &mut w.tracker_rounds, (idx, generation), TRACKER);
 }
 
 fn announce(sim: &mut SwarmSim, idx: usize, event: AnnounceEvent) {

@@ -15,7 +15,7 @@ use crate::scenario::{ArrivalSchedule, ArrivalSpec, ShardedOutcome, Workload};
 use p2plab_net::{
     Endpoint, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
 };
-use p2plab_sim::{Counter, Gauge, Recorder, RunOutcome, SimDuration, SimTime};
+use p2plab_sim::{Counter, Gauge, PeriodicSeries, Recorder, RunOutcome, SimDuration, SimTime};
 
 /// The UDP-like port the gossip protocol runs on.
 pub const GOSSIP_PORT: u16 = 4100;
@@ -111,7 +111,13 @@ pub struct GossipWorld {
     pub missed_receipts: u64,
     rumor_bytes: u64,
     fanout: usize,
-    round_interval: SimDuration,
+    /// Every armed gossip round after a node's first, as `(idx, hops)`: one pending event. A
+    /// node's id is a `u32` here, as in the network's records (24 bytes a member, not 32).
+    rounds: PeriodicSeries<(u32, u32)>,
+    /// The arrival instants, non-decreasing: node `k` joins at `arrivals[k]`.
+    arrivals: Vec<SimTime>,
+    /// The rank reserved for node 0's arrival; node `k`'s is `arrival_rank + k`.
+    arrival_rank: u64,
 }
 
 impl GossipWorld {
@@ -127,7 +133,9 @@ impl GossipWorld {
             missed_receipts: 0,
             rumor_bytes: spec.rumor_bytes,
             fanout: spec.fanout,
-            round_interval: spec.round_interval,
+            rounds: PeriodicSeries::new(spec.round_interval),
+            arrivals: Vec::new(),
+            arrival_rank: 0,
         }
     }
 
@@ -150,15 +158,19 @@ impl GossipWorld {
 /// The timers of a [`GossipWorld`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GossipTimer {
-    /// Node `k` joins the overlay; the first to arrive carries the rumor.
+    /// Node `k` joins the overlay; the first to arrive carries the rumor. The arrivals are a
+    /// ranked series: each arms the next.
     Arrive(usize),
-    /// Node `idx`'s gossip round, pushing the rumor it heard at hop depth `hops`.
-    Round {
+    /// Node `idx`'s first gossip round, at once when it hears the rumor, pushing the rumor it
+    /// heard at hop depth `hops`.
+    FirstRound {
         /// The gossiping node.
         idx: usize,
         /// Hops the rumor had travelled when the node heard it.
         hops: u32,
     },
+    /// The gossip round of the node at the front of the world's periodic series of rounds.
+    Round,
 }
 
 impl NetHost for GossipWorld {
@@ -195,15 +207,35 @@ impl NetHost for GossipWorld {
     fn on_timer(sim: &mut NetSim<Self>, timer: GossipTimer) {
         match timer {
             GossipTimer::Arrive(k) => {
+                arm_arrival(sim, k + 1);
                 sim.world_mut().flags[k] |= ONLINE;
                 // The first participant to arrive carries the rumor.
                 if k == 0 {
                     start_gossip(sim, k, 0);
                 }
             }
-            GossipTimer::Round { idx, hops } => gossip_round(sim, idx, hops),
+            GossipTimer::FirstRound { idx, hops } => gossip_round(sim, idx, hops),
+            GossipTimer::Round => {
+                let (idx, hops) = sim.pop_periodic(|w| &mut w.rounds, ROUND);
+                gossip_round(sim, idx as usize, hops);
+            }
         }
     }
+}
+
+/// The head event of a [`GossipWorld`]'s periodic series of rounds.
+const ROUND: NetEvent<Rumor, GossipTimer> = NetEvent::Timer(GossipTimer::Round);
+
+/// Schedules node `k`'s arrival, if the schedule has one, at its instant and its reserved
+/// rank: the arrivals are one pending event at a time, in the order scheduling every one up
+/// front would give.
+fn arm_arrival(sim: &mut NetSim<GossipWorld>, k: usize) {
+    let world = sim.world();
+    let Some(&at) = world.arrivals.get(k) else {
+        return;
+    };
+    let rank = world.arrival_rank + k as u64;
+    sim.schedule_event_ranked(at, rank, NetEvent::Timer(GossipTimer::Arrive(k)));
 }
 
 /// Marks node `idx` informed (hop count `hops`) and starts its periodic gossip rounds, the
@@ -222,12 +254,12 @@ fn start_gossip(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
             return;
         }
     }
-    sim.schedule_event_at(now, NetEvent::Timer(GossipTimer::Round { idx, hops }));
+    sim.schedule_event_at(now, NetEvent::Timer(GossipTimer::FirstRound { idx, hops }));
 }
 
-/// One gossip round of node `idx`; it re-arms one interval later. The rounds stop on their own
-/// once the whole overlay is informed, so the event queue drains instead of ticking until the
-/// deadline.
+/// One gossip round of node `idx`; it re-arms one interval later, into the world's periodic
+/// series. The rounds stop on their own once the whole overlay is informed, so the event queue
+/// drains instead of ticking until the deadline.
 fn gossip_round(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
     let world = sim.world();
     // A forward-suppressing byzantine node hears everything and passes on nothing; its rounds
@@ -239,8 +271,7 @@ fn gossip_round(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
     if flags & ONLINE != 0 {
         push_rumor(sim, idx, hops);
     }
-    let round = sim.world().round_interval;
-    sim.schedule_event_in(round, NetEvent::Timer(GossipTimer::Round { idx, hops }));
+    sim.push_periodic(|w| &mut w.rounds, (idx as u32, hops), ROUND);
 }
 
 /// Pushes the rumor from `idx` to `fanout` random peers (sampled with replacement, self
@@ -381,9 +412,12 @@ impl Workload for GossipWorkload {
     }
 
     fn schedule_arrivals(&mut self, sim: &mut NetSim<GossipWorld>, arrivals: &ArrivalSchedule) {
-        for (k, &at) in arrivals.times().iter().enumerate() {
-            sim.schedule_event_at(at, NetEvent::Timer(GossipTimer::Arrive(k)));
-        }
+        // The schedule is non-decreasing, so each arrival can arm the next.
+        let arrival_rank = sim.reserve_ranks(arrivals.len() as u64);
+        let world = sim.world_mut();
+        world.arrivals = arrivals.times().to_vec();
+        world.arrival_rank = arrival_rank;
+        arm_arrival(sim, 0);
     }
 
     // Every node alternates online sessions and offline periods; offline nodes miss rumors and

@@ -11,8 +11,8 @@ use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{ArrivalSchedule, ArrivalSpec, ShardedOutcome, Workload};
 use p2plab_bittorrent::client::{CHOKE_INTERVAL, REQUEST_TIMEOUT};
 use p2plab_bittorrent::{
-    schedule_client_start, start_client, stop_client, BtPayload, ChokeConfig, SwarmSim, SwarmTimer,
-    SwarmWorld, Torrent,
+    schedule_client_start, schedule_client_starts, start_client, stop_client, BtPayload,
+    ChokeConfig, SwarmSim, SwarmTimer, SwarmWorld, Torrent,
 };
 use p2plab_net::{NetEvent, Network};
 use p2plab_sim::{Counter, HistogramId, Recorder, RunOutcome, SimDuration, SimTime, TimeSeriesId};
@@ -273,9 +273,7 @@ impl Workload for SwarmWorkload {
 
     fn schedule_arrivals(&mut self, sim: &mut SwarmSim, arrivals: &ArrivalSchedule) {
         // Downloaders join at the instants the scenario's arrival process drew.
-        for (l, &at) in arrivals.times().iter().enumerate() {
-            schedule_client_start(sim, self.cfg.seeders + l, at);
-        }
+        schedule_client_starts(sim, self.cfg.seeders, arrivals.times());
     }
 
     // Each downloader alternates online sessions and offline periods until its download

@@ -71,6 +71,57 @@
 //! assert_eq!(sim.world(), &vec![1, 1, 2, 1, 2, 2]);
 //! ```
 //!
+//! A **periodic series** is the same idea for rounds that are not known up front: a class of
+//! equal-period rounds — one member per node, each re-arming one period after it fires. A round
+//! re-arms at `now + period`, no earlier than every member already armed, since each of those
+//! was armed at or before now with the same period; so members join the class in the order
+//! they come due, and the class is a FIFO sorted by `(time, rank)`. The world keeps it as a
+//! [`PeriodicSeries`], and only its head sits in the queue, as one ranked event of the caller's
+//! choosing. [`push_periodic`](Simulation::push_periodic) arms a member, reserving its rank at
+//! the moment its own event would have drawn one, and [`pop_periodic`](Simulation::pop_periodic)
+//! — called by the head event when it fires — takes the member off the front and schedules the
+//! head again for the next one. Pops come in exactly the order pushing every member would give.
+//!
+//! ```
+//! use p2plab_sim::{PeriodicSeries, SimDuration, SimTime, Simulation, TypedEvent};
+//!
+//! struct World {
+//!     rounds: PeriodicSeries<u32>,
+//!     log: Vec<(u64, u32)>,
+//! }
+//! enum Ev {
+//!     /// Node `n`'s first round, at once.
+//!     First(u32),
+//!     /// The round of the node at the front of `rounds`.
+//!     Round,
+//! }
+//! fn round(sim: &mut Simulation<World, Ev>, n: u32) {
+//!     let secs = sim.now().as_nanos() / 1_000_000_000;
+//!     sim.world_mut().log.push((secs, n));
+//!     if secs < 2 {
+//!         sim.push_periodic(|w| &mut w.rounds, n, Ev::Round);
+//!     }
+//! }
+//! impl TypedEvent<World> for Ev {
+//!     fn fire(self, sim: &mut Simulation<World, Ev>) {
+//!         match self {
+//!             Ev::First(n) => round(sim, n),
+//!             Ev::Round => {
+//!                 let n = sim.pop_periodic(|w| &mut w.rounds, Ev::Round);
+//!                 round(sim, n);
+//!             }
+//!         }
+//!     }
+//! }
+//! let world = World { rounds: PeriodicSeries::new(SimDuration::from_secs(1)), log: Vec::new() };
+//! let mut sim: Simulation<World, Ev> = Simulation::new(world, 7);
+//! sim.schedule_event_at(SimTime::ZERO, Ev::First(1));
+//! sim.schedule_event_at(SimTime::from_millis(500), Ev::First(2));
+//! sim.run();
+//! // Two nodes' rounds, a second apart each, through one pending event.
+//! assert_eq!(sim.world().log, vec![(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]);
+//! ```
+//!
 //! Besides events the queue holds **wakes**: entries that carry a small token instead of an
 //! event and hand control back to whoever drives the loop through
 //! [`run_until_wake`](Simulation::run_until_wake). A caller with state of its own — the
@@ -92,6 +143,7 @@
 use crate::event::{EventId, EventQueue};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// A simulation's event class: a plain value stored inline in the event queue (no per-event
 /// allocation) and dispatched by [`fire`](TypedEvent::fire) when due.
@@ -106,6 +158,35 @@ pub enum NoEvent {}
 impl<W> TypedEvent<W> for NoEvent {
     fn fire(self, _sim: &mut Simulation<W, Self>) {
         match self {}
+    }
+}
+
+/// A class of equal-period rounds kept as one pending event (see the module docs): the armed
+/// members as `(time, rank, member)` in the order they come due. Only the head is in the event
+/// queue; [`Simulation::push_periodic`] and [`Simulation::pop_periodic`] keep it there.
+pub struct PeriodicSeries<M> {
+    period: SimDuration,
+    members: VecDeque<(SimTime, u64, M)>,
+}
+
+impl<M> PeriodicSeries<M> {
+    /// An empty series whose members come due one `period` after they are armed.
+    pub fn new(period: SimDuration) -> Self {
+        PeriodicSeries {
+            period,
+            members: VecDeque::new(),
+        }
+    }
+
+    /// Appends `member`, due at `at` under `rank`; true if it is the head, so nothing in the
+    /// queue stands for it yet.
+    fn push(&mut self, at: SimTime, rank: u64, member: M) -> bool {
+        debug_assert!(
+            self.members.back().is_none_or(|&(tail, ..)| tail <= at),
+            "a periodic member due at {at:?} would come before the series' tail"
+        );
+        self.members.push_back((at, rank, member));
+        self.members.len() == 1
     }
 }
 
@@ -198,8 +279,8 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
         self.event_budget = budget;
     }
 
-    /// Pre-sizes the event queue for `events` concurrently pending events (arrival bursts in
-    /// large scenarios would otherwise regrow the queue slab mid-run).
+    /// Pre-sizes the event queue for `events` concurrently pending events (a large scenario's
+    /// packets and timers would otherwise regrow the queue slab mid-run).
     pub fn reserve_events(&mut self, events: usize) {
         self.queue.reserve(events);
     }
@@ -224,6 +305,46 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
     pub fn schedule_event_ranked(&mut self, at: SimTime, rank: u64, event: E) -> EventId {
         self.queue
             .push_ranked(at.max(self.now), rank, Slot::Event(event))
+    }
+
+    /// Arms `member` of the periodic series `series` picks out of the world, one period from
+    /// now, under a rank reserved here — the sequence number its own event would have drawn
+    /// had it been scheduled at this point — and returns that rank. If the series was idle,
+    /// `head` is scheduled for the member; otherwise the member waits behind the ones armed
+    /// before it.
+    pub fn push_periodic<M>(
+        &mut self,
+        series: impl FnOnce(&mut W) -> &mut PeriodicSeries<M>,
+        member: M,
+        head: E,
+    ) -> u64 {
+        let rank = self.queue.reserve_seqs(1);
+        let series = series(&mut self.world);
+        let at = self.now + series.period;
+        if series.push(at, rank, member) {
+            self.queue.push_ranked(at, rank, Slot::Event(head));
+        }
+        rank
+    }
+
+    /// Takes the member at the front of `series`, whose `head` event is firing, and schedules
+    /// `head` again for the next member, if any.
+    ///
+    /// # Panics
+    /// If the series is empty: a head event fired for no member.
+    pub fn pop_periodic<M>(
+        &mut self,
+        series: impl FnOnce(&mut W) -> &mut PeriodicSeries<M>,
+        head: E,
+    ) -> M {
+        let series = series(&mut self.world);
+        let (at, _, member) = (series.members.pop_front())
+            .expect("a periodic series' head fired with no member armed");
+        debug_assert_eq!(at, self.now, "a periodic member fired off its time");
+        if let Some(&(at, rank, _)) = series.members.front() {
+            self.queue.push_ranked(at, rank, Slot::Event(head));
+        }
+        member
     }
 
     /// Schedules `event` after `delay`.

@@ -206,8 +206,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pre-sizes the slab and the chunk pool for `events` concurrently pending events, so
-    /// arrival bursts do not regrow them mid-run.
+    /// Pre-sizes the slab and the chunk pool for `events` concurrently pending events, so a
+    /// burst of them does not regrow the two mid-run.
     pub fn reserve(&mut self, events: usize) {
         let additional = events.saturating_sub(self.payloads.len());
         self.payloads.reserve(additional);

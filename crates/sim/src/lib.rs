@@ -23,7 +23,7 @@ pub mod shard;
 pub mod stats;
 mod time;
 
-pub use engine::{Halt, NoEvent, RunOutcome, Simulation, TypedEvent};
+pub use engine::{Halt, NoEvent, PeriodicSeries, RunOutcome, Simulation, TypedEvent};
 pub use event::{EventId, EventQueue};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use metrics::{

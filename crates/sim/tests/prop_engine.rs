@@ -6,7 +6,8 @@
 )]
 
 use p2plab_sim::{
-    Cdf, EventId, EventQueue, SimDuration, SimTime, Simulation, Summary, TimeSeries, TypedEvent,
+    Cdf, EventId, EventQueue, PeriodicSeries, SimDuration, SimTime, Simulation, Summary,
+    TimeSeries, TypedEvent,
 };
 use proptest::prelude::*;
 
@@ -194,7 +195,235 @@ enum Handle {
     Block(usize),
 }
 
+/// The periodic-series property's time grid: every instant and period is a multiple of it, so
+/// rounds of different classes, ordinary events and first rounds collide at one instant.
+const GRID_NS: u64 = 1_000;
+/// Nodes of the periodic-series property.
+const NODES: usize = 6;
+
+/// A round of the periodic-series property: node `node`'s round of class `class`, armed under
+/// the node's timer generation `generation` and logged as `label`.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    class: usize,
+    node: usize,
+    generation: u32,
+    label: usize,
+}
+
+/// The periodic-series property's events.
+#[derive(Debug, Clone, Copy)]
+enum Tick {
+    /// An ordinary event, logged as `label`.
+    Once(usize),
+    /// A round as its own event: every round in the reference run, a first round at once in
+    /// both runs.
+    Round(Member),
+    /// The head of class `c`'s series (the series run only).
+    Head(usize),
+    /// Node `node` (re)starts under a new generation, which leaves its armed rounds stale. Its
+    /// first round of class `class` runs at once or is armed one period out.
+    Restart {
+        node: usize,
+        class: usize,
+        at_once: bool,
+        label: usize,
+    },
+}
+
+/// The periodic-series property's world: round classes of different periods, each node's
+/// timer generation, and the log of what fired.
+struct Rounds {
+    /// Re-arms join `classes`; otherwise each is scheduled as its own event.
+    series: bool,
+    periods: Vec<SimDuration>,
+    classes: Vec<PeriodicSeries<Member>>,
+    generation: [u32; NODES],
+    /// The sequence number each label's push drew or was reserved.
+    seqs: Vec<u64>,
+    /// `(time, label, sequence number)` of every event that fired.
+    log: Vec<(SimTime, usize, u64)>,
+    /// Pushes left before the run winds down.
+    budget: u32,
+}
+
+impl TypedEvent<Rounds> for Tick {
+    fn fire(self, sim: &mut Simulation<Rounds, Tick>) {
+        match self {
+            Tick::Once(label) => log(sim, label),
+            Tick::Round(member) => round(sim, member),
+            Tick::Head(c) => {
+                let member = sim.pop_periodic(|w| &mut w.classes[c], Tick::Head(c));
+                round(sim, member);
+            }
+            Tick::Restart {
+                node,
+                class,
+                at_once,
+                label,
+            } => {
+                log(sim, label);
+                sim.world_mut().generation[node] += 1;
+                let generation = sim.world().generation[node];
+                match at_once {
+                    true => {
+                        let now = sim.now();
+                        schedule(sim, now, |label| {
+                            Tick::Round(Member {
+                                class,
+                                node,
+                                generation,
+                                label,
+                            })
+                        });
+                    }
+                    false => arm(sim, class, node, generation),
+                }
+            }
+        }
+    }
+}
+
+fn log(sim: &mut Simulation<Rounds, Tick>, label: usize) {
+    let now = sim.now();
+    let world = sim.world_mut();
+    let seq = world.seqs[label];
+    world.log.push((now, label, seq));
+}
+
+/// Takes one push from the budget, or false once it is spent.
+fn spend(sim: &mut Simulation<Rounds, Tick>) -> bool {
+    let world = sim.world_mut();
+    world.budget = world.budget.saturating_sub(1);
+    world.budget > 0
+}
+
+/// Schedules `event(label)` at `at` as an ordinary event under a fresh label.
+fn schedule(sim: &mut Simulation<Rounds, Tick>, at: SimTime, event: impl FnOnce(usize) -> Tick) {
+    if !spend(sim) {
+        return;
+    }
+    let label = sim.world().seqs.len();
+    let id = sim.schedule_event_at(at, event(label));
+    sim.world_mut().seqs.push(id.raw());
+}
+
+/// Arms node `node`'s round of class `class` one period out: into the class's series, or as
+/// its own event.
+fn arm(sim: &mut Simulation<Rounds, Tick>, class: usize, node: usize, generation: u32) {
+    if !spend(sim) {
+        return;
+    }
+    let label = sim.world().seqs.len();
+    let member = Member {
+        class,
+        node,
+        generation,
+        label,
+    };
+    let seq = match sim.world().series {
+        true => sim.push_periodic(|w| &mut w.classes[class], member, Tick::Head(class)),
+        false => {
+            let period = sim.world().periods[class];
+            sim.schedule_event_in(period, Tick::Round(member)).raw()
+        }
+    };
+    sim.world_mut().seqs.push(seq);
+}
+
+/// A round: a stale member fires and stops; a live one pushes up to two ordinary events (at
+/// once, on the grid, or one period of some class out), now and then restarts a node, and
+/// re-arms after its body, as the workloads' rounds do.
+fn round(sim: &mut Simulation<Rounds, Tick>, member: Member) {
+    log(sim, member.label);
+    if sim.world().generation[member.node] != member.generation {
+        return;
+    }
+    let now = sim.now();
+    let classes = sim.world().periods.len();
+    for _ in 0..sim.rng().gen_range(0u32..3) {
+        let delay = match sim.rng().gen_range(0u32..3) {
+            0 => SimDuration::ZERO,
+            1 => SimDuration::from_nanos(GRID_NS * sim.rng().gen_range(1u64..4)),
+            _ => {
+                let class = sim.rng().gen_range(0..classes);
+                sim.world().periods[class]
+            }
+        };
+        schedule(sim, now + delay, Tick::Once);
+    }
+    if sim.rng().gen_range(0u32..6) == 0 {
+        let node = sim.rng().gen_range(0..NODES);
+        let class = sim.rng().gen_range(0..classes);
+        let at_once = sim.rng().gen_range(0u32..2) == 0;
+        schedule(sim, now, |label| Tick::Restart {
+            node,
+            class,
+            at_once,
+            label,
+        });
+    }
+    arm(sim, member.class, member.node, member.generation);
+}
+
+/// Runs the periodic-series property's script with re-arms as series members or as events of
+/// their own, and returns the log and the executed-event count.
+fn run_rounds(
+    series: bool,
+    periods: &[u64],
+    script: &[(u64, u32, usize, usize)],
+    seed: u64,
+) -> (Vec<(SimTime, usize, u64)>, u64) {
+    let periods: Vec<SimDuration> = (periods.iter())
+        .map(|&p| SimDuration::from_nanos(p * GRID_NS))
+        .collect();
+    let world = Rounds {
+        series,
+        classes: periods.iter().map(|&p| PeriodicSeries::new(p)).collect(),
+        periods,
+        generation: [0; NODES],
+        seqs: Vec::new(),
+        log: Vec::new(),
+        budget: 400,
+    };
+    let classes = world.periods.len();
+    let mut sim: Simulation<Rounds, Tick> = Simulation::new(world, seed);
+    for &(cell, kind, class, node) in script {
+        let at = SimTime::from_nanos(cell * GRID_NS);
+        let (class, node) = (class % classes, node % NODES);
+        match kind {
+            0 => schedule(&mut sim, at, Tick::Once),
+            _ => schedule(&mut sim, at, |label| Tick::Restart {
+                node,
+                class,
+                at_once: kind == 1,
+                label,
+            }),
+        }
+    }
+    sim.run();
+    let executed = sim.executed_events();
+    (sim.into_world().log, executed)
+}
+
 proptest! {
+    /// A periodic series keeps the order of pushing every member: with several classes of
+    /// different (or equal) periods, ordinary events at the rounds' instants, first rounds at
+    /// once, re-arms straight into a series and stale members of restarted nodes, the series
+    /// run fires the same events at the same times under the same sequence numbers as the run
+    /// that schedules every round as its own event.
+    #[test]
+    fn periodic_series_pop_as_if_every_member_were_pushed(
+        periods in prop::collection::vec(1u64..5, 1..4),
+        script in prop::collection::vec((0u64..6, 0u32..3, 0usize..4, 0usize..NODES), 1..16),
+        seed in any::<u64>(),
+    ) {
+        let (want, want_events) = run_rounds(false, &periods, &script, seed);
+        let (got, got_events) = run_rounds(true, &periods, &script, seed);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(got_events, want_events);
+    }
+
     /// Whatever the insertion order, events pop in non-decreasing time order, and equal times
     /// pop in insertion order.
     #[test]
