@@ -41,7 +41,7 @@ pub fn rule_scaling_experiment(
             );
             let mut d = deploy(&topo, DeploymentSpec::new(2), NetworkConfig::default())
                 .expect("two-node deployment");
-            d.net.firewall_mut(MachineId(0)).add_dummy_rules(rules);
+            d.net.add_dummy_rules(MachineId(0), rules);
             let world = PingWorld::new(d.net);
             let (world, rtts) = ping_series(
                 world,

@@ -1,24 +1,20 @@
-//! IPFW-style firewall with linear rule evaluation.
+//! IPFW-style firewall with linear rule evaluation: the reference walk.
 //!
 //! P2PLab configures the emulated topology as IPFW rules on every physical node: two per hosted
 //! virtual node (incoming and outgoing access-link pipes) plus one per (source group, destination
 //! group) latency pipe. IPFW evaluates rules **linearly**, which the paper identifies as the main
-//! scalability limit (Figure 6: ping RTT grows linearly with the number of rules). The model
-//! here keeps both behaviours: packets are matched against rules in order, every rule examined
-//! costs a fixed amount of added latency, and — like dummynet with `net.inet.ip.fw.one_pass=0` —
-//! a packet that matched a pipe rule continues down the rule list, so it can traverse both its
+//! scalability limit (Figure 6: ping RTT grows linearly with the number of rules). The walk here
+//! keeps both behaviours: packets are matched against rules in order, every rule examined costs
+//! a fixed amount of added latency, and — like dummynet with `net.inet.ip.fw.one_pass=0` — a
+//! packet that matched a pipe rule continues down the rule list, so it can traverse both its
 //! access-link pipe and a group-latency pipe.
 //!
-//! The **emulated** cost stays linear, but the **simulator's** per-packet cost must not be:
-//! while a machine's rules are exactly the ones its deployment installed, the network layer
-//! computes a packet's classification from the deployment and charges it with
-//! [`count_packet`](Firewall::count_packet) — see `Network::classify` in [`crate::network`].
-//! Such a machine's firewall stores none of those rules, only its counters: the network
-//! counts the rules and builds their list from its node records when something must walk or
-//! change it, and from then on the firewall holds the whole list. The firewall's
-//! [`version`](Firewall::version) counter, bumped on every rule change, tells the network when
-//! a rule came from elsewhere. `classify` itself stays the plain linear walk, and the
-//! reference everything else is checked against.
+//! No run walks rules. A machine of the emulated network is a rule count, and
+//! `Network::classify` (in [`crate::network`]) computes a packet's path from the two nodes'
+//! records in closed form. [`Firewall::classify`] is what that closed form stands for: the
+//! network's tests build a twin firewall from the rules P2PLab's scripts would install and
+//! compare every packet's pipes and cost with its walk, and the benchmark probe times the walk
+//! at 64 and 4,096 rules.
 
 use crate::addr::{Subnet, VirtAddr};
 use crate::pipe::PipeId;
@@ -161,26 +157,11 @@ pub struct Classification {
     pub evaluation_cost: SimDuration,
 }
 
-/// Counters kept by the firewall.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FirewallStats {
-    /// Packets classified.
-    pub packets: u64,
-    /// Total rules examined over all packets.
-    pub rules_examined: u64,
-    /// Packets denied.
-    pub denied: u64,
-}
-
 /// An ordered list of rules evaluated linearly, as IPFW does.
 #[derive(Debug, Clone)]
 pub struct Firewall {
     rules: Vec<Rule>,
     per_rule_cost: SimDuration,
-    stats: FirewallStats,
-    /// Bumped on every rule mutation; the network compares it with the version its own rules
-    /// left.
-    version: u64,
 }
 
 impl Firewall {
@@ -190,34 +171,18 @@ impl Firewall {
         Firewall {
             rules: Vec::new(),
             per_rule_cost,
-            stats: FirewallStats::default(),
-            version: 1,
         }
-    }
-
-    /// The rule-set version: bumped on every rule change. Rules known at version `v` are the
-    /// whole rule set exactly while `version()` still returns `v`.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Appends a rule and returns its index.
     pub fn add_rule(&mut self, rule: Rule) -> usize {
-        self.version += 1;
         self.rules.push(rule);
         self.rules.len() - 1
     }
 
     /// Appends `count` never-matching rules (Figure 6 experiment).
     pub fn add_dummy_rules(&mut self, count: usize) {
-        self.version += 1;
         self.rules.extend(std::iter::repeat_n(Rule::dummy(), count));
-    }
-
-    /// Removes all rules.
-    pub fn clear(&mut self) {
-        self.version += 1;
-        self.rules.clear();
     }
 
     /// Number of configured rules.
@@ -225,53 +190,14 @@ impl Firewall {
         self.rules.len()
     }
 
-    /// The configured rules.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
-    /// Firewall counters.
-    pub fn stats(&self) -> FirewallStats {
-        self.stats
-    }
-
     /// Classifies a packet: walks the rule list in order, collecting every matching pipe, until
     /// a terminal Allow/Deny rule matches or the list ends (packets are accepted by default, as
     /// P2PLab's generated rule sets end with an implicit allow).
-    pub fn classify(
-        &mut self,
-        src: VirtAddr,
-        dst: VirtAddr,
-        direction: Direction,
-    ) -> Classification {
-        let classification = self.walk(src, dst, direction);
-        self.count_packet(
-            classification.rules_examined as u64,
-            classification.accepted,
-        );
-        classification
-    }
-
-    /// The linear rule walk alone — no statistics update. [`classify`](Firewall::classify) is
-    /// this plus [`count_packet`](Firewall::count_packet); the network layer's deployed
-    /// classification is checked against it in debug builds.
-    pub fn walk(&self, src: VirtAddr, dst: VirtAddr, direction: Direction) -> Classification {
-        self.walk_rules(self.rules.iter().copied(), src, dst, direction)
-    }
-
-    /// The linear walk over `rules` instead of the stored list, at this firewall's per-rule
-    /// cost: how the network checks a deployed machine, whose list it builds, not stores.
-    pub(crate) fn walk_rules(
-        &self,
-        rules: impl IntoIterator<Item = Rule>,
-        src: VirtAddr,
-        dst: VirtAddr,
-        direction: Direction,
-    ) -> Classification {
+    pub fn classify(&self, src: VirtAddr, dst: VirtAddr, direction: Direction) -> Classification {
         let mut pipes = PipeList::default();
         let mut rules_examined = 0;
         let mut accepted = true;
-        for rule in rules {
+        for rule in &self.rules {
             rules_examined += 1;
             if !rule.matches(src, dst, direction) {
                 continue;
@@ -289,23 +215,7 @@ impl Firewall {
             pipes,
             accepted,
             rules_examined,
-            evaluation_cost: self.evaluation_cost(rules_examined as u64),
-        }
-    }
-
-    /// The latency a walk that examined `rules_examined` rules adds to its packet (Figure 6's
-    /// linear cost).
-    pub(crate) fn evaluation_cost(&self, rules_examined: u64) -> SimDuration {
-        self.per_rule_cost * rules_examined
-    }
-
-    /// Accounts one classified packet in the firewall statistics (the network layer's deployed
-    /// classification calls this instead of walking).
-    pub fn count_packet(&mut self, rules_examined: u64, accepted: bool) {
-        self.stats.packets += 1;
-        self.stats.rules_examined += rules_examined;
-        if !accepted {
-            self.stats.denied += 1;
+            evaluation_cost: self.per_rule_cost * rules_examined as u64,
         }
     }
 }
@@ -366,7 +276,7 @@ mod tests {
 
     #[test]
     fn packet_traverses_access_and_latency_pipes() {
-        let mut fw = paper_firewall();
+        let fw = paper_firewall();
         // 10.1.3.207 -> 10.2.2.117: outgoing access pipe + 10.1/16 -> 10.2/16 latency pipe.
         let c = fw.classify(addr("10.1.3.207"), addr("10.2.2.117"), Direction::Out);
         assert_eq!(&c.pipes[..], [PipeId(0), PipeId(4)]);
@@ -376,14 +286,14 @@ mod tests {
 
     #[test]
     fn incoming_packet_only_hits_download_pipe() {
-        let mut fw = paper_firewall();
+        let fw = paper_firewall();
         let c = fw.classify(addr("10.2.2.117"), addr("10.1.3.207"), Direction::In);
         assert_eq!(&c.pipes[..], [PipeId(1)]);
     }
 
     #[test]
     fn intra_group_traffic_hits_local_latency_rule() {
-        let mut fw = paper_firewall();
+        let fw = paper_firewall();
         let c = fw.classify(addr("10.1.3.207"), addr("10.1.1.5"), Direction::Out);
         assert_eq!(&c.pipes[..], [PipeId(0), PipeId(2)]);
     }
@@ -419,7 +329,6 @@ mod tests {
         });
         let c = fw.classify(addr("10.9.1.1"), addr("10.0.0.2"), Direction::Out);
         assert!(!c.accepted);
-        assert_eq!(fw.stats().denied, 1);
     }
 
     #[test]
@@ -459,39 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn version_bumps_on_rule_changes_and_classify_stays_exact() {
-        // A classification must follow the rule list when it changes: first a plain pipe
-        // rule, then a Deny inserted behind it that flips the verdict.
-        let mut fw = Firewall::new(SimDuration::from_nanos(100));
-        fw.add_rule(Rule::pipe(
-            Subnet::any(),
-            Subnet::any(),
-            Direction::Out,
-            PipeId(0),
-        ));
-        let (src, dst) = (addr("10.0.0.1"), addr("10.0.0.2"));
-        let v0 = fw.version();
-        let first = fw.classify(src, dst, Direction::Out);
-        let second = fw.classify(src, dst, Direction::Out);
-        assert_eq!(first, second);
-        assert_eq!(fw.version(), v0, "classification must not bump the version");
-        fw.add_rule(Rule {
-            src: Subnet::any(),
-            dst: Subnet::any(),
-            direction: None,
-            action: RuleAction::Deny,
-        });
-        let third = fw.classify(src, dst, Direction::Out);
-        assert!(!third.accepted);
-        assert_eq!(third.rules_examined, 2);
-        assert!(fw.version() > v0, "rule change must bump the version");
-        assert_eq!(fw.stats().packets, 3);
-        assert_eq!(fw.stats().denied, 1);
-    }
-
-    #[test]
     fn directions_classify_independently() {
-        let mut fw = paper_firewall();
+        let fw = paper_firewall();
         let out = fw.classify(addr("10.1.3.207"), addr("10.2.2.117"), Direction::Out);
         let inward = fw.classify(addr("10.1.3.207"), addr("10.2.2.117"), Direction::In);
         assert_ne!(&out.pipes[..], &inward.pipes[..]);
@@ -523,15 +401,5 @@ mod tests {
         // A hit reproduces the spilled list too.
         let again = fw.classify(addr("10.0.0.1"), addr("10.0.0.2"), Direction::Out);
         assert_eq!(&again.pipes[..], expected.as_slice());
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut fw = paper_firewall();
-        for _ in 0..5 {
-            fw.classify(addr("10.1.3.207"), addr("10.2.2.117"), Direction::Out);
-        }
-        assert_eq!(fw.stats().packets, 5);
-        assert_eq!(fw.stats().rules_examined, 30);
     }
 }

@@ -10,7 +10,9 @@
 //! Layers, from bottom to top:
 //!
 //! * [`addr`] — virtual IPv4 addressing;
-//! * [`pipe`], [`firewall`] — dummynet pipes and linearly evaluated IPFW rules;
+//! * [`pipe`] — dummynet pipes;
+//! * [`firewall`] — the linear IPFW rule walk, the reference for the network's closed-form
+//!   classification;
 //! * [`topology`] — the edge-centric topology description (groups + access links);
 //! * [`network`] — per-machine/per-node data-plane state;
 //! * [`transport`] — the frame-level data plane walking the emulated path, and the
@@ -45,7 +47,7 @@ pub mod transport;
 
 pub use addr::{AddrParseError, SocketAddr, Subnet, VirtAddr};
 pub use endpoint::Endpoint;
-pub use firewall::{Classification, Direction, Firewall, FirewallStats, Rule, RuleAction};
+pub use firewall::{Classification, Direction, Firewall, Rule, RuleAction};
 pub use intercept::InterceptConfig;
 pub use lane::LaneKind;
 pub use network::{

@@ -230,8 +230,7 @@ mod tests {
         let m1 = net.add_machine("pm1", VirtAddr::new(192, 168, 38, 2));
         net.add_vnode(m0, GroupId(0)).unwrap();
         net.add_vnode(m1, GroupId(0)).unwrap();
-        net.firewall_mut(crate::network::MachineId(0))
-            .add_dummy_rules(rules_on_sender);
+        net.add_dummy_rules(m0, rules_on_sender);
         PingWorld::new(net)
     }
 

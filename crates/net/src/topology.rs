@@ -125,7 +125,8 @@ impl TopologySpec {
         }
     }
 
-    /// Adds a group and returns its id.
+    /// Adds a group and returns its id. Its subnet must hold its `node_count` addresses and be
+    /// disjoint from every earlier group's.
     pub fn add_group(
         &mut self,
         name: impl Into<String>,
@@ -136,6 +137,13 @@ impl TopologySpec {
         assert!(
             (node_count as u64) < subnet.size(),
             "group does not fit in its subnet"
+        );
+        // Prefix subnets are nested or disjoint: two overlap when one holds the other's base.
+        // Disjoint, an address matches one group's rules at most.
+        assert!(
+            (self.groups.iter())
+                .all(|g| !g.subnet.contains(subnet.base) && !subnet.contains(g.subnet.base)),
+            "group subnet overlaps an earlier group's"
         );
         self.groups.push(GroupSpec {
             name: name.into(),
@@ -376,6 +384,19 @@ mod tests {
             "too-big",
             "10.1.1.0/24".parse().unwrap(),
             300,
+            AccessLinkClass::bittorrent_dsl(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps")]
+    fn group_subnets_must_be_disjoint() {
+        // A second group whose subnet lies inside the first one's.
+        let mut t = TopologySpec::uniform("outer", 2, AccessLinkClass::bittorrent_dsl());
+        t.add_group(
+            "inner",
+            "10.9.0.0/16".parse().unwrap(),
+            2,
             AccessLinkClass::bittorrent_dsl(),
         );
     }

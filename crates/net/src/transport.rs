@@ -760,11 +760,6 @@ fn transmit<W: NetHost>(
     let (world, rng) = sim.world_and_rng();
     let net = world.network();
     let classification = net.classify(Direction::Out, flight.src, flight.src_addr, flight.dst);
-    if !classification.accepted {
-        net.stats.messages_dropped += 1;
-        flight.retire(net);
-        return;
-    }
     let folded = net.vnode(flight.src).machine() == net.vnode(flight.dst).machine();
     let mut walk = PipeWalk::starting_at(now + extra_delay + classification.evaluation_cost);
     if !walk.through(net, rng, classification.pipes(), wire) {
@@ -849,11 +844,6 @@ fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
         walk.t = net.cross_nic(dst_machine, Direction::In, walk.t, wire, rng);
     }
     let classification = net.classify(Direction::In, flight.src, flight.src_addr, flight.dst);
-    if !classification.accepted {
-        net.stats.messages_dropped += 1;
-        flight.retire(net);
-        return;
-    }
     walk.t += classification.evaluation_cost;
     if walk.through(net, rng, classification.pipes(), wire) {
         walk.forward(sim, flight, |flight| NetEvent::Deliver { flight });

@@ -363,7 +363,7 @@ const UNCALLED_ITEMS: [(&str, &str); 0] = [];
 /// Public items that nothing calls but the benchmark probe (`benchmark/src`, which links the
 /// public API) and tests, each with why it stays. The probe is changed only with the benchmark,
 /// so each goes when the probe stops naming it.
-const PROBE_ONLY_ITEMS: [(&str, &str); 5] = [
+const PROBE_ONLY_ITEMS: [(&str, &str); 6] = [
     (
         "crates/bittorrent/src/piece.rs::pick_blocks",
         "the probe times the block picker through it",
@@ -371,6 +371,11 @@ const PROBE_ONLY_ITEMS: [(&str, &str); 5] = [
     (
         "crates/bittorrent/src/torrent.rs::paper_16mb",
         "the probe builds its torrent with it",
+    ),
+    (
+        "crates/net/src/firewall.rs::add_rule",
+        "the probe builds the rule list whose linear walk it times; the network is a rule \
+         count, so only the tests' twin firewalls call it besides",
     ),
     (
         "crates/net/src/pipe.rs::with_queue_limit",

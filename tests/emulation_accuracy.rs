@@ -6,9 +6,11 @@
 use p2plab::core::{deploy, figure7_latency_experiment, rule_scaling_experiment, DeploymentSpec};
 use p2plab::net::ping::ECHO_BYTES;
 use p2plab::net::{
-    ping_series, LaneKind, MachineId, Network, NetworkConfig, PingWorld, TopologySpec, VNodeId,
+    ping_series, AccessLinkClass, GroupId, LaneKind, MachineId, Network, NetworkConfig, PingWorld,
+    TopologySpec, VNodeId,
 };
 use p2plab::sim::SimDuration;
+use std::collections::BTreeSet;
 
 #[test]
 fn figure6_rtt_grows_linearly_with_rule_count() {
@@ -64,17 +66,30 @@ fn figure7_topology_deploys_with_paper_rule_accounting() {
     }
 }
 
-/// The RTT oracle: one unloaded ping on Figure 7's topology takes, to the nanosecond, what the
-/// test adds up itself from the configuration. Per direction: both access pipes' serialization
-/// at their groups' rates and their delays, the group pair's latency, both NICs' serialization
-/// and the switch latency (between machines only), and the per-rule cost of every rule on each
-/// firewall the packet is classified on. One ping crosses two machines, the other stays on one.
+/// The RTT oracle: one unloaded ping takes, to the nanosecond, what the test adds up itself
+/// from the configuration. Per direction: both access pipes' serialization at their groups'
+/// rates and their delays, the group pair's latency, both NICs' serialization and the switch
+/// latency (between machines only), and the per-rule cost of every rule on each firewall the
+/// packet is classified on. The test counts those rules itself: two per hosted node, one per
+/// group with a latency from each group the machine hosts, and the dummy rules. On Figure 7's
+/// topology one ping crosses two machines and the other stays on one; on Figure 6's two-node
+/// deployment the ping crosses machine 0's rules without and with 50,000 dummy rules.
 #[test]
 fn figure7_ping_rtt_equals_the_configured_path_to_the_nanosecond() {
-    let topo = TopologySpec::paper_figure7();
     let config = NetworkConfig::default();
     let wire = ECHO_BYTES + LaneKind::UnreliableUnordered.header_bytes();
-    let one_way = |net: &Network, from: VNodeId, to: VNodeId| {
+    let rules = |net: &Network, topo: &TopologySpec, machine: MachineId, dummies: usize| {
+        let hosted: BTreeSet<usize> = (net.vnodes())
+            .filter(|(_, v)| v.machine() == machine)
+            .map(|(_, v)| v.group().0)
+            .collect();
+        let latency_rules = (hosted.iter())
+            .flat_map(|&g| (0..topo.groups.len()).map(move |h| (g, h)))
+            .filter(|&(g, h)| !topo.group_latency(GroupId(g), GroupId(h)).is_zero())
+            .count();
+        2 * net.machine(machine).hosted() + latency_rules + dummies
+    };
+    let one_way = |net: &Network, topo: &TopologySpec, dummies: usize, from, to| {
         let (a, b) = (net.vnode(from), net.vnode(to));
         let (up, down) = (topo.groups[a.group().0].link, topo.groups[b.group().0].link);
         let mut path = SimDuration::transmission(wire, up.up_bps)
@@ -85,19 +100,28 @@ fn figure7_ping_rtt_equals_the_configured_path_to_the_nanosecond() {
         if a.machine() != b.machine() {
             path += SimDuration::transmission(wire, config.nic_bps) * 2 + config.switch_latency;
         }
-        let rules = net.machine(a.machine()).rule_count() + net.machine(b.machine()).rule_count();
+        // The dummy rules are all on machine 0.
+        let dummies_on = |m: MachineId| if m == MachineId(0) { dummies } else { 0 };
+        let rules = rules(net, topo, a.machine(), dummies_on(a.machine()))
+            + rules(net, topo, b.machine(), dummies_on(b.machine()));
         path + config.per_rule_cost * rules as u64
     };
-    let rtt = |pick: fn(&Network) -> (VNodeId, VNodeId)| {
-        let d = deploy(&topo, DeploymentSpec::new(50), config).unwrap();
+    let rtt = |topo: &TopologySpec,
+               machines: usize,
+               dummies: usize,
+               pick: fn(&Network) -> (VNodeId, VNodeId)| {
+        let mut d = deploy(topo, DeploymentSpec::new(machines), config).unwrap();
+        d.net.add_dummy_rules(MachineId(0), dummies);
         let (from, to) = pick(&d.net);
-        let expected = one_way(&d.net, from, to) + one_way(&d.net, to, from);
+        let expected =
+            one_way(&d.net, topo, dummies, from, to) + one_way(&d.net, topo, dummies, to, from);
         let (_, rtts) = ping_series(PingWorld::new(d.net), from, to, 1, SimDuration::ZERO, 1);
         (from, to, rtts, expected)
     };
+    let figure7 = TopologySpec::paper_figure7();
     // The paper's pair, 10.1.3.207 (8 Mbps / 1 Mbps, 20 ms) to 10.2.2.117 (10 Mbps, 5 ms),
     // 400 ms apart, on two machines.
-    let (from, to, rtts, expected) = rtt(|net| {
+    let (from, to, rtts, expected) = rtt(&figure7, 50, 0, |net| {
         let [from, to] = ["10.1.3.207", "10.2.2.117"].map(|a| net.resolve(a.parse().unwrap()));
         let (from, to) = (from.unwrap(), to.unwrap());
         assert_ne!(net.vnode(from).machine(), net.vnode(to).machine());
@@ -107,7 +131,7 @@ fn figure7_ping_rtt_equals_the_configured_path_to_the_nanosecond() {
     assert!(expected > SimDuration::from_millis(850));
     // Node 0 (10.1.1.1, a 56k modem) and the first 10.3.0.0/16 node (1 Mbps, 10 ms) on its
     // machine, 600 ms apart: no NIC, and each packet is classified twice on one firewall.
-    let (from, to, rtts, expected) = rtt(|net| {
+    let (from, to, rtts, expected) = rtt(&figure7, 50, 0, |net| {
         let from = VNodeId(0);
         let machine = net.vnode(from).machine();
         let (to, _) = (net.vnodes())
@@ -118,4 +142,16 @@ fn figure7_ping_rtt_equals_the_configured_path_to_the_nanosecond() {
     });
     assert_eq!(rtts, [expected], "{from:?} -> {to:?}");
     assert!(expected > SimDuration::from_millis(2 * (100 + 600 + 10)));
+    // Figure 6's deployment (`rule_scaling_experiment`): two nodes on two machines over a
+    // 1 Gbps, 100 us link, at both ends of its sweep.
+    let lan = AccessLinkClass::symmetric(1_000_000_000, SimDuration::from_micros(100));
+    let figure6 = TopologySpec::uniform("rule-scaling", 2, lan);
+    let mut at = Vec::new();
+    for dummies in [0, 50_000] {
+        let (_, _, rtts, expected) = rtt(&figure6, 2, dummies, |_| (VNodeId(0), VNodeId(1)));
+        assert_eq!(rtts, [expected], "{dummies} dummy rules");
+        at.push(expected);
+    }
+    // Each ping crosses machine 0's rules twice: the request out, the reply in.
+    assert_eq!(at[1] - at[0], config.per_rule_cost * 2 * 50_000);
 }
