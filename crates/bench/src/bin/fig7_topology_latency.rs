@@ -20,7 +20,7 @@ fn main() {
     println!(
         "Deployed the Figure 7 topology: {} virtual nodes in {} groups on {} machines ({:.1}:1)",
         d.vnodes.len(),
-        topo.groups.len(),
+        topo.groups().len(),
         machines,
         d.folding_ratio()
     );

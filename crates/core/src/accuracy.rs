@@ -105,8 +105,8 @@ pub fn figure7_latency_experiment(machines: usize, pings: usize) -> LatencyDecom
     let dst = d.net.resolve(dst_addr).expect("10.2.2.117 deployed");
     let src_group = topo.group_of(src_addr).expect("source group");
     let dst_group = topo.group_of(dst_addr).expect("destination group");
-    let src_access = topo.groups[src_group.0].link.latency;
-    let dst_access = topo.groups[dst_group.0].link.latency;
+    let src_access = topo.groups()[src_group.0].link.latency;
+    let dst_access = topo.groups()[dst_group.0].link.latency;
     let group = topo.group_latency(src_group, dst_group);
 
     let world = PingWorld::new(d.net);

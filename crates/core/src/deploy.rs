@@ -80,7 +80,7 @@ pub fn deploy(
         net.add_machine(format!("gdx-{:03}", m + 1), admin);
     }
     let mut vnodes = Vec::with_capacity(topology.total_nodes());
-    for (gi, group) in topology.groups.iter().enumerate() {
+    for (gi, group) in topology.groups().iter().enumerate() {
         for _ in 0..group.node_count {
             let global_index = vnodes.len();
             let machine = p2plab_net::MachineId(global_index % spec.machines);
@@ -148,7 +148,7 @@ mod tests {
         // Every vnode's address must belong to its group's subnet.
         for &v in &d.vnodes {
             let vn = d.net.vnode(v);
-            let group = &topo.groups[vn.group().0];
+            let group = &topo.groups()[vn.group().0];
             assert!(group.subnet.contains(vn.addr));
         }
     }

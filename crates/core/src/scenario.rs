@@ -606,11 +606,6 @@ pub fn run_scenario<W: Workload + 'static>(
 
             let world = workload.build_world(deployment);
             let mut sim: Simulation<W::World, W::Event> = Simulation::new(world, spec.seed);
-            // Pre-size the event queue from the scenario's participant count. Arrivals and
-            // periodic rounds are one pending event per series, but packets in flight and
-            // per-participant timers (churn wakes, RPC timeouts) still grow with the
-            // population, and pre-sizing keeps the slab from regrowing mid-run.
-            sim.reserve_events((participants * 8).max(1024));
             if let Some(budget) = spec.event_budget {
                 sim.set_event_budget(budget);
             }

@@ -598,7 +598,7 @@ scenario.seed = [1, 2, 3]
             .iter()
             .all(|c| c.file.workload.kind() == "gossip"));
         // Loss override reaches the topology.
-        let loss = |c: &CampaignCell| c.file.spec.topology.groups[0].link.loss_rate;
+        let loss = |c: &CampaignCell| c.file.spec.topology.groups()[0].link.loss_rate;
         assert_eq!(loss(&cells[0]), 0.0);
         assert_eq!(loss(&cells[3]), 0.05);
         // Overrides are recorded for provenance.

@@ -1510,7 +1510,7 @@ mod tests {
         for &(name, link) in LINK_PROFILES {
             let text = minimal_gossip().replace("\"dsl-8m\"", &format!("{name:?}"));
             let file = ScenarioFile::parse(&text).unwrap();
-            assert_eq!(file.spec.topology.groups[0].link, link());
+            assert_eq!(file.spec.topology.groups()[0].link, link());
         }
     }
 
@@ -1605,7 +1605,7 @@ mean_downtime = \"20s\"
                congestion = \"aimd\"\n\
                reassembly_timeout = \"10s\"\n";
         let file = ScenarioFile::parse(&text).unwrap();
-        let link = file.spec.topology.groups[0].link;
+        let link = file.spec.topology.groups()[0].link;
         let c = link.condition.expect("condition was configured");
         assert_eq!(c.jitter, SimDuration::from_millis(3));
         assert_eq!(c.reorder_rate, 0.02);
@@ -1627,7 +1627,7 @@ mean_downtime = \"20s\"
             let file = ScenarioFile::parse(&text).unwrap();
             // Inert presets ("clean") normalize away; real ones survive verbatim.
             let want = if preset.is_noop() { None } else { Some(preset) };
-            assert_eq!(file.spec.topology.groups[0].link.condition, want);
+            assert_eq!(file.spec.topology.groups()[0].link.condition, want);
         }
         let text = minimal_gossip() + "[topology.condition]\npreset = \"solar-flare\"\n";
         let err = ScenarioFile::parse(&text).unwrap_err();

@@ -529,7 +529,7 @@ impl Workload for GossipShardedWorkload {
         }
         if spec
             .topology
-            .groups
+            .groups()
             .iter()
             .any(|g| g.link.condition.is_some())
         {
@@ -556,7 +556,7 @@ impl Workload for GossipShardedWorkload {
         // Per-node link parameters: node ids are assigned consecutively per group, in group
         // order (the same numbering the DSL's single-group topologies trivially satisfy).
         let mut links = Vec::with_capacity(spec.topology.total_nodes());
-        for group in &spec.topology.groups {
+        for group in spec.topology.groups() {
             let link = NodeLink {
                 latency: group.link.latency,
                 up_bps: group.link.up_bps,

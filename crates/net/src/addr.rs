@@ -122,6 +122,12 @@ impl Subnet {
     pub fn size(&self) -> u64 {
         1u64 << (32 - self.prefix)
     }
+
+    /// True if the two subnets share an address. Prefix subnets are nested or disjoint, so
+    /// they overlap when one holds the other's base.
+    pub(crate) fn overlaps(&self, other: &Subnet) -> bool {
+        self.contains(other.base) || other.contains(self.base)
+    }
 }
 
 impl fmt::Display for Subnet {

@@ -21,6 +21,12 @@ use crate::pipe::PipeId;
 use p2plab_sim::SimDuration;
 use std::ops::Deref;
 
+/// The range [dummy rules](Rule::dummy) match: `240.0.0.0/4`, reserved space that
+/// [`TopologySpec::add_group`](crate::topology::TopologySpec::add_group) never hands out.
+pub(crate) fn dummy_subnet() -> Subnet {
+    Subnet::new(VirtAddr::new(240, 0, 0, 0), 4)
+}
+
 /// Direction of a packet relative to the physical node evaluating the rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
@@ -68,8 +74,7 @@ impl Rule {
     /// A rule that never matches any real packet; used to reproduce the Figure 6 rule-count
     /// scaling experiment (the paper inserts large numbers of rules the ping traffic must scan).
     pub fn dummy() -> Rule {
-        // 240.0.0.0/4 is reserved space never assigned to virtual nodes.
-        let unused = Subnet::new(VirtAddr::new(240, 0, 0, 0), 4);
+        let unused = dummy_subnet();
         Rule {
             src: unused,
             dst: unused,

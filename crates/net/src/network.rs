@@ -414,7 +414,7 @@ pub struct Network {
 impl Network {
     /// Creates a network for the given topology.
     pub fn new(config: NetworkConfig, topology: TopologySpec) -> Network {
-        let groups = &topology.groups;
+        let groups = topology.groups();
         let links = groups
             .iter()
             .map(|g| {
@@ -441,7 +441,7 @@ impl Network {
             latencies,
             machines: Vec::new(),
             vnodes: Vec::new(),
-            members: vec![Vec::new(); topology.groups.len()],
+            members: vec![Vec::new(); topology.groups().len()],
             tampers: Vec::new(),
             listeners: FxHashSet::default(),
             conns: Vec::new(),
@@ -476,7 +476,7 @@ impl Network {
     pub fn reserve(&mut self, machines: usize, vnodes: usize) {
         self.machines.reserve(machines);
         self.vnodes.reserve(vnodes);
-        for (members, group) in self.members.iter_mut().zip(&self.topology.groups) {
+        for (members, group) in self.members.iter_mut().zip(self.topology.groups()) {
             members.reserve(group.node_count);
         }
     }
@@ -488,7 +488,7 @@ impl Network {
             admin_addr,
             nic_busy_until: self.nic.each_ref().map(Shaping::idle),
             nic_bytes: [0; 2],
-            group_rules_installed: vec![false; self.topology.groups.len()],
+            group_rules_installed: vec![false; self.topology.groups().len()],
             hosted: 0,
             rules: 0,
         });
@@ -537,7 +537,7 @@ impl Network {
                         .map(|g| g.0)
                         .filter(|&g| host.group_rules_installed[g]),
                 };
-                let groups = self.topology.groups.len();
+                let groups = self.topology.groups().len();
                 let latency = group
                     .map(|g| PipeId(g * groups + d.group as usize))
                     .filter(|pipe| !self.latencies[pipe.0].is_zero());
@@ -572,7 +572,7 @@ impl Network {
     pub fn add_vnode(&mut self, machine: MachineId, group: GroupId) -> Result<VNodeId, NetError> {
         let spec = self
             .topology
-            .groups
+            .groups()
             .get(group.0)
             .ok_or(NetError::UnknownGroup(group))?;
         if machine.0 >= self.machines.len() {
@@ -593,7 +593,7 @@ impl Network {
         m.rules += 2;
         let installed_group_rules = !std::mem::replace(&mut m.group_rules_installed[group.0], true);
         if installed_group_rules {
-            let n = self.topology.groups.len();
+            let n = self.topology.groups().len();
             let pairs = &self.latencies[group.0 * n..(group.0 + 1) * n];
             // Zero for the group itself, which therefore gets no rule.
             m.rules += pairs.iter().filter(|latency| !latency.is_zero()).count();
@@ -685,7 +685,7 @@ impl Network {
     /// group's subnet (node `k` sits at host index `k + 1`, see [`TopologySpec::node_addr`]).
     pub fn resolve(&self, addr: VirtAddr) -> Option<VNodeId> {
         let group = self.topology.group_of(addr)?;
-        let base = self.topology.groups[group.0].subnet.base;
+        let base = self.topology.groups()[group.0].subnet.base;
         let k = (addr.0 - base.0).checked_sub(1)?;
         let id = self.members[group.0].get(k as usize)?;
         Some(VNodeId(*id as usize))
@@ -1045,7 +1045,7 @@ mod tests {
             // Interleave groups and machines at random; some groups fill up, most do not.
             let mut model = BTreeMap::new();
             for _ in 0..rng.gen_range(0..80usize) {
-                let group = GroupId(rng.gen_range(0..topo.groups.len()));
+                let group = GroupId(rng.gen_range(0..topo.groups().len()));
                 let machine = machines[rng.gen_range(0..machines.len())];
                 let k = net.members[group.0].len();
                 match net.add_vnode(machine, group) {
@@ -1055,14 +1055,14 @@ mod tests {
                     }
                     Err(e) => {
                         prop_assert_eq!(e, NetError::GroupFull(group));
-                        prop_assert_eq!(k, topo.groups[group.0].node_count);
+                        prop_assert_eq!(k, topo.groups()[group.0].node_count);
                     }
                 }
             }
             let actual: BTreeMap<VirtAddr, VNodeId> =
                 net.vnodes().map(|(id, v)| (v.addr, id)).collect();
             prop_assert_eq!(&actual, &model);
-            for (gi, group) in topo.groups.iter().enumerate() {
+            for (gi, group) in topo.groups().iter().enumerate() {
                 // The network address (host 0), every assigned address, the next unassigned
                 // one and a stretch beyond it.
                 for host in 0..group.node_count as u32 + 3 {
@@ -1097,8 +1097,8 @@ mod tests {
                     let nodes = rng.gen_range(1..13usize);
                     topo.add_group(format!("g{g}"), subnet, nodes, AccessLinkClass::bittorrent_dsl());
                 }
-                for a in 0..topo.groups.len() {
-                    for b in a + 1..topo.groups.len() {
+                for a in 0..topo.groups().len() {
+                    for b in a + 1..topo.groups().len() {
                         if rng.chance(0.7) {
                             let latency = SimDuration::from_millis(rng.gen_range(1..100u64));
                             topo.set_group_latency(GroupId(a), GroupId(b), latency);
@@ -1107,14 +1107,14 @@ mod tests {
                 }
                 topo
             };
-            let groups = topo.groups.len();
+            let groups = topo.groups().len();
             let mut net = Network::new(NetworkConfig::default(), topo.clone());
             let machines = rng.gen_range(1..4usize);
             let mut twins = Vec::new();
             for m in 0..machines {
                 let admin = match rng.chance(0.5) {
                     true => {
-                        let group = &topo.groups[rng.gen_range(0..groups)];
+                        let group = &topo.groups()[rng.gen_range(0..groups)];
                         group.subnet.base.offset((group.node_count + 1 + m) as u32)
                     }
                     false => VirtAddr::new(192, 168, 38, m as u8 + 1),
@@ -1154,7 +1154,7 @@ mod tests {
                     }
                     _ => {
                         let g = rng.gen_range(0..groups);
-                        if members[g] == topo.groups[g].node_count {
+                        if members[g] == topo.groups()[g].node_count {
                             continue;
                         }
                         let id = net.add_vnode(MachineId(m), GroupId(g)).unwrap();
@@ -1169,7 +1169,7 @@ mod tests {
                                 if topo.group_latency(GroupId(g), GroupId(other)).is_zero() {
                                     continue;
                                 }
-                                let (src, dst) = (topo.groups[g].subnet, topo.groups[other].subnet);
+                                let (src, dst) = (topo.groups()[g].subnet, topo.groups()[other].subnet);
                                 let pipe = PipeId(g * groups + other);
                                 twin.add_rule(Rule::pipe(src, dst, Direction::Out, pipe));
                             }
@@ -1187,7 +1187,7 @@ mod tests {
     fn the_network_stores_no_pipe() {
         // Figure 7's five groups interleaved over three machines.
         let topo = TopologySpec::paper_figure7();
-        let groups = topo.groups.len();
+        let groups = topo.groups().len();
         let mut net = Network::new(NetworkConfig::default(), topo.clone());
         for m in 0..3u8 {
             net.add_machine(format!("pm{m}"), VirtAddr::new(192, 168, 38, m + 1));
@@ -1257,7 +1257,7 @@ mod tests {
         }
         // A packet through node 3's (10.2.0.0/16, 10 Mbps, 5 ms) download pipe writes that
         // pipe's clock in its record and nothing else.
-        let link = topo.groups[3].link;
+        let link = topo.groups()[3].link;
         let serialized = now + SimDuration::transmission(1250, link.down_bps);
         assert_eq!(
             net.enqueue(access_pipe(3, Direction::In), now, 1250, &mut rng),

@@ -9,6 +9,13 @@
 //! Sequence numbers are 16-bit and wrap; comparisons use serial-number arithmetic
 //! ([`seq_newer`]), so the scheme is sound as long as fewer than 2^15 fragments are in flight
 //! per (connection, direction, lane) — far beyond any window the congestion controllers allow.
+//!
+//! The sender's [`SentWindow`] stores only the fragments still unacknowledged, 24 bytes each,
+//! so its memory follows what is in flight. A fragment can get stuck there: one retransmitted
+//! after the receiver's `latest` moved more than 32 sequences past it is recorded by the
+//! receiver but covered by no later bitfield. The protocol keeps that behaviour as it is. The
+//! window's cap bounds it: an unacknowledged fragment is dropped 4,096 sends after it was
+//! sent, whether or not it is stuck.
 
 use p2plab_sim::SimTime;
 use std::collections::VecDeque;
@@ -115,11 +122,13 @@ impl AckTracker {
 
 /// One unacknowledged fragment on the sender side.
 #[derive(Debug, Clone, Copy)]
-struct SentEntry {
-    seq: u16,
+struct SentRecord {
     wire_bytes: u64,
     sent_at: SimTime,
-    acked: bool,
+    /// Send ordinal: the number of sends on this window before this one (wrapping; the cap
+    /// only compares ordinals less than [`SENT_WINDOW_CAP`] apart).
+    ordinal: u32,
+    seq: u16,
     /// Set when the fragment was retransmitted. Its eventual ack still credits the bytes, but
     /// yields no RTT sample (Karn's algorithm): the ack cannot be matched to a particular
     /// transmission, and sampling from the first one would fold retransmit backoffs into the
@@ -127,60 +136,74 @@ struct SentEntry {
     retransmitted: bool,
 }
 
+// Every unacknowledged fragment of every reliable lane direction holds one.
+const _: () = assert!(std::mem::size_of::<SentRecord>() <= 24);
+
 /// Send-side window of outstanding fragments: turns returning ack bitfields into
 /// `(bytes, rtt)` samples for the congestion controller.
 ///
-/// Entries are kept in send order; acknowledged prefixes are popped eagerly and the window is
-/// bounded (oldest entries fall off), so memory stays O(window) per (connection, direction,
-/// lane) regardless of traffic volume.
+/// The window stores only the **unacknowledged** fragments, in send order, each with its send
+/// ordinal. An ack credits and removes the ones its bitfield covers, so an ack visits only
+/// what it may credit.
+///
+/// The cap drops an unacknowledged fragment 4,096 sends after it was sent. That is the rule of
+/// a window that keeps every send, acknowledged or not, pops its acknowledged prefix after
+/// each ack and evicts its front at 4,096 entries: an unacknowledged entry stops the prefix,
+/// so it is the front exactly when 4,096 sends fill the window behind it, and evicting an
+/// acknowledged front changes nothing an ack can observe. A stuck fragment so costs one
+/// record, not one per send behind it.
+///
+/// Sequence numbers of the last 4,096 sends are distinct: the transport assigns them
+/// sequentially from a 16-bit space, sixteen times the cap.
 #[derive(Debug, Clone, Default)]
 pub struct SentWindow {
-    entries: VecDeque<SentEntry>,
+    /// Unacknowledged records, in send order.
+    unacked: VecDeque<SentRecord>,
+    /// Ordinal of the next send.
+    next: u32,
 }
 
-/// Bound on tracked in-flight fragments per lane direction; far beyond any cwnd the
-/// controllers reach, it only guards against pathological scenarios.
-const SENT_WINDOW_CAP: usize = 4096;
+/// Sends after which an unacknowledged fragment leaves the window; far beyond any cwnd the
+/// controllers reach, it only bounds stuck fragments and pathological scenarios.
+const SENT_WINDOW_CAP: u32 = 4096;
 
 impl SentWindow {
     /// Records a fragment handed to the wire at `sent_at`.
     pub fn on_sent(&mut self, seq: u16, wire_bytes: u64, sent_at: SimTime) {
-        if self.entries.len() >= SENT_WINDOW_CAP {
-            self.entries.pop_front();
+        // Ordinals are distinct and stored in order, so at most the oldest record comes due.
+        let due = |r: &SentRecord| self.next.wrapping_sub(r.ordinal) >= SENT_WINDOW_CAP;
+        if self.unacked.front().is_some_and(due) {
+            self.unacked.pop_front();
         }
-        self.entries.push_back(SentEntry {
-            seq,
+        self.unacked.push_back(SentRecord {
             wire_bytes,
             sent_at,
-            acked: false,
+            ordinal: self.next,
+            seq,
             retransmitted: false,
         });
+        self.next = self.next.wrapping_add(1);
     }
 
     /// Marks `seq` as retransmitted, excluding its eventual ack from RTT sampling (Karn's
-    /// algorithm).
+    /// algorithm). An acknowledged or evicted `seq` is not stored, so nothing changes.
     pub fn mark_retransmitted(&mut self, seq: u16) {
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.seq == seq) {
-            entry.retransmitted = true;
+        if let Some(record) = self.unacked.iter_mut().find(|r| r.seq == seq) {
+            record.retransmitted = true;
         }
     }
 
     /// Applies a received ack bitfield, invoking `on_acked(wire_bytes, sent_at)` once per
-    /// newly acknowledged fragment, then drops the acknowledged prefix. `sent_at` is `None`
-    /// for fragments that were retransmitted: the bytes count, the RTT sample does not.
+    /// newly acknowledged fragment, in send order, and forgets those fragments. `sent_at` is
+    /// `None` for fragments that were retransmitted: the bytes count, the RTT sample does not.
     pub fn on_ack(&mut self, field: &AckBitfield, mut on_acked: impl FnMut(u64, Option<SimTime>)) {
-        for entry in self.entries.iter_mut() {
-            if !entry.acked && field.contains(entry.seq) {
-                entry.acked = true;
-                on_acked(
-                    entry.wire_bytes,
-                    (!entry.retransmitted).then_some(entry.sent_at),
-                );
+        self.unacked.retain(|r| {
+            let acked = field.contains(r.seq);
+            if acked {
+                on_acked(r.wire_bytes, (!r.retransmitted).then_some(r.sent_at));
             }
-        }
-        while self.entries.front().is_some_and(|e| e.acked) {
-            self.entries.pop_front();
-        }
+            !acked
+        });
     }
 }
 
@@ -259,7 +282,7 @@ mod tests {
         for seq in 0..4u16 {
             w.on_sent(seq, 100, SimTime::from_millis(u64::from(seq)));
         }
-        assert_eq!(w.entries.len(), 4);
+        assert_eq!(w.unacked.len(), 4);
         // Ack 0, 1 and 3 (2 missing).
         let mut acked = Vec::new();
         let mut t = AckTracker::default();
@@ -272,14 +295,14 @@ mod tests {
         assert_eq!(acked.len(), 3);
         // None of these were retransmitted, so every ack carries an RTT anchor.
         assert!(acked.iter().all(|&(_, sent)| sent.is_some()));
-        // 2 is still unacked, so the prefix drain stops there.
-        assert_eq!(w.entries.len(), 2);
+        // Only 2 is still unacked.
+        assert_eq!(w.unacked.len(), 1);
         // Re-applying the same ack produces no new samples.
         w.on_ack(&t.bitfield(), |_, _| panic!("duplicate ack sample"));
         // Acking 2 drains everything.
         t.record(2);
         w.on_ack(&t.bitfield(), |_, _| {});
-        assert_eq!(w.entries.len(), 0);
+        assert_eq!(w.unacked.len(), 0);
     }
 
     #[test]
@@ -304,6 +327,41 @@ mod tests {
         for i in 0..(SENT_WINDOW_CAP + 10) {
             w.on_sent(i as u16, 1, SimTime::ZERO);
         }
-        assert_eq!(w.entries.len(), SENT_WINDOW_CAP);
+        assert_eq!(w.unacked.len(), SENT_WINDOW_CAP as usize);
+        // The cap evicted the ten oldest sends: an ack of them credits nothing.
+        for latest in 0..10 {
+            w.on_ack(&AckBitfield { latest, bits: 0 }, |_, _| {
+                panic!("evicted send acked")
+            });
+        }
+        assert_eq!(w.unacked.len(), SENT_WINDOW_CAP as usize);
+    }
+
+    #[test]
+    fn the_cap_drops_a_stuck_fragment_4096_sends_after_it() {
+        let mut w = SentWindow::default();
+        // Send 0 is lost and stays; 1..=3 are acknowledged behind it.
+        for seq in 0..4u16 {
+            w.on_sent(seq, 100, SimTime::ZERO);
+        }
+        w.on_ack(
+            &AckBitfield {
+                latest: 3,
+                bits: 0b11,
+            },
+            |_, _| {},
+        );
+        assert_eq!(w.unacked.len(), 1);
+        // Sends 4..4096 leave it in place: the window behind it is not full yet.
+        for seq in 4..SENT_WINDOW_CAP as u16 {
+            w.on_sent(seq, 100, SimTime::ZERO);
+        }
+        assert_eq!(w.unacked.front().map(|r| r.seq), Some(0));
+        // Send 4096 drops it; send 4097 drops nothing, for send 1 was acknowledged.
+        w.on_sent(SENT_WINDOW_CAP as u16, 100, SimTime::ZERO);
+        assert_eq!(w.unacked.front().map(|r| r.seq), Some(4));
+        w.on_sent(SENT_WINDOW_CAP as u16 + 1, 100, SimTime::ZERO);
+        assert_eq!(w.unacked.front().map(|r| r.seq), Some(4));
+        assert_eq!(w.unacked.len(), SENT_WINDOW_CAP as usize - 2);
     }
 }

@@ -7,6 +7,10 @@
 //! fragments (conditioner duplication, retransmit races) and malformed headers are ignored, so
 //! the layer never delivers a message it was not sent and never delivers one twice.
 //!
+//! A message's mask is one inline `u64` up to 64 fragments (a 16 KiB block at a 1,500-byte
+//! MTU is 11), so opening an assembly allocates nothing beyond its map slot; only a message
+//! of more than 64 fragments spills its mask to a heap slice of 64-bit blocks.
+//!
 //! Incomplete **unreliable-lane** messages are discarded after a configurable idle timeout
 //! ([`TransportConfig::reassembly_timeout`](super::TransportConfig)): the transport arms a
 //! timer on [`FragOutcome::Pending`]`{ first: true }` carrying a [`progress`](Reassembler::progress)
@@ -98,13 +102,41 @@ pub enum FragOutcome {
     Ignored,
 }
 
+/// Received fragment indices of one message: one inline word up to 64 fragments, 64-bit
+/// blocks on the heap above that.
+#[derive(Debug, Clone)]
+enum Mask {
+    Inline(u64),
+    Spilled(Box<[u64]>),
+}
+
+impl Mask {
+    fn new(count: u16) -> Mask {
+        match count {
+            0..=64 => Mask::Inline(0),
+            _ => Mask::Spilled(vec![0; usize::from(count).div_ceil(64)].into_boxed_slice()),
+        }
+    }
+
+    /// Sets the bit of `index`; returns whether it was clear.
+    fn insert(&mut self, index: u16) -> bool {
+        let word = match self {
+            Mask::Inline(word) => word,
+            Mask::Spilled(blocks) => &mut blocks[usize::from(index) / 64],
+        };
+        let bit = 1u64 << (index % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+}
+
 /// In-progress reassembly of one message.
 #[derive(Debug, Clone)]
 struct Entry {
     count: u16,
     received: u16,
-    /// Bitmask over fragment indices, in 64-bit blocks.
-    mask: Vec<u64>,
+    mask: Mask,
 }
 
 /// Receive-side fragment reassembly for one (connection, direction, lane).
@@ -136,7 +168,7 @@ impl Reassembler {
                 self.entries.entry(msg).or_insert_with(|| Entry {
                     count,
                     received: 0,
-                    mask: vec![0; usize::from(count).div_ceil(64)],
+                    mask: Mask::new(count),
                 }),
                 true,
             ),
@@ -145,11 +177,9 @@ impl Reassembler {
             // A fragment disagreeing with the entry's count is corrupt; keep the entry.
             return FragOutcome::Ignored;
         }
-        let (block, bit) = (usize::from(index) / 64, u64::from(index) % 64);
-        if entry.mask[block] & (1u64 << bit) != 0 {
+        if !entry.mask.insert(index) {
             return FragOutcome::Ignored;
         }
-        entry.mask[block] |= 1u64 << bit;
         entry.received += 1;
         if entry.received == entry.count {
             self.entries.remove(&msg);
@@ -318,11 +348,15 @@ mod tests {
 
     #[test]
     fn wide_messages_use_multiple_mask_blocks() {
-        let mut r = Reassembler::default();
-        let count = 130u16;
-        for i in 0..count - 1 {
-            assert!(matches!(r.accept(0, i, count), FragOutcome::Pending { .. }));
+        for count in [64u16, 65, 130] {
+            let mut r = Reassembler::default();
+            for i in 0..count - 1 {
+                assert!(matches!(r.accept(0, i, count), FragOutcome::Pending { .. }));
+                assert_eq!(r.accept(0, i, count), FragOutcome::Ignored, "duplicate {i}");
+            }
+            let spilled = matches!(r.entries[&0].mask, Mask::Spilled(_));
+            assert_eq!(spilled, count > 64, "{count} fragments");
+            assert_eq!(r.accept(0, count - 1, count), FragOutcome::Complete);
         }
-        assert_eq!(r.accept(0, count - 1, count), FragOutcome::Complete);
     }
 }

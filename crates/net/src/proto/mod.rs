@@ -36,6 +36,7 @@ pub use frag::{
     fragment_count, fragment_size, FragHeader, FragOutcome, Reassembler, FRAG_HEADER_BYTES,
 };
 
+use crate::lane::LaneKind;
 use p2plab_sim::{SimDuration, SimTime};
 
 /// Protocol-depth configuration of the transport, carried inside
@@ -114,8 +115,9 @@ pub struct ProtoHalf {
     pub pace_until: SimTime,
     /// The congestion controller of this direction.
     pub cc: CcState,
-    /// Per-lane protocol state, indexed by [`LaneKind::index`](crate::lane::LaneKind::index).
-    pub lanes: [LaneProto; 3],
+    /// Per-lane protocol state, indexed by [`LaneKind::index`]. A lane's record is allocated
+    /// by the lane's first fragment or ack in this direction: a swarm uses one lane of three.
+    lanes: [Option<Box<LaneProto>>; 3],
 }
 
 impl ProtoHalf {
@@ -125,6 +127,18 @@ impl ProtoHalf {
             cc: CcState::new(kind),
             lanes: Default::default(),
         }
+    }
+
+    /// The protocol state of `lane`, allocated on first use.
+    pub(crate) fn lane_mut(&mut self, lane: LaneKind) -> &mut LaneProto {
+        self.lanes[lane.index()].get_or_insert_with(Default::default)
+    }
+
+    /// The congestion controller together with `lane`'s state: an ack credits the one from
+    /// the other's sender window.
+    pub(crate) fn cc_and_lane(&mut self, lane: LaneKind) -> (&mut CcState, &mut LaneProto) {
+        let state = self.lanes[lane.index()].get_or_insert_with(Default::default);
+        (&mut self.cc, state)
     }
 }
 
@@ -139,6 +153,9 @@ pub struct ProtoConn {
     /// The two flow directions.
     pub halves: [ProtoHalf; 2],
 }
+
+// One per connection that carried a fragment; a lane's state is a separate allocation.
+const _: () = assert!(std::mem::size_of::<ProtoConn>() <= 192);
 
 impl ProtoConn {
     /// Fresh protocol state with both directions using the given congestion controller.
@@ -157,7 +174,6 @@ pub fn flow_dir(sender_is_client: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane::LaneKind;
 
     #[test]
     fn default_config_is_inactive() {
@@ -183,10 +199,31 @@ mod tests {
 
     #[test]
     fn proto_conn_initial_state() {
-        let p = ProtoConn::new(CcKind::Aimd);
+        let mut p = ProtoConn::new(CcKind::Aimd);
         assert_eq!(p.halves[0].pace_until, SimTime::ZERO);
-        let lane = &p.halves[0].lanes[LaneKind::ReliableOrdered.index()];
+        let allocated = |p: &ProtoConn| {
+            p.halves
+                .each_ref()
+                .map(|h| h.lanes.each_ref().map(Option::is_some))
+        };
+        assert_eq!(
+            allocated(&p),
+            [[false; 3]; 2],
+            "no lane is allocated up front"
+        );
+        let lane = p.halves[0].lane_mut(LaneKind::ReliableOrdered);
         assert_eq!(lane.send.next_seq, 0);
         assert_eq!(lane.send.next_msg, 0);
+        lane.send.next_seq = 7;
+        // First use allocates that lane alone, and later lookups find the same state.
+        assert_eq!(
+            p.halves[0]
+                .cc_and_lane(LaneKind::ReliableOrdered)
+                .1
+                .send
+                .next_seq,
+            7
+        );
+        assert_eq!(allocated(&p), [[true, false, false], [false; 3]]);
     }
 }

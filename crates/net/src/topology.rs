@@ -7,6 +7,7 @@
 //! machine dummynet pipes and IPFW rules.
 
 use crate::addr::{Subnet, VirtAddr};
+use crate::firewall::dummy_subnet;
 use crate::proto::LinkCondition;
 use p2plab_sim::SimDuration;
 use std::collections::BTreeMap;
@@ -109,8 +110,8 @@ pub struct GroupSpec {
 /// A full topology: groups plus pairwise inter-group latency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
-    /// The node groups.
-    pub groups: Vec<GroupSpec>,
+    /// The node groups, in id order; only [`add_group`](TopologySpec::add_group) adds one.
+    groups: Vec<GroupSpec>,
     /// One-way latency added between two groups (symmetric; missing entries mean no added
     /// latency). Keys are stored with the smaller group id first.
     inter_group_latency: BTreeMap<(usize, usize), SimDuration>,
@@ -125,8 +126,9 @@ impl TopologySpec {
         }
     }
 
-    /// Adds a group and returns its id. Its subnet must hold its `node_count` addresses and be
-    /// disjoint from every earlier group's.
+    /// Adds a group and returns its id. Its subnet must hold its `node_count` addresses, be
+    /// disjoint from every earlier group's and lie outside `240.0.0.0/4`, the range dummy rules
+    /// match.
     pub fn add_group(
         &mut self,
         name: impl Into<String>,
@@ -138,12 +140,16 @@ impl TopologySpec {
             (node_count as u64) < subnet.size(),
             "group does not fit in its subnet"
         );
-        // Prefix subnets are nested or disjoint: two overlap when one holds the other's base.
         // Disjoint, an address matches one group's rules at most.
         assert!(
-            (self.groups.iter())
-                .all(|g| !g.subnet.contains(subnet.base) && !subnet.contains(g.subnet.base)),
+            self.groups.iter().all(|g| !g.subnet.overlaps(&subnet)),
             "group subnet overlaps an earlier group's"
+        );
+        // The reference walk stops at the first dummy rule a packet matches, while the
+        // rule charge counts every rule: no packet between two nodes may match one.
+        assert!(
+            !subnet.overlaps(&dummy_subnet()),
+            "group subnet overlaps 240.0.0.0/4, the range dummy rules match"
         );
         self.groups.push(GroupSpec {
             name: name.into(),
@@ -181,6 +187,11 @@ impl TopologySpec {
         self.inter_group_latency
             .iter()
             .map(|(&(a, b), &d)| (GroupId(a), GroupId(b), d))
+    }
+
+    /// The node groups, indexed by [`GroupId`].
+    pub fn groups(&self) -> &[GroupSpec] {
+        &self.groups
     }
 
     /// Total number of virtual nodes.
@@ -396,6 +407,18 @@ mod tests {
         t.add_group(
             "inner",
             "10.9.0.0/16".parse().unwrap(),
+            2,
+            AccessLinkClass::bittorrent_dsl(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "240.0.0.0/4")]
+    fn group_subnets_must_avoid_the_dummy_rule_range() {
+        let mut t = TopologySpec::uniform("lan", 2, AccessLinkClass::bittorrent_dsl());
+        t.add_group(
+            "reserved",
+            "240.1.0.0/16".parse().unwrap(),
             2,
             AccessLinkClass::bittorrent_dsl(),
         );

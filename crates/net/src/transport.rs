@@ -35,7 +35,7 @@ use crate::network::{ConnId, ConnState, NetError, Network, VNodeId};
 use crate::pipe::{EnqueueOutcome, PipeId};
 use crate::proto::{
     flow_dir, fragment_count, fragment_size, AckBitfield, CongestionController, FragOutcome,
-    ProtoHalf, FRAG_HEADER_BYTES,
+    FRAG_HEADER_BYTES,
 };
 use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 
@@ -172,7 +172,8 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
                 let net = sim.world_mut().network();
                 let timeout = net.config().transport.reassembly_timeout;
                 let current = net.proto_existing(conn).and_then(|p| {
-                    p.halves[usize::from(dir)].lanes[lane.index()]
+                    p.halves[usize::from(dir)]
+                        .lane_mut(lane)
                         .recv
                         .assembly
                         .progress(msg)
@@ -200,7 +201,8 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
                     Some(_) => {
                         let net = sim.world_mut().network();
                         if let Some(p) = net.proto_existing(conn) {
-                            p.halves[usize::from(dir)].lanes[lane.index()]
+                            p.halves[usize::from(dir)]
+                                .lane_mut(lane)
                                 .recv
                                 .assembly
                                 .expire(msg);
@@ -611,14 +613,15 @@ fn proto_send<W: NetHost>(
     let mut plans = Vec::with_capacity(usize::from(count));
     {
         let half = &mut net.proto_mut(conn).halves[dir];
-        msg = half.lanes[lane.index()].send.next_msg;
-        half.lanes[lane.index()].send.next_msg = msg.wrapping_add(1);
+        let lane_send = &mut half.lane_mut(lane).send;
+        msg = lane_send.next_msg;
+        lane_send.next_msg = msg.wrapping_add(1);
+        let first_seq = lane_send.next_seq;
+        lane_send.next_seq = first_seq.wrapping_add(count);
         for index in 0..count {
             let frag_size = fragment_size(size, mtu, index, count);
             let wire = frag_size + lane.header_bytes() + FRAG_HEADER_BYTES;
-            let lane_send = &mut half.lanes[lane.index()].send;
-            let seq = lane_send.next_seq;
-            lane_send.next_seq = seq.wrapping_add(1);
+            let seq = first_seq.wrapping_add(index);
             let release = half.pace_until.max(now);
             let spacing = half.cc.send_spacing(wire);
             half.pace_until = release + spacing;
@@ -674,7 +677,7 @@ fn release_fragment<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload
         let half = &mut net.proto_mut(conn).halves[flow_dir(sender_is_client)];
         half.cc.on_send(wire);
         if lane.reliable() {
-            half.lanes[lane.index()].send.window.on_sent(seq, wire, now);
+            half.lane_mut(lane).send.window.on_sent(seq, wire, now);
         }
     }
     transmit(sim, flight, SimDuration::ZERO);
@@ -882,7 +885,7 @@ fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>
                 half.cc.on_loss();
                 // Karn's algorithm: the retried fragment's eventual ack must not produce an
                 // RTT sample, or retransmit backoffs would inflate srtt and stall the pacer.
-                half.lanes[lane.index()].send.window.mark_retransmitted(seq);
+                half.lane_mut(lane).send.window.mark_retransmitted(seq);
             } else {
                 net.stats.retransmissions += 1;
             }
@@ -912,7 +915,7 @@ fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>
                         .connection(conn)
                         .is_some_and(|c| c.client.0 == flight.src);
                     let half = &mut net.proto_mut(conn).halves[flow_dir(sender_is_client)];
-                    newly_dead = half.lanes[lane.index()].recv.assembly.abandon(msg);
+                    newly_dead = half.lane_mut(lane).recv.assembly.abandon(msg);
                 }
             }
             if newly_dead {
@@ -1022,7 +1025,7 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
             let reassembly_timeout = net.config().transport.reassembly_timeout;
             let (outcome, ack_field) = {
                 let proto = net.proto_mut(conn);
-                let lane_recv = &mut proto.halves[dir].lanes[lane.index()].recv;
+                let lane_recv = &mut proto.halves[dir].lane_mut(lane).recv;
                 lane_recv.ack.record(seq);
                 let field = lane.reliable().then(|| lane_recv.ack.bitfield());
                 (lane_recv.assembly.accept(msg, index, count), field)
@@ -1091,15 +1094,12 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
             let Some(proto) = net.proto_existing(conn) else {
                 return;
             };
-            let ProtoHalf { cc, lanes, .. } = &mut proto.halves[dir];
-            lanes[lane.index()]
-                .send
-                .window
-                .on_ack(&ack, |wire_bytes, sent_at| {
-                    // `sent_at` is None for retransmitted fragments: bytes credited, no RTT
-                    // sample (Karn's algorithm).
-                    cc.on_ack(wire_bytes, sent_at.map(|s| now - s));
-                });
+            let (cc, state) = proto.halves[dir].cc_and_lane(lane);
+            state.send.window.on_ack(&ack, |wire_bytes, sent_at| {
+                // `sent_at` is None for retransmitted fragments: bytes credited, no RTT
+                // sample (Karn's algorithm).
+                cc.on_ack(wire_bytes, sent_at.map(|s| now - s));
+            });
         }
         Frame::Fin { conn } => {
             // The initiator already marked the connection closed before sending the FIN; the

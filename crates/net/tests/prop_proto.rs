@@ -1,6 +1,7 @@
 //! Property-based tests of the protocol-depth layer: fragment-header and ack-bitfield wire
-//! round-trips, fragment-plan arithmetic, and the reassembler/ack-tracker invariants under
-//! arbitrary (including adversarial) input sequences.
+//! round-trips, fragment-plan arithmetic, the reassembler/ack-tracker invariants under
+//! arbitrary (including adversarial) input sequences, and the sender window and reassembler
+//! against reference twins that store everything they are given.
 
 #![allow(
     clippy::disallowed_types,
@@ -11,8 +12,263 @@ use p2plab_net::proto::{
     fragment_count, fragment_size, seq_newer, AckBitfield, AckTracker, FragHeader, FragOutcome,
     Reassembler, SentWindow,
 };
-use p2plab_sim::SimTime;
+use p2plab_sim::{SimRng, SimTime};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet, VecDeque};
+
+/// One send in the [`ReferenceSentWindow`], acknowledged or not.
+struct ReferenceEntry {
+    seq: u16,
+    wire_bytes: u64,
+    sent_at: SimTime,
+    acked: bool,
+    retransmitted: bool,
+}
+
+/// The sender window written out in full: every send is kept, acknowledged or not, until the
+/// acknowledged prefix is dropped or the 4,096-entry cap evicts the front; an ack scans every
+/// entry.
+#[derive(Default)]
+struct ReferenceSentWindow {
+    entries: VecDeque<ReferenceEntry>,
+}
+
+impl ReferenceSentWindow {
+    fn on_sent(&mut self, seq: u16, wire_bytes: u64, sent_at: SimTime) {
+        if self.entries.len() >= 4096 {
+            self.entries.pop_front();
+        }
+        self.entries.push_back(ReferenceEntry {
+            seq,
+            wire_bytes,
+            sent_at,
+            acked: false,
+            retransmitted: false,
+        });
+    }
+
+    fn mark_retransmitted(&mut self, seq: u16) {
+        if let Some(entry) = self.entries.iter_mut().find(|e| e.seq == seq) {
+            entry.retransmitted = true;
+        }
+    }
+
+    fn on_ack(&mut self, field: &AckBitfield, mut on_acked: impl FnMut(u64, Option<SimTime>)) {
+        for entry in self.entries.iter_mut() {
+            if !entry.acked && field.contains(entry.seq) {
+                entry.acked = true;
+                on_acked(
+                    entry.wire_bytes,
+                    (!entry.retransmitted).then_some(entry.sent_at),
+                );
+            }
+        }
+        while self.entries.front().is_some_and(|e| e.acked) {
+            self.entries.pop_front();
+        }
+    }
+}
+
+/// The reassembler written out in full: a heap mask of 64-bit blocks per open message.
+#[derive(Default)]
+struct ReferenceReassembler {
+    entries: HashMap<u16, (u16, u16, Vec<u64>)>,
+    completed: HashSet<u16>,
+}
+
+impl ReferenceReassembler {
+    fn accept(&mut self, msg: u16, index: u16, count: u16) -> FragOutcome {
+        if count == 0 || index >= count || self.completed.contains(&msg) {
+            return FragOutcome::Ignored;
+        }
+        if count == 1 {
+            self.finish(msg);
+            return FragOutcome::Complete;
+        }
+        let first = !self.entries.contains_key(&msg);
+        let (entry_count, received, mask) = self
+            .entries
+            .entry(msg)
+            .or_insert_with(|| (count, 0, vec![0; usize::from(count).div_ceil(64)]));
+        if *entry_count != count {
+            return FragOutcome::Ignored;
+        }
+        let (block, bit) = (usize::from(index) / 64, u64::from(index) % 64);
+        if mask[block] & (1u64 << bit) != 0 {
+            return FragOutcome::Ignored;
+        }
+        mask[block] |= 1u64 << bit;
+        *received += 1;
+        if *received == count {
+            self.entries.remove(&msg);
+            self.finish(msg);
+            FragOutcome::Complete
+        } else {
+            FragOutcome::Pending { first }
+        }
+    }
+
+    fn expire(&mut self, msg: u16) -> bool {
+        self.entries.remove(&msg).is_some()
+    }
+
+    fn abandon(&mut self, msg: u16) -> bool {
+        if self.completed.contains(&msg) {
+            return false;
+        }
+        self.entries.remove(&msg);
+        self.finish(msg);
+        true
+    }
+
+    fn progress(&self, msg: u16) -> Option<u16> {
+        self.entries.get(&msg).map(|e| e.1)
+    }
+
+    fn finish(&mut self, msg: u16) {
+        self.completed.insert(msg);
+        self.completed.remove(&msg.wrapping_add(0x8000));
+    }
+}
+
+fn any_u16(rng: &mut SimRng) -> u16 {
+    rng.gen_range(0..=u32::from(u16::MAX)) as u16
+}
+
+/// Runs a [`SentWindow`] and its [`ReferenceSentWindow`] twin through `sends` random sends
+/// interleaved with retransmit marks and acks, and asserts that every ack makes the same
+/// `(wire_bytes, sent_at)` callbacks in the same order on both.
+///
+/// Sequence numbers start anywhere (so some runs wrap), mostly ascend, and are sometimes held
+/// back and sent later or skipped. A lossy receiver takes in-flight fragments in random order
+/// and builds its bitfields with an [`AckTracker`]; the sender gets the newest of them, a
+/// stale one, none for a while, or a bitfield around an arbitrary earlier send (which may be
+/// acknowledged or evicted by then). Retransmit marks name fragments in flight, fragments
+/// sent long ago and arbitrary sequences. Past 4,096 sends the cap evicts fronts that are
+/// acknowledged as well as ones that are not; a final sweep acknowledges every send the twin
+/// may still hold.
+fn window_matches_its_twin(seed: u64, sends: usize) {
+    let mut rng = SimRng::new(seed);
+    let (mut window, mut twin) = (SentWindow::default(), ReferenceSentWindow::default());
+    let mut receiver = AckTracker::default();
+    let loss = rng.gen_range(0.0..0.4);
+    let mut next_seq = any_u16(&mut rng);
+    let (mut held, mut history, mut in_flight, mut fields) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let ack = |window: &mut SentWindow, twin: &mut ReferenceSentWindow, field, sent| {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        window.on_ack(&field, |bytes, at| got.push((bytes, at)));
+        twin.on_ack(&field, |bytes, at| want.push((bytes, at)));
+        assert_eq!(got, want, "seed {seed}: {field:?} after {sent} sends");
+    };
+    let mut now = 0;
+    while history.len() < sends {
+        now += 1;
+        match rng.gen_range(0..100u32) {
+            0..=44 => {
+                let seq = if !held.is_empty() && rng.chance(0.3) {
+                    held.swap_remove(rng.gen_range(0..held.len()))
+                } else {
+                    loop {
+                        let seq = next_seq;
+                        next_seq = next_seq.wrapping_add(1);
+                        if rng.chance(0.04) {
+                            held.push(seq);
+                        } else if !rng.chance(0.02) {
+                            break seq;
+                        }
+                    }
+                };
+                let bytes = rng.gen_range(1..3_000u64);
+                let at = SimTime::from_nanos(now);
+                window.on_sent(seq, bytes, at);
+                twin.on_sent(seq, bytes, at);
+                history.push(seq);
+                in_flight.push(seq);
+            }
+            45..=54 => {
+                let seq = match rng.gen_range(0..4u32) {
+                    0 if !in_flight.is_empty() => in_flight[rng.gen_range(0..in_flight.len())],
+                    1 | 2 if !history.is_empty() => history[rng.gen_range(0..history.len())],
+                    _ => any_u16(&mut rng),
+                };
+                window.mark_retransmitted(seq);
+                twin.mark_retransmitted(seq);
+                if rng.chance(0.5) {
+                    in_flight.push(seq);
+                }
+            }
+            55..=84 if !in_flight.is_empty() => {
+                let seq = in_flight.swap_remove(rng.gen_range(0..in_flight.len()));
+                if !rng.chance(loss) {
+                    receiver.record(seq);
+                    fields.push(receiver.bitfield());
+                }
+            }
+            85..=96 if !fields.is_empty() => {
+                let field = match rng.gen_range(0..10u32) {
+                    6 | 7 => fields[rng.gen_range(0..fields.len())],
+                    8 | 9 if !history.is_empty() => AckBitfield {
+                        latest: history[rng.gen_range(0..history.len())],
+                        bits: rng.gen_range(0..=u64::from(u32::MAX)) as u32,
+                    },
+                    _ => fields[fields.len() - 1],
+                };
+                ack(&mut window, &mut twin, field, history.len());
+            }
+            _ => {}
+        }
+    }
+    for &latest in history.iter().rev().take(4_200) {
+        let field = AckBitfield {
+            latest,
+            bits: u32::MAX,
+        };
+        ack(&mut window, &mut twin, field, history.len());
+    }
+}
+
+/// Runs a [`Reassembler`] and its [`ReferenceReassembler`] twin through 600 random calls and
+/// asserts equal answers. Messages are drawn from a few ids and their opposites in the
+/// sequence space (so completed ids are forgotten), with counts on both sides of 64,
+/// mostly valid indices, and some malformed or count-disagreeing fragments.
+fn reassembler_matches_its_twin(seed: u64) {
+    let mut rng = SimRng::new(seed);
+    let (mut r, mut twin) = (Reassembler::default(), ReferenceReassembler::default());
+    let counts: Vec<u16> = (0..6)
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => rng.gen_range(1..=3u32) as u16,
+            1 => rng.gen_range(60..=64u32) as u16,
+            2 => rng.gen_range(65..=70u32) as u16,
+            _ => rng.gen_range(2..=200u32) as u16,
+        })
+        .collect();
+    for step in 0..600 {
+        let slot = rng.gen_range(0..counts.len());
+        let msg = (slot as u16).wrapping_add(if rng.chance(0.1) { 0x8000 } else { 0 });
+        let what = format!("seed {seed} step {step} msg {msg}");
+        match rng.gen_range(0..100u32) {
+            0..=84 => {
+                let mut count = counts[slot];
+                if rng.chance(0.03) {
+                    count = rng.gen_range(0..=200u32) as u16;
+                }
+                let index = if rng.chance(0.03) {
+                    count.saturating_add(rng.gen_range(0..3u32) as u16)
+                } else {
+                    rng.gen_range(0..u32::from(count.max(1))) as u16
+                };
+                let want = twin.accept(msg, index, count);
+                assert_eq!(r.accept(msg, index, count), want, "{what}: {index}/{count}");
+            }
+            85..=89 => assert_eq!(r.expire(msg), twin.expire(msg), "{what}: expire"),
+            90..=92 => assert_eq!(r.abandon(msg), twin.abandon(msg), "{what}: abandon"),
+            _ => {}
+        }
+        assert_eq!(r.progress(msg), twin.progress(msg), "{what}: progress");
+        assert_eq!(r.pending(), twin.entries.len(), "{what}: pending");
+    }
+}
 
 proptest! {
     /// Fragment headers survive an encode → decode round-trip for every field value.
@@ -137,5 +393,19 @@ proptest! {
             w.on_ack(&AckBitfield { latest, bits: u32::MAX }, |_, _| rest += 1);
         }
         prop_assert_eq!(acked.len() + rest, sends.len());
+    }
+
+    /// The sender window makes the same ack callbacks as its twin; one case in eight sends
+    /// more than 4,200 fragments, so the cap evicts acknowledged and unacknowledged fronts.
+    #[test]
+    fn sent_window_equals_the_reference(seed in any::<u64>(), long in 0u32..8) {
+        let sends = if long == 0 { 4_200 + (seed % 600) as usize } else { 1 + (seed % 600) as usize };
+        window_matches_its_twin(seed, sends);
+    }
+
+    /// The reassembler answers every call as its twin does, inline and spilled masks alike.
+    #[test]
+    fn reassembler_equals_the_reference(seed in any::<u64>()) {
+        reassembler_matches_its_twin(seed);
     }
 }

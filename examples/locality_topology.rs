@@ -15,7 +15,7 @@ use p2plab::net::{NetworkConfig, TopologySpec};
 fn main() {
     let topo = TopologySpec::paper_figure7();
     println!("Topology groups:");
-    for (i, g) in topo.groups.iter().enumerate() {
+    for (i, g) in topo.groups().iter().enumerate() {
         println!(
             "  group {}: {:28} {} nodes, {:>9} bps down / {:>9} bps up, {} latency",
             i, g.name, g.node_count, g.link.down_bps, g.link.up_bps, g.link.latency
@@ -25,7 +25,9 @@ fn main() {
     for (a, b, d) in topo.group_latencies() {
         println!(
             "  {} <-> {}: {}",
-            topo.groups[a.0].name, topo.groups[b.0].name, d
+            topo.groups()[a.0].name,
+            topo.groups()[b.0].name,
+            d
         );
     }
 

@@ -60,7 +60,7 @@ fn figure7_topology_deploys_with_paper_rule_accounting() {
             "machine {m}: {rules} rules for {hosted} nodes"
         );
         assert!(
-            rules <= 2 * hosted + 4 * topo.groups.len(),
+            rules <= 2 * hosted + 4 * topo.groups().len(),
             "machine {m}: {rules} rules for {hosted} nodes"
         );
     }
@@ -84,14 +84,17 @@ fn figure7_ping_rtt_equals_the_configured_path_to_the_nanosecond() {
             .map(|(_, v)| v.group().0)
             .collect();
         let latency_rules = (hosted.iter())
-            .flat_map(|&g| (0..topo.groups.len()).map(move |h| (g, h)))
+            .flat_map(|&g| (0..topo.groups().len()).map(move |h| (g, h)))
             .filter(|&(g, h)| !topo.group_latency(GroupId(g), GroupId(h)).is_zero())
             .count();
         2 * net.machine(machine).hosted() + latency_rules + dummies
     };
     let one_way = |net: &Network, topo: &TopologySpec, dummies: usize, from, to| {
         let (a, b) = (net.vnode(from), net.vnode(to));
-        let (up, down) = (topo.groups[a.group().0].link, topo.groups[b.group().0].link);
+        let (up, down) = (
+            topo.groups()[a.group().0].link,
+            topo.groups()[b.group().0].link,
+        );
         let mut path = SimDuration::transmission(wire, up.up_bps)
             + up.latency
             + topo.group_latency(a.group(), b.group())

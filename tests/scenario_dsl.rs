@@ -91,7 +91,7 @@ fn golden_example_fields() {
     assert_eq!(swarm.spec.seed, 7);
     // 12 leechers + 2 seeders + 1 tracker.
     assert_eq!(swarm.spec.topology.total_nodes(), 15);
-    assert_eq!(swarm.spec.topology.groups[0].link.down_bps, 8_000_000);
+    assert_eq!(swarm.spec.topology.groups()[0].link.down_bps, 8_000_000);
     match &swarm.workload {
         WorkloadConfig::Swarm(cfg) => {
             assert_eq!(cfg.leechers, 12);
@@ -101,7 +101,7 @@ fn golden_example_fields() {
     }
 
     let gossip = ScenarioFile::parse(&example("scenarios/gossip_flash_crowd.toml")).unwrap();
-    assert_eq!(gossip.spec.topology.groups[0].link.loss_rate, 0.01);
+    assert_eq!(gossip.spec.topology.groups()[0].link.loss_rate, 0.01);
     assert!(matches!(
         gossip.spec.arrivals,
         Some(ArrivalSpec::FlashCrowd { .. })
@@ -131,7 +131,7 @@ fn paper_scenario_files_carry_the_papers_parameters() {
     assert_eq!(fig8.spec.deployment.machines, s.total_vnodes());
     assert_eq!(fig8.spec.folding_ratio(), 1.0);
     // The DSL link of the paper, spelled as rates so an override can change them.
-    let link = fig8.spec.topology.groups[0].link;
+    let link = fig8.spec.topology.groups()[0].link;
     assert_eq!(link, AccessLinkClass::bittorrent_dsl());
 
     let fig10 = ScenarioFile::parse(&example("scenarios/paper_fig10.toml")).unwrap();
@@ -142,7 +142,7 @@ fn paper_scenario_files_carry_the_papers_parameters() {
     assert_eq!(fig10.spec.deployment.machines, 180);
     assert!(fig10.spec.folding_ratio() <= 32.0);
     assert_eq!(s.start_interval, SimDuration::from_millis(250));
-    assert_eq!(fig10.spec.topology.groups[0].link, link);
+    assert_eq!(fig10.spec.topology.groups()[0].link, link);
     assert_eq!(s.file_bytes, swarm(&fig8).file_bytes);
 }
 
