@@ -124,11 +124,10 @@ mod tests {
         let (a, b) = (vnodes[0], vnodes[1]);
         let mut sim: p2plab_net::NetSim<PingWorld> = Simulation::new(PingWorld::new(net), 1);
         for i in 0..20 {
-            // A single probe: a series with nothing left to re-arm, so its rank is unused.
+            // A single probe: a series with nothing left to re-arm.
             let probe = PingTimer::Probe {
                 from: a,
                 to: b,
-                rank: 0,
                 left: 0,
                 interval: SimDuration::ZERO,
             };

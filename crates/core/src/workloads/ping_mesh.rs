@@ -193,7 +193,6 @@ impl Workload for PingMeshWorkload {
             let probe = PingTimer::Probe {
                 from: VNodeId(i),
                 to: VNodeId(j),
-                rank,
                 left,
                 interval,
             };
@@ -396,7 +395,6 @@ mod tests {
                     let probe = PingTimer::Probe {
                         from: VNodeId(i),
                         to: VNodeId(j),
-                        rank: 0,
                         left: 0,
                         interval: SimDuration::ZERO,
                     };

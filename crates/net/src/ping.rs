@@ -36,17 +36,16 @@ pub enum PingPayload {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PingTimer {
     /// A probe series: send one echo request from `from` to `to` ([`ping`]), then, while
-    /// `left > 0`, re-arm `interval` later at queue rank `rank + 1` with one fewer left. One
-    /// series is one pending event whatever its length, and its ranks — reserved with
-    /// [`Simulation::reserve_ranks`] — keep it in the order scheduling every request up front
-    /// would give. A single probe is a series with `left = 0`.
+    /// `left > 0`, re-arm `interval` later at the queue rank after its own
+    /// ([`Simulation::firing_rank`]) with one fewer left. One series is one pending event
+    /// whatever its length, and its ranks — reserved with [`Simulation::reserve_ranks`] — keep
+    /// it in the order scheduling every request up front would give. A single probe is a
+    /// series with `left = 0`.
     Probe {
         /// The pinging node.
         from: VNodeId,
         /// The pinged node.
         to: VNodeId,
-        /// This request's queue rank; the series' later requests take the ranks after it.
-        rank: u64,
         /// Requests the series still sends after this one.
         left: u32,
         /// Spacing between the series' requests.
@@ -148,7 +147,6 @@ impl NetHost for PingWorld {
         let PingTimer::Probe {
             from,
             to,
-            rank,
             left,
             interval,
         } = timer;
@@ -157,12 +155,12 @@ impl NetHost for PingWorld {
             let next = PingTimer::Probe {
                 from,
                 to,
-                rank: rank + 1,
                 left: left - 1,
                 interval,
             };
             let at = sim.now() + interval;
-            sim.schedule_event_ranked(at, rank + 1, NetEvent::Timer(next));
+            let rank = sim.firing_rank() + 1;
+            sim.schedule_event_ranked(at, rank, NetEvent::Timer(next));
         }
     }
 }
@@ -200,7 +198,6 @@ pub fn ping_series(
         let probe = PingTimer::Probe {
             from,
             to,
-            rank,
             left: u32::try_from(left).expect("a ping series fits in u32 requests"),
             interval,
         };

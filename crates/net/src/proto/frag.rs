@@ -11,6 +11,10 @@
 //! MTU is 11), so opening an assembly allocates nothing beyond its map slot; only a message
 //! of more than 64 fragments spills its mask to a heap slice of 64-bit blocks.
 //!
+//! The [`Reassembler`] keeps its window of completed message ids as sorted, disjoint ranges:
+//! a lane's messages complete nearly in order, so it holds about one range, plus one per
+//! message still open behind the newest completed one.
+//!
 //! Incomplete **unreliable-lane** messages are discarded after a configurable idle timeout
 //! ([`TransportConfig::reassembly_timeout`](super::TransportConfig)): the transport arms a
 //! timer on [`FragOutcome::Pending`]`{ first: true }` carrying a [`progress`](Reassembler::progress)
@@ -20,7 +24,7 @@
 //! exhausted) the whole message is [`abandon`](Reassembler::abandon)ed at once: partial state
 //! dropped, stragglers ignored.
 
-use p2plab_sim::{FxHashMap, FxHashSet};
+use p2plab_sim::FxHashMap;
 
 /// Bytes of the per-fragment header carried on the wire on top of the lane framing:
 /// message id (2) + index (2) + count (2) + wire sequence (2).
@@ -139,6 +143,68 @@ struct Entry {
     mask: Mask,
 }
 
+/// A set of message ids as sorted, disjoint, non-adjacent inclusive ranges `(first, last)`.
+/// The order is the plain order of `u16`: ids that run across the `0xFFFF → 0` wrap are two
+/// ranges.
+#[derive(Debug, Clone, Default)]
+struct CompletedIds {
+    ranges: Vec<(u16, u16)>,
+}
+
+impl CompletedIds {
+    /// The index of the first range starting above `id`; the range before it is the only one
+    /// that can hold `id`.
+    fn after(&self, id: u16) -> usize {
+        self.ranges.partition_point(|&(first, _)| first <= id)
+    }
+
+    fn contains(&self, id: u16) -> bool {
+        let i = self.after(id);
+        i > 0 && self.ranges[i - 1].1 >= id
+    }
+
+    /// Adds `id`, merging it into the ranges it touches.
+    fn insert(&mut self, id: u16) {
+        let i = self.after(id);
+        if i > 0 && self.ranges[i - 1].1 >= id {
+            return;
+        }
+        // Every range before `i` now ends below `id`, and every range from `i` on starts
+        // above it, so neither `id - 1` nor `id + 1` is reached at the ends of `u16`.
+        let joins_left = i > 0 && self.ranges[i - 1].1 == id - 1;
+        let joins_right = i < self.ranges.len() && self.ranges[i].0 == id + 1;
+        match (joins_left, joins_right) {
+            (true, true) => {
+                self.ranges[i - 1].1 = self.ranges[i].1;
+                self.ranges.remove(i);
+            }
+            (true, false) => self.ranges[i - 1].1 = id,
+            (false, true) => self.ranges[i].0 = id,
+            (false, false) => self.ranges.insert(i, (id, id)),
+        }
+    }
+
+    /// Removes `id`, splitting the range that holds it.
+    fn remove(&mut self, id: u16) {
+        let i = self.after(id);
+        if i == 0 || self.ranges[i - 1].1 < id {
+            return;
+        }
+        let (first, last) = self.ranges[i - 1];
+        match (first == id, last == id) {
+            (true, true) => {
+                self.ranges.remove(i - 1);
+            }
+            (true, false) => self.ranges[i - 1].0 = id + 1,
+            (false, true) => self.ranges[i - 1].1 = id - 1,
+            (false, false) => {
+                self.ranges[i - 1].1 = id - 1;
+                self.ranges.insert(i, (id + 1, last));
+            }
+        }
+    }
+}
+
 /// Receive-side fragment reassembly for one (connection, direction, lane).
 ///
 /// Tracks per-message bitmasks and a window of completed message ids so duplicates of an
@@ -147,7 +213,7 @@ struct Entry {
 #[derive(Debug, Clone, Default)]
 pub struct Reassembler {
     entries: FxHashMap<u16, Entry>,
-    completed: FxHashSet<u16>,
+    completed: CompletedIds,
 }
 
 impl Reassembler {
@@ -155,7 +221,7 @@ impl Reassembler {
     /// Malformed (`count == 0`, `index >= count`), duplicate and inconsistent fragments are
     /// [`FragOutcome::Ignored`].
     pub fn accept(&mut self, msg: u16, index: u16, count: u16) -> FragOutcome {
-        if count == 0 || index >= count || self.completed.contains(&msg) {
+        if count == 0 || index >= count || self.completed.contains(msg) {
             return FragOutcome::Ignored;
         }
         if count == 1 {
@@ -203,7 +269,7 @@ impl Reassembler {
     /// (`false` when it already completed or was already abandoned), so the caller counts each
     /// abandoned message exactly once.
     pub fn abandon(&mut self, msg: u16) -> bool {
-        if self.completed.contains(&msg) {
+        if self.completed.contains(msg) {
             return false;
         }
         self.entries.remove(&msg);
@@ -227,13 +293,19 @@ impl Reassembler {
         self.completed.insert(msg);
         // Forget the id opposite in the sequence space: a completed id is remembered for 32768
         // message generations, bounding the set while leaving no realistic reuse hazard.
-        self.completed.remove(&msg.wrapping_add(0x8000));
+        self.completed.remove(msg.wrapping_add(0x8000));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of ids in the set.
+    fn len(ids: &CompletedIds) -> usize {
+        let span = |&(first, last): &(u16, u16)| usize::from(last - first) + 1;
+        ids.ranges.iter().map(span).sum()
+    }
 
     #[test]
     fn header_roundtrip() {
@@ -276,7 +348,7 @@ mod tests {
         // Any further fragment of the completed message is ignored.
         assert_eq!(r.accept(5, 0, 3), FragOutcome::Ignored);
         assert_eq!(r.accept(5, 1, 3), FragOutcome::Ignored);
-        assert!(r.completed.contains(&5));
+        assert!(r.completed.contains(5));
         assert_eq!(r.pending(), 0);
     }
 
@@ -343,7 +415,56 @@ mod tests {
         for m in 0..40_000u32 {
             assert_eq!(r.accept(m as u16, 0, 1), FragOutcome::Complete);
         }
-        assert!(r.completed.len() <= 0x8000);
+        assert!(len(&r.completed) <= 0x8000);
+        // In-order completions are one range however many ids it holds.
+        assert_eq!(r.completed.ranges.len(), 1);
+    }
+
+    #[test]
+    fn completed_ids_are_ranges() {
+        let mut ids = CompletedIds::default();
+        for id in [0xFFFD, 0xFFFF, 0, 1, 5, 3] {
+            ids.insert(id);
+        }
+        // Ids across the wrap are two ranges in `u16` order; every gap is a hole.
+        assert_eq!(
+            ids.ranges,
+            [(0, 1), (3, 3), (5, 5), (0xFFFD, 0xFFFD), (0xFFFF, 0xFFFF)]
+        );
+        for id in [2, 4, 0xFFFE] {
+            ids.insert(id);
+        }
+        assert_eq!(ids.ranges, [(0, 5), (0xFFFD, 0xFFFF)]);
+        ids.insert(3);
+        assert_eq!(len(&ids), 9, "a present id is not added twice");
+        // A removal inside a range splits it; at an edge it shrinks it.
+        ids.remove(2);
+        assert_eq!(ids.ranges, [(0, 1), (3, 5), (0xFFFD, 0xFFFF)]);
+        ids.remove(0xFFFF);
+        ids.remove(3);
+        ids.remove(7);
+        assert_eq!(ids.ranges, [(0, 1), (4, 5), (0xFFFD, 0xFFFE)]);
+        assert!(ids.contains(0) && ids.contains(1) && ids.contains(0xFFFE));
+        assert!(!ids.contains(2) && !ids.contains(3) && !ids.contains(0xFFFF));
+        ids.remove(0);
+        ids.remove(1);
+        assert_eq!(ids.ranges, [(4, 5), (0xFFFD, 0xFFFE)]);
+    }
+
+    #[test]
+    fn finishing_an_id_forgets_the_opposite_one() {
+        let mut r = Reassembler::default();
+        for m in 0x7FFE..=0x8002u16 {
+            assert_eq!(r.accept(m, 0, 1), FragOutcome::Complete);
+        }
+        // Completing id 0 forgets 0x8000, the middle of the completed range.
+        assert_eq!(r.accept(0, 0, 1), FragOutcome::Complete);
+        assert_eq!(
+            r.completed.ranges,
+            [(0, 0), (0x7FFE, 0x7FFF), (0x8001, 0x8002)]
+        );
+        assert_eq!(r.accept(0x8000, 0, 1), FragOutcome::Complete);
+        assert_eq!(r.accept(0x8001, 0, 1), FragOutcome::Ignored);
     }
 
     #[test]

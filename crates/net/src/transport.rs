@@ -129,10 +129,16 @@ pub enum NetEvent<P, T> {
     },
     /// A paced fragment's release time arrived (protocol layer): record it in the sender
     /// window — ack matching and RTT anchors must reflect wire time, not plan time — and
-    /// start its packet walk.
+    /// start its packet walk. A message's paced fragments are one ranked series: the first is
+    /// scheduled under the first of the ranks reserved for them all, and each member, before it
+    /// releases itself, arms the next fragment `spacing` later under the rank after its own
+    /// ([`Simulation::firing_rank`]). The message holds one pending event, and its fragments
+    /// still leave in exactly the order scheduling each up front would give.
     PaceRelease {
         /// The planned fragment.
         flight: InFlight<P>,
+        /// The time between this fragment's release and the next one's.
+        spacing: SimDuration,
     },
     /// Reassembly idle timeout of a fragmented message (protocol layer): if no further
     /// fragment arrived since the timer was armed, the incomplete message is discarded;
@@ -161,7 +167,20 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
             NetEvent::Receive { flight } => receiver_side(sim, flight),
             NetEvent::Deliver { flight } => deliver(sim, flight),
             NetEvent::Retransmit { flight } => transmit(sim, flight, SimDuration::ZERO),
-            NetEvent::PaceRelease { flight } => release_fragment(sim, flight),
+            NetEvent::PaceRelease { flight, spacing } => {
+                // Arm the next member first: its flight pins the connection before this one's
+                // walk can drop the last pin.
+                if let Some(next) = flight.next_fragment(sim.world_mut().network()) {
+                    let at = sim.now() + spacing;
+                    let rank = sim.firing_rank() + 1;
+                    let next = NetEvent::PaceRelease {
+                        flight: next,
+                        spacing,
+                    };
+                    sim.schedule_event_ranked(at, rank, next);
+                }
+                release_fragment(sim, flight);
+            }
             NetEvent::ReassemblyTimeout {
                 conn,
                 lane,
@@ -424,6 +443,47 @@ impl<P: Clone> InFlight<P> {
             ..*self
         }
     }
+
+    /// The fragment after this one in its message, a fresh flight that pins the connection
+    /// like any other; `None` after a message's last fragment or for a frame that is no
+    /// fragment. The message's fragments drew consecutive sequence numbers.
+    fn next_fragment(&self, net: &mut Network) -> Option<InFlight<P>> {
+        let Frame::Frag {
+            conn,
+            lane,
+            seq,
+            msg,
+            index,
+            count,
+            total_size,
+            ref payload,
+            ..
+        } = self.frame
+        else {
+            return None;
+        };
+        let index = index + 1;
+        if index == count {
+            return None;
+        }
+        net.pin(conn);
+        let mtu = net.config().transport.mtu.unwrap_or(u64::MAX);
+        Some(InFlight {
+            frame: Frame::Frag {
+                conn,
+                lane,
+                seq: seq.wrapping_add(1),
+                msg,
+                index,
+                count,
+                frag_size: fragment_size(total_size, mtu, index, count),
+                total_size,
+                payload: payload.clone(),
+            },
+            attempts: 0,
+            ..*self
+        })
+    }
 }
 
 impl<P> InFlight<P> {
@@ -587,7 +647,8 @@ impl Endpoint {
 
 /// The protocol-depth send path: fragments the message to the configured MTU, assigns wire
 /// sequence numbers, paces releases through the congestion controller and records reliable
-/// fragments in the sender window. One [`Frame::Frag`] per fragment enters the packet walk.
+/// fragments in the sender window. One [`Frame::Frag`] per fragment enters the packet walk:
+/// the fragments due now at once, the rest as one [`NetEvent::PaceRelease`] series.
 #[expect(
     clippy::too_many_arguments,
     reason = "internal send path mirrors `Endpoint::send`'s checked arguments"
@@ -608,54 +669,57 @@ fn proto_send<W: NetHost>(
     let mtu = tc.mtu.unwrap_or(u64::MAX);
     let count = fragment_count(size, mtu);
     let dir = flow_dir(sender_is_client);
-    // Plan every fragment under one borrow of the proto table: (seq, index, release offset).
+    // Plan every fragment's release under one borrow of the proto table. Release times never
+    // decrease, so the fragments before the first one released later than now leave now, and
+    // that one — `paced`: (index, release, spacing to the next) — heads the paced series.
+    // Every fragment but the last is a full MTU, so the series' spacing is the same between
+    // any two of its members, and nothing changes the controller while one message is planned.
     let msg;
-    let mut plans = Vec::with_capacity(usize::from(count));
+    let first_seq;
+    let mut paced = None;
     {
         let half = &mut net.proto_mut(conn).halves[dir];
         let lane_send = &mut half.lane_mut(lane).send;
         msg = lane_send.next_msg;
         lane_send.next_msg = msg.wrapping_add(1);
-        let first_seq = lane_send.next_seq;
+        first_seq = lane_send.next_seq;
         lane_send.next_seq = first_seq.wrapping_add(count);
         for index in 0..count {
             let frag_size = fragment_size(size, mtu, index, count);
             let wire = frag_size + lane.header_bytes() + FRAG_HEADER_BYTES;
-            let seq = first_seq.wrapping_add(index);
             let release = half.pace_until.max(now);
             let spacing = half.cc.send_spacing(wire);
             half.pace_until = release + spacing;
-            plans.push((seq, index, frag_size, release - now));
+            if release > now && paced.is_none() {
+                paced = Some((index, release, spacing));
+            }
         }
     }
     net.stats.fragments_sent += u64::from(count);
-    for (seq, index, frag_size, delay) in plans {
-        let net = sim.world_mut().network();
-        let flight = make_flight(
-            net,
-            node,
-            dst,
-            Frame::Frag {
-                conn,
-                lane,
-                seq,
-                msg,
-                index,
-                count,
-                frag_size,
-                total_size: size,
-                payload: payload.clone(),
-            },
-        );
-        // The sender window is fed at **release** time (`release_fragment`), not here at plan
-        // time: a paced backlog of planned-but-unreleased fragments would otherwise flood the
-        // window, evict the fragments actually on the wire and starve the congestion
-        // controller of ack feedback.
-        if delay.is_zero() {
-            release_fragment(sim, flight);
-        } else {
-            sim.schedule_event_in(delay, NetEvent::PaceRelease { flight });
-        }
+    let frag = |index: u16| Frame::Frag {
+        conn,
+        lane,
+        seq: first_seq.wrapping_add(index),
+        msg,
+        index,
+        count,
+        frag_size: fragment_size(size, mtu, index, count),
+        total_size: size,
+        payload: payload.clone(),
+    };
+    // The sender window is fed at **release** time (`release_fragment`), not here at plan
+    // time: a paced backlog of planned-but-unreleased fragments would otherwise flood the
+    // window, evict the fragments actually on the wire and starve the congestion controller
+    // of ack feedback.
+    for index in 0..paced.map_or(count, |(index, ..)| index) {
+        let flight = make_flight(sim.world_mut().network(), node, dst, frag(index));
+        release_fragment(sim, flight);
+    }
+    if let Some((index, release, spacing)) = paced {
+        let flight = make_flight(sim.world_mut().network(), node, dst, frag(index));
+        // The ranks scheduling each paced fragment here would have drawn.
+        let rank = sim.reserve_ranks(u64::from(count - index));
+        sim.schedule_event_ranked(release, rank, NetEvent::PaceRelease { flight, spacing });
     }
     Ok(())
 }
@@ -1463,6 +1527,90 @@ mod tests {
             "all reliable messages eventually delivered"
         );
         assert!(sim.world_mut().net.stats().retransmissions > 0);
+    }
+
+    /// The client half's sender-window record of `seq` on `lane`: its wire bytes and its
+    /// wire-entry time, or `None` before the fragment entered the wire.
+    fn sent_record(
+        sim: &mut NetSim<TestWorld>,
+        conn: ConnId,
+        lane: LaneKind,
+        seq: u16,
+    ) -> Option<(u64, Option<SimTime>)> {
+        let half = &mut sim.world_mut().net.proto_mut(conn).halves[flow_dir(true)];
+        let mut window = half.lane_mut(lane).send.window.clone();
+        let mut record = None;
+        let only_seq = AckBitfield {
+            latest: seq,
+            bits: 0,
+        };
+        window.on_ack(&only_seq, |wire, sent_at| record = Some((wire, sent_at)));
+        record
+    }
+
+    #[test]
+    fn paced_fragments_enter_the_wire_one_spacing_apart() {
+        // 11 fragments at a 1,500-byte MTU, the last one short.
+        let (mtu, size, count) = (1_500, 10 * 1_500 + 700, 11);
+        let config = NetworkConfig {
+            transport: crate::proto::TransportConfig {
+                mtu: Some(mtu),
+                congestion: crate::proto::CcKind::Aimd,
+                ..Default::default()
+            },
+            ..NetworkConfig::default()
+        };
+        let world = build_world(2, 1, config);
+        let peer = remote(&world, VNodeId(1), 6881);
+        let mut sim: NetSim<TestWorld> = Simulation::new(world, 1);
+        Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
+        let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
+        sim.run();
+        let lane = LaneKind::ReliableOrdered;
+        let wire = |k| fragment_size(size, mtu, k, count) + lane.header_bytes() + FRAG_HEADER_BYTES;
+        let start = sim.now();
+        let half = &mut sim.world_mut().net.proto_mut(conn).halves[flow_dir(true)];
+        assert!(half.pace_until <= start, "the connection is not pacing yet");
+        let first_seq = half.lane_mut(lane).send.next_seq;
+        let spacing = half.cc.send_spacing(wire(0));
+        let short_spacing = half.cc.send_spacing(wire(count - 1));
+        assert!(!spacing.is_zero() && short_spacing < spacing);
+        // Two messages back to back. The first's fragment 0 leaves at once and the rest are
+        // paced; all of the second's are paced, and its first leaves one short spacing after
+        // the first message's last.
+        for payload in [1, 2] {
+            Endpoint::new(VNodeId(0))
+                .send(&mut sim, conn, lane, size, payload)
+                .unwrap();
+        }
+        let second = start + spacing * u64::from(count - 1) + short_spacing;
+        let entries = (0..count).map(|k| (k, start + spacing * u64::from(k)));
+        let entries = entries.chain((0..count).map(|k| (k, second + spacing * u64::from(k))));
+        for (i, (k, at)) in entries.enumerate() {
+            let seq = first_seq.wrapping_add(i as u16);
+            if at > sim.now() {
+                sim.run_until(at - SimDuration::from_nanos(1));
+                assert_eq!(
+                    sent_record(&mut sim, conn, lane, seq),
+                    None,
+                    "fragment {i} early"
+                );
+            }
+            sim.run_until(at);
+            let record = sent_record(&mut sim, conn, lane, seq);
+            assert_eq!(record, Some((wire(k), Some(at))), "fragment {i}");
+        }
+        sim.run();
+        let delivered: Vec<u32> = (sim.world().received_payloads.iter())
+            .filter(|(n, _)| *n == VNodeId(1))
+            .map(|(_, p)| *p)
+            .collect();
+        assert_eq!(
+            delivered,
+            [1, 2],
+            "each message is delivered once, in order"
+        );
+        assert_eq!(sim.world().net.stats().fragments_sent, 2 * u64::from(count));
     }
 
     #[test]

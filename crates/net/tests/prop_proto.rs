@@ -228,24 +228,37 @@ fn window_matches_its_twin(seed: u64, sends: usize) {
     }
 }
 
-/// Runs a [`Reassembler`] and its [`ReferenceReassembler`] twin through 600 random calls and
-/// asserts equal answers. Messages are drawn from a few ids and their opposites in the
-/// sequence space (so completed ids are forgotten), with counts on both sides of 64,
-/// mostly valid indices, and some malformed or count-disagreeing fragments.
+/// Runs a [`Reassembler`] and its [`ReferenceReassembler`] twin through 1,000 random calls
+/// and asserts equal answers, then sweeps every id the run named. Message ids drift upward
+/// from an arbitrary start — half the runs start just below `0xFFFF`, so their ids cross the
+/// wrap to 0 — with eight open at once, so completions and abandonments come out of order and
+/// leave holes. One call in ten names the id opposite in the sequence space: finishing it
+/// forgets an id from the middle of a completed run. Counts lie on both sides of 64, indices
+/// are mostly valid, and some fragments are malformed or disagree on the count.
 fn reassembler_matches_its_twin(seed: u64) {
     let mut rng = SimRng::new(seed);
     let (mut r, mut twin) = (Reassembler::default(), ReferenceReassembler::default());
     let counts: Vec<u16> = (0..6)
-        .map(|_| match rng.gen_range(0..4u32) {
-            0 => rng.gen_range(1..=3u32) as u16,
-            1 => rng.gen_range(60..=64u32) as u16,
-            2 => rng.gen_range(65..=70u32) as u16,
+        .map(|_| match rng.gen_range(0..5u32) {
+            0 | 1 => rng.gen_range(1..=3u32) as u16,
+            2 => rng.gen_range(60..=64u32) as u16,
+            3 => rng.gen_range(65..=70u32) as u16,
             _ => rng.gen_range(2..=200u32) as u16,
         })
         .collect();
-    for step in 0..600 {
-        let slot = rng.gen_range(0..counts.len());
-        let msg = (slot as u16).wrapping_add(if rng.chance(0.1) { 0x8000 } else { 0 });
+    let start = if rng.chance(0.5) {
+        u16::MAX - rng.gen_range(0..64u32) as u16
+    } else {
+        any_u16(&mut rng)
+    };
+    let mut cursor = 0u16;
+    for step in 0..1_000 {
+        cursor += u16::from(rng.chance(0.2));
+        let opposite = if rng.chance(0.1) { 0x8000 } else { 0 };
+        let msg = (start.wrapping_add(cursor))
+            .wrapping_add(rng.gen_range(0..8u32) as u16)
+            .wrapping_add(opposite);
+        let slot = usize::from(msg) % counts.len();
         let what = format!("seed {seed} step {step} msg {msg}");
         match rng.gen_range(0..100u32) {
             0..=84 => {
@@ -267,6 +280,17 @@ fn reassembler_matches_its_twin(seed: u64) {
         }
         assert_eq!(r.progress(msg), twin.progress(msg), "{what}: progress");
         assert_eq!(r.pending(), twin.entries.len(), "{what}: pending");
+    }
+    // Abandoning reports whether an id had completed, so the sweep reads the completed set.
+    for offset in 0..cursor + 8 {
+        for opposite in [0, 0x8000] {
+            let msg = start.wrapping_add(offset).wrapping_add(opposite);
+            assert_eq!(
+                r.abandon(msg),
+                twin.abandon(msg),
+                "seed {seed}: sweep {msg}"
+            );
+        }
     }
 }
 

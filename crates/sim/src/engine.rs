@@ -36,7 +36,8 @@
 //! all at once. [`reserve_ranks`](Simulation::reserve_ranks) sets aside the sequence numbers
 //! the series would have drawn had it been scheduled up front, and each member is scheduled
 //! under its own rank by [`schedule_event_ranked`](Simulation::schedule_event_ranked), usually
-//! from the handler of the one before it. Every push draws or was reserved a sequence number,
+//! from the handler of the one before it, which reads its own rank from
+//! [`firing_rank`](Simulation::firing_rank). Every push draws or was reserved a sequence number,
 //! so the series holds one queue slot and still runs in exactly the up-front order, ties at
 //! an instant included.
 //!
@@ -46,16 +47,15 @@
 //! /// Log `n`; while `left > 0`, re-arm one second later at the next rank.
 //! struct Series {
 //!     n: u32,
-//!     rank: u64,
 //!     left: u32,
 //! }
 //! impl TypedEvent<Vec<u32>> for Series {
 //!     fn fire(self, sim: &mut Simulation<Vec<u32>, Series>) {
 //!         sim.world_mut().push(self.n);
 //!         if self.left > 0 {
-//!             let next = Series { rank: self.rank + 1, left: self.left - 1, ..self };
+//!             let next = Series { left: self.left - 1, ..self };
 //!             let at = sim.now() + SimDuration::from_secs(1);
-//!             sim.schedule_event_ranked(at, next.rank, next);
+//!             sim.schedule_event_ranked(at, sim.firing_rank() + 1, next);
 //!         }
 //!     }
 //! }
@@ -63,10 +63,8 @@
 //! // Two three-event series, the second starting at t = 1 s: up front, the first series'
 //! // second event (rank 1) runs before the second series' first (rank 3).
 //! let rank = sim.reserve_ranks(6);
-//! sim.schedule_event_ranked(SimTime::ZERO, rank, Series { n: 1, rank, left: 2 });
-//! let second = rank + 3;
-//! let at = SimTime::from_secs(1);
-//! sim.schedule_event_ranked(at, second, Series { n: 2, rank: second, left: 2 });
+//! sim.schedule_event_ranked(SimTime::ZERO, rank, Series { n: 1, left: 2 });
+//! sim.schedule_event_ranked(SimTime::from_secs(1), rank + 3, Series { n: 2, left: 2 });
 //! sim.run();
 //! assert_eq!(sim.world(), &vec![1, 1, 2, 1, 2, 2]);
 //! ```
@@ -226,6 +224,7 @@ pub struct Simulation<W, E> {
     rng: SimRng,
     executed_events: u64,
     event_budget: u64,
+    firing_rank: u64,
 }
 
 impl<W, E: TypedEvent<W>> Simulation<W, E> {
@@ -239,6 +238,7 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
             rng: SimRng::new(seed),
             executed_events: 0,
             event_budget: u64::MAX,
+            firing_rank: 0,
         }
     }
 
@@ -266,6 +266,12 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
     /// mutate state and draw random numbers).
     pub fn world_and_rng(&mut self) -> (&mut W, &mut SimRng) {
         (&mut self.world, &mut self.rng)
+    }
+
+    /// The rank (sequence number) of the event now firing, or of the last one fired: a member
+    /// of a series re-arms its successor under `firing_rank() + 1`.
+    pub fn firing_rank(&self) -> u64 {
+        self.firing_rank
     }
 
     /// Number of events (wakes included) executed so far.
@@ -302,7 +308,15 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
     /// [`reserve_ranks`](Simulation::reserve_ranks) handed out. Each rank is scheduled at most
     /// once, before its `(time, rank)` comes due; the event then runs exactly where it would
     /// have had it been scheduled when the rank was reserved.
+    ///
+    /// # Panics
+    /// If `rank` is the [`firing_rank`](Simulation::firing_rank): that rank has come due
+    /// already. A series member re-arms its successor under the rank after its own.
     pub fn schedule_event_ranked(&mut self, at: SimTime, rank: u64, event: E) -> EventId {
+        assert!(
+            self.executed_events == 0 || rank != self.firing_rank,
+            "rank {rank} was scheduled again after it fired"
+        );
         self.queue
             .push_ranked(at.max(self.now), rank, Slot::Event(event))
     }
@@ -376,7 +390,7 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
             if self.executed_events >= self.event_budget {
                 return Halt::Stopped(RunOutcome::EventBudgetExhausted);
             }
-            let Some((time, _id, slot)) = self.queue.pop_due(last) else {
+            let Some((time, id, slot)) = self.queue.pop_due(last) else {
                 return Halt::Stopped(if self.queue.is_empty() {
                     RunOutcome::Drained
                 } else {
@@ -385,6 +399,7 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
             };
             debug_assert!(time >= self.now, "time must be monotonic");
             self.now = time;
+            self.firing_rank = id.raw();
             self.executed_events += 1;
             match slot {
                 Slot::Event(event) => event.fire(self),
@@ -470,6 +485,10 @@ mod tests {
         /// A periodic round: log `100 + n`, push `Push(n)` onto the next tick, then re-arm
         /// itself there while `n < 3`.
         Round(u32),
+        /// Log the rank the event fires under.
+        Rank,
+        /// Schedule `Push(0)` under the rank this event fires under, which is not to be done.
+        SameRank,
     }
 
     /// What the test events log.
@@ -513,6 +532,14 @@ mod tests {
                         sim.schedule_event_in(period, Ev::Round(n + 1));
                     }
                 }
+                Ev::Rank => {
+                    let rank = sim.firing_rank();
+                    sim.world_mut().push(Seen::N(rank as u32));
+                }
+                Ev::SameRank => {
+                    let (now, rank) = (sim.now(), sim.firing_rank());
+                    sim.schedule_event_ranked(now, rank, Ev::Push(0));
+                }
             }
         }
     }
@@ -540,6 +567,24 @@ mod tests {
         assert_eq!(ns(sim.world()), vec![1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_secs(3));
         assert_eq!(sim.executed_events(), 3);
+    }
+
+    #[test]
+    fn firing_rank_is_the_sequence_number_of_the_event_firing() {
+        let mut sim = sim();
+        let drawn = sim.schedule_event_at(SimTime::from_secs(2), Ev::Rank).raw();
+        let reserved = sim.reserve_ranks(3);
+        sim.schedule_event_ranked(SimTime::from_secs(1), reserved + 2, Ev::Rank);
+        sim.run();
+        assert_eq!(ns(sim.world()), vec![reserved as u32 + 2, drawn as u32]);
+    }
+
+    #[test]
+    #[should_panic(expected = "was scheduled again after it fired")]
+    fn a_rank_is_not_scheduled_again_after_it_fired() {
+        let mut sim = sim();
+        sim.schedule_event_at(SimTime::ZERO, Ev::SameRank);
+        sim.run();
     }
 
     #[test]
