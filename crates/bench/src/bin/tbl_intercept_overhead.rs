@@ -7,7 +7,6 @@
 
 use p2plab_core::{interception_overhead, render_table};
 use p2plab_net::InterceptConfig;
-use p2plab_os::SyscallCostModel;
 
 fn main() {
     let o = interception_overhead();
@@ -37,7 +36,6 @@ fn main() {
     );
 
     // Show the exact syscall sequences the shim produces.
-    let model = SyscallCostModel::freebsd_opteron();
     for (label, cfg) in [
         ("without interception", InterceptConfig::disabled()),
         ("with interception", InterceptConfig::enabled()),
@@ -45,7 +43,7 @@ fn main() {
         println!(
             "\nconnect() sequence {label}: {:?} (total {})",
             cfg.connect_syscalls(),
-            cfg.connect_cost(&model)
+            cfg.connect_cost()
         );
     }
 }

@@ -182,7 +182,7 @@ impl PieceManager {
     }
 
     /// How many peers hold an outstanding request for this block.
-    pub(crate) fn request_count(&self, piece: u32, block: u32) -> u8 {
+    pub fn request_count(&self, piece: u32, block: u32) -> u8 {
         self.partial
             .get(&piece)
             .map_or(0, |pp| pp.requested[block as usize])
@@ -190,7 +190,7 @@ impl PieceManager {
 
     /// Requests outstanding over all peers: the sum of every block's request count (a scan —
     /// for the recount and tests, not the hot path).
-    pub(crate) fn requests_outstanding(&self) -> u64 {
+    pub fn requests_outstanding(&self) -> u64 {
         let counts = self.partial.values().flat_map(|pp| &pp.requested);
         counts.map(|&c| c as u64).sum()
     }

@@ -39,7 +39,8 @@ pub struct SwarmWorld {
     downloaders: usize,
     /// Downloaders that have completed. Kept incrementally: `swarm_finished` is consulted by
     /// every client's periodic timers, so a scan over all clients here would make each timer
-    /// tick O(swarm size) — quadratic per round at 10^4 clients.
+    /// tick O(swarm size) — quadratic per round at 10^4 clients. Debug builds recount it where
+    /// it changes and once per sample ([`SwarmWorld::check_completed_count`]), never on a read.
     completed_downloaders: usize,
     /// Every armed choker round as `(idx, generation)`: the client and its timer generation
     /// when the round was armed.
@@ -134,15 +135,20 @@ impl SwarmWorld {
 
     /// Number of downloaders that have completed.
     pub fn completed_count(&self) -> usize {
+        self.completed_downloaders
+    }
+
+    /// Asserts, in debug builds, that the incremental completion count equals a recount of the
+    /// downloaders whose `completed_at` is set. The completion path runs it where the count
+    /// changes, and a runner's sampler once per sample; release builds compile it out.
+    pub fn check_completed_count(&self) {
         debug_assert_eq!(
             self.completed_downloaders,
-            self.clients
-                .iter()
-                .filter(|c| !c.initial_seeder && c.completed_at.is_some())
+            self.downloaders()
+                .filter(|c| c.completed_at.is_some())
                 .count(),
             "incremental completion count drifted"
         );
-        self.completed_downloaders
     }
 
     /// True once every downloader has finished (vacuously true with no downloaders).
@@ -657,6 +663,7 @@ fn handle_piece(
         // The client's `completed_at` was just set above; `initial_seeder`s never complete
         // (their blocks are all duplicates), so this counts downloaders exactly.
         sim.world_mut().completed_downloaders += 1;
+        sim.world().check_completed_count();
         announce(sim, idx, AnnounceEvent::Completed);
     }
     request_blocks(sim, idx, slot);

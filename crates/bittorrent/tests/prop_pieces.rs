@@ -38,6 +38,17 @@ fn ledger_client() -> Client {
     c
 }
 
+/// The ledger recount as first written, O(n²) in the requests outstanding: the reference that
+/// [`Client::ledger_is_coherent`] must agree with.
+fn ledger_is_coherent_quadratic(c: &Client) -> bool {
+    let held = || c.peers.iter().flat_map(|p| &p.inflight);
+    held().count() as u64 == c.pieces.requests_outstanding()
+        && held().all(|r| {
+            let holders = held().filter(|q| q.0 == r.0).count();
+            holders == c.pieces.request_count(r.0 .0, r.0 .1) as usize
+        })
+}
+
 proptest! {
     /// Block lengths of any torrent tile the file exactly.
     #[test]
@@ -248,5 +259,68 @@ proptest! {
             prop_assert_eq!(c.pieces.in_endgame(), covered && received.len() < 12);
             prop_assert_eq!(c.pieces.is_complete(), received.len() == 12);
         }
+    }
+
+    /// The sorted-run ledger recount against the quadratic definition, on ledgers built by
+    /// random request / answer / disconnect sequences (endgame twins included) and then
+    /// corrupted at most once: a count one below its holders, a holder dropped, a holder
+    /// added, or a request moved to another block. Both accept every intact ledger and reject
+    /// every corrupted one.
+    #[test]
+    fn ledger_recount_matches_the_quadratic_definition(
+        ops in prop::collection::vec((0u8..4, 1u64..LEDGER_PEERS + 1, 0u32..12), 0..80),
+        corruption in 0u8..5,
+        pick in 0usize..64,
+        seed in 0u64..1000,
+    ) {
+        let mut c = ledger_client();
+        let mut rng = SimRng::new(seed);
+        let mut picked = Vec::new();
+        for (op, peer, arg) in ops {
+            let slot = c.peers.slot(ConnId(peer)).unwrap();
+            match op {
+                0 | 1 => c.request_blocks(slot, SimTime::ZERO, &mut rng, &mut picked),
+                2 => {
+                    c.block_answered(slot, arg / 4, arg % 4);
+                }
+                _ => {
+                    c.forget_requests(slot, None);
+                }
+            }
+        }
+        prop_assert!(ledger_is_coherent_quadratic(&c));
+        prop_assert!(c.ledger_is_coherent());
+        // Every held request as (slot, index in that peer's list).
+        let held: Vec<(usize, usize)> = (0..c.peers.len())
+            .flat_map(|slot| (0..c.peers[slot].inflight.len()).map(move |i| (slot, i)))
+            .collect();
+        let corrupted = match held.get(pick % held.len().max(1)) {
+            Some(&(slot, i)) => {
+                let request = c.peers[slot].inflight[i];
+                match corruption {
+                    1 => c.pieces.release_requests(&[request.0]),
+                    2 => {
+                        c.peers[slot].inflight.remove(i);
+                    }
+                    3 => {
+                        let other = (slot + 1) % c.peers.len();
+                        c.peers[other].inflight.push(request);
+                    }
+                    4 => {
+                        let moved = ((pick as u32 / 4) % 3, pick as u32 % 4);
+                        c.peers[slot].inflight[i].0 = if moved == request.0 {
+                            ((moved.0 + 1) % 3, moved.1)
+                        } else {
+                            moved
+                        };
+                    }
+                    _ => {}
+                }
+                corruption != 0
+            }
+            None => false,
+        };
+        prop_assert_eq!(ledger_is_coherent_quadratic(&c), !corrupted);
+        prop_assert_eq!(c.ledger_is_coherent(), !corrupted);
     }
 }

@@ -6,7 +6,6 @@ use p2plab_net::ping::{ping_series, PingWorld};
 use p2plab_net::{
     AccessLinkClass, InterceptConfig, MachineId, NetworkConfig, TopologySpec, VirtAddr,
 };
-use p2plab_os::SyscallCostModel;
 use p2plab_sim::SimDuration;
 
 /// One point of the Figure 6 sweep.
@@ -141,10 +140,9 @@ impl InterceptionOverhead {
 
 /// Computes the interception-overhead table from the syscall cost model.
 pub fn interception_overhead() -> InterceptionOverhead {
-    let model = SyscallCostModel::freebsd_opteron();
     InterceptionOverhead {
-        plain: InterceptConfig::disabled().connect_cycle_cost(&model),
-        intercepted: InterceptConfig::enabled().connect_cycle_cost(&model),
+        plain: InterceptConfig::disabled().connect_cycle_cost(),
+        intercepted: InterceptConfig::enabled().connect_cycle_cost(),
     }
 }
 
@@ -187,45 +185,12 @@ mod tests {
 
     #[test]
     fn interception_overhead_is_one_bind_per_connect() {
-        // The mechanism, not the calibration: under any cost model the shim adds exactly one
-        // `bind` to the connect/disconnect cycle (the calibrated values are pinned once, in
-        // `p2plab_os::syscall`).
-        let paper = SyscallCostModel::freebsd_opteron();
-        let models = [
-            paper,
-            SyscallCostModel {
-                bind_ns: 5_000,
-                ..paper
-            },
-            SyscallCostModel {
-                trap_ns: 0,
-                socket_ns: 10,
-                bind_ns: 20,
-                connect_ns: 30,
-                listen_ns: 40,
-                accept_ns: 50,
-                close_ns: 60,
-                sendrecv_ns: 70,
-            },
-        ];
-        for model in models {
-            let o = InterceptionOverhead {
-                plain: InterceptConfig::disabled().connect_cycle_cost(&model),
-                intercepted: InterceptConfig::enabled().connect_cycle_cost(&model),
-            };
-            assert_eq!(
-                o.intercepted - o.plain,
-                model.cost(Syscall::Bind),
-                "{model:?}"
-            );
-        }
-        // The paper's table is what `interception_overhead` reports, and its overhead is "very
-        // low": positive, under a tenth of the cycle.
+        // The shim adds exactly one `bind` to the connect/disconnect cycle (the calibrated
+        // values are pinned once, in `p2plab_os::syscall`), and the overhead is "very low":
+        // positive, under a tenth of the cycle.
         let o = interception_overhead();
-        assert_eq!(
-            o.plain,
-            InterceptConfig::disabled().connect_cycle_cost(&paper)
-        );
+        assert_eq!(o.intercepted - o.plain, Syscall::Bind.cost());
+        assert_eq!(o.plain, p2plab_os::syscall::plain_connect_cycle());
         assert!(o.relative() > 0.0 && o.relative() < 0.1, "{}", o.relative());
     }
 }

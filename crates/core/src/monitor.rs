@@ -13,13 +13,13 @@
 //! `peak_nic_utilization` gauge, so the utilization curves land in the run's
 //! [`MetricSet`](p2plab_sim::MetricSet) next to the workload's own metrics.
 
+use p2plab_net::network::NIC_BPS;
 use p2plab_net::{MachineId, Network};
 use p2plab_sim::{Gauge, Recorder, SimTime, TimeSeriesId};
 
 /// Rolling monitor of the emulated cluster's physical resources.
 #[derive(Debug, Clone)]
 pub struct ResourceMonitor {
-    nic_bps: u64,
     last_sample_at: SimTime,
     last_tx: Vec<u64>,
     last_rx: Vec<u64>,
@@ -36,7 +36,6 @@ impl ResourceMonitor {
     /// registered) lazily by [`record`](ResourceMonitor::record).
     pub fn new(net: &Network, rec: &mut Recorder) -> ResourceMonitor {
         let mut monitor = ResourceMonitor {
-            nic_bps: net.config().nic_bps,
             last_sample_at: SimTime::ZERO,
             last_tx: Vec::new(),
             last_rx: Vec::new(),
@@ -83,9 +82,9 @@ impl ResourceMonitor {
             let d_rx = rx.saturating_sub(self.last_rx[m]);
             self.last_tx[m] = tx;
             self.last_rx[m] = rx;
-            let utilization = if interval > 0.0 && self.nic_bps > 0 {
+            let utilization = if interval > 0.0 {
                 let bps = d_tx.max(d_rx) as f64 * 8.0 / interval;
-                (bps / self.nic_bps as f64).min(1.0)
+                (bps / NIC_BPS as f64).min(1.0)
             } else {
                 0.0
             };
@@ -173,7 +172,7 @@ mod tests {
         let per_machine = utilization(&set, 2);
         // Over a one-second interval, utilization × NIC rate / 8 is the busier direction's
         // byte count, which bounds the machine's transmitted bytes from above.
-        let nic_bytes_per_sec = net.config().nic_bps as f64 / 8.0;
+        let nic_bytes_per_sec = NIC_BPS as f64 / 8.0;
         let accounted: f64 = per_machine.iter().map(|u| u[0] * nic_bytes_per_sec).sum();
         assert!(
             accounted > (20 * ECHO_BYTES) as f64,

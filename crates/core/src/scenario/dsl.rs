@@ -1191,12 +1191,6 @@ fn transport_keys(k: &mut Keys, t: &mut TransportConfig) -> Result<(), DslError>
         _ => Ok(()),
     })?;
     k.opt("congestion", &mut t.congestion)?;
-    k.checked("reassembly_timeout", &mut t.reassembly_timeout, |timeout| {
-        if timeout.is_zero() {
-            return Err("reassembly timeout must be positive".to_string());
-        }
-        Ok(())
-    })?;
     Ok(())
 }
 
@@ -1602,8 +1596,7 @@ mean_downtime = \"20s\"
                burst_loss = 0.9\n\
                [transport]\n\
                mtu = 1500\n\
-               congestion = \"aimd\"\n\
-               reassembly_timeout = \"10s\"\n";
+               congestion = \"aimd\"\n";
         let file = ScenarioFile::parse(&text).unwrap();
         let link = file.spec.topology.groups()[0].link;
         let c = link.condition.expect("condition was configured");
@@ -1615,7 +1608,6 @@ mean_downtime = \"20s\"
         let t = file.spec.network.transport;
         assert_eq!(t.mtu, Some(1500));
         assert_eq!(t.congestion, CcKind::Aimd);
-        assert_eq!(t.reassembly_timeout, SimDuration::from_secs(10));
         assert!(t.active());
     }
 
@@ -1703,9 +1695,6 @@ mean_downtime = \"20s\"
         let err = ScenarioFile::parse(&text).unwrap_err();
         assert_eq!(err.path, "transport.congestion");
         assert!(err.message.contains("legacy, aimd"), "{err}");
-        let text = minimal_gossip() + "[transport]\nreassembly_timeout = \"0s\"\n";
-        let err = ScenarioFile::parse(&text).unwrap_err();
-        assert_eq!(err.path, "transport.reassembly_timeout");
     }
 
     #[test]
@@ -1828,7 +1817,6 @@ mean_downtime = \"20s\"
             (plus("[topology.condition]\njitter = \"1ms\"\nduplicate_rate = 1.5\n"), 11, "topology.condition.duplicate_rate", "must be within [0, 1], got 1.5"),
             (plus("[topology.condition]\nreorder_delay = \"1ms\"\nreorder_rate = 2\n"), 11, "topology.condition.reorder_rate", "must be within [0, 1], got 2"),
             (plus("[transport]\ncongestion = \"aimd\"\nmtu = 16\n"), 11, "transport.mtu", "mtu must be at least 64 bytes, got 16"),
-            (plus("[transport]\nmtu = 1500\nreassembly_timeout = \"0s\"\n"), 11, "transport.reassembly_timeout", "must be positive"),
             (plus("[adversary]\nbehaviors = [\"amplify\"]\nfraction = 1.5\n"), 9, "adversary", "fraction must be in [0, 1]"),
             // A DHT value that would panic or stall a run is rejected at its key.
             (plus("[workload.dht-lookup]\nnodes = 1\n").replace("\"gossip\"", "\"dht-lookup\""), 10, "workload.dht-lookup.nodes", "a DHT needs at least two nodes, got 1"),

@@ -23,9 +23,7 @@ use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
 use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{ArrivalSchedule, ArrivalSpec, ShardedOutcome, Workload};
-use p2plab_net::rpc::{
-    self, RpcConfig, RpcHost, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout,
-};
+use p2plab_net::rpc::{self, RpcHost, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout};
 use p2plab_net::{
     Misbehavior, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
 };
@@ -128,15 +126,6 @@ impl DhtLookupSpec {
         })?;
         k.opt("lookup_interval", &mut spec.lookup_interval)?;
         Ok(())
-    }
-
-    /// The RPC policy the world's [`RpcTable`] runs with: the spec's timeout and the default
-    /// attempt count, after which a candidate is marked failed.
-    pub fn rpc_config(&self) -> RpcConfig {
-        RpcConfig {
-            timeout: self.rpc_timeout,
-            ..RpcConfig::default()
-        }
     }
 }
 
@@ -365,7 +354,7 @@ impl DhtWorld {
             records: Vec::new(),
             settled: 0,
             settled_checks: roster.map(|_| InvariantReport::new()),
-            rpc: RpcTable::new(spec.rpc_config()),
+            rpc: RpcTable::new(spec.rpc_timeout),
         }
     }
 

@@ -319,6 +319,7 @@ impl Workload for SwarmWorkload {
     }
 
     fn sample(&mut self, now: SimTime, world: &mut SwarmWorld, rec: &mut Recorder) -> f64 {
+        world.check_completed_count();
         if let Some(m) = self.metrics {
             let completed = world.completed_count();
             rec.push(m.completed, now, completed as f64);

@@ -14,7 +14,7 @@
 //! per-virtual-node dummynet rules.
 
 use crate::addr::VirtAddr;
-use p2plab_os::{Syscall, SyscallCostModel};
+use p2plab_os::syscall::{self, Syscall};
 use p2plab_sim::SimDuration;
 
 /// Configuration of the libc interception layer.
@@ -54,17 +54,17 @@ impl InterceptConfig {
     }
 
     /// CPU time charged on the initiating side of a connection.
-    pub fn connect_cost(&self, model: &SyscallCostModel) -> SimDuration {
-        model.cost_of_sequence(self.connect_syscalls())
+    pub fn connect_cost(&self) -> SimDuration {
+        syscall::cost_of_sequence(self.connect_syscalls())
     }
 
     /// The full connect/disconnect microbenchmark of the paper (client + server side of a local
     /// connection), in the current mode.
-    pub fn connect_cycle_cost(&self, model: &SyscallCostModel) -> SimDuration {
+    pub fn connect_cycle_cost(&self) -> SimDuration {
         if self.enabled {
-            model.intercepted_connect_cycle()
+            syscall::intercepted_connect_cycle()
         } else {
-            model.plain_connect_cycle()
+            syscall::plain_connect_cycle()
         }
     }
 }
@@ -101,33 +101,25 @@ mod tests {
 
     #[test]
     fn connect_cost_overhead_is_small() {
-        let model = SyscallCostModel::freebsd_opteron();
-        let on = InterceptConfig::enabled().connect_cost(&model);
-        let off = InterceptConfig::disabled().connect_cost(&model);
+        let on = InterceptConfig::enabled().connect_cost();
+        let off = InterceptConfig::disabled().connect_cost();
         assert!(on > off);
+        assert_eq!(on - off, Syscall::Bind.cost());
         let overhead = (on - off).as_nanos() as f64 / off.as_nanos() as f64;
         assert!(overhead < 0.15, "overhead={overhead}");
     }
 
     #[test]
-    fn cycle_cost_is_the_models_cycle_in_each_mode() {
+    fn cycle_cost_is_the_calibrated_cycle_in_each_mode() {
         // The calibrated values are pinned once, in `p2plab_os::syscall`; here the shim picks
-        // the model's cycle for its mode, under the paper's model and under another one.
-        let paper = SyscallCostModel::freebsd_opteron();
-        let other = SyscallCostModel {
-            bind_ns: 5_000,
-            connect_ns: 1_000,
-            ..paper
-        };
-        for model in [paper, other] {
-            assert_eq!(
-                InterceptConfig::disabled().connect_cycle_cost(&model),
-                model.plain_connect_cycle()
-            );
-            assert_eq!(
-                InterceptConfig::enabled().connect_cycle_cost(&model),
-                model.intercepted_connect_cycle()
-            );
-        }
+        // the cycle for its mode.
+        assert_eq!(
+            InterceptConfig::disabled().connect_cycle_cost(),
+            syscall::plain_connect_cycle()
+        );
+        assert_eq!(
+            InterceptConfig::enabled().connect_cycle_cost(),
+            syscall::intercepted_connect_cycle()
+        );
     }
 }

@@ -22,6 +22,10 @@
 
 use p2plab_sim::SimDuration;
 
+/// Base retransmission timeout of the reliable lanes: the ordered lane's backoff starts here
+/// and the unordered reliable lane retries on it flat.
+pub const RTO: SimDuration = SimDuration::from_millis(500);
+
 /// The delivery class of a message on a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaneKind {
@@ -71,19 +75,19 @@ impl LaneKind {
         !matches!(self, LaneKind::UnreliableUnordered)
     }
 
-    /// The lane's retransmission backoff before attempt `attempts + 1`, given the transport's
-    /// base RTO, or `None` when the lane does not retransmit.
+    /// The lane's retransmission backoff before attempt `attempts + 1`, or `None` when the
+    /// lane does not retransmit.
     ///
     /// * [`ReliableOrdered`](LaneKind::ReliableOrdered) backs off exponentially (a gap stalls
-    ///   the stream anyway, so pushing harder only fills the queues) — `rto * 2^min(n,5) / 2`,
+    ///   the stream anyway, so pushing harder only fills the queues) — `RTO * 2^min(n,5) / 2`,
     ///   the legacy transport's exact schedule.
-    /// * [`ReliableUnordered`](LaneKind::ReliableUnordered) retries on a flat RTO: no ordering
-    ///   means no stall, so the lane trades bandwidth for latency.
+    /// * [`ReliableUnordered`](LaneKind::ReliableUnordered) retries on a flat [`RTO`]: no
+    ///   ordering means no stall, so the lane trades bandwidth for latency.
     /// * [`UnreliableUnordered`](LaneKind::UnreliableUnordered) never retransmits.
-    pub fn retransmit_backoff(self, attempts: u32, rto: SimDuration) -> Option<SimDuration> {
+    pub fn retransmit_backoff(self, attempts: u32) -> Option<SimDuration> {
         match self {
-            LaneKind::ReliableOrdered => Some(rto * (1u64 << attempts.min(5)) / 2),
-            LaneKind::ReliableUnordered => Some(rto),
+            LaneKind::ReliableOrdered => Some(RTO * (1u64 << attempts.min(5)) / 2),
+            LaneKind::ReliableUnordered => Some(RTO),
             LaneKind::UnreliableUnordered => None,
         }
     }
@@ -110,32 +114,26 @@ mod tests {
 
     #[test]
     fn retransmit_policies_differ_per_lane() {
-        let rto = SimDuration::from_millis(500);
+        let rto = RTO;
         // Ordered: exponential, capped at 2^5.
+        assert_eq!(LaneKind::ReliableOrdered.retransmit_backoff(1), Some(rto));
         assert_eq!(
-            LaneKind::ReliableOrdered.retransmit_backoff(1, rto),
-            Some(rto)
-        );
-        assert_eq!(
-            LaneKind::ReliableOrdered.retransmit_backoff(3, rto),
+            LaneKind::ReliableOrdered.retransmit_backoff(3),
             Some(rto * 4)
         );
         assert_eq!(
-            LaneKind::ReliableOrdered.retransmit_backoff(40, rto),
+            LaneKind::ReliableOrdered.retransmit_backoff(40),
             Some(rto * 16)
         );
         // Unordered reliable: flat.
         for attempts in [1, 3, 40] {
             assert_eq!(
-                LaneKind::ReliableUnordered.retransmit_backoff(attempts, rto),
+                LaneKind::ReliableUnordered.retransmit_backoff(attempts),
                 Some(rto)
             );
         }
         // Unreliable: none.
-        assert_eq!(
-            LaneKind::UnreliableUnordered.retransmit_backoff(1, rto),
-            None
-        );
+        assert_eq!(LaneKind::UnreliableUnordered.retransmit_backoff(1), None);
         assert!(!LaneKind::UnreliableUnordered.reliable());
         assert!(LaneKind::ReliableUnordered.reliable());
     }

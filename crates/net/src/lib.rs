@@ -60,7 +60,7 @@ pub use proto::{
     Aimd, BurstLoss, CcKind, CongestionController, FragHeader, Legacy, LinkCondition,
     TransportConfig,
 };
-pub use rpc::{RpcConfig, RpcHost, RpcId, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout};
+pub use rpc::{RpcHost, RpcId, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout};
 pub use tamper::{Misbehavior, TamperSpec};
 pub use topology::{AccessLinkClass, GroupId, GroupSpec, TopologySpec};
 pub use transport::{InFlight, NetEvent, NetHost, NetSim, TransportEvent};

@@ -33,7 +33,7 @@
 //! hosted node and one latency rule per installed (source group, destination group) pair, and
 //! no Allow or Deny; Figure 6's dummy rules ([`Network::add_dummy_rules`]) match nothing. So
 //! every packet examines every rule and is accepted, and its path follows from the two nodes'
-//! records: `Network::classify` charges it `per_rule_cost × rule_count()` and computes its
+//! records: `Network::classify` charges it [`PER_RULE_COST`] `× rule_count()` and computes its
 //! pipes in closed form, with no rule stored anywhere. Group subnets are disjoint
 //! ([`TopologySpec::add_group`] refuses an overlap), so an address matches one group's rules at
 //! most. An outgoing packet crosses the sender's upload pipe, when it carries the sender's own
@@ -50,7 +50,6 @@ use crate::pipe::{EnqueueOutcome, PipeConfig, PipeId, Shaping};
 use crate::proto::{CongestionController, ProtoConn, TransportConfig};
 use crate::tamper::{TamperSpec, TamperState};
 use crate::topology::{GroupId, TopologySpec};
-use p2plab_os::SyscallCostModel;
 use p2plab_sim::{FxHashSet, SimDuration, SimRng, SimTime};
 
 /// Index of a physical machine in the network.
@@ -89,45 +88,29 @@ impl ConnId {
     }
 }
 
-/// Tunables of the emulation data plane.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Latency each examined firewall rule adds to a packet: IPFW's linear rule evaluation,
+/// Figure 6.
+pub const PER_RULE_COST: SimDuration = SimDuration::from_nanos(50);
+
+/// Bandwidth of each physical machine's NIC (GridExplorer: Gigabit Ethernet).
+pub const NIC_BPS: u64 = 1_000_000_000;
+
+/// Per-hop latency of the NIC and switch fabric.
+pub const SWITCH_LATENCY: SimDuration = SimDuration::from_micros(50);
+
+/// What a run varies about the emulation data plane. The platform's own costs are constants:
+/// the firewall's [`PER_RULE_COST`], the cluster's [`NIC_BPS`] and [`SWITCH_LATENCY`], the
+/// BINDIP shim's system calls ([`p2plab_os::syscall`]) and the transport's size, retry and
+/// reassembly limits ([`MAX_MESSAGE_BYTES`](crate::transport::MAX_MESSAGE_BYTES),
+/// [`RTO`](crate::lane::RTO), [`MAX_ATTEMPTS`](crate::transport::MAX_ATTEMPTS),
+/// [`REASSEMBLY_TIMEOUT`](crate::transport::REASSEMBLY_TIMEOUT)).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetworkConfig {
-    /// Latency added per firewall rule examined (IPFW's linear evaluation, Figure 6).
-    pub per_rule_cost: SimDuration,
-    /// Bandwidth of each physical machine's NIC (GridExplorer: Gigabit Ethernet).
-    pub nic_bps: u64,
-    /// Per-hop latency of the NIC and switch fabric.
-    pub switch_latency: SimDuration,
-    /// Largest message the transport accepts in one send (larger transfers must be chunked by
-    /// the application, as BitTorrent does with its 16 KiB blocks).
-    pub max_message_bytes: u64,
-    /// Base retransmission timeout of the reliable transport.
-    pub rto: SimDuration,
-    /// Maximum number of transmission attempts before a reliable message is abandoned.
-    pub max_attempts: u32,
-    /// System-call cost model charged on connection establishment.
-    pub syscalls: SyscallCostModel,
     /// libc-interception configuration (BINDIP shim).
     pub intercept: InterceptConfig,
     /// Protocol-depth configuration: MTU fragmentation, ack-bitfield reliability and the
     /// congestion controller (see [`crate::proto`]). The default is entirely inert.
     pub transport: TransportConfig,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            per_rule_cost: SimDuration::from_nanos(50),
-            nic_bps: 1_000_000_000,
-            switch_latency: SimDuration::from_micros(50),
-            max_message_bytes: 64 * 1024,
-            rto: SimDuration::from_millis(500),
-            max_attempts: 16,
-            syscalls: SyscallCostModel::freebsd_opteron(),
-            intercept: InterceptConfig::enabled(),
-            transport: TransportConfig::default(),
-        }
-    }
 }
 
 /// Transport-level state of a connection.
@@ -428,8 +411,8 @@ impl Network {
                 })
             })
             .collect();
-        let nic = [config.switch_latency, SimDuration::ZERO]
-            .map(|delay| Shaping::new(PipeConfig::shaped(config.nic_bps, delay)));
+        let nic = [SWITCH_LATENCY, SimDuration::ZERO]
+            .map(|delay| Shaping::new(PipeConfig::shaped(NIC_BPS, delay)));
         let n = groups.len();
         let latencies = (0..n * n)
             .map(|pair| topology.group_latency(GroupId(pair / n), GroupId(pair % n)))
@@ -519,7 +502,7 @@ impl Network {
             Direction::In => d.machine,
         } as usize];
         let mut path = PacketPath {
-            evaluation_cost: self.config.per_rule_cost * host.rules as u64,
+            evaluation_cost: PER_RULE_COST * host.rules as u64,
             pipes: [PipeId(0); 2],
             len: 0,
         };
@@ -1120,7 +1103,7 @@ mod tests {
                     false => VirtAddr::new(192, 168, 38, m as u8 + 1),
                 };
                 net.add_machine(format!("pm{m}"), admin);
-                twins.push(Firewall::new(NetworkConfig::default().per_rule_cost));
+                twins.push(Firewall::new(PER_RULE_COST));
             }
             // The model: which groups' latency rules each machine has, and each group's next
             // node. A node's access pipes are named by its id, a latency pipe by its group pair.
@@ -1239,11 +1222,10 @@ mod tests {
         assert_eq!(clocks(&net), (nics.clone(), vnodes.clone()));
         // Two packets through machine 1's NIC queue behind each other and count their bytes;
         // no other NIC clock moves.
-        let slot = SimDuration::transmission(1250, net.config.nic_bps);
-        let switch = net.config.switch_latency;
+        let slot = SimDuration::transmission(1250, NIC_BPS);
         for k in 1..=2u32 {
             let exit = net.cross_nic(MachineId(1), Direction::Out, now, 1250, &mut rng);
-            assert_eq!(exit, now + slot * u64::from(k) + switch);
+            assert_eq!(exit, now + slot * u64::from(k) + SWITCH_LATENCY);
         }
         assert_eq!(net.machine(MachineId(1)).nic_bytes(), (2500, 0));
         let (after, _) = clocks(&net);
@@ -1355,7 +1337,6 @@ mod tests {
         let aimd = TransportConfig {
             mtu: Some(1500),
             congestion: CcKind::Aimd,
-            ..TransportConfig::default()
         };
         for (transport, loss) in [(TransportConfig::default(), 0.0), (aimd, 0.05)] {
             let mut sim = cycler(transport, loss);
@@ -1443,7 +1424,6 @@ mod tests {
         let aimd = TransportConfig {
             mtu: Some(1500),
             congestion: CcKind::Aimd,
-            ..TransportConfig::default()
         };
         let mut sim = cycler(aimd, 0.0);
         sim.world_mut().hold_open = true;

@@ -15,8 +15,8 @@
 //! a lane's messages complete nearly in order, so it holds about one range, plus one per
 //! message still open behind the newest completed one.
 //!
-//! Incomplete **unreliable-lane** messages are discarded after a configurable idle timeout
-//! ([`TransportConfig::reassembly_timeout`](super::TransportConfig)): the transport arms a
+//! Incomplete **unreliable-lane** messages are discarded after an idle timeout
+//! ([`REASSEMBLY_TIMEOUT`](crate::transport::REASSEMBLY_TIMEOUT)): the transport arms a
 //! timer on [`FragOutcome::Pending`]`{ first: true }` carrying a [`progress`](Reassembler::progress)
 //! snapshot, and when it fires it re-arms instead of expiring if any fragment arrived in the
 //! meantime. Reliable-lane assemblies are exempt from the reaper — their fragments keep being
@@ -73,8 +73,8 @@ impl FragHeader {
 /// # Panics
 ///
 /// Panics when the count would not fit the 16-bit wire header; the transport's
-/// `max_message_bytes` bound together with the DSL's MTU floor makes that unreachable in
-/// configured scenarios.
+/// [`MAX_MESSAGE_BYTES`](crate::transport::MAX_MESSAGE_BYTES) bound together with the DSL's MTU
+/// floor makes that unreachable in configured scenarios.
 pub fn fragment_count(size: u64, mtu: u64) -> u16 {
     let mtu = mtu.max(1);
     let count = size.div_ceil(mtu).max(1);

@@ -37,7 +37,7 @@ pub use frag::{
 };
 
 use crate::lane::LaneKind;
-use p2plab_sim::{SimDuration, SimTime};
+use p2plab_sim::SimTime;
 
 /// Protocol-depth configuration of the transport, carried inside
 /// [`NetworkConfig`](crate::network::NetworkConfig).
@@ -45,18 +45,11 @@ use p2plab_sim::{SimDuration, SimTime};
 pub struct TransportConfig {
     /// Maximum fragment payload in bytes. `None` disables fragmentation (whole messages travel
     /// as one frame, the historical behaviour). Must be at least
-    /// `max_message_bytes / u16::MAX` so fragment counts fit the 16-bit wire header; the
-    /// scenario DSL enforces a floor of 64 bytes.
+    /// [`MAX_MESSAGE_BYTES`](crate::transport::MAX_MESSAGE_BYTES)` / u16::MAX` so fragment
+    /// counts fit the 16-bit wire header; the scenario DSL enforces a floor of 64 bytes.
     pub mtu: Option<u64>,
     /// The congestion controller applied per connection direction.
     pub congestion: CcKind,
-    /// How long the receive side keeps an incomplete **unreliable-lane** message without any
-    /// new fragment arriving before discarding it (and counting a `reassembly_timeout`).
-    /// Reliable-lane assemblies are exempt: their fragments are retransmitted until they
-    /// arrive, and if the sender abandons a fragment (attempts exhausted) the assembly is
-    /// killed at that moment instead — an idle reaper would discard already-acked fragments
-    /// that are never resent, leaving the message permanently undeliverable.
-    pub reassembly_timeout: SimDuration,
 }
 
 impl Default for TransportConfig {
@@ -64,7 +57,6 @@ impl Default for TransportConfig {
         TransportConfig {
             mtu: None,
             congestion: CcKind::Legacy,
-            reassembly_timeout: SimDuration::from_secs(30),
         }
     }
 }

@@ -5,7 +5,7 @@
 //! that pattern over the transport's unreliable datagram path:
 //!
 //! * [`call`] sends a request and remembers the caller's per-call context; the reply (or a
-//!   timeout after `max_attempts` tries) is handed back with that context to
+//!   timeout after [`MAX_ATTEMPTS`] tries) is handed back with that context to
 //!   [`RpcHost::on_outcome`], with the measured latency;
 //! * retransmissions are **bounded retries** on a flat timeout — the reliability lives in the
 //!   RPC layer, not the transport, exactly like UDP-based DHT protocols;
@@ -23,12 +23,12 @@
 //! passes everything else back, and its `on_timer` routes timeouts to [`on_timeout`].
 //!
 //! ```
-//! use p2plab_net::rpc::{self, RpcConfig, RpcHost, RpcOutcome, RpcPayload, RpcTable, RpcTimeout};
+//! use p2plab_net::rpc::{self, RpcHost, RpcOutcome, RpcPayload, RpcTable, RpcTimeout};
 //! use p2plab_net::{
 //!     AccessLinkClass, GroupId, NetHost, NetSim, Network, NetworkConfig, SocketAddr,
 //!     TopologySpec, TransportEvent, VNodeId, VirtAddr,
 //! };
-//! use p2plab_sim::Simulation;
+//! use p2plab_sim::{SimDuration, Simulation};
 //!
 //! /// Nodes answer `n` with `n + 1`; the world records `(call label, answer)` pairs.
 //! struct Adder {
@@ -80,7 +80,7 @@
 //! let b = net.add_vnode(m, GroupId(0)).unwrap();
 //! let remote = SocketAddr::new(net.addr_of(b), 4000);
 //!
-//! let world = Adder { net, rpc: RpcTable::new(RpcConfig::default()), answers: vec![] };
+//! let world = Adder { net, rpc: RpcTable::new(SimDuration::from_secs(1)), answers: vec![] };
 //! let mut sim: NetSim<Adder> = Simulation::new(world, 1);
 //! rpc::call(&mut sim, a, 4000, remote, 41, 8, "the answer").unwrap();
 //! sim.run();
@@ -125,23 +125,9 @@ pub enum RpcPayload<B> {
     },
 }
 
-/// Timeout and retry policy of an [`RpcTable`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RpcConfig {
-    /// How long to wait for a response before retrying (flat per attempt).
-    pub timeout: SimDuration,
-    /// Total transmission attempts before the call fails (1 = no retries).
-    pub max_attempts: u32,
-}
-
-impl Default for RpcConfig {
-    fn default() -> Self {
-        RpcConfig {
-            timeout: SimDuration::from_secs(1),
-            max_attempts: 3,
-        }
-    }
-}
+/// Total transmissions of a call's request before the call fails: the first try and two
+/// retries.
+pub const MAX_ATTEMPTS: u32 = 3;
 
 /// Counters kept by an [`RpcTable`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -201,34 +187,25 @@ struct Pending<W: RpcHost> {
     ctx: W::Context,
 }
 
-/// Per-world RPC state: pending calls keyed by correlation id, the retry policy and counters.
-/// Embedded in the world and exposed through [`RpcHost::rpc_table`].
+/// Per-world RPC state: pending calls keyed by correlation id, the per-attempt timeout and
+/// counters. Embedded in the world and exposed through [`RpcHost::rpc_table`].
 pub struct RpcTable<W: RpcHost> {
-    config: RpcConfig,
+    /// How long each attempt waits for a response before the call retries (flat per attempt).
+    timeout: SimDuration,
     next_id: u64,
     pending: FxHashMap<u64, Pending<W>>,
     stats: RpcStats,
 }
 
 impl<W: RpcHost> RpcTable<W> {
-    /// Creates an empty table with the given retry policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_attempts` is zero (a call that may never be sent can never complete).
-    pub fn new(config: RpcConfig) -> RpcTable<W> {
-        assert!(config.max_attempts >= 1, "rpc needs at least one attempt");
+    /// Creates an empty table whose calls wait `timeout` for each attempt's response.
+    pub fn new(timeout: SimDuration) -> RpcTable<W> {
         RpcTable {
-            config,
+            timeout,
             next_id: 0,
             pending: FxHashMap::default(),
             stats: RpcStats::default(),
         }
-    }
-
-    /// The table's timeout/retry policy.
-    pub fn config(&self) -> RpcConfig {
-        self.config
     }
 
     /// The table's counters.
@@ -271,7 +248,7 @@ pub trait RpcHost:
 }
 
 /// Issues an RPC from `node:from_port` to `remote`: sends `body` (`size` wire bytes) as an
-/// unreliable datagram, retrying on the table's flat timeout up to its `max_attempts`, and
+/// unreliable datagram, retrying on the table's flat timeout up to [`MAX_ATTEMPTS`] sends, and
 /// hands the outcome to [`RpcHost::on_outcome`] together with `ctx` — with the reply and
 /// measured latency, or as a timeout. A synchronous send error returns `Err` and keeps
 /// nothing: `on_outcome` then never runs for this call.
@@ -292,7 +269,7 @@ pub fn call<W: RpcHost>(
         let table = sim.world_mut().rpc_table();
         let id = table.next_id;
         table.next_id += 1;
-        (id, table.config.timeout)
+        (id, table.timeout)
     };
     Endpoint::new(node).send_datagram(
         sim,
@@ -401,13 +378,13 @@ pub fn on_timeout<W: RpcHost>(sim: &mut NetSim<W>, RpcTimeout(id): RpcTimeout) {
         let table = sim.world_mut().rpc_table();
         match table.pending.get(&id) {
             None => return, // completed in the same instant; timer raced its cancellation
-            Some(p) if p.attempts < table.config.max_attempts => Some((
+            Some(p) if p.attempts < MAX_ATTEMPTS => Some((
                 p.caller,
                 p.from_port,
                 p.remote,
                 p.body.clone(),
                 p.size,
-                table.config.timeout,
+                table.timeout,
             )),
             Some(_) => None,
         }
@@ -460,13 +437,14 @@ mod tests {
     use crate::VirtAddr;
     use p2plab_sim::{RunOutcome, Simulation};
 
-    /// Echo-with-increment RPC world; drops requests on nodes listed in `mute`. A call's
-    /// context is a tag, recorded with its outcome.
+    /// Echo-with-increment RPC world; drops requests on nodes listed in `mute`, and the first
+    /// `deaf_for` requests any node sees. A call's context is a tag, recorded with its outcome.
     struct World {
         net: Network,
         rpc: RpcTable<World>,
         outcomes: Vec<(u64, Option<u64>, u32)>, // (context, reply body, attempts)
         mute: Vec<VNodeId>,
+        deaf_for: u32,
     }
 
     impl NetHost for World {
@@ -506,7 +484,12 @@ mod tests {
             _port: u16,
             body: u64,
         ) -> Option<(u64, u64)> {
-            if sim.world().mute.contains(&node) {
+            let world = sim.world_mut();
+            if world.mute.contains(&node) {
+                return None;
+            }
+            if world.deaf_for > 0 {
+                world.deaf_for -= 1;
                 return None;
             }
             Some((body + 1, 16))
@@ -521,7 +504,10 @@ mod tests {
         }
     }
 
-    fn world(n: usize, loss: f64, config: RpcConfig) -> World {
+    /// The per-attempt timeout of a table that should never time out a lossless call.
+    const TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
+    fn world(n: usize, loss: f64, timeout: SimDuration) -> World {
         let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5));
         let topo = TopologySpec::uniform("rpc", n, link.with_loss(loss));
         let mut net = Network::new(NetworkConfig::default(), topo);
@@ -531,9 +517,10 @@ mod tests {
         }
         World {
             net,
-            rpc: RpcTable::new(config),
+            rpc: RpcTable::new(timeout),
             outcomes: Vec::new(),
             mute: Vec::new(),
+            deaf_for: 0,
         }
     }
 
@@ -549,7 +536,7 @@ mod tests {
 
     #[test]
     fn call_completes_and_cancels_its_timer() {
-        let w = world(2, 0.0, RpcConfig::default());
+        let w = world(2, 0.0, TIMEOUT);
         let mut sim: NetSim<World> = Simulation::new(w, 1);
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 7);
         sim.run();
@@ -568,36 +555,35 @@ mod tests {
 
     #[test]
     fn unanswered_call_retries_then_times_out() {
-        let config = RpcConfig {
-            timeout: SimDuration::from_millis(100),
-            max_attempts: 3,
-        };
-        let w = world(2, 0.0, config);
+        let w = world(2, 0.0, SimDuration::from_millis(100));
         let mut sim: NetSim<World> = Simulation::new(w, 1);
         sim.world_mut().mute.push(VNodeId(1));
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 9);
         sim.run();
-        assert_eq!(sim.world().outcomes, vec![(9, None, 3)]);
+        assert_eq!(sim.world().outcomes, vec![(9, None, MAX_ATTEMPTS)]);
         let stats = sim.world_mut().rpc.stats();
-        assert_eq!(stats.retries, 2);
+        assert_eq!(stats.retries, u64::from(MAX_ATTEMPTS) - 1);
         assert_eq!(stats.timeouts, 1);
-        assert_eq!(stats.served, 3, "the mute responder still saw each attempt");
+        assert_eq!(
+            stats.served,
+            u64::from(MAX_ATTEMPTS),
+            "the mute responder still saw each attempt"
+        );
         // Timeouts surface on the network's transport counters too (the PR 3 convention
         // syncs them into the run's Recorder).
         assert_eq!(sim.world_mut().net.stats().rpc_timeouts, 1);
-        // Three attempts, 100 ms apart: the call fails at ~300 ms.
-        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_millis(300));
+        // `MAX_ATTEMPTS` attempts, 100 ms apart: the call fails 100 ms after the last one.
+        assert_eq!(
+            sim.now(),
+            SimTime::ZERO + SimDuration::from_millis(100) * u64::from(MAX_ATTEMPTS)
+        );
     }
 
     #[test]
     fn retries_recover_from_loss() {
-        // 20% loss on every pipe traversal (a round trip crosses four lossy pipes, so a single
-        // attempt only succeeds ~41% of the time); bounded retries recover almost every call.
-        let config = RpcConfig {
-            timeout: SimDuration::from_millis(200),
-            max_attempts: 8,
-        };
-        let w = world(2, 0.2, config);
+        // 10% loss on every pipe traversal (a round trip crosses four lossy pipes, so a single
+        // attempt only succeeds ~66% of the time); bounded retries recover almost every call.
+        let w = world(2, 0.1, SimDuration::from_millis(200));
         let mut sim: NetSim<World> = Simulation::new(w, 5);
         for tag in 0..20 {
             call_tagged(&mut sim, VNodeId(0), VNodeId(1), tag);
@@ -609,7 +595,7 @@ mod tests {
             .iter()
             .filter(|(_, r, _)| r.is_some())
             .count();
-        assert!(replied >= 16, "only {replied}/20 RPCs survived 20% loss");
+        assert!(replied >= 16, "only {replied}/20 RPCs survived 10% loss");
         assert!(sim.world_mut().rpc.stats().retries > 0);
         assert_eq!(sim.world().rpc.pending.len(), 0);
     }
@@ -618,18 +604,18 @@ mod tests {
     fn late_reply_after_timeout_is_counted_not_delivered() {
         // Timeout far below the ~20 ms round trip: every attempt's reply arrives after the
         // call already gave up.
-        let config = RpcConfig {
-            timeout: SimDuration::from_millis(1),
-            max_attempts: 2,
-        };
-        let w = world(2, 0.0, config);
+        let w = world(2, 0.0, SimDuration::from_millis(1));
         let mut sim: NetSim<World> = Simulation::new(w, 1);
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 3);
         sim.run();
-        assert_eq!(sim.world().outcomes, vec![(3, None, 2)]);
+        assert_eq!(sim.world().outcomes, vec![(3, None, MAX_ATTEMPTS)]);
         let stats = sim.world_mut().rpc.stats();
         assert_eq!(stats.timeouts, 1);
-        assert_eq!(stats.late_replies, 2, "both attempts' replies arrived late");
+        assert_eq!(
+            stats.late_replies,
+            u64::from(MAX_ATTEMPTS),
+            "every attempt's reply arrived late"
+        );
     }
 
     #[test]
@@ -637,11 +623,8 @@ mod tests {
         // Two concurrent calls whose contexts have nothing to do with their bodies: the
         // answered one gets its context back with the reply, the one to a mute node with its
         // final timeout.
-        let config = RpcConfig {
-            timeout: SimDuration::from_millis(100),
-            max_attempts: 2,
-        };
-        let mut sim: NetSim<World> = Simulation::new(world(3, 0.0, config), 1);
+        let w = world(3, 0.0, SimDuration::from_millis(100));
+        let mut sim: NetSim<World> = Simulation::new(w, 1);
         sim.world_mut().mute.push(VNodeId(2));
         let (answering, mute) = (port_of(&mut sim, VNodeId(1)), port_of(&mut sim, VNodeId(2)));
         call(&mut sim, VNodeId(0), 4000, mute, 5, 32, 900).unwrap();
@@ -649,33 +632,37 @@ mod tests {
         sim.run();
         assert_eq!(
             sim.world().outcomes,
-            vec![(901, Some(41), 1), (900, None, 2)]
+            vec![(901, Some(41), 1), (900, None, MAX_ATTEMPTS)]
         );
     }
 
     #[test]
     fn a_reply_racing_its_timeout_at_one_instant_completes_once() {
         // The round trip of a lossless call, then the same call with a timeout of exactly that
-        // long: the timer and the reply fall on one instant. The timer was scheduled first, so
-        // it fires first — a final timeout (the reply then arrives late) or a retry (the reply
-        // then completes the call); either way the call completes exactly once.
+        // long, to a responder that ignores its first `deaf_for` requests: attempt `deaf_for +
+        // 1`'s reply and its timer fall on one instant. The timer was scheduled first, so it
+        // fires first. On the last attempt that is the final timeout after `MAX_ATTEMPTS`
+        // sends, and the reply then arrives late; on the one before, it is a retry, and the
+        // reply then completes the call on its last attempt. Either way the call completes
+        // exactly once.
         let rtt = {
-            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, RpcConfig::default()), 1);
+            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, TIMEOUT), 1);
             call_tagged(&mut sim, VNodeId(0), VNodeId(1), 1);
             sim.run();
             sim.now() - SimTime::ZERO
         };
-        for (max_attempts, outcome) in [(1, (1, None, 1)), (2, (1, Some(2), 2))] {
-            let config = RpcConfig {
-                timeout: rtt,
-                max_attempts,
-            };
-            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, config), 1);
+        for (deaf_for, outcome) in [
+            (MAX_ATTEMPTS - 1, (1, None, MAX_ATTEMPTS)),
+            (MAX_ATTEMPTS - 2, (1, Some(2), MAX_ATTEMPTS)),
+        ] {
+            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, rtt), 1);
+            sim.world_mut().deaf_for = deaf_for;
             call_tagged(&mut sim, VNodeId(0), VNodeId(1), 1);
             sim.run();
             assert_eq!(sim.world().outcomes, vec![outcome]);
             let stats = sim.world_mut().rpc.stats();
             assert_eq!(stats.calls, stats.replies + stats.timeouts);
+            assert_eq!(stats.served, u64::from(MAX_ATTEMPTS));
             assert_eq!(stats.late_replies, 1, "the losing reply is counted late");
             assert_eq!(sim.world().rpc.pending.len(), 0);
         }
@@ -685,7 +672,7 @@ mod tests {
     fn a_timeout_that_raced_its_cancellation_is_ignored() {
         // A timer that fires for a call completed at the same instant finds no pending row:
         // nothing is retried, counted or completed a second time.
-        let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, RpcConfig::default()), 1);
+        let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, TIMEOUT), 1);
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 7);
         sim.run();
         let stats = sim.world_mut().rpc.stats();

@@ -39,6 +39,21 @@ use crate::proto::{
 };
 use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 
+/// Largest message the transport accepts in one send: a larger transfer is chunked by the
+/// application, as BitTorrent does with its 16 KiB blocks.
+pub const MAX_MESSAGE_BYTES: u64 = 64 * 1024;
+
+/// Transmission attempts of a reliable frame before the transport abandons it.
+pub const MAX_ATTEMPTS: u32 = 16;
+
+/// How long the receive side keeps an incomplete **unreliable-lane** message without any new
+/// fragment arriving before discarding it (and counting a `reassembly_timeouts`). Reliable-lane
+/// assemblies are exempt: their fragments are retransmitted until they arrive, and if the
+/// sender abandons a fragment (attempts exhausted) the assembly is killed at that moment
+/// instead — an idle reaper would discard already-acked fragments that are never resent,
+/// leaving the message permanently undeliverable.
+pub const REASSEMBLY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
 /// World types that embed an emulated [`Network`] and receive transport events.
 ///
 /// [`on_transport_event`](NetHost::on_transport_event) is a required method, so a world that
@@ -189,7 +204,6 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
                 progress,
             } => {
                 let net = sim.world_mut().network();
-                let timeout = net.config().transport.reassembly_timeout;
                 let current = net.proto_existing(conn).and_then(|p| {
                     p.halves[usize::from(dir)]
                         .lane_mut(lane)
@@ -205,7 +219,7 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
                     // takes over this one's pin on the connection.
                     Some(current) if current != progress => {
                         sim.schedule_event_in(
-                            timeout,
+                            REASSEMBLY_TIMEOUT,
                             NetEvent::ReassemblyTimeout {
                                 conn,
                                 lane,
@@ -384,13 +398,13 @@ impl<P> Frame<P> {
     /// The retransmission backoff before the next attempt, or `None` when the frame is not
     /// retransmitted. Control frames (handshake, close) follow the ordered lane's exponential
     /// schedule; data frames follow their lane's policy; datagrams are never retransmitted.
-    fn retransmit_backoff(&self, attempts: u32, rto: SimDuration) -> Option<SimDuration> {
+    fn retransmit_backoff(&self, attempts: u32) -> Option<SimDuration> {
         match self {
             Frame::Syn { .. } | Frame::SynAck { .. } | Frame::Rst { .. } | Frame::Fin { .. } => {
-                LaneKind::ReliableOrdered.retransmit_backoff(attempts, rto)
+                LaneKind::ReliableOrdered.retransmit_backoff(attempts)
             }
             Frame::Data { lane, .. } | Frame::Frag { lane, .. } => {
-                lane.retransmit_backoff(attempts, rto)
+                lane.retransmit_backoff(attempts)
             }
             // A lost ack is re-covered by the next one — never retransmitted.
             Frame::Dgram { .. } | Frame::Ack { .. } => None,
@@ -531,8 +545,7 @@ impl Endpoint {
             .ok_or(NetError::NoRouteToHost(remote.addr))?;
         let port = net.allocate_ephemeral_port();
         let conn = net.allocate_conn((node, port), (dst, remote.port));
-        let config = *net.config();
-        let syscall_cost = config.intercept.connect_cost(&config.syscalls);
+        let syscall_cost = net.config().intercept.connect_cost();
         let flight = make_flight(net, node, dst, Frame::Syn { conn });
         transmit(sim, flight, syscall_cost);
         Ok(conn)
@@ -551,7 +564,7 @@ impl Endpoint {
     ) -> Result<(), NetError> {
         let node = self.node();
         let net = sim.world_mut().network();
-        if size > net.config().max_message_bytes {
+        if size > MAX_MESSAGE_BYTES {
             return Err(NetError::MessageTooLarge(size));
         }
         let c = *net
@@ -596,7 +609,7 @@ impl Endpoint {
     ) -> Result<(), NetError> {
         let node = self.node();
         let net = sim.world_mut().network();
-        if size > net.config().max_message_bytes {
+        if size > MAX_MESSAGE_BYTES {
             return Err(NetError::MessageTooLarge(size));
         }
         if node.0 >= net.vnode_count() {
@@ -920,15 +933,10 @@ fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
 }
 
 /// Retransmission policy after a pipe dropped the frame: reliable frames are retried on their
-/// lane's backoff schedule (bounded by `max_attempts`), unreliable frames are counted dropped.
+/// lane's backoff schedule (bounded by [`MAX_ATTEMPTS`]), unreliable frames are counted dropped.
 fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>) {
-    let config = *sim.world_mut().network().config();
-    let backoff = (flight.attempts + 1 < config.max_attempts)
-        .then(|| {
-            flight
-                .frame
-                .retransmit_backoff(flight.attempts + 1, config.rto)
-        })
+    let backoff = (flight.attempts + 1 < MAX_ATTEMPTS)
+        .then(|| flight.frame.retransmit_backoff(flight.attempts + 1))
         .flatten();
     match backoff {
         Some(backoff) => {
@@ -1086,7 +1094,6 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
                 return;
             }
             let dir = flow_dir(flight.src == c.client.0);
-            let reassembly_timeout = net.config().transport.reassembly_timeout;
             let (outcome, ack_field) = {
                 let proto = net.proto_mut(conn);
                 let lane_recv = &mut proto.halves[dir].lane_mut(lane).recv;
@@ -1129,7 +1136,7 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
                     if first && !lane.reliable() {
                         sim.world_mut().network().pin(conn);
                         sim.schedule_event_in(
-                            reassembly_timeout,
+                            REASSEMBLY_TIMEOUT,
                             NetEvent::ReassemblyTimeout {
                                 conn,
                                 lane,
@@ -1381,7 +1388,7 @@ mod tests {
         Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
-        let max = sim.world_mut().net.config().max_message_bytes;
+        let max = MAX_MESSAGE_BYTES;
         assert_eq!(
             Endpoint::new(VNodeId(0)).send(&mut sim, conn, LaneKind::ReliableOrdered, max + 1, 1),
             Err(NetError::MessageTooLarge(max + 1))
@@ -1556,7 +1563,6 @@ mod tests {
             transport: crate::proto::TransportConfig {
                 mtu: Some(mtu),
                 congestion: crate::proto::CcKind::Aimd,
-                ..Default::default()
             },
             ..NetworkConfig::default()
         };

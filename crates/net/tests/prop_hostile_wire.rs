@@ -10,7 +10,7 @@
 
 use p2plab_net::proto::{AckBitfield, FragHeader};
 use p2plab_net::rpc::{
-    self, RpcConfig, RpcHost, RpcId, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout,
+    self, RpcHost, RpcId, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout,
 };
 use p2plab_net::{
     AccessLinkClass, GroupId, NetHost, NetSim, Network, NetworkConfig, SocketAddr, TopologySpec,
@@ -85,7 +85,7 @@ fn world() -> World {
     }
     World {
         net,
-        rpc: RpcTable::new(RpcConfig::default()),
+        rpc: RpcTable::new(SimDuration::from_secs(1)),
         outcomes: Vec::new(),
     }
 }

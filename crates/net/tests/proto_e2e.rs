@@ -117,7 +117,6 @@ fn aimd_grows_its_window_on_a_clean_link() {
     let transport = TransportConfig {
         mtu: Some(1200),
         congestion: CcKind::Aimd,
-        ..TransportConfig::default()
     };
     let w = world(
         AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5)),
@@ -147,7 +146,6 @@ fn lossy_link_triggers_selective_retransmits_and_still_delivers() {
     let transport = TransportConfig {
         mtu: Some(1500),
         congestion: CcKind::Aimd,
-        ..TransportConfig::default()
     };
     let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5)).with_loss(0.2);
     let w = world(link, transport);
@@ -180,7 +178,6 @@ fn burst_loss_and_duplication_preserve_exactly_once() {
     let transport = TransportConfig {
         mtu: Some(1500),
         congestion: CcKind::Aimd,
-        ..TransportConfig::default()
     };
     let condition = LinkCondition {
         duplicate_rate: 0.1,
@@ -224,7 +221,6 @@ fn burst_loss_and_duplication_preserve_exactly_once() {
 fn incomplete_unreliable_messages_time_out() {
     let transport = TransportConfig {
         mtu: Some(1000),
-        reassembly_timeout: SimDuration::from_secs(5),
         ..TransportConfig::default()
     };
     let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5)).with_loss(0.4);

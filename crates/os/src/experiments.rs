@@ -5,7 +5,7 @@
 //! them to finish and report either the average per-process execution time (Figures 1-2) or the
 //! full distribution of completion times (Figure 3).
 
-use crate::machine::{MachineEvent, MachineSim, MachineSpec};
+use crate::machine::{Machine, MachineEvent, MachineSim};
 use crate::memory::OsKind;
 use crate::process::CompletedProcess;
 use crate::sched::SchedulerKind;
@@ -113,7 +113,7 @@ pub fn host_os(scheduler: SchedulerKind) -> OsKind {
 
 /// Runs one concurrent batch to completion and returns the measurements.
 pub fn run_batch(config: BatchConfig) -> BatchResult {
-    let machine = MachineSpec::grid_explorer(config.scheduler, config.os).build("node");
+    let machine = Machine::grid_explorer("node", config.scheduler, config.os);
     let cores = machine.cores();
     let mut sim: MachineSim = Simulation::new(machine, config.seed);
     for i in 0..config.concurrency {

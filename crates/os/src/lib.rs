@@ -20,9 +20,9 @@ pub mod sched;
 pub mod syscall;
 pub mod workload;
 
-pub use machine::{Machine, MachineEvent, MachineSim, MachineSpec, SpawnError};
+pub use machine::{Machine, MachineEvent, MachineSim, SpawnError};
 pub use memory::{MemoryModel, OsKind};
 pub use process::{CompletedProcess, Pid, SimProcess};
 pub use sched::{SchedulerKind, SchedulerModel};
-pub use syscall::{Syscall, SyscallCostModel};
+pub use syscall::Syscall;
 pub use workload::WorkloadSpec;

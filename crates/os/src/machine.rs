@@ -42,52 +42,6 @@ impl std::fmt::Display for SpawnError {
 
 impl std::error::Error for SpawnError {}
 
-/// Declarative description of a machine, used by experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MachineSpec {
-    /// Number of CPU cores.
-    pub cores: usize,
-    /// Speed of one core relative to the reference core (1.0 = reference).
-    pub core_speed: f64,
-    /// Scheduler flavour.
-    pub scheduler: SchedulerKind,
-    /// Operating system flavour (memory behaviour).
-    pub os: OsKind,
-    /// Physical memory in bytes.
-    pub ram_bytes: u64,
-    /// Swap space in bytes.
-    pub swap_bytes: u64,
-}
-
-impl MachineSpec {
-    /// A GridExplorer node as described in the paper: dual-Opteron 2 GHz, 2 GB RAM.
-    pub fn grid_explorer(scheduler: SchedulerKind, os: OsKind) -> MachineSpec {
-        MachineSpec {
-            cores: 2,
-            core_speed: 1.0,
-            scheduler,
-            os,
-            ram_bytes: 2 << 30,
-            swap_bytes: 4 << 30,
-        }
-    }
-
-    /// Builds the runtime machine.
-    pub fn build(self, name: impl Into<String>) -> Machine {
-        let mut memory = MemoryModel::grid_explorer(self.os);
-        memory.ram_bytes = self.ram_bytes;
-        memory.swap_bytes = self.swap_bytes;
-        Machine::new(
-            name,
-            self.cores,
-            self.core_speed,
-            SchedulerModel::new(self.scheduler),
-            self.os,
-            memory,
-        )
-    }
-}
-
 /// A physical node of the experimentation platform.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -133,9 +87,17 @@ impl Machine {
         }
     }
 
-    /// A GridExplorer node with the given scheduler/OS.
+    /// A GridExplorer node as described in the paper, with the given scheduler/OS:
+    /// dual-Opteron 2 GHz (two reference cores), 2 GB of RAM and 4 GB of swap.
     pub fn grid_explorer(name: impl Into<String>, scheduler: SchedulerKind, os: OsKind) -> Machine {
-        MachineSpec::grid_explorer(scheduler, os).build(name)
+        Machine::new(
+            name,
+            2,
+            1.0,
+            SchedulerModel::new(scheduler),
+            os,
+            MemoryModel::grid_explorer(os),
+        )
     }
 
     /// The machine's name.
@@ -501,13 +463,12 @@ mod tests {
     }
 
     #[test]
-    fn grid_explorer_spec_matches_paper() {
-        let spec = MachineSpec::grid_explorer(SchedulerKind::Bsd4, OsKind::FreeBsd);
-        assert_eq!(spec.cores, 2);
-        assert_eq!(spec.ram_bytes, 2 << 30);
-        let m = spec.build("node-1");
+    fn grid_explorer_matches_paper() {
+        let m = Machine::grid_explorer("node-1", SchedulerKind::Bsd4, OsKind::FreeBsd);
         assert_eq!(m.name(), "node-1");
         assert_eq!(m.cores(), 2);
         assert_eq!(m.os(), OsKind::FreeBsd);
+        assert_eq!(m.memory.ram_bytes, 2 << 30);
+        assert_eq!(m.memory.swap_bytes, 4 << 30);
     }
 }

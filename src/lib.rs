@@ -64,6 +64,6 @@ pub mod prelude {
     pub use p2plab_net::{
         AccessLinkClass, Endpoint, LaneKind, Network, NetworkConfig, TopologySpec, TransportEvent,
     };
-    pub use p2plab_os::{Machine, MachineSpec, OsKind, SchedulerKind};
+    pub use p2plab_os::{Machine, OsKind, SchedulerKind};
     pub use p2plab_sim::{SimDuration, SimTime, Simulation};
 }

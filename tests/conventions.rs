@@ -242,7 +242,7 @@ fn no_crate_comes_from_outside_the_workspace() {
 }
 
 /// Scenario keys no shipped file sets, each with why it stays a key.
-const UNSET_KEYS: [(&str, &str); 5] = [
+const UNSET_KEYS: [(&str, &str); 4] = [
     (
         "jitter",
         "tests turn the conditioner on, and the conditioner presets set it",
@@ -256,10 +256,6 @@ const UNSET_KEYS: [(&str, &str); 5] = [
         "tests turn reordering on, and the oracles work needs it",
     ),
     ("duplicate_rate", "tests turn duplication on"),
-    (
-        "reassembly_timeout",
-        "echoed in every report's `network` field; removing it moves every digest",
-    ),
 ];
 
 /// A setting with one value in use is a constant: every literal key that `crates/core`

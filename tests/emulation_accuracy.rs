@@ -4,6 +4,7 @@
 //! one extra `bind` and its "very low" overhead in `p2plab_core::accuracy`.
 
 use p2plab::core::{deploy, figure7_latency_experiment, rule_scaling_experiment, DeploymentSpec};
+use p2plab::net::network::{NIC_BPS, PER_RULE_COST, SWITCH_LATENCY};
 use p2plab::net::ping::ECHO_BYTES;
 use p2plab::net::{
     ping_series, AccessLinkClass, GroupId, LaneKind, MachineId, Network, NetworkConfig, PingWorld,
@@ -101,13 +102,13 @@ fn figure7_ping_rtt_equals_the_configured_path_to_the_nanosecond() {
             + SimDuration::transmission(wire, down.down_bps)
             + down.latency;
         if a.machine() != b.machine() {
-            path += SimDuration::transmission(wire, config.nic_bps) * 2 + config.switch_latency;
+            path += SimDuration::transmission(wire, NIC_BPS) * 2 + SWITCH_LATENCY;
         }
         // The dummy rules are all on machine 0.
         let dummies_on = |m: MachineId| if m == MachineId(0) { dummies } else { 0 };
         let rules = rules(net, topo, a.machine(), dummies_on(a.machine()))
             + rules(net, topo, b.machine(), dummies_on(b.machine()));
-        path + config.per_rule_cost * rules as u64
+        path + PER_RULE_COST * rules as u64
     };
     let rtt = |topo: &TopologySpec,
                machines: usize,
@@ -156,5 +157,5 @@ fn figure7_ping_rtt_equals_the_configured_path_to_the_nanosecond() {
         at.push(expected);
     }
     // Each ping crosses machine 0's rules twice: the request out, the reply in.
-    assert_eq!(at[1] - at[0], config.per_rule_cost * 2 * 50_000);
+    assert_eq!(at[1] - at[0], PER_RULE_COST * 2 * 50_000);
 }

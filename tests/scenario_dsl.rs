@@ -356,14 +356,10 @@ proptest! {
             burst: Some(BurstLoss { enter: r / 4.0, exit: r / 8.0 + 0.25, loss: 1.0 - r }),
         };
         let link = AccessLinkClass { loss_rate: rate, condition: Some(condition), ..link };
-        text.push_str(&format!(
-            "[transport]\nmtu = {}\ncongestion = \"aimd\"\nreassembly_timeout = \"{}ms\"\n",
-            n + 64, n + 1,
-        ));
+        text.push_str(&format!("[transport]\nmtu = {}\ncongestion = \"aimd\"\n", n + 64));
         let transport = TransportConfig {
             mtu: Some(n + 64),
             congestion: CcKind::Aimd,
-            reassembly_timeout: ms(n + 1),
         };
         text.push_str(&format!("[workload]\nkind = \"{kind}\"\n[workload.{kind}]\n"));
         let size = nodes as usize;
