@@ -21,6 +21,12 @@
 //!   unless the spec caps `rounds`, in which case every node goes quiet after its countdown
 //!   and the run **drains** (the shard-safe stop used by strict campaign cells).
 //!
+//! A shard holds no pending event per node: its block's arrivals are one ranked series (each
+//! arms the next, under ranks reserved up front), and every round after a node's first is a
+//! member of one [`PeriodicSeries`], as in the classic workload. With the runtime's inbound
+//! batches that leaves a shard's queue with a handful of series heads plus the first rounds
+//! and nothing else.
+//!
 //! Churn is not supported under sharding (a depart/rejoin at one node would need same-instant
 //! global visibility); scenarios with a session process are rejected with
 //! [`ScenarioError::ShardingUnsupported`].
@@ -33,8 +39,8 @@ use crate::scenario::{
 };
 use p2plab_net::{Network, TamperSpec};
 use p2plab_sim::{
-    run_sharded, Counter, Gauge, NoEvent, Recorder, ShardConfig, ShardSim, ShardWorld, SimDuration,
-    SimRng, SimTime, TimeSeriesId,
+    run_sharded, Counter, Gauge, NoEvent, PeriodicSeries, Recorder, ShardConfig, ShardEvent,
+    ShardSim, ShardWorld, SimDuration, SimRng, SimTime, TimeSeriesId,
 };
 
 /// Description of a sharded gossip experiment.
@@ -114,26 +120,37 @@ fn shard_of(node: usize, shards: usize, nodes: usize) -> usize {
 
 /// A rumor push addressed to a global node id.
 struct GossipMsg {
-    dest: u64,
-    hops: u32,
+    dest: u32,
 }
+
+// Every push in flight is a runtime envelope around one, 24 bytes while it fits in 8
+// (pinned beside the envelope).
+const _: () = assert!(std::mem::size_of::<GossipMsg>() <= 8);
 
 /// Shard-local timer events.
 enum GossipLocal {
-    /// Global node `node` joins the overlay (drawn from the scenario's arrival process).
-    Arrive { node: usize },
-    /// Global node `node` runs one gossip round at hop depth `hops`. `left` counts remaining
-    /// rounds when the spec caps them (`0` = uncapped, tick forever).
-    Round { node: usize, hops: u32, left: u32 },
+    /// Global node `node` joins the overlay (drawn from the scenario's arrival process). A
+    /// shard's arrivals are a ranked series: each arms the next.
+    Arrive { node: u32 },
+    /// Global node `node`'s first gossip round, at once when it hears the rumor. `left` counts
+    /// remaining rounds when the spec caps them (`0` = uncapped, tick forever).
+    FirstRound { node: u32, left: u32 },
+    /// The round of the node at the front of the shard's periodic series of rounds.
+    Round,
 }
 
-/// Per-node link parameters, expanded from the topology's groups (node ids are assigned
-/// consecutively per group, in group order).
+/// The head event of a [`GossipShard`]'s periodic series of rounds.
+const ROUND: ShardEvent<GossipShard> = ShardEvent::Local(GossipLocal::Round);
+
+/// A topology group's link parameters.
 #[derive(Clone, Copy)]
 struct NodeLink {
     latency: SimDuration,
     up_bps: u64,
 }
+
+// A round member as the periodic series stores it: due time, rank and `(node, left)`.
+const _: () = assert!(std::mem::size_of::<(SimTime, u64, (u32, u32))>() <= 24);
 
 /// One shard's slice of the gossip overlay.
 struct GossipShard {
@@ -142,14 +159,20 @@ struct GossipShard {
     shards: usize,
     nodes: usize,
     fanout: usize,
-    round_interval: SimDuration,
     rumor_bytes: u64,
     /// The spec's per-node round cap (`0` = unlimited).
     rounds: u32,
-    /// Per-node link parameters for **all** nodes: senders need the receiver's latency to
-    /// compute the delivery delay. The table is immutable and shared across shard threads;
-    /// receiver *state* stays shard-owned.
-    links: std::sync::Arc<[NodeLink]>,
+    /// Link parameters for **all** nodes, one `(end, link)` entry per topology group in group
+    /// order: node ids are assigned consecutively per group, so group `g` holds the ids below
+    /// its `end` and at or above the previous one. Senders need the receiver's latency to
+    /// compute the delivery delay.
+    links: Vec<(usize, NodeLink)>,
+    /// The arrival instants of the block's nodes, non-decreasing.
+    arrivals: Vec<SimTime>,
+    /// The rank reserved for the block's first arrival; the `k`-th's is `arrival_rank + k`.
+    arrival_rank: u64,
+    /// Every armed gossip round after a node's first, as `(node, left)`: one pending event.
+    round_series: PeriodicSeries<(u32, u32)>,
     // Block-local state, indexed by `node - block.start`.
     online: Vec<bool>,
     informed_at: Vec<Option<SimTime>>,
@@ -180,7 +203,8 @@ impl GossipShard {
         shards: usize,
         spec: &GossipShardedSpec,
         seed: u64,
-        links: std::sync::Arc<[NodeLink]>,
+        links: Vec<(usize, NodeLink)>,
+        arrivals: &ArrivalSchedule,
         roster: Option<&AdversaryRoster>,
     ) -> GossipShard {
         let block = block_of(shard, shards, spec.nodes);
@@ -204,11 +228,13 @@ impl GossipShard {
                         .map(|r| Box::new(r.wire_rng(n)))
                 })
                 .collect(),
+            arrivals: arrivals.times()[block.clone()].to_vec(),
+            arrival_rank: 0,
+            round_series: PeriodicSeries::new(spec.round_interval),
             block,
             shards,
             nodes: spec.nodes,
             fanout: spec.fanout,
-            round_interval: spec.round_interval,
             rumor_bytes: spec.rumor_bytes,
             rounds: spec.rounds,
             links,
@@ -227,11 +253,30 @@ impl GossipShard {
         debug_assert!(self.block.contains(&node));
         node - self.block.start
     }
+
+    /// The link parameters of global node `node`'s group.
+    fn link(&self, node: usize) -> NodeLink {
+        let g = self.links.partition_point(|&(end, _)| end <= node);
+        self.links[g].1
+    }
+}
+
+/// Schedules the arrival of the block's `k`-th node, if the block has one, at its instant and
+/// its reserved rank: the arrivals are one pending event at a time, in the order scheduling
+/// every one up front would give.
+fn arm_arrival(sim: &mut ShardSim<GossipShard>, k: usize) {
+    let world = sim.model();
+    let Some(&at) = world.arrivals.get(k) else {
+        return;
+    };
+    let rank = world.arrival_rank + k as u64;
+    let node = (world.block.start + k) as u32;
+    sim.schedule_event_ranked(at, rank, ShardEvent::Local(GossipLocal::Arrive { node }));
 }
 
 /// Marks `node` informed and schedules its first gossip round (immediately, like the classic
 /// workload's first round).
-fn become_informed(sim: &mut ShardSim<GossipShard>, node: usize, hops: u32) {
+fn become_informed(sim: &mut ShardSim<GossipShard>, node: usize) {
     let now = sim.now();
     let world = sim.model();
     let l = world.local(node);
@@ -244,8 +289,8 @@ fn become_informed(sim: &mut ShardSim<GossipShard>, node: usize, hops: u32) {
         // A forward-suppressing byzantine node hears the rumor but never runs a round.
         return;
     }
-    let left = world.rounds;
-    sim.schedule_local_in(SimDuration::ZERO, GossipLocal::Round { node, hops, left });
+    let (node, left) = (node as u32, world.rounds);
+    sim.schedule_local_in(SimDuration::ZERO, GossipLocal::FirstRound { node, left });
 }
 
 impl ShardWorld for GossipShard {
@@ -262,7 +307,7 @@ impl ShardWorld for GossipShard {
         } else if world.informed_at[l].is_some() {
             world.duplicate_receipts += 1;
         } else {
-            become_informed(sim, node, msg.hops + 1);
+            become_informed(sim, node);
         }
     }
 
@@ -270,26 +315,19 @@ impl ShardWorld for GossipShard {
         match ev {
             GossipLocal::Arrive { node } => {
                 let world = sim.model();
-                let l = world.local(node);
-                world.online[l] = true;
+                let k = world.local(node as usize);
+                world.online[k] = true;
+                arm_arrival(sim, k + 1);
                 // The first participant to arrive carries the rumor (node 0: the schedule is
                 // sorted, so id 0 holds the earliest instant).
                 if node == 0 {
-                    become_informed(sim, node, 0);
+                    become_informed(sim, 0);
                 }
             }
-            GossipLocal::Round { node, hops, left } => {
-                let now = sim.now();
-                let interval = sim.model().round_interval;
-                push_rumors(sim, now, node, hops);
-                // Uncapped rounds tick until the runtime's summed progress target stops the
-                // run at a window boundary — per-shard state cannot see global informedness.
-                // Capped rounds count down and go quiet, letting the queues drain.
-                if left == 1 {
-                    return;
-                }
-                let left = left.saturating_sub(1);
-                sim.schedule_local_in(interval, GossipLocal::Round { node, hops, left });
+            GossipLocal::FirstRound { node, left } => gossip_round(sim, node, left),
+            GossipLocal::Round => {
+                let (node, left) = sim.pop_periodic(|h| &mut h.world_mut().round_series, ROUND);
+                gossip_round(sim, node, left);
             }
         }
     }
@@ -299,17 +337,33 @@ impl ShardWorld for GossipShard {
     }
 }
 
+/// One gossip round of `node`; it re-arms one interval later, into the shard's periodic series,
+/// unless its capped rounds are spent (`left == 1`).
+fn gossip_round(sim: &mut ShardSim<GossipShard>, node: u32, left: u32) {
+    let now = sim.now();
+    push_rumors(sim, now, node as usize);
+    // Uncapped rounds tick until the runtime's summed progress target stops the run at a
+    // window boundary — per-shard state cannot see global informedness. Capped rounds count
+    // down and go quiet, letting the queues drain.
+    if left == 1 {
+        return;
+    }
+    let member = (node, left.saturating_sub(1));
+    sim.push_periodic(|h| &mut h.world_mut().round_series, member, ROUND);
+}
+
 /// Pushes the rumor from `node` to `fanout` random peers. The delivery delay is derived from
 /// sender-local state only: each datagram serializes on the sender's uplink (FIFO behind the
 /// node's previous sends), then travels both endpoints' access latencies — always at least the
 /// run's conservative lookahead of twice the minimum access latency.
-fn push_rumors(sim: &mut ShardSim<GossipShard>, now: SimTime, node: usize, hops: u32) {
+fn push_rumors(sim: &mut ShardSim<GossipShard>, now: SimTime, node: usize) {
     let world = sim.model();
     let n = world.nodes;
     let fanout = world.fanout;
     let shards = world.shards;
     let l = world.local(node);
-    let ser = serialization_delay(world.rumor_bytes, world.links[node].up_bps);
+    let link = world.link(node);
+    let ser = serialization_delay(world.rumor_bytes, link.up_bps);
     for _ in 0..fanout {
         let world = sim.model();
         let mut target = world.rng[l].gen_range(0..n - 1);
@@ -334,7 +388,7 @@ fn push_rumors(sim: &mut ShardSim<GossipShard>, now: SimTime, node: usize, hops:
         }
         let leave = world.busy_until[l].max(now) + ser;
         world.busy_until[l] = leave;
-        let arrive = leave + world.links[node].latency + world.links[target].latency + extra_delay;
+        let arrive = leave + link.latency + world.link(target).latency + extra_delay;
         let delay = arrive - now;
         for _ in 0..copies {
             sim.send_message(
@@ -342,8 +396,7 @@ fn push_rumors(sim: &mut ShardSim<GossipShard>, now: SimTime, node: usize, hops:
                 shard_of(target, shards, n),
                 delay,
                 GossipMsg {
-                    dest: target as u64,
-                    hops,
+                    dest: target as u32,
                 },
             );
         }
@@ -553,17 +606,19 @@ impl Workload for GossipShardedWorkload {
         let lookahead = (spec.topology.conservative_lookahead())
             .expect("the runner's check_execution rejects a topology without lookahead");
 
-        // Per-node link parameters: node ids are assigned consecutively per group, in group
-        // order (the same numbering the DSL's single-group topologies trivially satisfy).
-        let mut links = Vec::with_capacity(spec.topology.total_nodes());
-        for group in spec.topology.groups() {
-            let link = NodeLink {
-                latency: group.link.latency,
-                up_bps: group.link.up_bps,
-            };
-            links.extend(std::iter::repeat_n(link, group.node_count));
-        }
-        let links: std::sync::Arc<[NodeLink]> = links.into();
+        // One entry per group: node ids are assigned consecutively per group, in group order
+        // (the same numbering the DSL's single-group topologies trivially satisfy).
+        let mut end = 0;
+        let links: Vec<(usize, NodeLink)> = (spec.topology.groups().iter())
+            .map(|group| {
+                end += group.node_count;
+                let link = NodeLink {
+                    latency: group.link.latency,
+                    up_bps: group.link.up_bps,
+                };
+                (end, link)
+            })
+            .collect();
 
         let mut cfg = ShardConfig::new(spec.shards, lookahead, spec.seed);
         cfg.deadline = SimTime::ZERO + spec.deadline;
@@ -579,34 +634,27 @@ impl Workload for GossipShardedWorkload {
 
         let workload_spec = &self.spec;
         let seed = spec.seed;
-        let links_ref = &links;
         let roster = self.roster.as_ref();
         let run = run_sharded(
             &cfg,
             |shard| {
+                let links = links.clone();
                 GossipShard::new(
                     shard,
                     cfg.shards,
                     workload_spec,
                     seed,
-                    links_ref.clone(),
+                    links,
+                    arrivals,
                     roster,
                 )
             },
             |sim| {
-                let block = sim.world().world().block.clone();
-                // As the single-thread runner does: the arrival burst would otherwise regrow
-                // the queue while it is being scheduled.
-                sim.reserve_events(block.len());
-                for node in block {
-                    let at = arrivals
-                        .get(node)
-                        .expect("the runner drew one arrival per participant");
-                    sim.schedule_event_at(
-                        at,
-                        p2plab_sim::ShardEvent::Local(GossipLocal::Arrive { node }),
-                    );
-                }
+                // The block's arrivals are non-decreasing (the schedule is sorted), so each
+                // can arm the next under the ranks reserved here.
+                let len = sim.model().arrivals.len() as u64;
+                sim.model().arrival_rank = sim.reserve_ranks(len);
+                arm_arrival(sim, 0);
             },
         );
 

@@ -167,6 +167,9 @@ pub struct SentWindow {
 /// controllers reach, it only bounds stuck fragments and pathological scenarios.
 const SENT_WINDOW_CAP: u32 = 4096;
 
+/// The capacity, in records, below which an ack never shrinks a window's buffer.
+const SHRINK_FLOOR: usize = 8;
+
 impl SentWindow {
     /// Records a fragment handed to the wire at `sent_at`.
     pub fn on_sent(&mut self, seq: u16, wire_bytes: u64, sent_at: SimTime) {
@@ -196,6 +199,10 @@ impl SentWindow {
     /// Applies a received ack bitfield, invoking `on_acked(wire_bytes, sent_at)` once per
     /// newly acknowledged fragment, in send order, and forgets those fragments. `sent_at` is
     /// `None` for fragments that were retransmitted: the bytes count, the RTT sample does not.
+    ///
+    /// A buffer at most a quarter full shrinks to twice its length (not below
+    /// [`SHRINK_FLOOR`]), so a drained burst does not keep its capacity for the life of the
+    /// connection.
     pub fn on_ack(&mut self, field: &AckBitfield, mut on_acked: impl FnMut(u64, Option<SimTime>)) {
         self.unacked.retain(|r| {
             let acked = field.contains(r.seq);
@@ -204,6 +211,18 @@ impl SentWindow {
             }
             !acked
         });
+        let (len, capacity) = (self.unacked.len(), self.unacked.capacity());
+        if capacity > SHRINK_FLOOR && len <= capacity / 4 {
+            self.shrink();
+        }
+    }
+
+    /// Shrinks the buffer to twice its length, not below [`SHRINK_FLOOR`]. Out of line: the
+    /// ack path that inlines `on_ack` rarely takes it.
+    #[inline(never)]
+    fn shrink(&mut self) {
+        let len = self.unacked.len();
+        self.unacked.shrink_to((2 * len).max(SHRINK_FLOOR));
     }
 }
 
@@ -335,6 +354,31 @@ mod tests {
             });
         }
         assert_eq!(w.unacked.len(), SENT_WINDOW_CAP as usize);
+    }
+
+    #[test]
+    fn a_drained_burst_gives_its_capacity_back() {
+        let mut w = SentWindow::default();
+        for seq in 0..4000u16 {
+            w.on_sent(seq, 100, SimTime::ZERO);
+        }
+        assert!(w.unacked.capacity() >= 4000);
+        // Acknowledge the burst 33 sequences at a time, as the receiver's acks would.
+        for latest in (32..4033u16).step_by(33) {
+            w.on_ack(
+                &AckBitfield {
+                    latest,
+                    bits: u32::MAX,
+                },
+                |_, _| {},
+            );
+        }
+        assert_eq!(w.unacked.len(), 0);
+        assert!(
+            w.unacked.capacity() <= 2 * SHRINK_FLOOR,
+            "a drained window kept {} records of capacity",
+            w.unacked.capacity()
+        );
     }
 
     #[test]

@@ -285,12 +285,6 @@ impl<W, E: TypedEvent<W>> Simulation<W, E> {
         self.event_budget = budget;
     }
 
-    /// Pre-sizes the event queue for `events` concurrently pending events (a large scenario's
-    /// packets and timers would otherwise regrow the queue slab mid-run).
-    pub fn reserve_events(&mut self, events: usize) {
-        self.queue.reserve(events);
-    }
-
     /// Schedules `event` at absolute time `at`. Times in the past are clamped to "now" (the
     /// event still runs, after everything already queued for this instant).
     pub fn schedule_event_at(&mut self, at: SimTime, event: E) -> EventId {

@@ -206,18 +206,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pre-sizes the slab and the chunk pool for `events` concurrently pending events, so a
-    /// burst of them does not regrow the two mid-run.
-    pub fn reserve(&mut self, events: usize) {
-        let additional = events.saturating_sub(self.payloads.len());
-        self.payloads.reserve(additional);
-        self.seqs.reserve(additional);
-        self.free.reserve(additional);
-        self.ready.reserve(events.min(1024));
-        self.chunks
-            .reserve((events / CHUNK).saturating_sub(self.chunks.len()));
-    }
-
     /// Number of live (not cancelled) events still queued.
     pub fn len(&self) -> usize {
         self.live
@@ -825,17 +813,5 @@ mod tests {
             first + n,
             "pushes draw after the reserved block"
         );
-    }
-
-    #[test]
-    fn reserve_pre_sizes_the_slab() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.reserve(1000);
-        let before = q.payloads.capacity();
-        assert!(before >= 1000);
-        for i in 0..1000 {
-            q.push(SimTime::from_millis(i), i as u32);
-        }
-        assert_eq!(q.payloads.capacity(), before, "no regrow during the burst");
     }
 }

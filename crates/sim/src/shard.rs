@@ -6,8 +6,21 @@
 //! lookahead window**: every cross-shard interaction is a time-stamped message with a delivery
 //! delay of at least the lookahead `L`, so a shard can execute a whole window of virtual time
 //! `[k·L, (k+1)·L)` without observing its neighbours. At each window boundary the shards
-//! exchange envelopes, merge them into their queues in deterministic `(time, tag, seq)` order,
-//! and jointly pick the next window (fast-forwarding over globally empty ones).
+//! exchange envelopes, merge them into their queues in deterministic `(time, tag, send order)`
+//! order, and jointly pick the next window (fast-forwarding over globally empty ones).
+//!
+//! # One pending event per inbound window
+//!
+//! The envelopes a shard merges at a boundary form one ranked series (see
+//! [`reserve_ranks`](Simulation::reserve_ranks)): the merge stable-sorts them on
+//! `(deliver_at, tag)`, reserves one rank per envelope — the sequence numbers one push per
+//! envelope would have drawn there — and keeps the sorted batch in the shard's host. Only the
+//! batch's front sits in the queue, as [`ShardEvent::Deliver`]; when it fires it hands out its
+//! envelope and arms the next under the rank after its own. A batch may still be delivering
+//! when later boundaries merge theirs (a delay may span several windows), so the host keeps the
+//! live batches in a small slab and reuses a slot once its batch is spent. The order is the
+//! one a per-tag sequence number would give: all of a tag's envelopes come from its owner
+//! shard's outbox, in send order, and a stable sort keeps that order among equal keys.
 //!
 //! # The determinism contract
 //!
@@ -18,8 +31,8 @@
 //!   only touch entities of their own shard. All other interaction goes through
 //!   [`send_message`](Simulation::send_message).
 //! * **Tagged sends** — every message carries the sending entity's globally unique `tag`
-//!   (node id). Per-tag sequence numbers plus the window grid give every envelope a total
-//!   order that does not depend on the partition.
+//!   (node id). The tag, each tag's send order and the window grid give every envelope a
+//!   total order that does not depend on the partition.
 //! * **Lookahead respected** — every message delay is at least the configured lookahead
 //!   (asserted). In a network simulation the natural lookahead is the minimum cross-node
 //!   pipe latency.
@@ -34,9 +47,10 @@
 //! reference semantics the multi-shard runs are compared against.
 
 use crate::engine::{RunOutcome, Simulation, TypedEvent};
-use crate::hash::FxHashMap;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Barrier, Mutex};
 
 /// The world type a shard-native workload plugs into the runtime.
@@ -71,12 +85,11 @@ pub type ShardSim<W> = Simulation<ShardHost<W>, ShardEvent<W>>;
 /// The pooled typed-event class of a shard simulation: merged message deliveries plus the
 /// workload's own local events.
 pub enum ShardEvent<W: ShardWorld> {
-    /// A message (possibly from another shard) due for delivery now.
+    /// The front message of an inbound batch is due for delivery now (the runtime schedules
+    /// this; a workload schedules only [`Local`](ShardEvent::Local) events).
     Deliver {
-        /// The sending entity's tag.
-        src: u64,
-        /// The payload.
-        msg: W::Msg,
+        /// The batch's slot in the shard's host.
+        batch: u32,
     },
     /// A workload-defined shard-local event.
     Local(W::Local),
@@ -85,29 +98,43 @@ pub enum ShardEvent<W: ShardWorld> {
 impl<W: ShardWorld> TypedEvent<ShardHost<W>> for ShardEvent<W> {
     fn fire(self, sim: &mut ShardSim<W>) {
         match self {
-            ShardEvent::Deliver { src, msg } => W::on_message(sim, src, msg),
+            ShardEvent::Deliver { batch } => {
+                let (envelope, next) = sim.world_mut().take_front(batch);
+                if let Some(at) = next {
+                    let rank = sim.firing_rank() + 1;
+                    sim.schedule_event_ranked(at, rank, ShardEvent::Deliver { batch });
+                }
+                W::on_message(sim, envelope.tag, envelope.msg);
+            }
             ShardEvent::Local(ev) => W::on_local(sim, ev),
         }
     }
 }
 
-/// A time-stamped cross-shard message with its deterministic merge key `(deliver_at, tag, seq)`.
+/// A time-stamped cross-shard message with its merge key `(deliver_at, tag)`.
 struct Envelope<M> {
     deliver_at: SimTime,
     tag: u64,
-    seq: u64,
     msg: M,
 }
 
+// Every message in flight is one: 24 bytes for a payload of up to 8 (the sharded gossip's
+// push is 4).
+const _: () = assert!(std::mem::size_of::<Envelope<u64>>() <= 24);
+
 /// The per-shard wrapper the runtime owns: the workload's world plus routing state (outboxes,
-/// per-tag sequence counters, shard identity).
+/// inbound batches, shard identity).
 pub struct ShardHost<W: ShardWorld> {
     world: W,
     shard: usize,
     shards: usize,
     lookahead: SimDuration,
     outbox: Vec<Vec<Envelope<W::Msg>>>,
-    seq_by_tag: FxHashMap<u64, u64>,
+    /// The inbound batches by slot, each a boundary's merged envelopes still to deliver, in
+    /// merge order: a live batch has its front in the queue.
+    batches: Vec<VecDeque<Envelope<W::Msg>>>,
+    /// The slots of spent batches, free for the next merge.
+    free_batches: Vec<u32>,
     messages: u64,
     cross_messages: u64,
 }
@@ -120,10 +147,41 @@ impl<W: ShardWorld> ShardHost<W> {
             shards,
             lookahead,
             outbox: (0..shards).map(|_| Vec::new()).collect(),
-            seq_by_tag: FxHashMap::default(),
+            batches: Vec::new(),
+            free_batches: Vec::new(),
             messages: 0,
             cross_messages: 0,
         }
+    }
+
+    /// Stores a merged, sorted, non-empty inbound batch and returns its slot.
+    fn store_batch(&mut self, envelopes: Vec<Envelope<W::Msg>>) -> u32 {
+        let batch = VecDeque::from(envelopes);
+        match self.free_batches.pop() {
+            Some(slot) => {
+                self.batches[slot as usize] = batch;
+                slot
+            }
+            None => {
+                self.batches.push(batch);
+                u32::try_from(self.batches.len() - 1).expect("fewer than 2^32 live batches")
+            }
+        }
+    }
+
+    /// Takes the front envelope of batch `slot` and returns it with the delivery time of the
+    /// next, if any; a spent batch's slot is freed.
+    fn take_front(&mut self, slot: u32) -> (Envelope<W::Msg>, Option<SimTime>) {
+        let batch = &mut self.batches[slot as usize];
+        let envelope = batch
+            .pop_front()
+            .expect("a delivery fired for a spent batch");
+        let next = batch.front().map(|e| e.deliver_at);
+        if next.is_none() {
+            *batch = VecDeque::new();
+            self.free_batches.push(slot);
+        }
+        (envelope, next)
     }
 
     /// The workload's world.
@@ -156,8 +214,8 @@ impl<W: ShardWorld> ShardSim<W> {
     /// Sends `msg` from entity `tag` to `dest_shard`, delivered after `delay`.
     ///
     /// All entity interaction — same-shard included — goes through this call: envelopes are
-    /// buffered and merged at window boundaries in `(time, tag, seq)` order, which is what
-    /// makes execution independent of the partition. `delay` must be at least the lookahead.
+    /// buffered and merged at window boundaries in `(time, tag, send order)` order, which is
+    /// what makes execution independent of the partition. `delay` must be at least the lookahead.
     ///
     /// # Panics
     ///
@@ -177,14 +235,11 @@ impl<W: ShardWorld> ShardSim<W> {
             "destination shard {dest_shard} out of range (shards = {})",
             host.shards
         );
-        let seq = host.seq_by_tag.entry(tag).or_insert(0);
         let envelope = Envelope {
             deliver_at: now + delay,
             tag,
-            seq: *seq,
             msg,
         };
-        *seq += 1;
         host.messages += 1;
         if dest_shard != host.shard {
             host.cross_messages += 1;
@@ -299,6 +354,8 @@ struct Status {
     next: Option<SimTime>,
     executed: u64,
     progress: u64,
+    /// The shard panicked.
+    failed: bool,
 }
 
 /// The state shared between shard threads for one run.
@@ -353,6 +410,22 @@ struct ShardExit<W> {
     cross_messages: u64,
 }
 
+/// A panic caught in a shard's thread, carried to the end of the run.
+type Failure = Option<Box<dyn std::any::Any + Send>>;
+
+/// Runs one shard's stretch of work between two barriers, unless the shard has failed, and
+/// keeps a panic in `failure`. The shard then publishes that it failed, and every shard stops
+/// at that boundary: a shard that left the window loop early would leave the others waiting
+/// at a barrier.
+fn guarded(failure: &mut Failure, work: impl FnOnce()) {
+    if failure.is_some() {
+        return;
+    }
+    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(work)) {
+        *failure = Some(payload);
+    }
+}
+
 /// One shard's thread body: the window loop between barriers.
 fn run_shard<W: ShardWorld>(
     idx: usize,
@@ -364,7 +437,7 @@ fn run_shard<W: ShardWorld>(
     let shard_seed = SimRng::new(cfg.seed).split_u64(idx as u64).seed();
     let host = ShardHost::new(build(idx), idx, cfg.shards, cfg.lookahead);
     let mut sim: ShardSim<W> = Simulation::new(host, shard_seed);
-    init(&mut sim);
+    let mut failure: Failure = None;
 
     let mut windows = 0u64;
     let publish = |sim: &mut ShardSim<W>| {
@@ -372,35 +445,50 @@ fn run_shard<W: ShardWorld>(
             next: sim.next_event_time(),
             executed: sim.executed_events(),
             progress: sim.world().world().progress(),
+            failed: false,
         };
         *shared.statuses[idx].lock().unwrap() = status;
     };
+    let publish_failure = |failure: &Failure| {
+        if failure.is_some() {
+            shared.statuses[idx].lock().unwrap().failed = true;
+        }
+    };
 
     // Initial boundary: seeds may already be in the queue; nothing to merge yet.
-    publish(&mut sim);
+    guarded(&mut failure, || {
+        init(&mut sim);
+        publish(&mut sim);
+    });
+    publish_failure(&failure);
     shared.barrier.wait();
 
     let outcome = loop {
         let statuses: Vec<Status> = shared.statuses.iter().map(|s| *s.lock().unwrap()).collect();
+        if statuses.iter().any(|s| s.failed) {
+            // A shard panicked; its thread carries the panic on below.
+            break ShardOutcome::Drained;
+        }
         let end = match decide(&statuses, cfg) {
             Decision::Stop(outcome) => break outcome,
             Decision::Window { end } => end,
         };
         windows += 1;
-        if cfg.event_budget != u64::MAX {
-            // Runaway protection inside the window: a shard may spend at most the remaining
-            // global budget (the authoritative check is the summed one at the boundary).
-            let global = statuses
-                .iter()
-                .fold(0u64, |a, s| a.saturating_add(s.executed));
-            let remaining = cfg.event_budget - global;
-            sim.set_event_budget(sim.executed_events().saturating_add(remaining));
-        }
-        sim.run_before(end);
+        guarded(&mut failure, || {
+            if cfg.event_budget != u64::MAX {
+                // Runaway protection inside the window: a shard may spend at most the
+                // remaining global budget (the authoritative check is the summed one at the
+                // boundary).
+                let global = statuses
+                    .iter()
+                    .fold(0u64, |a, s| a.saturating_add(s.executed));
+                let remaining = cfg.event_budget - global;
+                sim.set_event_budget(sim.executed_events().saturating_add(remaining));
+            }
+            sim.run_before(end);
 
-        // Flush this window's envelopes to the destination mailboxes. Append order across
-        // source shards is racy; the sort at injection restores the canonical order.
-        {
+            // Flush this window's envelopes to the destination mailboxes. Append order across
+            // source shards is racy; the sort at the merge restores the canonical order.
             let host = sim.world_mut();
             for dest in 0..cfg.shards {
                 if host.outbox[dest].is_empty() {
@@ -409,30 +497,33 @@ fn run_shard<W: ShardWorld>(
                 let mut batch = std::mem::take(&mut host.outbox[dest]);
                 shared.mailboxes[dest].lock().unwrap().append(&mut batch);
             }
-        }
+        });
         shared.barrier.wait();
 
-        // Merge inbound envelopes in deterministic (time, tag, seq) order, then publish this
-        // shard's horizon for the joint decision.
-        let mut inbound = std::mem::take(&mut *shared.mailboxes[idx].lock().unwrap());
-        inbound.sort_unstable_by_key(|e| (e.deliver_at, e.tag, e.seq));
-        for env in inbound {
-            debug_assert!(
-                env.deliver_at >= end,
-                "envelope at {} arrived inside the closed window ending at {end}",
-                env.deliver_at
-            );
-            sim.schedule_event_at(
-                env.deliver_at,
-                ShardEvent::Deliver {
-                    src: env.tag,
-                    msg: env.msg,
-                },
-            );
-        }
-        publish(&mut sim);
+        // Merge inbound envelopes in deterministic (time, tag, send order) order into one
+        // ranked series, then publish this shard's horizon for the joint decision.
+        guarded(&mut failure, || {
+            let mut inbound = std::mem::take(&mut *shared.mailboxes[idx].lock().unwrap());
+            if !inbound.is_empty() {
+                // Stable: equal keys are one tag's envelopes, appended in send order.
+                inbound.sort_by_key(|e| (e.deliver_at, e.tag));
+                let at = inbound[0].deliver_at;
+                debug_assert!(
+                    at >= end,
+                    "envelope at {at} arrived inside the closed window ending at {end}"
+                );
+                let rank = sim.reserve_ranks(inbound.len() as u64);
+                let batch = sim.world_mut().store_batch(inbound);
+                sim.schedule_event_ranked(at, rank, ShardEvent::Deliver { batch });
+            }
+            publish(&mut sim);
+        });
+        publish_failure(&failure);
         shared.barrier.wait();
     };
+    if let Some(payload) = failure {
+        panic::resume_unwind(payload);
+    }
 
     let executed = sim.executed_events();
     let now = sim.now();
@@ -458,7 +549,9 @@ fn run_shard<W: ShardWorld>(
 ///
 /// # Panics
 ///
-/// Panics on zero shards or a zero lookahead (a zero window never advances virtual time).
+/// Panics on zero shards or a zero lookahead (a zero window never advances virtual time), and
+/// when a shard's `init` or handler panics: every shard stops at the next window boundary and
+/// the panic reaches the caller.
 pub fn run_sharded<W: ShardWorld>(
     cfg: &ShardConfig,
     build: impl Fn(usize) -> W + Sync,
@@ -478,6 +571,7 @@ pub fn run_sharded<W: ShardWorld>(
                     next: None,
                     executed: 0,
                     progress: 0,
+                    failed: false,
                 })
             })
             .collect(),
@@ -750,6 +844,29 @@ mod tests {
                     SimDuration::from_millis(1),
                     RingLocal::Kick { node: 0, hops: 1 },
                 );
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "shard thread panicked")]
+    fn a_handler_panic_on_one_shard_reaches_the_caller() {
+        // Shard 0's kick undershoots the lookahead; shard 1 must not wait for it for ever.
+        let cfg = ShardConfig::new(2, SimDuration::from_millis(5), 1);
+        run_sharded(
+            &cfg,
+            |_| Ring {
+                shards: 2,
+                nodes: 2,
+                hop: SimDuration::from_millis(1),
+                received: Vec::new(),
+                log: Vec::new(),
+            },
+            |sim| {
+                if sim.world().shard() == 0 {
+                    let kick = RingLocal::Kick { node: 0, hops: 1 };
+                    sim.schedule_local_in(SimDuration::from_millis(1), kick);
+                }
             },
         );
     }
