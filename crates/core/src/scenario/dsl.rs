@@ -1530,8 +1530,6 @@ kind = \"gossip\"
 [workload.gossip]
 nodes = 40
 fanout = 4
-round_interval = \"500ms\"
-rumor_bytes = 512
 
 [arrivals]
 kind = \"flash-crowd\"
@@ -1820,15 +1818,10 @@ mean_downtime = \"20s\"
             (plus("[adversary]\nbehaviors = [\"amplify\"]\nfraction = 1.5\n"), 9, "adversary", "fraction must be in [0, 1]"),
             // A DHT value that would panic or stall a run is rejected at its key.
             (plus("[workload.dht-lookup]\nnodes = 1\n").replace("\"gossip\"", "\"dht-lookup\""), 10, "workload.dht-lookup.nodes", "a DHT needs at least two nodes, got 1"),
-            (plus("[workload.dht-lookup]\nnodes = 8\nalpha = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.alpha", "at least one RPC in flight, got 0"),
-            (plus("[workload.dht-lookup]\nnodes = 8\nk = 0\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.k", "room for at least one peer, got 0"),
-            (plus("[workload.dht-lookup]\nnodes = 8\nrpc_timeout = \"0s\"\n").replace("\"gossip\"", "\"dht-lookup\""), 11, "workload.dht-lookup.rpc_timeout", "rpc timeout must be positive"),
-            // So is a gossip value that would panic a run, spin it at one instant or idle it.
+            // So is a gossip value that would panic a run or idle it.
             (plus("fanout = 0\n"), 9, "workload.gossip.fanout", "at least one peer, got 0"),
-            (plus("round_interval = \"0s\"\n"), 9, "workload.gossip.round_interval", "round interval must be positive"),
             (plus("[workload.gossip-sharded]\nnodes = 1\n").replace("\"gossip\"", "\"gossip-sharded\""), 10, "workload.gossip-sharded.nodes", "at least two nodes, got 1"),
             (plus("[workload.gossip-sharded]\nnodes = 8\nfanout = 0\n").replace("\"gossip\"", "\"gossip-sharded\""), 11, "workload.gossip-sharded.fanout", "at least one peer, got 0"),
-            (plus("[workload.gossip-sharded]\nnodes = 8\nround_interval = \"0s\"\n").replace("\"gossip\"", "\"gossip-sharded\""), 11, "workload.gossip-sharded.round_interval", "round interval must be positive"),
             // And so is any other value whose run would idle to its deadline or end at once.
             (plus("[workload.swarm]\nleechers = 4\nfile_bytes = 0\n").replace("\"gossip\"", "\"swarm\""), 11, "workload.swarm.file_bytes", "at least one byte, got 0"),
             (plus("[workload.ping-mesh]\nnodes = 4\npings_per_pair = 0\n").replace("\"gossip\"", "\"ping-mesh\""), 11, "workload.ping-mesh.pings_per_pair", "at least one ping, got 0"),

@@ -60,8 +60,9 @@ pub enum ArrivalSpec {
 }
 
 impl ArrivalSpec {
-    /// The `arrivals.kind` names of a scenario file. Every key but the ramp's `start` is
-    /// required, so the blanks' zeros are never seen.
+    /// The `arrivals.kind` names of a scenario file. Every key is required, so the blanks'
+    /// zeros are never seen; the ramp's `start` is no key, so a file's ramp starts at time zero
+    /// (the swarm's default ramp sets it from Rust).
     pub(crate) const KINDS: &'static Kinds<ArrivalSpec> = &[
         ("poisson", || ArrivalSpec::poisson(0.0)),
         ("ramp", || {
@@ -82,10 +83,7 @@ impl ArrivalSpec {
     fn keys(k: &mut Keys, arrivals: &mut ArrivalSpec) -> Result<(), DslError> {
         match arrivals {
             ArrivalSpec::Poisson { rate } => k.req("rate", rate)?,
-            ArrivalSpec::UniformRamp { start, interval } => {
-                k.opt("start", start)?;
-                k.req("interval", interval)?
-            }
+            ArrivalSpec::UniformRamp { interval, .. } => k.req("interval", interval)?,
             ArrivalSpec::FlashCrowd {
                 trickle_rate,
                 trigger,

@@ -2,15 +2,16 @@
 //! session/lane/RPC transport API.
 //!
 //! Every node owns a 64-bit id in an XOR metric space and a static routing table shaped the way
-//! Kademlia's buckets are: for each distance prefix (bucket) up to `k` known peers. The table is
-//! stored as a *bucket directory* — per node, the range of the globally sorted id list that each
-//! bucket covers (≈ log₂ n ranges), its `k` entries sampled evenly from the range when read —
-//! and `FIND_NODE` is served from the target's bucket outward, which is XOR-distance order. A
-//! *lookup* picks a random target key and iteratively queries the `alpha` closest known nodes
-//! with `FIND_NODE` RPCs ([`p2plab_net::rpc`]: unreliable datagrams, flat timeout, bounded
-//! retries); each response returns the responder's `k` closest known peers, which are merged
-//! into the candidate shortlist. The lookup terminates when the `k` closest candidates have all
-//! answered (or failed), exactly like the iterative procedure of the Kademlia paper; a settled
+//! Kademlia's buckets are: for each distance prefix (bucket) up to [`K`] known peers. The table
+//! is stored as a *bucket directory* — per node, the range of the globally sorted id list that
+//! each bucket covers (≈ log₂ n ranges), its `K` entries sampled evenly from the range when
+//! read — and `FIND_NODE` is served from the target's bucket outward, which is XOR-distance
+//! order. A *lookup* picks a random target key and iteratively queries the [`ALPHA`] closest
+//! known nodes with `FIND_NODE` RPCs ([`p2plab_net::rpc`]: unreliable datagrams, a flat 2 s
+//! [`rpc::TIMEOUT`], bounded retries); each response returns the responder's `K` closest known
+//! peers, which are merged into the candidate shortlist. The lookup terminates when the `K`
+//! closest candidates have all answered (or failed), exactly like the iterative procedure of
+//! the Kademlia paper, whose α = 3 and k = 8 are system-wide constants here too; a settled
 //! lookup drops its shortlist, and its [`LookupRecord`] stays in the world only until the next
 //! sample records it.
 //!
@@ -44,7 +45,7 @@ const NEIGHBOR_ENTRY_BYTES: u64 = 18;
 /// Message bodies of the lookup protocol, carried inside [`RpcPayload`].
 #[derive(Debug, Clone)]
 pub enum DhtBody {
-    /// "Return your `k` closest known peers to `target`."
+    /// "Return your [`K`] closest known peers to `target`."
     FindNode {
         /// The key being looked up.
         target: u64,
@@ -56,10 +57,16 @@ pub enum DhtBody {
         /// fabricated (the real node at that address answers under its true id), so the
         /// reply is rejected instead of merged.
         responder: u64,
-        /// Up to `k` peers, closest to the requested target first.
+        /// Up to [`K`] peers, closest to the requested target first.
         peers: Vec<(u64, SocketAddr)>,
     },
 }
+
+/// Lookup parallelism: concurrent in-flight `FIND_NODE` RPCs per lookup (Kademlia's α).
+pub const ALPHA: usize = 3;
+/// Closeness-set size (Kademlia's k): routing-bucket capacity, peers per response, and the
+/// number of closest candidates that must settle before a lookup terminates.
+pub const K: usize = 8;
 
 /// Description of a DHT lookup experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,28 +75,18 @@ pub struct DhtLookupSpec {
     pub nodes: usize,
     /// Number of iterative lookups performed (the scenario's participants).
     pub lookups: usize,
-    /// Lookup parallelism: concurrent in-flight `FIND_NODE` RPCs per lookup.
-    pub alpha: usize,
-    /// Closeness-set size: routing-bucket capacity, peers per response, and the number of
-    /// closest candidates that must settle before a lookup terminates.
-    pub k: usize,
-    /// Per-attempt RPC timeout.
-    pub rpc_timeout: SimDuration,
     /// Spacing of the default lookup arrival ramp.
     pub lookup_interval: SimDuration,
 }
 
 impl DhtLookupSpec {
-    /// A lookup experiment over `nodes` nodes: one lookup per node, `alpha` 3, `k` 8, 2 s RPC
-    /// timeout, lookups starting 100 ms apart.
+    /// A lookup experiment over `nodes` nodes: one lookup per node, lookups starting 100 ms
+    /// apart.
     pub fn new(nodes: usize) -> DhtLookupSpec {
         assert!(nodes >= 2, "a DHT needs at least two nodes");
         DhtLookupSpec {
             nodes,
             lookups: nodes,
-            alpha: 3,
-            k: 8,
-            rpc_timeout: SimDuration::from_secs(2),
             lookup_interval: SimDuration::from_millis(100),
         }
     }
@@ -109,20 +106,6 @@ impl DhtLookupSpec {
         k.checked("lookups", &mut spec.lookups, |&n| match n {
             0 => Err("a lookup wave needs at least one lookup, got 0".to_string()),
             _ => Ok(()),
-        })?;
-        k.checked("alpha", &mut spec.alpha, |&n| match n {
-            0 => Err("a lookup needs at least one RPC in flight, got 0".to_string()),
-            _ => Ok(()),
-        })?;
-        k.checked("k", &mut spec.k, |&n| match n {
-            0 => Err("buckets and replies need room for at least one peer, got 0".to_string()),
-            _ => Ok(()),
-        })?;
-        k.checked("rpc_timeout", &mut spec.rpc_timeout, |t| {
-            if t.is_zero() {
-                return Err("rpc timeout must be positive".to_string());
-            }
-            Ok(())
         })?;
         k.opt("lookup_interval", &mut spec.lookup_interval)?;
         Ok(())
@@ -251,13 +234,11 @@ pub struct DhtWorld {
     /// `buckets[bucket_start[x]..bucket_start[x + 1]]`, whose entry `j` is the `sorted_ids`
     /// range `lo..hi` of the ids that differ from `x`'s first at bit `63 − j`. Entries stop
     /// where `x` is alone in its prefix range, since every lower bucket is empty. A bucket's
-    /// up-to-`k` routing entries are sampled when read ([`DhtWorld::push_bucket`]).
+    /// up-to-[`K`] routing entries are sampled when read ([`DhtWorld::push_bucket`]).
     buckets: Vec<(u32, u32)>,
     bucket_start: Vec<u32>,
     /// DHT addresses.
     addrs: Vec<SocketAddr>,
-    k: usize,
-    alpha: usize,
     /// Application-level deviations byzantine nodes apply when serving (noop when honest).
     misbehavior: Misbehavior,
     /// Per-node fabrication streams: `Some` exactly for byzantine nodes, and boxed, so an
@@ -344,8 +325,6 @@ impl DhtWorld {
             buckets,
             bucket_start,
             addrs,
-            k: spec.k,
-            alpha: spec.alpha,
             misbehavior: roster.map(|r| r.flags).unwrap_or_default(),
             serve_rng,
             starts: Vec::new(),
@@ -354,7 +333,7 @@ impl DhtWorld {
             records: Vec::new(),
             settled: 0,
             settled_checks: roster.map(|_| InvariantReport::new()),
-            rpc: RpcTable::new(spec.rpc_timeout),
+            rpc: RpcTable::new(),
         }
     }
 
@@ -368,27 +347,27 @@ impl DhtWorld {
         self.rpc.stats()
     }
 
-    /// The `k` closest entries of `node`'s routing table to `target`, closest first. Runs on
+    /// The [`K`] closest entries of `node`'s routing table to `target`, closest first. Runs on
     /// every `FIND_NODE` serve, so it reads buckets in distance order instead of sorting the
     /// table. With `h` the highest bit at which `target` differs from the node's id, bucket `h`
     /// lies wholly below distance 2^h, the buckets below `h` all within [2^h, 2^(h+1)), and
     /// bucket `b > h` within [2^b, 2^(b+1)). Distances to one target are distinct, so reading
-    /// bucket `h`, then the buckets below it, then `h + 1, h + 2, …` until `k` entries are in
-    /// hand yields exactly the k-smallest of the whole table, in order.
+    /// bucket `h`, then the buckets below it, then `h + 1, h + 2, …` until `K` entries are in
+    /// hand yields exactly the K smallest of the whole table, in order.
     fn closest_known(&self, node: usize, target: u64) -> Vec<(u64, SocketAddr)> {
         let dir =
             &self.buckets[self.bucket_start[node] as usize..self.bucket_start[node + 1] as usize];
-        let mut out = Vec::with_capacity(self.k);
+        let mut out = Vec::with_capacity(K);
         // Bucket h's directory entry: 64, past every entry, when the target is the node's id.
         let jh = (self.ids[node] ^ target).leading_zeros() as usize;
         if jh < dir.len() {
             self.take_closest(&dir[jh..=jh], target, &mut out);
-            if out.len() < self.k {
+            if out.len() < K {
                 self.take_closest(&dir[jh + 1..], target, &mut out);
             }
         }
         for j in (0..jh.min(dir.len())).rev() {
-            if out.len() >= self.k {
+            if out.len() >= K {
                 break;
             }
             self.take_closest(&dir[j..=j], target, &mut out);
@@ -403,19 +382,19 @@ impl DhtWorld {
         for &bucket in buckets {
             self.push_bucket(bucket, out);
         }
-        let room = self.k - start;
+        let room = K - start;
         if out.len() - start > room {
             out[start..].select_nth_unstable_by_key(room - 1, |&(id, _)| id ^ target);
-            out.truncate(self.k);
+            out.truncate(K);
         }
         out[start..].sort_unstable_by_key(|&(id, _)| id ^ target);
     }
 
-    /// Appends a bucket's routing entries: up to `k` of the ids in its `sorted_ids` range,
+    /// Appends a bucket's routing entries: up to [`K`] of the ids in its `sorted_ids` range,
     /// spread evenly over it, so tables are diverse without any per-node randomness.
     fn push_bucket(&self, (lo, hi): (u32, u32), out: &mut Vec<(u64, SocketAddr)>) {
         let (lo, len) = (lo as usize, (hi - lo) as usize);
-        let take = len.min(self.k);
+        let take = len.min(K);
         out.extend((0..take).map(|t| {
             let (id, idx) = self.sorted_ids[lo + t * len / take];
             (id, self.addrs[idx])
@@ -535,9 +514,8 @@ impl RpcHost for DhtWorld {
                 // node's own address. Each serve draws fresh lies from the node's private
                 // stream, so different requesters receive different fabrications.
                 let own_addr = world.addrs[idx];
-                let k = world.k.max(1);
                 let rng = world.serve_rng[idx].as_mut().expect("checked above");
-                let mut peers: Vec<(u64, SocketAddr)> = (0..k)
+                let mut peers: Vec<(u64, SocketAddr)> = (0..K)
                     .map(|_| (target ^ rng.gen_range(1..1024), own_addr))
                     .collect();
                 peers.sort_unstable_by_key(|&(id, _)| id ^ target);
@@ -613,8 +591,8 @@ fn start_lookup(sim: &mut NetSim<DhtWorld>) {
     advance(sim, li);
 }
 
-/// Drives lookup `li`: issues `FIND_NODE` RPCs to unqueried candidates among the `k` closest
-/// (up to `alpha` in flight), and finishes once those candidates have all settled.
+/// Drives lookup `li`: issues `FIND_NODE` RPCs to unqueried candidates among the [`K`] closest
+/// (up to [`ALPHA`] in flight), and finishes once those candidates have all settled.
 fn advance(sim: &mut NetSim<DhtWorld>, li: usize) {
     loop {
         enum Step {
@@ -628,7 +606,7 @@ fn advance(sim: &mut NetSim<DhtWorld>, li: usize) {
             if lookup.done {
                 return;
             }
-            // The next unqueried candidate among the k closest that have not failed.
+            // The next unqueried candidate among the K closest that have not failed.
             let mut next = None;
             let mut nonfailed = 0;
             for (ci, c) in lookup.shortlist.iter().enumerate() {
@@ -640,12 +618,12 @@ fn advance(sim: &mut NetSim<DhtWorld>, li: usize) {
                     next = Some(ci);
                     break;
                 }
-                if nonfailed >= world.k {
+                if nonfailed >= K {
                     break;
                 }
             }
             match next {
-                Some(ci) if lookup.inflight < world.alpha => Step::Query(ci),
+                Some(ci) if lookup.inflight < ALPHA => Step::Query(ci),
                 Some(_) => Step::Wait,
                 None if lookup.inflight == 0 => Step::Finish,
                 None => Step::Wait,
@@ -937,7 +915,7 @@ mod tests {
 
     /// The reference for [`DhtWorld::closest_known`]'s table: `node`'s routing table materialised
     /// the way it was before the bucket directory — per bit, the ids first differing from the
-    /// node's at that bit found by two binary searches over the sorted id list, up to `k` of
+    /// node's at that bit found by two binary searches over the sorted id list, up to `K` of
     /// them sampled evenly.
     fn materialised_table(world: &DhtWorld, node: usize) -> Vec<(u64, SocketAddr)> {
         let sorted = &world.sorted_ids;
@@ -949,7 +927,7 @@ mod tests {
             let hi_id = lo_id | (mask - 1);
             let lo = sorted.partition_point(|&(id, _)| id < lo_id);
             let hi = sorted.partition_point(|&(id, _)| id <= hi_id);
-            let (len, take) = (hi - lo, (hi - lo).min(world.k));
+            let (len, take) = (hi - lo, (hi - lo).min(K));
             for t in 0..take {
                 let (id, idx) = sorted[lo + t * len / take];
                 let addr = SocketAddr::new(world.net.addr_of(VNodeId(idx)), DHT_PORT);
@@ -959,7 +937,7 @@ mod tests {
         table
     }
 
-    /// Checks `closest_known` for `node` at the world's `k` against the `k` XOR-closest entries
+    /// Checks `closest_known` for `node` against the [`K`] XOR-closest entries
     /// of the materialised table, by a full sort, toward the node's own id, another node's id,
     /// one either side of each, and a random key.
     fn assert_closest_known_matches(world: &DhtWorld, node: usize, rng: &mut SimRng) {
@@ -973,13 +951,12 @@ mod tests {
         {
             let mut closest = table.clone();
             closest.sort_unstable_by_key(|&(id, _)| id ^ target);
-            closest.truncate(world.k);
+            closest.truncate(K);
             assert_eq!(
                 world.closest_known(node, target),
                 closest,
-                "n {} node {node} k {} target {target:#x}",
+                "n {} node {node} target {target:#x}",
                 world.nodes(),
-                world.k
             );
         }
     }
@@ -987,29 +964,26 @@ mod tests {
     #[test]
     fn closest_known_matches_the_materialised_table() {
         let mut rng = SimRng::new(25);
-        // Every node and every k on small worlds, where bucket boundaries are densest…
+        // Every node of small worlds, where bucket boundaries are densest and buckets hold
+        // fewer than K ids…
         for n in 2..=40 {
-            let mut world = world_of(&mut DhtLookupWorkload::new(DhtLookupSpec::new(n)));
-            for k in 1..=20 {
-                world.k = k;
-                for node in 0..n {
-                    assert_closest_known_matches(&world, node, &mut rng);
-                }
+            let world = world_of(&mut DhtLookupWorkload::new(DhtLookupSpec::new(n)));
+            for node in 0..n {
+                assert_closest_known_matches(&world, node, &mut rng);
             }
         }
-        // …and sampled nodes and k up to 600 nodes, where buckets overflow k.
+        // …and sampled nodes up to 600 nodes, where buckets overflow K.
         for _ in 0..12 {
             let n = rng.gen_range(41..=600);
-            let mut world = world_of(&mut DhtLookupWorkload::new(DhtLookupSpec::new(n)));
+            let world = world_of(&mut DhtLookupWorkload::new(DhtLookupSpec::new(n)));
             for _ in 0..40 {
-                world.k = rng.gen_range(1..=20);
                 let node = rng.gen_range(0..n);
                 assert_closest_known_matches(&world, node, &mut rng);
             }
         }
     }
 
-    /// The benchmark's size (`dht-rpc`: 20,000 nodes, k = 8), every node; run in release by CI.
+    /// The benchmark's size (`dht-rpc`: 20,000 nodes), every node; run in release by CI.
     #[test]
     #[ignore = "20,000 nodes: run in release"]
     fn closest_known_matches_the_materialised_table_at_benchmark_scale() {
@@ -1237,8 +1211,7 @@ mod tests {
 
     #[test]
     fn lossy_network_exercises_timeouts_and_retries() {
-        let mut spec = DhtLookupSpec::new(48);
-        spec.rpc_timeout = SimDuration::from_millis(250);
+        let spec = DhtLookupSpec::new(48);
         let topo = TopologySpec::uniform(
             "dht-lossy",
             48,
@@ -1368,20 +1341,21 @@ mod tests {
 
     #[test]
     fn chained_starts_run_in_the_up_front_order() {
-        // Starts 10 ms apart, RPC attempts that time out after 250 ms on lossy links: a call
-        // made at one lookup's start times out on the instant another lookup starts. Up front
-        // that start goes first; armed under a fresh sequence number it would go second. The
-        // trace starts lookups three at a time.
+        // Starts 40 ms apart, RPC attempts that time out after `rpc::TIMEOUT` (50 starts) on
+        // lossy links: a call made at one lookup's start times out on the instant another
+        // lookup starts. Up front that start goes first; armed under a fresh sequence number it
+        // would go second. The trace starts lookups three at a time, 125 ms apart (16 groups
+        // per timeout).
         let spec = DhtLookupSpec {
             lookups: 60,
-            rpc_timeout: SimDuration::from_millis(250),
-            lookup_interval: SimDuration::from_millis(10),
+            lookup_interval: SimDuration::from_millis(40),
             ..DhtLookupSpec::new(40)
         };
+        assert_eq!(rpc::TIMEOUT, spec.lookup_interval * 50);
         let link = AccessLinkClass::symmetric(50_000_000, SimDuration::from_millis(5));
         let topology = TopologySpec::uniform("dht-chain", 40, link.with_loss(0.25));
         let trace = (0..60)
-            .map(|k| SimDuration::from_millis(k / 3 * 5))
+            .map(|k| SimDuration::from_millis(k / 3 * 125))
             .collect();
         for arrivals in [None, Some(ArrivalSpec::trace(trace))] {
             let s = ScenarioSpec {

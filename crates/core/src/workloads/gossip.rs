@@ -6,7 +6,9 @@
 //! the rumor. Nodes join the overlay at the instants the scenario's arrival process draws
 //! (steady ramp, Poisson, flash crowd, replayed trace), may churn offline and back via the
 //! session process, and the measured quantity is the dissemination curve: how fast the rumor
-//! reaches everyone under each arrival and churn regime.
+//! reaches everyone under each arrival and churn regime. The round spacing
+//! ([`ROUND_INTERVAL`], 1 s) and the rumor's size ([`RUMOR_BYTES`], 256 bytes) are constants
+//! of both gossip workloads, this one and the sharded one: no shipped scenario varies them.
 
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::deploy::Deployment;
@@ -20,6 +22,12 @@ use p2plab_sim::{Counter, Gauge, PeriodicSeries, Recorder, RunOutcome, SimDurati
 /// The UDP-like port the gossip protocol runs on.
 pub const GOSSIP_PORT: u16 = 4100;
 
+/// Spacing between a node's gossip rounds (both gossip workloads).
+pub const ROUND_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Rumor payload size in bytes (both gossip workloads).
+pub const RUMOR_BYTES: u64 = 256;
+
 /// Description of a gossip experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GossipSpec {
@@ -27,22 +35,13 @@ pub struct GossipSpec {
     pub nodes: usize,
     /// How many random peers each informed node pushes the rumor to per round.
     pub fanout: usize,
-    /// Spacing between a node's gossip rounds.
-    pub round_interval: SimDuration,
-    /// Rumor payload size in bytes.
-    pub rumor_bytes: u64,
 }
 
 impl GossipSpec {
-    /// A gossip experiment over `nodes` nodes with fanout 3, 1 s rounds and a 256-byte rumor.
+    /// A gossip experiment over `nodes` nodes with fanout 3.
     pub fn new(nodes: usize) -> GossipSpec {
         assert!(nodes >= 2, "gossip needs at least two nodes");
-        GossipSpec {
-            nodes,
-            fanout: 3,
-            round_interval: SimDuration::from_secs(1),
-            rumor_bytes: 256,
-        }
+        GossipSpec { nodes, fanout: 3 }
     }
 
     /// The `[workload.gossip]` keys of a scenario file; absent ones keep [`GossipSpec::new`]'s
@@ -50,12 +49,6 @@ impl GossipSpec {
     pub(crate) fn keys(k: &mut Keys, spec: &mut GossipSpec) -> Result<(), DslError> {
         k.req("nodes", &mut spec.nodes)?;
         k.checked("fanout", &mut spec.fanout, check_fanout)?;
-        k.checked(
-            "round_interval",
-            &mut spec.round_interval,
-            check_round_interval,
-        )?;
-        k.opt("rumor_bytes", &mut spec.rumor_bytes)?;
         Ok(())
     }
 }
@@ -66,14 +59,6 @@ pub(crate) fn check_fanout(&fanout: &usize) -> Result<(), String> {
         0 => Err("a round must push to at least one peer, got 0".to_string()),
         _ => Ok(()),
     }
-}
-
-/// A zero interval re-arms every round at the instant it ran: virtual time never advances.
-pub(crate) fn check_round_interval(interval: &SimDuration) -> Result<(), String> {
-    if interval.is_zero() {
-        return Err("round interval must be positive".to_string());
-    }
-    Ok(())
 }
 
 /// Payload of the gossip protocol: the rumor, tagged with how many hops it has travelled.
@@ -109,7 +94,6 @@ pub struct GossipWorld {
     pub duplicate_receipts: u64,
     /// Rumor datagrams that reached a node that was offline (not yet arrived or churned away).
     pub missed_receipts: u64,
-    rumor_bytes: u64,
     fanout: usize,
     /// Every armed gossip round after a node's first, as `(idx, hops)`: one pending event. A
     /// node's id is a `u32` here, as in the network's records (24 bytes a member, not 32).
@@ -131,9 +115,8 @@ impl GossipWorld {
             rumors_sent: 0,
             duplicate_receipts: 0,
             missed_receipts: 0,
-            rumor_bytes: spec.rumor_bytes,
             fanout: spec.fanout,
-            rounds: PeriodicSeries::new(spec.round_interval),
+            rounds: PeriodicSeries::new(ROUND_INTERVAL),
             arrivals: Vec::new(),
             arrival_rank: 0,
         }
@@ -287,13 +270,12 @@ fn push_rumor(sim: &mut NetSim<GossipWorld>, idx: usize, hops: u32) {
         }
         let world = sim.world_mut();
         let to_addr = world.net.addr_of(VNodeId(target));
-        let size = world.rumor_bytes;
         world.rumors_sent += 1;
         let _ = Endpoint::new(VNodeId(idx)).send_datagram(
             sim,
             GOSSIP_PORT,
             SocketAddr::new(to_addr, GOSSIP_PORT),
-            size,
+            RUMOR_BYTES,
             Rumor { hops },
         );
     }

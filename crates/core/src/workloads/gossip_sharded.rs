@@ -31,7 +31,7 @@
 //! global visibility); scenarios with a session process are rejected with
 //! [`ScenarioError::ShardingUnsupported`].
 
-use super::gossip::{check_fanout, check_round_interval};
+use super::gossip::{check_fanout, ROUND_INTERVAL, RUMOR_BYTES};
 use crate::adversary::{AdversaryRoster, InvariantReport};
 use crate::scenario::dsl::{DslError, Keys};
 use crate::scenario::{
@@ -50,10 +50,6 @@ pub struct GossipShardedSpec {
     pub nodes: usize,
     /// How many random peers each informed node pushes the rumor to per round.
     pub fanout: usize,
-    /// Spacing between a node's gossip rounds.
-    pub round_interval: SimDuration,
-    /// Rumor payload size in bytes.
-    pub rumor_bytes: u64,
     /// How many rounds an informed node pushes before going quiet. `0` means unlimited: the
     /// run then stops at the runtime's summed dissemination target instead of draining. A
     /// capped run drains — every node exhausts its rounds and the queues empty — which is the
@@ -64,15 +60,13 @@ pub struct GossipShardedSpec {
 }
 
 impl GossipShardedSpec {
-    /// A sharded gossip experiment over `nodes` nodes with fanout 3, 1 s rounds and a 256-byte
-    /// rumor (the same defaults as [`GossipSpec::new`](super::GossipSpec::new)).
+    /// A sharded gossip experiment over `nodes` nodes with fanout 3 and unlimited rounds (the
+    /// same defaults as [`GossipSpec::new`](super::GossipSpec::new)).
     pub fn new(nodes: usize) -> GossipShardedSpec {
         assert!(nodes >= 2, "gossip needs at least two nodes");
         GossipShardedSpec {
             nodes,
             fanout: 3,
-            round_interval: SimDuration::from_secs(1),
-            rumor_bytes: 256,
             rounds: 0,
         }
     }
@@ -86,12 +80,6 @@ impl GossipShardedSpec {
             _ => Ok(()),
         })?;
         k.checked("fanout", &mut spec.fanout, check_fanout)?;
-        k.checked(
-            "round_interval",
-            &mut spec.round_interval,
-            check_round_interval,
-        )?;
-        k.opt("rumor_bytes", &mut spec.rumor_bytes)?;
         k.opt("rounds", &mut spec.rounds)?;
         Ok(())
     }
@@ -159,7 +147,6 @@ struct GossipShard {
     shards: usize,
     nodes: usize,
     fanout: usize,
-    rumor_bytes: u64,
     /// The spec's per-node round cap (`0` = unlimited).
     rounds: u32,
     /// Link parameters for **all** nodes, one `(end, link)` entry per topology group in group
@@ -230,12 +217,11 @@ impl GossipShard {
                 .collect(),
             arrivals: arrivals.times()[block.clone()].to_vec(),
             arrival_rank: 0,
-            round_series: PeriodicSeries::new(spec.round_interval),
+            round_series: PeriodicSeries::new(ROUND_INTERVAL),
             block,
             shards,
             nodes: spec.nodes,
             fanout: spec.fanout,
-            rumor_bytes: spec.rumor_bytes,
             rounds: spec.rounds,
             links,
             online: vec![false; len],
@@ -363,7 +349,7 @@ fn push_rumors(sim: &mut ShardSim<GossipShard>, now: SimTime, node: usize) {
     let shards = world.shards;
     let l = world.local(node);
     let link = world.link(node);
-    let ser = serialization_delay(world.rumor_bytes, link.up_bps);
+    let ser = serialization_delay(RUMOR_BYTES, link.up_bps);
     for _ in 0..fanout {
         let world = sim.model();
         let mut target = world.rng[l].gen_range(0..n - 1);
@@ -660,9 +646,11 @@ impl Workload for GossipShardedWorkload {
 
         // Merge the per-shard worlds into the global view. Every aggregate below is a function
         // of the partition-invariant event history, so the merged world (and the report built
-        // from it) is byte-identical across shard counts.
+        // from it) is byte-identical across shard counts. Each shard gives up its informed
+        // times and is dropped (its round series and per-node streams with it) before the next
+        // is read, and the global vectors are built only once every shard is gone.
         let mut world = GossipShardedWorld {
-            informed_at: Vec::with_capacity(self.spec.nodes),
+            informed_at: Vec::new(),
             informed: 0,
             rumors_sent: 0,
             duplicate_receipts: 0,
@@ -672,14 +660,17 @@ impl Workload for GossipShardedWorkload {
             cross_messages: run.cross_messages,
             byzantine_msgs_sent: 0,
         };
-        for shard in &run.worlds {
-            world.informed_at.extend_from_slice(&shard.informed_at);
+        let mut blocks = Vec::with_capacity(run.worlds.len());
+        for shard in run.worlds {
             world.informed += shard.informed as usize;
             world.rumors_sent += shard.rumors_sent;
             world.duplicate_receipts += shard.duplicate_receipts;
             world.missed_receipts += shard.missed_receipts;
             world.byzantine_msgs_sent += shard.byzantine_msgs_sent;
+            blocks.push(shard.informed_at);
         }
+        world.informed_at = blocks.concat();
+        drop(blocks);
 
         let stopped_at = run.end_time;
 

@@ -56,10 +56,7 @@ pub use network::{
 };
 pub use ping::{ping, ping_series, PingPayload, PingTimer, PingWorld, ECHO_PORT};
 pub use pipe::{DropReason, EnqueueOutcome, Pipe, PipeConfig, PipeId, Shaping};
-pub use proto::{
-    Aimd, BurstLoss, CcKind, CongestionController, FragHeader, Legacy, LinkCondition,
-    TransportConfig,
-};
+pub use proto::{Aimd, BurstLoss, CcKind, LinkCondition, TransportConfig};
 pub use rpc::{RpcHost, RpcId, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout};
 pub use tamper::{Misbehavior, TamperSpec};
 pub use topology::{AccessLinkClass, GroupId, GroupSpec, TopologySpec};

@@ -47,7 +47,7 @@ use crate::addr::VirtAddr;
 use crate::firewall::Direction;
 use crate::intercept::InterceptConfig;
 use crate::pipe::{EnqueueOutcome, PipeConfig, PipeId, Shaping};
-use crate::proto::{CongestionController, ProtoConn, TransportConfig};
+use crate::proto::{ProtoConn, TransportConfig};
 use crate::tamper::{TamperSpec, TamperState};
 use crate::topology::{GroupId, TopologySpec};
 use p2plab_sim::{FxHashSet, SimDuration, SimRng, SimTime};
@@ -711,7 +711,7 @@ impl Network {
         self.free_conns.push(slot as u32);
         if let Some(proto) = self.proto.get_mut(slot).and_then(Option::take) {
             for half in &proto.halves {
-                self.retired_cwnd.0 += u128::from(half.cc.cwnd_bytes());
+                self.retired_cwnd.0 += u128::from(half.cwnd_bytes());
                 self.retired_cwnd.1 += 1;
             }
         }
@@ -749,7 +749,7 @@ impl Network {
         let (mut sum, mut n) = self.retired_cwnd;
         for conn in self.proto.iter().flatten() {
             for half in &conn.halves {
-                sum += u128::from(half.cc.cwnd_bytes());
+                sum += u128::from(half.cwnd_bytes());
                 n += 1;
             }
         }

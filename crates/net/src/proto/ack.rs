@@ -200,8 +200,8 @@ impl SentWindow {
     /// newly acknowledged fragment, in send order, and forgets those fragments. `sent_at` is
     /// `None` for fragments that were retransmitted: the bytes count, the RTT sample does not.
     ///
-    /// A buffer at most a quarter full shrinks to twice its length (not below
-    /// [`SHRINK_FLOOR`]), so a drained burst does not keep its capacity for the life of the
+    /// A buffer at most a quarter full shrinks to twice its length (not below `SHRINK_FLOOR`,
+    /// eight records), so a drained burst does not keep its capacity for the life of the
     /// connection.
     pub fn on_ack(&mut self, field: &AckBitfield, mut on_acked: impl FnMut(u64, Option<SimTime>)) {
         self.unacked.retain(|r| {

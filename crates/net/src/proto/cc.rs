@@ -1,18 +1,18 @@
-//! Pluggable congestion control, applied as **pacing**.
+//! Congestion control, applied as **pacing**.
 //!
 //! The emulated transport has no send queue to block — `Endpoint::send` always accepts — so a
 //! congestion controller shapes traffic by spacing fragment releases instead: each fragment's
-//! release is delayed until `pace_until`, which advances by
-//! [`send_spacing`](CongestionController::send_spacing) per fragment. A controller whose
-//! spacing is always zero releases every fragment immediately, reproducing the historical
-//! behaviour exactly; that is the [`Legacy`] controller, kept wire-identical for the
-//! byte-identity pins. [`Aimd`] implements TCP-style slow start and additive increase /
-//! multiplicative decrease over a smoothed RTT, pacing at `cwnd / srtt`.
+//! release is delayed until `pace_until`, which advances by [`Aimd::send_spacing`] per
+//! fragment. [`Aimd`] is the one controller: TCP-style slow start and additive increase /
+//! multiplicative decrease over a smoothed RTT, pacing at `cwnd / srtt`. A connection direction
+//! under [`CcKind::Legacy`] holds no controller (`ProtoHalf::cc` is `None`): it never paces and
+//! never reacts, which reproduces the historical behaviour exactly and keeps the byte-identity
+//! pins wire-identical.
 
 use p2plab_sim::SimDuration;
 
-/// Which congestion controller a connection direction uses (the configuration-level name;
-/// instantiated as a [`CcState`]).
+/// Which congestion control a connection direction uses (the configuration-level name; only
+/// [`CcKind::Aimd`] instantiates a controller).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcKind {
     /// Fixed window, zero pacing: wire-identical to the pre-protocol transport.
@@ -40,44 +40,6 @@ impl CcKind {
     }
 }
 
-/// A per-direction congestion controller. Implementations react to transmissions, returning
-/// acknowledgements and losses, and translate their window into inter-fragment spacing.
-pub trait CongestionController {
-    /// A fragment of `wire_bytes` was released to the wire.
-    fn on_send(&mut self, wire_bytes: u64);
-    /// An acknowledgement covered `wire_bytes`. `rtt` is `None` when the fragment was
-    /// retransmitted (Karn's algorithm: the bytes grow the window, but an ack that cannot be
-    /// matched to a single transmission yields no RTT sample).
-    fn on_ack(&mut self, wire_bytes: u64, rtt: Option<SimDuration>);
-    /// A fragment was lost (drop-triggered, the sim's omniscient loss signal).
-    fn on_loss(&mut self);
-    /// Spacing to insert after releasing a fragment of `wire_bytes`.
-    fn send_spacing(&mut self, wire_bytes: u64) -> SimDuration;
-    /// The current congestion window in bytes (for metrics).
-    fn cwnd_bytes(&self) -> u64;
-}
-
-/// The fixed-window controller: never paces, never reacts. Wire-identical to the transport
-/// before congestion control existed — the fig10 byte-identity pin runs on this path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Legacy;
-
-/// The legacy controller's nominal window, reported for metrics (effectively unbounded: the
-/// historical transport pushed every frame to the pipes immediately).
-const LEGACY_CWND_BYTES: u64 = u64::MAX;
-
-impl CongestionController for Legacy {
-    fn on_send(&mut self, _wire_bytes: u64) {}
-    fn on_ack(&mut self, _wire_bytes: u64, _rtt: Option<SimDuration>) {}
-    fn on_loss(&mut self) {}
-    fn send_spacing(&mut self, _wire_bytes: u64) -> SimDuration {
-        SimDuration::ZERO
-    }
-    fn cwnd_bytes(&self) -> u64 {
-        LEGACY_CWND_BYTES
-    }
-}
-
 /// TCP-style AIMD over a smoothed RTT, applied as pacing at rate `cwnd / srtt`.
 ///
 /// * slow start: `cwnd += acked_bytes` per ack while below `ssthresh`;
@@ -90,7 +52,6 @@ impl CongestionController for Legacy {
 pub struct Aimd {
     cwnd: u64,
     ssthresh: u64,
-    mss: u64,
     srtt: SimDuration,
     /// Bytes of acknowledgements still to arrive before another loss may shrink the window
     /// (NewReno-style loss-event coalescing). A Gilbert–Elliott burst drops many consecutive
@@ -99,7 +60,7 @@ pub struct Aimd {
     recovery_left: u64,
 }
 
-/// Segment size the AIMD controller grows by in congestion avoidance.
+/// Segment size (`mss`) the AIMD controller grows by in congestion avoidance.
 const AIMD_MSS: u64 = 1200;
 /// Initial window: 10 segments (RFC 6928's modern initial window).
 const AIMD_INITIAL_WINDOW: u64 = 10 * AIMD_MSS;
@@ -113,17 +74,17 @@ impl Default for Aimd {
         Aimd {
             cwnd: AIMD_INITIAL_WINDOW,
             ssthresh: AIMD_MAX_WINDOW,
-            mss: AIMD_MSS,
             srtt: AIMD_INITIAL_SRTT,
             recovery_left: 0,
         }
     }
 }
 
-impl CongestionController for Aimd {
-    fn on_send(&mut self, _wire_bytes: u64) {}
-
-    fn on_ack(&mut self, wire_bytes: u64, rtt: Option<SimDuration>) {
+impl Aimd {
+    /// An acknowledgement covered `wire_bytes`. `rtt` is `None` when the fragment was
+    /// retransmitted (Karn's algorithm: the bytes grow the window, but an ack that cannot be
+    /// matched to a single transmission yields no RTT sample).
+    pub fn on_ack(&mut self, wire_bytes: u64, rtt: Option<SimDuration>) {
         self.recovery_left = self.recovery_left.saturating_sub(wire_bytes);
         if let Some(rtt) = rtt {
             self.srtt = SimDuration::from_nanos(
@@ -133,22 +94,24 @@ impl CongestionController for Aimd {
         if self.cwnd < self.ssthresh {
             self.cwnd = (self.cwnd + wire_bytes).min(AIMD_MAX_WINDOW);
         } else {
-            let growth = (self.mss.saturating_mul(wire_bytes) / self.cwnd).max(1);
+            let growth = (AIMD_MSS.saturating_mul(wire_bytes) / self.cwnd).max(1);
             self.cwnd = (self.cwnd + growth).min(AIMD_MAX_WINDOW);
         }
     }
 
-    fn on_loss(&mut self) {
+    /// A fragment was lost (drop-triggered, the sim's omniscient loss signal).
+    pub fn on_loss(&mut self) {
         if self.recovery_left > 0 {
             // Still recovering from the previous halving: this loss belongs to the same burst.
             return;
         }
-        self.ssthresh = (self.cwnd / 2).max(2 * self.mss);
+        self.ssthresh = (self.cwnd / 2).max(2 * AIMD_MSS);
         self.cwnd = self.ssthresh;
         self.recovery_left = self.cwnd;
     }
 
-    fn send_spacing(&mut self, wire_bytes: u64) -> SimDuration {
+    /// Spacing to insert after releasing a fragment of `wire_bytes`.
+    pub fn send_spacing(&self, wire_bytes: u64) -> SimDuration {
         // Pace at cwnd / srtt: the spacing of a fragment is the srtt share its bytes occupy in
         // the window.
         SimDuration::from_nanos(
@@ -159,71 +122,15 @@ impl CongestionController for Aimd {
         )
     }
 
-    fn cwnd_bytes(&self) -> u64 {
+    /// The current congestion window in bytes (for metrics).
+    pub fn cwnd_bytes(&self) -> u64 {
         self.cwnd
-    }
-}
-
-/// The concrete controller state stored per connection direction (an enum rather than a boxed
-/// trait object so the network side table stays `Clone` and allocation-free).
-#[derive(Debug, Clone, Copy)]
-pub enum CcState {
-    /// See [`Legacy`].
-    Legacy(Legacy),
-    /// See [`Aimd`].
-    Aimd(Aimd),
-}
-
-impl CcState {
-    /// Instantiates the controller named by `kind`.
-    pub fn new(kind: CcKind) -> CcState {
-        match kind {
-            CcKind::Legacy => CcState::Legacy(Legacy),
-            CcKind::Aimd => CcState::Aimd(Aimd::default()),
-        }
-    }
-
-    fn dynamic(&mut self) -> &mut dyn CongestionController {
-        match self {
-            CcState::Legacy(c) => c,
-            CcState::Aimd(c) => c,
-        }
-    }
-}
-
-impl CongestionController for CcState {
-    fn on_send(&mut self, wire_bytes: u64) {
-        self.dynamic().on_send(wire_bytes);
-    }
-    fn on_ack(&mut self, wire_bytes: u64, rtt: Option<SimDuration>) {
-        self.dynamic().on_ack(wire_bytes, rtt);
-    }
-    fn on_loss(&mut self) {
-        self.dynamic().on_loss();
-    }
-    fn send_spacing(&mut self, wire_bytes: u64) -> SimDuration {
-        self.dynamic().send_spacing(wire_bytes)
-    }
-    fn cwnd_bytes(&self) -> u64 {
-        match self {
-            CcState::Legacy(c) => c.cwnd_bytes(),
-            CcState::Aimd(c) => c.cwnd_bytes(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn legacy_never_paces() {
-        let mut c = Legacy;
-        c.on_send(10_000);
-        c.on_loss();
-        c.on_ack(10_000, Some(SimDuration::from_millis(50)));
-        assert_eq!(c.send_spacing(1_000_000), SimDuration::ZERO);
-    }
 
     #[test]
     fn aimd_slow_start_doubles_per_rtt() {
@@ -322,15 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn state_enum_dispatches() {
-        let mut s = CcState::new(CcKind::Aimd);
-        let w = s.cwnd_bytes();
-        s.on_loss();
-        assert!(s.cwnd_bytes() < w);
-        let mut l = CcState::new(CcKind::Legacy);
-        assert_eq!(l.send_spacing(1_000_000), SimDuration::ZERO);
-        assert_eq!(CcKind::parse("aimd"), Some(CcKind::Aimd));
-        assert_eq!(CcKind::parse("legacy"), Some(CcKind::Legacy));
+    fn kind_names_round_trip() {
+        for kind in [CcKind::Legacy, CcKind::Aimd] {
+            assert_eq!(CcKind::parse(kind.name()), Some(kind));
+        }
         assert_eq!(CcKind::parse("bbr"), None);
         assert_eq!(CcKind::Aimd.name(), "aimd");
     }

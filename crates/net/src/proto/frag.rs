@@ -1,8 +1,8 @@
 //! MTU fragmentation and receive-side reassembly.
 //!
 //! A message larger than the configured MTU is split into `ceil(size / mtu)` fragments, each
-//! carrying an 8-byte fragment header ([`FragHeader`]: message id, fragment index, fragment
-//! count, wire sequence) on top of its lane framing. The receive side tracks per-message
+//! carrying an 8-byte fragment header ([`FRAG_HEADER_BYTES`]: message id, fragment index,
+//! fragment count, wire sequence) on top of its lane framing. The receive side tracks per-message
 //! bitmasks ([`Reassembler`]) and reports completion exactly once per message id — duplicate
 //! fragments (conditioner duplication, retransmit races) and malformed headers are ignored, so
 //! the layer never delivers a message it was not sent and never delivers one twice.
@@ -26,46 +26,11 @@
 
 use p2plab_sim::FxHashMap;
 
-/// Bytes of the per-fragment header carried on the wire on top of the lane framing:
-/// message id (2) + index (2) + count (2) + wire sequence (2).
+/// Bytes of the per-fragment header priced on the wire on top of the lane framing, laid out
+/// as four little-endian `u16`s: message (reassembly) id, fragment index, fragment count and
+/// wire sequence number (the unit of acknowledgement). The simulation carries these fields in
+/// the fragment frame itself and never serialises a header, so only its size is modelled.
 pub const FRAG_HEADER_BYTES: u64 = 8;
-
-/// The fragment header as serialized on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FragHeader {
-    /// Message (reassembly) id, wrapping per (connection, direction, lane).
-    pub msg: u16,
-    /// Index of this fragment within the message, `0..count`.
-    pub index: u16,
-    /// Total number of fragments of the message.
-    pub count: u16,
-    /// Wire sequence number (the unit of acknowledgement).
-    pub seq: u16,
-}
-
-impl FragHeader {
-    /// Serializes to the 8-byte wire shape (little-endian fields).
-    pub fn encode(&self) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out[0..2].copy_from_slice(&self.msg.to_le_bytes());
-        out[2..4].copy_from_slice(&self.index.to_le_bytes());
-        out[4..6].copy_from_slice(&self.count.to_le_bytes());
-        out[6..8].copy_from_slice(&self.seq.to_le_bytes());
-        out
-    }
-
-    /// Deserializes the 8-byte wire shape. Total: every 8-byte string decodes (validity —
-    /// `index < count`, `count > 0` — is checked by the [`Reassembler`], as a real receiver
-    /// must).
-    pub fn decode(bytes: [u8; 8]) -> FragHeader {
-        FragHeader {
-            msg: u16::from_le_bytes([bytes[0], bytes[1]]),
-            index: u16::from_le_bytes([bytes[2], bytes[3]]),
-            count: u16::from_le_bytes([bytes[4], bytes[5]]),
-            seq: u16::from_le_bytes([bytes[6], bytes[7]]),
-        }
-    }
-}
 
 /// Number of fragments a message of `size` bytes needs at the given MTU (at least 1 — empty
 /// messages still travel as one fragment).
@@ -305,17 +270,6 @@ mod tests {
     fn len(ids: &CompletedIds) -> usize {
         let span = |&(first, last): &(u16, u16)| usize::from(last - first) + 1;
         ids.ranges.iter().map(span).sum()
-    }
-
-    #[test]
-    fn header_roundtrip() {
-        let h = FragHeader {
-            msg: 7,
-            index: 2,
-            count: 9,
-            seq: 0xFFFE,
-        };
-        assert_eq!(FragHeader::decode(h.encode()), h);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`ack`] — wrapping 16-bit sequence numbers, the receive-side [`AckTracker`] producing
 //!   [`AckBitfield`]s, and the send-side [`SentWindow`] that turns returning acks into RTT
 //!   samples;
-//! * [`cc`] — the pluggable [`CongestionController`] trait with two implementations: [`Legacy`]
-//!   (a fixed window that never paces — **wire-identical** to the pre-protocol data plane) and
-//!   [`Aimd`] (slow start + additive increase / multiplicative decrease, applied as pacing);
+//! * [`cc`] — the [`Aimd`] congestion controller (slow start + additive increase /
+//!   multiplicative decrease, applied as pacing); under [`CcKind::Legacy`] a direction holds no
+//!   controller and never paces — **wire-identical** to the pre-protocol data plane;
 //! * [`condition`] — composable link conditioners (jitter, reordering, duplication and
 //!   Gilbert–Elliott burst loss) stacked on [`Pipe`](crate::pipe::Pipe)s by
 //!   [`LinkCondition`].
@@ -30,11 +30,9 @@ pub mod condition;
 pub mod frag;
 
 pub use ack::{seq_newer, AckBitfield, AckTracker, SentWindow};
-pub use cc::{Aimd, CcKind, CcState, CongestionController, Legacy};
+pub use cc::{Aimd, CcKind};
 pub use condition::{BurstLoss, LinkCondition};
-pub use frag::{
-    fragment_count, fragment_size, FragHeader, FragOutcome, Reassembler, FRAG_HEADER_BYTES,
-};
+pub use frag::{fragment_count, fragment_size, FragOutcome, Reassembler, FRAG_HEADER_BYTES};
 
 use crate::lane::LaneKind;
 use p2plab_sim::SimTime;
@@ -103,10 +101,11 @@ pub struct LaneProto {
 #[derive(Debug, Clone)]
 pub struct ProtoHalf {
     /// The sender may not release the next fragment before this time (pacing under the
-    /// congestion controller; stays at [`SimTime::ZERO`] under [`Legacy`]).
+    /// congestion controller; stays at [`SimTime::ZERO`] without one).
     pub pace_until: SimTime,
-    /// The congestion controller of this direction.
-    pub cc: CcState,
+    /// The congestion controller of this direction: `None` under [`CcKind::Legacy`], which
+    /// inserts no spacing and reacts to no ack or loss.
+    pub cc: Option<Aimd>,
     /// Per-lane protocol state, indexed by [`LaneKind::index`]. A lane's record is allocated
     /// by the lane's first fragment or ack in this direction: a swarm uses one lane of three.
     lanes: [Option<Box<LaneProto>>; 3],
@@ -116,7 +115,7 @@ impl ProtoHalf {
     fn new(kind: CcKind) -> ProtoHalf {
         ProtoHalf {
             pace_until: SimTime::ZERO,
-            cc: CcState::new(kind),
+            cc: (kind == CcKind::Aimd).then(Aimd::default),
             lanes: Default::default(),
         }
     }
@@ -128,9 +127,15 @@ impl ProtoHalf {
 
     /// The congestion controller together with `lane`'s state: an ack credits the one from
     /// the other's sender window.
-    pub(crate) fn cc_and_lane(&mut self, lane: LaneKind) -> (&mut CcState, &mut LaneProto) {
+    pub(crate) fn cc_and_lane(&mut self, lane: LaneKind) -> (&mut Option<Aimd>, &mut LaneProto) {
         let state = self.lanes[lane.index()].get_or_insert_with(Default::default);
         (&mut self.cc, state)
+    }
+
+    /// This direction's congestion window in bytes, for metrics: `u64::MAX` (effectively
+    /// unbounded, as the historical transport pushed every frame at once) without a controller.
+    pub(crate) fn cwnd_bytes(&self) -> u64 {
+        self.cc.as_ref().map_or(u64::MAX, Aimd::cwnd_bytes)
     }
 }
 
@@ -147,7 +152,7 @@ pub struct ProtoConn {
 }
 
 // One per connection that carried a fragment; a lane's state is a separate allocation.
-const _: () = assert!(std::mem::size_of::<ProtoConn>() <= 192);
+const _: () = assert!(std::mem::size_of::<ProtoConn>() <= 144);
 
 impl ProtoConn {
     /// Fresh protocol state with both directions using the given congestion controller.

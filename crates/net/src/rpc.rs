@@ -7,8 +7,8 @@
 //! * [`call`] sends a request and remembers the caller's per-call context; the reply (or a
 //!   timeout after [`MAX_ATTEMPTS`] tries) is handed back with that context to
 //!   [`RpcHost::on_outcome`], with the measured latency;
-//! * retransmissions are **bounded retries** on a flat timeout — the reliability lives in the
-//!   RPC layer, not the transport, exactly like UDP-based DHT protocols;
+//! * retransmissions are **bounded retries** on a flat [`TIMEOUT`] — the reliability lives in
+//!   the RPC layer, not the transport, exactly like UDP-based DHT protocols;
 //! * the per-call timeout is one of the world's own timers ([`NetHost::Timer`], built from an
 //!   [`RpcTimeout`]), cancelled through the engine's timer wheel when the reply arrives first
 //!   — the overwhelmingly common case — so a completed call costs O(1) cancellation instead of
@@ -28,7 +28,7 @@
 //!     AccessLinkClass, GroupId, NetHost, NetSim, Network, NetworkConfig, SocketAddr,
 //!     TopologySpec, TransportEvent, VNodeId, VirtAddr,
 //! };
-//! use p2plab_sim::{SimDuration, Simulation};
+//! use p2plab_sim::Simulation;
 //!
 //! /// Nodes answer `n` with `n + 1`; the world records `(call label, answer)` pairs.
 //! struct Adder {
@@ -80,7 +80,7 @@
 //! let b = net.add_vnode(m, GroupId(0)).unwrap();
 //! let remote = SocketAddr::new(net.addr_of(b), 4000);
 //!
-//! let world = Adder { net, rpc: RpcTable::new(SimDuration::from_secs(1)), answers: vec![] };
+//! let world = Adder { net, rpc: RpcTable::new(), answers: vec![] };
 //! let mut sim: NetSim<Adder> = Simulation::new(world, 1);
 //! rpc::call(&mut sim, a, 4000, remote, 41, 8, "the answer").unwrap();
 //! sim.run();
@@ -128,6 +128,9 @@ pub enum RpcPayload<B> {
 /// Total transmissions of a call's request before the call fails: the first try and two
 /// retries.
 pub const MAX_ATTEMPTS: u32 = 3;
+
+/// How long each attempt waits for its response before the call retries (flat per attempt).
+pub const TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// Counters kept by an [`RpcTable`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -187,21 +190,22 @@ struct Pending<W: RpcHost> {
     ctx: W::Context,
 }
 
-/// Per-world RPC state: pending calls keyed by correlation id, the per-attempt timeout and
-/// counters. Embedded in the world and exposed through [`RpcHost::rpc_table`].
+/// Per-world RPC state: pending calls keyed by correlation id, and counters. Embedded in the
+/// world and exposed through [`RpcHost::rpc_table`].
 pub struct RpcTable<W: RpcHost> {
-    /// How long each attempt waits for a response before the call retries (flat per attempt).
-    timeout: SimDuration,
     next_id: u64,
     pending: FxHashMap<u64, Pending<W>>,
     stats: RpcStats,
 }
 
 impl<W: RpcHost> RpcTable<W> {
-    /// Creates an empty table whose calls wait `timeout` for each attempt's response.
-    pub fn new(timeout: SimDuration) -> RpcTable<W> {
+    /// Creates an empty table.
+    #[expect(
+        clippy::new_without_default,
+        reason = "a table is built by its world's constructor; nothing asks for a default"
+    )]
+    pub fn new() -> RpcTable<W> {
         RpcTable {
-            timeout,
             next_id: 0,
             pending: FxHashMap::default(),
             stats: RpcStats::default(),
@@ -248,7 +252,7 @@ pub trait RpcHost:
 }
 
 /// Issues an RPC from `node:from_port` to `remote`: sends `body` (`size` wire bytes) as an
-/// unreliable datagram, retrying on the table's flat timeout up to [`MAX_ATTEMPTS`] sends, and
+/// unreliable datagram, retrying on the flat [`TIMEOUT`] up to [`MAX_ATTEMPTS`] sends, and
 /// hands the outcome to [`RpcHost::on_outcome`] together with `ctx` — with the reply and
 /// measured latency, or as a timeout. A synchronous send error returns `Err` and keeps
 /// nothing: `on_outcome` then never runs for this call.
@@ -265,11 +269,11 @@ pub fn call<W: RpcHost>(
     ctx: W::Context,
 ) -> Result<RpcId, NetError> {
     let now = sim.now();
-    let (id, timeout) = {
+    let id = {
         let table = sim.world_mut().rpc_table();
         let id = table.next_id;
         table.next_id += 1;
-        (id, table.timeout)
+        id
     };
     Endpoint::new(node).send_datagram(
         sim,
@@ -284,7 +288,7 @@ pub fn call<W: RpcHost>(
     // Counted only once the request is actually on the wire: a synchronous send error above
     // leaves the stats invariant `calls == replies + timeouts + pending` intact.
     sim.world_mut().rpc_table().stats.calls += 1;
-    let timer = sim.schedule_event_in(timeout, NetEvent::Timer(RpcTimeout(id).into()));
+    let timer = sim.schedule_event_in(TIMEOUT, NetEvent::Timer(RpcTimeout(id).into()));
     sim.world_mut().rpc_table().pending.insert(
         id,
         Pending {
@@ -378,19 +382,14 @@ pub fn on_timeout<W: RpcHost>(sim: &mut NetSim<W>, RpcTimeout(id): RpcTimeout) {
         let table = sim.world_mut().rpc_table();
         match table.pending.get(&id) {
             None => return, // completed in the same instant; timer raced its cancellation
-            Some(p) if p.attempts < MAX_ATTEMPTS => Some((
-                p.caller,
-                p.from_port,
-                p.remote,
-                p.body.clone(),
-                p.size,
-                table.timeout,
-            )),
+            Some(p) if p.attempts < MAX_ATTEMPTS => {
+                Some((p.caller, p.from_port, p.remote, p.body.clone(), p.size))
+            }
             Some(_) => None,
         }
     };
     match retry {
-        Some((caller, from_port, remote, body, size, timeout)) => {
+        Some((caller, from_port, remote, body, size)) => {
             sim.world_mut().rpc_table().stats.retries += 1;
             let _ = Endpoint::new(caller).send_datagram(
                 sim,
@@ -402,7 +401,7 @@ pub fn on_timeout<W: RpcHost>(sim: &mut NetSim<W>, RpcTimeout(id): RpcTimeout) {
                     body,
                 },
             );
-            let timer = sim.schedule_event_in(timeout, NetEvent::Timer(RpcTimeout(id).into()));
+            let timer = sim.schedule_event_in(TIMEOUT, NetEvent::Timer(RpcTimeout(id).into()));
             let table = sim.world_mut().rpc_table();
             if let Some(p) = table.pending.get_mut(&id) {
                 p.attempts += 1;
@@ -504,11 +503,11 @@ mod tests {
         }
     }
 
-    /// The per-attempt timeout of a table that should never time out a lossless call.
-    const TIMEOUT: SimDuration = SimDuration::from_secs(1);
+    /// An access link latency whose round trip (four pipes) is far below [`TIMEOUT`].
+    const LATENCY: SimDuration = SimDuration::from_millis(5);
 
-    fn world(n: usize, loss: f64, timeout: SimDuration) -> World {
-        let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5));
+    fn world(n: usize, loss: f64, latency: SimDuration) -> World {
+        let link = AccessLinkClass::symmetric(10_000_000, latency);
         let topo = TopologySpec::uniform("rpc", n, link.with_loss(loss));
         let mut net = Network::new(NetworkConfig::default(), topo);
         let m = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
@@ -517,7 +516,7 @@ mod tests {
         }
         World {
             net,
-            rpc: RpcTable::new(timeout),
+            rpc: RpcTable::new(),
             outcomes: Vec::new(),
             mute: Vec::new(),
             deaf_for: 0,
@@ -536,7 +535,7 @@ mod tests {
 
     #[test]
     fn call_completes_and_cancels_its_timer() {
-        let w = world(2, 0.0, TIMEOUT);
+        let w = world(2, 0.0, LATENCY);
         let mut sim: NetSim<World> = Simulation::new(w, 1);
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 7);
         sim.run();
@@ -549,13 +548,13 @@ mod tests {
         assert_eq!(sim.world().rpc.pending.len(), 0);
         assert_eq!(sim.world_mut().net.stats().rpc_timeouts, 0);
         // The cancelled timeout timer never fired: virtual time stops at the reply, well
-        // before the 1 s timeout.
+        // before the 2 s timeout.
         assert!(sim.now() < SimTime::ZERO + SimDuration::from_millis(500));
     }
 
     #[test]
     fn unanswered_call_retries_then_times_out() {
-        let w = world(2, 0.0, SimDuration::from_millis(100));
+        let w = world(2, 0.0, LATENCY);
         let mut sim: NetSim<World> = Simulation::new(w, 1);
         sim.world_mut().mute.push(VNodeId(1));
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 9);
@@ -572,18 +571,15 @@ mod tests {
         // Timeouts surface on the network's transport counters too (the PR 3 convention
         // syncs them into the run's Recorder).
         assert_eq!(sim.world_mut().net.stats().rpc_timeouts, 1);
-        // `MAX_ATTEMPTS` attempts, 100 ms apart: the call fails 100 ms after the last one.
-        assert_eq!(
-            sim.now(),
-            SimTime::ZERO + SimDuration::from_millis(100) * u64::from(MAX_ATTEMPTS)
-        );
+        // `MAX_ATTEMPTS` attempts, `TIMEOUT` apart: the call fails `TIMEOUT` after the last.
+        assert_eq!(sim.now(), SimTime::ZERO + TIMEOUT * u64::from(MAX_ATTEMPTS));
     }
 
     #[test]
     fn retries_recover_from_loss() {
         // 10% loss on every pipe traversal (a round trip crosses four lossy pipes, so a single
         // attempt only succeeds ~66% of the time); bounded retries recover almost every call.
-        let w = world(2, 0.1, SimDuration::from_millis(200));
+        let w = world(2, 0.1, LATENCY);
         let mut sim: NetSim<World> = Simulation::new(w, 5);
         for tag in 0..20 {
             call_tagged(&mut sim, VNodeId(0), VNodeId(1), tag);
@@ -602,9 +598,9 @@ mod tests {
 
     #[test]
     fn late_reply_after_timeout_is_counted_not_delivered() {
-        // Timeout far below the ~20 ms round trip: every attempt's reply arrives after the
-        // call already gave up.
-        let w = world(2, 0.0, SimDuration::from_millis(1));
+        // A round trip of four pipes of `TIMEOUT` latency each, longer than all `MAX_ATTEMPTS`
+        // timeouts together: every attempt's reply arrives after the call already gave up.
+        let w = world(2, 0.0, TIMEOUT);
         let mut sim: NetSim<World> = Simulation::new(w, 1);
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 3);
         sim.run();
@@ -623,7 +619,7 @@ mod tests {
         // Two concurrent calls whose contexts have nothing to do with their bodies: the
         // answered one gets its context back with the reply, the one to a mute node with its
         // final timeout.
-        let w = world(3, 0.0, SimDuration::from_millis(100));
+        let w = world(3, 0.0, LATENCY);
         let mut sim: NetSim<World> = Simulation::new(w, 1);
         sim.world_mut().mute.push(VNodeId(2));
         let (answering, mute) = (port_of(&mut sim, VNodeId(1)), port_of(&mut sim, VNodeId(2)));
@@ -638,24 +634,28 @@ mod tests {
 
     #[test]
     fn a_reply_racing_its_timeout_at_one_instant_completes_once() {
-        // The round trip of a lossless call, then the same call with a timeout of exactly that
-        // long, to a responder that ignores its first `deaf_for` requests: attempt `deaf_for +
-        // 1`'s reply and its timer fall on one instant. The timer was scheduled first, so it
-        // fires first. On the last attempt that is the final timeout after `MAX_ATTEMPTS`
-        // sends, and the reply then arrives late; on the one before, it is a retry, and the
-        // reply then completes the call on its last attempt. Either way the call completes
-        // exactly once.
-        let rtt = {
-            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, TIMEOUT), 1);
+        // A link latency whose lossless round trip is exactly `TIMEOUT` (four pipes, each
+        // adding the latency to a fixed serialization time), and a responder that ignores its
+        // first `deaf_for` requests: attempt `deaf_for + 1`'s reply and its timer fall on one
+        // instant. The timer was scheduled first, so it fires first. On the last attempt that
+        // is the final timeout after `MAX_ATTEMPTS` sends, and the reply then arrives late; on
+        // the one before, it is a retry, and the reply then completes the call on its last
+        // attempt. Either way the call completes exactly once.
+        let rtt = |latency| {
+            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, latency), 1);
             call_tagged(&mut sim, VNodeId(0), VNodeId(1), 1);
             sim.run();
             sim.now() - SimTime::ZERO
         };
+        let serialization = rtt(SimDuration::ZERO);
+        assert_eq!(rtt(LATENCY), serialization + LATENCY * 4);
+        let latency = (TIMEOUT - serialization) / 4;
+        assert_eq!(serialization + latency * 4, TIMEOUT);
         for (deaf_for, outcome) in [
             (MAX_ATTEMPTS - 1, (1, None, MAX_ATTEMPTS)),
             (MAX_ATTEMPTS - 2, (1, Some(2), MAX_ATTEMPTS)),
         ] {
-            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, rtt), 1);
+            let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, latency), 1);
             sim.world_mut().deaf_for = deaf_for;
             call_tagged(&mut sim, VNodeId(0), VNodeId(1), 1);
             sim.run();
@@ -672,7 +672,7 @@ mod tests {
     fn a_timeout_that_raced_its_cancellation_is_ignored() {
         // A timer that fires for a call completed at the same instant finds no pending row:
         // nothing is retried, counted or completed a second time.
-        let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, TIMEOUT), 1);
+        let mut sim: NetSim<World> = Simulation::new(world(2, 0.0, LATENCY), 1);
         call_tagged(&mut sim, VNodeId(0), VNodeId(1), 7);
         sim.run();
         let stats = sim.world_mut().rpc.stats();

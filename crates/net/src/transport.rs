@@ -34,8 +34,7 @@ use crate::lane::LaneKind;
 use crate::network::{ConnId, ConnState, NetError, Network, VNodeId};
 use crate::pipe::{EnqueueOutcome, PipeId};
 use crate::proto::{
-    flow_dir, fragment_count, fragment_size, AckBitfield, CongestionController, FragOutcome,
-    FRAG_HEADER_BYTES,
+    flow_dir, fragment_count, fragment_size, AckBitfield, FragOutcome, FRAG_HEADER_BYTES,
 };
 use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 
@@ -701,7 +700,9 @@ fn proto_send<W: NetHost>(
             let frag_size = fragment_size(size, mtu, index, count);
             let wire = frag_size + lane.header_bytes() + FRAG_HEADER_BYTES;
             let release = half.pace_until.max(now);
-            let spacing = half.cc.send_spacing(wire);
+            let spacing = half
+                .cc
+                .map_or(SimDuration::ZERO, |cc| cc.send_spacing(wire));
             half.pace_until = release + spacing;
             if release > now && paced.is_none() {
                 paced = Some((index, release, spacing));
@@ -737,23 +738,22 @@ fn proto_send<W: NetHost>(
     Ok(())
 }
 
-/// A fragment reaches its paced release time: feed the congestion controller, record reliable
-/// fragments in the sender window with their wire-entry time (the RTT anchor and the ack
-/// matching set), and start the packet walk.
+/// A fragment reaches its paced release time: record a reliable fragment in the sender window
+/// with its wire-entry time (the RTT anchor and the ack matching set), and start the packet
+/// walk.
 fn release_fragment<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
     let now = sim.now();
     if let Frame::Frag {
         conn, lane, seq, ..
     } = flight.frame
     {
-        let wire = flight.frame.wire_size();
-        let net = sim.world_mut().network();
-        let sender_is_client = net
-            .connection(conn)
-            .is_some_and(|c| c.client.0 == flight.src);
-        let half = &mut net.proto_mut(conn).halves[flow_dir(sender_is_client)];
-        half.cc.on_send(wire);
         if lane.reliable() {
+            let wire = flight.frame.wire_size();
+            let net = sim.world_mut().network();
+            let sender_is_client = net
+                .connection(conn)
+                .is_some_and(|c| c.client.0 == flight.src);
+            let half = &mut net.proto_mut(conn).halves[flow_dir(sender_is_client)];
             half.lane_mut(lane).send.window.on_sent(seq, wire, now);
         }
     }
@@ -954,7 +954,9 @@ fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>
                     .connection(conn)
                     .is_some_and(|c| c.client.0 == flight.src);
                 let half = &mut net.proto_mut(conn).halves[flow_dir(sender_is_client)];
-                half.cc.on_loss();
+                if let Some(cc) = &mut half.cc {
+                    cc.on_loss();
+                }
                 // Karn's algorithm: the retried fragment's eventual ack must not produce an
                 // RTT sample, or retransmit backoffs would inflate srtt and stall the pacer.
                 half.lane_mut(lane).send.window.mark_retransmitted(seq);
@@ -1169,7 +1171,9 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
             state.send.window.on_ack(&ack, |wire_bytes, sent_at| {
                 // `sent_at` is None for retransmitted fragments: bytes credited, no RTT
                 // sample (Karn's algorithm).
-                cc.on_ack(wire_bytes, sent_at.map(|s| now - s));
+                if let Some(cc) = cc {
+                    cc.on_ack(wire_bytes, sent_at.map(|s| now - s));
+                }
             });
         }
         Frame::Fin { conn } => {
@@ -1578,8 +1582,9 @@ mod tests {
         let half = &mut sim.world_mut().net.proto_mut(conn).halves[flow_dir(true)];
         assert!(half.pace_until <= start, "the connection is not pacing yet");
         let first_seq = half.lane_mut(lane).send.next_seq;
-        let spacing = half.cc.send_spacing(wire(0));
-        let short_spacing = half.cc.send_spacing(wire(count - 1));
+        let cc = half.cc.expect("an AIMD connection has a controller");
+        let spacing = cc.send_spacing(wire(0));
+        let short_spacing = cc.send_spacing(wire(count - 1));
         assert!(!spacing.is_zero() && short_spacing < spacing);
         // Two messages back to back. The first's fragment 0 leaves at once and the rest are
         // paced; all of the second's are paced, and its first leaves one short spacing after

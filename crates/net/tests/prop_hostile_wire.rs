@@ -1,14 +1,14 @@
-//! Hostile wire-path properties: arbitrary bytes into the frame decoders and forged,
+//! Hostile wire-path properties: arbitrary bytes into the ack bitfield decoder and forged,
 //! duplicate and late correlation ids into the RPC table.
 //!
 //! `prop_proto.rs` checks the struct → bytes → struct direction; this file drives the
 //! opposite, adversarial direction: every byte string a byzantine peer could put on the wire
-//! must decode without panicking (and re-encode to the same bytes — the decoders are total
-//! bijections, no canonicalization a forger could exploit), and a [`RpcTable`] bombarded with
+//! must decode without panicking (and re-encode to the same bytes — the decoder is a total
+//! bijection, no canonicalization a forger could exploit), and a [`RpcTable`] bombarded with
 //! responses that correlate to nothing must swallow every one of them without completing a
 //! call, double-completing one, or corrupting its accounting.
 
-use p2plab_net::proto::{AckBitfield, FragHeader};
+use p2plab_net::proto::AckBitfield;
 use p2plab_net::rpc::{
     self, RpcHost, RpcId, RpcOutcome, RpcPayload, RpcStats, RpcTable, RpcTimeout,
 };
@@ -85,7 +85,7 @@ fn world() -> World {
     }
     World {
         net,
-        rpc: RpcTable::new(SimDuration::from_secs(1)),
+        rpc: RpcTable::new(),
         outcomes: Vec::new(),
     }
 }
@@ -111,17 +111,9 @@ fn inject_forged(sim: &mut NetSim<World>, node: VNodeId, id: u64, body: u64) {
 }
 
 proptest! {
-    /// Frame header decoding is total and byte-exact: every 8-byte string a hostile peer puts
+    /// Ack bitfield decoding is total and byte-exact: every 6-byte string a hostile peer puts
     /// on the wire decodes without panicking and re-encodes to the very same bytes — there is
     /// no canonicalization step whose asymmetry a forger could exploit.
-    #[test]
-    fn frag_header_decode_is_total_on_arbitrary_bytes(raw in any::<u64>()) {
-        let bytes = raw.to_le_bytes();
-        let h = FragHeader::decode(bytes);
-        prop_assert_eq!(h.encode(), bytes);
-    }
-
-    /// Same totality for the 6-byte ack bitfield wire shape.
     #[test]
     fn ack_bitfield_decode_is_total_on_arbitrary_bytes(latest in any::<u16>(), bits in any::<u32>()) {
         let mut bytes = [0u8; 6];

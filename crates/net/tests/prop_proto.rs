@@ -1,5 +1,5 @@
-//! Property-based tests of the protocol-depth layer: fragment-header and ack-bitfield wire
-//! round-trips, fragment-plan arithmetic, the reassembler/ack-tracker invariants under
+//! Property-based tests of the protocol-depth layer: the ack-bitfield wire round-trip,
+//! fragment-plan arithmetic, the reassembler/ack-tracker invariants under
 //! arbitrary (including adversarial) input sequences, and the sender window and reassembler
 //! against reference twins that store everything they are given.
 
@@ -9,8 +9,8 @@
 )]
 
 use p2plab_net::proto::{
-    fragment_count, fragment_size, seq_newer, AckBitfield, AckTracker, FragHeader, FragOutcome,
-    Reassembler, SentWindow,
+    fragment_count, fragment_size, seq_newer, AckBitfield, AckTracker, FragOutcome, Reassembler,
+    SentWindow,
 };
 use p2plab_sim::{SimRng, SimTime};
 use proptest::prelude::*;
@@ -295,13 +295,6 @@ fn reassembler_matches_its_twin(seed: u64) {
 }
 
 proptest! {
-    /// Fragment headers survive an encode → decode round-trip for every field value.
-    #[test]
-    fn frag_header_roundtrip(msg in any::<u16>(), index in any::<u16>(), count in any::<u16>(), seq in any::<u16>()) {
-        let h = FragHeader { msg, index, count, seq };
-        prop_assert_eq!(FragHeader::decode(h.encode()), h);
-    }
-
     /// Ack bitfields survive an encode → decode round-trip for every field value.
     #[test]
     fn ack_bitfield_roundtrip(latest in any::<u16>(), bits in any::<u32>()) {

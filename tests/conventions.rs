@@ -3,6 +3,7 @@
 //! that no crate source holds a `dyn Fn`, that nothing comes from outside the workspace, and
 //! that every scenario key and every public item has a caller.
 
+use p2plab::core::{parse_toml, CampaignCell, CampaignSpec, DslError, ScenarioFile};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -258,10 +259,27 @@ const UNSET_KEYS: [(&str, &str); 4] = [
     ("duplicate_rate", "tests turn duplication on"),
 ];
 
+/// What a shipped file loads to: a scenario file's [`ScenarioFile`], or a campaign's expanded
+/// cells.
+#[derive(Debug, PartialEq)]
+enum Loaded {
+    Scenario(Box<ScenarioFile>),
+    Campaign(Vec<CampaignCell>),
+}
+
+fn load(text: &str, campaign: bool) -> Result<Loaded, DslError> {
+    Ok(match campaign {
+        true => Loaded::Campaign(CampaignSpec::parse(text)?.expand()?),
+        false => Loaded::Scenario(Box::new(ScenarioFile::parse(text)?)),
+    })
+}
+
 /// A setting with one value in use is a constant: every literal key that `crates/core`
 /// declares (a `k.opt` / `k.req` / `k.checked` / `k.req_checked` call outside its tests) is set
 /// by some scenario or campaign file under `examples/` or `benchmark/workloads/`, or is listed
-/// in [`UNSET_KEYS`] with its reason; and every section it declares (a `k.table` /
+/// in [`UNSET_KEYS`] with its reason; some setting of it moves what its file loads to (deleting
+/// the line changes the parsed scenario or the expanded campaign, or makes it fail to load), so
+/// no key is set only to its default; and every section it declares (a `k.table` /
 /// `k.optional` call) is opened by some shipped file, in a `[section]` header or a dotted key.
 #[test]
 fn every_scenario_key_has_a_caller() {
@@ -290,17 +308,23 @@ fn every_scenario_key_has_a_caller() {
     assert!(sections.len() > 5, "found only {sections:?}");
 
     // The last segment of every assignment's (possibly dotted) key, in every shipped file, and
-    // every segment of those keys and of every `[section]` header.
+    // every segment of those keys and of every `[section]` header. `moved` keeps the last
+    // segment of each assignment whose deletion changes what its file loads to.
     let mut tomls = Vec::new();
     files(&root.join("examples"), "toml", &mut tomls);
     files(&root.join("benchmark/workloads"), "toml", &mut tomls);
-    let (mut set, mut opened) = (Vec::new(), Vec::new());
+    assert!(tomls.len() > 10, "found only {tomls:?}");
+    let (mut set, mut moved, mut opened) = (Vec::new(), BTreeSet::new(), Vec::new());
     let plain = |path: &str| {
         !path.is_empty() && (path.chars()).all(|c| c.is_ascii_alphanumeric() || "_-.".contains(c))
     };
     for file in tomls {
-        for line in std::fs::read_to_string(&file).unwrap().lines() {
-            let line = line.trim();
+        let text = std::fs::read_to_string(&file).unwrap();
+        let campaign = CampaignSpec::is_campaign(&parse_toml(&text).unwrap());
+        let loaded = load(&text, campaign);
+        assert!(loaded.is_ok(), "{}: {loaded:?}", file.display());
+        let lines: Vec<&str> = text.lines().collect();
+        for (at, line) in lines.iter().map(|l| l.trim()).enumerate() {
             if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 opened.extend(header.split('.').map(str::to_string));
                 continue;
@@ -310,8 +334,16 @@ fn every_scenario_key_has_a_caller() {
             };
             let path = lhs.trim();
             if plain(path) {
-                set.push(path.rsplit('.').next().unwrap().to_string());
+                let key = path.rsplit('.').next().unwrap().to_string();
                 opened.extend(path.split('.').map(str::to_string));
+                let without: Vec<&str> = (lines.iter().enumerate())
+                    .filter(|&(i, _)| i != at)
+                    .map(|(_, l)| *l)
+                    .collect();
+                if load(&without.join("\n"), campaign) != loaded {
+                    moved.insert(key.clone());
+                }
+                set.push(key);
             }
         }
     }
@@ -340,6 +372,18 @@ fn every_scenario_key_has_a_caller() {
         "keys no shipped file sets: {uncalled:?}. Make each a constant, or set it in a file, or \
          list it in UNSET_KEYS with its reason"
     );
+    let mut unmoved: Vec<&str> = declared
+        .iter()
+        .map(String::as_str)
+        .filter(|key| set.iter().any(|s| s == key) && !moved.contains(*key))
+        .collect();
+    unmoved.sort_unstable();
+    unmoved.dedup();
+    assert!(
+        unmoved.is_empty(),
+        "keys every shipped file sets to their default: {unmoved:?}. Make each a constant, or \
+         set it off its default in a file"
+    );
     for (key, _) in UNSET_KEYS {
         assert!(
             declared.iter().any(|k| k == key),
@@ -359,7 +403,7 @@ const UNCALLED_ITEMS: [(&str, &str); 0] = [];
 /// Public items that nothing calls but the benchmark probe (`benchmark/src`, which links the
 /// public API) and tests, each with why it stays. The probe is changed only with the benchmark,
 /// so each goes when the probe stops naming it.
-const PROBE_ONLY_ITEMS: [(&str, &str); 6] = [
+const PROBE_ONLY_ITEMS: [(&str, &str); 5] = [
     (
         "crates/bittorrent/src/piece.rs::pick_blocks",
         "the probe times the block picker through it",
@@ -380,10 +424,6 @@ const PROBE_ONLY_ITEMS: [(&str, &str); 6] = [
     (
         "crates/net/src/proto/ack.rs::encode",
         "the probe times an ack bitfield's round trip through `encode` and `decode`",
-    ),
-    (
-        "crates/net/src/proto/frag.rs::encode",
-        "only tests call it, but the probe's call of the ack bitfield's namesake counts for it",
     ),
 ];
 

@@ -289,8 +289,8 @@ proptest! {
             0 => ("", None),
             1 => ("[arrivals]\nkind = \"poisson\"\nrate = 2.5\n", Some(ArrivalSpec::poisson(2.5))),
             2 => (
-                "[arrivals]\nkind = \"ramp\"\nstart = \"3s\"\ninterval = \"250ms\"\n",
-                Some(ArrivalSpec::ramp(secs(3), ms(250))),
+                "[arrivals]\nkind = \"ramp\"\ninterval = \"250ms\"\n",
+                Some(ArrivalSpec::ramp(SimDuration::ZERO, ms(250))),
             ),
             3 => (
                 "[arrivals]\nkind = \"flash-crowd\"\ntrickle_rate = 0.5\ntrigger = \"30s\"\nburst_rate = 50.0\n",
@@ -393,42 +393,27 @@ proptest! {
                 }),
             ),
             "gossip" => (
-                format!(
-                    "nodes = {nodes}\nfanout = {}\nround_interval = \"{}ms\"\nrumor_bytes = {}\n",
-                    n + 4, n + 1001, n + 257,
-                ),
+                format!("nodes = {nodes}\nfanout = {}\n", n + 4),
                 WorkloadConfig::Gossip(GossipSpec {
                     fanout: (n + 4) as usize,
-                    round_interval: ms(n + 1001),
-                    rumor_bytes: n + 257,
                     ..GossipSpec::new(size)
                 }),
             ),
             "gossip-sharded" => (
-                format!(
-                    "nodes = {nodes}\nfanout = {}\nround_interval = \"{}ms\"\nrumor_bytes = {}\n\
-                     rounds = {n}\n",
-                    n + 4, n + 1001, n + 257,
-                ),
+                format!("nodes = {nodes}\nfanout = {}\nrounds = {n}\n", n + 4),
                 WorkloadConfig::GossipSharded(GossipShardedSpec {
                     fanout: (n + 4) as usize,
-                    round_interval: ms(n + 1001),
-                    rumor_bytes: n + 257,
                     rounds: n as u32,
                     ..GossipShardedSpec::new(size)
                 }),
             ),
             _ => (
                 format!(
-                    "nodes = {nodes}\nlookups = {}\nalpha = {}\nk = {}\nrpc_timeout = \"{}ms\"\n\
-                     lookup_interval = \"{}ms\"\n",
-                    nodes + n, n + 4, n + 9, n + 2001, n + 101,
+                    "nodes = {nodes}\nlookups = {}\nlookup_interval = \"{}ms\"\n",
+                    nodes + n, n + 101,
                 ),
                 WorkloadConfig::DhtLookup(DhtLookupSpec {
                     lookups: (nodes + n) as usize,
-                    alpha: (n + 4) as usize,
-                    k: (n + 9) as usize,
-                    rpc_timeout: ms(n + 2001),
                     lookup_interval: ms(n + 101),
                     ..DhtLookupSpec::new(size)
                 }),
