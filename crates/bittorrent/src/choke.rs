@@ -17,8 +17,6 @@ pub struct ChokeConfig {
     pub regular_slots: usize,
     /// Number of optimistic unchoke slots.
     pub optimistic_slots: usize,
-    /// How many choker rounds an optimistic unchoke lasts (mainline: 3 rounds of 10 s = 30 s).
-    pub optimistic_rounds: u32,
 }
 
 impl Default for ChokeConfig {
@@ -26,7 +24,6 @@ impl Default for ChokeConfig {
         ChokeConfig {
             regular_slots: 3,
             optimistic_slots: 1,
-            optimistic_rounds: 3,
         }
     }
 }
@@ -37,7 +34,6 @@ pub fn no_choking() -> ChokeConfig {
     ChokeConfig {
         regular_slots: usize::MAX,
         optimistic_slots: 0,
-        optimistic_rounds: 1,
     }
 }
 
@@ -53,6 +49,9 @@ pub struct PeerSnapshot {
     /// Bytes per second we recently uploaded to the peer.
     pub upload_rate: f64,
 }
+
+/// How many choker rounds an optimistic unchoke lasts (mainline: 3 rounds of 10 s = 30 s).
+const OPTIMISTIC_ROUNDS: u32 = 3;
 
 /// The per-client choker state.
 #[derive(Debug, Clone)]
@@ -122,8 +121,7 @@ impl Choker {
         unchoked.extend(interested[..regular].iter().map(|p| p.conn));
 
         if self.config.optimistic_slots > 0 {
-            let rotate =
-                self.round % self.config.optimistic_rounds == 1 || self.optimistic.is_none();
+            let rotate = self.round % OPTIMISTIC_ROUNDS == 1 || self.optimistic.is_none();
             let still_valid = self
                 .optimistic
                 .is_some_and(|c| interested.iter().any(|p| p.conn == c));
@@ -197,8 +195,7 @@ mod tests {
             .take(choker.config.regular_slots)
             .map(|p| p.conn)
             .collect();
-        let rotate =
-            choker.round % choker.config.optimistic_rounds == 1 || choker.optimistic.is_none();
+        let rotate = choker.round % OPTIMISTIC_ROUNDS == 1 || choker.optimistic.is_none();
         let still_valid = choker
             .optimistic
             .is_some_and(|c| peers.iter().any(|p| p.conn == c && p.interested));

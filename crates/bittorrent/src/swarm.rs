@@ -20,8 +20,7 @@ use crate::piece::BlockOutcome;
 use crate::torrent::Torrent;
 use crate::tracker::Tracker;
 use p2plab_net::{
-    ConnId, Endpoint, LaneKind, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent,
-    VNodeId,
+    ConnId, Endpoint, NetEvent, NetHost, NetSim, Network, SocketAddr, TransportEvent, VNodeId,
 };
 use p2plab_sim::{PeriodicSeries, SimTime, TimeSeries};
 
@@ -211,7 +210,7 @@ pub enum SwarmTimer {
 }
 
 // A swarm's queue slot holds this event inline; growing it slows every packet hop.
-const _: () = assert!(std::mem::size_of::<NetEvent<BtPayload, SwarmTimer>>() <= 88);
+const _: () = assert!(std::mem::size_of::<NetEvent<BtPayload, SwarmTimer>>() <= 80);
 
 impl NetHost for SwarmWorld {
     type Payload = BtPayload;
@@ -858,15 +857,9 @@ fn send_peer(sim: &mut SwarmSim, idx: usize, slot: usize, msg: PeerMessage) {
         }
         (client.vnode, p.conn)
     };
-    // Peer-wire messages travel on the ordered reliable lane — the legacy data path, so the
-    // ported client's wire costs and event stream are byte-identical.
-    let _ = Endpoint::new(vnode).send(
-        sim,
-        conn,
-        LaneKind::ReliableOrdered,
-        size,
-        BtPayload::Peer(msg),
-    );
+    // Peer-wire messages travel on the connection's reliable stream — the legacy data path,
+    // so the ported client's wire costs and event stream are byte-identical.
+    let _ = Endpoint::new(vnode).send(sim, conn, size, BtPayload::Peer(msg));
 }
 
 #[cfg(test)]
@@ -1116,7 +1109,6 @@ mod tests {
         // A late message on the closed connection finds no slot and changes nothing.
         let late = TransportEvent::Message {
             conn: ConnId(5),
-            lane: LaneKind::ReliableOrdered,
             from: peer(5),
             payload: BtPayload::Peer(PeerMessage::Interested),
             size: 5,

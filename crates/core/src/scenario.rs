@@ -487,7 +487,6 @@ struct TransportCounters {
     datagrams_dropped: Counter,
     rpc_timeouts: Counter,
     fragments_sent: Counter,
-    reassembly_timeouts: Counter,
     selective_retransmits: Counter,
 }
 
@@ -498,7 +497,6 @@ impl TransportCounters {
             datagrams_dropped: rec.counter("datagrams_dropped"),
             rpc_timeouts: rec.counter("rpc_timeouts"),
             fragments_sent: rec.counter("fragments_sent"),
-            reassembly_timeouts: rec.counter("reassembly_timeouts"),
             selective_retransmits: rec.counter("selective_retransmits"),
         }
     }
@@ -508,7 +506,6 @@ impl TransportCounters {
         rec.set_total(self.datagrams_dropped, stats.datagrams_dropped);
         rec.set_total(self.rpc_timeouts, stats.rpc_timeouts);
         rec.set_total(self.fragments_sent, stats.fragments_sent);
-        rec.set_total(self.reassembly_timeouts, stats.reassembly_timeouts);
         rec.set_total(self.selective_retransmits, stats.selective_retransmits);
     }
 }

@@ -1,5 +1,5 @@
 //! Kademlia-style iterative DHT lookups as a [`Workload`] — the proof workload of the
-//! session/lane/RPC transport API.
+//! session/RPC transport API.
 //!
 //! Every node owns a 64-bit id in an XOR metric space and a static routing table shaped the way
 //! Kademlia's buckets are: for each distance prefix (bucket) up to [`K`] known peers. The table
@@ -446,7 +446,7 @@ pub enum DhtTimer {
 }
 
 // The lookup index must not widen the DHT's queue slot.
-const _: () = assert!(std::mem::size_of::<NetEvent<RpcPayload<DhtBody>, DhtTimer>>() <= 120);
+const _: () = assert!(std::mem::size_of::<NetEvent<RpcPayload<DhtBody>, DhtTimer>>() <= 112);
 
 impl From<RpcTimeout> for DhtTimer {
     fn from(timeout: RpcTimeout) -> DhtTimer {

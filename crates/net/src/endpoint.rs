@@ -1,10 +1,10 @@
 //! The node-facing session API: per-vnode [`Endpoint`] handles over bound ports, connections
-//! and typed lanes.
+//! and datagrams.
 //!
 //! An [`Endpoint`] is a virtual node's view of its transport stack — the handle through which
-//! an application binds ports, opens and closes connections, and sends messages on typed
-//! [`LaneKind`](crate::lane::LaneKind) lanes or as connectionless datagrams. The passive state
-//! (listener table, connection arena, counters) lives in the
+//! an application binds ports, opens and closes connections, and sends messages on a
+//! connection (one reliable, ordered message stream) or as connectionless datagrams. The
+//! passive state (listener table, connection arena, counters) lives in the
 //! [`Network`](crate::network::Network); the endpoint is a cheap `Copy` capability that names
 //! the vnode, so application code can hold one per protocol instance without borrowing the
 //! world.
@@ -16,15 +16,16 @@
 //!
 //! ```
 //! use p2plab_net::{
-//!     AccessLinkClass, Endpoint, GroupId, LaneKind, NetHost, NetSim, Network, NetworkConfig,
+//!     AccessLinkClass, Endpoint, GroupId, NetHost, NetSim, Network, NetworkConfig, SocketAddr,
 //!     TopologySpec, TransportEvent, VNodeId, VirtAddr,
 //! };
 //! use p2plab_sim::{NoEvent, Simulation};
 //!
-//! /// A world whose nodes echo every message back on the lane it arrived on.
+//! /// A world whose nodes echo every stream message back on its connection, and record every
+//! /// message and datagram they receive.
 //! struct Echo {
 //!     net: Network,
-//!     delivered: Vec<(VNodeId, LaneKind, u32)>,
+//!     delivered: Vec<(VNodeId, &'static str, u32)>,
 //! }
 //!
 //! impl NetHost for Echo {
@@ -37,11 +38,17 @@
 //!         match timer {}
 //!     }
 //!     fn on_transport_event(sim: &mut NetSim<Self>, node: VNodeId, ev: TransportEvent<u32>) {
-//!         if let TransportEvent::Message { conn, lane, payload, size, .. } = ev {
-//!             sim.world_mut().delivered.push((node, lane, payload));
-//!             if payload < 1000 {
-//!                 let _ = Endpoint::new(node).send(sim, conn, lane, size, payload + 1000);
+//!         match ev {
+//!             TransportEvent::Message { conn, payload, size, .. } => {
+//!                 sim.world_mut().delivered.push((node, "stream", payload));
+//!                 if payload < 1000 {
+//!                     let _ = Endpoint::new(node).send(sim, conn, size, payload + 1000);
+//!                 }
 //!             }
+//!             TransportEvent::Datagram { payload, .. } => {
+//!                 sim.world_mut().delivered.push((node, "datagram", payload));
+//!             }
+//!             _ => {}
 //!         }
 //!     }
 //! }
@@ -52,7 +59,7 @@
 //! let m = net.add_machine("pm0", VirtAddr::new(192, 168, 38, 1));
 //! let a = net.add_vnode(m, GroupId(0)).unwrap();
 //! let b = net.add_vnode(m, GroupId(0)).unwrap();
-//! let peer = p2plab_net::SocketAddr::new(net.addr_of(b), 6881);
+//! let peer = SocketAddr::new(net.addr_of(b), 6881);
 //!
 //! let mut sim: NetSim<Echo> = Simulation::new(Echo { net, delivered: vec![] }, 1);
 //! let server = Endpoint::new(b);
@@ -60,17 +67,18 @@
 //! let client = Endpoint::new(a);
 //! let conn = client.connect(&mut sim, peer).unwrap();
 //! sim.run();
-//! // Send on two different lanes of the same connection; the echo comes back on each.
-//! client.send(&mut sim, conn, LaneKind::ReliableOrdered, 512, 1).unwrap();
-//! client.send(&mut sim, conn, LaneKind::UnreliableUnordered, 64, 2).unwrap();
+//! // A message on the connection comes back as its echo; a datagram needs no connection.
+//! client.send(&mut sim, conn, 512, 1).unwrap();
+//! client.send_datagram(&mut sim, 7000, peer, 64, 2).unwrap();
 //! sim.run();
-//! assert!(sim.world().delivered.contains(&(b, LaneKind::ReliableOrdered, 1)));
-//! assert!(sim.world().delivered.contains(&(a, LaneKind::UnreliableUnordered, 1002)));
+//! assert!(sim.world().delivered.contains(&(b, "stream", 1)));
+//! assert!(sim.world().delivered.contains(&(a, "stream", 1001)));
+//! assert!(sim.world().delivered.contains(&(b, "datagram", 2)));
 //! ```
 
 use crate::network::VNodeId;
 
-/// A virtual node's transport handle: bound ports, connections and lane sends.
+/// A virtual node's transport handle: bound ports, connections, sends and datagrams.
 ///
 /// Cheap to create and `Copy` — an endpoint is the *name* of a vnode's transport stack, not a
 /// stateful object, so protocol code can construct one wherever it holds a [`VNodeId`]. The
@@ -97,7 +105,6 @@ impl Endpoint {
 mod tests {
     use super::*;
     use crate::addr::SocketAddr;
-    use crate::lane::LaneKind;
     use crate::network::{ConnState, NetError, Network, NetworkConfig};
     use crate::topology::{AccessLinkClass, GroupId, TopologySpec};
     use crate::transport::{NetHost, NetSim, TransportEvent};
@@ -127,9 +134,7 @@ mod tests {
                 TransportEvent::Connected { .. } => "connected".into(),
                 TransportEvent::Refused { .. } => "refused".into(),
                 TransportEvent::Accepted { .. } => "accepted".into(),
-                TransportEvent::Message { lane, payload, .. } => {
-                    format!("msg:{lane:?}:{payload}")
-                }
+                TransportEvent::Message { payload, .. } => format!("msg:{payload}"),
                 TransportEvent::Datagram {
                     to_port, payload, ..
                 } => format!("dgram:{to_port}:{payload}"),
@@ -149,28 +154,6 @@ mod tests {
         World {
             net,
             seen: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn lane_tag_travels_with_the_message() {
-        let w = world(2);
-        let peer = SocketAddr::new(w.net.addr_of(VNodeId(1)), 7000);
-        let mut sim: NetSim<World> = Simulation::new(w, 1);
-        Endpoint::new(VNodeId(1)).bind(&mut sim, 7000).unwrap();
-        let ep = Endpoint::new(VNodeId(0));
-        let conn = ep.connect(&mut sim, peer).unwrap();
-        sim.run();
-        for lane in LaneKind::ALL {
-            ep.send(&mut sim, conn, lane, 100, 7).unwrap();
-        }
-        sim.run();
-        let seen = &sim.world().seen;
-        for lane in LaneKind::ALL {
-            assert!(
-                seen.contains(&(VNodeId(1), format!("msg:{lane:?}:7"))),
-                "missing {lane:?} delivery in {seen:?}"
-            );
         }
     }
 
@@ -234,7 +217,7 @@ mod tests {
         // A third node cannot send or close on a connection it is not part of.
         let stranger = Endpoint::new(VNodeId(2));
         assert_eq!(
-            stranger.send(&mut sim, conn, LaneKind::ReliableOrdered, 10, 1),
+            stranger.send(&mut sim, conn, 10, 1),
             Err(NetError::UnknownConnection(conn))
         );
         assert_eq!(

@@ -17,12 +17,12 @@
 //! * [`network`] — per-machine/per-node data-plane state;
 //! * [`transport`] — the frame-level data plane walking the emulated path, and the
 //!   [`Endpoint`] operations that start it;
-//! * [`lane`], [`endpoint`] — the node-facing session API: per-vnode [`Endpoint`] handles,
-//!   connections carrying typed [`LaneKind`] lanes;
-//! * [`proto`] — protocol depth under the lanes: MTU fragmentation, ack-bitfield
+//! * [`endpoint`] — the node-facing session API: per-vnode [`Endpoint`] handles, each
+//!   connection one reliable message stream beside connectionless datagrams;
+//! * [`proto`] — protocol depth under the stream: MTU fragmentation, ack-bitfield
 //!   reliability, pluggable congestion control and composable link conditioners;
-//! * [`rpc`] — typed request/response calls with timeout and bounded retries over the
-//!   unreliable lane;
+//! * [`rpc`] — typed request/response calls with timeout and bounded retries over
+//!   datagrams;
 //! * [`intercept`] — the BINDIP libc shim and its cost model;
 //! * [`ping`](mod@ping) — the echo application used by the accuracy experiments.
 //!
@@ -35,7 +35,6 @@ pub mod addr;
 pub mod endpoint;
 pub mod firewall;
 pub mod intercept;
-pub mod lane;
 pub mod network;
 pub mod ping;
 pub mod pipe;
@@ -49,7 +48,6 @@ pub use addr::{AddrParseError, SocketAddr, Subnet, VirtAddr};
 pub use endpoint::Endpoint;
 pub use firewall::{Classification, Direction, Firewall, Rule, RuleAction};
 pub use intercept::InterceptConfig;
-pub use lane::LaneKind;
 pub use network::{
     ConnId, ConnState, Connection, MachineId, MachineNet, NetError, NetStats, Network,
     NetworkConfig, VNodeId, VNodeNet,

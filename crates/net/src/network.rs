@@ -100,10 +100,9 @@ pub const SWITCH_LATENCY: SimDuration = SimDuration::from_micros(50);
 
 /// What a run varies about the emulation data plane. The platform's own costs are constants:
 /// the firewall's [`PER_RULE_COST`], the cluster's [`NIC_BPS`] and [`SWITCH_LATENCY`], the
-/// BINDIP shim's system calls ([`p2plab_os::syscall`]) and the transport's size, retry and
-/// reassembly limits ([`MAX_MESSAGE_BYTES`](crate::transport::MAX_MESSAGE_BYTES),
-/// [`RTO`](crate::lane::RTO), [`MAX_ATTEMPTS`](crate::transport::MAX_ATTEMPTS),
-/// [`REASSEMBLY_TIMEOUT`](crate::transport::REASSEMBLY_TIMEOUT)).
+/// BINDIP shim's system calls ([`p2plab_os::syscall`]) and the transport's size and retry
+/// limits ([`MAX_MESSAGE_BYTES`](crate::transport::MAX_MESSAGE_BYTES),
+/// [`RTO`](crate::transport::RTO), [`MAX_ATTEMPTS`](crate::transport::MAX_ATTEMPTS)).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetworkConfig {
     /// libc-interception configuration (BINDIP shim).
@@ -140,8 +139,8 @@ pub struct Connection {
     pub state: ConnState,
     /// The id that owns the slot, or [`ConnId::RELEASED`].
     id: ConnId,
-    /// Frames in flight that name the connection, duplicates included, plus armed reassembly
-    /// timers. A closed or refused connection is released when this reaches zero.
+    /// Frames in flight that name the connection, duplicates included. A closed or refused
+    /// connection is released when this reaches zero.
     pending: u32,
 }
 
@@ -280,12 +279,12 @@ pub struct NetStats {
     pub messages_sent: u64,
     /// Messages delivered to applications.
     pub messages_delivered: u64,
-    /// Messages dropped (after exhausting retransmissions, or unreliable drops).
+    /// Messages dropped (after exhausting retransmissions, or datagram drops).
     pub messages_dropped: u64,
-    /// Unreliable frames (datagrams and unreliable-lane messages) dropped by a pipe — the
-    /// subset of `messages_dropped` that no retransmission ever covered.
+    /// Datagrams dropped by a pipe — the subset of `messages_dropped` that no retransmission
+    /// ever covered.
     pub datagrams_dropped: u64,
-    /// Retransmissions performed by the reliable lanes.
+    /// Retransmissions of dropped connection frames (whole messages and control frames).
     pub retransmissions: u64,
     /// RPC calls that exhausted their attempts without an answer (see [`crate::rpc`]).
     pub rpc_timeouts: u64,
@@ -293,12 +292,10 @@ pub struct NetStats {
     pub bytes_delivered: u64,
     /// Fragments released to the wire by the protocol layer (see [`crate::proto`]).
     pub fragments_sent: u64,
-    /// Incomplete reassemblies discarded after the reassembly timeout.
-    pub reassembly_timeouts: u64,
     /// Individual lost fragments retransmitted by the protocol layer (only the missing
     /// fragments are resent, never the whole message).
     pub selective_retransmits: u64,
-    /// Acknowledgement frames sent by receivers on reliable lanes.
+    /// Acknowledgement frames sent by receivers of fragmented messages.
     pub acks_sent: u64,
     /// Fresh frames silently swallowed by a sender-side tamper point (see [`crate::tamper`]).
     pub tampered_drops: u64,
@@ -829,7 +826,6 @@ mod tests {
     use crate::addr::{SocketAddr, Subnet};
     use crate::endpoint::Endpoint;
     use crate::firewall::{Firewall, Rule};
-    use crate::lane::LaneKind;
     use crate::proto::CcKind;
     use crate::topology::AccessLinkClass;
     use crate::transport::{NetHost, NetSim, TransportEvent};
@@ -1288,8 +1284,7 @@ mod tests {
             }
             match event {
                 TransportEvent::Connected { conn, .. } if !sim.world().hold_open => {
-                    ep.send(sim, conn, LaneKind::ReliableOrdered, 3000, 0)
-                        .unwrap();
+                    ep.send(sim, conn, 3000, 0).unwrap();
                 }
                 TransportEvent::Message { conn, .. } => ep.close(sim, conn).unwrap(),
                 TransportEvent::Closed { .. } if sim.world().reconnects > 0 => {
@@ -1400,7 +1395,7 @@ mod tests {
         let (stats_before, events_before) = (sim.world().net.stats(), sim.world().events);
         for ep in [client, server] {
             assert_eq!(
-                ep.send(&mut sim, stale, LaneKind::ReliableOrdered, 100, 1),
+                ep.send(&mut sim, stale, 100, 1),
                 Err(NetError::UnknownConnection(stale))
             );
             assert_eq!(
@@ -1431,8 +1426,7 @@ mod tests {
         let server = sim.world().server;
         let conn = client.connect(&mut sim, server).unwrap();
         sim.run();
-        let lane = LaneKind::ReliableOrdered;
-        client.send(&mut sim, conn, lane, 64 * 1024, 0).unwrap();
+        client.send(&mut sim, conn, 64 * 1024, 0).unwrap();
         client.close(&mut sim, conn).unwrap();
         while sim.world().closed.is_empty() {
             let next = sim.now() + SimDuration::from_millis(1);

@@ -54,7 +54,7 @@ pub enum PingTimer {
 }
 
 // The series fields must not widen the event's queue slot.
-const _: () = assert!(std::mem::size_of::<NetEvent<PingPayload, PingTimer>>() <= 88);
+const _: () = assert!(std::mem::size_of::<NetEvent<PingPayload, PingTimer>>() <= 80);
 
 /// A world whose virtual nodes all run an echo responder.
 pub struct PingWorld {

@@ -8,7 +8,7 @@
 //!
 //! Sequence numbers are 16-bit and wrap; comparisons use serial-number arithmetic
 //! ([`seq_newer`]), so the scheme is sound as long as fewer than 2^15 fragments are in flight
-//! per (connection, direction, lane) — far beyond any window the congestion controllers allow.
+//! per (connection, direction) — far beyond any window the congestion controllers allow.
 //!
 //! The sender's [`SentWindow`] stores only the fragments still unacknowledged, 24 bytes each,
 //! so its memory follows what is in flight. A fragment can get stuck there: one retransmitted
@@ -136,7 +136,7 @@ struct SentRecord {
     retransmitted: bool,
 }
 
-// Every unacknowledged fragment of every reliable lane direction holds one.
+// Every unacknowledged fragment of every connection direction holds one.
 const _: () = assert!(std::mem::size_of::<SentRecord>() <= 24);
 
 /// Send-side window of outstanding fragments: turns returning ack bitfields into

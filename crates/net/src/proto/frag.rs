@@ -2,7 +2,7 @@
 //!
 //! A message larger than the configured MTU is split into `ceil(size / mtu)` fragments, each
 //! carrying an 8-byte fragment header ([`FRAG_HEADER_BYTES`]: message id, fragment index,
-//! fragment count, wire sequence) on top of its lane framing. The receive side tracks per-message
+//! fragment count, wire sequence) on top of its stream framing. The receive side tracks per-message
 //! bitmasks ([`Reassembler`]) and reports completion exactly once per message id — duplicate
 //! fragments (conditioner duplication, retransmit races) and malformed headers are ignored, so
 //! the layer never delivers a message it was not sent and never delivers one twice.
@@ -12,21 +12,16 @@
 //! of more than 64 fragments spills its mask to a heap slice of 64-bit blocks.
 //!
 //! The [`Reassembler`] keeps its window of completed message ids as sorted, disjoint ranges:
-//! a lane's messages complete nearly in order, so it holds about one range, plus one per
+//! a stream's messages complete nearly in order, so it holds about one range, plus one per
 //! message still open behind the newest completed one.
 //!
-//! Incomplete **unreliable-lane** messages are discarded after an idle timeout
-//! ([`REASSEMBLY_TIMEOUT`](crate::transport::REASSEMBLY_TIMEOUT)): the transport arms a
-//! timer on [`FragOutcome::Pending`]`{ first: true }` carrying a [`progress`](Reassembler::progress)
-//! snapshot, and when it fires it re-arms instead of expiring if any fragment arrived in the
-//! meantime. Reliable-lane assemblies are exempt from the reaper — their fragments keep being
-//! retransmitted until they arrive, and when the sender abandons a fragment (attempts
-//! exhausted) the whole message is [`abandon`](Reassembler::abandon)ed at once: partial state
-//! dropped, stragglers ignored.
+//! An incomplete message needs no idle reaper: its fragments keep being retransmitted until
+//! they arrive, and when the sender abandons a fragment (attempts exhausted) the whole message
+//! is [`abandon`](Reassembler::abandon)ed at once: partial state dropped, stragglers ignored.
 
 use p2plab_sim::FxHashMap;
 
-/// Bytes of the per-fragment header priced on the wire on top of the lane framing, laid out
+/// Bytes of the per-fragment header priced on the wire on top of the stream framing, laid out
 /// as four little-endian `u16`s: message (reassembly) id, fragment index, fragment count and
 /// wire sequence number (the unit of acknowledgement). The simulation carries these fields in
 /// the fragment frame itself and never serialises a header, so only its size is modelled.
@@ -59,12 +54,8 @@ pub fn fragment_size(size: u64, mtu: u64, index: u16, count: u16) -> u64 {
 /// Result of offering one fragment to the [`Reassembler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FragOutcome {
-    /// The fragment was accepted but the message is still incomplete. `first` is set when this
-    /// fragment opened a fresh reassembly entry — the caller schedules the reassembly timeout.
-    Pending {
-        /// Whether this fragment created the reassembly entry.
-        first: bool,
-    },
+    /// The fragment was accepted but the message is still incomplete.
+    Pending,
     /// This fragment completed the message: deliver it (exactly once).
     Complete,
     /// Duplicate, stale or malformed fragment; ignored.
@@ -170,7 +161,7 @@ impl CompletedIds {
     }
 }
 
-/// Receive-side fragment reassembly for one (connection, direction, lane).
+/// Receive-side fragment reassembly for one (connection, direction).
 ///
 /// Tracks per-message bitmasks and a window of completed message ids so duplicates of an
 /// already-delivered message are ignored. Completed ids are forgotten half a sequence space
@@ -193,17 +184,11 @@ impl Reassembler {
             self.finish(msg);
             return FragOutcome::Complete;
         }
-        let (entry, first) = match self.entries.get_mut(&msg) {
-            Some(e) => (e, false),
-            None => (
-                self.entries.entry(msg).or_insert_with(|| Entry {
-                    count,
-                    received: 0,
-                    mask: Mask::new(count),
-                }),
-                true,
-            ),
-        };
+        let entry = self.entries.entry(msg).or_insert_with(|| Entry {
+            count,
+            received: 0,
+            mask: Mask::new(count),
+        });
         if entry.count != count {
             // A fragment disagreeing with the entry's count is corrupt; keep the entry.
             return FragOutcome::Ignored;
@@ -217,14 +202,8 @@ impl Reassembler {
             self.finish(msg);
             FragOutcome::Complete
         } else {
-            FragOutcome::Pending { first }
+            FragOutcome::Pending
         }
-    }
-
-    /// Expires the reassembly of `msg`: drops its entry if still incomplete. Returns whether
-    /// an incomplete entry was discarded (the caller counts a reassembly timeout).
-    pub fn expire(&mut self, msg: u16) -> bool {
-        self.entries.remove(&msg).is_some()
     }
 
     /// Marks `msg` as dead: drops its partial assembly and ignores every future fragment of
@@ -240,18 +219,6 @@ impl Reassembler {
         self.entries.remove(&msg);
         self.finish(msg);
         true
-    }
-
-    /// Number of messages currently being reassembled.
-    pub fn pending(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Fragments received so far for the in-progress message `msg` (`None` once completed,
-    /// expired or never seen). The timeout machinery compares snapshots of this to tell a
-    /// stalled reassembly from one that is still receiving retransmitted fragments.
-    pub fn progress(&self, msg: u16) -> Option<u16> {
-        self.entries.get(&msg).map(|e| e.received)
     }
 
     fn finish(&mut self, msg: u16) {
@@ -296,14 +263,14 @@ mod tests {
     #[test]
     fn reassembly_completes_once() {
         let mut r = Reassembler::default();
-        assert_eq!(r.accept(5, 0, 3), FragOutcome::Pending { first: true });
-        assert_eq!(r.accept(5, 2, 3), FragOutcome::Pending { first: false });
+        assert_eq!(r.accept(5, 0, 3), FragOutcome::Pending);
+        assert_eq!(r.accept(5, 2, 3), FragOutcome::Pending);
         assert_eq!(r.accept(5, 1, 3), FragOutcome::Complete);
         // Any further fragment of the completed message is ignored.
         assert_eq!(r.accept(5, 0, 3), FragOutcome::Ignored);
         assert_eq!(r.accept(5, 1, 3), FragOutcome::Ignored);
         assert!(r.completed.contains(5));
-        assert_eq!(r.pending(), 0);
+        assert!(r.entries.is_empty());
     }
 
     #[test]
@@ -320,15 +287,15 @@ mod tests {
         assert_eq!(r.accept(1, 3, 3), FragOutcome::Ignored);
         assert_eq!(r.accept(1, u16::MAX, 4), FragOutcome::Ignored);
         // Count mismatch against an open entry.
-        assert_eq!(r.accept(2, 0, 4), FragOutcome::Pending { first: true });
+        assert_eq!(r.accept(2, 0, 4), FragOutcome::Pending);
         assert_eq!(r.accept(2, 1, 5), FragOutcome::Ignored);
-        assert_eq!(r.accept(2, 1, 4), FragOutcome::Pending { first: false });
+        assert_eq!(r.accept(2, 1, 4), FragOutcome::Pending);
     }
 
     #[test]
     fn duplicate_fragment_ignored() {
         let mut r = Reassembler::default();
-        assert_eq!(r.accept(9, 0, 2), FragOutcome::Pending { first: true });
+        assert_eq!(r.accept(9, 0, 2), FragOutcome::Pending);
         assert_eq!(r.accept(9, 0, 2), FragOutcome::Ignored);
         assert_eq!(r.accept(9, 1, 2), FragOutcome::Complete);
     }
@@ -342,23 +309,10 @@ mod tests {
         // Late sibling fragments must not reopen the dead message.
         assert_eq!(r.accept(4, 1, 3), FragOutcome::Ignored);
         assert_eq!(r.accept(4, 2, 3), FragOutcome::Ignored);
-        assert_eq!(r.pending(), 0);
+        assert!(r.entries.is_empty());
         // Abandoning a message that already completed reports nothing to count.
         assert_eq!(r.accept(9, 0, 1), FragOutcome::Complete);
         assert!(!r.abandon(9));
-    }
-
-    #[test]
-    fn expiry_discards_incomplete_entries() {
-        let mut r = Reassembler::default();
-        r.accept(3, 0, 2);
-        assert!(r.expire(3));
-        assert!(!r.expire(3), "double expiry is a no-op");
-        // A straggler reopens the entry (and would get a fresh timeout via first=true).
-        assert_eq!(r.accept(3, 1, 2), FragOutcome::Pending { first: true });
-        assert_eq!(r.accept(3, 0, 2), FragOutcome::Complete);
-        // Expiring a completed message is a no-op.
-        assert!(!r.expire(3));
     }
 
     #[test]
@@ -426,7 +380,7 @@ mod tests {
         for count in [64u16, 65, 130] {
             let mut r = Reassembler::default();
             for i in 0..count - 1 {
-                assert!(matches!(r.accept(0, i, count), FragOutcome::Pending { .. }));
+                assert!(matches!(r.accept(0, i, count), FragOutcome::Pending));
                 assert_eq!(r.accept(0, i, count), FragOutcome::Ignored, "duplicate {i}");
             }
             let spilled = matches!(r.entries[&0].mask, Mask::Spilled(_));

@@ -1,13 +1,13 @@
 //! The protocol-depth layer: fragmentation, ack-bitfield reliability and congestion control.
 //!
-//! Real transports do three things the paper's whole-message lanes do not: they **fragment**
+//! Real transports do three things the paper's whole-message stream does not: they **fragment**
 //! application messages to a maximum transmission unit, they **acknowledge** received fragments
 //! with sequence-number bitfields so the sender can retransmit selectively, and they **adapt
-//! their send rate** to observed loss and delay. This module adds all three underneath the
-//! existing [`Endpoint`](crate::endpoint::Endpoint) lanes:
+//! their send rate** to observed loss and delay. This module adds all three underneath an
+//! [`Endpoint`](crate::endpoint::Endpoint)'s connections:
 //!
 //! * [`frag`] — MTU fragmentation planning and the receive-side [`Reassembler`] with
-//!   per-message timeouts and at-most-once completion;
+//!   at-most-once completion;
 //! * [`ack`] — wrapping 16-bit sequence numbers, the receive-side [`AckTracker`] producing
 //!   [`AckBitfield`]s, and the send-side [`SentWindow`] that turns returning acks into RTT
 //!   samples;
@@ -22,7 +22,7 @@
 //! congestion control) every send takes the historical single-frame path, drawing the same
 //! random numbers and scheduling the same events — the fig10 byte-identity pin stays green.
 //! Setting an MTU or choosing a non-legacy controller activates the fragment/ack wire path for
-//! connection lanes (connectionless datagrams never fragment).
+//! connections (connectionless datagrams never fragment).
 
 pub mod ack;
 pub mod cc;
@@ -34,7 +34,6 @@ pub use cc::{Aimd, CcKind};
 pub use condition::{BurstLoss, LinkCondition};
 pub use frag::{fragment_count, fragment_size, FragOutcome, Reassembler, FRAG_HEADER_BYTES};
 
-use crate::lane::LaneKind;
 use p2plab_sim::SimTime;
 
 /// Protocol-depth configuration of the transport, carried inside
@@ -67,37 +66,37 @@ impl TransportConfig {
     }
 }
 
-/// Per-lane sender-side protocol state for one flow direction.
+/// A connection's sender-side protocol state for one flow direction.
 #[derive(Debug, Clone, Default)]
-pub struct LaneSend {
+pub struct StreamSend {
     /// Next wire sequence number to assign.
     pub next_seq: u16,
     /// Next message (reassembly) id to assign.
     pub next_msg: u16,
-    /// Outstanding fragments awaiting acknowledgement (reliable lanes only).
+    /// Outstanding fragments awaiting acknowledgement.
     pub window: SentWindow,
 }
 
-/// Per-lane receiver-side protocol state for one flow direction.
+/// A connection's receiver-side protocol state for one flow direction.
 #[derive(Debug, Clone, Default)]
-pub struct LaneRecv {
+pub struct StreamRecv {
     /// Received-sequence tracker producing ack bitfields.
     pub ack: AckTracker,
     /// Fragment reassembly state.
     pub assembly: Reassembler,
 }
 
-/// Send + receive protocol state of one lane in one flow direction.
+/// Send + receive protocol state of a connection's stream in one flow direction.
 #[derive(Debug, Clone, Default)]
-pub struct LaneProto {
+pub struct StreamProto {
     /// Sender-side state (owned by the node transmitting in this direction).
-    pub send: LaneSend,
+    pub send: StreamSend,
     /// Receiver-side state (owned by the node receiving in this direction).
-    pub recv: LaneRecv,
+    pub recv: StreamRecv,
 }
 
 /// Protocol state of one **flow direction** of a connection: the sender's pacing clock and
-/// congestion controller plus per-lane sequence/window/reassembly state.
+/// congestion controller plus the stream's sequence/window/reassembly state.
 #[derive(Debug, Clone)]
 pub struct ProtoHalf {
     /// The sender may not release the next fragment before this time (pacing under the
@@ -106,9 +105,8 @@ pub struct ProtoHalf {
     /// The congestion controller of this direction: `None` under [`CcKind::Legacy`], which
     /// inserts no spacing and reacts to no ack or loss.
     pub cc: Option<Aimd>,
-    /// Per-lane protocol state, indexed by [`LaneKind::index`]. A lane's record is allocated
-    /// by the lane's first fragment or ack in this direction: a swarm uses one lane of three.
-    lanes: [Option<Box<LaneProto>>; 3],
+    /// The stream's protocol state, allocated by the first fragment or ack in this direction.
+    stream: Option<Box<StreamProto>>,
 }
 
 impl ProtoHalf {
@@ -116,20 +114,20 @@ impl ProtoHalf {
         ProtoHalf {
             pace_until: SimTime::ZERO,
             cc: (kind == CcKind::Aimd).then(Aimd::default),
-            lanes: Default::default(),
+            stream: None,
         }
     }
 
-    /// The protocol state of `lane`, allocated on first use.
-    pub(crate) fn lane_mut(&mut self, lane: LaneKind) -> &mut LaneProto {
-        self.lanes[lane.index()].get_or_insert_with(Default::default)
+    /// The stream's protocol state, allocated on first use.
+    pub(crate) fn stream_mut(&mut self) -> &mut StreamProto {
+        self.stream.get_or_insert_with(Default::default)
     }
 
-    /// The congestion controller together with `lane`'s state: an ack credits the one from
-    /// the other's sender window.
-    pub(crate) fn cc_and_lane(&mut self, lane: LaneKind) -> (&mut Option<Aimd>, &mut LaneProto) {
-        let state = self.lanes[lane.index()].get_or_insert_with(Default::default);
-        (&mut self.cc, state)
+    /// The congestion controller together with the stream's state: an ack credits the one
+    /// from the other's sender window.
+    pub(crate) fn cc_and_stream(&mut self) -> (&mut Option<Aimd>, &mut StreamProto) {
+        let stream = self.stream.get_or_insert_with(Default::default);
+        (&mut self.cc, stream)
     }
 
     /// This direction's congestion window in bytes, for metrics: `u64::MAX` (effectively
@@ -151,8 +149,8 @@ pub struct ProtoConn {
     pub halves: [ProtoHalf; 2],
 }
 
-// One per connection that carried a fragment; a lane's state is a separate allocation.
-const _: () = assert!(std::mem::size_of::<ProtoConn>() <= 144);
+// One per connection that carried a fragment; the stream's state is a separate allocation.
+const _: () = assert!(std::mem::size_of::<ProtoConn>() <= 112);
 
 impl ProtoConn {
     /// Fresh protocol state with both directions using the given congestion controller.
@@ -198,29 +196,15 @@ mod tests {
     fn proto_conn_initial_state() {
         let mut p = ProtoConn::new(CcKind::Aimd);
         assert_eq!(p.halves[0].pace_until, SimTime::ZERO);
-        let allocated = |p: &ProtoConn| {
-            p.halves
-                .each_ref()
-                .map(|h| h.lanes.each_ref().map(Option::is_some))
-        };
-        assert_eq!(
-            allocated(&p),
-            [[false; 3]; 2],
-            "no lane is allocated up front"
-        );
-        let lane = p.halves[0].lane_mut(LaneKind::ReliableOrdered);
-        assert_eq!(lane.send.next_seq, 0);
-        assert_eq!(lane.send.next_msg, 0);
-        lane.send.next_seq = 7;
-        // First use allocates that lane alone, and later lookups find the same state.
-        assert_eq!(
-            p.halves[0]
-                .cc_and_lane(LaneKind::ReliableOrdered)
-                .1
-                .send
-                .next_seq,
-            7
-        );
-        assert_eq!(allocated(&p), [[true, false, false], [false; 3]]);
+        let allocated = |p: &ProtoConn| p.halves.each_ref().map(|h| h.stream.is_some());
+        assert_eq!(allocated(&p), [false; 2], "no stream is allocated up front");
+        let stream = p.halves[0].stream_mut();
+        assert_eq!(stream.send.next_seq, 0);
+        assert_eq!(stream.send.next_msg, 0);
+        stream.send.next_seq = 7;
+        // First use allocates that direction's stream alone, and later lookups find the same
+        // state.
+        assert_eq!(p.halves[0].cc_and_stream().1.send.next_seq, 7);
+        assert_eq!(allocated(&p), [true, false]);
     }
 }

@@ -1,4 +1,4 @@
-//! Typed request/response RPC over the unreliable datagram lane.
+//! Typed request/response RPC over connectionless datagrams.
 //!
 //! Iterative protocols (DHT lookups, probing, gossip pull) are request/response at heart: send
 //! a query, wait bounded time for the answer, retry a few times, give up. This module packages

@@ -13,8 +13,8 @@
 //! 4. it is delivered to the destination application via [`NetHost::on_transport_event`].
 //!
 //! Connections are TCP-like: establishment costs one round trip (plus the interception shim's
-//! system calls), data messages preserve boundaries, and each message travels on a typed
-//! [`LaneKind`] **lane** that fixes its framing overhead and retransmit policy. Connectionless
+//! system calls), and a connection is one reliable, ordered message stream that preserves
+//! message boundaries and retransmits a dropped frame on an exponential backoff. Connectionless
 //! datagrams are fire-and-forget.
 //!
 //! **The node-facing API is the [`Endpoint`] handle** (declared in [`crate::endpoint`]), with the
@@ -30,7 +30,6 @@
 use crate::addr::{SocketAddr, VirtAddr};
 use crate::endpoint::Endpoint;
 use crate::firewall::Direction;
-use crate::lane::LaneKind;
 use crate::network::{ConnId, ConnState, NetError, Network, VNodeId};
 use crate::pipe::{EnqueueOutcome, PipeId};
 use crate::proto::{
@@ -45,13 +44,17 @@ pub const MAX_MESSAGE_BYTES: u64 = 64 * 1024;
 /// Transmission attempts of a reliable frame before the transport abandons it.
 pub const MAX_ATTEMPTS: u32 = 16;
 
-/// How long the receive side keeps an incomplete **unreliable-lane** message without any new
-/// fragment arriving before discarding it (and counting a `reassembly_timeouts`). Reliable-lane
-/// assemblies are exempt: their fragments are retransmitted until they arrive, and if the
-/// sender abandons a fragment (attempts exhausted) the assembly is killed at that moment
-/// instead — an idle reaper would discard already-acked fragments that are never resent,
-/// leaving the message permanently undeliverable.
-pub const REASSEMBLY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Base retransmission timeout: a dropped frame's backoff starts here (see
+/// `Frame::retransmit_backoff`).
+pub const RTO: SimDuration = SimDuration::from_millis(500);
+
+/// Bytes of per-message framing a connection's frame pays on the wire on top of its payload:
+/// sequence and cumulative-ack state, the legacy data path's 40-byte header.
+pub const STREAM_HEADER_BYTES: u64 = 40;
+
+/// Bytes of framing a connectionless datagram pays on the wire on top of its payload: the bare
+/// length/port header.
+pub const DATAGRAM_HEADER_BYTES: u64 = 28;
 
 /// World types that embed an emulated [`Network`] and receive transport events.
 ///
@@ -92,7 +95,7 @@ pub trait NetHost: Sized + 'static {
     fn network(&mut self) -> &mut Network;
 
     /// Called when a transport event (connection established/accepted/refused/closed, a
-    /// lane-tagged message or a datagram delivery) reaches a virtual node.
+    /// message or a datagram delivery) reaches a virtual node.
     fn on_transport_event(
         sim: &mut NetSim<Self>,
         node: VNodeId,
@@ -154,21 +157,6 @@ pub enum NetEvent<P, T> {
         /// The time between this fragment's release and the next one's.
         spacing: SimDuration,
     },
-    /// Reassembly idle timeout of a fragmented message (protocol layer): if no further
-    /// fragment arrived since the timer was armed, the incomplete message is discarded;
-    /// otherwise the timer re-arms with a fresh progress snapshot.
-    ReassemblyTimeout {
-        /// The connection the message travels on.
-        conn: ConnId,
-        /// The lane the message travels on.
-        lane: LaneKind,
-        /// The message (reassembly) id.
-        msg: u16,
-        /// Flow direction index (see [`flow_dir`]).
-        dir: u8,
-        /// Fragments received when the timer was armed — unchanged on fire means stalled.
-        progress: u16,
-    },
     /// One of the world's own timers ([`NetHost::Timer`]).
     Timer(T),
 }
@@ -195,64 +183,14 @@ impl<W: NetHost> TypedEvent<W> for NetEvent<W::Payload, W::Timer> {
                 }
                 release_fragment(sim, flight);
             }
-            NetEvent::ReassemblyTimeout {
-                conn,
-                lane,
-                msg,
-                dir,
-                progress,
-            } => {
-                let net = sim.world_mut().network();
-                let current = net.proto_existing(conn).and_then(|p| {
-                    p.halves[usize::from(dir)]
-                        .lane_mut(lane)
-                        .recv
-                        .assembly
-                        .progress(msg)
-                });
-                match current {
-                    // Completed or already expired: nothing to reap.
-                    None => {}
-                    // Still receiving (retransmissions trickling in): re-arm with the new
-                    // snapshot instead of reaping a repair in progress. The re-armed timer
-                    // takes over this one's pin on the connection.
-                    Some(current) if current != progress => {
-                        sim.schedule_event_in(
-                            REASSEMBLY_TIMEOUT,
-                            NetEvent::ReassemblyTimeout {
-                                conn,
-                                lane,
-                                msg,
-                                dir,
-                                progress: current,
-                            },
-                        );
-                        return;
-                    }
-                    // A full timeout without a single new fragment: discard.
-                    Some(_) => {
-                        let net = sim.world_mut().network();
-                        if let Some(p) = net.proto_existing(conn) {
-                            p.halves[usize::from(dir)]
-                                .lane_mut(lane)
-                                .recv
-                                .assembly
-                                .expire(msg);
-                        }
-                        net.stats.reassembly_timeouts += 1;
-                    }
-                }
-                sim.world_mut().network().unpin(conn);
-            }
         }
     }
 }
 
-/// Events delivered to applications by the session/lane API.
+/// Events delivered to applications by the session API.
 ///
-/// Messages carry the [`LaneKind`] they travelled on and datagrams carry `to_port` — the local
-/// port the datagram was addressed to, without which a virtual node bound on several ports
-/// cannot demultiplex its traffic.
+/// Datagrams carry `to_port` — the local port the datagram was addressed to, without which a
+/// virtual node bound on several ports cannot demultiplex its traffic.
 #[derive(Debug, Clone)]
 pub enum TransportEvent<P> {
     /// An outgoing connect completed.
@@ -276,12 +214,10 @@ pub enum TransportEvent<P> {
         /// The connecting endpoint.
         peer: SocketAddr,
     },
-    /// A message arrived on a connection lane.
+    /// A message arrived on a connection.
     Message {
         /// The connection.
         conn: ConnId,
-        /// The lane the message travelled on.
-        lane: LaneKind,
         /// The sending endpoint.
         from: SocketAddr,
         /// Application payload.
@@ -321,7 +257,6 @@ enum Frame<P> {
     },
     Data {
         conn: ConnId,
-        lane: LaneKind,
         payload: P,
         size: u64,
     },
@@ -331,7 +266,6 @@ enum Frame<P> {
     /// materializing per-fragment byte buffers.
     Frag {
         conn: ConnId,
-        lane: LaneKind,
         /// Wire sequence number (the unit of acknowledgement).
         seq: u16,
         /// Message (reassembly) id.
@@ -346,10 +280,9 @@ enum Frame<P> {
         total_size: u64,
         payload: P,
     },
-    /// An acknowledgement bitfield for fragments received on a reliable lane.
+    /// An acknowledgement bitfield for fragments received on a connection.
     Ack {
         conn: ConnId,
-        lane: LaneKind,
         ack: AckBitfield,
     },
     Fin {
@@ -378,7 +311,7 @@ impl<P> Frame<P> {
         }
     }
 
-    /// Bytes the frame occupies on the wire (payload + per-lane framing).
+    /// Bytes the frame occupies on the wire (payload + framing).
     fn wire_size(&self) -> u64 {
         match self {
             Frame::Syn { .. }
@@ -386,37 +319,28 @@ impl<P> Frame<P> {
             | Frame::Rst { .. }
             | Frame::Fin { .. }
             | Frame::Ack { .. } => 64,
-            Frame::Data { size, lane, .. } => size + lane.header_bytes(),
-            Frame::Frag {
-                frag_size, lane, ..
-            } => frag_size + lane.header_bytes() + FRAG_HEADER_BYTES,
-            Frame::Dgram { size, .. } => size + LaneKind::UnreliableUnordered.header_bytes(),
+            Frame::Data { size, .. } => size + STREAM_HEADER_BYTES,
+            Frame::Frag { frag_size, .. } => frag_size + STREAM_HEADER_BYTES + FRAG_HEADER_BYTES,
+            Frame::Dgram { size, .. } => size + DATAGRAM_HEADER_BYTES,
         }
     }
 
-    /// The retransmission backoff before the next attempt, or `None` when the frame is not
-    /// retransmitted. Control frames (handshake, close) follow the ordered lane's exponential
-    /// schedule; data frames follow their lane's policy; datagrams are never retransmitted.
+    /// The retransmission backoff before attempt `attempts + 1`, or `None` when the frame is
+    /// not retransmitted. Control, data and fragment frames back off exponentially —
+    /// `RTO · 2^min(n,5) / 2`, since a gap stalls the stream anyway and pushing harder only
+    /// fills the queues. Datagrams are never retransmitted, and a lost ack is re-covered by the
+    /// next one.
     fn retransmit_backoff(&self, attempts: u32) -> Option<SimDuration> {
         match self {
-            Frame::Syn { .. } | Frame::SynAck { .. } | Frame::Rst { .. } | Frame::Fin { .. } => {
-                LaneKind::ReliableOrdered.retransmit_backoff(attempts)
-            }
-            Frame::Data { lane, .. } | Frame::Frag { lane, .. } => {
-                lane.retransmit_backoff(attempts)
-            }
-            // A lost ack is re-covered by the next one — never retransmitted.
             Frame::Dgram { .. } | Frame::Ack { .. } => None,
+            _ => Some(RTO * (1u64 << attempts.min(5)) / 2),
         }
     }
 
-    /// Whether the transport retransmits the frame if a pipe drops it.
+    /// Whether the transport retransmits the frame if a pipe drops it: every frame on a
+    /// connection is, a datagram is not.
     fn reliable(&self) -> bool {
-        match self {
-            Frame::Data { lane, .. } | Frame::Frag { lane, .. } => lane.reliable(),
-            Frame::Dgram { .. } => false,
-            _ => true,
-        }
+        !matches!(self, Frame::Dgram { .. })
     }
 
     /// Whether a conditioner-duplicated copy of the frame is honored. Only frames with
@@ -463,7 +387,6 @@ impl<P: Clone> InFlight<P> {
     fn next_fragment(&self, net: &mut Network) -> Option<InFlight<P>> {
         let Frame::Frag {
             conn,
-            lane,
             seq,
             msg,
             index,
@@ -484,7 +407,6 @@ impl<P: Clone> InFlight<P> {
         Some(InFlight {
             frame: Frame::Frag {
                 conn,
-                lane,
                 seq: seq.wrapping_add(1),
                 msg,
                 index,
@@ -550,14 +472,13 @@ impl Endpoint {
         Ok(conn)
     }
 
-    /// Sends `payload` (`size` application bytes) on `lane` of the established connection
-    /// `conn`. The lane fixes the framing overhead charged on the wire and the retransmit
-    /// policy applied if a pipe drops the frame (see [`LaneKind`]).
+    /// Sends `payload` (`size` application bytes) on the established connection `conn`. The
+    /// message pays [`STREAM_HEADER_BYTES`] of framing on the wire, and a dropped frame is
+    /// retransmitted (up to [`MAX_ATTEMPTS`] sends) until it arrives.
     pub fn send<W: NetHost>(
         &self,
         sim: &mut NetSim<W>,
         conn: ConnId,
-        lane: LaneKind,
         size: u64,
         payload: W::Payload,
     ) -> Result<(), NetError> {
@@ -578,7 +499,7 @@ impl Endpoint {
         let dst = c.peer_of(node);
         if net.transport_active() {
             let sender_is_client = c.client.0 == node;
-            return proto_send(sim, node, dst, sender_is_client, conn, lane, size, payload);
+            return proto_send(sim, node, dst, sender_is_client, conn, size, payload);
         }
         let flight = make_flight(
             net,
@@ -586,7 +507,6 @@ impl Endpoint {
             dst,
             Frame::Data {
                 conn,
-                lane,
                 payload,
                 size,
             },
@@ -658,20 +578,15 @@ impl Endpoint {
 }
 
 /// The protocol-depth send path: fragments the message to the configured MTU, assigns wire
-/// sequence numbers, paces releases through the congestion controller and records reliable
+/// sequence numbers, paces releases through the congestion controller and records the
 /// fragments in the sender window. One [`Frame::Frag`] per fragment enters the packet walk:
 /// the fragments due now at once, the rest as one [`NetEvent::PaceRelease`] series.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "internal send path mirrors `Endpoint::send`'s checked arguments"
-)]
 fn proto_send<W: NetHost>(
     sim: &mut NetSim<W>,
     node: VNodeId,
     dst: VNodeId,
     sender_is_client: bool,
     conn: ConnId,
-    lane: LaneKind,
     size: u64,
     payload: W::Payload,
 ) -> Result<(), NetError> {
@@ -691,14 +606,14 @@ fn proto_send<W: NetHost>(
     let mut paced = None;
     {
         let half = &mut net.proto_mut(conn).halves[dir];
-        let lane_send = &mut half.lane_mut(lane).send;
-        msg = lane_send.next_msg;
-        lane_send.next_msg = msg.wrapping_add(1);
-        first_seq = lane_send.next_seq;
-        lane_send.next_seq = first_seq.wrapping_add(count);
+        let send = &mut half.stream_mut().send;
+        msg = send.next_msg;
+        send.next_msg = msg.wrapping_add(1);
+        first_seq = send.next_seq;
+        send.next_seq = first_seq.wrapping_add(count);
         for index in 0..count {
             let frag_size = fragment_size(size, mtu, index, count);
-            let wire = frag_size + lane.header_bytes() + FRAG_HEADER_BYTES;
+            let wire = frag_size + STREAM_HEADER_BYTES + FRAG_HEADER_BYTES;
             let release = half.pace_until.max(now);
             let spacing = half
                 .cc
@@ -712,7 +627,6 @@ fn proto_send<W: NetHost>(
     net.stats.fragments_sent += u64::from(count);
     let frag = |index: u16| Frame::Frag {
         conn,
-        lane,
         seq: first_seq.wrapping_add(index),
         msg,
         index,
@@ -738,24 +652,18 @@ fn proto_send<W: NetHost>(
     Ok(())
 }
 
-/// A fragment reaches its paced release time: record a reliable fragment in the sender window
-/// with its wire-entry time (the RTT anchor and the ack matching set), and start the packet
-/// walk.
+/// A fragment reaches its paced release time: record it in the sender window with its
+/// wire-entry time (the RTT anchor and the ack matching set), and start the packet walk.
 fn release_fragment<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) {
     let now = sim.now();
-    if let Frame::Frag {
-        conn, lane, seq, ..
-    } = flight.frame
-    {
-        if lane.reliable() {
-            let wire = flight.frame.wire_size();
-            let net = sim.world_mut().network();
-            let sender_is_client = net
-                .connection(conn)
-                .is_some_and(|c| c.client.0 == flight.src);
-            let half = &mut net.proto_mut(conn).halves[flow_dir(sender_is_client)];
-            half.lane_mut(lane).send.window.on_sent(seq, wire, now);
-        }
+    if let Frame::Frag { conn, seq, .. } = flight.frame {
+        let wire = flight.frame.wire_size();
+        let net = sim.world_mut().network();
+        let sender_is_client = net
+            .connection(conn)
+            .is_some_and(|c| c.client.0 == flight.src);
+        let half = &mut net.proto_mut(conn).halves[flow_dir(sender_is_client)];
+        half.stream_mut().send.window.on_sent(seq, wire, now);
     }
     transmit(sim, flight, SimDuration::ZERO);
 }
@@ -932,8 +840,8 @@ fn receiver_side<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
     }
 }
 
-/// Retransmission policy after a pipe dropped the frame: reliable frames are retried on their
-/// lane's backoff schedule (bounded by [`MAX_ATTEMPTS`]), unreliable frames are counted dropped.
+/// Retransmission policy after a pipe dropped the frame: a frame on a connection is retried on
+/// the backoff schedule (bounded by [`MAX_ATTEMPTS`]), a datagram is counted dropped.
 fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>) {
     let backoff = (flight.attempts + 1 < MAX_ATTEMPTS)
         .then(|| flight.frame.retransmit_backoff(flight.attempts + 1))
@@ -942,10 +850,7 @@ fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>
         Some(backoff) => {
             flight.attempts += 1;
             let net = sim.world_mut().network();
-            if let Frame::Frag {
-                conn, lane, seq, ..
-            } = flight.frame
-            {
+            if let Frame::Frag { conn, seq, .. } = flight.frame {
                 // Selective retransmit: only the lost fragment is resent, and the loss feeds
                 // the sender's congestion controller (drop-triggered — the sim is omniscient,
                 // so no timeout machinery is needed to detect it).
@@ -959,7 +864,7 @@ fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>
                 }
                 // Karn's algorithm: the retried fragment's eventual ack must not produce an
                 // RTT sample, or retransmit backoffs would inflate srtt and stall the pacer.
-                half.lane_mut(lane).send.window.mark_retransmitted(seq);
+                half.stream_mut().send.window.mark_retransmitted(seq);
             } else {
                 net.stats.retransmissions += 1;
             }
@@ -974,23 +879,16 @@ fn handle_drop<W: NetHost>(sim: &mut NetSim<W>, mut flight: InFlight<W::Payload>
                 return;
             }
             let mut newly_dead = true;
-            if let Frame::Frag {
-                conn, lane, msg, ..
-            } = flight.frame
-            {
-                // A reliable fragment lands here only with its attempts exhausted — the
-                // message can never complete. Kill the receiver's partial assembly (the sim
-                // is omniscient) so still-retrying sibling fragments are ignored instead of
+            if let Frame::Frag { conn, msg, .. } = flight.frame {
+                // A fragment lands here only with its attempts exhausted — the message can
+                // never complete. Kill the receiver's partial assembly (the sim is
+                // omniscient) so still-retrying sibling fragments are ignored instead of
                 // reopening a dead entry, and so each abandoned message is counted once.
-                // Unreliable fragments keep the receiver-side behaviour a real stack has:
-                // the assembly stays open until the idle reassembly timeout strands it.
-                if lane.reliable() {
-                    let sender_is_client = net
-                        .connection(conn)
-                        .is_some_and(|c| c.client.0 == flight.src);
-                    let half = &mut net.proto_mut(conn).halves[flow_dir(sender_is_client)];
-                    newly_dead = half.lane_mut(lane).recv.assembly.abandon(msg);
-                }
+                let sender_is_client = net
+                    .connection(conn)
+                    .is_some_and(|c| c.client.0 == flight.src);
+                let half = &mut net.proto_mut(conn).halves[flow_dir(sender_is_client)];
+                newly_dead = half.stream_mut().recv.assembly.abandon(msg);
             }
             if newly_dead {
                 let stats = &mut net.stats;
@@ -1056,7 +954,6 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
         }
         Frame::Data {
             conn,
-            lane,
             payload,
             size,
         } => {
@@ -1072,7 +969,6 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
                 dst,
                 TransportEvent::Message {
                     conn,
-                    lane,
                     from,
                     payload,
                     size,
@@ -1081,7 +977,6 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
         }
         Frame::Frag {
             conn,
-            lane,
             seq,
             msg,
             index,
@@ -1096,70 +991,33 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
                 return;
             }
             let dir = flow_dir(flight.src == c.client.0);
-            let (outcome, ack_field) = {
-                let proto = net.proto_mut(conn);
-                let lane_recv = &mut proto.halves[dir].lane_mut(lane).recv;
-                lane_recv.ack.record(seq);
-                let field = lane.reliable().then(|| lane_recv.ack.bitfield());
-                (lane_recv.assembly.accept(msg, index, count), field)
+            let (outcome, ack) = {
+                let recv = &mut net.proto_mut(conn).halves[dir].stream_mut().recv;
+                recv.ack.record(seq);
+                (recv.assembly.accept(msg, index, count), recv.ack.bitfield())
             };
-            let ack_flight = ack_field.map(|ack| {
-                net.stats.acks_sent += 1;
-                make_flight(net, dst, flight.src, Frame::Ack { conn, lane, ack })
-            });
-            match outcome {
-                FragOutcome::Complete => {
-                    net.stats.bytes_delivered += total_size;
-                    let from = SocketAddr::new(src_addr, c.port_of(c.peer_of(dst)));
-                    if let Some(f) = ack_flight {
-                        transmit(sim, f, SimDuration::ZERO);
-                    }
-                    W::on_transport_event(
-                        sim,
-                        dst,
-                        TransportEvent::Message {
-                            conn,
-                            lane,
-                            from,
-                            payload,
-                            size: total_size,
-                        },
-                    );
-                }
-                FragOutcome::Pending { first } => {
-                    if let Some(f) = ack_flight {
-                        transmit(sim, f, SimDuration::ZERO);
-                    }
-                    // Only unreliable assemblies get the idle reaper: reliable fragments are
-                    // retransmitted until they arrive or the sender abandons them, and the
-                    // abandonment itself kills the assembly (see `handle_drop`) — an idle
-                    // timer would discard acked fragments that are never resent, leaving the
-                    // message permanently undeliverable.
-                    if first && !lane.reliable() {
-                        sim.world_mut().network().pin(conn);
-                        sim.schedule_event_in(
-                            REASSEMBLY_TIMEOUT,
-                            NetEvent::ReassemblyTimeout {
-                                conn,
-                                lane,
-                                msg,
-                                dir: dir as u8,
-                                // A fresh entry holds exactly the fragment that opened it.
-                                progress: 1,
-                            },
-                        );
-                    }
-                }
-                // Duplicate or stale fragment: the ack still goes out (it re-covers the
-                // window), but nothing is delivered.
-                FragOutcome::Ignored => {
-                    if let Some(f) = ack_flight {
-                        transmit(sim, f, SimDuration::ZERO);
-                    }
-                }
+            net.stats.acks_sent += 1;
+            let ack_flight = make_flight(net, dst, flight.src, Frame::Ack { conn, ack });
+            // The ack goes out whatever the outcome: on a duplicate or stale fragment it still
+            // re-covers the window, though nothing is delivered.
+            transmit(sim, ack_flight, SimDuration::ZERO);
+            if outcome == FragOutcome::Complete {
+                let net = sim.world_mut().network();
+                net.stats.bytes_delivered += total_size;
+                let from = SocketAddr::new(src_addr, c.port_of(c.peer_of(dst)));
+                W::on_transport_event(
+                    sim,
+                    dst,
+                    TransportEvent::Message {
+                        conn,
+                        from,
+                        payload,
+                        size: total_size,
+                    },
+                );
             }
         }
-        Frame::Ack { conn, lane, ack } => {
+        Frame::Ack { conn, ack } => {
             let c = *net.connection(conn).expect(PINNED);
             // The ack's receiver is the sender of the acked data, so the flow direction is
             // the one where `dst` transmits.
@@ -1167,8 +1025,8 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
             let Some(proto) = net.proto_existing(conn) else {
                 return;
             };
-            let (cc, state) = proto.halves[dir].cc_and_lane(lane);
-            state.send.window.on_ack(&ack, |wire_bytes, sent_at| {
+            let (cc, stream) = proto.halves[dir].cc_and_stream();
+            stream.send.window.on_ack(&ack, |wire_bytes, sent_at| {
                 // `sent_at` is None for retransmitted fragments: bytes credited, no RTT
                 // sample (Karn's algorithm).
                 if let Some(cc) = cc {
@@ -1206,7 +1064,7 @@ fn deliver_frame<W: NetHost>(sim: &mut NetSim<W>, flight: InFlight<W::Payload>) 
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the packet walk (latency, shaping, loss, interception). Lane and RPC
+    // These tests pin the packet walk (latency, shaping, loss, interception). Session and RPC
     // semantics have their own suites in `tests/transport_edge.rs` and the `endpoint`/`rpc`
     // module tests.
     use super::*;
@@ -1321,7 +1179,7 @@ mod tests {
         // Now send data in both directions.
         let mut sim2 = sim;
         Endpoint::new(VNodeId(0))
-            .send(&mut sim2, conn, LaneKind::ReliableOrdered, 1024, 7)
+            .send(&mut sim2, conn, 1024, 7)
             .unwrap();
         sim2.run();
         assert!(sim2.world().received_payloads.contains(&(VNodeId(1), 7)));
@@ -1329,6 +1187,59 @@ mod tests {
         assert_eq!(c.state, ConnState::Established);
         // Node 1 is the only receiver.
         assert_eq!(sim2.world().net.stats().bytes_delivered, 1024);
+    }
+
+    #[test]
+    fn connection_frames_back_off_exponentially_and_datagrams_never_retry() {
+        let conn = ConnId(0);
+        let frames: [Frame<u32>; 4] = [
+            Frame::Syn { conn },
+            Frame::Fin { conn },
+            Frame::Data {
+                conn,
+                payload: 0,
+                size: 100,
+            },
+            Frame::Frag {
+                conn,
+                seq: 0,
+                msg: 0,
+                index: 0,
+                count: 2,
+                frag_size: 100,
+                total_size: 200,
+                payload: 0,
+            },
+        ];
+        // Half an RTO doubled once per attempt, capped at sixteen RTOs.
+        let mut expected = RTO / 2;
+        for attempts in 1..MAX_ATTEMPTS {
+            expected = (expected * 2).min(RTO * 16);
+            for frame in &frames {
+                assert!(frame.reliable());
+                assert_eq!(
+                    frame.retransmit_backoff(attempts),
+                    Some(expected),
+                    "{frame:?}"
+                );
+            }
+        }
+        let ack: Frame<u32> = Frame::Ack {
+            conn,
+            ack: AckBitfield { latest: 0, bits: 0 },
+        };
+        let dgram: Frame<u32> = Frame::Dgram {
+            from_port: 1,
+            to_port: 2,
+            payload: 0,
+            size: 100,
+        };
+        assert_eq!(ack.retransmit_backoff(1), None);
+        assert_eq!(dgram.retransmit_backoff(1), None);
+        assert!(!dgram.reliable());
+        // A connection's frame pays the stream header, a datagram the bare one.
+        assert_eq!(frames[2].wire_size(), 100 + STREAM_HEADER_BYTES);
+        assert_eq!(dgram.wire_size(), 100 + DATAGRAM_HEADER_BYTES);
     }
 
     #[test]
@@ -1375,11 +1286,11 @@ mod tests {
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         // Not yet established: the SYN has not even left.
         assert_eq!(
-            Endpoint::new(VNodeId(0)).send(&mut sim, conn, LaneKind::ReliableOrdered, 10, 1),
+            Endpoint::new(VNodeId(0)).send(&mut sim, conn, 10, 1),
             Err(NetError::NotEstablished(conn))
         );
         assert_eq!(
-            Endpoint::new(VNodeId(0)).send(&mut sim, ConnId(999), LaneKind::ReliableOrdered, 10, 1),
+            Endpoint::new(VNodeId(0)).send(&mut sim, ConnId(999), 10, 1),
             Err(NetError::UnknownConnection(ConnId(999)))
         );
     }
@@ -1394,7 +1305,7 @@ mod tests {
         sim.run();
         let max = MAX_MESSAGE_BYTES;
         assert_eq!(
-            Endpoint::new(VNodeId(0)).send(&mut sim, conn, LaneKind::ReliableOrdered, max + 1, 1),
+            Endpoint::new(VNodeId(0)).send(&mut sim, conn, max + 1, 1),
             Err(NetError::MessageTooLarge(max + 1))
         );
     }
@@ -1521,7 +1432,7 @@ mod tests {
         );
         for i in 0..20 {
             Endpoint::new(VNodeId(0))
-                .send(&mut sim, conn, LaneKind::ReliableOrdered, 1000, i)
+                .send(&mut sim, conn, 1000, i)
                 .unwrap();
         }
         sim.run();
@@ -1540,16 +1451,15 @@ mod tests {
         assert!(sim.world_mut().net.stats().retransmissions > 0);
     }
 
-    /// The client half's sender-window record of `seq` on `lane`: its wire bytes and its
-    /// wire-entry time, or `None` before the fragment entered the wire.
+    /// The client half's sender-window record of `seq`: its wire bytes and its wire-entry
+    /// time, or `None` before the fragment entered the wire.
     fn sent_record(
         sim: &mut NetSim<TestWorld>,
         conn: ConnId,
-        lane: LaneKind,
         seq: u16,
     ) -> Option<(u64, Option<SimTime>)> {
         let half = &mut sim.world_mut().net.proto_mut(conn).halves[flow_dir(true)];
-        let mut window = half.lane_mut(lane).send.window.clone();
+        let mut window = half.stream_mut().send.window.clone();
         let mut record = None;
         let only_seq = AckBitfield {
             latest: seq,
@@ -1576,12 +1486,11 @@ mod tests {
         Endpoint::new(VNodeId(1)).bind(&mut sim, 6881).unwrap();
         let conn = Endpoint::new(VNodeId(0)).connect(&mut sim, peer).unwrap();
         sim.run();
-        let lane = LaneKind::ReliableOrdered;
-        let wire = |k| fragment_size(size, mtu, k, count) + lane.header_bytes() + FRAG_HEADER_BYTES;
+        let wire = |k| fragment_size(size, mtu, k, count) + STREAM_HEADER_BYTES + FRAG_HEADER_BYTES;
         let start = sim.now();
         let half = &mut sim.world_mut().net.proto_mut(conn).halves[flow_dir(true)];
         assert!(half.pace_until <= start, "the connection is not pacing yet");
-        let first_seq = half.lane_mut(lane).send.next_seq;
+        let first_seq = half.stream_mut().send.next_seq;
         let cc = half.cc.expect("an AIMD connection has a controller");
         let spacing = cc.send_spacing(wire(0));
         let short_spacing = cc.send_spacing(wire(count - 1));
@@ -1591,7 +1500,7 @@ mod tests {
         // the first message's last.
         for payload in [1, 2] {
             Endpoint::new(VNodeId(0))
-                .send(&mut sim, conn, lane, size, payload)
+                .send(&mut sim, conn, size, payload)
                 .unwrap();
         }
         let second = start + spacing * u64::from(count - 1) + short_spacing;
@@ -1601,14 +1510,10 @@ mod tests {
             let seq = first_seq.wrapping_add(i as u16);
             if at > sim.now() {
                 sim.run_until(at - SimDuration::from_nanos(1));
-                assert_eq!(
-                    sent_record(&mut sim, conn, lane, seq),
-                    None,
-                    "fragment {i} early"
-                );
+                assert_eq!(sent_record(&mut sim, conn, seq), None, "fragment {i} early");
             }
             sim.run_until(at);
-            let record = sent_record(&mut sim, conn, lane, seq);
+            let record = sent_record(&mut sim, conn, seq);
             assert_eq!(record, Some((wire(k), Some(at))), "fragment {i}");
         }
         sim.run();
@@ -1662,7 +1567,7 @@ mod tests {
         let start = sim.now();
         for i in 0..10 {
             Endpoint::new(VNodeId(0))
-                .send(&mut sim, conn, LaneKind::ReliableOrdered, 16 * 1024, i)
+                .send(&mut sim, conn, 16 * 1024, i)
                 .unwrap();
         }
         sim.run();
@@ -1697,10 +1602,10 @@ mod tests {
         sim.run();
         for i in 0..5 {
             Endpoint::new(VNodeId(0))
-                .send(&mut sim, c0, LaneKind::ReliableOrdered, 16 * 1024, i)
+                .send(&mut sim, c0, 16 * 1024, i)
                 .unwrap();
             Endpoint::new(VNodeId(1))
-                .send(&mut sim, c1, LaneKind::ReliableOrdered, 16 * 1024, 100 + i)
+                .send(&mut sim, c1, 16 * 1024, 100 + i)
                 .unwrap();
         }
         sim.run();
@@ -1735,7 +1640,7 @@ mod tests {
             let start = sim.now();
             for i in 0..10 {
                 Endpoint::new(VNodeId(0))
-                    .send(&mut sim, conn, LaneKind::ReliableOrdered, 16 * 1024, i)
+                    .send(&mut sim, conn, 16 * 1024, i)
                     .unwrap();
             }
             sim.run();

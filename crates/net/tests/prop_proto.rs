@@ -85,7 +85,6 @@ impl ReferenceReassembler {
             self.finish(msg);
             return FragOutcome::Complete;
         }
-        let first = !self.entries.contains_key(&msg);
         let (entry_count, received, mask) = self
             .entries
             .entry(msg)
@@ -104,12 +103,8 @@ impl ReferenceReassembler {
             self.finish(msg);
             FragOutcome::Complete
         } else {
-            FragOutcome::Pending { first }
+            FragOutcome::Pending
         }
-    }
-
-    fn expire(&mut self, msg: u16) -> bool {
-        self.entries.remove(&msg).is_some()
     }
 
     fn abandon(&mut self, msg: u16) -> bool {
@@ -119,10 +114,6 @@ impl ReferenceReassembler {
         self.entries.remove(&msg);
         self.finish(msg);
         true
-    }
-
-    fn progress(&self, msg: u16) -> Option<u16> {
-        self.entries.get(&msg).map(|e| e.1)
     }
 
     fn finish(&mut self, msg: u16) {
@@ -274,12 +265,9 @@ fn reassembler_matches_its_twin(seed: u64) {
                 let want = twin.accept(msg, index, count);
                 assert_eq!(r.accept(msg, index, count), want, "{what}: {index}/{count}");
             }
-            85..=89 => assert_eq!(r.expire(msg), twin.expire(msg), "{what}: expire"),
-            90..=92 => assert_eq!(r.abandon(msg), twin.abandon(msg), "{what}: abandon"),
+            85..=87 => assert_eq!(r.abandon(msg), twin.abandon(msg), "{what}: abandon"),
             _ => {}
         }
-        assert_eq!(r.progress(msg), twin.progress(msg), "{what}: progress");
-        assert_eq!(r.pending(), twin.entries.len(), "{what}: pending");
     }
     // Abandoning reports whether an id had completed, so the sweep reads the completed set.
     for offset in 0..cursor + 8 {
@@ -351,7 +339,7 @@ proptest! {
                     prop_assert!(count >= 1 && (0..count).all(|i| got.contains(&i)),
                         "message {msg} completed with indices {got:?} of count {count}");
                 }
-                FragOutcome::Pending { .. } => {
+                FragOutcome::Pending => {
                     seen.entry(msg).or_default().insert(index);
                     prop_assert!(!completed.contains(&msg));
                 }

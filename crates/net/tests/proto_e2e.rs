@@ -1,12 +1,12 @@
 //! End-to-end tests of the protocol-depth layer: MTU fragmentation with exactly-once
-//! delivery, ack-bitfield-driven congestion control, selective retransmission under loss,
-//! reassembly timeouts, and link conditioners (jitter, duplication, Gilbert–Elliott burst
-//! loss) — all through the public `Endpoint` API over the full emulated packet walk.
+//! delivery, ack-bitfield-driven congestion control, selective retransmission under loss, and
+//! link conditioners (jitter, duplication, Gilbert–Elliott burst loss) — all through the public
+//! `Endpoint` API over the full emulated packet walk.
 
 use p2plab_net::{
-    AccessLinkClass, BurstLoss, CcKind, ConnId, Endpoint, GroupId, LaneKind, LinkCondition,
-    NetHost, NetSim, Network, NetworkConfig, SocketAddr, TopologySpec, TransportConfig,
-    TransportEvent, VNodeId, VirtAddr,
+    AccessLinkClass, BurstLoss, CcKind, ConnId, Endpoint, GroupId, LinkCondition, NetHost, NetSim,
+    Network, NetworkConfig, SocketAddr, TopologySpec, TransportConfig, TransportEvent, VNodeId,
+    VirtAddr,
 };
 use p2plab_sim::{NoEvent, SimDuration, Simulation};
 
@@ -89,8 +89,7 @@ fn fragmentation_delivers_each_message_exactly_once() {
     let conn = establish(&mut sim);
     let ep = Endpoint::new(VNodeId(0));
     for i in 0..10u32 {
-        ep.send(&mut sim, conn, LaneKind::ReliableOrdered, 16 * 1024, i)
-            .unwrap();
+        ep.send(&mut sim, conn, 16 * 1024, i).unwrap();
     }
     sim.run();
     let mut got = payloads_at(&sim, VNodeId(1));
@@ -105,7 +104,7 @@ fn fragmentation_delivers_each_message_exactly_once() {
     let stats = sim.world_mut().net.stats();
     // 16 KiB at a 1500-byte MTU is 11 fragments per message.
     assert_eq!(stats.fragments_sent, 10 * 11);
-    // Reliable-lane fragments are acknowledged.
+    // Fragments are acknowledged.
     assert!(stats.acks_sent >= stats.fragments_sent);
     // Byte accounting is message-level, exactly as on the legacy path.
     // Node 1 is the only receiver.
@@ -127,8 +126,7 @@ fn aimd_grows_its_window_on_a_clean_link() {
     let initial = sim.world_mut().net.cwnd_mean_bytes();
     let ep = Endpoint::new(VNodeId(0));
     for i in 0..50u32 {
-        ep.send(&mut sim, conn, LaneKind::ReliableOrdered, 16 * 1024, i)
-            .unwrap();
+        ep.send(&mut sim, conn, 16 * 1024, i).unwrap();
         sim.run();
     }
     assert_eq!(payloads_at(&sim, VNodeId(1)).len(), 50);
@@ -153,8 +151,7 @@ fn lossy_link_triggers_selective_retransmits_and_still_delivers() {
     let conn = establish(&mut sim);
     let ep = Endpoint::new(VNodeId(0));
     for i in 0..20u32 {
-        ep.send(&mut sim, conn, LaneKind::ReliableOrdered, 16 * 1024, i)
-            .unwrap();
+        ep.send(&mut sim, conn, 16 * 1024, i).unwrap();
     }
     sim.run();
     let mut got = payloads_at(&sim, VNodeId(1));
@@ -192,14 +189,13 @@ fn burst_loss_and_duplication_preserve_exactly_once() {
     let conn = establish(&mut sim);
     let ep = Endpoint::new(VNodeId(0));
     for i in 0..20u32 {
-        ep.send(&mut sim, conn, LaneKind::ReliableOrdered, 16 * 1024, i)
-            .unwrap();
+        ep.send(&mut sim, conn, 16 * 1024, i).unwrap();
     }
     sim.run();
     let mut got = payloads_at(&sim, VNodeId(1));
     got.sort_unstable();
     // Duplicated fragments are deduplicated by the reassembler: nothing arrives twice. Burst
-    // losses are repaired by selective retransmission up to the lane's bounded attempts, so
+    // losses are repaired by selective retransmission up to the stream's bounded attempts, so
     // nearly everything arrives once (residual loss past max attempts is app-level territory).
     let mut dedup = got.clone();
     dedup.dedup();
@@ -218,37 +214,6 @@ fn burst_loss_and_duplication_preserve_exactly_once() {
 }
 
 #[test]
-fn incomplete_unreliable_messages_time_out() {
-    let transport = TransportConfig {
-        mtu: Some(1000),
-        ..TransportConfig::default()
-    };
-    let link = AccessLinkClass::symmetric(10_000_000, SimDuration::from_millis(5)).with_loss(0.4);
-    let w = world(link, transport);
-    let mut sim: NetSim<World> = Simulation::new(w, 42);
-    let conn = establish(&mut sim);
-    let ep = Endpoint::new(VNodeId(0));
-    // Unreliable lane: lost fragments are never retransmitted, so most multi-fragment
-    // messages stay incomplete and are discarded on timeout.
-    for i in 0..50u32 {
-        ep.send(&mut sim, conn, LaneKind::UnreliableUnordered, 8 * 1024, i)
-            .unwrap();
-    }
-    sim.run();
-    let stats = sim.world_mut().net.stats();
-    assert!(
-        stats.reassembly_timeouts > 0,
-        "40% loss on 9-fragment unreliable messages must strand reassemblies"
-    );
-    // Whatever did complete was delivered at most once.
-    let got = payloads_at(&sim, VNodeId(1));
-    let mut dedup = got.clone();
-    dedup.sort_unstable();
-    dedup.dedup();
-    assert_eq!(dedup.len(), got.len(), "no duplicate deliveries");
-}
-
-#[test]
 fn default_config_keeps_the_legacy_wire_path() {
     // With the default transport config the proto layer must stay entirely cold: no
     // fragments, no acks, no proto state — the byte-identity pin's precondition.
@@ -260,8 +225,7 @@ fn default_config_keeps_the_legacy_wire_path() {
     let conn = establish(&mut sim);
     let ep = Endpoint::new(VNodeId(0));
     for i in 0..5u32 {
-        ep.send(&mut sim, conn, LaneKind::ReliableOrdered, 16 * 1024, i)
-            .unwrap();
+        ep.send(&mut sim, conn, 16 * 1024, i).unwrap();
     }
     sim.run();
     assert_eq!(payloads_at(&sim, VNodeId(1)).len(), 5);

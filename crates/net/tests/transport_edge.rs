@@ -1,10 +1,10 @@
-//! Edge-case integration tests of the session/lane transport API: connection teardown races,
+//! Edge-case integration tests of the session transport API: connection teardown races,
 //! listen/connect races, retransmit accounting under loss, loopback delivery and multi-port
 //! datagram demultiplexing.
 
 use p2plab_net::{
-    AccessLinkClass, ConnState, Endpoint, GroupId, LaneKind, NetHost, NetSim, Network,
-    NetworkConfig, SocketAddr, TopologySpec, TransportEvent, VNodeId, VirtAddr,
+    AccessLinkClass, ConnState, Endpoint, GroupId, NetHost, NetSim, Network, NetworkConfig,
+    SocketAddr, TopologySpec, TransportEvent, VNodeId, VirtAddr,
 };
 use p2plab_sim::{NoEvent, SimDuration, SimTime, Simulation};
 
@@ -31,7 +31,7 @@ impl NetHost for World {
             TransportEvent::Connected { .. } => "connected".into(),
             TransportEvent::Refused { .. } => "refused".into(),
             TransportEvent::Accepted { .. } => "accepted".into(),
-            TransportEvent::Message { lane, payload, .. } => format!("msg:{lane:?}:{payload}"),
+            TransportEvent::Message { payload, .. } => format!("msg:{payload}"),
             TransportEvent::Datagram {
                 to_port, payload, ..
             } => format!("dgram:{to_port}:{payload}"),
@@ -82,8 +82,7 @@ fn close_with_data_in_flight_discards_the_data() {
     // an abortive teardown of the shared connection state (the emulation models conntrack, not
     // a graceful TCP half-close), so the in-flight data reaches a closed connection and is
     // discarded; only the peer's Closed notification survives.
-    ep.send(&mut sim, conn, LaneKind::ReliableOrdered, 1024, 7)
-        .unwrap();
+    ep.send(&mut sim, conn, 1024, 7).unwrap();
     ep.close(&mut sim, conn).unwrap();
     sim.run();
 
@@ -99,9 +98,7 @@ fn close_with_data_in_flight_discards_the_data() {
     assert_eq!(sim.world().net.stats().bytes_delivered, 0);
 
     // Sending on the closed connection fails immediately.
-    assert!(ep
-        .send(&mut sim, conn, LaneKind::ReliableOrdered, 10, 8)
-        .is_err());
+    assert!(ep.send(&mut sim, conn, 10, 8).is_err());
 }
 
 #[test]
@@ -116,8 +113,7 @@ fn data_arriving_at_closed_connection_is_dropped() {
     let conn = ep.connect(&mut sim, peer).unwrap();
     sim.run();
 
-    ep.send(&mut sim, conn, LaneKind::ReliableOrdered, 2048, 9)
-        .unwrap();
+    ep.send(&mut sim, conn, 2048, 9).unwrap();
     // The receiver closes its side in the same instant: the connection is marked closed
     // immediately, while the data frame is still in flight.
     Endpoint::new(VNodeId(1)).close(&mut sim, conn).unwrap();
@@ -177,7 +173,7 @@ fn connect_losing_the_listen_race_is_refused() {
 }
 
 #[test]
-fn reliable_lane_retransmit_accounting_under_loss() {
+fn stream_retransmit_accounting_under_loss() {
     let w = world(2, lan().with_loss(0.3));
     let peer = SocketAddr::new(w.net.addr_of(VNodeId(1)), 7000);
     let mut sim: NetSim<World> = Simulation::new(w, 42);
@@ -190,18 +186,17 @@ fn reliable_lane_retransmit_accounting_under_loss() {
         ConnState::Established
     );
 
-    // 30 messages on the unordered reliable lane: every one must eventually arrive, and every
-    // drop must be visible as a retransmission — never as a datagram drop.
+    // 30 messages on the connection: every one must eventually arrive, and every drop must be
+    // visible as a retransmission — never as a datagram drop.
     for i in 0..30 {
-        ep.send(&mut sim, conn, LaneKind::ReliableUnordered, 500, i)
-            .unwrap();
+        ep.send(&mut sim, conn, 500, i).unwrap();
     }
     sim.run();
     let delivered = labels_of(&sim, VNodeId(1))
         .iter()
-        .filter(|l| l.starts_with("msg:ReliableUnordered"))
+        .filter(|l| l.starts_with("msg:"))
         .count();
-    assert_eq!(delivered, 30, "reliable lane must deliver all messages");
+    assert_eq!(delivered, 30, "the stream must deliver all messages");
     let stats = sim.world_mut().net.stats();
     assert!(
         stats.retransmissions > 0,
@@ -209,24 +204,7 @@ fn reliable_lane_retransmit_accounting_under_loss() {
     );
     assert_eq!(
         stats.datagrams_dropped, 0,
-        "reliable-lane drops are retransmitted, not counted as datagram drops"
-    );
-
-    // The unreliable lane on the same connection takes losses instead of retransmitting.
-    let retrans_before = stats.retransmissions;
-    for i in 0..30 {
-        ep.send(&mut sim, conn, LaneKind::UnreliableUnordered, 500, 100 + i)
-            .unwrap();
-    }
-    sim.run();
-    let stats = sim.world_mut().net.stats();
-    assert_eq!(
-        stats.retransmissions, retrans_before,
-        "the unreliable lane never retransmits"
-    );
-    assert!(
-        stats.datagrams_dropped > 0,
-        "unreliable-lane losses must surface as datagram drops"
+        "stream drops are retransmitted, not counted as datagram drops"
     );
 }
 

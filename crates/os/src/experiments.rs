@@ -22,10 +22,6 @@ pub const EXPERIMENT_FIXED_COST_SECS: f64 = 0.04;
 /// Result of running one batch of identical concurrent processes on one machine.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
-    /// Scheduler used.
-    pub scheduler: SchedulerKind,
-    /// OS used.
-    pub os: OsKind,
     /// Number of concurrent processes.
     pub concurrency: usize,
     /// Per-process completion records.
@@ -58,19 +54,12 @@ impl BatchResult {
 /// Configuration of a concurrent-batch experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// Scheduler flavour of the host.
+    /// Scheduler flavour of the host, which also fixes its OS ([`host_os`]).
     pub scheduler: SchedulerKind,
-    /// OS flavour of the host.
-    pub os: OsKind,
     /// Number of concurrent processes to start.
     pub concurrency: usize,
     /// What each process does.
     pub workload: WorkloadSpec,
-    /// Delay between consecutive process starts (the paper starts them "at the same time" from
-    /// a high-priority launcher; a tiny stagger models the launcher's loop).
-    pub stagger: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl BatchConfig {
@@ -78,11 +67,8 @@ impl BatchConfig {
     pub fn figure1(scheduler: SchedulerKind, concurrency: usize) -> BatchConfig {
         BatchConfig {
             scheduler,
-            os: host_os(scheduler),
             concurrency,
             workload: WorkloadSpec::ackermann(),
-            stagger: SimDuration::from_micros(200),
-            seed: 2006,
         }
     }
 
@@ -111,13 +97,21 @@ pub fn host_os(scheduler: SchedulerKind) -> OsKind {
     }
 }
 
+/// Delay between consecutive process starts: the paper starts them "at the same time" from a
+/// high-priority launcher, and a tiny stagger models the launcher's loop.
+const STAGGER: SimDuration = SimDuration::from_micros(200);
+
+/// The RNG seed of every batch.
+const SEED: u64 = 2006;
+
 /// Runs one concurrent batch to completion and returns the measurements.
 pub fn run_batch(config: BatchConfig) -> BatchResult {
-    let machine = Machine::grid_explorer("node", config.scheduler, config.os);
+    let os = host_os(config.scheduler);
+    let machine = Machine::grid_explorer("node", config.scheduler, os);
     let cores = machine.cores();
-    let mut sim: MachineSim = Simulation::new(machine, config.seed);
+    let mut sim: MachineSim = Simulation::new(machine, SEED);
     for i in 0..config.concurrency {
-        let at = SimTime::ZERO + config.stagger * i as u64;
+        let at = SimTime::ZERO + STAGGER * i as u64;
         sim.schedule_event_at(at, MachineEvent::Spawn(config.workload));
     }
     sim.run();
@@ -136,8 +130,6 @@ pub fn run_batch(config: BatchConfig) -> BatchResult {
     let avg_per_process_seconds = wall_seconds * parallelism / config.concurrency as f64
         + EXPERIMENT_FIXED_COST_SECS / config.concurrency as f64;
     BatchResult {
-        scheduler: config.scheduler,
-        os: config.os,
         concurrency: config.concurrency,
         completions: machine.completed().to_vec(),
         wall_seconds,

@@ -10,7 +10,8 @@
 
 use p2plab_sim::SimDuration;
 
-/// The network-related system calls the interception layer deals with (Figure 5 of the paper).
+/// The system calls of a local TCP connect/disconnect cycle, which the interception layer
+/// charges (Figure 5 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Syscall {
     /// `socket()`
@@ -19,16 +20,10 @@ pub enum Syscall {
     Bind,
     /// `connect()`
     Connect,
-    /// `listen()`
-    Listen,
     /// `accept()`
     Accept,
     /// `close()`
     Close,
-    /// `sendto()` / `sendmsg()`
-    Send,
-    /// `recvfrom()` / `recvmsg()`
-    Recv,
 }
 
 /// Fixed cost of entering and leaving the kernel, in nanoseconds.
@@ -36,8 +31,7 @@ const TRAP_NS: u64 = 180;
 
 impl Syscall {
     /// CPU time one call charges the calling process: the trap plus the call's own kernel work
-    /// (a local `connect()`'s kernel work only; a send or receive excludes the per-byte copies
-    /// the network model charges). Calibrated so that an un-intercepted local
+    /// (a local `connect()`'s kernel work only). Calibrated so that an un-intercepted local
     /// connect/disconnect cycle costs ~10.22 µs, as measured in the paper on the GridExplorer
     /// Opterons, and the intercepted cycle (one extra `bind`) ~10.79 µs.
     pub fn cost(self) -> SimDuration {
@@ -45,10 +39,8 @@ impl Syscall {
             Syscall::Socket => 1_300,
             Syscall::Bind => 390,
             Syscall::Connect => 4_200,
-            Syscall::Listen => 700,
             Syscall::Accept => 2_900,
             Syscall::Close => 380,
-            Syscall::Send | Syscall::Recv => 900,
         };
         SimDuration::from_nanos(TRAP_NS + body_ns)
     }
@@ -110,11 +102,8 @@ mod tests {
             Syscall::Socket,
             Syscall::Bind,
             Syscall::Connect,
-            Syscall::Listen,
             Syscall::Accept,
             Syscall::Close,
-            Syscall::Send,
-            Syscall::Recv,
         ] {
             assert!(c.cost() >= SimDuration::from_nanos(TRAP_NS));
         }

@@ -9,7 +9,7 @@
 //!
 //! * [`sim`] — discrete-event engine, deterministic RNG, measurement types;
 //! * [`os`] — physical-node substrate (CPU schedulers, memory/swap, syscall costs);
-//! * [`net`] — network emulation (dummynet pipes, IPFW rules, topologies, the session/lane/RPC
+//! * [`net`] — network emulation (dummynet pipes, IPFW rules, topologies, the session/RPC
 //!   node-facing transport API, BINDIP shim);
 //! * [`bittorrent`] — the studied application (tracker, peer wire protocol, choking, swarms);
 //! * [`core`] — the P2PLab framework: the workload-agnostic scenario API
@@ -62,7 +62,7 @@ pub mod prelude {
         ScenarioFile, ScenarioSpec, SessionProcess, SwarmSpec, SwarmWorkload, Workload,
     };
     pub use p2plab_net::{
-        AccessLinkClass, Endpoint, LaneKind, Network, NetworkConfig, TopologySpec, TransportEvent,
+        AccessLinkClass, Endpoint, Network, NetworkConfig, TopologySpec, TransportEvent,
     };
     pub use p2plab_os::{Machine, OsKind, SchedulerKind};
     pub use p2plab_sim::{SimDuration, SimTime, Simulation};

@@ -6,8 +6,9 @@
 use p2plab::core::{deploy, figure7_latency_experiment, rule_scaling_experiment, DeploymentSpec};
 use p2plab::net::network::{NIC_BPS, PER_RULE_COST, SWITCH_LATENCY};
 use p2plab::net::ping::ECHO_BYTES;
+use p2plab::net::transport::DATAGRAM_HEADER_BYTES;
 use p2plab::net::{
-    ping_series, AccessLinkClass, GroupId, LaneKind, MachineId, Network, NetworkConfig, PingWorld,
+    ping_series, AccessLinkClass, GroupId, MachineId, Network, NetworkConfig, PingWorld,
     TopologySpec, VNodeId,
 };
 use p2plab::sim::SimDuration;
@@ -78,7 +79,7 @@ fn figure7_topology_deploys_with_paper_rule_accounting() {
 #[test]
 fn figure7_ping_rtt_equals_the_configured_path_to_the_nanosecond() {
     let config = NetworkConfig::default();
-    let wire = ECHO_BYTES + LaneKind::UnreliableUnordered.header_bytes();
+    let wire = ECHO_BYTES + DATAGRAM_HEADER_BYTES;
     let rules = |net: &Network, topo: &TopologySpec, machine: MachineId, dummies: usize| {
         let hosted: BTreeSet<usize> = (net.vnodes())
             .filter(|(_, v)| v.machine() == machine)
